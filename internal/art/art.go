@@ -218,9 +218,10 @@ type entry struct {
 	c *header
 }
 
-// entries collects the node's live (non-nil) children. The caller must
-// hold the node lock if a consistent snapshot is required; readers use it
-// only for scans, where leaf-side verification tolerates races.
+// entries collects the node's live (non-nil) children in slot order. The
+// caller must hold the node lock if a consistent snapshot is required
+// (growNode); Recover runs with the index quiesced. Ordered reads step a
+// frame instead (iter.go).
 func (h *header) entries(buf []entry) []entry {
 	buf = buf[:0]
 	switch h.kind {
@@ -258,12 +259,6 @@ func (h *header) entries(buf []entry) []entry {
 		}
 	}
 	return buf
-}
-
-// liveCount returns the number of non-nil children.
-func (h *header) liveCount() int {
-	var buf [256]entry
-	return len(h.entries(buf[:0:256]))
 }
 
 // Index is a persistent adaptive radix tree mapping byte-string keys to

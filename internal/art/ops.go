@@ -695,20 +695,22 @@ func (idx *Index) setChildPersist(parent *header, pslot byte, nn *header) {
 	panic("art: setChildPersist slot vanished under lock")
 }
 
-// minLeaf returns some leaf below n (the first found in slot order), used
-// to reconstruct compressed prefixes. Returns nil if a racing delete
-// emptied the subtree.
+// minLeaf returns the smallest live leaf at or below n, used to
+// reconstruct compressed prefixes. It backs out of subtrees that deletes
+// emptied (nodes are never unlinked) and returns nil only when no leaf is
+// left below n.
 func (idx *Index) minLeaf(n *header) *leaf {
-	for n != nil {
-		if n.kind == kLeaf {
-			return n.leaf()
+	if n == nil {
+		return nil
+	}
+	if n.kind == kLeaf {
+		return n.leaf()
+	}
+	f := newFrame(n, false)
+	for _, c := f.step(0); c != nil; _, c = f.step(0) {
+		if l := idx.minLeaf(c); l != nil {
+			return l
 		}
-		var buf [256]entry
-		es := n.entries(buf[:0:256])
-		if len(es) == 0 {
-			return nil
-		}
-		n = es[0].c
 	}
 	return nil
 }
@@ -723,12 +725,21 @@ func (idx *Index) fullPrefix(n *header, depth int) []byte {
 	return lf.key[depth:int(n.level)]
 }
 
-// keyAt / keysOff / childOff adapt slot addressing across node4/node16.
+// keyAt / childAt / keysOff / childOff adapt slot addressing across
+// node4/node16.
 func keyAt(n *header, i int) byte {
 	if n.kind == kNode4 {
 		return n.n4().keys.Get(i)
 	}
 	return n.n16().keys.Get(i)
+}
+
+// childAt returns the child in slot i of a node4/node16.
+func childAt(n *header, i int) *header {
+	if n.kind == kNode4 {
+		return n.n4().children[i].Load()
+	}
+	return n.n16().children[i].Load()
 }
 
 func keysOff(n *header) uintptr {

@@ -75,87 +75,26 @@ func (idx *Index) trackRead(n *header) {
 
 // Scan visits keys >= start in ascending order, calling fn for each until
 // fn returns false or count keys have been visited (count <= 0 means
-// unbounded). It returns the number of keys visited. Scans are
-// non-blocking; like lookups they tolerate stale prefixes by pruning only
-// through prefixes that pass the consistency check and filtering every
-// leaf against start.
+// unbounded). It returns the number of keys visited. Scan is a loop over
+// an Iterator and shares its semantics: non-blocking, stale prefixes
+// tolerated, no snapshot.
 //
 // Tries keep no sibling pointers between leaves, so range scans pay a
-// full tree walk — the structural reason P-ART trails B+ trees on YCSB E
+// tree walk — the structural reason P-ART trails B+ trees on YCSB E
 // (§7.1), which this implementation reproduces.
 func (idx *Index) Scan(start []byte, count int, fn func(key []byte, value uint64) bool) int {
+	it := Iterator{idx: idx} // lives in this frame: a scan allocates nothing
+	it.Seek(start)
 	visited := 0
-	var walk func(n *header, depth int, bounded bool) bool
-	walk = func(n *header, depth int, bounded bool) bool {
-		if n == nil {
-			return true
+	for {
+		k, v, ok := it.Next()
+		if !ok || !fn(k, v) {
+			break
 		}
-		idx.trackRead(n)
-		if n.kind == kLeaf {
-			l := n.leaf()
-			if bytes.Compare(l.key, start) >= 0 {
-				if !fn(l.key, l.value.Load()) {
-					return false
-				}
-				visited++
-				if count > 0 && visited >= count {
-					return false
-				}
-			}
-			return true
+		visited++
+		if count > 0 && visited >= count {
+			break
 		}
-		lo := -1 // smallest admissible branch byte when bounded
-		plen, pb := n.prefixSnapshot()
-		expected := int(n.level) - depth
-		if bounded && expected >= 0 && plen == expected {
-			// Compare the consistent prefix against start to prune.
-			m := plen
-			if m > maxStoredPrefix {
-				m = maxStoredPrefix
-			}
-			for i := 0; i < m; i++ {
-				sb := byte(0)
-				if depth+i < len(start) {
-					sb = start[depth+i]
-				}
-				if pb[i] > sb {
-					bounded = false // whole subtree > start
-					break
-				}
-				if pb[i] < sb {
-					return true // whole subtree < start
-				}
-			}
-		}
-		depth = int(n.level)
-		if bounded {
-			if depth < len(start) {
-				lo = int(start[depth])
-			} else {
-				lo = 0
-			}
-		}
-		var buf [256]entry
-		es := n.entries(buf[:0:256])
-		// Node4/16 keep entries in append order; insertion sort is cheap
-		// at <=16 elements and avoids per-node allocations (node48/256
-		// come out of entries() already sorted).
-		for i := 1; i < len(es); i++ {
-			for j := i; j > 0 && es[j].b < es[j-1].b; j-- {
-				es[j], es[j-1] = es[j-1], es[j]
-			}
-		}
-		for _, e := range es {
-			if lo >= 0 && int(e.b) < lo {
-				continue
-			}
-			childBounded := bounded && lo >= 0 && int(e.b) == lo
-			if !walk(e.c, depth+1, childBounded) {
-				return false
-			}
-		}
-		return true
 	}
-	walk(idx.root.Load(), 0, len(start) > 0)
 	return visited
 }

@@ -73,6 +73,34 @@ type HashRanger interface {
 	Range(fn func(key, value uint64) bool)
 }
 
+// Iterator is a resumable in-order iterator over an ordered index: Seek
+// positions it at the smallest key >= start (nil or empty = the minimum
+// key) and may be called again to reposition; each Next returns the key at
+// the position and moves past it, ok = false once the keys are exhausted.
+// Unlike Scan's callback, the caller decides when — and whether — to pull
+// the next entry, and pays nothing to resume.
+//
+// Consistency is Scan's, not a snapshot's: a key present for the whole
+// time between Seek and the Next that passes it is returned exactly once,
+// in ascending order; concurrent inserts and deletes may or may not be
+// seen. A returned key is valid at least until the next call on the same
+// iterator and must not be modified. An Iterator is not safe for
+// concurrent use.
+type Iterator interface {
+	Seek(start []byte)
+	Next() (key []byte, value uint64, ok bool)
+}
+
+// Iterable is the optional iteration capability of an ordered index,
+// type-asserted like HashRanger: an index that can resume an ordered walk
+// where it stopped hands out Iterators, and the sharded front-end merges
+// shards by pulling one entry at a time instead of re-running Scan in
+// batches. OrderedIndex itself stays Scan-only; today P-ART implements
+// Iterable.
+type Iterable interface {
+	NewIterator() Iterator
+}
+
 // Condition is a RECIPE conversion condition (§4).
 type Condition int
 
@@ -178,6 +206,14 @@ func (a *orderedAdapter) Scan(s []byte, c int, f func([]byte, uint64) bool) int 
 	return a.scan(s, c, f)
 }
 
+// artAdapter is P-ART's orderedAdapter plus the Iterable capability.
+type artAdapter struct {
+	*orderedAdapter
+	t *art.Index
+}
+
+func (a *artAdapter) NewIterator() Iterator { return a.t.NewIterator() }
+
 // NewOrdered constructs the named ordered index on heap. kind selects the
 // key encoding, which only FAST & FAIR needs to know up front (it stores
 // integer keys inline and string keys out of line, as the paper's
@@ -185,13 +221,13 @@ func (a *orderedAdapter) Scan(s []byte, c int, f func([]byte, uint64) bool) int 
 func NewOrdered(name string, heap *pmem.Heap, kind keys.Kind) (OrderedIndex, error) {
 	wrap := func(insert func([]byte, uint64) error, lookup func([]byte) (uint64, bool),
 		del func([]byte) (bool, error), scan func([]byte, int, func([]byte, uint64) bool) int,
-		rec func(), length func() int) OrderedIndex {
+		rec func(), length func() int) *orderedAdapter {
 		return &orderedAdapter{insert, lookup, del, scan, func() error { rec(); return nil }, length}
 	}
 	switch name {
 	case "P-ART":
 		t := art.New(heap)
-		return wrap(t.Insert, t.Lookup, t.Delete, t.Scan, t.Recover, t.Len), nil
+		return &artAdapter{wrap(t.Insert, t.Lookup, t.Delete, t.Scan, t.Recover, t.Len), t}, nil
 	case "P-HOT":
 		t := hot.New(heap)
 		return wrap(t.Insert, t.Lookup, t.Delete, t.Scan, t.Recover, t.Len), nil

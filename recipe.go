@@ -234,14 +234,17 @@ type HashPartition = shard.HashPartition
 type RangePartition = shard.RangePartition
 
 // Cursor is a pull-style streaming scan iterator: Next returns entries
-// in ascending key order, holding at most one batch of entries per
-// shard, so servers can paginate arbitrarily long scans in O(shards ×
-// batch) memory without callback gymnastics. Obtain one from
-// (*ShardedOrdered).Cursor or NewCursor.
+// in ascending key order from a k-way merge over one iterator per shard.
+// P-ART shards are pulled entry by entry from the index's own resumable
+// iterator (nothing buffered); every other index is read in batches of
+// at most ScanBatch entries per shard, so servers can paginate
+// arbitrarily long scans in O(shards × batch) memory without callback
+// gymnastics. Obtain one from (*ShardedOrdered).Cursor or NewCursor.
 type Cursor = shard.Cursor
 
-// DefaultScanBatch is the per-shard batch size streaming scans use when
-// ShardOptions.ScanBatch (or NewCursor's batch) is unset.
+// DefaultScanBatch is the per-shard batch cap streaming scans use for
+// batch-read indexes when ShardOptions.ScanBatch (or NewCursor's batch)
+// is unset.
 const DefaultScanBatch = shard.DefaultScanBatch
 
 // NewCursor returns a streaming cursor over a single ordered index,

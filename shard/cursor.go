@@ -7,68 +7,86 @@ import (
 )
 
 // DefaultScanBatch is the per-shard batch-size cap B used by streaming
-// merged scans and cursors when Options.ScanBatch is unset. A batch is
-// one Scan call against the underlying index, so B trades per-entry
-// resume overhead against the O(shards × B) peak scan memory.
+// merged scans and cursors when Options.ScanBatch is unset. It applies to
+// shards read through the batch-and-resume adapter (batchIter), where a
+// batch is one Scan call against the underlying index, so B trades
+// per-entry resume overhead against the O(shards × B) peak scan memory.
+// Shards whose index is core.Iterable are pulled entry by entry and
+// buffer nothing.
 const DefaultScanBatch = 256
 
-// adaptiveSeed is the first-fill batch size of a shard cursor. Batches
-// grow geometrically (doubling on every full fill) from here up to the
+// adaptiveSeed is the first-fill batch size of a batchIter. Batches grow
+// geometrically (doubling on every full fill) from here up to the
 // configured cap, so a short scan pays for a few entries instead of a
 // full cap-sized batch per shard, while a long scan converges to
 // cap-sized fills after log2(cap/seed) rounds. Caps below the seed are
 // used as-is.
 const adaptiveSeed = 32
 
-// shardCursor is a resumable iterator over one ordered index, built
-// entirely on the index's public Scan(start, count, fn) contract: it
-// pulls up to `batch` entries at a time and resumes the next batch at
-// the exclusive successor of the last key seen (lastKey + 0x00, the
-// smallest byte string strictly greater than lastKey), so no index
-// package needs an API change to support streaming.
+// newIter returns a pull iterator over idx: the index's own when it
+// offers the core.Iterable capability, else the batch-and-resume adapter
+// with batch cap max. This is the only place the two kinds of shard
+// differ; everything downstream sees a core.Iterator.
+func newIter(idx core.OrderedIndex, max int) core.Iterator {
+	if it, ok := idx.(core.Iterable); ok {
+		return it.NewIterator()
+	}
+	return &batchIter{idx: idx, max: max}
+}
+
+// batchIter adapts any core.OrderedIndex to core.Iterator using nothing
+// but the index's Scan(start, count, fn) contract: it fetches up to
+// `batch` entries at a time and resumes the next batch at the exclusive
+// successor of the last key seen (lastKey + 0x00, the smallest byte
+// string strictly greater than lastKey), so an index needs no API of its
+// own to be streamed. Fetching is lazy: Seek only records where to
+// start, the first Next runs the first Scan.
 //
-// Keys are copied once into a per-cursor arena that is reused across
-// batches — one bulk buffer per batch instead of one allocation per
-// entry, and after the first batch no allocation at all in steady state.
-// Keys returned by head are valid until the batch is refilled, i.e.
-// until advance moves past the batch's last entry.
-type shardCursor struct {
+// Keys are copied once into an arena that is reused across batches and
+// across Seeks — one bulk buffer per batch instead of one allocation per
+// entry, and none at all in steady state. A key returned by Next is
+// valid until the next call, which may refill the arena.
+type batchIter struct {
 	idx   core.OrderedIndex
-	shard int      // owning shard index (merge-mode duplicate resolution)
 	batch int      // next fill's batch size: adaptive, adaptiveSeed → max
-	max   int      // configured batch cap (Options.ScanBatch)
+	max   int      // batch cap (Options.ScanBatch, or the scan's count)
 	arena []byte   // backing bytes for the current batch's keys
 	ends  []int    // ends[i] is the end offset of key i in arena
 	vals  []uint64 // vals[i] is key i's value
 	pos   int      // next entry to hand out
-	// more records that the last fill hit the limit of the batch size it
-	// was issued with, so the index may hold further keys beyond resume.
+	// more records that the index may hold keys at or after resume: set
+	// by Seek, then by every fill that came back as full as it was asked.
 	more bool
-	// resume is the start key of the next batch: the exclusive successor
-	// of the last key of the current batch.
+	// resume is the start key of the next batch.
 	resume []byte
 }
 
-// newShardCursor opens a cursor over idx at start and fetches the first
-// batch. max is the batch cap; values < 1 select DefaultScanBatch. The
-// first fill uses min(adaptiveSeed, max) and doubles per full fill.
-func newShardCursor(idx core.OrderedIndex, start []byte, max int) *shardCursor {
-	if max < 1 {
-		max = DefaultScanBatch
+// Seek implements core.Iterator.
+func (c *batchIter) Seek(start []byte) {
+	c.ends, c.pos, c.more = c.ends[:0], 0, true
+	c.resume = append(c.resume[:0], start...)
+	c.batch = min(adaptiveSeed, c.max)
+}
+
+// Next implements core.Iterator, refilling at batch boundaries.
+func (c *batchIter) Next() (key []byte, value uint64, ok bool) {
+	if c.pos >= len(c.ends) {
+		if !c.more {
+			return nil, 0, false
+		}
+		c.fill()
+		if len(c.ends) == 0 {
+			return nil, 0, false
+		}
 	}
-	batch := adaptiveSeed
-	if batch > max {
-		batch = max
-	}
-	c := &shardCursor{idx: idx, batch: batch, max: max, resume: append([]byte(nil), start...)}
-	c.fill()
-	return c
+	c.pos++
+	return c.key(c.pos - 1), c.vals[c.pos-1], true
 }
 
 // fill fetches the next batch from the index. The callback key buffer
 // belongs to the index and may be reused between entries, so each key is
 // copied into the arena; the arena itself is reused across batches.
-func (c *shardCursor) fill() {
+func (c *batchIter) fill() {
 	c.arena, c.ends, c.vals, c.pos = c.arena[:0], c.ends[:0], c.vals[:0], 0
 	used := c.batch
 	n := c.idx.Scan(c.resume, used, func(k []byte, v uint64) bool {
@@ -77,30 +95,22 @@ func (c *shardCursor) fill() {
 		c.vals = append(c.vals, v)
 		return true
 	})
-	// more compares against the batch this fill was issued with, not the
-	// (possibly already grown) next batch size.
 	c.more = n == used
 	if c.more {
 		// Appending a zero byte yields the smallest key strictly greater
 		// than the last one — exclusive resume that cannot skip a key
 		// whose prefix is the last key (e.g. "ab" -> "ab\x00").
-		last := c.key(n - 1)
-		c.resume = append(c.resume[:0], last...)
-		c.resume = append(c.resume, 0)
+		c.resume = append(append(c.resume[:0], c.key(n-1)...), 0)
 		// A full fill means the scan is long: double the next batch, up
 		// to the cap, so steady state pays one Scan per max entries while
 		// buffering stays O(max) per shard.
-		if next := used * 2; next <= c.max {
-			c.batch = next
-		} else {
-			c.batch = c.max
-		}
+		c.batch = min(used*2, c.max)
 	}
 }
 
 // key returns entry i's key, sliced out of the arena with its capacity
 // clipped so callers cannot append into a neighbour.
-func (c *shardCursor) key(i int) []byte {
+func (c *batchIter) key(i int) []byte {
 	lo := 0
 	if i > 0 {
 		lo = c.ends[i-1]
@@ -108,44 +118,54 @@ func (c *shardCursor) key(i int) []byte {
 	return c.arena[lo:c.ends[i]:c.ends[i]]
 }
 
-// valid reports whether the cursor currently holds an entry.
-func (c *shardCursor) valid() bool { return c.pos < len(c.ends) }
-
-// head returns the current entry. Only legal while valid.
-func (c *shardCursor) head() ([]byte, uint64) { return c.key(c.pos), c.vals[c.pos] }
-
-// advance moves to the next entry, refilling at batch boundaries.
-func (c *shardCursor) advance() {
-	c.pos++
-	if c.pos >= len(c.ends) && c.more {
-		c.fill()
-	}
+// source is one shard's stream inside a Cursor: its pull iterator and
+// the head entry last pulled from it.
+type source struct {
+	it    core.Iterator
+	shard int // owning shard index (duplicate resolution)
+	key   []byte
+	val   uint64
 }
 
-// cursorHeap is a binary min-heap of shard cursors ordered by head key.
-// Every cursor in the heap is valid. On a pristine front-end keys route
-// to exactly one shard, so no two heads are ever equal; during and after
-// a migration a key may briefly exist on two shards (the recipient's
+// pull replaces the head with the iterator's next entry.
+func (s *source) pull() (ok bool) {
+	s.key, s.val, ok = s.it.Next()
+	return ok
+}
+
+// open points the source at idx from start and pulls its first head. A
+// source opened before keeps its iterator (and an adapter its arena);
+// only the adapter's batch cap follows the scan at hand.
+func (s *source) open(idx core.OrderedIndex, start []byte, batch int) bool {
+	if s.it == nil {
+		s.it = newIter(idx, batch)
+	} else if b, adapted := s.it.(*batchIter); adapted {
+		b.max = batch
+	}
+	s.it.Seek(start)
+	return s.pull()
+}
+
+// sourceHeap is a binary min-heap of sources ordered by head key. Every
+// source in the heap holds a head. On a pristine front-end keys route to
+// exactly one shard, so no two heads are ever equal; during and after a
+// migration a key may briefly exist on two shards (the recipient's
 // shadow copy, or the donor's residue), in which case the two equal
 // heads are the root and one of its direct children — only two copies
 // of a key can exist, and a non-root node equal to the root's head
 // would force its parent to equal it too, making the parent the second
 // copy. Cursor.Next resolves such pairs by emitting the owner's copy.
-type cursorHeap []*shardCursor
+type sourceHeap []*source
 
-func (h cursorHeap) less(i, j int) bool {
-	ki, _ := h[i].head()
-	kj, _ := h[j].head()
-	return bytes.Compare(ki, kj) < 0
-}
+func (h sourceHeap) less(i, j int) bool { return bytes.Compare(h[i].key, h[j].key) < 0 }
 
-func (h cursorHeap) init() {
+func (h sourceHeap) init() {
 	for i := len(h)/2 - 1; i >= 0; i-- {
 		h.siftDown(i)
 	}
 }
 
-func (h cursorHeap) siftDown(i int) {
+func (h sourceHeap) siftDown(i int) {
 	for {
 		m := i
 		if l := 2*i + 1; l < len(h) && h.less(l, m) {
@@ -167,35 +187,43 @@ func (h cursorHeap) siftDown(i int) {
 // (NewCursor): Next returns entries in ascending key order without
 // callback gymnastics, so servers can paginate a scan across requests.
 //
-// A Cursor holds at most one batch of entries per shard, so its memory
-// is O(shards × batch) no matter how long the scan runs or how large the
-// dataset is. With an order-preserving partitioner (RangePartition) it
-// drains shards one after another and holds a single batch.
+// A Cursor is a k-way merge over one pull iterator (core.Iterator) per
+// shard. A shard whose index is core.Iterable (P-ART) is pulled one
+// entry at a time from the index's own resumable iterator: nothing is
+// buffered or copied, and reading n entries over H shards pulls at most
+// n + H — one head per shard plus one replacement per entry returned.
+// Any other index is read through the batch-and-resume adapter, which
+// buffers at most one batch per shard, so memory stays O(shards × batch)
+// however long the scan runs. With an order-preserving partitioner
+// (RangePartition) the cursor opens shards one after another and holds
+// a single iterator.
 //
 // The key returned by Next is valid only until the next Next call; copy
 // it to retain it. A Cursor is not safe for concurrent use, and it sees
-// concurrent writers with the same batch-level consistency the
-// underlying index Scans provide.
+// concurrent writers as the underlying iterators do: no snapshot; a key
+// present throughout is returned exactly once.
 type Cursor struct {
-	merged bool
-	heap   cursorHeap // merge mode: valid cursors ordered by head key
-
-	rest  []core.OrderedIndex // sequential mode: shards not yet opened
-	cur   *shardCursor        // sequential mode: shard being drained
+	heap sourceHeap // sources holding a head, ordered by head key
+	srcs []source   // backing store of the merge's sources, by shard
+	// rest lists shards not yet opened, in key order: when the heap runs
+	// empty the next one is opened. Sequential draining is a merge that
+	// holds one source at a time.
+	rest  []core.OrderedIndex
 	start []byte
 	batch int
 
-	// ownerOf, when non-nil, resolves duplicate heads in merge mode: a
-	// key found on two shards (migration shadow copy or residue) is
-	// emitted only from the shard the routing table currently names as
-	// its owner. Nil on pristine front-ends, where duplicates cannot
-	// occur and head comparisons are skipped.
-	ownerOf func(key []byte) int
+	// owner, when non-nil, resolves duplicate heads: a key found on two
+	// shards (migration shadow copy or residue) is emitted only from the
+	// shard the owner's routing table currently names. Nil on pristine
+	// front-ends, where duplicates cannot occur and head comparisons are
+	// skipped.
+	owner *Ordered
 
-	// pending is the cursor whose head the last Next returned; its
-	// advance is deferred to the next call so the returned key stays
-	// valid in the caller's hands across the batch boundary refill.
-	pending *shardCursor
+	// pending records that the root's head was returned by the last Next;
+	// pulling its replacement is deferred to the next call, so the key
+	// stays valid in the caller's hands and a scan that stops here never
+	// pulls an entry it will not use.
+	pending bool
 }
 
 // NewCursor returns a streaming cursor over a single ordered index,
@@ -214,7 +242,7 @@ func NewCursor(idx core.OrderedIndex, start []byte, batch int) *Cursor {
 
 // Cursor returns a streaming cursor over the merged key space of all
 // shards, starting at start (nil or empty = from the minimum key). The
-// per-shard batch size is Options.ScanBatch.
+// batch cap for adapted shards is Options.ScanBatch.
 func (m *Ordered) Cursor(start []byte) *Cursor {
 	if len(m.shards) == 1 || (orderPreserving(m.part) && m.tablePristine()) {
 		first := 0
@@ -232,116 +260,99 @@ func (m *Ordered) Cursor(start []byte) *Cursor {
 		}
 		return &Cursor{rest: rest, start: append([]byte(nil), start...), batch: m.batch}
 	}
-	return m.mergeCursor(start, m.batch)
+	c := &Cursor{}
+	m.openMerge(c, start, m.batch)
+	return c
 }
 
-// mergeCursor opens one cursor per serving shard and heapifies them by
-// head key; quarantined partitions are skipped (degraded scan).
-func (m *Ordered) mergeCursor(start []byte, batch int) *Cursor {
-	h := make(cursorHeap, 0, len(m.shards))
+// openMerge points c at the merge of every serving shard from start;
+// quarantined partitions are skipped (degraded scan). c may be fresh or
+// a cursor this front-end opened before, whose sources are reused.
+func (m *Ordered) openMerge(c *Cursor, start []byte, batch int) {
+	if c.srcs == nil {
+		c.srcs = make([]source, len(m.shards))
+		c.heap = make(sourceHeap, 0, len(m.shards))
+	}
+	c.heap, c.pending, c.owner = c.heap[:0], false, nil
 	for i := range m.shards {
 		if m.unavailable(i) != nil {
 			continue
 		}
-		if c := newShardCursor(m.shards[i].idx, start, batch); c.valid() {
-			c.shard = i
-			h = append(h, c)
+		s := &c.srcs[i]
+		s.shard = i
+		if s.open(m.shards[i].idx, start, batch) {
+			c.heap = append(c.heap, s)
 		}
 	}
-	h.init()
-	cur := &Cursor{merged: true, heap: h}
+	c.heap.init()
 	if m.rt.Load() != nil {
 		// Resharding enabled: a key may transiently exist on two shards
 		// (shadow copy during a handoff window, donor residue after a
 		// flip). Emit only the copy owned per the current table.
-		cur.ownerOf = func(k []byte) int {
-			t := m.rt.Load()
-			s, _ := t.locate(m.mapper.Point(k))
-			return s
-		}
+		c.owner = m
 	}
-	return cur
 }
 
-// dropHead advances the cursor at heap position j past its head,
-// removing the cursor when exhausted, and restores heap order. The
-// replacement element (when j is filled from the tail) is no smaller
-// than the root, so sifting down suffices.
+// ownerOf returns the shard the current routing table names for key.
+func (m *Ordered) ownerOf(key []byte) int {
+	s, _ := m.rt.Load().locate(m.mapper.Point(key))
+	return s
+}
+
+// dropHead pulls a replacement for the head of the source at heap
+// position j, removing the source when exhausted, and restores heap
+// order. The replacement element (when j is filled from the tail) is no
+// smaller than the root, so sifting down suffices.
 func (c *Cursor) dropHead(j int) {
-	c.heap[j].advance()
-	if c.heap[j].valid() {
-		c.heap.siftDown(j)
-		return
+	if !c.heap[j].pull() {
+		last := len(c.heap) - 1
+		c.heap[j] = c.heap[last]
+		c.heap = c.heap[:last]
 	}
-	last := len(c.heap) - 1
-	c.heap[j] = c.heap[last]
-	c.heap = c.heap[:last]
-	if j < last {
-		c.heap.siftDown(j)
-	}
+	c.heap.siftDown(j)
 }
 
 // Next returns the next entry in ascending key order, or ok = false when
 // the scan is exhausted. The returned key is valid until the next call.
 func (c *Cursor) Next() (key []byte, value uint64, ok bool) {
-	if p := c.pending; p != nil {
-		c.pending = nil
-		p.advance()
-		if c.merged {
-			if p.valid() {
-				c.heap.siftDown(0)
-			} else {
-				c.heap[0] = c.heap[len(c.heap)-1]
-				c.heap = c.heap[:len(c.heap)-1]
-				c.heap.siftDown(0)
-			}
-		}
+	if c.pending {
+		c.pending = false
+		c.dropHead(0)
 	}
-	if c.merged {
-		for {
-			if len(c.heap) == 0 {
+	for {
+		if len(c.heap) == 0 {
+			if len(c.rest) == 0 {
 				return nil, 0, false
 			}
-			k, v := c.heap[0].head()
-			if c.ownerOf == nil {
-				c.pending = c.heap[0]
-				return k, v, true
+			// Next shard in key order.
+			if s := new(source); s.open(c.rest[0], c.start, c.batch) {
+				c.heap = append(c.heap, s)
 			}
+			c.rest = c.rest[1:]
+			continue
+		}
+		root := c.heap[0]
+		if c.owner != nil {
 			// Duplicate heads can only pair the root with a direct child
-			// (see cursorHeap); emit the owner's copy, drop the other.
-			dup := -1
+			// (see sourceHeap); emit the owner's copy, drop the other.
+			dup := 0
 			for j := 1; j <= 2 && j < len(c.heap); j++ {
-				if kj, _ := c.heap[j].head(); bytes.Equal(kj, k) {
+				if bytes.Equal(c.heap[j].key, root.key) {
 					dup = j
 					break
 				}
 			}
-			if dup < 0 {
-				c.pending = c.heap[0]
-				return k, v, true
-			}
-			if c.ownerOf(k) == c.heap[dup].shard {
-				// The root holds the non-owned copy: drop it and
-				// re-examine the new root (the owned copy).
-				c.dropHead(0)
+			if dup > 0 {
+				if c.owner.ownerOf(root.key) == c.heap[dup].shard {
+					dup = 0 // the root holds the non-owned copy
+				}
+				// Dropping the root re-examines the new root, which is
+				// the owned copy.
+				c.dropHead(dup)
 				continue
 			}
-			c.dropHead(dup)
-			c.pending = c.heap[0]
-			return k, v, true
 		}
-	}
-	for {
-		if c.cur == nil || !c.cur.valid() {
-			if len(c.rest) == 0 {
-				return nil, 0, false
-			}
-			c.cur = newShardCursor(c.rest[0], c.start, c.batch)
-			c.rest = c.rest[1:]
-			continue
-		}
-		k, v := c.cur.head()
-		c.pending = c.cur
-		return k, v, true
+		c.pending = true
+		return root.key, root.val, true
 	}
 }

@@ -1,0 +1,265 @@
+package shard
+
+import (
+	"bytes"
+	"sort"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/keys"
+	"repro/internal/pmem"
+)
+
+// countingIndex wraps an iterable ordered index and counts every entry
+// the front-end takes out of it, by either door: Scan callbacks or
+// iterator Nexts. It forwards the core.Iterable capability, so the
+// front-end treats it as it treats the index inside.
+type countingIndex struct {
+	core.OrderedIndex
+	pulled *atomic.Int64
+}
+
+func (c countingIndex) Scan(start []byte, count int, fn func([]byte, uint64) bool) int {
+	return c.OrderedIndex.Scan(start, count, func(k []byte, v uint64) bool {
+		c.pulled.Add(1)
+		return fn(k, v)
+	})
+}
+
+func (c countingIndex) NewIterator() core.Iterator {
+	return countingIter{c.OrderedIndex.(core.Iterable).NewIterator(), c.pulled}
+}
+
+type countingIter struct {
+	core.Iterator
+	pulled *atomic.Int64
+}
+
+func (c countingIter) Next() ([]byte, uint64, bool) {
+	k, v, ok := c.Iterator.Next()
+	if ok {
+		c.pulled.Add(1)
+	}
+	return k, v, ok
+}
+
+// TestMergedScanPullBound: a count-n merged scan over H iterable shards
+// takes at most n + H entries out of the indexes — one head per shard to
+// seed the merge, one replacement per entry emitted, and none after the
+// last. (Batch-and-resume took H × min(32, n).)
+func TestMergedScanPullBound(t *testing.T) {
+	const h, load = 4, 5_000
+	var pulled atomic.Int64
+	m, err := NewOrderedWith(func(heap *pmem.Heap) (core.OrderedIndex, error) {
+		idx, err := core.NewOrdered("P-ART", heap, keys.YCSBString)
+		return countingIndex{idx, &pulled}, err
+	}, Options{Shards: h})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := keys.NewGenerator(keys.YCSBString)
+	for id := uint64(0); id < load; id++ {
+		if err := m.Insert(gen.Key(id), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range []int{1, 2, 10, 51, 100, 1_000} {
+		for _, id := range []uint64{0, 17, load / 2} {
+			pulled.Store(0)
+			got := m.Scan(gen.Key(id), n, func([]byte, uint64) bool { return true })
+			if got < 1 || got > n {
+				t.Fatalf("scan(%d) from key %d visited %d", n, id, got)
+			}
+			if p := pulled.Load(); p > int64(got+h) {
+				t.Errorf("scan(%d) from key %d visited %d entries but pulled %d from the shards, want <= %d",
+					n, id, got, p, got+h)
+			}
+		}
+	}
+	// The pull cursor obeys the same bound.
+	pulled.Store(0)
+	cur := m.Cursor(gen.Key(3))
+	for i := 0; i < 51; i++ {
+		if _, _, ok := cur.Next(); !ok {
+			t.Fatalf("cursor exhausted at %d", i)
+		}
+	}
+	if p := pulled.Load(); p > 51+h {
+		t.Errorf("51 cursor entries pulled %d from the shards, want <= %d", p, 51+h)
+	}
+}
+
+// TestMergedScanDuplicateHeads: during a handoff window and until the
+// residue sweep, a key sits on two shards. The merge must emit it once,
+// with the value of the shard the routing table names — whether the
+// shards are pulled natively (P-ART) or through the batch-and-resume
+// adapter (memIndex), and wherever in the heap the two copies meet.
+func TestMergedScanDuplicateHeads(t *testing.T) {
+	const h, n = 4, 300
+	factories := map[string]func(*pmem.Heap) (core.OrderedIndex, error){
+		"P-ART": func(heap *pmem.Heap) (core.OrderedIndex, error) {
+			return core.NewOrdered("P-ART", heap, keys.RandInt)
+		},
+		"memIndex": memFactory,
+	}
+	for name, factory := range factories {
+		t.Run(name, func(t *testing.T) {
+			m, err := NewOrderedWith(factory, Options{Shards: h, ScanBatch: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.EnableResharding(); err != nil {
+				t.Fatal(err)
+			}
+			gen := keys.NewGenerator(keys.RandInt)
+			for id := uint64(0); id < n; id++ {
+				k := gen.Key(id)
+				if err := m.Insert(k, id); err != nil {
+					t.Fatal(err)
+				}
+				// A stale copy on a shard that does not own the key, as a
+				// shadow apply or an unswept donor would leave it.
+				if id%3 != 0 {
+					other := (m.Route(k) + 1 + int(id)%(h-1)) % h
+					if err := m.Shard(other).Insert(k, id+1_000_000); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			want := make([]entry, 0, n)
+			for id := uint64(0); id < n; id++ {
+				want = append(want, entry{gen.Key(id), id})
+			}
+			sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i].key, want[j].key) < 0 })
+			entriesEqual(t, "scan", want, collect(m, nil, 0))
+			entriesEqual(t, "bounded scan", want[:40], collect(m, nil, 40))
+			mid := want[n/2].key
+			entriesEqual(t, "mid-key scan", want[n/2:], collect(m, mid, 0))
+			var got []entry
+			for cur := m.Cursor(nil); ; {
+				k, v, ok := cur.Next()
+				if !ok {
+					break
+				}
+				got = append(got, entry{append([]byte(nil), k...), v})
+			}
+			entriesEqual(t, "cursor", want, got)
+		})
+	}
+}
+
+// TestMergedScanSteadyStateAllocs: the merge state of Ordered.Scan is
+// pooled and P-ART's iterators hand out leaf keys without copying, so
+// once warm a merged scan allocates (next to) nothing — the bound allows
+// for the pool shedding an entry now and then, as it does under -race.
+// An unpooled scan costs 7 allocations, batch-and-resume cost ~90.
+func TestMergedScanSteadyStateAllocs(t *testing.T) {
+	const load = 20_000
+	m, err := NewOrdered("P-ART", keys.YCSBString, Options{Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := keys.NewGenerator(keys.YCSBString)
+	for id := uint64(0); id < load; id++ {
+		if err := m.Insert(gen.Key(id), id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	starts := make([][]byte, 64)
+	for i := range starts {
+		starts[i] = gen.Key(uint64(i) * 311 % load)
+	}
+	visit := func([]byte, uint64) bool { return true }
+	i := 0
+	scan := func() {
+		if m.Scan(starts[i%len(starts)], 51, visit) == 0 {
+			t.Fatal("empty scan")
+		}
+		i++
+	}
+	scan() // warm the pool
+	if allocs := testing.AllocsPerRun(200, scan); allocs > 2 {
+		t.Fatalf("steady-state merged scan allocates %.0f objects, want <= 2", allocs)
+	}
+}
+
+// staleIter yields its iterator's keys with values no shard ever held,
+// standing in for a donor iterator that read them arbitrarily long ago.
+type staleIter struct{ core.Iterator }
+
+func (s staleIter) Next() ([]byte, uint64, bool) {
+	k, _, ok := s.Iterator.Next()
+	return k, 0xdead, ok
+}
+
+// TestCopyBatchReadsUnderTheLock pins the lost-update fix at its root,
+// without needing a lucky interleaving: whatever value the donor iterator
+// saw when it read a key, the copy commits the value the donor holds at
+// the time the batch runs, and skips keys deleted in between.
+func TestCopyBatchReadsUnderTheLock(t *testing.T) {
+	for _, name := range []string{"P-ART", "FAST & FAIR"} { // native iterator, adapter
+		t.Run(name, func(t *testing.T) {
+			m, err := NewOrdered(name, keys.RandInt, Options{Shards: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.EnableResharding(); err != nil {
+				t.Fatal(err)
+			}
+			gen := keys.NewGenerator(keys.RandInt)
+			var moved []uint64 // ids living on shard 0, the donor
+			for id := uint64(0); len(moved) < 40; id++ {
+				if k := gen.Key(id); m.Route(k) == 0 {
+					if err := m.Insert(k, id); err != nil {
+						t.Fatal(err)
+					}
+					moved = append(moved, id)
+				}
+			}
+			// Open a window over all of the donor's slots by hand and
+			// position the iterator before the writes below happen.
+			t0 := m.rt.Load()
+			mg, err := windowForSlots(t0, 0, 1, m.SlotsOf(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			wt := t0.withWindow(mg)
+			m.rt.Store(wt)
+			it := staleIter{newIter(m.Shard(0), 64)}
+			it.Seek(nil)
+			// Double-applied writes that land after the iterator opened
+			// and before the copy runs: an update and a delete.
+			upd, del := gen.Key(moved[3]), gen.Key(moved[7])
+			if err := m.Update(upd, 777); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Delete(del); err != nil {
+				t.Fatal(err)
+			}
+			for done := false; !done; {
+				if done, err = m.copyBatch(wt, mg, it, 16); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rec := m.Shard(1)
+			for _, id := range moved {
+				k := gen.Key(id)
+				v, ok := rec.Lookup(k)
+				switch {
+				case bytes.Equal(k, del):
+					if ok {
+						t.Fatalf("deleted key %d resurrected on the recipient with %d", id, v)
+					}
+				case bytes.Equal(k, upd):
+					if !ok || v != 777 {
+						t.Fatalf("updated key %d on the recipient = %d, %v; want 777", id, v, ok)
+					}
+				case !ok || v != id:
+					t.Fatalf("key %d on the recipient = %d, %v; want %d", id, v, ok, id)
+				}
+			}
+			m.rt.Store(wt.withoutWindow())
+		})
+	}
+}

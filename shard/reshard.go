@@ -10,11 +10,13 @@
 //     to a covered key double-applies (donor authoritative, recipient
 //     shadow).
 //  2. Stream the donor's covered keys into the recipient in batches.
-//     Each batch holds the window lock exclusively across its
-//     read-donor + group-commit-recipient step, so it cannot overwrite
-//     a concurrent writer's fresher double-applied value, and each
-//     batch is fenced durable on the recipient before the crash site
-//     "reshard.copy.applied" fires on the recipient's heap.
+//     The donor iterator supplies keys only; each batch takes the
+//     window lock exclusively, looks every covered key's value up on
+//     the donor under that hold, and group-commits the batch to the
+//     recipient before releasing it, so a copied value is never older
+//     than a double-applied write and a key deleted meanwhile is not
+//     copied. Each batch is fenced durable on the recipient before the
+//     crash site "reshard.copy.applied" fires on the recipient's heap.
 //  3. Publish the flipped table (covered points now owned by the
 //     recipient) — the commit point, after which reads and writes of
 //     covered keys route to the recipient. The crash site
@@ -255,9 +257,10 @@ func (m *Ordered) migrate(t *routeTable, mg *migration, batchSize int) (err erro
 	if mg.ranged {
 		start = rangeStartKey(mg.lo)
 	}
-	cur := newShardCursor(m.shards[mg.donor].idx, start, batchSize)
+	it := newIter(m.shards[mg.donor].idx, batchSize)
+	it.Seek(start)
 	for {
-		done, cerr := m.copyBatch(wt, mg, cur, batchSize)
+		done, cerr := m.copyBatch(wt, mg, it, batchSize)
 		if cerr != nil {
 			return cerr
 		}
@@ -277,28 +280,41 @@ func (m *Ordered) migrate(t *routeTable, mg *migration, batchSize int) (err erro
 	return nil
 }
 
-// copyBatch streams one batch of covered donor entries into the
-// recipient as a single fenced group commit. It holds the window lock
-// exclusively across the read + apply, so concurrent double-applied
-// writes cannot be overwritten with stale reads; to bound the stall it
-// advances the donor cursor at most batchSize entries per call even
-// when few of them are covered.
-func (m *Ordered) copyBatch(wt *routeTable, mg *migration, cur *shardCursor, batchSize int) (done bool, err error) {
+// copyBatch moves the donor iterator over at most batchSize keys (which
+// bounds the writers' stall even when few of them are covered) and
+// copies the covered ones to the recipient as a single fenced group
+// commit. The iterator contributes keys only, whenever it read them:
+// each covered key's value is looked up on the donor under the same
+// exclusive hold of the window lock that commits the batch. Every writer
+// of a covered key holds that lock shared across its donor and recipient
+// applies, so the value copied is the donor's latest and no
+// double-applied write can land between the read and the commit; a key
+// deleted since the iterator saw it is skipped. A write that arrives
+// after the hold double-applies over the copy.
+func (m *Ordered) copyBatch(wt *routeTable, mg *migration, it core.Iterator, batchSize int) (done bool, err error) {
 	mg.mu.Lock()
 	defer mg.mu.Unlock()
+	donor := m.shards[mg.donor].idx
 	var ops []group.ByteOp
-	for scanned := 0; cur.valid() && scanned < batchSize; scanned++ {
-		k, v := cur.head()
+	for scanned := 0; scanned < batchSize; scanned++ {
+		k, _, ok := it.Next()
+		if !ok {
+			done = true
+			break
+		}
 		p := m.mapper.Point(k)
 		if mg.ranged && p > mg.hi {
-			return true, m.commitCopy(mg, ops)
+			done = true
+			break
 		}
-		if mg.covers(p, wt) {
+		if !mg.covers(p, wt) {
+			continue
+		}
+		if v, live := donor.Lookup(k); live {
 			ops = append(ops, group.ByteOp{Key: append([]byte(nil), k...), Value: v})
 		}
-		cur.advance()
 	}
-	return !cur.valid(), m.commitCopy(mg, ops)
+	return done, m.commitCopy(mg, ops)
 }
 
 // commitCopy group-commits one copy batch on the recipient and passes
@@ -327,7 +343,8 @@ func (m *Ordered) sweepResidue(wt *routeTable, mg *migration, batchSize int) {
 		start = rangeStartKey(mg.lo)
 	}
 	donor := &m.shards[mg.donor]
-	cur := newShardCursor(donor.idx, start, batchSize)
+	it := newIter(donor.idx, batchSize)
+	it.Seek(start)
 	var doomed [][]byte
 	flush := func() {
 		// Shared lock: the deletes are point writes on the donor heap and
@@ -339,8 +356,11 @@ func (m *Ordered) sweepResidue(wt *routeTable, mg *migration, batchSize int) {
 		}
 		doomed = doomed[:0]
 	}
-	for cur.valid() {
-		k, _ := cur.head()
+	for {
+		k, _, ok := it.Next()
+		if !ok {
+			break
+		}
 		p := m.mapper.Point(k)
 		if mg.ranged && p > mg.hi {
 			break
@@ -348,10 +368,9 @@ func (m *Ordered) sweepResidue(wt *routeTable, mg *migration, batchSize int) {
 		if mg.covers(p, wt) {
 			doomed = append(doomed, append([]byte(nil), k...))
 		}
-		cur.advance()
 		if len(doomed) >= batchSize {
-			// The cursor has already advanced past these keys and
-			// resumes by key, so deleting behind it is safe.
+			// The iterator has already moved past these keys, so
+			// deleting behind it is safe.
 			flush()
 		}
 	}

@@ -48,12 +48,15 @@ type Options struct {
 	// HashPartition64.
 	Partitioner64 Partitioner64
 	// ScanBatch is the per-shard batch-size cap B for streaming merged
-	// scans and cursors: a scan holds at most B buffered entries per
-	// shard, so peak scan memory is O(Shards × ScanBatch) regardless of
-	// scan length or dataset size. Batches warm up adaptively — the
-	// first fill pulls min(32, B) entries and doubles per full fill up
-	// to B — so short scans avoid paying a full cap-sized batch per
-	// shard. Values < 1 select DefaultScanBatch.
+	// scans and cursors over indexes read through the batch-and-resume
+	// adapter (every index but P-ART, which is core.Iterable and is
+	// pulled entry by entry with nothing buffered): a scan holds at most
+	// B buffered entries per shard, so peak scan memory is
+	// O(Shards × ScanBatch) regardless of scan length or dataset size.
+	// Batches warm up adaptively — the first fill pulls min(32, B)
+	// entries and doubles per full fill up to B — so short scans avoid
+	// paying a full cap-sized batch per shard. Values < 1 select
+	// DefaultScanBatch.
 	ScanBatch int
 	// Heap configures every per-shard heap (latency model, tracking,
 	// LLC, shared-atomics ablation). Injectors are not shared: arm a
@@ -362,6 +365,10 @@ type Ordered struct {
 	// published) by EnableResharding; it is only read after observing a
 	// non-nil routing table, so the atomic table publish orders it.
 	mapper PointMapper
+	// scanPool recycles the merge state of Scan (a *Cursor with one
+	// iterator per shard): the cursor never leaves Scan, so steady-state
+	// merged scans allocate nothing.
+	scanPool sync.Pool
 	frontend[core.OrderedIndex]
 }
 
@@ -615,10 +622,12 @@ func (m *Ordered) Delete(key []byte) (bool, error) {
 // With one shard it delegates. With an order-preserving partitioner
 // (RangePartition) shard order equals key order, so shards stream one
 // after another straight into fn: no merge state, no buffering, no key
-// copies. Otherwise a streaming k-way merge pulls one batch of
-// Options.ScanBatch entries per shard at a time (see Cursor), so peak
-// memory is O(shards × batch) regardless of scan length or dataset
-// size.
+// copies. Otherwise a streaming k-way merge pulls from one iterator per
+// shard (see Cursor): entry by entry from indexes that are
+// core.Iterable — a count-n scan over H such shards pulls at most n + H
+// entries — and in batches of at most Options.ScanBatch from the rest,
+// so peak memory is O(shards × batch) regardless of scan length or
+// dataset size.
 //
 // While a shard is quarantined the scan is degraded: the quarantined
 // partition's keys are skipped (Degraded()/Quarantined() report the
@@ -679,16 +688,20 @@ func (m *Ordered) scanSequential(start []byte, count int, fn func(key []byte, va
 	return visited
 }
 
-// scanMerge streams the k-way merge: one batched cursor per shard, a
-// min-heap by head key, at most one batch buffered per shard.
+// scanMerge streams the k-way merge over a pooled cursor: one pull
+// iterator per shard, a min-heap by head key.
 func (m *Ordered) scanMerge(start []byte, count int, fn func(key []byte, value uint64) bool) int {
 	batch := m.batch
 	if count > 0 && count < batch {
 		// A bounded scan consumes at most count entries in total, so no
-		// shard ever needs a larger batch.
+		// adapted shard ever needs a larger batch.
 		batch = count
 	}
-	c := m.mergeCursor(start, batch)
+	c, _ := m.scanPool.Get().(*Cursor)
+	if c == nil {
+		c = &Cursor{}
+	}
+	m.openMerge(c, start, batch)
 	visited := 0
 	for {
 		k, v, ok := c.Next()
@@ -700,6 +713,7 @@ func (m *Ordered) scanMerge(start []byte, count int, fn func(key []byte, value u
 			break
 		}
 	}
+	m.scanPool.Put(c)
 	return visited
 }
 
