@@ -45,8 +45,7 @@ func runWorkloadBench(b *testing.B, index string, w ycsb.Workload, kind keys.Kin
 	if err != nil {
 		b.Fatal(err)
 	}
-	gen := keys.NewGenerator(kind)
-	res, err := recipe.RunOrderedWorkload(index, idx, gen, heap, w, benchLoadN, b.N, benchThreads, 42)
+	res, err := recipe.RunWorkload(index, recipe.OrderedTarget(heap, idx, kind), recipe.WritePath{}, w, benchLoadN, b.N, benchThreads, 42)
 	if err != nil {
 		if index == "FAST & FAIR" && strings.Contains(err.Error(), "read id") {
 			// FAST & FAIR can lose a committed key under concurrent insert
@@ -70,8 +69,7 @@ func runHashBench(b *testing.B, index string, w ycsb.Workload, delays bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	gen := keys.NewGenerator(keys.RandInt)
-	res, err := recipe.RunHashWorkload(index, idx, gen, heap, w, benchLoadN, b.N, benchThreads, 42)
+	res, err := recipe.RunWorkload(index, recipe.HashTarget(heap, idx), recipe.WritePath{}, w, benchLoadN, b.N, benchThreads, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -116,22 +114,7 @@ func BenchmarkFig5(b *testing.B) {
 func counterBench(b *testing.B, index string, kind keys.Kind, hash bool) {
 	b.Helper()
 	heap := pmem.New(pmem.Options{LLC: cachesim.New(cachesim.DefaultConfig())})
-	gen := keys.NewGenerator(kind)
-	var res recipe.Result
-	var err error
-	if hash {
-		var idx recipe.HashIndex
-		idx, err = recipe.NewHash(index, heap)
-		if err == nil {
-			res, err = recipe.RunHashWorkload(index, idx, gen, heap, ycsb.LoadA, benchLoadN/2, b.N, 4, 42)
-		}
-	} else {
-		var idx recipe.OrderedIndex
-		idx, err = recipe.NewOrdered(index, heap, kind)
-		if err == nil {
-			res, err = recipe.RunOrderedWorkload(index, idx, gen, heap, ycsb.LoadA, benchLoadN/2, b.N, 4, 42)
-		}
-	}
+	res, err := recipe.RunWorkload(index, recipe.IndexByName(index, kind)(heap), recipe.WritePath{}, ycsb.LoadA, benchLoadN/2, b.N, 4, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -361,10 +344,9 @@ func BenchmarkWorkloadSkew(b *testing.B) {
 						b.Fatal(err)
 					}
 					defer m.Release()
-					gen := keys.NewGenerator(keys.RandInt)
 					w := c.w
 					w.Dist = c.dist
-					res, err := recipe.RunOrderedWorkload(index, m, gen, m, w,
+					res, err := recipe.RunWorkload(index, recipe.ShardedOrderedTarget(m, keys.RandInt), recipe.WritePath{}, w,
 						benchLoadN, b.N, benchThreads, 42)
 					if err != nil {
 						if index == "FAST & FAIR" && strings.Contains(err.Error(), "read id") {
@@ -397,9 +379,8 @@ func BenchmarkBatchedWrites(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer m.Release()
-				gen := keys.NewGenerator(keys.RandInt)
-				res, err := recipe.RunOrderedWorkloadBatched("P-ART", m, gen, w,
-					benchLoadN, b.N, benchThreads, batch, 42)
+				res, err := recipe.RunWorkload("P-ART", recipe.ShardedOrderedTarget(m, keys.RandInt),
+					recipe.WritePath{Mode: recipe.BatchedPath, Batch: batch}, w, benchLoadN, b.N, benchThreads, 42)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -418,9 +399,8 @@ func BenchmarkBatchedWrites(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer m.Release()
-			gen := keys.NewGenerator(keys.RandInt)
-			res, err := recipe.RunHashWorkloadBatched("P-CLHT", m, gen, ycsb.A,
-				benchLoadN, b.N, benchThreads, batch, 42)
+			res, err := recipe.RunWorkload("P-CLHT", recipe.ShardedHashTarget(m),
+				recipe.WritePath{Mode: recipe.BatchedPath, Batch: batch}, ycsb.A, benchLoadN, b.N, benchThreads, 42)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -463,9 +443,8 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer m.Release()
-			gen := keys.NewGenerator(keys.RandInt)
-			res, err := recipe.RunOrderedWorkloadBatched("P-ART", m, gen, w,
-				benchLoadN, b.N, benchThreads, maxBatch, 42)
+			res, err := recipe.RunWorkload("P-ART", recipe.ShardedOrderedTarget(m, keys.RandInt),
+				recipe.WritePath{Mode: recipe.BatchedPath, Batch: maxBatch}, w, benchLoadN, b.N, benchThreads, 42)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -478,10 +457,8 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer m.Release()
-				gen := keys.NewGenerator(keys.RandInt)
-				res, err := recipe.RunOrderedWorkloadAsync("P-ART", m, gen, w,
-					benchLoadN, b.N, benchThreads,
-					recipe.CommitOptions{Queue: queue, MaxBatch: maxBatch}, 42)
+				res, err := recipe.RunWorkload("P-ART", recipe.ShardedOrderedTarget(m, keys.RandInt),
+					recipe.WritePath{Mode: recipe.AsyncPath, Batch: maxBatch, Queue: queue}, w, benchLoadN, b.N, benchThreads, 42)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -496,9 +473,8 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer m.Release()
-			gen := keys.NewGenerator(keys.RandInt)
-			res, err := recipe.RunHashWorkloadBatched("P-CLHT", m, gen, w,
-				benchLoadN, b.N, benchThreads, maxBatch, 42)
+			res, err := recipe.RunWorkload("P-CLHT", recipe.ShardedHashTarget(m),
+				recipe.WritePath{Mode: recipe.BatchedPath, Batch: maxBatch}, w, benchLoadN, b.N, benchThreads, 42)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -511,10 +487,8 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 					b.Fatal(err)
 				}
 				defer m.Release()
-				gen := keys.NewGenerator(keys.RandInt)
-				res, err := recipe.RunHashWorkloadAsync("P-CLHT", m, gen, w,
-					benchLoadN, b.N, benchThreads,
-					recipe.CommitOptions{Queue: queue, MaxBatch: maxBatch}, 42)
+				res, err := recipe.RunWorkload("P-CLHT", recipe.ShardedHashTarget(m),
+					recipe.WritePath{Mode: recipe.AsyncPath, Batch: maxBatch, Queue: queue}, w, benchLoadN, b.N, benchThreads, 42)
 				if err != nil {
 					b.Fatal(err)
 				}

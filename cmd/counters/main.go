@@ -114,16 +114,11 @@ func runSelftest(threads int, seed int64) {
 	// (2) Striped vs shared-atomics equality on a real index, single
 	// thread so the op interleaving (and therefore every counter) is
 	// deterministic.
-	run := func(sharedAtomics bool) pmem.Stats {
+	stats := func(sharedAtomics bool) pmem.Stats {
 		heap := pmem.New(pmem.Options{SharedAtomics: sharedAtomics})
-		idx, err := core.NewOrdered("P-ART", heap, keys.RandInt)
-		check(err)
-		gen := keys.NewGenerator(keys.RandInt)
-		res, err := harness.RunOrdered("P-ART", idx, gen, heap, ycsb.A, 20_000, 20_000, 1, seed)
-		check(err)
-		return res.Stats
+		return run("P-ART", keys.RandInt, heap, ycsb.A, 20_000, 20_000, 1, seed).Stats
 	}
-	striped, shared := run(false), run(true)
+	striped, shared := stats(false), stats(true)
 	fmt.Printf("striped heap:  %+v\n", striped)
 	fmt.Printf("shared heap:   %+v\n", shared)
 	if striped != shared {
@@ -148,9 +143,17 @@ func statsHeap() *pmem.Heap {
 	})})
 }
 
-// measure runs the workload in stats mode and returns (clwb/insert,
-// fence/insert from Load A only — the paper reports instruction counts
-// per insert) and LLC misses/op per workload.
+// run loads and measures one workload on the named index (ordered or
+// unordered) built on heap, through the paper's per-op write path.
+func run(name string, kind keys.Kind, heap *pmem.Heap, w ycsb.Workload, loadN, opN, threads int, seed int64) harness.Result {
+	res, err := harness.Run(name, harness.ByName(name, kind)(heap), harness.WritePath{}, w, loadN, opN, threads, seed, true)
+	check(err)
+	return res
+}
+
+// ordered prints clwb/insert and fence/insert from Load A only — the
+// paper reports instruction counts per insert — and LLC misses/op per
+// workload.
 func ordered(kind keys.Kind, loadN, opN, threads int, seed int64) {
 	fig := "4c"
 	if kind == keys.YCSBString {
@@ -165,21 +168,11 @@ func ordered(kind keys.Kind, loadN, opN, threads int, seed int64) {
 	for _, name := range core.OrderedNames {
 		// clwb/mfence per insert, measured on the pure-insert load (the
 		// paper's per-insert columns).
-		heap := statsHeap()
-		idx, err := core.NewOrdered(name, heap, kind)
-		check(err)
-		gen := keys.NewGenerator(kind)
-		res, err := harness.RunOrdered(name, idx, gen, heap, ycsb.LoadA, loadN, opN, threads, seed)
-		check(err)
+		res := run(name, kind, statsHeap(), ycsb.LoadA, loadN, opN, threads, seed)
 		fmt.Printf("%-12s %6.1f %7.1f |", name, res.ClwbPerInsert(), res.FencePerInsert())
 		fmt.Printf(" %7.1f", res.LLCMissPerOp())
 		for _, w := range []ycsb.Workload{ycsb.A, ycsb.B, ycsb.C, ycsb.E} {
-			heap := statsHeap()
-			idx, err := core.NewOrdered(name, heap, kind)
-			check(err)
-			gen := keys.NewGenerator(kind)
-			res, err := harness.RunOrdered(name, idx, gen, heap, w, loadN, opN, threads, seed)
-			check(err)
+			res := run(name, kind, statsHeap(), w, loadN, opN, threads, seed)
 			fmt.Printf(" %7.1f", res.LLCMissPerOp())
 		}
 		fmt.Println()
@@ -195,21 +188,11 @@ func table4(loadN, opN, threads int, seed int64) {
 	}
 	fmt.Println("   (insert instr | LLC miss/op)")
 	for _, name := range core.HashNames {
-		heap := statsHeap()
-		idx, err := core.NewHash(name, heap)
-		check(err)
-		gen := keys.NewGenerator(keys.RandInt)
-		res, err := harness.RunHash(name, idx, gen, heap, ycsb.LoadA, loadN, opN, threads, seed)
-		check(err)
+		res := run(name, keys.RandInt, statsHeap(), ycsb.LoadA, loadN, opN, threads, seed)
 		fmt.Printf("%-14s %6.1f %7.1f |", name, res.ClwbPerInsert(), res.FencePerInsert())
 		fmt.Printf(" %7.1f", res.LLCMissPerOp())
 		for _, w := range hashWorkloads[1:] {
-			heap := statsHeap()
-			idx, err := core.NewHash(name, heap)
-			check(err)
-			gen := keys.NewGenerator(keys.RandInt)
-			res, err := harness.RunHash(name, idx, gen, heap, w, loadN, opN, threads, seed)
-			check(err)
+			res := run(name, keys.RandInt, statsHeap(), w, loadN, opN, threads, seed)
 			fmt.Printf(" %7.1f", res.LLCMissPerOp())
 		}
 		fmt.Println()

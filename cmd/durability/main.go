@@ -26,13 +26,14 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/cceh"
-	"repro/internal/core"
-	"repro/internal/fastfair"
 	"repro/internal/harness"
 	"repro/internal/keys"
 	"repro/internal/pmem"
 )
+
+// indexes are the nine campaign subjects: the Fig 4 five plus WOART,
+// then the three hash tables.
+var indexes = []string{"P-ART", "P-HOT", "P-BwTree", "P-Masstree", "FAST & FAIR", "WOART", "P-CLHT", "CCEH", "Level Hashing"}
 
 func main() {
 	n := flag.Int("ops", 5000, "traced insert operations per index")
@@ -55,11 +56,20 @@ func main() {
 		// batched campaigns use.
 		*batch = 8
 	}
+	path := harness.PathFromFlags(*batch, *async, 0, 0)
+	// label names the write path in the section headers.
+	label := ""
+	switch path.Mode {
+	case harness.Async:
+		label = fmt.Sprintf(" (async commit pipeline, queue/batch %d)", *batch)
+	case harness.Batched:
+		label = fmt.Sprintf(" (batched, group size %d)", *batch)
+	}
 
 	switch *model {
 	case "tracker":
 	case "lossy":
-		runLossy(*policyFlag, *seed, *n, *postOps, *workers, *batch, *async)
+		runLossy(*policyFlag, *seed, *n, *postOps, *workers, path, label)
 		return
 	default:
 		fmt.Fprintf(os.Stderr, "unknown -model %q (want tracker or lossy)\n", *model)
@@ -67,106 +77,46 @@ func main() {
 	}
 
 	fmt.Printf("=== §5 durability test: %d traced inserts per index ===\n\n", *n)
-	for _, name := range []string{"P-ART", "P-HOT", "P-BwTree", "P-Masstree", "FAST & FAIR", "WOART"} {
-		name := name
-		rep := harness.DurabilityOrdered(name, func(h *pmem.Heap) core.OrderedIndex {
-			idx, err := core.NewOrdered(name, h, keys.YCSBString)
-			if err != nil {
-				panic(err)
-			}
-			return idx
-		}, keys.YCSBString, *n)
-		fmt.Println(rep.String())
-	}
-	for _, name := range []string{"P-CLHT", "CCEH", "Level Hashing"} {
-		name := name
-		rep := harness.DurabilityHash(name, func(h *pmem.Heap) core.HashIndex {
-			idx, err := core.NewHash(name, h)
-			if err != nil {
-				panic(err)
-			}
-			return idx
-		}, *n)
-		fmt.Println(rep.String())
+	for _, name := range indexes {
+		fmt.Println(harness.Durability(name, harness.ByName(name, keys.YCSBString), *n))
 	}
 
 	fmt.Println("\nFaithful modes (FAIL expected — the §7.5 unpersisted-allocation finding):")
-	rep := harness.DurabilityOrdered("FF-faithful", func(h *pmem.Heap) core.OrderedIndex {
-		return ffAdapter{fastfair.NewWithMode(h, keys.RandInt, fastfair.Faithful)}
-	}, keys.RandInt, *n)
-	fmt.Println(rep.String())
-	rep2 := harness.DurabilityHash("CCEH-faithful", func(h *pmem.Heap) core.HashIndex {
-		return ccehAdapter{cceh.NewWithMode(h, cceh.Faithful)}
-	}, *n)
-	fmt.Println(rep2.String())
+	controlsFailed := true
+	for _, rep := range []harness.DurabilityReport{
+		harness.Durability("FF-faithful", harness.FaithfulFF, *n),
+		harness.Durability("CCEH-faithful", harness.FaithfulCCEH, *n),
+	} {
+		fmt.Println(rep)
+		controlsFailed = controlsFailed && !rep.Pass()
+	}
 
-	if !*sites {
-		return
+	if *sites {
+		fmt.Printf("\n=== §5 durability across crash sites%s: crash, recover, %d traced post-crash inserts per site ===\n\n", label, *postOps)
+		for _, name := range indexes {
+			printSites(harness.DurabilitySites(name, harness.ByName(name, keys.RandInt), path, *n, *postOps, *workers))
+		}
 	}
-	switch {
-	case *async:
-		fmt.Printf("\n=== §5 durability across crash sites (async commit pipeline, queue/batch %d): crash, recover, %d traced post-crash inserts per site ===\n\n", *batch, *postOps)
-	case *batch > 1:
-		fmt.Printf("\n=== §5 durability across crash sites (batched, group size %d): crash, recover, %d traced post-crash inserts per site ===\n\n", *batch, *postOps)
-	default:
-		fmt.Printf("\n=== §5 durability across crash sites: crash, recover, %d traced post-crash inserts per site ===\n\n", *postOps)
-	}
-	for _, name := range []string{"P-ART", "P-HOT", "P-BwTree", "P-Masstree", "FAST & FAIR", "WOART"} {
-		name := name
-		factory := func(h *pmem.Heap) core.OrderedIndex {
-			idx, err := core.NewOrdered(name, h, keys.RandInt)
-			if err != nil {
-				panic(err)
-			}
-			return idx
-		}
-		var rep harness.SiteCampaignReport
-		switch {
-		case *async:
-			rep = harness.DurabilitySitesOrderedAsync(name, factory, keys.RandInt, *n, *postOps, *batch, *workers)
-		case *batch > 1:
-			rep = harness.DurabilitySitesOrderedBatched(name, factory, keys.RandInt, *n, *postOps, *batch, *workers)
-		default:
-			rep = harness.DurabilitySitesOrdered(name, factory, keys.RandInt, *n, *postOps, *workers)
-		}
-		printSites(rep)
-	}
-	for _, name := range []string{"P-CLHT", "CCEH", "Level Hashing"} {
-		name := name
-		factory := func(h *pmem.Heap) core.HashIndex {
-			idx, err := core.NewHash(name, h)
-			if err != nil {
-				panic(err)
-			}
-			return idx
-		}
-		var rep harness.SiteCampaignReport
-		switch {
-		case *async:
-			rep = harness.DurabilitySitesHashAsync(name, factory, *n, *postOps, *batch, *workers)
-		case *batch > 1:
-			rep = harness.DurabilitySitesHashBatched(name, factory, *n, *postOps, *batch, *workers)
-		default:
-			rep = harness.DurabilitySitesHash(name, factory, *n, *postOps, *workers)
-		}
-		printSites(rep)
+	exitIfControlPassed(controlsFailed)
+}
+
+// exitIfControlPassed makes a negative control that stopped failing an
+// error: a control that cannot fail controls nothing.
+func exitIfControlPassed(controlsFailed bool) {
+	if !controlsFailed {
+		fmt.Fprintln(os.Stderr, "a row labelled FAIL expected passed: the negative control no longer detects its bug")
+		os.Exit(1)
 	}
 }
 
 // runLossy drives every index through the lossy power-failure campaign
-// under the selected policies, then replays the Faithful FAST & FAIR
-// mode as a negative control: its missing initial-allocation persist
-// must surface as LOST-ACK/CORRUPT under the revert policy. With
-// batch > 1 the writes go through the group-commit layer, so the sweep
-// also crashes at the group boundary sites and acknowledgement is
-// per batch. With async the writes go through the async commit
-// pipeline instead: acknowledgement is per future (ack-after-fence),
-// and the sweep crashes inside the committer drain loop too.
-func runLossy(policyFlag string, seed int64, loadN, postN, workers, batch int, async bool) {
-	var policies []pmem.Policy
-	if policyFlag == "all" {
-		policies = pmem.Policies
-	} else {
+// under the selected policies and write path, then replays the Faithful
+// FAST & FAIR mode on the sync path as a negative control: its missing
+// initial-allocation persist must surface as LOST-ACK/CORRUPT under the
+// revert policy.
+func runLossy(policyFlag string, seed int64, loadN, postN, workers int, path harness.WritePath, label string) {
+	policies := pmem.Policies
+	if policyFlag != "all" {
 		p, err := pmem.ParsePolicy(policyFlag)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -175,64 +125,23 @@ func runLossy(policyFlag string, seed int64, loadN, postN, workers, batch int, a
 		policies = []pmem.Policy{p}
 	}
 
-	switch {
-	case async:
-		fmt.Printf("=== lossy power-failure campaign (async commit pipeline, queue/batch %d): crash at every site, power-cycle, recover, verify per-future acks (seed %d) ===\n\n", batch, seed)
-	case batch > 1:
-		fmt.Printf("=== lossy power-failure campaign (batched, group size %d): crash at every site, power-cycle, recover, verify (seed %d) ===\n\n", batch, seed)
-	default:
-		fmt.Printf("=== lossy power-failure campaign: crash at every site, power-cycle, recover, verify (seed %d) ===\n\n", seed)
+	acks := ""
+	if path.Mode == harness.Async {
+		acks = " per-future acks"
 	}
+	fmt.Printf("=== lossy power-failure campaign%s: crash at every site, power-cycle, recover, verify%s (seed %d) ===\n\n", label, acks, seed)
 	failed := false
 	for _, policy := range policies {
-		for _, name := range []string{"P-ART", "P-HOT", "P-BwTree", "P-Masstree", "FAST & FAIR", "WOART"} {
-			name := name
-			factory := func(h *pmem.Heap) core.OrderedIndex {
-				idx, err := core.NewOrdered(name, h, keys.RandInt)
-				if err != nil {
-					panic(err)
-				}
-				return idx
-			}
-			var rep harness.LossyCampaignReport
-			switch {
-			case async:
-				rep = harness.LossyCampaignOrderedAsync(name, factory, keys.RandInt, policy, seed, loadN, postN, batch, workers)
-			case batch > 1:
-				rep = harness.LossyCampaignOrderedBatched(name, factory, keys.RandInt, policy, seed, loadN, postN, batch, workers)
-			default:
-				rep = harness.LossyCampaignOrdered(name, factory, keys.RandInt, policy, seed, loadN, postN, workers)
-			}
-			failed = printLossy(rep) || failed
-		}
-		for _, name := range []string{"P-CLHT", "CCEH", "Level Hashing"} {
-			name := name
-			factory := func(h *pmem.Heap) core.HashIndex {
-				idx, err := core.NewHash(name, h)
-				if err != nil {
-					panic(err)
-				}
-				return idx
-			}
-			var rep harness.LossyCampaignReport
-			switch {
-			case async:
-				rep = harness.LossyCampaignHashAsync(name, factory, policy, seed, loadN, postN, batch, workers)
-			case batch > 1:
-				rep = harness.LossyCampaignHashBatched(name, factory, policy, seed, loadN, postN, batch, workers)
-			default:
-				rep = harness.LossyCampaignHash(name, factory, policy, seed, loadN, postN, workers)
-			}
+		for _, name := range indexes {
+			rep := harness.LossyCampaign(name, harness.ByName(name, keys.RandInt), path, policy, seed, loadN, postN, workers)
 			failed = printLossy(rep) || failed
 		}
 		fmt.Println()
 	}
 
 	fmt.Println("Faithful mode under revert (FAIL expected — the unpersisted allocation becomes observable loss):")
-	rep := harness.LossyCampaignOrdered("FF-faithful", func(h *pmem.Heap) core.OrderedIndex {
-		return ffAdapter{fastfair.NewWithMode(h, keys.RandInt, fastfair.Faithful)}
-	}, keys.RandInt, pmem.PolicyRevert, seed, loadN, postN, workers)
-	printLossy(rep)
+	control := harness.LossyCampaign("FF-faithful", harness.FaithfulFF, harness.WritePath{}, pmem.PolicyRevert, seed, loadN, postN, workers)
+	exitIfControlPassed(printLossy(control))
 
 	if failed {
 		os.Exit(1)
@@ -262,24 +171,3 @@ func printSites(rep harness.SiteCampaignReport) {
 		}
 	}
 }
-
-type ffAdapter struct{ t *fastfair.Tree }
-
-func (f ffAdapter) Insert(k []byte, v uint64) error { return f.t.Insert(k, v) }
-func (f ffAdapter) Update(k []byte, v uint64) error { return f.t.Insert(k, v) }
-func (f ffAdapter) Lookup(k []byte) (uint64, bool)  { return f.t.Lookup(k) }
-func (f ffAdapter) Delete(k []byte) (bool, error)   { return f.t.Delete(k) }
-func (f ffAdapter) Recover() error                  { f.t.Recover(); return nil }
-func (f ffAdapter) Len() int                        { return f.t.Len() }
-func (f ffAdapter) Scan(s []byte, c int, fn func([]byte, uint64) bool) int {
-	return f.t.Scan(s, c, fn)
-}
-
-type ccehAdapter struct{ t *cceh.Index }
-
-func (c ccehAdapter) Insert(k, v uint64) error       { return c.t.Insert(k, v) }
-func (c ccehAdapter) Update(k, v uint64) error       { return c.t.Insert(k, v) }
-func (c ccehAdapter) Lookup(k uint64) (uint64, bool) { return c.t.Lookup(k) }
-func (c ccehAdapter) Delete(k uint64) (bool, error)  { return c.t.Delete(k) }
-func (c ccehAdapter) Recover() error                 { return c.t.Recover() }
-func (c ccehAdapter) Len() int                       { return c.t.Len() }

@@ -37,6 +37,7 @@ import (
 	"math"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -84,11 +85,11 @@ type config struct {
 	reshard bool
 }
 
-// commitOpts builds the async pipeline configuration from the flags:
-// -queue caps admitted-but-uncommitted ops, -batch doubles as the
+// path is the write path the flags select for -workloads cells: -queue
+// caps admitted-but-uncommitted ops, -batch doubles as the async
 // drain's MaxBatch, -flushns bounds staleness.
-func (c config) commitOpts() commit.Options {
-	return commit.Options{Queue: c.queue, MaxBatch: c.batch, FlushInterval: c.flush}
+func (c config) path() harness.WritePath {
+	return harness.PathFromFlags(c.batch, c.async, c.queue, c.flush)
 }
 
 // workloadFor returns w with the -dist override applied.
@@ -207,48 +208,62 @@ func main() {
 	run(*figure)
 }
 
-// orderedCell runs one (index, workload) measurement through the sharded
-// front-end and verifies aggregate-vs-per-shard counter conservation.
-func orderedCell(name string, kind keys.Kind, w ycsb.Workload, cfg config) harness.Result {
-	w = cfg.workloadFor(w)
+// sharded is what a cell needs of the front-end beyond running
+// workloads on it: the counter and load views it brackets the run with,
+// and the live rebalancer. shard.Ordered and shard.Hash both provide it.
+type sharded interface {
+	ShardStats() []pmem.Stats
+	Stats() pmem.Stats
+	LoadReport() shard.LoadReport
+	EnableResharding() error
+	Rebalance(shard.RebalanceOptions) (shard.RebalanceReport, error)
+	Release()
+}
+
+// frontend is one cell's sharded front-end — ordered or unordered,
+// whichever the index name selects — with the harness's id-addressed
+// adaptor over it.
+type frontend struct {
+	sharded
+	*harness.Target
+}
+
+// newFrontend builds the named index behind cfg.shards shards.
+func newFrontend(name string, kind keys.Kind, cfg config) frontend {
+	if slices.Contains(core.HashNames, name) {
+		m, err := shard.NewHash(name, shard.Options{Shards: cfg.shards, Heap: cfg.heap})
+		check(err)
+		return frontend{m, harness.ShardedHash(m)}
+	}
 	m, err := shard.NewOrdered(name, kind, shard.Options{
 		Shards: cfg.shards, Partitioner: cfg.part, Heap: cfg.heap, ScanBatch: cfg.scanBatch,
 	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	gen := keys.NewGenerator(kind)
-	before := m.ShardStats()
-	aggBefore := m.Stats()
-	res, err := harness.RunOrdered(name, m, gen, m, w, cfg.loadN, cfg.opN, cfg.threads, cfg.seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "\n%s/%s: %v\n", name, w.Name, err)
-		os.Exit(1)
-	}
-	checkConservation(name, w.Name, m.Stats().Sub(aggBefore), m.ShardStats(), before)
-	m.Release()
-	return res
+	check(err)
+	return frontend{m, harness.ShardedOrdered(m, kind)}
 }
 
-// hashCell is orderedCell for unordered indexes.
-func hashCell(name string, w ycsb.Workload, cfg config) harness.Result {
-	w = cfg.workloadFor(w)
-	m, err := shard.NewHash(name, shard.Options{Shards: cfg.shards, Heap: cfg.heap})
+func check(err error) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	gen := keys.NewGenerator(keys.RandInt)
+}
+
+// cell runs one (index, workload) figure measurement through the
+// sharded front-end on the paper's per-op write path and verifies
+// aggregate-vs-per-shard counter conservation.
+func cell(name string, kind keys.Kind, w ycsb.Workload, cfg config) harness.Result {
+	w = cfg.workloadFor(w)
+	m := newFrontend(name, kind, cfg)
+	defer m.Release()
 	before := m.ShardStats()
 	aggBefore := m.Stats()
-	res, err := harness.RunHash(name, m, gen, m, w, cfg.loadN, cfg.opN, cfg.threads, cfg.seed)
+	res, err := harness.Run(name, m.Target, harness.WritePath{}, w, cfg.loadN, cfg.opN, cfg.threads, cfg.seed, true)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "\n%s/%s: %v\n", name, w.Name, err)
 		os.Exit(1)
 	}
 	checkConservation(name, w.Name, m.Stats().Sub(aggBefore), m.ShardStats(), before)
-	m.Release()
 	return res
 }
 
@@ -286,7 +301,7 @@ func runOrdered(kind keys.Kind, cfg config) {
 	for _, name := range core.OrderedNames {
 		fmt.Printf("%-12s", name)
 		for _, w := range ycsb.All {
-			fmt.Printf(" %10.3f", orderedCell(name, kind, w, cfg).MopsPerSec())
+			fmt.Printf(" %10.3f", cell(name, kind, w, cfg).MopsPerSec())
 		}
 		fmt.Println()
 	}
@@ -304,7 +319,7 @@ func runHash(cfg config) {
 	for _, name := range core.HashNames {
 		fmt.Printf("%-14s", name)
 		for _, w := range hashWorkloads {
-			fmt.Printf(" %10.3f", hashCell(name, w, cfg).MopsPerSec())
+			fmt.Printf(" %10.3f", cell(name, keys.RandInt, w, cfg).MopsPerSec())
 		}
 		fmt.Println()
 	}
@@ -330,7 +345,7 @@ func kindsOf(w ycsb.Workload) []ycsb.OpKind {
 // runWorkloads is the beyond-the-paper mode: any subset of YCSB A–F on
 // every index, each cell unsharded (H=1) and sharded, with exact
 // per-op-kind clwb/fence columns from a single-threaded attribution
-// pass (see harness.AttributeOrdered) that must conserve bit-exactly
+// pass (see harness.Attribute) that must conserve bit-exactly
 // against the aggregate counters.
 func runWorkloads(list string, cfg config) {
 	var wls []ycsb.Workload
@@ -377,23 +392,19 @@ func runWorkloads(list string, cfg config) {
 			fmt.Printf(" %12s %12s", "clwb/"+k.String(), "fence/"+k.String())
 		}
 		fmt.Println("   (imbal: max/mean per-shard op share; clwb/fence: exact single-thread attribution)")
-		for _, name := range orderedNames {
+		names := orderedNames
+		if w.ScanPct == 0 {
+			names = slices.Concat(orderedNames, core.HashNames)
+		}
+		for _, name := range names {
 			for _, h := range []int{1, sharded} {
 				c := cfg
 				c.shards = h
-				workloadCellOrdered(name, w, c, kinds)
+				workloadCell(name, w, c, kinds)
 			}
 		}
 		if w.ScanPct > 0 {
 			fmt.Printf("%-14s (scan workload — unordered indexes skipped)\n", "hash indexes")
-			continue
-		}
-		for _, name := range core.HashNames {
-			for _, h := range []int{1, sharded} {
-				c := cfg
-				c.shards = h
-				workloadCellHash(name, w, c, kinds)
-			}
 		}
 	}
 }
@@ -404,40 +415,34 @@ func attrSizes(cfg config) (loadN, opN int) {
 	return min(cfg.loadN, 20_000), min(cfg.opN, 10_000)
 }
 
-// workloadCellOrdered runs one -workloads cell for an ordered index:
-// a multi-threaded throughput run (with the per-shard counter
-// conservation guard) plus the attribution pass, then prints one row.
-func workloadCellOrdered(name string, w ycsb.Workload, cfg config, kinds []ycsb.OpKind) {
+// ffDataLoss recognises the §3 data-loss class the paper reports for
+// FAST & FAIR under concurrent insert storms (see
+// fastfair.TestKnownIssueConcurrentLoadLoss): a cell that hits it is
+// skipped, not failed.
+func ffDataLoss(name string, shards int, err error) bool {
+	if name != "FAST & FAIR" || !strings.Contains(err.Error(), "read id") {
+		return false
+	}
+	fmt.Printf("%-14s %2d %9s  skipped: known FAST & FAIR data-loss class under concurrency\n", name, shards, "-")
+	return true
+}
+
+// workloadCell runs one -workloads cell: a multi-threaded throughput
+// run through the selected write path (with the per-shard counter
+// conservation guard) plus the attribution pass on a fresh front-end,
+// then prints one row.
+func workloadCell(name string, w ycsb.Workload, cfg config, kinds []ycsb.OpKind) {
 	if cfg.reshard && cfg.shards > 1 {
-		reshardCellOrdered(name, w, cfg)
+		reshardCell(name, w, cfg)
 		return
 	}
-	m, err := shard.NewOrdered(name, keys.RandInt, shard.Options{
-		Shards: cfg.shards, Partitioner: cfg.part, Heap: cfg.heap, ScanBatch: cfg.scanBatch,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	gen := keys.NewGenerator(keys.RandInt)
+	m := newFrontend(name, keys.RandInt, cfg)
 	before := m.ShardStats()
 	aggBefore := m.Stats()
-	var res harness.Result
-	switch {
-	case cfg.async:
-		res, err = harness.RunOrderedAsync(name, m, gen, w, cfg.loadN, cfg.opN, cfg.threads, cfg.commitOpts(), cfg.seed)
-	case cfg.batch > 1:
-		res, err = harness.RunOrderedBatched(name, m, gen, w, cfg.loadN, cfg.opN, cfg.threads, cfg.batch, cfg.seed)
-	default:
-		res, err = harness.RunOrdered(name, m, gen, m, w, cfg.loadN, cfg.opN, cfg.threads, cfg.seed)
-	}
+	res, err := harness.Run(name, m.Target, cfg.path(), w, cfg.loadN, cfg.opN, cfg.threads, cfg.seed, true)
 	if err != nil {
 		m.Release()
-		if name == "FAST & FAIR" && strings.Contains(err.Error(), "read id") {
-			// The §3 data-loss class the paper reports for FAST & FAIR
-			// under concurrent insert storms (see
-			// fastfair.TestKnownIssueConcurrentLoadLoss).
-			fmt.Printf("%-14s %2d %9s  skipped: known FAST & FAIR data-loss class under concurrency\n", name, cfg.shards, "-")
+		if ffDataLoss(name, cfg.shards, err) {
 			return
 		}
 		fmt.Fprintf(os.Stderr, "\n%s/%s: %v\n", name, w.Name, err)
@@ -447,81 +452,9 @@ func workloadCellOrdered(name string, w ycsb.Workload, cfg config, kinds []ycsb.
 	imbal := cellImbalance(m.LoadReport(), cfg)
 	m.Release()
 
-	am, err := shard.NewOrdered(name, keys.RandInt, shard.Options{
-		Shards: cfg.shards, Partitioner: cfg.part, Heap: cfg.heap, ScanBatch: cfg.scanBatch,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	am := newFrontend(name, keys.RandInt, cfg)
 	attrLoadN, attrOpN := attrSizes(cfg)
-	var attr harness.Attribution
-	switch {
-	case cfg.async:
-		attr, err = harness.AttributeOrderedAsync(am, gen, w, attrLoadN, attrOpN, cfg.commitOpts(), cfg.seed+1)
-	case cfg.batch > 1:
-		attr, err = harness.AttributeOrderedBatched(am, gen, w, attrLoadN, attrOpN, cfg.batch, cfg.seed+1)
-	default:
-		attr, err = harness.AttributeOrdered(am, gen, am, w, attrLoadN, attrOpN, cfg.seed+1)
-	}
-	am.Release()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "\n%s/%s attribution: %v\n", name, w.Name, err)
-		os.Exit(1)
-	}
-	if !attr.Conserves() {
-		fmt.Fprintf(os.Stderr, "\n%s/%s: per-op-kind stats do not conserve against aggregate counters\n", name, w.Name)
-		os.Exit(1)
-	}
-	printWorkloadRow(name, cfg, res, attr, kinds, imbal)
-}
-
-// workloadCellHash is workloadCellOrdered for unordered indexes.
-func workloadCellHash(name string, w ycsb.Workload, cfg config, kinds []ycsb.OpKind) {
-	if cfg.reshard && cfg.shards > 1 {
-		reshardCellHash(name, w, cfg)
-		return
-	}
-	m, err := shard.NewHash(name, shard.Options{Shards: cfg.shards, Heap: cfg.heap})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	gen := keys.NewGenerator(keys.RandInt)
-	before := m.ShardStats()
-	aggBefore := m.Stats()
-	var res harness.Result
-	switch {
-	case cfg.async:
-		res, err = harness.RunHashAsync(name, m, gen, w, cfg.loadN, cfg.opN, cfg.threads, cfg.commitOpts(), cfg.seed)
-	case cfg.batch > 1:
-		res, err = harness.RunHashBatched(name, m, gen, w, cfg.loadN, cfg.opN, cfg.threads, cfg.batch, cfg.seed)
-	default:
-		res, err = harness.RunHash(name, m, gen, m, w, cfg.loadN, cfg.opN, cfg.threads, cfg.seed)
-	}
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "\n%s/%s: %v\n", name, w.Name, err)
-		os.Exit(1)
-	}
-	checkConservation(name, w.Name, m.Stats().Sub(aggBefore), m.ShardStats(), before)
-	imbal := cellImbalance(m.LoadReport(), cfg)
-	m.Release()
-
-	am, err := shard.NewHash(name, shard.Options{Shards: cfg.shards, Heap: cfg.heap})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	attrLoadN, attrOpN := attrSizes(cfg)
-	var attr harness.Attribution
-	switch {
-	case cfg.async:
-		attr, err = harness.AttributeHashAsync(am, gen, w, attrLoadN, attrOpN, cfg.commitOpts(), cfg.seed+1)
-	case cfg.batch > 1:
-		attr, err = harness.AttributeHashBatched(am, gen, w, attrLoadN, attrOpN, cfg.batch, cfg.seed+1)
-	default:
-		attr, err = harness.AttributeHash(am, gen, am, w, attrLoadN, attrOpN, cfg.seed+1)
-	}
+	attr, err := harness.Attribute(am.Target, cfg.path(), w, attrLoadN, attrOpN, cfg.seed+1)
 	am.Release()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "\n%s/%s attribution: %v\n", name, w.Name, err)
@@ -545,44 +478,37 @@ func cellImbalance(rep shard.LoadReport, cfg config) float64 {
 	return rep.Imbalance()
 }
 
-// reshardCellOrdered is the -reshard variant of a sharded ordered cell:
-// load, close the load epoch, run half the ops against the static
-// partition, rebalance under live routing, run the rest against the
-// flipped table, and print both phases' throughput and run-phase
-// imbalance. The aggregate-vs-per-shard conservation guard brackets
-// the whole cell, so it also proves Stats() conserves across the
-// migration's cross-heap copies.
-func reshardCellOrdered(name string, w ycsb.Workload, cfg config) {
-	m, err := shard.NewOrdered(name, keys.RandInt, shard.Options{
-		Shards: cfg.shards, Partitioner: cfg.part, Heap: cfg.heap, ScanBatch: cfg.scanBatch,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+// reshardCell is the -reshard variant of a sharded cell: load, close
+// the load epoch, run half the ops against the static partition,
+// rebalance under live routing, run the rest against the flipped table,
+// and print both phases' throughput and run-phase imbalance. The
+// aggregate-vs-per-shard conservation guard brackets the whole cell, so
+// it also proves Stats() conserves across the migration's cross-heap
+// copies.
+func reshardCell(name string, w ycsb.Workload, cfg config) {
+	m := newFrontend(name, keys.RandInt, cfg)
 	defer m.Release()
-	if err := m.EnableResharding(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	gen := keys.NewGenerator(keys.RandInt)
+	check(m.EnableResharding())
 	before := m.ShardStats()
 	aggBefore := m.Stats()
 	half := cfg.opN / 2
-	if _, err := harness.RunOrdered(name, m, gen, m, w, cfg.loadN, 0, cfg.threads, cfg.seed); err != nil {
-		if name == "FAST & FAIR" && strings.Contains(err.Error(), "read id") {
-			fmt.Printf("%-14s %2d %9s  skipped: known FAST & FAIR data-loss class under concurrency\n", name, cfg.shards, "-")
+	phase := func(loadN, opN int, seed int64, load bool) harness.Result {
+		res, err := harness.Run(name, m.Target, harness.WritePath{}, w, loadN, opN, cfg.threads, seed, load)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "\n%s/%s: %v\n", name, w.Name, err)
+			os.Exit(1)
+		}
+		return res
+	}
+	if _, err := harness.Run(name, m.Target, harness.WritePath{}, w, cfg.loadN, 0, cfg.threads, cfg.seed, true); err != nil {
+		if ffDataLoss(name, cfg.shards, err) {
 			return
 		}
 		fmt.Fprintf(os.Stderr, "\n%s/%s: %v\n", name, w.Name, err)
 		os.Exit(1)
 	}
 	m.LoadReport() // close the load epoch; imbalance below is run-phase only
-	pre, err := harness.RunOrderedPhase(name, m, gen, m, w, cfg.loadN, half, cfg.threads, cfg.seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "\n%s/%s: %v\n", name, w.Name, err)
-		os.Exit(1)
-	}
+	pre := phase(cfg.loadN, half, cfg.seed, false)
 	imbPre := m.LoadReport().Imbalance()
 	rb, err := m.Rebalance(shard.RebalanceOptions{})
 	if err != nil {
@@ -590,53 +516,7 @@ func reshardCellOrdered(name string, w ycsb.Workload, cfg config) {
 		os.Exit(1)
 	}
 	// Phase-2 inserts must start past phase 1's so fresh IDs stay fresh.
-	post, err := harness.RunOrderedPhase(name, m, gen, m, w, cfg.loadN+pre.Inserts, cfg.opN-half, cfg.threads, cfg.seed+7)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "\n%s/%s: %v\n", name, w.Name, err)
-		os.Exit(1)
-	}
-	imbPost := m.LoadReport().Imbalance()
-	checkConservation(name, w.Name, m.Stats().Sub(aggBefore), m.ShardStats(), before)
-	printReshardRow(name, cfg, pre, post, imbPre, imbPost, len(rb.Moves))
-}
-
-// reshardCellHash is reshardCellOrdered for unordered indexes.
-func reshardCellHash(name string, w ycsb.Workload, cfg config) {
-	m, err := shard.NewHash(name, shard.Options{Shards: cfg.shards, Heap: cfg.heap})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer m.Release()
-	if err := m.EnableResharding(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	gen := keys.NewGenerator(keys.RandInt)
-	before := m.ShardStats()
-	aggBefore := m.Stats()
-	half := cfg.opN / 2
-	if _, err := harness.RunHash(name, m, gen, m, w, cfg.loadN, 0, cfg.threads, cfg.seed); err != nil {
-		fmt.Fprintf(os.Stderr, "\n%s/%s: %v\n", name, w.Name, err)
-		os.Exit(1)
-	}
-	m.LoadReport()
-	pre, err := harness.RunHashPhase(name, m, gen, m, w, cfg.loadN, half, cfg.threads, cfg.seed)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "\n%s/%s: %v\n", name, w.Name, err)
-		os.Exit(1)
-	}
-	imbPre := m.LoadReport().Imbalance()
-	rb, err := m.Rebalance(shard.RebalanceOptions{})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "\n%s/%s rebalance: %v\n", name, w.Name, err)
-		os.Exit(1)
-	}
-	post, err := harness.RunHashPhase(name, m, gen, m, w, cfg.loadN+pre.Inserts, cfg.opN-half, cfg.threads, cfg.seed+7)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "\n%s/%s: %v\n", name, w.Name, err)
-		os.Exit(1)
-	}
+	post := phase(cfg.loadN+pre.Inserts, cfg.opN-half, cfg.seed+7, false)
 	imbPost := m.LoadReport().Imbalance()
 	checkConservation(name, w.Name, m.Stats().Sub(aggBefore), m.ShardStats(), before)
 	printReshardRow(name, cfg, pre, post, imbPre, imbPost, len(rb.Moves))
@@ -685,7 +565,7 @@ func runWOART(cfg config) {
 	for _, name := range []string{"P-ART", "WOART"} {
 		fmt.Printf("%-8s", name)
 		for _, w := range ycsb.All {
-			fmt.Printf(" %10.3f", orderedCell(name, keys.RandInt, w, cfg).MopsPerSec())
+			fmt.Printf(" %10.3f", cell(name, keys.RandInt, w, cfg).MopsPerSec())
 		}
 		fmt.Println()
 	}

@@ -1,7 +1,10 @@
 // Package harness executes the paper's experiments: multi-threaded YCSB
 // runs with per-operation performance counters (Figs 4 and 5, Table 4),
-// the §5/§7.5 crash-recovery campaigns (single-heap and sharded), and
-// the §5 durability test.
+// the §5/§7.5 crash-recovery campaigns (single-heap and sharded), the §5
+// durability test, and the per-crash-site flush-coverage and lossy
+// power-failure campaigns. Everything runs over two small seams: a
+// Target addresses any index by dense identifier (target.go), and a
+// WritePath decides how a write becomes acknowledged (path.go).
 package harness
 
 import (
@@ -9,18 +12,15 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/crash"
 	"repro/internal/keys"
 	"repro/internal/pmem"
 	"repro/internal/ycsb"
-	"repro/shard"
 )
 
 // StatsSource yields heap-counter snapshots for the measured phase. A
 // single *pmem.Heap satisfies it, and so does the sharded front-end
 // (shard.Ordered / shard.Hash), whose Stats aggregates every per-shard
-// heap — the run functions below work unchanged over both.
+// heap.
 type StatsSource interface {
 	Stats() pmem.Stats
 }
@@ -37,9 +37,9 @@ const (
 	RMWBit uint64 = 1 << 62
 )
 
-// ValueID strips the update/RMW tag bits, recovering the dense key
+// valueID strips the update/RMW tag bits, recovering the dense key
 // identifier a stored value verifies against.
-func ValueID(v uint64) uint64 { return v &^ (UpdateBit | RMWBit) }
+func valueID(v uint64) uint64 { return v &^ (UpdateBit | RMWBit) }
 
 // Result is one (index, workload) measurement.
 type Result struct {
@@ -59,16 +59,16 @@ type Result struct {
 	// RMWs + inserts + scans == Ops — and TestRunConservationDF
 	// re-checks it against the plan under -race.
 	Counts [ycsb.NumOpKinds]int
-	// AckOps and AckTotal sample enqueue-to-ack latency on the async
-	// write path (RunOrderedAsync/RunHashAsync): AckOps write futures
-	// were waited during the measured phase, their enqueue-to-resolve
-	// times summing to AckTotal. Both are zero for sync runs.
+	// AckOps and AckTotal sample enqueue-to-ack latency on the Async
+	// path: AckOps write futures were waited during the measured phase,
+	// their enqueue-to-resolve times summing to AckTotal. Both are zero
+	// on the other paths.
 	AckOps   int
 	AckTotal time.Duration
 }
 
 // MeanAckLatency returns the average enqueue-to-ack latency of the
-// sampled async writes (zero when the run path was synchronous).
+// sampled async writes (zero on the other paths).
 func (r Result) MeanAckLatency() time.Duration {
 	if r.AckOps == 0 {
 		return 0
@@ -108,205 +108,131 @@ func (r Result) LLCMissPerOp() float64 {
 	return float64(r.Stats.LLC.Misses) / float64(r.Ops)
 }
 
-// RunOrdered loads loadN keys into idx and then executes the workload
-// plan across its threads, returning measured-phase results. The load
-// phase mirrors the paper: populate with Load A, then run the respective
-// workload (§7).
-func RunOrdered(name string, idx core.OrderedIndex, gen *keys.Generator, stats StatsSource, w ycsb.Workload, loadN, opN, threads int, seed int64) (Result, error) {
-	load := ycsb.GenerateLoad(loadN, threads)
-	if err := execOrdered(idx, gen, load); err != nil {
-		return Result{}, fmt.Errorf("load phase: %w", err)
+// Run executes opN operations of w against t across threads through
+// the given write path and returns the measured-phase result. With load
+// set it first populates t with loadN keys (the paper's Load A, §7);
+// without, t must already hold loadN keys — callers that split a cell
+// around an online event (cmd/ycsbbench -reshard) measure the second
+// phase against the population the first left behind. The measured
+// phase ends when every worker has settled, so it covers every write's
+// covering fence on every path. Queued paths need a sharded target.
+func Run(name string, t *Target, path WritePath, w ycsb.Workload, loadN, opN, threads int, seed int64, load bool) (Result, error) {
+	if w.ScanPct > 0 && !t.ordered {
+		return Result{}, fmt.Errorf("harness: workload %s has scans; unordered indexes do not support them", w.Name)
+	}
+	if load {
+		if _, err := execute(t, path, ycsb.GenerateLoad(loadN, threads), hooks{}, nil); err != nil {
+			return Result{}, fmt.Errorf("load phase: %w", err)
+		}
 	}
 	plan := ycsb.Generate(w, loadN, opN, threads, seed)
-	before := stats.Stats()
-	start := time.Now()
-	if err := execOrdered(idx, gen, plan); err != nil {
+	res, err := execute(t, path, plan, hooks{}, nil)
+	if err != nil {
 		return Result{}, fmt.Errorf("run phase: %w", err)
 	}
-	elapsed := time.Since(start)
-	res := Result{
-		Index: name, Workload: w.Name, KeyKind: gen.Kind(), Threads: threads,
-		Ops: plan.TotalOps(), Elapsed: elapsed, Stats: stats.Stats().Sub(before),
-		Inserts: plan.Inserts, Counts: plan.Counts,
-	}
+	res.Index, res.Workload, res.KeyKind, res.Threads = name, w.Name, t.kind, threads
 	return res, nil
 }
 
-// RunOrderedPhase executes one measured workload phase against an
-// already-populated index — no load phase. Callers that split a cell
-// around an online event (cmd/ycsbbench -reshard runs the rebalancer
-// between two phases) use it to measure the second phase against the
-// population the first phase left behind; loadN must match the
-// population so the request samplers draw from live keys.
-func RunOrderedPhase(name string, idx core.OrderedIndex, gen *keys.Generator, stats StatsSource, w ycsb.Workload, loadN, opN, threads int, seed int64) (Result, error) {
-	plan := ycsb.Generate(w, loadN, opN, threads, seed)
-	before := stats.Stats()
+// execute runs plan through one generation of path, one goroutine per
+// thread stream, and returns the timed, counter-bracketed outcome.
+// direct (optional) is told the kind of every operation the walker
+// executed itself rather than handing to the writer.
+func execute(t *Target, path WritePath, plan *ycsb.Plan, h hooks, direct func(ycsb.OpKind)) (Result, error) {
+	g := path.open(t, h)
+	before := t.stats.Stats()
 	start := time.Now()
-	if err := execOrdered(idx, gen, plan); err != nil {
-		return Result{}, fmt.Errorf("run phase: %w", err)
-	}
-	elapsed := time.Since(start)
-	return Result{
-		Index: name, Workload: w.Name, KeyKind: gen.Kind(), Threads: threads,
-		Ops: plan.TotalOps(), Elapsed: elapsed, Stats: stats.Stats().Sub(before),
-		Inserts: plan.Inserts, Counts: plan.Counts,
-	}, nil
-}
-
-// RunHashPhase is RunOrderedPhase for unordered indexes.
-func RunHashPhase(name string, idx core.HashIndex, gen *keys.Generator, stats StatsSource, w ycsb.Workload, loadN, opN, threads int, seed int64) (Result, error) {
-	if w.ScanPct > 0 {
-		return Result{}, fmt.Errorf("harness: workload %s has scans; unordered indexes do not support them", w.Name)
-	}
-	plan := ycsb.Generate(w, loadN, opN, threads, seed)
-	before := stats.Stats()
-	start := time.Now()
-	if err := execHash(idx, gen, plan); err != nil {
-		return Result{}, fmt.Errorf("run phase: %w", err)
-	}
-	elapsed := time.Since(start)
-	return Result{
-		Index: name, Workload: w.Name, KeyKind: gen.Kind(), Threads: threads,
-		Ops: plan.TotalOps(), Elapsed: elapsed, Stats: stats.Stats().Sub(before),
-		Inserts: plan.Inserts, Counts: plan.Counts,
-	}, nil
-}
-
-// RunHash is RunOrdered for unordered indexes (integer keys only, as in
-// the paper; scan ops are invalid).
-func RunHash(name string, idx core.HashIndex, gen *keys.Generator, stats StatsSource, w ycsb.Workload, loadN, opN, threads int, seed int64) (Result, error) {
-	if w.ScanPct > 0 {
-		return Result{}, fmt.Errorf("harness: workload %s has scans; unordered indexes do not support them", w.Name)
-	}
-	load := ycsb.GenerateLoad(loadN, threads)
-	if err := execHash(idx, gen, load); err != nil {
-		return Result{}, fmt.Errorf("load phase: %w", err)
-	}
-	plan := ycsb.Generate(w, loadN, opN, threads, seed)
-	before := stats.Stats()
-	start := time.Now()
-	if err := execHash(idx, gen, plan); err != nil {
-		return Result{}, fmt.Errorf("run phase: %w", err)
-	}
-	elapsed := time.Since(start)
-	return Result{
-		Index: name, Workload: w.Name, KeyKind: gen.Kind(), Threads: threads,
-		Ops: plan.TotalOps(), Elapsed: elapsed, Stats: stats.Stats().Sub(before),
-		Inserts: plan.Inserts, Counts: plan.Counts,
-	}, nil
-}
-
-// applyOrderedOp executes one operation against an ordered index. buf
-// is the caller's reusable key buffer (returned so the caller keeps its
-// growth). Reads verify the stored identifier modulo the update/RMW
-// value tags, since a concurrent or earlier in-place write may have
-// tagged the value.
-func applyOrderedOp(idx core.OrderedIndex, gen *keys.Generator, op ycsb.Op, buf []byte) ([]byte, error) {
-	buf = gen.AppendKey(buf[:0], op.ID)
-	switch op.Kind {
-	case ycsb.OpInsert:
-		if err := idx.Insert(buf, op.ID); err != nil {
-			return buf, fmt.Errorf("insert id %d: %w", op.ID, err)
-		}
-	case ycsb.OpRead:
-		if v, ok := idx.Lookup(buf); !ok || ValueID(v) != op.ID {
-			return buf, fmt.Errorf("read id %d: got %d,%v", op.ID, v, ok)
-		}
-	case ycsb.OpUpdate:
-		if err := idx.Update(buf, op.ID|UpdateBit); err != nil {
-			return buf, fmt.Errorf("update id %d: %w", op.ID, err)
-		}
-	case ycsb.OpRMW:
-		v, ok := idx.Lookup(buf)
-		if !ok || ValueID(v) != op.ID {
-			return buf, fmt.Errorf("rmw read id %d: got %d,%v", op.ID, v, ok)
-		}
-		if err := idx.Update(buf, v|RMWBit); err != nil {
-			return buf, fmt.Errorf("rmw write id %d: %w", op.ID, err)
-		}
-	case ycsb.OpScan:
-		idx.Scan(buf, op.ScanLen, func([]byte, uint64) bool { return true })
-	}
-	return buf, nil
-}
-
-// applyHashOp is applyOrderedOp for unordered indexes (integer keys;
-// scans are rejected upstream).
-func applyHashOp(idx core.HashIndex, gen *keys.Generator, op ycsb.Op) error {
-	k := gen.Uint64(op.ID) | 1 // hash tables reserve key 0
-	switch op.Kind {
-	case ycsb.OpInsert:
-		if err := idx.Insert(k, op.ID); err != nil {
-			return fmt.Errorf("insert id %d: %w", op.ID, err)
-		}
-	case ycsb.OpRead:
-		if v, ok := idx.Lookup(k); !ok || ValueID(v) != op.ID {
-			return fmt.Errorf("read id %d: got %d,%v", op.ID, v, ok)
-		}
-	case ycsb.OpUpdate:
-		if err := idx.Update(k, op.ID|UpdateBit); err != nil {
-			return fmt.Errorf("update id %d: %w", op.ID, err)
-		}
-	case ycsb.OpRMW:
-		v, ok := idx.Lookup(k)
-		if !ok || ValueID(v) != op.ID {
-			return fmt.Errorf("rmw read id %d: got %d,%v", op.ID, v, ok)
-		}
-		if err := idx.Update(k, v|RMWBit); err != nil {
-			return fmt.Errorf("rmw write id %d: %w", op.ID, err)
-		}
-	}
-	return nil
-}
-
-// execOrdered runs a plan against an ordered index, one goroutine per
-// thread stream.
-func execOrdered(idx core.OrderedIndex, gen *keys.Generator, plan *ycsb.Plan) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(plan.Threads))
-	for t := range plan.Threads {
-		t := t
+	for i, ops := range plan.Threads {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make([]byte, 0, 32)
-			var err error
-			for _, op := range plan.Threads[t] {
-				if buf, err = applyOrderedOp(idx, gen, op, buf); err != nil {
-					errs[t] = err
-					return
-				}
+			s := t.session()
+			w := g.writer(s)
+			if errs[i] = walk(ops, uint64(plan.LoadN), s, w, direct); errs[i] == nil {
+				errs[i] = w.settle()
 			}
 		}()
 	}
 	wg.Wait()
+	res := Result{
+		Ops: plan.TotalOps(), Elapsed: time.Since(start), Stats: t.stats.Stats().Sub(before),
+		Inserts: plan.Inserts, Counts: plan.Counts,
+	}
+	cerr := g.end()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return Result{}, err
 		}
 	}
-	return nil
+	if cerr != nil {
+		return Result{}, fmt.Errorf("write path close: %w", cerr)
+	}
+	res.AckOps, res.AckTotal = g.ackOps, g.ackTotal
+	return res, nil
 }
 
-// execHash runs a plan against an unordered index.
-func execHash(idx core.HashIndex, gen *keys.Generator, plan *ycsb.Plan) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(plan.Threads))
-	for t := range plan.Threads {
-		t := t
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for _, op := range plan.Threads[t] {
-				if err := applyHashOp(idx, gen, op); err != nil {
-					errs[t] = err
-					return
-				}
-			}
-		}()
+// walk executes one worker's operation stream: writes go to the
+// worker's writer, reads and scans straight to the index.
+//
+// Reads stay consistent with the plan's guarantees (see ycsb.Sampler)
+// on every path: a read-like target is either a loaded identifier
+// (< loadN, acknowledged before the measured phase) or this worker's
+// own earlier insert, so settling the worker's own writes before
+// reading an identifier >= loadN is sufficient — and a scan, which
+// sees a range, settles whenever own inserts are pending. Pending
+// in-place updates never force a settle: verification masks the value
+// tags (valueID), so reading the pre-update value is indistinguishable
+// in identifier space.
+func walk(ops []ycsb.Op, loadN uint64, s session, w writer, direct func(ycsb.OpKind)) error {
+	write := func(op ycsb.Op, v uint64, update bool) error {
+		if err := w.write(op.ID, v, update); err != nil {
+			return fmt.Errorf("%v id %d: %w", op.Kind, op.ID, err)
+		}
+		return nil
 	}
-	wg.Wait()
-	for _, err := range errs {
+	did := func(k ycsb.OpKind) {
+		if direct != nil {
+			direct(k)
+		}
+	}
+	lookup := func(op ycsb.Op, what string) (uint64, error) {
+		if op.ID >= loadN && w.ownInserts() {
+			if err := w.settle(); err != nil {
+				return 0, err
+			}
+		}
+		v, ok := s.lookup(op.ID)
+		if !ok || valueID(v) != op.ID {
+			return 0, fmt.Errorf("%s id %d: got %d,%v", what, op.ID, v, ok)
+		}
+		did(op.Kind)
+		return v, nil
+	}
+	for _, op := range ops {
+		var err error
+		switch op.Kind {
+		case ycsb.OpInsert:
+			err = write(op, op.ID, false)
+		case ycsb.OpUpdate:
+			err = write(op, op.ID|UpdateBit, true)
+		case ycsb.OpRead:
+			_, err = lookup(op, "read")
+		case ycsb.OpRMW:
+			var v uint64
+			if v, err = lookup(op, "rmw read"); err == nil {
+				err = write(op, v|RMWBit, true)
+			}
+		case ycsb.OpScan:
+			if w.ownInserts() {
+				err = w.settle()
+			}
+			if err == nil {
+				s.scan(op.ID, op.ScanLen)
+				did(ycsb.OpScan)
+			}
+		}
 		if err != nil {
 			return err
 		}
@@ -330,8 +256,9 @@ type Attribution struct {
 	Kinds [ycsb.NumOpKinds]KindStats
 	// Total is the aggregate counter delta over the measured phase.
 	// Conservation is exact: Total equals the field-wise sum of
-	// Kinds[*].Stats, because execution is single-threaded and the
-	// striped counters are exact at snapshot points.
+	// Kinds[*].Stats, because every charge is the delta since the
+	// previous charge and the striped counters are exact at snapshot
+	// points.
 	Total pmem.Stats
 }
 
@@ -361,412 +288,44 @@ func (a Attribution) FencePer(k ycsb.OpKind) float64 {
 	return float64(a.Kinds[k].Stats.Fence) / float64(a.Kinds[k].Ops)
 }
 
-// AttributeOrdered loads loadN keys into idx, then executes opN
-// operations of w single-threaded, snapshotting the counter source
-// around every operation and charging each delta to the operation's
-// kind. This is how per-op-kind clwb/fence columns (clwb per update vs
-// per insert) are measured exactly: multi-threaded runs cannot
-// attribute a shared counter to the op that moved it, a serial walk
-// can, and the per-kind deltas then conserve bit-exactly against the
-// aggregate (Attribution.Conserves).
-func AttributeOrdered(idx core.OrderedIndex, gen *keys.Generator, stats StatsSource, w ycsb.Workload, loadN, opN int, seed int64) (Attribution, error) {
-	if err := execOrdered(idx, gen, ycsb.GenerateLoad(loadN, 1)); err != nil {
-		return Attribution{}, fmt.Errorf("load phase: %w", err)
-	}
-	plan := ycsb.Generate(w, loadN, opN, 1, seed)
-	var a Attribution
-	start := stats.Stats()
-	before := start
-	buf := make([]byte, 0, 32)
-	var err error
-	for _, op := range plan.Threads[0] {
-		if buf, err = applyOrderedOp(idx, gen, op, buf); err != nil {
-			return Attribution{}, fmt.Errorf("run phase: %w", err)
-		}
-		after := stats.Stats()
-		a.Kinds[op.Kind].Ops++
-		a.Kinds[op.Kind].Stats = a.Kinds[op.Kind].Stats.Add(after.Sub(before))
-		before = after
-	}
-	a.Total = before.Sub(start)
-	return a, nil
-}
-
-// AttributeHash is AttributeOrdered for unordered indexes.
-func AttributeHash(idx core.HashIndex, gen *keys.Generator, stats StatsSource, w ycsb.Workload, loadN, opN int, seed int64) (Attribution, error) {
-	if w.ScanPct > 0 {
+// Attribute loads loadN keys into t, then executes opN operations of w
+// single-threaded through the given write path, charging every counter
+// delta to the operation kind that caused it. Multi-threaded runs
+// cannot attribute a shared counter to the op that moved it; a serial
+// walk can. Direct operations (reads, scans, the read half of an RMW)
+// are charged at the op; writes are charged where the path makes their
+// counters final — as the index call returns (Sync), as the group
+// observer fires at flush, the covering fence going to the batch's last
+// write (Batched), or on the committers' goroutines (Async, where
+// committers of different shards may interleave and blur a charge
+// across kinds). Each charge is the delta since the previous one, so
+// the per-kind deltas conserve bit-exactly against the aggregate on
+// every path (Attribution.Conserves).
+func Attribute(t *Target, path WritePath, w ycsb.Workload, loadN, opN int, seed int64) (Attribution, error) {
+	if w.ScanPct > 0 && !t.ordered {
 		return Attribution{}, fmt.Errorf("harness: workload %s has scans; unordered indexes do not support them", w.Name)
 	}
-	if err := execHash(idx, gen, ycsb.GenerateLoad(loadN, 1)); err != nil {
+	if _, err := execute(t, path, ycsb.GenerateLoad(loadN, 1), hooks{}, nil); err != nil {
 		return Attribution{}, fmt.Errorf("load phase: %w", err)
 	}
 	plan := ycsb.Generate(w, loadN, opN, 1, seed)
 	var a Attribution
-	start := stats.Stats()
+	var mu sync.Mutex
+	start := t.stats.Stats()
 	before := start
-	for _, op := range plan.Threads[0] {
-		if err := applyHashOp(idx, gen, op); err != nil {
-			return Attribution{}, fmt.Errorf("run phase: %w", err)
-		}
-		after := stats.Stats()
-		a.Kinds[op.Kind].Ops++
-		a.Kinds[op.Kind].Stats = a.Kinds[op.Kind].Stats.Add(after.Sub(before))
+	charge := func(k ycsb.OpKind) {
+		mu.Lock()
+		after := t.stats.Stats()
+		a.Kinds[k].Stats = a.Kinds[k].Stats.Add(after.Sub(before))
 		before = after
+		mu.Unlock()
+	}
+	if _, err := execute(t, path, plan, hooks{observe: charge}, charge); err != nil {
+		return Attribution{}, fmt.Errorf("run phase: %w", err)
+	}
+	for k, n := range plan.Counts {
+		a.Kinds[k].Ops = n
 	}
 	a.Total = before.Sub(start)
 	return a, nil
-}
-
-// CrashReport summarises a §7.5 crash-recovery campaign.
-type CrashReport struct {
-	Index string
-	// States is the number of distinct crash states exercised.
-	States int
-	// Crashed counts states where a crash actually fired during load.
-	Crashed int
-	// LostKeys counts committed keys unreadable after recovery.
-	LostKeys int
-	// WriteFailures counts post-crash writes that failed.
-	WriteFailures int
-	// RecoveryFailures counts recovery calls that returned an error (the
-	// CCEH Faithful-mode recovery stall surfaces here).
-	RecoveryFailures int
-}
-
-// Pass reports whether the campaign found no crash-consistency failures.
-func (r CrashReport) Pass() bool {
-	return r.LostKeys == 0 && r.WriteFailures == 0 && r.RecoveryFailures == 0
-}
-
-func (r CrashReport) String() string {
-	verdict := "PASS"
-	if !r.Pass() {
-		verdict = "FAIL"
-	}
-	return fmt.Sprintf("%-12s states=%d crashed=%d lost=%d writeFail=%d recoveryFail=%d  %s",
-		r.Index, r.States, r.Crashed, r.LostKeys, r.WriteFailures, r.RecoveryFailures, verdict)
-}
-
-// CrashCampaignOrdered reproduces §7.5 for an ordered index: for each of
-// states trials, load loadN entries with a probabilistic crash armed,
-// recover, run a mixed insert/read phase with `threads` concurrent
-// threads, and finally read back every committed key.
-func CrashCampaignOrdered(name string, factory func(*pmem.Heap) core.OrderedIndex, kind keys.Kind, states, loadN, mixedN, threads int) CrashReport {
-	gen := keys.NewGenerator(kind)
-	rep := CrashReport{Index: name}
-	for s := 0; s < states; s++ {
-		rep.States++
-		heap := pmem.NewFast()
-		idx := factory(heap)
-		heap.SetInjector(crash.NewProbabilistic(0.002, int64(s)+1))
-		committed := make(map[uint64]uint64, loadN)
-		for i := 0; i < loadN; i++ {
-			id := uint64(i)
-			err := idx.Insert(gen.Key(id), id)
-			if crash.IsCrash(err) {
-				rep.Crashed++
-				break
-			}
-			if err != nil {
-				rep.WriteFailures++
-				break
-			}
-			committed[id] = id
-		}
-		heap.SetInjector(nil)
-		if err := idx.Recover(); err != nil {
-			rep.RecoveryFailures++
-			heap.Release()
-			continue
-		}
-		// Mixed phase: concurrent inserts and reads.
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		for t := 0; t < threads; t++ {
-			t := t
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				base := uint64(1_000_000 + s*100_000 + t*10_000)
-				for i := 0; i < mixedN/threads; i++ {
-					id := base + uint64(i)
-					if i%2 == 0 {
-						if err := idx.Insert(gen.Key(id), id); err != nil {
-							mu.Lock()
-							rep.WriteFailures++
-							mu.Unlock()
-							return
-						}
-						mu.Lock()
-						committed[id] = id
-						mu.Unlock()
-					} else {
-						idx.Lookup(gen.Key(id - 1))
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		for id, v := range committed {
-			if got, ok := idx.Lookup(gen.Key(id)); !ok || got != v {
-				rep.LostKeys++
-			}
-		}
-		// The state's heap and index are dead; recycle the address space.
-		heap.Release()
-	}
-	return rep
-}
-
-// CrashCampaignHash is CrashCampaignOrdered for unordered indexes.
-func CrashCampaignHash(name string, factory func(*pmem.Heap) core.HashIndex, states, loadN, mixedN, threads int) CrashReport {
-	gen := keys.NewGenerator(keys.RandInt)
-	rep := CrashReport{Index: name}
-	for s := 0; s < states; s++ {
-		rep.States++
-		heap := pmem.NewFast()
-		idx := factory(heap)
-		heap.SetInjector(crash.NewProbabilistic(0.002, int64(s)+1))
-		committed := make(map[uint64]uint64, loadN)
-		for i := 0; i < loadN; i++ {
-			k := gen.Uint64(uint64(i)) | 1
-			err := idx.Insert(k, uint64(i))
-			if crash.IsCrash(err) {
-				rep.Crashed++
-				break
-			}
-			if err != nil {
-				rep.WriteFailures++
-				break
-			}
-			committed[k] = uint64(i)
-		}
-		heap.SetInjector(nil)
-		if err := idx.Recover(); err != nil {
-			rep.RecoveryFailures++
-			heap.Release()
-			continue
-		}
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		for t := 0; t < threads; t++ {
-			t := t
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				base := uint64(1_000_000 + s*100_000 + t*10_000)
-				for i := 0; i < mixedN/threads; i++ {
-					k := gen.Uint64(base+uint64(i)) | 1
-					if i%2 == 0 {
-						if err := idx.Insert(k, base+uint64(i)); err != nil {
-							mu.Lock()
-							rep.WriteFailures++
-							mu.Unlock()
-							return
-						}
-						mu.Lock()
-						committed[k] = base + uint64(i)
-						mu.Unlock()
-					} else {
-						idx.Lookup(k)
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		for k, v := range committed {
-			if got, ok := idx.Lookup(k); !ok || got != v {
-				rep.LostKeys++
-			}
-		}
-		heap.Release()
-	}
-	return rep
-}
-
-// ShardCrashReport summarises a per-shard crash-recovery campaign.
-type ShardCrashReport struct {
-	CrashReport
-	// Shards is the partition count H of the sharded front-end.
-	Shards int
-	// ExtraReplays counts recovery replays of shards that did not crash
-	// — any non-zero value breaks the per-shard recovery invariant.
-	ExtraReplays int
-}
-
-// Pass reports whether the campaign found no crash-consistency failures
-// and never replayed a shard that did not crash.
-func (r ShardCrashReport) Pass() bool {
-	return r.CrashReport.Pass() && r.ExtraReplays == 0
-}
-
-func (r ShardCrashReport) String() string {
-	verdict := "PASS"
-	if !r.Pass() {
-		verdict = "FAIL"
-	}
-	return fmt.Sprintf("%-12s shards=%d states=%d crashed=%d lost=%d writeFail=%d recoveryFail=%d extraReplays=%d  %s",
-		r.Index, r.Shards, r.States, r.Crashed, r.LostKeys, r.WriteFailures, r.RecoveryFailures, r.ExtraReplays, verdict)
-}
-
-// CrashCampaignSharded runs the §5/§7.5 crash-recovery methodology
-// against the sharded front-end with the per-shard recovery discipline:
-// for each trial a crash is armed in one shard (rotating over shards),
-// load proceeds until it fires, and recovery replays only the shards
-// whose injector fired — the campaign counts any replay of a healthy
-// shard as an ExtraReplays violation. After recovery a multi-threaded
-// mixed phase runs against all shards, and every committed key is read
-// back.
-func CrashCampaignSharded(name string, kind keys.Kind, shards, states, loadN, mixedN, threads int) ShardCrashReport {
-	if shards < 1 {
-		shards = 1 // match shard.Options, which clamps Shards < 1 to 1
-	}
-	gen := keys.NewGenerator(kind)
-	rep := ShardCrashReport{CrashReport: CrashReport{Index: name}, Shards: shards}
-	for s := 0; s < states; s++ {
-		rep.States++
-		m, err := shard.NewOrdered(name, kind, shard.Options{Shards: shards})
-		if err != nil {
-			rep.RecoveryFailures++
-			continue
-		}
-		target := s % shards
-		m.Heap(target).SetInjector(crash.NewProbabilistic(0.002, int64(s)+1))
-		committed := make(map[uint64]uint64, loadN)
-		for i := 0; i < loadN; i++ {
-			id := uint64(i)
-			err := m.Insert(gen.Key(id), id)
-			if crash.IsCrash(err) {
-				rep.Crashed++
-				break
-			}
-			if err != nil {
-				rep.WriteFailures++
-				break
-			}
-			committed[id] = id
-		}
-		// RecoverCrashed keys on the fired injector and clears it; only
-		// disarm by hand when no crash fired this trial.
-		if !m.Heap(target).Injector().Fired() {
-			m.Heap(target).SetInjector(nil)
-		}
-		if _, err := m.RecoverCrashed(); err != nil {
-			rep.RecoveryFailures++
-			m.Release()
-			continue
-		}
-		// Per-shard replay counts catch any replay path; only the armed
-		// shard may have been replayed.
-		for i, n := range m.Recoveries() {
-			if i != target && n > 0 {
-				rep.ExtraReplays += int(n)
-			}
-		}
-		// Mixed phase: concurrent inserts and reads across all shards.
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		for t := 0; t < threads; t++ {
-			t := t
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				base := uint64(1_000_000 + s*100_000 + t*10_000)
-				for i := 0; i < mixedN/threads; i++ {
-					id := base + uint64(i)
-					if i%2 == 0 {
-						if err := m.Insert(gen.Key(id), id); err != nil {
-							mu.Lock()
-							rep.WriteFailures++
-							mu.Unlock()
-							return
-						}
-						mu.Lock()
-						committed[id] = id
-						mu.Unlock()
-					} else {
-						m.Lookup(gen.Key(id - 1))
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		for id, v := range committed {
-			if got, ok := m.Lookup(gen.Key(id)); !ok || got != v {
-				rep.LostKeys++
-			}
-		}
-		m.Release()
-	}
-	return rep
-}
-
-// DurabilityReport summarises a §5 durability test.
-type DurabilityReport struct {
-	Index string
-	// ConstructorViolations are lines left unpersisted by index creation
-	// (the FAST & FAIR / CCEH finding of §7.5).
-	ConstructorViolations int
-	// OpViolations are lines left unpersisted at operation boundaries.
-	OpViolations int
-	Ops          int
-}
-
-// Pass reports full flush coverage.
-func (r DurabilityReport) Pass() bool {
-	return r.ConstructorViolations == 0 && r.OpViolations == 0
-}
-
-func (r DurabilityReport) String() string {
-	verdict := "PASS"
-	if !r.Pass() {
-		verdict = "FAIL"
-	}
-	return fmt.Sprintf("%-12s ops=%d ctorViolations=%d opViolations=%d  %s",
-		r.Index, r.Ops, r.ConstructorViolations, r.OpViolations, verdict)
-}
-
-// DurabilityOrdered checks that every dirtied cache line is flushed and
-// fenced by the time each operation returns (§5, "testing durability").
-func DurabilityOrdered(name string, factory func(*pmem.Heap) core.OrderedIndex, kind keys.Kind, n int) DurabilityReport {
-	heap := pmem.New(pmem.Options{Track: true})
-	idx := factory(heap)
-	rep := DurabilityReport{Index: name, Ops: n}
-	rep.ConstructorViolations = len(heap.Tracker().Check())
-	heap.Tracker().Reset()
-	gen := keys.NewGenerator(kind)
-	for i := 0; i < n; i++ {
-		if err := idx.Insert(gen.Key(uint64(i)), uint64(i)); err != nil {
-			rep.OpViolations++
-			continue
-		}
-		if v := heap.Tracker().Check(); len(v) != 0 {
-			rep.OpViolations += len(v)
-			heap.Tracker().Reset()
-		}
-	}
-	heap.Release()
-	return rep
-}
-
-// DurabilityHash is DurabilityOrdered for unordered indexes.
-func DurabilityHash(name string, factory func(*pmem.Heap) core.HashIndex, n int) DurabilityReport {
-	heap := pmem.New(pmem.Options{Track: true})
-	idx := factory(heap)
-	rep := DurabilityReport{Index: name, Ops: n}
-	rep.ConstructorViolations = len(heap.Tracker().Check())
-	heap.Tracker().Reset()
-	gen := keys.NewGenerator(keys.RandInt)
-	for i := 0; i < n; i++ {
-		if err := idx.Insert(gen.Uint64(uint64(i))|1, uint64(i)); err != nil {
-			rep.OpViolations++
-			continue
-		}
-		if v := heap.Tracker().Check(); len(v) != 0 {
-			rep.OpViolations += len(v)
-			heap.Tracker().Reset()
-		}
-	}
-	heap.Release()
-	return rep
 }

@@ -1,7 +1,7 @@
 package harness
 
 import (
-	"reflect"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -12,15 +12,50 @@ import (
 	"repro/shard"
 )
 
+// The three write paths at the sizes the tests drive them: the queued
+// paths with a group of 8.
+var (
+	syncPath    = WritePath{}
+	batchedPath = WritePath{Mode: Batched, Batch: 8}
+	asyncPath   = WritePath{Mode: Async, Batch: 8, Queue: 64}
+)
+
+// paths names the three write paths for table-driven tests.
+var paths = []struct {
+	name string
+	path WritePath
+}{{"sync", syncPath}, {"batched", batchedPath}, {"async", asyncPath}}
+
+// plain builds the named registry index on a fresh fast heap.
+func plain(name string, kind keys.Kind) (*pmem.Heap, *Target) {
+	heap := pmem.NewFast()
+	return heap, ByName(name, kind)(heap)
+}
+
+func shardedOrdered(t *testing.T, name string, shards int) *shard.Ordered {
+	t.Helper()
+	m, err := shard.NewOrdered(name, keys.RandInt, shard.Options{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Release)
+	return m
+}
+
+func shardedHash(t *testing.T, name string, shards int) *shard.Hash {
+	t.Helper()
+	m, err := shard.NewHash(name, shard.Options{Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Release)
+	return m
+}
+
 func TestRunOrderedAllWorkloads(t *testing.T) {
 	for _, w := range ycsb.All {
-		heap := pmem.NewFast()
-		idx, err := core.NewOrdered("P-ART", heap, keys.RandInt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen := keys.NewGenerator(keys.RandInt)
-		res, err := RunOrdered("P-ART", idx, gen, heap, w, 5000, 5000, 4, 1)
+		_, target := plain("P-ART", keys.RandInt)
+		res, err := Run("P-ART", target, syncPath, w, 5000, 5000, 4, 1, true)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
@@ -62,17 +97,12 @@ func TestRunConservationDF(t *testing.T) {
 				t.Fatalf("%s thread %d: kind counts sum to %d, stream has %d ops", w.Name, ti, sum, len(ops))
 			}
 		}
-		for _, name := range []string{"P-ART", "FAST & FAIR"} {
-			heap := pmem.NewFast()
-			idx, err := core.NewOrdered(name, heap, keys.RandInt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gen := keys.NewGenerator(keys.RandInt)
-			res, err := RunOrdered(name, idx, gen, heap, w, loadN, opN, threads, 1)
+		for _, name := range []string{"P-ART", "FAST & FAIR", "P-CLHT"} {
+			heap, target := plain(name, keys.RandInt)
+			res, err := Run(name, target, syncPath, w, loadN, opN, threads, 1, true)
+			heap.Release()
 			if err != nil {
 				if name == "FAST & FAIR" && strings.Contains(err.Error(), "read id") {
-					heap.Release()
 					continue // known §3 data-loss class under concurrent inserts
 				}
 				t.Fatalf("%s/%s: %v", name, w.Name, err)
@@ -87,23 +117,6 @@ func TestRunConservationDF(t *testing.T) {
 			if sum != res.Ops {
 				t.Fatalf("%s/%s: counts sum %d != Ops %d", name, w.Name, sum, res.Ops)
 			}
-			heap.Release()
-		}
-		if w.ScanPct == 0 {
-			heap := pmem.NewFast()
-			idx, err := core.NewHash("P-CLHT", heap)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gen := keys.NewGenerator(keys.RandInt)
-			res, err := RunHash("P-CLHT", idx, gen, heap, w, loadN, opN, threads, 1)
-			if err != nil {
-				t.Fatalf("P-CLHT/%s: %v", w.Name, err)
-			}
-			if res.Counts != plan.Counts {
-				t.Fatalf("P-CLHT/%s: executed counts %v != plan counts %v", w.Name, res.Counts, plan.Counts)
-			}
-			heap.Release()
 		}
 	}
 }
@@ -114,230 +127,45 @@ func TestRunConservationDF(t *testing.T) {
 func TestRunUpdatesInPlace(t *testing.T) {
 	const loadN = 2000
 	heap := pmem.NewFast()
+	defer heap.Release()
 	idx, err := core.NewOrdered("P-Masstree", heap, keys.RandInt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := keys.NewGenerator(keys.RandInt)
-	if _, err := RunOrdered("P-Masstree", idx, gen, heap, ycsb.F, loadN, 4000, 4, 1); err != nil {
+	if _, err := Run("P-Masstree", Ordered(heap, idx, keys.RandInt), syncPath, ycsb.F, loadN, 4000, 4, 1, true); err != nil {
 		t.Fatal(err)
 	}
 	if n := idx.Len(); n != loadN {
 		t.Fatalf("workload F grew the index to %d keys, want %d (in-place updates)", n, loadN)
 	}
 	// Tagged values decode back to the key's identifier.
+	gen := keys.NewGenerator(keys.RandInt)
 	for id := uint64(0); id < loadN; id += 97 {
 		v, ok := idx.Lookup(gen.Key(id))
-		if !ok || ValueID(v) != id {
+		if !ok || valueID(v) != id {
 			t.Fatalf("id %d: got %d,%v after RMW traffic", id, v, ok)
 		}
 	}
-	heap.Release()
 }
 
-// TestAttributeConserves: the per-op-kind counter deltas of an
-// attribution pass must sum bit-exactly to the aggregate delta, and
-// update/RMW ops must charge fewer clwb than fresh inserts on a
-// B+-tree (no node allocation on the rewrite path).
-func TestAttributeConserves(t *testing.T) {
-	heap := pmem.NewFast()
-	idx, err := core.NewOrdered("FAST & FAIR", heap, keys.RandInt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := keys.NewGenerator(keys.RandInt)
-	w := ycsb.Workload{Name: "mix", InsertPct: 25, ReadPct: 25, UpdatePct: 25, RMWPct: 25,
-		Dist: ycsb.Zipfian{Theta: 0.99}}
-	a, err := AttributeOrdered(idx, gen, heap, w, 3000, 4000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Conserves() {
-		t.Fatalf("per-kind deltas do not sum to aggregate: %+v", a)
-	}
-	total := 0
-	for _, k := range a.Kinds {
-		total += k.Ops
-	}
-	if total != 4000 {
-		t.Fatalf("attributed %d ops, want 4000", total)
-	}
-	for _, k := range []ycsb.OpKind{ycsb.OpInsert, ycsb.OpUpdate, ycsb.OpRMW} {
-		if a.Kinds[k].Ops == 0 || a.Kinds[k].Stats.Clwb == 0 {
-			t.Fatalf("%v: no ops or no clwb attributed (%+v)", k, a.Kinds[k])
-		}
-	}
-	if a.ClwbPer(ycsb.OpUpdate) >= a.ClwbPer(ycsb.OpInsert) {
-		t.Fatalf("clwb/update (%v) should be below clwb/insert (%v) on FAST & FAIR",
-			a.ClwbPer(ycsb.OpUpdate), a.ClwbPer(ycsb.OpInsert))
-	}
-	heap.Release()
-
-	hheap := pmem.NewFast()
-	hidx, err := core.NewHash("P-CLHT", hheap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ha, err := AttributeHash(hidx, keys.NewGenerator(keys.RandInt), hheap, ycsb.F, 3000, 4000, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ha.Conserves() {
-		t.Fatalf("hash per-kind deltas do not sum to aggregate: %+v", ha)
-	}
-	if ha.Kinds[ycsb.OpRMW].Ops == 0 {
-		t.Fatal("workload F attributed no RMW ops")
-	}
-	hheap.Release()
-}
-
-// TestRunShardedDF drives D and F through the sharded front-end (the
-// Update passthrough) and checks aggregate-vs-per-shard counter
-// conservation over the measured phase.
-func TestRunShardedDF(t *testing.T) {
-	for _, w := range []ycsb.Workload{ycsb.D, ycsb.F} {
-		m, err := shard.NewOrdered("P-ART", keys.RandInt, shard.Options{Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen := keys.NewGenerator(keys.RandInt)
+// TestRunSharded drives every paper workload plus D and F through the
+// sharded front-end (which is both the index and the counter source)
+// and checks that the aggregate Stats delta conserves against the
+// per-shard deltas exactly.
+func TestRunSharded(t *testing.T) {
+	for _, w := range append(append([]ycsb.Workload{}, ycsb.All...), ycsb.D, ycsb.F) {
+		m := shardedOrdered(t, "P-ART", 8)
 		before := m.ShardStats()
 		aggBefore := m.Stats()
-		res, err := RunOrdered("P-ART", m, gen, m, w, 3000, 6000, 4, 1)
-		if err != nil {
-			t.Fatalf("%s: %v", w.Name, err)
-		}
-		agg := m.Stats().Sub(aggBefore)
-		var sum pmem.Stats
-		after := m.ShardStats()
-		for i := range after {
-			sum = sum.Add(after[i].Sub(before[i]))
-		}
-		if agg != sum {
-			t.Fatalf("%s: aggregate stats %+v != per-shard sum %+v", w.Name, agg, sum)
-		}
-		if res.Counts[ycsb.OpRead] == 0 {
-			t.Fatalf("%s executed no reads", w.Name)
-		}
-		m.Release()
-	}
-}
-
-func TestRunHash(t *testing.T) {
-	heap := pmem.NewFast()
-	idx, err := core.NewHash("P-CLHT", heap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := keys.NewGenerator(keys.RandInt)
-	res, err := RunHash("P-CLHT", idx, gen, heap, ycsb.A, 5000, 5000, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FencePerInsert() <= 0 {
-		t.Fatal("no fences per insert recorded")
-	}
-}
-
-func TestRunHashRejectsScans(t *testing.T) {
-	heap := pmem.NewFast()
-	idx, err := core.NewHash("P-CLHT", heap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := keys.NewGenerator(keys.RandInt)
-	if _, err := RunHash("P-CLHT", idx, gen, heap, ycsb.E, 100, 100, 1, 1); err == nil {
-		t.Fatal("workload E accepted by hash runner")
-	}
-}
-
-func TestCrashCampaignOrderedPasses(t *testing.T) {
-	rep := CrashCampaignOrdered("P-ART", func(h *pmem.Heap) core.OrderedIndex {
-		idx, err := core.NewOrdered("P-ART", h, keys.RandInt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return idx
-	}, keys.RandInt, 20, 2000, 2000, 4)
-	if !rep.Pass() {
-		t.Fatalf("P-ART crash campaign failed: %s", rep)
-	}
-	if rep.Crashed == 0 {
-		t.Fatal("no crash state actually crashed; campaign vacuous")
-	}
-	if !strings.Contains(rep.String(), "PASS") {
-		t.Fatalf("report string: %s", rep)
-	}
-}
-
-func TestCrashCampaignHashPasses(t *testing.T) {
-	rep := CrashCampaignHash("P-CLHT", func(h *pmem.Heap) core.HashIndex {
-		idx, err := core.NewHash("P-CLHT", h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return idx
-	}, 20, 2000, 2000, 4)
-	if !rep.Pass() {
-		t.Fatalf("P-CLHT crash campaign failed: %s", rep)
-	}
-	if rep.Crashed == 0 {
-		t.Fatal("no crash fired")
-	}
-}
-
-func TestDurabilityReports(t *testing.T) {
-	rep := DurabilityOrdered("P-Masstree", func(h *pmem.Heap) core.OrderedIndex {
-		idx, err := core.NewOrdered("P-Masstree", h, keys.YCSBString)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return idx
-	}, keys.YCSBString, 500)
-	if !rep.Pass() {
-		t.Fatalf("P-Masstree durability failed: %s", rep)
-	}
-	hrep := DurabilityHash("P-CLHT", func(h *pmem.Heap) core.HashIndex {
-		idx, err := core.NewHash("P-CLHT", h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return idx
-	}, 500)
-	if !hrep.Pass() {
-		t.Fatalf("P-CLHT durability failed: %s", hrep)
-	}
-	if !strings.Contains(hrep.String(), "PASS") {
-		t.Fatalf("report string: %s", hrep)
-	}
-}
-
-func TestResultMetricsZeroSafe(t *testing.T) {
-	var r Result
-	if r.MopsPerSec() != 0 || r.ClwbPerInsert() != 0 || r.FencePerInsert() != 0 || r.LLCMissPerOp() != 0 {
-		t.Fatal("zero Result should produce zero metrics")
-	}
-}
-
-// TestRunShardedAllWorkloads drives every YCSB workload through the
-// sharded front-end via the unchanged RunOrdered entry point (the
-// front-end is both the index and the StatsSource), and checks that the
-// aggregate Stats delta conserves against the per-shard deltas exactly.
-func TestRunShardedAllWorkloads(t *testing.T) {
-	for _, w := range ycsb.All {
-		m, err := shard.NewOrdered("P-ART", keys.RandInt, shard.Options{Shards: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen := keys.NewGenerator(keys.RandInt)
-		before := m.ShardStats()
-		aggBefore := m.Stats()
-		res, err := RunOrdered("P-ART", m, gen, m, w, 5000, 5000, 4, 1)
+		res, err := Run("P-ART", ShardedOrdered(m, keys.RandInt), syncPath, w, 5000, 5000, 4, 1, true)
 		if err != nil {
 			t.Fatalf("%s: %v", w.Name, err)
 		}
 		if res.Ops != 5000 {
 			t.Fatalf("%s ops = %d", w.Name, res.Ops)
+		}
+		if w.ReadPct > 0 && res.Counts[ycsb.OpRead] == 0 {
+			t.Fatalf("%s executed no reads", w.Name)
 		}
 		var sum pmem.Stats
 		for i, p := range m.ShardStats() {
@@ -349,20 +177,223 @@ func TestRunShardedAllWorkloads(t *testing.T) {
 	}
 }
 
-// TestRunShardedHash drives the sharded unordered front-end through
-// RunHash.
-func TestRunShardedHash(t *testing.T) {
-	m, err := shard.NewHash("P-CLHT", shard.Options{Shards: 4})
+// TestRunHash: the unordered adaptor runs A on one heap and sharded,
+// and rejects scan workloads on every path.
+func TestRunHash(t *testing.T) {
+	_, target := plain("P-CLHT", keys.RandInt)
+	res, err := Run("P-CLHT", target, syncPath, ycsb.A, 5000, 5000, 4, 1, true)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if res.FencePerInsert() <= 0 {
+		t.Fatal("no fences per insert recorded")
+	}
+	sharded := ShardedHash(shardedHash(t, "P-CLHT", 4))
+	if res, err = Run("P-CLHT", sharded, syncPath, ycsb.A, 5000, 5000, 4, 1, true); err != nil || res.Ops != 5000 {
+		t.Fatalf("sharded: ops = %d, err = %v", res.Ops, err)
+	}
+	for _, p := range paths {
+		if _, err := Run("P-CLHT", sharded, p.path, ycsb.E, 100, 100, 1, 1, false); err == nil {
+			t.Fatalf("%s: workload E accepted by the unordered runner", p.name)
+		}
+		if _, err := Attribute(sharded, p.path, ycsb.E, 100, 100, 1); err == nil {
+			t.Fatalf("%s: workload E accepted by the unordered attribution pass", p.name)
+		}
+	}
+}
+
+// TestRunPhaseWithoutLoad: a measured phase against an already
+// populated index draws its targets from the stated population and
+// inserts past it.
+func TestRunPhaseWithoutLoad(t *testing.T) {
+	m := shardedOrdered(t, "P-ART", 2)
+	target := ShardedOrdered(m, keys.RandInt)
+	if _, err := Run("P-ART", target, syncPath, ycsb.A, 1000, 0, 2, 1, true); err != nil {
+		t.Fatal(err)
+	}
+	pre, err := Run("P-ART", target, syncPath, ycsb.D, 1000, 1000, 2, 1, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run("P-ART", target, syncPath, ycsb.D, 1000+pre.Inserts, 1000, 2, 8, false); err != nil {
+		t.Fatal(err)
+	}
+	if m.Len() <= 1000+pre.Inserts {
+		t.Fatalf("second phase inserted nothing: Len %d", m.Len())
+	}
+}
+
+// TestQueuedPathsRun: the batched and async run loops execute
+// write-heavy A and RMW-heavy F on both front-ends, cover the full
+// plan, pay fewer fences than the sync loop at the same seed, and
+// (async) sample enqueue-to-ack latency.
+func TestQueuedPathsRun(t *testing.T) {
+	const loadN, opN, threads, seed = 512, 1024, 2, 42
+	fronts := []struct {
+		name   string
+		target func() *Target
+	}{
+		{"P-ART", func() *Target { return ShardedOrdered(shardedOrdered(t, "P-ART", 2), keys.RandInt) }},
+		{"P-CLHT", func() *Target { return ShardedHash(shardedHash(t, "P-CLHT", 2)) }},
+	}
+	for _, f := range fronts {
+		for _, w := range []ycsb.Workload{ycsb.A, ycsb.F} {
+			base, err := Run(f.name, f.target(), syncPath, w, loadN, opN, threads, seed, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range paths[1:] {
+				label := f.name + "/" + w.Name + "/" + p.name
+				res, err := Run(f.name, f.target(), p.path, w, loadN, opN, threads, seed, true)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if res.Ops != base.Ops || res.Counts != base.Counts {
+					t.Fatalf("%s plan diverged: ops %d vs %d, counts %v vs %v",
+						label, res.Ops, base.Ops, res.Counts, base.Counts)
+				}
+				if p.path.Mode == Batched && res.Stats.Fence >= base.Stats.Fence {
+					t.Errorf("%s fences = %d, want < sync %d", label, res.Stats.Fence, base.Stats.Fence)
+				}
+				if acked := res.AckOps > 0 && res.AckTotal > 0 && res.MeanAckLatency() > 0; acked != (p.path.Mode == Async) {
+					t.Errorf("%s: ack-latency sample ops=%d total=%v", label, res.AckOps, res.AckTotal)
+				}
+			}
+		}
+	}
+}
+
+// TestPathParity: at the same seed and one thread, every write path
+// leaves the same dataset as the sync path — exact values on D (no
+// in-place writes), equal identifiers under the value tags on F (a
+// queued RMW may read the pre-pending value).
+func TestPathParity(t *testing.T) {
+	const loadN, opN = 400, 800
 	gen := keys.NewGenerator(keys.RandInt)
-	res, err := RunHash("P-CLHT", m, gen, m, ycsb.A, 5000, 5000, 4, 1)
+	for _, c := range []struct {
+		w     ycsb.Workload
+		seed  int64
+		exact bool
+	}{{ycsb.D, 7, true}, {ycsb.F, 11, false}} {
+		plan := ycsb.Generate(c.w, loadN, opN, 1, c.seed)
+		ref := shardedOrdered(t, "P-ART", 2)
+		if _, err := Run("P-ART", ShardedOrdered(ref, keys.RandInt), syncPath, c.w, loadN, opN, 1, c.seed, true); err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range paths[1:] {
+			m := shardedOrdered(t, "P-ART", 2)
+			if _, err := Run("P-ART", ShardedOrdered(m, keys.RandInt), p.path, c.w, loadN, opN, 1, c.seed, true); err != nil {
+				t.Fatalf("%s/%s: %v", c.w.Name, p.name, err)
+			}
+			if ref.Len() != m.Len() {
+				t.Fatalf("%s/%s: Len sync %d, %s %d", c.w.Name, p.name, ref.Len(), p.name, m.Len())
+			}
+			for id := uint64(0); id < uint64(loadN+plan.Inserts); id++ {
+				va, oka := ref.Lookup(gen.Key(id))
+				vb, okb := m.Lookup(gen.Key(id))
+				if !c.exact {
+					va, vb = valueID(va), valueID(vb)
+				}
+				if oka != okb || va != vb {
+					t.Fatalf("%s/%s id %d: sync (%d,%v) != (%d,%v)", c.w.Name, p.name, id, va, oka, vb, okb)
+				}
+			}
+		}
+	}
+}
+
+// TestAttributeConserves: on every write path the per-op-kind counter
+// deltas of an attribution pass sum bit-exactly to the aggregate delta
+// with the full plan counted — on the update-bearing D and F plus A,
+// at group sizes that exercise groups of one, mid-queue flushes and
+// never-full queues, on both front-ends.
+func TestAttributeConserves(t *testing.T) {
+	const loadN, opN, seed = 400, 800, 42
+	check := func(label string, a Attribution, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !a.Conserves() {
+			t.Errorf("%s: per-kind deltas do not conserve against total %+v", label, a.Total)
+		}
+		ops := 0
+		for _, k := range a.Kinds {
+			ops += k.Ops
+		}
+		if ops != opN {
+			t.Errorf("%s: attributed ops = %d, want %d", label, ops, opN)
+		}
+	}
+	for _, p := range paths {
+		groups := []int{1, 8, 64}
+		if p.path.Mode == Sync {
+			groups = groups[:1] // no group size to vary
+		}
+		for _, batch := range groups {
+			path := p.path
+			path.Batch, path.Queue = batch, 2*batch
+			for _, w := range []ycsb.Workload{ycsb.D, ycsb.F, ycsb.A} {
+				a, err := Attribute(ShardedOrdered(shardedOrdered(t, "P-ART", 2), keys.RandInt), path, w, loadN, opN, seed)
+				check(fmt.Sprintf("P-ART/%s/%s/batch=%d", p.name, w.Name, batch), a, err)
+			}
+		}
+		a, err := Attribute(ShardedHash(shardedHash(t, "P-CLHT", 2)), p.path, ycsb.F, loadN, opN, seed)
+		check("P-CLHT/"+p.name+"/F", a, err)
+		if a.Kinds[ycsb.OpRMW].Ops == 0 {
+			t.Errorf("P-CLHT/%s: workload F attributed no RMW ops", p.name)
+		}
+	}
+}
+
+// TestAttributeSplitsKinds: on a single heap, update/RMW ops charge
+// fewer clwb than fresh inserts on a B+-tree (no node allocation on
+// the rewrite path), and every write kind of the mix gets its share.
+func TestAttributeSplitsKinds(t *testing.T) {
+	heap, target := plain("FAST & FAIR", keys.RandInt)
+	defer heap.Release()
+	w := ycsb.Workload{Name: "mix", InsertPct: 25, ReadPct: 25, UpdatePct: 25, RMWPct: 25,
+		Dist: ycsb.Zipfian{Theta: 0.99}}
+	a, err := Attribute(target, syncPath, w, 3000, 4000, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Ops != 5000 {
-		t.Fatalf("ops = %d", res.Ops)
+	if !a.Conserves() {
+		t.Fatalf("per-kind deltas do not sum to aggregate: %+v", a)
+	}
+	for _, k := range []ycsb.OpKind{ycsb.OpInsert, ycsb.OpUpdate, ycsb.OpRMW} {
+		if a.Kinds[k].Ops == 0 || a.Kinds[k].Stats.Clwb == 0 {
+			t.Fatalf("%v: no ops or no clwb attributed (%+v)", k, a.Kinds[k])
+		}
+	}
+	if a.ClwbPer(ycsb.OpUpdate) >= a.ClwbPer(ycsb.OpInsert) {
+		t.Fatalf("clwb/update (%v) should be below clwb/insert (%v) on FAST & FAIR",
+			a.ClwbPer(ycsb.OpUpdate), a.ClwbPer(ycsb.OpInsert))
+	}
+
+	hheap, htarget := plain("P-CLHT", keys.RandInt)
+	defer hheap.Release()
+	ha, err := Attribute(htarget, syncPath, ycsb.F, 3000, 4000, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ha.Conserves() || ha.Kinds[ycsb.OpRMW].Ops == 0 {
+		t.Fatalf("single-heap hash attribution: conserves=%v, RMW ops=%d", ha.Conserves(), ha.Kinds[ycsb.OpRMW].Ops)
+	}
+}
+
+func TestCrashCampaignPasses(t *testing.T) {
+	for _, name := range []string{"P-ART", "P-CLHT"} {
+		rep := CrashCampaign(name, ByName(name, keys.RandInt), 20, 2000, 2000, 4)
+		if !rep.Pass() {
+			t.Fatalf("%s crash campaign failed: %s", name, rep)
+		}
+		if rep.Crashed == 0 {
+			t.Fatalf("%s: no crash state actually crashed; campaign vacuous", name)
+		}
+		if !strings.Contains(rep.String(), "PASS") {
+			t.Fatalf("report string: %s", rep)
+		}
 	}
 }
 
@@ -384,66 +415,26 @@ func TestCrashCampaignShardedPasses(t *testing.T) {
 	}
 }
 
-// TestDurabilitySitesOrderedPasses: the per-site durability campaign
-// finds sites, fires at every one (the load is deterministic), and the
-// converted index recovers with full flush coverage at each.
-func TestDurabilitySitesOrderedPasses(t *testing.T) {
-	rep := DurabilitySitesOrdered("P-ART", func(h *pmem.Heap) core.OrderedIndex {
-		idx, err := core.NewOrdered("P-ART", h, keys.RandInt)
-		if err != nil {
-			panic(err) // runs on a worker goroutine; t.Fatal is not allowed here
+// TestDurabilityReports: the converted indexes pass the §5 durability
+// test; the Faithful modes fail it at construction (the §7.5
+// unpersisted-initial-allocation finding).
+func TestDurabilityReports(t *testing.T) {
+	for _, name := range []string{"P-Masstree", "P-CLHT"} {
+		rep := Durability(name, ByName(name, keys.YCSBString), 500)
+		if !rep.Pass() || !strings.Contains(rep.String(), "PASS") {
+			t.Fatalf("%s durability failed: %s", name, rep)
 		}
-		return idx
-	}, keys.RandInt, 1200, 200, 4)
-	if len(rep.Sites) == 0 {
-		t.Fatal("no crash sites discovered")
 	}
-	if rep.Fired() != len(rep.Sites) {
-		t.Fatalf("fired at %d of %d sites; the deterministic load must revisit every discovered site",
-			rep.Fired(), len(rep.Sites))
-	}
-	if !rep.Pass() {
-		t.Fatalf("campaign failed: %s", rep.String())
-	}
-	for i := 1; i < len(rep.Sites); i++ {
-		if rep.Sites[i-1].Site >= rep.Sites[i].Site {
-			t.Fatalf("sites out of order: %q before %q", rep.Sites[i-1].Site, rep.Sites[i].Site)
+	for name, build := range map[string]Build{"FF-faithful": FaithfulFF, "CCEH-faithful": FaithfulCCEH} {
+		if rep := Durability(name, build, 500); rep.Pass() || rep.ConstructorViolations == 0 {
+			t.Fatalf("%s: negative control passed: %s", name, rep)
 		}
 	}
 }
 
-// TestDurabilitySitesHashPasses is the unordered-index variant.
-func TestDurabilitySitesHashPasses(t *testing.T) {
-	rep := DurabilitySitesHash("P-CLHT", func(h *pmem.Heap) core.HashIndex {
-		idx, err := core.NewHash("P-CLHT", h)
-		if err != nil {
-			panic(err) // runs on a worker goroutine; t.Fatal is not allowed here
-		}
-		return idx
-	}, 1200, 200, 4)
-	if len(rep.Sites) == 0 {
-		t.Fatal("no crash sites discovered")
-	}
-	if !rep.Pass() {
-		t.Fatalf("campaign failed: %s", rep.String())
-	}
-}
-
-// TestDurabilitySitesDeterministicAcrossWorkers: the report must be
-// byte-identical for any worker count — per-site trials are independent
-// and results are collected in site order.
-func TestDurabilitySitesDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) SiteCampaignReport {
-		return DurabilitySitesOrdered("P-Masstree", func(h *pmem.Heap) core.OrderedIndex {
-			idx, err := core.NewOrdered("P-Masstree", h, keys.RandInt)
-			if err != nil {
-				panic(err) // runs on a worker goroutine; t.Fatal is not allowed here
-			}
-			return idx
-		}, keys.RandInt, 800, 100, workers)
-	}
-	serial, parallel := run(1), run(8)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("reports differ across worker counts:\nserial:   %+v\nparallel: %+v", serial, parallel)
+func TestResultMetricsZeroSafe(t *testing.T) {
+	var r Result
+	if r.MopsPerSec() != 0 || r.ClwbPerInsert() != 0 || r.FencePerInsert() != 0 || r.LLCMissPerOp() != 0 || r.MeanAckLatency() != 0 {
+		t.Fatal("zero Result should produce zero metrics")
 	}
 }

@@ -23,7 +23,9 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
+	"repro/internal/core"
 	"repro/internal/crash"
 	"repro/internal/group"
 	"repro/internal/keys"
@@ -41,17 +43,12 @@ type ReshardSiteReport struct {
 	Host int
 	// Fired reports whether the migration reached the site and crashed.
 	Fired bool
-	// Outcome is the trial's worst observation (lossy verdict scale).
-	Outcome LossyOutcome
-	// LostAcks counts acknowledged writes missing after recovery.
-	LostAcks int
-	// Detail describes the first failure (empty for CLEAN/PARTIAL).
-	Detail string
+	Verdict
 	// Replays is the per-shard recovery replay count after the trial;
 	// Pass requires zeros everywhere but Host.
 	Replays []uint64
-	// RecoveryViolations and OpViolations are the durability-mode flush
-	// coverage counters (always zero in lossy mode).
+	// RecoveryViolations and OpViolations are the flush-coverage
+	// counters (always zero in lossy mode).
 	RecoveryViolations int
 	OpViolations       int
 	// Cycle is the power cycle's damage report (lossy mode).
@@ -98,9 +95,10 @@ func (r ReshardCampaignReport) Pass() bool {
 			return false
 		}
 		for i, c := range s.Replays {
-			if want := uint64(0); i == s.Host && s.Fired {
-				want = 1
-			} else if c != want {
+			if i == s.Host && s.Fired {
+				continue // the crashed shard's own replay
+			}
+			if c != 0 {
 				return false
 			}
 		}
@@ -109,13 +107,9 @@ func (r ReshardCampaignReport) Pass() bool {
 }
 
 func (r ReshardCampaignReport) String() string {
-	verdict := "PASS"
-	if !r.Pass() {
-		verdict = "FAIL"
-	}
 	return fmt.Sprintf("%-12s mode=%-10s policy=%-6s sites=%d fired=%d lostAck=%d corrupt=%d  %s",
 		r.Index, r.Mode, r.Policy, len(r.Sites), r.Fired(),
-		r.Count(OutcomeLostAck), r.Count(OutcomeCorrupt), verdict)
+		r.Count(OutcomeLostAck), r.Count(OutcomeCorrupt), verdict(r.Pass()))
 }
 
 // Count returns the number of fired trials with the given outcome.
@@ -129,22 +123,34 @@ func (r ReshardCampaignReport) Count(o LossyOutcome) int {
 	return n
 }
 
-// reshardRig binds one sharded front-end trial behind key-type-neutral
-// closures, so the sweep core serves both Ordered and Hash.
-type reshardRig struct {
-	insert     func(id uint64) error
-	lookup     func(id uint64) (uint64, bool)
-	migrate    func() error        // the armed migration (donor -> recipient)
-	scanUnique func() (int, error) // merged-scan unique count; -1 = unsupported
-	heap       func(i int) *pmem.Heap
-	powerCycle func(i int, p pmem.Policy, seed int64) pmem.CycleReport
-	recoverCr  func() ([]int, error)
-	recoveries func() []uint64
-	release    func()
-	shards     int
-	donor      int
-	recipient  int
+// reshardFront is what the sweep needs of a sharded front-end; both
+// shard.Ordered and shard.Hash provide it.
+type reshardFront interface {
+	EnableResharding() error
+	SlotsOf(s int) []int
+	MigrateSlots(donor, recipient int, slots []int, batchSize int) error
+	NumShards() int
+	Heap(i int) *pmem.Heap
+	PowerCycleShard(i int, p pmem.Policy, seed int64) pmem.CycleReport
+	RecoverCrashed() ([]int, error)
+	Recoveries() []uint64
+	Release()
 }
+
+// reshardRig is one trial's front-end, addressed by dense identifier
+// through the same adaptor as every other runner.
+type reshardRig struct {
+	reshardFront
+	session
+	migrate func() error // the armed migration (donorShard -> recipientShard)
+	// uniqueScan counts the merged scan's entries, -1 if they are not
+	// strictly ascending; nil on unordered front-ends.
+	uniqueScan func() int
+}
+
+// The migration every trial crashes: half of shard 0's keys move to
+// shard 1.
+const donorShard, recipientShard = 0, 1
 
 // reshardPair is one sweep entry: a crash site and which migration role
 // hosts the injector.
@@ -159,187 +165,113 @@ type reshardPair struct {
 // reshardPairs is the sweep: every crash boundary the migration
 // protocol adds, plus the group-commit sites its copy batches pass
 // through on the recipient.
-func reshardPairs() []reshardPair {
-	return []reshardPair{
-		{site: group.SiteOpApplied},
-		{site: group.SiteCommitFenced},
-		{site: shard.SiteCopyApplied},
-		{site: shard.SiteFlipPublished, onDonor: true, flips: true},
-	}
+var reshardPairs = []reshardPair{
+	{site: group.SiteOpApplied},
+	{site: group.SiteCommitFenced},
+	{site: shard.SiteCopyApplied},
+	{site: shard.SiteFlipPublished, onDonor: true, flips: true},
 }
 
-// rigOrdered builds one ordered-front-end trial. ranged selects a
-// range-partitioned front-end migrating the upper half of the donor's
-// span; otherwise half the donor's slots move.
-func rigOrdered(name string, kind keys.Kind, h int, ranged bool, heapOpts pmem.Options) (*reshardRig, error) {
+// newReshardRig builds one trial front-end of the named index (ordered
+// or unordered, integer keys) with resharding enabled. ranged selects a
+// range-partitioned ordered front-end migrating the upper half of the
+// donor's span; otherwise half the donor's slots move.
+func newReshardRig(name string, ranged bool, h int, heapOpts pmem.Options) (*reshardRig, error) {
 	opts := shard.Options{Shards: h, Heap: heapOpts}
-	if ranged {
-		opts.Partitioner = shard.RangePartition{}
-	}
-	m, err := shard.NewOrdered(name, kind, opts)
-	if err != nil {
-		return nil, err
-	}
-	if err := m.EnableResharding(); err != nil {
-		m.Release()
-		return nil, err
-	}
-	gen := keys.NewGenerator(kind)
-	migrate := func() error {
-		slots := m.SlotsOf(0)
-		return m.MigrateSlots(0, 1, slots[:len(slots)/2], 32)
-	}
-	if ranged {
-		width := ^uint64(0)/uint64(h) + 1
-		migrate = func() error { return m.MigrateRange(0, 1, width/2, width-1, 32) }
-	}
-	return &reshardRig{
-		insert:  func(id uint64) error { return m.Insert(gen.Key(id), id) },
-		lookup:  func(id uint64) (uint64, bool) { return m.Lookup(gen.Key(id)) },
-		migrate: migrate,
-		scanUnique: func() (int, error) {
-			return guardCount(func() int {
-				seen := 0
-				var prev []byte
-				m.Scan(nil, 0, func(k []byte, v uint64) bool {
-					if prev != nil && string(prev) >= string(k) {
-						seen = -1
-						return false
-					}
-					prev = append(prev[:0], k...)
-					seen++
-					return true
-				})
-				return seen
-			})
-		},
-		heap:       m.Heap,
-		powerCycle: m.PowerCycleShard,
-		recoverCr:  m.RecoverCrashed,
-		recoveries: m.Recoveries,
-		release:    m.Release,
-		shards:     h,
-		donor:      0,
-		recipient:  1,
-	}, nil
-}
-
-// rigHash builds one unordered-front-end trial (slot migration via the
-// HashRanger enumeration path).
-func rigHash(name string, h int, heapOpts pmem.Options) (*reshardRig, error) {
-	m, err := shard.NewHash(name, shard.Options{Shards: h, Heap: heapOpts})
-	if err != nil {
-		return nil, err
-	}
-	if err := m.EnableResharding(); err != nil {
-		m.Release()
-		return nil, err
-	}
-	gen := keys.NewGenerator(keys.RandInt)
-	return &reshardRig{
-		insert: func(id uint64) error { return m.Insert(gen.Uint64(id)|1, id) },
-		lookup: func(id uint64) (uint64, bool) { return m.Lookup(gen.Uint64(id) | 1) },
-		migrate: func() error {
-			slots := m.SlotsOf(0)
-			return m.MigrateSlots(0, 1, slots[:len(slots)/2], 32)
-		},
-		scanUnique: func() (int, error) { return -1, nil },
-		heap:       m.Heap,
-		powerCycle: m.PowerCycleShard,
-		recoverCr:  m.RecoverCrashed,
-		recoveries: m.Recoveries,
-		release:    m.Release,
-		shards:     h,
-		donor:      0,
-		recipient:  1,
-	}, nil
-}
-
-// guardCount is guard for an int-returning readback.
-func guardCount(f func() int) (n int, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
+	rig := &reshardRig{}
+	if slices.Contains(core.HashNames, name) {
+		m, err := shard.NewHash(name, opts)
+		if err != nil {
+			return nil, err
 		}
-	}()
-	return f(), nil
-}
-
-// ReshardLossyOrdered runs the lossy crash-mid-migration campaign for
-// an ordered index over every reshard sweep site.
-func ReshardLossyOrdered(name string, kind keys.Kind, ranged bool, policy pmem.Policy, seed int64, shards, loadN, postN, workers int) ReshardCampaignReport {
-	build := func() (*reshardRig, error) {
-		return rigOrdered(name, kind, shards, ranged, pmem.Options{Shadow: true})
+		rig.reshardFront, rig.session = m, ShardedHash(m).session()
+	} else {
+		if ranged {
+			opts.Partitioner = shard.RangePartition{}
+		}
+		m, err := shard.NewOrdered(name, keys.RandInt, opts)
+		if err != nil {
+			return nil, err
+		}
+		rig.reshardFront, rig.session = m, ShardedOrdered(m, keys.RandInt).session()
+		rig.uniqueScan = func() int {
+			seen := 0
+			var prev []byte
+			m.Scan(nil, 0, func(k []byte, v uint64) bool {
+				if prev != nil && string(prev) >= string(k) {
+					seen = -1
+					return false
+				}
+				prev = append(prev[:0], k...)
+				seen++
+				return true
+			})
+			return seen
+		}
+		if ranged {
+			width := ^uint64(0)/uint64(h) + 1
+			rig.migrate = func() error { return m.MigrateRange(donorShard, recipientShard, width/2, width-1, 32) }
+		}
 	}
-	return reshardCampaign(name, "lossy", policy, seed, shards, loadN, postN, workers, build)
-}
-
-// ReshardLossyHash is ReshardLossyOrdered for unordered indexes.
-func ReshardLossyHash(name string, policy pmem.Policy, seed int64, shards, loadN, postN, workers int) ReshardCampaignReport {
-	build := func() (*reshardRig, error) {
-		return rigHash(name, shards, pmem.Options{Shadow: true})
+	if err := rig.EnableResharding(); err != nil {
+		rig.Release()
+		return nil, err
 	}
-	return reshardCampaign(name, "lossy", policy, seed, shards, loadN, postN, workers, build)
-}
-
-// ReshardDurabilityOrdered runs the flush-coverage variant: Track-mode
-// heaps, no power loss, asserting that recovery and post-crash traffic
-// leave every dirtied line flushed and fenced at operation boundaries.
-func ReshardDurabilityOrdered(name string, kind keys.Kind, ranged bool, shards, loadN, postN, workers int) ReshardCampaignReport {
-	build := func() (*reshardRig, error) {
-		return rigOrdered(name, kind, shards, ranged, pmem.Options{Track: true})
+	if rig.migrate == nil {
+		rig.migrate = func() error {
+			slots := rig.SlotsOf(donorShard)
+			return rig.MigrateSlots(donorShard, recipientShard, slots[:len(slots)/2], 32)
+		}
 	}
-	return reshardCampaign(name, "durability", 0, 0, shards, loadN, postN, workers, build)
+	return rig, nil
 }
 
-// ReshardDurabilityHash is ReshardDurabilityOrdered for unordered
-// indexes.
-func ReshardDurabilityHash(name string, shards, loadN, postN, workers int) ReshardCampaignReport {
-	build := func() (*reshardRig, error) {
-		return rigHash(name, shards, pmem.Options{Track: true})
-	}
-	return reshardCampaign(name, "durability", 0, 0, shards, loadN, postN, workers, build)
-}
-
-func reshardCampaign(name, mode string, policy pmem.Policy, seed int64, shards, loadN, postN, workers int, build func() (*reshardRig, error)) ReshardCampaignReport {
-	pairs := reshardPairs()
+// ReshardCampaign runs the crash-mid-migration campaign for the named
+// index over every reshard sweep site, fanned out over `workers`
+// goroutines. With lossy set, heaps run in Shadow mode and the crashed
+// shard is power-cycled under policy (torn coin flips from seed);
+// otherwise it is the flush-coverage variant: Track-mode heaps, no
+// power loss, asserting that recovery, post-crash traffic and the retry
+// leave every dirtied line flushed and fenced at operation boundaries
+// on every shard (policy and seed are unused). ranged applies to
+// ordered indexes only.
+func ReshardCampaign(name string, ranged, lossy bool, policy pmem.Policy, seed int64, shards, loadN, postN, workers int) ReshardCampaignReport {
 	rep := ReshardCampaignReport{
-		Index: name, Mode: mode, Policy: policy, Seed: seed,
-		Shards: shards, PostOps: postN, Sites: make([]ReshardSiteReport, len(pairs)),
+		Index: name, Mode: "durability", Shards: shards,
+		PostOps: postN, Sites: make([]ReshardSiteReport, len(reshardPairs)),
 	}
-	forEachSite(len(pairs), workers, func(i int) {
-		rep.Sites[i] = reshardAtSite(pairs[i], mode, policy, siteSeed(seed, pairs[i].site), loadN, postN, build)
+	heapOpts := pmem.Options{Track: true}
+	if lossy {
+		rep.Mode, rep.Policy, rep.Seed = "lossy", policy, seed
+		heapOpts = pmem.Options{Shadow: true}
+	}
+	forEachSite(len(reshardPairs), workers, func(i int) {
+		pair := reshardPairs[i]
+		rig, err := newReshardRig(name, ranged, shards, heapOpts)
+		if err != nil {
+			rep.Sites[i].Site = pair.site
+			rep.Sites[i].fail(OutcomeCorrupt, fmt.Sprintf("build: %v", err))
+			return
+		}
+		defer rig.Release()
+		rep.Sites[i] = reshardAtSite(rig, pair, lossy, policy, siteSeed(seed, pair.site), loadN, postN)
 	})
 	return rep
 }
 
 // reshardAtSite is one trial; see the package comment for the protocol
 // and the invariants asserted.
-func reshardAtSite(pair reshardPair, mode string, policy pmem.Policy, seed int64, loadN, postN int, build func() (*reshardRig, error)) ReshardSiteReport {
-	r := ReshardSiteReport{Site: pair.site}
-	rig, err := build()
-	if err != nil {
-		r.Outcome, r.Detail = OutcomeCorrupt, fmt.Sprintf("build: %v", err)
-		return r
-	}
-	defer rig.release()
-	r.Host = rig.recipient
+func reshardAtSite(rig *reshardRig, pair reshardPair, lossy bool, policy pmem.Policy, seed int64, loadN, postN int) ReshardSiteReport {
+	r := ReshardSiteReport{Site: pair.site, Host: recipientShard}
 	if pair.onDonor {
-		r.Host = rig.donor
+		r.Host = donorShard
 	}
+	host := rig.Heap(r.Host)
 
-	fail := func(o LossyOutcome, detail string) {
-		if o > r.Outcome {
-			r.Outcome = o
-			r.Detail = detail
-		}
-	}
-
-	committed := make([]uint64, 0, loadN)
-	for i := 0; i < loadN; i++ {
-		id := uint64(i)
-		if err := rig.insert(id); err != nil {
-			fail(OutcomeCorrupt, fmt.Sprintf("load insert %d: %v", id, err))
+	committed := make([]uint64, 0, loadN+postN)
+	for id := uint64(0); id < uint64(loadN); id++ {
+		if err := rig.write(id, id, false); err != nil {
+			r.fail(OutcomeCorrupt, fmt.Sprintf("load insert %d: %v", id, err))
 			return r
 		}
 		committed = append(committed, id)
@@ -347,67 +279,62 @@ func reshardAtSite(pair reshardPair, mode string, policy pmem.Policy, seed int64
 
 	// Arm the host shard and run the migration into the crash.
 	inj := crash.NewAtSite(pair.site, 1)
-	rig.heap(r.Host).SetInjector(inj)
+	host.SetInjector(inj)
 	merr := guard(rig.migrate)
 	r.Fired = inj.Fired()
 	if !r.Fired {
-		rig.heap(r.Host).SetInjector(nil)
+		host.SetInjector(nil)
 		if merr != nil {
-			fail(OutcomeCorrupt, fmt.Sprintf("migration failed without firing: %v", merr))
+			r.fail(OutcomeCorrupt, fmt.Sprintf("migration failed without firing: %v", merr))
 		}
 		return r
 	}
 	if merr == nil {
-		fail(OutcomeCorrupt, "migration acknowledged success despite an injected crash")
+		r.fail(OutcomeCorrupt, "migration acknowledged success despite an injected crash")
 		return r
 	}
 
 	// Restart only the crashed shard: lossy mode materialises its
 	// post-power-loss image first; durability mode adopts power-cycle
 	// semantics on its flush tracker.
-	if mode == "lossy" {
-		r.Cycle = rig.powerCycle(r.Host, policy, seed)
+	if lossy {
+		r.Cycle = rig.PowerCycleShard(r.Host, policy, seed)
 	} else {
-		rig.heap(r.Host).Tracker().Reset()
+		host.Tracker().Reset()
 	}
-	recovered, rerr := rig.recoverCr()
-	r.Replays = rig.recoveries()
+	recovered, rerr := rig.RecoverCrashed()
+	r.Replays = rig.Recoveries()
 	if rerr != nil {
-		fail(OutcomeCorrupt, fmt.Sprintf("recovery: %v", rerr))
+		r.fail(OutcomeCorrupt, fmt.Sprintf("recovery: %v", rerr))
 		return r
 	}
 	if len(recovered) != 1 || recovered[0] != r.Host {
-		fail(OutcomeCorrupt, fmt.Sprintf("recovered %v, want [%d]", recovered, r.Host))
+		r.fail(OutcomeCorrupt, fmt.Sprintf("recovered %v, want [%d]", recovered, r.Host))
 		return r
 	}
-	if mode == "durability" {
-		if v := rig.heap(r.Host).Tracker().Check(); len(v) != 0 {
-			r.RecoveryViolations = len(v)
-			rig.heap(r.Host).Tracker().Reset()
+	if !lossy {
+		r.RecoveryViolations = violations(host)
+	}
+	// boundary sums flush-coverage violations over every shard's tracker
+	// at an operation boundary.
+	boundary := func() {
+		for i := 0; !lossy && i < rig.NumShards(); i++ {
+			r.OpViolations += violations(rig.Heap(i))
 		}
 	}
 
+	// verify is the shared readback plus the resharding invariant on top:
+	// the merged scan stays duplicate-free across the handoff.
 	verify := func(phase string) bool {
-		err := guard(func() error {
-			for _, id := range committed {
-				v, ok := rig.lookup(id)
-				switch {
-				case !ok:
-					r.LostAcks++
-					fail(OutcomeLostAck, fmt.Sprintf("%s: acknowledged id %d missing", phase, id))
-				case v != id:
-					r.LostAcks++
-					fail(OutcomeCorrupt, fmt.Sprintf("%s: id %d read back %d", phase, id, v))
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			fail(OutcomeCorrupt, fmt.Sprintf("%s: %v", phase, err))
+		if !r.readback(phase, rig.lookup, committed) {
 			return false
 		}
-		if n, err := rig.scanUnique(); err != nil || (n >= 0 && n != len(committed)) {
-			fail(OutcomeCorrupt, fmt.Sprintf("%s: unique scan %d (err %v), want %d", phase, n, err, len(committed)))
+		if rig.uniqueScan == nil {
+			return true
+		}
+		var n int
+		if err := guard(func() error { n = rig.uniqueScan(); return nil }); err != nil || n != len(committed) {
+			r.fail(OutcomeCorrupt, fmt.Sprintf("%s: unique scan %d (err %v), want %d", phase, n, err, len(committed)))
 			return false
 		}
 		return true
@@ -417,57 +344,28 @@ func reshardAtSite(pair reshardPair, mode string, policy pmem.Policy, seed int64
 	}
 
 	// The surviving routing table must keep serving writes.
-	post := make([]uint64, 0, postN)
 	for i := 0; i < postN; i++ {
-		id := uint64(1_000_000 + i)
-		if err := guard(func() error { return rig.insert(id) }); err != nil {
-			fail(OutcomeCorrupt, fmt.Sprintf("post-crash insert %d: %v", id, err))
+		id := uint64(postBase + i)
+		if err := guard(func() error { return rig.write(id, id, false) }); err != nil {
+			r.fail(OutcomeCorrupt, fmt.Sprintf("post-crash insert %d: %v", id, err))
 			return r
 		}
-		post = append(post, id)
-		if mode == "durability" {
-			r.OpViolations += checkAllTrackers(rig)
-		}
+		boundary()
 	}
-	err = guard(func() error {
-		for _, id := range post {
-			if v, ok := rig.lookup(id); !ok || v != id {
-				fail(OutcomeCorrupt, fmt.Sprintf("post-crash id %d: ok=%v v=%d", id, ok, v))
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		fail(OutcomeCorrupt, fmt.Sprintf("post-crash readback: %v", err))
-		return r
+	// From here on the post-crash inserts are acknowledged data too.
+	for i := 0; i < postN; i++ {
+		committed = append(committed, uint64(postBase+i))
 	}
-	committed = append(committed, post...)
 
 	// An aborted migration must be retryable to completion; a published
 	// flip already stands, so there is nothing to redo.
 	if !pair.flips {
 		if err := guard(rig.migrate); err != nil {
-			fail(OutcomeCorrupt, fmt.Sprintf("retry migration: %v", err))
+			r.fail(OutcomeCorrupt, fmt.Sprintf("retry migration: %v", err))
 			return r
 		}
-		if mode == "durability" {
-			r.OpViolations += checkAllTrackers(rig)
-		}
+		boundary()
 	}
 	verify("final readback")
 	return r
-}
-
-// checkAllTrackers sums flush-coverage violations over every shard's
-// tracker at an operation boundary, resetting any dirty tracker so one
-// violation is not recounted at every later boundary.
-func checkAllTrackers(rig *reshardRig) int {
-	n := 0
-	for i := 0; i < rig.shards; i++ {
-		if v := rig.heap(i).Tracker().Check(); len(v) != 0 {
-			n += len(v)
-			rig.heap(i).Tracker().Reset()
-		}
-	}
-	return n
 }

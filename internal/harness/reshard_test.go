@@ -3,7 +3,6 @@ package harness
 import (
 	"testing"
 
-	"repro/internal/keys"
 	"repro/internal/pmem"
 )
 
@@ -13,81 +12,44 @@ const (
 	reshardPostN  = 30
 )
 
-// TestReshardLossyOrdered sweeps every reshard crash site under all
-// three power-cycle policies for P-ART: zero LOST-ACK, zero CORRUPT,
-// zero healthy-shard replays.
-func TestReshardLossyOrdered(t *testing.T) {
-	for _, policy := range pmem.Policies {
-		rep := ReshardLossyOrdered("P-ART", keys.RandInt, false, policy, 1, reshardShards, reshardLoadN, reshardPostN, 0)
-		t.Log(rep)
-		if rep.Fired() != len(rep.Sites) {
-			t.Errorf("%v: only %d/%d sites fired", policy, rep.Fired(), len(rep.Sites))
+// checkReshard asserts a reshard campaign fired at every sweep site and
+// found nothing: zero LOST-ACK, zero CORRUPT, zero healthy-shard
+// replays, zero flush-coverage violations.
+func checkReshard(t *testing.T, rep ReshardCampaignReport) {
+	t.Helper()
+	t.Log(rep)
+	if rep.Fired() != len(rep.Sites) {
+		t.Errorf("%s/%v: only %d/%d sites fired", rep.Index, rep.Policy, rep.Fired(), len(rep.Sites))
+	}
+	if !rep.Pass() {
+		for _, s := range rep.Sites {
+			t.Errorf("%s/%v site %s host %d: %s lostAcks=%d recovViol=%d opViol=%d replays=%v detail=%s",
+				rep.Index, rep.Policy, s.Site, s.Host, s.Outcome, s.LostAcks, s.RecoveryViolations, s.OpViolations, s.Replays, s.Detail)
 		}
-		if !rep.Pass() {
-			for _, s := range rep.Sites {
-				if s.Outcome >= OutcomeLostAck || s.RecoveryViolations+s.OpViolations > 0 {
-					t.Errorf("%v site %s host %d: %s lostAcks=%d replays=%v detail=%s",
-						policy, s.Site, s.Host, s.Outcome, s.LostAcks, s.Replays, s.Detail)
-				}
-			}
-			t.Fatalf("%v: reshard lossy campaign failed", policy)
-		}
+		t.Fatalf("%s/%v: reshard %s campaign failed", rep.Index, rep.Policy, rep.Mode)
 	}
 }
 
-// TestReshardLossyHash is the same sweep for P-CLHT (the whole-copy
-// HashRanger migration path).
-func TestReshardLossyHash(t *testing.T) {
+// TestReshardLossy sweeps every reshard crash site under all three
+// power-cycle policies, for P-ART (the ordered cursor migration) and
+// P-CLHT (the whole-copy HashRanger path).
+func TestReshardLossy(t *testing.T) {
 	for _, policy := range pmem.Policies {
-		rep := ReshardLossyHash("P-CLHT", policy, 2, reshardShards, reshardLoadN, reshardPostN, 0)
-		t.Log(rep)
-		if rep.Fired() != len(rep.Sites) {
-			t.Errorf("%v: only %d/%d sites fired", policy, rep.Fired(), len(rep.Sites))
-		}
-		if !rep.Pass() {
-			for _, s := range rep.Sites {
-				t.Errorf("%v site %s host %d: %s replays=%v detail=%s",
-					policy, s.Site, s.Host, s.Outcome, s.Replays, s.Detail)
-			}
-			t.Fatalf("%v: reshard lossy campaign failed", policy)
-		}
+		checkReshard(t, ReshardCampaign("P-ART", false, true, policy, 1, reshardShards, reshardLoadN, reshardPostN, 0))
+		checkReshard(t, ReshardCampaign("P-CLHT", false, true, policy, 2, reshardShards, reshardLoadN, reshardPostN, 0))
 	}
 }
 
 // TestReshardLossyRange covers the range-window migration path (span
 // split and merge in the flipped table) under the torn policy.
 func TestReshardLossyRange(t *testing.T) {
-	rep := ReshardLossyOrdered("P-ART", keys.RandInt, true, pmem.PolicyTorn, 3, reshardShards, reshardLoadN, reshardPostN, 0)
-	t.Log(rep)
-	if rep.Fired() != len(rep.Sites) {
-		t.Errorf("only %d/%d sites fired", rep.Fired(), len(rep.Sites))
-	}
-	if !rep.Pass() {
-		for _, s := range rep.Sites {
-			t.Errorf("site %s host %d: %s replays=%v detail=%s", s.Site, s.Host, s.Outcome, s.Replays, s.Detail)
-		}
-		t.Fatal("reshard lossy range campaign failed")
-	}
+	checkReshard(t, ReshardCampaign("P-ART", true, true, pmem.PolicyTorn, 3, reshardShards, reshardLoadN, reshardPostN, 0))
 }
 
 // TestReshardDurability: flush-coverage sweep over the reshard sites —
 // recovery and post-crash traffic must leave every dirtied line flushed
 // and fenced at operation boundaries, on every shard.
 func TestReshardDurability(t *testing.T) {
-	ordered := ReshardDurabilityOrdered("P-ART", keys.RandInt, false, reshardShards, reshardLoadN, reshardPostN, 0)
-	t.Log(ordered)
-	hash := ReshardDurabilityHash("P-CLHT", reshardShards, reshardLoadN, reshardPostN, 0)
-	t.Log(hash)
-	for _, rep := range []ReshardCampaignReport{ordered, hash} {
-		if rep.Fired() != len(rep.Sites) {
-			t.Errorf("%s: only %d/%d sites fired", rep.Index, rep.Fired(), len(rep.Sites))
-		}
-		if !rep.Pass() {
-			for _, s := range rep.Sites {
-				t.Errorf("%s site %s: %s recovViol=%d opViol=%d replays=%v detail=%s",
-					rep.Index, s.Site, s.Outcome, s.RecoveryViolations, s.OpViolations, s.Replays, s.Detail)
-			}
-			t.Fatalf("%s: reshard durability campaign failed", rep.Index)
-		}
-	}
+	checkReshard(t, ReshardCampaign("P-ART", false, false, 0, 0, reshardShards, reshardLoadN, reshardPostN, 0))
+	checkReshard(t, ReshardCampaign("P-CLHT", false, false, 0, 0, reshardShards, reshardLoadN, reshardPostN, 0))
 }

@@ -1,0 +1,276 @@
+// The key-kind adaptor. Every runner and trial in this package addresses
+// its index by dense identifier; a Target turns an identifier into the
+// index's own key ([]byte through keys.Generator.AppendKey for ordered
+// indexes, gen.Uint64(id)|1 for hash tables, which reserve key 0) and
+// into the group-commit op type that carries it, so ordered and hash —
+// and a single heap and a sharded front-end — share one body of
+// everything above.
+package harness
+
+import (
+	"repro/internal/cceh"
+	"repro/internal/commit"
+	"repro/internal/core"
+	"repro/internal/fastfair"
+	"repro/internal/group"
+	"repro/internal/keys"
+	"repro/internal/pmem"
+	"repro/internal/ycsb"
+	"repro/shard"
+)
+
+// Target is one index addressed by dense identifier: a converted index
+// on its own heap (Ordered, Hash — what the crash trials build per
+// site) or a sharded front-end (ShardedOrdered, ShardedHash — what the
+// throughput cells run on).
+type Target struct {
+	kind    keys.Kind
+	stats   StatsSource
+	ordered bool
+	// heap and recover are set for single-heap targets only: the trials
+	// arm, power-cycle and recover exactly one heap.
+	heap    *pmem.Heap
+	recover func() error
+
+	// session returns one worker's direct view of the index, with its
+	// own reusable key buffer.
+	session func() session
+	// combiner returns an empty group-commit queue over the index.
+	combiner func() combiner
+	// committers starts a fresh generation of async committers over the
+	// index and returns its enqueue and its close.
+	committers func(opts commit.Options, observe func(ycsb.OpKind)) (enqueue func(id, v uint64, update bool) (*commit.Future, error), end func() error)
+}
+
+// session is the direct (synchronous) id-addressed view of an index.
+type session struct {
+	write  func(id, v uint64, update bool) error
+	lookup func(id uint64) (uint64, bool)
+	scan   func(id uint64, n int) // nil on unordered indexes
+}
+
+// combiner queues writes and commits them as one group: flush applies
+// the queue with one covering fence per heap and empties it, reporting
+// each op's kind to observe as the group layer's observer fires.
+type combiner struct {
+	queue func(id, v uint64, update bool)
+	flush func(observe func(ycsb.OpKind)) error
+}
+
+// Build constructs the trial target on a fresh heap; campaigns call it
+// once per crash site (possibly from several goroutines).
+type Build func(*pmem.Heap) *Target
+
+// index is what the adaptor needs of an index with keys of type K.
+type index[K any] interface {
+	Insert(K, uint64) error
+	Update(K, uint64) error
+	Lookup(K) (uint64, bool)
+}
+
+// kindOf recovers a write's op kind from what it carries: an insert
+// stores the bare identifier, an RMW rewrite has RMWBit set, any other
+// in-place write is an update. Queued writes are charged by it when
+// their group commits, long after the plan walker moved on.
+func kindOf(v uint64, update bool) ycsb.OpKind {
+	switch {
+	case !update:
+		return ycsb.OpInsert
+	case v&RMWBit != 0:
+		return ycsb.OpRMW
+	}
+	return ycsb.OpUpdate
+}
+
+// applyFn group-commits a batch of ops of type O; startFn launches a
+// generation of committers draining ops of type O and returns its
+// enqueue and its close.
+type (
+	applyFn[O any] func([]O, group.Observer) error
+	startFn[O any] func(commit.Options, func(O)) (func(O) (*commit.Future, error), func() error)
+)
+
+// newTarget erases the key type K and op type O of one index family
+// behind Target's id-addressed closures. key encodes an identifier
+// reusing buf; op builds a group op owning its key; tags reads an op's
+// value and update flag back.
+func newTarget[K, O any](idx index[K], scan func(K, int),
+	key func(buf K, id uint64) K, op func(id, v uint64, update bool) O, tags func(O) (uint64, bool),
+	apply applyFn[O], start startFn[O]) *Target {
+	return &Target{
+		ordered: scan != nil,
+		session: func() session {
+			var buf K
+			at := func(id uint64) K { buf = key(buf, id); return buf }
+			s := session{
+				write: func(id, v uint64, update bool) error {
+					if update {
+						return idx.Update(at(id), v)
+					}
+					return idx.Insert(at(id), v)
+				},
+				lookup: func(id uint64) (uint64, bool) { return idx.Lookup(at(id)) },
+			}
+			if scan != nil {
+				s.scan = func(id uint64, n int) { scan(at(id), n) }
+			}
+			return s
+		},
+		combiner: func() combiner {
+			var ops []O
+			return combiner{
+				queue: func(id, v uint64, update bool) { ops = append(ops, op(id, v, update)) },
+				flush: func(observe func(ycsb.OpKind)) error {
+					var obs group.Observer
+					if observe != nil {
+						obs = func(i int) { observe(kindOf(tags(ops[i]))) }
+					}
+					err := apply(ops, obs)
+					ops = ops[:0]
+					return err
+				},
+			}
+		},
+		committers: func(opts commit.Options, observe func(ycsb.OpKind)) (func(id, v uint64, update bool) (*commit.Future, error), func() error) {
+			var obs func(O)
+			if observe != nil {
+				obs = func(o O) { observe(kindOf(tags(o))) }
+			}
+			enqueue, end := start(opts, obs)
+			return func(id, v uint64, update bool) (*commit.Future, error) { return enqueue(op(id, v, update)) }, end
+		},
+	}
+}
+
+func orderedTarget(idx core.OrderedIndex, kind keys.Kind, apply applyFn[group.ByteOp], start startFn[group.ByteOp]) *Target {
+	gen := keys.NewGenerator(kind)
+	t := newTarget[[]byte](idx,
+		func(k []byte, n int) { idx.Scan(k, n, func([]byte, uint64) bool { return true }) },
+		func(buf []byte, id uint64) []byte { return gen.AppendKey(buf[:0], id) },
+		func(id, v uint64, update bool) group.ByteOp {
+			return group.ByteOp{Key: gen.Key(id), Value: v, Update: update}
+		},
+		func(o group.ByteOp) (uint64, bool) { return o.Value, o.Update },
+		apply, start)
+	t.kind = kind
+	return t
+}
+
+func hashTarget(idx core.HashIndex, apply applyFn[group.U64Op], start startFn[group.U64Op]) *Target {
+	gen := keys.NewGenerator(keys.RandInt)
+	t := newTarget[uint64](idx, nil,
+		func(_, id uint64) uint64 { return gen.Uint64(id) | 1 },
+		func(id, v uint64, update bool) group.U64Op {
+			return group.U64Op{Key: gen.Uint64(id) | 1, Value: v, Update: update}
+		},
+		func(o group.U64Op) (uint64, bool) { return o.Value, o.Update },
+		apply, start)
+	t.kind = keys.RandInt
+	return t
+}
+
+// standalone is the single-heap startFn: one committer applying
+// straight to the heap, which also carries its commit.* crash sites.
+func standalone[O any](heap *pmem.Heap, apply applyFn[O]) startFn[O] {
+	return func(opts commit.Options, obs func(O)) (func(O) (*commit.Future, error), func() error) {
+		opts.Heap = heap
+		c := commit.NewCommitter(apply, obs, opts)
+		return c.Enqueue, c.Close
+	}
+}
+
+// on marks t as living on one heap, which is then its counter source
+// and what a trial arms, power-cycles and recovers.
+func (t *Target) on(heap *pmem.Heap, recover func() error) *Target {
+	t.heap, t.stats, t.recover = heap, heap, recover
+	return t
+}
+
+// Ordered adapts an ordered index living on heap, with keys of kind.
+func Ordered(heap *pmem.Heap, idx core.OrderedIndex, kind keys.Kind) *Target {
+	apply := func(ops []group.ByteOp, obs group.Observer) error { return group.ApplyOrdered(heap, idx, ops, obs) }
+	return orderedTarget(idx, kind, apply, standalone(heap, apply)).on(heap, idx.Recover)
+}
+
+// Hash adapts an unordered index living on heap (integer keys, as in
+// the paper; scan workloads are rejected).
+func Hash(heap *pmem.Heap, idx core.HashIndex) *Target {
+	apply := func(ops []group.U64Op, obs group.Observer) error { return group.ApplyHash(heap, idx, ops, obs) }
+	return hashTarget(idx, apply, standalone(heap, apply)).on(heap, idx.Recover)
+}
+
+// ShardedOrdered adapts the sharded ordered front-end: batches commit
+// through its per-shard group commits, async writes through one
+// committer per shard.
+func ShardedOrdered(m *shard.Ordered, kind keys.Kind) *Target {
+	t := orderedTarget(m, kind, m.ApplyBatchObserved,
+		func(opts commit.Options, obs func(group.ByteOp)) (func(group.ByteOp) (*commit.Future, error), func() error) {
+			p := commit.NewOrderedObserved(m, opts, obs)
+			return p.Apply, p.Close
+		})
+	t.stats = m
+	return t
+}
+
+// ShardedHash is ShardedOrdered for the unordered front-end.
+func ShardedHash(m *shard.Hash) *Target {
+	t := hashTarget(m, m.ApplyBatchObserved,
+		func(opts commit.Options, obs func(group.U64Op)) (func(group.U64Op) (*commit.Future, error), func() error) {
+			p := commit.NewHashObserved(m, opts, obs)
+			return p.Apply, p.Close
+		})
+	t.stats = m
+	return t
+}
+
+// ByName returns the Build of a registry index by its evaluation name,
+// ordered or unordered (kind is ignored by hash tables). The build
+// panics on a name the registry does not know — campaign names are
+// literals in the commands and tests that pass them.
+func ByName(name string, kind keys.Kind) Build {
+	return func(heap *pmem.Heap) *Target {
+		if idx, err := core.NewOrdered(name, heap, kind); err == nil {
+			return Ordered(heap, idx, kind)
+		}
+		idx, err := core.NewHash(name, heap)
+		if err != nil {
+			panic(err)
+		}
+		return Hash(heap, idx)
+	}
+}
+
+// FaithfulFF builds Faithful-mode FAST & FAIR, which reproduces the
+// §7.5 unpersisted-initial-allocation bug — the negative control of the
+// durability test and the lossy campaign.
+func FaithfulFF(heap *pmem.Heap) *Target {
+	return Ordered(heap, faithfulFF{fastfair.NewWithMode(heap, keys.RandInt, fastfair.Faithful)}, keys.RandInt)
+}
+
+// FaithfulCCEH builds Faithful-mode CCEH, which reproduces both the
+// unpersisted initial allocation and the §3 non-atomic directory
+// doubling whose crash makes recovery stall (cceh.ErrStalled).
+func FaithfulCCEH(heap *pmem.Heap) *Target {
+	return Hash(heap, faithfulCCEH{cceh.NewWithMode(heap, cceh.Faithful)})
+}
+
+type faithfulFF struct{ t *fastfair.Tree }
+
+func (f faithfulFF) Insert(k []byte, v uint64) error { return f.t.Insert(k, v) }
+func (f faithfulFF) Update(k []byte, v uint64) error { return f.t.Insert(k, v) }
+func (f faithfulFF) Lookup(k []byte) (uint64, bool)  { return f.t.Lookup(k) }
+func (f faithfulFF) Delete(k []byte) (bool, error)   { return f.t.Delete(k) }
+func (f faithfulFF) Recover() error                  { f.t.Recover(); return nil }
+func (f faithfulFF) Len() int                        { return f.t.Len() }
+func (f faithfulFF) Scan(s []byte, c int, fn func([]byte, uint64) bool) int {
+	return f.t.Scan(s, c, fn)
+}
+
+type faithfulCCEH struct{ t *cceh.Index }
+
+func (f faithfulCCEH) Insert(k, v uint64) error       { return f.t.Insert(k, v) }
+func (f faithfulCCEH) Update(k, v uint64) error       { return f.t.Insert(k, v) }
+func (f faithfulCCEH) Lookup(k uint64) (uint64, bool) { return f.t.Lookup(k) }
+func (f faithfulCCEH) Delete(k uint64) (bool, error)  { return f.t.Delete(k) }
+func (f faithfulCCEH) Recover() error                 { return f.t.Recover() }
+func (f faithfulCCEH) Len() int                       { return f.t.Len() }

@@ -1,0 +1,242 @@
+package harness
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/commit"
+	"repro/internal/core"
+	"repro/internal/crash"
+	"repro/internal/group"
+	"repro/internal/keys"
+	"repro/internal/pmem"
+)
+
+// campaignIndexes are the nine indexes the campaign matrices cover —
+// the Fig 4 five plus WOART, then the hash tables, matching
+// cmd/durability.
+var campaignIndexes = []string{"P-ART", "P-HOT", "P-BwTree", "P-Masstree", "FAST & FAIR", "WOART", "P-CLHT", "CCEH", "Level Hashing"}
+
+// extraSites are the crash sites a write path adds to the index's own:
+// a campaign through the path must discover each and fire at it.
+func extraSites(p WritePath) []string {
+	switch p.Mode {
+	case Batched:
+		return []string{group.SiteOpApplied, group.SiteCommitFenced}
+	case Async:
+		return []string{commit.SiteDrainApplied, commit.SiteAckFenced, group.SiteOpApplied, group.SiteCommitFenced}
+	}
+	return nil
+}
+
+// checkSwept asserts a campaign's rows include every site in want,
+// fired.
+func checkSwept(t *testing.T, fired map[string]bool, want []string) {
+	t.Helper()
+	for _, site := range want {
+		if f, ok := fired[site]; !ok {
+			t.Errorf("campaign did not discover %s", site)
+		} else if !f {
+			t.Errorf("site %s discovered but never fired", site)
+		}
+	}
+}
+
+// TestLossyMatrix drives all 9 indexes through the lossy power-failure
+// campaign on every write path under all three policies at small
+// scale: zero LOST-ACK and zero CORRUPT outcomes anywhere — every
+// acknowledged write survives, every unacknowledged one (the crashed
+// op, the unflushed batch, the error-resolved futures) is at worst
+// atomically PARTIAL, even when unfenced write-backs are torn — and the
+// sweep crashes at every site the path itself adds.
+func TestLossyMatrix(t *testing.T) {
+	const loadN, postN, seed = 60, 6, 42
+	for _, p := range paths {
+		for _, name := range campaignIndexes {
+			for _, policy := range pmem.Policies {
+				t.Run(p.name+"/"+name+"/"+policy.String(), func(t *testing.T) {
+					rep := LossyCampaign(name, ByName(name, keys.RandInt), p.path, policy, seed, loadN, postN, 0)
+					if len(rep.Sites) == 0 {
+						t.Fatal("no crash sites discovered")
+					}
+					if rep.Fired() == 0 {
+						t.Error("no site fired")
+					}
+					fired := map[string]bool{}
+					for _, s := range rep.Sites {
+						fired[s.Site] = s.Fired
+						if s.Outcome == OutcomeLostAck || s.Outcome == OutcomeCorrupt {
+							t.Errorf("site %s: %v lostAcks=%d detail=%s cycle=[%v]", s.Site, s.Outcome, s.LostAcks, s.Detail, s.Cycle)
+						}
+					}
+					checkSwept(t, fired, extraSites(p.path))
+				})
+			}
+		}
+	}
+}
+
+// TestDurabilitySites runs the flush-coverage campaign on every write
+// path for an ordered and an unordered index: sites are found in name
+// order, the deterministic load fires at every one (the path's own
+// boundary sites included), and the converted index recovers with full
+// flush coverage at each settled boundary.
+func TestDurabilitySites(t *testing.T) {
+	for _, p := range paths {
+		for _, name := range []string{"P-ART", "P-CLHT"} {
+			t.Run(p.name+"/"+name, func(t *testing.T) {
+				rep := DurabilitySites(name, ByName(name, keys.RandInt), p.path, 1200, 200, 4)
+				if len(rep.Sites) == 0 {
+					t.Fatal("no crash sites discovered")
+				}
+				if rep.Fired() != len(rep.Sites) {
+					t.Fatalf("fired at %d of %d sites; the deterministic load must revisit every discovered site",
+						rep.Fired(), len(rep.Sites))
+				}
+				if !rep.Pass() {
+					t.Fatalf("campaign failed: %s", rep)
+				}
+				fired := map[string]bool{}
+				for i, s := range rep.Sites {
+					fired[s.Site] = s.Fired
+					if i > 0 && rep.Sites[i-1].Site >= s.Site {
+						t.Fatalf("sites out of order: %q before %q", rep.Sites[i-1].Site, s.Site)
+					}
+				}
+				checkSwept(t, fired, extraSites(p.path))
+			})
+		}
+	}
+}
+
+// TestDurabilitySitesDetectsStall: Faithful CCEH's torn directory
+// doubling makes recovery stall at exactly one site, which the sweep
+// hits deterministically — the negative control cmd/crashtest prints.
+func TestDurabilitySitesDetectsStall(t *testing.T) {
+	rep := DurabilitySites("CCEH-faithful", FaithfulCCEH, syncPath, 5000, 20, 0)
+	stalled := 0
+	for _, s := range rep.Sites {
+		if s.RecoveryFailed {
+			stalled++
+			if s.Site != "cceh.double.swapped" {
+				t.Errorf("recovery stalled at %s, want only cceh.double.swapped", s.Site)
+			}
+		}
+	}
+	if stalled != 1 || rep.Pass() {
+		t.Fatalf("stalled at %d sites: %s", stalled, rep)
+	}
+}
+
+// TestDurabilitySitesDeterministicAcrossWorkers: the report must be
+// byte-identical for any worker count — per-site trials are independent
+// and results are collected in site order.
+func TestDurabilitySitesDeterministicAcrossWorkers(t *testing.T) {
+	run := func(workers int) SiteCampaignReport {
+		return DurabilitySites("P-Masstree", ByName("P-Masstree", keys.RandInt), syncPath, 800, 100, workers)
+	}
+	if serial, parallel := run(1), run(8); !reflect.DeepEqual(serial, parallel) {
+		t.Fatalf("reports differ across worker counts:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	}
+}
+
+// TestLossyDeterministic: the same seed yields the identical report,
+// including every torn coin flip's consequences, regardless of workers
+// — on the async path because the committer configuration pins each
+// trial's batch composition.
+func TestLossyDeterministic(t *testing.T) {
+	const loadN, postN, seed = 50, 4, 7
+	for _, p := range paths {
+		run := func(workers int) LossyCampaignReport {
+			return LossyCampaign("P-ART", ByName("P-ART", keys.RandInt), p.path, pmem.PolicyTorn, seed, loadN, postN, workers)
+		}
+		if a, b := run(1), run(4); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s torn campaign not deterministic:\n%+v\n%+v", p.name, a, b)
+		}
+	}
+}
+
+// TestLossyDetectsMissingPersist is the negative control: the unwind-only
+// crash model can never observe Faithful mode's missing initial-allocation
+// persist as data loss, but the lossy model must — under the revert
+// policy the never-persisted root pointer zero-fills and acknowledged
+// writes vanish.
+func TestLossyDetectsMissingPersist(t *testing.T) {
+	rep := LossyCampaign("FF-faithful", FaithfulFF, syncPath, pmem.PolicyRevert, 42, 60, 4, 0)
+	if rep.Fired() == 0 {
+		t.Fatal("no crash site fired")
+	}
+	if rep.Pass() {
+		t.Fatalf("lossy campaign failed to flag the known durability bug:\n%s", rep)
+	}
+	if rep.Count(OutcomeLostAck)+rep.Count(OutcomeCorrupt) == 0 {
+		t.Fatalf("no LOST-ACK/CORRUPT outcome recorded: %s", rep)
+	}
+}
+
+// TestLossyMultiCycle crashes, power-cycles, recovers — then rearms the
+// injector, crashes the recovered index again, and cycles a second
+// time. Acknowledged writes must survive both generations; a stale
+// one-shot injector state would silently skip the second crash.
+func TestLossyMultiCycle(t *testing.T) {
+	heap := pmem.New(pmem.Options{Shadow: true})
+	defer heap.Release()
+	idx, err := core.NewOrdered("P-ART", heap, keys.RandInt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := keys.NewGenerator(keys.RandInt)
+
+	committed := make([]uint64, 0, 128)
+	crashLoad := func(inj *crash.Injector, lo, n int) bool {
+		heap.SetInjector(inj)
+		defer heap.SetInjector(nil)
+		for i := lo; i < lo+n; i++ {
+			if err := idx.Insert(gen.Key(uint64(i)), uint64(i)); err != nil {
+				if crash.IsCrash(err) {
+					return true
+				}
+				t.Fatalf("insert %d: %v", i, err)
+			}
+			committed = append(committed, uint64(i))
+		}
+		return false
+	}
+	verify := func(gen2 string) {
+		for _, id := range committed {
+			k := gen.Key(id)
+			if v, ok := idx.Lookup(k); !ok || v != id {
+				t.Fatalf("%s: acknowledged id %d lost (ok=%v v=%d)", gen2, id, ok, v)
+			}
+		}
+	}
+
+	inj := crash.NewNth(40)
+	if !crashLoad(inj, 0, 60) {
+		t.Fatal("first crash did not fire")
+	}
+	heap.PowerCycle(pmem.PolicyTorn, 1)
+	if err := idx.Recover(); err != nil {
+		t.Fatalf("first recovery: %v", err)
+	}
+	verify("after first cycle")
+
+	// Same injector object, rearmed for the second generation.
+	inj.Rearm()
+	if !crashLoad(inj, 100, 60) {
+		t.Fatal("second crash did not fire after Rearm")
+	}
+	heap.PowerCycle(pmem.PolicyTorn, 2)
+	if err := idx.Recover(); err != nil {
+		t.Fatalf("second recovery: %v", err)
+	}
+	verify("after second cycle")
+
+	// And the index still accepts writes.
+	if err := idx.Insert(gen.Key(999_999), 999_999); err != nil {
+		t.Fatalf("post-cycle insert: %v", err)
+	}
+	if v, ok := idx.Lookup(gen.Key(999_999)); !ok || v != 999_999 {
+		t.Fatalf("post-cycle readback: ok=%v v=%d", ok, v)
+	}
+}

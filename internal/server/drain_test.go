@@ -100,25 +100,57 @@ func TestDrainUnderFire(t *testing.T) {
 	}
 }
 
+// servePipe runs one server connection over an in-memory pipe and
+// returns its client end. It bypasses the accept loop — which refuses
+// connections once draining — so a test can set the drain flag before
+// the connection reads its first byte, and a net.Pipe write is consumed
+// by a single server-side read, so frames sent in one write are
+// provably buffered together.
+func servePipe(t *testing.T, s *Server) *tclient {
+	t.Helper()
+	cli, srv := net.Pipe()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		newConn(s, srv).serve()
+	}()
+	t.Cleanup(func() {
+		cli.Close()
+		<-done
+	})
+	return &tclient{t: t, nc: cli, br: bufio.NewReader(cli)}
+}
+
 // TestEnqueueAfterDrainTypedError pins the typed reply deterministically:
 // once draining is set, a buffered data command answers SHUTDOWN (not
 // silence, not ERR), liveness commands still answer, and the connection
 // closes after the reply flush.
+//
+// The drain flag is observed at two places: at dispatch (data commands
+// get SHUTDOWN) and at the idle check after a reply flush (the
+// connection closes). Flipping it behind a served round trip races the
+// second: the connection goroutine may not yet have passed the idle
+// check that followed the PONG, and closes before the SET arrives. So
+// the flag is set before the connection starts, and PING+SET travel in
+// one write — both frames are buffered when PING dispatches, no idle
+// check runs between them, and SET meets the flag at dispatch.
 func TestEnqueueAfterDrainTypedError(t *testing.T) {
 	for _, mode := range modes {
 		t.Run(mode.String(), func(t *testing.T) {
 			ts := startServer(t, mode, 2)
-
-			c := dialT(t, ts.addr())
-			wantSimple(t, c.do("PING"), "PONG") // conn established and served
-
-			// Flip the drain flag directly (in-package): the deterministic
-			// version of bytes that were already buffered when SIGTERM hit.
+			// A served round trip proves Serve registered its listener: the
+			// cleanup's Shutdown can only close a listener Serve has stored,
+			// and nothing below would otherwise wait for the accept loop.
+			wantSimple(t, dialT(t, ts.addr()).do("PING"), "PONG")
+			// The deterministic version of bytes that were already buffered
+			// when SIGTERM hit.
 			ts.srv.draining.Store(true)
+			defer ts.srv.draining.Store(false) // let cleanup's Shutdown run its own drain
 
-			c.send(frame("SET", "late", "1"))
-			rp := c.read()
-			wantCode(t, rp, "SHUTDOWN")
+			c := servePipe(t, ts.srv)
+			c.send(append(frame("PING"), frame("SET", "late", "1")...))
+			wantSimple(t, c.read(), "PONG") // liveness, not data: still served
+			wantCode(t, c.read(), "SHUTDOWN")
 			if _, err := c.br.ReadByte(); err == nil {
 				t.Fatal("connection must close after the drain reply")
 			}
@@ -126,14 +158,10 @@ func TestEnqueueAfterDrainTypedError(t *testing.T) {
 				t.Fatal("post-drain write must not reach the store")
 			}
 
-			// Liveness survives the drain window on a fresh pre-existing
-			// conn: PING answers, then the conn closes.
-			ts.srv.draining.Store(false)
-			c2 := dialT(t, ts.addr())
+			// Liveness alone: PING answers, then the idle check closes the
+			// connection.
+			c2 := servePipe(t, ts.srv)
 			wantSimple(t, c2.do("PING"), "PONG")
-			ts.srv.draining.Store(true)
-			c2.send(frame("PING")) // liveness, not data: still served
-			wantSimple(t, c2.read(), "PONG")
 			if _, err := c2.br.ReadByte(); err == nil {
 				t.Fatal("connection must close once draining")
 			}

@@ -41,8 +41,7 @@ func TestAllIndexesThroughPublicAPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen := recipe.NewKeyGenerator(recipe.RandInt)
-		res, err := recipe.RunOrderedWorkload(name, idx, gen, heap, ycsb.A, 3000, 3000, 4, 7)
+		res, err := recipe.RunWorkload(name, recipe.OrderedTarget(heap, idx, recipe.RandInt), recipe.WritePath{}, ycsb.A, 3000, 3000, 4, 7)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -56,8 +55,7 @@ func TestAllIndexesThroughPublicAPI(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gen := recipe.NewKeyGenerator(recipe.RandInt)
-		res, err := recipe.RunHashWorkload(name, idx, gen, heap, ycsb.A, 3000, 3000, 4, 7)
+		res, err := recipe.RunWorkload(name, recipe.HashTarget(heap, idx), recipe.WritePath{}, ycsb.A, 3000, 3000, 4, 7)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -70,16 +68,9 @@ func TestAllIndexesThroughPublicAPI(t *testing.T) {
 // TestCrashRecoveryAllRecipeIndexes is the §7.5 headline at test scale:
 // every RECIPE-converted index survives its crash campaign.
 func TestCrashRecoveryAllRecipeIndexes(t *testing.T) {
-	for _, name := range []string{"P-ART", "P-HOT", "P-BwTree", "P-Masstree"} {
-		name := name
+	for _, name := range []string{"P-ART", "P-HOT", "P-BwTree", "P-Masstree", "P-CLHT"} {
 		t.Run(name, func(t *testing.T) {
-			rep := recipe.CrashCampaignOrdered(name, func(h *recipe.Heap) recipe.OrderedIndex {
-				idx, err := recipe.NewOrdered(name, h, recipe.RandInt)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return idx
-			}, recipe.RandInt, 25, 2000, 2000, 4)
+			rep := recipe.CrashCampaign(name, recipe.IndexByName(name, recipe.RandInt), 25, 2000, 2000, 4)
 			if !rep.Pass() {
 				t.Fatalf("crash campaign failed: %s", rep)
 			}
@@ -88,44 +79,15 @@ func TestCrashRecoveryAllRecipeIndexes(t *testing.T) {
 			}
 		})
 	}
-	t.Run("P-CLHT", func(t *testing.T) {
-		rep := recipe.CrashCampaignHash("P-CLHT", func(h *recipe.Heap) recipe.HashIndex {
-			idx, err := recipe.NewHash("P-CLHT", h)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return idx
-		}, 25, 2000, 2000, 4)
-		if !rep.Pass() {
-			t.Fatalf("crash campaign failed: %s", rep)
-		}
-	})
 }
 
 // TestDurabilityAllRecipeIndexes: §5 flush coverage for all conversions.
 func TestDurabilityAllRecipeIndexes(t *testing.T) {
-	for _, name := range []string{"P-ART", "P-HOT", "P-BwTree", "P-Masstree"} {
-		name := name
-		rep := recipe.DurabilityOrdered(name, func(h *recipe.Heap) recipe.OrderedIndex {
-			idx, err := recipe.NewOrdered(name, h, recipe.YCSBString)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return idx
-		}, recipe.YCSBString, 800)
+	for _, name := range []string{"P-ART", "P-HOT", "P-BwTree", "P-Masstree", "P-CLHT"} {
+		rep := recipe.Durability(name, recipe.IndexByName(name, recipe.YCSBString), 800)
 		if !rep.Pass() {
 			t.Fatalf("durability failed: %s", rep)
 		}
-	}
-	rep := recipe.DurabilityHash("P-CLHT", func(h *recipe.Heap) recipe.HashIndex {
-		idx, err := recipe.NewHash("P-CLHT", h)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return idx
-	}, 800)
-	if !rep.Pass() {
-		t.Fatalf("durability failed: %s", rep)
 	}
 }
 
@@ -134,7 +96,6 @@ func TestDurabilityAllRecipeIndexes(t *testing.T) {
 // contents.
 func TestOrderedIndexesAgreeUnderYCSB(t *testing.T) {
 	const loadN, opN = 2000, 2000
-	gen := keys.NewGenerator(keys.RandInt)
 	contents := map[string]map[uint64]uint64{}
 	for _, name := range recipe.OrderedNames() {
 		heap := pmem.NewFast()
@@ -142,7 +103,7 @@ func TestOrderedIndexesAgreeUnderYCSB(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := recipe.RunOrderedWorkload(name, idx, gen, heap, ycsb.A, loadN, opN, 1, 9); err != nil {
+		if _, err := recipe.RunWorkload(name, recipe.OrderedTarget(heap, idx, recipe.RandInt), recipe.WritePath{}, ycsb.A, loadN, opN, 1, 9); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		got := map[uint64]uint64{}
@@ -247,13 +208,7 @@ func TestStreamingScanPublicAPI(t *testing.T) {
 		t.Fatalf("NewCursor yielded %d entries, want 100", n)
 	}
 
-	rep := recipe.DurabilitySitesOrdered("P-ART", func(h *recipe.Heap) recipe.OrderedIndex {
-		ix, err := recipe.NewOrdered("P-ART", h, recipe.RandInt)
-		if err != nil {
-			panic(err) // runs on a worker goroutine; t.Fatal is not allowed here
-		}
-		return ix
-	}, recipe.RandInt, 600, 50, 2)
+	rep := recipe.DurabilitySites("P-ART", recipe.IndexByName("P-ART", recipe.RandInt), recipe.WritePath{}, 600, 50, 2)
 	if len(rep.Sites) == 0 || !rep.Pass() {
 		t.Fatalf("per-site campaign: %s", rep.String())
 	}
