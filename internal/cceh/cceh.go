@@ -178,30 +178,53 @@ func slotIndex(h uint64) int {
 }
 
 // Lookup returns the value for key. Reads are lock-free and take atomic
-// (value, key-recheck) snapshots.
+// (value, key-recheck) snapshots. A miss in a segment that stopped
+// covering the key's hash while it was being probed is retried (see
+// probe), bounded by maxRetries so Faithful mode's permanently
+// inconsistent directory still terminates.
 func (idx *Index) Lookup(key uint64) (uint64, bool) {
 	if key == 0 {
 		return 0, false
 	}
 	h := hash(key)
-	s := idx.view().segmentFor(h)
-	if s == nil {
-		return 0, false
+	for attempt := 0; attempt < maxRetries; attempt++ {
+		v := idx.view()
+		s := v.segmentFor(h)
+		if s == nil {
+			return 0, false
+		}
+		val, found, stale := idx.probe(v, s, h, key)
+		if found || !stale {
+			return val, found
+		}
 	}
+	return 0, false
+}
+
+// probe searches segment s — loaded from view v — for key (hash h). A
+// hit is final. A miss means "absent" only if s still covers h and v's
+// directory is still current; otherwise the miss is stale: between the
+// segment load and the probe a split may have repointed the directory
+// and narrowed s, after which an insert is free to reclaim the moved
+// key's slot (insertLocked's lazy deletion), so the key can be missing
+// from s while alive in its sibling. The caller retries from a fresh
+// view.
+func (idx *Index) probe(v dirIndexState, s *segment, h, key uint64) (val uint64, found, stale bool) {
 	base := slotIndex(h)
 	for b := 0; b < ProbeBuckets; b++ {
 		off := (base + b*SlotsPerBucket) % len(s.keys)
 		idx.heap.Load(s.pm, uintptr(off/SlotsPerBucket)*bucketBytes, bucketBytes)
 		for i := 0; i < SlotsPerBucket; i++ {
 			if s.keys[off+i].Load() == key {
-				v := s.vals[off+i].Load()
+				val := s.vals[off+i].Load()
 				if s.keys[off+i].Load() == key {
-					return v, true
+					return val, true, false
 				}
 			}
 		}
 	}
-	return 0, false
+	covers := h>>(64-s.localDepth.Load()) == s.pattern.Load()
+	return 0, false, !covers || idx.dir.Load() != v.d
 }
 
 // Insert stores value under key, overwriting an existing value. It

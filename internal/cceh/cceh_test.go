@@ -177,6 +177,81 @@ func TestConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestLookupRetriesStaleSegment pins the cause of TestConcurrent's rare
+// "readback miss" deterministically: a reader that loaded its segment
+// before a split moved the key away, and probes it after an insert
+// reclaimed the moved key's slot, must report "stale, retry" — not
+// "absent".
+func TestLookupRetriesStaleSegment(t *testing.T) {
+	idx := New(pmem.NewFast())
+	// find returns a fresh key whose hash satisfies pred.
+	next := uint64(1)
+	find := func(pred func(h uint64) bool) uint64 {
+		for ; ; next++ {
+			if pred(hash(next)) {
+				next++
+				return next - 1
+			}
+		}
+	}
+	// victim lives in the initial segment 00 and will move to the sibling
+	// (prefix 001) when that segment splits.
+	victim := find(func(h uint64) bool { return h>>61 == 0b001 })
+	hv := hash(victim)
+	home := hv & (BucketsPerSegment - 1)
+	if err := idx.Insert(victim, 1); err != nil {
+		t.Fatal(err)
+	}
+	// The reader's stale state: view and segment loaded before the split.
+	v := idx.view()
+	s := v.segmentFor(hv)
+
+	// Split segment 00 by overfilling one probe window far from victim's.
+	far := (home + BucketsPerSegment/2) & (BucketsPerSegment - 1)
+	for s.localDepth.Load() == DefaultDepth {
+		k := find(func(h uint64) bool { return h>>62 == 0 && h&(BucketsPerSegment-1) == far })
+		if err := idx.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, ok := idx.Lookup(victim); !ok || got != 1 {
+		t.Fatalf("victim after split = %d, %v", got, ok)
+	}
+	// Reclaim victim's lazily retained slot in the old segment: inserts of
+	// keys the narrowed segment (prefix 000) covers, homed on victim's
+	// bucket, take the reclaimable slots of its probe window in order.
+	retained := func() bool {
+		for i := range s.keys {
+			if s.keys[i].Load() == victim {
+				return true
+			}
+		}
+		return false
+	}
+	if !retained() {
+		t.Fatal("split did not leave the moved key behind in the old segment")
+	}
+	for retained() {
+		k := find(func(h uint64) bool { return h>>61 == 0 && h&(BucketsPerSegment-1) == home })
+		if err := idx.Insert(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	if _, found, stale := idx.probe(v, s, hv, victim); found || !stale {
+		t.Fatalf("probe of the stale segment: found=%v stale=%v, want a stale miss", found, stale)
+	}
+	if got, ok := idx.Lookup(victim); !ok || got != 1 {
+		t.Fatalf("victim after slot reclaim = %d, %v", got, ok)
+	}
+	// A miss in a segment that still covers the hash is a real miss.
+	absent := find(func(h uint64) bool { return h>>61 == 0 })
+	cur := idx.view()
+	if _, found, stale := idx.probe(cur, cur.segmentFor(hash(absent)), hash(absent), absent); found || stale {
+		t.Fatalf("probe for an absent key: found=%v stale=%v, want a final miss", found, stale)
+	}
+}
+
 // §5 crash testing in Fixed mode: every enumerated crash state recovers
 // without losing committed keys.
 func TestCrashRecoveryFixedMode(t *testing.T) {

@@ -1,12 +1,12 @@
 // Package commit is the per-shard asynchronous commit pipeline on top
 // of the group-persistence layer: writers enqueue operations into a
 // bounded queue and immediately receive a completion Future; a
-// committer goroutine drains the queue into group commits
-// (group.ApplyOrdered/ApplyHash) and resolves each Future only after
-// the covering fence of the batch carrying its op retired — never
-// before. Acknowledgement is thereby tied to durability while
-// persistence latency leaves the writer's critical path, the shape of
-// Ben-David et al.'s delay-free construction.
+// committer goroutine drains the queue into group commits (group.Apply)
+// and resolves each Future only after the covering fence of the batch
+// carrying its op retired — never before. Acknowledgement is thereby
+// tied to durability while persistence latency leaves the writer's
+// critical path, the shape of Ben-David et al.'s delay-free
+// construction.
 //
 // The robustness contract:
 //

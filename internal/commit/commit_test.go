@@ -49,15 +49,15 @@ func closeGuarded(t *testing.T, close func() error) error {
 }
 
 // newCommitter builds a standalone committer over one P-ART heap.
-func newCommitter(t *testing.T, heap *pmem.Heap, opts commit.Options) (*commit.Committer[group.ByteOp], core.OrderedIndex) {
+func newCommitter(t *testing.T, heap *pmem.Heap, opts commit.Options) (*commit.Committer[group.Op[[]byte]], core.OrderedIndex) {
 	t.Helper()
 	idx, err := core.NewOrdered("P-ART", heap, keys.RandInt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Heap = heap
-	c := commit.NewCommitter(func(ops []group.ByteOp, obs group.Observer) error {
-		return group.ApplyOrdered(heap, idx, ops, obs)
+	c := commit.NewCommitter(func(ops []group.Op[[]byte], obs group.Observer) error {
+		return group.Apply(heap, idx, ops, obs)
 	}, nil, opts)
 	return c, idx
 }
@@ -74,7 +74,7 @@ func TestAckAfterFence(t *testing.T) {
 	const n = 200
 	futs := make([]*commit.Future, n)
 	for i := 0; i < n; i++ {
-		f, err := c.Enqueue(group.ByteOp{Key: gen.Key(uint64(i)), Value: uint64(i)})
+		f, err := c.Enqueue(group.Op[[]byte]{Key: gen.Key(uint64(i)), Value: uint64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -115,7 +115,7 @@ func newGatedApply() *gatedApply {
 	return &gatedApply{entered: make(chan struct{}, 64), gate: make(chan struct{})}
 }
 
-func (g *gatedApply) apply(ops []group.ByteOp, obs group.Observer) error {
+func (g *gatedApply) apply(ops []group.Op[[]byte], obs group.Observer) error {
 	g.entered <- struct{}{}
 	<-g.gate
 	g.applied.Add(int64(len(ops)))
@@ -125,10 +125,10 @@ func (g *gatedApply) apply(ops []group.ByteOp, obs group.Observer) error {
 // fill stalls the committer in one in-flight batch and fills the
 // queue: enqueue one op, wait for the committer to take it into apply,
 // then enqueue `queue` more to occupy every slot.
-func fill(t *testing.T, c *commit.Committer[group.ByteOp], g *gatedApply, queue int) []*commit.Future {
+func fill(t *testing.T, c *commit.Committer[group.Op[[]byte]], g *gatedApply, queue int) []*commit.Future {
 	t.Helper()
 	futs := make([]*commit.Future, 0, queue+1)
-	f, err := c.Enqueue(group.ByteOp{Key: []byte("k0"), Value: 0})
+	f, err := c.Enqueue(group.Op[[]byte]{Key: []byte("k0"), Value: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func fill(t *testing.T, c *commit.Committer[group.ByteOp], g *gatedApply, queue 
 		t.Fatal("committer never entered apply")
 	}
 	for i := 0; i < queue; i++ {
-		f, err := c.Enqueue(group.ByteOp{Key: []byte(fmt.Sprintf("k%d", i+1)), Value: uint64(i + 1)})
+		f, err := c.Enqueue(group.Op[[]byte]{Key: []byte(fmt.Sprintf("k%d", i+1)), Value: uint64(i + 1)})
 		if err != nil {
 			t.Fatalf("filling enqueue %d: %v", i, err)
 		}
@@ -155,7 +155,7 @@ func TestRejectPolicy(t *testing.T) {
 	c := commit.NewCommitter(g.apply, nil, commit.Options{Queue: 2, MaxBatch: 1, Policy: commit.Reject})
 	futs := fill(t, c, g, 2)
 
-	f, err := c.Enqueue(group.ByteOp{Key: []byte("overflow")})
+	f, err := c.Enqueue(group.Op[[]byte]{Key: []byte("overflow")})
 	if !errors.Is(err, commit.ErrQueueFull) {
 		t.Fatalf("enqueue on full queue: err = %v, want ErrQueueFull", err)
 	}
@@ -185,7 +185,7 @@ func TestDeadlinePolicy(t *testing.T) {
 	fill(t, c, g, 2)
 
 	start := time.Now()
-	_, err := c.Enqueue(group.ByteOp{Key: []byte("overflow")})
+	_, err := c.Enqueue(group.Op[[]byte]{Key: []byte("overflow")})
 	if !errors.Is(err, commit.ErrQueueFull) {
 		t.Fatalf("deadline enqueue: err = %v, want ErrQueueFull", err)
 	}
@@ -195,7 +195,7 @@ func TestDeadlinePolicy(t *testing.T) {
 
 	// With the gate open the committer frees space within the deadline.
 	close(g.gate)
-	f, err := c.Enqueue(group.ByteOp{Key: []byte("after")})
+	f, err := c.Enqueue(group.Op[[]byte]{Key: []byte("after")})
 	if err != nil {
 		t.Fatalf("enqueue after gate opened: %v", err)
 	}
@@ -216,7 +216,7 @@ func TestBlockPolicy(t *testing.T) {
 
 	unblocked := make(chan *commit.Future, 1)
 	go func() {
-		f, err := c.Enqueue(group.ByteOp{Key: []byte("blocked")})
+		f, err := c.Enqueue(group.Op[[]byte]{Key: []byte("blocked")})
 		if err != nil {
 			panic(err)
 		}
@@ -254,7 +254,7 @@ func TestFlushIntervalBoundsStaleness(t *testing.T) {
 	gen := keys.NewGenerator(keys.RandInt)
 
 	for i := 0; i < 3; i++ {
-		f, err := c.Enqueue(group.ByteOp{Key: gen.Key(uint64(i)), Value: uint64(i)})
+		f, err := c.Enqueue(group.Op[[]byte]{Key: gen.Key(uint64(i)), Value: uint64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func TestGracefulDrain(t *testing.T) {
 	const n = 500
 	futs := make([]*commit.Future, n)
 	for i := 0; i < n; i++ {
-		f, err := c.Enqueue(group.ByteOp{Key: gen.Key(uint64(i)), Value: uint64(i)})
+		f, err := c.Enqueue(group.Op[[]byte]{Key: gen.Key(uint64(i)), Value: uint64(i)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 
 	// Post-close enqueues fail typed, without a future.
-	if f, err := c.Enqueue(group.ByteOp{Key: gen.Key(0)}); !errors.Is(err, commit.ErrClosed) || f != nil {
+	if f, err := c.Enqueue(group.Op[[]byte]{Key: gen.Key(0)}); !errors.Is(err, commit.ErrClosed) || f != nil {
 		t.Fatalf("post-close enqueue = (%v, %v), want (nil, ErrClosed)", f, err)
 	}
 	if err := c.Drain(); !errors.Is(err, commit.ErrClosed) {
@@ -409,7 +409,7 @@ func TestCommitterDeathContainment(t *testing.T) {
 	var batches atomic.Int64
 	var quarantined atomic.Int64
 	var quarCause error
-	apply := func(ops []group.ByteOp, obs group.Observer) error {
+	apply := func(ops []group.Op[[]byte], obs group.Observer) error {
 		if batches.Add(1) == 2 {
 			panic("wild pointer in batch 2")
 		}
@@ -420,7 +420,7 @@ func TestCommitterDeathContainment(t *testing.T) {
 		Quarantine: func(cause error) { quarantined.Add(1); quarCause = cause },
 	})
 
-	f1, err := c.Enqueue(group.ByteOp{Key: []byte("a")})
+	f1, err := c.Enqueue(group.Op[[]byte]{Key: []byte("a")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,7 +428,7 @@ func TestCommitterDeathContainment(t *testing.T) {
 		t.Fatalf("batch 1: %v", err)
 	}
 
-	f2, err := c.Enqueue(group.ByteOp{Key: []byte("b")})
+	f2, err := c.Enqueue(group.Op[[]byte]{Key: []byte("b")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestCommitterDeathContainment(t *testing.T) {
 
 	// A dead committer keeps consuming: post-death enqueues are accepted
 	// (the caller cannot know yet) and fail typed, promptly.
-	f3, err := c.Enqueue(group.ByteOp{Key: []byte("c")})
+	f3, err := c.Enqueue(group.Op[[]byte]{Key: []byte("c")})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
-// Shard-routed async pipelines: one committer per shard of a sharded
+// The shard-routed async pipeline: one committer per shard of a sharded
 // front-end. Writers enqueue through the pipeline, which routes each
-// op to its owning shard's queue (shard.Ordered.Route) and commits
-// per-shard batches through shard.ApplyShard — so a pipeline inherits
+// op to its owning shard's queue (the front-end's Route) and commits
+// per-shard batches through its ApplyShard — so a pipeline inherits
 // the front-end's partitioning, quarantine behaviour, and per-shard
 // single-writer group commits. Reads go to the front-end directly and
 // may miss enqueued-but-uncommitted writes; the staleness window is
@@ -17,17 +17,107 @@ import (
 	"repro/shard"
 )
 
-// pipeline is the shard-count-generic half: the per-shard committers
-// and the operations that fan out across all of them.
-type pipeline[O any] struct {
-	cs []*Committer[O]
+// frontend is what a pipeline needs of a sharded front-end with keys of
+// type K; *shard.Ordered and *shard.Hash provide it.
+type frontend[K any] interface {
+	NumShards() int
+	Heap(i int) *pmem.Heap
+	Quarantine(i int, cause error)
+	Route(key K) int
+	ApplyShard(s int, ops []group.Op[K], obs group.Observer) error
+}
+
+// Pipeline is the async pipeline over a sharded front-end with keys of
+// type K: one committer per shard, and the operations that fan out
+// across all of them. NewOrdered and NewHash build its two
+// instantiations.
+type Pipeline[K any] struct {
+	m frontend[K]
+	// own copies a key the caller may reuse before its op commits; nil
+	// when keys are plain values.
+	own func(K) K
+	cs  []*Committer[group.Op[K]]
+}
+
+// newPipeline starts one committer per shard of m. opts applies to each
+// committer (Queue and MaxBatch are per shard); opts.Shard is
+// overridden with the shard index, opts.Heap with the shard's heap —
+// which carries the committer's crash sites — and a dying committer
+// quarantines its shard in m before any caller-provided
+// opts.Quarantine hook runs.
+func newPipeline[K any](m frontend[K], own func(K) K, opts Options, obs func(group.Op[K])) *Pipeline[K] {
+	p := &Pipeline[K]{m: m, own: own, cs: make([]*Committer[group.Op[K]], m.NumShards())}
+	for s := range p.cs {
+		o := opts
+		o.Shard = s
+		o.Heap = m.Heap(s)
+		o.Quarantine = func(cause error) {
+			m.Quarantine(s, cause)
+			if opts.Quarantine != nil {
+				opts.Quarantine(cause)
+			}
+		}
+		p.cs[s] = NewCommitter(func(ops []group.Op[K], gobs group.Observer) error {
+			return m.ApplyShard(s, ops, gobs)
+		}, obs, o)
+	}
+	return p
+}
+
+// NewOrdered starts the async pipeline over a sharded ordered
+// front-end: one committer per shard of m, each configured by opts
+// (Queue and MaxBatch are per shard). Keys are copied at enqueue, so
+// callers may reuse their buffers. Close the pipeline to release the
+// committer goroutines.
+func NewOrdered(m *shard.Ordered, opts Options) *Pipeline[[]byte] {
+	return NewOrderedObserved(m, opts, nil)
+}
+
+// NewOrderedObserved is NewOrdered with a per-op instrumentation hook:
+// obs is called on the owning shard's committer goroutine for every
+// group.Observer callback of the op (after the op's boundary, and once
+// more for a batch's last op after its covering fence) — the
+// attribution hook.
+func NewOrderedObserved(m *shard.Ordered, opts Options, obs func(group.Op[[]byte])) *Pipeline[[]byte] {
+	return newPipeline[[]byte](m, func(k []byte) []byte { return append([]byte(nil), k...) }, opts, obs)
+}
+
+// NewHash starts the async pipeline over a sharded unordered front-end;
+// see NewOrdered.
+func NewHash(m *shard.Hash, opts Options) *Pipeline[uint64] {
+	return NewHashObserved(m, opts, nil)
+}
+
+// NewHashObserved is NewHash with the per-op instrumentation hook; see
+// NewOrderedObserved.
+func NewHashObserved(m *shard.Hash, opts Options, obs func(group.Op[uint64])) *Pipeline[uint64] {
+	return newPipeline[uint64](m, nil, opts, obs)
+}
+
+// Insert enqueues an insertion and returns its completion future.
+// Backpressure and close behave as Committer.Enqueue.
+func (p *Pipeline[K]) Insert(key K, value uint64) (*Future, error) {
+	return p.Apply(group.Op[K]{Key: key, Value: value})
+}
+
+// Update enqueues an in-place update; see Insert.
+func (p *Pipeline[K]) Update(key K, value uint64) (*Future, error) {
+	return p.Apply(group.Op[K]{Key: key, Value: value, Update: true})
+}
+
+// Apply enqueues one write op onto its owning shard's queue.
+func (p *Pipeline[K]) Apply(op group.Op[K]) (*Future, error) {
+	if p.own != nil {
+		op.Key = p.own(op.Key)
+	}
+	return p.cs[p.m.Route(op.Key)].Enqueue(op)
 }
 
 // Drain waits until every op accepted by any shard's committer before
 // the call has resolved. It returns nil when all committers are
 // healthy, the joined death causes otherwise, and ErrClosed after
 // Close.
-func (p *pipeline[O]) Drain() error {
+func (p *Pipeline[K]) Drain() error {
 	futs := make([]*Future, 0, len(p.cs))
 	var errs []error
 	for _, c := range p.cs {
@@ -48,7 +138,7 @@ func (p *pipeline[O]) Drain() error {
 
 // Close shuts every committer down gracefully (see Committer.Close)
 // and returns the joined death causes, nil when all exited cleanly.
-func (p *pipeline[O]) Close() error {
+func (p *Pipeline[K]) Close() error {
 	var errs []error
 	for _, c := range p.cs {
 		if err := c.Close(); err != nil {
@@ -60,7 +150,7 @@ func (p *pipeline[O]) Close() error {
 
 // Pending returns the total number of admitted, not-yet-drained ops
 // across all shard queues (a racy snapshot).
-func (p *pipeline[O]) Pending() int {
+func (p *Pipeline[K]) Pending() int {
 	n := 0
 	for _, c := range p.cs {
 		n += c.Pending()
@@ -70,121 +160,4 @@ func (p *pipeline[O]) Pending() int {
 
 // Committer returns shard s's committer, for per-shard barriers and
 // tests.
-func (p *pipeline[O]) Committer(s int) *Committer[O] { return p.cs[s] }
-
-// Ordered is the async pipeline over a sharded ordered front-end.
-type Ordered struct {
-	m *shard.Ordered
-	pipeline[group.ByteOp]
-}
-
-// NewOrdered starts one committer per shard of m. opts applies to each
-// committer (Queue and MaxBatch are per shard); opts.Shard is
-// overridden with the shard index, opts.Heap with the shard's heap,
-// and a dying committer quarantines its shard in m before any caller-
-// provided opts.Quarantine hook runs. Close the pipeline to release
-// the committer goroutines.
-func NewOrdered(m *shard.Ordered, opts Options) *Ordered {
-	return NewOrderedObserved(m, opts, nil)
-}
-
-// NewOrderedObserved is NewOrdered with a per-op instrumentation hook:
-// obs is called on the owning shard's committer goroutine for every
-// group.Observer callback of the op (after the op's boundary, and once
-// more for a batch's last op after its covering fence) — the
-// attribution hook.
-func NewOrderedObserved(m *shard.Ordered, opts Options, obs func(group.ByteOp)) *Ordered {
-	p := &Ordered{m: m}
-	p.cs = make([]*Committer[group.ByteOp], m.NumShards())
-	for s := range p.cs {
-		p.cs[s] = NewCommitter(func(ops []group.ByteOp, gobs group.Observer) error {
-			return m.ApplyShard(s, ops, gobs)
-		}, obs, shardOptions(opts, s, m))
-	}
-	return p
-}
-
-// Insert enqueues an insertion and returns its completion future. The
-// key is copied, so callers may reuse their buffers. Backpressure and
-// close behave as Committer.Enqueue.
-func (p *Ordered) Insert(key []byte, value uint64) (*Future, error) {
-	return p.Apply(group.ByteOp{Key: key, Value: value})
-}
-
-// Update enqueues an in-place update; see Insert.
-func (p *Ordered) Update(key []byte, value uint64) (*Future, error) {
-	return p.Apply(group.ByteOp{Key: key, Value: value, Update: true})
-}
-
-// Apply enqueues one write op onto its owning shard's queue. The key
-// is copied.
-func (p *Ordered) Apply(op group.ByteOp) (*Future, error) {
-	op.Key = append([]byte(nil), op.Key...)
-	return p.cs[p.m.Route(op.Key)].Enqueue(op)
-}
-
-// Frontend returns the sharded front-end the pipeline commits into —
-// the read side.
-func (p *Ordered) Frontend() *shard.Ordered { return p.m }
-
-// Hash is the async pipeline over a sharded unordered front-end.
-type Hash struct {
-	m *shard.Hash
-	pipeline[group.U64Op]
-}
-
-// NewHash starts one committer per shard of m; see NewOrdered.
-func NewHash(m *shard.Hash, opts Options) *Hash {
-	return NewHashObserved(m, opts, nil)
-}
-
-// NewHashObserved is NewHash with the per-op instrumentation hook; see
-// NewOrderedObserved.
-func NewHashObserved(m *shard.Hash, opts Options, obs func(group.U64Op)) *Hash {
-	p := &Hash{m: m}
-	p.cs = make([]*Committer[group.U64Op], m.NumShards())
-	for s := range p.cs {
-		p.cs[s] = NewCommitter(func(ops []group.U64Op, gobs group.Observer) error {
-			return m.ApplyShard(s, ops, gobs)
-		}, obs, shardOptions(opts, s, m))
-	}
-	return p
-}
-
-// Insert enqueues an insertion and returns its completion future.
-func (p *Hash) Insert(key, value uint64) (*Future, error) {
-	return p.Apply(group.U64Op{Key: key, Value: value})
-}
-
-// Update enqueues an in-place update; see Insert.
-func (p *Hash) Update(key, value uint64) (*Future, error) {
-	return p.Apply(group.U64Op{Key: key, Value: value, Update: true})
-}
-
-// Apply enqueues one write op onto its owning shard's queue.
-func (p *Hash) Apply(op group.U64Op) (*Future, error) {
-	return p.cs[p.m.Route(op.Key)].Enqueue(op)
-}
-
-// Frontend returns the sharded front-end the pipeline commits into.
-func (p *Hash) Frontend() *shard.Hash { return p.m }
-
-// shardOptions specialises opts for shard s of front-end m: the
-// shard's heap carries the crash sites, the shard index labels errors,
-// and committer death quarantines the shard before any caller hook.
-func shardOptions[M interface {
-	Quarantine(i int, cause error)
-	Heap(i int) *pmem.Heap
-}](opts Options, s int, m M) Options {
-	o := opts
-	o.Shard = s
-	o.Heap = m.Heap(s)
-	caller := opts.Quarantine
-	o.Quarantine = func(cause error) {
-		m.Quarantine(s, cause)
-		if caller != nil {
-			caller(cause)
-		}
-	}
-	return o
-}
+func (p *Pipeline[K]) Committer(s int) *Committer[group.Op[K]] { return p.cs[s] }

@@ -20,27 +20,25 @@ import (
 	"repro/internal/woart"
 )
 
-// OrderedIndex is the interface every ordered (point + range query) index
-// implements: the paper's insert/lookup/range_query/delete interface of
-// §2.1 plus crash recovery.
-type OrderedIndex interface {
+// PointIndex is the point-operation interface every index implements,
+// ordered or not, over its own key type K: the paper's
+// insert/lookup/delete interface of §2.1 plus crash recovery. It is what
+// the code around an index — group commit, the sharded front-end, the
+// async pipeline — is written against, once, for both key kinds.
+type PointIndex[K any] interface {
 	// Insert stores value under key, overwriting an existing binding.
-	Insert(key []byte, value uint64) error
+	Insert(key K, value uint64) error
 	// Update overwrites the value stored under key in place. Every
 	// index here reaches it through its upsert-capable Insert path
 	// (YCSB blind-write semantics: updating an absent key inserts it),
 	// but the separate method keeps the operation distinguishable for
 	// workloads D/F accounting and lets future indexes route updates
 	// past their insert path (e.g. skip SMO machinery).
-	Update(key []byte, value uint64) error
+	Update(key K, value uint64) error
 	// Lookup returns the value stored under key.
-	Lookup(key []byte) (uint64, bool)
+	Lookup(key K) (uint64, bool)
 	// Delete removes key, reporting whether it was present.
-	Delete(key []byte) (bool, error)
-	// Scan visits keys >= start in ascending order until fn returns false
-	// or count keys were visited (count <= 0 = unbounded); it returns the
-	// number of keys visited.
-	Scan(start []byte, count int, fn func(key []byte, value uint64) bool) int
+	Delete(key K) (bool, error)
 	// Recover models restart after a crash: lock re-initialisation plus
 	// whatever explicit recovery the index defines (RECIPE indexes: none).
 	Recover() error
@@ -48,18 +46,22 @@ type OrderedIndex interface {
 	Len() int
 }
 
-// HashIndex is the unordered (point query only) interface; the paper
-// evaluates unordered indexes with 8-byte integer keys (§7).
-type HashIndex interface {
-	Insert(key, value uint64) error
-	// Update overwrites key's value in place via the upsert path (see
-	// OrderedIndex.Update).
-	Update(key, value uint64) error
-	Lookup(key uint64) (uint64, bool)
-	Delete(key uint64) (bool, error)
-	Recover() error
-	Len() int
+// OrderedIndex is the interface every ordered (point + range query) index
+// implements: PointIndex over byte-string keys plus the range_query of
+// §2.1.
+type OrderedIndex interface {
+	PointIndex[[]byte]
+	// Scan visits keys >= start in ascending order until fn returns false
+	// or count keys were visited (count <= 0 = unbounded); it returns the
+	// number of keys visited.
+	Scan(start []byte, count int, fn func(key []byte, value uint64) bool) int
 }
+
+// HashIndex is the unordered (point query only) interface; the paper
+// evaluates unordered indexes with 8-byte integer keys (§7). It is
+// PointIndex[uint64] itself, not a copy of it, so a value of one is a
+// value of the other with no conversion.
+type HashIndex = PointIndex[uint64]
 
 // HashRanger is the optional enumeration capability of an unordered
 // index: Range calls fn for every live key/value pair until fn returns

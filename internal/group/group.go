@@ -20,7 +20,7 @@
 //
 // Apply inherits the heap's group-mode single-writer contract: no
 // concurrent writes to the same heap during a batch. The sharded
-// front-end (shard.ApplyBatch) serialises batches per shard.
+// front-end (ApplyBatch in package shard) serialises batches per shard.
 package group
 
 import (
@@ -37,19 +37,14 @@ const (
 	SiteCommitFenced = "group.commit.fenced"
 )
 
-// ByteOp is one batched write against an ordered index.
-type ByteOp struct {
-	Key   []byte
+// Op is one batched write against an index with keys of type K ([]byte
+// for the ordered indexes, uint64 for the hash tables).
+type Op[K any] struct {
+	Key   K
 	Value uint64
-	// Update selects the in-place update path (core.OrderedIndex.Update)
+	// Update selects the in-place update path (core.PointIndex.Update)
 	// instead of insert.
 	Update bool
-}
-
-// U64Op is one batched write against an unordered index.
-type U64Op struct {
-	Key, Value uint64
-	Update     bool
 }
 
 // Observer receives instrumentation callbacks during Apply, for exact
@@ -79,32 +74,21 @@ func (e *Error) Error() string {
 // Unwrap exposes the underlying failure to errors.Is/As chains.
 func (e *Error) Unwrap() error { return e.Err }
 
-// ApplyOrdered applies ops to idx as one group commit on heap. A batch
-// of one bypasses group mode entirely — it is byte-for-byte the
-// unbatched path, with no group crash sites and identical clwb/fence
-// counters. See the package comment for the durability contract.
-func ApplyOrdered(heap *pmem.Heap, idx core.OrderedIndex, ops []ByteOp, obs Observer) error {
-	do := func(op ByteOp) error {
+// Apply applies ops to idx as one group commit on heap. A batch of one
+// bypasses group mode entirely — it is byte-for-byte the unbatched path,
+// with no group crash sites and identical clwb/fence counters. See the
+// package comment for the durability contract.
+func Apply[K any](heap *pmem.Heap, idx core.PointIndex[K], ops []Op[K], obs Observer) error {
+	return apply(heap, len(ops), func(i int) error {
+		op := &ops[i]
 		if op.Update {
 			return idx.Update(op.Key, op.Value)
 		}
 		return idx.Insert(op.Key, op.Value)
-	}
-	return apply(heap, len(ops), func(i int) error { return do(ops[i]) }, obs)
+	}, obs)
 }
 
-// ApplyHash is ApplyOrdered for unordered indexes.
-func ApplyHash(heap *pmem.Heap, idx core.HashIndex, ops []U64Op, obs Observer) error {
-	do := func(op U64Op) error {
-		if op.Update {
-			return idx.Update(op.Key, op.Value)
-		}
-		return idx.Insert(op.Key, op.Value)
-	}
-	return apply(heap, len(ops), func(i int) error { return do(ops[i]) }, obs)
-}
-
-// apply is the kind-independent group commit.
+// apply is the key-type-independent group commit.
 func apply(heap *pmem.Heap, n int, do func(i int) error, obs Observer) (err error) {
 	switch n {
 	case 0:

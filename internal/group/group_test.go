@@ -28,11 +28,11 @@ func TestApplyBatchDurable(t *testing.T) {
 	gen := keys.NewGenerator(keys.RandInt)
 	heap.Tracker().Reset() // constructor coverage is tested elsewhere
 
-	ops := make([]ByteOp, 16)
+	ops := make([]Op[[]byte], 16)
 	for i := range ops {
-		ops[i] = ByteOp{Key: gen.Key(uint64(i)), Value: uint64(i)}
+		ops[i] = Op[[]byte]{Key: gen.Key(uint64(i)), Value: uint64(i)}
 	}
-	if err := ApplyOrdered(heap, idx, ops, nil); err != nil {
+	if err := Apply(heap, idx, ops, nil); err != nil {
 		t.Fatal(err)
 	}
 	if v := heap.Tracker().Check(); len(v) != 0 {
@@ -67,12 +67,12 @@ func TestApplyFewerFences(t *testing.T) {
 	}
 	unbatchedFences := heap.Stats().Sub(unbatched).Fence
 
-	ops := make([]ByteOp, B)
+	ops := make([]Op[[]byte], B)
 	for i := range ops {
-		ops[i] = ByteOp{Key: gen.Key(uint64(i)), Value: uint64(i) + 200, Update: true}
+		ops[i] = Op[[]byte]{Key: gen.Key(uint64(i)), Value: uint64(i) + 200, Update: true}
 	}
 	batched := heap.Stats()
-	if err := ApplyOrdered(heap, idx, ops, nil); err != nil {
+	if err := Apply(heap, idx, ops, nil); err != nil {
 		t.Fatal(err)
 	}
 	d := heap.Stats().Sub(batched)
@@ -106,7 +106,7 @@ func TestApplySingleOpBypass(t *testing.T) {
 	defer hb.Release()
 	ib := newOrdered(t, hb)
 	beforeB := hb.Stats()
-	if err := ApplyOrdered(hb, ib, []ByteOp{{Key: gen.Key(1), Value: 1}}, nil); err != nil {
+	if err := Apply(hb, ib, []Op[[]byte]{{Key: gen.Key(1), Value: 1}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	batched := hb.Stats().Sub(beforeB)
@@ -132,11 +132,11 @@ func TestApplyCrashMidBatch(t *testing.T) {
 	gen := keys.NewGenerator(keys.RandInt)
 	heap.SetInjector(crash.NewAtSite(SiteOpApplied, 3))
 
-	ops := make([]ByteOp, 8)
+	ops := make([]Op[[]byte], 8)
 	for i := range ops {
-		ops[i] = ByteOp{Key: gen.Key(uint64(i)), Value: uint64(i)}
+		ops[i] = Op[[]byte]{Key: gen.Key(uint64(i)), Value: uint64(i)}
 	}
-	err := ApplyOrdered(heap, idx, ops, nil)
+	err := Apply(heap, idx, ops, nil)
 	if !crash.IsCrash(err) {
 		t.Fatalf("err = %v, want a crash", err)
 	}
@@ -161,13 +161,13 @@ func TestApplyOpError(t *testing.T) {
 	gen := keys.NewGenerator(keys.RandInt)
 	heap.Tracker().Reset()
 
-	ops := []ByteOp{
+	ops := []Op[[]byte]{
 		{Key: gen.Key(1), Value: 1},
 		{Key: gen.Key(2), Value: 2},
 		{Key: nil, Value: 3}, // empty key: every ordered index rejects it
 		{Key: gen.Key(4), Value: 4},
 	}
-	err := ApplyOrdered(heap, idx, ops, nil)
+	err := Apply(heap, idx, ops, nil)
 	var ge *Error
 	if !errors.As(err, &ge) {
 		t.Fatalf("err = %v, want *group.Error", err)
@@ -201,12 +201,12 @@ func TestApplyObserverCoverage(t *testing.T) {
 
 	var calls []int
 	obs := func(i int) { calls = append(calls, i) }
-	ops := []ByteOp{
+	ops := []Op[[]byte]{
 		{Key: gen.Key(1), Value: 1},
 		{Key: gen.Key(2), Value: 2},
 		{Key: gen.Key(3), Value: 3},
 	}
-	if err := ApplyOrdered(heap, idx, ops, obs); err != nil {
+	if err := Apply(heap, idx, ops, obs); err != nil {
 		t.Fatal(err)
 	}
 	want := []int{0, 1, 2, 2} // per-op boundaries, then the barrier
@@ -220,7 +220,7 @@ func TestApplyObserverCoverage(t *testing.T) {
 	}
 
 	calls = nil
-	if err := ApplyOrdered(heap, idx, []ByteOp{{Key: gen.Key(9), Value: 9}}, obs); err != nil {
+	if err := Apply(heap, idx, []Op[[]byte]{{Key: gen.Key(9), Value: 9}}, obs); err != nil {
 		t.Fatal(err)
 	}
 	if len(calls) != 2 || calls[0] != 0 || calls[1] != 0 {
@@ -239,11 +239,11 @@ func TestApplyHashBatch(t *testing.T) {
 	gen := keys.NewGenerator(keys.RandInt)
 	heap.Tracker().Reset()
 
-	ops := make([]U64Op, 16)
+	ops := make([]Op[uint64], 16)
 	for i := range ops {
-		ops[i] = U64Op{Key: gen.Uint64(uint64(i)) | 1, Value: uint64(i)}
+		ops[i] = Op[uint64]{Key: gen.Uint64(uint64(i)) | 1, Value: uint64(i)}
 	}
-	if err := ApplyHash(heap, idx, ops, nil); err != nil {
+	if err := Apply(heap, idx, ops, nil); err != nil {
 		t.Fatal(err)
 	}
 	if v := heap.Tracker().Check(); len(v) != 0 {

@@ -31,8 +31,8 @@ func checkReshard(t *testing.T, rep ReshardCampaignReport) {
 }
 
 // TestReshardLossy sweeps every reshard crash site under all three
-// power-cycle policies, for P-ART (the ordered cursor migration) and
-// P-CLHT (the whole-copy HashRanger path).
+// power-cycle policies, for P-ART (the donor walked by ordered cursor)
+// and P-CLHT (walked from a HashRanger key snapshot).
 func TestReshardLossy(t *testing.T) {
 	for _, policy := range pmem.Policies {
 		checkReshard(t, ReshardCampaign("P-ART", false, true, policy, 1, reshardShards, reshardLoadN, reshardPostN, 0))

@@ -2,9 +2,8 @@
 // its index by dense identifier; a Target turns an identifier into the
 // index's own key ([]byte through keys.Generator.AppendKey for ordered
 // indexes, gen.Uint64(id)|1 for hash tables, which reserve key 0) and
-// into the group-commit op type that carries it, so ordered and hash —
-// and a single heap and a sharded front-end — share one body of
-// everything above.
+// into the group.Op that carries it, so ordered and hash — and a single
+// heap and a sharded front-end — share one body of everything above.
 package harness
 
 import (
@@ -61,13 +60,6 @@ type combiner struct {
 // once per crash site (possibly from several goroutines).
 type Build func(*pmem.Heap) *Target
 
-// index is what the adaptor needs of an index with keys of type K.
-type index[K any] interface {
-	Insert(K, uint64) error
-	Update(K, uint64) error
-	Lookup(K) (uint64, bool)
-}
-
 // kindOf recovers a write's op kind from what it carries: an insert
 // stores the bare identifier, an RMW rewrite has RMWBit set, any other
 // in-place write is an update. Queued writes are charged by it when
@@ -82,21 +74,24 @@ func kindOf(v uint64, update bool) ycsb.OpKind {
 	return ycsb.OpUpdate
 }
 
-// applyFn group-commits a batch of ops of type O; startFn launches a
-// generation of committers draining ops of type O and returns its
-// enqueue and its close.
+// applyFn group-commits a batch of ops with keys of type K; startFn
+// launches a generation of committers draining such ops and returns
+// its enqueue and its close.
 type (
-	applyFn[O any] func([]O, group.Observer) error
-	startFn[O any] func(commit.Options, func(O)) (func(O) (*commit.Future, error), func() error)
+	applyFn[K any] func([]group.Op[K], group.Observer) error
+	startFn[K any] func(commit.Options, func(group.Op[K])) (func(group.Op[K]) (*commit.Future, error), func() error)
 )
 
-// newTarget erases the key type K and op type O of one index family
-// behind Target's id-addressed closures. key encodes an identifier
-// reusing buf; op builds a group op owning its key; tags reads an op's
-// value and update flag back.
-func newTarget[K, O any](idx index[K], scan func(K, int),
-	key func(buf K, id uint64) K, op func(id, v uint64, update bool) O, tags func(O) (uint64, bool),
-	apply applyFn[O], start startFn[O]) *Target {
+// newTarget erases the key type K of one index family behind Target's
+// id-addressed closures. key encodes an identifier, reusing buf's
+// storage when the kind's keys have any; the zero buf yields a key the
+// caller owns, which is what a queued op needs.
+func newTarget[K any](idx core.PointIndex[K], scan func(K, int), key func(buf K, id uint64) K,
+	apply applyFn[K], start startFn[K]) *Target {
+	var fresh K
+	op := func(id, v uint64, update bool) group.Op[K] {
+		return group.Op[K]{Key: key(fresh, id), Value: v, Update: update}
+	}
 	return &Target{
 		ordered: scan != nil,
 		session: func() session {
@@ -117,13 +112,13 @@ func newTarget[K, O any](idx index[K], scan func(K, int),
 			return s
 		},
 		combiner: func() combiner {
-			var ops []O
+			var ops []group.Op[K]
 			return combiner{
 				queue: func(id, v uint64, update bool) { ops = append(ops, op(id, v, update)) },
 				flush: func(observe func(ycsb.OpKind)) error {
 					var obs group.Observer
 					if observe != nil {
-						obs = func(i int) { observe(kindOf(tags(ops[i]))) }
+						obs = func(i int) { observe(kindOf(ops[i].Value, ops[i].Update)) }
 					}
 					err := apply(ops, obs)
 					ops = ops[:0]
@@ -132,9 +127,9 @@ func newTarget[K, O any](idx index[K], scan func(K, int),
 			}
 		},
 		committers: func(opts commit.Options, observe func(ycsb.OpKind)) (func(id, v uint64, update bool) (*commit.Future, error), func() error) {
-			var obs func(O)
+			var obs func(group.Op[K])
 			if observe != nil {
-				obs = func(o O) { observe(kindOf(tags(o))) }
+				obs = func(o group.Op[K]) { observe(kindOf(o.Value, o.Update)) }
 			}
 			enqueue, end := start(opts, obs)
 			return func(id, v uint64, update bool) (*commit.Future, error) { return enqueue(op(id, v, update)) }, end
@@ -142,28 +137,20 @@ func newTarget[K, O any](idx index[K], scan func(K, int),
 	}
 }
 
-func orderedTarget(idx core.OrderedIndex, kind keys.Kind, apply applyFn[group.ByteOp], start startFn[group.ByteOp]) *Target {
+func orderedTarget(idx core.OrderedIndex, kind keys.Kind, apply applyFn[[]byte], start startFn[[]byte]) *Target {
 	gen := keys.NewGenerator(kind)
 	t := newTarget[[]byte](idx,
 		func(k []byte, n int) { idx.Scan(k, n, func([]byte, uint64) bool { return true }) },
 		func(buf []byte, id uint64) []byte { return gen.AppendKey(buf[:0], id) },
-		func(id, v uint64, update bool) group.ByteOp {
-			return group.ByteOp{Key: gen.Key(id), Value: v, Update: update}
-		},
-		func(o group.ByteOp) (uint64, bool) { return o.Value, o.Update },
 		apply, start)
 	t.kind = kind
 	return t
 }
 
-func hashTarget(idx core.HashIndex, apply applyFn[group.U64Op], start startFn[group.U64Op]) *Target {
+func hashTarget(idx core.HashIndex, apply applyFn[uint64], start startFn[uint64]) *Target {
 	gen := keys.NewGenerator(keys.RandInt)
 	t := newTarget[uint64](idx, nil,
 		func(_, id uint64) uint64 { return gen.Uint64(id) | 1 },
-		func(id, v uint64, update bool) group.U64Op {
-			return group.U64Op{Key: gen.Uint64(id) | 1, Value: v, Update: update}
-		},
-		func(o group.U64Op) (uint64, bool) { return o.Value, o.Update },
 		apply, start)
 	t.kind = keys.RandInt
 	return t
@@ -171,8 +158,8 @@ func hashTarget(idx core.HashIndex, apply applyFn[group.U64Op], start startFn[gr
 
 // standalone is the single-heap startFn: one committer applying
 // straight to the heap, which also carries its commit.* crash sites.
-func standalone[O any](heap *pmem.Heap, apply applyFn[O]) startFn[O] {
-	return func(opts commit.Options, obs func(O)) (func(O) (*commit.Future, error), func() error) {
+func standalone[K any](heap *pmem.Heap, apply applyFn[K]) startFn[K] {
+	return func(opts commit.Options, obs func(group.Op[K])) (func(group.Op[K]) (*commit.Future, error), func() error) {
 		opts.Heap = heap
 		c := commit.NewCommitter(apply, obs, opts)
 		return c.Enqueue, c.Close
@@ -188,14 +175,14 @@ func (t *Target) on(heap *pmem.Heap, recover func() error) *Target {
 
 // Ordered adapts an ordered index living on heap, with keys of kind.
 func Ordered(heap *pmem.Heap, idx core.OrderedIndex, kind keys.Kind) *Target {
-	apply := func(ops []group.ByteOp, obs group.Observer) error { return group.ApplyOrdered(heap, idx, ops, obs) }
+	apply := func(ops []group.Op[[]byte], obs group.Observer) error { return group.Apply(heap, idx, ops, obs) }
 	return orderedTarget(idx, kind, apply, standalone(heap, apply)).on(heap, idx.Recover)
 }
 
 // Hash adapts an unordered index living on heap (integer keys, as in
 // the paper; scan workloads are rejected).
 func Hash(heap *pmem.Heap, idx core.HashIndex) *Target {
-	apply := func(ops []group.U64Op, obs group.Observer) error { return group.ApplyHash(heap, idx, ops, obs) }
+	apply := func(ops []group.Op[uint64], obs group.Observer) error { return group.Apply(heap, idx, ops, obs) }
 	return hashTarget(idx, apply, standalone(heap, apply)).on(heap, idx.Recover)
 }
 
@@ -204,7 +191,7 @@ func Hash(heap *pmem.Heap, idx core.HashIndex) *Target {
 // committer per shard.
 func ShardedOrdered(m *shard.Ordered, kind keys.Kind) *Target {
 	t := orderedTarget(m, kind, m.ApplyBatchObserved,
-		func(opts commit.Options, obs func(group.ByteOp)) (func(group.ByteOp) (*commit.Future, error), func() error) {
+		func(opts commit.Options, obs func(group.Op[[]byte])) (func(group.Op[[]byte]) (*commit.Future, error), func() error) {
 			p := commit.NewOrderedObserved(m, opts, obs)
 			return p.Apply, p.Close
 		})
@@ -215,7 +202,7 @@ func ShardedOrdered(m *shard.Ordered, kind keys.Kind) *Target {
 // ShardedHash is ShardedOrdered for the unordered front-end.
 func ShardedHash(m *shard.Hash) *Target {
 	t := hashTarget(m, m.ApplyBatchObserved,
-		func(opts commit.Options, obs func(group.U64Op)) (func(group.U64Op) (*commit.Future, error), func() error) {
+		func(opts commit.Options, obs func(group.Op[uint64])) (func(group.Op[uint64]) (*commit.Future, error), func() error) {
 			p := commit.NewHashObserved(m, opts, obs)
 			return p.Apply, p.Close
 		})

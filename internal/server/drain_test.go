@@ -13,6 +13,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/keys"
+	"repro/shard"
 )
 
 // TestDrainUnderFire: several clients hammer SETs while Shutdown fires
@@ -138,10 +141,6 @@ func TestEnqueueAfterDrainTypedError(t *testing.T) {
 	for _, mode := range modes {
 		t.Run(mode.String(), func(t *testing.T) {
 			ts := startServer(t, mode, 2)
-			// A served round trip proves Serve registered its listener: the
-			// cleanup's Shutdown can only close a listener Serve has stored,
-			// and nothing below would otherwise wait for the accept loop.
-			wantSimple(t, dialT(t, ts.addr()).do("PING"), "PONG")
 			// The deterministic version of bytes that were already buffered
 			// when SIGTERM hit.
 			ts.srv.draining.Store(true)
@@ -164,6 +163,46 @@ func TestEnqueueAfterDrainTypedError(t *testing.T) {
 			wantSimple(t, c2.do("PING"), "PONG")
 			if _, err := c2.br.ReadByte(); err == nil {
 				t.Fatal("connection must close once draining")
+			}
+		})
+	}
+}
+
+// TestShutdownBeforeServe: a Shutdown that runs before Serve has stored
+// its listener finds nothing to close, so Serve must close the listener
+// it is handed and return instead of blocking in Accept forever — the
+// order a one-processor run produces when nothing waits for the accept
+// loop before shutting down.
+func TestShutdownBeforeServe(t *testing.T) {
+	m, err := shard.NewOrdered("P-ART", keys.YCSBString, shard.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	for _, mode := range modes {
+		t.Run(mode.String(), func(t *testing.T) {
+			lis, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer lis.Close()
+			srv := New(m, Options{Mode: mode, IndexName: "P-ART"})
+			if err := srv.Shutdown(); err != nil {
+				t.Fatalf("Shutdown: %v", err)
+			}
+			fin := make(chan error, 1)
+			go func() { fin <- srv.Serve(lis) }()
+			select {
+			case err := <-fin:
+				if err != nil {
+					t.Fatalf("Serve after Shutdown: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Serve blocked in Accept after Shutdown had already run")
+			}
+			if nc, err := net.Dial("tcp", lis.Addr().String()); err == nil {
+				nc.Close()
+				t.Fatal("listener still open after Serve returned")
 			}
 		})
 	}

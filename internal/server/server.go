@@ -131,7 +131,7 @@ func (o Options) maxPipeline() int {
 type Server struct {
 	m    *shard.Ordered
 	opts Options
-	pipe *commit.Ordered // ModeAsync: the shared ack-after-fence pipeline
+	pipe *commit.Pipeline[[]byte] // ModeAsync: the shared ack-after-fence pipeline
 
 	mu       sync.Mutex
 	lis      net.Listener
@@ -170,6 +170,13 @@ func (s *Server) Serve(l net.Listener) error {
 		return errors.New("server: Serve called twice")
 	}
 	s.lis = l
+	if s.draining.Load() || s.failed.Load() {
+		// Shutdown (or a crash) ran before this call and found no
+		// listener to close; close it here, under the same hold that
+		// publishes it, so the Accept below fails at once instead of
+		// blocking forever.
+		l.Close()
+	}
 	s.mu.Unlock()
 
 	for {

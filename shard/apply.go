@@ -1,11 +1,11 @@
-// Single-shard group-commit entry points for external committers: the
-// async pipeline (internal/commit) routes each op itself and drains
-// per-shard queues, so it needs to commit a pre-routed batch on one
-// shard without re-partitioning, plus the routing function to do the
-// pre-routing. The quarantine and single-writer rules are the same as
-// the batch API's: a quarantined shard rejects the whole sub-batch
-// with *ShardUnavailableError, and the shard's batch mutex serialises
-// group commits on its heap.
+// The single-shard group-commit entry point for external committers:
+// the async pipeline (internal/commit) routes each op itself (Route, in
+// shard.go) and drains per-shard queues, so it needs to commit a
+// pre-routed batch on one shard without re-partitioning. The quarantine
+// and single-writer rules are the batch API's (batch.go): a quarantined
+// shard rejects the whole batch with *ShardUnavailableError, and the
+// commit goes through commitShard. Like the rest of the front-end body
+// it is written once, over group.Op[K].
 //
 // Pre-routing pins a route at enqueue time, so an async pipeline whose
 // ops straddle a routing-table flip can apply to the old owner. While a
@@ -16,142 +16,44 @@ package shard
 
 import "repro/internal/group"
 
-// Route returns the shard owning key — the partitioner decision point
-// operations route through. Callers that pre-partition work (the async
-// commit pipeline) use it to pick the per-shard queue. Route counts as
-// one routed operation in LoadReport accounting (the later ApplyShard
-// does not re-count).
-func (m *Ordered) Route(key []byte) int { return m.route(key) }
-
-// Route returns the shard owning key; see Ordered.Route.
-func (m *Hash) Route(key uint64) int { return m.route(key) }
-
 // ApplyShard applies ops — all of which must be owned by shard s (see
 // Route) — as one group commit on that shard's heap. A quarantined
 // shard returns *ShardUnavailableError without touching the index;
 // otherwise the error is the group layer's (*group.Error on partial
 // application). A nil return means every op is durable.
-func (m *Ordered) ApplyShard(s int, ops []group.ByteOp, obs group.Observer) error {
-	if len(m.shards) > 1 {
-		g := m.gate.enter()
-		defer m.gate.exit(g)
-		if t := m.rt.Load(); t != nil {
-			if mg := t.mig; mg != nil && mg.donor == s {
-				return m.applyShardWindow(t, mg, s, ops, obs)
-			}
+func (f *frontend[K]) ApplyShard(s int, ops []group.Op[K], obs group.Observer) error {
+	if len(f.shards) > 1 {
+		g := f.gate.enter()
+		defer f.gate.exit(g)
+		if t := f.rt.Load(); t != nil && t.mig != nil && t.mig.donor == s {
+			return f.applyDonor(t, ops, obs)
 		}
 	}
-	if err := m.unavailable(s); err != nil {
+	if err := f.unavailable(s); err != nil {
 		return err
 	}
-	m.batchMu[s].Lock()
-	defer m.batchMu[s].Unlock()
-	sh := &m.shards[s]
-	return group.ApplyOrdered(sh.heap, sh.idx, ops, obs)
+	return f.commitShard(s, ops, obs)
 }
 
-// applyShardWindow is ApplyShard against the migration donor while a
+// applyDonor is ApplyShard against the migration donor while table t's
 // handoff window is open: the donor commit stays authoritative, and the
 // window-covered slice of the applied ops is shadow-applied to the
-// recipient under the shared window lock so copy batches cannot
+// recipient under the shared window lock, so copy batches cannot
 // interleave.
-func (m *Ordered) applyShardWindow(t *routeTable, mg *migration, s int, ops []group.ByteOp, obs group.Observer) error {
-	if err := m.unavailable(s); err != nil {
+func (f *frontend[K]) applyDonor(t *routeTable, ops []group.Op[K], obs group.Observer) error {
+	mg := t.mig
+	if err := f.unavailable(mg.donor); err != nil {
 		return err
 	}
 	mg.mu.RLock()
 	defer mg.mu.RUnlock()
-	m.batchMu[s].Lock()
-	sh := &m.shards[s]
-	err := group.ApplyOrdered(sh.heap, sh.idx, ops, obs)
-	m.batchMu[s].Unlock()
-	applied := len(ops)
-	if ge, ok := err.(*group.Error); ok {
-		applied = ge.Applied
-	} else if err != nil {
-		applied = 0
-	}
-	var shadow []group.ByteOp
-	for i := 0; i < applied; i++ {
-		if mg.covers(m.mapper.Point(ops[i].Key), t) {
-			shadow = append(shadow, ops[i])
+	err := f.commitShard(mg.donor, ops, obs)
+	var covered []group.Op[K]
+	for _, op := range ops[:applied(len(ops), err)] {
+		if mg.covers(f.mapper.Point(op.Key), t) {
+			covered = append(covered, op)
 		}
 	}
-	if len(shadow) == 0 {
-		return err
-	}
-	if m.unavailable(mg.recipient) != nil {
-		mg.failed.Store(true)
-		return err
-	}
-	rec := &m.shards[mg.recipient]
-	m.batchMu[mg.recipient].Lock()
-	serr := group.ApplyOrdered(rec.heap, rec.idx, shadow, nil)
-	m.batchMu[mg.recipient].Unlock()
-	if serr != nil {
-		mg.failed.Store(true)
-	}
-	return err
-}
-
-// ApplyShard applies ops — all owned by shard s — as one group commit
-// on that shard's heap; see Ordered.ApplyShard.
-func (m *Hash) ApplyShard(s int, ops []group.U64Op, obs group.Observer) error {
-	if len(m.shards) > 1 {
-		g := m.gate.enter()
-		defer m.gate.exit(g)
-		if t := m.rt.Load(); t != nil {
-			if mg := t.mig; mg != nil && mg.donor == s {
-				return m.applyShardWindow(t, mg, s, ops, obs)
-			}
-		}
-	}
-	if err := m.unavailable(s); err != nil {
-		return err
-	}
-	m.batchMu[s].Lock()
-	defer m.batchMu[s].Unlock()
-	sh := &m.shards[s]
-	return group.ApplyHash(sh.heap, sh.idx, ops, obs)
-}
-
-// applyShardWindow is the unordered ApplyShard against the migration
-// donor while a handoff window is open; see Ordered.applyShardWindow.
-func (m *Hash) applyShardWindow(t *routeTable, mg *migration, s int, ops []group.U64Op, obs group.Observer) error {
-	if err := m.unavailable(s); err != nil {
-		return err
-	}
-	mg.mu.RLock()
-	defer mg.mu.RUnlock()
-	m.batchMu[s].Lock()
-	sh := &m.shards[s]
-	err := group.ApplyHash(sh.heap, sh.idx, ops, obs)
-	m.batchMu[s].Unlock()
-	applied := len(ops)
-	if ge, ok := err.(*group.Error); ok {
-		applied = ge.Applied
-	} else if err != nil {
-		applied = 0
-	}
-	var shadow []group.U64Op
-	for i := 0; i < applied; i++ {
-		if mg.covers(m.mapper64.Point(ops[i].Key), t) {
-			shadow = append(shadow, ops[i])
-		}
-	}
-	if len(shadow) == 0 {
-		return err
-	}
-	if m.unavailable(mg.recipient) != nil {
-		mg.failed.Store(true)
-		return err
-	}
-	rec := &m.shards[mg.recipient]
-	m.batchMu[mg.recipient].Lock()
-	serr := group.ApplyHash(rec.heap, rec.idx, shadow, nil)
-	m.batchMu[mg.recipient].Unlock()
-	if serr != nil {
-		mg.failed.Store(true)
-	}
+	f.shadow(mg, covered)
 	return err
 }

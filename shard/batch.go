@@ -15,13 +15,16 @@
 // commits durably, and the returned *BatchError matches
 // errors.Is(err, ErrShardUnavailable).
 //
-// Per-shard mutexes (frontend.batchMu) serialise group commits on the
-// same shard, because a heap's fence-group mode is single-writer.
-// Concurrent point writes to a shard with an in-flight batch are NOT
-// serialised against the group — callers that mix batched and
-// unbatched writers on the same shard get the underlying index's
-// concurrency, not group atomicity. The batched harness run loop and
-// the Deferred combiners only ever write through batches.
+// A heap's fence-group mode is single-writer, so every group commit on
+// a shard — a sub-batch here, a pre-routed ApplyShard (apply.go), a
+// migration copy or shadow apply (reshard.go) — goes through one
+// function, commitShard, under the exclusive side of that shard's
+// frontend.batchMu; point writes hold the shared side.
+//
+// The batch layer is part of the one front-end body: it is written over
+// group.Op[K] and serves Ordered and Hash alike. Only the Deferred
+// combiner is ordered-only — nothing queues uint64-key writes per
+// connection.
 package shard
 
 import (
@@ -116,10 +119,31 @@ func partition(n, shards int, route func(i int) int) []subBatch {
 	return out
 }
 
-// applyBatch runs the partitioned group commits. apply commits one
-// sub-batch (already serialised under the shard's batch mutex) and
-// returns the group layer's error, if any.
-func (f *frontend[IX]) applyBatch(subs []subBatch, apply func(sb subBatch) error) error {
+// commitShard applies ops to shard s as one group commit, holding the
+// exclusive side of the shard's group-commit lock (see batchMu) for its
+// duration. The caller has checked the shard is serving.
+func (f *frontend[K]) commitShard(s int, ops []group.Op[K], obs group.Observer) error {
+	f.batchMu[s].Lock()
+	defer f.batchMu[s].Unlock()
+	sh := &f.shards[s]
+	return group.Apply(sh.heap, sh.idx, ops, obs)
+}
+
+// applied returns how many leading ops of an n-op group commit were
+// applied, given the error it returned.
+func applied(n int, err error) int {
+	if err == nil {
+		return n
+	}
+	if ge, ok := err.(*group.Error); ok {
+		return ge.Applied
+	}
+	return 0
+}
+
+// applyBatch runs the partitioned group commits: one per sub-batch, on
+// its shard's heap, with obs translated back to original batch indices.
+func (f *frontend[K]) applyBatch(subs []subBatch, ops []group.Op[K], obs group.Observer) error {
 	var failed []SubBatchError
 	for _, sb := range subs {
 		if err := f.unavailable(sb.shard); err != nil {
@@ -128,16 +152,9 @@ func (f *frontend[IX]) applyBatch(subs []subBatch, apply func(sb subBatch) error
 			})
 			continue
 		}
-		f.batchMu[sb.shard].Lock()
-		err := apply(sb)
-		f.batchMu[sb.shard].Unlock()
-		if err != nil {
-			applied := 0
-			if ge, ok := err.(*group.Error); ok {
-				applied = ge.Applied
-			}
+		if err := f.commitShard(sb.shard, gather(ops, sb.idxs), translate(obs, sb.idxs)); err != nil {
 			failed = append(failed, SubBatchError{
-				Shard: sb.shard, OpIndices: sb.idxs, Applied: applied, Err: err,
+				Shard: sb.shard, OpIndices: sb.idxs, Applied: applied(len(sb.idxs), err), Err: err,
 			})
 		}
 	}
@@ -145,6 +162,15 @@ func (f *frontend[IX]) applyBatch(subs []subBatch, apply func(sb subBatch) error
 		return &BatchError{Failed: failed}
 	}
 	return nil
+}
+
+// gather returns the ops at positions idxs, in that order.
+func gather[K any](ops []group.Op[K], idxs []int) []group.Op[K] {
+	out := make([]group.Op[K], len(idxs))
+	for j, i := range idxs {
+		out[j] = ops[i]
+	}
+	return out
 }
 
 // translate wraps a caller observer so sub-batch-relative indices
@@ -161,8 +187,8 @@ func translate(obs group.Observer, idxs []int) group.Observer {
 // operation of the batch is durable. On failure it returns *BatchError;
 // sub-batches of shards not listed there committed durably. A batch of
 // one op per shard degenerates to the unbatched path, counter-exact.
-func (m *Ordered) ApplyBatch(ops []group.ByteOp) error {
-	return m.ApplyBatchObserved(ops, nil)
+func (f *frontend[K]) ApplyBatch(ops []group.Op[K]) error {
+	return f.ApplyBatchObserved(ops, nil)
 }
 
 // ApplyBatchObserved is ApplyBatch with per-op instrumentation: obs is
@@ -170,74 +196,53 @@ func (m *Ordered) ApplyBatch(ops []group.ByteOp) error {
 // boundary, plus once more per sub-batch with the sub-batch's last
 // index after its covering fence (the group.Observer contract, with
 // indices translated out of sub-batch space).
-func (m *Ordered) ApplyBatchObserved(ops []group.ByteOp, obs group.Observer) error {
-	if len(m.shards) == 1 {
-		m.opCount[0].Add(uint64(len(ops)))
-		subs := partition(len(ops), 1, nil)
-		return m.applyBatch(subs, m.applyOrderedSub(ops, obs))
+//
+// Under a routing table with an open handoff window it holds the window
+// shared for the whole batch (so a copy batch cannot interleave between
+// a donor sub-batch and its shadow) and shadow-applies the covered
+// slice of the donor's applied ops to the recipient.
+func (f *frontend[K]) ApplyBatchObserved(ops []group.Op[K], obs group.Observer) error {
+	if len(f.shards) == 1 {
+		f.opCount[0].Add(uint64(len(ops)))
+		return f.applyBatch(partition(len(ops), 1, nil), ops, obs)
 	}
-	g := m.gate.enter()
-	defer m.gate.exit(g)
-	if t := m.rt.Load(); t != nil {
-		return m.applyBatchTable(t, ops, obs)
+	g := f.gate.enter()
+	defer f.gate.exit(g)
+	t := f.rt.Load()
+	if t == nil {
+		subs := partition(len(ops), len(f.shards), func(i int) int { return f.Route(ops[i].Key) })
+		return f.applyBatch(subs, ops, obs)
 	}
-	subs := partition(len(ops), len(m.shards), func(i int) int { return m.route(ops[i].Key) })
-	return m.applyBatch(subs, m.applyOrderedSub(ops, obs))
-}
-
-// applyOrderedSub builds the per-sub-batch group-commit step shared by
-// the pristine and table-routed batch paths.
-func (m *Ordered) applyOrderedSub(ops []group.ByteOp, obs group.Observer) func(sb subBatch) error {
-	return func(sb subBatch) error {
-		sub := make([]group.ByteOp, len(sb.idxs))
-		for j, i := range sb.idxs {
-			sub[j] = ops[i]
-		}
-		sh := &m.shards[sb.shard]
-		return group.ApplyOrdered(sh.heap, sh.idx, sub, translate(obs, sb.idxs))
-	}
-}
-
-// applyBatchTable is the table-routed batch path. When a handoff window
-// is open it holds the window shared for the whole batch (so a copy
-// batch cannot interleave between a donor sub-batch and its shadow) and
-// shadow-applies the covered slice of the donor's applied ops to the
-// recipient as one extra group commit with no observer — shadow writes
-// are not separately acknowledged.
-func (m *Ordered) applyBatchTable(t *routeTable, ops []group.ByteOp, obs group.Observer) error {
 	points := make([]uint64, len(ops))
-	subs := partition(len(ops), len(m.shards), func(i int) int {
-		s, p := m.locateKey(t, ops[i].Key)
+	subs := partition(len(ops), len(f.shards), func(i int) int {
+		s, p := f.locateKey(t, ops[i].Key)
 		points[i] = p
 		return s
 	})
 	mg := t.mig
 	if mg == nil {
-		return m.applyBatch(subs, m.applyOrderedSub(ops, obs))
+		return f.applyBatch(subs, ops, obs)
 	}
 	mg.mu.RLock()
 	defer mg.mu.RUnlock()
-	err := m.applyBatch(subs, m.applyOrderedSub(ops, obs))
-	shadowIdxs := shadowApplied(subs, err, mg, t, points)
-	if len(shadowIdxs) == 0 {
-		return err
-	}
-	if m.unavailable(mg.recipient) != nil {
-		mg.failed.Store(true)
-		return err
-	}
-	shadow := make([]group.ByteOp, len(shadowIdxs))
-	for j, i := range shadowIdxs {
-		shadow[j] = ops[i]
-	}
-	sh := &m.shards[mg.recipient]
-	m.batchMu[mg.recipient].Lock()
-	serr := group.ApplyOrdered(sh.heap, sh.idx, shadow, nil)
-	m.batchMu[mg.recipient].Unlock()
-	if serr != nil {
-		mg.failed.Store(true)
-	}
+	err := f.applyBatch(subs, ops, obs)
+	f.shadow(mg, gather(ops, shadowApplied(subs, err, mg, t, points)))
 	return err
+}
+
+// shadow group-commits ops — the window-covered writes a group commit
+// just applied to the migration donor — to the recipient, with no
+// observer: shadow writes are not separately acknowledged. A shadow
+// that cannot be applied leaves the recipient incomplete, so it marks
+// the migration failed (it will abort instead of flipping). The caller
+// holds the window lock shared.
+func (f *frontend[K]) shadow(mg *migration, ops []group.Op[K]) {
+	if len(ops) == 0 {
+		return
+	}
+	if f.unavailable(mg.recipient) != nil || f.commitShard(mg.recipient, ops, nil) != nil {
+		mg.failed.Store(true)
+	}
 }
 
 // shadowApplied returns the original batch indices that must be
@@ -249,17 +254,17 @@ func shadowApplied(subs []subBatch, err error, mg *migration, t *routeTable, poi
 		if sb.shard != mg.donor {
 			continue
 		}
-		applied := len(sb.idxs)
+		n := len(sb.idxs)
 		if be, ok := err.(*BatchError); ok {
 			for i := range be.Failed {
 				if be.Failed[i].Shard == mg.donor {
-					applied = be.Failed[i].Applied
+					n = be.Failed[i].Applied
 					break
 				}
 			}
 		}
 		var out []int
-		for _, i := range sb.idxs[:applied] {
+		for _, i := range sb.idxs[:n] {
 			if mg.covers(points[i], t) {
 				out = append(out, i)
 			}
@@ -267,120 +272,6 @@ func shadowApplied(subs []subBatch, err error, mg *migration, t *routeTable, poi
 		return out
 	}
 	return nil
-}
-
-// InsertBatch group-commits keys[i] → values[i] insertions. See
-// ApplyBatch for the durability and error contract.
-func (m *Ordered) InsertBatch(keys [][]byte, values []uint64) error {
-	ops := make([]group.ByteOp, len(keys))
-	for i := range keys {
-		ops[i] = group.ByteOp{Key: keys[i], Value: values[i]}
-	}
-	return m.ApplyBatch(ops)
-}
-
-// UpdateBatch group-commits in-place updates. See ApplyBatch for the
-// durability and error contract.
-func (m *Ordered) UpdateBatch(keys [][]byte, values []uint64) error {
-	ops := make([]group.ByteOp, len(keys))
-	for i := range keys {
-		ops[i] = group.ByteOp{Key: keys[i], Value: values[i], Update: true}
-	}
-	return m.ApplyBatch(ops)
-}
-
-// ApplyBatch applies ops as per-shard group commits on the unordered
-// front-end. See Ordered.ApplyBatch for the contract.
-func (m *Hash) ApplyBatch(ops []group.U64Op) error {
-	return m.ApplyBatchObserved(ops, nil)
-}
-
-// ApplyBatchObserved is ApplyBatch with per-op instrumentation; see
-// Ordered.ApplyBatchObserved.
-func (m *Hash) ApplyBatchObserved(ops []group.U64Op, obs group.Observer) error {
-	if len(m.shards) == 1 {
-		m.opCount[0].Add(uint64(len(ops)))
-		subs := partition(len(ops), 1, nil)
-		return m.applyBatch(subs, m.applyHashSub(ops, obs))
-	}
-	g := m.gate.enter()
-	defer m.gate.exit(g)
-	if t := m.rt.Load(); t != nil {
-		return m.applyBatchTable(t, ops, obs)
-	}
-	subs := partition(len(ops), len(m.shards), func(i int) int { return m.route(ops[i].Key) })
-	return m.applyBatch(subs, m.applyHashSub(ops, obs))
-}
-
-// applyHashSub builds the per-sub-batch group-commit step shared by the
-// pristine and table-routed batch paths.
-func (m *Hash) applyHashSub(ops []group.U64Op, obs group.Observer) func(sb subBatch) error {
-	return func(sb subBatch) error {
-		sub := make([]group.U64Op, len(sb.idxs))
-		for j, i := range sb.idxs {
-			sub[j] = ops[i]
-		}
-		sh := &m.shards[sb.shard]
-		return group.ApplyHash(sh.heap, sh.idx, sub, translate(obs, sb.idxs))
-	}
-}
-
-// applyBatchTable is the table-routed batch path for the unordered
-// front-end; see Ordered.applyBatchTable.
-func (m *Hash) applyBatchTable(t *routeTable, ops []group.U64Op, obs group.Observer) error {
-	points := make([]uint64, len(ops))
-	subs := partition(len(ops), len(m.shards), func(i int) int {
-		s, p := m.locateKey(t, ops[i].Key)
-		points[i] = p
-		return s
-	})
-	mg := t.mig
-	if mg == nil {
-		return m.applyBatch(subs, m.applyHashSub(ops, obs))
-	}
-	mg.mu.RLock()
-	defer mg.mu.RUnlock()
-	err := m.applyBatch(subs, m.applyHashSub(ops, obs))
-	shadowIdxs := shadowApplied(subs, err, mg, t, points)
-	if len(shadowIdxs) == 0 {
-		return err
-	}
-	if m.unavailable(mg.recipient) != nil {
-		mg.failed.Store(true)
-		return err
-	}
-	shadow := make([]group.U64Op, len(shadowIdxs))
-	for j, i := range shadowIdxs {
-		shadow[j] = ops[i]
-	}
-	sh := &m.shards[mg.recipient]
-	m.batchMu[mg.recipient].Lock()
-	serr := group.ApplyHash(sh.heap, sh.idx, shadow, nil)
-	m.batchMu[mg.recipient].Unlock()
-	if serr != nil {
-		mg.failed.Store(true)
-	}
-	return err
-}
-
-// InsertBatch group-commits keys[i] → values[i] insertions. See
-// Ordered.ApplyBatch for the contract.
-func (m *Hash) InsertBatch(keys, values []uint64) error {
-	ops := make([]group.U64Op, len(keys))
-	for i := range keys {
-		ops[i] = group.U64Op{Key: keys[i], Value: values[i]}
-	}
-	return m.ApplyBatch(ops)
-}
-
-// UpdateBatch group-commits in-place updates. See Ordered.ApplyBatch
-// for the contract.
-func (m *Hash) UpdateBatch(keys, values []uint64) error {
-	ops := make([]group.U64Op, len(keys))
-	for i := range keys {
-		ops[i] = group.U64Op{Key: keys[i], Value: values[i], Update: true}
-	}
-	return m.ApplyBatch(ops)
 }
 
 // Deferred is a group-flush write combiner for the ordered front-end:
@@ -395,7 +286,7 @@ func (m *Hash) UpdateBatch(keys, values []uint64) error {
 type Deferred struct {
 	m     *Ordered
 	limit int
-	ops   []group.ByteOp
+	ops   []group.Op[[]byte]
 	buf   []byte // arena the queued keys are copied into
 	ins   int    // queued non-update ops
 }
@@ -432,7 +323,7 @@ func (d *Deferred) queue(key []byte, value uint64, update bool) error {
 	if !update {
 		d.ins++
 	}
-	d.ops = append(d.ops, group.ByteOp{Key: d.buf[n:len(d.buf):len(d.buf)], Value: value, Update: update})
+	d.ops = append(d.ops, group.Op[[]byte]{Key: d.buf[n:len(d.buf):len(d.buf)], Value: value, Update: update})
 	return err
 }
 
@@ -460,68 +351,6 @@ func (d *Deferred) FlushObserved(obs group.Observer) error {
 	err := d.m.ApplyBatchObserved(d.ops, obs)
 	d.ops = d.ops[:0]
 	d.buf = d.buf[:0]
-	d.ins = 0
-	return err
-}
-
-// DeferredHash is Deferred for the unordered front-end.
-type DeferredHash struct {
-	m     *Hash
-	limit int
-	ops   []group.U64Op
-	ins   int
-}
-
-// NewDeferredHash returns a combiner flushing into m, auto-flushing
-// when limit ops are queued (limit < 1 selects 1).
-func NewDeferredHash(m *Hash, limit int) *DeferredHash {
-	if limit < 1 {
-		limit = 1
-	}
-	return &DeferredHash{m: m, limit: limit}
-}
-
-// Insert queues an insertion, flushing first if the queue is full.
-func (d *DeferredHash) Insert(key, value uint64) error {
-	return d.queue(key, value, false)
-}
-
-// Update queues an in-place update, flushing first if the queue is
-// full.
-func (d *DeferredHash) Update(key, value uint64) error {
-	return d.queue(key, value, true)
-}
-
-func (d *DeferredHash) queue(key, value uint64, update bool) error {
-	var err error
-	if len(d.ops) >= d.limit {
-		err = d.Flush()
-	}
-	if !update {
-		d.ins++
-	}
-	d.ops = append(d.ops, group.U64Op{Key: key, Value: value, Update: update})
-	return err
-}
-
-// Pending returns the number of queued, unflushed ops.
-func (d *DeferredHash) Pending() int { return len(d.ops) }
-
-// HasInserts reports whether any queued op is an insertion.
-func (d *DeferredHash) HasInserts() bool { return d.ins > 0 }
-
-// Flush group-commits the queued ops and empties the queue; see
-// Deferred.Flush.
-func (d *DeferredHash) Flush() error { return d.FlushObserved(nil) }
-
-// FlushObserved is Flush with the observer forwarded; obs receives
-// queue positions.
-func (d *DeferredHash) FlushObserved(obs group.Observer) error {
-	if len(d.ops) == 0 {
-		return nil
-	}
-	err := d.m.ApplyBatchObserved(d.ops, obs)
-	d.ops = d.ops[:0]
 	d.ins = 0
 	return err
 }

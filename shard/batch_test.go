@@ -30,9 +30,9 @@ func TestBatchDurableAndReadable(t *testing.T) {
 	gen := keys.NewGenerator(keys.RandInt)
 
 	const B = 64
-	ops := make([]group.ByteOp, B)
+	ops := make([]group.Op[[]byte], B)
 	for i := range ops {
-		ops[i] = group.ByteOp{Key: gen.Key(uint64(i)), Value: uint64(i)}
+		ops[i] = group.Op[[]byte]{Key: gen.Key(uint64(i)), Value: uint64(i)}
 	}
 	if err := m.ApplyBatch(ops); err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestBatchOfOneCounterParity(t *testing.T) {
 		dA := a.Stats().Sub(beforeA)
 
 		beforeB := b.Stats()
-		if err := b.ApplyBatch([]group.ByteOp{{Key: key, Value: uint64(i)}}); err != nil {
+		if err := b.ApplyBatch([]group.Op[[]byte]{{Key: key, Value: uint64(i)}}); err != nil {
 			t.Fatal(err)
 		}
 		dB := b.Stats().Sub(beforeB)
@@ -108,8 +108,12 @@ func TestBatchSavesFences(t *testing.T) {
 	}
 	unbatched := m.Stats().Sub(before).Fence
 
+	ops := make([]group.Op[[]byte], B)
+	for i := range ops {
+		ops[i] = group.Op[[]byte]{Key: keysB[i], Value: vals[i], Update: true}
+	}
 	before = m.Stats()
-	if err := m.UpdateBatch(keysB, vals); err != nil {
+	if err := m.ApplyBatch(ops); err != nil {
 		t.Fatal(err)
 	}
 	batched := m.Stats().Sub(before).Fence
@@ -139,13 +143,13 @@ func TestBatchQuarantinedShardPartialFailure(t *testing.T) {
 	m.Quarantine(bad, cause)
 
 	const B = 64
-	ops := make([]group.ByteOp, B)
+	ops := make([]group.Op[[]byte], B)
 	routed := make([]int, B)
 	badOps := 0
 	for i := range ops {
 		key := gen.Key(uint64(i))
-		ops[i] = group.ByteOp{Key: key, Value: uint64(i)}
-		routed[i] = m.route(key)
+		ops[i] = group.Op[[]byte]{Key: key, Value: uint64(i)}
+		routed[i] = m.Route(key)
 		if routed[i] == bad {
 			badOps++
 		}
@@ -209,9 +213,9 @@ func TestBatchObservedIndexTranslation(t *testing.T) {
 	gen := keys.NewGenerator(keys.RandInt)
 
 	const B = 32
-	ops := make([]group.ByteOp, B)
+	ops := make([]group.Op[[]byte], B)
 	for i := range ops {
-		ops[i] = group.ByteOp{Key: gen.Key(uint64(i)), Value: uint64(i)}
+		ops[i] = group.Op[[]byte]{Key: gen.Key(uint64(i)), Value: uint64(i)}
 	}
 	counts := make([]int, B)
 	if err := m.ApplyBatchObserved(ops, func(i int) { counts[i]++ }); err != nil {
@@ -283,35 +287,6 @@ func TestDeferredCombiner(t *testing.T) {
 	}
 }
 
-// TestDeferredHashCombiner: the unordered combiner round-trips.
-func TestDeferredHashCombiner(t *testing.T) {
-	m, err := NewHash("P-CLHT", Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Release()
-	gen := keys.NewGenerator(keys.RandInt)
-	d := NewDeferredHash(m, 8)
-
-	const N = 21
-	for i := 0; i < N; i++ {
-		if err := d.Insert(gen.Uint64(uint64(i))|1, uint64(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < N; i++ {
-		if v, ok := m.Lookup(gen.Uint64(uint64(i)) | 1); !ok || v != uint64(i) {
-			t.Errorf("id %d: ok=%v v=%d", i, ok, v)
-		}
-	}
-	if m.Len() != N {
-		t.Errorf("Len = %d, want %d", m.Len(), N)
-	}
-}
-
 // TestHashBatchSavesFences: the unordered batch path coalesces fences
 // per shard too.
 func TestHashBatchSavesFences(t *testing.T) {
@@ -324,10 +299,12 @@ func TestHashBatchSavesFences(t *testing.T) {
 	const B = 32
 	ks := make([]uint64, B)
 	vs := make([]uint64, B)
+	ops := make([]group.Op[uint64], B)
 	for i := range ks {
 		ks[i], vs[i] = gen.Uint64(uint64(i))|1, uint64(i)
+		ops[i] = group.Op[uint64]{Key: ks[i], Value: vs[i]}
 	}
-	if err := m.InsertBatch(ks, vs); err != nil {
+	if err := m.ApplyBatch(ops); err != nil {
 		t.Fatal(err)
 	}
 
@@ -339,11 +316,11 @@ func TestHashBatchSavesFences(t *testing.T) {
 	}
 	unbatched := m.Stats().Sub(before).Fence
 
-	for i := range vs {
-		vs[i] += 200
+	for i := range ops {
+		ops[i].Value, ops[i].Update = vs[i]+200, true
 	}
 	before = m.Stats()
-	if err := m.UpdateBatch(ks, vs); err != nil {
+	if err := m.ApplyBatch(ops); err != nil {
 		t.Fatal(err)
 	}
 	batched := m.Stats().Sub(before).Fence

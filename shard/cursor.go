@@ -256,7 +256,7 @@ func (m *Ordered) Cursor(start []byte) *Cursor {
 			if m.unavailable(i) != nil {
 				continue // degraded: quarantined partition skipped
 			}
-			rest = append(rest, m.shards[i].idx)
+			rest = append(rest, m.ordered[i])
 		}
 		return &Cursor{rest: rest, start: append([]byte(nil), start...), batch: m.batch}
 	}
@@ -280,7 +280,7 @@ func (m *Ordered) openMerge(c *Cursor, start []byte, batch int) {
 		}
 		s := &c.srcs[i]
 		s.shard = i
-		if s.open(m.shards[i].idx, start, batch) {
+		if s.open(m.ordered[i], start, batch) {
 			c.heap = append(c.heap, s)
 		}
 	}

@@ -113,7 +113,7 @@ type loadState struct {
 // (the first call reports since construction) and starts a new epoch.
 // It is safe to call concurrently with operations; concurrent reports
 // serialise against each other.
-func (f *frontend[IX]) LoadReport() LoadReport {
+func (f *frontend[K]) LoadReport() LoadReport {
 	ls := f.load
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
@@ -143,7 +143,7 @@ func (f *frontend[IX]) LoadReport() LoadReport {
 
 // OpCounts returns the cumulative routed-operation count per shard
 // (LoadReport's counter before epoch differencing).
-func (f *frontend[IX]) OpCounts() []uint64 {
+func (f *frontend[K]) OpCounts() []uint64 {
 	out := make([]uint64, len(f.shards))
 	for i := range f.shards {
 		out[i] = f.opCount[i].Load()
@@ -155,7 +155,7 @@ func (f *frontend[IX]) OpCounts() []uint64 {
 // front-end is pristine (resharding never enabled), then the version of
 // the current table (which starts at 0 and steps on every window open,
 // abort, or flip).
-func (f *frontend[IX]) TableVersion() uint64 {
+func (f *frontend[K]) TableVersion() uint64 {
 	if t := f.rt.Load(); t != nil {
 		return t.version
 	}
@@ -164,13 +164,13 @@ func (f *frontend[IX]) TableVersion() uint64 {
 
 // Resharding reports whether a routing table has been materialised
 // (EnableResharding ran).
-func (f *frontend[IX]) Resharding() bool { return f.rt.Load() != nil }
+func (f *frontend[K]) Resharding() bool { return f.rt.Load() != nil }
 
 // SlotLoads returns the cumulative routed-operation count per routing
 // slot (hash tables) or per span (range tables), and nil while the
 // front-end is pristine. Slot counts feed the rebalancer's choice of
 // which slice of a hot shard to move.
-func (f *frontend[IX]) SlotLoads() []uint64 {
+func (f *frontend[K]) SlotLoads() []uint64 {
 	t := f.rt.Load()
 	if t == nil {
 		return nil
@@ -184,7 +184,7 @@ func (f *frontend[IX]) SlotLoads() []uint64 {
 
 // SlotsOf returns the routing slots (hash tables) or span indices
 // (range tables) currently owned by shard s, and nil while pristine.
-func (f *frontend[IX]) SlotsOf(s int) []int {
+func (f *frontend[K]) SlotsOf(s int) []int {
 	t := f.rt.Load()
 	if t == nil {
 		return nil

@@ -184,82 +184,128 @@ func TestMergedScanSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// staleIter yields its iterator's keys with values no shard ever held,
-// standing in for a donor iterator that read them arbitrarily long ago.
-type staleIter struct{ core.Iterator }
+// The stale* wrappers make every enumeration of an index report values
+// no shard ever held, standing in for a donor walk that read its
+// entries arbitrarily long ago: staleOrdered through Scan (the
+// batch-and-resume adapter's source), staleIterable through the native
+// iterator as well, staleHash through Range.
+type (
+	staleOrdered  struct{ core.OrderedIndex }
+	staleIterable struct{ staleOrdered }
+	staleIter     struct{ core.Iterator }
+	staleHash     struct{ core.HashIndex }
+)
+
+func (s staleOrdered) Scan(start []byte, n int, fn func([]byte, uint64) bool) int {
+	return s.OrderedIndex.Scan(start, n, func(k []byte, _ uint64) bool { return fn(k, 0xdead) })
+}
+
+func (s staleIterable) NewIterator() core.Iterator {
+	return staleIter{s.OrderedIndex.(core.Iterable).NewIterator()}
+}
 
 func (s staleIter) Next() ([]byte, uint64, bool) {
 	k, _, ok := s.Iterator.Next()
 	return k, 0xdead, ok
 }
 
+func (s staleHash) Range(fn func(k, v uint64) bool) {
+	s.HashIndex.(core.HashRanger).Range(func(k, _ uint64) bool { return fn(k, 0xdead) })
+}
+
 // TestCopyBatchReadsUnderTheLock pins the lost-update fix at its root,
-// without needing a lucky interleaving: whatever value the donor iterator
-// saw when it read a key, the copy commits the value the donor holds at
-// the time the batch runs, and skips keys deleted in between.
+// without needing a lucky interleaving, for both key kinds: whatever
+// value the donor walk saw when it read a key, the copy commits the
+// value the donor holds at the time the batch runs, and skips keys
+// deleted in between.
 func TestCopyBatchReadsUnderTheLock(t *testing.T) {
-	for _, name := range []string{"P-ART", "FAST & FAIR"} { // native iterator, adapter
-		t.Run(name, func(t *testing.T) {
-			m, err := NewOrdered(name, keys.RandInt, Options{Shards: 2})
+	ordered := func(name string, wrap func(core.OrderedIndex) core.OrderedIndex) func(*testing.T) {
+		return func(t *testing.T) {
+			m, err := NewOrderedWith(func(h *pmem.Heap) (core.OrderedIndex, error) {
+				idx, err := core.NewOrdered(name, h, keys.RandInt)
+				return wrap(idx), err
+			}, Options{Shards: 2})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := m.EnableResharding(); err != nil {
-				t.Fatal(err)
-			}
-			gen := keys.NewGenerator(keys.RandInt)
-			var moved []uint64 // ids living on shard 0, the donor
-			for id := uint64(0); len(moved) < 40; id++ {
-				if k := gen.Key(id); m.Route(k) == 0 {
-					if err := m.Insert(k, id); err != nil {
-						t.Fatal(err)
-					}
-					moved = append(moved, id)
-				}
-			}
-			// Open a window over all of the donor's slots by hand and
-			// position the iterator before the writes below happen.
-			t0 := m.rt.Load()
-			mg, err := windowForSlots(t0, 0, 1, m.SlotsOf(0))
-			if err != nil {
-				t.Fatal(err)
-			}
-			wt := t0.withWindow(mg)
-			m.rt.Store(wt)
-			it := staleIter{newIter(m.Shard(0), 64)}
-			it.Seek(nil)
-			// Double-applied writes that land after the iterator opened
-			// and before the copy runs: an update and a delete.
-			upd, del := gen.Key(moved[3]), gen.Key(moved[7])
-			if err := m.Update(upd, 777); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := m.Delete(del); err != nil {
-				t.Fatal(err)
-			}
-			for done := false; !done; {
-				if done, err = m.copyBatch(wt, mg, it, 16); err != nil {
-					t.Fatal(err)
-				}
-			}
-			rec := m.Shard(1)
-			for _, id := range moved {
-				k := gen.Key(id)
-				v, ok := rec.Lookup(k)
-				switch {
-				case bytes.Equal(k, del):
-					if ok {
-						t.Fatalf("deleted key %d resurrected on the recipient with %d", id, v)
-					}
-				case bytes.Equal(k, upd):
-					if !ok || v != 777 {
-						t.Fatalf("updated key %d on the recipient = %d, %v; want 777", id, v, ok)
-					}
-				case !ok || v != id:
-					t.Fatalf("key %d on the recipient = %d, %v; want %d", id, v, ok, id)
-				}
-			}
-			m.rt.Store(wt.withoutWindow())
-		})
+			copyBatchReadsUnderTheLock(t, &m.frontend, keys.NewGenerator(keys.RandInt).Key)
+		}
 	}
+	t.Run("P-ART", ordered("P-ART", func(idx core.OrderedIndex) core.OrderedIndex {
+		return staleIterable{staleOrdered{idx}} // native iterator
+	}))
+	t.Run("FAST & FAIR", ordered("FAST & FAIR", func(idx core.OrderedIndex) core.OrderedIndex {
+		return staleOrdered{idx} // batch-and-resume adapter
+	}))
+	t.Run("P-CLHT", func(t *testing.T) {
+		m, err := NewHashWith(func(h *pmem.Heap) (core.HashIndex, error) {
+			idx, err := core.NewHash("P-CLHT", h)
+			return staleHash{idx}, err
+		}, Options{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		copyBatchReadsUnderTheLock(t, &m.frontend, hashKey)
+	})
+}
+
+// copyBatchReadsUnderTheLock is the test's body over either key kind;
+// key maps a dense id to the kind's key.
+func copyBatchReadsUnderTheLock[K any](t *testing.T, m *frontend[K], key func(id uint64) K) {
+	if err := m.EnableResharding(); err != nil {
+		t.Fatal(err)
+	}
+	var moved []uint64 // ids living on shard 0, the donor
+	for id := uint64(0); len(moved) < 40; id++ {
+		if k := key(id); m.Route(k) == 0 {
+			if err := m.Insert(k, id); err != nil {
+				t.Fatal(err)
+			}
+			moved = append(moved, id)
+		}
+	}
+	// Open a window over all of the donor's slots by hand and open the
+	// donor walk before the writes below happen.
+	t0 := m.rt.Load()
+	mg, err := windowForSlots(t0, 0, 1, m.SlotsOf(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wt := t0.withWindow(mg)
+	m.rt.Store(wt)
+	walk, err := m.walk(wt, mg, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Double-applied writes that land after the walk opened and before
+	// the copy runs: an update and a delete.
+	upd, del := moved[3], moved[7]
+	if err := m.Update(key(upd), 777); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Delete(key(del)); err != nil {
+		t.Fatal(err)
+	}
+	for done := false; !done; {
+		if done, err = m.copyBatch(wt, mg, walk, 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rec := m.Shard(1)
+	for _, id := range moved {
+		v, ok := rec.Lookup(key(id))
+		switch {
+		case id == del:
+			if ok {
+				t.Fatalf("deleted key %d resurrected on the recipient with %d", id, v)
+			}
+		case id == upd:
+			if !ok || v != 777 {
+				t.Fatalf("updated key %d on the recipient = %d, %v; want 777", id, v, ok)
+			}
+		case !ok || v != id:
+			t.Fatalf("key %d on the recipient = %d, %v; want %d", id, v, ok, id)
+		}
+	}
+	m.rt.Store(wt.withoutWindow())
 }

@@ -72,7 +72,7 @@ func newHealth(n int) []shardHealth { return make([]shardHealth, n) }
 
 // unavailable returns the typed routing error for shard i, or nil when
 // the shard is serving. The fast path is one atomic load.
-func (f *frontend[IX]) unavailable(i int) error {
+func (f *frontend[K]) unavailable(i int) error {
 	h := &f.health[i]
 	if !h.quarantined.Load() {
 		return nil
@@ -87,7 +87,7 @@ func (f *frontend[IX]) unavailable(i int) error {
 // failure does this automatically; verifiers call it when readback
 // reports the recovered image corrupt. Operations routed to the shard
 // return *ShardUnavailableError until a RetryShard succeeds.
-func (f *frontend[IX]) Quarantine(i int, cause error) {
+func (f *frontend[K]) Quarantine(i int, cause error) {
 	h := &f.health[i]
 	h.mu.Lock()
 	h.cause = cause
@@ -98,7 +98,7 @@ func (f *frontend[IX]) Quarantine(i int, cause error) {
 }
 
 // Quarantined returns the indices of quarantined shards, in order.
-func (f *frontend[IX]) Quarantined() []int {
+func (f *frontend[K]) Quarantined() []int {
 	var out []int
 	for i := range f.health {
 		if f.health[i].quarantined.Load() {
@@ -110,7 +110,7 @@ func (f *frontend[IX]) Quarantined() []int {
 
 // Degraded reports whether any shard is quarantined — the front-end is
 // serving a subset of the key space.
-func (f *frontend[IX]) Degraded() bool {
+func (f *frontend[K]) Degraded() bool {
 	for i := range f.health {
 		if f.health[i].quarantined.Load() {
 			return true
@@ -121,7 +121,7 @@ func (f *frontend[IX]) Degraded() bool {
 
 // QuarantineCause returns why shard i is quarantined (nil when it is
 // serving).
-func (f *frontend[IX]) QuarantineCause(i int) error {
+func (f *frontend[K]) QuarantineCause(i int) error {
 	h := &f.health[i]
 	if !h.quarantined.Load() {
 		return nil
@@ -141,7 +141,7 @@ func (f *frontend[IX]) QuarantineCause(i int) error {
 // shard. On success the shard leaves quarantine and serves again; a
 // no-op on a healthy shard. It must not be called concurrently with
 // index operations on shard i.
-func (f *frontend[IX]) RetryShard(i int) error {
+func (f *frontend[K]) RetryShard(i int) error {
 	h := &f.health[i]
 	if !h.quarantined.Load() {
 		return nil
@@ -182,7 +182,7 @@ func (f *frontend[IX]) RetryShard(i int) error {
 
 // clock returns the front-end's time source (injectable for backoff
 // tests).
-func (f *frontend[IX]) clock() time.Time {
+func (f *frontend[K]) clock() time.Time {
 	if f.now != nil {
 		return f.now()
 	}
@@ -195,7 +195,7 @@ func (f *frontend[IX]) clock() time.Time {
 // seeded by Options.RetrySeed (deterministic, for tests) or lazily
 // from the wall clock, and is mutex-guarded: retries of different
 // shards may race.
-func (f *frontend[IX]) drawJitter(max time.Duration) time.Duration {
+func (f *frontend[K]) drawJitter(max time.Duration) time.Duration {
 	j := f.jitter
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -212,6 +212,6 @@ func (f *frontend[IX]) drawJitter(max time.Duration) time.Duration {
 // recovers the shard (RecoverShard or RetryShard), exactly as a
 // restart of that PM pool would. It must not be called concurrently
 // with operations on shard i.
-func (f *frontend[IX]) PowerCycleShard(i int, policy pmem.Policy, seed int64) pmem.CycleReport {
+func (f *frontend[K]) PowerCycleShard(i int, policy pmem.Policy, seed int64) pmem.CycleReport {
 	return f.shards[i].heap.PowerCycle(policy, seed)
 }

@@ -10,13 +10,16 @@
 //     to a covered key double-applies (donor authoritative, recipient
 //     shadow).
 //  2. Stream the donor's covered keys into the recipient in batches.
-//     The donor iterator supplies keys only; each batch takes the
-//     window lock exclusively, looks every covered key's value up on
-//     the donor under that hold, and group-commits the batch to the
-//     recipient before releasing it, so a copied value is never older
-//     than a double-applied write and a key deleted meanwhile is not
-//     copied. Each batch is fenced durable on the recipient before the
-//     crash site "reshard.copy.applied" fires on the recipient's heap.
+//     The donor's key walk (keyWalk below — the one step that differs
+//     by key kind) supplies keys only; each batch takes the window lock
+//     exclusively, looks every covered key's value up on the donor
+//     under that hold, and group-commits the batch to the recipient
+//     before releasing it, so a copied value is never older than a
+//     double-applied write and a key deleted meanwhile is not copied.
+//     The window lock is released between batches for both kinds:
+//     covered writers stall for one batch, never for the whole copy.
+//     Each batch is fenced durable on the recipient before the crash
+//     site "reshard.copy.applied" fires on the recipient's heap.
 //  3. Publish the flipped table (covered points now owned by the
 //     recipient) — the commit point, after which reads and writes of
 //     covered keys route to the recipient. The crash site
@@ -60,8 +63,8 @@ const (
 // Resharding errors.
 var (
 	// ErrNotReshardable reports a front-end whose partitioner cannot be
-	// table-routed (it does not implement PointMapper/PointMapper64, or
-	// the donor index cannot be enumerated).
+	// table-routed (it does not implement PointMapper), or whose donor
+	// index cannot be enumerated.
 	ErrNotReshardable = errors.New("shard: front-end not reshardable")
 	// ErrReshardingDisabled reports a migration attempt on a pristine
 	// front-end; call EnableResharding first.
@@ -82,52 +85,23 @@ const defaultCopyBatch = 128
 // so no key moves; it may be called under live traffic and is idempotent.
 // It fails with ErrNotReshardable if the partitioner does not implement
 // PointMapper.
-func (m *Ordered) EnableResharding() error {
-	pm, ok := m.part.(PointMapper)
+func (f *frontend[K]) EnableResharding() error {
+	pm, ok := f.part.(pointMapper[K])
 	if !ok {
-		return fmt.Errorf("%w: partitioner %q has no point mapping", ErrNotReshardable, m.part.Name())
+		return fmt.Errorf("%w: partitioner %q has no point mapping", ErrNotReshardable, f.part.Name())
 	}
-	m.reshardMu.Lock()
-	defer m.reshardMu.Unlock()
-	if m.rt.Load() != nil {
+	f.reshardMu.Lock()
+	defer f.reshardMu.Unlock()
+	if f.rt.Load() != nil {
 		return nil
 	}
-	m.mapper = pm
-	if orderPreserving(m.part) {
-		m.rt.Store(newRangeTable(len(m.shards)))
+	f.mapper = pm
+	if orderPreserving(f.part) {
+		f.rt.Store(newRangeTable(len(f.shards)))
 	} else {
-		m.rt.Store(newSlotTable(len(m.shards)))
+		f.rt.Store(newSlotTable(len(f.shards)))
 	}
 	return nil
-}
-
-// EnableResharding materialises the initial routing table for the
-// unordered front-end; see Ordered.EnableResharding.
-func (m *Hash) EnableResharding() error {
-	pm, ok := m.part.(PointMapper64)
-	if !ok {
-		return fmt.Errorf("%w: partitioner %q has no point mapping", ErrNotReshardable, m.part.Name())
-	}
-	m.reshardMu.Lock()
-	defer m.reshardMu.Unlock()
-	if m.rt.Load() != nil {
-		return nil
-	}
-	m.mapper64 = pm
-	m.rt.Store(newSlotTable(len(m.shards)))
-	return nil
-}
-
-// validateMove checks the donor/recipient pair against the front-end.
-func (f *frontend[IX]) validateMove(donor, recipient int) error {
-	if donor == recipient || donor < 0 || recipient < 0 ||
-		donor >= len(f.shards) || recipient >= len(f.shards) {
-		return fmt.Errorf("shard: invalid migration %d -> %d", donor, recipient)
-	}
-	if err := f.unavailable(donor); err != nil {
-		return err
-	}
-	return f.unavailable(recipient)
 }
 
 // windowForSlots builds a slot-window migration after validating that
@@ -195,51 +169,51 @@ func rangeStartKey(lo uint64) []byte {
 // residue removed; on failure (including an injected crash, returned as
 // crash.ErrCrashed) the migration is aborted unless the flip had
 // already published.
-func (m *Ordered) MigrateSlots(donor, recipient int, slots []int, batchSize int) error {
-	if err := m.validateMove(donor, recipient); err != nil {
-		return err
-	}
-	m.reshardMu.Lock()
-	defer m.reshardMu.Unlock()
-	t := m.rt.Load()
-	if t == nil {
-		return ErrReshardingDisabled
-	}
-	mg, err := windowForSlots(t, donor, recipient, slots)
-	if err != nil {
-		return err
-	}
-	return m.migrate(t, mg, batchSize)
+func (f *frontend[K]) MigrateSlots(donor, recipient int, slots []int, batchSize int) error {
+	return f.migrate(donor, recipient, batchSize, func(t *routeTable) (*migration, error) {
+		return windowForSlots(t, donor, recipient, slots)
+	})
 }
 
 // MigrateRange moves the points in [lo, hi] (all currently owned by
-// donor) from donor to recipient; see MigrateSlots.
-func (m *Ordered) MigrateRange(donor, recipient int, lo, hi uint64, batchSize int) error {
-	if err := m.validateMove(donor, recipient); err != nil {
+// donor) from donor to recipient on a range-routed front-end; see
+// MigrateSlots.
+func (f *frontend[K]) MigrateRange(donor, recipient int, lo, hi uint64, batchSize int) error {
+	return f.migrate(donor, recipient, batchSize, func(t *routeTable) (*migration, error) {
+		return windowForRange(t, donor, recipient, lo, hi)
+	})
+}
+
+// migrate validates the donor/recipient pair, builds the window against
+// the current table and runs the handoff protocol.
+func (f *frontend[K]) migrate(donor, recipient, batchSize int, window func(*routeTable) (*migration, error)) (err error) {
+	if donor == recipient || donor < 0 || recipient < 0 ||
+		donor >= len(f.shards) || recipient >= len(f.shards) {
+		return fmt.Errorf("shard: invalid migration %d -> %d", donor, recipient)
+	}
+	if err := f.unavailable(donor); err != nil {
 		return err
 	}
-	m.reshardMu.Lock()
-	defer m.reshardMu.Unlock()
-	t := m.rt.Load()
+	if err := f.unavailable(recipient); err != nil {
+		return err
+	}
+	f.reshardMu.Lock()
+	defer f.reshardMu.Unlock()
+	t := f.rt.Load()
 	if t == nil {
 		return ErrReshardingDisabled
 	}
-	mg, err := windowForRange(t, donor, recipient, lo, hi)
+	mg, err := window(t)
 	if err != nil {
 		return err
 	}
-	return m.migrate(t, mg, batchSize)
-}
-
-// migrate runs the handoff protocol for an already-validated window.
-// Caller holds reshardMu.
-func (m *Ordered) migrate(t *routeTable, mg *migration, batchSize int) (err error) {
 	if batchSize < 1 {
 		batchSize = defaultCopyBatch
 	}
+
 	wt := t.withWindow(mg)
-	m.rt.Store(wt)
-	m.gate.drain()
+	f.rt.Store(wt)
+	f.gate.drain()
 	flipped := false
 	defer func() {
 		if r := recover(); r != nil {
@@ -249,84 +223,169 @@ func (m *Ordered) migrate(t *routeTable, mg *migration, batchSize int) (err erro
 			// Abort: close the window, keep the mapping. Writers still
 			// holding the window table double-apply harmlessly (the
 			// donor stays authoritative).
-			m.rt.Store(wt.withoutWindow())
+			f.rt.Store(wt.withoutWindow())
 		}
 	}()
 
-	start := []byte(nil)
-	if mg.ranged {
-		start = rangeStartKey(mg.lo)
+	walk, err := f.walk(wt, mg, batchSize)
+	if err != nil {
+		return err
 	}
-	it := newIter(m.shards[mg.donor].idx, batchSize)
-	it.Seek(start)
-	for {
-		done, cerr := m.copyBatch(wt, mg, it, batchSize)
-		if cerr != nil {
-			return cerr
-		}
-		if done {
-			break
+	for done := false; !done; {
+		if done, err = f.copyBatch(wt, mg, walk, batchSize); err != nil {
+			return err
 		}
 	}
 	if mg.failed.Load() {
 		return fmt.Errorf("%w: shadow apply failed on recipient %d", ErrMigrationAborted, mg.recipient)
 	}
 
-	m.rt.Store(wt.flipped(mg))
+	f.rt.Store(wt.flipped(mg))
 	flipped = true
-	m.shards[mg.donor].heap.CrashPoint(SiteFlipPublished)
-	m.gate.drain()
-	m.sweepResidue(wt, mg, batchSize)
+	f.shards[mg.donor].heap.CrashPoint(SiteFlipPublished)
+	f.gate.drain()
+	f.sweepResidue(wt, mg, batchSize)
 	return nil
 }
 
-// copyBatch moves the donor iterator over at most batchSize keys (which
+// keyWalk is one pass over the migration donor's keys, opened by
+// frontend.walk — the only step of the protocol that depends on the key
+// kind. It yields keys, never values: what a walk read, and when, must
+// not matter to what the copy commits.
+type keyWalk[K any] interface {
+	// next returns the walk's next key, valid until the following call;
+	// ok is false once the donor's keys are exhausted. A walk may skip
+	// keys the window does not cover.
+	next() (key K, ok bool)
+	// keep returns a copy of a key next returned that outlives the walk.
+	keep(key K) K
+}
+
+// iterWalk walks an ordered donor in key order through its
+// core.Iterator (native or the batch-and-resume adapter).
+type iterWalk struct{ it core.Iterator }
+
+func (w iterWalk) next() ([]byte, bool) {
+	k, _, ok := w.it.Next()
+	return k, ok
+}
+
+func (iterWalk) keep(k []byte) []byte { return append([]byte(nil), k...) }
+
+// walkIterator implements frontend.walk: an ordered cursor over the
+// donor, started at the window's low point when the window is a range.
+func (m *Ordered) walkIterator(_ *routeTable, mg *migration, batch int) (keyWalk[[]byte], error) {
+	var start []byte
+	if mg.ranged {
+		start = rangeStartKey(mg.lo)
+	}
+	it := newIter(m.ordered[mg.donor], batch)
+	it.Seek(start)
+	return iterWalk{it}, nil
+}
+
+// snapshotWalk walks an unordered donor. A hash table cannot resume an
+// enumeration at a key, so the walk snapshots the covered keys with one
+// core.HashRanger pass on its first next — for the copy that is under
+// the first batch's exclusive hold of the window — and then hands them
+// out. Keys inserted after the snapshot are not in it and need not be:
+// the window is open, so they double-apply to the recipient.
+type snapshotWalk struct {
+	ranger  core.HashRanger
+	covered func(key uint64) bool
+	keys    []uint64
+	taken   bool
+}
+
+func (w *snapshotWalk) next() (uint64, bool) {
+	if !w.taken {
+		w.taken = true
+		w.ranger.Range(func(k, _ uint64) bool {
+			if w.covered(k) {
+				w.keys = append(w.keys, k)
+			}
+			return true
+		})
+	}
+	if len(w.keys) == 0 {
+		return 0, false
+	}
+	k := w.keys[0]
+	w.keys = w.keys[1:]
+	return k, true
+}
+
+func (*snapshotWalk) keep(k uint64) uint64 { return k }
+
+// walkSnapshot implements frontend.walk. It fails with ErrNotReshardable
+// if the donor index cannot be enumerated.
+func (m *Hash) walkSnapshot(wt *routeTable, mg *migration, _ int) (keyWalk[uint64], error) {
+	ranger, ok := m.shards[mg.donor].idx.(core.HashRanger)
+	if !ok {
+		return nil, fmt.Errorf("%w: donor index is not enumerable (no Range)", ErrNotReshardable)
+	}
+	return &snapshotWalk{ranger: ranger, covered: func(k uint64) bool {
+		return mg.covers(m.mapper.Point(k), wt)
+	}}, nil
+}
+
+// step moves walk one key on. ok is false once the walk is exhausted or
+// has left a ranged window's span; covered reports whether the window
+// covers the key.
+func (f *frontend[K]) step(walk keyWalk[K], wt *routeTable, mg *migration) (key K, covered, ok bool) {
+	if key, ok = walk.next(); !ok {
+		return key, false, false
+	}
+	p := f.mapper.Point(key)
+	if mg.ranged && p > mg.hi {
+		return key, false, false
+	}
+	return key, mg.covers(p, wt), true
+}
+
+// copyBatch moves the donor walk over at most batchSize keys (which
 // bounds the writers' stall even when few of them are covered) and
 // copies the covered ones to the recipient as a single fenced group
-// commit. The iterator contributes keys only, whenever it read them:
-// each covered key's value is looked up on the donor under the same
+// commit. The walk contributes keys only, whenever it read them: each
+// covered key's value is looked up on the donor under the same
 // exclusive hold of the window lock that commits the batch. Every writer
 // of a covered key holds that lock shared across its donor and recipient
 // applies, so the value copied is the donor's latest and no
 // double-applied write can land between the read and the commit; a key
-// deleted since the iterator saw it is skipped. A write that arrives
-// after the hold double-applies over the copy.
-func (m *Ordered) copyBatch(wt *routeTable, mg *migration, it core.Iterator, batchSize int) (done bool, err error) {
+// deleted since the walk saw it is skipped. A write that arrives after
+// the hold double-applies over the copy.
+func (f *frontend[K]) copyBatch(wt *routeTable, mg *migration, walk keyWalk[K], batchSize int) (done bool, err error) {
 	mg.mu.Lock()
 	defer mg.mu.Unlock()
-	donor := m.shards[mg.donor].idx
-	var ops []group.ByteOp
+	donor := f.shards[mg.donor].idx
+	var ops []group.Op[K]
 	for scanned := 0; scanned < batchSize; scanned++ {
-		k, _, ok := it.Next()
+		k, covered, ok := f.step(walk, wt, mg)
 		if !ok {
 			done = true
 			break
 		}
-		p := m.mapper.Point(k)
-		if mg.ranged && p > mg.hi {
-			done = true
-			break
-		}
-		if !mg.covers(p, wt) {
+		if !covered {
 			continue
 		}
 		if v, live := donor.Lookup(k); live {
-			ops = append(ops, group.ByteOp{Key: append([]byte(nil), k...), Value: v})
+			ops = append(ops, group.Op[K]{Key: walk.keep(k), Value: v})
 		}
 	}
-	return done, m.commitCopy(mg, ops)
+	return done, f.commitCopy(mg, ops)
 }
 
 // commitCopy group-commits one copy batch on the recipient and passes
-// the reshard.copy.applied crash site. Caller holds the window lock.
-func (m *Ordered) commitCopy(mg *migration, ops []group.ByteOp) error {
+// the reshard.copy.applied crash site, still holding the recipient's
+// group-commit lock. Caller holds the window lock.
+func (f *frontend[K]) commitCopy(mg *migration, ops []group.Op[K]) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	rec := &m.shards[mg.recipient]
-	m.batchMu[mg.recipient].Lock()
-	defer m.batchMu[mg.recipient].Unlock()
-	if err := group.ApplyOrdered(rec.heap, rec.idx, ops, nil); err != nil {
+	rec := &f.shards[mg.recipient]
+	f.batchMu[mg.recipient].Lock()
+	defer f.batchMu[mg.recipient].Unlock()
+	if err := group.Apply(rec.heap, rec.idx, ops, nil); err != nil {
 		return err
 	}
 	rec.heap.CrashPoint(SiteCopyApplied)
@@ -334,164 +393,41 @@ func (m *Ordered) commitCopy(mg *migration, ops []group.ByteOp) error {
 }
 
 // sweepResidue deletes the donor's copies of the migrated keys after the
-// flip. Residue is invisible to routing and deduplicated by merged
-// scans, so the sweep is plain unfenced deletes; a crash that skips it
-// costs capacity, not correctness.
-func (m *Ordered) sweepResidue(wt *routeTable, mg *migration, batchSize int) {
-	start := []byte(nil)
-	if mg.ranged {
-		start = rangeStartKey(mg.lo)
+// flip, over a fresh walk. Residue is invisible to routing and
+// deduplicated by merged scans, so the sweep is plain unfenced deletes;
+// a crash that skips it costs capacity, not correctness.
+func (f *frontend[K]) sweepResidue(wt *routeTable, mg *migration, batchSize int) {
+	walk, err := f.walk(wt, mg, batchSize)
+	if err != nil {
+		return
 	}
-	donor := &m.shards[mg.donor]
-	it := newIter(donor.idx, batchSize)
-	it.Seek(start)
-	var doomed [][]byte
+	donor := f.shards[mg.donor].idx
+	var doomed []K
 	flush := func() {
 		// Shared lock: the deletes are point writes on the donor heap and
 		// must not interleave with a group commit there.
-		m.writeLock(mg.donor)
-		defer m.writeUnlock(mg.donor)
+		f.batchMu[mg.donor].RLock()
+		defer f.batchMu[mg.donor].RUnlock()
 		for _, k := range doomed {
-			donor.idx.Delete(k) //nolint:errcheck // residue sweep is best-effort
+			donor.Delete(k) //nolint:errcheck // residue sweep is best-effort
 		}
 		doomed = doomed[:0]
 	}
 	for {
-		k, _, ok := it.Next()
+		k, covered, ok := f.step(walk, wt, mg)
 		if !ok {
 			break
 		}
-		p := m.mapper.Point(k)
-		if mg.ranged && p > mg.hi {
-			break
-		}
-		if mg.covers(p, wt) {
-			doomed = append(doomed, append([]byte(nil), k...))
+		if covered {
+			doomed = append(doomed, walk.keep(k))
 		}
 		if len(doomed) >= batchSize {
-			// The iterator has already moved past these keys, so
-			// deleting behind it is safe.
+			// The walk has already moved past these keys, so deleting
+			// behind it is safe.
 			flush()
 		}
 	}
 	flush()
-}
-
-// MigrateSlots moves the given routing slots from donor to recipient on
-// the unordered front-end. Hash indexes have no ordered cursor, so the
-// copy enumerates the donor via core.HashRanger while holding the
-// handoff window exclusively — writers to the donor's covered keys
-// stall for the duration of the copy (O(donor size)), which is the
-// documented cost of migrating an unordered shard. The recipient is
-// still populated in fenced group commits of batchSize with the same
-// crash sites as the ordered path.
-func (m *Hash) MigrateSlots(donor, recipient int, slots []int, batchSize int) error {
-	if err := m.validateMove(donor, recipient); err != nil {
-		return err
-	}
-	ranger, ok := m.shards[donor].idx.(core.HashRanger)
-	if !ok {
-		return fmt.Errorf("%w: donor index is not enumerable (no Range)", ErrNotReshardable)
-	}
-	m.reshardMu.Lock()
-	defer m.reshardMu.Unlock()
-	t := m.rt.Load()
-	if t == nil {
-		return ErrReshardingDisabled
-	}
-	mg, err := windowForSlots(t, donor, recipient, slots)
-	if err != nil {
-		return err
-	}
-	return m.migrate(t, mg, ranger, batchSize)
-}
-
-// migrate runs the handoff protocol for the unordered front-end. Caller
-// holds reshardMu.
-func (m *Hash) migrate(t *routeTable, mg *migration, ranger core.HashRanger, batchSize int) (err error) {
-	if batchSize < 1 {
-		batchSize = defaultCopyBatch
-	}
-	wt := t.withWindow(mg)
-	m.rt.Store(wt)
-	m.gate.drain()
-	flipped := false
-	defer func() {
-		if r := recover(); r != nil {
-			err = crash.Recover(r)
-		}
-		if err != nil && !flipped {
-			m.rt.Store(wt.withoutWindow())
-		}
-	}()
-
-	if cerr := m.copyAll(wt, mg, ranger, batchSize); cerr != nil {
-		return cerr
-	}
-	if mg.failed.Load() {
-		return fmt.Errorf("%w: shadow apply failed on recipient %d", ErrMigrationAborted, mg.recipient)
-	}
-
-	m.rt.Store(wt.flipped(mg))
-	flipped = true
-	m.shards[mg.donor].heap.CrashPoint(SiteFlipPublished)
-	m.gate.drain()
-	m.sweepResidue(wt, mg, ranger)
-	return nil
-}
-
-// copyAll streams every covered donor pair into the recipient in fenced
-// group commits of batchSize, holding the window exclusively for the
-// whole enumeration (hash tables cannot resume an enumeration at a key,
-// so the copy cannot release the window between batches without risking
-// a missed concurrent write).
-func (m *Hash) copyAll(wt *routeTable, mg *migration, ranger core.HashRanger, batchSize int) error {
-	mg.mu.Lock()
-	defer mg.mu.Unlock()
-	var ops []group.U64Op
-	ranger.Range(func(k, v uint64) bool {
-		if mg.covers(m.mapper64.Point(k), wt) {
-			ops = append(ops, group.U64Op{Key: k, Value: v})
-		}
-		return true
-	})
-	rec := &m.shards[mg.recipient]
-	for len(ops) > 0 {
-		n := min(batchSize, len(ops))
-		m.batchMu[mg.recipient].Lock()
-		err := group.ApplyHash(rec.heap, rec.idx, ops[:n], nil)
-		if err == nil {
-			// CrashPoint may panic; the deferred window unlock and the
-			// batch mutex unlock below must both run first.
-			func() {
-				defer m.batchMu[mg.recipient].Unlock()
-				rec.heap.CrashPoint(SiteCopyApplied)
-			}()
-		} else {
-			m.batchMu[mg.recipient].Unlock()
-			return err
-		}
-		ops = ops[n:]
-	}
-	return nil
-}
-
-// sweepResidue deletes the donor's copies of the migrated keys after the
-// flip; see Ordered.sweepResidue.
-func (m *Hash) sweepResidue(wt *routeTable, mg *migration, ranger core.HashRanger) {
-	var doomed []uint64
-	ranger.Range(func(k, v uint64) bool {
-		if mg.covers(m.mapper64.Point(k), wt) {
-			doomed = append(doomed, k)
-		}
-		return true
-	})
-	donor := &m.shards[mg.donor]
-	m.writeLock(mg.donor)
-	defer m.writeUnlock(mg.donor)
-	for _, k := range doomed {
-		donor.idx.Delete(k) //nolint:errcheck // residue sweep is best-effort
-	}
 }
 
 // RebalanceOptions tunes Rebalance.
@@ -581,24 +517,19 @@ func imbalanceOf(perShard []uint64) float64 {
 	return float64(max) / (float64(total) / float64(len(perShard)))
 }
 
-// planSlotMove picks one slot migration from the measured per-slot
-// loads: donor = busiest shard, recipient = least busy, and the move is
-// the heaviest-first subset of the donor's slots that fits
-// min(donor − mean, mean − recipient) — shedding the donor's excess
-// without creating a new hotspot at the recipient. ok is false when the
-// table is already within tolerance or no slot fits the budget.
-func planSlotMove(t *routeTable, shards int, tol float64) (donor, recipient int, slots []int, moved uint64, ok bool) {
-	perShard, perSlot := shardLoads(t, shards)
+// pickPair opens every plan: donor = busiest shard, recipient = least
+// busy, by the measured per-shard loads. ok is false when nothing was
+// measured or the donor is already within tolerance of the mean.
+func pickPair(perShard []uint64, tol float64) (donor, recipient int, mean float64, ok bool) {
 	var total uint64
 	for _, l := range perShard {
 		total += l
 	}
 	if total == 0 {
-		return 0, 0, nil, 0, false
+		return 0, 0, 0, false
 	}
-	mean := float64(total) / float64(shards)
-	donor, recipient = 0, 0
-	for s := 1; s < shards; s++ {
+	mean = float64(total) / float64(len(perShard))
+	for s := 1; s < len(perShard); s++ {
 		if perShard[s] > perShard[donor] {
 			donor = s
 		}
@@ -606,12 +537,23 @@ func planSlotMove(t *routeTable, shards int, tol float64) (donor, recipient int,
 			recipient = s
 		}
 	}
-	if float64(perShard[donor]) <= tol*mean || donor == recipient {
-		return 0, 0, nil, 0, false
+	return donor, recipient, mean, float64(perShard[donor]) > tol*mean && donor != recipient
+}
+
+// planSlotMove picks one slot migration from the measured per-slot
+// loads: the heaviest-first subset of the donor's slots that fits
+// min(donor − mean, mean − recipient) — shedding the donor's excess
+// without creating a new hotspot at the recipient. ok is false when the
+// table is already within tolerance or no slot fits the budget.
+func planSlotMove(t *routeTable, shards int, tol float64) (mv MoveReport, ok bool) {
+	perShard, perSlot := shardLoads(t, shards)
+	donor, recipient, mean, ok := pickPair(perShard, tol)
+	if !ok {
+		return mv, false
 	}
 	budget := min(float64(perShard[donor])-mean, mean-float64(perShard[recipient]))
 	if budget <= 0 {
-		return 0, 0, nil, 0, false
+		return mv, false
 	}
 	var own []int
 	for j, o := range t.slots {
@@ -620,43 +562,24 @@ func planSlotMove(t *routeTable, shards int, tol float64) (donor, recipient int,
 		}
 	}
 	sort.Slice(own, func(a, b int) bool { return perSlot[own[a]] > perSlot[own[b]] })
+	mv = MoveReport{Donor: donor, Recipient: recipient}
 	for _, j := range own {
-		if float64(moved+perSlot[j]) <= budget {
-			slots = append(slots, j)
-			moved += perSlot[j]
+		if float64(mv.Ops+perSlot[j]) <= budget {
+			mv.Slots = append(mv.Slots, j)
+			mv.Ops += perSlot[j]
 		}
 	}
-	if len(slots) == 0 {
-		return 0, 0, nil, 0, false
-	}
-	return donor, recipient, slots, moved, true
+	return mv, len(mv.Slots) > 0
 }
 
-// planRangeMove picks one range migration: donor = busiest shard,
-// recipient = least busy, moving the upper half of the donor's hottest
-// span (span midpoint split — per-span counters do not resolve the
-// intra-span distribution, so halving is the finest safe cut).
-func planRangeMove(t *routeTable, shards int, tol float64) (donor, recipient int, lo, hi uint64, moved uint64, ok bool) {
+// planRangeMove picks one range migration: the upper half of the donor's
+// hottest span (span midpoint split — per-span counters do not resolve
+// the intra-span distribution, so halving is the finest safe cut).
+func planRangeMove(t *routeTable, shards int, tol float64) (mv MoveReport, ok bool) {
 	perShard, perSpan := shardLoads(t, shards)
-	var total uint64
-	for _, l := range perShard {
-		total += l
-	}
-	if total == 0 {
-		return 0, 0, 0, 0, 0, false
-	}
-	mean := float64(total) / float64(shards)
-	donor, recipient = 0, 0
-	for s := 1; s < shards; s++ {
-		if perShard[s] > perShard[donor] {
-			donor = s
-		}
-		if perShard[s] < perShard[recipient] {
-			recipient = s
-		}
-	}
-	if float64(perShard[donor]) <= tol*mean || donor == recipient {
-		return 0, 0, 0, 0, 0, false
+	donor, recipient, _, ok := pickPair(perShard, tol)
+	if !ok {
+		return mv, false
 	}
 	hot := -1
 	for i, o := range t.owner {
@@ -665,7 +588,7 @@ func planRangeMove(t *routeTable, shards int, tol float64) (donor, recipient int
 		}
 	}
 	if hot < 0 || perSpan[hot] == 0 {
-		return 0, 0, 0, 0, 0, false
+		return mv, false
 	}
 	sLo := uint64(0)
 	if hot > 0 {
@@ -673,10 +596,10 @@ func planRangeMove(t *routeTable, shards int, tol float64) (donor, recipient int
 	}
 	sHi := t.bounds[hot]
 	if sHi-sLo < 1 {
-		return 0, 0, 0, 0, 0, false
+		return mv, false
 	}
 	mid := sLo + (sHi-sLo)/2
-	return donor, recipient, mid + 1, sHi, perSpan[hot] / 2, true
+	return MoveReport{Donor: donor, Recipient: recipient, Lo: mid + 1, Hi: sHi, Ranged: true, Ops: perSpan[hot] / 2}, true
 }
 
 // Rebalance measures the per-slot load counters, plans and runs up to
@@ -684,65 +607,35 @@ func planRangeMove(t *routeTable, shards int, tol float64) (donor, recipient int
 // reports the projected imbalance before and after. It is the
 // LoadReport-driven entry point: run traffic, then call Rebalance to
 // move the measured hot slices. Requires EnableResharding.
-func (m *Ordered) Rebalance(opts RebalanceOptions) (RebalanceReport, error) {
+func (f *frontend[K]) Rebalance(opts RebalanceOptions) (RebalanceReport, error) {
 	var rep RebalanceReport
-	t := m.rt.Load()
+	t := f.rt.Load()
 	if t == nil {
 		return rep, ErrReshardingDisabled
 	}
-	perShard, _ := shardLoads(t, len(m.shards))
+	perShard, _ := shardLoads(t, len(f.shards))
 	rep.Before = imbalanceOf(perShard)
-	tol := opts.tolerance()
-	for move := 0; move < opts.maxMoves(len(m.shards)); move++ {
-		t = m.rt.Load()
-		if t.kind == kindSlots {
-			donor, recipient, slots, moved, ok := planSlotMove(t, len(m.shards), tol)
-			if !ok {
-				break
-			}
-			if err := m.MigrateSlots(donor, recipient, slots, opts.BatchSize); err != nil {
-				return rep, err
-			}
-			rep.Moves = append(rep.Moves, MoveReport{Donor: donor, Recipient: recipient, Slots: slots, Ops: moved})
-		} else {
-			donor, recipient, lo, hi, moved, ok := planRangeMove(t, len(m.shards), tol)
-			if !ok {
-				break
-			}
-			if err := m.MigrateRange(donor, recipient, lo, hi, opts.BatchSize); err != nil {
-				return rep, err
-			}
-			rep.Moves = append(rep.Moves, MoveReport{Donor: donor, Recipient: recipient, Lo: lo, Hi: hi, Ranged: true, Ops: moved})
+	for move := 0; move < opts.maxMoves(len(f.shards)); move++ {
+		plan := planSlotMove
+		if t = f.rt.Load(); t.kind == kindRange {
+			plan = planRangeMove
 		}
-	}
-	perShard, _ = shardLoads(m.rt.Load(), len(m.shards))
-	rep.After = imbalanceOf(perShard)
-	return rep, nil
-}
-
-// Rebalance is the load-driven rebalancer for the unordered front-end;
-// see Ordered.Rebalance.
-func (m *Hash) Rebalance(opts RebalanceOptions) (RebalanceReport, error) {
-	var rep RebalanceReport
-	t := m.rt.Load()
-	if t == nil {
-		return rep, ErrReshardingDisabled
-	}
-	perShard, _ := shardLoads(t, len(m.shards))
-	rep.Before = imbalanceOf(perShard)
-	tol := opts.tolerance()
-	for move := 0; move < opts.maxMoves(len(m.shards)); move++ {
-		t = m.rt.Load()
-		donor, recipient, slots, moved, ok := planSlotMove(t, len(m.shards), tol)
+		mv, ok := plan(t, len(f.shards), opts.tolerance())
 		if !ok {
 			break
 		}
-		if err := m.MigrateSlots(donor, recipient, slots, opts.BatchSize); err != nil {
+		var err error
+		if mv.Ranged {
+			err = f.MigrateRange(mv.Donor, mv.Recipient, mv.Lo, mv.Hi, opts.BatchSize)
+		} else {
+			err = f.MigrateSlots(mv.Donor, mv.Recipient, mv.Slots, opts.BatchSize)
+		}
+		if err != nil {
 			return rep, err
 		}
-		rep.Moves = append(rep.Moves, MoveReport{Donor: donor, Recipient: recipient, Slots: slots, Ops: moved})
+		rep.Moves = append(rep.Moves, mv)
 	}
-	perShard, _ = shardLoads(m.rt.Load(), len(m.shards))
+	perShard, _ = shardLoads(f.rt.Load(), len(f.shards))
 	rep.After = imbalanceOf(perShard)
 	return rep, nil
 }

@@ -243,23 +243,67 @@ func TestMigrateHashMovesKeys(t *testing.T) {
 	checkStatsConserved(t, m.Stats(), m.ShardStats())
 }
 
-// TestMigrateUnderConcurrentWriters runs point writes and batch writes
-// from several goroutines while slots migrate between shards, then
-// verifies every acknowledged final value — the double-applied handoff
-// window must never lose or resurrect a write. Run with -race.
+// hashKey is the uint64 key the hash-kind migration tests store id
+// under (distinct per id, never the reserved key 0).
+func hashKey(id uint64) uint64 { return (id + 1) * 0x9e3779b97f4a7c15 }
+
+// TestMigrateUnderConcurrentWriters runs point writes from several
+// goroutines while slots migrate between shards, then verifies every
+// acknowledged final value — the double-applied handoff window must
+// never lose or resurrect a write — on both instantiations of the
+// front-end body. Run with -race.
 func TestMigrateUnderConcurrentWriters(t *testing.T) {
+	const h = 4
+	t.Run("P-ART", func(t *testing.T) {
+		m := newReshardOrdered(t, h, HashPartition{}, false)
+		defer m.Release()
+		total := migrateUnderWriters(t, &m.frontend, keys.NewGenerator(keys.RandInt).Key)
+		// Scan must be duplicate-free and exactly sized.
+		seen := 0
+		var prev []byte
+		m.Scan(nil, total+16, func(k []byte, v uint64) bool {
+			if prev != nil && bytes.Compare(prev, k) >= 0 {
+				t.Fatalf("scan out of order or duplicate after migration: %x", k)
+			}
+			prev = append(prev[:0], k...)
+			seen++
+			return true
+		})
+		if seen != total {
+			t.Fatalf("scan saw %d unique keys, want %d", seen, total)
+		}
+	})
+	t.Run("P-CLHT", func(t *testing.T) {
+		m, err := NewHash("P-CLHT", Options{Shards: h})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Release()
+		if err := m.EnableResharding(); err != nil {
+			t.Fatal(err)
+		}
+		total := migrateUnderWriters(t, &m.frontend, hashKey)
+		// No residue and no lost key: the moved keys live on exactly one
+		// shard each.
+		if got := m.Len(); got != total {
+			t.Fatalf("Len = %d, want %d", got, total)
+		}
+	})
+}
+
+// migrateUnderWriters is TestMigrateUnderConcurrentWriters' body over
+// either key kind; key maps a dense id to the kind's key. It returns
+// the number of distinct keys written.
+func migrateUnderWriters[K any](t *testing.T, m *frontend[K], key func(id uint64) K) int {
 	const (
-		h       = 4
 		writers = 4
 		perW    = 1_500
+		preload = 2_000
 	)
-	m := newReshardOrdered(t, h, HashPartition{}, false)
-	defer m.Release()
-	gen := keys.NewGenerator(keys.RandInt)
-
+	h := m.NumShards()
 	// Preload so the donor has something to copy.
-	for id := uint64(0); id < 2_000; id++ {
-		if err := m.Insert(gen.Key(id), id); err != nil {
+	for id := uint64(0); id < preload; id++ {
+		if err := m.Insert(key(id), id); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -269,20 +313,19 @@ func TestMigrateUnderConcurrentWriters(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			g := keys.NewGenerator(keys.RandInt)
 			for i := 0; i < perW; i++ {
 				id := uint64(10_000 + w*perW + i)
-				if err := m.Insert(g.Key(id), id); err != nil {
+				if err := m.Insert(key(id), id); err != nil {
 					t.Errorf("insert %d: %v", id, err)
 					return
 				}
-				if err := m.Update(g.Key(id), id+1); err != nil {
+				if err := m.Update(key(id), id+1); err != nil {
 					t.Errorf("update %d: %v", id, err)
 					return
 				}
 				// Overwrite a preloaded (possibly migrating) key too.
-				if err := m.Update(g.Key(id%2_000), id); err != nil {
-					t.Errorf("update hot %d: %v", id%2_000, err)
+				if err := m.Update(key(id%preload), id); err != nil {
+					t.Errorf("update hot %d: %v", id%preload, err)
 					return
 				}
 			}
@@ -307,28 +350,22 @@ func TestMigrateUnderConcurrentWriters(t *testing.T) {
 	for w := 0; w < writers; w++ {
 		for i := 0; i < perW; i++ {
 			id := uint64(10_000 + w*perW + i)
-			v, ok, err := m.LookupChecked(gen.Key(id))
+			v, ok, err := m.LookupChecked(key(id))
 			if err != nil || !ok || v != id+1 {
 				t.Fatalf("key %d: Lookup = %d, %v, %v; want %d", id, v, ok, err, id+1)
 			}
 		}
 	}
-	// Scan must be duplicate-free and exactly sized.
-	total := 2_000 + writers*perW
-	seen := 0
-	var prev []byte
-	m.Scan(nil, total+16, func(k []byte, v uint64) bool {
-		if prev != nil && bytes.Compare(prev, k) >= 0 {
-			t.Fatalf("scan out of order or duplicate after migration: %x", k)
+	// Every preloaded key must still be there, holding its preload value
+	// or one a writer gave it (all of which are id modulo preload).
+	for id := uint64(0); id < preload; id++ {
+		v, ok, err := m.LookupChecked(key(id))
+		if err != nil || !ok || v%preload != id {
+			t.Fatalf("preloaded key %d: Lookup = %d, %v, %v", id, v, ok, err)
 		}
-		prev = append(prev[:0], k...)
-		seen++
-		return true
-	})
-	if seen != total {
-		t.Fatalf("scan saw %d unique keys, want %d", seen, total)
 	}
 	checkStatsConserved(t, m.Stats(), m.ShardStats())
+	return preload + writers*perW
 }
 
 // TestMigrateCrashAtCopyAborts: a crash injected at reshard.copy.applied

@@ -20,6 +20,17 @@
 // touch few shards. Ordered and Hash implement the same interfaces as
 // the underlying indexes (core.OrderedIndex, core.HashIndex) plus a
 // Stats method, so they drop into the existing harness unchanged.
+//
+// There is one front-end body, frontend[K], written against
+// core.PointIndex[K] and instantiated twice: Ordered embeds
+// frontend[[]byte], Hash embeds frontend[uint64]. Routing, the point
+// operations, group commit (batch.go, apply.go), quarantine
+// (quarantine.go), load accounting (load.go) and live migration
+// (table.go, reshard.go) exist once, there. What a key kind adds is
+// small and named: Ordered has the merged Scan and Cursor (cursor.go),
+// and each kind says how a migration enumerates a donor shard's keys
+// (keyWalk in reshard.go) — a core.Iterator for ordered indexes, a
+// core.HashRanger snapshot for hash tables.
 package shard
 
 import (
@@ -42,11 +53,8 @@ type Options struct {
 	// Shards is the number of partitions H. Values < 1 select 1.
 	Shards int
 	// Partitioner routes byte-string keys (Ordered). Nil selects
-	// HashPartition.
+	// HashPartition. Hash always routes through HashPartition64.
 	Partitioner Partitioner
-	// Partitioner64 routes uint64 keys (Hash). Nil selects
-	// HashPartition64.
-	Partitioner64 Partitioner64
 	// ScanBatch is the per-shard batch-size cap B for streaming merged
 	// scans and cursors over indexes read through the batch-and-resume
 	// adapter (every index but P-ART, which is core.Iterable and is
@@ -82,28 +90,31 @@ func (o Options) scanBatch() int {
 	return o.ScanBatch
 }
 
-// index is what the shared front-end machinery needs from a per-shard
-// index; both core.OrderedIndex and core.HashIndex satisfy it.
-type index interface {
-	Recover() error
-	Len() int
-}
-
 // shardOf is one partition: a private heap and the index built on it.
-type shardOf[IX index] struct {
+type shardOf[K any] struct {
 	heap *pmem.Heap
-	idx  IX
+	idx  core.PointIndex[K]
 	// recoveries counts Recover replays of this shard, so tests and
 	// campaigns can assert that a crash in shard k replayed only shard k.
 	recoveries uint64
 }
 
-// frontend is the key-type-independent half of a sharded front-end: the
-// partition array plus everything that iterates it (length, recovery,
-// stats, quarantine — see quarantine.go). Ordered and Hash embed it and
-// add routing, point operations, and (for Ordered) the merged Scan.
-type frontend[IX index] struct {
-	shards []shardOf[IX]
+// frontend is the sharded front-end over keys of type K: the partition
+// array, routing, the point operations, and everything that iterates
+// the partitions (length, recovery, stats, quarantine, group commit,
+// migration — see the other files of this package). Ordered and Hash
+// embed its two instantiations.
+type frontend[K any] struct {
+	shards []shardOf[K]
+	// part routes keys while the front-end is pristine.
+	part partitioner[K]
+	// mapper is part's point reduction, set (before the first table is
+	// published) by EnableResharding; it is only read after observing a
+	// non-nil routing table, so the atomic table publish orders it.
+	mapper pointMapper[K]
+	// walk opens the kind's enumeration of the migration donor's keys
+	// (see keyWalk in reshard.go).
+	walk func(wt *routeTable, mg *migration, batch int) (keyWalk[K], error)
 	// health tracks per-shard availability; parallel to shards because
 	// its entries hold locks and must never be copied.
 	health []shardHealth
@@ -124,7 +135,7 @@ type frontend[IX index] struct {
 	jitter *jitterSource
 
 	// rt is the published routing table: nil while the front-end is
-	// pristine (routing through the stateless Partitioner), then the
+	// pristine (routing through the stateless partitioner), then the
 	// current immutable table version (see table.go). Behind a pointer
 	// because atomic.Pointer must not be copied and the frontend value is
 	// copied during construction.
@@ -150,10 +161,13 @@ type jitterSource struct {
 	rng *rand.Rand
 }
 
-// newFrontend builds one (heap, index) pair per shard.
-func newFrontend[IX index](factory func(*pmem.Heap) (IX, error), opts Options) (frontend[IX], error) {
-	f := frontend[IX]{
-		shards:    make([]shardOf[IX], opts.shards()),
+// newFrontend builds one (heap, index) pair per shard, routed by part.
+// It also returns the indexes as the factory typed them, in shard order,
+// for a kind that needs more of them than core.PointIndex offers.
+func newFrontend[K any, IX core.PointIndex[K]](part partitioner[K], factory func(*pmem.Heap) (IX, error), opts Options) (frontend[K], []IX, error) {
+	f := frontend[K]{
+		shards:    make([]shardOf[K], opts.shards()),
+		part:      part,
 		health:    newHealth(opts.shards()),
 		batchMu:   make([]sync.RWMutex, opts.shards()),
 		jitter:    &jitterSource{},
@@ -166,21 +180,23 @@ func newFrontend[IX index](factory func(*pmem.Heap) (IX, error), opts Options) (
 	if opts.RetrySeed != 0 {
 		f.jitter.rng = rand.New(rand.NewSource(opts.RetrySeed))
 	}
+	idxs := make([]IX, len(f.shards))
 	for i := range f.shards {
 		heap := pmem.New(opts.Heap)
 		idx, err := factory(heap)
 		if err != nil {
-			return frontend[IX]{}, fmt.Errorf("shard %d: %w", i, err)
+			return frontend[K]{}, nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		f.shards[i] = shardOf[IX]{heap: heap, idx: idx}
+		f.shards[i] = shardOf[K]{heap: heap, idx: idx}
+		idxs[i] = idx
 	}
-	return f, nil
+	return f, idxs, nil
 }
 
 // Len returns the number of live keys across serving shards.
 // Quarantined shards are excluded: their in-memory state is the one
 // recovery rejected, so their counts are not trustworthy.
-func (f *frontend[IX]) Len() int {
+func (f *frontend[K]) Len() int {
 	n := 0
 	for i := range f.shards {
 		if f.health[i].quarantined.Load() {
@@ -193,7 +209,7 @@ func (f *frontend[IX]) Len() int {
 
 // Recover replays recovery on every shard (a whole-machine restart). It
 // must not be called concurrently with index operations.
-func (f *frontend[IX]) Recover() error {
+func (f *frontend[K]) Recover() error {
 	for i := range f.shards {
 		if err := f.RecoverShard(i); err != nil {
 			return err
@@ -205,7 +221,7 @@ func (f *frontend[IX]) Recover() error {
 // RecoverShard replays recovery on shard i alone. A recovery failure
 // quarantines the shard (see quarantine.go); success takes it out of
 // quarantine. It must not be called concurrently with index operations.
-func (f *frontend[IX]) RecoverShard(i int) error {
+func (f *frontend[K]) RecoverShard(i int) error {
 	f.shards[i].recoveries++
 	if err := f.shards[i].idx.Recover(); err != nil {
 		err = fmt.Errorf("shard %d: %w", i, err)
@@ -235,7 +251,7 @@ func (f *frontend[IX]) RecoverShard(i int) error {
 // restart cost is the largest fired shard, not their sum. The returned
 // indices and the joined error are in deterministic shard order
 // regardless of replay interleaving.
-func (f *frontend[IX]) RecoverCrashed() ([]int, error) {
+func (f *frontend[K]) RecoverCrashed() ([]int, error) {
 	var fired []int
 	for i := range f.shards {
 		if inj := f.shards[i].heap.Injector(); inj.Fired() {
@@ -284,7 +300,7 @@ func (f *frontend[IX]) RecoverCrashed() ([]int, error) {
 // Recoveries returns per-shard recovery replay counts (how many times
 // each shard's Recover ran), for asserting the per-shard recovery
 // invariant.
-func (f *frontend[IX]) Recoveries() []uint64 {
+func (f *frontend[K]) Recoveries() []uint64 {
 	out := make([]uint64, len(f.shards))
 	for i := range f.shards {
 		out[i] = f.shards[i].recoveries
@@ -297,35 +313,27 @@ func (f *frontend[IX]) Recoveries() []uint64 {
 // many front-ends call it between trials so address space stops
 // growing. Neither the front-end nor any of its shard indexes may be
 // used afterwards.
-func (f *frontend[IX]) Release() {
+func (f *frontend[K]) Release() {
 	for i := range f.shards {
 		f.shards[i].heap.Release()
 	}
 }
 
 // NumShards returns the partition count H.
-func (f *frontend[IX]) NumShards() int { return len(f.shards) }
+func (f *frontend[K]) NumShards() int { return len(f.shards) }
 
 // Heap returns shard i's private heap, for arming injectors, reading
 // trackers, or inspecting one partition.
-func (f *frontend[IX]) Heap(i int) *pmem.Heap { return f.shards[i].heap }
+func (f *frontend[K]) Heap(i int) *pmem.Heap { return f.shards[i].heap }
 
 // Shard returns shard i's index, for direct per-partition access.
-func (f *frontend[IX]) Shard(i int) IX { return f.shards[i].idx }
-
-// writeLock takes the shared side of shard s's group-commit lock: a
-// point write may run concurrently with other point writes but not
-// with a group commit on the same heap (see batchMu).
-func (f *frontend[IX]) writeLock(s int) { f.batchMu[s].RLock() }
-
-// writeUnlock releases writeLock.
-func (f *frontend[IX]) writeUnlock(s int) { f.batchMu[s].RUnlock() }
+func (f *frontend[K]) Shard(i int) core.PointIndex[K] { return f.shards[i].idx }
 
 // writeLock2 takes the shared group-commit locks of two shards in
 // index order — the consistent order keeps lock-ordering acyclic when
 // a double-applied write spans the handoff window's donor and
 // recipient.
-func (f *frontend[IX]) writeLock2(a, b int) {
+func (f *frontend[K]) writeLock2(a, b int) {
 	if b < a {
 		a, b = b, a
 	}
@@ -334,13 +342,13 @@ func (f *frontend[IX]) writeLock2(a, b int) {
 }
 
 // writeUnlock2 releases writeLock2.
-func (f *frontend[IX]) writeUnlock2(a, b int) {
+func (f *frontend[K]) writeUnlock2(a, b int) {
 	f.batchMu[a].RUnlock()
 	f.batchMu[b].RUnlock()
 }
 
 // ShardStats returns one counter snapshot per shard, in shard order.
-func (f *frontend[IX]) ShardStats() []pmem.Stats {
+func (f *frontend[K]) ShardStats() []pmem.Stats {
 	out := make([]pmem.Stats, len(f.shards))
 	for i := range f.shards {
 		out[i] = f.shards[i].heap.Stats()
@@ -351,7 +359,179 @@ func (f *frontend[IX]) ShardStats() []pmem.Stats {
 // Stats returns the aggregate of all per-shard counters. The aggregate
 // conserves exactly: it is the field-wise sum of ShardStats, and each
 // shard's counters are themselves exact striped aggregates.
-func (f *frontend[IX]) Stats() pmem.Stats { return sumStats(f.ShardStats()) }
+func (f *frontend[K]) Stats() pmem.Stats { return sumStats(f.ShardStats()) }
+
+// PartitionerName reports the routing policy in use.
+func (f *frontend[K]) PartitionerName() string { return f.part.Name() }
+
+// Route returns the shard owning key, bumping the load counters — the
+// decision point operations route through. With one shard no routing is
+// needed, so the H=1 front-end adds no hashing to the operation path;
+// once a routing table is published it replaces the stateless
+// partitioner as the routing authority. Callers that pre-partition work
+// (the async commit pipeline) use it to pick the per-shard queue; it
+// counts as one routed operation in LoadReport accounting (the later
+// ApplyShard does not re-count).
+func (f *frontend[K]) Route(key K) int {
+	if len(f.shards) == 1 {
+		f.opCount[0].Add(1)
+		return 0
+	}
+	if t := f.rt.Load(); t != nil {
+		s, _ := f.locateKey(t, key)
+		return s
+	}
+	return f.locatePristine(key)
+}
+
+// locatePristine routes key through the stateless partitioner, bumping
+// the shard's load counter.
+func (f *frontend[K]) locatePristine(key K) int {
+	s := f.part.Shard(key, len(f.shards))
+	f.opCount[s].Add(1)
+	return s
+}
+
+// locateKey routes key through table t, bumping per-shard and per-slot
+// load counters, and returns the owning shard plus the key's ring point
+// (for handoff-window checks).
+func (f *frontend[K]) locateKey(t *routeTable, key K) (shard int, point uint64) {
+	p := f.mapper.Point(key)
+	s, slot := t.locate(p)
+	t.ops[slot].Add(1)
+	f.opCount[s].Add(1)
+	return s, p
+}
+
+// writeKind selects the point write a routed write performs.
+type writeKind uint8
+
+const (
+	writeInsert writeKind = iota
+	writeUpdate
+	writeDelete
+)
+
+// Insert stores value under key in the owning shard. If the owning
+// shard is quarantined it returns *ShardUnavailableError
+// (errors.Is(err, ErrShardUnavailable)); other shards keep serving.
+// While key sits inside an open migration window the write
+// double-applies: the donor stays authoritative (its result is
+// returned), and the recipient receives a shadow copy so the migration
+// stream cannot miss it.
+func (f *frontend[K]) Insert(key K, value uint64) error {
+	_, err := f.write(writeInsert, key, value)
+	return err
+}
+
+// Update overwrites the value under key in place in the owning shard
+// (the index's upsert path; see core.PointIndex.Update). Quarantined
+// shards return *ShardUnavailableError. Updates double-apply inside an
+// open migration window, like Insert.
+func (f *frontend[K]) Update(key K, value uint64) error {
+	_, err := f.write(writeUpdate, key, value)
+	return err
+}
+
+// Delete removes key from the owning shard. Quarantined shards return
+// *ShardUnavailableError. Deletes double-apply inside an open migration
+// window, like Insert.
+func (f *frontend[K]) Delete(key K) (bool, error) { return f.write(writeDelete, key, 0) }
+
+// write routes one point write through the three routing states — one
+// shard, pristine partitioner, published table — and, under a table
+// whose open handoff window covers key, applies it to donor and
+// recipient. present is Delete's result and false for the other kinds.
+func (f *frontend[K]) write(kind writeKind, key K, value uint64) (present bool, err error) {
+	if len(f.shards) == 1 {
+		f.opCount[0].Add(1)
+		return f.writeShard(0, kind, key, value)
+	}
+	g := f.gate.enter()
+	defer f.gate.exit(g)
+	t := f.rt.Load()
+	if t == nil {
+		return f.writeShard(f.locatePristine(key), kind, key, value)
+	}
+	s, p := f.locateKey(t, key)
+	mg := t.mig
+	if mg == nil || s != mg.donor || !mg.covers(p, t) {
+		return f.writeShard(s, kind, key, value)
+	}
+	if err := f.unavailable(s); err != nil {
+		return false, err
+	}
+	mg.mu.RLock()
+	defer mg.mu.RUnlock()
+	f.writeLock2(s, mg.recipient)
+	defer f.writeUnlock2(s, mg.recipient)
+	if present, err = f.shards[s].write(kind, key, value); err != nil {
+		return present, err
+	}
+	if _, err := f.shards[mg.recipient].write(kind, key, value); err != nil {
+		mg.failed.Store(true) // recipient incomplete: migration must abort
+	}
+	return present, nil
+}
+
+// writeShard is a point write to shard s alone: the quarantine check,
+// then the index operation under the shared side of the shard's
+// group-commit lock — concurrent with other point writes, excluded from
+// a group commit on the same heap (see batchMu).
+func (f *frontend[K]) writeShard(s int, kind writeKind, key K, value uint64) (bool, error) {
+	if err := f.unavailable(s); err != nil {
+		return false, err
+	}
+	f.batchMu[s].RLock()
+	defer f.batchMu[s].RUnlock()
+	return f.shards[s].write(kind, key, value)
+}
+
+// write performs the index operation kind selects.
+func (sh *shardOf[K]) write(kind writeKind, key K, value uint64) (bool, error) {
+	switch kind {
+	case writeInsert:
+		return false, sh.idx.Insert(key, value)
+	case writeUpdate:
+		return false, sh.idx.Update(key, value)
+	}
+	return sh.idx.Delete(key)
+}
+
+// Lookup returns the value stored under key. The core interfaces have
+// no error slot, so a key owned by a quarantined shard reads as absent;
+// use LookupChecked to distinguish "absent" from "unavailable".
+func (f *frontend[K]) Lookup(key K) (uint64, bool) {
+	v, ok, err := f.LookupChecked(key)
+	if err != nil {
+		return 0, false
+	}
+	return v, ok
+}
+
+// LookupChecked is Lookup with quarantine visibility: err is
+// *ShardUnavailableError when the owning shard is quarantined, in which
+// case the key's presence is unknown. During a migration the donor
+// stays the read authority until the table flips.
+func (f *frontend[K]) LookupChecked(key K) (uint64, bool, error) {
+	s := 0
+	if len(f.shards) == 1 {
+		f.opCount[0].Add(1)
+	} else {
+		g := f.gate.enter()
+		defer f.gate.exit(g)
+		if t := f.rt.Load(); t != nil {
+			s, _ = f.locateKey(t, key)
+		} else {
+			s = f.locatePristine(key)
+		}
+	}
+	if err := f.unavailable(s); err != nil {
+		return 0, false, err
+	}
+	v, ok := f.shards[s].idx.Lookup(key)
+	return v, ok, nil
+}
 
 // Ordered is a sharded ordered index: core.OrderedIndex over H
 // partitions, each a private (heap, index) pair. Point operations route
@@ -359,17 +539,16 @@ func (f *frontend[IX]) Stats() pmem.Stats { return sumStats(f.ShardStats()) }
 // per-shard ordered streams into one globally ordered stream. It is safe
 // for concurrent use to the same extent as the underlying index.
 type Ordered struct {
-	part  Partitioner
-	batch int // per-shard streaming scan batch size (Options.ScanBatch)
-	// mapper is part's point reduction, set (before the first table is
-	// published) by EnableResharding; it is only read after observing a
-	// non-nil routing table, so the atomic table publish orders it.
-	mapper PointMapper
+	// ordered is each shard's index as the factory returned it — the
+	// scanning view of what the embedded front-end holds as a
+	// core.PointIndex. Parallel to shards.
+	ordered []core.OrderedIndex
+	batch   int // per-shard streaming scan batch size (Options.ScanBatch)
 	// scanPool recycles the merge state of Scan (a *Cursor with one
 	// iterator per shard): the cursor never leaves Scan, so steady-state
 	// merged scans allocate nothing.
 	scanPool sync.Pool
-	frontend[core.OrderedIndex]
+	frontend[[]byte]
 }
 
 // NewOrdered builds the named converted index (as core.NewOrdered does)
@@ -388,231 +567,18 @@ func NewOrderedWith(factory func(*pmem.Heap) (core.OrderedIndex, error), opts Op
 	if part == nil {
 		part = HashPartition{}
 	}
-	f, err := newFrontend(factory, opts)
+	f, idxs, err := newFrontend[[]byte](part, factory, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Ordered{part: part, batch: opts.scanBatch(), frontend: f}, nil
+	m := &Ordered{ordered: idxs, batch: opts.scanBatch(), frontend: f}
+	m.walk = m.walkIterator
+	return m, nil
 }
 
-// route returns the shard owning key, bumping the load counters. With
-// one shard no routing is needed, so the H=1 front-end adds no hashing
-// to the operation path; once a routing table is published it replaces
-// the stateless partitioner as the routing authority.
-func (m *Ordered) route(key []byte) int {
-	if len(m.shards) == 1 {
-		m.opCount[0].Add(1)
-		return 0
-	}
-	if t := m.rt.Load(); t != nil {
-		s, _ := m.locateKey(t, key)
-		return s
-	}
-	i := m.part.Shard(key, len(m.shards))
-	m.opCount[i].Add(1)
-	return i
-}
-
-// locateKey routes key through table t, bumping per-shard and per-slot
-// load counters, and returns the owning shard plus the key's ring point
-// (for handoff-window checks).
-func (m *Ordered) locateKey(t *routeTable, key []byte) (shard int, point uint64) {
-	p := m.mapper.Point(key)
-	s, slot := t.locate(p)
-	t.ops[slot].Add(1)
-	m.opCount[s].Add(1)
-	return s, p
-}
-
-// Insert stores value under key in the owning shard. If the owning
-// shard is quarantined it returns *ShardUnavailableError
-// (errors.Is(err, ErrShardUnavailable)); other shards keep serving.
-// While key sits inside an open migration window the write
-// double-applies: the donor stays authoritative (its result is
-// returned), and the recipient receives a shadow copy so the migration
-// stream cannot miss it.
-func (m *Ordered) Insert(key []byte, value uint64) error {
-	if len(m.shards) == 1 {
-		m.opCount[0].Add(1)
-		if err := m.unavailable(0); err != nil {
-			return err
-		}
-		m.writeLock(0)
-		defer m.writeUnlock(0)
-		return m.shards[0].idx.Insert(key, value)
-	}
-	g := m.gate.enter()
-	defer m.gate.exit(g)
-	t := m.rt.Load()
-	if t == nil {
-		i := m.part.Shard(key, len(m.shards))
-		m.opCount[i].Add(1)
-		if err := m.unavailable(i); err != nil {
-			return err
-		}
-		m.writeLock(i)
-		defer m.writeUnlock(i)
-		return m.shards[i].idx.Insert(key, value)
-	}
-	s, p := m.locateKey(t, key)
-	if err := m.unavailable(s); err != nil {
-		return err
-	}
-	if mg := t.mig; mg != nil && s == mg.donor && mg.covers(p, t) {
-		mg.mu.RLock()
-		defer mg.mu.RUnlock()
-		m.writeLock2(s, mg.recipient)
-		defer m.writeUnlock2(s, mg.recipient)
-		if err := m.shards[s].idx.Insert(key, value); err != nil {
-			return err
-		}
-		if err := m.shards[mg.recipient].idx.Insert(key, value); err != nil {
-			mg.failed.Store(true) // recipient incomplete: migration must abort
-		}
-		return nil
-	}
-	m.writeLock(s)
-	defer m.writeUnlock(s)
-	return m.shards[s].idx.Insert(key, value)
-}
-
-// Update overwrites the value under key in place in the owning shard
-// (the index's upsert path; see core.OrderedIndex.Update). Quarantined
-// shards return *ShardUnavailableError. Updates double-apply inside an
-// open migration window, like Insert.
-func (m *Ordered) Update(key []byte, value uint64) error {
-	if len(m.shards) == 1 {
-		m.opCount[0].Add(1)
-		if err := m.unavailable(0); err != nil {
-			return err
-		}
-		m.writeLock(0)
-		defer m.writeUnlock(0)
-		return m.shards[0].idx.Update(key, value)
-	}
-	g := m.gate.enter()
-	defer m.gate.exit(g)
-	t := m.rt.Load()
-	if t == nil {
-		i := m.part.Shard(key, len(m.shards))
-		m.opCount[i].Add(1)
-		if err := m.unavailable(i); err != nil {
-			return err
-		}
-		m.writeLock(i)
-		defer m.writeUnlock(i)
-		return m.shards[i].idx.Update(key, value)
-	}
-	s, p := m.locateKey(t, key)
-	if err := m.unavailable(s); err != nil {
-		return err
-	}
-	if mg := t.mig; mg != nil && s == mg.donor && mg.covers(p, t) {
-		mg.mu.RLock()
-		defer mg.mu.RUnlock()
-		m.writeLock2(s, mg.recipient)
-		defer m.writeUnlock2(s, mg.recipient)
-		if err := m.shards[s].idx.Update(key, value); err != nil {
-			return err
-		}
-		if err := m.shards[mg.recipient].idx.Update(key, value); err != nil {
-			mg.failed.Store(true)
-		}
-		return nil
-	}
-	m.writeLock(s)
-	defer m.writeUnlock(s)
-	return m.shards[s].idx.Update(key, value)
-}
-
-// Lookup returns the value stored under key. The core interface has no
-// error slot, so a key owned by a quarantined shard reads as absent;
-// use LookupChecked to distinguish "absent" from "unavailable".
-func (m *Ordered) Lookup(key []byte) (uint64, bool) {
-	v, ok, err := m.LookupChecked(key)
-	if err != nil {
-		return 0, false
-	}
-	return v, ok
-}
-
-// LookupChecked is Lookup with quarantine visibility: err is
-// *ShardUnavailableError when the owning shard is quarantined, in which
-// case the key's presence is unknown. During a migration the donor
-// stays the read authority until the table flips.
-func (m *Ordered) LookupChecked(key []byte) (uint64, bool, error) {
-	if len(m.shards) == 1 {
-		m.opCount[0].Add(1)
-		if err := m.unavailable(0); err != nil {
-			return 0, false, err
-		}
-		v, ok := m.shards[0].idx.Lookup(key)
-		return v, ok, nil
-	}
-	g := m.gate.enter()
-	defer m.gate.exit(g)
-	var s int
-	if t := m.rt.Load(); t != nil {
-		s, _ = m.locateKey(t, key)
-	} else {
-		s = m.part.Shard(key, len(m.shards))
-		m.opCount[s].Add(1)
-	}
-	if err := m.unavailable(s); err != nil {
-		return 0, false, err
-	}
-	v, ok := m.shards[s].idx.Lookup(key)
-	return v, ok, nil
-}
-
-// Delete removes key from the owning shard. Quarantined shards return
-// *ShardUnavailableError. Deletes double-apply inside an open migration
-// window, like Insert.
-func (m *Ordered) Delete(key []byte) (bool, error) {
-	if len(m.shards) == 1 {
-		m.opCount[0].Add(1)
-		if err := m.unavailable(0); err != nil {
-			return false, err
-		}
-		m.writeLock(0)
-		defer m.writeUnlock(0)
-		return m.shards[0].idx.Delete(key)
-	}
-	g := m.gate.enter()
-	defer m.gate.exit(g)
-	t := m.rt.Load()
-	if t == nil {
-		i := m.part.Shard(key, len(m.shards))
-		m.opCount[i].Add(1)
-		if err := m.unavailable(i); err != nil {
-			return false, err
-		}
-		m.writeLock(i)
-		defer m.writeUnlock(i)
-		return m.shards[i].idx.Delete(key)
-	}
-	s, p := m.locateKey(t, key)
-	if err := m.unavailable(s); err != nil {
-		return false, err
-	}
-	if mg := t.mig; mg != nil && s == mg.donor && mg.covers(p, t) {
-		mg.mu.RLock()
-		defer mg.mu.RUnlock()
-		m.writeLock2(s, mg.recipient)
-		defer m.writeUnlock2(s, mg.recipient)
-		ok, err := m.shards[s].idx.Delete(key)
-		if err != nil {
-			return ok, err
-		}
-		if _, err := m.shards[mg.recipient].idx.Delete(key); err != nil {
-			mg.failed.Store(true)
-		}
-		return ok, nil
-	}
-	m.writeLock(s)
-	defer m.writeUnlock(s)
-	return m.shards[s].idx.Delete(key)
-}
+// Shard returns shard i's index, for direct per-partition access
+// (narrowing frontend.Shard to the ordered interface).
+func (m *Ordered) Shard(i int) core.OrderedIndex { return m.ordered[i] }
 
 // Scan visits keys >= start in ascending order across all shards until
 // fn returns false or count keys were visited (count <= 0 = unbounded);
@@ -637,7 +603,7 @@ func (m *Ordered) Scan(start []byte, count int, fn func(key []byte, value uint64
 		if m.unavailable(0) != nil {
 			return 0
 		}
-		return m.shards[0].idx.Scan(start, count, fn)
+		return m.ordered[0].Scan(start, count, fn)
 	}
 	if orderPreserving(m.part) && m.tablePristine() {
 		return m.scanSequential(start, count, fn)
@@ -674,7 +640,7 @@ func (m *Ordered) scanSequential(start []byte, count int, fn func(key []byte, va
 			rem = count - visited
 		}
 		stopped := false
-		visited += m.shards[i].idx.Scan(start, rem, func(k []byte, v uint64) bool {
+		visited += m.ordered[i].Scan(start, rem, func(k []byte, v uint64) bool {
 			if !fn(k, v) {
 				stopped = true
 				return false
@@ -717,16 +683,10 @@ func (m *Ordered) scanMerge(start []byte, count int, fn func(key []byte, value u
 	return visited
 }
 
-// PartitionerName reports the routing policy in use.
-func (m *Ordered) PartitionerName() string { return m.part.Name() }
-
-// Hash is a sharded unordered index: core.HashIndex over H partitions.
+// Hash is a sharded unordered index: core.HashIndex over H partitions,
+// routed by HashPartition64.
 type Hash struct {
-	part Partitioner64
-	// mapper64 is part's point reduction, set by EnableResharding before
-	// the first table publish (see Ordered.mapper).
-	mapper64 PointMapper64
-	frontend[core.HashIndex]
+	frontend[uint64]
 }
 
 // NewHash builds the named unordered index (as core.NewHash does) on
@@ -739,228 +699,14 @@ func NewHash(name string, opts Options) (*Hash, error) {
 
 // NewHashWith is NewHash with an explicit per-shard index factory.
 func NewHashWith(factory func(*pmem.Heap) (core.HashIndex, error), opts Options) (*Hash, error) {
-	part := opts.Partitioner64
-	if part == nil {
-		part = HashPartition64{}
-	}
-	f, err := newFrontend(factory, opts)
+	f, _, err := newFrontend[uint64](HashPartition64{}, factory, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Hash{part: part, frontend: f}, nil
+	m := &Hash{frontend: f}
+	m.walk = m.walkSnapshot
+	return m, nil
 }
-
-// route returns the shard owning key, bumping the load counters; see
-// Ordered.route.
-func (m *Hash) route(key uint64) int {
-	if len(m.shards) == 1 {
-		m.opCount[0].Add(1)
-		return 0
-	}
-	if t := m.rt.Load(); t != nil {
-		s, _ := m.locateKey(t, key)
-		return s
-	}
-	i := m.part.Shard(key, len(m.shards))
-	m.opCount[i].Add(1)
-	return i
-}
-
-// locateKey routes key through table t, bumping load counters; see
-// Ordered.locateKey.
-func (m *Hash) locateKey(t *routeTable, key uint64) (shard int, point uint64) {
-	p := m.mapper64.Point(key)
-	s, slot := t.locate(p)
-	t.ops[slot].Add(1)
-	m.opCount[s].Add(1)
-	return s, p
-}
-
-// Insert stores value under key in the owning shard. Quarantined shards
-// return *ShardUnavailableError; other shards keep serving. Writes
-// inside an open migration window double-apply (see Ordered.Insert).
-func (m *Hash) Insert(key, value uint64) error {
-	if len(m.shards) == 1 {
-		m.opCount[0].Add(1)
-		if err := m.unavailable(0); err != nil {
-			return err
-		}
-		m.writeLock(0)
-		defer m.writeUnlock(0)
-		return m.shards[0].idx.Insert(key, value)
-	}
-	g := m.gate.enter()
-	defer m.gate.exit(g)
-	t := m.rt.Load()
-	if t == nil {
-		i := m.part.Shard(key, len(m.shards))
-		m.opCount[i].Add(1)
-		if err := m.unavailable(i); err != nil {
-			return err
-		}
-		m.writeLock(i)
-		defer m.writeUnlock(i)
-		return m.shards[i].idx.Insert(key, value)
-	}
-	s, p := m.locateKey(t, key)
-	if err := m.unavailable(s); err != nil {
-		return err
-	}
-	if mg := t.mig; mg != nil && s == mg.donor && mg.covers(p, t) {
-		mg.mu.RLock()
-		defer mg.mu.RUnlock()
-		m.writeLock2(s, mg.recipient)
-		defer m.writeUnlock2(s, mg.recipient)
-		if err := m.shards[s].idx.Insert(key, value); err != nil {
-			return err
-		}
-		if err := m.shards[mg.recipient].idx.Insert(key, value); err != nil {
-			mg.failed.Store(true)
-		}
-		return nil
-	}
-	m.writeLock(s)
-	defer m.writeUnlock(s)
-	return m.shards[s].idx.Insert(key, value)
-}
-
-// Update overwrites the value under key in place in the owning shard.
-// Quarantined shards return *ShardUnavailableError. Updates inside an
-// open migration window double-apply.
-func (m *Hash) Update(key, value uint64) error {
-	if len(m.shards) == 1 {
-		m.opCount[0].Add(1)
-		if err := m.unavailable(0); err != nil {
-			return err
-		}
-		m.writeLock(0)
-		defer m.writeUnlock(0)
-		return m.shards[0].idx.Update(key, value)
-	}
-	g := m.gate.enter()
-	defer m.gate.exit(g)
-	t := m.rt.Load()
-	if t == nil {
-		i := m.part.Shard(key, len(m.shards))
-		m.opCount[i].Add(1)
-		if err := m.unavailable(i); err != nil {
-			return err
-		}
-		m.writeLock(i)
-		defer m.writeUnlock(i)
-		return m.shards[i].idx.Update(key, value)
-	}
-	s, p := m.locateKey(t, key)
-	if err := m.unavailable(s); err != nil {
-		return err
-	}
-	if mg := t.mig; mg != nil && s == mg.donor && mg.covers(p, t) {
-		mg.mu.RLock()
-		defer mg.mu.RUnlock()
-		m.writeLock2(s, mg.recipient)
-		defer m.writeUnlock2(s, mg.recipient)
-		if err := m.shards[s].idx.Update(key, value); err != nil {
-			return err
-		}
-		if err := m.shards[mg.recipient].idx.Update(key, value); err != nil {
-			mg.failed.Store(true)
-		}
-		return nil
-	}
-	m.writeLock(s)
-	defer m.writeUnlock(s)
-	return m.shards[s].idx.Update(key, value)
-}
-
-// Lookup returns the value stored under key. A key owned by a
-// quarantined shard reads as absent; use LookupChecked to distinguish.
-func (m *Hash) Lookup(key uint64) (uint64, bool) {
-	v, ok, err := m.LookupChecked(key)
-	if err != nil {
-		return 0, false
-	}
-	return v, ok
-}
-
-// LookupChecked is Lookup with quarantine visibility: err is
-// *ShardUnavailableError when the owning shard is quarantined. During a
-// migration the donor stays the read authority until the table flips.
-func (m *Hash) LookupChecked(key uint64) (uint64, bool, error) {
-	if len(m.shards) == 1 {
-		m.opCount[0].Add(1)
-		if err := m.unavailable(0); err != nil {
-			return 0, false, err
-		}
-		v, ok := m.shards[0].idx.Lookup(key)
-		return v, ok, nil
-	}
-	g := m.gate.enter()
-	defer m.gate.exit(g)
-	var s int
-	if t := m.rt.Load(); t != nil {
-		s, _ = m.locateKey(t, key)
-	} else {
-		s = m.part.Shard(key, len(m.shards))
-		m.opCount[s].Add(1)
-	}
-	if err := m.unavailable(s); err != nil {
-		return 0, false, err
-	}
-	v, ok := m.shards[s].idx.Lookup(key)
-	return v, ok, nil
-}
-
-// Delete removes key from the owning shard. Quarantined shards return
-// *ShardUnavailableError. Deletes inside an open migration window
-// double-apply.
-func (m *Hash) Delete(key uint64) (bool, error) {
-	if len(m.shards) == 1 {
-		m.opCount[0].Add(1)
-		if err := m.unavailable(0); err != nil {
-			return false, err
-		}
-		m.writeLock(0)
-		defer m.writeUnlock(0)
-		return m.shards[0].idx.Delete(key)
-	}
-	g := m.gate.enter()
-	defer m.gate.exit(g)
-	t := m.rt.Load()
-	if t == nil {
-		i := m.part.Shard(key, len(m.shards))
-		m.opCount[i].Add(1)
-		if err := m.unavailable(i); err != nil {
-			return false, err
-		}
-		m.writeLock(i)
-		defer m.writeUnlock(i)
-		return m.shards[i].idx.Delete(key)
-	}
-	s, p := m.locateKey(t, key)
-	if err := m.unavailable(s); err != nil {
-		return false, err
-	}
-	if mg := t.mig; mg != nil && s == mg.donor && mg.covers(p, t) {
-		mg.mu.RLock()
-		defer mg.mu.RUnlock()
-		m.writeLock2(s, mg.recipient)
-		defer m.writeUnlock2(s, mg.recipient)
-		ok, err := m.shards[s].idx.Delete(key)
-		if err != nil {
-			return ok, err
-		}
-		if _, err := m.shards[mg.recipient].idx.Delete(key); err != nil {
-			mg.failed.Store(true)
-		}
-		return ok, nil
-	}
-	m.writeLock(s)
-	defer m.writeUnlock(s)
-	return m.shards[s].idx.Delete(key)
-}
-
-// PartitionerName reports the routing policy in use.
-func (m *Hash) PartitionerName() string { return m.part.Name() }
 
 // sumStats folds per-shard snapshots field-wise.
 func sumStats(per []pmem.Stats) pmem.Stats {

@@ -18,7 +18,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/keys"
 	"repro/internal/stripe"
 )
 
@@ -29,23 +28,6 @@ import (
 // key population) at the cost of a larger table; 64 lets the rebalancer
 // move ~1.5% load increments while the table stays a few cache lines.
 const SlotsPerShard = 64
-
-// PointMapper is implemented by byte-key partitioners that can reduce a
-// key to a point on the 64-bit ring, the first stage of table-based
-// routing. Both built-in partitioners implement it; a custom Partitioner
-// without it cannot be resharded (ErrNotReshardable).
-type PointMapper interface {
-	// Point maps key to a 64-bit value consistent with the partitioner's
-	// Shard mapping: Shard(key, H) must equal the table lookup of
-	// Point(key) on a fresh H-shard table (see newSlotTable /
-	// newRangeTable for the two contracts).
-	Point(key []byte) uint64
-}
-
-// PointMapper64 is PointMapper for uint64-key partitioners.
-type PointMapper64 interface {
-	Point(key uint64) uint64
-}
 
 // Table kinds: how a routeTable turns a point into a shard.
 const (
@@ -330,34 +312,3 @@ func (g *opGate) drain() {
 		g.stripes[i].mu.Unlock()
 	}
 }
-
-// Point implements PointMapper: the same FNV-1a + Mix64 point that the
-// Shard method reduces, so table routing agrees with legacy routing.
-func (HashPartition) Point(key []byte) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, b := range key {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return keys.Mix64(h)
-}
-
-// Point implements PointMapper: the first eight key bytes, big-endian,
-// zero-padded — the value RangePartition.Shard divides.
-func (RangePartition) Point(key []byte) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v <<= 8
-		if i < len(key) {
-			v |= uint64(key[i])
-		}
-	}
-	return v
-}
-
-// Point implements PointMapper64.
-func (HashPartition64) Point(key uint64) uint64 { return keys.Mix64(key) }
