@@ -25,6 +25,11 @@ import (
 // insert/lookup/delete interface of §2.1 plus crash recovery. It is what
 // the code around an index — group commit, the sharded front-end, the
 // async pipeline — is written against, once, for both key kinds.
+//
+// An index never retains the caller's key slice: what it keeps of a key
+// it copies before the call returns, so a caller may reuse or overwrite
+// the key's bytes the moment a method is back (the server passes keys
+// that alias its connection's read buffer).
 type PointIndex[K any] interface {
 	// Insert stores value under key, overwriting an existing binding.
 	Insert(key K, value uint64) error

@@ -44,6 +44,80 @@ func TestNewOrderedAllNames(t *testing.T) {
 	}
 }
 
+// TestIndexesCopyKeys pins PointIndex's rule that an index never
+// retains the caller's key slice, for every ordered index recipesrv can
+// name: all keys pass through one buffer that is scribbled on after
+// each call, and everything is read back — by Lookup and, for the keys
+// an index hands out, by Scan.
+func TestIndexesCopyKeys(t *testing.T) {
+	const n = 3000
+	for _, name := range append(append([]string(nil), OrderedNames...), "WOART") {
+		for _, kind := range []keys.Kind{keys.RandInt, keys.YCSBString} {
+			heap := pmem.NewFast()
+			idx, err := NewOrdered(name, heap, kind)
+			if err != nil {
+				t.Fatalf("NewOrdered(%q): %v", name, err)
+			}
+			gen := keys.NewGenerator(kind)
+			var buf []byte
+			// call runs one method on key id through the shared buffer.
+			call := func(id uint64, f func(key []byte)) {
+				buf = gen.AppendKey(buf[:0], id)
+				f(buf)
+				for i := range buf {
+					buf[i] ^= 0xA5
+				}
+			}
+			for id := uint64(0); id < n; id++ {
+				call(id, func(key []byte) {
+					if err := idx.Insert(key, id); err != nil {
+						t.Fatalf("%s/%v insert %d: %v", name, kind, id, err)
+					}
+				})
+				if id%3 == 0 {
+					call(id, func(key []byte) {
+						if err := idx.Update(key, id+n); err != nil {
+							t.Fatalf("%s/%v update %d: %v", name, kind, id, err)
+						}
+					})
+				}
+				if id%7 == 0 {
+					call(id, func(key []byte) {
+						if ok, err := idx.Delete(key); err != nil || !ok {
+							t.Fatalf("%s/%v delete %d = %v, %v", name, kind, id, ok, err)
+						}
+					})
+				}
+			}
+			want := map[string]uint64{}
+			for id := uint64(0); id < n; id++ {
+				v, live := id, id%7 != 0
+				if id%3 == 0 {
+					v += n
+				}
+				if live {
+					want[string(gen.Key(id))] = v
+				}
+				call(id, func(key []byte) {
+					if got, ok := idx.Lookup(key); ok != live || (live && got != v) {
+						t.Fatalf("%s/%v lookup %d = %d, %v; want %d, %v", name, kind, id, got, ok, v, live)
+					}
+				})
+			}
+			seen := idx.Scan(nil, 0, func(key []byte, v uint64) bool {
+				if w, ok := want[string(key)]; !ok || w != v {
+					t.Fatalf("%s/%v scan returned %q = %d; want %d, %v", name, kind, key, v, w, ok)
+				}
+				return true
+			})
+			if seen != len(want) || idx.Len() != len(want) {
+				t.Fatalf("%s/%v: scan saw %d keys, Len %d, want %d", name, kind, seen, idx.Len(), len(want))
+			}
+			heap.Release()
+		}
+	}
+}
+
 // TestUpdateAllIndexes: every index (ordered and hash) overwrites in
 // place through Update — no growth, new value visible — the capability
 // that unlocks workloads D and F.

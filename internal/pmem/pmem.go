@@ -61,7 +61,8 @@ func (o Obj) line(off uintptr) uint64 { return o.base + uint64(off/LineSize) }
 
 // Options configures a Heap.
 type Options struct {
-	// Track enables the durability shadow tracker (slow; testing only).
+	// Track enables the durability tracker: every store, clwb and
+	// allocation takes a striped lock and a map write (a fence is free).
 	Track bool
 	// LLC, when non-nil, routes every reported load/store/flush through a
 	// simulated last-level cache.
@@ -437,10 +438,21 @@ func spin(n int) {
 var spinSink atomic.Uint64
 
 // trackerShards is the number of independently locked shards in the
-// durability tracker (must be a power of two). Striping the single
-// shadow mutex by line hash keeps Track-mode multi-thread runs (the §5
-// durability campaigns) from serialising every store on one lock.
+// durability tracker (must be a power of two). Striping by line hash
+// keeps Track-mode multi-thread runs (the §5 durability campaigns,
+// recipesrv's connections) from serialising every store on one lock.
 const trackerShards = 64
+
+// lineState is a non-durable line's state; a durable line has no entry.
+type lineState uint8
+
+const (
+	lineDirty   lineState = iota + 1 // stored to, not yet clwb'd
+	linePending                      // clwb'd, not yet fenced
+)
+
+// violationKinds names each state as Violation.Kind reports it.
+var violationKinds = [...]string{lineDirty: "dirty", linePending: "pending"}
 
 // Tracker is the shadow state behind the §5 durability test: it records
 // which lines are dirty, which have been written back but not yet fenced,
@@ -448,26 +460,36 @@ const trackerShards = 64
 // sharded by line hash; each line's transitions are serialised by its
 // shard lock, which is all the per-line dirty→pending→durable protocol
 // needs.
+//
+// A fence is one add to epoch and touches no shard, so it costs the same
+// on a heap of one line and of a million. The pending→durable transition
+// it stands for is applied lazily: a shard remembers the epoch its
+// pending lines were written back in, and whoever next takes its lock to
+// flush or to read (hold) retires them first if the epoch has moved on.
+// Every reader goes through hold, so none can tell; a write-back racing
+// a fence lands on one side of it, as it did when fence took the locks.
 type Tracker struct {
+	epoch  atomic.Uint64 // fences retired so far
 	shards [trackerShards]trackerShard
 }
 
 type trackerShard struct {
-	mu      sync.Mutex
-	dirty   map[uint64]bool // line -> true while modified and not clwb'd
-	pending map[uint64]bool // line -> true after clwb, before fence
-	// Pad the 24 bytes above to 128 — the prefetch-pair stride, matching
+	mu    sync.Mutex
+	lines map[uint64]lineState // the shard's non-durable lines
+	// pend lists the lines written back in epoch, so retiring them costs
+	// what was flushed since the last fence, not what the map holds. A
+	// line stored to again stays listed; hold checks the state.
+	pend  []uint64
+	epoch uint64
+	// Pad the 48 bytes above to 128 — the prefetch-pair stride, matching
 	// stripe's padding policy — so adjacent shard locks never share a
 	// paired line.
-	_ [104]byte
+	_ [80]byte
 }
 
 func newTracker() *Tracker {
 	t := &Tracker{}
-	for i := range t.shards {
-		t.shards[i].dirty = make(map[uint64]bool)
-		t.shards[i].pending = make(map[uint64]bool)
-	}
+	t.Reset()
 	return t
 }
 
@@ -478,12 +500,25 @@ func (t *Tracker) shard(line uint64) *trackerShard {
 	return &t.shards[(line*0x9E3779B97F4A7C15)>>32&(trackerShards-1)]
 }
 
+// hold locks s and retires the pending lines a fence has covered since
+// they were written back.
+func (t *Tracker) hold(s *trackerShard) {
+	s.mu.Lock()
+	if e := t.epoch.Load(); e != s.epoch {
+		for _, l := range s.pend {
+			if s.lines[l] == linePending {
+				delete(s.lines, l)
+			}
+		}
+		s.pend, s.epoch = s.pend[:0], e
+	}
+}
+
 func (t *Tracker) dirtyRange(o Obj, off, size uintptr) {
 	for l, last := o.line(off), o.line(off+size-1); l <= last; l++ {
 		s := t.shard(l)
 		s.mu.Lock()
-		s.dirty[l] = true
-		delete(s.pending, l) // a store after clwb re-dirties the line
+		s.lines[l] = lineDirty // also when pending: a store after clwb re-dirties the line
 		s.mu.Unlock()
 	}
 }
@@ -491,25 +526,16 @@ func (t *Tracker) dirtyRange(o Obj, off, size uintptr) {
 func (t *Tracker) flushRange(o Obj, off, size uintptr) {
 	for l, last := o.line(off), o.line(off+size-1); l <= last; l++ {
 		s := t.shard(l)
-		s.mu.Lock()
-		if s.dirty[l] {
-			delete(s.dirty, l)
-			s.pending[l] = true
+		t.hold(s)
+		if s.lines[l] == lineDirty {
+			s.lines[l] = linePending
+			s.pend = append(s.pend, l)
 		}
 		s.mu.Unlock()
 	}
 }
 
-func (t *Tracker) fence() {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for l := range s.pending {
-			delete(s.pending, l)
-		}
-		s.mu.Unlock()
-	}
-}
+func (t *Tracker) fence() { t.epoch.Add(1) }
 
 // Violation describes a durability failure at an operation boundary.
 type Violation struct {
@@ -523,21 +549,27 @@ func (v Violation) String() string {
 	return fmt.Sprintf("line %d left %s", v.Line, v.Kind)
 }
 
+// snapshot returns every line that is not durable at this instant.
+func (t *Tracker) snapshot() map[uint64]lineState {
+	out := make(map[uint64]lineState)
+	for i := range t.shards {
+		s := &t.shards[i]
+		t.hold(s)
+		for l, st := range s.lines {
+			out[l] = st
+		}
+		s.mu.Unlock()
+	}
+	return out
+}
+
 // Check returns the lines that are not durable at this instant. A
 // correctly converted index has an empty result at every operation
 // boundary.
 func (t *Tracker) Check() []Violation {
 	var out []Violation
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		for l := range s.dirty {
-			out = append(out, Violation{Line: l, Kind: "dirty"})
-		}
-		for l := range s.pending {
-			out = append(out, Violation{Line: l, Kind: "pending"})
-		}
-		s.mu.Unlock()
+	for l, st := range t.snapshot() {
+		out = append(out, Violation{Line: l, Kind: violationKinds[st]})
 	}
 	return out
 }
@@ -547,8 +579,7 @@ func (t *Tracker) Reset() {
 	for i := range t.shards {
 		s := &t.shards[i]
 		s.mu.Lock()
-		s.dirty = make(map[uint64]bool)
-		s.pending = make(map[uint64]bool)
+		s.lines, s.pend = make(map[uint64]lineState), nil
 		s.mu.Unlock()
 	}
 }

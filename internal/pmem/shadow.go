@@ -281,7 +281,7 @@ func (s *shadowState) captureTainted(so *shadowObj, o Obj, off, size uintptr, t 
 		}
 		sh := t.shard(l)
 		sh.mu.Lock()
-		d := sh.dirty[l]
+		d := sh.lines[l] == lineDirty
 		sh.mu.Unlock()
 		if d {
 			return true
@@ -326,50 +326,19 @@ func (s *shadowState) promote() {
 	s.queue = s.queue[:0]
 }
 
-// lineBits is the snapshot of one tracked line's state at cycle time.
-type lineBits struct{ dirty, pending bool }
-
-// snapshotLines drains the tracker into a flat map of the lines that
-// are not durable at this instant. The set is small — fences clear
-// pending lines and flushes clear dirty ones, so only the crashed
-// operation's working set remains — which makes the power cycle
-// proportional to the damage, not to the heap size.
-func snapshotLines(t *Tracker) map[uint64]lineBits {
-	lines := make(map[uint64]lineBits)
-	if t == nil {
-		return lines
-	}
-	for i := range t.shards {
-		sh := &t.shards[i]
-		sh.mu.Lock()
-		for l := range sh.dirty {
-			b := lines[l]
-			b.dirty = true
-			lines[l] = b
-		}
-		for l := range sh.pending {
-			b := lines[l]
-			b.pending = true
-			lines[l] = b
-		}
-		sh.mu.Unlock()
-	}
-	return lines
-}
-
-// state folds the snapshot over a line range.
-func rangeState(lines map[uint64]lineBits, first, last uint64) (dirty, pending bool) {
+// rangeState folds the tracker snapshot over a line range.
+func rangeState(lines map[uint64]lineState, first, last uint64) (dirty, pending bool) {
 	for l := first; l <= last; l++ {
-		b := lines[l]
-		dirty = dirty || b.dirty
-		pending = pending || b.pending
-		if dirty {
-			// anyDirty dominates the classification; pending no longer
+		switch lines[l] {
+		case lineDirty:
+			// Dirty dominates the classification; pending no longer
 			// matters to the caller.
 			return true, pending
+		case linePending:
+			pending = true
 		}
 	}
-	return dirty, pending
+	return false, pending
 }
 
 // decide resolves the fate of non-durable state: never-written-back
@@ -410,7 +379,9 @@ func (h *Heap) PowerCycle(policy Policy, seed int64) CycleReport {
 	s := h.shadow
 	rng := rand.New(rand.NewSource(seed))
 	rep := CycleReport{Policy: policy, Seed: seed}
-	lines := snapshotLines(h.tracker)
+	// Only the crashed operation's working set is still non-durable, so
+	// the cycle costs in proportion to the damage, not to the heap size.
+	lines := h.tracker.snapshot()
 
 	s.mu.Lock()
 	rep.Objects = len(s.objs)
@@ -459,15 +430,13 @@ func (h *Heap) PowerCycle(policy Policy, seed int64) CycleReport {
 
 	// The restored image is, by construction, durable: restart leaves
 	// nothing dirty or pending.
-	if h.tracker != nil {
-		h.tracker.Reset()
-	}
+	h.tracker.Reset()
 	return rep
 }
 
 // cycleStruct applies the power-loss decision to one struct-backed
 // object that the snapshot marked as affected.
-func (h *Heap) cycleStruct(so *shadowObj, policy Policy, rng *rand.Rand, lines map[uint64]lineBits, rep *CycleReport) {
+func (h *Heap) cycleStruct(so *shadowObj, policy Policy, rng *rand.Rand, lines map[uint64]lineState, rep *CycleReport) {
 	dirty, pending := rangeState(lines, so.obj.base, so.obj.base+uint64(so.obj.lines)-1)
 	if !dirty && !pending {
 		return // fully durable: the current content is the PM content
@@ -497,7 +466,7 @@ func (h *Heap) cycleStruct(so *shadowObj, policy Policy, rng *rand.Rand, lines m
 // one slice-backed object. An element's fate is decided over all the
 // lines it spans; elements sharing a line share those lines' state,
 // exactly as the hardware loses whole lines.
-func (h *Heap) cycleSlice(so *shadowObj, policy Policy, rng *rand.Rand, lines map[uint64]lineBits, rep *CycleReport) {
+func (h *Heap) cycleSlice(so *shadowObj, policy Policy, rng *rand.Rand, lines map[uint64]lineState, rep *CycleReport) {
 	// Affected elements: those overlapping any affected line of this
 	// object, in ascending order for deterministic torn flips.
 	maxLine := so.obj.base + uint64(so.obj.lines) - 1

@@ -1,0 +1,253 @@
+package pmem
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// eagerTracker is the reference model the lazy Tracker is held to: the
+// tracker as it was before fences became an epoch bump — a dirty set, a
+// pending set, and a fence that empties the pending set on the spot.
+// Unsharded and unlocked: the tests drive it from one goroutine.
+type eagerTracker struct {
+	dirty, pending map[uint64]bool
+}
+
+func newEagerTracker() *eagerTracker {
+	return &eagerTracker{dirty: map[uint64]bool{}, pending: map[uint64]bool{}}
+}
+
+func (t *eagerTracker) dirtyRange(o Obj, off, size uintptr) {
+	for l, last := o.line(off), o.line(off+size-1); l <= last; l++ {
+		t.dirty[l] = true
+		delete(t.pending, l)
+	}
+}
+
+func (t *eagerTracker) flushRange(o Obj, off, size uintptr) {
+	for l, last := o.line(off), o.line(off+size-1); l <= last; l++ {
+		if t.dirty[l] {
+			delete(t.dirty, l)
+			t.pending[l] = true
+		}
+	}
+}
+
+func (t *eagerTracker) fence() { t.pending = map[uint64]bool{} }
+
+func (t *eagerTracker) reset() { *t = *newEagerTracker() }
+
+func (t *eagerTracker) snapshot() map[uint64]lineState {
+	out := make(map[uint64]lineState)
+	for l := range t.dirty {
+		out[l] = lineDirty
+	}
+	for l := range t.pending {
+		out[l] = linePending
+	}
+	return out
+}
+
+// tainted mirrors shadowState.captureTainted: a whole-object capture
+// that includes a line held dirty outside the persisted range.
+func (t *eagerTracker) tainted(o Obj, off, size uintptr) bool {
+	first, last := o.line(off), o.line(off+size-1)
+	for l := o.base; l < o.base+uint64(o.lines); l++ {
+		if (l < first || l > last) && t.dirty[l] {
+			return true
+		}
+	}
+	return false
+}
+
+// checkAgainst compares every observable answer of the heap's tracker
+// with the model's: the snapshot a power cycle classifies by, and
+// Check's violation set.
+func checkAgainst(t *testing.T, step int, what string, h *Heap, model *eagerTracker) {
+	t.Helper()
+	want := model.snapshot()
+	if got := h.Tracker().snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("step %d (%s): snapshot diverged\n got  %v\n want %v", step, what, got, want)
+	}
+	got := make(map[uint64]lineState)
+	for _, v := range h.Tracker().Check() {
+		if _, dup := got[v.Line]; dup {
+			t.Fatalf("step %d (%s): Check reports line %d twice", step, what, v.Line)
+		}
+		switch v.Kind {
+		case "dirty":
+			got[v.Line] = lineDirty
+		case "pending":
+			got[v.Line] = linePending
+		default:
+			t.Fatalf("step %d (%s): Check reports kind %q", step, what, v.Kind)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("step %d (%s): Check diverged\n got  %v\n want %v", step, what, got, want)
+	}
+}
+
+// TestTrackerMatchesEagerModel drives a heap and the reference model
+// with the same seeded random sequence of Alloc / Dirty / Persist /
+// Fence / Reset and fence-group calls (and PowerCycle under Shadow),
+// and requires identical answers after every step. The model's fences
+// are taken from the heap's own fence counter, so a fence the group
+// mode defers, materialises or elides is mirrored exactly when the
+// heap's tracker sees it.
+func TestTrackerMatchesEagerModel(t *testing.T) {
+	for _, shadow := range []bool{false, true} {
+		for seed := int64(1); seed <= 5; seed++ {
+			t.Run(fmt.Sprintf("shadow=%v/seed=%d", shadow, seed), func(t *testing.T) {
+				runTrackerSequence(t, shadow, seed, 1500)
+			})
+		}
+	}
+}
+
+func runTrackerSequence(t *testing.T, shadow bool, seed int64, steps int) {
+	rng := rand.New(rand.NewSource(seed))
+	h := New(Options{Track: true, Shadow: shadow})
+	defer h.Release()
+	model := newEagerTracker()
+	var (
+		objs     []Obj
+		sizes    []uintptr
+		tainted  uint64 // model's running count of tainted captures
+		shadowed = map[uint64]bool{}
+	)
+	// span picks a non-empty byte range of object i.
+	span := func(i int) (off, size uintptr) {
+		off = uintptr(rng.Intn(int(sizes[i])))
+		return off, 1 + uintptr(rng.Intn(int(sizes[i]-off)))
+	}
+	for step := 0; step < steps; step++ {
+		fences := h.Stats().Fence
+		// mirrorFences replays on the model the fences the heap's tracker
+		// has seen since the step began.
+		mirrorFences := func() {
+			for now := h.Stats().Fence; fences < now; fences++ {
+				model.fence()
+			}
+		}
+		var what string
+		switch r := rng.Intn(100); {
+		case r < 15 || len(objs) == 0:
+			what = "Alloc"
+			size := uintptr(1 + rng.Intn(5*LineSize))
+			o := h.Alloc(size)
+			model.dirtyRange(o, 0, size)
+			objs, sizes = append(objs, o), append(sizes, size)
+			if shadow && rng.Intn(2) == 0 {
+				h.Shadow(o, new([5 * LineSize]byte))
+				shadowed[o.base] = true
+			}
+		case r < 45:
+			what = "Dirty"
+			i := rng.Intn(len(objs))
+			off, size := span(i)
+			h.Dirty(objs[i], off, size)
+			model.dirtyRange(objs[i], off, size)
+		case r < 75:
+			what = "Persist"
+			i := rng.Intn(len(objs))
+			off, size := span(i)
+			h.Persist(objs[i], off, size)
+			mirrorFences() // a deferred fence retires before the write-back
+			if shadowed[objs[i].base] && model.tainted(objs[i], off, size) {
+				tainted++
+			}
+			model.flushRange(objs[i], off, size)
+		case r < 88:
+			what = "Fence"
+			h.Fence()
+		case r < 91:
+			what = "FenceBarrier"
+			h.FenceBarrier()
+		case r < 94:
+			if h.GroupActive() {
+				what = "GroupOpBoundary"
+				h.GroupOpBoundary()
+			} else {
+				what = "BeginFenceGroup"
+				h.BeginFenceGroup()
+			}
+		case r < 96:
+			if h.GroupActive() {
+				what = "EndFenceGroup"
+				h.EndFenceGroup()
+			} else {
+				what = "AbortFenceGroup"
+				h.AbortFenceGroup()
+			}
+		case r < 98:
+			what = "Reset"
+			h.Tracker().Reset()
+			model.reset()
+		default:
+			if !shadow {
+				continue
+			}
+			what = "PowerCycle"
+			rep := h.PowerCycle(Policies[rng.Intn(len(Policies))], seed)
+			if rep.TaintedCaptures != tainted {
+				t.Fatalf("step %d: TaintedCaptures = %d, model says %d", step, rep.TaintedCaptures, tainted)
+			}
+			model.reset()
+		}
+		mirrorFences()
+		checkAgainst(t, step, what, h, model)
+	}
+}
+
+// TestTrackerLazyDropSameShard is the case a lazy fence could get
+// wrong: line X is written back and fenced, then line Y of the same
+// shard is written back and not fenced. Retiring X happens on the same
+// lock hold that makes Y pending; Y must survive it.
+func TestTrackerLazyDropSameShard(t *testing.T) {
+	h := New(Options{Track: true})
+	tr := h.Tracker()
+	x := h.Alloc(LineSize)
+	var y Obj
+	for y = h.Alloc(LineSize); tr.shard(y.base) != tr.shard(x.base); y = h.Alloc(LineSize) {
+		h.PersistFence(y, 0, LineSize)
+	}
+	h.Persist(x, 0, LineSize) // X pending in epoch e
+	h.Fence()                 // X durable; its shard has not heard yet
+	h.Persist(y, 0, LineSize) // Y pending in epoch e+1, on the hold that retires X
+	v := tr.Check()
+	if len(v) != 1 || v[0].Line != y.base || v[0].Kind != "pending" {
+		t.Fatalf("want only line %d pending, got %v", y.base, v)
+	}
+	h.Dirty(x, 0, 8) // re-dirtied after its fence: must not be retired as stale
+	h.Fence()
+	v = tr.Check()
+	if len(v) != 1 || v[0].Line != x.base || v[0].Kind != "dirty" {
+		t.Fatalf("want only line %d dirty, got %v", x.base, v)
+	}
+}
+
+// BenchmarkTrackerPersistFence is BenchmarkPersistFenceFastHeap on a
+// Track heap whose tracker has already seen `tracked` other lines go
+// dirty → pending → durable. ns/op must not depend on that number: a
+// fence is an epoch bump, and a write-back retires only what its own
+// shard flushed since the last fence.
+func BenchmarkTrackerPersistFence(b *testing.B) {
+	for _, tracked := range []int{1, 1_000, 1_000_000} {
+		b.Run(fmt.Sprintf("tracked=%d", tracked), func(b *testing.B) {
+			h := New(Options{Track: true})
+			defer h.Release()
+			size := uintptr(tracked) * LineSize
+			h.PersistFence(h.Alloc(size), 0, size)
+			o := h.Alloc(64)
+			h.PersistFence(o, 0, 64)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h.Dirty(o, 0, 8)
+				h.PersistFence(o, 0, 8)
+			}
+		})
+	}
+}

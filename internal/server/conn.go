@@ -1,15 +1,24 @@
 // Per-connection protocol loop. The invariant every write path shares:
 // a reply reaches the socket only after the write it acknowledges is
-// fenced. The loop stages replies in arrival order — literals for
-// commands resolved immediately, placeholders for writes whose fence
-// is pending — and a settle step (commit staged writes, resolve
-// placeholders) always runs before the staged bytes are flushed to the
-// wire. Reads settle first too, so a connection always reads its own
-// writes regardless of mode.
+// fenced. The loop stages replies in arrival order in one arena — final
+// bytes for commands resolved immediately, a +OK held back for each
+// write whose fence is pending — and a settle step (commit staged
+// writes, rewrite the held +OK of any that failed) always runs before
+// the arena goes to the wire. Reads settle first too, so a connection
+// always reads its own writes regardless of mode.
+//
+// Nothing on the GET/SET/UPDATE path allocates or copies twice. A
+// request is tokenized in place over the connection's own read buffer
+// (frameReader), so the arguments dispatch sees alias that buffer and
+// die when the next frame is parsed: nothing may retain them. Every
+// consumer copies what it keeps — the indexes copy the key
+// (core.PointIndex), shard.Deferred copies it into its own queue,
+// commit.Pipeline clones it — and SCAN's cursor is done with its start
+// key before dispatch returns. The arena already holds a round's
+// replies in wire order, so a round is sent with one Write.
 package server
 
 import (
-	"bufio"
 	"errors"
 	"io"
 	"net"
@@ -25,35 +34,22 @@ import (
 type conn struct {
 	srv *Server
 	nc  net.Conn
-	br  *bufio.Reader
-	bw  *bufio.Writer
+	rd  *frameReader
 
-	lit     []byte         // arena of resolved reply bytes
-	replies []pendingReply // in-order staged replies
-	nw      int            // writes staged since the last settle
-	def     *shard.Deferred
-	futs    []*commit.Future
-	werrs   []error // settle scratch: per staged write outcome
+	out      []byte // reply arena: this round's replies, in wire order
+	nreplies int    // replies staged in out
+	holes    []int  // holes[w]: offset in out of the +OK held for staged write #w
+	def      *shard.Deferred
+	futs     []*commit.Future
+	werrs    []error // settle scratch: per staged write outcome
 
 	scanBuf  []byte // SCAN scratch: collected keys
 	scanEnds []int
 	scanVals []uint64
 }
 
-// pendingReply is one reply slot: a resolved [off,end) region of the
-// lit arena, or (w >= 0) a placeholder for staged write #w.
-type pendingReply struct {
-	off, end int
-	w        int
-}
-
 func newConn(s *Server, nc net.Conn) *conn {
-	c := &conn{
-		srv: s,
-		nc:  nc,
-		br:  bufio.NewReader(nc),
-		bw:  bufio.NewWriter(nc),
-	}
+	c := &conn{srv: s, nc: nc, rd: newFrameReader(nc)}
 	if s.opts.Mode == ModeBatched {
 		// The settle step flushes before the queue reaches the limit, so
 		// the combiner's own auto-flush never fires and queue positions
@@ -85,12 +81,22 @@ func (c *conn) serve() {
 	}()
 	defer c.nc.Close()
 	for {
-		fr, err := ParseCommand(c.br)
+		args, ok, err := c.rd.next()
+		if err == nil && !ok {
+			// No complete frame is buffered: the round ends here, before
+			// the read that may block.
+			if c.nreplies > 0 && !c.endRound() {
+				return
+			}
+			if err = c.rd.fill(); err == nil {
+				continue
+			}
+		}
 		if err != nil {
 			c.finish(err)
 			return
 		}
-		quit, aerr := c.dispatch(fr)
+		quit, aerr := c.dispatch(args)
 		if aerr != nil {
 			return // machine crash during settle; srv.fail already ran
 		}
@@ -100,18 +106,18 @@ func (c *conn) serve() {
 			}
 			return
 		}
-		if c.br.Buffered() == 0 || len(c.replies) >= c.srv.opts.maxPipeline() {
-			if c.settleWrites() != nil {
-				return
-			}
-			if c.flushWire() != nil {
-				return
-			}
-			if c.srv.draining.Load() {
-				return // drained: accepted writes settled, replies sent
-			}
+		if c.nreplies >= c.srv.opts.maxPipeline() && !c.endRound() {
+			return
 		}
 	}
+}
+
+// endRound settles the staged writes and sends the round's replies. It
+// reports whether the connection goes on: not after a machine crash or
+// a socket error, and not once draining — accepted writes are settled
+// and their replies sent, which is all a drain owes the client.
+func (c *conn) endRound() bool {
+	return c.settleWrites() == nil && c.flushWire() == nil && !c.srv.draining.Load()
 }
 
 // finish handles the read-side end of a connection: settle accepted
@@ -146,47 +152,27 @@ func isTimeout(err error) bool {
 	return errors.As(err, &ne) && ne.Timeout()
 }
 
-// Reply staging helpers: append one encoded reply to the arena and
-// record its region.
-
-func (c *conn) record(off int) {
-	c.replies = append(c.replies, pendingReply{off: off, end: len(c.lit), w: -1})
+// reply stages one reply: out is c.out with the reply's encoding
+// appended.
+func (c *conn) reply(out []byte) {
+	c.out = out
+	c.nreplies++
 }
 
-func (c *conn) litSimple(s string) {
-	off := len(c.lit)
-	c.lit = appendSimple(c.lit, s)
-	c.record(off)
-}
+func (c *conn) litSimple(s string)  { c.reply(appendSimple(c.out, s)) }
+func (c *conn) litError(msg string) { c.reply(appendErrorReply(c.out, msg)) }
+func (c *conn) litInt(n int64)      { c.reply(appendInt(c.out, n)) }
+func (c *conn) litBulk(b []byte)    { c.reply(appendBulk(c.out, b)) }
+func (c *conn) litNull()            { c.reply(appendNullBulk(c.out)) }
 
-func (c *conn) litError(msg string) {
-	off := len(c.lit)
-	c.lit = appendErrorReply(c.lit, msg)
-	c.record(off)
-}
-
-func (c *conn) litInt(n int64) {
-	off := len(c.lit)
-	c.lit = appendInt(c.lit, n)
-	c.record(off)
-}
-
-func (c *conn) litBulk(b []byte) {
-	off := len(c.lit)
-	c.lit = appendBulk(c.lit, b)
-	c.record(off)
-}
-
-func (c *conn) litNull() {
-	off := len(c.lit)
-	c.lit = appendNullBulk(c.lit)
-	c.record(off)
-}
+// okReply is the reply to a fenced write, and what a hole holds until
+// settleWrites has the write's outcome.
+const okReply = "+OK\r\n"
 
 // placeholder stages the reply slot for the next staged write.
 func (c *conn) placeholder() {
-	c.replies = append(c.replies, pendingReply{w: c.nw})
-	c.nw++
+	c.holes = append(c.holes, len(c.out))
+	c.reply(append(c.out, okReply...))
 }
 
 // settleWrites commits every staged write and resolves its placeholder
@@ -194,11 +180,11 @@ func (c *conn) placeholder() {
 // return means the machine died (injected crash) — the server has
 // failed and the connection must drop without flushing.
 func (c *conn) settleWrites() error {
-	if c.nw == 0 {
+	if len(c.holes) == 0 {
 		return nil
 	}
 	werrs := c.werrs[:0]
-	for i := 0; i < c.nw; i++ {
+	for range c.holes {
 		werrs = append(werrs, nil)
 	}
 	switch c.srv.opts.Mode {
@@ -236,35 +222,33 @@ func (c *conn) settleWrites() error {
 		}
 		c.futs = c.futs[:0]
 	}
-	for i := range c.replies {
-		p := &c.replies[i]
-		if p.w < 0 {
-			continue
+	// Every hole already reads +OK. Only a round with a failed write is
+	// rebuilt, the error spliced in where that write's +OK was.
+	var fixed []byte
+	done := 0 // c.out[:done] is already in fixed
+	for w, off := range c.holes {
+		if e := werrs[w]; e != nil {
+			fixed = appendErrorReply(append(fixed, c.out[done:off]...), errorText(e))
+			done = off + len(okReply)
 		}
-		off := len(c.lit)
-		if e := werrs[p.w]; e != nil {
-			c.lit = appendErrorReply(c.lit, errorText(e))
-		} else {
-			c.lit = appendSimple(c.lit, "OK")
-		}
-		p.off, p.end, p.w = off, len(c.lit), -1
 	}
-	c.nw = 0
+	if done > 0 {
+		c.out = append(fixed, c.out[done:]...)
+	}
+	c.holes = c.holes[:0]
 	c.werrs = werrs[:0]
 	return nil
 }
 
-// flushWire writes every settled reply to the socket in order and
-// flushes. All placeholders must have been settled.
+// flushWire sends the round: every staged reply, in order, in one
+// Write. All placeholders must have been settled.
 func (c *conn) flushWire() error {
-	for _, p := range c.replies {
-		if _, err := c.bw.Write(c.lit[p.off:p.end]); err != nil {
-			return err
-		}
+	if len(c.out) == 0 {
+		return nil
 	}
-	c.replies = c.replies[:0]
-	c.lit = c.lit[:0]
-	return c.bw.Flush()
+	_, err := c.nc.Write(c.out)
+	c.out, c.nreplies = c.out[:0], 0
+	return err
 }
 
 // errorText maps a store/pipeline error to its typed wire code.
@@ -321,8 +305,7 @@ func cmdName(b []byte) string {
 // dispatch executes one parsed command. quit requests connection
 // close after the final flush; a non-nil error aborts the connection
 // (machine crash during a settle).
-func (c *conn) dispatch(fr Frame) (quit bool, _ error) {
-	args := fr.Args
+func (c *conn) dispatch(args [][]byte) (quit bool, _ error) {
 	cmd := cmdName(args[0])
 	switch cmd {
 	case "PING":
@@ -432,7 +415,7 @@ func (c *conn) stageWrite(key []byte, value uint64, update bool) error {
 			c.litSimple("OK")
 		}
 	case ModeBatched:
-		if c.nw >= c.srv.opts.batch() {
+		if len(c.holes) >= c.srv.opts.batch() {
 			if err := c.settleWrites(); err != nil {
 				return err
 			}
@@ -494,8 +477,7 @@ func (c *conn) scan(args [][]byte) error {
 		c.scanVals = append(c.scanVals, v)
 	}
 	n := len(c.scanEnds)
-	off := len(c.lit)
-	c.lit = appendArrayHeader(c.lit, 2)
+	out := appendArrayHeader(c.out, 2)
 	if n == count {
 		// Page full: resume at the exclusive successor of the last key
 		// (smallest byte string strictly greater — lastKey + 0x00).
@@ -504,21 +486,21 @@ func (c *conn) scan(args [][]byte) error {
 			lo = c.scanEnds[n-2]
 		}
 		last := c.scanBuf[lo:c.scanEnds[n-1]]
-		c.lit = append(c.lit, '$')
-		c.lit = strconv.AppendInt(c.lit, int64(len(last)+1), 10)
-		c.lit = append(c.lit, '\r', '\n')
-		c.lit = append(c.lit, last...)
-		c.lit = append(c.lit, 0, '\r', '\n')
+		out = append(out, '$')
+		out = strconv.AppendInt(out, int64(len(last)+1), 10)
+		out = append(out, '\r', '\n')
+		out = append(out, last...)
+		out = append(out, 0, '\r', '\n')
 	} else {
-		c.lit = appendNullBulk(c.lit)
+		out = appendNullBulk(out)
 	}
-	c.lit = appendArrayHeader(c.lit, 2*n)
+	out = appendArrayHeader(out, 2*n)
 	lo := 0
 	for i := 0; i < n; i++ {
-		c.lit = appendBulk(c.lit, c.scanBuf[lo:c.scanEnds[i]])
-		c.lit = appendInt(c.lit, int64(c.scanVals[i]))
+		out = appendBulk(out, c.scanBuf[lo:c.scanEnds[i]])
+		out = appendInt(out, int64(c.scanVals[i]))
 		lo = c.scanEnds[i]
 	}
-	c.record(off)
+	c.reply(out)
 	return nil
 }

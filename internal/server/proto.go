@@ -12,6 +12,13 @@
 // fails with a typed *ProtocolError instead of a panic or a silent
 // re-interpretation.
 //
+// One tokenizer, parseFrame, holds that grammar, and it works in place
+// over a byte window. A connection runs it over the read buffer it owns
+// (frameReader): nothing is copied, so a request's arguments alias the
+// buffer and live only until the connection parses its next frame.
+// ParseCommand is the same tokenizer behind a bufio.Reader, copying the
+// arguments out for callers that keep them.
+//
 // Replies use the standard RESP reply kinds (simple string, error,
 // integer, bulk, null bulk, array). Error replies carry a typed code
 // as their first token — ERR (protocol/command), UNAVAIL (routed to a
@@ -45,8 +52,8 @@ import (
 )
 
 // Frame limits. A request frame is rejected with a typed
-// *ProtocolError the moment a declared length exceeds them, before any
-// allocation of that size.
+// *ProtocolError the moment a declared length exceeds them; no buffer is
+// ever sized from a declared length, only from bytes that have arrived.
 const (
 	// MaxArgs caps the number of bulk strings in one request array.
 	MaxArgs = 64
@@ -125,91 +132,219 @@ func AppendFrame(dst []byte, args [][]byte) []byte {
 // Encode returns the frame's canonical wire encoding.
 func (f Frame) Encode() []byte { return AppendFrame(nil, f.Args) }
 
-// readLen reads a canonical decimal length terminated by CRLF: one or
-// more digits, no sign, no leading zero unless the length is exactly
-// "0". max bounds the accepted value; limit names it in the error.
-func readLen(r *bufio.Reader, max int, what string) (int, error) {
-	n, digits := 0, 0
-	first := byte(0)
-	for {
-		c, err := r.ReadByte()
-		if err != nil {
-			return 0, err
+// parseLen tokenizes a canonical decimal length terminated by CRLF at
+// buf[p:]: one or more digits, no sign, no leading zero unless the
+// length is exactly "0". max bounds the accepted value; what names it
+// in the error. next is the offset just past the CRLF, or 0 when buf
+// ends before the length does.
+func parseLen(buf []byte, p, max int, what string) (n, next int, err error) {
+	start := p
+	for ; ; p++ {
+		if p == len(buf) {
+			return 0, 0, nil
 		}
+		c := buf[p]
 		if c == '\r' {
 			break
 		}
 		if c < '0' || c > '9' {
-			return 0, malformed("%s length: unexpected byte %q", what, c)
+			return 0, 0, malformed("%s length: unexpected byte %q", what, c)
 		}
-		if digits == 0 {
-			first = c
+		if p > start && buf[start] == '0' {
+			return 0, 0, malformed("%s length: leading zero", what)
 		}
-		digits++
-		if digits > 1 && first == '0' {
-			return 0, malformed("%s length: leading zero", what)
-		}
-		if digits > 7 { // 10^7 > any sane length; also keeps n from overflowing
-			return 0, oversized("%s length: too many digits", what)
+		if p-start >= 7 { // 10^7 > any sane length; also keeps n from overflowing
+			return 0, 0, oversized("%s length: too many digits", what)
 		}
 		n = n*10 + int(c-'0')
 	}
-	if digits == 0 {
-		return 0, malformed("%s length: no digits", what)
+	if p == start {
+		return 0, 0, malformed("%s length: no digits", what)
 	}
-	if c, err := r.ReadByte(); err != nil {
-		return 0, err
-	} else if c != '\n' {
-		return 0, malformed("%s length: CR not followed by LF", what)
+	if p+1 == len(buf) {
+		return 0, 0, nil
+	}
+	if buf[p+1] != '\n' {
+		return 0, 0, malformed("%s length: CR not followed by LF", what)
 	}
 	if n > max {
-		return 0, oversized("%s length %d exceeds limit %d", what, n, max)
+		return 0, 0, oversized("%s length %d exceeds limit %d", what, n, max)
 	}
-	return n, nil
+	return n, p + 2, nil
+}
+
+// parseFrame is the request grammar — the one place that knows it. It
+// tokenizes the frame at the head of buf in place: the arguments are
+// appended to args[:0] as sub-slices of buf, and n is the number of
+// bytes the frame occupies. n == 0 with a nil error means buf ends
+// before the frame does: read more and call again — a rescan costs
+// O(arguments), since bulk payloads are skipped by their length. A
+// violation is reported at the first byte that commits it, whatever
+// follows, so the verdict on a byte stream does not depend on how it
+// was cut into reads.
+func parseFrame(buf []byte, args [][]byte) (n int, _ [][]byte, err error) {
+	args = args[:0]
+	if len(buf) == 0 {
+		return 0, args, nil
+	}
+	if buf[0] != '*' {
+		return 0, args, malformed("request must be an array, got type byte %q", buf[0])
+	}
+	nargs, p, err := parseLen(buf, 1, MaxArgs, "array")
+	if p == 0 {
+		return 0, args, err
+	}
+	if nargs == 0 {
+		return 0, args, &ProtocolError{Kind: KindEmpty, Detail: "empty request array"}
+	}
+	for len(args) < nargs {
+		if p == len(buf) {
+			return 0, args, nil
+		}
+		if buf[p] != '$' {
+			return 0, args, malformed("array element must be a bulk string, got type byte %q", buf[p])
+		}
+		ln, q, err := parseLen(buf, p+1, MaxBulk, "bulk")
+		if q == 0 {
+			return 0, args, err
+		}
+		end := q + ln
+		if len(buf) < end+2 {
+			return 0, args, nil
+		}
+		if buf[end] != '\r' || buf[end+1] != '\n' {
+			return 0, args, malformed("bulk string not terminated by CRLF")
+		}
+		args = append(args, buf[q:end:end])
+		p = end + 2
+	}
+	return p, args, nil
 }
 
 // ParseCommand reads one request frame from r. It returns io.EOF (or
 // io.ErrUnexpectedEOF mid-frame) when the stream ends, and a typed
 // *ProtocolError when the bytes are not a canonical request frame —
-// after which the stream's framing is unrecoverable.
+// after which the stream's framing is unrecoverable. It is parseFrame
+// over r's own buffer plus a copy-out, for callers that hold a
+// bufio.Reader and keep the frame; the server's connections use a
+// frameReader and copy nothing.
 func ParseCommand(r *bufio.Reader) (Frame, error) {
-	c, err := r.ReadByte()
-	if err != nil {
-		return Frame{}, err // io.EOF: clean end between frames
-	}
-	if c != '*' {
-		return Frame{}, malformed("request must be an array, got type byte %q", c)
-	}
-	n, err := readLen(r, MaxArgs, "array")
-	if err != nil {
-		return Frame{}, unexpectedEOF(err)
-	}
-	if n == 0 {
-		return Frame{}, &ProtocolError{Kind: KindEmpty, Detail: "empty request array"}
-	}
-	args := make([][]byte, n)
-	for i := range args {
-		c, err := r.ReadByte()
+	var (
+		argv [8][]byte
+		held []byte // the frame's head, taken out of r because r's buffer cannot show the whole frame
+	)
+	for {
+		win, _ := r.Peek(r.Buffered())
+		buf := win
+		if held != nil {
+			buf = append(held, win...)
+		}
+		n, args, err := parseFrame(buf, argv[:0])
 		if err != nil {
-			return Frame{}, unexpectedEOF(err)
+			return Frame{}, err
 		}
-		if c != '$' {
-			return Frame{}, malformed("array element must be a bulk string, got type byte %q", c)
+		if n > 0 {
+			f := Frame{Args: cloneArgs(args)}
+			r.Discard(n - len(held))
+			return f, nil
 		}
-		ln, err := readLen(r, MaxBulk, "bulk")
-		if err != nil {
-			return Frame{}, unexpectedEOF(err)
+		if held != nil || len(win) == r.Size() {
+			// Everything r shows belongs to this frame: take it, so r can
+			// show what follows.
+			held = append(held, win...)
+			r.Discard(len(win))
+			win = nil
 		}
-		buf := make([]byte, ln+2)
-		if _, err := readFull(r, buf); err != nil {
-			return Frame{}, unexpectedEOF(err)
+		if _, err := r.Peek(len(win) + 1); err != nil {
+			if len(win)+len(held) > 0 {
+				err = unexpectedEOF(err)
+			}
+			return Frame{}, err
 		}
-		if buf[ln] != '\r' || buf[ln+1] != '\n' {
-			return Frame{}, malformed("bulk string not terminated by CRLF")
-		}
-		args[i] = buf[:ln:ln]
 	}
-	return Frame{Args: args}, nil
+}
+
+// cloneArgs copies args out of the buffer they alias: one allocation
+// for the table and one for all the payloads.
+func cloneArgs(args [][]byte) [][]byte {
+	total := 0
+	for _, a := range args {
+		total += len(a)
+	}
+	out, data := make([][]byte, len(args)), make([]byte, 0, total)
+	for i, a := range args {
+		data = append(data, a...)
+		out[i] = data[len(data)-len(a) : len(data) : len(data)]
+	}
+	return out
+}
+
+// Connection read buffer sizes.
+const (
+	// readBufSize is the buffer every connection owns: large enough that
+	// a pipelined burst arrives in one read.
+	readBufSize = 16 << 10
+	// maxFrameSize is the longest frame MaxArgs and MaxBulk admit — the
+	// bound on a buffer grown for a frame larger than readBufSize
+	// (TestReadBufferBounded holds it to AppendFrame's answer).
+	maxFrameSize = len("*64\r\n") + MaxArgs*(len("$65536\r\n")+MaxBulk+len("\r\n"))
+)
+
+// frameReader is a connection's read side: a byte buffer it owns, and
+// parseFrame run in place over the unparsed window buf[r:w]. The
+// arguments next returns alias the buffer and are valid until the next
+// call to next or fill; nothing is copied and nothing is allocated
+// while frames fit base. A larger frame is parsed by the same
+// tokenizer over a grown buffer — grown only as its bytes arrive, never
+// from a declared length, and never past maxFrameSize — and the reader
+// is back on base once that frame is consumed.
+type frameReader struct {
+	src  io.Reader
+	buf  []byte // base[:], or a grown buffer while a frame larger than base is arriving
+	r, w int
+	args [][]byte
+	base [readBufSize]byte
+}
+
+func newFrameReader(src io.Reader) *frameReader {
+	fr := &frameReader{src: src}
+	fr.buf = fr.base[:]
+	return fr
+}
+
+// next tokenizes the frame at the head of the window. ok is false when
+// the window holds no complete frame; the caller fills and tries again.
+func (fr *frameReader) next() (args [][]byte, ok bool, err error) {
+	n, args, err := parseFrame(fr.buf[fr.r:fr.w], fr.args)
+	fr.args = args
+	fr.r += n
+	return args, n > 0, err
+}
+
+// fill reads once from the source, behind the window. The window — the
+// head of an incomplete frame, usually empty — moves to the front of
+// the buffer first: of base when it fits, which is also the way back
+// from a grown buffer, and of a buffer twice the size when it already
+// fills this one. It returns io.EOF between frames and
+// io.ErrUnexpectedEOF inside one.
+func (fr *frameReader) fill() error {
+	win := fr.buf[fr.r:fr.w]
+	switch {
+	case len(win) < len(fr.base):
+		fr.buf = fr.base[:]
+	case len(win) == len(fr.buf):
+		fr.buf = make([]byte, min(2*len(win), maxFrameSize))
+	}
+	fr.r, fr.w = 0, copy(fr.buf, win)
+	n, err := fr.src.Read(fr.buf[fr.w:])
+	fr.w += n
+	if n > 0 {
+		return nil // an error that came with bytes comes back without them
+	}
+	if fr.w > 0 {
+		err = unexpectedEOF(err)
+	}
+	return err
 }
 
 // readFull fills buf from r.

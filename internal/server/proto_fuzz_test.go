@@ -4,14 +4,85 @@ import (
 	"bufio"
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 )
 
-// FuzzParseCommand pins the codec's three load-bearing properties on
+// parseAll runs next over a whole stream: the frames it accepted, each
+// copied out, and the error that ended it.
+func parseAll(next func() ([][]byte, error)) (frames [][][]byte, _ error) {
+	for {
+		args, err := next()
+		if err != nil {
+			return frames, err
+		}
+		frames = append(frames, cloneArgs(args))
+	}
+}
+
+// connFrames is parseAll over the connection's reader, fed data in the
+// chunks src cuts it into.
+func connFrames(src io.Reader) ([][][]byte, error) {
+	fr := newFrameReader(src)
+	return parseAll(func() ([][]byte, error) {
+		for {
+			args, ok, err := fr.next()
+			if ok || err != nil {
+				return args, err
+			}
+			if err := fr.fill(); err != nil {
+				return nil, err
+			}
+		}
+	})
+}
+
+// chunkReader delivers its bytes in seeded random cuts of 1..max bytes.
+type chunkReader struct {
+	data []byte
+	rng  *rand.Rand
+	max  int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	if len(r.data) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.data[:min(len(r.data), 1+r.rng.Intn(r.max))])
+	r.data = r.data[n:]
+	return n, nil
+}
+
+// sameVerdict requires two runs over one stream to agree on everything
+// a peer could observe: the frames, and the error's type, Kind and
+// Detail.
+func sameVerdict(t *testing.T, how string, frames, wantFrames [][][]byte, err, wantErr error) {
+	t.Helper()
+	if !reflect.DeepEqual(frames, wantFrames) {
+		t.Fatalf("%s: frames differ\n got  %q\n want %q", how, frames, wantFrames)
+	}
+	var pe, wantPE *ProtocolError
+	if errors.As(wantErr, &wantPE) {
+		if !errors.As(err, &pe) || *pe != *wantPE {
+			t.Fatalf("%s: error %v, want %v", how, err, wantErr)
+		}
+	} else if err != wantErr {
+		t.Fatalf("%s: error %v, want %v", how, err, wantErr)
+	}
+}
+
+// FuzzParseCommand pins the codec's load-bearing properties on
 // arbitrary input: no panics, every accepted frame re-encodes
-// byte-identically to the bytes it consumed (canonical parsing), and
-// every rejection is a typed error (EOF pair or *ProtocolError).
+// byte-identically to the bytes it consumed (canonical parsing), every
+// rejection is a typed error (EOF pair or *ProtocolError) — and the
+// verdict belongs to the byte stream, not to how it arrived: the
+// connection's reader, fed the same bytes one at a time and in seeded
+// random chunks, yields the same frames and the same error as
+// ParseCommand over a bufio.Reader.
 func FuzzParseCommand(f *testing.F) {
 	f.Add([]byte("*1\r\n$4\r\nPING\r\n"))
 	f.Add([]byte("*2\r\n$3\r\nGET\r\n$4\r\nk001\r\n"))
@@ -28,8 +99,20 @@ func FuzzParseCommand(f *testing.F) {
 	f.Add([]byte("+OK\r\n"))                                   // reply, not request
 	f.Add([]byte("*2\r\n$3\r\nGET\r\n$4\r\nk0"))               // truncated mid-bulk
 	f.Add([]byte{})
+	f.Add(append(frame("SET", "k", strings.Repeat("7", 5000)), frame("PING")...)) // larger than a bufio.Reader
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bufio.NewReader(bytes.NewReader(data))
+		wantFrames, wantErr := parseAll(func() ([][]byte, error) {
+			fr, err := ParseCommand(r)
+			return fr.Args, err
+		})
+		for _, max := range []int{1, 7, 300, 2 * readBufSize} {
+			rng := rand.New(rand.NewSource(int64(len(data))))
+			frames, err := connFrames(&chunkReader{data: data, rng: rng, max: max})
+			sameVerdict(t, fmt.Sprintf("chunks of up to %d", max), frames, wantFrames, err, wantErr)
+		}
+
+		r = bufio.NewReader(bytes.NewReader(data))
 		consumed := 0
 		for {
 			frame, err := ParseCommand(r)

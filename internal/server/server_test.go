@@ -14,8 +14,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/keys"
-	"repro/internal/pmem"
 	"repro/shard"
 )
 
@@ -42,15 +40,7 @@ func (ts *testServer) wait() error {
 
 func startServer(t *testing.T, mode WriteMode, shards int) *testServer {
 	t.Helper()
-	m, err := shard.NewOrdered("P-ART", keys.YCSBString, shard.Options{
-		Shards: shards,
-		Heap:   pmem.Options{Track: true},
-	})
-	if err != nil {
-		t.Fatalf("NewOrdered: %v", err)
-	}
-	t.Cleanup(m.Release)
-	return serveOver(t, m, Options{Mode: mode, IndexName: "P-ART"})
+	return serveOver(t, trackedPART(t, shards), Options{Mode: mode, IndexName: "P-ART"})
 }
 
 // serveOver starts a server over an existing front-end (the crash
@@ -315,14 +305,31 @@ func TestOversizedAndMalformedFrames(t *testing.T) {
 }
 
 // TestPipelinedBurst: hundreds of commands in one write, replies in
-// exact order — across settle boundaries (burst > MaxPipeline) and
-// batch boundaries in batched mode.
+// exact order — across settle boundaries (burst > MaxPipeline), batch
+// boundaries in batched mode, and refills of the connection's read
+// buffer (burst > readBufSize). Arguments alias that buffer, so the
+// test is also the one that would see a key retained past dispatch: k1
+// and k2 differ in their last byte only and sit in one read, staged
+// writes are held across refills in batched and async mode, and the
+// keys stored first are read back after the burst has overwritten the
+// buffer many times.
 func TestPipelinedBurst(t *testing.T) {
 	const n = 700 // > DefaultMaxPipeline and many DefaultBatch multiples
 	for _, mode := range modes {
 		t.Run(mode.String(), func(t *testing.T) {
 			ts := startServer(t, mode, 4)
 			c := dialT(t, ts.addr())
+
+			const k1, k2 = "user000000000000000000a", "user000000000000000000b"
+			c.send(bytes.Join([][]byte{
+				frame("SET", k1, "1"), frame("SET", k2, "2"), frame("UPDATE", k1, "3"),
+				frame("GET", k1), frame("GET", k2),
+			}, nil))
+			for i := 0; i < 3; i++ {
+				wantSimple(t, c.read(), "OK")
+			}
+			wantInt(t, c.read(), 3)
+			wantInt(t, c.read(), 2)
 
 			var burst []byte
 			for i := 0; i < n; i++ {
@@ -331,6 +338,9 @@ func TestPipelinedBurst(t *testing.T) {
 			for i := 0; i < n; i++ {
 				burst = append(burst, frame("GET", fmt.Sprintf("k%05d", i))...)
 			}
+			if len(burst) <= 2*readBufSize {
+				t.Fatalf("burst of %d bytes does not outgrow the %d-byte read buffer", len(burst), readBufSize)
+			}
 			c.send(burst)
 			for i := 0; i < n; i++ {
 				wantSimple(t, c.read(), "OK")
@@ -338,6 +348,8 @@ func TestPipelinedBurst(t *testing.T) {
 			for i := 0; i < n; i++ {
 				wantInt(t, c.read(), int64(i))
 			}
+			wantInt(t, c.do("GET", k1), 3)
+			wantInt(t, c.do("GET", k2), 2)
 		})
 	}
 }
