@@ -248,11 +248,11 @@ func BenchmarkShardScaling(b *testing.B) {
 // resume an O(log n) seek (§7.1), so the numbers isolate the adapter
 // and the merge rather than trie re-walk costs.
 //
-// The last cell is the benchmark's lib-scan workload in miniature —
+// The last cells are the benchmark's lib-scan workload in miniature —
 // P-ART, 24-byte YCSB string keys, hash partitioning over 4 shards,
-// scan lengths 1–100 from roaming starts, 200K keys — where every shard
-// is pulled through P-ART's own resumable iterator: ns/op is the cost of
-// one merged scan of ~50 entries and allocs/op should read 0.
+// roaming starts, 200K keys — where every shard is pulled through
+// P-ART's own resumable iterator: at len=1-100 ns/op is the cost of one
+// merged scan of ~50 entries, and allocs/op should read 0 in all three.
 func BenchmarkScanStreaming(b *testing.B) {
 	for _, part := range []recipe.Partitioner{recipe.HashPartition{}, recipe.RangePartition{}} {
 		for _, shards := range []int{1, 8} {
@@ -272,10 +272,20 @@ func BenchmarkScanStreaming(b *testing.B) {
 			}
 		}
 	}
-	b.Run("index=P-ART/keys=ycsb/part=hash/shards=4/load=200000/len=1-100", func(b *testing.B) {
-		benchScan(b, "P-ART", keys.YCSBString, recipe.ShardOptions{Shards: 4}, 200_000,
-			func(i int) int { return 1 + i*37%100 })
-	})
+	// len=1 and len=4 guard the iterator's child look-ahead: a short scan
+	// pays for every sibling it touches and returns almost none of them.
+	for _, c := range []struct {
+		name string
+		n    func(i int) int
+	}{
+		{"1", func(int) int { return 1 }},
+		{"4", func(int) int { return 4 }},
+		{"1-100", func(i int) int { return 1 + i*37%100 }},
+	} {
+		b.Run("index=P-ART/keys=ycsb/part=hash/shards=4/load=200000/len="+c.name, func(b *testing.B) {
+			benchScan(b, "P-ART", keys.YCSBString, recipe.ShardOptions{Shards: 4}, 200_000, c.n)
+		})
+	}
 }
 
 // benchScan loads loadN keys into a sharded front-end and times b.N

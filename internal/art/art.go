@@ -56,16 +56,17 @@ const (
 // path compression.
 const maxStoredPrefix = 7
 
-// header is the common node prefix. Every concrete node type embeds it as
-// its first field, so a *header can be cast back to the concrete type.
+// header is the common node prefix. Every inner node type embeds it as
+// its first field, so a *header can be cast back to the concrete type. A
+// leaf shares only kind and pm with it, at the same offsets.
 type header struct {
 	kind     kind
 	level    uint32 // depth of this node's branch byte; immutable
+	pm       pmem.Obj
 	prefix   atomic.Uint64
 	count    atomic.Uint32
 	obsolete atomic.Bool
 	lock     pmlock.Mutex
-	pm       pmem.Obj
 }
 
 // Simulated persistent layout shared by all nodes: the first 16 bytes of
@@ -124,10 +125,39 @@ type node256 struct {
 	children [256]atomic.Pointer[header]
 }
 
+// inlineKey is the longest key a leaf holds inline: both keys.Kinds fit, and
+// the leaf is 56 bytes — one object of the 64-byte size class, one line.
+const inlineKey = 24
+
+// leaf is one pointer-free allocation holding the whole record, key bytes
+// included: reaching it costs one cache miss and the collector never scans
+// it. No code path locks a leaf, marks it obsolete or reads its level,
+// prefix or count, so it shares only kind and pm with header, at header's
+// offsets: children point at it as a *header through which nothing else
+// may be read. kind is written before the leaf is published and never
+// again, which is what lets the iterator read it early.
 type leaf struct {
-	header
-	key   []byte
+	kind  kind
+	klen  uint32
+	pm    pmem.Obj
 	value atomic.Uint64
+	inl   [inlineKey]byte
+}
+
+// bigLeaf is the leaf of a key longer than inlineKey, told apart by klen.
+type bigLeaf struct {
+	leaf
+	ext []byte
+}
+
+func (l *leaf) hdr() *header { return (*header)(unsafe.Pointer(l)) }
+
+// key returns the leaf's immutable key bytes.
+func (l *leaf) key() []byte {
+	if l.klen > inlineKey {
+		return (*bigLeaf)(unsafe.Pointer(l)).ext
+	}
+	return l.inl[:l.klen]
 }
 
 // Simulated persistent node sizes (header + payload), used for clwb
@@ -285,12 +315,21 @@ func New(heap *pmem.Heap) *Index {
 // Len returns the number of keys in the tree.
 func (idx *Index) Len() int { return int(idx.count.Load()) }
 
+// newLeaf copies key: the caller's slice is never retained.
 func (idx *Index) newLeaf(key []byte, value uint64) *leaf {
-	l := &leaf{key: append([]byte(nil), key...)}
-	l.kind = kLeaf
+	pm := idx.heap.Alloc(uintptr(leafHdrBytes + len(key)))
+	var l *leaf
+	if len(key) <= inlineKey {
+		l = &leaf{}
+		copy(l.inl[:], key)
+		idx.heap.Shadow(pm, l)
+	} else {
+		b := &bigLeaf{ext: append([]byte(nil), key...)}
+		l = &b.leaf
+		idx.heap.Shadow(pm, b)
+	}
+	l.kind, l.klen, l.pm = kLeaf, uint32(len(key)), pm
 	l.value.Store(value)
-	l.pm = idx.heap.Alloc(uintptr(leafHdrBytes + len(key)))
-	idx.heap.Shadow(l.pm, l)
 	return l
 }
 
@@ -336,7 +375,7 @@ func (idx *Index) persistAll(h *header) {
 	case kNode256:
 		size = node256Bytes
 	case kLeaf:
-		size = uintptr(leafHdrBytes + len(h.leaf().key))
+		size = uintptr(leafHdrBytes) + uintptr(h.leaf().klen)
 	}
 	idx.heap.Persist(h.pm, 0, size)
 }
@@ -348,13 +387,10 @@ func (idx *Index) Recover() {
 	idx.rootMu.Reset()
 	var walk func(h *header)
 	walk = func(h *header) {
-		if h == nil {
-			return
+		if h == nil || h.kind == kLeaf {
+			return // a leaf has no lock
 		}
 		h.lock.Reset()
-		if h.kind == kLeaf {
-			return
-		}
 		var buf [256]entry
 		for _, e := range h.entries(buf[:0:256]) {
 			walk(e.c)

@@ -633,3 +633,31 @@ func BenchmarkLookupRandInt(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLookupYCSBString reads 24-byte YCSB string keys at the two
+// per-shard tree sizes the repository benchmark runs (wire-*: 200K keys
+// over 4 shards; lib-scan: 1M over 4), in an order that returns to a key
+// only after every other: ns/op is a descent whose leaf is a cache miss.
+func BenchmarkLookupYCSBString(b *testing.B) {
+	for _, n := range []int{50_000, 250_000} {
+		b.Run(fmt.Sprintf("keys=%d", n), func(b *testing.B) {
+			idx := newIdx()
+			gen := keys.NewGenerator(keys.YCSBString)
+			all := make([]byte, 0, n*keys.YCSBString.Size())
+			for i := 0; i < n; i++ {
+				all = gen.AppendKey(all, uint64(i))
+				if err := idx.Insert(all[len(all)-keys.YCSBString.Size():], uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				at := i * 7919 % n * keys.YCSBString.Size()
+				if _, ok := idx.Lookup(all[at : at+keys.YCSBString.Size()]); !ok {
+					b.Fatal("miss")
+				}
+			}
+		})
+	}
+}

@@ -16,6 +16,13 @@ import "bytes"
 // are tolerated as lookups tolerate them, by trusting the immutable level
 // and asking a leaf for the bytes the node cannot vouch for.
 //
+// Before it steps through a Node4/16 the iterator loads the kind of every
+// child still to visit, in one tight loop (warm): the loads are
+// independent, so sibling cache misses overlap instead of queueing one
+// behind another. A child's kind never changes once the child is published
+// and is reached through the same atomic child loads a step makes, so the
+// early read needs no synchronisation of its own.
+//
 // Returned keys alias the leaves' immutable key bytes: they stay valid
 // indefinitely but must not be modified. An Iterator is not safe for
 // concurrent use; any number may run against one Index.
@@ -29,6 +36,9 @@ type Iterator struct {
 	over  []frame
 	// pending is the leaf Seek stopped on, handed out by the first Next.
 	pending *leaf
+	// warmed consumes what warm loads, so the loads are not dead code. It
+	// is per iterator: a shared sink would be a data race.
+	warmed uint32
 }
 
 // inlineDepth is the number of frames held inline: one per inner node on
@@ -55,6 +65,10 @@ type frame struct {
 	// subtree may still hold keys < start; resolved (and cleared) by the
 	// frame's first step. No frame is bounded once Seek has returned.
 	bounded bool
+	// cold marks a Node4/16 frame whose children are yet to be warmed:
+	// before its first step that does not follow start's own path, so a
+	// short scan never touches the siblings of its seek path.
+	cold bool
 }
 
 // newFrame returns a frame positioned before n's first child. It loads
@@ -65,6 +79,7 @@ func newFrame(n *header, bounded bool) frame {
 	if n.kind != kNode4 && n.kind != kNode16 {
 		return f
 	}
+	f.cold = true
 	f.next = int(n.count.Load())
 	var sorted [16]uint16 // key byte << 4 | slot, ascending
 	for i := 0; i < f.next; i++ {
@@ -161,7 +176,7 @@ func (it *Iterator) Next() (key []byte, value uint64, ok bool) {
 	} else if l = it.advance(nil); l == nil {
 		return nil, 0, false
 	}
-	return l.key, l.value.Load(), true
+	return l.key(), l.value.Load(), true
 }
 
 // visit charges the read of c, then either returns it — a leaf that
@@ -174,10 +189,20 @@ func (it *Iterator) visit(c *header, bounded bool, start []byte) *leaf {
 		it.push(newFrame(c, bounded))
 		return nil
 	}
-	if l := c.leaf(); !bounded || bytes.Compare(l.key, start) >= 0 {
+	if l := c.leaf(); !bounded || bytes.Compare(l.key(), start) >= 0 {
 		return l
 	}
 	return nil
+}
+
+// warm touches each child the Node4/16 frame f has yet to visit.
+func (it *Iterator) warm(f *frame) {
+	f.cold = false
+	for o, i := f.order, f.next; i > 0; o, i = o>>4, i-1 {
+		if c := childAt(f.n, int(o&15)); c != nil {
+			it.warmed += uint32(c.kind)
+		}
+	}
 }
 
 // advance steps the stack to the next leaf in key order, or returns nil
@@ -202,6 +227,9 @@ func (it *Iterator) advance(start []byte) *leaf {
 			}
 			// Otherwise every key below n is > start: take them all.
 		}
+		if f.cold && !bounded {
+			it.warm(f)
+		}
 		b, c := f.step(lo)
 		if c == nil {
 			it.depth--
@@ -225,11 +253,9 @@ func (it *Iterator) cmpPrefix(n *header, depth int, start []byte) int {
 	plen, pb := n.prefixSnapshot()
 	shared := pb[:min(plen, maxStoredPrefix)]
 	if plen != level-depth || plen > maxStoredPrefix {
-		lf := it.idx.minLeaf(n)
-		if lf == nil || len(lf.key) < level || depth > level {
+		if shared = it.idx.fullPrefix(n, depth); shared == nil {
 			return -1 // nothing live below n
 		}
-		shared = lf.key[depth:level]
 	}
 	return bytes.Compare(shared, start[depth:min(level, len(start))])
 }

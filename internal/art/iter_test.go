@@ -284,6 +284,43 @@ func TestIteratorStalePrefixNoRecovery(t *testing.T) {
 	}
 }
 
+// iterateStable runs iterations from roaming starts for as long as more
+// says, while writers churn other keys, and holds each to the iterator
+// contract: every stable key at or after the start is returned exactly
+// once, in ascending order (and, when check is set, passes it).
+func iterateStable(t *testing.T, idx *Index, stable [][]byte, more func(round int) bool, check func(round int, k []byte, v uint64)) {
+	it := idx.NewIterator()
+	for round := 0; more(round) && !t.Failed(); round++ {
+		start := stable[(round*67)%len(stable)]
+		if round%5 == 0 {
+			start = nil
+		}
+		want := tail(stable, start)
+		var prev []byte
+		it.Seek(start)
+		for {
+			k, v, ok := it.Next()
+			if !ok {
+				break
+			}
+			if prev != nil && bytes.Compare(prev, k) >= 0 {
+				t.Errorf("round %d: %q after %q: out of order or repeated", round, k, prev)
+				break
+			}
+			if check != nil {
+				check(round, k, v)
+			}
+			prev = k
+			if len(want) > 0 && bytes.Equal(k, want[0]) {
+				want = want[1:]
+			}
+		}
+		if len(want) > 0 {
+			t.Errorf("round %d: stable key %q (and %d more) never returned", round, want[0], len(want)-1)
+		}
+	}
+}
+
 // TestIteratorConcurrentInserters: every key that is in the tree for an
 // iterator's whole lifetime is returned exactly once and in order, while
 // writers split leaves, grow nodes through every kind and split
@@ -338,34 +375,8 @@ func TestIteratorConcurrentInserters(t *testing.T) {
 			}
 		}(w)
 	}
-	it := idx.NewIterator()
 	// Keep iterating until the writers have demonstrably been at work.
-	for round := 0; (round < 30 || writes.Load() < minWrites) && !t.Failed(); round++ {
-		start := stable[(round*67)%len(stable)]
-		if round%5 == 0 {
-			start = nil
-		}
-		want := tail(stable, start)
-		var prev []byte
-		it.Seek(start)
-		for {
-			k, _, ok := it.Next()
-			if !ok {
-				break
-			}
-			if prev != nil && bytes.Compare(prev, k) >= 0 {
-				t.Errorf("round %d: %q after %q: out of order or repeated", round, k, prev)
-				break
-			}
-			prev = k
-			if len(want) > 0 && bytes.Equal(k, want[0]) {
-				want = want[1:]
-			}
-		}
-		if len(want) > 0 {
-			t.Errorf("round %d: stable key %q (and %d more) never returned", round, want[0], len(want)-1)
-		}
-	}
+	iterateStable(t, idx, stable, func(round int) bool { return round < 30 || writes.Load() < minWrites }, nil)
 	close(stop)
 	wg.Wait()
 }

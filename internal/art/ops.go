@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/crash"
+	"repro/internal/pmlock"
 )
 
 // Insert stores value under key, overwriting the value if key exists.
@@ -40,10 +41,10 @@ func (idx *Index) tryInsert(key []byte, value uint64) (done bool, err error) {
 		}
 		l := idx.newLeaf(key, value)
 		// RECIPE: persist the leaf before publishing it.
-		idx.persistAll(&l.header)
+		idx.persistAll(l.hdr())
 		idx.heap.Fence()
 		idx.heap.CrashPoint("art.insert.rootleaf.init")
-		idx.root.Store(&l.header)
+		idx.root.Store(l.hdr())
 		idx.heap.Dirty(idx.rootPM, 0, 8)
 		// RECIPE: flush + fence after the committing root store.
 		idx.heap.PersistFence(idx.rootPM, 0, 8)
@@ -132,7 +133,8 @@ func (idx *Index) tryInsert(key []byte, value uint64) (done bool, err error) {
 // keys match, otherwise split the edge with a new node4 holding both
 // leaves (copy-on-write committed by one pointer swap — Condition #1).
 func (idx *Index) insertAtLeaf(parent *header, pslot byte, lf *leaf, depth int, key []byte, value uint64) (bool, error) {
-	if bytes.Equal(lf.key, key) {
+	lk := lf.key()
+	if bytes.Equal(lk, key) {
 		// In-place update: a single atomic 8-byte store is the commit.
 		lf.value.Store(value)
 		idx.heap.Dirty(lf.pm, leafValOff, 8)
@@ -141,41 +143,41 @@ func (idx *Index) insertAtLeaf(parent *header, pslot byte, lf *leaf, depth int, 
 		idx.heap.CrashPoint("art.update.commit")
 		return true, nil
 	}
-	unlock, ok := idx.lockSlot(parent, pslot, &lf.header)
-	if !ok {
+	slot := idx.lockSlot(parent, pslot, lf.hdr())
+	if slot == nil {
 		return false, nil
 	}
 	// Recheck equality under the lock (the slot could have been replaced
 	// before we locked, in which case lockSlot already failed).
 	cp := 0
 	maxCp := len(key) - depth
-	if l := len(lf.key) - depth; l < maxCp {
+	if l := len(lk) - depth; l < maxCp {
 		maxCp = l
 	}
-	for cp < maxCp && key[depth+cp] == lf.key[depth+cp] {
+	for cp < maxCp && key[depth+cp] == lk[depth+cp] {
 		cp++
 	}
-	if depth+cp == len(key) || depth+cp == len(lf.key) {
-		unlock()
+	if depth+cp == len(key) || depth+cp == len(lk) {
+		slot.Unlock()
 		return false, ErrPrefixKey
 	}
 	nn := idx.allocNode(kNode4, uint32(depth+cp), key[depth:depth+cp])
 	nl := idx.newLeaf(key, value)
 	n4 := nn.n4()
-	n4.keys.Set(0, lf.key[depth+cp])
-	n4.children[0].Store(&lf.header)
+	n4.keys.Set(0, lk[depth+cp])
+	n4.children[0].Store(lf.hdr())
 	n4.keys.Set(1, key[depth+cp])
-	n4.children[1].Store(&nl.header)
+	n4.children[1].Store(nl.hdr())
 	nn.count.Store(2)
 	// RECIPE: persist the new leaf and node before publishing them.
-	idx.persistAll(&nl.header)
+	idx.persistAll(nl.hdr())
 	idx.persistAll(nn)
 	idx.heap.Fence()
 	idx.heap.CrashPoint("art.leafsplit.init")
 	idx.setChildPersist(parent, pslot, nn)
 	idx.heap.CrashPoint("art.leafsplit.commit")
 	idx.count.Add(1)
-	unlock()
+	slot.Unlock()
 	return true, nil
 }
 
@@ -202,7 +204,7 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 	}
 	nl := idx.newLeaf(key, value)
 	// RECIPE: persist the leaf before publishing it.
-	idx.persistAll(&nl.header)
+	idx.persistAll(nl.hdr())
 	idx.heap.Fence()
 	idx.heap.CrashPoint("art.insert.leafready")
 
@@ -226,7 +228,7 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 		// Reuse a slot whose child was deleted and whose key byte matches.
 		for i := 0; i < cnt; i++ {
 			if keyAt(n, i) == b {
-				children(i).Store(&nl.header)
+				children(i).Store(nl.hdr())
 				idx.heap.Dirty(n.pm, childOff(n, i), 8)
 				// RECIPE: flush + fence after the committing store.
 				idx.heap.PersistFence(n.pm, childOff(n, i), 8)
@@ -238,7 +240,7 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 		}
 		if cnt < capN {
 			keysSet(cnt, b)
-			children(cnt).Store(&nl.header)
+			children(cnt).Store(nl.hdr())
 			idx.heap.Dirty(n.pm, keysOff(n), 16)
 			idx.heap.Dirty(n.pm, childOff(n, cnt), 8)
 			// RECIPE: persist the appended entry, fence, then commit with
@@ -258,7 +260,7 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 	case kNode48:
 		nd := n.n48()
 		if s := nd.index.Get(int(b)); s != 0 {
-			nd.children[s-1].Store(&nl.header)
+			nd.children[s-1].Store(nl.hdr())
 			idx.heap.Dirty(n.pm, n48ChildOff+uintptr(s-1)*8, 8)
 			// RECIPE: flush + fence after the committing store.
 			idx.heap.PersistFence(n.pm, n48ChildOff+uintptr(s-1)*8, 8)
@@ -269,7 +271,7 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 		}
 		cnt := int(n.count.Load())
 		if cnt < 48 {
-			nd.children[cnt].Store(&nl.header)
+			nd.children[cnt].Store(nl.hdr())
 			idx.heap.Dirty(n.pm, n48ChildOff+uintptr(cnt)*8, 8)
 			// RECIPE: persist the child slot, fence, then commit with the
 			// atomic index-byte store, then persist the index line.
@@ -290,7 +292,7 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 		}
 	case kNode256:
 		nd := n.n256()
-		nd.children[b].Store(&nl.header)
+		nd.children[b].Store(nl.hdr())
 		idx.heap.Dirty(n.pm, n256ChOff+uintptr(b)*8, 8)
 		// RECIPE: flush + fence after the committing store.
 		idx.heap.PersistFence(n.pm, n256ChOff+uintptr(b)*8, 8)
@@ -302,13 +304,13 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 
 	// Node full: grow by copy-on-write into the next kind, carrying only
 	// live entries (compaction reclaims slots freed by deletes).
-	bigger := idx.growNode(n, b, &nl.header)
+	bigger := idx.growNode(n, b, nl.hdr())
 	// RECIPE: persist the replacement before publishing it.
 	idx.persistAll(bigger)
 	idx.heap.Fence()
 	idx.heap.CrashPoint("art.grow.built")
-	unlock, ok := idx.lockSlot(parent, pslot, n)
-	if !ok {
+	slot := idx.lockSlot(parent, pslot, n)
+	if slot == nil {
 		n.lock.Unlock()
 		return false, nil
 	}
@@ -316,7 +318,7 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 	idx.heap.CrashPoint("art.grow.commit")
 	n.obsolete.Store(true)
 	idx.count.Add(1)
-	unlock()
+	slot.Unlock()
 	n.lock.Unlock()
 	return true, nil
 }
@@ -351,7 +353,7 @@ func (idx *Index) growNode(n *header, b byte, extra *header) *header {
 		if prefix == nil && extra.kind == kLeaf {
 			// Every live entry was deleted; reconstruct the prefix from
 			// the entry being inserted, which shares it by definition.
-			prefix = extra.leaf().key[depth:int(n.level)]
+			prefix = extra.leaf().key()[depth:int(n.level)]
 		}
 	}
 	nn := idx.allocNode(k, n.level, prefix)
@@ -411,8 +413,8 @@ func (idx *Index) splitPrefix(parent *header, pslot byte, n *header, depth, mism
 		n.lock.Unlock()
 		return false, nil
 	}
-	unlock, ok := idx.lockSlot(parent, pslot, n)
-	if !ok {
+	slot := idx.lockSlot(parent, pslot, n)
+	if slot == nil {
 		n.lock.Unlock()
 		return false, nil
 	}
@@ -423,10 +425,10 @@ func (idx *Index) splitPrefix(parent *header, pslot byte, n *header, depth, mism
 	n4.keys.Set(0, full[mismatch])
 	n4.children[0].Store(n)
 	n4.keys.Set(1, key[depth+mismatch])
-	n4.children[1].Store(&nl.header)
+	n4.children[1].Store(nl.hdr())
 	nn.count.Store(2)
 	// RECIPE: persist the new node and leaf before step 1.
-	idx.persistAll(&nl.header)
+	idx.persistAll(nl.hdr())
 	idx.persistAll(nn)
 	idx.heap.Fence()
 	idx.heap.CrashPoint("art.split.built")
@@ -445,7 +447,7 @@ func (idx *Index) splitPrefix(parent *header, pslot byte, n *header, depth, mism
 	idx.heap.CrashPoint("art.split.prefixfixed")
 
 	idx.count.Add(1)
-	unlock()
+	slot.Unlock()
 	n.lock.Unlock()
 	return true, nil
 }
@@ -458,10 +460,10 @@ func (idx *Index) splitPrefix(parent *header, pslot byte, n *header, depth, mism
 func (idx *Index) fixPrefix(n *header, depth int) {
 	lf := idx.minLeaf(n)
 	truePlen := int(n.level) - depth
-	if lf == nil || truePlen < 0 || len(lf.key) < int(n.level) {
+	if lf == nil || truePlen < 0 || int(lf.klen) < int(n.level) {
 		return
 	}
-	n.prefix.Store(packPrefix(lf.key[depth:int(n.level)]))
+	n.prefix.Store(packPrefix(lf.key()[depth:int(n.level)]))
 	idx.heap.Dirty(n.pm, offPrefix, 8)
 	// RECIPE: flush + fence after the repairing store.
 	idx.heap.PersistFence(n.pm, offPrefix, 8)
@@ -496,7 +498,7 @@ func (idx *Index) tryDelete(key []byte) (deleted, done bool) {
 			idx.rootMu.Unlock()
 			return false, false
 		}
-		if !bytes.Equal(n.leaf().key, key) {
+		if !bytes.Equal(n.leaf().key(), key) {
 			idx.rootMu.Unlock()
 			return false, true
 		}
@@ -555,7 +557,7 @@ func (idx *Index) tryDelete(key []byte) (deleted, done bool) {
 			return false, true
 		}
 		if next.kind == kLeaf {
-			if !bytes.Equal(next.leaf().key, key) {
+			if !bytes.Equal(next.leaf().key(), key) {
 				return false, true
 			}
 			n.lock.Lock()
@@ -621,23 +623,24 @@ func (idx *Index) nilChild(n *header, b byte) {
 
 // lockSlot locks whatever owns the slot pointing at want: the rootMu when
 // parent is nil, otherwise the parent node. It verifies the slot still
-// points at want (and the parent is not obsolete); on failure it returns
-// ok=false with everything unlocked so the caller restarts.
-func (idx *Index) lockSlot(parent *header, pslot byte, want *header) (unlock func(), ok bool) {
+// points at want (and the parent is not obsolete) and returns the mutex
+// the caller must unlock, or nil with everything unlocked so the caller
+// restarts.
+func (idx *Index) lockSlot(parent *header, pslot byte, want *header) *pmlock.Mutex {
 	if parent == nil {
 		idx.rootMu.Lock()
 		if idx.root.Load() != want {
 			idx.rootMu.Unlock()
-			return nil, false
+			return nil
 		}
-		return idx.rootMu.Unlock, true
+		return &idx.rootMu
 	}
 	parent.lock.Lock()
 	if parent.obsolete.Load() || parent.child(pslot) != want {
 		parent.lock.Unlock()
-		return nil, false
+		return nil
 	}
-	return parent.lock.Unlock, true
+	return &parent.lock
 }
 
 // setChildPersist atomically replaces the slot (which the caller has
@@ -719,10 +722,10 @@ func (idx *Index) minLeaf(n *header) *leaf {
 // [depth, n.level) shared by every key below n) from a leaf.
 func (idx *Index) fullPrefix(n *header, depth int) []byte {
 	lf := idx.minLeaf(n)
-	if lf == nil || len(lf.key) < int(n.level) || depth > int(n.level) {
+	if lf == nil || int(lf.klen) < int(n.level) || depth > int(n.level) {
 		return nil
 	}
-	return lf.key[depth:int(n.level)]
+	return lf.key()[depth:int(n.level)]
 }
 
 // keyAt / childAt / keysOff / childOff adapt slot addressing across

@@ -15,7 +15,7 @@ func (idx *Index) Lookup(key []byte) (uint64, bool) {
 		idx.trackRead(n)
 		if n.kind == kLeaf {
 			l := n.leaf()
-			if bytes.Equal(l.key, key) {
+			if bytes.Equal(l.key(), key) {
 				return l.value.Load(), true
 			}
 			return 0, false
@@ -58,7 +58,7 @@ func (idx *Index) Lookup(key []byte) (uint64, bool) {
 func (idx *Index) trackRead(n *header) {
 	switch n.kind {
 	case kLeaf:
-		idx.heap.Load(n.pm, 0, uintptr(leafHdrBytes+len(n.leaf().key)))
+		idx.heap.Load(n.pm, 0, uintptr(leafHdrBytes)+uintptr(n.leaf().klen))
 	case kNode4:
 		idx.heap.Load(n.pm, 0, node4Bytes)
 	case kNode16:

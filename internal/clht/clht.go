@@ -19,6 +19,7 @@ package clht
 import (
 	"errors"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/crash"
 	"repro/internal/pmem"
@@ -45,15 +46,28 @@ const (
 // marker.
 var ErrZeroKey = errors.New("clht: key 0 is reserved")
 
+// bucket is bucketBytes in DRAM too, so an operation on an unchained bucket
+// touches one cache line, as the layout it models promises. Where its
+// persistent image lives is therefore not stored in it: a table bucket's
+// follows from its index (table.loc), an overflow bucket's sits behind it.
 type bucket struct {
-	pm   pmem.Obj // allocation holding this bucket's persistent image
-	off  uintptr  // byte offset of the bucket within pm
 	lock pmlock.Mutex
+	_    uint32
 	keys [EntriesPerBucket]atomic.Uint64
 	vals [EntriesPerBucket]atomic.Uint64
 	next atomic.Pointer[bucket]
 }
 
+// ovfBucket is a chained bucket. Only the head of a chain is a table
+// bucket, so every bucket reached through next is one of these.
+type ovfBucket struct {
+	bucket
+	pm pmem.Obj
+}
+
+// table's bucket array is a power-of-two count of 64-byte elements: from
+// 512 buckets up — every size New's default takes — it is a page-aligned
+// large span, so each head bucket is exactly one cache line.
 type table struct {
 	pm      pmem.Obj
 	buckets []bucket
@@ -61,9 +75,18 @@ type table struct {
 	seed    uint64
 }
 
-func (t *table) bucketFor(key uint64) *bucket {
-	h := mix(key ^ t.seed)
-	return &t.buckets[h&t.mask]
+// bucketFor returns the head bucket of key's chain and its index.
+func (t *table) bucketFor(key uint64) (*bucket, uint64) {
+	i := mix(key^t.seed) & t.mask
+	return &t.buckets[i], i
+}
+
+// loc returns the persistent location of b, a bucket of chain i.
+func (t *table) loc(i uint64, b *bucket) (pmem.Obj, uintptr) {
+	if b == &t.buckets[i] {
+		return t.pm, uintptr(i) * bucketBytes
+	}
+	return (*ovfBucket)(unsafe.Pointer(b)).pm, 0
 }
 
 func mix(x uint64) uint64 {
@@ -115,6 +138,7 @@ func NewWithBuckets(heap *pmem.Heap, n int) *Index {
 	// RECIPE: persist the freshly initialised table and the root pointer
 	// before the index is usable (the durability bug the paper found in
 	// FAST & FAIR and CCEH was an unpersisted initial allocation).
+	heap.Persist(t.pm, 0, uintptr(p)*bucketBytes)
 	heap.PersistFence(idx.root, 0, 64)
 	return idx
 }
@@ -126,15 +150,7 @@ func (idx *Index) newTable(nbuckets int, seed uint64) *table {
 		seed:    seed,
 	}
 	t.pm = idx.heap.Alloc(uintptr(nbuckets) * bucketBytes)
-	for i := range t.buckets {
-		t.buckets[i].pm = t.pm
-		t.buckets[i].off = uintptr(i) * bucketBytes
-	}
 	idx.heap.ShadowSlice(t.pm, t.buckets, bucketBytes)
-	// Persist the zeroed array; relaxed ordering is fine because the table
-	// only becomes reachable via a later atomic pointer swap (Condition #1
-	// allows reordering of stores preceding the commit store).
-	idx.heap.Persist(t.pm, 0, uintptr(nbuckets)*bucketBytes)
 	return t
 }
 
@@ -146,8 +162,10 @@ func (idx *Index) Lookup(key uint64) (uint64, bool) {
 		return 0, false
 	}
 	t := idx.tab.Load()
-	for b := t.bucketFor(key); b != nil; b = b.next.Load() {
-		idx.heap.Load(b.pm, b.off, bucketBytes)
+	head, i := t.bucketFor(key)
+	for b := head; b != nil; b = b.next.Load() {
+		pm, off := t.loc(i, b)
+		idx.heap.Load(pm, off, bucketBytes)
 		for i := 0; i < EntriesPerBucket; i++ {
 			if b.keys[i].Load() == key {
 				v := b.vals[i].Load()
@@ -170,7 +188,7 @@ func (idx *Index) Insert(key, value uint64) (err error) {
 	defer recoverCrash(&err)
 	for {
 		t := idx.tab.Load()
-		b := t.bucketFor(key)
+		b, i := t.bucketFor(key)
 		b.lock.Lock()
 		// A resize may have swapped the table while we waited for the
 		// bucket lock; retry against the new table.
@@ -178,7 +196,7 @@ func (idx *Index) Insert(key, value uint64) (err error) {
 			b.lock.Unlock()
 			continue
 		}
-		ok := idx.insertLocked(b, key, value)
+		ok := idx.insertLocked(t, i, key, value)
 		b.lock.Unlock()
 		if ok {
 			return nil
@@ -188,22 +206,25 @@ func (idx *Index) Insert(key, value uint64) (err error) {
 	}
 }
 
-// insertLocked performs the insert under the bucket lock. It returns false
-// when the chain is over the overflow threshold and a resize is required.
-func (idx *Index) insertLocked(head *bucket, key, value uint64) bool {
+// insertLocked performs the insert into chain c of t under the lock of the
+// chain's head bucket. It returns false when the chain is over the overflow
+// threshold and a resize is required.
+func (idx *Index) insertLocked(t *table, c uint64, key, value uint64) bool {
 	var free *bucket
 	freeIdx := -1
 	chain := 0
-	for b := head; b != nil; b = b.next.Load() {
-		idx.heap.Load(b.pm, b.off, bucketBytes)
+	last := &t.buckets[c]
+	for b := last; b != nil; b = b.next.Load() {
+		pm, off := t.loc(c, b)
+		idx.heap.Load(pm, off, bucketBytes)
 		for i := 0; i < EntriesPerBucket; i++ {
 			k := b.keys[i].Load()
 			if k == key {
 				// Update: a single atomic 8-byte store is the commit.
 				b.vals[i].Store(value)
-				idx.heap.Dirty(b.pm, b.off+offVals+uintptr(i)*8, 8)
+				idx.heap.Dirty(pm, off+offVals+uintptr(i)*8, 8)
 				// RECIPE: flush + fence after the committing store.
-				idx.heap.PersistFence(b.pm, b.off+offVals+uintptr(i)*8, 8)
+				idx.heap.PersistFence(pm, off+offVals+uintptr(i)*8, 8)
 				idx.heap.CrashPoint("clht.update.commit")
 				return true
 			}
@@ -212,6 +233,7 @@ func (idx *Index) insertLocked(head *bucket, key, value uint64) bool {
 			}
 		}
 		chain++
+		last = b
 	}
 	if freeIdx >= 0 {
 		// Write the value first, order it, then commit with the atomic
@@ -219,16 +241,17 @@ func (idx *Index) insertLocked(head *bucket, key, value uint64) bool {
 		// after the commit persists the pair; an eviction between the
 		// stores persists only the value, which is invisible (key still
 		// 0) and therefore harmless.
+		pm, off := t.loc(c, free)
 		free.vals[freeIdx].Store(value)
-		idx.heap.Dirty(free.pm, free.off+offVals+uintptr(freeIdx)*8, 8)
+		idx.heap.Dirty(pm, off+offVals+uintptr(freeIdx)*8, 8)
 		// RECIPE: fence so the value store is ordered before the key
 		// store on its way to PM.
 		idx.heap.Fence()
 		idx.heap.CrashPoint("clht.insert.val")
 		free.keys[freeIdx].Store(key)
-		idx.heap.Dirty(free.pm, free.off+offKeys+uintptr(freeIdx)*8, 8)
+		idx.heap.Dirty(pm, off+offKeys+uintptr(freeIdx)*8, 8)
 		// RECIPE: flush + fence after the committing key store.
-		idx.heap.PersistFence(free.pm, free.off, bucketBytes)
+		idx.heap.PersistFence(pm, off, bucketBytes)
 		idx.heap.CrashPoint("clht.insert.commit")
 		idx.count.Add(1)
 		return true
@@ -238,7 +261,7 @@ func (idx *Index) insertLocked(head *bucket, key, value uint64) bool {
 	}
 	// Append an overflow bucket: initialise it off-path, persist it, then
 	// commit by atomically linking it.
-	nb := &bucket{pm: idx.heap.Alloc(bucketBytes)}
+	nb := &ovfBucket{pm: idx.heap.Alloc(bucketBytes)}
 	idx.heap.Shadow(nb.pm, nb)
 	nb.keys[0].Store(key)
 	nb.vals[0].Store(value)
@@ -246,14 +269,11 @@ func (idx *Index) insertLocked(head *bucket, key, value uint64) bool {
 	idx.heap.Persist(nb.pm, 0, bucketBytes)
 	idx.heap.Fence()
 	idx.heap.CrashPoint("clht.insert.overflow.init")
-	last := head
-	for l := last.next.Load(); l != nil; l = last.next.Load() {
-		last = l
-	}
-	last.next.Store(nb)
-	idx.heap.Dirty(last.pm, last.off+offNext, 8)
+	last.next.Store(&nb.bucket)
+	pm, off := t.loc(c, last)
+	idx.heap.Dirty(pm, off+offNext, 8)
 	// RECIPE: flush + fence after the committing link store.
-	idx.heap.PersistFence(last.pm, last.off+offNext, 8)
+	idx.heap.PersistFence(pm, off+offNext, 8)
 	idx.heap.CrashPoint("clht.insert.overflow.link")
 	idx.count.Add(1)
 	return true
@@ -267,7 +287,7 @@ func (idx *Index) Delete(key uint64) (deleted bool, err error) {
 	defer recoverCrash(&err)
 	for {
 		t := idx.tab.Load()
-		head := t.bucketFor(key)
+		head, c := t.bucketFor(key)
 		head.lock.Lock()
 		if idx.tab.Load() != t {
 			head.lock.Unlock()
@@ -279,9 +299,10 @@ func (idx *Index) Delete(key uint64) (deleted bool, err error) {
 					// Deletion commits with a single atomic store of 0 to
 					// the key (§6.2).
 					b.keys[i].Store(0)
-					idx.heap.Dirty(b.pm, b.off+offKeys+uintptr(i)*8, 8)
+					pm, off := t.loc(c, b)
+					idx.heap.Dirty(pm, off+offKeys+uintptr(i)*8, 8)
 					// RECIPE: flush + fence after the committing store.
-					idx.heap.PersistFence(b.pm, b.off+offKeys+uintptr(i)*8, 8)
+					idx.heap.PersistFence(pm, off+offKeys+uintptr(i)*8, 8)
 					idx.heap.CrashPoint("clht.delete.commit")
 					idx.count.Add(-1)
 					head.lock.Unlock()
@@ -319,6 +340,12 @@ func (idx *Index) rehash(old *table) {
 			}
 		}
 	}
+	for i := range nt.buckets {
+		for b := nt.buckets[i].next.Load(); b != nil; b = b.next.Load() {
+			pm, off := nt.loc(uint64(i), b)
+			idx.heap.Persist(pm, off, bucketBytes)
+		}
+	}
 	// RECIPE: persist the fully built table, fence, then commit with the
 	// atomic table-pointer swap, then persist the root line.
 	idx.heap.Persist(nt.pm, 0, uintptr(len(nt.buckets))*bucketBytes)
@@ -334,9 +361,10 @@ func (idx *Index) rehash(old *table) {
 }
 
 // copyInto inserts into a private (not yet published) table without
-// locking or per-store persistence.
+// locking or persistence: rehash writes the table and the overflow buckets
+// chained here back once they are full.
 func (idx *Index) copyInto(t *table, key, value uint64) {
-	b := t.bucketFor(key)
+	b, _ := t.bucketFor(key)
 	for {
 		for i := 0; i < EntriesPerBucket; i++ {
 			if b.keys[i].Load() == 0 {
@@ -347,9 +375,9 @@ func (idx *Index) copyInto(t *table, key, value uint64) {
 		}
 		nb := b.next.Load()
 		if nb == nil {
-			nb = &bucket{pm: idx.heap.Alloc(bucketBytes)}
-			idx.heap.Shadow(nb.pm, nb)
-			idx.heap.Persist(nb.pm, 0, bucketBytes)
+			ob := &ovfBucket{pm: idx.heap.Alloc(bucketBytes)}
+			idx.heap.Shadow(ob.pm, ob)
+			nb = &ob.bucket
 			b.next.Store(nb)
 		}
 		b = nb
@@ -369,7 +397,8 @@ func (idx *Index) Range(fn func(key, value uint64) bool) {
 	t := idx.tab.Load()
 	for i := range t.buckets {
 		for b := &t.buckets[i]; b != nil; b = b.next.Load() {
-			idx.heap.Load(b.pm, b.off, bucketBytes)
+			pm, off := t.loc(uint64(i), b)
+			idx.heap.Load(pm, off, bucketBytes)
 			for e := 0; e < EntriesPerBucket; e++ {
 				k := b.keys[e].Load()
 				if k == 0 {

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/crash"
 	"repro/internal/pmem"
@@ -246,11 +247,16 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 	wg.Wait()
 }
 
-// Crash testing per §5: enumerate every crash site systematically, verify
-// no committed key is lost and the index remains fully writable.
-func TestCrashRecoveryEnumerated(t *testing.T) {
+// enumerateCrashes crashes 300 inserts into a two-bucket table at every
+// crash-site visit in turn, lets afterCrash do to the heap what the failure
+// model under test does, recovers, and requires every acknowledged key back
+// with its value and the index fully writable. The tiny table chains
+// overflow buckets and rehashes seven times, so the rehash and overflow
+// sites are visited — harness.LossyCampaign's 768-bucket table never
+// reaches them.
+func enumerateCrashes(t *testing.T, model string, newHeap func() *pmem.Heap, afterCrash func(heap *pmem.Heap, n int64)) {
 	for n := int64(1); ; n++ {
-		heap := pmem.NewFast()
+		heap := newHeap()
 		idx := NewWithBuckets(heap, 2)
 		inj := crash.NewNth(n)
 		heap.SetInjector(inj)
@@ -273,25 +279,70 @@ func TestCrashRecoveryEnumerated(t *testing.T) {
 			if n == 1 {
 				t.Fatal("no crash sites reached at all")
 			}
-			break // enumerated every crash state
+			// Every visit of this complete run was some earlier n's crash,
+			// so every site it passed has been crashed at.
+			for _, site := range []string{"clht.rehash.built", "clht.rehash.swap",
+				"clht.insert.overflow.init", "clht.insert.overflow.link"} {
+				if inj.Sites()[site] == 0 {
+					t.Errorf("%s: crash site %s never reached", model, site)
+				}
+			}
+			return // enumerated every crash state
 		}
+		afterCrash(heap, n)
 		idx.Recover()
 		// No committed key may be lost.
 		for k, v := range committed {
 			got, ok := idx.Lookup(k)
 			if !ok || got != v {
-				t.Fatalf("crash state %d: committed key %d lost (got %d,%v)", n, k, got, ok)
+				t.Fatalf("%s, crash state %d: committed key %d lost (got %d,%v)", model, n, k, got, ok)
 			}
 		}
 		// Writes must still succeed after recovery.
 		for k := uint64(1000); k < 1050; k++ {
 			if err := idx.Insert(k, k); err != nil {
-				t.Fatalf("crash state %d: post-crash insert failed: %v", n, err)
+				t.Fatalf("%s, crash state %d: post-crash insert failed: %v", model, n, err)
 			}
 			if v, ok := idx.Lookup(k); !ok || v != k {
-				t.Fatalf("crash state %d: post-crash readback failed", n)
+				t.Fatalf("%s, crash state %d: post-crash readback failed", model, n)
 			}
 		}
+	}
+}
+
+// Crash testing per §5: enumerate every crash site systematically, verify
+// no committed key is lost and the index remains fully writable.
+func TestCrashRecoveryEnumerated(t *testing.T) {
+	enumerateCrashes(t, "visible", pmem.NewFast, func(*pmem.Heap, int64) {})
+}
+
+// TestCrashRecoveryPowerCycled is the same enumeration under the lossy
+// model: after the crash a power cycle throws away whatever was not written
+// back and fenced (revert), keeps what was written back (keep) or flips a
+// coin per object (torn). A table or an overflow bucket published before
+// its write-back reads as zeros afterwards and loses acknowledged keys.
+func TestCrashRecoveryPowerCycled(t *testing.T) {
+	for _, policy := range pmem.Policies {
+		enumerateCrashes(t, policy.String(),
+			func() *pmem.Heap { return pmem.New(pmem.Options{Shadow: true}) },
+			func(heap *pmem.Heap, n int64) { heap.PowerCycle(policy, n) })
+	}
+}
+
+// TestBucketIsOneCacheLine pins the layout rule: a bucket is bucketBytes in
+// DRAM as in the layout it models, and the default table and the tables it
+// doubles into start on a line boundary, so a head bucket never straddles.
+func TestBucketIsOneCacheLine(t *testing.T) {
+	if got := unsafe.Sizeof(bucket{}); got != bucketBytes {
+		t.Fatalf("unsafe.Sizeof(bucket{}) = %d, want %d", got, bucketBytes)
+	}
+	idx := New(pmem.NewFast())
+	for round := 0; round < 3; round++ {
+		tab := idx.tab.Load()
+		if a := uintptr(unsafe.Pointer(&tab.buckets[0])); a%bucketBytes != 0 {
+			t.Fatalf("%d-bucket table starts at %#x: not line-aligned", len(tab.buckets), a)
+		}
+		idx.rehash(tab)
 	}
 }
 
@@ -363,10 +414,13 @@ func BenchmarkInsert(b *testing.B) {
 	}
 }
 
+// BenchmarkLookup probes a table of 1M keys — 64 MB of buckets, far outside
+// the last-level cache — in an order that revisits a bucket only after
+// every other, so ns/op is the cost of a lookup whose bucket is a miss.
 func BenchmarkLookup(b *testing.B) {
 	heap := pmem.NewFast()
 	idx := New(heap)
-	const n = 1 << 16
+	const n = 1 << 20
 	for i := uint64(1); i <= n; i++ {
 		if err := idx.Insert(i, i); err != nil {
 			b.Fatal(err)
@@ -374,7 +428,7 @@ func BenchmarkLookup(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := uint64(i)%n + 1
+		k := uint64(i)*7919%n + 1
 		if _, ok := idx.Lookup(k); !ok {
 			b.Fatalf("miss %d", k)
 		}
