@@ -1,12 +1,13 @@
 // Command recipesrv serves a RECIPE-converted ordered index over TCP
 // with the internal/server wire protocol: GET/SET/DEL/SCAN/UPDATE plus
-// INFO/STATS, per-connection pipelining, and a configurable write path
-// (sync, batched group commit, or the async ack-after-fence pipeline).
+// INFO/STATS and per-connection pipelining. Writes are point writes
+// through the sharded front-end: a reply leaves only after the index
+// call that fenced its write has returned.
 //
 // Usage:
 //
-//	go run ./cmd/recipesrv -addr :6399 -index P-ART -shards 8 -mode batched
-//	go run ./cmd/recipesrv -mode async -queue 4096 -flushus 200
+//	go run ./cmd/recipesrv -addr :6399 -index P-ART -shards 8
+//	go run ./cmd/recipesrv -partition range -recover
 //
 // SIGTERM/SIGINT triggers a graceful drain: no new connections, every
 // write accepted before the drain began is fenced and acknowledged,
@@ -22,9 +23,7 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
-	"repro/internal/commit"
 	"repro/internal/core"
 	"repro/internal/keys"
 	"repro/internal/pmem"
@@ -39,12 +38,6 @@ func main() {
 		list      = flag.Bool("list", false, "list available indexes and exit")
 		shards    = flag.Int("shards", 4, "shards in the front-end")
 		partition = flag.String("partition", "hash", `key partitioner: "hash" or "range"`)
-		mode      = flag.String("mode", "sync", `write path: "sync", "batched" or "async"`)
-		batch     = flag.Int("batch", server.DefaultBatch, "batched mode: max staged writes per connection before a forced group commit")
-		queue     = flag.Int("queue", 0, "async mode: per-shard committer queue depth (0 = default)")
-		maxBatch  = flag.Int("maxbatch", 0, "async mode: max ops per group commit (0 = default)")
-		flushUS   = flag.Int("flushus", 0, "async mode: staleness bound in microseconds (0 = commit immediately)")
-		policy    = flag.String("policy", "reject", `async mode backpressure: "block", "reject" or "deadline"`)
 		scanBatch = flag.Int("scanbatch", 0, "per-shard scan prefetch batch (0 = default)")
 		doRecover = flag.Bool("recover", false, "run per-shard crash recovery before serving")
 	)
@@ -56,22 +49,13 @@ func main() {
 		return
 	}
 
-	wm, err := server.ParseWriteMode(*mode)
-	fatalIf(err)
 	part, ok := shard.ByName(*partition)
 	if !ok {
 		fatalf("unknown partitioner %q (want hash or range)", *partition)
 	}
-	var pol commit.Policy
-	switch *policy {
-	case "block":
-		pol = commit.Block
-	case "reject":
-		pol = commit.Reject
-	case "deadline":
-		pol = commit.Deadline
-	default:
-		fatalf("unknown policy %q (want block, reject or deadline)", *policy)
+	if *shards < 1 {
+		fmt.Fprintf(os.Stderr, "recipesrv: -shards must be >= 1, got %d\n", *shards)
+		os.Exit(2)
 	}
 
 	m, err := shard.NewOrdered(*index, keys.YCSBString, shard.Options{
@@ -93,23 +77,12 @@ func main() {
 		}
 	}
 
-	srv := server.New(m, server.Options{
-		Mode:      wm,
-		Batch:     *batch,
-		IndexName: *index,
-		Commit: commit.Options{
-			Queue:         *queue,
-			MaxBatch:      *maxBatch,
-			Policy:        pol,
-			FlushInterval: time.Duration(*flushUS) * time.Microsecond,
-		},
-	})
+	srv := server.New(m, server.Options{IndexName: *index})
 
 	l, err := net.Listen("tcp", *addr)
 	fatalIf(err)
 	// The CI smoke greps for this line before launching the load.
-	fmt.Printf("recipesrv: listening on %s (index=%s shards=%d mode=%s)\n",
-		l.Addr(), *index, *shards, wm)
+	fmt.Printf("recipesrv: listening on %s (index=%s shards=%d)\n", l.Addr(), *index, m.NumShards())
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGTERM, syscall.SIGINT)

@@ -10,9 +10,8 @@
 //
 // The robustness contract:
 //
-//   - Bounded queue, configurable backpressure: Block (default) waits
-//     for space, Reject fails fast with ErrQueueFull, Deadline waits up
-//     to Options.EnqueueTimeout then fails with ErrQueueFull.
+//   - Bounded queue, blocking backpressure: an enqueue against a full
+//     queue waits for the committer to free space.
 //   - Bounded staleness: Options.FlushInterval caps how long the
 //     committer waits for a batch to fill after its first op, so a
 //     trickle of writes never waits indefinitely; zero means commit
@@ -62,10 +61,6 @@ const (
 
 // Typed failures of the pipeline surface.
 var (
-	// ErrQueueFull reports an enqueue rejected by backpressure: the
-	// bounded queue was full under the Reject policy, or stayed full past
-	// the Deadline policy's timeout.
-	ErrQueueFull = errors.New("commit: queue full")
 	// ErrClosed reports an enqueue after Close.
 	ErrClosed = errors.New("commit: pipeline closed")
 	// ErrPending is returned by Future.Err while the future is
@@ -100,35 +95,6 @@ func (e *CommitterError) Unwrap() error { return e.Cause }
 // Is matches the ErrCommitterFailed sentinel.
 func (e *CommitterError) Is(target error) bool { return target == ErrCommitterFailed }
 
-// Policy selects the backpressure behaviour of enqueues against a full
-// queue.
-type Policy int
-
-const (
-	// Block waits until the committer frees queue space (the default).
-	// It cannot deadlock: the committer drains the queue even while
-	// Close is pending and after a committer failure.
-	Block Policy = iota
-	// Reject fails immediately with ErrQueueFull.
-	Reject
-	// Deadline waits up to Options.EnqueueTimeout for space, then fails
-	// with ErrQueueFull.
-	Deadline
-)
-
-// String names the policy for reports and flags.
-func (p Policy) String() string {
-	switch p {
-	case Block:
-		return "block"
-	case Reject:
-		return "reject"
-	case Deadline:
-		return "deadline"
-	}
-	return fmt.Sprintf("policy(%d)", int(p))
-}
-
 // Options configures a Committer (and, via the pipeline constructors,
 // every per-shard committer).
 type Options struct {
@@ -138,12 +104,6 @@ type Options struct {
 	// MaxBatch caps how many queued ops one group commit drains. Values
 	// < 1 select DefaultMaxBatch.
 	MaxBatch int
-	// Policy is the backpressure policy for enqueues against a full
-	// queue (default Block).
-	Policy Policy
-	// EnqueueTimeout bounds the Deadline policy's wait for queue space.
-	// Non-positive values make Deadline behave like Reject.
-	EnqueueTimeout time.Duration
 	// FlushInterval bounds staleness: the longest the committer waits,
 	// after a batch's first op arrives, for the batch to fill to
 	// MaxBatch before committing it anyway. Zero commits whatever is
@@ -260,8 +220,6 @@ type Committer[O any] struct {
 	heap  *pmem.Heap
 	shard int
 
-	policy   Policy
-	timeout  time.Duration
 	flush    time.Duration
 	maxBatch int
 
@@ -270,11 +228,11 @@ type Committer[O any] struct {
 	exited  chan struct{} // closed when the committer goroutine returns
 
 	// mu makes enqueue-vs-Close race-free: enqueuers hold it shared for
-	// the whole admission (including a Block policy wait — safe because
-	// the committer never takes mu and keeps draining), Close takes it
-	// exclusive to set closed. Everything admitted before Close wins the
-	// lock is therefore in the queue before closing is observable, and
-	// is drained; everything after fails with ErrClosed.
+	// the whole admission (including the wait on a full queue — safe
+	// because the committer never takes mu and keeps draining), Close
+	// takes it exclusive to set closed. Everything admitted before Close
+	// wins the lock is therefore in the queue before closing is
+	// observable, and is drained; everything after fails with ErrClosed.
 	mu     sync.RWMutex
 	closed bool
 
@@ -300,8 +258,6 @@ func NewCommitter[O any](apply func(ops []O, obs group.Observer) error, obs func
 		quar:     opts.Quarantine,
 		heap:     opts.Heap,
 		shard:    opts.Shard,
-		policy:   opts.Policy,
-		timeout:  opts.EnqueueTimeout,
 		flush:    opts.FlushInterval,
 		maxBatch: opts.maxBatch(),
 		ch:       make(chan item[O], opts.queue()),
@@ -312,10 +268,10 @@ func NewCommitter[O any](apply func(ops []O, obs group.Observer) error, obs func
 	return c
 }
 
-// Enqueue admits op under the backpressure policy and returns its
-// completion future. It returns ErrClosed after Close and ErrQueueFull
-// on backpressure rejection; the future is nil exactly when the error
-// is non-nil (a rejected op was never accepted and owes no ack).
+// Enqueue admits op, waiting for space while the queue is full, and
+// returns its completion future. It returns ErrClosed after Close; the
+// future is nil exactly when the error is non-nil (a rejected op was
+// never accepted and owes no ack).
 func (c *Committer[O]) Enqueue(op O) (*Future, error) {
 	return c.push(item[O]{op: op, fut: newFuture()})
 }
@@ -340,38 +296,17 @@ func (c *Committer[O]) Drain() error {
 	return f.Wait()
 }
 
-// push admits one item under the backpressure policy.
+// push admits one item. A full queue blocks the enqueuer until the
+// committer frees space; that cannot deadlock, because the committer
+// drains the queue even while Close is pending and after a committer
+// failure.
 func (c *Committer[O]) push(it item[O]) (*Future, error) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	if c.closed {
 		return nil, ErrClosed
 	}
-	switch c.policy {
-	case Reject:
-		select {
-		case c.ch <- it:
-		default:
-			return nil, ErrQueueFull
-		}
-	case Deadline:
-		select {
-		case c.ch <- it:
-		default:
-			if c.timeout <= 0 {
-				return nil, ErrQueueFull
-			}
-			t := time.NewTimer(c.timeout)
-			select {
-			case c.ch <- it:
-				t.Stop()
-			case <-t.C:
-				return nil, ErrQueueFull
-			}
-		}
-	default: // Block
-		c.ch <- it
-	}
+	c.ch <- it
 	return it.fut, nil
 }
 
@@ -574,8 +509,8 @@ func (c *Committer[O]) crashPoint(site string) {
 
 // fail is the death path: record the cause, quarantine, then keep
 // consuming the queue — failing every future still owed — until Close
-// empties it, so neither waiters nor Block-policy enqueuers ever hang
-// on a dead committer.
+// empties it, so neither waiters nor enqueuers blocked on a full queue
+// ever hang on a dead committer.
 func (c *Committer[O]) fail(cause error) {
 	werr := cause
 	if _, ok := cause.(*CommitterError); !ok {

@@ -125,85 +125,20 @@ func (g *gatedApply) apply(ops []group.Op[[]byte], obs group.Observer) error {
 // fill stalls the committer in one in-flight batch and fills the
 // queue: enqueue one op, wait for the committer to take it into apply,
 // then enqueue `queue` more to occupy every slot.
-func fill(t *testing.T, c *commit.Committer[group.Op[[]byte]], g *gatedApply, queue int) []*commit.Future {
+func fill(t *testing.T, c *commit.Committer[group.Op[[]byte]], g *gatedApply, queue int) {
 	t.Helper()
-	futs := make([]*commit.Future, 0, queue+1)
-	f, err := c.Enqueue(group.Op[[]byte]{Key: []byte("k0"), Value: 0})
-	if err != nil {
+	if _, err := c.Enqueue(group.Op[[]byte]{Key: []byte("k0"), Value: 0}); err != nil {
 		t.Fatal(err)
 	}
-	futs = append(futs, f)
 	select {
 	case <-g.entered:
 	case <-time.After(guardTimeout):
 		t.Fatal("committer never entered apply")
 	}
 	for i := 0; i < queue; i++ {
-		f, err := c.Enqueue(group.Op[[]byte]{Key: []byte(fmt.Sprintf("k%d", i+1)), Value: uint64(i + 1)})
-		if err != nil {
+		if _, err := c.Enqueue(group.Op[[]byte]{Key: []byte(fmt.Sprintf("k%d", i+1)), Value: uint64(i + 1)}); err != nil {
 			t.Fatalf("filling enqueue %d: %v", i, err)
 		}
-		futs = append(futs, f)
-	}
-	return futs
-}
-
-// TestRejectPolicy: a full queue fails fast with ErrQueueFull and no
-// future; accepted ops still resolve once the committer resumes.
-func TestRejectPolicy(t *testing.T) {
-	g := newGatedApply()
-	c := commit.NewCommitter(g.apply, nil, commit.Options{Queue: 2, MaxBatch: 1, Policy: commit.Reject})
-	futs := fill(t, c, g, 2)
-
-	f, err := c.Enqueue(group.Op[[]byte]{Key: []byte("overflow")})
-	if !errors.Is(err, commit.ErrQueueFull) {
-		t.Fatalf("enqueue on full queue: err = %v, want ErrQueueFull", err)
-	}
-	if f != nil {
-		t.Fatal("rejected enqueue returned a future")
-	}
-
-	close(g.gate)
-	if err := closeGuarded(t, c.Close); err != nil {
-		t.Fatal(err)
-	}
-	for i, f := range futs {
-		if err := f.Err(); err != nil {
-			t.Fatalf("accepted future %d: %v", i, err)
-		}
-	}
-}
-
-// TestDeadlinePolicy: a full queue waits EnqueueTimeout, then fails
-// with ErrQueueFull; once space frees within the deadline the enqueue
-// succeeds.
-func TestDeadlinePolicy(t *testing.T) {
-	g := newGatedApply()
-	c := commit.NewCommitter(g.apply, nil, commit.Options{
-		Queue: 2, MaxBatch: 1, Policy: commit.Deadline, EnqueueTimeout: 20 * time.Millisecond,
-	})
-	fill(t, c, g, 2)
-
-	start := time.Now()
-	_, err := c.Enqueue(group.Op[[]byte]{Key: []byte("overflow")})
-	if !errors.Is(err, commit.ErrQueueFull) {
-		t.Fatalf("deadline enqueue: err = %v, want ErrQueueFull", err)
-	}
-	if waited := time.Since(start); waited < 20*time.Millisecond {
-		t.Fatalf("deadline enqueue rejected after %v, want >= the 20ms deadline", waited)
-	}
-
-	// With the gate open the committer frees space within the deadline.
-	close(g.gate)
-	f, err := c.Enqueue(group.Op[[]byte]{Key: []byte("after")})
-	if err != nil {
-		t.Fatalf("enqueue after gate opened: %v", err)
-	}
-	if err := waitGuarded(t, f); err != nil {
-		t.Fatal(err)
-	}
-	if err := closeGuarded(t, c.Close); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -211,7 +146,7 @@ func TestDeadlinePolicy(t *testing.T) {
 // committer frees space — and completes rather than hanging.
 func TestBlockPolicy(t *testing.T) {
 	g := newGatedApply()
-	c := commit.NewCommitter(g.apply, nil, commit.Options{Queue: 2, MaxBatch: 1, Policy: commit.Block})
+	c := commit.NewCommitter(g.apply, nil, commit.Options{Queue: 2, MaxBatch: 1})
 	fill(t, c, g, 2)
 
 	unblocked := make(chan *commit.Future, 1)

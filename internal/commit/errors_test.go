@@ -103,9 +103,9 @@ func TestErrorChainTransparency(t *testing.T) {
 		},
 		{
 			name: "future-style rejection sentinels",
-			err:  fmt.Errorf("async insert: %w", commit.ErrQueueFull),
-			is:   []error{commit.ErrQueueFull},
-			not:  []error{commit.ErrClosed, shard.ErrShardUnavailable},
+			err:  fmt.Errorf("async insert: %w", commit.ErrClosed),
+			is:   []error{commit.ErrClosed},
+			not:  []error{commit.ErrCommitterFailed, shard.ErrShardUnavailable},
 			as:   func(err error) bool { return true },
 		},
 	}

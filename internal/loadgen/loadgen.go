@@ -168,7 +168,7 @@ type Report struct {
 	// impossible shape — any non-zero value is a server bug.
 	ProtoErrors uint64
 	// ErrorCodes tallies error replies by typed code (ERR, UNAVAIL,
-	// SHUTDOWN, BUSY).
+	// SHUTDOWN).
 	ErrorCodes map[string]uint64
 	// PreloadErrors counts failed preload SETs.
 	PreloadErrors uint64

@@ -15,7 +15,7 @@ import (
 
 // startServer runs an in-process recipesrv-equivalent and returns its
 // address.
-func startServer(t *testing.T, mode server.WriteMode) string {
+func startServer(t *testing.T) string {
 	t.Helper()
 	m, err := shard.NewOrdered("P-ART", keys.YCSBString, shard.Options{
 		Shards: 4,
@@ -29,7 +29,7 @@ func startServer(t *testing.T, mode server.WriteMode) string {
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	srv := server.New(m, server.Options{Mode: mode, IndexName: "P-ART"})
+	srv := server.New(m, server.Options{IndexName: "P-ART"})
 	fin := make(chan error, 1)
 	go func() { fin <- srv.Serve(lis) }()
 	t.Cleanup(func() {
@@ -40,49 +40,48 @@ func startServer(t *testing.T, mode server.WriteMode) string {
 }
 
 // TestSustainsTargetQPS: the open-loop generator reaches its arrival
-// target and drains cleanly in every write-path mode — zero deficit,
-// zero protocol errors, zero error replies.
+// target and drains cleanly — zero deficit, zero protocol errors, zero
+// error replies. The subtest is named for the one write path the server
+// has, as in internal/server's tests.
 func TestSustainsTargetQPS(t *testing.T) {
-	for _, mode := range []server.WriteMode{server.ModeSync, server.ModeBatched, server.ModeAsync} {
-		t.Run(mode.String(), func(t *testing.T) {
-			addr := startServer(t, mode)
-			rep, err := loadgen.Run(loadgen.Options{
-				Addr:     addr,
-				Conns:    2,
-				QPS:      2000,
-				Duration: 400 * time.Millisecond,
-				LoadN:    300,
-				Seed:     7,
-			})
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			t.Logf("mode=%s %s", mode, rep.String())
-			if rep.Deficit() != 0 {
-				t.Fatalf("reply deficit %d: accepted requests went unanswered", rep.Deficit())
-			}
-			if rep.ProtoErrors != 0 || rep.PreloadErrors != 0 {
-				t.Fatalf("protocol errors: proto=%d preload=%d", rep.ProtoErrors, rep.PreloadErrors)
-			}
-			if n := rep.TotalErrors(); n != 0 {
-				t.Fatalf("%d error replies: %v", n, rep.ErrorCodes)
-			}
-			if rep.Done == 0 {
-				t.Fatal("no operations completed")
-			}
-			// Open-loop: achieved tracks the arrival schedule. Generous
-			// floor — CI runs this on one slow core under -race.
-			if rep.Achieved < 0.4*rep.Target {
-				t.Fatalf("achieved %.0f qps, under 40%% of target %.0f", rep.Achieved, rep.Target)
-			}
+	t.Run("sync", func(t *testing.T) {
+		addr := startServer(t)
+		rep, err := loadgen.Run(loadgen.Options{
+			Addr:     addr,
+			Conns:    2,
+			QPS:      2000,
+			Duration: 400 * time.Millisecond,
+			LoadN:    300,
+			Seed:     7,
 		})
-	}
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		t.Logf("%s", rep.String())
+		if rep.Deficit() != 0 {
+			t.Fatalf("reply deficit %d: accepted requests went unanswered", rep.Deficit())
+		}
+		if rep.ProtoErrors != 0 || rep.PreloadErrors != 0 {
+			t.Fatalf("protocol errors: proto=%d preload=%d", rep.ProtoErrors, rep.PreloadErrors)
+		}
+		if n := rep.TotalErrors(); n != 0 {
+			t.Fatalf("%d error replies: %v", n, rep.ErrorCodes)
+		}
+		if rep.Done == 0 {
+			t.Fatal("no operations completed")
+		}
+		// Open-loop: achieved tracks the arrival schedule. Generous
+		// floor — CI runs this on one slow core under -race.
+		if rep.Achieved < 0.4*rep.Target {
+			t.Fatalf("achieved %.0f qps, under 40%% of target %.0f", rep.Achieved, rep.Target)
+		}
+	})
 }
 
 // TestMixedWorkloadZipfian: skewed keys, scans and deletes through the
 // full reply-validation path.
 func TestMixedWorkloadZipfian(t *testing.T) {
-	addr := startServer(t, server.ModeBatched)
+	addr := startServer(t)
 	rep, err := loadgen.Run(loadgen.Options{
 		Addr:       addr,
 		Conns:      2,

@@ -1,21 +1,20 @@
-// Per-connection protocol loop. The invariant every write path shares:
-// a reply reaches the socket only after the write it acknowledges is
-// fenced. The loop stages replies in arrival order in one arena — final
-// bytes for commands resolved immediately, a +OK held back for each
-// write whose fence is pending — and a settle step (commit staged
-// writes, rewrite the held +OK of any that failed) always runs before
-// the arena goes to the wire. Reads settle first too, so a connection
-// always reads its own writes regardless of mode.
+// Per-connection protocol loop. The one invariant: a reply is staged
+// only after the index call that fenced its write has returned. SET,
+// UPDATE and DEL are point writes through shard.Ordered, whose return
+// is the fence (the paper's contract for a converted index), so the
+// arena never holds an acknowledgement the heap could still lose, and
+// a connection reads its own writes because each is applied before the
+// next command is parsed. The loop stages replies in arrival order in
+// one arena and sends a round — every command buffered before the next
+// read that may block, at most MaxPipeline of them — with one Write.
 //
 // Nothing on the GET/SET/UPDATE path allocates or copies twice. A
 // request is tokenized in place over the connection's own read buffer
 // (frameReader), so the arguments dispatch sees alias that buffer and
 // die when the next frame is parsed: nothing may retain them. Every
 // consumer copies what it keeps — the indexes copy the key
-// (core.PointIndex), shard.Deferred copies it into its own queue,
-// commit.Pipeline clones it — and SCAN's cursor is done with its start
-// key before dispatch returns. The arena already holds a round's
-// replies in wire order, so a round is sent with one Write.
+// (core.PointIndex) — and SCAN's cursor is done with its start key
+// before dispatch returns.
 package server
 
 import (
@@ -25,7 +24,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro/internal/commit"
 	"repro/internal/crash"
 	"repro/shard"
 )
@@ -38,10 +36,6 @@ type conn struct {
 
 	out      []byte // reply arena: this round's replies, in wire order
 	nreplies int    // replies staged in out
-	holes    []int  // holes[w]: offset in out of the +OK held for staged write #w
-	def      *shard.Deferred
-	futs     []*commit.Future
-	werrs    []error // settle scratch: per staged write outcome
 
 	scanBuf  []byte // SCAN scratch: collected keys
 	scanEnds []int
@@ -49,14 +43,7 @@ type conn struct {
 }
 
 func newConn(s *Server, nc net.Conn) *conn {
-	c := &conn{srv: s, nc: nc, rd: newFrameReader(nc)}
-	if s.opts.Mode == ModeBatched {
-		// The settle step flushes before the queue reaches the limit, so
-		// the combiner's own auto-flush never fires and queue positions
-		// stay aligned with staged-write indices.
-		c.def = shard.NewDeferred(s.m, s.opts.batch()+1)
-	}
-	return c
+	return &conn{srv: s, nc: nc, rd: newFrameReader(nc)}
 }
 
 // kick expires the connection's read deadline so a blocked (and any
@@ -98,12 +85,10 @@ func (c *conn) serve() {
 		}
 		quit, aerr := c.dispatch(args)
 		if aerr != nil {
-			return // machine crash during settle; srv.fail already ran
+			return // machine crash inside an index call; srv.fail already ran
 		}
 		if quit {
-			if c.settleWrites() == nil {
-				c.flushWire()
-			}
+			c.flushWire()
 			return
 		}
 		if c.nreplies >= c.srv.opts.maxPipeline() && !c.endRound() {
@@ -112,38 +97,33 @@ func (c *conn) serve() {
 	}
 }
 
-// endRound settles the staged writes and sends the round's replies. It
-// reports whether the connection goes on: not after a machine crash or
-// a socket error, and not once draining — accepted writes are settled
-// and their replies sent, which is all a drain owes the client.
+// endRound sends the round's replies. It reports whether the
+// connection goes on: not after a socket error, and not once draining —
+// accepted writes are fenced and their replies sent, which is all a
+// drain owes the client.
 func (c *conn) endRound() bool {
-	return c.settleWrites() == nil && c.flushWire() == nil && !c.srv.draining.Load()
+	return c.flushWire() == nil && !c.srv.draining.Load()
 }
 
-// finish handles the read-side end of a connection: settle accepted
-// writes (fencing them), send what can still be sent, close.
+// finish handles the read-side end of a connection: send what can
+// still be sent, close. Every staged reply's write is already fenced.
 func (c *conn) finish(err error) {
 	var pe *ProtocolError
 	switch {
 	case errors.As(err, &pe):
-		// Framing is unrecoverable: settle, reply with the typed
-		// protocol error, close.
-		if c.settleWrites() != nil {
-			return
-		}
+		// Framing is unrecoverable: reply with the typed protocol error
+		// behind the replies already staged, close.
 		c.litError("ERR proto/" + pe.Kind + " " + pe.Detail)
 		c.flushWire()
 	case isTimeout(err), errors.Is(err, io.EOF):
-		// Drain kick, or the client half-closed its write side: settle
-		// and deliver every staged reply before closing.
-		if c.settleWrites() != nil {
-			return
-		}
+		// Drain kick, or the client half-closed its write side: deliver
+		// every staged reply before closing.
 		c.flushWire()
 	default:
-		// Torn connection (reset, unexpected EOF): fence what was
-		// accepted; no replies can be delivered.
-		c.settleWrites()
+		// Torn connection (reset, unexpected EOF): no replies can be
+		// delivered, and nothing is owed — a write whose frame arrived
+		// whole was applied and fenced at dispatch, one cut mid-frame
+		// never reached the index.
 	}
 }
 
@@ -165,83 +145,8 @@ func (c *conn) litInt(n int64)      { c.reply(appendInt(c.out, n)) }
 func (c *conn) litBulk(b []byte)    { c.reply(appendBulk(c.out, b)) }
 func (c *conn) litNull()            { c.reply(appendNullBulk(c.out)) }
 
-// okReply is the reply to a fenced write, and what a hole holds until
-// settleWrites has the write's outcome.
-const okReply = "+OK\r\n"
-
-// placeholder stages the reply slot for the next staged write.
-func (c *conn) placeholder() {
-	c.holes = append(c.holes, len(c.out))
-	c.reply(append(c.out, okReply...))
-}
-
-// settleWrites commits every staged write and resolves its placeholder
-// reply: +OK for a fenced write, a typed error otherwise. A non-nil
-// return means the machine died (injected crash) — the server has
-// failed and the connection must drop without flushing.
-func (c *conn) settleWrites() error {
-	if len(c.holes) == 0 {
-		return nil
-	}
-	werrs := c.werrs[:0]
-	for range c.holes {
-		werrs = append(werrs, nil)
-	}
-	switch c.srv.opts.Mode {
-	case ModeBatched:
-		if err := c.def.Flush(); err != nil {
-			if isMachineCrash(err) {
-				c.srv.fail(err)
-				return err
-			}
-			var be *shard.BatchError
-			if errors.As(err, &be) {
-				for i := range be.Failed {
-					sub := &be.Failed[i]
-					// The applied prefix of a failed sub-batch was fenced
-					// by the group layer before it returned — those writes
-					// are durable and ack +OK; the rest carry the cause.
-					for j := sub.Applied; j < len(sub.OpIndices); j++ {
-						werrs[sub.OpIndices[j]] = sub.Err
-					}
-				}
-			} else {
-				for i := range werrs {
-					werrs[i] = err
-				}
-			}
-		}
-	case ModeAsync:
-		for i, f := range c.futs {
-			e := f.Wait()
-			if isMachineCrash(e) {
-				c.srv.fail(e)
-				return e
-			}
-			werrs[i] = e
-		}
-		c.futs = c.futs[:0]
-	}
-	// Every hole already reads +OK. Only a round with a failed write is
-	// rebuilt, the error spliced in where that write's +OK was.
-	var fixed []byte
-	done := 0 // c.out[:done] is already in fixed
-	for w, off := range c.holes {
-		if e := werrs[w]; e != nil {
-			fixed = appendErrorReply(append(fixed, c.out[done:off]...), errorText(e))
-			done = off + len(okReply)
-		}
-	}
-	if done > 0 {
-		c.out = append(fixed, c.out[done:]...)
-	}
-	c.holes = c.holes[:0]
-	c.werrs = werrs[:0]
-	return nil
-}
-
 // flushWire sends the round: every staged reply, in order, in one
-// Write. All placeholders must have been settled.
+// Write.
 func (c *conn) flushWire() error {
 	if len(c.out) == 0 {
 		return nil
@@ -251,18 +156,12 @@ func (c *conn) flushWire() error {
 	return err
 }
 
-// errorText maps a store/pipeline error to its typed wire code.
+// errorText maps a store error to its typed wire code.
 func errorText(err error) string {
-	switch {
-	case errors.Is(err, shard.ErrShardUnavailable):
+	if errors.Is(err, shard.ErrShardUnavailable) {
 		return "UNAVAIL " + err.Error()
-	case errors.Is(err, commit.ErrClosed):
-		return "SHUTDOWN " + err.Error()
-	case errors.Is(err, commit.ErrQueueFull):
-		return "BUSY " + err.Error()
-	default:
-		return "ERR " + err.Error()
 	}
+	return "ERR " + err.Error()
 }
 
 // cmdName folds an ASCII command to upper case without allocating;
@@ -304,7 +203,7 @@ func cmdName(b []byte) string {
 
 // dispatch executes one parsed command. quit requests connection
 // close after the final flush; a non-nil error aborts the connection
-// (machine crash during a settle).
+// (machine crash inside an index call).
 func (c *conn) dispatch(args [][]byte) (quit bool, _ error) {
 	cmd := cmdName(args[0])
 	switch cmd {
@@ -324,8 +223,9 @@ func (c *conn) dispatch(args [][]byte) (quit bool, _ error) {
 		c.litError("ERR unknown command " + strconv.Quote(string(args[0])))
 		return false, nil
 	}
-	// Data commands: refused while draining — enqueue-after-drain gets
-	// the typed shutdown error, nothing new enters the write paths.
+	// Data commands: refused while draining — a command that arrives
+	// after the drain began gets the typed shutdown error, nothing new
+	// reaches the index.
 	if c.srv.draining.Load() {
 		c.litError("SHUTDOWN server draining")
 		return false, nil
@@ -336,9 +236,6 @@ func (c *conn) dispatch(args [][]byte) (quit bool, _ error) {
 		if len(args) != 2 {
 			c.litError("ERR wrong number of arguments for 'GET'")
 			return false, nil
-		}
-		if err := c.settleWrites(); err != nil {
-			return false, err
 		}
 		v, ok, err := m.LookupChecked(args[1])
 		switch {
@@ -362,16 +259,11 @@ func (c *conn) dispatch(args [][]byte) (quit bool, _ error) {
 			c.litError("ERR value is not a uint64")
 			return false, nil
 		}
-		return false, c.stageWrite(args[1], v, cmd == "UPDATE")
+		return false, c.write(args[1], v, cmd == "UPDATE")
 	case "DEL":
 		if len(args) != 2 {
 			c.litError("ERR wrong number of arguments for 'DEL'")
 			return false, nil
-		}
-		// Deletes have no batched/async op shape, so they settle what
-		// precedes them (preserving order) and apply synchronously.
-		if err := c.settleWrites(); err != nil {
-			return false, err
 		}
 		ok, err := m.Delete(args[1])
 		if isMachineCrash(err) {
@@ -386,64 +278,31 @@ func (c *conn) dispatch(args [][]byte) (quit bool, _ error) {
 			c.litInt(0)
 		}
 	case "SCAN":
-		return false, c.scan(args)
+		c.scan(args)
 	}
 	return false, nil
 }
 
-// stageWrite routes one SET/UPDATE through the configured write path.
-func (c *conn) stageWrite(key []byte, value uint64, update bool) error {
-	m := c.srv.m
-	switch c.srv.opts.Mode {
-	case ModeSync:
-		var err error
-		if update {
-			err = m.Update(key, value)
-		} else {
-			err = m.Insert(key, value)
+// write applies one SET/UPDATE as a point write; its return is the
+// fence, so the reply is staged behind it.
+func (c *conn) write(key []byte, value uint64, update bool) error {
+	var err error
+	if update {
+		err = c.srv.m.Update(key, value)
+	} else {
+		err = c.srv.m.Insert(key, value)
+	}
+	if err != nil {
+		// The indexes convert an injected crash panic into an error
+		// (crash.Recover); over the wire that is the machine dying
+		// mid-op, not a reply.
+		if isMachineCrash(err) {
+			c.srv.fail(err)
+			return err
 		}
-		if err != nil {
-			// The indexes convert an injected crash panic into an error
-			// (crash.Recover); over the wire that is the machine dying
-			// mid-op, not a reply.
-			if isMachineCrash(err) {
-				c.srv.fail(err)
-				return err
-			}
-			c.litError(errorText(err))
-		} else {
-			c.litSimple("OK")
-		}
-	case ModeBatched:
-		if len(c.holes) >= c.srv.opts.batch() {
-			if err := c.settleWrites(); err != nil {
-				return err
-			}
-		}
-		if update {
-			c.def.Update(key, value)
-		} else {
-			c.def.Insert(key, value)
-		}
-		c.placeholder()
-	case ModeAsync:
-		var f *commit.Future
-		var err error
-		if update {
-			f, err = c.srv.pipe.Update(key, value)
-		} else {
-			f, err = c.srv.pipe.Insert(key, value)
-		}
-		if err != nil {
-			if isMachineCrash(err) {
-				c.srv.fail(err)
-				return err
-			}
-			c.litError(errorText(err))
-			return nil
-		}
-		c.futs = append(c.futs, f)
-		c.placeholder()
+		c.litError(errorText(err))
+	} else {
+		c.litSimple("OK")
 	}
 	return nil
 }
@@ -452,18 +311,15 @@ func (c *conn) stageWrite(key []byte, value uint64, update bool) error {
 // merged entries from start, and the reply carries the resume key for
 // the next page (null when the key space is exhausted) — pagination
 // across requests without server-side cursor state.
-func (c *conn) scan(args [][]byte) error {
+func (c *conn) scan(args [][]byte) {
 	if len(args) != 3 {
 		c.litError("ERR wrong number of arguments for 'SCAN'")
-		return nil
+		return
 	}
 	count, perr := strconv.Atoi(string(args[2]))
 	if perr != nil || count < 1 || count > MaxScanCount {
 		c.litError("ERR scan count must be in [1," + strconv.Itoa(MaxScanCount) + "]")
-		return nil
-	}
-	if err := c.settleWrites(); err != nil {
-		return err
+		return
 	}
 	cur := c.srv.m.Cursor(args[1])
 	c.scanBuf, c.scanEnds, c.scanVals = c.scanBuf[:0], c.scanEnds[:0], c.scanVals[:0]
@@ -502,5 +358,4 @@ func (c *conn) scan(args [][]byte) error {
 		lo = c.scanEnds[i]
 	}
 	c.reply(out)
-	return nil
 }

@@ -62,7 +62,7 @@ func trackedPART(tb testing.TB, shards int) *shard.Ordered {
 
 // TestConnSteadyStateAllocs: once a connection's buffers have reached
 // their working size, a pipelined round of GETs and UPDATEs on existing
-// keys allocates nothing in sync mode — the tokenizer works in place,
+// keys allocates nothing — the tokenizer works in place,
 // the replies are staged in the arena and leave in one Write.
 func TestConnSteadyStateAllocs(t *testing.T) {
 	m := trackedPART(t, 4)
@@ -81,7 +81,7 @@ func TestConnSteadyStateAllocs(t *testing.T) {
 	// run hands it one round and waits for the round's Write.
 	rounds := make(chan []byte)
 	sc := &sliceConn{wrote: make(chan struct{}), feed: func(p []byte) int { return copy(p, <-rounds) }}
-	c := newConn(New(m, Options{Mode: ModeSync}), sc)
+	c := newConn(New(m, Options{}), sc)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -207,7 +207,7 @@ func TestReadBufferBounded(t *testing.T) {
 // a protocol error; the same connection then serves a normal GET; and
 // the 64 KB it needed is not pinned for the connection's life.
 func TestOversizedValueKeepsConnection(t *testing.T) {
-	ts := startServer(t, ModeSync, 2)
+	ts := startServer(t, 2)
 	cli, srv := net.Pipe()
 	c := newConn(ts.srv, srv)
 	done := make(chan struct{})
@@ -267,7 +267,7 @@ func BenchmarkConnPipeline(b *testing.B) {
 		}
 		return len(buf)
 	}}
-	c := newConn(New(m, Options{Mode: ModeSync}), sc)
+	c := newConn(New(m, Options{}), sc)
 	b.ReportAllocs()
 	b.ResetTimer()
 	c.serve()

@@ -111,67 +111,64 @@ func classify(t *testing.T, addr string, led *ledger) (harness.LossyOutcome, str
 	return outcome, ""
 }
 
-// TestCrashRestartE2E runs the full cycle in every write mode under
-// the torn power-cycle policy (the hardest image recovery faces).
+// TestCrashRestartE2E runs the full cycle under the torn power-cycle
+// policy (the hardest image recovery faces).
 func TestCrashRestartE2E(t *testing.T) {
-	for _, mode := range modes {
-		t.Run(mode.String(), func(t *testing.T) {
-			const shards = 4
-			m, err := shard.NewOrdered("P-ART", keys.YCSBString, shard.Options{
-				Shards: shards,
-				Heap:   pmem.Options{Shadow: true},
-			})
-			if err != nil {
-				t.Fatalf("NewOrdered: %v", err)
-			}
-			t.Cleanup(m.Release)
-
-			// Arm a power failure on shard 1, a few hundred persistence
-			// sites into its traffic.
-			m.Heap(1).SetInjector(crash.NewNth(400))
-
-			ts := serveOver(t, m, Options{Mode: mode, IndexName: "P-ART", Batch: 8})
-			led := &ledger{acked: map[string]uint64{}, unacked: map[string]uint64{}}
-			replies := driveUntilCrash(t, ts.addr(), 8, led)
-			if replies == 0 || len(led.acked) == 0 {
-				t.Fatal("no writes acked before the crash; injector fired too early")
-			}
-
-			// The whole server died, as a machine does: Serve reports the
-			// crash cause and no connection got further replies.
-			if err := ts.wait(); !errors.Is(err, crash.ErrCrashed) {
-				t.Fatalf("Serve returned %v, want crash cause", err)
-			}
-			if !ts.srv.Failed() {
-				t.Fatal("server must be marked failed")
-			}
-
-			// Restart: lossy image under torn policy, per-shard recovery
-			// (only the fired shard replays), new server over the same
-			// front-end.
-			m.PowerCycleShard(1, pmem.PolicyTorn, 0x5eed+int64(mode))
-			replayed, rerr := m.RecoverCrashed()
-			if rerr != nil {
-				t.Fatalf("recovery failed: %v (quarantined %v)", rerr, m.Quarantined())
-			}
-			if len(replayed) != 1 || replayed[0] != 1 {
-				t.Fatalf("replayed shards %v, want [1]", replayed)
-			}
-
-			ts2 := serveOver(t, m, Options{Mode: mode, IndexName: "P-ART", Batch: 8})
-			outcome, detail := classify(t, ts2.addr(), led)
-			t.Logf("mode=%s acked=%d unacked=%d outcome=%s",
-				mode, len(led.acked), len(led.unacked), outcome)
-			if outcome == harness.OutcomeLostAck || outcome == harness.OutcomeCorrupt {
-				t.Fatalf("client-visible durability violated: %s (%s)", outcome, detail)
-			}
-
-			// The restarted server takes new traffic.
-			c := dialT(t, ts2.addr())
-			wantSimple(t, c.do("SET", "post-restart", "1"), "OK")
-			wantInt(t, c.do("GET", "post-restart"), 1)
+	t.Run("sync", func(t *testing.T) {
+		const shards = 4
+		m, err := shard.NewOrdered("P-ART", keys.YCSBString, shard.Options{
+			Shards: shards,
+			Heap:   pmem.Options{Shadow: true},
 		})
-	}
+		if err != nil {
+			t.Fatalf("NewOrdered: %v", err)
+		}
+		t.Cleanup(m.Release)
+
+		// Arm a power failure on shard 1, a few hundred persistence
+		// sites into its traffic.
+		m.Heap(1).SetInjector(crash.NewNth(400))
+
+		ts := serveOver(t, m, Options{IndexName: "P-ART"})
+		led := &ledger{acked: map[string]uint64{}, unacked: map[string]uint64{}}
+		replies := driveUntilCrash(t, ts.addr(), 8, led)
+		if replies == 0 || len(led.acked) == 0 {
+			t.Fatal("no writes acked before the crash; injector fired too early")
+		}
+
+		// The whole server died, as a machine does: Serve reports the
+		// crash cause and no connection got further replies.
+		if err := ts.wait(); !errors.Is(err, crash.ErrCrashed) {
+			t.Fatalf("Serve returned %v, want crash cause", err)
+		}
+		if !ts.srv.Failed() {
+			t.Fatal("server must be marked failed")
+		}
+
+		// Restart: lossy image under torn policy, per-shard recovery
+		// (only the fired shard replays), new server over the same
+		// front-end.
+		m.PowerCycleShard(1, pmem.PolicyTorn, 0x5eed)
+		replayed, rerr := m.RecoverCrashed()
+		if rerr != nil {
+			t.Fatalf("recovery failed: %v (quarantined %v)", rerr, m.Quarantined())
+		}
+		if len(replayed) != 1 || replayed[0] != 1 {
+			t.Fatalf("replayed shards %v, want [1]", replayed)
+		}
+
+		ts2 := serveOver(t, m, Options{IndexName: "P-ART"})
+		outcome, detail := classify(t, ts2.addr(), led)
+		t.Logf("acked=%d unacked=%d outcome=%s", len(led.acked), len(led.unacked), outcome)
+		if outcome == harness.OutcomeLostAck || outcome == harness.OutcomeCorrupt {
+			t.Fatalf("client-visible durability violated: %s (%s)", outcome, detail)
+		}
+
+		// The restarted server takes new traffic.
+		c := dialT(t, ts2.addr())
+		wantSimple(t, c.do("SET", "post-restart", "1"), "OK")
+		wantInt(t, c.do("GET", "post-restart"), 1)
+	})
 }
 
 // TestCrashRestartQuarantineDegrades: when a shard's recovery fails,
@@ -190,7 +187,7 @@ func TestCrashRestartQuarantineDegrades(t *testing.T) {
 	t.Cleanup(m.Release)
 
 	m.Heap(2).SetInjector(crash.NewNth(300))
-	ts := serveOver(t, m, Options{Mode: ModeSync, IndexName: "P-ART"})
+	ts := serveOver(t, m, Options{IndexName: "P-ART"})
 	led := &ledger{acked: map[string]uint64{}, unacked: map[string]uint64{}}
 	driveUntilCrash(t, ts.addr(), 4, led)
 	if err := ts.wait(); !errors.Is(err, crash.ErrCrashed) {
@@ -204,7 +201,7 @@ func TestCrashRestartQuarantineDegrades(t *testing.T) {
 	m.Heap(2).SetInjector(nil)
 	m.Quarantine(2, errors.New("recovery verifier: corrupt image"))
 
-	ts2 := serveOver(t, m, Options{Mode: ModeSync, IndexName: "P-ART"})
+	ts2 := serveOver(t, m, Options{IndexName: "P-ART"})
 	c := dialT(t, ts2.addr())
 
 	// Acked keys on healthy shards must still honour their promise;

@@ -22,9 +22,8 @@
 // Replies use the standard RESP reply kinds (simple string, error,
 // integer, bulk, null bulk, array). Error replies carry a typed code
 // as their first token — ERR (protocol/command), UNAVAIL (routed to a
-// quarantined shard), SHUTDOWN (draining or closed), BUSY (async
-// queue backpressure) — so clients can branch on failure class
-// without string matching the cause.
+// quarantined shard), SHUTDOWN (draining) — so clients can branch on
+// failure class without string matching the cause.
 //
 // The command set maps onto the shard map API:
 //
@@ -388,7 +387,7 @@ type Reply struct {
 }
 
 // ErrorCode returns the typed first token of an error reply ("ERR",
-// "UNAVAIL", "SHUTDOWN", "BUSY"), or "" for non-error replies.
+// "UNAVAIL", "SHUTDOWN"), or "" for non-error replies.
 func (rp Reply) ErrorCode() string {
 	if rp.Kind != ReplyError {
 		return ""

@@ -1,121 +1,51 @@
-// Server lifecycle and write-path plumbing: a Server accepts
-// connections on a listener, serves the wire protocol over a sharded
-// ordered front-end, and shuts down by draining — every write accepted
-// before the connection closes is fenced before its reply is flushed,
-// so a client that saw +OK holds a durable write even across SIGTERM.
+// Server lifecycle: a Server accepts connections on a listener, serves
+// the wire protocol over a sharded ordered front-end, and shuts down by
+// draining.
 //
-// Three write paths, selected at construction:
-//
-//   - ModeSync: point writes through shard.Ordered — each op's own
-//     persistence fences synchronously before the reply is staged.
-//   - ModeBatched: per-connection shard.Deferred combiners — pipelined
-//     writes group-commit with fence coalescing; replies for the batch
-//     are withheld until the flush that makes them durable returns.
-//   - ModeAsync: a shared internal/commit pipeline — writes enqueue
-//     into per-shard committer queues and replies are withheld until
-//     each op's ack-after-fence future resolves.
-//
-// In every mode the reply for a write reaches the socket only after
-// the write's covering fence retired: the connection's settle step
-// (commit staged writes, resolve withheld replies) always runs before
-// the output buffer is flushed.
+// There is one write path: SET, UPDATE and DEL are point writes through
+// shard.Ordered, and a converted index operation returns only after its
+// last store is flushed and fenced — so "the call returned" is the
+// acknowledgement, and a reply is staged only after the index call that
+// fenced its write has returned. A client that saw +OK holds a durable
+// write, across SIGTERM too: a drain lets every connection send the
+// replies it has staged, all of them already fenced. The library's
+// fence-coalescing paths (group commit, the async commit pipeline) are
+// not served; DESIGN.md §"What recipesrv runs on" has the measurement.
 //
 // An injected machine crash (crash.Signal out of an index operation,
-// or a crash error surfacing from a group commit) fails the whole
-// server: connections drop without further replies — exactly a power
-// failure's client-visible shape — and Serve returns the cause. The
-// crash-restart tests power-cycle the damaged heap, RecoverCrashed the
-// front-end, and start a fresh Server over it; shards whose recovery
-// failed stay quarantined and surface as UNAVAIL replies while the
-// rest keep serving.
+// or a crash error returned by one) fails the whole server: connections
+// drop without further replies — exactly a power failure's
+// client-visible shape — and Serve returns the cause. The crash-restart
+// tests power-cycle the damaged heap, RecoverCrashed the front-end, and
+// start a fresh Server over it; shards whose recovery failed stay
+// quarantined and surface as UNAVAIL replies while the rest keep
+// serving.
 package server
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"sort"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/commit"
 	"repro/internal/crash"
 	"repro/shard"
 )
 
-// WriteMode selects how SET/UPDATE reach persistence.
-type WriteMode int
-
-const (
-	// ModeSync applies point writes synchronously (default).
-	ModeSync WriteMode = iota
-	// ModeBatched group-commits pipelined writes per connection via
-	// shard.Deferred, one covering fence per batch.
-	ModeBatched
-	// ModeAsync enqueues writes into the shared internal/commit
-	// pipeline and acks on the future's fence.
-	ModeAsync
-)
-
-// String names the mode for flags and INFO.
-func (m WriteMode) String() string {
-	switch m {
-	case ModeSync:
-		return "sync"
-	case ModeBatched:
-		return "batched"
-	case ModeAsync:
-		return "async"
-	}
-	return fmt.Sprintf("mode(%d)", int(m))
-}
-
-// ParseWriteMode parses a -mode flag value.
-func ParseWriteMode(s string) (WriteMode, error) {
-	switch s {
-	case "sync":
-		return ModeSync, nil
-	case "batched":
-		return ModeBatched, nil
-	case "async":
-		return ModeAsync, nil
-	}
-	return 0, fmt.Errorf("server: unknown write mode %q (want sync, batched or async)", s)
-}
-
 // Options configures a Server.
 type Options struct {
-	// Mode is the write path (default ModeSync).
-	Mode WriteMode
-	// Batch caps a batched-mode connection's deferred queue: a settle
-	// is forced once this many writes are staged. Values < 1 select
-	// DefaultBatch. Ignored outside ModeBatched.
-	Batch int
-	// Commit configures the async pipeline's per-shard committers
-	// (queue depth, max batch, backpressure policy, flush interval).
-	// Ignored outside ModeAsync.
-	Commit commit.Options
-	// MaxPipeline caps commands handled per settle round, bounding the
-	// reply bytes buffered for one connection. Values < 1 select
+	// MaxPipeline caps commands handled per round, bounding the reply
+	// bytes buffered for one connection. Values < 1 select
 	// DefaultMaxPipeline.
 	MaxPipeline int
 	// IndexName labels INFO output (the converted index in use).
 	IndexName string
 }
 
-// Defaults for Options.
-const (
-	DefaultBatch       = 64
-	DefaultMaxPipeline = 256
-)
-
-func (o Options) batch() int {
-	if o.Batch < 1 {
-		return DefaultBatch
-	}
-	return o.Batch
-}
+// DefaultMaxPipeline is Options.MaxPipeline's default.
+const DefaultMaxPipeline = 256
 
 func (o Options) maxPipeline() int {
 	if o.MaxPipeline < 1 {
@@ -131,7 +61,6 @@ func (o Options) maxPipeline() int {
 type Server struct {
 	m    *shard.Ordered
 	opts Options
-	pipe *commit.Pipeline[[]byte] // ModeAsync: the shared ack-after-fence pipeline
 
 	mu       sync.Mutex
 	lis      net.Listener
@@ -142,23 +71,14 @@ type Server struct {
 	failed   atomic.Bool
 }
 
-// New builds a Server over front-end m. In ModeAsync it starts the
-// commit pipeline's per-shard committer goroutines immediately;
-// Shutdown (or Close) releases them.
+// New builds a Server over front-end m.
 func New(m *shard.Ordered, opts Options) *Server {
-	s := &Server{m: m, opts: opts, conns: make(map[*conn]struct{})}
-	if opts.Mode == ModeAsync {
-		s.pipe = commit.NewOrdered(m, opts.Commit)
-	}
-	return s
+	return &Server{m: m, opts: opts, conns: make(map[*conn]struct{})}
 }
 
 // Frontend returns the front-end the server serves — the crash tests
 // recover and re-serve it.
 func (s *Server) Frontend() *shard.Ordered { return s.m }
-
-// Mode returns the configured write path.
-func (s *Server) Mode() WriteMode { return s.opts.Mode }
 
 // Serve accepts connections on l until Shutdown or a machine crash.
 // It returns nil after a clean drain and the crash cause after a
@@ -183,9 +103,8 @@ func (s *Server) Serve(l net.Listener) error {
 		nc, err := l.Accept()
 		if err != nil {
 			// Listener closed by Shutdown or fail; wait for the
-			// connections to settle and report the verdict.
+			// connections to finish and report the verdict.
 			s.wg.Wait()
-			s.closePipe()
 			return s.Cause()
 		}
 		c := newConn(s, nc)
@@ -226,15 +145,15 @@ func (s *Server) untrack(c *conn) {
 // commands on live connections answer with SHUTDOWN errors, every
 // write accepted before the drain began is fenced and its reply
 // flushed, then connections close. It blocks until every connection
-// has settled and (in ModeAsync) the commit pipeline has drained and
-// stopped. Safe to call more than once and concurrently with traffic.
+// has finished. Safe to call more than once and concurrently with
+// traffic.
 func (s *Server) Shutdown() error {
 	s.mu.Lock()
 	s.draining.Store(true) // under mu: no conn can register after this
 	lis := s.lis
 	// Kick connections blocked in read: an already-expired read deadline
 	// fails the pending (and any future) read with a timeout, which the
-	// conn loop treats as "settle what you hold, reply, and close".
+	// conn loop treats as "send the replies you hold and close".
 	for c := range s.conns {
 		c.kick()
 	}
@@ -242,29 +161,15 @@ func (s *Server) Shutdown() error {
 	if lis != nil {
 		lis.Close()
 	}
-	// Each connection settles (fences accepted writes, flushes replies)
-	// before exiting; only then stop the async committers.
 	s.wg.Wait()
-	s.closePipe()
 	return s.Cause()
-}
-
-// closePipe stops the async committers exactly once.
-func (s *Server) closePipe() {
-	s.mu.Lock()
-	pipe := s.pipe
-	s.pipe = nil
-	s.mu.Unlock()
-	if pipe != nil {
-		pipe.Close()
-	}
 }
 
 // Draining reports whether Shutdown has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // fail is the machine-death path: an injected crash escaped an index
-// operation or surfaced from a group commit. The server records the
+// operation or was returned by one. The server records the
 // cause and drops everything on the floor — listener, connections,
 // buffered replies — because a machine that lost power sends no more
 // bytes. Unreplied operations are thereby unacknowledged, which is
@@ -304,9 +209,7 @@ func (s *Server) infoText() []byte {
 	q := s.m.Quarantined()
 	recov := s.m.Recoveries()
 	var b []byte
-	b = append(b, "mode:"...)
-	b = append(b, s.opts.Mode.String()...)
-	b = append(b, "\nindex:"...)
+	b = append(b, "index:"...)
 	b = append(b, s.opts.IndexName...)
 	b = append(b, "\nshards:"...)
 	b = strconv.AppendInt(b, int64(s.m.NumShards()), 10)
@@ -354,7 +257,7 @@ func (s *Server) statsText() []byte {
 }
 
 // isMachineCrash reports whether err carries an injected power-failure
-// signal (through group/batch error chains).
+// signal.
 func isMachineCrash(err error) bool {
 	return err != nil && errors.Is(err, crash.ErrCrashed)
 }

@@ -1,7 +1,9 @@
 // In-process protocol conformance: every command crossed with the
 // failure axes — ok, missing key, quarantined shard, oversized frame,
-// pipelined burst, half-closed connection — against a real listener,
-// in all three write-path modes where the axis involves writes.
+// pipelined burst, half-closed connection — against a real listener.
+// Tests whose axis involves writes run as a subtest named "sync", the
+// library's name for the one write path the server has (the call's
+// return is the fence).
 package server
 
 import (
@@ -16,9 +18,6 @@ import (
 
 	"repro/shard"
 )
-
-// modes every write-path-sensitive table runs under.
-var modes = []WriteMode{ModeSync, ModeBatched, ModeAsync}
 
 // testServer is an in-process server on a loopback listener.
 type testServer struct {
@@ -38,9 +37,9 @@ func (ts *testServer) wait() error {
 	return ts.finErr
 }
 
-func startServer(t *testing.T, mode WriteMode, shards int) *testServer {
+func startServer(t *testing.T, shards int) *testServer {
 	t.Helper()
-	return serveOver(t, trackedPART(t, shards), Options{Mode: mode, IndexName: "P-ART"})
+	return serveOver(t, trackedPART(t, shards), Options{IndexName: "P-ART"})
 }
 
 // serveOver starts a server over an existing front-end (the crash
@@ -144,126 +143,121 @@ func wantCode(t *testing.T, rp Reply, code string) {
 	}
 }
 
-// TestCommandsOK: the happy path of every command, in every mode.
+// TestCommandsOK: the happy path of every command.
 func TestCommandsOK(t *testing.T) {
-	for _, mode := range modes {
-		t.Run(mode.String(), func(t *testing.T) {
-			ts := startServer(t, mode, 4)
-			c := dialT(t, ts.addr())
+	t.Run("sync", func(t *testing.T) {
+		ts := startServer(t, 4)
+		c := dialT(t, ts.addr())
 
-			wantSimple(t, c.do("PING"), "PONG")
-			wantSimple(t, c.do("SET", "ka", "1"), "OK")
-			wantSimple(t, c.do("SET", "kb", "2"), "OK")
-			wantSimple(t, c.do("set", "kc", "3"), "OK") // case-folded
-			wantInt(t, c.do("GET", "ka"), 1)
-			wantSimple(t, c.do("UPDATE", "ka", "10"), "OK")
-			wantInt(t, c.do("GET", "ka"), 10)
-			wantInt(t, c.do("DEL", "kb"), 1)
-			wantNull(t, c.do("GET", "kb"))
+		wantSimple(t, c.do("PING"), "PONG")
+		wantSimple(t, c.do("SET", "ka", "1"), "OK")
+		wantSimple(t, c.do("SET", "kb", "2"), "OK")
+		wantSimple(t, c.do("set", "kc", "3"), "OK") // case-folded
+		wantInt(t, c.do("GET", "ka"), 1)
+		wantSimple(t, c.do("UPDATE", "ka", "10"), "OK")
+		wantInt(t, c.do("GET", "ka"), 10)
+		wantInt(t, c.do("DEL", "kb"), 1)
+		wantNull(t, c.do("GET", "kb"))
 
-			rp := c.do("SCAN", "", "10")
-			if rp.Kind != ReplyArray || len(rp.Elems) != 2 {
-				t.Fatalf("SCAN reply shape: kind %q elems %d", rp.Kind, len(rp.Elems))
-			}
-			if !rp.Elems[0].Null {
-				t.Fatalf("partial page must have null resume key, got %q", rp.Elems[0].Str)
-			}
-			kv := rp.Elems[1]
-			if len(kv.Elems) != 4 { // ka, kc
-				t.Fatalf("want 2 entries (4 elems), got %d", len(kv.Elems))
-			}
-			if string(kv.Elems[0].Str) != "ka" || kv.Elems[1].Int != 10 ||
-				string(kv.Elems[2].Str) != "kc" || kv.Elems[3].Int != 3 {
-				t.Fatalf("SCAN entries wrong: %q=%d %q=%d",
-					kv.Elems[0].Str, kv.Elems[1].Int, kv.Elems[2].Str, kv.Elems[3].Int)
-			}
+		rp := c.do("SCAN", "", "10")
+		if rp.Kind != ReplyArray || len(rp.Elems) != 2 {
+			t.Fatalf("SCAN reply shape: kind %q elems %d", rp.Kind, len(rp.Elems))
+		}
+		if !rp.Elems[0].Null {
+			t.Fatalf("partial page must have null resume key, got %q", rp.Elems[0].Str)
+		}
+		kv := rp.Elems[1]
+		if len(kv.Elems) != 4 { // ka, kc
+			t.Fatalf("want 2 entries (4 elems), got %d", len(kv.Elems))
+		}
+		if string(kv.Elems[0].Str) != "ka" || kv.Elems[1].Int != 10 ||
+			string(kv.Elems[2].Str) != "kc" || kv.Elems[3].Int != 3 {
+			t.Fatalf("SCAN entries wrong: %q=%d %q=%d",
+				kv.Elems[0].Str, kv.Elems[1].Int, kv.Elems[2].Str, kv.Elems[3].Int)
+		}
 
-			info := c.do("INFO")
-			if info.Kind != ReplyBulk || !strings.Contains(string(info.Str), "mode:"+mode.String()) {
-				t.Fatalf("INFO missing mode: %q", info.Str)
-			}
-			stats := c.do("STATS")
-			if stats.Kind != ReplyBulk || !strings.Contains(string(stats.Str), "fence:") {
-				t.Fatalf("STATS missing fence counter: %q", stats.Str)
-			}
+		info := c.do("INFO")
+		const wantInfo = "index:P-ART\nshards:4\npartitioner:hash\nkeys:2\ndraining:false\ndegraded:false\nquarantined:\nrecoveries:"
+		if info.Kind != ReplyBulk || !strings.HasPrefix(string(info.Str), wantInfo) {
+			t.Fatalf("INFO: got %q, want it to begin %q", info.Str, wantInfo)
+		}
+		stats := c.do("STATS")
+		if stats.Kind != ReplyBulk || !strings.Contains(string(stats.Str), "fence:") {
+			t.Fatalf("STATS missing fence counter: %q", stats.Str)
+		}
 
-			wantSimple(t, c.do("QUIT"), "OK")
-			if _, err := c.br.ReadByte(); err == nil {
-				t.Fatal("connection still open after QUIT")
-			}
-		})
-	}
+		wantSimple(t, c.do("QUIT"), "OK")
+		if _, err := c.br.ReadByte(); err == nil {
+			t.Fatal("connection still open after QUIT")
+		}
+	})
 }
 
 // TestMissingKeyAndArity: missing keys and malformed arguments answer
 // without disturbing the connection.
 func TestMissingKeyAndArity(t *testing.T) {
-	for _, mode := range modes {
-		t.Run(mode.String(), func(t *testing.T) {
-			ts := startServer(t, mode, 2)
-			c := dialT(t, ts.addr())
+	t.Run("sync", func(t *testing.T) {
+		ts := startServer(t, 2)
+		c := dialT(t, ts.addr())
 
-			wantNull(t, c.do("GET", "nope"))
-			wantInt(t, c.do("DEL", "nope"), 0)
-			// Blind-write semantics: UPDATE of an absent key inserts it
-			// (YCSB contract, documented on core.OrderedIndex.Update).
-			wantSimple(t, c.do("UPDATE", "nope", "5"), "OK")
-			wantInt(t, c.do("GET", "nope"), 5)
+		wantNull(t, c.do("GET", "nope"))
+		wantInt(t, c.do("DEL", "nope"), 0)
+		// Blind-write semantics: UPDATE of an absent key inserts it
+		// (YCSB contract, documented on core.OrderedIndex.Update).
+		wantSimple(t, c.do("UPDATE", "nope", "5"), "OK")
+		wantInt(t, c.do("GET", "nope"), 5)
 
-			wantCode(t, c.do("GET"), "ERR")
-			wantCode(t, c.do("SET", "k"), "ERR")
-			wantCode(t, c.do("SET", "k", "notanumber"), "ERR")
-			wantCode(t, c.do("SCAN", "a", "0"), "ERR")
-			wantCode(t, c.do("SCAN", "a", fmt.Sprint(MaxScanCount+1)), "ERR")
-			wantCode(t, c.do("NOSUCH", "x"), "ERR")
+		wantCode(t, c.do("GET"), "ERR")
+		wantCode(t, c.do("SET", "k"), "ERR")
+		wantCode(t, c.do("SET", "k", "notanumber"), "ERR")
+		wantCode(t, c.do("SCAN", "a", "0"), "ERR")
+		wantCode(t, c.do("SCAN", "a", fmt.Sprint(MaxScanCount+1)), "ERR")
+		wantCode(t, c.do("NOSUCH", "x"), "ERR")
 
-			// The connection survived all of it.
-			wantSimple(t, c.do("PING"), "PONG")
-		})
-	}
+		// The connection survived all of it.
+		wantSimple(t, c.do("PING"), "PONG")
+	})
 }
 
 // TestQuarantinedShard: ops routed to a quarantined shard answer
 // UNAVAIL; other shards and merged scans keep serving (degraded, not
 // down).
 func TestQuarantinedShard(t *testing.T) {
-	for _, mode := range modes {
-		t.Run(mode.String(), func(t *testing.T) {
-			ts := startServer(t, mode, 4)
-			c := dialT(t, ts.addr())
+	t.Run("sync", func(t *testing.T) {
+		ts := startServer(t, 4)
+		c := dialT(t, ts.addr())
 
-			// Find keys on shard 0 and on some other shard.
-			var hit, miss string
-			for i := 0; hit == "" || miss == ""; i++ {
-				k := fmt.Sprintf("key%04d", i)
-				if ts.m.Route([]byte(k)) == 0 {
-					if hit == "" {
-						hit = k
-					}
-				} else if miss == "" {
-					miss = k
+		// Find keys on shard 0 and on some other shard.
+		var hit, miss string
+		for i := 0; hit == "" || miss == ""; i++ {
+			k := fmt.Sprintf("key%04d", i)
+			if ts.m.Route([]byte(k)) == 0 {
+				if hit == "" {
+					hit = k
 				}
+			} else if miss == "" {
+				miss = k
 			}
-			wantSimple(t, c.do("SET", miss, "7"), "OK")
-			ts.m.Quarantine(0, errors.New("verifier: corrupt image"))
+		}
+		wantSimple(t, c.do("SET", miss, "7"), "OK")
+		ts.m.Quarantine(0, errors.New("verifier: corrupt image"))
 
-			wantCode(t, c.do("GET", hit), "UNAVAIL")
-			wantCode(t, c.do("SET", hit, "1"), "UNAVAIL")
-			wantCode(t, c.do("UPDATE", hit, "1"), "UNAVAIL")
-			wantCode(t, c.do("DEL", hit), "UNAVAIL")
+		wantCode(t, c.do("GET", hit), "UNAVAIL")
+		wantCode(t, c.do("SET", hit, "1"), "UNAVAIL")
+		wantCode(t, c.do("UPDATE", hit, "1"), "UNAVAIL")
+		wantCode(t, c.do("DEL", hit), "UNAVAIL")
 
-			// Healthy shards unaffected; scans degrade past the hole.
-			wantInt(t, c.do("GET", miss), 7)
-			rp := c.do("SCAN", "", "10")
-			if rp.Kind != ReplyArray {
-				t.Fatalf("degraded SCAN failed: kind %q %q", rp.Kind, rp.Str)
-			}
-			info := string(c.do("INFO").Str)
-			if !strings.Contains(info, "degraded:true") || !strings.Contains(info, "quarantined:0") {
-				t.Fatalf("INFO must surface quarantine: %q", info)
-			}
-		})
-	}
+		// Healthy shards unaffected; scans degrade past the hole.
+		wantInt(t, c.do("GET", miss), 7)
+		rp := c.do("SCAN", "", "10")
+		if rp.Kind != ReplyArray {
+			t.Fatalf("degraded SCAN failed: kind %q %q", rp.Kind, rp.Str)
+		}
+		info := string(c.do("INFO").Str)
+		if !strings.Contains(info, "degraded:true") || !strings.Contains(info, "quarantined:0") {
+			t.Fatalf("INFO must surface quarantine: %q", info)
+		}
+	})
 }
 
 // TestOversizedAndMalformedFrames: framing violations get one typed
@@ -284,7 +278,7 @@ func TestOversizedAndMalformedFrames(t *testing.T) {
 		{"bulk missing CRLF", KindMalformed, []byte("*1\r\n$4\r\nPINGxx")},
 		{"empty array", KindEmpty, []byte("*0\r\n")},
 	}
-	ts := startServer(t, ModeSync, 1)
+	ts := startServer(t, 1)
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			c := dialT(t, ts.addr())
@@ -305,89 +299,83 @@ func TestOversizedAndMalformedFrames(t *testing.T) {
 }
 
 // TestPipelinedBurst: hundreds of commands in one write, replies in
-// exact order — across settle boundaries (burst > MaxPipeline), batch
-// boundaries in batched mode, and refills of the connection's read
-// buffer (burst > readBufSize). Arguments alias that buffer, so the
-// test is also the one that would see a key retained past dispatch: k1
-// and k2 differ in their last byte only and sit in one read, staged
-// writes are held across refills in batched and async mode, and the
-// keys stored first are read back after the burst has overwritten the
-// buffer many times.
+// exact order — across round boundaries (burst > MaxPipeline) and
+// refills of the connection's read buffer (burst > readBufSize).
+// Arguments alias that buffer, so the test is also the one that would
+// see a key retained past dispatch: k1 and k2 differ in their last byte
+// only and sit in one read, and the keys stored first are read back
+// after the burst has overwritten the buffer many times.
 func TestPipelinedBurst(t *testing.T) {
-	const n = 700 // > DefaultMaxPipeline and many DefaultBatch multiples
-	for _, mode := range modes {
-		t.Run(mode.String(), func(t *testing.T) {
-			ts := startServer(t, mode, 4)
-			c := dialT(t, ts.addr())
+	const n = 700 // > DefaultMaxPipeline
+	t.Run("sync", func(t *testing.T) {
+		ts := startServer(t, 4)
+		c := dialT(t, ts.addr())
 
-			const k1, k2 = "user000000000000000000a", "user000000000000000000b"
-			c.send(bytes.Join([][]byte{
-				frame("SET", k1, "1"), frame("SET", k2, "2"), frame("UPDATE", k1, "3"),
-				frame("GET", k1), frame("GET", k2),
-			}, nil))
-			for i := 0; i < 3; i++ {
-				wantSimple(t, c.read(), "OK")
-			}
-			wantInt(t, c.read(), 3)
-			wantInt(t, c.read(), 2)
+		const k1, k2 = "user000000000000000000a", "user000000000000000000b"
+		c.send(bytes.Join([][]byte{
+			frame("SET", k1, "1"), frame("SET", k2, "2"), frame("UPDATE", k1, "3"),
+			frame("GET", k1), frame("GET", k2),
+		}, nil))
+		for i := 0; i < 3; i++ {
+			wantSimple(t, c.read(), "OK")
+		}
+		wantInt(t, c.read(), 3)
+		wantInt(t, c.read(), 2)
 
-			var burst []byte
-			for i := 0; i < n; i++ {
-				burst = append(burst, frame("SET", fmt.Sprintf("k%05d", i), fmt.Sprint(i))...)
-			}
-			for i := 0; i < n; i++ {
-				burst = append(burst, frame("GET", fmt.Sprintf("k%05d", i))...)
-			}
-			if len(burst) <= 2*readBufSize {
-				t.Fatalf("burst of %d bytes does not outgrow the %d-byte read buffer", len(burst), readBufSize)
-			}
-			c.send(burst)
-			for i := 0; i < n; i++ {
-				wantSimple(t, c.read(), "OK")
-			}
-			for i := 0; i < n; i++ {
-				wantInt(t, c.read(), int64(i))
-			}
-			wantInt(t, c.do("GET", k1), 3)
-			wantInt(t, c.do("GET", k2), 2)
-		})
-	}
+		var burst []byte
+		for i := 0; i < n; i++ {
+			burst = append(burst, frame("SET", fmt.Sprintf("k%05d", i), fmt.Sprint(i))...)
+		}
+		for i := 0; i < n; i++ {
+			burst = append(burst, frame("GET", fmt.Sprintf("k%05d", i))...)
+		}
+		if len(burst) <= 2*readBufSize {
+			t.Fatalf("burst of %d bytes does not outgrow the %d-byte read buffer", len(burst), readBufSize)
+		}
+		c.send(burst)
+		for i := 0; i < n; i++ {
+			wantSimple(t, c.read(), "OK")
+		}
+		for i := 0; i < n; i++ {
+			wantInt(t, c.read(), int64(i))
+		}
+		wantInt(t, c.do("GET", k1), 3)
+		wantInt(t, c.do("GET", k2), 2)
+	})
 }
 
 // TestHalfClosedConnection: the client half-closes after pipelining
-// writes; every accepted write is settled, acked, and durable.
+// writes; every accepted write is acked and durable.
 func TestHalfClosedConnection(t *testing.T) {
 	const n = 100
-	for _, mode := range modes {
-		t.Run(mode.String(), func(t *testing.T) {
-			ts := startServer(t, mode, 4)
-			c := dialT(t, ts.addr())
+	t.Run("sync", func(t *testing.T) {
+		ts := startServer(t, 4)
+		c := dialT(t, ts.addr())
 
-			var burst []byte
-			for i := 0; i < n; i++ {
-				burst = append(burst, frame("SET", fmt.Sprintf("h%04d", i), fmt.Sprint(i))...)
-			}
-			c.send(burst)
-			c.nc.(*net.TCPConn).CloseWrite()
-			for i := 0; i < n; i++ {
-				wantSimple(t, c.read(), "OK")
-			}
-			if _, err := c.br.ReadByte(); err == nil {
-				t.Fatal("server must close after draining a half-closed conn")
-			}
-			// Acked ⇒ readable on a fresh connection.
-			c2 := dialT(t, ts.addr())
-			for i := 0; i < n; i++ {
-				wantInt(t, c2.do("GET", fmt.Sprintf("h%04d", i)), int64(i))
-			}
-		})
-	}
+		var burst []byte
+		for i := 0; i < n; i++ {
+			burst = append(burst, frame("SET", fmt.Sprintf("h%04d", i), fmt.Sprint(i))...)
+		}
+		c.send(burst)
+		c.nc.(*net.TCPConn).CloseWrite()
+		for i := 0; i < n; i++ {
+			wantSimple(t, c.read(), "OK")
+		}
+		if _, err := c.br.ReadByte(); err == nil {
+			t.Fatal("server must close after draining a half-closed conn")
+		}
+		// Acked ⇒ readable on a fresh connection.
+		c2 := dialT(t, ts.addr())
+		for i := 0; i < n; i++ {
+			wantInt(t, c2.do("GET", fmt.Sprintf("h%04d", i)), int64(i))
+		}
+	})
 }
 
 // TestScanPagination: a full page returns the exclusive-successor
 // resume key; chained pages cover the key space exactly once.
 func TestScanPagination(t *testing.T) {
-	ts := startServer(t, ModeSync, 4)
+	ts := startServer(t, 4)
 	c := dialT(t, ts.addr())
 	const n = 57
 	want := make([]string, 0, n)
