@@ -5,8 +5,7 @@
 // and LLC-miss/op metrics with b.ReportMetric.
 //
 // Scale: benchmarks default to small populations so `go test -bench=.`
-// terminates quickly; cmd/ycsbbench and cmd/counters run the full-size
-// experiments.
+// terminates quickly; cmd/ycsbbench runs the full-size experiments.
 package recipe_test
 
 import (
@@ -148,43 +147,36 @@ func BenchmarkTable4(b *testing.B) {
 
 // BenchmarkHeapScaling measures the instrumentation substrate itself
 // rather than any index: Alloc + Persist + Fence throughput at 1..16
-// goroutines, striped (the default) versus the pre-refactor
-// shared-atomics reference heap (pmem.Options{SharedAtomics: true}).
-// On multi-core machines the shared variant flatlines as every counter
-// add ping-pongs one cache line between cores, while the striped variant
-// scales with goroutines; this is the harness-overhead ceiling that
-// would otherwise cap every index in Figs 4 and 5.
+// goroutines. The counters and the line allocator are striped, so on a
+// multi-core machine it scales with goroutines; this is the
+// harness-overhead ceiling that would otherwise cap every index in
+// Figs 4 and 5.
 func BenchmarkHeapScaling(b *testing.B) {
-	for _, impl := range []struct {
-		name   string
-		shared bool
-	}{{"striped", false}, {"shared", true}} {
-		for _, g := range []int{1, 2, 4, 8, 16} {
-			b.Run(fmt.Sprintf("%s/goroutines=%d", impl.name, g), func(b *testing.B) {
-				heap := pmem.New(pmem.Options{SharedAtomics: impl.shared})
-				per := b.N / g
-				b.ResetTimer()
-				var wg sync.WaitGroup
-				for t := 0; t < g; t++ {
-					n := per
-					if t == g-1 {
-						n = b.N - per*(g-1)
-					}
-					wg.Add(1)
-					go func(n int) {
-						defer wg.Done()
-						for i := 0; i < n; i++ {
-							o := heap.Alloc(64)
-							heap.Persist(o, 0, 64)
-							heap.Fence()
-						}
-					}(n)
+	for _, g := range []int{1, 2, 4, 8, 16} {
+		b.Run(fmt.Sprintf("goroutines=%d", g), func(b *testing.B) {
+			heap := pmem.NewFast()
+			per := b.N / g
+			b.ResetTimer()
+			var wg sync.WaitGroup
+			for t := 0; t < g; t++ {
+				n := per
+				if t == g-1 {
+					n = b.N - per*(g-1)
 				}
-				wg.Wait()
-				b.StopTimer()
-				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
-			})
-		}
+				wg.Add(1)
+				go func(n int) {
+					defer wg.Done()
+					for i := 0; i < n; i++ {
+						o := heap.Alloc(64)
+						heap.Persist(o, 0, 64)
+						heap.Fence()
+					}
+				}(n)
+			}
+			wg.Wait()
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds()/1e6, "Mops/s")
+		})
 	}
 }
 

@@ -1,0 +1,325 @@
+// Command campaign runs the paper's test campaigns against the nine
+// indexes — one subcommand per campaign, one flag set, one exit rule.
+//
+//	go run ./cmd/campaign crash -states 10000 -ops 10000   # §7.5 at the paper's scale (default: 200 states)
+//	go run ./cmd/campaign coverage                          # §5 flush coverage
+//	go run ./cmd/campaign lossy -policy torn -batch 8       # power-failure images, through group commits
+//
+// crash reproduces §7.5: for every index, -states crash states
+// (probabilistic crashes during a load of -ops inserts), then -mixed
+// operations on -threads threads after recovery and a readback of every
+// committed key. Its sharded section arms the crash in one shard of a
+// -shards wide front-end and requires recovery to replay only that
+// shard (extraReplays=0) with no committed key lost anywhere.
+//
+// coverage is the §5 durability test: -ops inserts on a tracked heap
+// (the analogue of the paper's PIN tracing) must leave every dirtied
+// cache line written back and fenced by the time each returns; with
+// -sites it then crashes once at every crash site the load passes
+// through, recovers, and holds the recovery and -postops further
+// inserts to the same rule.
+//
+// lossy is the adversarial model: at every crash site the heap
+// materialises a true post-power-loss image (stores never written back
+// revert; unfenced write-backs follow -policy), recovery runs against
+// it, and a full readback classifies the site CLEAN, PARTIAL (an
+// unacknowledged in-flight op vanished atomically), LOST-ACK (an
+// acknowledged write is missing) or CORRUPT.
+//
+// Per-site trials are independent heaps fanned out over -workers
+// goroutines and collected in site order: a report is identical for any
+// worker count. -batch and -async route coverage's sweep and lossy
+// through the group-commit and async write paths, which adds their
+// crash sites; crash measures the paper's per-op path only.
+//
+// Exit status: 2 on a usage error; otherwise non-zero iff a must-pass
+// row FAILs or a FAIL-expected row PASSes. The FAIL-expected rows are
+// the Faithful modes of FAST & FAIR and CCEH, which reproduce the
+// published bugs (§3, §7.5): a control that stops failing controls
+// nothing. FAST & FAIR's crash row may FAIL and is outside the rule —
+// §3 reports a data-loss design bug in its split protocol under
+// concurrent writes, and crash + racing post-crash writers reproduce
+// that class, with the durability fix applied, when the writers happen
+// to interleave that way.
+package main
+
+import (
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"slices"
+
+	"repro/internal/harness"
+	"repro/internal/keys"
+	"repro/internal/pmem"
+)
+
+const usage = "usage: campaign crash|coverage|lossy [flags]   (campaign <subcommand> -h lists the flags)"
+
+// subject is one row of a campaign: an index and how to build it.
+type subject struct {
+	name  string
+	build func(keys.Kind) harness.Build
+}
+
+func registered(name string) subject {
+	return subject{name, func(kind keys.Kind) harness.Build { return harness.ByName(name, kind) }}
+}
+
+func faithful(name string, b harness.Build) subject {
+	return subject{name, func(keys.Kind) harness.Build { return b }}
+}
+
+// racy names the subject whose crash row is timing-dependent (see the
+// package comment).
+const racy = "FAST & FAIR"
+
+// subjects are the nine must-pass indexes: the Fig 4 five plus WOART,
+// then the three hash tables.
+var subjects = []subject{
+	registered("P-ART"), registered("P-HOT"), registered("P-BwTree"), registered("P-Masstree"),
+	registered(racy), registered("WOART"),
+	registered("P-CLHT"), registered("CCEH"), registered("Level Hashing"),
+}
+
+// doublingLoad is a load that takes CCEH through its first directory
+// doubling (2,000 inserts do not reach it; 2,500 do), where the
+// Faithful update order leaves pointer and depth torn at
+// cceh.double.swapped and recovery stalls.
+const doublingLoad = 5000
+
+// control is a FAIL-expected row: the campaign that must keep detecting
+// a published bug, closing the report of subcommand sub.
+type control struct {
+	sub string
+	subject
+	run func(subject, config) report
+}
+
+var (
+	ffFaithful   = faithful("FF-faithful", harness.FaithfulFF)
+	ccehFaithful = faithful("CCEH-faithful", harness.FaithfulCCEH)
+
+	// controls: both Faithful modes leave their initial allocation
+	// unpersisted (§7.5), which the tracker sees at construction and the
+	// revert policy turns into observable loss; CCEH-faithful also tears
+	// its directory-doubling metadata, which only a crash inside the
+	// doubling shows — the probabilistic crash campaign almost never
+	// lands there, the per-site sweep always does.
+	controls = []control{
+		{"coverage", ffFaithful, construction},
+		{"coverage", ccehFaithful, construction},
+		{"coverage -sites", ccehFaithful, func(s subject, c config) report {
+			c.ops = max(c.ops, doublingLoad)
+			return siteSweep(s, c)
+		}},
+		{"lossy", ffFaithful, lossyCycle},
+	}
+)
+
+// config is the one flag set.
+type config struct {
+	ops, postOps, workers          int
+	sites                          bool
+	seed                           int64
+	policies                       []pmem.Policy
+	policy                         pmem.Policy // of policies, the one being run
+	path                           harness.WritePath
+	label                          string // names a queued path in section headers
+	states, mixed, threads, shards int
+}
+
+func construction(s subject, c config) report {
+	return harness.Durability(s.name, s.build(keys.YCSBString), c.ops)
+}
+
+func siteSweep(s subject, c config) report {
+	return harness.DurabilitySites(s.name, s.build(keys.RandInt), c.path, c.ops, c.postOps, c.workers)
+}
+
+func lossyCycle(s subject, c config) report {
+	return harness.LossyCampaign(s.name, s.build(keys.RandInt), c.path, c.policy, c.seed, c.ops, c.postOps, c.workers)
+}
+
+// report is what every harness campaign returns: a row and a verdict.
+type report interface {
+	fmt.Stringer
+	Pass() bool
+}
+
+// rows prints campaign rows and holds the exit-status rule: broken is
+// set when a row's verdict is not the one it must have.
+type rows struct {
+	out, errs io.Writer
+	broken    bool
+}
+
+// print writes the row, plus one line per site that found something
+// (the common all-PASS case stays one line).
+func (r *rows) print(rep report) {
+	fmt.Fprintln(r.out, rep)
+	switch rep := rep.(type) {
+	case harness.SiteCampaignReport:
+		for _, s := range rep.Sites {
+			if s.RecoveryFailed || s.RecoveryViolations != 0 || s.OpViolations != 0 {
+				fmt.Fprintf(r.out, "    %-28s recoveryFail=%v recoveryViol=%d opViol=%d\n",
+					s.Site, s.RecoveryFailed, s.RecoveryViolations, s.OpViolations)
+			}
+		}
+	case harness.LossyCampaignReport:
+		for _, s := range rep.Sites {
+			if s.Outcome == harness.OutcomeLostAck || s.Outcome == harness.OutcomeCorrupt {
+				fmt.Fprintf(r.out, "    %-28s %v lostAcks=%d %s\n", s.Site, s.Outcome, s.LostAcks, s.Detail)
+			}
+		}
+	}
+}
+
+func (r *rows) mustPass(rep report) {
+	r.print(rep)
+	if !rep.Pass() {
+		r.broken = true
+		fmt.Fprintln(r.errs, "must-pass row failed: "+rep.String())
+	}
+}
+
+func (r *rows) mustFail(rep report) {
+	r.print(rep)
+	if rep.Pass() {
+		r.broken = true
+		fmt.Fprintln(r.errs, "FAIL-expected row passed (the negative control no longer detects its bug): "+rep.String())
+	}
+}
+
+// controls closes a report with the FAIL-expected rows of the given
+// sections. They run on the per-op write path whatever the flags say —
+// the bugs are in the index — and under the policy that reverts every
+// unfenced line.
+func (r *rows) controls(c config, sections ...string) {
+	c.path, c.policy = harness.WritePath{}, pmem.PolicyRevert
+	fmt.Fprintln(r.out, "\nFaithful modes (FAIL expected — the published bugs of §3/§7.5):")
+	for _, k := range controls {
+		if slices.Contains(sections, k.sub) {
+			r.mustFail(k.run(k.subject, c))
+		}
+	}
+}
+
+var subcommands = map[string]func(*rows, config){"crash": crash, "coverage": coverage, "lossy": lossy}
+
+func crash(r *rows, c config) {
+	fmt.Fprintf(r.out, "=== §7.5 crash-recovery testing: %d states, load %d, mixed %d x %d threads ===\n\n",
+		c.states, c.ops, c.mixed, c.threads)
+	fmt.Fprintf(r.out, "Must pass, except %s (may FAIL — the §3 data-loss class, timing-dependent):\n", racy)
+	for _, s := range subjects {
+		row := r.mustPass
+		if s.name == racy {
+			row = r.print
+		}
+		row(harness.CrashCampaign(s.name, s.build(keys.RandInt), c.states, c.ops, c.mixed, c.threads))
+	}
+	fmt.Fprintf(r.out, "\nSharded front-end, %d shards (crash in shard k must replay only shard k):\n", c.shards)
+	for _, name := range []string{"P-ART", "P-Masstree"} {
+		r.mustPass(harness.CrashCampaignSharded(name, keys.RandInt, c.shards, c.states, c.ops, c.mixed, c.threads))
+	}
+}
+
+func coverage(r *rows, c config) {
+	fmt.Fprintf(r.out, "=== §5 durability test: %d traced inserts per index ===\n\n", c.ops)
+	for _, s := range subjects {
+		r.mustPass(construction(s, c))
+	}
+	if c.sites {
+		fmt.Fprintf(r.out, "\n=== §5 durability across crash sites%s: crash, recover, %d traced post-crash inserts per site ===\n\n",
+			c.label, c.postOps)
+		for _, s := range subjects {
+			r.mustPass(siteSweep(s, c))
+		}
+		r.controls(c, "coverage", "coverage -sites")
+		return
+	}
+	r.controls(c, "coverage")
+}
+
+func lossy(r *rows, c config) {
+	fmt.Fprintf(r.out, "=== lossy power-failure campaign%s: crash at every site, power-cycle, recover, verify (seed %d) ===\n",
+		c.label, c.seed)
+	for _, c.policy = range c.policies {
+		fmt.Fprintln(r.out)
+		for _, s := range subjects {
+			r.mustPass(lossyCycle(s, c))
+		}
+	}
+	r.controls(c, "lossy")
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its streams and exit status as values, for the test.
+func run(args []string, stdout, stderr io.Writer) int {
+	usageError := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, format+"\n", a...)
+		fmt.Fprintln(stderr, usage)
+		return 2
+	}
+	if len(args) == 0 {
+		return usageError("no subcommand")
+	}
+	sub, ok := subcommands[args[0]]
+	if !ok {
+		return usageError("unknown subcommand %q", args[0])
+	}
+
+	var c config
+	fs := flag.NewFlagSet("campaign "+args[0], flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.IntVar(&c.ops, "ops", 5000, "inserts per index: the load crashes are armed in (crash; paper: 10000), the traced load (coverage, lossy)")
+	fs.IntVar(&c.postOps, "postops", 2000, "post-crash inserts per crash site (coverage, lossy)")
+	fs.BoolVar(&c.sites, "sites", true, "coverage: also run the per-crash-site sweep")
+	fs.IntVar(&c.workers, "workers", 0, "goroutines the per-site trials fan out over (0 = GOMAXPROCS)")
+	fs.Int64Var(&c.seed, "seed", 42, "lossy: campaign seed (torn coin flips derive from it)")
+	policy := fs.String("policy", "all", "lossy: what becomes of unfenced write-backs: revert, keep, torn, or all")
+	batch := fs.Int("batch", 1, "group-commit batch size for coverage's sweep and lossy (1 = per-op fences; >1 crashes inside fence-coalesced group commits too)")
+	async := fs.Bool("async", false, "route coverage's sweep and lossy through the async commit pipeline (ack-after-fence futures; -batch sets the committer's queue and drain size) and crash inside its drain loop too")
+	fs.IntVar(&c.states, "states", 200, "crash: crash states per index (paper: 10000)")
+	fs.IntVar(&c.mixed, "mixed", 10_000, "crash: mixed post-crash operations (paper: 10000)")
+	fs.IntVar(&c.threads, "threads", 4, "crash: threads in the mixed phase (paper: 4)")
+	fs.IntVar(&c.shards, "shards", 4, "crash: front-end width of the per-shard recovery section")
+	if err := fs.Parse(args[1:]); err != nil {
+		return 2 // the flag set has printed the error and the flags
+	}
+	if *async && *batch == 1 {
+		// A 1-deep queue acks per op; the interesting async crashes need
+		// multi-op batches in flight, so default to the group size the
+		// batched campaigns use.
+		*batch = 8
+	}
+	switch c.path = harness.PathFromFlags(*batch, *async, 0, 0); {
+	case *batch < 1:
+		return usageError("-batch must be >= 1, got %d", *batch)
+	case c.shards < 1:
+		return usageError("-shards must be >= 1, got %d", c.shards)
+	case c.path.Mode != harness.Sync && args[0] == "crash":
+		return usageError("crash runs the paper's per-op write path; -batch and -async apply to coverage and lossy")
+	case c.path.Mode == harness.Async:
+		c.label = fmt.Sprintf(" (async commit pipeline, queue/batch %d)", *batch)
+	case c.path.Mode == harness.Batched:
+		c.label = fmt.Sprintf(" (batched, group size %d)", *batch)
+	}
+	c.policies = pmem.Policies
+	if *policy != "all" {
+		p, err := pmem.ParsePolicy(*policy)
+		if err != nil {
+			return usageError("%v", err)
+		}
+		c.policies = []pmem.Policy{p}
+	}
+
+	r := &rows{out: stdout, errs: stderr}
+	sub(r, c)
+	if r.broken {
+		return 1
+	}
+	return 0
+}

@@ -1,0 +1,102 @@
+package main
+
+import (
+	"bytes"
+	"strings"
+	"testing"
+)
+
+// campaign runs the command in-process.
+func campaign(args ...string) (status int, stdout, stderr string) {
+	var out, errs bytes.Buffer
+	status = run(args, &out, &errs)
+	return status, out.String(), errs.String()
+}
+
+// swap replaces a package-level table for the duration of the test.
+func swap[T any](t *testing.T, table *T, with T) {
+	old := *table
+	*table = with
+	t.Cleanup(func() { *table = old })
+}
+
+func TestUsageErrors(t *testing.T) {
+	for _, args := range [][]string{
+		nil,
+		{"durability"},
+		{"lossy", "-batch", "0"},
+		{"lossy", "-async", "-batch", "0"},
+		{"crash", "-shards", "0"},
+		{"crash", "-batch", "8"},
+		{"lossy", "-policy", "shredded"},
+	} {
+		status, stdout, stderr := campaign(args...)
+		if status != 2 || !strings.Contains(stderr, usage) || stdout != "" {
+			t.Errorf("campaign %q: status %d, stdout %q, stderr %q; want 2, nothing on stdout and the usage line", args, status, stdout, stderr)
+		}
+	}
+	if status, _, _ := campaign("lossy", "-nosuchflag"); status != 2 {
+		t.Errorf("unknown flag: status %d, want 2", status)
+	}
+}
+
+// TestLossyReport drives one whole subcommand: nine must-pass rows, the
+// FF-faithful control failing as it must, exit 0.
+func TestLossyReport(t *testing.T) {
+	status, stdout, stderr := campaign("lossy", "-policy", "torn", "-seed", "42", "-ops", "120", "-postops", "10")
+	if status != 0 || stderr != "" {
+		t.Fatalf("status %d, stderr %q; want 0 and silence\n%s", status, stderr, stdout)
+	}
+	lines := strings.Split(stdout, "\n")
+	for _, s := range subjects {
+		n := 0
+		for _, l := range lines {
+			if strings.HasPrefix(l, s.name+" ") && strings.Contains(l, "policy=torn") && strings.HasSuffix(l, "PASS") {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("%d PASS rows for %s under torn, want 1\n%s", n, s.name, stdout)
+		}
+	}
+	control := false
+	for _, l := range lines {
+		control = control || strings.HasPrefix(l, "FF-faithful ") && strings.Contains(l, "policy=revert") && strings.HasSuffix(l, "FAIL")
+	}
+	if !control {
+		t.Errorf("no failing FF-faithful control row under revert\n%s", stdout)
+	}
+}
+
+// TestExitRule holds both halves of the exit-status rule, each on the
+// tracker campaign and on the lossy one: a published bug listed among
+// the must-pass subjects, and a converted index listed as a control.
+func TestExitRule(t *testing.T) {
+	for _, args := range [][]string{
+		{"coverage", "-ops", "100", "-postops", "10"},
+		{"lossy", "-policy", "revert", "-ops", "120", "-postops", "10"},
+	} {
+		sub := args[0]
+		t.Run(sub+"/must-pass row fails", func(t *testing.T) {
+			swap(t, &subjects, []subject{ffFaithful})
+			status, stdout, stderr := campaign(args...)
+			if status != 1 || !strings.Contains(stderr, "must-pass row failed: FF-faithful") {
+				t.Errorf("status %d, stderr %q; want 1 naming the row\n%s", status, stderr, stdout)
+			}
+		})
+		t.Run(sub+"/FAIL-expected row passes", func(t *testing.T) {
+			var converted []control
+			for _, k := range controls {
+				if k.sub == sub {
+					k.subject = registered("P-ART")
+					converted = append(converted, k)
+				}
+			}
+			swap(t, &controls, converted)
+			status, stdout, stderr := campaign(args...)
+			if status != 1 || !strings.Contains(stderr, "FAIL-expected row passed") || strings.Contains(stderr, "must-pass") {
+				t.Errorf("status %d, stderr %q; want 1 for the control alone\n%s", status, stderr, stdout)
+			}
+		})
+	}
+}

@@ -38,7 +38,6 @@ func main() {
 		list      = flag.Bool("list", false, "list available indexes and exit")
 		shards    = flag.Int("shards", 4, "shards in the front-end")
 		partition = flag.String("partition", "hash", `key partitioner: "hash" or "range"`)
-		scanBatch = flag.Int("scanbatch", 0, "per-shard scan prefetch batch (0 = default)")
 		doRecover = flag.Bool("recover", false, "run per-shard crash recovery before serving")
 	)
 	flag.Parse()
@@ -61,7 +60,6 @@ func main() {
 	m, err := shard.NewOrdered(*index, keys.YCSBString, shard.Options{
 		Shards:      *shards,
 		Partitioner: part,
-		ScanBatch:   *scanBatch,
 		Heap:        pmem.Options{Track: true},
 	})
 	fatalIf(err)

@@ -1,18 +1,25 @@
-// Command ycsbbench reproduces the throughput experiments of RECIPE §7:
-// Fig 4a (ordered indexes, integer keys), Fig 4b (ordered indexes, string
-// keys), Fig 5 (hash indexes, integer keys), and the §7.3 P-ART vs WOART
-// comparison. It prints one row per index with one column per YCSB
-// workload, mirroring the figures' series. Beyond the paper, -workloads
-// runs any subset of YCSB A–F (including the update-bearing D and F the
-// paper skipped) on every index, unsharded and sharded, with exact
-// per-op-kind clwb/fence attribution, and -dist/-theta select the
-// request distribution (uniform — the paper's setup — zipfian, or
-// read-latest).
+// Command ycsbbench reproduces the measured figures of RECIPE §7. The
+// throughput experiments: Fig 4a (ordered indexes, integer keys), Fig 4b
+// (ordered indexes, string keys), Fig 5 (hash indexes, integer keys),
+// and the §7.3 P-ART vs WOART comparison. The performance-counter
+// tables: Fig 4c, Fig 4d (ordered indexes, integer and string keys) and
+// Table 4 (hash indexes) — average clwb and mfence instructions per
+// insert and LLC misses per operation, where the paper's hardware
+// counters (perf on a 32 MB LLC) are replaced by the simulated heap's
+// exact clwb/fence counts and a set-associative LLC model. It prints one
+// row per index with one column per YCSB workload, mirroring the
+// figures' series. Beyond the paper, -workloads runs any subset of YCSB
+// A–F (including the update-bearing D and F the paper skipped) on every
+// index, unsharded and sharded, with exact per-op-kind clwb/fence
+// attribution, and -dist/-theta select the request distribution
+// (uniform — the paper's setup — zipfian, or read-latest).
 //
 // Usage:
 //
 //	go run ./cmd/ycsbbench -figure 4a -keys 1000000 -ops 1000000 -threads 16
-//	go run ./cmd/ycsbbench -figure all
+//	go run ./cmd/ycsbbench -figure all                       # the throughput figures
+//	go run ./cmd/ycsbbench -figure 4c -keys 200000 -ops 200000 -threads 4
+//	go run ./cmd/ycsbbench -figure t4
 //	go run ./cmd/ycsbbench -figure 4a -shards 8 -partition hash
 //	go run ./cmd/ycsbbench -workloads A,B,C,D,E,F -dist zipfian -theta 0.99
 //	go run ./cmd/ycsbbench -workloads D,F
@@ -25,22 +32,19 @@
 // the sharded front-end (-partition selects hash or range routing for
 // the ordered figures). Every cell additionally re-derives the
 // aggregate Stats() delta from the per-shard deltas and requires
-// bit-exact agreement — a guard against the aggregate and per-shard
-// views ever diverging; the proof that the counters themselves conserve
-// under concurrency is `cmd/counters -selftest` and the shard package's
-// TestStatsConservation.
+// bit-exact agreement (conserving).
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"runtime"
 	"slices"
 	"strings"
 	"time"
 
+	"repro/internal/cachesim"
 	"repro/internal/commit"
 	"repro/internal/core"
 	"repro/internal/harness"
@@ -50,39 +54,24 @@ import (
 	"repro/shard"
 )
 
-// config carries the flag settings every figure runner needs.
+// config carries the flag settings the runners need; each field is the
+// flag of (nearly) the same name, documented there.
 type config struct {
 	loadN, opN, threads int
 	seed                int64
 	heap                pmem.Options
 	shards              int
 	part                shard.Partitioner
-	scanBatch           int
-	// batch > 1 routes writes in -workloads mode through the
-	// group-commit layer: per-thread combiners queue up to batch
-	// writes and flush them as one fence-coalesced group per shard.
-	batch int
-	// dist overrides every workload's request distribution when
-	// non-nil (-dist); nil keeps each workload row's own default
-	// (uniform for the Table 3 rows, latest for D, zipfian for F).
+	llcKB               int
+	// dist, when non-nil, overrides every workload's own request
+	// distribution (uniform for the Table 3 rows, latest for D,
+	// zipfian for F).
 	dist ycsb.Distribution
-	// async routes -workloads writes through the per-shard async
-	// commit pipeline: writers enqueue and receive futures resolved
-	// only after the covering fence retires (ack-after-fence).
-	async bool
-	// queue is the per-shard bounded queue capacity in async mode
-	// (0 = commit.DefaultQueue).
-	queue int
-	// flush bounds staleness in async mode: the longest a queued op
-	// waits before the committer flushes a short batch (0 = commit
-	// whatever is queued immediately).
-	flush time.Duration
-	// reshard splits every sharded -workloads cell around the live
-	// rebalancer: half the ops run against the static partition, the
-	// load-aware rebalancer migrates hot slots, and the second half
-	// runs against the flipped routing table — the row reports both
-	// phases' throughput and imbalance.
-	reshard bool
+	// The -workloads write path (see path).
+	batch, queue int
+	async        bool
+	flush        time.Duration
+	reshard      bool
 }
 
 // path is the write path the flags select for -workloads cells: -queue
@@ -102,7 +91,7 @@ func (c config) workloadFor(w ycsb.Workload) ycsb.Workload {
 
 func main() {
 	var (
-		figure     = flag.String("figure", "all", `which figure to run: "4a", "4b", "5", "woart", or "all"`)
+		figure     = flag.String("figure", "all", `which figure to run: throughput "4a", "4b", "5", "woart", or "all" of those; counters "4c", "4d" or "t4"`)
 		loadN      = flag.Int("keys", 1_000_000, "keys loaded before the measured phase (paper: 64M)")
 		opN        = flag.Int("ops", 1_000_000, "operations in the measured phase (paper: 64M)")
 		threads    = flag.Int("threads", min(16, runtime.GOMAXPROCS(0)), "worker threads (paper: 16)")
@@ -111,7 +100,7 @@ func main() {
 		fenceDelay = flag.Int("fencedelay", 20, "simulated cost per fence (busy-work units)")
 		shards     = flag.Int("shards", 1, "partitions in the sharded front-end (1 = one heap per cell; -workloads mode also always runs H=1)")
 		partition  = flag.String("partition", "hash", `key partitioner for ordered figures with -shards > 1: "hash" or "range" (hash figures always route by hash)`)
-		scanBatch  = flag.Int("scanbatch", 0, "per-shard batch size for streaming merged scans (0 = default)")
+		llcKB      = flag.Int("llckb", 0, "simulated LLC capacity in KB for -figure 4c|4d|t4 (paper machine: 32768 at 64M keys; 0 = 1 MB per 200K -keys)")
 		batch      = flag.Int("batch", 1, "group-commit batch size for -workloads mode writes (1 = per-op fences; >1 coalesces each batch's trailing fences into one per shard)")
 		workloads  = flag.String("workloads", "", `comma-separated YCSB workloads to run on every index, sharded and unsharded (e.g. "D,F" or "A,B,C,D,E,F"); empty = run -figure instead`)
 		async      = flag.Bool("async", false, "-workloads mode: route writes through the per-shard async commit pipeline (enqueue + ack-after-fence futures); adds an ack-ns column")
@@ -124,88 +113,66 @@ func main() {
 	flag.Parse()
 	part, ok := shard.ByName(*partition)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown partitioner %q (want hash or range)\n", *partition)
-		os.Exit(2)
+		usage("unknown partitioner %q (want hash or range)", *partition)
 	}
 	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "-shards must be >= 1, got %d\n", *shards)
-		os.Exit(2)
+		usage("-shards must be >= 1, got %d", *shards)
 	}
 	var dist ycsb.Distribution
 	if *distName != "" {
 		var err error
-		dist, err = ycsb.DistributionByName(*distName, *theta)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+		if dist, err = ycsb.DistributionByName(*distName, *theta); err != nil {
+			usage("%v", err)
 		}
 	}
 	cfg := config{
 		loadN: *loadN, opN: *opN, threads: *threads, seed: *seed,
 		heap:   pmem.Options{DelayClwb: *clwbDelay, DelayFence: *fenceDelay},
-		shards: *shards, part: part, scanBatch: *scanBatch, batch: *batch, dist: dist,
+		shards: *shards, part: part, llcKB: *llcKB, batch: *batch, dist: dist,
 		async: *async, queue: *queue, flush: time.Duration(*flushNS), reshard: *reshard,
 	}
-	if cfg.batch < 1 {
-		fmt.Fprintf(os.Stderr, "-batch must be >= 1, got %d\n", cfg.batch)
-		os.Exit(2)
+	figs := []string{*figure}
+	if *figure == "all" {
+		figs = []string{"4a", "4b", "5", "woart"}
 	}
-	if cfg.batch > 1 && *workloads == "" {
-		fmt.Fprintln(os.Stderr, "-batch > 1 requires -workloads (the figure runners measure the paper's per-op write path)")
-		os.Exit(2)
-	}
-	if cfg.async && *workloads == "" {
-		fmt.Fprintln(os.Stderr, "-async requires -workloads (the figure runners measure the paper's per-op write path)")
-		os.Exit(2)
-	}
-	if (cfg.queue != 0 || cfg.flush != 0) && !cfg.async {
-		fmt.Fprintln(os.Stderr, "-queue and -flushns require -async")
-		os.Exit(2)
-	}
-	if cfg.queue < 0 || cfg.flush < 0 {
-		fmt.Fprintln(os.Stderr, "-queue and -flushns must be >= 0")
-		os.Exit(2)
-	}
-	if cfg.reshard && *workloads == "" {
-		fmt.Fprintln(os.Stderr, "-reshard requires -workloads (it splits each sharded cell around a live rebalance)")
-		os.Exit(2)
-	}
-	if cfg.reshard && (cfg.async || cfg.batch > 1) {
+	switch {
+	case cfg.batch < 1:
+		usage("-batch must be >= 1, got %d", cfg.batch)
+	case (cfg.batch > 1 || cfg.async || cfg.reshard) && *workloads == "":
+		usage("-batch > 1, -async and -reshard require -workloads (the figure runners measure the paper's per-op write path)")
+	case (cfg.queue != 0 || cfg.flush != 0) && !cfg.async:
+		usage("-queue and -flushns require -async")
+	case cfg.queue < 0 || cfg.flush < 0:
+		usage("-queue and -flushns must be >= 0")
+	case cfg.reshard && (cfg.async || cfg.batch > 1):
 		// Async pipelines pin routes at enqueue time and must drain
 		// before a flip retires the handoff window (see shard's
 		// ApplyShard doc), so the mid-cell rebalance stays on the
 		// synchronous write path.
-		fmt.Fprintln(os.Stderr, "-reshard is incompatible with -async and -batch > 1")
-		os.Exit(2)
+		usage("-reshard is incompatible with -async and -batch > 1")
 	}
-
 	if *workloads != "" {
 		runWorkloads(*workloads, cfg)
 		return
 	}
+	for _, name := range figs {
+		f, ok := figures[name]
+		if !ok {
+			usage("unknown figure %q", name)
+		}
+		if f.counters && cfg.shards > 1 {
+			// Every shard's heap numbers its lines from 1, so one LLC model
+			// behind several would take different lines for the same one.
+			usage("-figure 4c|4d|t4 require -shards 1 (one LLC models one heap's lines)")
+		}
+		f.run(cfg)
+	}
+}
 
-	run := func(fig string) {
-		switch fig {
-		case "4a":
-			runOrdered(keys.RandInt, cfg)
-		case "4b":
-			runOrdered(keys.YCSBString, cfg)
-		case "5":
-			runHash(cfg)
-		case "woart":
-			runWOART(cfg)
-		default:
-			fmt.Fprintf(os.Stderr, "unknown figure %q\n", fig)
-			os.Exit(2)
-		}
-	}
-	if *figure == "all" {
-		for _, f := range []string{"4a", "4b", "5", "woart"} {
-			run(f)
-		}
-		return
-	}
-	run(*figure)
+// usage reports a flag error and exits 2.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, format+"\n", args...)
+	os.Exit(2)
 }
 
 // sharded is what a cell needs of the front-end beyond running
@@ -236,16 +203,21 @@ func newFrontend(name string, kind keys.Kind, cfg config) frontend {
 		return frontend{m, harness.ShardedHash(m)}
 	}
 	m, err := shard.NewOrdered(name, kind, shard.Options{
-		Shards: cfg.shards, Partitioner: cfg.part, Heap: cfg.heap, ScanBatch: cfg.scanBatch,
+		Shards: cfg.shards, Partitioner: cfg.part, Heap: cfg.heap,
 	})
 	check(err)
 	return frontend{m, harness.ShardedOrdered(m, kind)}
 }
 
+// fatalf reports a failed cell and exits 1.
+func fatalf(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "\n"+format+"\n", args...)
+	os.Exit(1)
+}
+
 func check(err error) {
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fatalf("%v", err)
 	}
 }
 
@@ -256,70 +228,100 @@ func cell(name string, kind keys.Kind, w ycsb.Workload, cfg config) harness.Resu
 	w = cfg.workloadFor(w)
 	m := newFrontend(name, kind, cfg)
 	defer m.Release()
-	before := m.ShardStats()
-	aggBefore := m.Stats()
+	conserved := conserving(m, name, w.Name)
 	res, err := harness.Run(name, m.Target, harness.WritePath{}, w, cfg.loadN, cfg.opN, cfg.threads, cfg.seed, true)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "\n%s/%s: %v\n", name, w.Name, err)
-		os.Exit(1)
+		fatalf("%s/%s: %v", name, w.Name, err)
 	}
-	checkConservation(name, w.Name, m.Stats().Sub(aggBefore), m.ShardStats(), before)
+	conserved()
 	return res
 }
 
-// checkConservation asserts the aggregate Stats delta equals the
-// field-wise sum of per-shard deltas bit-exactly. Today Stats() is
-// defined as that sum, so this is a guard against the two views
-// diverging (say, a future cached aggregate) rather than an independent
-// proof; counter conservation itself is proven against serial
-// expectations by `cmd/counters -selftest` and shard's
-// TestStatsConservation.
-func checkConservation(index, workload string, agg pmem.Stats, after, before []pmem.Stats) {
-	var sum pmem.Stats
-	for i := range after {
-		sum = sum.Add(after[i].Sub(before[i]))
-	}
-	if agg != sum {
-		fmt.Fprintf(os.Stderr, "\n%s/%s: aggregate stats %+v != sum of shard stats %+v\n",
-			index, workload, agg, sum)
-		os.Exit(1)
-	}
-}
-
-func runOrdered(kind keys.Kind, cfg config) {
-	fig := "4a"
-	if kind == keys.YCSBString {
-		fig = "4b"
-	}
-	fmt.Printf("\n=== Fig %s: ordered indexes, %s keys, %d threads, %d shard(s) (%s), load %d + run %d ===\n",
-		fig, kind, cfg.threads, cfg.shards, cfg.part.Name(), cfg.loadN, cfg.opN)
-	fmt.Printf("%-12s", "Index")
-	for _, w := range ycsb.All {
-		fmt.Printf(" %10s", w.Name)
-	}
-	fmt.Println("   (Mops/s)")
-	for _, name := range core.OrderedNames {
-		fmt.Printf("%-12s", name)
-		for _, w := range ycsb.All {
-			fmt.Printf(" %10.3f", cell(name, kind, w, cfg).MopsPerSec())
+// conserving brackets a cell: called before it, it returns the check to
+// call after it, that the aggregate Stats delta equals the field-wise
+// sum of per-shard deltas bit-exactly. Today Stats() is defined as that
+// sum, so this is a guard against the two views diverging (say, a
+// future cached aggregate) rather than an independent proof; counter
+// conservation itself is proven against serial expectations by pmem's
+// TestStatsConservationConcurrent and shard's TestStatsConservation.
+func conserving(m frontend, index, workload string) (check func()) {
+	before, aggBefore := m.ShardStats(), m.Stats()
+	return func() {
+		var sum pmem.Stats
+		for i, after := range m.ShardStats() {
+			sum = sum.Add(after.Sub(before[i]))
 		}
-		fmt.Println()
+		if agg := m.Stats().Sub(aggBefore); agg != sum {
+			fatalf("%s/%s: aggregate stats %+v != sum of shard stats %+v", index, workload, agg, sum)
+		}
 	}
 }
 
-func runHash(cfg config) {
-	fmt.Printf("\n=== Fig 5: hash indexes, integer keys, %d threads, %d shard(s) (hash), load %d + run %d ===\n",
-		cfg.threads, cfg.shards, cfg.loadN, cfg.opN)
-	fmt.Printf("%-14s", "Index")
-	hashWorkloads := []ycsb.Workload{ycsb.LoadA, ycsb.A, ycsb.B, ycsb.C}
-	for _, w := range hashWorkloads {
-		fmt.Printf(" %10s", w.Name)
+// hashWorkloads are the columns of Fig 5 and Table 4: hash tables do
+// not scan, so no E.
+var hashWorkloads = []ycsb.Workload{ycsb.LoadA, ycsb.A, ycsb.B, ycsb.C}
+
+// figure is one table of the paper's §7: a row per index, a column per
+// workload. A throughput figure prints Mops/s. A counter figure's
+// workloads start with Load A, the pure-insert load, whose cell gives
+// the clwb and mfence columns (the paper reports instruction counts per
+// insert); every cell, on a cold LLC of its own, gives that workload's
+// misses per op.
+type figure struct {
+	title    string
+	names    []string
+	kind     keys.Kind
+	wls      []ycsb.Workload
+	counters bool
+}
+
+var figures = map[string]figure{
+	"4a":    {"Fig 4a: ordered indexes", core.OrderedNames, keys.RandInt, ycsb.All, false},
+	"4b":    {"Fig 4b: ordered indexes", core.OrderedNames, keys.YCSBString, ycsb.All, false},
+	"5":     {"Fig 5: hash indexes", core.HashNames, keys.RandInt, hashWorkloads, false},
+	"woart": {"§7.3: P-ART vs WOART (global lock)", []string{"P-ART", "WOART"}, keys.RandInt, ycsb.All, false},
+	"4c":    {"Fig 4c: performance counters, ordered indexes", core.OrderedNames, keys.RandInt, ycsb.All, true},
+	"4d":    {"Fig 4d: performance counters, ordered indexes", core.OrderedNames, keys.YCSBString, ycsb.All, true},
+	"t4":    {"Table 4: performance counters, hash indexes", core.HashNames, keys.RandInt, hashWorkloads, true},
+}
+
+func (f figure) run(cfg config) {
+	// The paper's 64M-key working set dwarfs its 32 MB LLC; a scaled-down
+	// run must scale the simulated LLC too or every access hits. 1 MB per
+	// 200K keys keeps the ratio comparable.
+	llcKB := cfg.llcKB
+	if llcKB == 0 {
+		llcKB = max(1, cfg.loadN*1024/200_000)
 	}
-	fmt.Println("   (Mops/s)")
-	for _, name := range core.HashNames {
+	part := cfg.part.Name()
+	if slices.Contains(core.HashNames, f.names[0]) {
+		part = "hash"
+	}
+	fmt.Printf("\n=== %s, %s keys, %d threads, %d shard(s) (%s), load %d + run %d ===\n",
+		f.title, f.kind, cfg.threads, cfg.shards, part, cfg.loadN, cfg.opN)
+	head, unit, width := "Index", "(Mops/s)", 10
+	if f.counters {
+		head = fmt.Sprintf("%-14s %6s %7s |", "PM Index", "clwb", "mfence")
+		unit, width = fmt.Sprintf("(insert instr | LLC miss/op, %d KB LLC)", llcKB), 7
+	}
+	fmt.Printf("%-14s", head)
+	for _, w := range f.wls {
+		fmt.Printf(" %*s", width, w.Name)
+	}
+	fmt.Println("   " + unit)
+	for _, name := range f.names {
 		fmt.Printf("%-14s", name)
-		for _, w := range hashWorkloads {
-			fmt.Printf(" %10.3f", cell(name, keys.RandInt, w, cfg).MopsPerSec())
+		for i, w := range f.wls {
+			if !f.counters {
+				fmt.Printf(" %10.3f", cell(name, f.kind, w, cfg).MopsPerSec())
+				continue
+			}
+			cfg.heap.LLC = cachesim.New(cachesim.Config{CapacityBytes: llcKB << 10, Ways: 16})
+			res := cell(name, f.kind, w, cfg)
+			if i == 0 {
+				fmt.Printf(" %6.1f %7.1f |", res.ClwbPerInsert(), res.FencePerInsert())
+			}
+			fmt.Printf(" %7.1f", res.LLCMissPerOp())
 		}
 		fmt.Println()
 	}
@@ -352,8 +354,7 @@ func runWorkloads(list string, cfg config) {
 	for _, n := range strings.Split(list, ",") {
 		w, err := ycsb.ByName(strings.TrimSpace(n))
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			usage("%v", err)
 		}
 		wls = append(wls, w)
 	}
@@ -375,6 +376,7 @@ func runWorkloads(list string, cfg config) {
 	}
 	fmt.Printf("\n=== YCSB workloads %s · dist=%s · %d threads · load %d + run %d · H ∈ {1, %d} · %s ===\n",
 		list, distNote, cfg.threads, cfg.loadN, cfg.opN, sharded, mode)
+	attrLoadN, attrOpN := attrSizes(cfg)
 	orderedNames := append(append([]string{}, core.OrderedNames...), "WOART")
 	for _, base := range wls {
 		w := cfg.workloadFor(base)
@@ -391,7 +393,7 @@ func runWorkloads(list string, cfg config) {
 		for _, k := range kinds {
 			fmt.Printf(" %12s %12s", "clwb/"+k.String(), "fence/"+k.String())
 		}
-		fmt.Println("   (imbal: max/mean per-shard op share; clwb/fence: exact single-thread attribution)")
+		fmt.Printf("   (imbal: max/mean per-shard op share; clwb/fence: exact single-thread attribution at %d keys + %d ops)\n", attrLoadN, attrOpN)
 		names := orderedNames
 		if w.ScanPct == 0 {
 			names = slices.Concat(orderedNames, core.HashNames)
@@ -437,19 +439,21 @@ func workloadCell(name string, w ycsb.Workload, cfg config, kinds []ycsb.OpKind)
 		return
 	}
 	m := newFrontend(name, keys.RandInt, cfg)
-	before := m.ShardStats()
-	aggBefore := m.Stats()
+	conserved := conserving(m, name, w.Name)
 	res, err := harness.Run(name, m.Target, cfg.path(), w, cfg.loadN, cfg.opN, cfg.threads, cfg.seed, true)
 	if err != nil {
 		m.Release()
 		if ffDataLoss(name, cfg.shards, err) {
 			return
 		}
-		fmt.Fprintf(os.Stderr, "\n%s/%s: %v\n", name, w.Name, err)
-		os.Exit(1)
+		fatalf("%s/%s: %v", name, w.Name, err)
 	}
-	checkConservation(name, w.Name, m.Stats().Sub(aggBefore), m.ShardStats(), before)
-	imbal := cellImbalance(m.LoadReport(), cfg)
+	conserved()
+	imbal := "-" // one shard is trivially balanced
+	if cfg.shards > 1 {
+		// max/mean per-shard share of every op routed, load phase included.
+		imbal = fmt.Sprintf("%.2f", m.LoadReport().Imbalance())
+	}
 	m.Release()
 
 	am := newFrontend(name, keys.RandInt, cfg)
@@ -457,25 +461,12 @@ func workloadCell(name string, w ycsb.Workload, cfg config, kinds []ycsb.OpKind)
 	attr, err := harness.Attribute(am.Target, cfg.path(), w, attrLoadN, attrOpN, cfg.seed+1)
 	am.Release()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "\n%s/%s attribution: %v\n", name, w.Name, err)
-		os.Exit(1)
+		fatalf("%s/%s attribution: %v", name, w.Name, err)
 	}
 	if !attr.Conserves() {
-		fmt.Fprintf(os.Stderr, "\n%s/%s: per-op-kind stats do not conserve against aggregate counters\n", name, w.Name)
-		os.Exit(1)
+		fatalf("%s/%s: per-op-kind stats do not conserve against aggregate counters", name, w.Name)
 	}
 	printWorkloadRow(name, cfg, res, attr, kinds, imbal)
-}
-
-// cellImbalance condenses a cell's LoadReport into the imbal column:
-// the max/mean per-shard share of every op the cell routed (load and
-// run phases both count). Unsharded rows report NaN (printed "-") —
-// one shard is trivially balanced.
-func cellImbalance(rep shard.LoadReport, cfg config) float64 {
-	if cfg.shards < 2 {
-		return math.NaN()
-	}
-	return rep.Imbalance()
 }
 
 // reshardCell is the -reshard variant of a sharded cell: load, close
@@ -489,14 +480,12 @@ func reshardCell(name string, w ycsb.Workload, cfg config) {
 	m := newFrontend(name, keys.RandInt, cfg)
 	defer m.Release()
 	check(m.EnableResharding())
-	before := m.ShardStats()
-	aggBefore := m.Stats()
+	conserved := conserving(m, name, w.Name)
 	half := cfg.opN / 2
 	phase := func(loadN, opN int, seed int64, load bool) harness.Result {
 		res, err := harness.Run(name, m.Target, harness.WritePath{}, w, loadN, opN, cfg.threads, seed, load)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "\n%s/%s: %v\n", name, w.Name, err)
-			os.Exit(1)
+			fatalf("%s/%s: %v", name, w.Name, err)
 		}
 		return res
 	}
@@ -504,47 +493,33 @@ func reshardCell(name string, w ycsb.Workload, cfg config) {
 		if ffDataLoss(name, cfg.shards, err) {
 			return
 		}
-		fmt.Fprintf(os.Stderr, "\n%s/%s: %v\n", name, w.Name, err)
-		os.Exit(1)
+		fatalf("%s/%s: %v", name, w.Name, err)
 	}
 	m.LoadReport() // close the load epoch; imbalance below is run-phase only
 	pre := phase(cfg.loadN, half, cfg.seed, false)
 	imbPre := m.LoadReport().Imbalance()
 	rb, err := m.Rebalance(shard.RebalanceOptions{})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "\n%s/%s rebalance: %v\n", name, w.Name, err)
-		os.Exit(1)
+		fatalf("%s/%s rebalance: %v", name, w.Name, err)
 	}
 	// Phase-2 inserts must start past phase 1's so fresh IDs stay fresh.
 	post := phase(cfg.loadN+pre.Inserts, cfg.opN-half, cfg.seed+7, false)
 	imbPost := m.LoadReport().Imbalance()
-	checkConservation(name, w.Name, m.Stats().Sub(aggBefore), m.ShardStats(), before)
-	printReshardRow(name, cfg, pre, post, imbPre, imbPost, len(rb.Moves))
-}
-
-// printReshardRow prints one -reshard cell: throughput and run-phase
-// max/mean per-shard op share on each side of the mid-cell rebalance,
-// plus how many slot/span moves the rebalancer committed.
-func printReshardRow(name string, cfg config, pre, post harness.Result, imbPre, imbPost float64, moves int) {
+	conserved()
 	fmt.Printf("%-14s %2d   pre %8.3f Mops/s imbal %5.2f | rebalance ×%d | post %8.3f Mops/s imbal %5.2f\n",
-		name, cfg.shards, pre.MopsPerSec(), imbPre, moves, post.MopsPerSec(), imbPost)
+		name, cfg.shards, pre.MopsPerSec(), imbPre, len(rb.Moves), post.MopsPerSec(), imbPost)
 }
 
 // printWorkloadRow prints one -workloads table row: throughput, the
 // measured run phase's aggregate fences per op, in async mode the mean
 // enqueue-to-ack latency, plus the attributed clwb/fence per op of
 // each kind in the mix.
-func printWorkloadRow(name string, cfg config, res harness.Result, attr harness.Attribution, kinds []ycsb.OpKind, imbal float64) {
+func printWorkloadRow(name string, cfg config, res harness.Result, attr harness.Attribution, kinds []ycsb.OpKind, imbal string) {
 	fencePerOp := 0.0
 	if res.Ops > 0 {
 		fencePerOp = float64(res.Stats.Fence) / float64(res.Ops)
 	}
-	fmt.Printf("%-14s %2d %9.3f %9.2f", name, cfg.shards, res.MopsPerSec(), fencePerOp)
-	if math.IsNaN(imbal) {
-		fmt.Printf(" %7s", "-")
-	} else {
-		fmt.Printf(" %7.2f", imbal)
-	}
+	fmt.Printf("%-14s %2d %9.3f %9.2f %7s", name, cfg.shards, res.MopsPerSec(), fencePerOp, imbal)
 	if cfg.async {
 		fmt.Printf(" %9d", res.MeanAckLatency().Nanoseconds())
 	}
@@ -552,21 +527,4 @@ func printWorkloadRow(name string, cfg config, res harness.Result, attr harness.
 		fmt.Printf(" %12.2f %12.2f", attr.ClwbPer(k), attr.FencePer(k))
 	}
 	fmt.Println()
-}
-
-func runWOART(cfg config) {
-	fmt.Printf("\n=== §7.3: P-ART vs WOART (global lock), integer keys, %d threads, %d shard(s) ===\n",
-		cfg.threads, cfg.shards)
-	fmt.Printf("%-8s", "Index")
-	for _, w := range ycsb.All {
-		fmt.Printf(" %10s", w.Name)
-	}
-	fmt.Println("   (Mops/s)")
-	for _, name := range []string{"P-ART", "WOART"} {
-		fmt.Printf("%-8s", name)
-		for _, w := range ycsb.All {
-			fmt.Printf(" %10.3f", cell(name, keys.RandInt, w, cfg).MopsPerSec())
-		}
-		fmt.Println()
-	}
 }

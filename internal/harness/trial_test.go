@@ -14,7 +14,7 @@ import (
 
 // campaignIndexes are the nine indexes the campaign matrices cover —
 // the Fig 4 five plus WOART, then the hash tables, matching
-// cmd/durability.
+// cmd/campaign.
 var campaignIndexes = []string{"P-ART", "P-HOT", "P-BwTree", "P-Masstree", "FAST & FAIR", "WOART", "P-CLHT", "CCEH", "Level Hashing"}
 
 // extraSites are the crash sites a write path adds to the index's own:
@@ -111,7 +111,7 @@ func TestDurabilitySites(t *testing.T) {
 
 // TestDurabilitySitesDetectsStall: Faithful CCEH's torn directory
 // doubling makes recovery stall at exactly one site, which the sweep
-// hits deterministically — the negative control cmd/crashtest prints.
+// hits deterministically — the negative control `campaign coverage` prints.
 func TestDurabilitySitesDetectsStall(t *testing.T) {
 	rep := DurabilitySites("CCEH-faithful", FaithfulCCEH, syncPath, 5000, 20, 0)
 	stalled := 0

@@ -25,9 +25,7 @@
 // (internal/stripe) so the zero-options fast heap performs no shared-line
 // atomics on the hot path: counter adds go to per-shard padded cells and
 // line allocation bump-allocates from per-shard chunks. Stats aggregates
-// lazily and is exact. Options.SharedAtomics selects the pre-striping
-// reference implementation for ablation benchmarks (see DESIGN.md and
-// BenchmarkHeapScaling).
+// lazily and is exact.
 package pmem
 
 import (
@@ -74,12 +72,6 @@ type Options struct {
 	// free (unit tests); benchmark harnesses set them.
 	DelayClwb  int
 	DelayFence int
-	// SharedAtomics selects the pre-striping reference instrumentation:
-	// five shared atomic counters on adjacent cache lines, ping-ponged by
-	// every thread. It exists as the ablation baseline for
-	// BenchmarkHeapScaling and `cmd/counters -selftest`; leave it false
-	// for real runs.
-	SharedAtomics bool
 	// Shadow enables lossy power-failure emulation (shadow.go): the heap
 	// keeps typed shadow images of every registered allocation so that
 	// PowerCycle can materialise a true post-power-loss state. Shadow
@@ -95,21 +87,12 @@ type Options struct {
 // bump-allocates from a shard-private chunk, and Dirty and Load are a
 // nil check.
 type Heap struct {
-	// Striped instrumentation (the default).
+	// Striped instrumentation.
 	lines  *stripe.Allocator
 	clwb   *stripe.Counter
 	fence  *stripe.Counter
 	allocs *stripe.Counter
 	bytes  *stripe.Counter
-
-	// Shared-atomics reference instrumentation (Options.SharedAtomics):
-	// the pre-striping layout, kept in-tree as the ablation baseline.
-	shared    bool
-	sNextLine atomic.Uint64
-	sClwb     atomic.Uint64
-	sFence    atomic.Uint64
-	sAllocs   atomic.Uint64
-	sBytes    atomic.Uint64
 
 	llc        *cachesim.Cache
 	tracker    *Tracker
@@ -126,21 +109,15 @@ type Heap struct {
 // New returns a heap configured by opts.
 func New(opts Options) *Heap {
 	h := &Heap{
-		shared:     opts.SharedAtomics,
+		lines:      newLineAllocator(),
+		clwb:       stripe.NewCounter(),
+		fence:      stripe.NewCounter(),
+		allocs:     stripe.NewCounter(),
+		bytes:      stripe.NewCounter(),
 		llc:        opts.LLC,
 		inj:        opts.Injector,
 		delayClwb:  opts.DelayClwb,
 		delayFence: opts.DelayFence,
-	}
-	// Line address 0 is reserved so Obj{} is detectably invalid.
-	if h.shared {
-		h.sNextLine.Store(1)
-	} else {
-		h.lines = newLineAllocator()
-		h.clwb = stripe.NewCounter()
-		h.fence = stripe.NewCounter()
-		h.allocs = stripe.NewCounter()
-		h.bytes = stripe.NewCounter()
 	}
 	if opts.Track || opts.Shadow {
 		h.tracker = newTracker()
@@ -165,6 +142,8 @@ var allocPool struct {
 // to the garbage collector, exactly as every heap did before pooling.
 const maxPooledAllocators = 64
 
+// newLineAllocator returns an allocator whose first line is 1: address
+// 0 is reserved so Obj{} is detectably invalid.
 func newLineAllocator() *stripe.Allocator {
 	allocPool.mu.Lock()
 	if n := len(allocPool.free); n > 0 {
@@ -181,10 +160,10 @@ func newLineAllocator() *stripe.Allocator {
 // it the heap's whole simulated address space — into the process-wide
 // pool that New draws from. The caller must have dropped every index
 // built on the heap: after Release the heap (and any Obj it handed out)
-// must not be used, and further Alloc calls panic. Releasing a
-// shared-atomics ablation heap or releasing twice is a no-op.
+// must not be used, and further Alloc calls panic. Releasing twice is a
+// no-op.
 func (h *Heap) Release() {
-	if h.shared || h.lines == nil {
+	if h.lines == nil {
 		return
 	}
 	// Drop per-heap testing state so nothing stale (dirty/pending lines,
@@ -233,18 +212,10 @@ func (h *Heap) Alloc(size uintptr) Obj {
 		size = 1
 	}
 	lines := uint32((size + LineSize - 1) / LineSize)
-	var base uint64
-	if h.shared {
-		base = h.sNextLine.Add(uint64(lines)) - uint64(lines)
-		h.sAllocs.Add(1)
-		h.sBytes.Add(uint64(size))
-	} else {
-		k := stripe.Key()
-		base = h.lines.AllocKey(k, uint64(lines))
-		h.allocs.AddKey(k, 1)
-		h.bytes.AddKey(k, uint64(size))
-	}
-	o := Obj{base: base, lines: lines}
+	k := stripe.Key()
+	o := Obj{base: h.lines.AllocKey(k, uint64(lines)), lines: lines}
+	h.allocs.AddKey(k, 1)
+	h.bytes.AddKey(k, uint64(size))
 	if h.tracker != nil {
 		h.tracker.dirtyRange(o, 0, size)
 	}
@@ -264,11 +235,7 @@ func (h *Heap) Persist(o Obj, off, size uintptr) {
 	first := o.line(off)
 	last := o.line(off + size - 1)
 	n := last - first + 1
-	if h.shared {
-		h.sClwb.Add(n)
-	} else {
-		h.clwb.Add(n)
-	}
+	h.clwb.Add(n)
 	if h.delayClwb > 0 {
 		spin(h.delayClwb * int(n))
 	}
@@ -300,11 +267,7 @@ func (h *Heap) Fence() {
 // fenceReal is the unconditional fence: counter, latency, tracker and
 // shadow promotion.
 func (h *Heap) fenceReal() {
-	if h.shared {
-		h.sFence.Add(1)
-	} else {
-		h.fence.Add(1)
-	}
+	h.fence.Add(1)
 	if h.delayFence > 0 {
 		spin(h.delayFence)
 	}
@@ -399,21 +362,11 @@ func (s Stats) Sub(t Stats) Stats {
 // here, off the hot path; totals are exact with respect to completed
 // operations.
 func (h *Heap) Stats() Stats {
-	var s Stats
-	if h.shared {
-		s = Stats{
-			Clwb:       h.sClwb.Load(),
-			Fence:      h.sFence.Load(),
-			Allocs:     h.sAllocs.Load(),
-			AllocBytes: h.sBytes.Load(),
-		}
-	} else {
-		s = Stats{
-			Clwb:       h.clwb.Load(),
-			Fence:      h.fence.Load(),
-			Allocs:     h.allocs.Load(),
-			AllocBytes: h.bytes.Load(),
-		}
+	s := Stats{
+		Clwb:       h.clwb.Load(),
+		Fence:      h.fence.Load(),
+		Allocs:     h.allocs.Load(),
+		AllocBytes: h.bytes.Load(),
 	}
 	if h.llc != nil {
 		s.LLC = h.llc.Stats()

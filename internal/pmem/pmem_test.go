@@ -201,56 +201,56 @@ func TestDelaySpinRuns(t *testing.T) {
 // expectation exactly, even though every increment went to a
 // shard-private cell.
 func TestStatsConservationConcurrent(t *testing.T) {
-	for _, shared := range []bool{false, true} {
-		name := "striped"
-		if shared {
-			name = "shared"
+	t.Run("striped", func(t *testing.T) {
+		h := New(Options{})
+		const goroutines, per = 8, 5_000
+		const size = 100 // spans 2 lines -> 2 clwb per Persist
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < per; i++ {
+					o := h.Alloc(size)
+					h.Persist(o, 0, size)
+					h.Fence()
+				}
+			}()
 		}
-		t.Run(name, func(t *testing.T) {
-			h := New(Options{SharedAtomics: shared})
-			const goroutines, per = 8, 5_000
-			const size = 100 // spans 2 lines -> 2 clwb per Persist
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for i := 0; i < per; i++ {
-						o := h.Alloc(size)
-						h.Persist(o, 0, size)
-						h.Fence()
-					}
-				}()
-			}
-			wg.Wait()
-			s := h.Stats()
-			const n = goroutines * per
-			if s.Allocs != n || s.AllocBytes != n*size || s.Clwb != 2*n || s.Fence != n {
-				t.Fatalf("stats = %+v, want Allocs=%d AllocBytes=%d Clwb=%d Fence=%d",
-					s, n, n*size, 2*n, n)
-			}
-		})
-	}
+		wg.Wait()
+		s := h.Stats()
+		const n = goroutines * per
+		if s.Allocs != n || s.AllocBytes != n*size || s.Clwb != 2*n || s.Fence != n {
+			t.Fatalf("stats = %+v, want Allocs=%d AllocBytes=%d Clwb=%d Fence=%d",
+				s, n, n*size, 2*n, n)
+		}
+	})
 }
 
-// TestSharedVsStripedStatsIdentical runs the same serial op sequence on
-// both heap implementations; every counter must match bit-exactly.
-func TestSharedVsStripedStatsIdentical(t *testing.T) {
-	run := func(h *Heap) Stats {
-		for i := 0; i < 1_000; i++ {
-			o := h.Alloc(uintptr(1 + i%300))
-			h.Persist(o, 0, uintptr(1+i%300))
-			if i%3 == 0 {
-				h.Fence()
-			}
-			h.PersistFence(o, 0, 8)
+// TestStatsMatchSerialArithmetic runs a serial sequence of mixed sizes
+// and checks every counter against what the programming model says it
+// costs: one allocation and its bytes per Alloc, one clwb per cache line
+// a Persist spans, one fence per Fence.
+func TestStatsMatchSerialArithmetic(t *testing.T) {
+	h := New(Options{})
+	var want Stats
+	for i := 0; i < 1_000; i++ {
+		size := uintptr(1 + i%300)
+		o := h.Alloc(size)
+		want.Allocs++
+		want.AllocBytes += uint64(size)
+		h.Persist(o, 0, size)
+		want.Clwb += uint64((size + LineSize - 1) / LineSize)
+		if i%3 == 0 {
+			h.Fence()
+			want.Fence++
 		}
-		return h.Stats()
+		h.PersistFence(o, 0, 8)
+		want.Clwb++
+		want.Fence++
 	}
-	striped := run(New(Options{}))
-	shared := run(New(Options{SharedAtomics: true}))
-	if striped != shared {
-		t.Fatalf("striped stats %+v != shared stats %+v", striped, shared)
+	if got := h.Stats(); got != want {
+		t.Fatalf("stats %+v, want %+v", got, want)
 	}
 }
 
@@ -290,21 +290,6 @@ func TestAllocConcurrentNonOverlap(t *testing.T) {
 			t.Fatalf("allocations overlap: [%d,%d) and [%d,%d)",
 				all[i-1].base, all[i-1].end, x.base, x.end)
 		}
-	}
-}
-
-// The shared-atomics reference heap must behave identically through the
-// rest of the API (it backs the scaling ablation baseline).
-func TestSharedAtomicsHeapBasics(t *testing.T) {
-	h := New(Options{SharedAtomics: true})
-	o := h.Alloc(65)
-	if !o.Valid() || o.Lines() != 2 {
-		t.Fatalf("alloc = %+v", o)
-	}
-	h.PersistFence(o, 0, 65)
-	s := h.Stats()
-	if s.Clwb != 2 || s.Fence != 1 || s.Allocs != 1 || s.AllocBytes != 65 {
-		t.Fatalf("stats = %+v", s)
 	}
 }
 
@@ -370,16 +355,6 @@ func TestReleaseRecyclesAllocator(t *testing.T) {
 		t.Fatalf("first alloc on recycled heap at line %d, want 1", o2.base)
 	}
 	h2.Release()
-}
-
-// TestReleaseSharedHeapNoOp: the shared-atomics ablation heap has no
-// striped allocator to recycle; Release must be a safe no-op.
-func TestReleaseSharedHeapNoOp(t *testing.T) {
-	h := New(Options{SharedAtomics: true})
-	h.Release()
-	if o := h.Alloc(64); !o.Valid() {
-		t.Fatal("shared heap unusable after Release")
-	}
 }
 
 // TestHeapChurnAddressSpaceBounded: a create/use/release loop keeps

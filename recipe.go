@@ -158,21 +158,15 @@ type RebalanceOptions = shard.RebalanceOptions
 // in ascending key order from a k-way merge over one iterator per shard.
 // P-ART shards are pulled entry by entry from the index's own resumable
 // iterator (nothing buffered); every other index is read in batches of
-// at most ScanBatch entries per shard, so servers can paginate
-// arbitrarily long scans in O(shards × batch) memory without callback
-// gymnastics. Obtain one from (*ShardedOrdered).Cursor or NewCursor.
+// at most 256 entries per shard, so servers can paginate arbitrarily
+// long scans in O(shards × batch) memory without callback gymnastics.
+// Obtain one from (*ShardedOrdered).Cursor or NewCursor.
 type Cursor = shard.Cursor
 
-// DefaultScanBatch is the per-shard batch cap streaming scans use for
-// batch-read indexes when ShardOptions.ScanBatch (or NewCursor's batch)
-// is unset.
-const DefaultScanBatch = shard.DefaultScanBatch
-
 // NewCursor returns a streaming cursor over a single ordered index,
-// starting at start (nil = the minimum key). batch < 1 selects
-// DefaultScanBatch.
-func NewCursor(idx OrderedIndex, start []byte, batch int) *Cursor {
-	return shard.NewCursor(idx, start, batch)
+// starting at start (nil = the minimum key).
+func NewCursor(idx OrderedIndex, start []byte) *Cursor {
+	return shard.NewCursor(idx, start)
 }
 
 // NewShardedOrdered builds the named ordered index on each of

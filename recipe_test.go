@@ -152,11 +152,11 @@ func TestWorkloadByName(t *testing.T) {
 }
 
 // TestStreamingScanPublicAPI pins the exported streaming scan surface:
-// ShardOptions.ScanBatch, the sharded Cursor, NewCursor over a bare
-// index, and the per-site durability campaign re-exports.
+// the sharded Cursor, NewCursor over a bare index, and the per-site
+// durability campaign re-exports.
 func TestStreamingScanPublicAPI(t *testing.T) {
 	m, err := recipe.NewShardedOrdered("P-ART", recipe.RandInt,
-		recipe.ShardOptions{Shards: 4, ScanBatch: 8})
+		recipe.ShardOptions{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestStreamingScanPublicAPI(t *testing.T) {
 		}
 	}
 	n := 0
-	for c := recipe.NewCursor(idx, nil, recipe.DefaultScanBatch); ; n++ {
+	for c := recipe.NewCursor(idx, nil); ; n++ {
 		if _, _, ok := c.Next(); !ok {
 			break
 		}

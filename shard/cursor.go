@@ -6,14 +6,13 @@ import (
 	"repro/internal/core"
 )
 
-// DefaultScanBatch is the per-shard batch-size cap B used by streaming
-// merged scans and cursors when Options.ScanBatch is unset. It applies to
-// shards read through the batch-and-resume adapter (batchIter), where a
-// batch is one Scan call against the underlying index, so B trades
-// per-entry resume overhead against the O(shards × B) peak scan memory.
-// Shards whose index is core.Iterable are pulled entry by entry and
-// buffer nothing.
-const DefaultScanBatch = 256
+// adapterBatch is the per-shard batch-size cap B of streaming merged
+// scans and cursors. It applies to shards read through the
+// batch-and-resume adapter (batchIter), where a batch is one Scan call
+// against the underlying index, so B trades per-entry resume overhead
+// against the O(shards × B) peak scan memory. Shards whose index is
+// core.Iterable are pulled entry by entry and buffer nothing.
+const adapterBatch = 256
 
 // adaptiveSeed is the first-fill batch size of a batchIter. Batches grow
 // geometrically (doubling on every full fill) from here up to the
@@ -49,7 +48,7 @@ func newIter(idx core.OrderedIndex, max int) core.Iterator {
 type batchIter struct {
 	idx   core.OrderedIndex
 	batch int      // next fill's batch size: adaptive, adaptiveSeed → max
-	max   int      // batch cap (Options.ScanBatch, or the scan's count)
+	max   int      // batch cap (adapterBatch, or the scan's count)
 	arena []byte   // backing bytes for the current batch's keys
 	ends  []int    // ends[i] is the end offset of key i in arena
 	vals  []uint64 // vals[i] is key i's value
@@ -227,22 +226,17 @@ type Cursor struct {
 }
 
 // NewCursor returns a streaming cursor over a single ordered index,
-// starting at start (nil or empty = from the minimum key). batch values
-// < 1 select DefaultScanBatch.
-func NewCursor(idx core.OrderedIndex, start []byte, batch int) *Cursor {
-	if batch < 1 {
-		batch = DefaultScanBatch
-	}
+// starting at start (nil or empty = from the minimum key).
+func NewCursor(idx core.OrderedIndex, start []byte) *Cursor {
 	return &Cursor{
 		rest:  []core.OrderedIndex{idx},
 		start: append([]byte(nil), start...),
-		batch: batch,
+		batch: adapterBatch,
 	}
 }
 
 // Cursor returns a streaming cursor over the merged key space of all
-// shards, starting at start (nil or empty = from the minimum key). The
-// batch cap for adapted shards is Options.ScanBatch.
+// shards, starting at start (nil or empty = from the minimum key).
 func (m *Ordered) Cursor(start []byte) *Cursor {
 	if len(m.shards) == 1 || (orderPreserving(m.part) && m.tablePristine()) {
 		first := 0

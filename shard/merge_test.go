@@ -105,7 +105,7 @@ func TestMergedScanDuplicateHeads(t *testing.T) {
 	}
 	for name, factory := range factories {
 		t.Run(name, func(t *testing.T) {
-			m, err := NewOrderedWith(factory, Options{Shards: h, ScanBatch: 5})
+			m, err := batchCap(5)(NewOrderedWith(factory, Options{Shards: h}))
 			if err != nil {
 				t.Fatal(err)
 			}

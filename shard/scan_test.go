@@ -99,6 +99,18 @@ func (m *memIndex) Len() int {
 // memFactory ignores the heap and returns a fresh memIndex.
 func memFactory(*pmem.Heap) (core.OrderedIndex, error) { return &memIndex{}, nil }
 
+// batchCap wraps a constructor call to replace the front-end's adapter
+// batch cap (adapterBatch) with a tiny one, so that scans over a few
+// hundred keys cross many resume boundaries.
+func batchCap(batch int) func(*Ordered, error) (*Ordered, error) {
+	return func(m *Ordered, err error) (*Ordered, error) {
+		if err == nil {
+			m.batch = batch
+		}
+		return m, err
+	}
+}
+
 // entry is a collected scan result.
 type entry struct {
 	key []byte
@@ -145,9 +157,9 @@ func TestScanStreamingParity(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						sharded, err := NewOrdered(idxName, keys.RandInt, Options{
-							Shards: h, Partitioner: part, ScanBatch: batch,
-						})
+						sharded, err := batchCap(batch)(NewOrdered(idxName, keys.RandInt, Options{
+							Shards: h, Partitioner: part,
+						}))
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -212,7 +224,7 @@ func TestScanParityStringKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewOrdered("P-Masstree", keys.YCSBString, Options{Shards: 4, ScanBatch: 3})
+	sharded, err := batchCap(3)(NewOrdered("P-Masstree", keys.YCSBString, Options{Shards: 4}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +265,7 @@ func TestCursorSuccessorPrefixKeys(t *testing.T) {
 	}
 	for _, h := range []int{1, 2, 3} {
 		for _, batch := range []int{1, 2, len(keySet) + 1} {
-			sharded, err := NewOrderedWith(memFactory, Options{Shards: h, ScanBatch: batch})
+			sharded, err := batchCap(batch)(NewOrderedWith(memFactory, Options{Shards: h}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -292,7 +304,7 @@ func TestCursorSuccessorPrefixKeysRealIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := NewOrderedWith(factory, Options{Shards: 3, ScanBatch: 1})
+	sharded, err := batchCap(1)(NewOrderedWith(factory, Options{Shards: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +330,7 @@ func TestCursorSuccessorPrefixKeysRealIndex(t *testing.T) {
 // consulted exactly once.
 func TestScanBatchBoundaryOnCount(t *testing.T) {
 	const h, batch = 3, 4
-	sharded, err := NewOrderedWith(memFactory, Options{Shards: h, ScanBatch: batch})
+	sharded, err := batchCap(batch)(NewOrderedWith(memFactory, Options{Shards: h}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +376,7 @@ func TestCursorMatchesScan(t *testing.T) {
 	for _, part := range []Partitioner{HashPartition{}, RangePartition{}} {
 		t.Run(part.Name(), func(t *testing.T) {
 			gen := keys.NewGenerator(keys.RandInt)
-			m, err := NewOrdered("P-ART", keys.RandInt, Options{Shards: 4, Partitioner: part, ScanBatch: 5})
+			m, err := batchCap(5)(NewOrdered("P-ART", keys.RandInt, Options{Shards: 4, Partitioner: part}))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -413,7 +425,8 @@ func TestNewCursorSingleIndex(t *testing.T) {
 		}
 	}
 	want := collect(idx, nil, 0)
-	cur := NewCursor(idx, nil, 7)
+	cur := NewCursor(idx, nil)
+	cur.batch = 7
 	var got []entry
 	for {
 		k, v, ok := cur.Next()
@@ -432,7 +445,7 @@ func TestNewCursorSingleIndex(t *testing.T) {
 // TestScanEmptyAndMissing: scans over empty front-ends and starts past
 // the last key return zero without fetching forever.
 func TestScanEmptyAndMissing(t *testing.T) {
-	m, err := NewOrderedWith(memFactory, Options{Shards: 3, ScanBatch: 2})
+	m, err := batchCap(2)(NewOrderedWith(memFactory, Options{Shards: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}

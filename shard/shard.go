@@ -55,20 +55,9 @@ type Options struct {
 	// Partitioner routes byte-string keys (Ordered). Nil selects
 	// HashPartition. Hash always routes through HashPartition64.
 	Partitioner Partitioner
-	// ScanBatch is the per-shard batch-size cap B for streaming merged
-	// scans and cursors over indexes read through the batch-and-resume
-	// adapter (every index but P-ART, which is core.Iterable and is
-	// pulled entry by entry with nothing buffered): a scan holds at most
-	// B buffered entries per shard, so peak scan memory is
-	// O(Shards × ScanBatch) regardless of scan length or dataset size.
-	// Batches warm up adaptively — the first fill pulls min(32, B)
-	// entries and doubles per full fill up to B — so short scans avoid
-	// paying a full cap-sized batch per shard. Values < 1 select
-	// DefaultScanBatch.
-	ScanBatch int
 	// Heap configures every per-shard heap (latency model, tracking,
-	// LLC, shared-atomics ablation). Injectors are not shared: arm a
-	// single shard via Heap(i).SetInjector.
+	// LLC). Injectors are not shared: arm a single shard via
+	// Heap(i).SetInjector.
 	Heap pmem.Options
 	// RetrySeed seeds the full-range jitter applied to RetryShard's
 	// capped exponential backoff, making retry schedules deterministic
@@ -81,13 +70,6 @@ func (o Options) shards() int {
 		return 1
 	}
 	return o.Shards
-}
-
-func (o Options) scanBatch() int {
-	if o.ScanBatch < 1 {
-		return DefaultScanBatch
-	}
-	return o.ScanBatch
 }
 
 // shardOf is one partition: a private heap and the index built on it.
@@ -543,7 +525,7 @@ type Ordered struct {
 	// scanning view of what the embedded front-end holds as a
 	// core.PointIndex. Parallel to shards.
 	ordered []core.OrderedIndex
-	batch   int // per-shard streaming scan batch size (Options.ScanBatch)
+	batch   int // adapted shards' batch cap: adapterBatch outside tests
 	// scanPool recycles the merge state of Scan (a *Cursor with one
 	// iterator per shard): the cursor never leaves Scan, so steady-state
 	// merged scans allocate nothing.
@@ -571,7 +553,7 @@ func NewOrderedWith(factory func(*pmem.Heap) (core.OrderedIndex, error), opts Op
 	if err != nil {
 		return nil, err
 	}
-	m := &Ordered{ordered: idxs, batch: opts.scanBatch(), frontend: f}
+	m := &Ordered{ordered: idxs, batch: adapterBatch, frontend: f}
 	m.walk = m.walkIterator
 	return m, nil
 }
@@ -591,9 +573,9 @@ func (m *Ordered) Shard(i int) core.OrderedIndex { return m.ordered[i] }
 // copies. Otherwise a streaming k-way merge pulls from one iterator per
 // shard (see Cursor): entry by entry from indexes that are
 // core.Iterable — a count-n scan over H such shards pulls at most n + H
-// entries — and in batches of at most Options.ScanBatch from the rest,
-// so peak memory is O(shards × batch) regardless of scan length or
-// dataset size.
+// entries — and in batches of at most adapterBatch from the rest, so
+// peak memory is O(shards × batch) regardless of scan length or dataset
+// size.
 //
 // While a shard is quarantined the scan is degraded: the quarantined
 // partition's keys are skipped (Degraded()/Quarantined() report the

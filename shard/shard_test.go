@@ -204,10 +204,11 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestStatsConservation reuses the `cmd/counters -selftest` conservation
-// idiom across shards: a concurrent hammer with known per-shard op
-// counts must aggregate to exact serial expectations, and the aggregate
-// Stats must equal the field-wise sum of ShardStats bit-exactly.
+// TestStatsConservation reuses the conservation idiom of pmem's
+// TestStatsConservationConcurrent across shards: a concurrent hammer
+// with known per-shard op counts must aggregate to exact serial
+// expectations, and the aggregate Stats must equal the field-wise sum
+// of ShardStats bit-exactly.
 func TestStatsConservation(t *testing.T) {
 	const (
 		h    = 8
