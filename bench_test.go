@@ -664,9 +664,6 @@ func BenchmarkReshardSkew(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer m.Release()
-		if err := m.EnableResharding(); err != nil {
-			b.Fatal(err)
-		}
 		gen := keys.NewGenerator(keys.RandInt)
 		for id := uint64(0); id < loadN; id++ {
 			if err := m.Insert(gen.Key(id), id); err != nil {

@@ -7,13 +7,12 @@
 // Usage:
 //
 //	go run ./cmd/recipesrv -addr :6399 -index P-ART -shards 8
-//	go run ./cmd/recipesrv -partition range -recover
+//	go run ./cmd/recipesrv -partition range
 //
 // SIGTERM/SIGINT triggers a graceful drain: no new connections, every
 // write accepted before the drain began is fenced and acknowledged,
-// then the process exits 0. -recover runs per-shard crash recovery
-// before serving; shards whose recovery fails stay quarantined and
-// answer UNAVAIL while the rest serve.
+// then the process exits 0. The simulated heaps do not outlive the
+// process, so there is nothing to recover at start-up.
 package main
 
 import (
@@ -38,7 +37,6 @@ func main() {
 		list      = flag.Bool("list", false, "list available indexes and exit")
 		shards    = flag.Int("shards", 4, "shards in the front-end")
 		partition = flag.String("partition", "hash", `key partitioner: "hash" or "range"`)
-		doRecover = flag.Bool("recover", false, "run per-shard crash recovery before serving")
 	)
 	flag.Parse()
 	if *list {
@@ -64,16 +62,6 @@ func main() {
 	})
 	fatalIf(err)
 	defer m.Release()
-
-	if *doRecover {
-		replays, err := m.RecoverCrashed()
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "recipesrv: recovery: %v (degraded=%v quarantined=%v)\n",
-				err, m.Degraded(), m.Quarantined())
-		} else if len(replays) > 0 {
-			fmt.Printf("recipesrv: recovered shards %v\n", replays)
-		}
-	}
 
 	srv := server.New(m, server.Options{IndexName: *index})
 

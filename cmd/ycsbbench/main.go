@@ -182,7 +182,6 @@ type sharded interface {
 	ShardStats() []pmem.Stats
 	Stats() pmem.Stats
 	LoadReport() shard.LoadReport
-	EnableResharding() error
 	Rebalance(shard.RebalanceOptions) (shard.RebalanceReport, error)
 	Release()
 }
@@ -479,7 +478,6 @@ func workloadCell(name string, w ycsb.Workload, cfg config, kinds []ycsb.OpKind)
 func reshardCell(name string, w ycsb.Workload, cfg config) {
 	m := newFrontend(name, keys.RandInt, cfg)
 	defer m.Release()
-	check(m.EnableResharding())
 	conserved := conserving(m, name, w.Name)
 	half := cfg.opN / 2
 	phase := func(loadN, opN int, seed int64, load bool) harness.Result {

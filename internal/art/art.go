@@ -383,7 +383,7 @@ func (idx *Index) persistAll(h *header) {
 // Recover re-initialises every node lock after a simulated crash,
 // modelling the lock-table re-initialisation of §6. No structural repair
 // runs here: RECIPE indexes repair lazily on the write path.
-func (idx *Index) Recover() {
+func (idx *Index) Recover() error {
 	idx.rootMu.Reset()
 	var walk func(h *header)
 	walk = func(h *header) {
@@ -397,4 +397,5 @@ func (idx *Index) Recover() {
 		}
 	}
 	walk(idx.root.Load())
+	return nil
 }

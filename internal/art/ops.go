@@ -29,6 +29,10 @@ func (idx *Index) Insert(key []byte, value uint64) (err error) {
 	}
 }
 
+// Update overwrites the value under key: Insert's upsert
+// (core.PointIndex.Update).
+func (idx *Index) Update(key []byte, value uint64) error { return idx.Insert(key, value) }
+
 // tryInsert performs one traversal attempt. It returns done=false to
 // request a restart from the root (lost race or repaired inconsistency).
 func (idx *Index) tryInsert(key []byte, value uint64) (done bool, err error) {

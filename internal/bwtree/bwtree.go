@@ -208,7 +208,7 @@ func (idx *Index) Len() int { return int(idx.count.Load()) }
 // Recover is a no-op beyond the interface contract: the Bw-Tree has no
 // locks to re-initialise, and torn SMOs are completed lazily by the
 // helping mechanism on the next write that encounters them.
-func (idx *Index) Recover() {}
+func (idx *Index) Recover() error { return nil }
 
 func recoverCrash(err *error) {
 	if r := recover(); r != nil {

@@ -167,6 +167,10 @@ func (idx *Index) Insert(key []byte, value uint64) (err error) {
 	}
 }
 
+// Update overwrites the value under key: Insert's upsert
+// (core.PointIndex.Update).
+func (idx *Index) Update(key []byte, value uint64) error { return idx.Insert(key, value) }
+
 // Delete removes key by posting a delete delta.
 func (idx *Index) Delete(key []byte) (deleted bool, err error) {
 	if len(key) == 0 {

@@ -262,6 +262,10 @@ func (idx *Index) Insert(key, value uint64) (err error) {
 	return ErrStalled
 }
 
+// Update overwrites the value under key: Insert's upsert
+// (core.PointIndex.Update).
+func (idx *Index) Update(key, value uint64) error { return idx.Insert(key, value) }
+
 func (idx *Index) insertLocked(s *segment, h uint64, key, value uint64) (done, full bool) {
 	base := slotIndex(h)
 	ld := s.localDepth.Load()

@@ -206,6 +206,10 @@ func (idx *Index) Insert(key, value uint64) (err error) {
 	}
 }
 
+// Update overwrites the value under key: Insert's upsert
+// (core.PointIndex.Update).
+func (idx *Index) Update(key, value uint64) error { return idx.Insert(key, value) }
+
 // insertLocked performs the insert into chain c of t under the lock of the
 // chain's head bucket. It returns false when the chain is over the overflow
 // threshold and a resize is required.
@@ -425,7 +429,7 @@ func (idx *Index) Buckets() int { return len(idx.tab.Load().buckets) }
 // (§6, "Lock initialization"). CLHT needs no other recovery work: a
 // crashed insert left either an invisible value store (key still 0) or a
 // fully committed pair.
-func (idx *Index) Recover() {
+func (idx *Index) Recover() error {
 	idx.resize.Reset()
 	t := idx.tab.Load()
 	for i := range t.buckets {
@@ -433,6 +437,7 @@ func (idx *Index) Recover() {
 			b.lock.Reset()
 		}
 	}
+	return nil
 }
 
 func recoverCrash(err *error) {

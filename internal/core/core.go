@@ -192,100 +192,45 @@ var OrderedNames = []string{"FAST & FAIR", "P-BwTree", "P-Masstree", "P-ART", "P
 // HashNames lists the unordered indexes in the paper's Fig 5 order.
 var HashNames = []string{"CCEH", "Level Hashing", "P-CLHT"}
 
-// orderedAdapter lifts the concrete indexes (whose Recover has no error)
-// into OrderedIndex.
-type orderedAdapter struct {
-	insert func([]byte, uint64) error
-	lookup func([]byte) (uint64, bool)
-	del    func([]byte) (bool, error)
-	scan   func([]byte, int, func([]byte, uint64) bool) int
-	rec    func() error
-	length func() int
-}
+// artIndex is P-ART plus the Iterable capability: art cannot import this
+// package, so its NewIterator returns the concrete *art.Iterator.
+type artIndex struct{ *art.Index }
 
-func (a *orderedAdapter) Insert(k []byte, v uint64) error { return a.insert(k, v) }
-func (a *orderedAdapter) Update(k []byte, v uint64) error { return a.insert(k, v) }
-func (a *orderedAdapter) Lookup(k []byte) (uint64, bool)  { return a.lookup(k) }
-func (a *orderedAdapter) Delete(k []byte) (bool, error)   { return a.del(k) }
-func (a *orderedAdapter) Recover() error                  { return a.rec() }
-func (a *orderedAdapter) Len() int                        { return a.length() }
-func (a *orderedAdapter) Scan(s []byte, c int, f func([]byte, uint64) bool) int {
-	return a.scan(s, c, f)
-}
-
-// artAdapter is P-ART's orderedAdapter plus the Iterable capability.
-type artAdapter struct {
-	*orderedAdapter
-	t *art.Index
-}
-
-func (a *artAdapter) NewIterator() Iterator { return a.t.NewIterator() }
+func (a artIndex) NewIterator() Iterator { return a.Index.NewIterator() }
 
 // NewOrdered constructs the named ordered index on heap. kind selects the
 // key encoding, which only FAST & FAIR needs to know up front (it stores
 // integer keys inline and string keys out of line, as the paper's
 // extension does).
 func NewOrdered(name string, heap *pmem.Heap, kind keys.Kind) (OrderedIndex, error) {
-	wrap := func(insert func([]byte, uint64) error, lookup func([]byte) (uint64, bool),
-		del func([]byte) (bool, error), scan func([]byte, int, func([]byte, uint64) bool) int,
-		rec func(), length func() int) *orderedAdapter {
-		return &orderedAdapter{insert, lookup, del, scan, func() error { rec(); return nil }, length}
-	}
 	switch name {
 	case "P-ART":
-		t := art.New(heap)
-		return &artAdapter{wrap(t.Insert, t.Lookup, t.Delete, t.Scan, t.Recover, t.Len), t}, nil
+		return artIndex{art.New(heap)}, nil
 	case "P-HOT":
-		t := hot.New(heap)
-		return wrap(t.Insert, t.Lookup, t.Delete, t.Scan, t.Recover, t.Len), nil
+		return hot.New(heap), nil
 	case "P-BwTree":
-		t := bwtree.New(heap)
-		return wrap(t.Insert, t.Lookup, t.Delete, t.Scan, t.Recover, t.Len), nil
+		return bwtree.New(heap), nil
 	case "P-Masstree":
-		t := masstree.New(heap)
-		return wrap(t.Insert, t.Lookup, t.Delete, t.Scan, t.Recover, t.Len), nil
+		return masstree.New(heap), nil
 	case "FAST & FAIR":
-		t := fastfair.New(heap, kind)
-		return wrap(t.Insert, t.Lookup, t.Delete, t.Scan, t.Recover, t.Len), nil
+		return fastfair.New(heap, kind), nil
 	case "WOART":
-		t := woart.New(heap)
-		return wrap(t.Insert, t.Lookup, t.Delete, t.Scan, t.Recover, t.Len), nil
+		return woart.New(heap), nil
 	default:
 		return nil, fmt.Errorf("core: unknown ordered index %q", name)
 	}
 }
 
-// hashAdapter lifts the hash tables into HashIndex (and HashRanger:
-// every registry hash table provides Range).
-type hashAdapter struct {
-	insert func(uint64, uint64) error
-	lookup func(uint64) (uint64, bool)
-	del    func(uint64) (bool, error)
-	rec    func() error
-	length func() int
-	ranger func(func(uint64, uint64) bool)
-}
-
-func (a *hashAdapter) Insert(k, v uint64) error        { return a.insert(k, v) }
-func (a *hashAdapter) Update(k, v uint64) error        { return a.insert(k, v) }
-func (a *hashAdapter) Lookup(k uint64) (uint64, bool)  { return a.lookup(k) }
-func (a *hashAdapter) Delete(k uint64) (bool, error)   { return a.del(k) }
-func (a *hashAdapter) Recover() error                  { return a.rec() }
-func (a *hashAdapter) Len() int                        { return a.length() }
-func (a *hashAdapter) Range(fn func(k, v uint64) bool) { a.ranger(fn) }
-
-// NewHash constructs the named unordered index on heap.
+// NewHash constructs the named unordered index on heap. Every registry
+// hash table is also a HashRanger.
 func NewHash(name string, heap *pmem.Heap) (HashIndex, error) {
 	switch name {
 	case "P-CLHT":
-		t := clht.New(heap)
-		return &hashAdapter{t.Insert, t.Lookup, t.Delete, func() error { t.Recover(); return nil }, t.Len, t.Range}, nil
+		return clht.New(heap), nil
 	case "CCEH":
-		t := cceh.New(heap)
-		return &hashAdapter{t.Insert, t.Lookup, t.Delete, t.Recover, t.Len, t.Range}, nil
+		return cceh.New(heap), nil
 	case "Level Hashing":
-		t := levelhash.New(heap)
-		return &hashAdapter{t.Insert, t.Lookup, t.Delete, func() error { t.Recover(); return nil }, t.Len, t.Range}, nil
+		return levelhash.New(heap), nil
 	default:
 		return nil, fmt.Errorf("core: unknown hash index %q", name)
 	}

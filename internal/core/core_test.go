@@ -4,8 +4,40 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/art"
+	"repro/internal/bwtree"
+	"repro/internal/cceh"
+	"repro/internal/clht"
+	"repro/internal/fastfair"
+	"repro/internal/hot"
 	"repro/internal/keys"
+	"repro/internal/levelhash"
+	"repro/internal/masstree"
 	"repro/internal/pmem"
+	"repro/internal/woart"
+)
+
+// rangedHash is what every registry hash table provides.
+type rangedHash interface {
+	HashIndex
+	HashRanger
+}
+
+// The nine indexes implement the core interfaces themselves; the
+// registry hands out the concrete pointers (P-ART behind artIndex, which
+// adds only the Iterable capability).
+var (
+	_ OrderedIndex = (*art.Index)(nil)
+	_ OrderedIndex = (*hot.Index)(nil)
+	_ OrderedIndex = (*bwtree.Index)(nil)
+	_ OrderedIndex = (*masstree.Index)(nil)
+	_ OrderedIndex = (*fastfair.Tree)(nil)
+	_ OrderedIndex = (*woart.Index)(nil)
+	_ Iterable     = artIndex{}
+
+	_ rangedHash = (*clht.Index)(nil)
+	_ rangedHash = (*cceh.Index)(nil)
+	_ rangedHash = (*levelhash.Index)(nil)
 )
 
 func TestNewOrderedAllNames(t *testing.T) {

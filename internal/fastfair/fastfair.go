@@ -226,7 +226,7 @@ func (n *node) countRecords() int {
 }
 
 // Recover re-initialises all node locks after a simulated crash.
-func (t *Tree) Recover() {
+func (t *Tree) Recover() error {
 	t.rootMu.Reset()
 	seen := make(map[*node]bool)
 	var walk func(n *node)
@@ -247,6 +247,7 @@ func (t *Tree) Recover() {
 		}
 	}
 	walk(t.root.Load())
+	return nil
 }
 
 func recoverCrash(err *error) {

@@ -133,6 +133,10 @@ func (t *Tree) Insert(key []byte, value uint64) (err error) {
 	}
 }
 
+// Update overwrites the value under key: Insert's upsert
+// (core.PointIndex.Update).
+func (t *Tree) Update(key []byte, value uint64) error { return t.Insert(key, value) }
+
 // lockLeafFor descends to and locks the leaf covering key, chasing
 // siblings under lock hand-over when a concurrent split moved the range.
 func (t *Tree) lockLeafFor(key []byte) *node {

@@ -4,12 +4,11 @@
 // shard.SiteFlipPublished on the donor, and the group-commit sites a
 // copy batch passes through on the recipient).
 //
-// Each trial builds a fresh sharded front-end with resharding enabled,
-// loads it, then runs a slot (or range) migration with a crash armed on
-// the role-appropriate shard's heap. After the crash the trial
-// power-cycles only that shard, runs the crashed-shard recovery sweep,
-// and asserts the resharding invariants on top of the usual lossy
-// verdicts:
+// Each trial builds a fresh sharded front-end, loads it, then runs a
+// slot (or range) migration with a crash armed on the role-appropriate
+// shard's heap. After the crash the trial power-cycles only that shard,
+// runs the crashed-shard recovery sweep, and asserts the resharding
+// invariants on top of the usual lossy verdicts:
 //
 //   - recovery replays exactly the crashed shard — a migration crash
 //     must never force healthy shards through recovery;
@@ -126,7 +125,6 @@ func (r ReshardCampaignReport) Count(o LossyOutcome) int {
 // reshardFront is what the sweep needs of a sharded front-end; both
 // shard.Ordered and shard.Hash provide it.
 type reshardFront interface {
-	EnableResharding() error
 	SlotsOf(s int) []int
 	MigrateSlots(donor, recipient int, slots []int, batchSize int) error
 	NumShards() int
@@ -173,9 +171,9 @@ var reshardPairs = []reshardPair{
 }
 
 // newReshardRig builds one trial front-end of the named index (ordered
-// or unordered, integer keys) with resharding enabled. ranged selects a
-// range-partitioned ordered front-end migrating the upper half of the
-// donor's span; otherwise half the donor's slots move.
+// or unordered, integer keys). ranged selects a range-partitioned
+// ordered front-end migrating the upper half of the donor's span;
+// otherwise half the donor's slots move.
 func newReshardRig(name string, ranged bool, h int, heapOpts pmem.Options) (*reshardRig, error) {
 	opts := shard.Options{Shards: h, Heap: heapOpts}
 	rig := &reshardRig{}
@@ -212,10 +210,6 @@ func newReshardRig(name string, ranged bool, h int, heapOpts pmem.Options) (*res
 			width := ^uint64(0)/uint64(h) + 1
 			rig.migrate = func() error { return m.MigrateRange(donorShard, recipientShard, width/2, width-1, 32) }
 		}
-	}
-	if err := rig.EnableResharding(); err != nil {
-		rig.Release()
-		return nil, err
 	}
 	if rig.migrate == nil {
 		rig.migrate = func() error {

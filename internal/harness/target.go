@@ -231,33 +231,12 @@ func ByName(name string, kind keys.Kind) Build {
 // §7.5 unpersisted-initial-allocation bug — the negative control of the
 // durability test and the lossy campaign.
 func FaithfulFF(heap *pmem.Heap) *Target {
-	return Ordered(heap, faithfulFF{fastfair.NewWithMode(heap, keys.RandInt, fastfair.Faithful)}, keys.RandInt)
+	return Ordered(heap, fastfair.NewWithMode(heap, keys.RandInt, fastfair.Faithful), keys.RandInt)
 }
 
 // FaithfulCCEH builds Faithful-mode CCEH, which reproduces both the
 // unpersisted initial allocation and the §3 non-atomic directory
 // doubling whose crash makes recovery stall (cceh.ErrStalled).
 func FaithfulCCEH(heap *pmem.Heap) *Target {
-	return Hash(heap, faithfulCCEH{cceh.NewWithMode(heap, cceh.Faithful)})
+	return Hash(heap, cceh.NewWithMode(heap, cceh.Faithful))
 }
-
-type faithfulFF struct{ t *fastfair.Tree }
-
-func (f faithfulFF) Insert(k []byte, v uint64) error { return f.t.Insert(k, v) }
-func (f faithfulFF) Update(k []byte, v uint64) error { return f.t.Insert(k, v) }
-func (f faithfulFF) Lookup(k []byte) (uint64, bool)  { return f.t.Lookup(k) }
-func (f faithfulFF) Delete(k []byte) (bool, error)   { return f.t.Delete(k) }
-func (f faithfulFF) Recover() error                  { f.t.Recover(); return nil }
-func (f faithfulFF) Len() int                        { return f.t.Len() }
-func (f faithfulFF) Scan(s []byte, c int, fn func([]byte, uint64) bool) int {
-	return f.t.Scan(s, c, fn)
-}
-
-type faithfulCCEH struct{ t *cceh.Index }
-
-func (f faithfulCCEH) Insert(k, v uint64) error       { return f.t.Insert(k, v) }
-func (f faithfulCCEH) Update(k, v uint64) error       { return f.t.Insert(k, v) }
-func (f faithfulCCEH) Lookup(k uint64) (uint64, bool) { return f.t.Lookup(k) }
-func (f faithfulCCEH) Delete(k uint64) (bool, error)  { return f.t.Delete(k) }
-func (f faithfulCCEH) Recover() error                 { return f.t.Recover() }
-func (f faithfulCCEH) Len() int                       { return f.t.Len() }

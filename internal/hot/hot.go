@@ -188,7 +188,7 @@ func (idx *Index) Scan(start []byte, count int, fn func(key []byte, value uint64
 // Recover re-initialises all node locks after a simulated crash. No
 // structural repair is needed: commits are single atomic stores, so every
 // crash state is either before or after a complete update (§6.1).
-func (idx *Index) Recover() {
+func (idx *Index) Recover() error {
 	idx.rootMu.Reset()
 	var walk func(n *hnode)
 	walk = func(n *hnode) {
@@ -203,6 +203,7 @@ func (idx *Index) Recover() {
 		}
 	}
 	walk(idx.root.Load())
+	return nil
 }
 
 func recoverCrash(err *error) {

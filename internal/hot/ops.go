@@ -25,6 +25,10 @@ func (idx *Index) Insert(key []byte, value uint64) (err error) {
 	}
 }
 
+// Update overwrites the value under key: Insert's upsert
+// (core.PointIndex.Update).
+func (idx *Index) Update(key []byte, value uint64) error { return idx.Insert(key, value) }
+
 func (idx *Index) tryInsert(key []byte, value uint64) bool {
 	root := idx.root.Load()
 	if root == nil {

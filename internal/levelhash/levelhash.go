@@ -183,6 +183,10 @@ func (idx *Index) Insert(key, value uint64) (err error) {
 	}
 }
 
+// Update overwrites the value under key: Insert's upsert
+// (core.PointIndex.Update).
+func (idx *Index) Update(key, value uint64) error { return idx.Insert(key, value) }
+
 func (idx *Index) tryInsert(t *table, key, value uint64) bool {
 	cands := t.candidates(key)
 	// First pass: update in place if present (any candidate).
@@ -394,7 +398,7 @@ func (idx *Index) Range(fn func(key, value uint64) bool) {
 func (idx *Index) TopBuckets() int { return len(idx.tab.Load().top.buckets) }
 
 // Recover re-initialises all locks after a simulated crash.
-func (idx *Index) Recover() {
+func (idx *Index) Recover() error {
 	idx.resize.Reset()
 	t := idx.tab.Load()
 	for i := range t.top.buckets {
@@ -403,6 +407,7 @@ func (idx *Index) Recover() {
 	for i := range t.bottom.buckets {
 		t.bottom.buckets[i].lock.Reset()
 	}
+	return nil
 }
 
 func recoverCrash(err *error) {

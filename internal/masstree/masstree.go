@@ -222,7 +222,7 @@ func (idx *Index) Len() int { return int(idx.count.Load()) }
 // Recover re-initialises all locks in every layer after a simulated
 // crash (§6 lock-table re-initialisation). Structural repair happens
 // lazily on the write path via split replay.
-func (idx *Index) Recover() {
+func (idx *Index) Recover() error {
 	var walkLayer func(lr *layerRoot)
 	seen := make(map[*node]bool)
 	var walkNode func(n *node)
@@ -256,6 +256,7 @@ func (idx *Index) Recover() {
 		walkNode(lr.root.Load())
 	}
 	walkLayer(idx.layer0)
+	return nil
 }
 
 func recoverCrash(err *error) {

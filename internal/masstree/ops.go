@@ -222,6 +222,10 @@ func (idx *Index) Insert(key []byte, value uint64) (err error) {
 	}
 }
 
+// Update overwrites the value under key: Insert's upsert
+// (core.PointIndex.Update).
+func (idx *Index) Update(key []byte, value uint64) error { return idx.Insert(key, value) }
+
 // insertLeafEntry writes the entry into a free slot, persists it, then
 // commits with the single atomic permutation store (Condition #1).
 func (idx *Index) insertLeafEntry(n *node, pos int, slice uint64, lc int, lv *leafVal) {

@@ -188,6 +188,10 @@ func (idx *Index) Insert(key []byte, value uint64) (err error) {
 	return nil
 }
 
+// Update overwrites the value under key: Insert's upsert
+// (core.PointIndex.Update).
+func (idx *Index) Update(key []byte, value uint64) error { return idx.Insert(key, value) }
+
 // insert descends recursively; slot is the reference holding cur.
 func (idx *Index) insert(slot *any, cur any, depth int, key []byte, value uint64) (bool, error) {
 	switch c := cur.(type) {
@@ -398,8 +402,9 @@ func (idx *Index) Scan(start []byte, count int, fn func(key []byte, value uint64
 }
 
 // Recover re-initialises the global lock after a simulated crash.
-func (idx *Index) Recover() {
+func (idx *Index) Recover() error {
 	idx.mu = sync.RWMutex{}
+	return nil
 }
 
 func recoverCrash(err *error) {

@@ -25,7 +25,7 @@ func (f *frontend[K]) ApplyShard(s int, ops []group.Op[K], obs group.Observer) e
 	if len(f.shards) > 1 {
 		g := f.gate.enter()
 		defer f.gate.exit(g)
-		if t := f.rt.Load(); t != nil && t.mig != nil && t.mig.donor == s {
+		if t := f.rt.Load(); t.mig != nil && t.mig.donor == s {
 			return f.applyDonor(t, ops, obs)
 		}
 	}
@@ -50,7 +50,7 @@ func (f *frontend[K]) applyDonor(t *routeTable, ops []group.Op[K], obs group.Obs
 	err := f.commitShard(mg.donor, ops, obs)
 	var covered []group.Op[K]
 	for _, op := range ops[:applied(len(ops), err)] {
-		if mg.covers(f.mapper.Point(op.Key), t) {
+		if mg.covers(f.part.Point(op.Key), t) {
 			covered = append(covered, op)
 		}
 	}

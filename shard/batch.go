@@ -197,10 +197,10 @@ func (f *frontend[K]) ApplyBatch(ops []group.Op[K]) error {
 // index after its covering fence (the group.Observer contract, with
 // indices translated out of sub-batch space).
 //
-// Under a routing table with an open handoff window it holds the window
-// shared for the whole batch (so a copy batch cannot interleave between
-// a donor sub-batch and its shadow) and shadow-applies the covered
-// slice of the donor's applied ops to the recipient.
+// Under an open handoff window it holds the window shared for the whole
+// batch (so a copy batch cannot interleave between a donor sub-batch and
+// its shadow) and shadow-applies the covered slice of the donor's
+// applied ops to the recipient.
 func (f *frontend[K]) ApplyBatchObserved(ops []group.Op[K], obs group.Observer) error {
 	if len(f.shards) == 1 {
 		f.opCount[0].Add(uint64(len(ops)))
@@ -209,14 +209,8 @@ func (f *frontend[K]) ApplyBatchObserved(ops []group.Op[K], obs group.Observer) 
 	g := f.gate.enter()
 	defer f.gate.exit(g)
 	t := f.rt.Load()
-	if t == nil {
-		subs := partition(len(ops), len(f.shards), func(i int) int { return f.Route(ops[i].Key) })
-		return f.applyBatch(subs, ops, obs)
-	}
-	points := make([]uint64, len(ops))
 	subs := partition(len(ops), len(f.shards), func(i int) int {
-		s, p := f.locateKey(t, ops[i].Key)
-		points[i] = p
+		s, _ := f.locateKey(t, ops[i].Key)
 		return s
 	})
 	mg := t.mig
@@ -226,7 +220,7 @@ func (f *frontend[K]) ApplyBatchObserved(ops []group.Op[K], obs group.Observer) 
 	mg.mu.RLock()
 	defer mg.mu.RUnlock()
 	err := f.applyBatch(subs, ops, obs)
-	f.shadow(mg, gather(ops, shadowApplied(subs, err, mg, t, points)))
+	f.shadow(mg, gather(ops, f.shadowApplied(subs, err, t, ops)))
 	return err
 }
 
@@ -249,7 +243,8 @@ func (f *frontend[K]) shadow(mg *migration, ops []group.Op[K]) {
 // shadow-applied to the migration recipient: the window-covered ops
 // among the donor sub-batch's applied prefix (the whole sub-batch
 // unless it failed part-way).
-func shadowApplied(subs []subBatch, err error, mg *migration, t *routeTable, points []uint64) []int {
+func (f *frontend[K]) shadowApplied(subs []subBatch, err error, t *routeTable, ops []group.Op[K]) []int {
+	mg := t.mig
 	for _, sb := range subs {
 		if sb.shard != mg.donor {
 			continue
@@ -265,7 +260,7 @@ func shadowApplied(subs []subBatch, err error, mg *migration, t *routeTable, poi
 		}
 		var out []int
 		for _, i := range sb.idxs[:n] {
-			if mg.covers(points[i], t) {
+			if mg.covers(f.part.Point(ops[i].Key), t) {
 				out = append(out, i)
 			}
 		}

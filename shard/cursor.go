@@ -146,14 +146,15 @@ func (s *source) open(idx core.OrderedIndex, start []byte, batch int) bool {
 }
 
 // sourceHeap is a binary min-heap of sources ordered by head key. Every
-// source in the heap holds a head. On a pristine front-end keys route to
-// exactly one shard, so no two heads are ever equal; during and after a
-// migration a key may briefly exist on two shards (the recipient's
-// shadow copy, or the donor's residue), in which case the two equal
-// heads are the root and one of its direct children — only two copies
-// of a key can exist, and a non-root node equal to the root's head
-// would force its parent to equal it too, making the parent the second
-// copy. Cursor.Next resolves such pairs by emitting the owner's copy.
+// source in the heap holds a head. Until a migration window has opened
+// every key lives on exactly one shard, so no two heads are ever equal;
+// during and after a migration a key may briefly exist on two shards
+// (the recipient's shadow copy, or the donor's residue), in which case
+// the two equal heads are the root and one of its direct children —
+// only two copies of a key can exist, and a non-root node equal to the
+// root's head would force its parent to equal it too, making the parent
+// the second copy. Cursor.Next resolves such pairs by emitting the
+// owner's copy.
 type sourceHeap []*source
 
 func (h sourceHeap) less(i, j int) bool { return bytes.Compare(h[i].key, h[j].key) < 0 }
@@ -213,9 +214,9 @@ type Cursor struct {
 
 	// owner, when non-nil, resolves duplicate heads: a key found on two
 	// shards (migration shadow copy or residue) is emitted only from the
-	// shard the owner's routing table currently names. Nil on pristine
-	// front-ends, where duplicates cannot occur and head comparisons are
-	// skipped.
+	// shard the owner's routing table currently names. Nil while the
+	// table is pristine (no window has ever opened), where duplicates
+	// cannot occur and head comparisons are skipped.
 	owner *Ordered
 
 	// pending records that the root's head was returned by the last Next;
@@ -238,12 +239,12 @@ func NewCursor(idx core.OrderedIndex, start []byte) *Cursor {
 // Cursor returns a streaming cursor over the merged key space of all
 // shards, starting at start (nil or empty = from the minimum key).
 func (m *Ordered) Cursor(start []byte) *Cursor {
-	if len(m.shards) == 1 || (orderPreserving(m.part) && m.tablePristine()) {
+	if t := m.rt.Load(); len(m.shards) == 1 || (t.kind == kindRange && t.pristine()) {
 		first := 0
 		if len(m.shards) > 1 && len(start) > 0 {
 			// Shard order equals key order, so shards before start's
 			// owner hold only smaller keys.
-			first = m.part.Shard(start, len(m.shards))
+			first, _ = t.locate(m.part.Point(start))
 		}
 		rest := make([]core.OrderedIndex, 0, len(m.shards)-first)
 		for i := first; i < len(m.shards); i++ {
@@ -262,6 +263,9 @@ func (m *Ordered) Cursor(start []byte) *Cursor {
 // openMerge points c at the merge of every serving shard from start;
 // quarantined partitions are skipped (degraded scan). c may be fresh or
 // a cursor this front-end opened before, whose sources are reused.
+// Like the sequential path, duplicate resolution is chosen here, once: a
+// merge still running when the front-end's first window opens does not
+// resolve that migration's copies.
 func (m *Ordered) openMerge(c *Cursor, start []byte, batch int) {
 	if c.srcs == nil {
 		c.srcs = make([]source, len(m.shards))
@@ -279,18 +283,12 @@ func (m *Ordered) openMerge(c *Cursor, start []byte, batch int) {
 		}
 	}
 	c.heap.init()
-	if m.rt.Load() != nil {
-		// Resharding enabled: a key may transiently exist on two shards
-		// (shadow copy during a handoff window, donor residue after a
-		// flip). Emit only the copy owned per the current table.
+	if !m.rt.Load().pristine() {
+		// A window has opened: a key may exist on two shards (shadow copy
+		// during a handoff window, donor residue after a flip or an
+		// abort). Emit only the copy owned per the current table.
 		c.owner = m
 	}
-}
-
-// ownerOf returns the shard the current routing table names for key.
-func (m *Ordered) ownerOf(key []byte) int {
-	s, _ := m.rt.Load().locate(m.mapper.Point(key))
-	return s
 }
 
 // dropHead pulls a replacement for the head of the source at heap

@@ -1,9 +1,9 @@
 // Load accounting: epoch-windowed per-shard activity snapshots that
 // drive rebalancing decisions. Every routed operation bumps a striped
-// per-shard counter (and, once a routing table exists, a striped
-// per-slot counter), so accounting adds no shared cache line to the hot
-// path and never quiesces writers; LoadReport turns the cumulative
-// counters into rolling deltas since the previous report.
+// per-shard counter and a striped per-slot counter, so accounting adds
+// no shared cache line to the hot path and never quiesces writers;
+// LoadReport turns the cumulative counters into rolling deltas since the
+// previous report.
 package shard
 
 import "sync"
@@ -151,30 +151,15 @@ func (f *frontend[K]) OpCounts() []uint64 {
 	return out
 }
 
-// TableVersion returns the published routing-table version: 0 while the
-// front-end is pristine (resharding never enabled), then the version of
-// the current table (which starts at 0 and steps on every window open,
-// abort, or flip).
-func (f *frontend[K]) TableVersion() uint64 {
-	if t := f.rt.Load(); t != nil {
-		return t.version
-	}
-	return 0
-}
-
-// Resharding reports whether a routing table has been materialised
-// (EnableResharding ran).
-func (f *frontend[K]) Resharding() bool { return f.rt.Load() != nil }
+// TableVersion returns the published routing table's version: 0 at
+// birth, stepping on every window open, abort, or flip.
+func (f *frontend[K]) TableVersion() uint64 { return f.rt.Load().version }
 
 // SlotLoads returns the cumulative routed-operation count per routing
-// slot (hash tables) or per span (range tables), and nil while the
-// front-end is pristine. Slot counts feed the rebalancer's choice of
-// which slice of a hot shard to move.
+// slot (hash tables) or per span (range tables). Slot counts feed the
+// rebalancer's choice of which slice of a hot shard to move.
 func (f *frontend[K]) SlotLoads() []uint64 {
 	t := f.rt.Load()
-	if t == nil {
-		return nil
-	}
 	out := make([]uint64, len(t.ops))
 	for i := range t.ops {
 		out[i] = t.ops[i].Load()
@@ -183,24 +168,12 @@ func (f *frontend[K]) SlotLoads() []uint64 {
 }
 
 // SlotsOf returns the routing slots (hash tables) or span indices
-// (range tables) currently owned by shard s, and nil while pristine.
+// (range tables) currently owned by shard s.
 func (f *frontend[K]) SlotsOf(s int) []int {
-	t := f.rt.Load()
-	if t == nil {
-		return nil
-	}
 	var out []int
-	if t.kind == kindSlots {
-		for j, o := range t.slots {
-			if int(o) == s {
-				out = append(out, j)
-			}
-		}
-		return out
-	}
-	for i, o := range t.owner {
+	for j, o := range f.rt.Load().owners() {
 		if int(o) == s {
-			out = append(out, i)
+			out = append(out, j)
 		}
 	}
 	return out

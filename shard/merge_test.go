@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/crash"
 	"repro/internal/keys"
 	"repro/internal/pmem"
 )
@@ -109,7 +110,9 @@ func TestMergedScanDuplicateHeads(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := m.EnableResharding(); err != nil {
+			// Duplicates are resolved once a window has ever opened (see
+			// TestMergeFastPathRule): move one slot of the empty front-end.
+			if err := m.MigrateSlots(0, 1, m.SlotsOf(0)[:1], 0); err != nil {
 				t.Fatal(err)
 			}
 			gen := keys.NewGenerator(keys.RandInt)
@@ -146,6 +149,56 @@ func TestMergedScanDuplicateHeads(t *testing.T) {
 			}
 			entriesEqual(t, "cursor", want, got)
 		})
+	}
+}
+
+// TestMergeFastPathRule pins when scans pay for a migration's traces:
+// never on a front-end whose table is as it was born, always once a
+// window has opened — flipped or aborted. A hash-routed merge resolves
+// duplicate heads only then, and a range-routed cursor drains shards
+// one after another only until then.
+func TestMergeFastPathRule(t *testing.T) {
+	dedups := func(m *Ordered) bool {
+		var c Cursor
+		m.openMerge(&c, nil, m.batch)
+		return c.owner != nil
+	}
+	for _, abort := range []bool{false, true} {
+		m := newReshardOrdered(t, 4, nil, false)
+		if dedups(m) {
+			t.Fatal("fresh hash front-end resolves duplicate heads")
+		}
+		if abort {
+			// A crash at the first copy batch; the donor needs keys to copy.
+			m.Heap(1).SetInjector(crash.NewAtSite(SiteCopyApplied, 1))
+			gen := keys.NewGenerator(keys.RandInt)
+			for id := uint64(0); id < 64; id++ {
+				if err := m.Insert(gen.Key(id), id); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		err := m.MigrateSlots(0, 1, m.SlotsOf(0), 0)
+		if aborted := crash.IsCrash(err); aborted != abort || (err != nil && !aborted) {
+			t.Fatalf("abort=%v: MigrateSlots = %v", abort, err)
+		}
+		if !dedups(m) {
+			t.Fatalf("abort=%v: merge skips duplicate resolution after a window opened", abort)
+		}
+		m.Release()
+	}
+
+	r := newReshardOrdered(t, 4, RangePartition{}, false)
+	defer r.Release()
+	if c := r.Cursor(nil); len(c.rest) != 4 || c.srcs != nil {
+		t.Fatalf("fresh range front-end: cursor holds %d unopened shards, merge state %v; want the sequential path", len(c.rest), c.srcs != nil)
+	}
+	width := ^uint64(0)/4 + 1
+	if err := r.MigrateRange(0, 1, width/2, width-1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if c := r.Cursor(nil); len(c.rest) != 0 || c.owner == nil {
+		t.Fatalf("range front-end after a migration: %d unopened shards, owner %v; want a deduplicating merge", len(c.rest), c.owner != nil)
 	}
 }
 
@@ -252,9 +305,6 @@ func TestCopyBatchReadsUnderTheLock(t *testing.T) {
 // copyBatchReadsUnderTheLock is the test's body over either key kind;
 // key maps a dense id to the kind's key.
 func copyBatchReadsUnderTheLock[K any](t *testing.T, m *frontend[K], key func(id uint64) K) {
-	if err := m.EnableResharding(); err != nil {
-		t.Fatal(err)
-	}
 	var moved []uint64 // ids living on shard 0, the donor
 	for id := uint64(0); len(moved) < 40; id++ {
 		if k := key(id); m.Route(k) == 0 {

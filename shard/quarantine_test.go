@@ -2,9 +2,7 @@ package shard
 
 import (
 	"errors"
-	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/crash"
@@ -59,7 +57,7 @@ func newFlakyOrdered(t *testing.T, h, target int) (*Ordered, *bool) {
 // it is quarantined — then drive full traffic through the rest. Ops
 // routed to the quarantined shard return the typed error, scans and
 // cursors skip its partition, Stats conserve exactly over shards, and
-// after a successful RetryShard the shard rejoins with every
+// after a successful RecoverShard the shard rejoins with every
 // acknowledged key intact.
 func TestQuarantineGracefulDegradation(t *testing.T) {
 	const (
@@ -84,7 +82,7 @@ func TestQuarantineGracefulDegradation(t *testing.T) {
 	m.Heap(target).SetInjector(crash.NewNth(10))
 	crashed := false
 	for id := uint64(loadN); id < loadN+10_000 && !crashed; id++ {
-		if (HashPartition{}).Shard(gen.Key(id), h) != target {
+		if m.ownerOf(gen.Key(id)) != target {
 			continue
 		}
 		err := m.Insert(gen.Key(id), id)
@@ -124,7 +122,7 @@ func TestQuarantineGracefulDegradation(t *testing.T) {
 	healthyLen := m.Len()
 	for id := uint64(50_000); id < 52_000; id++ {
 		key := gen.Key(id)
-		if (HashPartition{}).Shard(key, h) == target {
+		if m.ownerOf(key) == target {
 			err := m.Insert(key, id)
 			if !errors.Is(err, ErrShardUnavailable) {
 				t.Fatalf("insert to quarantined shard: err = %v, want ErrShardUnavailable", err)
@@ -164,7 +162,7 @@ func TestQuarantineGracefulDegradation(t *testing.T) {
 	}
 	seen := 0
 	m.Scan(nil, 0, func(k []byte, v uint64) bool {
-		if (HashPartition{}).Shard(k, h) == target {
+		if m.ownerOf(k) == target {
 			t.Fatalf("degraded scan returned a quarantined-shard key")
 		}
 		seen++
@@ -190,15 +188,15 @@ func TestQuarantineGracefulDegradation(t *testing.T) {
 		t.Fatalf("Stats() = %+v, want exact sum %+v", got, want)
 	}
 
-	// Recovery heals: RetryShard re-runs recovery, the shard rejoins,
+	// Recovery heals: RecoverShard re-runs recovery, the shard rejoins,
 	// and every acknowledged key — including the quarantined shard's —
 	// reads back.
 	*fail = false
-	if err := m.RetryShard(target); err != nil {
-		t.Fatalf("RetryShard after cause cleared: %v", err)
+	if err := m.RecoverShard(target); err != nil {
+		t.Fatalf("RecoverShard after cause cleared: %v", err)
 	}
-	if m.Degraded() || len(m.Quarantined()) != 0 {
-		t.Fatal("still degraded after successful RetryShard")
+	if m.Degraded() || len(m.Quarantined()) != 0 || m.QuarantineCause(target) != nil {
+		t.Fatal("still degraded after successful RecoverShard")
 	}
 	for id, v := range committed {
 		if got, ok := m.Lookup(gen.Key(id)); !ok || got != v {
@@ -207,132 +205,6 @@ func TestQuarantineGracefulDegradation(t *testing.T) {
 	}
 	if err := m.Insert(gen.Key(900_000), 900_000); err != nil {
 		t.Fatalf("insert after rejoin: %v", err)
-	}
-}
-
-// TestRetryShardBackoff drives the capped exponential backoff with an
-// injected clock and a seeded jitter source: each failure's wait is
-// drawn full-jitter from [0, ceiling] where the ceiling doubles up to
-// RetryBackoffMax — the test mirrors the rng to pin the exact drawn
-// window, asserts attempts inside it return the typed error without
-// touching the shard, and that success resets everything.
-func TestRetryShardBackoff(t *testing.T) {
-	m, fail := newFlakyOrdered(t, 2, 1)
-	defer m.Release()
-	now := time.Unix(1_000_000, 0)
-	m.now = func() time.Time { return now }
-	const seed = 7
-	m.jitter.rng = rand.New(rand.NewSource(seed))
-	mirror := rand.New(rand.NewSource(seed))
-
-	*fail = true
-	m.Quarantine(1, errRecoveryRejected)
-
-	// Thirteen failed attempts: ceilings double 50ms → 5s cap, and the
-	// drawn wait is pinned to the seeded sequence and to [0, ceiling].
-	ceiling := RetryBackoffBase
-	for i := 0; i < 13; i++ {
-		if err := m.RetryShard(1); !errors.Is(err, ErrShardUnavailable) {
-			t.Fatalf("retry %d: %v", i, err)
-		}
-		if got, want := m.Recoveries()[1], uint64(i+1); got != want {
-			t.Fatalf("recoveries after retry %d = %d, want %d", i, got, want)
-		}
-		want := time.Duration(mirror.Int63n(int64(ceiling) + 1))
-		if want < 0 || want > ceiling {
-			t.Fatalf("retry %d: drawn wait %v outside the jitter window [0, %v]", i, want, ceiling)
-		}
-		h := &m.health[1]
-		h.mu.Lock()
-		next := h.nextRetry
-		h.mu.Unlock()
-		if got := next.Sub(now); got != want {
-			t.Fatalf("retry %d: jittered wait = %v, want %v (ceiling %v)", i, got, want, ceiling)
-		}
-
-		// Strictly inside the drawn window nothing touches the shard.
-		if want > 0 {
-			now = now.Add(want - time.Nanosecond)
-			if err := m.RetryShard(1); !errors.Is(err, ErrShardUnavailable) {
-				t.Fatalf("in-window retry %d: %v", i, err)
-			}
-			if got := m.Recoveries()[1]; got != uint64(i+1) {
-				t.Fatalf("in-window retry %d ran a recovery (count %d)", i, got)
-			}
-			now = now.Add(time.Nanosecond)
-		}
-
-		ceiling *= 2
-		if ceiling > RetryBackoffMax {
-			ceiling = RetryBackoffMax
-		}
-	}
-	// The ceiling is capped: the drawn wait can never exceed
-	// RetryBackoffMax, so the clock never had to advance past it.
-
-	*fail = false
-	if err := m.RetryShard(1); err != nil {
-		t.Fatalf("retry after cause cleared: %v", err)
-	}
-	if m.Degraded() {
-		t.Fatal("still degraded after successful retry")
-	}
-	// Healthy-shard retry is a no-op.
-	if err := m.RetryShard(1); err != nil {
-		t.Fatalf("retry on healthy shard: %v", err)
-	}
-}
-
-// TestRetryJitterSeeded: two front-ends with the same RetrySeed draw
-// identical retry schedules; different seeds are allowed to differ —
-// the injectable determinism the campaigns and tests rely on.
-func TestRetryJitterSeeded(t *testing.T) {
-	draw := func(seed int64) []time.Duration {
-		fail := new(bool)
-		*fail = true
-		m, err := NewOrderedWith(func(heap *pmem.Heap) (core.OrderedIndex, error) {
-			idx, err := core.NewOrdered("P-ART", heap, keys.RandInt)
-			if err != nil {
-				return nil, err
-			}
-			return flakyOrdered{OrderedIndex: idx, fail: fail}, nil
-		}, Options{Shards: 1, RetrySeed: seed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer m.Release()
-		now := time.Unix(1_000_000, 0)
-		m.now = func() time.Time { return now }
-		m.Quarantine(0, errRecoveryRejected)
-
-		var waits []time.Duration
-		for i := 0; i < 8; i++ {
-			if err := m.RetryShard(0); !errors.Is(err, ErrShardUnavailable) {
-				t.Fatalf("retry %d: %v", i, err)
-			}
-			h := &m.health[0]
-			h.mu.Lock()
-			waits = append(waits, h.nextRetry.Sub(now))
-			h.mu.Unlock()
-			now = now.Add(RetryBackoffMax) // always clear the window
-		}
-		return waits
-	}
-
-	a, b, c := draw(11), draw(11), draw(12)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("same seed diverged at retry %d: %v vs %v", i, a[i], b[i])
-		}
-	}
-	same := true
-	for i := range a {
-		if a[i] != c[i] {
-			same = false
-		}
-	}
-	if same {
-		t.Fatal("different seeds produced identical jitter (suspicious)")
 	}
 }
 
@@ -355,7 +227,7 @@ func TestHashQuarantine(t *testing.T) {
 	served, blocked := 0, 0
 	for id := uint64(1_000); id < 2_000; id++ {
 		err := m.Insert(id, id)
-		if (HashPartition64{}).Shard(id, 4) == target {
+		if m.ownerOf(id) == target {
 			if !errors.Is(err, ErrShardUnavailable) {
 				t.Fatalf("insert %d: err = %v, want ErrShardUnavailable", id, err)
 			}

@@ -62,13 +62,9 @@ const (
 
 // Resharding errors.
 var (
-	// ErrNotReshardable reports a front-end whose partitioner cannot be
-	// table-routed (it does not implement PointMapper), or whose donor
-	// index cannot be enumerated.
+	// ErrNotReshardable reports a front-end whose donor index cannot be
+	// enumerated.
 	ErrNotReshardable = errors.New("shard: front-end not reshardable")
-	// ErrReshardingDisabled reports a migration attempt on a pristine
-	// front-end; call EnableResharding first.
-	ErrReshardingDisabled = errors.New("shard: resharding not enabled")
 	// ErrMigrationAborted reports a migration that closed its handoff
 	// window without flipping (e.g. a shadow apply failed); the donor
 	// keeps the keys and the front-end stays fully consistent.
@@ -78,31 +74,6 @@ var (
 // defaultCopyBatch is the migration copy batch size when the caller
 // passes batchSize < 1.
 const defaultCopyBatch = 128
-
-// EnableResharding materialises the initial routing table, switching the
-// front-end from stateless partitioner routing to table routing. The
-// initial table maps every key to the same shard the partitioner does,
-// so no key moves; it may be called under live traffic and is idempotent.
-// It fails with ErrNotReshardable if the partitioner does not implement
-// PointMapper.
-func (f *frontend[K]) EnableResharding() error {
-	pm, ok := f.part.(pointMapper[K])
-	if !ok {
-		return fmt.Errorf("%w: partitioner %q has no point mapping", ErrNotReshardable, f.part.Name())
-	}
-	f.reshardMu.Lock()
-	defer f.reshardMu.Unlock()
-	if f.rt.Load() != nil {
-		return nil
-	}
-	f.mapper = pm
-	if orderPreserving(f.part) {
-		f.rt.Store(newRangeTable(len(f.shards)))
-	} else {
-		f.rt.Store(newSlotTable(len(f.shards)))
-	}
-	return nil
-}
 
 // windowForSlots builds a slot-window migration after validating that
 // every requested slot exists and is owned by the donor.
@@ -200,9 +171,6 @@ func (f *frontend[K]) migrate(donor, recipient, batchSize int, window func(*rout
 	f.reshardMu.Lock()
 	defer f.reshardMu.Unlock()
 	t := f.rt.Load()
-	if t == nil {
-		return ErrReshardingDisabled
-	}
 	mg, err := window(t)
 	if err != nil {
 		return err
@@ -325,7 +293,7 @@ func (m *Hash) walkSnapshot(wt *routeTable, mg *migration, _ int) (keyWalk[uint6
 		return nil, fmt.Errorf("%w: donor index is not enumerable (no Range)", ErrNotReshardable)
 	}
 	return &snapshotWalk{ranger: ranger, covered: func(k uint64) bool {
-		return mg.covers(m.mapper.Point(k), wt)
+		return mg.covers(m.part.Point(k), wt)
 	}}, nil
 }
 
@@ -336,7 +304,7 @@ func (f *frontend[K]) step(walk keyWalk[K], wt *routeTable, mg *migration) (key 
 	if key, ok = walk.next(); !ok {
 		return key, false, false
 	}
-	p := f.mapper.Point(key)
+	p := f.part.Point(key)
 	if mg.ranged && p > mg.hi {
 		return key, false, false
 	}
@@ -490,14 +458,9 @@ type RebalanceReport struct {
 func shardLoads(t *routeTable, shards int) (perShard []uint64, perSlot []uint64) {
 	perShard = make([]uint64, shards)
 	perSlot = make([]uint64, len(t.ops))
-	owners := t.slots
-	for j := range t.ops {
+	for j, o := range t.owners() {
 		perSlot[j] = t.ops[j].Load()
-		if t.kind == kindSlots {
-			perShard[owners[j]] += perSlot[j]
-		} else {
-			perShard[t.owner[j]] += perSlot[j]
-		}
+		perShard[o] += perSlot[j]
 	}
 	return perShard, perSlot
 }
@@ -606,13 +569,10 @@ func planRangeMove(t *routeTable, shards int, tol float64) (mv MoveReport, ok bo
 // MaxMoves migrations from the busiest shards to the least busy, and
 // reports the projected imbalance before and after. It is the
 // LoadReport-driven entry point: run traffic, then call Rebalance to
-// move the measured hot slices. Requires EnableResharding.
+// move the measured hot slices.
 func (f *frontend[K]) Rebalance(opts RebalanceOptions) (RebalanceReport, error) {
 	var rep RebalanceReport
 	t := f.rt.Load()
-	if t == nil {
-		return rep, ErrReshardingDisabled
-	}
 	perShard, _ := shardLoads(t, len(f.shards))
 	rep.Before = imbalanceOf(perShard)
 	for move := 0; move < opts.maxMoves(len(f.shards)); move++ {

@@ -2,8 +2,8 @@ package shard
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -14,8 +14,8 @@ import (
 	"repro/internal/ycsb"
 )
 
-// newReshardOrdered builds a sharded P-ART front-end with resharding
-// enabled (shadow heaps so crash tests can power-cycle).
+// newReshardOrdered builds a sharded P-ART front-end (shadow heaps so
+// crash tests can power-cycle).
 func newReshardOrdered(t *testing.T, h int, part Partitioner, shadow bool) *Ordered {
 	t.Helper()
 	m, err := NewOrdered("P-ART", keys.RandInt, Options{
@@ -26,15 +26,25 @@ func newReshardOrdered(t *testing.T, h int, part Partitioner, shadow bool) *Orde
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.EnableResharding(); err != nil {
-		t.Fatal(err)
-	}
 	return m
 }
 
-// TestTableRoutingMatchesPartitioner: the initial routing table must be
-// bit-identical to the stateless partitioner, for both table kinds and
-// many shard counts — EnableResharding may not move a single key.
+// closedForm is the placement contract of a fresh H-shard table, the
+// arithmetic the stateless partitioners used to compute: point % H for
+// slot tables, point / ceil(2^64/H) for range tables.
+func closedForm(point uint64, h int, ranged bool) int {
+	if !ranged {
+		return int(point % uint64(h))
+	}
+	if h == 1 {
+		return 0 // ceil(2^64/1) does not fit a uint64
+	}
+	return int(point / (math.MaxUint64/uint64(h) + 1))
+}
+
+// TestTableRoutingMatchesPartitioner: a fresh front-end must place every
+// key where the closed form says, for both table kinds and many shard
+// counts — the table is the partitioner mapping, not a new one.
 func TestTableRoutingMatchesPartitioner(t *testing.T) {
 	gen := keys.NewGenerator(keys.RandInt)
 	sgen := keys.NewGenerator(keys.YCSBString)
@@ -44,16 +54,22 @@ func TestTableRoutingMatchesPartitioner(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := m.EnableResharding(); err != nil {
-				t.Fatal(err)
+			check := func(key []byte) {
+				want := closedForm(part.Point(key), h, part.OrderPreserving())
+				if got := m.Route(key); got != want {
+					t.Fatalf("%s h=%d key %x: table routes %d, closed form %d", part.Name(), h, key, got, want)
+				}
 			}
 			for id := uint64(0); id < 20_000; id++ {
-				for _, key := range [][]byte{gen.Key(id), sgen.Key(id)} {
-					want := part.Shard(key, h)
-					if got := m.Route(key); got != want {
-						t.Fatalf("%s h=%d key %x: table routes %d, partitioner %d", part.Name(), h, key, got, want)
-					}
-				}
+				check(gen.Key(id))
+				check(sgen.Key(id))
+			}
+			// The points either side of every equal-slice boundary: random
+			// keys never land close enough to see a span edge off by one.
+			for i := uint64(1); i < uint64(h); i++ {
+				edge := (math.MaxUint64/uint64(h) + 1) * i
+				check(keys.EncodeUint64(edge - 1))
+				check(keys.EncodeUint64(edge))
 			}
 			m.Release()
 		}
@@ -68,14 +84,11 @@ func TestTableRoutingMatchesPartitioner64(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.EnableResharding(); err != nil {
-			t.Fatal(err)
-		}
 		for id := uint64(0); id < 50_000; id++ {
 			key := id * 0x9e3779b97f4a7c15
-			want := (HashPartition64{}).Shard(key, h)
+			want := closedForm(HashPartition64{}.Point(key), h, false)
 			if got := m.Route(key); got != want {
-				t.Fatalf("h=%d key %#x: table routes %d, partitioner %d", h, key, got, want)
+				t.Fatalf("h=%d key %#x: table routes %d, closed form %d", h, key, got, want)
 			}
 		}
 		m.Release()
@@ -215,9 +228,6 @@ func TestMigrateHashMovesKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Release()
-	if err := m.EnableResharding(); err != nil {
-		t.Fatal(err)
-	}
 	for id := uint64(1); id <= n; id++ {
 		if err := m.Insert(id*0x9e3779b97f4a7c15, id); err != nil {
 			t.Fatal(err)
@@ -279,9 +289,6 @@ func TestMigrateUnderConcurrentWriters(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer m.Release()
-		if err := m.EnableResharding(); err != nil {
-			t.Fatal(err)
-		}
 		total := migrateUnderWriters(t, &m.frontend, hashKey)
 		// No residue and no lost key: the moved keys live on exactly one
 		// shard each.
@@ -392,7 +399,7 @@ func TestMigrateCrashAtCopyAborts(t *testing.T) {
 	if got := m.SlotsOf(0); len(got) != len(slots) {
 		t.Fatalf("donor owns %d slots after aborted migration, want unchanged %d", len(got), len(slots))
 	}
-	if m.Resharding() && m.rt.Load().mig != nil {
+	if m.rt.Load().mig != nil {
 		t.Fatal("handoff window left open after abort")
 	}
 	m.PowerCycleShard(1, pmem.PolicyTorn, 42)
@@ -601,15 +608,6 @@ func TestMigrateValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Release()
-	if err := m.MigrateSlots(0, 1, []int{0}, 0); !errors.Is(err, ErrReshardingDisabled) {
-		t.Fatalf("migrate before enable = %v, want ErrReshardingDisabled", err)
-	}
-	if err := m.EnableResharding(); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.EnableResharding(); err != nil {
-		t.Fatalf("EnableResharding not idempotent: %v", err)
-	}
 	cases := []error{
 		m.MigrateSlots(0, 0, []int{0}, 0),       // donor == recipient
 		m.MigrateSlots(0, 9, []int{0}, 0),       // recipient out of range
@@ -629,9 +627,6 @@ func TestMigrateValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Release()
-	if err := r.EnableResharding(); err != nil {
-		t.Fatal(err)
-	}
 	width := ^uint64(0)/4 + 1
 	if err := r.MigrateRange(0, 1, width/2, width+5, 0); err == nil {
 		t.Fatal("range crossing a foreign span accepted")

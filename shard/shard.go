@@ -15,11 +15,14 @@
 // replaying shard k alone (the per-partition recovery argument of APEX),
 // and restart cost is proportional to shard size, not index size.
 //
-// A pluggable Partitioner routes keys: HashPartition (the default)
-// balances any population, RangePartition preserves key order so scans
-// touch few shards. Ordered and Hash implement the same interfaces as
-// the underlying indexes (core.OrderedIndex, core.HashIndex) plus a
-// Stats method, so they drop into the existing harness unchanged.
+// A front-end is born with its routing table (table.go), the one
+// routing authority: a pluggable Partitioner reduces a key to a ring
+// point — HashPartition (the default) balances any population,
+// RangePartition preserves key order so scans touch few shards — and
+// the table locates the point's shard. Ordered and Hash implement the
+// same interfaces as the underlying indexes (core.OrderedIndex,
+// core.HashIndex) plus a Stats method, so they drop into the existing
+// harness unchanged.
 //
 // There is one front-end body, frontend[K], written against
 // core.PointIndex[K] and instantiated twice: Ordered embeds
@@ -36,11 +39,9 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/keys"
@@ -59,10 +60,6 @@ type Options struct {
 	// LLC). Injectors are not shared: arm a single shard via
 	// Heap(i).SetInjector.
 	Heap pmem.Options
-	// RetrySeed seeds the full-range jitter applied to RetryShard's
-	// capped exponential backoff, making retry schedules deterministic
-	// in tests. Zero draws a time-based seed on first use.
-	RetrySeed int64
 }
 
 func (o Options) shards() int {
@@ -88,12 +85,8 @@ type shardOf[K any] struct {
 // embed its two instantiations.
 type frontend[K any] struct {
 	shards []shardOf[K]
-	// part routes keys while the front-end is pristine.
+	// part reduces a key to the ring point the routing table locates.
 	part partitioner[K]
-	// mapper is part's point reduction, set (before the first table is
-	// published) by EnableResharding; it is only read after observing a
-	// non-nil routing table, so the atomic table publish orders it.
-	mapper pointMapper[K]
 	// walk opens the kind's enumeration of the migration donor's keys
 	// (see keyWalk in reshard.go).
 	walk func(wt *routeTable, mg *migration, batch int) (keyWalk[K], error)
@@ -109,18 +102,11 @@ type frontend[K any] struct {
 	// in-flight group commits. Parallel to shards; entries hold locks
 	// and must never be copied.
 	batchMu []sync.RWMutex
-	// now overrides the backoff clock in tests; nil selects time.Now.
-	now func() time.Time
-	// jitter holds the seeded source for retry-backoff jitter behind a
-	// pointer: it contains a mutex (retries of different shards may
-	// race), and the frontend value is copied during construction.
-	jitter *jitterSource
 
-	// rt is the published routing table: nil while the front-end is
-	// pristine (routing through the stateless partitioner), then the
-	// current immutable table version (see table.go). Behind a pointer
-	// because atomic.Pointer must not be copied and the frontend value is
-	// copied during construction.
+	// rt is the published routing table: the current immutable table
+	// version (see table.go), never nil — newFrontend publishes version
+	// 0. Behind a pointer because atomic.Pointer must not be copied and
+	// the frontend value is copied during construction.
 	rt *atomic.Pointer[routeTable]
 	// gate is the RCU grace-period barrier: multi-shard operations hold a
 	// read stripe for their duration, and table transitions drain it
@@ -131,37 +117,28 @@ type frontend[K any] struct {
 	opCount []*stripe.Counter
 	// load is the epoch bookkeeping behind LoadReport (holds a mutex).
 	load *loadState
-	// reshardMu serialises table transitions: EnableResharding,
-	// migrations and rebalances. Behind a pointer (mutex, copied value).
+	// reshardMu serialises table transitions: migrations and rebalances.
+	// Behind a pointer (mutex, copied value).
 	reshardMu *sync.Mutex
 }
 
-// jitterSource is the lazily seeded randomness behind retry-backoff
-// jitter (see quarantine.go).
-type jitterSource struct {
-	mu  sync.Mutex
-	rng *rand.Rand
-}
-
-// newFrontend builds one (heap, index) pair per shard, routed by part.
-// It also returns the indexes as the factory typed them, in shard order,
-// for a kind that needs more of them than core.PointIndex offers.
+// newFrontend builds one (heap, index) pair per shard and publishes the
+// initial routing table for part. It also returns the indexes as the
+// factory typed them, in shard order, for a kind that needs more of them
+// than core.PointIndex offers.
 func newFrontend[K any, IX core.PointIndex[K]](part partitioner[K], factory func(*pmem.Heap) (IX, error), opts Options) (frontend[K], []IX, error) {
 	f := frontend[K]{
 		shards:    make([]shardOf[K], opts.shards()),
 		part:      part,
 		health:    newHealth(opts.shards()),
 		batchMu:   make([]sync.RWMutex, opts.shards()),
-		jitter:    &jitterSource{},
 		rt:        &atomic.Pointer[routeTable]{},
 		gate:      newOpGate(),
 		opCount:   newCounters(opts.shards()),
 		load:      &loadState{},
 		reshardMu: &sync.Mutex{},
 	}
-	if opts.RetrySeed != 0 {
-		f.jitter.rng = rand.New(rand.NewSource(opts.RetrySeed))
-	}
+	f.rt.Store(newTable(len(f.shards), part.OrderPreserving()))
 	idxs := make([]IX, len(f.shards))
 	for i := range f.shards {
 		heap := pmem.New(opts.Heap)
@@ -213,7 +190,7 @@ func (f *frontend[K]) RecoverShard(i int) error {
 	if f.health[i].quarantined.Load() {
 		h := &f.health[i]
 		h.mu.Lock()
-		h.cause, h.retries, h.nextRetry = nil, 0, time.Time{}
+		h.cause = nil
 		h.mu.Unlock()
 		h.quarantined.Store(false)
 	}
@@ -349,28 +326,16 @@ func (f *frontend[K]) PartitionerName() string { return f.part.Name() }
 // Route returns the shard owning key, bumping the load counters — the
 // decision point operations route through. With one shard no routing is
 // needed, so the H=1 front-end adds no hashing to the operation path;
-// once a routing table is published it replaces the stateless
-// partitioner as the routing authority. Callers that pre-partition work
-// (the async commit pipeline) use it to pick the per-shard queue; it
-// counts as one routed operation in LoadReport accounting (the later
-// ApplyShard does not re-count).
+// otherwise the published routing table decides. Callers that
+// pre-partition work (the async commit pipeline) use it to pick the
+// per-shard queue; it counts as one routed operation in LoadReport
+// accounting (the later ApplyShard does not re-count).
 func (f *frontend[K]) Route(key K) int {
 	if len(f.shards) == 1 {
 		f.opCount[0].Add(1)
 		return 0
 	}
-	if t := f.rt.Load(); t != nil {
-		s, _ := f.locateKey(t, key)
-		return s
-	}
-	return f.locatePristine(key)
-}
-
-// locatePristine routes key through the stateless partitioner, bumping
-// the shard's load counter.
-func (f *frontend[K]) locatePristine(key K) int {
-	s := f.part.Shard(key, len(f.shards))
-	f.opCount[s].Add(1)
+	s, _ := f.locateKey(f.rt.Load(), key)
 	return s
 }
 
@@ -378,11 +343,19 @@ func (f *frontend[K]) locatePristine(key K) int {
 // load counters, and returns the owning shard plus the key's ring point
 // (for handoff-window checks).
 func (f *frontend[K]) locateKey(t *routeTable, key K) (shard int, point uint64) {
-	p := f.mapper.Point(key)
+	p := f.part.Point(key)
 	s, slot := t.locate(p)
-	t.ops[slot].Add(1)
-	f.opCount[s].Add(1)
+	k := stripe.Key()
+	t.ops[slot].AddKey(k, 1)
+	f.opCount[s].AddKey(k, 1)
 	return s, p
+}
+
+// ownerOf returns the shard the current routing table names for key,
+// counting nothing: merged scans resolve duplicate heads with it.
+func (f *frontend[K]) ownerOf(key K) int {
+	s, _ := f.rt.Load().locate(f.part.Point(key))
+	return s
 }
 
 // writeKind selects the point write a routed write performs.
@@ -420,10 +393,9 @@ func (f *frontend[K]) Update(key K, value uint64) error {
 // window, like Insert.
 func (f *frontend[K]) Delete(key K) (bool, error) { return f.write(writeDelete, key, 0) }
 
-// write routes one point write through the three routing states — one
-// shard, pristine partitioner, published table — and, under a table
-// whose open handoff window covers key, applies it to donor and
-// recipient. present is Delete's result and false for the other kinds.
+// write routes one point write — to the only shard, or through the
+// published table — and, under a table whose open handoff window covers
+// key, applies it to donor and recipient. present is Delete's result and false for the other kinds.
 func (f *frontend[K]) write(kind writeKind, key K, value uint64) (present bool, err error) {
 	if len(f.shards) == 1 {
 		f.opCount[0].Add(1)
@@ -432,9 +404,6 @@ func (f *frontend[K]) write(kind writeKind, key K, value uint64) (present bool, 
 	g := f.gate.enter()
 	defer f.gate.exit(g)
 	t := f.rt.Load()
-	if t == nil {
-		return f.writeShard(f.locatePristine(key), kind, key, value)
-	}
 	s, p := f.locateKey(t, key)
 	mg := t.mig
 	if mg == nil || s != mg.donor || !mg.covers(p, t) {
@@ -502,11 +471,7 @@ func (f *frontend[K]) LookupChecked(key K) (uint64, bool, error) {
 	} else {
 		g := f.gate.enter()
 		defer f.gate.exit(g)
-		if t := f.rt.Load(); t != nil {
-			s, _ = f.locateKey(t, key)
-		} else {
-			s = f.locatePristine(key)
-		}
+		s, _ = f.locateKey(f.rt.Load(), key)
 	}
 	if err := f.unavailable(s); err != nil {
 		return 0, false, err
@@ -587,30 +552,20 @@ func (m *Ordered) Scan(start []byte, count int, fn func(key []byte, value uint64
 		}
 		return m.ordered[0].Scan(start, count, fn)
 	}
-	if orderPreserving(m.part) && m.tablePristine() {
-		return m.scanSequential(start, count, fn)
+	if t := m.rt.Load(); t.kind == kindRange && t.pristine() {
+		return m.scanSequential(t, start, count, fn)
 	}
 	return m.scanMerge(start, count, fn)
-}
-
-// tablePristine reports whether routing is still exactly the legacy
-// partitioner mapping: no table, or a table that never moved a slot and
-// has no open migration window. Order-preserving fast paths are only
-// sound in this state — after a range migration, span ownership is no
-// longer monotonic in key order.
-func (m *Ordered) tablePristine() bool {
-	t := m.rt.Load()
-	return t == nil || (t.version == 0 && t.mig == nil)
 }
 
 // scanSequential is the order-preserving fast path: shard i's keys all
 // precede shard i+1's, so the scan drains shards in order, forwarding
 // each shard's callback keys to fn untouched.
-func (m *Ordered) scanSequential(start []byte, count int, fn func(key []byte, value uint64) bool) int {
+func (m *Ordered) scanSequential(t *routeTable, start []byte, count int, fn func(key []byte, value uint64) bool) int {
 	first := 0
 	if len(start) > 0 {
 		// Shards before start's owner hold only keys < start.
-		first = m.part.Shard(start, len(m.shards))
+		first, _ = t.locate(m.part.Point(start))
 	}
 	visited := 0
 	for i := first; i < len(m.shards); i++ {

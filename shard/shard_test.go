@@ -19,13 +19,14 @@ func TestPartitionerRoutesExactlyOnce(t *testing.T) {
 	sgen := keys.NewGenerator(keys.YCSBString)
 	for _, part := range []Partitioner{HashPartition{}, RangePartition{}} {
 		for _, h := range []int{1, 2, 3, 4, 8} {
+			tab := newTable(h, part.OrderPreserving())
 			for id := uint64(0); id < 10_000; id++ {
 				for _, key := range [][]byte{gen.Key(id), sgen.Key(id)} {
-					s := part.Shard(key, h)
+					s, _ := tab.locate(part.Point(key))
 					if s < 0 || s >= h {
 						t.Fatalf("%s: key %x with %d shards routed to %d", part.Name(), key, h, s)
 					}
-					if again := part.Shard(key, h); again != s {
+					if again, _ := tab.locate(part.Point(key)); again != s {
 						t.Fatalf("%s: key %x routed to %d then %d", part.Name(), key, s, again)
 					}
 				}
@@ -74,8 +75,10 @@ func TestHashBalance(t *testing.T) {
 	for _, kind := range []keys.Kind{keys.RandInt, keys.YCSBString} {
 		gen := keys.NewGenerator(kind)
 		var counts [h]int
+		tab := newSlotTable(h)
 		for id := uint64(0); id < n; id++ {
-			counts[HashPartition{}.Shard(gen.Key(id), h)]++
+			s, _ := tab.locate(HashPartition{}.Point(gen.Key(id)))
+			counts[s]++
 		}
 		ideal := n / h
 		for i, c := range counts {
@@ -94,9 +97,10 @@ func TestRangePartitionMonotonic(t *testing.T) {
 	const h = 8
 	prev := -1
 	var prevKey []byte
+	tab := newRangeTable(h)
 	for v := uint64(0); v < 1<<16; v += 257 {
 		key := keys.EncodeUint64(v << 48)
-		s := RangePartition{}.Shard(key, h)
+		s, _ := tab.locate(RangePartition{}.Point(key))
 		if s < prev {
 			t.Fatalf("key %x in shard %d after key %x in shard %d", key, s, prevKey, prev)
 		}
@@ -291,7 +295,7 @@ func TestCrashInOneShardRecoversOnlyThatShard(t *testing.T) {
 	m.Heap(target).SetInjector(crash.NewNth(10))
 	crashed := false
 	for id := uint64(loadN); id < loadN+10_000 && !crashed; id++ {
-		if (HashPartition{}).Shard(gen.Key(id), h) != target {
+		if m.ownerOf(gen.Key(id)) != target {
 			continue
 		}
 		err := m.Insert(gen.Key(id), id)
@@ -310,7 +314,7 @@ func TestCrashInOneShardRecoversOnlyThatShard(t *testing.T) {
 
 	// The other shards accept writes while shard `target` is down.
 	for id := uint64(20_000); id < 22_000; id++ {
-		if (HashPartition{}).Shard(gen.Key(id), h) == target {
+		if m.ownerOf(gen.Key(id)) == target {
 			continue
 		}
 		if err := m.Insert(gen.Key(id), id); err != nil {

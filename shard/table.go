@@ -1,15 +1,11 @@
-// Routing tables: the mutable, versioned layer that replaces the fixed
-// Partitioner → shard mapping once a front-end starts resharding.
+// Routing tables: the versioned point → shard mapping, the single
+// routing authority of a front-end with more than one shard.
 //
-// A front-end is born "pristine": no table exists and every operation
-// routes through the stateless Partitioner exactly as before.
-// EnableResharding materialises a routeTable whose initial mapping is
-// bit-identical to the legacy partitioner (proved at newSlotTable /
-// newRangeTable), so enabling resharding never moves a key by itself.
-// From then on the table is the single routing authority: the fast path
-// is one atomic pointer load plus an O(1) (hash) or O(log n) (range)
-// lookup, and rebalancing publishes a fresh immutable table rather than
-// mutating the live one.
+// A front-end is born with table version 0, whose mapping is the closed
+// form of its partitioner kind (newSlotTable: point % H; newRangeTable:
+// point / ceil(2^64/H)). The fast path is one atomic pointer load plus
+// an O(1) (hash) or O(log n) (range) lookup, and rebalancing publishes a
+// fresh immutable table rather than mutating the live one.
 package shard
 
 import (
@@ -84,6 +80,21 @@ func (t *routeTable) locate(p uint64) (shard, slot int) {
 	return int(t.owner[i]), i
 }
 
+// owners returns the owning shard of every slot (or span), by index.
+func (t *routeTable) owners() []uint32 {
+	if t.kind == kindSlots {
+		return t.slots
+	}
+	return t.owner
+}
+
+// pristine reports whether t is still the initial mapping and has never
+// opened a migration window (every transition steps the version). Only
+// then does every key live on exactly one shard — merged scans skip
+// duplicate resolution — and, on a range table, shard order equal key
+// order: after a range migration span ownership is no longer monotonic.
+func (t *routeTable) pristine() bool { return t.version == 0 && t.mig == nil }
+
 // newCounters builds n independent striped counters.
 func newCounters(n int) []*stripe.Counter {
 	cs := make([]*stripe.Counter, n)
@@ -93,11 +104,19 @@ func newCounters(n int) []*stripe.Counter {
 	return cs
 }
 
+// newTable builds the table a front-end is born with: a range table if
+// its partitioner is order-preserving, a slot table otherwise.
+func newTable(shards int, orderPreserving bool) *routeTable {
+	if orderPreserving {
+		return newRangeTable(shards)
+	}
+	return newSlotTable(shards)
+}
+
 // newSlotTable builds the initial consistent-hash table for H shards:
 // S = H×SlotsPerShard slots with slots[j] = j % H. Because H divides S,
-// (p % S) % H == p % H for every point p, so the fresh table routes
-// exactly like the legacy `point % H` partitioners — enabling resharding
-// does not move any key.
+// (p % S) % H == p % H for every point p, so the fresh table places
+// point p on shard p % H.
 func newSlotTable(shards int) *routeTable {
 	s := shards * SlotsPerShard
 	t := &routeTable{
@@ -114,8 +133,8 @@ func newSlotTable(shards int) *routeTable {
 // newRangeTable builds the initial range table for H shards: span i ends
 // at width×(i+1) − 1 with width = ceil(2^64 / H), the last bound clamped
 // to MaxUint64. For any point v, locate finds the first i with
-// v <= width×(i+1) − 1, i.e. i = v/width — exactly RangePartition.Shard,
-// so the fresh table is bit-identical to the legacy mapping.
+// v <= width×(i+1) − 1, so the fresh table places point v on shard
+// v / width: H equal contiguous ranges, in key order.
 func newRangeTable(shards int) *routeTable {
 	t := &routeTable{
 		kind:   kindRange,
