@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	recipe "repro"
-	"repro/internal/bwtree"
 	"repro/internal/cachesim"
 	"repro/internal/clht"
 	"repro/internal/crash"
@@ -528,48 +527,6 @@ func BenchmarkAblation_FlushBatching(b *testing.B) {
 				} else {
 					heap.Persist(obj, 0, 256)
 					heap.Fence()
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_BwTreeLoadFlush toggles the §6.3 decision to flush
-// loads on the SMO help path.
-func BenchmarkAblation_BwTreeLoadFlush(b *testing.B) {
-	for _, flush := range []bool{true, false} {
-		b.Run(fmt.Sprintf("flushSMOLoads=%v", flush), func(b *testing.B) {
-			heap := pmem.New(pmem.Options{DelayClwb: 40, DelayFence: 20})
-			idx := bwtree.New(heap)
-			idx.FlushSMOLoads = flush
-			gen := keys.NewGenerator(keys.RandInt)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := idx.Insert(gen.Key(uint64(i)), uint64(i)); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkAblation_BwTreeDeltaChain sweeps the consolidation threshold.
-func BenchmarkAblation_BwTreeDeltaChain(b *testing.B) {
-	for _, thr := range []int{2, 8, 32} {
-		b.Run(fmt.Sprintf("threshold=%d", thr), func(b *testing.B) {
-			heap := pmem.NewFast()
-			idx := bwtree.New(heap)
-			idx.ChainThreshold = thr
-			gen := keys.NewGenerator(keys.RandInt)
-			for i := uint64(0); i < 50_000; i++ {
-				if err := idx.Insert(gen.Key(i), i); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, ok := idx.Lookup(gen.Key(uint64(i) % 50_000)); !ok {
-					b.Fatal("miss")
 				}
 			}
 		})

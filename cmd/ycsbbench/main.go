@@ -30,9 +30,7 @@
 //
 // -shards H partitions the key space across H independent heaps behind
 // the sharded front-end (-partition selects hash or range routing for
-// the ordered figures). Every cell additionally re-derives the
-// aggregate Stats() delta from the per-shard deltas and requires
-// bit-exact agreement (conserving).
+// the ordered figures).
 package main
 
 import (
@@ -176,11 +174,9 @@ func usage(format string, args ...any) {
 }
 
 // sharded is what a cell needs of the front-end beyond running
-// workloads on it: the counter and load views it brackets the run with,
-// and the live rebalancer. shard.Ordered and shard.Hash both provide it.
+// workloads on it: the load view and the live rebalancer. shard.Ordered
+// and shard.Hash both provide it.
 type sharded interface {
-	ShardStats() []pmem.Stats
-	Stats() pmem.Stats
 	LoadReport() shard.LoadReport
 	Rebalance(shard.RebalanceOptions) (shard.RebalanceReport, error)
 	Release()
@@ -221,39 +217,16 @@ func check(err error) {
 }
 
 // cell runs one (index, workload) figure measurement through the
-// sharded front-end on the paper's per-op write path and verifies
-// aggregate-vs-per-shard counter conservation.
+// sharded front-end on the paper's per-op write path.
 func cell(name string, kind keys.Kind, w ycsb.Workload, cfg config) harness.Result {
 	w = cfg.workloadFor(w)
 	m := newFrontend(name, kind, cfg)
 	defer m.Release()
-	conserved := conserving(m, name, w.Name)
 	res, err := harness.Run(name, m.Target, harness.WritePath{}, w, cfg.loadN, cfg.opN, cfg.threads, cfg.seed, true)
 	if err != nil {
 		fatalf("%s/%s: %v", name, w.Name, err)
 	}
-	conserved()
 	return res
-}
-
-// conserving brackets a cell: called before it, it returns the check to
-// call after it, that the aggregate Stats delta equals the field-wise
-// sum of per-shard deltas bit-exactly. Today Stats() is defined as that
-// sum, so this is a guard against the two views diverging (say, a
-// future cached aggregate) rather than an independent proof; counter
-// conservation itself is proven against serial expectations by pmem's
-// TestStatsConservationConcurrent and shard's TestStatsConservation.
-func conserving(m frontend, index, workload string) (check func()) {
-	before, aggBefore := m.ShardStats(), m.Stats()
-	return func() {
-		var sum pmem.Stats
-		for i, after := range m.ShardStats() {
-			sum = sum.Add(after.Sub(before[i]))
-		}
-		if agg := m.Stats().Sub(aggBefore); agg != sum {
-			fatalf("%s/%s: aggregate stats %+v != sum of shard stats %+v", index, workload, agg, sum)
-		}
-	}
 }
 
 // hashWorkloads are the columns of Fig 5 and Table 4: hash tables do
@@ -429,16 +402,14 @@ func ffDataLoss(name string, shards int, err error) bool {
 }
 
 // workloadCell runs one -workloads cell: a multi-threaded throughput
-// run through the selected write path (with the per-shard counter
-// conservation guard) plus the attribution pass on a fresh front-end,
-// then prints one row.
+// run through the selected write path plus the attribution pass on a
+// fresh front-end, then prints one row.
 func workloadCell(name string, w ycsb.Workload, cfg config, kinds []ycsb.OpKind) {
 	if cfg.reshard && cfg.shards > 1 {
 		reshardCell(name, w, cfg)
 		return
 	}
 	m := newFrontend(name, keys.RandInt, cfg)
-	conserved := conserving(m, name, w.Name)
 	res, err := harness.Run(name, m.Target, cfg.path(), w, cfg.loadN, cfg.opN, cfg.threads, cfg.seed, true)
 	if err != nil {
 		m.Release()
@@ -447,7 +418,6 @@ func workloadCell(name string, w ycsb.Workload, cfg config, kinds []ycsb.OpKind)
 		}
 		fatalf("%s/%s: %v", name, w.Name, err)
 	}
-	conserved()
 	imbal := "-" // one shard is trivially balanced
 	if cfg.shards > 1 {
 		// max/mean per-shard share of every op routed, load phase included.
@@ -471,14 +441,10 @@ func workloadCell(name string, w ycsb.Workload, cfg config, kinds []ycsb.OpKind)
 // reshardCell is the -reshard variant of a sharded cell: load, close
 // the load epoch, run half the ops against the static partition,
 // rebalance under live routing, run the rest against the flipped table,
-// and print both phases' throughput and run-phase imbalance. The
-// aggregate-vs-per-shard conservation guard brackets the whole cell, so
-// it also proves Stats() conserves across the migration's cross-heap
-// copies.
+// and print both phases' throughput and run-phase imbalance.
 func reshardCell(name string, w ycsb.Workload, cfg config) {
 	m := newFrontend(name, keys.RandInt, cfg)
 	defer m.Release()
-	conserved := conserving(m, name, w.Name)
 	half := cfg.opN / 2
 	phase := func(loadN, opN int, seed int64, load bool) harness.Result {
 		res, err := harness.Run(name, m.Target, harness.WritePath{}, w, loadN, opN, cfg.threads, seed, load)
@@ -503,7 +469,6 @@ func reshardCell(name string, w ycsb.Workload, cfg config) {
 	// Phase-2 inserts must start past phase 1's so fresh IDs stay fresh.
 	post := phase(cfg.loadN+pre.Inserts, cfg.opN-half, cfg.seed+7, false)
 	imbPost := m.LoadReport().Imbalance()
-	conserved()
 	fmt.Printf("%-14s %2d   pre %8.3f Mops/s imbal %5.2f | rebalance ×%d | post %8.3f Mops/s imbal %5.2f\n",
 		name, cfg.shards, pre.MopsPerSec(), imbPre, len(rb.Moves), post.MopsPerSec(), imbPost)
 }

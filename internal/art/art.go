@@ -39,6 +39,34 @@ var ErrPrefixKey = errors.New("art: key is a proper prefix of an existing key")
 // ErrEmptyKey is returned for zero-length keys.
 var ErrEmptyKey = errors.New("art: empty key")
 
+// maxKeyLen is the longest key Insert accepts. A compressed prefix is
+// shorter than the keys below it and its length is stored in one byte
+// (packPrefix), so 256-byte keys are the longest whose every possible
+// prefix packs.
+const maxKeyLen = 256
+
+// ErrKeyTooLong is returned by Insert for keys over 256 bytes. Lookup,
+// Delete and Scan of such a key simply miss.
+var ErrKeyTooLong = errors.New("art: key longer than 256 bytes")
+
+// ErrStalled is returned by Insert and Delete after maxRestarts
+// consecutive restarts. The one known cause: deletes never unlink inner
+// nodes, so once every key below a node whose compressed prefix outgrows
+// the seven stored bytes is gone, no leaf is left to read the prefix
+// from and a write through that node restarts for ever. The index is
+// unchanged and every key that does not descend through the emptied node
+// is unaffected. The repair — the node locked and proven empty, store
+// the inserting key's bytes as its prefix, with its persist, crash site
+// and lossy-matrix cell — is ROADMAP item 1; this bound only turns the
+// hang into an error.
+var ErrStalled = errors.New("art: write restarted too often (emptied long-prefix node)")
+
+// maxRestarts bounds one write's consecutive restarts. A restart that
+// waits out a concurrent split is a spin of well under a microsecond, so
+// the bound is generous: a lock holder would have to stay descheduled
+// for a million of them.
+const maxRestarts = 1 << 20
+
 type kind uint8
 
 const (
@@ -180,7 +208,6 @@ const (
 	n48ChildOff = hdrBytes + 256
 	n256ChOff   = hdrBytes
 	leafValOff  = hdrBytes
-	leafKeyOff  = leafHdrBytes
 )
 
 func (h *header) n4() *node4     { return (*node4)(unsafe.Pointer(h)) }
@@ -224,22 +251,6 @@ func (h *header) child(b byte) *header {
 		return h.n256().children[b].Load()
 	}
 	return nil
-}
-
-// capacity returns the maximum child count of the node kind.
-func (h *header) capacity() int {
-	switch h.kind {
-	case kNode4:
-		return 4
-	case kNode16:
-		return 16
-	case kNode48:
-		return 48
-	case kNode256:
-		return 256
-	default:
-		return 0
-	}
 }
 
 // entry is a (key byte, child) pair gathered from a node.

@@ -101,8 +101,8 @@ func TestInsertMallocs(t *testing.T) {
 // of 16 bytes and is random from there on, so branch points lie 16 bytes
 // apart and the compressed prefixes between them outgrow the seven stored
 // bytes. Callers fix the seed: deleting every key below such a prefix
-// leaves a node no insert can pass (it restarts forever for want of a leaf
-// to read the prefix from — ROADMAP item 1, older than this layout), and
+// leaves a node no insert can pass (ErrStalled, for want of a leaf to
+// read the prefix from — ROADMAP item 1, older than this layout), and
 // the populations used here never empty one.
 func mixedKeys(rng *rand.Rand) [][]byte {
 	runs := make([][]byte, 3)

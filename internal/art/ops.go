@@ -12,21 +12,22 @@ import (
 // Writers are verified: unlike lookups they never descend optimistically
 // through an inconsistent prefix; they detect it, distinguish transient
 // from permanent with a try-lock, repair permanent damage with the RECIPE
-// helper mechanism, and restart (§6.4).
+// helper mechanism, and restart (§6.4) — at most maxRestarts times in a
+// row (ErrStalled).
 func (idx *Index) Insert(key []byte, value uint64) (err error) {
 	if len(key) == 0 {
 		return ErrEmptyKey
 	}
+	if len(key) > maxKeyLen {
+		return ErrKeyTooLong
+	}
 	defer recoverCrash(&err)
-	for {
-		done, err := idx.tryInsert(key, value)
-		if err != nil {
+	for i := 0; i < maxRestarts; i++ {
+		if done, err := idx.tryInsert(key, value); done || err != nil {
 			return err
 		}
-		if done {
-			return nil
-		}
 	}
+	return ErrStalled
 }
 
 // Update overwrites the value under key: Insert's upsert
@@ -476,18 +477,19 @@ func (idx *Index) fixPrefix(n *header, depth int) {
 
 // Delete removes key, returning whether it was present. Deletion commits
 // with a single atomic store that nils the leaf's child slot (§6.4);
-// freed slots are reclaimed when the node next grows or compacts.
+// freed slots are reclaimed when the node next grows or compacts. Like
+// Insert it gives up with ErrStalled after maxRestarts restarts in a row.
 func (idx *Index) Delete(key []byte) (deleted bool, err error) {
 	if len(key) == 0 {
 		return false, ErrEmptyKey
 	}
 	defer recoverCrash(&err)
-	for {
-		del, done := idx.tryDelete(key)
-		if done {
+	for i := 0; i < maxRestarts; i++ {
+		if del, done := idx.tryDelete(key); done {
 			return del, nil
 		}
 	}
+	return false, ErrStalled
 }
 
 func (idx *Index) tryDelete(key []byte) (deleted, done bool) {

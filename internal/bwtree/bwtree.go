@@ -12,13 +12,13 @@
 // Non-SMO operations (insert/delete deltas) become visible via one CAS,
 // so they satisfy Condition #1; following §6.3, the conversion flushes
 // the mapping entry only when the CAS succeeds and does not flush loads
-// on this path (an ablatable choice — see FlushSMOLoads). Structure
-// modifications use the B-link two-step protocol: a split delta installs
-// the new right sibling, and a separate index-entry delta tells the
-// parent. Writers that encounter an unfinished split complete it first —
-// the helping mechanism that makes SMOs satisfy Condition #2 — so after a
-// crash the first writer to walk past the torn split repairs it, and
-// every store and load on the SMO path is followed by a flush and fence.
+// on this path. Structure modifications use the B-link two-step
+// protocol: a split delta installs the new right sibling, and a separate
+// index-entry delta tells the parent. Writers that encounter an
+// unfinished split complete it first — the helping mechanism that makes
+// SMOs satisfy Condition #2 — so after a crash the first writer to walk
+// past the torn split repairs it, and every store and load on the SMO
+// path is followed by a flush and fence.
 package bwtree
 
 import (
@@ -86,22 +86,6 @@ type Index struct {
 	rootPID uint64
 
 	count atomic.Int64
-
-	// FlushSMOLoads controls the Condition #2 load-flush on SMO paths
-	// (§6.3). On by default; the ablation benchmark turns it off.
-	FlushSMOLoads bool
-
-	// ChainThreshold overrides DeltaChainThreshold when positive (for the
-	// delta-chain ablation benchmark).
-	ChainThreshold int
-}
-
-// chainThreshold returns the effective consolidation trigger.
-func (idx *Index) chainThreshold() int {
-	if idx.ChainThreshold > 0 {
-		return idx.ChainThreshold
-	}
-	return DeltaChainThreshold
 }
 
 // MaxPIDs bounds the mapping table (1M logical nodes ≈ 64M+ keys).
@@ -109,7 +93,7 @@ const MaxPIDs = 1 << 20
 
 // New returns an empty P-BwTree backed by heap.
 func New(heap *pmem.Heap) *Index {
-	idx := &Index{heap: heap, FlushSMOLoads: true}
+	idx := &Index{heap: heap}
 	idx.mapping = make([]atomic.Pointer[record], MaxPIDs)
 	idx.mapPM = heap.Alloc(MaxPIDs * 8)
 	heap.ShadowSlice(idx.mapPM, idx.mapping, 8)
@@ -194,7 +178,7 @@ func (idx *Index) loadTouch(r *record, smo bool) {
 		}
 	}
 	idx.heap.Load(r.pm, 0, size)
-	if smo && idx.FlushSMOLoads {
+	if smo {
 		// RECIPE: loads on the SMO help path are flushed so that helping
 		// threads persist the state they acted on (§4.4, §6.3).
 		idx.heap.Persist(r.pm, 0, 8)

@@ -14,7 +14,7 @@ node:
 	for {
 		head = idx.head(pid)
 		// Writers consolidate oversized chains before operating.
-		if help && head.depth >= idx.chainThreshold() {
+		if help && head.depth >= DeltaChainThreshold {
 			idx.consolidate(pid, parent)
 			head = idx.head(pid)
 		}

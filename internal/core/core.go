@@ -178,14 +178,6 @@ var Converted = []Info{
 		PaperOrigLOC: "25K", PaperCoreLOC: "2.2K", PaperModLOC: "200 (9%)"},
 }
 
-// Baselines lists the hand-crafted PM indexes compared against.
-var Baselines = []Info{
-	{Name: "FAST & FAIR", Structure: "B+ Tree", Ordered: true, Reader: "Non-blocking", Writer: "Blocking"},
-	{Name: "CCEH", Structure: "Hash Table", Reader: "Non-blocking", Writer: "Blocking"},
-	{Name: "Level Hashing", Structure: "Hash Table", Reader: "Non-blocking", Writer: "Blocking"},
-	{Name: "WOART", Structure: "Radix Tree", Ordered: true, Reader: "Blocking", Writer: "Blocking"},
-}
-
 // OrderedNames lists the ordered indexes in the paper's Fig 4 order.
 var OrderedNames = []string{"FAST & FAIR", "P-BwTree", "P-Masstree", "P-ART", "P-HOT"}
 

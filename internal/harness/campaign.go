@@ -115,7 +115,7 @@ func CrashCampaign(name string, build Build, states, loadN, mixedN, threads int)
 			heap.SetInjector(nil)
 			return t.recover()
 		}, loadN, mixedN, threads)
-		// The state's heap and index are dead; recycle the address space.
+		// The state's heap and index are dead.
 		heap.Release()
 	}
 	return rep

@@ -109,7 +109,8 @@ type Heap struct {
 // New returns a heap configured by opts.
 func New(opts Options) *Heap {
 	h := &Heap{
-		lines:      newLineAllocator(),
+		// Line 0 is reserved so Obj{} is detectably invalid.
+		lines:      stripe.NewAllocator(1, stripe.DefaultChunkLines),
 		clwb:       stripe.NewCounter(),
 		fence:      stripe.NewCounter(),
 		allocs:     stripe.NewCounter(),
@@ -128,47 +129,15 @@ func New(opts Options) *Heap {
 	return h
 }
 
-// allocPool recycles line allocators across heap generations. Campaigns
-// that churn thousands of short-lived heaps (one per crash state or
-// crash site) would otherwise build a fresh allocator each time and
-// abandon its reserved address space; recycling caps the process's
-// simulated address-space footprint at the peak number of live heaps.
-var allocPool struct {
-	mu   sync.Mutex
-	free []*stripe.Allocator
-}
-
-// maxPooledAllocators bounds the pool; releases beyond it fall through
-// to the garbage collector, exactly as every heap did before pooling.
-const maxPooledAllocators = 64
-
-// newLineAllocator returns an allocator whose first line is 1: address
-// 0 is reserved so Obj{} is detectably invalid.
-func newLineAllocator() *stripe.Allocator {
-	allocPool.mu.Lock()
-	if n := len(allocPool.free); n > 0 {
-		a := allocPool.free[n-1]
-		allocPool.free = allocPool.free[:n-1]
-		allocPool.mu.Unlock()
-		return a
-	}
-	allocPool.mu.Unlock()
-	return stripe.NewAllocator(1, stripe.DefaultChunkLines)
-}
-
-// Release retires the heap and recycles its line allocator — and with
-// it the heap's whole simulated address space — into the process-wide
-// pool that New draws from. The caller must have dropped every index
-// built on the heap: after Release the heap (and any Obj it handed out)
-// must not be used, and further Alloc calls panic. Releasing twice is a
-// no-op.
+// Release retires the heap: it aborts an open fence group, clears the
+// tracker and drops the shadow registry, which pins every node ever
+// registered with it. The caller must have dropped every index built on
+// the heap: after Release the heap (and any Obj it handed out) must not
+// be used, and further Alloc calls panic. Releasing twice is a no-op.
 func (h *Heap) Release() {
 	if h.lines == nil {
 		return
 	}
-	// Drop per-heap testing state so nothing stale (dirty/pending lines,
-	// shadow images pinning index nodes, an open fence group) survives
-	// into a reused heap slot or outlives the heap via the pool.
 	h.AbortFenceGroup()
 	if h.tracker != nil {
 		h.tracker.Reset()
@@ -180,14 +149,7 @@ func (h *Heap) Release() {
 		h.shadow.tainted = 0
 		h.shadow.mu.Unlock()
 	}
-	a := h.lines
 	h.lines = nil
-	a.Reset()
-	allocPool.mu.Lock()
-	if len(allocPool.free) < maxPooledAllocators {
-		allocPool.free = append(allocPool.free, a)
-	}
-	allocPool.mu.Unlock()
 }
 
 // NewFast returns a heap with counters only — the configuration used by

@@ -326,54 +326,3 @@ func BenchmarkPersistFenceFastHeap(b *testing.B) {
 		h.PersistFence(o, 0, 8)
 	}
 }
-
-// TestReleaseRecyclesAllocator: Release returns a heap's line allocator
-// to the process pool, and the next New draws it back out reset — so
-// churning heaps reuse one address space instead of growing it.
-func TestReleaseRecyclesAllocator(t *testing.T) {
-	h1 := New(Options{})
-	o := h1.Alloc(1000)
-	if !o.Valid() {
-		t.Fatal("alloc failed")
-	}
-	recycled := h1.lines
-	h1.Release()
-	if h1.lines != nil {
-		t.Fatal("Release must detach the allocator")
-	}
-	h1.Release() // double release is a no-op
-
-	h2 := New(Options{})
-	if h2.lines != recycled {
-		t.Fatal("New did not reuse the released allocator (pool is LIFO)")
-	}
-	if r := h2.lines.Reserved(); r != 0 {
-		t.Fatalf("recycled allocator Reserved = %d, want 0", r)
-	}
-	// A recycled heap replays fresh-heap address assignment exactly.
-	if o2 := h2.Alloc(64); o2.base != 1 {
-		t.Fatalf("first alloc on recycled heap at line %d, want 1", o2.base)
-	}
-	h2.Release()
-}
-
-// TestHeapChurnAddressSpaceBounded: a create/use/release loop keeps
-// total reserved address space at the single-generation footprint —
-// the crash-campaign churn pattern that motivated allocator recycling.
-func TestHeapChurnAddressSpaceBounded(t *testing.T) {
-	var reserved []uint64
-	for gen := 0; gen < 50; gen++ {
-		h := New(Options{})
-		for i := 0; i < 1000; i++ {
-			h.Alloc(100)
-		}
-		reserved = append(reserved, h.lines.Reserved())
-		h.Release()
-	}
-	for i, r := range reserved {
-		if r != reserved[0] {
-			t.Fatalf("generation %d reserved %d lines, generation 0 reserved %d — address space grew across churn",
-				i, r, reserved[0])
-		}
-	}
-}

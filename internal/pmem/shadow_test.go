@@ -248,9 +248,9 @@ func TestPowerCycleResetsTracker(t *testing.T) {
 	}
 }
 
-// Release must clear tracker and shadow state so a pooled allocator
-// reused by a later heap never sees stale dirty/pending lines or shadow
-// images from a previous generation.
+// Release must clear tracker and shadow state — nothing stale
+// (dirty/pending lines, shadow images pinning index nodes) outlives the
+// heap's use — detach the allocator, and be idempotent.
 func TestReleaseClearsTrackerState(t *testing.T) {
 	h := New(Options{Shadow: true})
 	n := &node{}
@@ -264,6 +264,10 @@ func TestReleaseClearsTrackerState(t *testing.T) {
 	}
 	tr, sh := h.Tracker(), h.shadow
 	h.Release()
+	if h.lines != nil {
+		t.Fatal("Release must detach the allocator")
+	}
+	h.Release() // double release is a no-op
 
 	if v := tr.Check(); len(v) != 0 {
 		t.Fatalf("tracker state leaked through Release: %v", v)
@@ -275,8 +279,7 @@ func TestReleaseClearsTrackerState(t *testing.T) {
 		t.Fatalf("shadow state leaked through Release: objs=%d queue=%d", objs, queue)
 	}
 
-	// A fresh heap drawing (very likely) the same pooled allocator starts
-	// with clean tracker state and an empty registry.
+	// A fresh heap starts with clean tracker state and an empty registry.
 	h2 := New(Options{Shadow: true})
 	if v := h2.Tracker().Check(); len(v) != 0 {
 		t.Fatalf("fresh heap inherited tracker state: %v", v)

@@ -6,7 +6,7 @@
 // a connection reads its own writes because each is applied before the
 // next command is parsed. The loop stages replies in arrival order in
 // one arena and sends a round — every command buffered before the next
-// read that may block, at most MaxPipeline of them — with one Write.
+// read that may block, at most DefaultMaxPipeline of them — with one Write.
 //
 // Nothing on the GET/SET/UPDATE path allocates or copies twice. A
 // request is tokenized in place over the connection's own read buffer
@@ -91,7 +91,7 @@ func (c *conn) serve() {
 			c.flushWire()
 			return
 		}
-		if c.nreplies >= c.srv.opts.maxPipeline() && !c.endRound() {
+		if c.nreplies >= DefaultMaxPipeline && !c.endRound() {
 			return
 		}
 	}

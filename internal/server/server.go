@@ -36,23 +36,13 @@ import (
 
 // Options configures a Server.
 type Options struct {
-	// MaxPipeline caps commands handled per round, bounding the reply
-	// bytes buffered for one connection. Values < 1 select
-	// DefaultMaxPipeline.
-	MaxPipeline int
 	// IndexName labels INFO output (the converted index in use).
 	IndexName string
 }
 
-// DefaultMaxPipeline is Options.MaxPipeline's default.
+// DefaultMaxPipeline caps commands handled per round, bounding the reply
+// bytes buffered for one connection.
 const DefaultMaxPipeline = 256
-
-func (o Options) maxPipeline() int {
-	if o.MaxPipeline < 1 {
-		return DefaultMaxPipeline
-	}
-	return o.MaxPipeline
-}
 
 // Server serves the wire protocol over one sharded ordered front-end.
 // Start it with Serve, stop it with Shutdown. A Server is single-use:
@@ -75,10 +65,6 @@ type Server struct {
 func New(m *shard.Ordered, opts Options) *Server {
 	return &Server{m: m, opts: opts, conns: make(map[*conn]struct{})}
 }
-
-// Frontend returns the front-end the server serves — the crash tests
-// recover and re-serve it.
-func (s *Server) Frontend() *shard.Ordered { return s.m }
 
 // Serve accepts connections on l until Shutdown or a machine crash.
 // It returns nil after a clean drain and the crash cause after a
@@ -164,9 +150,6 @@ func (s *Server) Shutdown() error {
 	s.wg.Wait()
 	return s.Cause()
 }
-
-// Draining reports whether Shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // fail is the machine-death path: an injected crash escaped an index
 // operation or was returned by one. The server records the

@@ -344,6 +344,38 @@ func TestPipelinedBurst(t *testing.T) {
 	})
 }
 
+// TestHostileKeys: the wire admits keys up to MaxBulk, P-ART (the
+// default index) admits 256 bytes. Twelve SETs whose 301-byte keys share
+// 300 bytes used to kill the server (a prefix that long does not pack);
+// re-inserting below a long-prefix node that deletes have emptied used
+// to pin the connection goroutine for ever. Both are error replies now,
+// and the connection goes on serving.
+func TestHostileKeys(t *testing.T) {
+	ts := startServer(t, 4)
+	c := dialT(t, ts.addr())
+	var burst []byte
+	for i := 0; i < 12; i++ {
+		burst = append(burst, frame("SET", strings.Repeat("p", 300)+string(rune('a'+i)), "1")...)
+	}
+	c.send(burst)
+	for i := 0; i < 12; i++ {
+		wantCode(t, c.read(), "ERR")
+	}
+	wantSimple(t, c.do("PING"), "PONG")
+
+	// One shard, so both keys meet in one tree: a Node4 under a 200-byte
+	// prefix, emptied.
+	one := dialT(t, startServer(t, 1).addr())
+	k1, k2 := strings.Repeat("q", 200)+"a", strings.Repeat("q", 200)+"b"
+	wantSimple(t, one.do("SET", k1, "1"), "OK")
+	wantSimple(t, one.do("SET", k2, "2"), "OK")
+	wantInt(t, one.do("DEL", k1), 1)
+	wantInt(t, one.do("DEL", k2), 1)
+	wantCode(t, one.do("SET", k1, "3"), "ERR")
+	wantCode(t, one.do("DEL", k2), "ERR")
+	wantSimple(t, one.do("PING"), "PONG")
+}
+
 // TestHalfClosedConnection: the client half-closes after pipelining
 // writes; every accepted write is acked and durable.
 func TestHalfClosedConnection(t *testing.T) {

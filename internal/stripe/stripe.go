@@ -120,38 +120,21 @@ func (c *Counter) Reset() {
 // PM) makes global-cursor traffic ~4096× rarer than allocations.
 const DefaultChunkLines = 4096
 
-// span is a recycled range of line addresses [cur, end).
-type span struct {
-	cur, end uint64
-}
-
-// maxFreeSpans bounds each shard's free list; spans released beyond it
-// are dropped (leaked, as every span was before free lists existed), so
-// a pathological free pattern cannot grow the list without bound.
-const maxFreeSpans = 64
-
-// allocShard is one shard's private allocation window [cur, end) plus
-// its free list of recycled spans. The mutex is effectively uncontended
-// (shards track Ps); it exists so that two goroutines that happen to
-// share a shard key stay correct.
+// allocShard is one shard's private allocation window [cur, end). The
+// mutex is effectively uncontended (shards track Ps); it exists so that
+// two goroutines that happen to share a shard key stay correct.
 type allocShard struct {
 	mu       sync.Mutex
 	cur, end uint64
-	free     []span
 	_        [padBytes]byte
 }
 
 // Allocator is a striped bump allocator over abstract line addresses.
 // Each shard bump-allocates from a privately reserved chunk and only
 // touches the shared global cursor on refill, so concurrent allocations
-// from different shards never contend. Live allocations never overlap.
-//
-// Each shard also keeps a free list of recycled spans: refills recycle
-// the abandoned tail of the previous window and prefer a recycled span
-// over advancing the global cursor, and Free returns retired ranges for
-// reuse, so steady-state churn stops growing the address space. Reset
-// reclaims everything at once for callers (heap pools) that retire a
-// whole allocation generation.
+// from different shards never contend. Allocations never overlap, and
+// an address is never handed out twice: a line address is a number, and
+// the allocator dies with the heap that owns it.
 type Allocator struct {
 	global atomic.Uint64
 	start  uint64
@@ -190,71 +173,15 @@ func (a *Allocator) AllocKey(k, lines uint64) uint64 {
 	s := &a.shards[k&a.mask]
 	s.mu.Lock()
 	if s.cur+lines > s.end {
-		a.refill(s, lines)
+		// Refill with a fresh chunk; the old window's tail is abandoned
+		// (unused numbers, not a resource).
+		s.cur = a.global.Add(a.chunk) - a.chunk
+		s.end = s.cur + a.chunk
 	}
 	base := s.cur
 	s.cur += lines
 	s.mu.Unlock()
 	return base
-}
-
-// refill installs a window with room for lines: a recycled span from
-// the shard free list when one is large enough, else a fresh chunk from
-// the global cursor. The abandoned tail of the old window goes on the
-// free list instead of leaking; it cannot satisfy this request (that is
-// why a refill is needed), so it is never immediately popped back.
-func (a *Allocator) refill(s *allocShard, lines uint64) {
-	if s.end > s.cur {
-		s.push(span{s.cur, s.end})
-	}
-	for i := len(s.free) - 1; i >= 0; i-- {
-		if f := s.free[i]; f.end-f.cur >= lines {
-			s.free = append(s.free[:i], s.free[i+1:]...)
-			s.cur, s.end = f.cur, f.end
-			return
-		}
-	}
-	s.cur = a.global.Add(a.chunk) - a.chunk
-	s.end = s.cur + a.chunk
-}
-
-func (s *allocShard) push(f span) {
-	if len(s.free) < maxFreeSpans {
-		s.free = append(s.free, f)
-	}
-}
-
-// Free recycles lines consecutive line addresses starting at base onto
-// the calling goroutine's shard free list, where future allocations of
-// any shardable size reuse them. The caller must guarantee that no live
-// object still maps onto the range.
-func (a *Allocator) Free(base, lines uint64) { a.FreeKey(Key(), base, lines) }
-
-// FreeKey is Free with a shard key the caller already fetched via Key.
-func (a *Allocator) FreeKey(k, base, lines uint64) {
-	if lines == 0 {
-		return
-	}
-	s := &a.shards[k&a.mask]
-	s.mu.Lock()
-	s.push(span{base, base + lines})
-	s.mu.Unlock()
-}
-
-// Reset returns the allocator to its initial state: the global cursor
-// back at start, every shard window and free list empty, so the whole
-// address space is handed out again from scratch. It must only run when
-// no allocation is live and no Alloc/Free is concurrent — e.g. between
-// heap generations, from pmem's allocator pool.
-func (a *Allocator) Reset() {
-	for i := range a.shards {
-		s := &a.shards[i]
-		s.mu.Lock()
-		s.cur, s.end = 0, 0
-		s.free = s.free[:0]
-		s.mu.Unlock()
-	}
-	a.global.Store(a.start)
 }
 
 // Reserved returns the number of line addresses reserved from the global

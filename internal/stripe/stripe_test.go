@@ -232,103 +232,3 @@ func BenchmarkAllocatorAlloc(b *testing.B) {
 		}
 	})
 }
-
-// TestAllocatorFreeListReuse: a freed span is handed back out on the
-// next refill of the same shard instead of advancing the global cursor.
-func TestAllocatorFreeListReuse(t *testing.T) {
-	a := NewAllocator(1, 8)
-	const k = 0
-	first := a.AllocKey(k, 4) // window [1,9), cur 5
-	if first != 1 {
-		t.Fatalf("first alloc at %d, want 1", first)
-	}
-	a.FreeKey(k, first, 4)
-	if got := a.AllocKey(k, 4); got != 5 {
-		t.Fatalf("second alloc at %d, want bump to 5", got) // window still has room
-	}
-	// Window exhausted; the refill must pick the freed span, not a new
-	// chunk from the global cursor.
-	if got := a.AllocKey(k, 4); got != first {
-		t.Fatalf("post-refill alloc at %d, want recycled %d", got, first)
-	}
-	if r := a.Reserved(); r != 8 {
-		t.Fatalf("Reserved = %d, want 8 (no new chunk)", r)
-	}
-}
-
-// TestAllocatorRefillTailRecycled: the unused tail of an exhausted
-// window lands on the free list and serves later small requests.
-func TestAllocatorRefillTailRecycled(t *testing.T) {
-	a := NewAllocator(1, 8)
-	const k = 0
-	if got := a.AllocKey(k, 5); got != 1 {
-		t.Fatalf("alloc 5 at %d, want 1", got)
-	}
-	// Refill abandons tail [6,9): 3 lines.
-	if got := a.AllocKey(k, 5); got != 9 {
-		t.Fatalf("alloc 5 at %d, want fresh chunk 9", got)
-	}
-	if got := a.AllocKey(k, 3); got != 14 {
-		t.Fatalf("alloc 3 at %d, want bump to 14", got)
-	}
-	// Window exhausted; the 3-line request fits the recycled tail.
-	if got := a.AllocKey(k, 3); got != 6 {
-		t.Fatalf("alloc 3 at %d, want recycled tail 6", got)
-	}
-	if r := a.Reserved(); r != 16 {
-		t.Fatalf("Reserved = %d, want 16", r)
-	}
-}
-
-// TestAllocatorFreeNeverOverlaps: interleaved alloc/free churn on one
-// shard never hands out overlapping live ranges.
-func TestAllocatorFreeNeverOverlaps(t *testing.T) {
-	a := NewAllocator(1, 16)
-	const k = 0
-	live := map[uint64]uint64{} // base -> lines
-	rng := uint64(12345)
-	for i := 0; i < 20_000; i++ {
-		rng = rng*6364136223846793005 + 1442695040888963407
-		lines := rng%7 + 1
-		base := a.AllocKey(k, lines)
-		for b, n := range live {
-			if base < b+n && b < base+lines {
-				t.Fatalf("alloc [%d,%d) overlaps live [%d,%d)", base, base+lines, b, b+n)
-			}
-		}
-		live[base] = lines
-		if rng%3 == 0 {
-			for b, n := range live {
-				a.FreeKey(k, b, n)
-				delete(live, b)
-				break
-			}
-		}
-	}
-}
-
-// TestAllocatorReset: Reset reclaims the whole address space, and the
-// allocator then replays fresh-allocator behaviour exactly.
-func TestAllocatorReset(t *testing.T) {
-	a := NewAllocator(1, 8)
-	var before []uint64
-	for i := 0; i < 10; i++ {
-		before = append(before, a.AllocKey(uint64(i), 3))
-	}
-	if a.Reserved() == 0 {
-		t.Fatal("Reserved should be non-zero after allocations")
-	}
-	a.Reset()
-	if r := a.Reserved(); r != 0 {
-		t.Fatalf("Reserved = %d after Reset, want 0", r)
-	}
-	var after []uint64
-	for i := 0; i < 10; i++ {
-		after = append(after, a.AllocKey(uint64(i), 3))
-	}
-	for i := range before {
-		if before[i] != after[i] {
-			t.Fatalf("alloc %d: %d after Reset, want %d (fresh-allocator replay)", i, after[i], before[i])
-		}
-	}
-}

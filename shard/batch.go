@@ -203,7 +203,7 @@ func (f *frontend[K]) ApplyBatch(ops []group.Op[K]) error {
 // applied ops to the recipient.
 func (f *frontend[K]) ApplyBatchObserved(ops []group.Op[K], obs group.Observer) error {
 	if len(f.shards) == 1 {
-		f.opCount[0].Add(uint64(len(ops)))
+		f.rt.Load().ops[0].Add(uint64(len(ops)))
 		return f.applyBatch(partition(len(ops), 1, nil), ops, obs)
 	}
 	g := f.gate.enter()

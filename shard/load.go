@@ -1,25 +1,28 @@
-// Load accounting: epoch-windowed per-shard activity snapshots that
-// drive rebalancing decisions. Every routed operation bumps a striped
-// per-shard counter and a striped per-slot counter, so accounting adds
-// no shared cache line to the hot path and never quiesces writers;
-// LoadReport turns the cumulative counters into rolling deltas since the
-// previous report.
+// Load accounting: epoch-windowed per-shard activity snapshots. Every
+// routed operation bumps one striped counter — its routing slot's (hash
+// tables) or span's (range tables) — so accounting adds no shared cache
+// line to the hot path and never quiesces writers. A shard's load is the
+// load of the slots it currently owns: LoadReport folds the per-slot
+// deltas since the previous report by owner, the same fold Rebalance
+// plans from (shardLoads), so the two are one measure.
 package shard
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/stripe"
+)
 
 // ShardLoad is one shard's activity during a report epoch (the window
 // since the previous LoadReport call).
 type ShardLoad struct {
 	// Shard is the partition index.
 	Shard int
-	// Ops is the number of operations routed to the shard: point
-	// operations, batched operations, and async-pipeline enqueues.
+	// Ops is the epoch's routed operations (point operations, batched
+	// operations, async-pipeline enqueues) on the slots the shard owns
+	// at the report: a slot migrated mid-epoch brings its whole epoch
+	// count to the recipient.
 	Ops uint64
-	// Clwb and Fence are the shard heap's persist-instruction deltas —
-	// the PM-side cost of the shard's traffic, which can diverge from Ops
-	// under mixed workloads (inserts persist more lines than lookups).
-	Clwb, Fence uint64
 	// Quarantined reports whether the shard was quarantined at snapshot
 	// time; quarantined shards are excluded from Imbalance.
 	Quarantined bool
@@ -82,31 +85,17 @@ func (r LoadReport) MaxShard() int {
 	return best
 }
 
-// MinShard returns the least busy serving shard of the epoch (-1 when
-// every shard is quarantined).
-func (r LoadReport) MinShard() int {
-	best := -1
-	var bestOps uint64
-	for _, l := range r.Loads {
-		if l.Quarantined {
-			continue
-		}
-		if best == -1 || l.Ops < bestOps {
-			best, bestOps = l.Shard, l.Ops
-		}
-	}
-	return best
-}
-
-// loadState is the epoch bookkeeping behind LoadReport: the cumulative
-// counter values at the previous report, so each report returns deltas.
-// It lives behind a pointer on the frontend because it holds a mutex.
+// loadState is the epoch bookkeeping behind LoadReport: each slot
+// counter's value at the previous report, so each report returns
+// deltas, and the counters those values were read from — a range flip
+// reallocates the table's counters (span shape changed), which restarts
+// the deltas as it restarts Rebalance's view. It lives behind a pointer
+// on the frontend because it holds a mutex.
 type loadState struct {
-	mu        sync.Mutex
-	epoch     uint64
-	lastOps   []uint64
-	lastClwb  []uint64
-	lastFence []uint64
+	mu    sync.Mutex
+	epoch uint64
+	from  *stripe.Counter // the table's ops[0] when last was taken
+	last  []uint64
 }
 
 // LoadReport snapshots every shard's activity since the previous call
@@ -117,55 +106,26 @@ func (f *frontend[K]) LoadReport() LoadReport {
 	ls := f.load
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	if ls.lastOps == nil {
-		ls.lastOps = make([]uint64, len(f.shards))
-		ls.lastClwb = make([]uint64, len(f.shards))
-		ls.lastFence = make([]uint64, len(f.shards))
+	t := f.rt.Load()
+	if ls.from != t.ops[0] {
+		ls.from, ls.last = t.ops[0], make([]uint64, len(t.ops))
 	}
 	ls.epoch++
 	r := LoadReport{Epoch: ls.epoch, Loads: make([]ShardLoad, len(f.shards))}
-	for i := range f.shards {
-		ops := f.opCount[i].Load()
-		st := f.shards[i].heap.Stats()
-		r.Loads[i] = ShardLoad{
-			Shard:       i,
-			Ops:         ops - ls.lastOps[i],
-			Clwb:        st.Clwb - ls.lastClwb[i],
-			Fence:       st.Fence - ls.lastFence[i],
-			Quarantined: f.health[i].quarantined.Load(),
-		}
-		ls.lastOps[i] = ops
-		ls.lastClwb[i] = st.Clwb
-		ls.lastFence[i] = st.Fence
+	for i := range r.Loads {
+		r.Loads[i] = ShardLoad{Shard: i, Quarantined: f.health[i].quarantined.Load()}
 	}
+	_, perSlot := shardLoads(t, len(f.shards))
+	for j, o := range t.owners() {
+		r.Loads[o].Ops += perSlot[j] - ls.last[j]
+	}
+	ls.last = perSlot
 	return r
-}
-
-// OpCounts returns the cumulative routed-operation count per shard
-// (LoadReport's counter before epoch differencing).
-func (f *frontend[K]) OpCounts() []uint64 {
-	out := make([]uint64, len(f.shards))
-	for i := range f.shards {
-		out[i] = f.opCount[i].Load()
-	}
-	return out
 }
 
 // TableVersion returns the published routing table's version: 0 at
 // birth, stepping on every window open, abort, or flip.
 func (f *frontend[K]) TableVersion() uint64 { return f.rt.Load().version }
-
-// SlotLoads returns the cumulative routed-operation count per routing
-// slot (hash tables) or per span (range tables). Slot counts feed the
-// rebalancer's choice of which slice of a hot shard to move.
-func (f *frontend[K]) SlotLoads() []uint64 {
-	t := f.rt.Load()
-	out := make([]uint64, len(t.ops))
-	for i := range t.ops {
-		out[i] = t.ops[i].Load()
-	}
-	return out
-}
 
 // SlotsOf returns the routing slots (hash tables) or span indices
 // (range tables) currently owned by shard s.

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/crash"
+	"repro/internal/group"
 	"repro/internal/keys"
 	"repro/internal/pmem"
 	"repro/internal/ycsb"
@@ -599,6 +600,121 @@ func TestLoadReportEpochs(t *testing.T) {
 	if r2.MaxShard() != m.Route(hotKey) {
 		t.Fatalf("MaxShard = %d, want hot shard %d", r2.MaxShard(), m.Route(hotKey))
 	}
+}
+
+// TestLoadReportFollowsOwnership: a shard's load is the load of the
+// slots it owns at the report. Slots migrated mid-epoch bring their
+// epoch count to the recipient without changing the total; a range flip
+// restarts the deltas; an H = 1 front-end reports every op under shard 0.
+func TestLoadReportFollowsOwnership(t *testing.T) {
+	const n, h = 2_000, 4
+	gen := keys.NewGenerator(keys.RandInt)
+	load := func(m *Ordered) {
+		t.Helper()
+		for id := uint64(0); id < n; id++ {
+			if err := m.Insert(gen.Key(id), id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := m.LoadReport().TotalOps(); got != n {
+			t.Fatalf("load epoch ops = %d, want %d", got, n)
+		}
+	}
+	wantLoads := func(r LoadReport, want []uint64) {
+		t.Helper()
+		for s, l := range r.Loads {
+			if l.Ops != want[s] {
+				t.Fatalf("shard %d ops = %d, want %d (all: %+v, want %v)", s, l.Ops, want[s], r.Loads, want)
+			}
+		}
+	}
+
+	t.Run("slots", func(t *testing.T) {
+		m := newReshardOrdered(t, h, HashPartition{}, false)
+		defer m.Release()
+		load(m)
+		own := m.SlotsOf(0)
+		moved := own[:len(own)/2]
+		inMoved := make(map[uint64]bool, len(moved))
+		for _, j := range moved {
+			inMoved[uint64(j)] = true
+		}
+		want := make([]uint64, h)
+		var movedOps uint64
+		for id := uint64(0); id < n; id++ {
+			key := gen.Key(id)
+			m.Lookup(key)
+			p := HashPartition{}.Point(key)
+			if inMoved[p%(h*SlotsPerShard)] {
+				want[1]++
+				movedOps++
+			} else {
+				want[p%h]++
+			}
+		}
+		if movedOps == 0 {
+			t.Fatal("test setup: no lookup hit a moved slot")
+		}
+		if err := m.MigrateSlots(0, 1, moved, 64); err != nil {
+			t.Fatal(err)
+		}
+		r := m.LoadReport()
+		if got := r.TotalOps(); got != n {
+			t.Fatalf("TotalOps = %d after migration, want %d", got, n)
+		}
+		wantLoads(r, want)
+	})
+
+	t.Run("range flip", func(t *testing.T) {
+		m := newReshardOrdered(t, h, RangePartition{}, false)
+		defer m.Release()
+		load(m)
+		for id := uint64(0); id < n; id++ {
+			m.Lookup(gen.Key(id)) // pre-flip ops of the epoch: dropped by the flip
+		}
+		width := ^uint64(0)/h + 1
+		lo, hi := width/2, width-1 // upper half of shard 0's span
+		if err := m.MigrateRange(0, h-1, lo, hi, 64); err != nil {
+			t.Fatal(err)
+		}
+		want := make([]uint64, h)
+		var total uint64
+		for id := uint64(0); id < n; id += 3 {
+			key := gen.Key(id)
+			m.Lookup(key)
+			total++
+			if p := (RangePartition{}).Point(key); p >= lo && p <= hi {
+				want[h-1]++
+			} else {
+				want[p/width]++
+			}
+		}
+		r := m.LoadReport()
+		if got := r.TotalOps(); got != total {
+			t.Fatalf("TotalOps = %d, want %d (counted from the flip)", got, total)
+		}
+		wantLoads(r, want)
+	})
+
+	t.Run("one shard", func(t *testing.T) {
+		for _, part := range []Partitioner{HashPartition{}, RangePartition{}} {
+			m := newReshardOrdered(t, 1, part, false)
+			key := gen.Key(7)
+			if err := m.Insert(key, 1); err != nil {
+				t.Fatal(err)
+			}
+			m.Lookup(key)
+			m.Route(key)
+			if err := m.ApplyBatch([]group.Op[[]byte]{{Key: key, Value: 2, Update: true}, {Key: gen.Key(8), Value: 3}}); err != nil {
+				t.Fatal(err)
+			}
+			r := m.LoadReport()
+			if len(r.Loads) != 1 || r.Loads[0].Ops != 5 {
+				t.Fatalf("%s H=1 report = %+v, want 5 ops under shard 0", part.Name(), r.Loads)
+			}
+			m.Release()
+		}
+	})
 }
 
 // TestMigrateValidation: the migration entry points reject nonsense.

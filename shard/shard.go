@@ -46,7 +46,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/keys"
 	"repro/internal/pmem"
-	"repro/internal/stripe"
 )
 
 // Options configures a sharded front-end.
@@ -112,9 +111,6 @@ type frontend[K any] struct {
 	// read stripe for their duration, and table transitions drain it
 	// after publishing so no operation still routes on a retired table.
 	gate *opGate
-	// opCount counts routed operations per shard (striped), feeding
-	// LoadReport. Parallel to shards.
-	opCount []*stripe.Counter
 	// load is the epoch bookkeeping behind LoadReport (holds a mutex).
 	load *loadState
 	// reshardMu serialises table transitions: migrations and rebalances.
@@ -134,7 +130,6 @@ func newFrontend[K any, IX core.PointIndex[K]](part partitioner[K], factory func
 		batchMu:   make([]sync.RWMutex, opts.shards()),
 		rt:        &atomic.Pointer[routeTable]{},
 		gate:      newOpGate(),
-		opCount:   newCounters(opts.shards()),
 		load:      &loadState{},
 		reshardMu: &sync.Mutex{},
 	}
@@ -267,11 +262,10 @@ func (f *frontend[K]) Recoveries() []uint64 {
 	return out
 }
 
-// Release returns every shard heap's simulated address space to the
-// process-wide allocator pool (pmem.Heap.Release). Campaigns that churn
-// many front-ends call it between trials so address space stops
-// growing. Neither the front-end nor any of its shard indexes may be
-// used afterwards.
+// Release retires every shard heap (pmem.Heap.Release): tracker state
+// and the shadow registries that pin every registered node are dropped.
+// Campaigns that churn many front-ends call it between trials. Neither
+// the front-end nor any of its shard indexes may be used afterwards.
 func (f *frontend[K]) Release() {
 	for i := range f.shards {
 		f.shards[i].heap.Release()
@@ -323,7 +317,7 @@ func (f *frontend[K]) Stats() pmem.Stats { return sumStats(f.ShardStats()) }
 // PartitionerName reports the routing policy in use.
 func (f *frontend[K]) PartitionerName() string { return f.part.Name() }
 
-// Route returns the shard owning key, bumping the load counters — the
+// Route returns the shard owning key, bumping its load counter — the
 // decision point operations route through. With one shard no routing is
 // needed, so the H=1 front-end adds no hashing to the operation path;
 // otherwise the published routing table decides. Callers that
@@ -332,22 +326,20 @@ func (f *frontend[K]) PartitionerName() string { return f.part.Name() }
 // accounting (the later ApplyShard does not re-count).
 func (f *frontend[K]) Route(key K) int {
 	if len(f.shards) == 1 {
-		f.opCount[0].Add(1)
+		f.rt.Load().ops[0].Add(1)
 		return 0
 	}
 	s, _ := f.locateKey(f.rt.Load(), key)
 	return s
 }
 
-// locateKey routes key through table t, bumping per-shard and per-slot
-// load counters, and returns the owning shard plus the key's ring point
-// (for handoff-window checks).
+// locateKey routes key through table t, bumping the slot's load counter
+// (the one load measure; see load.go), and returns the owning shard plus
+// the key's ring point (for handoff-window checks).
 func (f *frontend[K]) locateKey(t *routeTable, key K) (shard int, point uint64) {
 	p := f.part.Point(key)
 	s, slot := t.locate(p)
-	k := stripe.Key()
-	t.ops[slot].AddKey(k, 1)
-	f.opCount[s].AddKey(k, 1)
+	t.ops[slot].Add(1)
 	return s, p
 }
 
@@ -398,7 +390,7 @@ func (f *frontend[K]) Delete(key K) (bool, error) { return f.write(writeDelete, 
 // key, applies it to donor and recipient. present is Delete's result and false for the other kinds.
 func (f *frontend[K]) write(kind writeKind, key K, value uint64) (present bool, err error) {
 	if len(f.shards) == 1 {
-		f.opCount[0].Add(1)
+		f.rt.Load().ops[0].Add(1)
 		return f.writeShard(0, kind, key, value)
 	}
 	g := f.gate.enter()
@@ -467,7 +459,7 @@ func (f *frontend[K]) Lookup(key K) (uint64, bool) {
 func (f *frontend[K]) LookupChecked(key K) (uint64, bool, error) {
 	s := 0
 	if len(f.shards) == 1 {
-		f.opCount[0].Add(1)
+		f.rt.Load().ops[0].Add(1)
 	} else {
 		g := f.gate.enter()
 		defer f.gate.exit(g)

@@ -57,10 +57,11 @@ type routeTable struct {
 	owner  []uint32
 
 	// ops counts routed operations per slot (kindSlots) or per span
-	// (kindRange), feeding the rebalancer's "which slice of the donor is
-	// hot" decision. The backing array is shared across table versions so
-	// counts survive republishing; a range flip reallocates it (spans
-	// changed shape) and restarts counting.
+	// (kindRange): the one load measure, folded by owner for LoadReport
+	// and Rebalance, and the rebalancer's "which slice of the donor is
+	// hot". The backing array is shared across table versions so counts
+	// survive republishing; a range flip reallocates it (spans changed
+	// shape) and restarts counting.
 	ops []*stripe.Counter
 
 	// mig, when non-nil, is the open handoff window: keys the migration
