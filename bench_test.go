@@ -368,8 +368,8 @@ func BenchmarkWorkloadSkew(b *testing.B) {
 // one fence-coalesced group per shard, so the headline metric is
 // fence/op falling as batch grows while batch=1 matches the plain
 // per-op write path. Crash consistency at every batch size is proven
-// by the batched lossy and durability-site campaigns
-// (internal/harness TestBatchedLossyMatrix, TestBatchedDurabilitySites).
+// by the crash-site campaign on the batched path under all four
+// restart images (internal/harness TestLossyMatrix/batched).
 func BenchmarkBatchedWrites(b *testing.B) {
 	for _, w := range []ycsb.Workload{ycsb.A, ycsb.F} {
 		for _, batch := range []int{1, 8, 64} {
@@ -422,9 +422,9 @@ func BenchmarkBatchedWrites(b *testing.B) {
 // + ack-after-fence futures versus combine-and-wait. Alongside Mops/s
 // and fence/op the async cells report the mean enqueue-to-ack latency
 // (ack-ns) — the price of decoupling the writer from the fence. Crash
-// consistency of the async path is proven by the async lossy and
-// durability-site campaigns (internal/harness TestAsyncLossyMatrix,
-// TestAsyncDurabilitySites).
+// consistency of the async path is proven by the crash-site campaign
+// on the async path under all four restart images (internal/harness
+// TestLossyMatrix/async).
 func BenchmarkAsyncPipeline(b *testing.B) {
 	const maxBatch = 16
 	heapOpts := pmem.Options{DelayClwb: 40, DelayFence: 20}

@@ -2,8 +2,8 @@
 // indexes — one subcommand per campaign, one flag set, one exit rule.
 //
 //	go run ./cmd/campaign crash -states 10000 -ops 10000   # §7.5 at the paper's scale (default: 200 states)
-//	go run ./cmd/campaign coverage                          # §5 flush coverage
-//	go run ./cmd/campaign lossy -policy torn -batch 8       # power-failure images, through group commits
+//	go run ./cmd/campaign coverage                          # §5 flush coverage of construction, inserts and updates
+//	go run ./cmd/campaign sites -policy torn -batch 8       # crash at every site, through group commits
 //
 // crash reproduces §7.5: for every index, -states crash states
 // (probabilistic crashes during a load of -ops inserts), then -mixed
@@ -12,25 +12,25 @@
 // -shards wide front-end and requires recovery to replay only that
 // shard (extraReplays=0) with no committed key lost anywhere.
 //
-// coverage is the §5 durability test: -ops inserts on a tracked heap
-// (the analogue of the paper's PIN tracing) must leave every dirtied
-// cache line written back and fenced by the time each returns; with
-// -sites it then crashes once at every crash site the load passes
-// through, recovers, and holds the recovery and -postops further
-// inserts to the same rule.
+// coverage is the §5 durability test: index creation, -ops inserts and
+// an update of each inserted key on a tracked heap (the analogue of the
+// paper's PIN tracing) must leave every dirtied cache line written back
+// and fenced by the time each returns.
 //
-// lossy is the adversarial model: at every crash site the heap
-// materialises a true post-power-loss image (stores never written back
-// revert; unfenced write-backs follow -policy), recovery runs against
-// it, and a full readback classifies the site CLEAN, PARTIAL (an
-// unacknowledged in-flight op vanished atomically), LOST-ACK (an
-// acknowledged write is missing) or CORRUPT.
+// sites crashes once at every crash site a load of -ops inserts passes
+// through and restarts from the -policy image: intact (the §5 crash:
+// nothing is lost) or a post-power-loss image (stores never written back
+// are gone; unfenced write-backs revert, survive with keep, or tear).
+// Recovery and -postops further inserts must leave every line flushed
+// and fenced, and a full readback classifies the site CLEAN, PARTIAL (an
+// unacknowledged op vanished atomically), LOST-ACK (an acknowledged
+// write is missing) or CORRUPT.
 //
 // Per-site trials are independent heaps fanned out over -workers
 // goroutines and collected in site order: a report is identical for any
-// worker count. -batch and -async route coverage's sweep and lossy
-// through the group-commit and async write paths, which adds their
-// crash sites; crash measures the paper's per-op path only.
+// worker count. -batch and -async route sites through the group-commit
+// and async write paths, which adds their crash sites; crash and
+// coverage measure the paper's per-op path only.
 //
 // Exit status: 2 on a usage error; otherwise non-zero iff a must-pass
 // row FAILs or a FAIL-expected row PASSes. The FAIL-expected rows are
@@ -48,14 +48,13 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
 
 	"repro/internal/harness"
 	"repro/internal/keys"
 	"repro/internal/pmem"
 )
 
-const usage = "usage: campaign crash|coverage|lossy [flags]   (campaign <subcommand> -h lists the flags)"
+const usage = "usage: campaign crash|coverage|sites [flags]   (campaign <subcommand> -h lists the flags)"
 
 // subject is one row of a campaign: an index and how to build it.
 type subject struct {
@@ -103,25 +102,28 @@ var (
 
 	// controls: both Faithful modes leave their initial allocation
 	// unpersisted (§7.5), which the tracker sees at construction and the
-	// revert policy turns into observable loss; CCEH-faithful also tears
+	// revert image turns into observable loss; CCEH-faithful also tears
 	// its directory-doubling metadata, which only a crash inside the
 	// doubling shows — the probabilistic crash campaign almost never
-	// lands there, the per-site sweep always does.
+	// lands there, the per-site sweep always does, even in the intact
+	// image.
 	controls = []control{
 		{"coverage", ffFaithful, construction},
 		{"coverage", ccehFaithful, construction},
-		{"coverage -sites", ccehFaithful, func(s subject, c config) report {
-			c.ops = max(c.ops, doublingLoad)
+		{"sites", ccehFaithful, func(s subject, c config) report {
+			c.ops, c.policy = max(c.ops, doublingLoad), pmem.PolicyIntact
 			return siteSweep(s, c)
 		}},
-		{"lossy", ffFaithful, lossyCycle},
+		{"sites", ffFaithful, func(s subject, c config) report {
+			c.policy = pmem.PolicyRevert
+			return siteSweep(s, c)
+		}},
 	}
 )
 
 // config is the one flag set.
 type config struct {
 	ops, postOps, workers          int
-	sites                          bool
 	seed                           int64
 	policies                       []pmem.Policy
 	policy                         pmem.Policy // of policies, the one being run
@@ -135,11 +137,7 @@ func construction(s subject, c config) report {
 }
 
 func siteSweep(s subject, c config) report {
-	return harness.DurabilitySites(s.name, s.build(keys.RandInt), c.path, c.ops, c.postOps, c.workers)
-}
-
-func lossyCycle(s subject, c config) report {
-	return harness.LossyCampaign(s.name, s.build(keys.RandInt), c.path, c.policy, c.seed, c.ops, c.postOps, c.workers)
+	return harness.SiteCampaign(s.name, s.build(keys.RandInt), c.path, c.policy, c.seed, c.ops, c.postOps, c.workers)
 }
 
 // report is what every harness campaign returns: a row and a verdict.
@@ -159,19 +157,11 @@ type rows struct {
 // (the common all-PASS case stays one line).
 func (r *rows) print(rep report) {
 	fmt.Fprintln(r.out, rep)
-	switch rep := rep.(type) {
-	case harness.SiteCampaignReport:
-		for _, s := range rep.Sites {
-			if s.RecoveryFailed || s.RecoveryViolations != 0 || s.OpViolations != 0 {
-				fmt.Fprintf(r.out, "    %-28s recoveryFail=%v recoveryViol=%d opViol=%d\n",
-					s.Site, s.RecoveryFailed, s.RecoveryViolations, s.OpViolations)
-			}
-		}
-	case harness.LossyCampaignReport:
-		for _, s := range rep.Sites {
-			if s.Outcome == harness.OutcomeLostAck || s.Outcome == harness.OutcomeCorrupt {
-				fmt.Fprintf(r.out, "    %-28s %v lostAcks=%d %s\n", s.Site, s.Outcome, s.LostAcks, s.Detail)
-			}
+	sweep, _ := rep.(harness.CampaignReport) // other reports have no sites
+	for _, s := range sweep.Sites {
+		if s.Outcome >= harness.OutcomeLostAck || s.RecoveryViolations != 0 || s.OpViolations != 0 {
+			fmt.Fprintf(r.out, "    %-28s %v lostAcks=%d recoveryViol=%d opViol=%d %s\n",
+				s.Site, s.Outcome, s.LostAcks, s.RecoveryViolations, s.OpViolations, s.Detail)
 		}
 	}
 }
@@ -192,21 +182,21 @@ func (r *rows) mustFail(rep report) {
 	}
 }
 
-// controls closes a report with the FAIL-expected rows of the given
-// sections. They run on the per-op write path whatever the flags say —
-// the bugs are in the index — and under the policy that reverts every
-// unfenced line.
-func (r *rows) controls(c config, sections ...string) {
-	c.path, c.policy = harness.WritePath{}, pmem.PolicyRevert
+// controls closes a report with the FAIL-expected rows of subcommand
+// sub. They run on the per-op write path whatever the flags say — the
+// bugs are in the index — and each sweep under the image its bug shows
+// in.
+func (r *rows) controls(c config, sub string) {
+	c.path = harness.WritePath{}
 	fmt.Fprintln(r.out, "\nFaithful modes (FAIL expected — the published bugs of §3/§7.5):")
 	for _, k := range controls {
-		if slices.Contains(sections, k.sub) {
+		if k.sub == sub {
 			r.mustFail(k.run(k.subject, c))
 		}
 	}
 }
 
-var subcommands = map[string]func(*rows, config){"crash": crash, "coverage": coverage, "lossy": lossy}
+var subcommands = map[string]func(*rows, config){"crash": crash, "coverage": coverage, "sites": sites}
 
 func crash(r *rows, c config) {
 	fmt.Fprintf(r.out, "=== §7.5 crash-recovery testing: %d states, load %d, mixed %d x %d threads ===\n\n",
@@ -226,32 +216,23 @@ func crash(r *rows, c config) {
 }
 
 func coverage(r *rows, c config) {
-	fmt.Fprintf(r.out, "=== §5 durability test: %d traced inserts per index ===\n\n", c.ops)
+	fmt.Fprintf(r.out, "=== §5 durability test: %d traced inserts and updates per index ===\n\n", c.ops)
 	for _, s := range subjects {
 		r.mustPass(construction(s, c))
-	}
-	if c.sites {
-		fmt.Fprintf(r.out, "\n=== §5 durability across crash sites%s: crash, recover, %d traced post-crash inserts per site ===\n\n",
-			c.label, c.postOps)
-		for _, s := range subjects {
-			r.mustPass(siteSweep(s, c))
-		}
-		r.controls(c, "coverage", "coverage -sites")
-		return
 	}
 	r.controls(c, "coverage")
 }
 
-func lossy(r *rows, c config) {
-	fmt.Fprintf(r.out, "=== lossy power-failure campaign%s: crash at every site, power-cycle, recover, verify (seed %d) ===\n",
-		c.label, c.seed)
+func sites(r *rows, c config) {
+	fmt.Fprintf(r.out, "=== crash-site campaign%s: crash at every site, power-cycle, recover, verify, %d traced post-crash inserts (seed %d) ===\n",
+		c.label, c.postOps, c.seed)
 	for _, c.policy = range c.policies {
 		fmt.Fprintln(r.out)
 		for _, s := range subjects {
-			r.mustPass(lossyCycle(s, c))
+			r.mustPass(siteSweep(s, c))
 		}
 	}
-	r.controls(c, "lossy")
+	r.controls(c, "sites")
 }
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -274,14 +255,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var c config
 	fs := flag.NewFlagSet("campaign "+args[0], flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.IntVar(&c.ops, "ops", 5000, "inserts per index: the load crashes are armed in (crash; paper: 10000), the traced load (coverage, lossy)")
-	fs.IntVar(&c.postOps, "postops", 2000, "post-crash inserts per crash site (coverage, lossy)")
-	fs.BoolVar(&c.sites, "sites", true, "coverage: also run the per-crash-site sweep")
+	fs.IntVar(&c.ops, "ops", 5000, "inserts per index: the load crashes are armed in (crash, paper: 10000; sites), the traced load (coverage)")
+	fs.IntVar(&c.postOps, "postops", 2000, "sites: post-crash inserts per crash site")
 	fs.IntVar(&c.workers, "workers", 0, "goroutines the per-site trials fan out over (0 = GOMAXPROCS)")
-	fs.Int64Var(&c.seed, "seed", 42, "lossy: campaign seed (torn coin flips derive from it)")
-	policy := fs.String("policy", "all", "lossy: what becomes of unfenced write-backs: revert, keep, torn, or all")
-	batch := fs.Int("batch", 1, "group-commit batch size for coverage's sweep and lossy (1 = per-op fences; >1 crashes inside fence-coalesced group commits too)")
-	async := fs.Bool("async", false, "route coverage's sweep and lossy through the async commit pipeline (ack-after-fence futures; -batch sets the committer's queue and drain size) and crash inside its drain loop too")
+	fs.Int64Var(&c.seed, "seed", 42, "sites: campaign seed (torn coin flips derive from it)")
+	policy := fs.String("policy", "all", "sites: the restart image: intact (nothing lost), or what becomes of unfenced write-backs: revert, keep, torn; or all")
+	batch := fs.Int("batch", 1, "sites: group-commit batch size (1 = per-op fences; >1 crashes inside fence-coalesced group commits too)")
+	async := fs.Bool("async", false, "sites: route the sweep through the async commit pipeline (ack-after-fence futures; -batch sets the committer's queue and drain size) and crash inside its drain loop too")
 	fs.IntVar(&c.states, "states", 200, "crash: crash states per index (paper: 10000)")
 	fs.IntVar(&c.mixed, "mixed", 10_000, "crash: mixed post-crash operations (paper: 10000)")
 	fs.IntVar(&c.threads, "threads", 4, "crash: threads in the mixed phase (paper: 4)")
@@ -300,8 +280,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usageError("-batch must be >= 1, got %d", *batch)
 	case c.shards < 1:
 		return usageError("-shards must be >= 1, got %d", c.shards)
-	case c.path.Mode != harness.Sync && args[0] == "crash":
-		return usageError("crash runs the paper's per-op write path; -batch and -async apply to coverage and lossy")
+	case c.path.Mode != harness.Sync && args[0] != "sites":
+		return usageError("%s runs the paper's per-op write path; -batch and -async apply to sites", args[0])
 	case c.path.Mode == harness.Async:
 		c.label = fmt.Sprintf(" (async commit pipeline, queue/batch %d)", *batch)
 	case c.path.Mode == harness.Batched:

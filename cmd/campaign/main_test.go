@@ -24,26 +24,32 @@ func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		nil,
 		{"durability"},
-		{"lossy", "-batch", "0"},
-		{"lossy", "-async", "-batch", "0"},
+		{"lossy"},
+		{"sites", "-batch", "0"},
+		{"sites", "-async", "-batch", "0"},
 		{"crash", "-shards", "0"},
 		{"crash", "-batch", "8"},
-		{"lossy", "-policy", "shredded"},
+		{"coverage", "-async"},
+		{"sites", "-policy", "shredded"},
 	} {
 		status, stdout, stderr := campaign(args...)
 		if status != 2 || !strings.Contains(stderr, usage) || stdout != "" {
 			t.Errorf("campaign %q: status %d, stdout %q, stderr %q; want 2, nothing on stdout and the usage line", args, status, stdout, stderr)
 		}
 	}
-	if status, _, _ := campaign("lossy", "-nosuchflag"); status != 2 {
-		t.Errorf("unknown flag: status %d, want 2", status)
+	for _, flag := range []string{"-nosuchflag", "-sites"} {
+		if status, _, _ := campaign("sites", flag); status != 2 {
+			t.Errorf("unknown flag %s: status %d, want 2", flag, status)
+		}
 	}
 }
 
-// TestLossyReport drives one whole subcommand: nine must-pass rows, the
-// FF-faithful control failing as it must, exit 0.
+// TestLossyReport drives one whole subcommand under a lossy image: nine
+// must-pass rows, both controls failing as they must — FF-faithful
+// under revert, CCEH-faithful under intact at exactly its stall site —
+// exit 0.
 func TestLossyReport(t *testing.T) {
-	status, stdout, stderr := campaign("lossy", "-policy", "torn", "-seed", "42", "-ops", "120", "-postops", "10")
+	status, stdout, stderr := campaign("sites", "-policy", "torn", "-seed", "42", "-ops", "120", "-postops", "10")
 	if status != 0 || stderr != "" {
 		t.Fatalf("status %d, stderr %q; want 0 and silence\n%s", status, stderr, stdout)
 	}
@@ -59,22 +65,24 @@ func TestLossyReport(t *testing.T) {
 			t.Errorf("%d PASS rows for %s under torn, want 1\n%s", n, s.name, stdout)
 		}
 	}
-	control := false
+	ff, cceh := false, false
 	for _, l := range lines {
-		control = control || strings.HasPrefix(l, "FF-faithful ") && strings.Contains(l, "policy=revert") && strings.HasSuffix(l, "FAIL")
+		ff = ff || strings.HasPrefix(l, "FF-faithful ") && strings.Contains(l, "policy=revert") && strings.HasSuffix(l, "FAIL")
+		cceh = cceh || strings.HasPrefix(l, "CCEH-faithful ") && strings.Contains(l, "policy=intact") &&
+			strings.Contains(l, "corrupt=1 ") && strings.HasSuffix(l, "FAIL")
 	}
-	if !control {
-		t.Errorf("no failing FF-faithful control row under revert\n%s", stdout)
+	if !ff || !cceh || !strings.Contains(stdout, "    cceh.double.swapped ") {
+		t.Errorf("controls: FF-faithful failing under revert %v, CCEH-faithful failing once under intact %v\n%s", ff, cceh, stdout)
 	}
 }
 
 // TestExitRule holds both halves of the exit-status rule, each on the
-// tracker campaign and on the lossy one: a published bug listed among
-// the must-pass subjects, and a converted index listed as a control.
+// §5 test and on the crash-site sweep: a published bug listed among the
+// must-pass subjects, and a converted index listed as a control.
 func TestExitRule(t *testing.T) {
 	for _, args := range [][]string{
-		{"coverage", "-ops", "100", "-postops", "10"},
-		{"lossy", "-policy", "revert", "-ops", "120", "-postops", "10"},
+		{"coverage", "-ops", "100"},
+		{"sites", "-policy", "revert", "-ops", "120", "-postops", "10"},
 	} {
 		sub := args[0]
 		t.Run(sub+"/must-pass row fails", func(t *testing.T) {

@@ -277,7 +277,7 @@ func (idx *Index) insertLocked(s *segment, h uint64, key, value uint64) (done, f
 			k := s.keys[off+i].Load()
 			if k == key {
 				s.vals[off+i].Store(value)
-				idx.heap.Dirty(s.pm, uintptr(off+i)*8, 8)
+				idx.heap.Dirty(s.pm, uintptr((off+i)/SlotsPerBucket)*bucketBytes, 8)
 				idx.heap.PersistFence(s.pm, uintptr((off+i)/SlotsPerBucket)*bucketBytes, bucketBytes)
 				idx.heap.CrashPoint("cceh.update.commit")
 				return true, false

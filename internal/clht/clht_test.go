@@ -252,7 +252,7 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 // model under test does, recovers, and requires every acknowledged key back
 // with its value and the index fully writable. The tiny table chains
 // overflow buckets and rehashes seven times, so the rehash and overflow
-// sites are visited — harness.LossyCampaign's 768-bucket table never
+// sites are visited — harness.SiteCampaign's 768-bucket table never
 // reaches them.
 func enumerateCrashes(t *testing.T, model string, newHeap func() *pmem.Heap, afterCrash func(heap *pmem.Heap, n int64)) {
 	for n := int64(1); ; n++ {

@@ -2,6 +2,7 @@ package fastfair
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
@@ -174,6 +175,33 @@ func TestScanRangeBounded(t *testing.T) {
 	for i, g := range got {
 		if g != want+uint64(i)*3 {
 			t.Fatalf("scan[%d] = %d want %d", i, g, want+uint64(i)*3)
+		}
+	}
+}
+
+// TestScanShortIntegerStart: an integer-key start shorter than 8 bytes
+// (a range migration trims trailing zeros off its window start) scans
+// exactly what its zero padding to 8 bytes scans.
+func TestScanShortIntegerStart(t *testing.T) {
+	tr := newInt()
+	for i := uint64(0); i < 3000; i++ {
+		v := keys.Mix64(i)
+		mustInsert(t, tr, k64(v), v)
+	}
+	scan := func(start []byte) []uint64 {
+		var got []uint64
+		tr.Scan(start, 50, func(k []byte, v uint64) bool {
+			got = append(got, keys.DecodeUint64(k))
+			return true
+		})
+		return got
+	}
+	for _, start := range [][]byte{{0x80}, {0x80, 0x01}, {0x80, 1, 2, 3, 4, 5, 6}} {
+		padded := make([]byte, 8)
+		copy(padded, start)
+		got, want := scan(start), scan(padded)
+		if len(want) != 50 || !slices.Equal(got, want) {
+			t.Fatalf("start % x: scanned %v, padded start scans %v", start, got, want)
 		}
 	}
 }

@@ -488,8 +488,16 @@ func (t *Tree) Scan(start []byte, count int, fn func(key []byte, value uint64) b
 			n = n.leftmost.Load()
 		}
 	} else {
+		probe := start
+		if t.kind == keys.RandInt && len(start) < 8 {
+			// An integer key is 8 bytes: descend by the smallest one >= a
+			// shorter start, its zero padding. The leaf filter below still
+			// compares against start itself.
+			probe = make([]byte, 8)
+			copy(probe, start)
+		}
 		for n != nil && !n.leaf {
-			n = t.childFor(n, start)
+			n = t.childFor(n, probe)
 		}
 	}
 	visited := 0

@@ -10,7 +10,7 @@
 // covering fence retired before Apply returned. A non-nil *Error
 // reports how far the batch got. Two crash sites bracket the new
 // boundaries the batching introduces, and both are swept by the
-// batched durability and lossy campaigns (internal/harness):
+// crash-site campaign on the batched path (internal/harness):
 //
 //   - "group.op.applied" fires after each operation's boundary inside
 //     a group — the batch is mid-flight, its trailing commits written

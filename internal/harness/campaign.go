@@ -191,7 +191,8 @@ type DurabilityReport struct {
 	ConstructorViolations int
 	// OpViolations are lines left unpersisted at operation boundaries.
 	OpViolations int
-	Ops          int
+	// Ops is the number of ids inserted and then updated.
+	Ops int
 }
 
 // Pass reports full flush coverage.
@@ -204,20 +205,22 @@ func (r DurabilityReport) String() string {
 		r.Index, r.Ops, r.ConstructorViolations, r.OpViolations, verdict(r.Pass()))
 }
 
-// Durability checks that index creation and each of n inserts leave
-// every dirtied cache line flushed and fenced by the time they return
-// (§5, "testing durability").
+// Durability checks that index creation, each of n inserts and then an
+// update of each inserted id leave every dirtied cache line flushed and
+// fenced by the time they return (§5, "testing durability").
 func Durability(name string, build Build, n int) DurabilityReport {
 	heap := pmem.New(pmem.Options{Track: true})
 	defer heap.Release()
 	s := build(heap).session()
 	rep := DurabilityReport{Index: name, Ops: n, ConstructorViolations: violations(heap)}
-	for id := uint64(0); id < uint64(n); id++ {
-		if err := s.write(id, id, false); err != nil {
-			rep.OpViolations++
-			continue
+	for _, update := range []bool{false, true} {
+		for id := uint64(0); id < uint64(n); id++ {
+			if err := s.write(id, id+1, update); err != nil {
+				rep.OpViolations++
+				continue
+			}
+			rep.OpViolations += violations(heap)
 		}
-		rep.OpViolations += violations(heap)
 	}
 	return rep
 }

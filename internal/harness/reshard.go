@@ -1,14 +1,15 @@
-// Crash-mid-migration campaigns: the lossy power-failure methodology
-// and the per-site durability sweep, extended to the resharding
-// protocol's crash sites (shard.SiteCopyApplied on the recipient,
-// shard.SiteFlipPublished on the donor, and the group-commit sites a
-// copy batch passes through on the recipient).
+// Crash-mid-migration campaigns: the per-site trial of trial.go,
+// extended to the resharding protocol's crash sites
+// (shard.SiteCopyApplied on the recipient, shard.SiteFlipPublished on
+// the donor, and the group-commit sites a copy batch passes through on
+// the recipient).
 //
-// Each trial builds a fresh sharded front-end, loads it, then runs a
-// slot (or range) migration with a crash armed on the role-appropriate
-// shard's heap. After the crash the trial power-cycles only that shard,
-// runs the crashed-shard recovery sweep, and asserts the resharding
-// invariants on top of the usual lossy verdicts:
+// Each trial builds a fresh sharded front-end on Shadow heaps, loads
+// it, then runs a slot (or range) migration with a crash armed on the
+// role-appropriate shard's heap. After the crash the trial power-cycles
+// only that shard under the policy, runs the crashed-shard recovery
+// sweep, and asserts the resharding invariants on top of the per-site
+// trial's readback and flush coverage (on every shard):
 //
 //   - recovery replays exactly the crashed shard — a migration crash
 //     must never force healthy shards through recovery;
@@ -32,94 +33,12 @@ import (
 	"repro/shard"
 )
 
-// ReshardSiteReport is one (crash site, host shard) row in a reshard
-// campaign.
-type ReshardSiteReport struct {
-	// Site is the crash-site name.
-	Site string
-	// Host is the shard whose heap the injector was armed on (the
-	// recipient for copy-path sites, the donor for the flip site).
-	Host int
-	// Fired reports whether the migration reached the site and crashed.
-	Fired bool
-	Verdict
-	// Replays is the per-shard recovery replay count after the trial;
-	// Pass requires zeros everywhere but Host.
-	Replays []uint64
-	// RecoveryViolations and OpViolations are the flush-coverage
-	// counters (always zero in lossy mode).
-	RecoveryViolations int
-	OpViolations       int
-	// Cycle is the power cycle's damage report (lossy mode).
-	Cycle pmem.CycleReport
-}
-
-// ReshardCampaignReport summarises one index × mode reshard campaign.
+// ReshardCampaignReport is a CampaignReport over the migration sweep:
+// one row per (site, host shard) pair, in sweep order.
 type ReshardCampaignReport struct {
-	Index string
-	// Mode is "lossy" or "durability".
-	Mode string
-	// Policy is the power-cycle policy (lossy mode).
-	Policy pmem.Policy
-	// Seed drove the torn coin flips (combined per site).
-	Seed int64
+	CampaignReport
 	// Shards is the front-end width of every trial.
 	Shards int
-	// PostOps is the number of post-recovery inserts verified per site.
-	PostOps int
-	// Sites holds one row per (site, host) pair, in sweep order.
-	Sites []ReshardSiteReport
-}
-
-// Fired counts trials that actually crashed.
-func (r ReshardCampaignReport) Fired() int {
-	n := 0
-	for _, s := range r.Sites {
-		if s.Fired {
-			n++
-		}
-	}
-	return n
-}
-
-// Pass reports whether no trial lost acknowledged data, corrupted the
-// front-end, replayed a healthy shard, or (durability mode) left a line
-// unflushed at a boundary.
-func (r ReshardCampaignReport) Pass() bool {
-	for _, s := range r.Sites {
-		if s.Outcome == OutcomeLostAck || s.Outcome == OutcomeCorrupt {
-			return false
-		}
-		if s.RecoveryViolations != 0 || s.OpViolations != 0 {
-			return false
-		}
-		for i, c := range s.Replays {
-			if i == s.Host && s.Fired {
-				continue // the crashed shard's own replay
-			}
-			if c != 0 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-func (r ReshardCampaignReport) String() string {
-	return fmt.Sprintf("%-12s mode=%-10s policy=%-6s sites=%d fired=%d lostAck=%d corrupt=%d  %s",
-		r.Index, r.Mode, r.Policy, len(r.Sites), r.Fired(),
-		r.Count(OutcomeLostAck), r.Count(OutcomeCorrupt), verdict(r.Pass()))
-}
-
-// Count returns the number of fired trials with the given outcome.
-func (r ReshardCampaignReport) Count(o LossyOutcome) int {
-	n := 0
-	for _, s := range r.Sites {
-		if s.Fired && s.Outcome == o {
-			n++
-		}
-	}
-	return n
 }
 
 // reshardFront is what the sweep needs of a sharded front-end; both
@@ -174,8 +93,8 @@ var reshardPairs = []reshardPair{
 // or unordered, integer keys). ranged selects a range-partitioned
 // ordered front-end migrating the upper half of the donor's span;
 // otherwise half the donor's slots move.
-func newReshardRig(name string, ranged bool, h int, heapOpts pmem.Options) (*reshardRig, error) {
-	opts := shard.Options{Shards: h, Heap: heapOpts}
+func newReshardRig(name string, ranged bool, h int) (*reshardRig, error) {
+	opts := shard.Options{Shards: h, Heap: pmem.Options{Shadow: true}}
 	rig := &reshardRig{}
 	if slices.Contains(core.HashNames, name) {
 		m, err := shard.NewHash(name, opts)
@@ -222,41 +141,31 @@ func newReshardRig(name string, ranged bool, h int, heapOpts pmem.Options) (*res
 
 // ReshardCampaign runs the crash-mid-migration campaign for the named
 // index over every reshard sweep site, fanned out over `workers`
-// goroutines. With lossy set, heaps run in Shadow mode and the crashed
-// shard is power-cycled under policy (torn coin flips from seed);
-// otherwise it is the flush-coverage variant: Track-mode heaps, no
-// power loss, asserting that recovery, post-crash traffic and the retry
-// leave every dirtied line flushed and fenced at operation boundaries
-// on every shard (policy and seed are unused). ranged applies to
-// ordered indexes only.
-func ReshardCampaign(name string, ranged, lossy bool, policy pmem.Policy, seed int64, shards, loadN, postN, workers int) ReshardCampaignReport {
-	rep := ReshardCampaignReport{
-		Index: name, Mode: "durability", Shards: shards,
-		PostOps: postN, Sites: make([]ReshardSiteReport, len(reshardPairs)),
-	}
-	heapOpts := pmem.Options{Track: true}
-	if lossy {
-		rep.Mode, rep.Policy, rep.Seed = "lossy", policy, seed
-		heapOpts = pmem.Options{Shadow: true}
-	}
+// goroutines, power-cycling the crashed shard under policy (torn coin
+// flips from seed). ranged applies to ordered indexes only.
+func ReshardCampaign(name string, ranged bool, policy pmem.Policy, seed int64, shards, loadN, postN, workers int) ReshardCampaignReport {
+	rep := ReshardCampaignReport{Shards: shards, CampaignReport: CampaignReport{
+		Index: name, Policy: policy, Seed: seed,
+		PostOps: postN, Sites: make([]SiteReport, len(reshardPairs)),
+	}}
 	forEachSite(len(reshardPairs), workers, func(i int) {
 		pair := reshardPairs[i]
-		rig, err := newReshardRig(name, ranged, shards, heapOpts)
+		rig, err := newReshardRig(name, ranged, shards)
 		if err != nil {
 			rep.Sites[i].Site = pair.site
 			rep.Sites[i].fail(OutcomeCorrupt, fmt.Sprintf("build: %v", err))
 			return
 		}
 		defer rig.Release()
-		rep.Sites[i] = reshardAtSite(rig, pair, lossy, policy, siteSeed(seed, pair.site), loadN, postN)
+		rep.Sites[i] = reshardAtSite(rig, pair, policy, siteSeed(seed, pair.site), loadN, postN)
 	})
 	return rep
 }
 
 // reshardAtSite is one trial; see the package comment for the protocol
 // and the invariants asserted.
-func reshardAtSite(rig *reshardRig, pair reshardPair, lossy bool, policy pmem.Policy, seed int64, loadN, postN int) ReshardSiteReport {
-	r := ReshardSiteReport{Site: pair.site, Host: recipientShard}
+func reshardAtSite(rig *reshardRig, pair reshardPair, policy pmem.Policy, seed int64, loadN, postN int) SiteReport {
+	r := SiteReport{Site: pair.site, Host: recipientShard}
 	if pair.onDonor {
 		r.Host = donorShard
 	}
@@ -288,14 +197,8 @@ func reshardAtSite(rig *reshardRig, pair reshardPair, lossy bool, policy pmem.Po
 		return r
 	}
 
-	// Restart only the crashed shard: lossy mode materialises its
-	// post-power-loss image first; durability mode adopts power-cycle
-	// semantics on its flush tracker.
-	if lossy {
-		r.Cycle = rig.PowerCycleShard(r.Host, policy, seed)
-	} else {
-		host.Tracker().Reset()
-	}
+	// Restart only the crashed shard, from the policy's image.
+	r.Cycle = rig.PowerCycleShard(r.Host, policy, seed)
 	recovered, rerr := rig.RecoverCrashed()
 	r.Replays = rig.Recoveries()
 	if rerr != nil {
@@ -306,13 +209,11 @@ func reshardAtSite(rig *reshardRig, pair reshardPair, lossy bool, policy pmem.Po
 		r.fail(OutcomeCorrupt, fmt.Sprintf("recovered %v, want [%d]", recovered, r.Host))
 		return r
 	}
-	if !lossy {
-		r.RecoveryViolations = violations(host)
-	}
+	r.RecoveryViolations = violations(host)
 	// boundary sums flush-coverage violations over every shard's tracker
 	// at an operation boundary.
 	boundary := func() {
-		for i := 0; !lossy && i < rig.NumShards(); i++ {
+		for i := 0; i < rig.NumShards(); i++ {
 			r.OpViolations += violations(rig.Heap(i))
 		}
 	}
@@ -337,7 +238,8 @@ func reshardAtSite(rig *reshardRig, pair reshardPair, lossy bool, policy pmem.Po
 		return r
 	}
 
-	// The surviving routing table must keep serving writes.
+	// The surviving routing table must keep serving writes, and what it
+	// acknowledges is committed data too.
 	for i := 0; i < postN; i++ {
 		id := uint64(postBase + i)
 		if err := guard(func() error { return rig.write(id, id, false) }); err != nil {
@@ -345,10 +247,7 @@ func reshardAtSite(rig *reshardRig, pair reshardPair, lossy bool, policy pmem.Po
 			return r
 		}
 		boundary()
-	}
-	// From here on the post-crash inserts are acknowledged data too.
-	for i := 0; i < postN; i++ {
-		committed = append(committed, uint64(postBase+i))
+		committed = append(committed, id)
 	}
 
 	// An aborted migration must be retryable to completion; a published

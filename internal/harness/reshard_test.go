@@ -1,8 +1,10 @@
 package harness
 
 import (
+	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/pmem"
 )
 
@@ -12,12 +14,29 @@ const (
 	reshardPostN  = 30
 )
 
+// reshardIndexes are the campaign indexes the reshard sweep covers:
+// every one but P-HOT, whose unbounded Insert retry loop does not
+// return from the revert image (ROADMAP item 1), and P-BwTree, whose
+// fixed 8 MB mapping table costs ~40 ms to build on a shadow heap —
+// 16 builds per cell would triple this package's test time. P-BwTree
+// passes all eight of its cells; run them with
+// ReshardCampaign("P-BwTree", ranged, policy, ...) when its migration
+// path changes.
+func reshardIndexes(ordered bool) []string {
+	var names []string
+	for _, name := range campaignIndexes {
+		if name != "P-HOT" && name != "P-BwTree" && (!ordered || !slices.Contains(core.HashNames, name)) {
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
 // checkReshard asserts a reshard campaign fired at every sweep site and
 // found nothing: zero LOST-ACK, zero CORRUPT, zero healthy-shard
 // replays, zero flush-coverage violations.
 func checkReshard(t *testing.T, rep ReshardCampaignReport) {
 	t.Helper()
-	t.Log(rep)
 	if rep.Fired() != len(rep.Sites) {
 		t.Errorf("%s/%v: only %d/%d sites fired", rep.Index, rep.Policy, rep.Fired(), len(rep.Sites))
 	}
@@ -26,30 +45,38 @@ func checkReshard(t *testing.T, rep ReshardCampaignReport) {
 			t.Errorf("%s/%v site %s host %d: %s lostAcks=%d recovViol=%d opViol=%d replays=%v detail=%s",
 				rep.Index, rep.Policy, s.Site, s.Host, s.Outcome, s.LostAcks, s.RecoveryViolations, s.OpViolations, s.Replays, s.Detail)
 		}
-		t.Fatalf("%s/%v: reshard %s campaign failed", rep.Index, rep.Policy, rep.Mode)
+		t.Fatalf("%s/%v: reshard campaign failed", rep.Index, rep.Policy)
 	}
 }
 
-// TestReshardLossy sweeps every reshard crash site under all three
-// power-cycle policies, for P-ART (the donor walked by ordered cursor)
-// and P-CLHT (walked from a HashRanger key snapshot).
-func TestReshardLossy(t *testing.T) {
-	for _, policy := range pmem.Policies {
-		checkReshard(t, ReshardCampaign("P-ART", false, true, policy, 1, reshardShards, reshardLoadN, reshardPostN, 0))
-		checkReshard(t, ReshardCampaign("P-CLHT", false, true, policy, 2, reshardShards, reshardLoadN, reshardPostN, 0))
+// sweepReshard runs the reshard campaign for each index under each
+// policy, one seed per cell.
+func sweepReshard(t *testing.T, names []string, ranged bool, policies []pmem.Policy) {
+	for _, name := range names {
+		for _, policy := range policies {
+			checkReshard(t, ReshardCampaign(name, ranged, policy, 1, reshardShards, reshardLoadN, reshardPostN, 0))
+		}
 	}
+}
+
+// TestReshardDurability: the §5 image over the reshard sites, every
+// index on hash partitions — recovery and post-crash traffic must leave
+// every dirtied line flushed and fenced at operation boundaries, on
+// every shard, and lose nothing.
+func TestReshardDurability(t *testing.T) {
+	sweepReshard(t, reshardIndexes(false), false, []pmem.Policy{pmem.PolicyIntact})
+}
+
+// TestReshardLossy sweeps every reshard crash site under the three
+// lossy power-cycle images, every index on hash partitions: ordered
+// donors are walked by cursor, hash donors from a key snapshot.
+func TestReshardLossy(t *testing.T) {
+	sweepReshard(t, reshardIndexes(false), false, []pmem.Policy{pmem.PolicyRevert, pmem.PolicyKeep, pmem.PolicyTorn})
 }
 
 // TestReshardLossyRange covers the range-window migration path (span
-// split and merge in the flipped table) under the torn policy.
+// split and merge in the flipped table) for every ordered index, under
+// all four images.
 func TestReshardLossyRange(t *testing.T) {
-	checkReshard(t, ReshardCampaign("P-ART", true, true, pmem.PolicyTorn, 3, reshardShards, reshardLoadN, reshardPostN, 0))
-}
-
-// TestReshardDurability: flush-coverage sweep over the reshard sites —
-// recovery and post-crash traffic must leave every dirtied line flushed
-// and fenced at operation boundaries, on every shard.
-func TestReshardDurability(t *testing.T) {
-	checkReshard(t, ReshardCampaign("P-ART", false, false, 0, 0, reshardShards, reshardLoadN, reshardPostN, 0))
-	checkReshard(t, ReshardCampaign("P-CLHT", false, false, 0, 0, reshardShards, reshardLoadN, reshardPostN, 0))
+	sweepReshard(t, reshardIndexes(true), true, pmem.Policies)
 }

@@ -229,7 +229,7 @@ func ByName(name string, kind keys.Kind) Build {
 
 // FaithfulFF builds Faithful-mode FAST & FAIR, which reproduces the
 // §7.5 unpersisted-initial-allocation bug — the negative control of the
-// durability test and the lossy campaign.
+// durability test and of the crash-site campaign under the revert image.
 func FaithfulFF(heap *pmem.Heap) *Target {
 	return Ordered(heap, fastfair.NewWithMode(heap, keys.RandInt, fastfair.Faithful), keys.RandInt)
 }

@@ -42,20 +42,21 @@ func checkSwept(t *testing.T, fired map[string]bool, want []string) {
 	}
 }
 
-// TestLossyMatrix drives all 9 indexes through the lossy power-failure
-// campaign on every write path under all three policies at small
-// scale: zero LOST-ACK and zero CORRUPT outcomes anywhere — every
-// acknowledged write survives, every unacknowledged one (the crashed
-// op, the unflushed batch, the error-resolved futures) is at worst
-// atomically PARTIAL, even when unfenced write-backs are torn — and the
-// sweep crashes at every site the path itself adds.
+// TestLossyMatrix drives all 9 indexes through the per-site campaign on
+// every write path under all four images at small scale: zero LOST-ACK
+// and zero CORRUPT outcomes anywhere — every acknowledged write
+// survives, every unacknowledged one (the crashed op, the unflushed
+// batch, the error-resolved futures) is at worst atomically PARTIAL,
+// even when unfenced write-backs are torn — zero flush-coverage
+// violations after recovery and at every settled post-crash boundary,
+// and the sweep crashes at every site the path itself adds.
 func TestLossyMatrix(t *testing.T) {
 	const loadN, postN, seed = 60, 6, 42
 	for _, p := range paths {
 		for _, name := range campaignIndexes {
 			for _, policy := range pmem.Policies {
 				t.Run(p.name+"/"+name+"/"+policy.String(), func(t *testing.T) {
-					rep := LossyCampaign(name, ByName(name, keys.RandInt), p.path, policy, seed, loadN, postN, 0)
+					rep := SiteCampaign(name, ByName(name, keys.RandInt), p.path, policy, seed, loadN, postN, 0)
 					if len(rep.Sites) == 0 {
 						t.Fatal("no crash sites discovered")
 					}
@@ -65,8 +66,9 @@ func TestLossyMatrix(t *testing.T) {
 					fired := map[string]bool{}
 					for _, s := range rep.Sites {
 						fired[s.Site] = s.Fired
-						if s.Outcome == OutcomeLostAck || s.Outcome == OutcomeCorrupt {
-							t.Errorf("site %s: %v lostAcks=%d detail=%s cycle=[%v]", s.Site, s.Outcome, s.LostAcks, s.Detail, s.Cycle)
+						if !s.pass() {
+							t.Errorf("site %s: %v lostAcks=%d recoveryViol=%d opViol=%d detail=%s cycle=[%v]",
+								s.Site, s.Outcome, s.LostAcks, s.RecoveryViolations, s.OpViolations, s.Detail, s.Cycle)
 						}
 					}
 					checkSwept(t, fired, extraSites(p.path))
@@ -76,16 +78,16 @@ func TestLossyMatrix(t *testing.T) {
 	}
 }
 
-// TestDurabilitySites runs the flush-coverage campaign on every write
-// path for an ordered and an unordered index: sites are found in name
-// order, the deterministic load fires at every one (the path's own
-// boundary sites included), and the converted index recovers with full
-// flush coverage at each settled boundary.
-func TestDurabilitySites(t *testing.T) {
+// TestSiteCampaignFiresEverySite runs the intact-image sweep on every
+// write path for an ordered and an unordered index at a larger load:
+// sites are found in name order, the deterministic load fires at every
+// one (the path's own boundary sites included), and the converted index
+// recovers with full flush coverage at each settled boundary.
+func TestSiteCampaignFiresEverySite(t *testing.T) {
 	for _, p := range paths {
 		for _, name := range []string{"P-ART", "P-CLHT"} {
 			t.Run(p.name+"/"+name, func(t *testing.T) {
-				rep := DurabilitySites(name, ByName(name, keys.RandInt), p.path, 1200, 200, 4)
+				rep := SiteCampaign(name, ByName(name, keys.RandInt), p.path, pmem.PolicyIntact, 0, 1200, 200, 4)
 				if len(rep.Sites) == 0 {
 					t.Fatal("no crash sites discovered")
 				}
@@ -109,65 +111,56 @@ func TestDurabilitySites(t *testing.T) {
 	}
 }
 
-// TestDurabilitySitesDetectsStall: Faithful CCEH's torn directory
-// doubling makes recovery stall at exactly one site, which the sweep
-// hits deterministically — the negative control `campaign coverage` prints.
-func TestDurabilitySitesDetectsStall(t *testing.T) {
-	rep := DurabilitySites("CCEH-faithful", FaithfulCCEH, syncPath, 5000, 20, 0)
-	stalled := 0
+// TestSiteCampaignDetectsStall: Faithful CCEH's torn directory doubling
+// makes recovery stall at exactly one site, which the sweep hits
+// deterministically even when the crash loses nothing — the negative
+// control `campaign sites` prints.
+func TestSiteCampaignDetectsStall(t *testing.T) {
+	rep := SiteCampaign("CCEH-faithful", FaithfulCCEH, syncPath, pmem.PolicyIntact, 0, 5000, 20, 0)
 	for _, s := range rep.Sites {
-		if s.RecoveryFailed {
-			stalled++
-			if s.Site != "cceh.double.swapped" {
-				t.Errorf("recovery stalled at %s, want only cceh.double.swapped", s.Site)
-			}
+		if s.Outcome == OutcomeCorrupt && s.Site != "cceh.double.swapped" {
+			t.Errorf("CORRUPT at %s (%s), want only cceh.double.swapped", s.Site, s.Detail)
 		}
 	}
-	if stalled != 1 || rep.Pass() {
-		t.Fatalf("stalled at %d sites: %s", stalled, rep)
+	if rep.Count(OutcomeCorrupt) != 1 || rep.Pass() {
+		t.Fatalf("%d CORRUPT sites: %s", rep.Count(OutcomeCorrupt), rep)
 	}
 }
 
-// TestDurabilitySitesDeterministicAcrossWorkers: the report must be
-// byte-identical for any worker count — per-site trials are independent
-// and results are collected in site order.
-func TestDurabilitySitesDeterministicAcrossWorkers(t *testing.T) {
-	run := func(workers int) SiteCampaignReport {
-		return DurabilitySites("P-Masstree", ByName("P-Masstree", keys.RandInt), syncPath, 800, 100, workers)
-	}
-	if serial, parallel := run(1), run(8); !reflect.DeepEqual(serial, parallel) {
-		t.Fatalf("reports differ across worker counts:\nserial:   %+v\nparallel: %+v", serial, parallel)
-	}
+// TestSiteCampaignDeterministicAcrossWorkers and TestLossyDeterministic:
+// the same seed yields the identical report — every torn coin flip's
+// consequences and every violation count included — for any worker
+// count, on the async path too because the committer configuration pins
+// each trial's batch composition.
+func TestSiteCampaignDeterministicAcrossWorkers(t *testing.T) {
+	checkDeterministic(t, pmem.PolicyIntact)
 }
 
-// TestLossyDeterministic: the same seed yields the identical report,
-// including every torn coin flip's consequences, regardless of workers
-// — on the async path because the committer configuration pins each
-// trial's batch composition.
-func TestLossyDeterministic(t *testing.T) {
-	const loadN, postN, seed = 50, 4, 7
+func TestLossyDeterministic(t *testing.T) { checkDeterministic(t, pmem.PolicyTorn) }
+
+func checkDeterministic(t *testing.T, policy pmem.Policy) {
+	const loadN, postN, seed = 200, 20, 7
 	for _, p := range paths {
-		run := func(workers int) LossyCampaignReport {
-			return LossyCampaign("P-ART", ByName("P-ART", keys.RandInt), p.path, pmem.PolicyTorn, seed, loadN, postN, workers)
+		run := func(workers int) CampaignReport {
+			return SiteCampaign("P-Masstree", ByName("P-Masstree", keys.RandInt), p.path, policy, seed, loadN, postN, workers)
 		}
-		if a, b := run(1), run(4); !reflect.DeepEqual(a, b) {
-			t.Fatalf("%s torn campaign not deterministic:\n%+v\n%+v", p.name, a, b)
+		if a, b := run(1), run(8); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s %v campaign not deterministic:\n%+v\n%+v", p.name, policy, a, b)
 		}
 	}
 }
 
-// TestLossyDetectsMissingPersist is the negative control: the unwind-only
-// crash model can never observe Faithful mode's missing initial-allocation
-// persist as data loss, but the lossy model must — under the revert
-// policy the never-persisted root pointer zero-fills and acknowledged
-// writes vanish.
+// TestLossyDetectsMissingPersist is the negative control: the intact
+// image can never observe Faithful mode's missing initial-allocation
+// persist as data loss, but the revert image must — the never-persisted
+// root pointer zero-fills and acknowledged writes vanish.
 func TestLossyDetectsMissingPersist(t *testing.T) {
-	rep := LossyCampaign("FF-faithful", FaithfulFF, syncPath, pmem.PolicyRevert, 42, 60, 4, 0)
+	rep := SiteCampaign("FF-faithful", FaithfulFF, syncPath, pmem.PolicyRevert, 42, 60, 4, 0)
 	if rep.Fired() == 0 {
 		t.Fatal("no crash site fired")
 	}
 	if rep.Pass() {
-		t.Fatalf("lossy campaign failed to flag the known durability bug:\n%s", rep)
+		t.Fatalf("campaign failed to flag the known durability bug:\n%s", rep)
 	}
 	if rep.Count(OutcomeLostAck)+rep.Count(OutcomeCorrupt) == 0 {
 		t.Fatalf("no LOST-ACK/CORRUPT outcome recorded: %s", rep)

@@ -32,6 +32,10 @@
 // image: objects with stores that were never written back revert to
 // their durable baseline (or to the zero value if they never had one),
 // and objects with written-back-but-unfenced state follow the policy.
+// PolicyIntact is the §5 image, in which nothing is lost: the cycle
+// only adopts the current content as durable and restarts the tracker,
+// so one trial protocol serves the tracker-only check and the lossy
+// images alike.
 // The images are typed copies made and restored through reflect, so
 // pointers inside them stay visible to the garbage collector and
 // restores go through the runtime's write barriers; the registry keeps
@@ -63,15 +67,20 @@ import (
 
 // Policy selects what a power cycle does with lines that were written
 // back (clwb) but not yet fenced at the instant of the crash. Lines
-// that were stored to and never written back always revert — no policy
-// can save data that never left the cache.
+// that were stored to and never written back revert under every policy
+// but PolicyIntact — no real power loss can save data that never left
+// the cache.
 type Policy int
 
 const (
+	// PolicyIntact loses nothing: the §5 crash, which unwinds an
+	// operation with every store still visible. A missing clwb or fence
+	// can only surface as a Tracker violation under it.
+	PolicyIntact Policy = iota
 	// PolicyRevert loses written-back-but-unfenced state: the adversarial
 	// reading of the persistence contract (the fence had not retired, so
 	// nothing it would have ordered is guaranteed).
-	PolicyRevert Policy = iota
+	PolicyRevert
 	// PolicyKeep retains written-back-but-unfenced state: the friendly
 	// reading (clwb had already pushed the line to the memory controller).
 	PolicyKeep
@@ -83,10 +92,12 @@ const (
 )
 
 // Policies lists all power-cycle policies, in definition order.
-var Policies = []Policy{PolicyRevert, PolicyKeep, PolicyTorn}
+var Policies = []Policy{PolicyIntact, PolicyRevert, PolicyKeep, PolicyTorn}
 
 func (p Policy) String() string {
 	switch p {
+	case PolicyIntact:
+		return "intact"
 	case PolicyRevert:
 		return "revert"
 	case PolicyKeep:
@@ -98,14 +109,14 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy parses "revert", "keep" or "torn".
+// ParsePolicy parses "intact", "revert", "keep" or "torn".
 func ParsePolicy(s string) (Policy, error) {
 	for _, p := range Policies {
 		if p.String() == s {
 			return p, nil
 		}
 	}
-	return 0, fmt.Errorf("pmem: unknown power-cycle policy %q (want revert, keep or torn)", s)
+	return 0, fmt.Errorf("pmem: unknown power-cycle policy %q (want intact, revert, keep or torn)", s)
 }
 
 // CycleReport describes what one PowerCycle did.
@@ -341,30 +352,30 @@ func rangeState(lines map[uint64]lineState, first, last uint64) (dirty, pending 
 	return false, pending
 }
 
-// decide resolves the fate of non-durable state: never-written-back
-// stores are always lost; written-back-but-unfenced state follows the
-// policy.
+// decide resolves the fate of non-durable state: PolicyIntact keeps
+// everything; otherwise never-written-back stores are lost and
+// written-back-but-unfenced state follows the policy.
 func decide(dirty bool, policy Policy, rng *rand.Rand) (lose bool) {
-	if dirty {
-		return true
-	}
-	switch policy {
-	case PolicyKeep:
+	switch {
+	case policy == PolicyIntact:
 		return false
-	case PolicyTorn:
-		return rng.Intn(2) == 0
-	default: // PolicyRevert
+	case dirty:
 		return true
+	case policy == PolicyKeep:
+		return false
+	case policy == PolicyTorn:
+		return rng.Intn(2) == 0
 	}
+	return true // PolicyRevert
 }
 
 // PowerCycle materialises a true post-power-loss image of every
 // registered shadow object and resets the durability tracker to the
 // clean post-restart state. State that was stored but never written
-// back reverts to the durable baseline under every policy; state that
-// was written back but not fenced reverts, survives, or is torn
-// per-object (per element for slice-backed registrations) according to
-// policy. The torn coin flips are driven by seed alone, so a cycle is
+// back reverts to the durable baseline under every policy but
+// PolicyIntact; state that was written back but not fenced reverts,
+// survives, or is torn per-object (per element for slice-backed
+// registrations) according to policy. The torn coin flips are driven by seed alone, so a cycle is
 // deterministic for a fixed seed and operation history. It must not be
 // called concurrently with index operations; the caller runs the
 // index's Recover afterwards, exactly as a restart would.

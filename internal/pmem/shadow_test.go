@@ -26,7 +26,8 @@ func TestParsePolicy(t *testing.T) {
 }
 
 // A stored-but-never-persisted object reverts to its durable image
-// under every policy — no clwb means the line never left the cache.
+// under every lossy policy — no clwb means the line never left the
+// cache — and survives only the intact image, which loses nothing.
 func TestPowerCycleRevertsDirty(t *testing.T) {
 	for _, p := range Policies {
 		h := shadowHeap()
@@ -41,10 +42,14 @@ func TestPowerCycleRevertsDirty(t *testing.T) {
 		h.Dirty(o, 0, 8) // stored, never clwb'd
 
 		rep := h.PowerCycle(p, 1)
-		if n.a != 1 || n.b != 2 {
-			t.Fatalf("policy %v: got {%d,%d}, want durable {1,2}", p, n.a, n.b)
+		wantA, reverted := uint64(1), 1
+		if p == PolicyIntact {
+			wantA, reverted = 99, 0
 		}
-		if rep.Reverted != 1 || rep.Kept != 0 || rep.ZeroFilled != 0 {
+		if n.a != wantA || n.b != 2 {
+			t.Fatalf("policy %v: got {%d,%d}, want {%d,2}", p, n.a, n.b, wantA)
+		}
+		if rep.Reverted != reverted || rep.Kept != 1-reverted || rep.ZeroFilled != 0 {
 			t.Fatalf("policy %v: report %v", p, rep)
 		}
 		h.Release()

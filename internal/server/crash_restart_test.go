@@ -1,7 +1,7 @@
 // Crash-restart end-to-end: traffic over the wire, an injected power
 // failure mid-stream, a lossy power cycle, per-shard recovery, and a
 // fresh server over the recovered front-end. The classification is the
-// lossy campaign's, applied to client-visible acknowledgements: a
+// crash-site campaign's, applied to client-visible acknowledgements: a
 // reply that reached the client is a durability promise, so every
 // acked write must read back with its acked value after restart
 // (anything else is OutcomeLostAck/OutcomeCorrupt and fails); writes

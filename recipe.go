@@ -253,14 +253,16 @@ func Durability(name string, build func(*Heap) *Target, n int) harness.Durabilit
 	return harness.Durability(name, build, n)
 }
 
-// DurabilitySites crashes the index once at every crash site a
-// loadN-insert load through path passes through and verifies that
-// recovery plus postN traced post-crash inserts leave every dirtied
+// SiteCampaign crashes the index once at every crash site a
+// loadN-insert load through path passes through, restarts it from the
+// policy's image (pmem.PolicyIntact loses nothing; the others lose what
+// never reached a clwb+fence), and verifies that recovery plus postN
+// post-crash inserts lose no acknowledged write and leave every dirtied
 // line flushed and fenced at each acknowledged boundary. Trials are
 // independent heaps and fan out over `workers` goroutines (< 1 =
 // GOMAXPROCS); the report is identical for any worker count.
-func DurabilitySites(name string, build func(*Heap) *Target, path WritePath, loadN, postN, workers int) harness.SiteCampaignReport {
-	return harness.DurabilitySites(name, build, path, loadN, postN, workers)
+func SiteCampaign(name string, build func(*Heap) *Target, path WritePath, policy pmem.Policy, seed int64, loadN, postN, workers int) harness.CampaignReport {
+	return harness.SiteCampaign(name, build, path, policy, seed, loadN, postN, workers)
 }
 
 // ErrCrashed is returned by operations interrupted by a simulated crash.

@@ -81,9 +81,10 @@ func TestCrashRecoveryAllRecipeIndexes(t *testing.T) {
 	}
 }
 
-// TestDurabilityAllRecipeIndexes: §5 flush coverage for all conversions.
+// TestDurabilityAllRecipeIndexes: §5 flush coverage of construction,
+// inserts and updates for all conversions and the four PM baselines.
 func TestDurabilityAllRecipeIndexes(t *testing.T) {
-	for _, name := range []string{"P-ART", "P-HOT", "P-BwTree", "P-Masstree", "P-CLHT"} {
+	for _, name := range append(append(recipe.OrderedNames(), "WOART"), recipe.HashNames()...) {
 		rep := recipe.Durability(name, recipe.IndexByName(name, recipe.YCSBString), 800)
 		if !rep.Pass() {
 			t.Fatalf("durability failed: %s", rep)
@@ -208,7 +209,7 @@ func TestStreamingScanPublicAPI(t *testing.T) {
 		t.Fatalf("NewCursor yielded %d entries, want 100", n)
 	}
 
-	rep := recipe.DurabilitySites("P-ART", recipe.IndexByName("P-ART", recipe.RandInt), recipe.WritePath{}, 600, 50, 2)
+	rep := recipe.SiteCampaign("P-ART", recipe.IndexByName("P-ART", recipe.RandInt), recipe.WritePath{}, pmem.PolicyIntact, 0, 600, 50, 2)
 	if len(rep.Sites) == 0 || !rep.Pass() {
 		t.Fatalf("per-site campaign: %s", rep.String())
 	}
