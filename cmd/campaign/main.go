@@ -15,7 +15,10 @@
 // coverage is the §5 durability test: index creation, -ops inserts and
 // an update of each inserted key on a tracked heap (the analogue of the
 // paper's PIN tracing) must leave every dirtied cache line written back
-// and fenced by the time each returns.
+// and fenced by the time each returns. Each row also counts the run's
+// persistence waste — dryFence= (fences that ordered no write-back) and
+// cleanWB= (write-backs of lines that were not dirty) — which is a cost,
+// not a failure: it does not move the verdict.
 //
 // sites crashes once at every crash site a load of -ops inserts passes
 // through and restarts from the -policy image: intact (the §5 crash:

@@ -76,6 +76,24 @@ func TestLossyReport(t *testing.T) {
 	}
 }
 
+// TestCoverageReportsWaste: every coverage row prints the run's dry
+// fences and clean write-backs, and waste does not move the exit status
+// — P-BwTree's helper write-backs are clean and its row still passes.
+func TestCoverageReportsWaste(t *testing.T) {
+	status, stdout, stderr := campaign("coverage", "-ops", "300")
+	if status != 0 || stderr != "" {
+		t.Fatalf("status %d, stderr %q; want 0 and silence\n%s", status, stderr, stdout)
+	}
+	for _, l := range strings.Split(stdout, "\n") {
+		if strings.Contains(l, "ops=") && (!strings.Contains(l, " dryFence=") || !strings.Contains(l, " cleanWB=")) {
+			t.Errorf("row without waste fields: %q", l)
+		}
+		if strings.HasPrefix(l, "P-BwTree ") && (strings.Contains(l, " cleanWB=0 ") || !strings.HasSuffix(l, "PASS")) {
+			t.Errorf("want P-BwTree passing with clean write-backs: %q", l)
+		}
+	}
+}
+
 // TestExitRule holds both halves of the exit-status rule, each on the
 // §5 test and on the crash-site sweep: a published bug listed among the
 // must-pass subjects, and a converted index listed as a control.

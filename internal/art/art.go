@@ -392,8 +392,11 @@ func (idx *Index) persistAll(h *header) {
 }
 
 // Recover re-initialises every node lock after a simulated crash,
-// modelling the lock-table re-initialisation of §6. No structural repair
-// runs here: RECIPE indexes repair lazily on the write path.
+// modelling the lock-table re-initialisation of §6. The obsolete mark
+// is part of that lock state (ART's optimistic lock word carries it): a
+// restart can revert the pointer swap that retired a node, and a node
+// reachable after recovery is live. No structural repair runs here:
+// RECIPE indexes repair lazily on the write path.
 func (idx *Index) Recover() error {
 	idx.rootMu.Reset()
 	var walk func(h *header)
@@ -402,6 +405,7 @@ func (idx *Index) Recover() error {
 			return // a leaf has no lock
 		}
 		h.lock.Reset()
+		h.obsolete.Store(false)
 		var buf [256]entry
 		for _, e := range h.entries(buf[:0:256]) {
 			walk(e.c)

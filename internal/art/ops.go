@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/crash"
+	"repro/internal/pmem"
 	"repro/internal/pmlock"
 )
 
@@ -189,8 +190,10 @@ func (idx *Index) insertAtLeaf(parent *header, pslot byte, lf *leaf, depth int, 
 // insertIntoNode adds a leaf for branch byte b to node n (which writers
 // verified has no child at b). Appends commit via a single atomic store:
 // the count increment (node4/16), the index byte (node48), or the child
-// pointer itself (node256). When n is full it grows by copy-on-write into
-// the next node kind, committed by one pointer swap.
+// pointer itself (node256, and a reused slot). When n is full it grows by
+// copy-on-write into the next node kind, committed by one pointer swap.
+// Every path takes two fences: one after everything the commit store
+// will expose has been written back, one after the commit.
 //
 // prefixSeen is the prefix word the caller verified during its descent; a
 // change means a concurrent split or repair invalidated the verification,
@@ -208,10 +211,9 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 		return false, nil
 	}
 	nl := idx.newLeaf(key, value)
-	// RECIPE: persist the leaf before publishing it.
+	// RECIPE: write the leaf back before publishing it; the fence that
+	// orders it is the first one of whichever commit follows.
 	idx.persistAll(nl.hdr())
-	idx.heap.Fence()
-	idx.heap.CrashPoint("art.insert.leafready")
 
 	switch n.kind {
 	case kNode4, kNode16:
@@ -233,13 +235,7 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 		// Reuse a slot whose child was deleted and whose key byte matches.
 		for i := 0; i < cnt; i++ {
 			if keyAt(n, i) == b {
-				children(i).Store(nl.hdr())
-				idx.heap.Dirty(n.pm, childOff(n, i), 8)
-				// RECIPE: flush + fence after the committing store.
-				idx.heap.PersistFence(n.pm, childOff(n, i), 8)
-				idx.heap.CrashPoint("art.insert.slotreuse")
-				idx.count.Add(1)
-				n.lock.Unlock()
+				idx.commitChild(n, children(i), childOff(n, i), nl, "art.insert.slotreuse")
 				return true, nil
 			}
 		}
@@ -248,12 +244,19 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 			children(cnt).Store(nl.hdr())
 			idx.heap.Dirty(n.pm, keysOff(n), 16)
 			idx.heap.Dirty(n.pm, childOff(n, cnt), 8)
-			// RECIPE: persist the appended entry, fence, then commit with
-			// the atomic count increment, then persist the header.
-			idx.heap.Persist(n.pm, keysOff(n), 16)
-			idx.heap.Persist(n.pm, childOff(n, cnt), 8)
+			// RECIPE: the slot is invisible until the count store, so one
+			// fence orders the leaf and the slot together. The key byte
+			// (and a Node4's or low Node16 slot's child) shares line 0
+			// with the count, and a line persists its stores in program
+			// order: only a child slot past line 0 needs its own
+			// write-back.
+			if off := childOff(n, cnt); off >= pmem.LineSize {
+				idx.heap.Persist(n.pm, off, 8)
+			}
 			idx.heap.Fence()
 			idx.heap.CrashPoint("art.insert.appended")
+			// RECIPE: commit with the atomic count store; line 0 is
+			// written back once, with everything it holds.
 			n.count.Store(uint32(cnt + 1))
 			idx.heap.Dirty(n.pm, 0, hdrBytes)
 			idx.heap.PersistFence(n.pm, 0, hdrBytes)
@@ -265,52 +268,43 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 	case kNode48:
 		nd := n.n48()
 		if s := nd.index.Get(int(b)); s != 0 {
-			nd.children[s-1].Store(nl.hdr())
-			idx.heap.Dirty(n.pm, n48ChildOff+uintptr(s-1)*8, 8)
-			// RECIPE: flush + fence after the committing store.
-			idx.heap.PersistFence(n.pm, n48ChildOff+uintptr(s-1)*8, 8)
-			idx.heap.CrashPoint("art.insert.slotreuse")
-			idx.count.Add(1)
-			n.lock.Unlock()
+			idx.commitChild(n, &nd.children[s-1], n48ChildOff+uintptr(s-1)*8, nl, "art.insert.slotreuse")
 			return true, nil
 		}
 		cnt := int(n.count.Load())
 		if cnt < 48 {
 			nd.children[cnt].Store(nl.hdr())
+			n.count.Store(uint32(cnt + 1))
 			idx.heap.Dirty(n.pm, n48ChildOff+uintptr(cnt)*8, 8)
-			// RECIPE: persist the child slot, fence, then commit with the
-			// atomic index-byte store, then persist the index line.
+			idx.heap.Dirty(n.pm, 0, hdrBytes)
+			// RECIPE: write the child slot and the count back with the
+			// leaf, fence, then commit with the atomic index-byte store.
+			// The count never trails a durable index byte: a crash before
+			// the commit leaves an orphaned slot, which the next append
+			// skips and a grow drops.
 			idx.heap.Persist(n.pm, n48ChildOff+uintptr(cnt)*8, 8)
+			idx.heap.Persist(n.pm, 0, hdrBytes)
 			idx.heap.Fence()
 			idx.heap.CrashPoint("art.insert.appended")
 			nd.index.Set(int(b), byte(cnt+1))
-			n.count.Store(uint32(cnt + 1))
 			idx.heap.Dirty(n.pm, n48IdxOff+uintptr(b), 1)
+			// RECIPE: flush + fence after the committing store.
 			idx.heap.PersistFence(n.pm, n48IdxOff+uintptr(b), 1)
-			idx.heap.Dirty(n.pm, 0, hdrBytes)
-			idx.heap.Persist(n.pm, 0, hdrBytes)
-			idx.heap.Fence()
 			idx.heap.CrashPoint("art.insert.commit")
 			idx.count.Add(1)
 			n.lock.Unlock()
 			return true, nil
 		}
 	case kNode256:
-		nd := n.n256()
-		nd.children[b].Store(nl.hdr())
-		idx.heap.Dirty(n.pm, n256ChOff+uintptr(b)*8, 8)
-		// RECIPE: flush + fence after the committing store.
-		idx.heap.PersistFence(n.pm, n256ChOff+uintptr(b)*8, 8)
-		idx.heap.CrashPoint("art.insert.commit")
-		idx.count.Add(1)
-		n.lock.Unlock()
+		idx.commitChild(n, &n.n256().children[b], n256ChOff+uintptr(b)*8, nl, "art.insert.commit")
 		return true, nil
 	}
 
 	// Node full: grow by copy-on-write into the next kind, carrying only
 	// live entries (compaction reclaims slots freed by deletes).
 	bigger := idx.growNode(n, b, nl.hdr())
-	// RECIPE: persist the replacement before publishing it.
+	// RECIPE: persist the replacement before publishing it; one fence
+	// orders it and the leaf.
 	idx.persistAll(bigger)
 	idx.heap.Fence()
 	idx.heap.CrashPoint("art.grow.built")
@@ -326,6 +320,23 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 	slot.Unlock()
 	n.lock.Unlock()
 	return true, nil
+}
+
+// commitChild publishes leaf nl, written back but not yet fenced, with
+// the one store that is the commit: the child pointer into slot, at
+// persistent offset off of n. Then it unlocks n. The leaf has no later
+// store to share a fence with, so it takes its own.
+func (idx *Index) commitChild(n *header, slot *childSlot, off uintptr, nl *leaf, site string) {
+	// RECIPE: fence the leaf's write-back before publishing it.
+	idx.heap.Fence()
+	idx.heap.CrashPoint("art.insert.leafready")
+	slot.Store(nl.hdr())
+	idx.heap.Dirty(n.pm, off, 8)
+	// RECIPE: flush + fence after the committing store.
+	idx.heap.PersistFence(n.pm, off, 8)
+	idx.heap.CrashPoint(site)
+	idx.count.Add(1)
+	n.lock.Unlock()
 }
 
 // childSlot aliases the child-pointer type so node4 and node16 share the
@@ -361,7 +372,13 @@ func (idx *Index) growNode(n *header, b byte, extra *header) *header {
 			prefix = extra.leaf().key()[depth:int(n.level)]
 		}
 	}
-	nn := idx.allocNode(k, n.level, prefix)
+	return idx.buildNode(k, n.level, prefix, es)
+}
+
+// buildNode allocates an unpublished node of kind k holding entries es,
+// which must fit it.
+func (idx *Index) buildNode(k kind, level uint32, prefix []byte, es []entry) *header {
+	nn := idx.allocNode(k, level, prefix)
 	switch k {
 	case kNode4:
 		nd := nn.n4()
@@ -369,28 +386,25 @@ func (idx *Index) growNode(n *header, b byte, extra *header) *header {
 			nd.keys.Set(i, e.b)
 			nd.children[i].Store(e.c)
 		}
-		nn.count.Store(uint32(len(es)))
 	case kNode16:
 		nd := nn.n16()
 		for i, e := range es {
 			nd.keys.Set(i, e.b)
 			nd.children[i].Store(e.c)
 		}
-		nn.count.Store(uint32(len(es)))
 	case kNode48:
 		nd := nn.n48()
 		for i, e := range es {
 			nd.children[i].Store(e.c)
 			nd.index.Set(int(e.b), byte(i+1))
 		}
-		nn.count.Store(uint32(len(es)))
 	case kNode256:
 		nd := nn.n256()
 		for _, e := range es {
 			nd.children[e.b].Store(e.c)
 		}
-		nn.count.Store(uint32(len(es)))
 	}
+	nn.count.Store(uint32(len(es)))
 	return nn
 }
 

@@ -115,6 +115,7 @@ func NewWithMode(heap *pmem.Heap, mode Mode) *Index {
 	heap.ShadowSlice(d.pm, d.entries, 8)
 	for i := range d.entries {
 		s := idx.newSegment(DefaultDepth, uint64(i))
+		heap.Persist(s.pm, 0, segmentBytes)
 		d.entries[i].Store(s)
 	}
 	idx.dir.Store(d)
@@ -128,13 +129,14 @@ func NewWithMode(heap *pmem.Heap, mode Mode) *Index {
 	return idx
 }
 
+// newSegment allocates a segment; the caller writes it back once it is
+// filled, before it becomes reachable.
 func (idx *Index) newSegment(depth uint32, pattern uint64) *segment {
 	s := &segment{}
 	s.pm = idx.heap.Alloc(segmentBytes)
 	idx.heap.Shadow(s.pm, s)
 	s.localDepth.Store(depth)
 	s.pattern.Store(pattern)
-	idx.heap.Persist(s.pm, 0, segmentBytes)
 	return s
 }
 
@@ -294,10 +296,11 @@ func (idx *Index) insertLocked(s *segment, h uint64, key, value uint64) (done, f
 	if freeOff < 0 {
 		return false, true
 	}
-	// Value first, fence, then the atomic key store commits the pair.
+	// Value first, then the atomic key store commits the pair. Both sit
+	// in one bucket line, which persists its stores in program order, so
+	// no fence is needed between them.
 	s.vals[freeOff].Store(value)
 	idx.heap.Dirty(s.pm, uintptr(freeOff/SlotsPerBucket)*bucketBytes, 8)
-	idx.heap.Fence()
 	idx.heap.CrashPoint("cceh.insert.val")
 	s.keys[freeOff].Store(key)
 	idx.heap.Dirty(s.pm, uintptr(freeOff/SlotsPerBucket)*bucketBytes, 8)

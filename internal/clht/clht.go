@@ -240,17 +240,15 @@ func (idx *Index) insertLocked(t *table, c uint64, key, value uint64) bool {
 		last = b
 	}
 	if freeIdx >= 0 {
-		// Write the value first, order it, then commit with the atomic
-		// key store. Both live in the same cache line, so one write-back
-		// after the commit persists the pair; an eviction between the
-		// stores persists only the value, which is invisible (key still
-		// 0) and therefore harmless.
+		// Write the value first, then commit with the atomic key store.
+		// Both live in the same cache line, which persists its stores in
+		// program order (x86-TSO), so no fence sits between them and one
+		// write-back after the commit persists the pair; an eviction
+		// between the stores persists only the value, which is invisible
+		// (key still 0) and therefore harmless.
 		pm, off := t.loc(c, free)
 		free.vals[freeIdx].Store(value)
 		idx.heap.Dirty(pm, off+offVals+uintptr(freeIdx)*8, 8)
-		// RECIPE: fence so the value store is ordered before the key
-		// store on its way to PM.
-		idx.heap.Fence()
 		idx.heap.CrashPoint("clht.insert.val")
 		free.keys[freeIdx].Store(key)
 		idx.heap.Dirty(pm, off+offKeys+uintptr(freeIdx)*8, 8)

@@ -193,6 +193,11 @@ type DurabilityReport struct {
 	OpViolations int
 	// Ops is the number of ids inserted and then updated.
 	Ops int
+	// DryFences and CleanWriteBacks are the run's persistence waste, as
+	// pmem.Tracker counts it: fences that ordered no write-back, and
+	// write-backs of lines that were not dirty. Waste is a cost, not a
+	// durability failure, so Pass ignores both.
+	DryFences, CleanWriteBacks uint64
 }
 
 // Pass reports full flush coverage.
@@ -201,13 +206,14 @@ func (r DurabilityReport) Pass() bool {
 }
 
 func (r DurabilityReport) String() string {
-	return fmt.Sprintf("%-12s ops=%d ctorViolations=%d opViolations=%d  %s",
-		r.Index, r.Ops, r.ConstructorViolations, r.OpViolations, verdict(r.Pass()))
+	return fmt.Sprintf("%-12s ops=%d ctorViolations=%d opViolations=%d dryFence=%d cleanWB=%d  %s",
+		r.Index, r.Ops, r.ConstructorViolations, r.OpViolations, r.DryFences, r.CleanWriteBacks, verdict(r.Pass()))
 }
 
 // Durability checks that index creation, each of n inserts and then an
 // update of each inserted id leave every dirtied cache line flushed and
-// fenced by the time they return (§5, "testing durability").
+// fenced by the time they return (§5, "testing durability"), and counts
+// the persistence waste of the whole run.
 func Durability(name string, build Build, n int) DurabilityReport {
 	heap := pmem.New(pmem.Options{Track: true})
 	defer heap.Release()
@@ -222,5 +228,6 @@ func Durability(name string, build Build, n int) DurabilityReport {
 			rep.OpViolations += violations(heap)
 		}
 	}
+	rep.DryFences, rep.CleanWriteBacks = heap.Tracker().DryFences(), heap.Tracker().CleanWriteBacks()
 	return rep
 }

@@ -36,6 +36,24 @@ const MaxFanout = 16
 // ErrEmptyKey is returned for zero-length keys.
 var ErrEmptyKey = errors.New("hot: empty key")
 
+// ErrStalled is returned by Insert and Delete after maxRestarts
+// consecutive failed commits. The index is unchanged. No known state
+// reaches it: the one that did, a node left reachable with its obsolete
+// mark after a restart reverted the swap that retired it, is cleared by
+// Recover. It stays as a guard because each attempt allocates, so a
+// write that can never commit must not retry for ever.
+var ErrStalled = errors.New("hot: write restarted too often")
+
+// maxRestarts bounds one write's consecutive restarts. A restart builds
+// a copy-on-write node, so the bound caps what a write that can never
+// commit allocates (P-ART's spin-only restart allows 1<<20). A commit
+// fails only when another writer committed on the same path between
+// this writer's descent and its lock, so contention reaches the bound
+// only if others win that race 4096 times running;
+// TestConcurrentSameRangeNoStall's eight writers on one key range stay
+// far below it.
+const maxRestarts = 4096
+
 // entry is one slot of a compound node: a full-key leaf or a child
 // subtree. key is immutable; it is the leaf's key or the subtree's
 // separator (a lower bound of every key below it). Only the child pointer
@@ -185,9 +203,11 @@ func (idx *Index) Scan(start []byte, count int, fn func(key []byte, value uint64
 	return visited
 }
 
-// Recover re-initialises all node locks after a simulated crash. No
-// structural repair is needed: commits are single atomic stores, so every
-// crash state is either before or after a complete update (§6.1).
+// Recover re-initialises all node locks after a simulated crash, and
+// with them the obsolete marks: a restart can revert the pointer swap
+// that retired a node, and a node reachable after recovery is live. No
+// structural repair is needed: commits are single atomic stores, so
+// every crash state is either before or after a complete update (§6.1).
 func (idx *Index) Recover() error {
 	idx.rootMu.Reset()
 	var walk func(n *hnode)
@@ -196,6 +216,7 @@ func (idx *Index) Recover() error {
 			return
 		}
 		n.lock.Reset()
+		n.obsolete.Store(false)
 		for _, e := range n.entries {
 			if !e.isLeaf {
 				walk(e.child.Load())

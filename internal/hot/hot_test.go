@@ -264,6 +264,37 @@ func TestConcurrentInserts(t *testing.T) {
 	}
 }
 
+// TestConcurrentSameRangeNoStall: eight writers inserting, updating and
+// deleting one small key range fight over the same few compound nodes,
+// and every commit they lose is a restart. None may reach maxRestarts:
+// the bound is for a write that can never commit, not for contention.
+func TestConcurrentSameRangeNoStall(t *testing.T) {
+	idx := newIdx()
+	const threads, per, keyRange = 8, 4000, 64
+	var wg sync.WaitGroup
+	for g := 0; g < threads; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(g)))
+			for i := 0; i < per; i++ {
+				k := k64(uint64(rng.Intn(keyRange)))
+				var err error
+				if rng.Intn(4) == 0 {
+					_, err = idx.Delete(k)
+				} else {
+					err = idx.Insert(k, uint64(i))
+				}
+				if err != nil {
+					t.Errorf("writer %d op %d: %v", g, i, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 func TestConcurrentReadersDuringCOW(t *testing.T) {
 	idx := newIdx()
 	for i := uint64(0); i < 2000; i++ {
@@ -390,5 +421,24 @@ func BenchmarkLookup(b *testing.B) {
 		if _, ok := idx.Lookup(gen.Key(uint64(i) % n)); !ok {
 			b.Fatal("miss")
 		}
+	}
+}
+
+// TestRecoverClearsObsolete: a restart can revert the pointer swap that
+// retired a node, leaving the node reachable with its obsolete mark —
+// modelled here by marking the live root. Every commit through it would
+// fail until ErrStalled; Recover must clear the mark.
+func TestRecoverClearsObsolete(t *testing.T) {
+	idx := newIdx()
+	for i := uint64(0); i < 100; i++ {
+		mustInsert(t, idx, k64(i), i)
+	}
+	idx.root.Load().obsolete.Store(true)
+	if err := idx.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	mustInsert(t, idx, k64(100), 100)
+	if _, err := idx.Delete(k64(0)); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -12,17 +12,19 @@ type pathEl struct {
 // Insert stores value under key, overwriting an existing binding. Every
 // mutation is copy-on-write, committed by a single atomic pointer swap
 // (Condition #1); structure modifications lock the affected nodes
-// bottom-up and unlock top-down, as in the original (§6.1).
+// bottom-up and unlock top-down, as in the original (§6.1). It gives up
+// with ErrStalled after maxRestarts restarts in a row.
 func (idx *Index) Insert(key []byte, value uint64) (err error) {
 	if len(key) == 0 {
 		return ErrEmptyKey
 	}
 	defer recoverCrash(&err)
-	for {
+	for i := 0; i < maxRestarts; i++ {
 		if idx.tryInsert(key, value) {
 			return nil
 		}
 	}
+	return ErrStalled
 }
 
 // Update overwrites the value under key: Insert's upsert
@@ -193,13 +195,14 @@ func (idx *Index) swapUp(path []pathEl, d int, old *hnode, left, right *hnode, l
 
 // Delete removes key, committing via COW + pointer swap like every other
 // HOT mutation. Emptied nodes are left in place (lazy) and reclaimed when
-// their parent is next rebuilt.
+// their parent is next rebuilt. Like Insert it gives up with ErrStalled
+// after maxRestarts restarts in a row.
 func (idx *Index) Delete(key []byte) (deleted bool, err error) {
 	if len(key) == 0 {
 		return false, ErrEmptyKey
 	}
 	defer recoverCrash(&err)
-	for {
+	for attempt := 0; attempt < maxRestarts; attempt++ {
 		root := idx.root.Load()
 		if root == nil {
 			return false, nil
@@ -222,6 +225,7 @@ func (idx *Index) Delete(key []byte) (deleted bool, err error) {
 			return del, nil
 		}
 	}
+	return false, ErrStalled
 }
 
 func (idx *Index) commitDelete(path []pathEl, target *hnode, key []byte) (del, done bool) {

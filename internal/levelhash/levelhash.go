@@ -13,8 +13,8 @@
 // becomes the new bottom, and the old bottom's keys are rehashed into the
 // new top.
 //
-// Writers lock buckets; slot commits write the value, fence, then publish
-// with the atomic key store.
+// Writers lock buckets; slot commits write the value, then publish with
+// the atomic key store in the same bucket line.
 package levelhash
 
 import (
@@ -97,11 +97,15 @@ func NewWithBuckets(heap *pmem.Heap, n int) *Index {
 	idx.rootPM = heap.Alloc(64)
 	heap.Shadow(idx.rootPM, &idx.tab)
 	t := &table{top: idx.newLevel(p), bottom: idx.newLevel(p / 2)}
+	idx.persistLevel(t.top)
+	idx.persistLevel(t.bottom)
 	idx.tab.Store(t)
 	heap.PersistFence(idx.rootPM, 0, 64)
 	return idx
 }
 
+// newLevel allocates a level of n buckets; the caller writes it back
+// (persistLevel) once it is filled, before it becomes reachable.
 func (idx *Index) newLevel(n int) *level {
 	bits := uint(0)
 	for 1<<bits < n {
@@ -117,8 +121,12 @@ func (idx *Index) newLevel(n int) *level {
 		l.buckets[i].off = uintptr(i) * bucketBytes
 	}
 	idx.heap.ShadowSlice(l.pm, l.buckets, bucketBytes)
-	idx.heap.Persist(l.pm, 0, uintptr(n)*bucketBytes)
 	return l
+}
+
+// persistLevel writes every bucket of l back.
+func (idx *Index) persistLevel(l *level) {
+	idx.heap.Persist(l.pm, 0, uintptr(len(l.buckets))*bucketBytes)
 }
 
 func hash1(k uint64) uint64 {
@@ -217,9 +225,10 @@ func (idx *Index) tryInsert(t *table, key, value uint64) bool {
 		}
 		for i := 0; i < SlotsPerBucket; i++ {
 			if b.keys[i].Load() == 0 {
+				// Value, then the committing key store: one bucket line,
+				// persisted in program order, so no fence between them.
 				b.vals[i].Store(value)
 				idx.heap.Dirty(b.pm, b.off+24+uintptr(i)*8, 8)
-				idx.heap.Fence()
 				idx.heap.CrashPoint("level.insert.val")
 				b.keys[i].Store(key)
 				idx.heap.Dirty(b.pm, b.off+uintptr(i)*8, 8)
@@ -284,6 +293,7 @@ func (idx *Index) rehash(old *table) {
 		old.bottom.buckets[i].lock.Lock()
 	}
 	nt := &table{top: idx.newLevel(len(old.top.buckets) * 2), bottom: old.top}
+	spilled := make(map[*bucket]bool)
 	for i := range old.bottom.buckets {
 		b := &old.bottom.buckets[i]
 		for s := 0; s < SlotsPerBucket; s++ {
@@ -291,12 +301,20 @@ func (idx *Index) rehash(old *table) {
 			if k == 0 {
 				continue
 			}
-			idx.copyInto(nt, k, b.vals[s].Load())
+			if sb := idx.copyInto(nt, k, b.vals[s].Load()); sb != nil {
+				spilled[sb] = true
+			}
 		}
 	}
-	idx.heap.Persist(nt.top.pm, 0, uintptr(len(nt.top.buckets))*bucketBytes)
-	// The retiring top (new bottom) may have absorbed spill placements.
-	idx.heap.Persist(nt.bottom.pm, 0, uintptr(len(nt.bottom.buckets))*bucketBytes)
+	idx.persistLevel(nt.top)
+	// The retiring top (new bottom) is durable but for the buckets that
+	// absorbed spill placements: write back those, once each.
+	for i := range nt.bottom.buckets {
+		if b := &nt.bottom.buckets[i]; spilled[b] {
+			idx.heap.Dirty(b.pm, b.off, bucketBytes)
+			idx.heap.Persist(b.pm, b.off, bucketBytes)
+		}
+	}
 	idx.heap.Fence()
 	idx.heap.CrashPoint("level.rehash.built")
 	idx.tab.Store(nt)
@@ -316,13 +334,14 @@ func (idx *Index) rehash(old *table) {
 // displacement within the new top (the original's bucket-movement
 // scheme), then the bottom candidates. The new top receives at most a
 // quarter of its slot capacity during a rotation, so with two choices
-// plus displacement a placement failure is practically unreachable.
-func (idx *Index) copyInto(t *table, key, value uint64) {
+// plus displacement a placement failure is practically unreachable. It
+// returns the bottom bucket a spill placement went to, nil for the top.
+func (idx *Index) copyInto(t *table, key, value uint64) *bucket {
 	l := t.top
 	i1, i2 := l.idx(hash1(key)), l.idx(hash2(key))
 	for _, bi := range [2]uint64{i1, i2} {
 		if place(&l.buckets[bi], key, value) {
-			return
+			return nil
 		}
 	}
 	// Displacement: evict one occupant of a candidate bucket to the
@@ -338,14 +357,14 @@ func (idx *Index) copyInto(t *table, key, value uint64) {
 				if place(&l.buckets[abi], ok, b.vals[s].Load()) {
 					b.vals[s].Store(value)
 					b.keys[s].Store(key)
-					return
+					return nil
 				}
 			}
 		}
 	}
 	for _, bi := range [2]uint64{i1 / 2, i2 / 2} {
-		if place(&t.bottom.buckets[bi], key, value) {
-			return
+		if b := &t.bottom.buckets[bi]; place(b, key, value) {
+			return b
 		}
 	}
 	panic("levelhash: could not place key during rotation (table pathologically skewed)")

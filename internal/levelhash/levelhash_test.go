@@ -261,6 +261,21 @@ func TestDurabilityFlushCoverage(t *testing.T) {
 	}
 }
 
+// TestInsertFlushCount: a common-case insert writes its bucket line back
+// once and fences once — the value and the committing key share the
+// line, so no fence sits between them.
+func TestInsertFlushCount(t *testing.T) {
+	heap := pmem.NewFast()
+	idx := New(heap)
+	before := heap.Stats()
+	if err := idx.Insert(12345, 1); err != nil {
+		t.Fatal(err)
+	}
+	if d := heap.Stats().Sub(before); d.Clwb != 1 || d.Fence != 1 {
+		t.Fatalf("common-case insert issued %d clwb, %d fences; want 1, 1", d.Clwb, d.Fence)
+	}
+}
+
 func BenchmarkInsert(b *testing.B) {
 	idx := New(pmem.NewFast())
 	b.ResetTimer()

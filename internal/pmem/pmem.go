@@ -383,9 +383,19 @@ var violationKinds = [...]string{lineDirty: "dirty", linePending: "pending"}
 // flush or to read (hold) retires them first if the epoch has moved on.
 // Every reader goes through hold, so none can tell; a write-back racing
 // a fence lands on one side of it, as it did when fence took the locks.
+//
+// The tracker also counts persistence waste: a dry fence orders no
+// write-back (none since the previous fence), a clean write-back
+// flushes a line the tracker does not hold dirty. Both counts are exact
+// in single-writer phases; with racing writers they are approximate.
 type Tracker struct {
-	epoch  atomic.Uint64 // fences retired so far
-	shards [trackerShards]trackerShard
+	epoch atomic.Uint64 // fences retired so far
+	// wrote is 1 + the epoch of the latest write-back (0: none yet), so a
+	// fence knows whether its epoch saw one without a flag to clear.
+	wrote     atomic.Uint64
+	dryFences atomic.Uint64
+	cleanWBs  atomic.Uint64
+	shards    [trackerShards]trackerShard
 }
 
 type trackerShard struct {
@@ -439,18 +449,37 @@ func (t *Tracker) dirtyRange(o Obj, off, size uintptr) {
 }
 
 func (t *Tracker) flushRange(o Obj, off, size uintptr) {
+	// Mark the epoch as written back. The load keeps every later
+	// write-back of the same epoch from storing to the shared line.
+	if e := t.epoch.Load() + 1; t.wrote.Load() != e {
+		t.wrote.Store(e)
+	}
 	for l, last := o.line(off), o.line(off+size-1); l <= last; l++ {
 		s := t.shard(l)
 		t.hold(s)
 		if s.lines[l] == lineDirty {
 			s.lines[l] = linePending
 			s.pend = append(s.pend, l)
+		} else {
+			t.cleanWBs.Add(1)
 		}
 		s.mu.Unlock()
 	}
 }
 
-func (t *Tracker) fence() { t.epoch.Add(1) }
+func (t *Tracker) fence() {
+	if t.wrote.Load() != t.epoch.Add(1) {
+		t.dryFences.Add(1)
+	}
+}
+
+// DryFences returns the number of fences that ordered no write-back:
+// none had been issued since the previous fence.
+func (t *Tracker) DryFences() uint64 { return t.dryFences.Load() }
+
+// CleanWriteBacks returns the number of line write-backs of lines that
+// were not dirty: already written back, or never stored to.
+func (t *Tracker) CleanWriteBacks() uint64 { return t.cleanWBs.Load() }
 
 // Violation describes a durability failure at an operation boundary.
 type Violation struct {
@@ -489,7 +518,8 @@ func (t *Tracker) Check() []Violation {
 	return out
 }
 
-// Reset clears the shadow state (e.g. between test phases).
+// Reset clears the shadow state (e.g. between test phases). The waste
+// counts are cumulative, like the heap's Stats, and survive it.
 func (t *Tracker) Reset() {
 	for i := range t.shards {
 		s := &t.shards[i]

@@ -9,10 +9,13 @@ import (
 
 // eagerTracker is the reference model the lazy Tracker is held to: the
 // tracker as it was before fences became an epoch bump — a dirty set, a
-// pending set, and a fence that empties the pending set on the spot.
-// Unsharded and unlocked: the tests drive it from one goroutine.
+// pending set, and a fence that empties the pending set on the spot —
+// plus a flag and two counters for the waste counts. Unsharded and
+// unlocked: the tests drive it from one goroutine.
 type eagerTracker struct {
 	dirty, pending map[uint64]bool
+	wrote          bool // a write-back since the last fence
+	dry, clean     uint64
 }
 
 func newEagerTracker() *eagerTracker {
@@ -27,17 +30,27 @@ func (t *eagerTracker) dirtyRange(o Obj, off, size uintptr) {
 }
 
 func (t *eagerTracker) flushRange(o Obj, off, size uintptr) {
+	t.wrote = true
 	for l, last := o.line(off), o.line(off+size-1); l <= last; l++ {
 		if t.dirty[l] {
 			delete(t.dirty, l)
 			t.pending[l] = true
+		} else {
+			t.clean++
 		}
 	}
 }
 
-func (t *eagerTracker) fence() { t.pending = map[uint64]bool{} }
+func (t *eagerTracker) fence() {
+	if !t.wrote {
+		t.dry++
+	}
+	t.pending, t.wrote = map[uint64]bool{}, false
+}
 
-func (t *eagerTracker) reset() { *t = *newEagerTracker() }
+// reset clears the line sets; the waste counts are cumulative, like the
+// heap's Stats, and survive it.
+func (t *eagerTracker) reset() { t.dirty, t.pending = map[uint64]bool{}, map[uint64]bool{} }
 
 func (t *eagerTracker) snapshot() map[uint64]lineState {
 	out := make(map[uint64]lineState)
@@ -88,6 +101,42 @@ func checkAgainst(t *testing.T, step int, what string, h *Heap, model *eagerTrac
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("step %d (%s): Check diverged\n got  %v\n want %v", step, what, got, want)
 	}
+	tr := h.Tracker()
+	if tr.DryFences() != model.dry || tr.CleanWriteBacks() != model.clean {
+		t.Fatalf("step %d (%s): waste diverged: dry %d clean %d, model says %d, %d",
+			step, what, tr.DryFences(), tr.CleanWriteBacks(), model.dry, model.clean)
+	}
+}
+
+// TestTrackerCountsWaste: a fence with no write-back since the previous
+// one is dry, a write-back of a line not held dirty is clean, and a
+// fence after any write-back — even a clean one — is not dry.
+func TestTrackerCountsWaste(t *testing.T) {
+	h := New(Options{Track: true})
+	defer h.Release()
+	tr := h.Tracker()
+	o := h.Alloc(2 * LineSize)
+	want := func(step string, dry, clean uint64) {
+		t.Helper()
+		if tr.DryFences() != dry || tr.CleanWriteBacks() != clean {
+			t.Fatalf("%s: dry %d clean %d, want %d, %d", step, tr.DryFences(), tr.CleanWriteBacks(), dry, clean)
+		}
+	}
+	h.Fence()
+	want("fence with nothing written back", 1, 0)
+	h.Persist(o, 0, LineSize)
+	h.Fence()
+	want("write-back of an allocated line, then its fence", 1, 0)
+	h.Persist(o, 0, LineSize)
+	want("write-back of a durable line", 1, 1)
+	h.Dirty(o, LineSize, 8)
+	h.Persist(o, LineSize, 8)
+	h.Persist(o, LineSize, 8)
+	want("second write-back of a pending line", 1, 2)
+	h.Fence()
+	want("fence after write-backs, clean ones included", 1, 2)
+	h.Fence()
+	want("fence right after a fence", 2, 2)
 }
 
 // TestTrackerMatchesEagerModel drives a heap and the reference model

@@ -108,11 +108,12 @@ func (idx *Index) newLeaf(key []byte, value uint64) *leaf {
 	return l
 }
 
+// newNode allocates a node; the caller writes it back once its first
+// children are in, before linking it.
 func (idx *Index) newNode(prefix []byte, depth int) *node {
 	n := &node{prefix: append([]byte(nil), prefix...), depth: depth}
 	n.pm = idx.heap.Alloc(nodeBytes(4))
 	idx.heap.Shadow(n.pm, n)
-	idx.heap.Persist(n.pm, 0, nodeBytes(4))
 	return n
 }
 
@@ -262,10 +263,11 @@ func (idx *Index) insert(slot *any, cur any, depth int, key []byte, value uint64
 		nl := idx.newLeaf(key, value)
 		c.addChild(b, nl)
 		idx.heap.Dirty(c.pm, 16, uintptr(len(c.keys))*9)
-		idx.heap.Dirty(c.pm, 0, 8)
-		// WOART: persist the slot array, fence, then the ordering word.
+		// WOART: persist the slot array, fence, then store and persist the
+		// ordering word.
 		idx.heap.Persist(c.pm, 16, uintptr(len(c.keys))*9)
 		idx.heap.Fence()
+		idx.heap.Dirty(c.pm, 0, 8)
 		idx.heap.Persist(c.pm, 0, 8)
 		idx.heap.Fence()
 		idx.heap.CrashPoint("woart.insert.commit")
