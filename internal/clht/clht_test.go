@@ -3,6 +3,7 @@ package clht
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -251,9 +252,9 @@ func TestConcurrentReadersDuringWrites(t *testing.T) {
 // crash-site visit in turn, lets afterCrash do to the heap what the failure
 // model under test does, recovers, and requires every acknowledged key back
 // with its value and the index fully writable. The tiny table chains
-// overflow buckets and rehashes seven times, so the rehash and overflow
-// sites are visited — harness.SiteCampaign's 768-bucket table never
-// reaches them.
+// overflow buckets, doubles seven times and reclaims the stale slots the
+// doublings leave, so the rehash, reclaim and overflow sites are visited —
+// harness.SiteCampaign's 1024-bucket table never reaches them.
 func enumerateCrashes(t *testing.T, model string, newHeap func() *pmem.Heap, afterCrash func(heap *pmem.Heap, n int64)) {
 	for n := int64(1); ; n++ {
 		heap := newHeap()
@@ -281,7 +282,7 @@ func enumerateCrashes(t *testing.T, model string, newHeap func() *pmem.Heap, aft
 			}
 			// Every visit of this complete run was some earlier n's crash,
 			// so every site it passed has been crashed at.
-			for _, site := range []string{"clht.rehash.built", "clht.rehash.swap",
+			for _, site := range []string{"clht.rehash.built", "clht.rehash.swap", "clht.insert.reclaim",
 				"clht.insert.overflow.init", "clht.insert.overflow.link"} {
 				if inj.Sites()[site] == 0 {
 					t.Errorf("%s: crash site %s never reached", model, site)
@@ -298,6 +299,7 @@ func enumerateCrashes(t *testing.T, model string, newHeap func() *pmem.Heap, aft
 				t.Fatalf("%s, crash state %d: committed key %d lost (got %d,%v)", model, n, k, got, ok)
 			}
 		}
+		checkRange(t, idx, committed, fmt.Sprintf("%s, crash state %d", model, n))
 		// Writes must still succeed after recovery.
 		for k := uint64(1000); k < 1050; k++ {
 			if err := idx.Insert(k, k); err != nil {
@@ -330,27 +332,30 @@ func TestCrashRecoveryPowerCycled(t *testing.T) {
 }
 
 // TestBucketIsOneCacheLine pins the layout rule: a bucket is bucketBytes in
-// DRAM as in the layout it models, and the default table and the tables it
-// doubles into start on a line boundary, so a head bucket never straddles.
+// DRAM as in the layout it models, and the default table's segment and the
+// segments its doublings append start on a line boundary, so a head bucket
+// never straddles.
 func TestBucketIsOneCacheLine(t *testing.T) {
 	if got := unsafe.Sizeof(bucket{}); got != bucketBytes {
 		t.Fatalf("unsafe.Sizeof(bucket{}) = %d, want %d", got, bucketBytes)
 	}
 	idx := New(pmem.NewFast())
 	for round := 0; round < 3; round++ {
-		tab := idx.tab.Load()
-		if a := uintptr(unsafe.Pointer(&tab.buckets[0])); a%bucketBytes != 0 {
-			t.Fatalf("%d-bucket table starts at %#x: not line-aligned", len(tab.buckets), a)
+		idx.grow(idx.root.level.Load())
+	}
+	for _, s := range idx.root.segs[:idx.root.level.Load()+1] {
+		if a := uintptr(unsafe.Pointer(&s.buckets[0])); a%bucketBytes != 0 {
+			t.Fatalf("%d-bucket segment starts at %#x: not line-aligned", len(s.buckets), a)
 		}
-		idx.rehash(tab)
 	}
 }
 
 // Durability per §5: every dirtied line is flushed and fenced by the time
-// each operation returns.
+// each operation returns. From one bucket the table doubles seven times,
+// so the last directory slot written lies past the root's first line.
 func TestDurabilityFlushCoverage(t *testing.T) {
 	heap := pmem.New(pmem.Options{Track: true})
-	idx := NewWithBuckets(heap, 2)
+	idx := NewWithBuckets(heap, 1)
 	if v := heap.Tracker().Check(); len(v) != 0 {
 		t.Fatalf("constructor left unpersisted lines: %v", v)
 	}
@@ -389,11 +394,223 @@ func TestInsertFlushCount(t *testing.T) {
 func TestRecoverResetsLocks(t *testing.T) {
 	idx := newSmall(t)
 	// Abandon a bucket lock as a crashed writer would.
-	idx.tab.Load().buckets[0].lock.Lock()
+	head := &idx.root.segs[0].buckets[0]
+	head.lock.Lock()
 	idx.resize.Lock()
 	idx.Recover()
-	if idx.tab.Load().buckets[0].lock.Locked() || idx.resize.Locked() {
+	if head.lock.Locked() || idx.resize.Locked() {
 		t.Fatal("Recover did not reset locks")
+	}
+}
+
+// checkRange requires Range to yield each key at most once, every
+// committed key with its value, and nothing else but the one insert a crash
+// interrupted: a stale entry a doubling left behind would surface as a
+// duplicate or an extra key.
+func checkRange(t *testing.T, idx *Index, committed map[uint64]uint64, what string) {
+	t.Helper()
+	seen := make(map[uint64]bool)
+	extra := 0
+	idx.Range(func(k, v uint64) bool {
+		if seen[k] {
+			t.Fatalf("%s: Range yielded key %d twice", what, k)
+		}
+		seen[k] = true
+		if want, ok := committed[k]; !ok {
+			extra++
+		} else if v != want {
+			t.Fatalf("%s: Range yielded %d=%d, want %d", what, k, v, want)
+		}
+		return true
+	})
+	if extra > 1 || len(seen)-extra != len(committed) {
+		t.Fatalf("%s: Range yielded %d keys (%d unacknowledged), want the %d acknowledged", what, len(seen), extra, len(committed))
+	}
+}
+
+// TestRevertMidSplitHidesStale crashes a doubling of a table whose earlier
+// doublings left stale copies of every moved key behind, holding values
+// that updates have since replaced, and power-cycles under every policy.
+// Whichever level survives, Lookup and Range must see only the updated
+// values, each key once.
+func TestRevertMidSplitHidesStale(t *testing.T) {
+	for _, site := range []string{"clht.rehash.built", "clht.rehash.swap"} {
+		for _, policy := range pmem.Policies {
+			heap := pmem.New(pmem.Options{Shadow: true})
+			idx := NewWithBuckets(heap, 2)
+			committed := make(map[uint64]uint64)
+			for k := uint64(1); k <= 200; k++ {
+				mustInsert(t, idx, k, k)
+				committed[k] = k
+			}
+			for k := uint64(1); k <= 200; k++ {
+				mustInsert(t, idx, k, k+1000)
+				committed[k] = k + 1000
+			}
+			level := idx.root.level.Load()
+			heap.SetInjector(crash.NewAtSite(site, 1))
+			for k := uint64(201); ; k++ {
+				err := idx.Insert(k, k+1000)
+				if crash.IsCrash(err) {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				committed[k] = k + 1000
+			}
+			heap.SetInjector(nil)
+			heap.PowerCycle(policy, 1)
+			idx.Recover()
+			what := fmt.Sprintf("%s at %s (level %d → %d)", policy, site, level, idx.root.level.Load())
+			for k, v := range committed {
+				if got, ok := idx.Lookup(k); !ok || got != v {
+					t.Fatalf("%s: Lookup(%d) = %d,%v, want %d", what, k, got, ok, v)
+				}
+			}
+			checkRange(t, idx, committed, what)
+		}
+	}
+}
+
+// TestRangeSkipsStaleAfterDoublings: after six doublings, with updates and
+// deletes between them, Range yields exactly Len() distinct keys, each with
+// its latest value.
+func TestRangeSkipsStaleAfterDoublings(t *testing.T) {
+	idx := NewWithBuckets(pmem.NewFast(), 16)
+	oracle := make(map[uint64]uint64)
+	rng := rand.New(rand.NewSource(7))
+	for k := uint64(1); idx.root.level.Load() < 6; k++ {
+		mustInsert(t, idx, k, k)
+		oracle[k] = k
+		if r := uint64(rng.Intn(int(k))) + 1; k%3 == 0 {
+			mustInsert(t, idx, r, r+k)
+			oracle[r] = r + k
+		} else if k%7 == 0 {
+			if _, err := idx.Delete(r); err != nil {
+				t.Fatal(err)
+			}
+			delete(oracle, r)
+		}
+	}
+	if idx.Len() != len(oracle) {
+		t.Fatalf("Len = %d, oracle %d", idx.Len(), len(oracle))
+	}
+	checkRange(t, idx, oracle, "after 6 doublings")
+}
+
+// unmix inverts mix: an xor-shift by 33 or more undoes itself, and an odd
+// multiplier has an inverse mod 2^64 (five Newton steps reach 64 bits).
+func unmix(x uint64) uint64 {
+	inv := func(c uint64) uint64 {
+		y := c
+		for i := 0; i < 5; i++ {
+			y *= 2 - c*y
+		}
+		return y
+	}
+	x ^= x >> 33
+	x *= inv(0xC4CEB9FE1A85EC53)
+	x ^= x >> 33
+	x *= inv(0xFF51AFD7ED558CCD)
+	return x ^ (x >> 33)
+}
+
+// TestCollidingKeysDoNotDouble inserts 64 keys whose hashes share their low
+// 24 bits: no number of doublings would separate them, so the one long
+// chain must grow instead of doubling the table again and again.
+func TestCollidingKeysDoNotDouble(t *testing.T) {
+	idx := New(pmem.NewFast())
+	var ks []uint64
+	for i := uint64(1); i <= 64; i++ {
+		k := unmix(i<<24|0xC0FFEE) ^ seed
+		if hash(k)&(1<<24-1) != 0xC0FFEE {
+			t.Fatalf("unmix: hash(%#x) = %#x", k, hash(k))
+		}
+		ks = append(ks, k)
+		mustInsert(t, idx, k, i)
+	}
+	if idx.Buckets() >= 2*DefaultBuckets {
+		t.Fatalf("64 colliding keys grew the table to %d buckets", idx.Buckets())
+	}
+	for i, k := range ks {
+		if v, ok := idx.Lookup(k); !ok || v != uint64(i+1) {
+			t.Fatalf("Lookup(%#x) = %d,%v, want %d", k, v, ok, i+1)
+		}
+	}
+}
+
+// TestReclaimHidesValueFromOldLevel holds the pre-doubling level while a
+// writer reclaims a stale slot and stops between its value and key stores:
+// a lookup through the old level, for which the stale key is still live,
+// must not pair it with the writer's value. Clearing the key first is what
+// prevents that.
+func TestReclaimHidesValueFromOldLevel(t *testing.T) {
+	heap := pmem.NewFast()
+	idx := NewWithBuckets(heap, 1)
+	firstWith := func(bit uint64) uint64 {
+		for k := uint64(1); ; k++ {
+			if hash(k)&1 == bit {
+				return k
+			}
+		}
+	}
+	moved, fresh := firstWith(1), firstWith(0)
+	mustInsert(t, idx, moved, 111)
+	idx.grow(0) // moved is copied to chain 1; its slot in chain 0 is stale
+	heap.SetInjector(crash.NewAtSite("clht.insert.val", 1))
+	if err := idx.Insert(fresh, 222); !crash.IsCrash(err) {
+		t.Fatalf("reclaiming insert: err = %v, want a crash after its value store", err)
+	}
+	heap.SetInjector(nil)
+	if v, ok := idx.lookupAt(hash(moved)&idx.mask(0), moved); ok && v != 111 {
+		t.Fatalf("lookup through the old level paired the stale key with %d", v)
+	}
+	if v, ok := idx.Lookup(moved); !ok || v != 111 {
+		t.Fatalf("Lookup(moved) = %d,%v, want 111", v, ok)
+	}
+}
+
+// TestConcurrentReadersThroughDoublings reads a stable key set while a
+// writer doubles the table eight times and more, at GOMAXPROCS 1 and 4.
+// Every read must hit with its value: a reader that probed a chain before
+// a doubling and found the key's stale slot reclaimed retries at the new
+// level.
+func TestConcurrentReadersThroughDoublings(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		idx := NewWithBuckets(pmem.NewFast(), 2)
+		const stable = 512
+		for k := uint64(1); k <= stable; k++ {
+			mustInsert(t, idx, k, k*5)
+		}
+		start := idx.Buckets()
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 3; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				for i := uint64(r); ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					k := i%stable + 1
+					if v, ok := idx.Lookup(k); !ok || v != k*5 {
+						t.Errorf("GOMAXPROCS %d: Lookup(%d) = %d,%v, want %d", procs, k, v, ok, k*5)
+						return
+					}
+				}
+			}(r)
+		}
+		for k := uint64(stable + 1); idx.Buckets() < start<<8; k++ {
+			mustInsert(t, idx, k, k)
+		}
+		close(stop)
+		wg.Wait()
+		runtime.GOMAXPROCS(prev)
 	}
 }
 
