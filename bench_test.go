@@ -230,20 +230,19 @@ func BenchmarkShardScaling(b *testing.B) {
 // engine: range scans through the sharded front-end for both
 // partitioners at H ∈ {1, 8} shards, bounded (100-entry) and unbounded
 // lengths, over datasets that differ 10× in size. The headline metric
-// of those cells is B/op (ReportAllocs): the streaming merge buffers at
-// most one batch per shard, so scan allocation is O(shards × batch) and
-// stays ~flat as the dataset grows, where the old collect-then-sort
-// merge buffered every remaining entry — O(dataset) — for unbounded
-// scans. FAST & FAIR is the scanned index there: it is read through the
-// batch-and-resume adapter, and its leaf sibling links make each batch
-// resume an O(log n) seek (§7.1), so the numbers isolate the adapter
-// and the merge rather than trie re-walk costs.
+// of those cells is B/op (ReportAllocs): each shard's iterator buffers
+// at most one leaf, so scan allocation does not grow with the dataset,
+// where the old collect-then-sort merge buffered every remaining entry —
+// O(dataset) — for unbounded scans. FAST & FAIR is the scanned index
+// there: its leaf sibling links make the walk a linked-list walk (§7.1),
+// so the numbers isolate the merge rather than trie re-walk costs.
 //
 // The last cells are the benchmark's lib-scan workload in miniature —
-// P-ART, 24-byte YCSB string keys, hash partitioning over 4 shards,
-// roaming starts, 200K keys — where every shard is pulled through
-// P-ART's own resumable iterator: at len=1-100 ns/op is the cost of one
-// merged scan of ~50 entries, and allocs/op should read 0 in all three.
+// 24-byte YCSB string keys, hash partitioning over 4 shards, roaming
+// starts, 200K keys — where every shard is pulled through its index's
+// own iterator: P-ART at three lengths (at len=1-100 ns/op is the cost of
+// one merged scan of ~50 entries, and allocs/op should read 0 in all
+// three), and FAST & FAIR at len=1-100.
 func BenchmarkScanStreaming(b *testing.B) {
 	for _, part := range []recipe.Partitioner{recipe.HashPartition{}, recipe.RangePartition{}} {
 		for _, shards := range []int{1, 8} {
@@ -277,6 +276,10 @@ func BenchmarkScanStreaming(b *testing.B) {
 			benchScan(b, "P-ART", keys.YCSBString, recipe.ShardOptions{Shards: 4}, 200_000, c.n)
 		})
 	}
+	b.Run("index=FAST & FAIR/keys=ycsb/part=hash/shards=4/load=200000/len=1-100", func(b *testing.B) {
+		benchScan(b, "FAST & FAIR", keys.YCSBString, recipe.ShardOptions{Shards: 4}, 200_000,
+			func(i int) int { return 1 + i*37%100 })
+	})
 }
 
 // benchScan loads loadN keys into a sharded front-end and times b.N

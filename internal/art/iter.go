@@ -2,30 +2,16 @@ package art
 
 import "bytes"
 
-// Iterator is a resumable in-order iterator over an Index: Seek positions
-// it at the first key >= start, each Next returns the following key. It is
-// the tree's one ordered walk — Scan is a loop over it — kept as an
-// explicit stack so a caller can stop after any entry and continue later
-// without re-descending from the root.
-//
-// Consistency is Scan's: non-blocking, no snapshot. A key present in the
-// tree for the iterator's whole lifetime is returned exactly once, in
-// ascending order; a key inserted or deleted meanwhile may or may not be
-// seen; values are read when Next returns them. Stale compressed prefixes
-// (a path-compression split in flight or crashed between its two steps)
-// are tolerated as lookups tolerate them, by trusting the immutable level
-// and asking a leaf for the bytes the node cannot vouch for.
-//
-// Before it steps through a Node4/16 the iterator loads the kind of every
-// child still to visit, in one tight loop (warm): the loads are
-// independent, so sibling cache misses overlap instead of queueing one
-// behind another. A child's kind never changes once the child is published
-// and is reached through the same atomic child loads a step makes, so the
-// early read needs no synchronisation of its own.
-//
-// Returned keys alias the leaves' immutable key bytes: they stay valid
-// indefinitely but must not be modified. An Iterator is not safe for
-// concurrent use; any number may run against one Index.
+// Iterator is the tree's one ordered walk, non-blocking; Scan is a loop
+// over it. It keeps an explicit stack, so a caller can stop after any
+// entry and continue without re-descending. Stale compressed prefixes (a
+// path-compression split in flight or crashed between its two steps) are
+// tolerated as lookups tolerate them, by trusting the immutable level and
+// asking a leaf for the bytes the node cannot vouch for. Before it steps
+// through a Node4/16 it loads the kind of every child still to visit in
+// one tight loop (warm), so sibling cache misses overlap; a child's kind
+// never changes once published. Returned keys alias the leaves' immutable
+// key bytes.
 type Iterator struct {
 	idx *Index
 	// The stack is buf[:depth], spilling into over beyond inlineDepth.
@@ -134,8 +120,14 @@ func (f *frame) step(lo int) (b int, c *header) {
 	return 256, nil
 }
 
-// NewIterator returns an unpositioned iterator; call Seek before Next.
-func (idx *Index) NewIterator() *Iterator { return &Iterator{idx: idx} }
+// NewIterator returns an unpositioned *Iterator; call Seek before Next.
+// The result type is core.Iterator's interface literal.
+func (idx *Index) NewIterator() interface {
+	Seek(start []byte)
+	Next() (key []byte, value uint64, ok bool)
+} {
+	return &Iterator{idx: idx}
+}
 
 // at returns frame i of the stack.
 func (it *Iterator) at(i int) *frame {

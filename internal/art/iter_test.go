@@ -14,7 +14,10 @@ import (
 )
 
 // drain collects everything an iterator positioned by Seek(start) yields.
-func drain(it *Iterator, start []byte) [][]byte {
+func drain(it interface {
+	Seek([]byte)
+	Next() ([]byte, uint64, bool)
+}, start []byte) [][]byte {
 	var out [][]byte
 	it.Seek(start)
 	for {

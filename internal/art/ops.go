@@ -22,7 +22,7 @@ func (idx *Index) Insert(key []byte, value uint64) (err error) {
 	if len(key) > maxKeyLen {
 		return ErrKeyTooLong
 	}
-	defer recoverCrash(&err)
+	defer crash.Catch(&err)
 	for i := 0; i < maxRestarts; i++ {
 		if done, err := idx.tryInsert(key, value); done || err != nil {
 			return err
@@ -497,7 +497,7 @@ func (idx *Index) Delete(key []byte) (deleted bool, err error) {
 	if len(key) == 0 {
 		return false, ErrEmptyKey
 	}
-	defer recoverCrash(&err)
+	defer crash.Catch(&err)
 	for i := 0; i < maxRestarts; i++ {
 		if del, done := idx.tryDelete(key); done {
 			return del, nil
@@ -777,10 +777,4 @@ func childOff(n *header, i int) uintptr {
 		return n4ChildOff + uintptr(i)*8
 	}
 	return n16ChildOff + uintptr(i)*8
-}
-
-func recoverCrash(err *error) {
-	if r := recover(); r != nil {
-		*err = crash.Recover(r)
-	}
 }

@@ -85,16 +85,11 @@ func (idx *Index) trackRead(n *header) {
 func (idx *Index) Scan(start []byte, count int, fn func(key []byte, value uint64) bool) int {
 	it := Iterator{idx: idx} // lives in this frame: a scan allocates nothing
 	it.Seek(start)
-	visited := 0
-	for {
-		k, v, ok := it.Next()
-		if !ok || !fn(k, v) {
-			break
-		}
-		visited++
-		if count > 0 && visited >= count {
+	n := 0
+	for k, v, ok := it.Next(); ok && fn(k, v); k, v, ok = it.Next() {
+		if n++; n == count {
 			break
 		}
 	}
-	return visited
+	return n
 }

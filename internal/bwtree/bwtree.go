@@ -26,7 +26,6 @@ import (
 	"errors"
 	"sync/atomic"
 
-	"repro/internal/crash"
 	"repro/internal/pmem"
 )
 
@@ -193,12 +192,6 @@ func (idx *Index) Len() int { return int(idx.count.Load()) }
 // locks to re-initialise, and torn SMOs are completed lazily by the
 // helping mechanism on the next write that encounters them.
 func (idx *Index) Recover() error { return nil }
-
-func recoverCrash(err *error) {
-	if r := recover(); r != nil {
-		*err = crash.Recover(r)
-	}
-}
 
 func keyLess(a, b []byte) bool  { return bytes.Compare(a, b) < 0 }
 func keyLeq(a, b []byte) bool   { return bytes.Compare(a, b) <= 0 }

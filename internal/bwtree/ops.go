@@ -1,6 +1,10 @@
 package bwtree
 
-import "sort"
+import (
+	"sort"
+
+	"repro/internal/crash"
+)
 
 // findLeaf descends to the leaf logical node covering key and returns its
 // PID, the chain head observed, and the parent PID. When help is true
@@ -152,7 +156,7 @@ func (idx *Index) Insert(key []byte, value uint64) (err error) {
 	if len(key) == 0 {
 		return ErrEmptyKey
 	}
-	defer recoverCrash(&err)
+	defer crash.Catch(&err)
 	for {
 		pid, head, _ := idx.findLeaf(key, true)
 		_, existed := idx.chainLookup(head, key)
@@ -176,7 +180,7 @@ func (idx *Index) Delete(key []byte) (deleted bool, err error) {
 	if len(key) == 0 {
 		return false, ErrEmptyKey
 	}
-	defer recoverCrash(&err)
+	defer crash.Catch(&err)
 	for {
 		pid, head, _ := idx.findLeaf(key, true)
 		if _, ok := idx.chainLookup(head, key); !ok {
@@ -188,34 +192,5 @@ func (idx *Index) Delete(key []byte) (deleted bool, err error) {
 			idx.count.Add(-1)
 			return true, nil
 		}
-	}
-}
-
-// Scan visits keys >= start in order, calling fn until it returns false
-// or count keys have been visited (count <= 0 means unbounded). Each
-// logical leaf is replayed (deltas over base) — the pointer-chasing cost
-// behind P-BwTree's weak scan numbers in Fig 4c (workload E).
-func (idx *Index) Scan(start []byte, count int, fn func(key []byte, value uint64) bool) int {
-	pid, head, _ := idx.findLeaf(start, false)
-	_ = pid
-	visited := 0
-	for {
-		ks, vs, _, next := idx.flattenLeaf(head)
-		for i, k := range ks {
-			if keyLess(k, start) {
-				continue
-			}
-			if !fn(k, vs[i]) {
-				return visited
-			}
-			visited++
-			if count > 0 && visited >= count {
-				return visited
-			}
-		}
-		if next == 0 {
-			return visited
-		}
-		head = idx.head(next)
 	}
 }

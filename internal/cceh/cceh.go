@@ -237,7 +237,7 @@ func (idx *Index) Insert(key, value uint64) (err error) {
 	if key == 0 {
 		return ErrZeroKey
 	}
-	defer recoverCrash(&err)
+	defer crash.Catch(&err)
 	h := hash(key)
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		v := idx.view()
@@ -315,7 +315,7 @@ func (idx *Index) Delete(key uint64) (deleted bool, err error) {
 	if key == 0 {
 		return false, ErrZeroKey
 	}
-	defer recoverCrash(&err)
+	defer crash.Catch(&err)
 	h := hash(key)
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		v := idx.view()
@@ -540,10 +540,4 @@ func (idx *Index) Recover() error {
 		}
 	}
 	return nil
-}
-
-func recoverCrash(err *error) {
-	if r := recover(); r != nil {
-		*err = crash.Recover(r)
-	}
 }

@@ -244,7 +244,7 @@ func (idx *Index) Insert(key, value uint64) (err error) {
 	if key == 0 {
 		return ErrZeroKey
 	}
-	defer recoverCrash(&err)
+	defer crash.Catch(&err)
 	h := hash(key)
 	for {
 		level := idx.root.level.Load()
@@ -368,7 +368,7 @@ func (idx *Index) Delete(key uint64) (deleted bool, err error) {
 	if key == 0 {
 		return false, ErrZeroKey
 	}
-	defer recoverCrash(&err)
+	defer crash.Catch(&err)
 	h := hash(key)
 	for {
 		level := idx.root.level.Load()
@@ -518,10 +518,4 @@ func (idx *Index) Recover() error {
 		idx.chain(j).head.lock.Reset()
 	}
 	return nil
-}
-
-func recoverCrash(err *error) {
-	if r := recover(); r != nil {
-		*err = crash.Recover(r)
-	}
 }

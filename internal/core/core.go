@@ -53,13 +53,16 @@ type PointIndex[K any] interface {
 
 // OrderedIndex is the interface every ordered (point + range query) index
 // implements: PointIndex over byte-string keys plus the range_query of
-// §2.1.
+// §2.1, in both of its shapes. Each index has one ordered walk, its
+// Iterator; Scan is a loop over one.
 type OrderedIndex interface {
 	PointIndex[[]byte]
 	// Scan visits keys >= start in ascending order until fn returns false
 	// or count keys were visited (count <= 0 = unbounded); it returns the
 	// number of keys visited.
 	Scan(start []byte, count int, fn func(key []byte, value uint64) bool) int
+	// NewIterator returns an unpositioned Iterator; call Seek before Next.
+	NewIterator() Iterator
 }
 
 // HashIndex is the unordered (point query only) interface; the paper
@@ -82,30 +85,18 @@ type HashRanger interface {
 
 // Iterator is a resumable in-order iterator over an ordered index: Seek
 // positions it at the smallest key >= start (nil or empty = the minimum
-// key) and may be called again to reposition; each Next returns the key at
-// the position and moves past it, ok = false once the keys are exhausted.
-// Unlike Scan's callback, the caller decides when — and whether — to pull
-// the next entry, and pays nothing to resume.
+// key; start is not retained), and may be called again; each Next returns
+// the key at the position and moves past it, ok = false at the end.
 //
-// Consistency is Scan's, not a snapshot's: a key present for the whole
-// time between Seek and the Next that passes it is returned exactly once,
-// in ascending order; concurrent inserts and deletes may or may not be
-// seen. A returned key is valid at least until the next call on the same
-// iterator and must not be modified. An Iterator is not safe for
-// concurrent use.
-type Iterator interface {
+// There is no snapshot: a key present for the whole time between Seek and
+// the Next that passes it is returned exactly once, in ascending order;
+// concurrent inserts and deletes may or may not be seen. A returned key is
+// valid at least until the next call and must not be modified. An
+// Iterator is not safe for concurrent use. It aliases the interface
+// literal, so index packages return it without importing this one.
+type Iterator = interface {
 	Seek(start []byte)
 	Next() (key []byte, value uint64, ok bool)
-}
-
-// Iterable is the optional iteration capability of an ordered index,
-// type-asserted like HashRanger: an index that can resume an ordered walk
-// where it stopped hands out Iterators, and the sharded front-end merges
-// shards by pulling one entry at a time instead of re-running Scan in
-// batches. OrderedIndex itself stays Scan-only; today P-ART implements
-// Iterable.
-type Iterable interface {
-	NewIterator() Iterator
 }
 
 // Condition is a RECIPE conversion condition (§4).
@@ -184,12 +175,6 @@ var OrderedNames = []string{"FAST & FAIR", "P-BwTree", "P-Masstree", "P-ART", "P
 // HashNames lists the unordered indexes in the paper's Fig 5 order.
 var HashNames = []string{"CCEH", "Level Hashing", "P-CLHT"}
 
-// artIndex is P-ART plus the Iterable capability: art cannot import this
-// package, so its NewIterator returns the concrete *art.Iterator.
-type artIndex struct{ *art.Index }
-
-func (a artIndex) NewIterator() Iterator { return a.Index.NewIterator() }
-
 // NewOrdered constructs the named ordered index on heap. kind selects the
 // key encoding, which only FAST & FAIR needs to know up front (it stores
 // integer keys inline and string keys out of line, as the paper's
@@ -197,7 +182,7 @@ func (a artIndex) NewIterator() Iterator { return a.Index.NewIterator() }
 func NewOrdered(name string, heap *pmem.Heap, kind keys.Kind) (OrderedIndex, error) {
 	switch name {
 	case "P-ART":
-		return artIndex{art.New(heap)}, nil
+		return art.New(heap), nil
 	case "P-HOT":
 		return hot.New(heap), nil
 	case "P-BwTree":

@@ -23,9 +23,9 @@ type rangedHash interface {
 	HashRanger
 }
 
-// The nine indexes implement the core interfaces themselves; the
-// registry hands out the concrete pointers (P-ART behind artIndex, which
-// adds only the Iterable capability).
+// The nine indexes implement the core interfaces themselves, and the
+// registry hands out the concrete pointers. Each ordered index's
+// NewIterator returns the interface literal Iterator aliases.
 var (
 	_ OrderedIndex = (*art.Index)(nil)
 	_ OrderedIndex = (*hot.Index)(nil)
@@ -33,7 +33,6 @@ var (
 	_ OrderedIndex = (*masstree.Index)(nil)
 	_ OrderedIndex = (*fastfair.Tree)(nil)
 	_ OrderedIndex = (*woart.Index)(nil)
-	_ Iterable     = artIndex{}
 
 	_ rangedHash = (*clht.Index)(nil)
 	_ rangedHash = (*cceh.Index)(nil)

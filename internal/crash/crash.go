@@ -173,20 +173,21 @@ func (in *Injector) Sites() map[string]int64 {
 	return out
 }
 
-// Recover converts a recovered panic value into (error, true) when it is a
-// crash Signal, and re-panics otherwise. Typical use at an index entry
-// point:
-//
-//	defer func() {
-//	    if r := recover(); r != nil {
-//	        err = crash.Recover(r)
-//	    }
-//	}()
+// Recover converts a recovered panic value into ErrCrashed when it is a
+// crash Signal, and re-panics otherwise.
 func Recover(r any) error {
 	if _, ok := r.(Signal); ok {
 		return ErrCrashed
 	}
 	panic(r)
+}
+
+// Catch, deferred at an index entry point (defer crash.Catch(&err)),
+// turns a crash Signal unwinding the operation into ErrCrashed in *err.
+func Catch(err *error) {
+	if r := recover(); r != nil {
+		*err = Recover(r)
+	}
 }
 
 // IsCrash reports whether err is the simulated-crash error.

@@ -27,7 +27,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/crash"
 	"repro/internal/keys"
 	"repro/internal/pmem"
 	"repro/internal/pmlock"
@@ -178,18 +177,8 @@ func (t *Tree) cmpProbe(probe []byte, stored uint64) int {
 	return bytes.Compare(probe, r.b)
 }
 
-// keyBytes returns the byte representation of a stored key.
-func (t *Tree) keyBytes(stored uint64) []byte {
-	if t.kind == keys.RandInt {
-		return keys.EncodeUint64(stored)
-	}
-	return t.krecOf(stored).b
-}
-
-// appendKeyBytes is keyBytes with a caller-owned scratch buffer for the
-// randint encoding, so loops that emit many keys (Scan) do not allocate
-// one 8-byte slice per key. String keys return the interned record
-// bytes directly, as keyBytes does.
+// appendKeyBytes returns the byte representation of a stored key: an
+// integer key's encoding appended to dst, a string key's interned bytes.
 func (t *Tree) appendKeyBytes(dst []byte, stored uint64) []byte {
 	if t.kind == keys.RandInt {
 		return keys.AppendUint64(dst, stored)
@@ -248,10 +237,4 @@ func (t *Tree) Recover() error {
 	}
 	walk(t.root.Load())
 	return nil
-}
-
-func recoverCrash(err *error) {
-	if r := recover(); r != nil {
-		*err = crash.Recover(r)
-	}
 }

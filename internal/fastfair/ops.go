@@ -1,8 +1,7 @@
 package fastfair
 
 import (
-	"bytes"
-
+	"repro/internal/crash"
 	"repro/internal/keys"
 )
 
@@ -119,7 +118,7 @@ func (t *Tree) Insert(key []byte, value uint64) (err error) {
 	if t.kind == keys.RandInt && len(key) != 8 {
 		return ErrKeySize
 	}
-	defer recoverCrash(&err)
+	defer crash.Catch(&err)
 	stored := t.encode(key)
 	vr := &vref{v: value, pm: t.heap.Alloc(16)}
 	t.heap.Shadow(vr.pm, vr)
@@ -339,7 +338,7 @@ func (t *Tree) splitInternal(n *node) (*node, uint64) {
 // insertParent installs (splitKey -> right) into the parent level after
 // left split. left must still be reachable at level-1.
 func (t *Tree) insertParent(left *node, splitKey uint64, right *node, level int) {
-	keyB := t.keyBytes(splitKey)
+	keyB := t.appendKeyBytes(nil, splitKey)
 	for {
 		root := t.root.Load()
 		if root == left {
@@ -441,7 +440,7 @@ func (t *Tree) Delete(key []byte) (deleted bool, err error) {
 	if t.kind == keys.RandInt && len(key) != 8 {
 		return false, nil
 	}
-	defer recoverCrash(&err)
+	defer crash.Catch(&err)
 	n := t.lockLeafFor(key)
 	defer n.lock.Unlock()
 	cnt := n.countRecords()
@@ -474,59 +473,4 @@ func (t *Tree) Delete(key []byte) (deleted bool, err error) {
 	t.heap.CrashPoint("ff.delete.commit")
 	t.count.Add(-1)
 	return true, nil
-}
-
-// Scan visits keys >= start in order, calling fn until it returns false
-// or count keys were visited (count <= 0 means unbounded). Leaf sibling
-// links make this a linked-list walk — the structural reason FAST & FAIR
-// wins YCSB E over the tries (§7.1).
-func (t *Tree) Scan(start []byte, count int, fn func(key []byte, value uint64) bool) int {
-	n := t.root.Load()
-	if len(start) == 0 {
-		// Scan from the minimum: descend the leftmost spine.
-		for n != nil && !n.leaf {
-			n = n.leftmost.Load()
-		}
-	} else {
-		probe := start
-		if t.kind == keys.RandInt && len(start) < 8 {
-			// An integer key is 8 bytes: descend by the smallest one >= a
-			// shorter start, its zero padding. The leaf filter below still
-			// compares against start itself.
-			probe = make([]byte, 8)
-			copy(probe, start)
-		}
-		for n != nil && !n.leaf {
-			n = t.childFor(n, probe)
-		}
-	}
-	visited := 0
-	kbuf := make([]byte, 0, 8) // reused per emitted randint key; fn must not retain
-	for n != nil {
-		t.heap.Load(n.pm, 0, nodeBytes)
-		cnt := n.countRecords()
-		for i := 0; i < cnt; i++ {
-			v := n.vals[i].Load()
-			if v == nil {
-				break
-			}
-			if i+1 < Cardinality && n.vals[i+1].Load() == v {
-				continue
-			}
-			k := n.keys[i].Load()
-			kb := t.appendKeyBytes(kbuf[:0], k)
-			if bytes.Compare(kb, start) < 0 {
-				continue
-			}
-			if !fn(kb, v.v) {
-				return visited
-			}
-			visited++
-			if count > 0 && visited >= count {
-				return visited
-			}
-		}
-		n = n.sibling.Load()
-	}
-	return visited
 }

@@ -25,7 +25,6 @@ import (
 	"sort"
 	"sync/atomic"
 
-	"repro/internal/crash"
 	"repro/internal/pmem"
 	"repro/internal/pmlock"
 )
@@ -163,46 +162,6 @@ func (idx *Index) Lookup(key []byte) (uint64, bool) {
 	return 0, false
 }
 
-// Scan visits keys >= start in ascending order until fn returns false or
-// count keys have been visited (count <= 0 = unbounded). Like the other
-// tries, HOT has no leaf sibling links, so scans walk the tree — the
-// reason trie scans trail FAST & FAIR on YCSB E (§7.1).
-func (idx *Index) Scan(start []byte, count int, fn func(key []byte, value uint64) bool) int {
-	visited := 0
-	var walk func(n *hnode) bool
-	walk = func(n *hnode) bool {
-		if n == nil {
-			return true
-		}
-		idx.heap.Load(n.pm, 0, n.bytesSize())
-		for i, e := range n.entries {
-			if e.isLeaf {
-				if bytes.Compare(e.key, start) < 0 {
-					continue
-				}
-				if !fn(e.key, e.value) {
-					return false
-				}
-				visited++
-				if count > 0 && visited >= count {
-					return false
-				}
-				continue
-			}
-			// Prune subtrees whose range ends before start.
-			if i+1 < len(n.entries) && bytes.Compare(n.entries[i+1].key, start) <= 0 {
-				continue
-			}
-			if !walk(e.child.Load()) {
-				return false
-			}
-		}
-		return true
-	}
-	walk(idx.root.Load())
-	return visited
-}
-
 // Recover re-initialises all node locks after a simulated crash, and
 // with them the obsolete marks: a restart can revert the pointer swap
 // that retired a node, and a node reachable after recovery is live. No
@@ -225,10 +184,4 @@ func (idx *Index) Recover() error {
 	}
 	walk(idx.root.Load())
 	return nil
-}
-
-func recoverCrash(err *error) {
-	if r := recover(); r != nil {
-		*err = crash.Recover(r)
-	}
 }

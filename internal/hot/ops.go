@@ -1,6 +1,10 @@
 package hot
 
-import "bytes"
+import (
+	"bytes"
+
+	"repro/internal/crash"
+)
 
 // pathEl records one descent step: path[i].n.entries[path[i].slot] is the
 // child entry taken.
@@ -18,7 +22,7 @@ func (idx *Index) Insert(key []byte, value uint64) (err error) {
 	if len(key) == 0 {
 		return ErrEmptyKey
 	}
-	defer recoverCrash(&err)
+	defer crash.Catch(&err)
 	for i := 0; i < maxRestarts; i++ {
 		if idx.tryInsert(key, value) {
 			return nil
@@ -201,7 +205,7 @@ func (idx *Index) Delete(key []byte) (deleted bool, err error) {
 	if len(key) == 0 {
 		return false, ErrEmptyKey
 	}
-	defer recoverCrash(&err)
+	defer crash.Catch(&err)
 	for attempt := 0; attempt < maxRestarts; attempt++ {
 		root := idx.root.Load()
 		if root == nil {

@@ -181,7 +181,7 @@ func (idx *Index) Insert(key, value uint64) (err error) {
 	if key == 0 {
 		return ErrZeroKey
 	}
-	defer recoverCrash(&err)
+	defer crash.Catch(&err)
 	for {
 		t := idx.tab.Load()
 		if idx.tryInsert(t, key, value) {
@@ -249,7 +249,7 @@ func (idx *Index) Delete(key uint64) (deleted bool, err error) {
 	if key == 0 {
 		return false, ErrZeroKey
 	}
-	defer recoverCrash(&err)
+	defer crash.Catch(&err)
 	for {
 		t := idx.tab.Load()
 		for _, b := range t.candidates(key) {
@@ -427,10 +427,4 @@ func (idx *Index) Recover() error {
 		t.bottom.buckets[i].lock.Reset()
 	}
 	return nil
-}
-
-func recoverCrash(err *error) {
-	if r := recover(); r != nil {
-		*err = crash.Recover(r)
-	}
 }

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"sync/atomic"
 
-	"repro/internal/crash"
 	"repro/internal/pmem"
 	"repro/internal/pmlock"
 )
@@ -257,10 +256,4 @@ func (idx *Index) Recover() error {
 	}
 	walkLayer(idx.layer0)
 	return nil
-}
-
-func recoverCrash(err *error) {
-	if r := recover(); r != nil {
-		*err = crash.Recover(r)
-	}
 }

@@ -2,7 +2,8 @@ package masstree
 
 import (
 	"bytes"
-	"encoding/binary"
+
+	"repro/internal/crash"
 )
 
 // findLeaf descends within one layer to the leaf whose range covers
@@ -143,7 +144,7 @@ func (idx *Index) Insert(key []byte, value uint64) (err error) {
 	if len(key) == 0 {
 		return ErrEmptyKey
 	}
-	defer recoverCrash(&err)
+	defer crash.Catch(&err)
 	lr := idx.layer0
 	rem := key
 	for {
@@ -595,7 +596,7 @@ func (idx *Index) Delete(key []byte) (deleted bool, err error) {
 	if len(key) == 0 {
 		return false, ErrEmptyKey
 	}
-	defer recoverCrash(&err)
+	defer crash.Catch(&err)
 	lr := idx.layer0
 	rem := key
 	for {
@@ -637,79 +638,4 @@ func (idx *Index) removeLeafEntry(n *node, pos int) {
 	// RECIPE: flush + fence after the committing permutation store.
 	idx.heap.PersistFence(n.pm, offPerm, 8)
 	idx.heap.CrashPoint("mt.delete.commit")
-}
-
-// Scan visits keys >= start in ascending order, calling fn until it
-// returns false or count keys were visited (count <= 0 = unbounded).
-// Within a layer it walks the leaf sibling chain; layer links recurse.
-func (idx *Index) Scan(start []byte, count int, fn func(key []byte, value uint64) bool) int {
-	visited := 0
-	emit := func(k []byte, v uint64) bool {
-		if bytes.Compare(k, start) < 0 {
-			return true
-		}
-		if !fn(k, v) {
-			return false
-		}
-		visited++
-		return count <= 0 || visited < count
-	}
-	idx.scanLayer(idx.layer0, nil, start, emit)
-	return visited
-}
-
-// scanLayer walks one layer from the leaf covering layerStart (nil =
-// leftmost); prefix holds the key bytes consumed by outer layers.
-func (idx *Index) scanLayer(lr *layerRoot, prefix, layerStart []byte, emit func([]byte, uint64) bool) bool {
-	var startSlice uint64
-	if len(layerStart) > 0 {
-		startSlice, _ = sliceOf(layerStart)
-	}
-	n := idx.findLeaf(lr, startSlice)
-	var sliceBytes [8]byte
-	for n != nil {
-		idx.heap.Load(n.pm, 0, nodeBytes)
-		p := perm(n.perm.Load())
-		highSet := n.highSet.Load()
-		high := n.high.Load()
-		for i := 0; i < p.count(); i++ {
-			slot := p.slot(i)
-			s := n.slices[slot].Load()
-			if highSet && s >= high {
-				break // stale duplicates beyond a split boundary
-			}
-			lc := int(n.lens[slot].Load())
-			lv := n.vals[slot].Load()
-			if lv == nil || lv.slice != s || lv.lenclass != lc {
-				continue
-			}
-			binary.BigEndian.PutUint64(sliceBytes[:], s)
-			switch {
-			case lc < suffixClass:
-				key := append(append([]byte(nil), prefix...), sliceBytes[:lc]...)
-				if !emit(key, lv.value) {
-					return false
-				}
-			case lv.layer != nil:
-				sub := append(append([]byte(nil), prefix...), sliceBytes[:]...)
-				var subStart []byte
-				if len(layerStart) > 8 {
-					ss, _ := sliceOf(layerStart)
-					if ss == s {
-						subStart = layerStart[8:]
-					}
-				}
-				if !idx.scanLayer(lv.layer, sub, subStart, emit) {
-					return false
-				}
-			default:
-				key := append(append(append([]byte(nil), prefix...), sliceBytes[:]...), lv.suffix...)
-				if !emit(key, lv.value) {
-					return false
-				}
-			}
-		}
-		n = n.next.Load()
-	}
-	return true
 }

@@ -169,7 +169,7 @@ func (idx *Index) Insert(key []byte, value uint64) (err error) {
 	}
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	defer recoverCrash(&err)
+	defer crash.Catch(&err)
 	if idx.slot.root == nil {
 		l := idx.newLeaf(key, value)
 		idx.slot.root = l
@@ -293,7 +293,7 @@ func (idx *Index) Delete(key []byte) (deleted bool, err error) {
 	}
 	idx.mu.Lock()
 	defer idx.mu.Unlock()
-	defer recoverCrash(&err)
+	defer crash.Catch(&err)
 	if l, ok := idx.slot.root.(*leaf); ok {
 		if bytes.Equal(l.key, key) {
 			idx.slot.root = nil
@@ -338,79 +338,8 @@ func (idx *Index) Delete(key []byte) (deleted bool, err error) {
 	return false, nil
 }
 
-// Scan visits keys >= start in order until fn returns false or count keys
-// have been visited (count <= 0 = unbounded). It holds the read lock for
-// the duration, as the suggested global-lock scheme implies, and prunes
-// subtrees that end before start.
-func (idx *Index) Scan(start []byte, count int, fn func(key []byte, value uint64) bool) int {
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	visited := 0
-	var walk func(cur any, bounded bool) bool
-	walk = func(cur any, bounded bool) bool {
-		switch c := cur.(type) {
-		case *leaf:
-			if bytes.Compare(c.key, start) >= 0 {
-				if !fn(c.key, c.value) {
-					return false
-				}
-				visited++
-				if count > 0 && visited >= count {
-					return false
-				}
-			}
-		case *node:
-			if bounded {
-				// Compare the compressed prefix with start's bytes to
-				// decide whether the subtree can still straddle start.
-				d := c.depth - len(c.prefix)
-				for i, pb := range c.prefix {
-					sb := byte(0)
-					if d+i < len(start) {
-						sb = start[d+i]
-					}
-					if pb > sb {
-						bounded = false
-						break
-					}
-					if pb < sb {
-						return true // whole subtree < start
-					}
-				}
-			}
-			lo := -1
-			if bounded && c.depth < len(start) {
-				lo = int(start[c.depth])
-			}
-			for i, ch := range c.children {
-				if lo >= 0 {
-					if int(c.keys[i]) < lo {
-						continue
-					}
-					if !walk(ch, int(c.keys[i]) == lo) {
-						return false
-					}
-					continue
-				}
-				if !walk(ch, false) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	walk(idx.slot.root, len(start) > 0)
-	return visited
-}
-
 // Recover re-initialises the global lock after a simulated crash.
 func (idx *Index) Recover() error {
 	idx.mu = sync.RWMutex{}
 	return nil
-}
-
-func recoverCrash(err *error) {
-	if r := recover(); r != nil {
-		*err = crash.Recover(r)
-	}
 }

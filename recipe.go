@@ -154,20 +154,10 @@ type RangePartition = shard.RangePartition
 // batch size); see (*ShardedOrdered).Rebalance.
 type RebalanceOptions = shard.RebalanceOptions
 
-// Cursor is a pull-style streaming scan iterator: Next returns entries
-// in ascending key order from a k-way merge over one iterator per shard.
-// P-ART shards are pulled entry by entry from the index's own resumable
-// iterator (nothing buffered); every other index is read in batches of
-// at most 256 entries per shard, so servers can paginate arbitrarily
-// long scans in O(shards × batch) memory without callback gymnastics.
-// Obtain one from (*ShardedOrdered).Cursor or NewCursor.
+// Cursor is a sharded front-end's streaming scan iterator, a k-way merge
+// pulling entry by entry from each shard's own iterator. Obtain one from
+// (*ShardedOrdered).Cursor; over one index, NewIterator and Seek.
 type Cursor = shard.Cursor
-
-// NewCursor returns a streaming cursor over a single ordered index,
-// starting at start (nil = the minimum key).
-func NewCursor(idx OrderedIndex, start []byte) *Cursor {
-	return shard.NewCursor(idx, start)
-}
 
 // NewShardedOrdered builds the named ordered index on each of
 // opts.Shards private heaps behind one front-end.

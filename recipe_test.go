@@ -153,7 +153,7 @@ func TestWorkloadByName(t *testing.T) {
 }
 
 // TestStreamingScanPublicAPI pins the exported streaming scan surface:
-// the sharded Cursor, NewCursor over a bare index, and the per-site
+// the sharded Cursor, a bare index's own iterator, and the per-site
 // durability campaign re-exports.
 func TestStreamingScanPublicAPI(t *testing.T) {
 	m, err := recipe.NewShardedOrdered("P-ART", recipe.RandInt,
@@ -199,14 +199,14 @@ func TestStreamingScanPublicAPI(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	n := 0
-	for c := recipe.NewCursor(idx, nil); ; n++ {
-		if _, _, ok := c.Next(); !ok {
+	n, it := 0, idx.NewIterator()
+	for it.Seek(nil); ; n++ {
+		if _, _, ok := it.Next(); !ok {
 			break
 		}
 	}
 	if n != 100 {
-		t.Fatalf("NewCursor yielded %d entries, want 100", n)
+		t.Fatalf("iterator yielded %d entries, want 100", n)
 	}
 
 	rep := recipe.SiteCampaign("P-ART", recipe.IndexByName("P-ART", recipe.RandInt), recipe.WritePath{}, pmem.PolicyIntact, 0, 600, 50, 2)

@@ -12,24 +12,15 @@ import (
 	"repro/internal/pmem"
 )
 
-// countingIndex wraps an iterable ordered index and counts every entry
-// the front-end takes out of it, by either door: Scan callbacks or
-// iterator Nexts. It forwards the core.Iterable capability, so the
-// front-end treats it as it treats the index inside.
+// countingIndex wraps an ordered index and counts every entry the
+// front-end's merge takes out of it through its iterator.
 type countingIndex struct {
 	core.OrderedIndex
 	pulled *atomic.Int64
 }
 
-func (c countingIndex) Scan(start []byte, count int, fn func([]byte, uint64) bool) int {
-	return c.OrderedIndex.Scan(start, count, func(k []byte, v uint64) bool {
-		c.pulled.Add(1)
-		return fn(k, v)
-	})
-}
-
 func (c countingIndex) NewIterator() core.Iterator {
-	return countingIter{c.OrderedIndex.(core.Iterable).NewIterator(), c.pulled}
+	return countingIter{c.OrderedIndex.NewIterator(), c.pulled}
 }
 
 type countingIter struct {
@@ -45,10 +36,9 @@ func (c countingIter) Next() ([]byte, uint64, bool) {
 	return k, v, ok
 }
 
-// TestMergedScanPullBound: a count-n merged scan over H iterable shards
-// takes at most n + H entries out of the indexes — one head per shard to
-// seed the merge, one replacement per entry emitted, and none after the
-// last. (Batch-and-resume took H × min(32, n).)
+// TestMergedScanPullBound: a count-n merged scan over H shards takes at
+// most n + H entries out of the indexes — one head per shard to seed the
+// merge, one replacement per entry emitted, and none after the last.
 func TestMergedScanPullBound(t *testing.T) {
 	const h, load = 4, 5_000
 	var pulled atomic.Int64
@@ -93,9 +83,9 @@ func TestMergedScanPullBound(t *testing.T) {
 
 // TestMergedScanDuplicateHeads: during a handoff window and until the
 // residue sweep, a key sits on two shards. The merge must emit it once,
-// with the value of the shard the routing table names — whether the
-// shards are pulled natively (P-ART) or through the batch-and-resume
-// adapter (memIndex), and wherever in the heap the two copies meet.
+// with the value of the shard the routing table names — over P-ART and
+// over memIndex's sorted-slice iterator, and wherever in the heap the
+// two copies meet.
 func TestMergedScanDuplicateHeads(t *testing.T) {
 	const h, n = 4, 300
 	factories := map[string]func(*pmem.Heap) (core.OrderedIndex, error){
@@ -106,7 +96,7 @@ func TestMergedScanDuplicateHeads(t *testing.T) {
 	}
 	for name, factory := range factories {
 		t.Run(name, func(t *testing.T) {
-			m, err := batchCap(5)(NewOrderedWith(factory, Options{Shards: h}))
+			m, err := NewOrderedWith(factory, Options{Shards: h})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -158,11 +148,7 @@ func TestMergedScanDuplicateHeads(t *testing.T) {
 // duplicate heads only then, and a range-routed cursor drains shards
 // one after another only until then.
 func TestMergeFastPathRule(t *testing.T) {
-	dedups := func(m *Ordered) bool {
-		var c Cursor
-		m.openMerge(&c, nil, m.batch)
-		return c.owner != nil
-	}
+	dedups := func(m *Ordered) bool { return m.Cursor(nil).owner != nil }
 	for _, abort := range []bool{false, true} {
 		m := newReshardOrdered(t, 4, nil, false)
 		if dedups(m) {
@@ -190,8 +176,8 @@ func TestMergeFastPathRule(t *testing.T) {
 
 	r := newReshardOrdered(t, 4, RangePartition{}, false)
 	defer r.Release()
-	if c := r.Cursor(nil); len(c.rest) != 4 || c.srcs != nil {
-		t.Fatalf("fresh range front-end: cursor holds %d unopened shards, merge state %v; want the sequential path", len(c.rest), c.srcs != nil)
+	if c := r.Cursor(nil); len(c.rest) != 3 || c.owner != nil {
+		t.Fatalf("fresh range front-end: cursor opened the first shard and holds %d unopened, owner %v; want the sequential path (3 unopened)", len(c.rest), c.owner != nil)
 	}
 	width := ^uint64(0)/4 + 1
 	if err := r.MigrateRange(0, 1, width/2, width-1, 0); err != nil {
@@ -206,7 +192,7 @@ func TestMergeFastPathRule(t *testing.T) {
 // pooled and P-ART's iterators hand out leaf keys without copying, so
 // once warm a merged scan allocates (next to) nothing — the bound allows
 // for the pool shedding an entry now and then, as it does under -race.
-// An unpooled scan costs 7 allocations, batch-and-resume cost ~90.
+// An unpooled scan costs 7 allocations.
 func TestMergedScanSteadyStateAllocs(t *testing.T) {
 	const load = 20_000
 	m, err := NewOrdered("P-ART", keys.YCSBString, Options{Shards: 4})
@@ -239,22 +225,16 @@ func TestMergedScanSteadyStateAllocs(t *testing.T) {
 
 // The stale* wrappers make every enumeration of an index report values
 // no shard ever held, standing in for a donor walk that read its
-// entries arbitrarily long ago: staleOrdered through Scan (the
-// batch-and-resume adapter's source), staleIterable through the native
-// iterator as well, staleHash through Range.
+// entries arbitrarily long ago: staleOrdered through its iterator,
+// staleHash through Range.
 type (
-	staleOrdered  struct{ core.OrderedIndex }
-	staleIterable struct{ staleOrdered }
-	staleIter     struct{ core.Iterator }
-	staleHash     struct{ core.HashIndex }
+	staleOrdered struct{ core.OrderedIndex }
+	staleIter    struct{ core.Iterator }
+	staleHash    struct{ core.HashIndex }
 )
 
-func (s staleOrdered) Scan(start []byte, n int, fn func([]byte, uint64) bool) int {
-	return s.OrderedIndex.Scan(start, n, func(k []byte, _ uint64) bool { return fn(k, 0xdead) })
-}
-
-func (s staleIterable) NewIterator() core.Iterator {
-	return staleIter{s.OrderedIndex.(core.Iterable).NewIterator()}
+func (s staleOrdered) NewIterator() core.Iterator {
+	return staleIter{s.OrderedIndex.NewIterator()}
 }
 
 func (s staleIter) Next() ([]byte, uint64, bool) {
@@ -272,11 +252,11 @@ func (s staleHash) Range(fn func(k, v uint64) bool) {
 // value the donor holds at the time the batch runs, and skips keys
 // deleted in between.
 func TestCopyBatchReadsUnderTheLock(t *testing.T) {
-	ordered := func(name string, wrap func(core.OrderedIndex) core.OrderedIndex) func(*testing.T) {
+	ordered := func(name string) func(*testing.T) {
 		return func(t *testing.T) {
 			m, err := NewOrderedWith(func(h *pmem.Heap) (core.OrderedIndex, error) {
 				idx, err := core.NewOrdered(name, h, keys.RandInt)
-				return wrap(idx), err
+				return staleOrdered{idx}, err
 			}, Options{Shards: 2})
 			if err != nil {
 				t.Fatal(err)
@@ -284,12 +264,8 @@ func TestCopyBatchReadsUnderTheLock(t *testing.T) {
 			copyBatchReadsUnderTheLock(t, &m.frontend, keys.NewGenerator(keys.RandInt).Key)
 		}
 	}
-	t.Run("P-ART", ordered("P-ART", func(idx core.OrderedIndex) core.OrderedIndex {
-		return staleIterable{staleOrdered{idx}} // native iterator
-	}))
-	t.Run("FAST & FAIR", ordered("FAST & FAIR", func(idx core.OrderedIndex) core.OrderedIndex {
-		return staleOrdered{idx} // batch-and-resume adapter
-	}))
+	t.Run("P-ART", ordered("P-ART"))
+	t.Run("FAST & FAIR", ordered("FAST & FAIR"))
 	t.Run("P-CLHT", func(t *testing.T) {
 		m, err := NewHashWith(func(h *pmem.Heap) (core.HashIndex, error) {
 			idx, err := core.NewHash("P-CLHT", h)
@@ -323,7 +299,7 @@ func copyBatchReadsUnderTheLock[K any](t *testing.T, m *frontend[K], key func(id
 	}
 	wt := t0.withWindow(mg)
 	m.rt.Store(wt)
-	walk, err := m.walk(wt, mg, 64)
+	walk, err := m.walk(wt, mg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -195,7 +195,7 @@ func (f *frontend[K]) migrate(donor, recipient, batchSize int, window func(*rout
 		}
 	}()
 
-	walk, err := f.walk(wt, mg, batchSize)
+	walk, err := f.walk(wt, mg)
 	if err != nil {
 		return err
 	}
@@ -229,8 +229,8 @@ type keyWalk[K any] interface {
 	keep(key K) K
 }
 
-// iterWalk walks an ordered donor in key order through its
-// core.Iterator (native or the batch-and-resume adapter).
+// iterWalk walks an ordered donor in key order through its own
+// core.Iterator.
 type iterWalk struct{ it core.Iterator }
 
 func (w iterWalk) next() ([]byte, bool) {
@@ -242,12 +242,12 @@ func (iterWalk) keep(k []byte) []byte { return append([]byte(nil), k...) }
 
 // walkIterator implements frontend.walk: an ordered cursor over the
 // donor, started at the window's low point when the window is a range.
-func (m *Ordered) walkIterator(_ *routeTable, mg *migration, batch int) (keyWalk[[]byte], error) {
+func (m *Ordered) walkIterator(_ *routeTable, mg *migration) (keyWalk[[]byte], error) {
 	var start []byte
 	if mg.ranged {
 		start = rangeStartKey(mg.lo)
 	}
-	it := newIter(m.ordered[mg.donor], batch)
+	it := m.ordered[mg.donor].NewIterator()
 	it.Seek(start)
 	return iterWalk{it}, nil
 }
@@ -287,7 +287,7 @@ func (*snapshotWalk) keep(k uint64) uint64 { return k }
 
 // walkSnapshot implements frontend.walk. It fails with ErrNotReshardable
 // if the donor index cannot be enumerated.
-func (m *Hash) walkSnapshot(wt *routeTable, mg *migration, _ int) (keyWalk[uint64], error) {
+func (m *Hash) walkSnapshot(wt *routeTable, mg *migration) (keyWalk[uint64], error) {
 	ranger, ok := m.shards[mg.donor].idx.(core.HashRanger)
 	if !ok {
 		return nil, fmt.Errorf("%w: donor index is not enumerable (no Range)", ErrNotReshardable)
@@ -365,7 +365,7 @@ func (f *frontend[K]) commitCopy(mg *migration, ops []group.Op[K]) error {
 // deduplicated by merged scans, so the sweep is plain unfenced deletes;
 // a crash that skips it costs capacity, not correctness.
 func (f *frontend[K]) sweepResidue(wt *routeTable, mg *migration, batchSize int) {
-	walk, err := f.walk(wt, mg, batchSize)
+	walk, err := f.walk(wt, mg)
 	if err != nil {
 		return
 	}

@@ -13,16 +13,14 @@ import (
 )
 
 // memIndex is a deterministic in-memory core.OrderedIndex for pinning
-// the streaming scan engine's contract edge cases. Like the real
-// indexes, its Scan reuses one callback key buffer between entries, so
-// any cursor code that retains a callback key without copying fails
-// loudly. It counts Scan calls so tests can assert how many batches a
-// streaming scan actually fetched.
+// the streaming scan engine's contract edge cases. Its iterator walks the
+// sorted slice and resumes by key, and like the real indexes' iterators
+// it hands out keys from one reused buffer, so any cursor code that
+// retains a returned key without copying fails loudly.
 type memIndex struct {
-	mu    sync.Mutex
-	keys  [][]byte
-	vals  []uint64
-	scans int
+	mu   sync.Mutex
+	keys [][]byte
+	vals []uint64
 }
 
 func (m *memIndex) find(key []byte) (int, bool) {
@@ -67,17 +65,12 @@ func (m *memIndex) Delete(key []byte) (bool, error) {
 }
 
 func (m *memIndex) Scan(start []byte, count int, fn func(key []byte, value uint64) bool) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.scans++
+	it := m.NewIterator()
+	it.Seek(start)
 	visited := 0
-	buf := make([]byte, 0, 32)
-	for i := range m.keys {
-		if bytes.Compare(m.keys[i], start) < 0 {
-			continue
-		}
-		buf = append(buf[:0], m.keys[i]...)
-		if !fn(buf, m.vals[i]) {
+	for {
+		k, v, ok := it.Next()
+		if !ok || !fn(k, v) {
 			return visited
 		}
 		visited++
@@ -85,7 +78,33 @@ func (m *memIndex) Scan(start []byte, count int, fn func(key []byte, value uint6
 			return visited
 		}
 	}
-	return visited
+}
+
+func (m *memIndex) NewIterator() core.Iterator { return &memIter{m: m} }
+
+// memIter is memIndex's iterator: key is the key it returned last (the
+// start, until the first Next), and each Next returns the smallest key
+// above it — or, right after Seek, at or above it.
+type memIter struct {
+	m    *memIndex
+	key  []byte
+	incl bool
+}
+
+func (it *memIter) Seek(start []byte) { it.key, it.incl = append(it.key[:0], start...), true }
+
+func (it *memIter) Next() ([]byte, uint64, bool) {
+	it.m.mu.Lock()
+	defer it.m.mu.Unlock()
+	i, found := it.m.find(it.key)
+	if found && !it.incl {
+		i++
+	}
+	if i == len(it.m.keys) {
+		return nil, 0, false
+	}
+	it.key, it.incl = append(it.key[:0], it.m.keys[i]...), false
+	return it.key, it.m.vals[i], true
 }
 
 func (m *memIndex) Recover() error { return nil }
@@ -99,15 +118,22 @@ func (m *memIndex) Len() int {
 // memFactory ignores the heap and returns a fresh memIndex.
 func memFactory(*pmem.Heap) (core.OrderedIndex, error) { return &memIndex{}, nil }
 
-// batchCap wraps a constructor call to replace the front-end's adapter
-// batch cap (adapterBatch) with a tiny one, so that scans over a few
-// hundred keys cross many resume boundaries.
-func batchCap(batch int) func(*Ordered, error) (*Ordered, error) {
-	return func(m *Ordered, err error) (*Ordered, error) {
-		if err == nil {
-			m.batch = batch
+// paginate reads it from start in pages of page entries, each re-Seeked
+// at the exclusive successor of the previous page's last key (lastKey +
+// 0x00, the smallest key above it) — how the server's SCAN pages — and
+// returns every entry read.
+func paginate(it core.Iterator, start []byte, page int) []entry {
+	var out []entry
+	for {
+		it.Seek(start)
+		for n := 0; n < page; n++ {
+			k, v, ok := it.Next()
+			if !ok {
+				return out
+			}
+			out = append(out, entry{append([]byte(nil), k...), v})
 		}
-		return m, err
+		start = append(append([]byte(nil), out[len(out)-1].key...), 0)
 	}
 }
 
@@ -140,26 +166,27 @@ func entriesEqual(t *testing.T, label string, want, got []entry) {
 	}
 }
 
-// TestScanStreamingParity: for both partitioners, several shard counts
-// and deliberately tiny batch sizes (to force many resume boundaries),
-// the streamed sharded scan visits exactly the single-index sequence —
-// same keys, same values, same order, same return value — for bounded,
-// unbounded, and mid-key starts, over real converted indexes.
+// TestScanStreamingParity: for both partitioners and several shard
+// counts, the streamed sharded scan visits exactly the single-index
+// sequence — same keys, same values, same order, same return value — for
+// bounded, unbounded, and mid-key starts, over real converted indexes;
+// and reading it in pages of b entries (b = 1 resumes at every key)
+// through one re-Seeked iterator yields the same sequence again.
 func TestScanStreamingParity(t *testing.T) {
 	const n = 600
 	for _, idxName := range []string{"P-ART", "FAST & FAIR"} {
 		for _, part := range []Partitioner{HashPartition{}, RangePartition{}} {
 			for _, h := range []int{2, 5} {
-				for _, batch := range []int{1, 7} {
-					t.Run(fmt.Sprintf("%s/%s/h=%d/b=%d", idxName, part.Name(), h, batch), func(t *testing.T) {
+				for _, page := range []int{1, 7} {
+					t.Run(fmt.Sprintf("%s/%s/h=%d/b=%d", idxName, part.Name(), h, page), func(t *testing.T) {
 						gen := keys.NewGenerator(keys.RandInt)
 						single, err := NewOrdered(idxName, keys.RandInt, Options{Shards: 1})
 						if err != nil {
 							t.Fatal(err)
 						}
-						sharded, err := batchCap(batch)(NewOrdered(idxName, keys.RandInt, Options{
+						sharded, err := NewOrdered(idxName, keys.RandInt, Options{
 							Shards: h, Partitioner: part,
-						}))
+						})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -173,11 +200,11 @@ func TestScanStreamingParity(t *testing.T) {
 							}
 						}
 						// Starts: nil, empty, a real mid-range key, and a
-						// successor-shaped 9-byte key. (No short non-empty
-						// starts: FAST & FAIR's randint probe decode
-						// requires >= 8 bytes or empty.)
+						// successor-shaped 9-byte key.
 						starts := [][]byte{nil, {}, gen.Key(n / 3), append(gen.Key(n/2), 0)}
+						it := sharded.NewIterator()
 						for si, start := range starts {
+							entriesEqual(t, fmt.Sprintf("start=%d/pages", si), collect(single, start, 0), paginate(it, start, page))
 							for _, count := range []int{0, 1, 29, n + 10} {
 								label := fmt.Sprintf("start=%d/count=%d", si, count)
 								want := collect(single, start, count)
@@ -216,7 +243,7 @@ func TestScanStreamingParity(t *testing.T) {
 
 // TestScanParityStringKeys repeats the parity check with the 24-byte
 // YCSB string keys, whose shared "user" prefix exercises long common
-// prefixes across batch boundaries.
+// prefixes across P-Masstree's layers.
 func TestScanParityStringKeys(t *testing.T) {
 	const n = 400
 	gen := keys.NewGenerator(keys.YCSBString)
@@ -224,7 +251,7 @@ func TestScanParityStringKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := batchCap(3)(NewOrdered("P-Masstree", keys.YCSBString, Options{Shards: 4}))
+	sharded, err := NewOrdered("P-Masstree", keys.YCSBString, Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,12 +272,12 @@ func TestScanParityStringKeys(t *testing.T) {
 	entriesEqual(t, "mid-key start", collect(single, start, 50), collect(sharded, start, 50))
 }
 
-// TestCursorSuccessorPrefixKeys pins the exclusive-successor resume
-// computation on the nastiest key shapes: keys that are prefixes of
-// their successors ("ab" -> "ab\x00"), runs of zero-byte extensions,
-// and batch size 1 so every single entry crosses a resume boundary. Any
-// off-by-one (resuming at lastKey, or at lastKey with the final byte
-// incremented) would duplicate or skip the "ab\x00" family.
+// TestCursorSuccessorPrefixKeys pins the exclusive-successor resume on
+// the nastiest key shapes: keys that are prefixes of their successors
+// ("ab" -> "ab\x00"), runs of zero-byte extensions, and pages of one
+// entry, so every single entry is a resume. Any off-by-one (resuming at
+// lastKey, or at lastKey with the final byte incremented) would duplicate
+// or skip the "ab\x00" family.
 func TestCursorSuccessorPrefixKeys(t *testing.T) {
 	keySet := [][]byte{
 		[]byte("a"), []byte("ab"), []byte("ab\x00"), []byte("ab\x00\x00"),
@@ -264,31 +291,22 @@ func TestCursorSuccessorPrefixKeys(t *testing.T) {
 		}
 	}
 	for _, h := range []int{1, 2, 3} {
-		for _, batch := range []int{1, 2, len(keySet) + 1} {
-			sharded, err := batchCap(batch)(NewOrderedWith(memFactory, Options{Shards: h}))
-			if err != nil {
+		sharded, err := NewOrderedWith(memFactory, Options{Shards: h})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keySet {
+			if err := sharded.Insert(k, uint64(i)); err != nil {
 				t.Fatal(err)
 			}
-			for i, k := range keySet {
-				if err := sharded.Insert(k, uint64(i)); err != nil {
-					t.Fatal(err)
-				}
+		}
+		for _, start := range [][]byte{nil, []byte("ab"), []byte("ab\x00"), []byte("z")} {
+			label := fmt.Sprintf("h=%d/start=%q", h, start)
+			want := collect(single, start, 0)
+			entriesEqual(t, label, want, collect(sharded, start, 0))
+			for _, page := range []int{1, 2, len(keySet) + 1} {
+				entriesEqual(t, fmt.Sprintf("%s/pages of %d", label, page), want, paginate(sharded.NewIterator(), start, page))
 			}
-			for _, start := range [][]byte{nil, []byte("ab"), []byte("ab\x00"), []byte("z")} {
-				label := fmt.Sprintf("h=%d/b=%d/start=%q", h, batch, start)
-				entriesEqual(t, label, collect(single, start, 0), collect(sharded, start, 0))
-			}
-			// Pull API over the same keys.
-			cur := sharded.Cursor(nil)
-			var got []entry
-			for {
-				k, v, ok := cur.Next()
-				if !ok {
-					break
-				}
-				got = append(got, entry{append([]byte(nil), k...), v})
-			}
-			entriesEqual(t, fmt.Sprintf("cursor h=%d/b=%d", h, batch), collect(single, nil, 0), got)
 		}
 	}
 }
@@ -304,7 +322,7 @@ func TestCursorSuccessorPrefixKeysRealIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sharded, err := batchCap(1)(NewOrderedWith(factory, Options{Shards: 3}))
+	sharded, err := NewOrderedWith(factory, Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,63 +338,20 @@ func TestCursorSuccessorPrefixKeysRealIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	entriesEqual(t, "bwtree prefix keys", collect(single, nil, 0), collect(sharded, nil, 0))
-}
-
-// TestScanBatchBoundaryOnCount: when the requested count lands exactly
-// on a batch boundary, the merge must not fetch the next batch it will
-// never use. The memIndex scan counters make over-fetch visible: a
-// bounded merge scan clamps its batch to count, so each shard is
-// consulted exactly once.
-func TestScanBatchBoundaryOnCount(t *testing.T) {
-	const h, batch = 3, 4
-	sharded, err := batchCap(batch)(NewOrderedWith(memFactory, Options{Shards: h}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := keys.NewGenerator(keys.RandInt)
-	for id := uint64(0); id < 120; id++ {
-		if err := sharded.Insert(gen.Key(id), id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// count == batch: one Scan call per shard, no resume fetch.
-	if got := sharded.Scan(nil, batch, func([]byte, uint64) bool { return true }); got != batch {
-		t.Fatalf("visited %d, want %d", got, batch)
-	}
-	for i := 0; i < h; i++ {
-		if n := sharded.Shard(i).(*memIndex).scans; n != 1 {
-			t.Fatalf("shard %d scanned %d times, want exactly 1", i, n)
-		}
-	}
-	// fn stopping mid-batch must also stop batch fetching: with count
-	// unbounded but fn rejecting the 3rd key, no shard needs a second
-	// batch (batch entries are already buffered per shard).
-	seen := 0
-	sharded.Scan(nil, 0, func([]byte, uint64) bool {
-		if seen == 2 {
-			return false
-		}
-		seen++
-		return true
-	})
-	for i := 0; i < h; i++ {
-		if n := sharded.Shard(i).(*memIndex).scans; n != 2 {
-			t.Fatalf("shard %d scanned %d times total, want 2", i, n)
-		}
-	}
+	want := collect(single, nil, 0)
+	entriesEqual(t, "bwtree prefix keys", want, collect(sharded, nil, 0))
+	entriesEqual(t, "bwtree prefix keys, pages of 1", want, paginate(sharded.NewIterator(), nil, 1))
 }
 
 // TestCursorMatchesScan: the pull API yields the same sequence as the
 // callback API for both partitioners, from nil and mid-key starts, and
-// the key handed out stays valid until the next Next call even across
-// batch refills.
+// the key handed out stays valid until the next Next call.
 func TestCursorMatchesScan(t *testing.T) {
 	const n = 800
 	for _, part := range []Partitioner{HashPartition{}, RangePartition{}} {
 		t.Run(part.Name(), func(t *testing.T) {
 			gen := keys.NewGenerator(keys.RandInt)
-			m, err := batchCap(5)(NewOrdered("P-ART", keys.RandInt, Options{Shards: 4, Partitioner: part}))
+			m, err := NewOrdered("P-ART", keys.RandInt, Options{Shards: 4, Partitioner: part})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -410,42 +385,45 @@ func TestCursorMatchesScan(t *testing.T) {
 	}
 }
 
-// TestNewCursorSingleIndex: NewCursor paginates a single ordered index
-// without any front-end, resuming across batches.
-func TestNewCursorSingleIndex(t *testing.T) {
-	heap := pmem.NewFast()
-	idx, err := core.NewOrdered("FAST & FAIR", heap, keys.RandInt)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestOrderedIteratorReSeeks: the front-end's NewIterator is a Cursor
+// whose Seek re-opens it. Over one shard and over four, one iterator
+// re-Seeked from start to start yields what Scan does, stays exhausted
+// once drained, and comes back on the next Seek.
+func TestOrderedIteratorReSeeks(t *testing.T) {
 	gen := keys.NewGenerator(keys.RandInt)
-	for id := uint64(0); id < 300; id++ {
-		if err := idx.Insert(gen.Key(id), id); err != nil {
+	for _, h := range []int{1, 4} {
+		m, err := NewOrdered("FAST & FAIR", keys.RandInt, Options{Shards: h})
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	want := collect(idx, nil, 0)
-	cur := NewCursor(idx, nil)
-	cur.batch = 7
-	var got []entry
-	for {
-		k, v, ok := cur.Next()
-		if !ok {
-			break
+		for id := uint64(0); id < 300; id++ {
+			if err := m.Insert(gen.Key(id), id); err != nil {
+				t.Fatal(err)
+			}
 		}
-		got = append(got, entry{append([]byte(nil), k...), v})
-	}
-	entriesEqual(t, "single-index cursor", want, got)
-	// An exhausted cursor stays exhausted.
-	if _, _, ok := cur.Next(); ok {
-		t.Fatal("exhausted cursor returned another entry")
+		it := m.NewIterator()
+		for _, start := range [][]byte{nil, gen.Key(100), append(gen.Key(7), 0), nil} {
+			var got []entry
+			it.Seek(start)
+			for {
+				k, v, ok := it.Next()
+				if !ok {
+					break
+				}
+				got = append(got, entry{append([]byte(nil), k...), v})
+			}
+			entriesEqual(t, fmt.Sprintf("h=%d/start=%x", h, start), collect(m, start, 0), got)
+			if _, _, ok := it.Next(); ok {
+				t.Fatalf("h=%d: exhausted iterator returned another entry", h)
+			}
+		}
 	}
 }
 
 // TestScanEmptyAndMissing: scans over empty front-ends and starts past
-// the last key return zero without fetching forever.
+// the last key return zero.
 func TestScanEmptyAndMissing(t *testing.T) {
-	m, err := batchCap(2)(NewOrderedWith(memFactory, Options{Shards: 3}))
+	m, err := NewOrderedWith(memFactory, Options{Shards: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,66 +438,5 @@ func TestScanEmptyAndMissing(t *testing.T) {
 	}
 	if got := m.Scan([]byte("z"), 0, func([]byte, uint64) bool { return true }); got != 0 {
 		t.Fatalf("past-the-end scan visited %d", got)
-	}
-}
-
-// TestAdaptiveBatchParityAndSchedule: cursors warm up their batch size
-// geometrically (adaptiveSeed doubling to the cap), which must change
-// only how many Scan calls a long scan makes — never which entries come
-// back. With 1000 keys in one shard and the default cap of 256, the
-// fill sizes are 32, 64, 128, 256, 256, 256, then a final short fill:
-// 7 Scan calls, versus 32 for a fixed seed-sized batch.
-func TestAdaptiveBatchParityAndSchedule(t *testing.T) {
-	const n = 1_000
-	sharded, err := NewOrderedWith(memFactory, Options{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := keys.NewGenerator(keys.RandInt)
-	want := make([]entry, 0, n)
-	for id := uint64(0); id < n; id++ {
-		k := gen.Key(id)
-		if err := sharded.Insert(k, id); err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, entry{append([]byte(nil), k...), id})
-	}
-	sort.Slice(want, func(i, j int) bool { return bytes.Compare(want[i].key, want[j].key) < 0 })
-
-	// Parity: the adaptive cursor yields exactly the full ordered set.
-	cur, got := sharded.Cursor(nil), make([]entry, 0, n)
-	for {
-		k, v, ok := cur.Next()
-		if !ok {
-			break
-		}
-		got = append(got, entry{append([]byte(nil), k...), v})
-	}
-	entriesEqual(t, "adaptive cursor", want, got)
-
-	// Schedule: 32+64+128+256+256+256 = 992 full fills + 1 short fill.
-	if scans := sharded.Shard(0).(*memIndex).scans; scans != 7 {
-		t.Fatalf("adaptive cursor made %d Scan calls over %d keys, want 7", scans, n)
-	}
-
-	// A short scan touches only seed-sized batches: 10 entries from a
-	// fresh cursor must cost exactly one 32-entry fill.
-	m2, err := NewOrderedWith(memFactory, Options{Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range want {
-		if err := m2.Insert(e.key, e.val); err != nil {
-			t.Fatal(err)
-		}
-	}
-	cur2 := m2.Cursor(nil)
-	for i := 0; i < 10; i++ {
-		if _, _, ok := cur2.Next(); !ok {
-			t.Fatalf("cursor exhausted at entry %d", i)
-		}
-	}
-	if scans := m2.Shard(0).(*memIndex).scans; scans != 1 {
-		t.Fatalf("10-entry read made %d Scan calls, want 1 seed-sized fill", scans)
 	}
 }

@@ -30,10 +30,11 @@
 // operations, group commit (batch.go, apply.go), quarantine
 // (quarantine.go), load accounting (load.go) and live migration
 // (table.go, reshard.go) exist once, there. What a key kind adds is
-// small and named: Ordered has the merged Scan and Cursor (cursor.go),
-// and each kind says how a migration enumerates a donor shard's keys
-// (keyWalk in reshard.go) — a core.Iterator for ordered indexes, a
-// core.HashRanger snapshot for hash tables.
+// small and named: Ordered has the merged Scan and Cursor (cursor.go), a
+// k-way merge over each shard index's own iterator, and each kind says
+// how a migration enumerates a donor shard's keys (keyWalk in
+// reshard.go) — that iterator for ordered indexes, a core.HashRanger
+// snapshot for hash tables.
 package shard
 
 import (
@@ -88,7 +89,7 @@ type frontend[K any] struct {
 	part partitioner[K]
 	// walk opens the kind's enumeration of the migration donor's keys
 	// (see keyWalk in reshard.go).
-	walk func(wt *routeTable, mg *migration, batch int) (keyWalk[K], error)
+	walk func(wt *routeTable, mg *migration) (keyWalk[K], error)
 	// health tracks per-shard availability; parallel to shards because
 	// its entries hold locks and must never be copied.
 	health []shardHealth
@@ -478,14 +479,11 @@ func (f *frontend[K]) LookupChecked(key K) (uint64, bool, error) {
 // per-shard ordered streams into one globally ordered stream. It is safe
 // for concurrent use to the same extent as the underlying index.
 type Ordered struct {
-	// ordered is each shard's index as the factory returned it — the
-	// scanning view of what the embedded front-end holds as a
-	// core.PointIndex. Parallel to shards.
+	// ordered is each shard's index as the factory returned it: the
+	// ordered view of frontend's core.PointIndex. Parallel to shards.
 	ordered []core.OrderedIndex
-	batch   int // adapted shards' batch cap: adapterBatch outside tests
-	// scanPool recycles the merge state of Scan (a *Cursor with one
-	// iterator per shard): the cursor never leaves Scan, so steady-state
-	// merged scans allocate nothing.
+	// scanPool recycles Scan's Cursor, which never leaves Scan, so
+	// steady-state merged scans allocate nothing.
 	scanPool sync.Pool
 	frontend[[]byte]
 }
@@ -510,7 +508,7 @@ func NewOrderedWith(factory func(*pmem.Heap) (core.OrderedIndex, error), opts Op
 	if err != nil {
 		return nil, err
 	}
-	m := &Ordered{ordered: idxs, batch: adapterBatch, frontend: f}
+	m := &Ordered{ordered: idxs, frontend: f}
 	m.walk = m.walkIterator
 	return m, nil
 }
@@ -519,24 +517,10 @@ func NewOrderedWith(factory func(*pmem.Heap) (core.OrderedIndex, error), opts Op
 // (narrowing frontend.Shard to the ordered interface).
 func (m *Ordered) Shard(i int) core.OrderedIndex { return m.ordered[i] }
 
-// Scan visits keys >= start in ascending order across all shards until
-// fn returns false or count keys were visited (count <= 0 = unbounded);
-// it returns the number of keys visited, where a key on which fn
-// returned false is not counted — the single-index Scan contract.
-//
-// With one shard it delegates. With an order-preserving partitioner
-// (RangePartition) shard order equals key order, so shards stream one
-// after another straight into fn: no merge state, no buffering, no key
-// copies. Otherwise a streaming k-way merge pulls from one iterator per
-// shard (see Cursor): entry by entry from indexes that are
-// core.Iterable — a count-n scan over H such shards pulls at most n + H
-// entries — and in batches of at most adapterBatch from the rest, so
-// peak memory is O(shards × batch) regardless of scan length or dataset
-// size.
-//
-// While a shard is quarantined the scan is degraded: the quarantined
-// partition's keys are skipped (Degraded()/Quarantined() report the
-// gap), and the healthy partitions stream normally.
+// Scan implements core.OrderedIndex across all shards. With one shard it
+// delegates; otherwise it is a loop over a pooled Cursor. While a shard
+// is quarantined the scan is degraded: the quarantined partition's keys
+// are skipped (Degraded()/Quarantined() report the gap).
 func (m *Ordered) Scan(start []byte, count int, fn func(key []byte, value uint64) bool) int {
 	if len(m.shards) == 1 {
 		if m.unavailable(0) != nil {
@@ -544,72 +528,19 @@ func (m *Ordered) Scan(start []byte, count int, fn func(key []byte, value uint64
 		}
 		return m.ordered[0].Scan(start, count, fn)
 	}
-	if t := m.rt.Load(); t.kind == kindRange && t.pristine() {
-		return m.scanSequential(t, start, count, fn)
-	}
-	return m.scanMerge(start, count, fn)
-}
-
-// scanSequential is the order-preserving fast path: shard i's keys all
-// precede shard i+1's, so the scan drains shards in order, forwarding
-// each shard's callback keys to fn untouched.
-func (m *Ordered) scanSequential(t *routeTable, start []byte, count int, fn func(key []byte, value uint64) bool) int {
-	first := 0
-	if len(start) > 0 {
-		// Shards before start's owner hold only keys < start.
-		first, _ = t.locate(m.part.Point(start))
-	}
-	visited := 0
-	for i := first; i < len(m.shards); i++ {
-		if m.unavailable(i) != nil {
-			continue // degraded: quarantined partition skipped
-		}
-		rem := 0
-		if count > 0 {
-			rem = count - visited
-		}
-		stopped := false
-		visited += m.ordered[i].Scan(start, rem, func(k []byte, v uint64) bool {
-			if !fn(k, v) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if stopped || (count > 0 && visited >= count) {
-			break
-		}
-	}
-	return visited
-}
-
-// scanMerge streams the k-way merge over a pooled cursor: one pull
-// iterator per shard, a min-heap by head key.
-func (m *Ordered) scanMerge(start []byte, count int, fn func(key []byte, value uint64) bool) int {
-	batch := m.batch
-	if count > 0 && count < batch {
-		// A bounded scan consumes at most count entries in total, so no
-		// adapted shard ever needs a larger batch.
-		batch = count
-	}
 	c, _ := m.scanPool.Get().(*Cursor)
 	if c == nil {
-		c = &Cursor{}
+		c = &Cursor{m: m}
 	}
-	m.openMerge(c, start, batch)
-	visited := 0
-	for {
-		k, v, ok := c.Next()
-		if !ok || !fn(k, v) {
-			break
-		}
-		visited++
-		if count > 0 && visited >= count {
+	c.Seek(start)
+	n := 0
+	for k, v, ok := c.Next(); ok && fn(k, v); k, v, ok = c.Next() {
+		if n++; n == count {
 			break
 		}
 	}
 	m.scanPool.Put(c)
-	return visited
+	return n
 }
 
 // Hash is a sharded unordered index: core.HashIndex over H partitions,
