@@ -601,6 +601,53 @@ func BenchmarkAblation_ARTCrashRepair(b *testing.B) {
 	}
 }
 
+// BenchmarkRecover times one restart of each index holding 2^16 and 2^20
+// random integer keys. Recover begins a new lock generation (CCEH's
+// Faithful depth check aside), so both sizes should read the same. Each
+// cell loads its index once, on its first call, outside the timer.
+func BenchmarkRecover(b *testing.B) {
+	gen := keys.NewGenerator(keys.RandInt)
+	for _, name := range append(append(recipe.OrderedNames(), "WOART"), recipe.HashNames()...) {
+		for _, n := range []uint64{1 << 16, 1 << 20} {
+			var idx interface{ Recover() error }
+			b.Run(fmt.Sprintf("%s/keys=%d", name, n), func(b *testing.B) {
+				if idx == nil {
+					idx = loadForRecover(b, name, n, gen)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := idx.Recover(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
+	}
+}
+
+// loadForRecover builds the named index on a fast heap holding n keys.
+func loadForRecover(b *testing.B, name string, n uint64, gen *keys.Generator) interface{ Recover() error } {
+	heap := pmem.NewFast()
+	if idx, err := recipe.NewOrdered(name, heap, keys.RandInt); err == nil {
+		for i := uint64(0); i < n; i++ {
+			if err := idx.Insert(gen.Key(i), i); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return idx
+	}
+	idx, err := recipe.NewHash(name, heap)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i := uint64(0); i < n; i++ {
+		if err := idx.Insert(gen.Uint64(i), i); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return idx
+}
+
 // BenchmarkReshardSkew is the resharding headline: P-ART behind the
 // sharded front-end, H=8, zipfian θ=0.99 lookups — the regime where a
 // static hash partition leaves one shard absorbing several times its

@@ -88,13 +88,12 @@ const maxStoredPrefix = 7
 // its first field, so a *header can be cast back to the concrete type. A
 // leaf shares only kind and pm with it, at the same offsets.
 type header struct {
-	kind     kind
-	level    uint32 // depth of this node's branch byte; immutable
-	pm       pmem.Obj
-	prefix   atomic.Uint64
-	count    atomic.Uint32
-	obsolete atomic.Bool
-	lock     pmlock.Mutex
+	kind   kind
+	level  uint32 // depth of this node's branch byte; immutable
+	pm     pmem.Obj
+	prefix atomic.Uint64
+	count  atomic.Uint32
+	lock   pmlock.Mutex // carries the obsolete mark, as ART's lock word does
 }
 
 // Simulated persistent layout shared by all nodes: the first 16 bytes of
@@ -261,8 +260,7 @@ type entry struct {
 
 // entries collects the node's live (non-nil) children in slot order. The
 // caller must hold the node lock if a consistent snapshot is required
-// (growNode); Recover runs with the index quiesced. Ordered reads step a
-// frame instead (iter.go).
+// (growNode). Ordered reads step a frame instead (iter.go).
 func (h *header) entries(buf []entry) []entry {
 	buf = buf[:0]
 	switch h.kind {
@@ -310,6 +308,7 @@ type Index struct {
 	rootPM pmem.Obj
 	root   atomic.Pointer[header]
 	rootMu pmlock.Mutex
+	gen    pmlock.Gen // stamps every lock of the index; volatile
 	count  atomic.Int64
 }
 
@@ -391,26 +390,11 @@ func (idx *Index) persistAll(h *header) {
 	idx.heap.Persist(h.pm, 0, size)
 }
 
-// Recover re-initialises every node lock after a simulated crash,
-// modelling the lock-table re-initialisation of §6. The obsolete mark
-// is part of that lock state (ART's optimistic lock word carries it): a
-// restart can revert the pointer swap that retired a node, and a node
-// reachable after recovery is live. No structural repair runs here:
-// RECIPE indexes repair lazily on the write path.
+// Recover restarts the index after a crash with a new lock generation
+// (§6), which frees every lock and obsolete mark the crash left behind: a
+// restart can revert the swap that retired a node, and a node reachable
+// after recovery is live. RECIPE indexes repair lazily on the write path.
 func (idx *Index) Recover() error {
-	idx.rootMu.Reset()
-	var walk func(h *header)
-	walk = func(h *header) {
-		if h == nil || h.kind == kLeaf {
-			return // a leaf has no lock
-		}
-		h.lock.Reset()
-		h.obsolete.Store(false)
-		var buf [256]entry
-		for _, e := range h.entries(buf[:0:256]) {
-			walk(e.c)
-		}
-	}
-	walk(idx.root.Load())
+	idx.gen.Restart()
 	return nil
 }

@@ -40,7 +40,7 @@ func (idx *Index) Update(key []byte, value uint64) error { return idx.Insert(key
 func (idx *Index) tryInsert(key []byte, value uint64) (done bool, err error) {
 	n := idx.root.Load()
 	if n == nil {
-		idx.rootMu.Lock()
+		idx.rootMu.Lock(&idx.gen)
 		if idx.root.Load() != nil {
 			idx.rootMu.Unlock()
 			return false, nil
@@ -75,8 +75,8 @@ func (idx *Index) tryInsert(key []byte, value uint64) (done bool, err error) {
 			// one (a crash) by acquiring the node lock with try-lock; on
 			// success nothing can be in flight, so the helper repairs the
 			// prefix from a leaf below and persists it.
-			if n.lock.TryLock() {
-				if !n.obsolete.Load() {
+			if n.lock.TryLock(&idx.gen) {
+				if !n.lock.Obsolete() {
 					if p2, _ := n.prefixSnapshot(); int(p2) != expected && expected >= 0 {
 						idx.fixPrefix(n, depth)
 					}
@@ -199,8 +199,8 @@ func (idx *Index) insertAtLeaf(parent *header, pslot byte, lf *leaf, depth int, 
 // change means a concurrent split or repair invalidated the verification,
 // so the insert restarts.
 func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSeen uint64, b byte, key []byte, value uint64) (bool, error) {
-	n.lock.Lock()
-	if n.obsolete.Load() {
+	n.lock.Lock(&idx.gen)
+	if n.lock.Obsolete() {
 		n.lock.Unlock()
 		return false, nil
 	}
@@ -315,7 +315,7 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 	}
 	idx.setChildPersist(parent, pslot, bigger)
 	idx.heap.CrashPoint("art.grow.commit")
-	n.obsolete.Store(true)
+	n.lock.MarkObsolete()
 	idx.count.Add(1)
 	slot.Unlock()
 	n.lock.Unlock()
@@ -414,8 +414,8 @@ func (idx *Index) buildNode(k kind, level uint32, prefix []byte, es []entry) *he
 // the new node and (2) shorten n's prefix; a crash between them is the
 // permanent inconsistency Condition #3 is about.
 func (idx *Index) splitPrefix(parent *header, pslot byte, n *header, depth, mismatch int, key []byte, value uint64) (bool, error) {
-	n.lock.Lock()
-	if n.obsolete.Load() {
+	n.lock.Lock(&idx.gen)
+	if n.lock.Obsolete() {
 		n.lock.Unlock()
 		return false, nil
 	}
@@ -512,7 +512,7 @@ func (idx *Index) tryDelete(key []byte) (deleted, done bool) {
 		return false, true
 	}
 	if n.kind == kLeaf {
-		idx.rootMu.Lock()
+		idx.rootMu.Lock(&idx.gen)
 		r := idx.root.Load()
 		if r != n {
 			idx.rootMu.Unlock()
@@ -536,8 +536,8 @@ func (idx *Index) tryDelete(key []byte) (deleted, done bool) {
 		plen, pb := n.prefixSnapshot()
 		expected := int(n.level) - depth
 		if plen != expected {
-			if n.lock.TryLock() {
-				if !n.obsolete.Load() && expected >= 0 {
+			if n.lock.TryLock(&idx.gen) {
+				if !n.lock.Obsolete() && expected >= 0 {
 					if p2, _ := n.prefixSnapshot(); int(p2) != expected {
 						idx.fixPrefix(n, depth)
 					}
@@ -580,8 +580,8 @@ func (idx *Index) tryDelete(key []byte) (deleted, done bool) {
 			if !bytes.Equal(next.leaf().key(), key) {
 				return false, true
 			}
-			n.lock.Lock()
-			if n.obsolete.Load() || n.child(b) != next {
+			n.lock.Lock(&idx.gen)
+			if n.lock.Obsolete() || n.child(b) != next {
 				n.lock.Unlock()
 				return false, false
 			}
@@ -648,15 +648,15 @@ func (idx *Index) nilChild(n *header, b byte) {
 // restarts.
 func (idx *Index) lockSlot(parent *header, pslot byte, want *header) *pmlock.Mutex {
 	if parent == nil {
-		idx.rootMu.Lock()
+		idx.rootMu.Lock(&idx.gen)
 		if idx.root.Load() != want {
 			idx.rootMu.Unlock()
 			return nil
 		}
 		return &idx.rootMu
 	}
-	parent.lock.Lock()
-	if parent.obsolete.Load() || parent.child(pslot) != want {
+	parent.lock.Lock(&idx.gen)
+	if parent.lock.Obsolete() || parent.child(pslot) != want {
 		parent.lock.Unlock()
 		return nil
 	}

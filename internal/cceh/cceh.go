@@ -95,6 +95,7 @@ type Index struct {
 	fDepth atomic.Uint32
 
 	doubling pmlock.Mutex
+	gen      pmlock.Gen // stamps every lock of the table; volatile
 	count    atomic.Int64
 }
 
@@ -242,7 +243,7 @@ func (idx *Index) Insert(key, value uint64) (err error) {
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		v := idx.view()
 		s := v.segmentFor(h)
-		s.lock.Lock()
+		s.lock.Lock(&idx.gen)
 		// Verify the segment actually covers this hash prefix. A
 		// mismatch is transient during splits/doubling — or permanent
 		// after the Faithful-mode crash, in which case the retries
@@ -320,7 +321,7 @@ func (idx *Index) Delete(key uint64) (deleted bool, err error) {
 	for attempt := 0; attempt < maxRetries; attempt++ {
 		v := idx.view()
 		s := v.segmentFor(h)
-		s.lock.Lock()
+		s.lock.Lock(&idx.gen)
 		if h>>(64-s.localDepth.Load()) != s.pattern.Load() || idx.view().d != v.d {
 			s.lock.Unlock()
 			continue
@@ -351,13 +352,13 @@ func (idx *Index) Delete(key uint64) (deleted bool, err error) {
 // the keys whose next hash bit is one, and the directory entries for that
 // half are repointed.
 func (idx *Index) split(v dirIndexState, s *segment, h uint64) {
-	idx.doubling.Lock()
+	idx.doubling.Lock(&idx.gen)
 	defer idx.doubling.Unlock()
 	cur := idx.view()
 	if cur.d != v.d {
 		return // directory changed; retry the insert instead
 	}
-	s.lock.Lock()
+	s.lock.Lock(&idx.gen)
 	ld := s.localDepth.Load()
 	if h>>(64-ld) != s.pattern.Load() {
 		s.lock.Unlock()
@@ -518,26 +519,16 @@ func (idx *Index) Segments() int {
 	return len(seen)
 }
 
-// Recover re-initialises locks after a crash. In Faithful mode it also
-// runs the published recovery walk, which cannot terminate when the
-// directory metadata is torn — reported as ErrStalled (§3: "the crash
-// recovery algorithm goes into an infinite loop").
+// Recover restarts the table after a crash with a new lock generation,
+// which frees every lock the crash left held. In Faithful mode the
+// published recovery then scans the directory expecting each segment to
+// span 2^(global-local) entries; with a torn depth they never line up, so
+// it cannot terminate — reported as ErrStalled (§3: "the crash recovery
+// algorithm goes into an infinite loop").
 func (idx *Index) Recover() error {
-	idx.doubling.Reset()
-	d := idx.dir.Load()
-	for i := range d.entries {
-		if s := d.entries[i].Load(); s != nil {
-			s.lock.Reset()
-		}
-	}
-	if idx.mode == Faithful {
-		// The published recovery scans the directory expecting each
-		// segment to span 2^(global-local) consistent entries. With the
-		// torn depth the spans never line up; bound the walk and report.
-		depth := idx.fDepth.Load()
-		if depth != d.depth {
-			return ErrStalled
-		}
+	idx.gen.Restart()
+	if idx.mode == Faithful && idx.fDepth.Load() != idx.dir.Load().depth {
+		return ErrStalled
 	}
 	return nil
 }

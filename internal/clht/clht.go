@@ -40,7 +40,7 @@ const EntriesPerBucket = 3
 //
 //	off  0..23  keys[3]
 //	off 24..47  vals[3]
-//	off 48..55  lock (not meaningfully persistent; re-initialised on recovery)
+//	off 48..55  lock (not meaningfully persistent; a restart frees it)
 //	off 56..63  next
 const (
 	bucketBytes = 64
@@ -144,6 +144,7 @@ type Index struct {
 	root  root
 
 	resize pmlock.Mutex
+	gen    pmlock.Gen // stamps every lock of the table; volatile
 
 	// maxChain is the overflow-chain length that triggers a doubling.
 	maxChain int
@@ -250,7 +251,7 @@ func (idx *Index) Insert(key, value uint64) (err error) {
 		level := idx.root.level.Load()
 		mask := idx.mask(level)
 		c := idx.chain(h & mask)
-		c.head.lock.Lock()
+		c.head.lock.Lock(&idx.gen)
 		// A doubling may have exposed a new level while we waited for the
 		// chain lock; retry under it.
 		if idx.root.level.Load() != level {
@@ -373,7 +374,7 @@ func (idx *Index) Delete(key uint64) (deleted bool, err error) {
 	for {
 		level := idx.root.level.Load()
 		c := idx.chain(h & idx.mask(level))
-		c.head.lock.Lock()
+		c.head.lock.Lock(&idx.gen)
 		if idx.root.level.Load() != level {
 			c.head.lock.Unlock()
 			continue
@@ -413,7 +414,7 @@ func (idx *Index) Delete(key uint64) (deleted bool, err error) {
 // split keeps the lock but copies, allocates and writes back only the new
 // half.
 func (idx *Index) grow(level uint64) {
-	idx.resize.Lock()
+	idx.resize.Lock(&idx.gen)
 	defer idx.resize.Unlock()
 	if idx.root.level.Load() != level {
 		return // someone else already doubled
@@ -424,7 +425,7 @@ func (idx *Index) grow(level uint64) {
 	}
 	n := uint64(1) << (idx.shift + uint(level))
 	for j := uint64(0); j < n; j++ {
-		idx.chain(j).head.lock.Lock()
+		idx.chain(j).head.lock.Lock(&idx.gen)
 	}
 	seg := idx.newSegment(n, n)
 	var ovf []*ovfBucket
@@ -506,16 +507,12 @@ func (idx *Index) Range(fn func(key, value uint64) bool) {
 // reporting).
 func (idx *Index) Buckets() int { return int(idx.mask(idx.root.level.Load()) + 1) }
 
-// Recover re-initialises all locks, modelling the lock-table
-// re-initialisation a RECIPE index performs when restarting after a crash
-// (§6, "Lock initialization"). CLHT needs no other recovery work: a
-// crashed insert left either an invisible value store (key still 0 or
-// stale) or a fully committed pair, and a crashed doubling left entries
-// that are dead under whichever level is durable.
+// Recover restarts the table after a crash with a new lock generation,
+// which frees every lock the crash left held (§6, "Lock
+// initialization"). CLHT needs no other recovery: a crashed insert left
+// an invisible value store or a committed pair, and a crashed doubling
+// left entries dead under whichever level is durable.
 func (idx *Index) Recover() error {
-	idx.resize.Reset()
-	for j, mask := uint64(0), idx.mask(idx.root.level.Load()); j <= mask; j++ {
-		idx.chain(j).head.lock.Reset()
-	}
+	idx.gen.Restart()
 	return nil
 }

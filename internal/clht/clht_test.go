@@ -395,10 +395,10 @@ func TestRecoverResetsLocks(t *testing.T) {
 	idx := newSmall(t)
 	// Abandon a bucket lock as a crashed writer would.
 	head := &idx.root.segs[0].buckets[0]
-	head.lock.Lock()
-	idx.resize.Lock()
+	head.lock.Lock(&idx.gen)
+	idx.resize.Lock(&idx.gen)
 	idx.Recover()
-	if head.lock.Locked() || idx.resize.Locked() {
+	if !head.lock.TryLock(&idx.gen) || !idx.resize.TryLock(&idx.gen) {
 		t.Fatal("Recover did not reset locks")
 	}
 }

@@ -44,8 +44,10 @@ type PointIndex[K any] interface {
 	Lookup(key K) (uint64, bool)
 	// Delete removes key, reporting whether it was present.
 	Delete(key K) (bool, error)
-	// Recover models restart after a crash: lock re-initialisation plus
-	// whatever explicit recovery the index defines (RECIPE indexes: none).
+	// Recover models restart after a crash: lock re-initialisation, which
+	// is a new lock generation and costs the same at any size (pmlock),
+	// plus whatever explicit recovery the index defines (RECIPE indexes:
+	// none; CCEH's Faithful mode checks its directory depth).
 	Recover() error
 	// Len returns the number of live keys.
 	Len() int

@@ -104,6 +104,7 @@ type Tree struct {
 	rootPM pmem.Obj
 	root   atomic.Pointer[node]
 	rootMu pmlock.Mutex
+	gen    pmlock.Gen // stamps every lock of the tree; volatile
 	count  atomic.Int64
 
 	arenaMu sync.Mutex
@@ -214,27 +215,10 @@ func (n *node) countRecords() int {
 	return Cardinality
 }
 
-// Recover re-initialises all node locks after a simulated crash.
+// Recover restarts the tree after a crash with a new lock generation,
+// which frees every lock the crash left held (§6). A split torn between
+// link and truncation is completed by the node's next split.
 func (t *Tree) Recover() error {
-	t.rootMu.Reset()
-	seen := make(map[*node]bool)
-	var walk func(n *node)
-	walk = func(n *node) {
-		for n != nil && !seen[n] {
-			seen[n] = true
-			n.lock.Reset()
-			if !n.leaf {
-				if lm := n.leftmost.Load(); lm != nil {
-					walk(lm)
-				}
-				cnt := n.countRecords()
-				for i := 0; i < cnt; i++ {
-					walk(n.kids[i].Load())
-				}
-			}
-			n = n.sibling.Load()
-		}
-	}
-	walk(t.root.Load())
+	t.gen.Restart()
 	return nil
 }

@@ -125,11 +125,8 @@ func (t *Tree) Insert(key []byte, value uint64) (err error) {
 	// Persist the value record before it becomes reachable.
 	t.heap.Persist(vr.pm, 0, 16)
 	t.heap.Fence()
-	for {
-		if t.tryInsert(key, stored, vr) {
-			return nil
-		}
-	}
+	t.insert(key, stored, vr)
+	return nil
 }
 
 // Update overwrites the value under key: Insert's upsert
@@ -143,17 +140,17 @@ func (t *Tree) lockLeafFor(key []byte) *node {
 	for !n.leaf {
 		n = t.childFor(n, key)
 	}
-	n.lock.Lock()
+	n.lock.Lock(&t.gen)
 	for n.highSet.Load() && t.cmpProbe(key, n.high.Load()) >= 0 {
 		s := n.sibling.Load()
 		n.lock.Unlock()
-		s.lock.Lock()
+		s.lock.Lock(&t.gen)
 		n = s
 	}
 	return n
 }
 
-func (t *Tree) tryInsert(key []byte, stored uint64, vr *vref) bool {
+func (t *Tree) insert(key []byte, stored uint64, vr *vref) {
 	n := t.lockLeafFor(key)
 	defer n.lock.Unlock()
 
@@ -167,7 +164,7 @@ func (t *Tree) tryInsert(key []byte, stored uint64, vr *vref) bool {
 			t.heap.Dirty(n.pm, recOff(i)+8, 8)
 			t.heap.PersistFence(n.pm, recOff(i)+8, 8)
 			t.heap.CrashPoint("ff.update.commit")
-			return true
+			return
 		}
 		if c < 0 {
 			pos = i
@@ -177,7 +174,7 @@ func (t *Tree) tryInsert(key []byte, stored uint64, vr *vref) bool {
 	if cnt < Cardinality {
 		t.fastInsertLeaf(n, cnt, pos, stored, vr)
 		t.count.Add(1)
-		return true
+		return
 	}
 	// Node full: FAIR split, then insert into the proper half.
 	right, splitKey := t.splitLeaf(n)
@@ -197,7 +194,6 @@ func (t *Tree) tryInsert(key []byte, stored uint64, vr *vref) bool {
 	t.count.Add(1)
 	right.lock.Unlock() // splitLeaf leaves the new sibling locked
 	t.insertParent(n, splitKey, right, n.level+1)
-	return true
 }
 
 // fastInsertLeaf performs the FAST shift: entries move right one slot via
@@ -238,7 +234,7 @@ func (t *Tree) splitLeaf(n *node) (*node, uint64) {
 	// the sibling (same record pointers). Complete that split instead of
 	// creating a second sibling with duplicate keys.
 	if s := n.sibling.Load(); s != nil && s.vals[0].Load() != nil && s.vals[0].Load() == n.vals[half].Load() {
-		s.lock.Lock()
+		s.lock.Lock(&t.gen)
 		splitKey := n.keys[half].Load()
 		n.high.Store(splitKey)
 		n.highSet.Store(true)
@@ -251,7 +247,7 @@ func (t *Tree) splitLeaf(n *node) (*node, uint64) {
 		return s, splitKey
 	}
 	s := t.newNode(true, n.level)
-	s.lock.Lock()
+	s.lock.Lock(&t.gen)
 	for i := half; i < Cardinality; i++ {
 		s.keys[i-half].Store(n.keys[i].Load())
 		s.vals[i-half].Store(n.vals[i].Load())
@@ -289,7 +285,7 @@ func (t *Tree) splitInternal(n *node) (*node, uint64) {
 	half := Cardinality / 2
 	// Interrupted-split detection, as in splitLeaf.
 	if s := n.sibling.Load(); s != nil && s.leftmost.Load() != nil && s.leftmost.Load() == n.kids[half].Load() {
-		s.lock.Lock()
+		s.lock.Lock(&t.gen)
 		splitKey := n.keys[half].Load()
 		n.high.Store(splitKey)
 		n.highSet.Store(true)
@@ -302,7 +298,7 @@ func (t *Tree) splitInternal(n *node) (*node, uint64) {
 		return s, splitKey
 	}
 	s := t.newNode(false, n.level)
-	s.lock.Lock()
+	s.lock.Lock(&t.gen)
 	splitKey := n.keys[half].Load()
 	s.leftmost.Store(n.kids[half].Load())
 	for i := half + 1; i < Cardinality; i++ {
@@ -341,15 +337,17 @@ func (t *Tree) insertParent(left *node, splitKey uint64, right *node, level int)
 	keyB := t.appendKeyBytes(nil, splitKey)
 	for {
 		root := t.root.Load()
-		if root == left {
-			// Root split: build a new root and swing the root pointer.
-			t.rootMu.Lock()
-			if t.root.Load() != left {
+		if root.level < level {
+			// Grow a root above the current one. left is that root or,
+			// after a concurrent split or a restart image that reverted
+			// an unfenced root swap, a node B-link hops reach from it.
+			t.rootMu.Lock(&t.gen)
+			if t.root.Load() != root {
 				t.rootMu.Unlock()
 				continue
 			}
 			nr := t.newNode(false, level)
-			nr.leftmost.Store(left)
+			nr.leftmost.Store(root)
 			nr.keys[0].Store(splitKey)
 			nr.kids[0].Store(right)
 			t.heap.Persist(nr.pm, 0, nodeBytes)
@@ -362,19 +360,16 @@ func (t *Tree) insertParent(left *node, splitKey uint64, right *node, level int)
 			t.rootMu.Unlock()
 			return
 		}
-		if root.level < level {
-			continue // a new root is being installed; retry
-		}
 		// Descend to the internal node at this level covering splitKey.
 		n := root
 		for n.level > level {
 			n = t.childFor(n, keyB)
 		}
-		n.lock.Lock()
+		n.lock.Lock(&t.gen)
 		for n.highSet.Load() && t.cmpProbe(keyB, n.high.Load()) >= 0 {
 			s := n.sibling.Load()
 			n.lock.Unlock()
-			s.lock.Lock()
+			s.lock.Lock(&t.gen)
 			n = s
 		}
 		cnt := n.countRecords()

@@ -72,10 +72,10 @@ func TestReshardDurability(t *testing.T) {
 // migration's group commit, restarted from the revert image, rolled
 // back the pointer swap that had retired a node while the node kept its
 // obsolete mark, and the unbounded retry of every later commit through
-// it allocated until the process ran out of memory. Recover now clears
-// the marks and hot.ErrStalled bounds the retry; CI runs this test
-// under an address-space cap, so a regression of either fails instead
-// of exhausting the machine.
+// it allocated until the process ran out of memory. Recover's new lock
+// generation frees the marks and hot.ErrStalled bounds the retry; CI
+// runs this test under an address-space cap, so a regression of either
+// fails instead of exhausting the machine.
 func TestReshardLossy(t *testing.T) {
 	sweepReshard(t, reshardIndexes(false), false, []pmem.Policy{pmem.PolicyRevert, pmem.PolicyKeep, pmem.PolicyTorn})
 }

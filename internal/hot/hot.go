@@ -38,9 +38,10 @@ var ErrEmptyKey = errors.New("hot: empty key")
 // ErrStalled is returned by Insert and Delete after maxRestarts
 // consecutive failed commits. The index is unchanged. No known state
 // reaches it: the one that did, a node left reachable with its obsolete
-// mark after a restart reverted the swap that retired it, is cleared by
-// Recover. It stays as a guard because each attempt allocates, so a
-// write that can never commit must not retry for ever.
+// mark after a restart reverted the swap that retired it, reads as live
+// once Recover has begun a new lock generation. It stays as a guard
+// because each attempt allocates, so a write that can never commit must
+// not retry for ever.
 var ErrStalled = errors.New("hot: write restarted too often")
 
 // maxRestarts bounds one write's consecutive restarts. A restart builds
@@ -78,10 +79,9 @@ func childEntry(sep []byte, n *hnode) *entry {
 // immutable after publication; replacing it means building a new node and
 // swapping the single pointer that references the old one.
 type hnode struct {
-	pm       pmem.Obj
-	lock     pmlock.Mutex
-	obsolete atomic.Bool
-	entries  []*entry
+	pm      pmem.Obj
+	lock    pmlock.Mutex // carries the obsolete mark of a swapped-out node
+	entries []*entry
 }
 
 // entryBytes is the nominal persistent footprint of one slot (separator
@@ -113,6 +113,7 @@ type Index struct {
 	rootPM pmem.Obj
 	root   atomic.Pointer[hnode]
 	rootMu pmlock.Mutex
+	gen    pmlock.Gen // stamps every lock of the index; volatile
 	count  atomic.Int64
 }
 
@@ -162,26 +163,11 @@ func (idx *Index) Lookup(key []byte) (uint64, bool) {
 	return 0, false
 }
 
-// Recover re-initialises all node locks after a simulated crash, and
-// with them the obsolete marks: a restart can revert the pointer swap
-// that retired a node, and a node reachable after recovery is live. No
-// structural repair is needed: commits are single atomic stores, so
-// every crash state is either before or after a complete update (§6.1).
+// Recover restarts the index after a crash with a new lock generation,
+// which frees every lock and obsolete mark the crash left behind: a node
+// reachable after recovery is live. Commits are single atomic stores, so
+// every crash state is before or after a complete update (§6.1).
 func (idx *Index) Recover() error {
-	idx.rootMu.Reset()
-	var walk func(n *hnode)
-	walk = func(n *hnode) {
-		if n == nil {
-			return
-		}
-		n.lock.Reset()
-		n.obsolete.Store(false)
-		for _, e := range n.entries {
-			if !e.isLeaf {
-				walk(e.child.Load())
-			}
-		}
-	}
-	walk(idx.root.Load())
+	idx.gen.Restart()
 	return nil
 }

@@ -433,7 +433,7 @@ func TestRecoverClearsObsolete(t *testing.T) {
 	for i := uint64(0); i < 100; i++ {
 		mustInsert(t, idx, k64(i), i)
 	}
-	idx.root.Load().obsolete.Store(true)
+	idx.root.Load().lock.MarkObsolete()
 	if err := idx.Recover(); err != nil {
 		t.Fatal(err)
 	}

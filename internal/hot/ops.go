@@ -38,7 +38,7 @@ func (idx *Index) Update(key []byte, value uint64) error { return idx.Insert(key
 func (idx *Index) tryInsert(key []byte, value uint64) bool {
 	root := idx.root.Load()
 	if root == nil {
-		idx.rootMu.Lock()
+		idx.rootMu.Lock(&idx.gen)
 		if idx.root.Load() != nil {
 			idx.rootMu.Unlock()
 			return false
@@ -79,9 +79,9 @@ func (idx *Index) commitInsert(path []pathEl, target *hnode, key []byte, value u
 			locked[i].lock.Unlock()
 		}
 	}()
-	target.lock.Lock()
+	target.lock.Lock(&idx.gen)
 	locked = append(locked, target)
-	if target.obsolete.Load() {
+	if target.lock.Obsolete() {
 		return false
 	}
 	i := target.candidate(key)
@@ -128,7 +128,7 @@ func (idx *Index) commitInsert(path []pathEl, target *hnode, key []byte, value u
 // Ancestors are locked bottom-up as they are reached.
 func (idx *Index) swapUp(path []pathEl, d int, old *hnode, left, right *hnode, locked *[]*hnode) bool {
 	if d == 0 {
-		idx.rootMu.Lock()
+		idx.rootMu.Lock(&idx.gen)
 		defer idx.rootMu.Unlock()
 		if idx.root.Load() != old {
 			return false
@@ -147,14 +147,14 @@ func (idx *Index) swapUp(path []pathEl, d int, old *hnode, left, right *hnode, l
 		// RECIPE: flush + fence after the committing root store.
 		idx.heap.PersistFence(idx.rootPM, 0, 8)
 		idx.heap.CrashPoint("hot.commit.root")
-		old.obsolete.Store(true)
+		old.lock.MarkObsolete()
 		return true
 	}
 	p := path[d-1].n
 	slot := path[d-1].slot
-	p.lock.Lock()
+	p.lock.Lock(&idx.gen)
 	*locked = append(*locked, p)
-	if p.obsolete.Load() || slot >= len(p.entries) || p.entries[slot].child.Load() != old {
+	if p.lock.Obsolete() || slot >= len(p.entries) || p.entries[slot].child.Load() != old {
 		return false
 	}
 	if right == nil {
@@ -164,7 +164,7 @@ func (idx *Index) swapUp(path []pathEl, d int, old *hnode, left, right *hnode, l
 		// RECIPE: flush + fence after the committing store.
 		idx.heap.PersistFence(p.pm, uintptr(slot)*entryBytes, 8)
 		idx.heap.CrashPoint("hot.commit.swap")
-		old.obsolete.Store(true)
+		old.lock.MarkObsolete()
 		return true
 	}
 	// The split adds an entry: COW the parent, keeping its old separator
@@ -180,7 +180,7 @@ func (idx *Index) swapUp(path []pathEl, d int, old *hnode, left, right *hnode, l
 		idx.heap.Fence()
 		idx.heap.CrashPoint("hot.parent.built")
 		if idx.swapUp(path, d-1, p, np, nil, locked) {
-			old.obsolete.Store(true)
+			old.lock.MarkObsolete()
 			return true
 		}
 		return false
@@ -191,7 +191,7 @@ func (idx *Index) swapUp(path []pathEl, d int, old *hnode, left, right *hnode, l
 	idx.heap.Fence()
 	idx.heap.CrashPoint("hot.parentsplit.built")
 	if idx.swapUp(path, d-1, p, lp, rp, locked) {
-		old.obsolete.Store(true)
+		old.lock.MarkObsolete()
 		return true
 	}
 	return false
@@ -239,9 +239,9 @@ func (idx *Index) commitDelete(path []pathEl, target *hnode, key []byte) (del, d
 			locked[i].lock.Unlock()
 		}
 	}()
-	target.lock.Lock()
+	target.lock.Lock(&idx.gen)
 	locked = append(locked, target)
-	if target.obsolete.Load() {
+	if target.lock.Obsolete() {
 		return false, false
 	}
 	i := target.candidate(key)
@@ -253,7 +253,7 @@ func (idx *Index) commitDelete(path []pathEl, target *hnode, key []byte) (del, d
 	ne = append(ne, target.entries[i+1:]...)
 	if len(ne) == 0 && len(path) == 0 {
 		// Removing the last key of the tree.
-		idx.rootMu.Lock()
+		idx.rootMu.Lock(&idx.gen)
 		defer idx.rootMu.Unlock()
 		if idx.root.Load() != target {
 			return false, false
@@ -263,7 +263,7 @@ func (idx *Index) commitDelete(path []pathEl, target *hnode, key []byte) (del, d
 		// RECIPE: flush + fence after the committing store.
 		idx.heap.PersistFence(idx.rootPM, 0, 8)
 		idx.heap.CrashPoint("hot.delete.root")
-		target.obsolete.Store(true)
+		target.lock.MarkObsolete()
 		idx.count.Add(-1)
 		return true, true
 	}

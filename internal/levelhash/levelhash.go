@@ -72,6 +72,7 @@ type Index struct {
 	rootPM pmem.Obj
 	tab    atomic.Pointer[table]
 	resize pmlock.Mutex
+	gen    pmlock.Gen // stamps every lock of the table; volatile
 	count  atomic.Int64
 }
 
@@ -199,7 +200,7 @@ func (idx *Index) tryInsert(t *table, key, value uint64) bool {
 	cands := t.candidates(key)
 	// First pass: update in place if present (any candidate).
 	for _, b := range cands {
-		b.lock.Lock()
+		b.lock.Lock(&idx.gen)
 		if idx.tab.Load() != t {
 			b.lock.Unlock()
 			return false
@@ -218,7 +219,7 @@ func (idx *Index) tryInsert(t *table, key, value uint64) bool {
 	}
 	// Second pass: claim the first free slot in candidate order.
 	for _, b := range cands {
-		b.lock.Lock()
+		b.lock.Lock(&idx.gen)
 		if idx.tab.Load() != t {
 			b.lock.Unlock()
 			return false
@@ -253,7 +254,7 @@ func (idx *Index) Delete(key uint64) (deleted bool, err error) {
 	for {
 		t := idx.tab.Load()
 		for _, b := range t.candidates(key) {
-			b.lock.Lock()
+			b.lock.Lock(&idx.gen)
 			if idx.tab.Load() != t {
 				b.lock.Unlock()
 				goto retry
@@ -280,17 +281,17 @@ func (idx *Index) Delete(key uint64) (deleted bool, err error) {
 // the bottom, old bottom's keys rehash into the new top. The new table is
 // committed with a single atomic pointer swap.
 func (idx *Index) rehash(old *table) {
-	idx.resize.Lock()
+	idx.resize.Lock(&idx.gen)
 	defer idx.resize.Unlock()
 	if idx.tab.Load() != old {
 		return
 	}
 	// Lock every bucket of the old table so no writer races the copy.
 	for i := range old.top.buckets {
-		old.top.buckets[i].lock.Lock()
+		old.top.buckets[i].lock.Lock(&idx.gen)
 	}
 	for i := range old.bottom.buckets {
-		old.bottom.buckets[i].lock.Lock()
+		old.bottom.buckets[i].lock.Lock(&idx.gen)
 	}
 	nt := &table{top: idx.newLevel(len(old.top.buckets) * 2), bottom: old.top}
 	spilled := make(map[*bucket]bool)
@@ -416,15 +417,9 @@ func (idx *Index) Range(fn func(key, value uint64) bool) {
 // TopBuckets returns the current top-level bucket count.
 func (idx *Index) TopBuckets() int { return len(idx.tab.Load().top.buckets) }
 
-// Recover re-initialises all locks after a simulated crash.
+// Recover restarts the table after a crash with a new lock generation,
+// which frees every lock the crash left held.
 func (idx *Index) Recover() error {
-	idx.resize.Reset()
-	t := idx.tab.Load()
-	for i := range t.top.buckets {
-		t.top.buckets[i].lock.Reset()
-	}
-	for i := range t.bottom.buckets {
-		t.bottom.buckets[i].lock.Reset()
-	}
+	idx.gen.Restart()
 	return nil
 }

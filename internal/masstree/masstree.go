@@ -164,6 +164,7 @@ type node struct {
 type Index struct {
 	heap   *pmem.Heap
 	layer0 *layerRoot
+	gen    pmlock.Gen // stamps every lock of every layer; volatile
 	count  atomic.Int64
 }
 
@@ -218,42 +219,10 @@ func entryLess(s1 uint64, c1 int, s2 uint64, c2 int) bool {
 // Len returns the number of keys in the index.
 func (idx *Index) Len() int { return int(idx.count.Load()) }
 
-// Recover re-initialises all locks in every layer after a simulated
-// crash (§6 lock-table re-initialisation). Structural repair happens
-// lazily on the write path via split replay.
+// Recover restarts the index after a crash with a new lock generation,
+// which frees every lock the crash left held in any layer (§6). Torn
+// splits are repaired lazily on the write path by split replay.
 func (idx *Index) Recover() error {
-	var walkLayer func(lr *layerRoot)
-	seen := make(map[*node]bool)
-	var walkNode func(n *node)
-	walkNode = func(n *node) {
-		for n != nil && !seen[n] {
-			seen[n] = true
-			n.lock.Reset()
-			p := perm(n.perm.Load())
-			if n.leaf {
-				for i := 0; i < p.count(); i++ {
-					lv := n.vals[p.slot(i)].Load()
-					if lv != nil && lv.layer != nil {
-						walkLayer(lv.layer)
-					}
-				}
-			} else {
-				if c := n.kids[0].Load(); c != nil {
-					walkNode(c)
-				}
-				for i := 0; i < p.count(); i++ {
-					if c := n.kids[p.slot(i)+1].Load(); c != nil {
-						walkNode(c)
-					}
-				}
-			}
-			n = n.next.Load()
-		}
-	}
-	walkLayer = func(lr *layerRoot) {
-		lr.mu.Reset()
-		walkNode(lr.root.Load())
-	}
-	walkLayer(idx.layer0)
+	idx.gen.Restart()
 	return nil
 }

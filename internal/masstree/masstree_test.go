@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/crash"
 	"repro/internal/keys"
@@ -589,6 +590,65 @@ func BenchmarkLookupString(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, ok := idx.Lookup(gen.Key(uint64(i) % n)); !ok {
 			b.Fatal("miss")
+		}
+	}
+}
+
+// TestRevertedRootSwapGrowsRoot: inside a fence group the fence after
+// layer 0's root growth's root store waits for the next one, so a crash at
+// mt.rootgrow.commit and the revert image restore the old root, a leaf whose
+// split already linked and filled its right sibling. The next split of
+// that sibling posts a separator one level above the root. Writers used
+// to wait there for ever for a root swap that would never come; now they
+// grow the root themselves. The inserts run under a deadline so that a
+// return of the wait fails instead of hanging.
+func TestRevertedRootSwapGrowsRoot(t *testing.T) {
+	heap := pmem.New(pmem.Options{Shadow: true})
+	defer heap.Release()
+	tr := New(heap)
+	const full = Fanout // keys that fill the root leaf
+	heap.BeginFenceGroup()
+	for i := uint64(1); i <= full; i++ {
+		mustInsert(t, tr, k64(i), i)
+		heap.GroupOpBoundary()
+	}
+	heap.SetInjector(crash.NewAtSite("mt.rootgrow.commit", 1))
+	if err := tr.Insert(k64(full+1), full+1); !crash.IsCrash(err) {
+		t.Fatalf("the insert that splits the root leaf did not crash at mt.rootgrow.commit: %v", err)
+	}
+	heap.SetInjector(nil)
+	heap.PowerCycle(pmem.PolicyRevert, 1)
+	if err := tr.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if r := tr.layer0.root.Load(); !r.leaf {
+		t.Fatal("the revert image did not restore the root leaf")
+	}
+	const n = 200
+	done := make(chan error, 1)
+	go func() {
+		for i := uint64(full + 2); i < n; i++ {
+			if err := tr.Insert(k64(i), i); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("inserts after the reverted root swap did not return within 2s")
+	}
+	if r := tr.layer0.root.Load(); r.leaf {
+		t.Fatal("the root never grew")
+	}
+	for i := uint64(1); i < n; i++ {
+		if v, ok := tr.Lookup(k64(i)); i != full+1 && (!ok || v != i) {
+			t.Fatalf("Lookup(%d) = %d, %v", i, v, ok)
 		}
 	}
 }

@@ -112,11 +112,11 @@ func (idx *Index) newLeafVal(slice uint64, lc int, value uint64, suffix []byte, 
 // hand-over under lock.
 func (idx *Index) lockLeafFor(lr *layerRoot, slice uint64) *node {
 	n := idx.findLeaf(lr, slice)
-	n.lock.Lock()
+	n.lock.Lock(&idx.gen)
 	for n.highSet.Load() && slice >= n.high.Load() {
 		s := n.next.Load()
 		n.lock.Unlock()
-		s.lock.Lock()
+		s.lock.Lock(&idx.gen)
 		n = s
 	}
 	return n
@@ -309,7 +309,7 @@ func (idx *Index) placePrivate(n *node, pos int, slice uint64, lc int, lv *leafV
 func (idx *Index) splitLeaf(n *node) (*node, uint64) {
 	if s := n.next.Load(); s != nil {
 		if cut, ok := idx.tornSplit(n, s); ok {
-			s.lock.Lock()
+			s.lock.Lock(&idx.gen)
 			splitSlice := s.slices[perm(s.perm.Load()).slot(0)].Load()
 			// RECIPE: replay the split completion — publish the high key,
 			// then truncate the permutation.
@@ -336,7 +336,7 @@ func (idx *Index) splitLeaf(n *node) (*node, uint64) {
 		mid++
 	}
 	s := idx.newNode(true, 0)
-	s.lock.Lock()
+	s.lock.Lock(&idx.gen)
 	for i := mid; i < cnt; i++ {
 		slot := p.slot(i)
 		idx.placePrivate(s, i-mid, n.slices[slot].Load(), int(n.lens[slot].Load()), n.vals[slot].Load())
@@ -410,14 +410,17 @@ func (idx *Index) tornSplit(n, s *node) (int, bool) {
 func (idx *Index) insertParent(lr *layerRoot, left *node, splitSlice uint64, right *node, level int) {
 	for {
 		root := lr.root.Load()
-		if root == left {
-			lr.mu.Lock()
-			if lr.root.Load() != left {
+		if root.level < level {
+			// Grow a root above the current one. left is that root or,
+			// after a concurrent split or a restart image that reverted
+			// an unfenced root swap, a node B-link hops reach from it.
+			lr.mu.Lock(&idx.gen)
+			if lr.root.Load() != root {
 				lr.mu.Unlock()
 				continue
 			}
 			nr := idx.newNode(false, level)
-			nr.kids[0].Store(left)
+			nr.kids[0].Store(root)
 			np, slot := perm(nr.perm.Load()).insertAt(0)
 			nr.slices[slot].Store(splitSlice)
 			nr.kids[slot+1].Store(right)
@@ -433,9 +436,6 @@ func (idx *Index) insertParent(lr *layerRoot, left *node, splitSlice uint64, rig
 			idx.heap.CrashPoint("mt.rootgrow.commit")
 			lr.mu.Unlock()
 			return
-		}
-		if root.level < level {
-			continue // root replacement in flight
 		}
 		n := root
 		for n.level > level {
@@ -457,11 +457,11 @@ func (idx *Index) insertParent(lr *layerRoot, left *node, splitSlice uint64, rig
 			}
 			n = child
 		}
-		n.lock.Lock()
+		n.lock.Lock(&idx.gen)
 		for n.highSet.Load() && splitSlice >= n.high.Load() {
 			s := n.next.Load()
 			n.lock.Unlock()
-			s.lock.Lock()
+			s.lock.Lock(&idx.gen)
 			n = s
 		}
 		p := perm(n.perm.Load())
@@ -532,7 +532,7 @@ func (idx *Index) insertInnerEntry(n *node, pos int, slice uint64, child *node) 
 func (idx *Index) splitInner(n *node) (*node, uint64) {
 	if s := n.next.Load(); s != nil {
 		if cut, ok := idx.tornSplit(n, s); ok {
-			s.lock.Lock()
+			s.lock.Lock(&idx.gen)
 			// The cut position is the median whose child became the
 			// sibling's leftmost; it is promoted and dropped from n.
 			p := perm(n.perm.Load())
@@ -554,7 +554,7 @@ func (idx *Index) splitInner(n *node) (*node, uint64) {
 	mid := cnt / 2
 	sep := n.slices[p.slot(mid)].Load()
 	s := idx.newNode(false, n.level)
-	s.lock.Lock()
+	s.lock.Lock(&idx.gen)
 	s.kids[0].Store(n.kids[p.slot(mid)+1].Load())
 	for i := mid + 1; i < cnt; i++ {
 		slot := p.slot(i)

@@ -2,13 +2,16 @@
 // persistent-memory indexes.
 //
 // RECIPE (§4.2) assumes that locks embedded in persistent nodes are
-// non-persistent and are re-initialised when an index restarts after a
-// crash. A sync.Mutex cannot express that: a crashed operation would leave
-// it locked forever and there is no way to force-reset it. The locks in
-// this package are plain words manipulated with compare-and-swap, so a
-// simulated crash can abandon them mid-critical-section and recovery can
-// re-initialise them, exactly as a real PM index re-initialises its lock
-// table on startup (§6, "Lock initialization").
+// non-persistent and re-initialised when an index restarts after a crash
+// (§6, "Lock initialization"). Here a restart does that in O(1): each
+// index owns a volatile restart generation, Gen, every lock word carries
+// the generation it was last taken in, and a word from an older
+// generation reads as free — whatever a crash or a restored power-loss
+// image left in it. The 32-bit word is a 30-bit generation, an obsolete
+// bit (ART's retired-node mark, set by the holder and read under the
+// lock) and a held bit. Taking a stale word clears its obsolete bit: a
+// node reachable after a restart is live. The generation wraps after
+// 2^30 restarts of one index.
 package pmlock
 
 import (
@@ -16,26 +19,57 @@ import (
 	"sync/atomic"
 )
 
-// Mutex is a CAS spinlock. The zero value is unlocked.
-//
-// Unlike sync.Mutex it supports Reset, which unconditionally returns the
-// lock to the unlocked state regardless of owner. Reset is only safe when
-// no thread is inside the critical section, i.e. during post-crash
-// recovery.
+const (
+	held     = 1 << 0
+	obsolete = 1 << 1
+	flags    = held | obsolete
+)
+
+// Gen is an index's restart generation; the zero Mutex is free in the
+// zero Gen. It must live in the volatile index object, never in state a
+// power cycle restores.
+type Gen struct {
+	v atomic.Uint32
+}
+
+// Restart begins a new generation, in which every lock taken in an
+// earlier one is free and live. It is only safe while no operation is
+// inside the index, i.e. during post-crash recovery.
+func (g *Gen) Restart() { g.v.Add(1) }
+
+// stamp is the free, live word of the current generation.
+func (g *Gen) stamp() uint32 { return g.v.Load() << 2 }
+
+// Mutex is a CAS spinlock whose word is stamped with its owner's Gen. The
+// zero value is unlocked. Every call on one Mutex must pass the same Gen.
 type Mutex struct {
 	v atomic.Uint32
 }
 
 // Lock acquires the lock, spinning until it is available.
-func (m *Mutex) Lock() {
-	for i := 0; ; i++ {
-		if m.v.CompareAndSwap(0, 1) {
-			return
-		}
-		if i%64 == 63 {
-			runtime.Gosched()
+func (m *Mutex) Lock(g *Gen) {
+	if cur := g.stamp(); !m.v.CompareAndSwap(cur, cur|held) {
+		// The generation is re-read: a waiter takes a word a restart freed.
+		for i := 0; !m.acquire(g.stamp()); i++ {
+			if i%64 == 63 {
+				runtime.Gosched()
+			}
 		}
 	}
+}
+
+// acquire makes one attempt on a word the fast path could not take: a
+// stale word is taken free and live, a free one of this generation with
+// its obsolete mark kept.
+func (m *Mutex) acquire(cur uint32) bool {
+	w := m.v.Load()
+	switch {
+	case w&^flags != cur:
+		return m.v.CompareAndSwap(w, cur|held)
+	case w&held == 0:
+		return m.v.CompareAndSwap(w, w|held)
+	}
+	return false
 }
 
 // TryLock attempts to acquire the lock without blocking and reports
@@ -43,23 +77,19 @@ func (m *Mutex) Lock() {
 // try-lock: if a writer observes an inconsistency and then successfully
 // acquires the lock, no concurrent writer can be mid-update, so the
 // inconsistency must be permanent (left by a crash).
-func (m *Mutex) TryLock() bool {
-	return m.v.CompareAndSwap(0, 1)
+func (m *Mutex) TryLock(g *Gen) bool {
+	cur := g.stamp()
+	return m.v.CompareAndSwap(cur, cur|held) || m.acquire(cur)
 }
 
-// Unlock releases the lock. It must only be called by the holder.
-func (m *Mutex) Unlock() {
-	m.v.Store(0)
-}
+// Unlock releases the lock. It must only be called by the holder, whose
+// word has the held bit, bit 0, set: subtracting one clears it in one
+// atomic add.
+func (m *Mutex) Unlock() { m.v.Add(^uint32(0)) }
 
-// Reset unconditionally re-initialises the lock to unlocked. It models
-// lock-table re-initialisation on restart after a crash.
-func (m *Mutex) Reset() {
-	m.v.Store(0)
-}
+// MarkObsolete marks the lock's node retired. Only the holder calls it.
+func (m *Mutex) MarkObsolete() { m.v.Store(m.v.Load() | obsolete) }
 
-// Locked reports whether the lock is currently held. It is advisory and
-// intended for tests and recovery diagnostics.
-func (m *Mutex) Locked() bool {
-	return m.v.Load() != 0
-}
+// Obsolete reports whether the node was retired. Read it under the lock,
+// whose acquisition cleared a mark from an older generation.
+func (m *Mutex) Obsolete() bool { return m.v.Load()&obsolete != 0 }

@@ -3,61 +3,136 @@ package pmlock
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestLockUnlock(t *testing.T) {
+	var g Gen
 	var m Mutex
-	if m.Locked() {
-		t.Fatal("zero-value mutex should be unlocked")
-	}
-	m.Lock()
-	if !m.Locked() {
-		t.Fatal("Lock did not set state")
+	m.Lock(&g)
+	if m.TryLock(&g) {
+		t.Fatal("TryLock on a held lock succeeded")
 	}
 	m.Unlock()
-	if m.Locked() {
-		t.Fatal("Unlock did not clear state")
-	}
-}
-
-func TestTryLock(t *testing.T) {
-	var m Mutex
-	if !m.TryLock() {
-		t.Fatal("TryLock on free lock failed")
-	}
-	if m.TryLock() {
-		t.Fatal("TryLock on held lock succeeded")
-	}
-	m.Unlock()
-	if !m.TryLock() {
+	if !m.TryLock(&g) {
 		t.Fatal("TryLock after Unlock failed")
 	}
 }
 
-func TestResetReleasesAbandonedLock(t *testing.T) {
+func TestTryLock(t *testing.T) {
+	var g Gen
 	var m Mutex
-	m.Lock() // simulate a crashed holder
-	if m.TryLock() {
+	if !m.TryLock(&g) {
+		t.Fatal("TryLock on free lock failed")
+	}
+	if m.TryLock(&g) {
+		t.Fatal("TryLock on held lock succeeded")
+	}
+	m.Unlock()
+	if !m.TryLock(&g) {
+		t.Fatal("TryLock after Unlock failed")
+	}
+}
+
+// TestRestartReleasesAbandonedLock: a word held in an older generation is
+// free, to Lock and to TryLock, and is held again once taken.
+func TestRestartReleasesAbandonedLock(t *testing.T) {
+	var g Gen
+	var a, b Mutex
+	a.Lock(&g) // simulate crashed holders
+	b.Lock(&g)
+	if a.TryLock(&g) {
 		t.Fatal("abandoned lock should still appear held")
 	}
-	m.Reset()
-	if !m.TryLock() {
-		t.Fatal("Reset should re-initialise the lock")
+	g.Restart()
+	if !a.TryLock(&g) {
+		t.Fatal("Restart should free a lock held in the old generation")
+	}
+	b.Lock(&g) // returns only if the stale word reads as free
+	if a.TryLock(&g) || b.TryLock(&g) {
+		t.Fatal("a lock taken in the new generation should be held")
+	}
+}
+
+// TestRestartFreesWaiter: a Lock already spinning on an abandoned word
+// takes it once the generation moves on.
+func TestRestartFreesWaiter(t *testing.T) {
+	var g Gen
+	var m Mutex
+	m.Lock(&g)
+	done := make(chan struct{})
+	go func() {
+		m.Lock(&g)
+		close(done)
+	}()
+	g.Restart()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a waiter did not take the word the restart freed")
+	}
+}
+
+// TestObsoleteMark: the mark survives Unlock and a re-acquisition within
+// one generation, and an acquisition in a later generation clears it,
+// whether the stale word was left held or free.
+func TestObsoleteMark(t *testing.T) {
+	var g Gen
+	var held, free Mutex
+	for _, m := range []*Mutex{&held, &free} {
+		m.Lock(&g)
+		m.MarkObsolete()
+	}
+	free.Unlock()
+	if !free.TryLock(&g) || !free.Obsolete() {
+		t.Fatal("the mark must survive Unlock and TryLock in its generation")
+	}
+	free.Unlock()
+	free.Lock(&g)
+	if !free.Obsolete() {
+		t.Fatal("the mark must survive Lock in its generation")
+	}
+	free.Unlock()
+	g.Restart()
+	held.Lock(&g)
+	if !free.TryLock(&g) {
+		t.Fatal("TryLock on a stale free word failed")
+	}
+	if held.Obsolete() || free.Obsolete() {
+		t.Fatal("an acquisition in a new generation must clear the obsolete mark")
+	}
+}
+
+// TestGensAreIndependent: restarting one index's generation frees only
+// the locks that index owns. A sharded front-end recovers one shard while
+// the others serve.
+func TestGensAreIndependent(t *testing.T) {
+	var g1, g2 Gen
+	var m1, m2 Mutex
+	m1.Lock(&g1)
+	m2.Lock(&g2)
+	g1.Restart()
+	if !m1.TryLock(&g1) {
+		t.Fatal("the restarted generation did not free its lock")
+	}
+	if m2.TryLock(&g2) {
+		t.Fatal("restarting one Gen freed a lock of another")
 	}
 }
 
 func TestMutualExclusion(t *testing.T) {
+	var g Gen
 	var m Mutex
 	const goroutines = 8
 	const iters = 2000
 	counter := 0
 	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
+	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				m.Lock()
+				m.Lock(&g)
 				counter++
 				m.Unlock()
 			}
@@ -70,16 +145,17 @@ func TestMutualExclusion(t *testing.T) {
 }
 
 func TestTryLockMutualExclusion(t *testing.T) {
+	var g Gen
 	var m Mutex
 	const goroutines = 8
 	counter := 0
 	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
+	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				if m.TryLock() {
+				if m.TryLock(&g) {
 					counter++
 					m.Unlock()
 				}

@@ -755,9 +755,9 @@ func TestMigrateValidation(t *testing.T) {
 	}
 }
 
-// TestRecoverCrashedParallel: crash several shards at once; the
-// parallel sweep recovers all of them, reports them in shard order, and
-// replays no healthy shard.
+// TestRecoverCrashedParallel: crash several shards at once; the sweep
+// recovers all of them, reports them in shard order, and replays no
+// healthy shard.
 func TestRecoverCrashedParallel(t *testing.T) {
 	const n, h = 3_000, 8
 	m, err := NewOrdered("P-ART", keys.RandInt, Options{Shards: h, Heap: pmem.Options{Shadow: true}})

@@ -12,8 +12,7 @@
 // al.) shows cross-socket traffic dominates PM index throughput — by
 // giving every shard a private heap, index, tracker and injector.
 // Because shards share nothing, a crash in shard k is recovered by
-// replaying shard k alone (the per-partition recovery argument of APEX),
-// and restart cost is proportional to shard size, not index size.
+// replaying shard k alone (the per-partition recovery argument of APEX).
 //
 // A front-end is born with its routing table (table.go), the one
 // routing authority: a pluggable Partitioner reduces a key to a ring
@@ -40,7 +39,6 @@ package shard
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -194,57 +192,22 @@ func (f *frontend[K]) RecoverShard(i int) error {
 }
 
 // RecoverCrashed recovers exactly the shards whose injector fired,
-// clearing each fired injector first, and returns their indices. Shards
-// that did not crash are not replayed — the per-shard recovery
-// invariant. A shard whose recovery fails is quarantined and the sweep
-// continues: the healthy shards come back up, the joined error reports
-// the casualties. It must not be called concurrently with index
+// clearing each fired injector first, and returns their indices in shard
+// order. Shards that did not crash are not replayed — the per-shard
+// recovery invariant. A shard whose recovery fails is quarantined and the
+// sweep continues: the healthy shards come back up, the joined error
+// reports the casualties. It must not be called concurrently with index
 // operations.
-//
-// Shards share nothing, so the fired shards are replayed concurrently
-// by a bounded worker pool (min of fired count, GOMAXPROCS, 8) —
-// restart cost is the largest fired shard, not their sum. The returned
-// indices and the joined error are in deterministic shard order
-// regardless of replay interleaving.
 func (f *frontend[K]) RecoverCrashed() ([]int, error) {
-	var fired []int
-	for i := range f.shards {
-		if inj := f.shards[i].heap.Injector(); inj.Fired() {
-			f.shards[i].heap.SetInjector(nil)
-			fired = append(fired, i)
-		}
-	}
-	if len(fired) == 0 {
-		return nil, nil
-	}
-	errs := make([]error, len(fired))
-	if workers := min(len(fired), runtime.GOMAXPROCS(0), 8); workers == 1 {
-		for j, i := range fired {
-			errs[j] = f.RecoverShard(i)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					j := int(next.Add(1)) - 1
-					if j >= len(fired) {
-						return
-					}
-					errs[j] = f.RecoverShard(fired[j])
-				}
-			}()
-		}
-		wg.Wait()
-	}
 	var recovered []int
 	var failed []error
-	for j, i := range fired {
-		if errs[j] != nil {
-			failed = append(failed, errs[j])
+	for i := range f.shards {
+		if !f.shards[i].heap.Injector().Fired() {
+			continue
+		}
+		f.shards[i].heap.SetInjector(nil)
+		if err := f.RecoverShard(i); err != nil {
+			failed = append(failed, err)
 			continue
 		}
 		recovered = append(recovered, i)
