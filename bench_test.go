@@ -11,7 +11,6 @@ package recipe_test
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -45,12 +44,6 @@ func runWorkloadBench(b *testing.B, index string, w ycsb.Workload, kind keys.Kin
 	}
 	res, err := recipe.RunWorkload(index, recipe.OrderedTarget(heap, idx, kind), recipe.WritePath{}, w, benchLoadN, b.N, benchThreads, 42)
 	if err != nil {
-		if index == "FAST & FAIR" && strings.Contains(err.Error(), "read id") {
-			// FAST & FAIR can lose a committed key under concurrent insert
-			// storms — the §3 data-loss class the paper reports for it
-			// (see internal/fastfair.TestKnownIssueConcurrentLoadLoss).
-			b.Skipf("FAST & FAIR known data-loss class under concurrency: %v", err)
-		}
 		b.Fatal(err)
 	}
 	b.ReportMetric(res.MopsPerSec(), "Mops/s")
@@ -353,9 +346,6 @@ func BenchmarkWorkloadSkew(b *testing.B) {
 					res, err := recipe.RunWorkload(index, recipe.ShardedOrderedTarget(m, keys.RandInt), recipe.WritePath{}, w,
 						benchLoadN, b.N, benchThreads, 42)
 					if err != nil {
-						if index == "FAST & FAIR" && strings.Contains(err.Error(), "read id") {
-							b.Skipf("FAST & FAIR known data-loss class under concurrency: %v", err)
-						}
 						b.Fatal(err)
 					}
 					b.ReportMetric(res.MopsPerSec(), "Mops/s")

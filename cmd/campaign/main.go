@@ -39,11 +39,7 @@
 // row FAILs or a FAIL-expected row PASSes. The FAIL-expected rows are
 // the Faithful modes of FAST & FAIR and CCEH, which reproduce the
 // published bugs (§3, §7.5): a control that stops failing controls
-// nothing. FAST & FAIR's crash row may FAIL and is outside the rule —
-// §3 reports a data-loss design bug in its split protocol under
-// concurrent writes, and crash + racing post-crash writers reproduce
-// that class, with the durability fix applied, when the writers happen
-// to interleave that way.
+// nothing.
 package main
 
 import (
@@ -73,15 +69,11 @@ func faithful(name string, b harness.Build) subject {
 	return subject{name, func(keys.Kind) harness.Build { return b }}
 }
 
-// racy names the subject whose crash row is timing-dependent (see the
-// package comment).
-const racy = "FAST & FAIR"
-
 // subjects are the nine must-pass indexes: the Fig 4 five plus WOART,
 // then the three hash tables.
 var subjects = []subject{
 	registered("P-ART"), registered("P-HOT"), registered("P-BwTree"), registered("P-Masstree"),
-	registered(racy), registered("WOART"),
+	registered("FAST & FAIR"), registered("WOART"),
 	registered("P-CLHT"), registered("CCEH"), registered("Level Hashing"),
 }
 
@@ -204,13 +196,9 @@ var subcommands = map[string]func(*rows, config){"crash": crash, "coverage": cov
 func crash(r *rows, c config) {
 	fmt.Fprintf(r.out, "=== §7.5 crash-recovery testing: %d states, load %d, mixed %d x %d threads ===\n\n",
 		c.states, c.ops, c.mixed, c.threads)
-	fmt.Fprintf(r.out, "Must pass, except %s (may FAIL — the §3 data-loss class, timing-dependent):\n", racy)
+	fmt.Fprintln(r.out, "Must pass:")
 	for _, s := range subjects {
-		row := r.mustPass
-		if s.name == racy {
-			row = r.print
-		}
-		row(harness.CrashCampaign(s.name, s.build(keys.RandInt), c.states, c.ops, c.mixed, c.threads))
+		r.mustPass(harness.CrashCampaign(s.name, s.build(keys.RandInt), c.states, c.ops, c.mixed, c.threads))
 	}
 	fmt.Fprintf(r.out, "\nSharded front-end, %d shards (crash in shard k must replay only shard k):\n", c.shards)
 	for _, name := range []string{"P-ART", "P-Masstree"} {

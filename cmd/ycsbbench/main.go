@@ -389,18 +389,6 @@ func attrSizes(cfg config) (loadN, opN int) {
 	return min(cfg.loadN, 20_000), min(cfg.opN, 10_000)
 }
 
-// ffDataLoss recognises the §3 data-loss class the paper reports for
-// FAST & FAIR under concurrent insert storms (see
-// fastfair.TestKnownIssueConcurrentLoadLoss): a cell that hits it is
-// skipped, not failed.
-func ffDataLoss(name string, shards int, err error) bool {
-	if name != "FAST & FAIR" || !strings.Contains(err.Error(), "read id") {
-		return false
-	}
-	fmt.Printf("%-14s %2d %9s  skipped: known FAST & FAIR data-loss class under concurrency\n", name, shards, "-")
-	return true
-}
-
 // workloadCell runs one -workloads cell: a multi-threaded throughput
 // run through the selected write path plus the attribution pass on a
 // fresh front-end, then prints one row.
@@ -413,9 +401,6 @@ func workloadCell(name string, w ycsb.Workload, cfg config, kinds []ycsb.OpKind)
 	res, err := harness.Run(name, m.Target, cfg.path(), w, cfg.loadN, cfg.opN, cfg.threads, cfg.seed, true)
 	if err != nil {
 		m.Release()
-		if ffDataLoss(name, cfg.shards, err) {
-			return
-		}
 		fatalf("%s/%s: %v", name, w.Name, err)
 	}
 	imbal := "-" // one shard is trivially balanced
@@ -454,9 +439,6 @@ func reshardCell(name string, w ycsb.Workload, cfg config) {
 		return res
 	}
 	if _, err := harness.Run(name, m.Target, harness.WritePath{}, w, cfg.loadN, 0, cfg.threads, cfg.seed, true); err != nil {
-		if ffDataLoss(name, cfg.shards, err) {
-			return
-		}
 		fatalf("%s/%s: %v", name, w.Name, err)
 	}
 	m.LoadReport() // close the load epoch; imbalance below is run-phase only

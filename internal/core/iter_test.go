@@ -149,21 +149,80 @@ func sameKeys(t *testing.T, label string, want, got [][]byte) {
 
 // TestIteratorConcurrentWriters: for every ordered index, at GOMAXPROCS 1
 // and 4, a key in the index for an iterator's whole lifetime is returned
-// exactly once and in ascending order, while writers insert and delete
-// keys beside it — driving each index's transient states under the
-// iterator: FAST & FAIR's shifts and splits, P-Masstree's leaf splits in
-// every layer, P-BwTree's delta chains, consolidations and splits,
+// exactly once and in ascending order, while underWriters' writers insert
+// and delete keys beside it — driving each index's transient states under
+// the iterator: FAST & FAIR's shifts and splits, P-Masstree's leaf splits
+// in every layer, P-BwTree's delta chains, consolidations and splits,
 // P-HOT's copy-on-write swaps, WOART's growing slot arrays and P-ART's
-// node growth and prefix splits. Every write of a key stores the same
-// value, a hash of the key, so an entry returned with any other value
-// was torn from two writes or never committed. Run with -race.
+// node growth and prefix splits. An entry returned with any value but its
+// key's hash was torn from two writes or never committed. Run with -race.
 func TestIteratorConcurrentWriters(t *testing.T) {
 	for _, procs := range []int{1, 4} {
 		for _, name := range orderedIndexes() {
 			t.Run(fmt.Sprintf("procs=%d/%s", procs, name), func(t *testing.T) {
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-				iterateUnderWriters(t, name)
+				var it Iterator
+				var prev []byte
+				underWriters(t, name, keys.YCSBString, func(round int, idx OrderedIndex, stable [][]byte) {
+					if it == nil {
+						it = idx.NewIterator()
+					}
+					start := stable[(round*67)%len(stable)]
+					if round%5 == 0 {
+						start = nil
+					}
+					want := tail(stable, start)
+					prev = prev[:0]
+					it.Seek(start)
+					for first := true; ; first = false {
+						k, v, ok := it.Next()
+						if !ok {
+							break
+						}
+						if !first && bytes.Compare(prev, k) >= 0 {
+							t.Errorf("round %d: %q after %q: out of order or repeated", round, k, prev)
+							break
+						}
+						if v != valueOf(k) {
+							t.Errorf("round %d: %q = %d, never written", round, k, v)
+							break
+						}
+						prev = append(prev[:0], k...)
+						if len(want) > 0 && bytes.Equal(k, want[0]) {
+							want = want[1:]
+						}
+					}
+					if len(want) > 0 {
+						t.Errorf("round %d: stable key %q (and %d more) never returned", round, want[0], len(want)-1)
+					}
+				})
 			})
+		}
+	}
+}
+
+// TestLookupConcurrentWriters: for every ordered index and both key
+// kinds, at GOMAXPROCS 1 and 4, a Lookup of a key in the index for the
+// whole test returns that key's hash while underWriters' writers shift,
+// split and reuse the nodes around it. A miss is a misrouted or skipped
+// read; any other value was torn from a neighbouring record. Run with
+// -race.
+func TestLookupConcurrentWriters(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		for _, name := range orderedIndexes() {
+			for _, kind := range []keys.Kind{keys.RandInt, keys.YCSBString} {
+				t.Run(fmt.Sprintf("procs=%d/%s/%v", procs, name, kind), func(t *testing.T) {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+					underWriters(t, name, kind, func(round int, idx OrderedIndex, stable [][]byte) {
+						for _, k := range stable {
+							if v, ok := idx.Lookup(k); !ok || v != valueOf(k) {
+								t.Errorf("round %d: Lookup(%q) = %d, %v; want %d", round, k, v, ok, valueOf(k))
+								return
+							}
+						}
+					})
+				})
+			}
 		}
 	}
 }
@@ -177,18 +236,33 @@ func valueOf(key []byte) uint64 {
 	return h
 }
 
-func iterateUnderWriters(t *testing.T, name string) {
+// underWriters fills the named index with 600 sorted stable keys of kind,
+// never deleted, and calls read round after round — at least 20 rounds
+// and until two writers have made 10,000 writes — while the writers
+// insert keys between and beside the stable ones (sharing their leaves,
+// and as strings their 8-byte slices) and delete every other one they
+// wrote. Every write of a key stores valueOf(key).
+func underWriters(t *testing.T, name string, kind keys.Kind, read func(round int, idx OrderedIndex, stable [][]byte)) {
 	heap := pmem.NewFast()
 	defer heap.Release()
-	idx, err := NewOrdered(name, heap, keys.YCSBString)
+	idx, err := NewOrdered(name, heap, kind)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stable keys: present before the first iterator opens, never
-	// deleted. Every key ends in '.', so none is a prefix of another.
+	// A string key ends in '.', so none is a prefix of another; an
+	// integer writer key is never a multiple of 3, so never a stable one.
+	key := func(n int, tag string, w int) []byte {
+		if kind == keys.RandInt {
+			if tag == "s" {
+				return keys.EncodeUint64(uint64(n))
+			}
+			return keys.EncodeUint64(uint64(n - n%3 + 1 + w))
+		}
+		return []byte(fmt.Sprintf("user%06d-%s.", n, tag))
+	}
 	var stable [][]byte
 	for i := 0; i < 600; i++ {
-		k := []byte(fmt.Sprintf("user%06d-s.", i*3))
+		k := key(i*3, "s", 0)
 		if err := idx.Insert(k, valueOf(k)); err != nil {
 			t.Fatal(err)
 		}
@@ -209,11 +283,9 @@ func iterateUnderWriters(t *testing.T, name string) {
 					return
 				default:
 				}
-				// Between and beside the stable keys, sharing their
-				// 8-byte slices and their leaves.
-				k := []byte(fmt.Sprintf("user%06d-w%d.", rng.Intn(1800), w))
+				k := key(rng.Intn(1800), fmt.Sprintf("w%d", w), w)
 				if i%2 == 1 {
-					k = []byte(fmt.Sprintf("user%06d-s%c.", rng.Intn(600)*3, 'a'+rune(rng.Intn(26))))
+					k = key(rng.Intn(600)*3, fmt.Sprintf("s%c", 'a'+rune(rng.Intn(26))), w)
 				}
 				if err := idx.Insert(k, valueOf(k)); err != nil {
 					t.Errorf("insert %q: %v", k, err)
@@ -229,37 +301,8 @@ func iterateUnderWriters(t *testing.T, name string) {
 			}
 		}(w)
 	}
-	it := idx.NewIterator()
-	var prev []byte
 	for round := 0; (round < 20 || writes.Load() < minWrites) && !t.Failed(); round++ {
-		start := stable[(round*67)%len(stable)]
-		if round%5 == 0 {
-			start = nil
-		}
-		want := tail(stable, start)
-		prev = prev[:0]
-		it.Seek(start)
-		for first := true; ; first = false {
-			k, v, ok := it.Next()
-			if !ok {
-				break
-			}
-			if !first && bytes.Compare(prev, k) >= 0 {
-				t.Errorf("round %d: %q after %q: out of order or repeated", round, k, prev)
-				break
-			}
-			if v != valueOf(k) {
-				t.Errorf("round %d: %q = %d, never written", round, k, v)
-				break
-			}
-			prev = append(prev[:0], k...)
-			if len(want) > 0 && bytes.Equal(k, want[0]) {
-				want = want[1:]
-			}
-		}
-		if len(want) > 0 {
-			t.Errorf("round %d: stable key %q (and %d more) never returned", round, want[0], len(want)-1)
-		}
+		read(round, idx, stable)
 	}
 	close(stop)
 	wg.Wait()

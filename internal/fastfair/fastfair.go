@@ -7,7 +7,14 @@
 // In-place Rebalancing) splits nodes B-link style: the new sibling is
 // linked before the parent learns about it, so readers reach moved keys
 // through sibling pointers. Writes lock individual nodes; reads are
-// lock-free and tolerate the transient states.
+// lock-free and tolerate the transient states. Every lock-free read of a
+// node — Lookup's, the iterator's, and the routing descent writers take
+// to the node they lock — goes through one validated image (read), in
+// which the duplicate rule is applied once. §3 reports that concurrent
+// writes could lose a written key; this port did, until its routing read
+// was validated: one pass over an internal node mid-shift could route a
+// writer into a leaf that does not cover its key
+// (TestConcurrentLoadLosesNothing).
 //
 // Two fidelity notes that reproduce the paper's findings:
 //
@@ -23,6 +30,7 @@ package fastfair
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -163,15 +171,7 @@ func (t *Tree) krecOf(h uint64) *krec {
 // collapse.
 func (t *Tree) cmpProbe(probe []byte, stored uint64) int {
 	if t.kind == keys.RandInt {
-		p := keys.DecodeUint64(probe)
-		switch {
-		case p < stored:
-			return -1
-		case p > stored:
-			return 1
-		default:
-			return 0
-		}
+		return cmp.Compare(keys.DecodeUint64(probe), stored)
 	}
 	r := t.krecOf(stored)
 	t.heap.Load(r.pm, 0, uintptr(len(r.b)))
@@ -198,22 +198,6 @@ func (t *Tree) encode(k []byte) uint64 {
 
 // Len returns the number of keys.
 func (t *Tree) Len() int { return int(t.count.Load()) }
-
-// countRecords returns the number of live records (nil-sentinel scan).
-func (n *node) countRecords() int {
-	for i := 0; i < Cardinality; i++ {
-		if n.leaf {
-			if n.vals[i].Load() == nil {
-				return i
-			}
-		} else {
-			if n.kids[i].Load() == nil {
-				return i
-			}
-		}
-	}
-	return Cardinality
-}
 
 // Recover restarts the tree after a crash with a new lock generation,
 // which frees every lock the crash left held (§6). A split torn between

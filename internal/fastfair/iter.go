@@ -7,34 +7,19 @@ import (
 )
 
 // Iterator is the tree's one ordered walk, lock-free; Scan is a loop over
-// it. It buffers one leaf as an image, copied until two copies agree (a
-// shift moving records under a single copy can tear or skip one), skips
-// FAST's transient duplicates in it as Lookup does, and after a sibling
-// hop takes only keys above the last one returned (DESIGN §Streaming
-// scans). Returned keys are valid until the next call.
+// it. It buffers one leaf as an image (read, shared with Lookup and the
+// routing descent) and after a sibling hop takes only keys above the last
+// one returned (DESIGN §Readers). Returned keys are valid until the next
+// call.
 type Iterator struct {
-	t          *Tree
-	img, spare leafImage // the buffered leaf, and the copy validating it
-	pos        int       // img's next slot
-	last       []byte    // the key returned last (start, within Seek)
-	val        uint64
-	pending    bool   // Seek found last for the first Next
-	ibuf       []byte // two integer-key encodings: last's (half cur) and the next
-	cur        int
-}
-
-// leafImage is a copy of a leaf's slots and sibling link.
-type leafImage struct {
-	keys    [Cardinality]uint64
-	vals    [Cardinality]*vref
-	sibling *node
-}
-
-func (m *leafImage) copyOf(n *node) {
-	for i := range m.vals {
-		m.vals[i], m.keys[i] = n.vals[i].Load(), n.keys[i].Load()
-	}
-	m.sibling = n.sibling.Load()
+	t       *Tree
+	img     image  // the buffered leaf
+	pos     int    // img's next record
+	last    []byte // the key returned last (start, within Seek)
+	val     uint64
+	pending bool   // Seek found last for the first Next
+	ibuf    []byte // two integer-key encodings: last's (half cur) and the next
+	cur     int
 }
 
 // NewIterator returns an unpositioned *Iterator as a core.Iterator.
@@ -47,20 +32,16 @@ func (t *Tree) NewIterator() interface {
 
 // Seek positions the iterator at the smallest key >= start.
 func (it *Iterator) Seek(start []byte) {
-	n, probe := it.t.root.Load(), start
 	var pad [8]byte
-	if it.t.kind == keys.RandInt && len(start) > 0 && len(start) < 8 {
+	probe := pad[:0] // not nil, which would read whole nodes
+	switch {
+	case it.t.kind == keys.RandInt && len(start) < 8:
 		copy(pad[:], start) // descend by the smallest integer key >= start
 		probe = pad[:]
+	case len(start) > 0:
+		probe = start
 	}
-	for !n.leaf {
-		if len(start) == 0 {
-			n = n.leftmost.Load()
-		} else {
-			n = it.t.childFor(n, probe)
-		}
-	}
-	it.fill(n)
+	it.fill(it.t.descend(it.t.root.Load(), probe, 0, &it.img))
 	it.last = start
 	if it.pending = it.advance(true); !it.pending {
 		it.last = nil
@@ -80,15 +61,11 @@ func (it *Iterator) Next() (key []byte, value uint64, ok bool) {
 // advance makes the next record above last (or equal, if incl) last.
 func (it *Iterator) advance(incl bool) bool {
 	for {
-		for ; it.pos < Cardinality && it.img.vals[it.pos] != nil; it.pos++ {
-			v := it.img.vals[it.pos]
-			if it.pos+1 < Cardinality && it.img.vals[it.pos+1] == v {
-				continue // transient duplicate mid-shift: key not committed
-			}
+		for ; it.pos < it.img.n; it.pos++ {
 			h := 8 * (1 - it.cur)
 			k := it.t.appendKeyBytes(it.ibuf[h:h:h+8], it.img.keys[it.pos])
 			if c := bytes.Compare(k, it.last); c > 0 || c == 0 && incl {
-				it.last, it.val, it.cur = k, v.v, 1-it.cur
+				it.last, it.val, it.cur = k, it.img.vals[it.pos].v, 1-it.cur
 				it.pos++
 				return true
 			}
@@ -100,16 +77,12 @@ func (it *Iterator) advance(incl bool) bool {
 	}
 }
 
-// fill images leaf n.
+// fill images leaf n whole.
 func (it *Iterator) fill(n *node) {
 	if it.ibuf == nil {
 		it.ibuf = make([]byte, 16)
 	}
-	it.t.heap.Load(n.pm, 0, nodeBytes)
-	it.img.copyOf(n)
-	for it.spare.copyOf(n); it.spare != it.img; it.spare.copyOf(n) {
-		it.img = it.spare
-	}
+	it.t.read(n, nil, &it.img)
 	it.pos = 0
 }
 

@@ -1,6 +1,9 @@
 package fastfair
 
 import (
+	"cmp"
+	"sync/atomic"
+
 	"repro/internal/crash"
 	"repro/internal/keys"
 )
@@ -36,81 +39,154 @@ func (f *flusher) flush() {
 	}
 }
 
-// Lookup returns the value stored under key. Reads are lock-free: they
-// skip the transient duplicates FAST shifts create (two adjacent slots
-// sharing one record pointer) and chase sibling links when the key lies
-// beyond the node's high key (FAIR).
+// image is a validated copy of one node, the only way a lock-free reader
+// sees a node: its committed records in key order, FAST's transient
+// duplicates dropped, and the header fields a reader routes by.
+type image struct {
+	keys     [Cardinality]uint64
+	vals     [Cardinality]*vref // a leaf's records
+	kids     [Cardinality]*node // an internal node's children
+	n        int                // records imaged
+	hit      bool               // a leaf's last record imaged equals the probe
+	leftmost *node
+	sibling  *node
+	highSet  bool
+	high     uint64
+}
+
+// read images node n for a reader of probe, or the whole node if probe is
+// nil. A shift moves records one 8-byte store at a time, so one pass over
+// the slots can tear a key from its record or miss one, and route a writer
+// into a leaf that does not cover its key — the port's own §3 loss. read
+// copies the slots, then the header, then re-reads in place every word
+// the copy used and copies again on any difference, so the image is the
+// node at one instant. With a probe the image keeps only the records at
+// or below it, which is all routing and Lookup use. The header comes after
+// the slots because a split publishes the high key before it truncates: a
+// truncated image always carries the high key that routes past it.
+func (t *Tree) read(n *node, probe []byte, img *image) {
+	t.heap.Load(n.pm, 0, nodeBytes)
+	if n.leaf {
+		readSlots(t, n, &n.vals, &img.vals, probe, img)
+	} else {
+		readSlots(t, n, &n.kids, &img.kids, probe, img)
+		img.leftmost = n.leftmost.Load()
+	}
+}
+
+// readSlots is read over one kind of record pointer: a leaf's values or an
+// internal node's children.
+func readSlots[P any](t *Tree, n *node, src *[Cardinality]atomic.Pointer[P], dst *[Cardinality]*P, probe []byte, img *image) {
+	// An integer probe cuts the copy where the reader's comparisons end. A
+	// string comparison is a call, which would slow every copy, so a string
+	// probe is compared in the image.
+	ints := t.kind == keys.RandInt && probe != nil
+	var pk uint64
+	if ints {
+		pk = keys.DecodeUint64(probe)
+	}
+retry:
+	for {
+		// Slot i's pointer and key, then its right neighbour's pointer,
+		// which says whether slot i is a transient duplicate.
+		nk, dup, c := 0, false, 1 // keys copied; a duplicate seen; the last comparison
+		p := src[0].Load()
+		dst[0] = p
+		for i := 0; p != nil; i++ {
+			k := n.keys[i].Load()
+			img.keys[i], nk = k, i+1
+			var next *P
+			if i+1 < Cardinality {
+				next = src[i+1].Load()
+				dst[i+1] = next
+			}
+			if next == p {
+				dup = true
+			} else if ints && (pk < k || pk == k && n.leaf) {
+				c = cmp.Compare(pk, k)
+				break
+			}
+			p = next
+		}
+		img.sibling, img.highSet, img.high = n.sibling.Load(), n.highSet.Load(), n.high.Load()
+		for i := range nk {
+			if src[i].Load() != dst[i] || n.keys[i].Load() != img.keys[i] {
+				continue retry
+			}
+		}
+		if nk < Cardinality && src[nk].Load() != dst[nk] {
+			continue
+		}
+		img.n = nk
+		if dup {
+			img.n = 0
+			for i := range nk {
+				if i+1 == Cardinality || dst[i+1] != dst[i] {
+					dst[img.n], img.keys[img.n] = dst[i], img.keys[i]
+					img.n++
+				}
+			}
+		}
+		// A leaf read stops at its key, routing at the first separator
+		// above it: the comparisons of the walks this replaced, so the LLC
+		// model sees the same loads.
+		for i := 0; !ints && probe != nil && i < img.n; i++ {
+			if c = t.cmpProbe(probe, img.keys[i]); c < 0 || c == 0 && n.leaf {
+				img.n = i + 1
+				break
+			}
+		}
+		img.hit = c == 0
+		if c < 0 {
+			img.n-- // keep the records at or below the probe
+		}
+		return
+	}
+}
+
+// next returns where a reader of probe goes after the node imaged in img:
+// the right sibling when probe is at or beyond the high key (FAIR: a
+// split moved it there), else nil.
+func (t *Tree) next(probe []byte, img *image) *node {
+	if img.highSet && t.cmpProbe(probe, img.high) >= 0 {
+		return img.sibling
+	}
+	return nil
+}
+
+// descend routes probe from n down to the node at level that covers it,
+// through images of the internal nodes on the way. A nil n (a Faithful
+// tree's root store, lost to a crash) routes to nil.
+func (t *Tree) descend(n *node, probe []byte, level int, img *image) *node {
+	for n != nil && n.level > level {
+		t.read(n, probe, img)
+		if s := t.next(probe, img); s != nil {
+			n = s
+		} else if img.n == 0 {
+			n = img.leftmost
+		} else {
+			n = img.kids[img.n-1]
+		}
+	}
+	return n
+}
+
+// Lookup returns the value stored under key: a search of the images of
+// the nodes descend and the leaf chain lead to, lock-free.
 func (t *Tree) Lookup(key []byte) (uint64, bool) {
 	if t.kind == keys.RandInt && len(key) != 8 {
 		return 0, false
 	}
-	n := t.root.Load()
-	for n != nil && !n.leaf {
-		n = t.childFor(n, key)
-	}
-	for n != nil {
-		t.heap.Load(n.pm, 0, nodeBytes)
-		for i := 0; i < Cardinality; i++ {
-			v := n.vals[i].Load()
-			if v == nil {
-				break
-			}
-			if i+1 < Cardinality && n.vals[i+1].Load() == v {
-				continue // transient duplicate mid-shift: key not committed
-			}
-			c := t.cmpProbe(key, n.keys[i].Load())
-			if c == 0 {
-				t.heap.Load(v.pm, 0, 16)
-				return v.v, true
-			}
-			if c < 0 {
-				break
-			}
+	var img image
+	for n := t.descend(t.root.Load(), key, 0, &img); n != nil; n = t.next(key, &img) {
+		t.read(n, key, &img)
+		if img.hit {
+			v := img.vals[img.n-1]
+			t.heap.Load(v.pm, 0, 16)
+			return v.v, true
 		}
-		if n.highSet.Load() && t.cmpProbe(key, n.high.Load()) >= 0 {
-			n = n.sibling.Load()
-			continue
-		}
-		return 0, false
 	}
 	return 0, false
-}
-
-// childFor picks the child covering key in internal node n, chasing
-// siblings when key is at or beyond the high key.
-//
-// The high-key check runs AFTER the entry scan: a split links the
-// sibling, publishes the high key, and only then truncates the entries,
-// so a reader that observes a truncated entry set is guaranteed to see
-// the high key set and re-routes right. Checking before the scan would
-// let a reader pair a pre-split high key with post-truncation entries and
-// descend into the wrong subtree.
-func (t *Tree) childFor(n *node, key []byte) *node {
-	for {
-		t.heap.Load(n.pm, 0, nodeBytes)
-		child := n.leftmost.Load()
-		for i := 0; i < Cardinality; i++ {
-			k := n.kids[i].Load()
-			if k == nil {
-				break
-			}
-			if i+1 < Cardinality && n.kids[i+1].Load() == k {
-				continue // transient duplicate mid-shift
-			}
-			if t.cmpProbe(key, n.keys[i].Load()) >= 0 {
-				child = k
-			} else {
-				break
-			}
-		}
-		if n.highSet.Load() && t.cmpProbe(key, n.high.Load()) >= 0 {
-			if s := n.sibling.Load(); s != nil {
-				n = s
-				continue
-			}
-		}
-		return child
-	}
 }
 
 // Insert stores value under key, overwriting an existing value.
@@ -136,10 +212,8 @@ func (t *Tree) Update(key []byte, value uint64) error { return t.Insert(key, val
 // lockLeafFor descends to and locks the leaf covering key, chasing
 // siblings under lock hand-over when a concurrent split moved the range.
 func (t *Tree) lockLeafFor(key []byte) *node {
-	n := t.root.Load()
-	for !n.leaf {
-		n = t.childFor(n, key)
-	}
+	var img image
+	n := t.descend(t.root.Load(), key, 0, &img)
 	n.lock.Lock(&t.gen)
 	for n.highSet.Load() && t.cmpProbe(key, n.high.Load()) >= 0 {
 		s := n.sibling.Load()
@@ -154,22 +228,14 @@ func (t *Tree) insert(key []byte, stored uint64, vr *vref) {
 	n := t.lockLeafFor(key)
 	defer n.lock.Unlock()
 
-	cnt := n.countRecords()
-	pos := cnt
-	for i := 0; i < cnt; i++ {
-		c := t.cmpProbe(key, n.keys[i].Load())
-		if c == 0 {
-			// Update: swing the record pointer with one atomic store.
-			n.vals[i].Store(vr)
-			t.heap.Dirty(n.pm, recOff(i)+8, 8)
-			t.heap.PersistFence(n.pm, recOff(i)+8, 8)
-			t.heap.CrashPoint("ff.update.commit")
-			return
-		}
-		if c < 0 {
-			pos = i
-			break
-		}
+	cnt, pos, found := t.find(n, key)
+	if found {
+		// Update: swing the record pointer with one atomic store.
+		n.vals[pos].Store(vr)
+		t.heap.Dirty(n.pm, recOff(pos)+8, 8)
+		t.heap.PersistFence(n.pm, recOff(pos)+8, 8)
+		t.heap.CrashPoint("ff.update.commit")
+		return
 	}
 	if cnt < Cardinality {
 		t.fastInsertLeaf(n, cnt, pos, stored, vr)
@@ -182,18 +248,25 @@ func (t *Tree) insert(key []byte, stored uint64, vr *vref) {
 	if t.cmpProbe(key, splitKey) >= 0 {
 		target = right
 	}
-	cnt = target.countRecords()
-	pos = cnt
-	for i := 0; i < cnt; i++ {
-		if t.cmpProbe(key, target.keys[i].Load()) < 0 {
-			pos = i
-			break
-		}
-	}
+	cnt, pos, _ = t.find(target, key)
 	t.fastInsertLeaf(target, cnt, pos, stored, vr)
 	t.count.Add(1)
 	right.lock.Unlock() // splitLeaf leaves the new sibling locked
 	t.insertParent(n, splitKey, right, n.level+1)
+}
+
+// find returns locked node n's record count (up to the nil sentinel), the
+// slot of its first key at or above key, and whether that key is key.
+func (t *Tree) find(n *node, key []byte) (cnt, pos int, found bool) {
+	for cnt < Cardinality && (n.leaf && n.vals[cnt].Load() != nil || !n.leaf && n.kids[cnt].Load() != nil) {
+		cnt++
+	}
+	for pos = 0; pos < cnt; pos++ {
+		if c := t.cmpProbe(key, n.keys[pos].Load()); c <= 0 {
+			return cnt, pos, c == 0
+		}
+	}
+	return cnt, cnt, false
 }
 
 // fastInsertLeaf performs the FAST shift: entries move right one slot via
@@ -231,9 +304,11 @@ func (t *Tree) splitLeaf(n *node) (*node, uint64) {
 	half := Cardinality / 2
 	// Interrupted-split detection: if a crash hit between linking the
 	// sibling and truncating this node, our upper half already lives in
-	// the sibling (same record pointers). Complete that split instead of
-	// creating a second sibling with duplicate keys.
-	if s := n.sibling.Load(); s != nil && s.vals[0].Load() != nil && s.vals[0].Load() == n.vals[half].Load() {
+	// the sibling (same keys and record pointers). Complete that split
+	// instead of creating a second sibling with duplicate keys. The key
+	// matters too: a crash-left transient duplicate that an earlier split
+	// separated puts one record in both nodes under two keys.
+	if s := n.sibling.Load(); s != nil && s.vals[0].Load() != nil && s.vals[0].Load() == n.vals[half].Load() && s.keys[0].Load() == n.keys[half].Load() {
 		s.lock.Lock(&t.gen)
 		splitKey := n.keys[half].Load()
 		n.high.Store(splitKey)
@@ -335,6 +410,7 @@ func (t *Tree) splitInternal(n *node) (*node, uint64) {
 // left split. left must still be reachable at level-1.
 func (t *Tree) insertParent(left *node, splitKey uint64, right *node, level int) {
 	keyB := t.appendKeyBytes(nil, splitKey)
+	var img image
 	for {
 		root := t.root.Load()
 		if root.level < level {
@@ -361,10 +437,7 @@ func (t *Tree) insertParent(left *node, splitKey uint64, right *node, level int)
 			return
 		}
 		// Descend to the internal node at this level covering splitKey.
-		n := root
-		for n.level > level {
-			n = t.childFor(n, keyB)
-		}
+		n := t.descend(root, keyB, level, &img)
 		n.lock.Lock(&t.gen)
 		for n.highSet.Load() && t.cmpProbe(keyB, n.high.Load()) >= 0 {
 			s := n.sibling.Load()
@@ -372,14 +445,7 @@ func (t *Tree) insertParent(left *node, splitKey uint64, right *node, level int)
 			s.lock.Lock(&t.gen)
 			n = s
 		}
-		cnt := n.countRecords()
-		pos := cnt
-		for i := 0; i < cnt; i++ {
-			if t.cmpProbe(keyB, n.keys[i].Load()) < 0 {
-				pos = i
-				break
-			}
-		}
+		cnt, pos, _ := t.find(n, keyB)
 		if cnt < Cardinality {
 			t.fastInsertInternal(n, cnt, pos, splitKey, right)
 			n.lock.Unlock()
@@ -390,14 +456,7 @@ func (t *Tree) insertParent(left *node, splitKey uint64, right *node, level int)
 		if t.cmpProbe(keyB, sk) >= 0 {
 			target = ns
 		}
-		cnt = target.countRecords()
-		pos = cnt
-		for i := 0; i < cnt; i++ {
-			if t.cmpProbe(keyB, target.keys[i].Load()) < 0 {
-				pos = i
-				break
-			}
-		}
+		cnt, pos, _ = t.find(target, keyB)
 		t.fastInsertInternal(target, cnt, pos, splitKey, right)
 		ns.lock.Unlock()
 		n.lock.Unlock()
@@ -438,19 +497,8 @@ func (t *Tree) Delete(key []byte) (deleted bool, err error) {
 	defer crash.Catch(&err)
 	n := t.lockLeafFor(key)
 	defer n.lock.Unlock()
-	cnt := n.countRecords()
-	pos := -1
-	for i := 0; i < cnt; i++ {
-		c := t.cmpProbe(key, n.keys[i].Load())
-		if c == 0 {
-			pos = i
-			break
-		}
-		if c < 0 {
-			return false, nil
-		}
-	}
-	if pos < 0 {
+	cnt, pos, found := t.find(n, key)
+	if !found {
 		return false, nil
 	}
 	f := flusher{t: t, n: n}

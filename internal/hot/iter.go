@@ -5,7 +5,7 @@ import "bytes"
 // Iterator is the trie's one ordered walk, non-blocking; Scan is a loop
 // over it. Its stack frames are (node, next entry): entry sets are
 // immutable, so after a copy-on-write swap it finishes the retired copy,
-// which shares the live entries (DESIGN §Streaming scans). Seek starts
+// which shares the live entries (DESIGN §Readers). Seek starts
 // each node on start's path at the entry routing start. Returned keys
 // alias immutable entries.
 type Iterator struct {

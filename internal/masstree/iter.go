@@ -7,14 +7,11 @@ import (
 
 // Iterator is the trie's one ordered walk, non-blocking and never
 // retrying; Scan is a loop over it. It keeps one frame per layer on the
-// path to its position. A frame buffers one leaf — the entries whose
-// payload matches its slot, then the high key, then the sibling link —
-// sorted, because a slot reused after the permutation was read yields an
-// entry out of place; drops entries at or past the high key, which the
-// sibling holds; and after a hop takes only entries above its last
-// (DESIGN §Streaming scans). Seek filters against start as the recursive
-// walk it replaced did, charging the LLC model the same lines. A returned
-// key is assembled in the iterator's buffer, valid until the next call.
+// path to its position. A frame buffers one leaf as Lookup reads it (read)
+// and after a hop takes only entries above its last (DESIGN §Readers).
+// Seek filters against start as the recursive walk it replaced did,
+// charging the LLC model the same lines. A returned key is assembled in
+// the iterator's buffer, valid until the next call.
 type Iterator struct {
 	idx     *Index
 	frames  []layerFrame // frames[d] walks layer d
@@ -25,11 +22,68 @@ type Iterator struct {
 
 // layerFrame is the iterator's position in one layer.
 type layerFrame struct {
-	ents   [Fanout]*leafVal // the buffered leaf's entries, in order, from pos on
-	pos, n int
-	next   *node    // the buffered leaf's sibling; nil at the end of the layer
-	last   *leafVal // the entry taken last
-	prefix int      // bytes of key the layers above consumed
+	leafImage          // the buffered leaf
+	pos       int      // the next entry of ents
+	last      *leafVal // the entry taken last
+	prefix    int      // bytes of key the layers above consumed
+}
+
+// leafImage is one leaf as a lock-free reader sees it: its published
+// entries in order, short of the high key, and the link to where the rest
+// are.
+type leafImage struct {
+	ents    [Fanout]entry
+	n       int
+	next    *node // the sibling; nil at the end of the layer
+	highSet bool
+	high    uint64
+}
+
+// entry is one published slot: the (slice, lenclass) it held and its
+// payload.
+type entry struct {
+	slice uint64
+	lc    int
+	lv    *leafVal
+}
+
+// live reports whether e's payload is the one its slot names. A slot
+// reused after the permutation was read can pair one key's slice with
+// another's payload; such a pair is no entry at all, so neither reader
+// returns a mismatched value. Payloads are immutable, so the check may
+// wait until the entry is used.
+func (e entry) live() bool { return e.lv.slice == e.slice && e.lv.lenclass == e.lc }
+
+// read images leaf n, the only way a lock-free reader sees a leaf: the
+// slots the permutation publishes, then the high key, then the sibling
+// link, as a split publishes them in the other order. A slot freed and
+// reused after the permutation was read holds an entry out of place, so
+// the image is sorted; the high key covers every reuse a split's
+// truncation allowed, and entries at or past it are dropped, since the
+// sibling holds them.
+func (idx *Index) read(n *node, m *leafImage) {
+	idx.heap.Load(n.pm, 0, nodeBytes)
+	p := perm(n.perm.Load())
+	m.n = 0
+	for i := 0; i < p.count(); i++ {
+		slot := p.slot(i)
+		e := entry{n.slices[slot].Load(), int(n.lens[slot].Load()), n.vals[slot].Load()}
+		if e.lv == nil {
+			continue
+		}
+		// Insertion sort: in order already unless a slot was reused.
+		j := m.n
+		for ; j > 0 && entryLess(e.slice, e.lc, m.ents[j-1].slice, m.ents[j-1].lc); j-- {
+			m.ents[j] = m.ents[j-1]
+		}
+		m.ents[j] = e
+		m.n++
+	}
+	m.highSet, m.high = n.highSet.Load(), n.high.Load()
+	for m.highSet && m.n > 0 && m.ents[m.n-1].slice >= m.high {
+		m.n--
+	}
+	m.next = n.next.Load()
 }
 
 // NewIterator returns an unpositioned *Iterator as a core.Iterator.
@@ -64,36 +118,13 @@ func (it *Iterator) push(lr *layerRoot, layerStart []byte) {
 		slice, _ = sliceOf(layerStart)
 	}
 	it.frames = append(it.frames, layerFrame{prefix: len(it.key)})
-	it.fill(&it.frames[len(it.frames)-1], it.idx.findLeaf(lr, slice))
+	it.fill(&it.frames[len(it.frames)-1], it.idx.descend(lr.root.Load(), slice, 0))
 }
 
-// fill buffers leaf n's live entries into f, in order.
+// fill buffers leaf n into f.
 func (it *Iterator) fill(f *layerFrame, n *node) {
-	it.idx.heap.Load(n.pm, 0, nodeBytes)
-	p := perm(n.perm.Load())
-	f.pos, f.n = 0, 0
-	for i := 0; i < p.count(); i++ {
-		slot := p.slot(i)
-		s, lc := n.slices[slot].Load(), int(n.lens[slot].Load())
-		if lv := n.vals[slot].Load(); lv != nil && lv.slice == s && lv.lenclass == lc {
-			f.ents[f.n] = lv
-			f.n++
-		}
-	}
-	highSet, high := n.highSet.Load(), n.high.Load() // published in the other order
-	kept := 0
-	for _, lv := range f.ents[:f.n] {
-		if !highSet || lv.slice < high {
-			// Insertion sort: in order already unless a slot was reused.
-			j := kept
-			for ; j > 0 && entryLess(lv.slice, lv.lenclass, f.ents[j-1].slice, f.ents[j-1].lenclass); j-- {
-				f.ents[j] = f.ents[j-1]
-			}
-			f.ents[j] = lv
-			kept++
-		}
-	}
-	f.n, f.next = kept, n.next.Load()
+	it.idx.read(n, &f.leafImage)
+	f.pos = 0
 }
 
 // advance assembles the next key into key; within Seek, the next >= start.
@@ -108,8 +139,12 @@ func (it *Iterator) advance(start []byte) bool {
 			}
 			continue
 		}
-		lv := f.ents[f.pos]
+		e := f.ents[f.pos]
 		f.pos++
+		if !e.live() {
+			continue
+		}
+		lv := e.lv
 		if f.last != nil && !entryLess(f.last.slice, f.last.lenclass, lv.slice, lv.lenclass) {
 			continue // already taken from the leaf before a split
 		}

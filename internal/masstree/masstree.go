@@ -14,10 +14,11 @@
 // into a new sibling, atomically installs the sibling pointer (step 1),
 // then atomically truncates the split node's permutation (step 2).
 // Readers tolerate the intermediate states by following sibling links and
-// never retry. Writes, however, cannot repair a crash-torn split —
-// Condition #3 — so the conversion adds try-lock crash detection plus a
-// helper that simply replays the split completion (§6.5). Conversion
-// points carry "RECIPE:" comments.
+// never retry; Lookup and the iterator see a leaf only through one image
+// (read), so the rule for a reused slot is stated once. Writes, however,
+// cannot repair a crash-torn split — Condition #3 — so the conversion
+// adds try-lock crash detection plus a helper that simply replays the
+// split completion (§6.5). Conversion points carry "RECIPE:" comments.
 package masstree
 
 import (

@@ -6,17 +6,17 @@ import (
 	"repro/internal/crash"
 )
 
-// findLeaf descends within one layer to the leaf whose range covers
-// slice, following B-link sibling pointers on the way. Non-blocking.
+// descend routes slice from n down to the node at level covering it,
+// within one layer, following B-link sibling pointers on the way.
+// Non-blocking.
 //
 // The high-key check runs AFTER the permutation scan: a split links the
 // sibling, publishes the high key, and only then truncates the
 // permutation, so a reader that observes a truncated permutation is
 // guaranteed to see the high key and re-routes right; the reverse order
 // could pair a pre-split high key with post-truncation entries.
-func (idx *Index) findLeaf(lr *layerRoot, slice uint64) *node {
-	n := lr.root.Load()
-	for !n.leaf {
+func (idx *Index) descend(n *node, slice uint64, level int) *node {
+	for n.level > level {
 		idx.heap.Load(n.pm, 0, 64)
 		p := perm(n.perm.Load())
 		child := n.kids[0].Load()
@@ -37,61 +37,44 @@ func (idx *Index) findLeaf(lr *layerRoot, slice uint64) *node {
 	return n
 }
 
-// leafSearch finds the published entry (slice, lc) in the leaf chain
-// starting at n, chasing siblings (checked after the scan, as in
-// findLeaf). The payload self-verification makes slot-reuse races return
-// a linearizable miss instead of a wrong value.
-func (idx *Index) leafSearch(n *node, slice uint64, lc int) *leafVal {
-	for n != nil {
-		idx.heap.Load(n.pm, 0, nodeBytes)
-		p := perm(n.perm.Load())
-		for i := 0; i < p.count(); i++ {
-			slot := p.slot(i)
-			if n.slices[slot].Load() != slice || int(n.lens[slot].Load()) != lc {
-				continue
-			}
-			lv := n.vals[slot].Load()
-			if lv != nil && lv.slice == slice && lv.lenclass == lc {
-				return lv
-			}
-		}
-		if n.highSet.Load() && slice >= n.high.Load() {
-			n = n.next.Load()
-			continue
-		}
-		return nil
-	}
-	return nil
-}
-
 // Lookup returns the value stored under key. Reads are non-blocking and
-// never retry: sibling links and payload verification absorb every
+// never retry: in each layer it searches the image (read) of the leaf
+// descend routes to, then of its siblings while the slice is at or past
+// the high key, so sibling links and payload verification absorb every
 // intermediate state SMOs (or crashes) expose.
 func (idx *Index) Lookup(key []byte) (uint64, bool) {
 	if len(key) == 0 {
 		return 0, false
 	}
-	lr := idx.layer0
-	rem := key
+	var m leafImage
+	lr, rem := idx.layer0, key
 	for {
 		slice, lc := sliceOf(rem)
-		n := idx.findLeaf(lr, slice)
-		lv := idx.leafSearch(n, slice, lc)
-		if lv == nil {
+		var lv *leafVal
+		for n := idx.descend(lr.root.Load(), slice, 0); lv == nil && n != nil; n = m.next {
+			idx.read(n, &m)
+			for _, e := range m.ents[:m.n] {
+				if e.slice == slice && e.lc == lc && e.live() {
+					lv = e.lv
+					break
+				}
+			}
+			if !m.highSet || slice < m.high {
+				break
+			}
+		}
+		switch {
+		case lv == nil:
+			return 0, false
+		case lc < suffixClass:
+			return lv.value, true
+		case lv.layer != nil:
+			lr, rem = lv.layer, rem[8:]
+		case bytes.Equal(lv.suffix, rem[8:]):
+			return lv.value, true
+		default:
 			return 0, false
 		}
-		if lc < suffixClass {
-			return lv.value, true
-		}
-		if lv.layer != nil {
-			lr = lv.layer
-			rem = rem[8:]
-			continue
-		}
-		if bytes.Equal(lv.suffix, rem[8:]) {
-			return lv.value, true
-		}
-		return 0, false
 	}
 }
 
@@ -111,7 +94,7 @@ func (idx *Index) newLeafVal(slice uint64, lc int, value uint64, suffix []byte, 
 // lockLeafFor descends to and locks the leaf covering slice, with sibling
 // hand-over under lock.
 func (idx *Index) lockLeafFor(lr *layerRoot, slice uint64) *node {
-	n := idx.findLeaf(lr, slice)
+	n := idx.descend(lr.root.Load(), slice, 0)
 	n.lock.Lock(&idx.gen)
 	for n.highSet.Load() && slice >= n.high.Load() {
 		s := n.next.Load()
@@ -437,26 +420,7 @@ func (idx *Index) insertParent(lr *layerRoot, left *node, splitSlice uint64, rig
 			lr.mu.Unlock()
 			return
 		}
-		n := root
-		for n.level > level {
-			idx.heap.Load(n.pm, 0, 64)
-			p := perm(n.perm.Load())
-			child := n.kids[0].Load()
-			for i := 0; i < p.count(); i++ {
-				slot := p.slot(i)
-				if splitSlice >= n.slices[slot].Load() {
-					child = n.kids[slot+1].Load()
-				} else {
-					break
-				}
-			}
-			// High-key check after the scan, as in findLeaf.
-			if n.highSet.Load() && splitSlice >= n.high.Load() {
-				n = n.next.Load()
-				continue
-			}
-			n = child
-		}
+		n := idx.descend(root, splitSlice, level)
 		n.lock.Lock(&idx.gen)
 		for n.highSet.Load() && splitSlice >= n.high.Load() {
 			s := n.next.Load()

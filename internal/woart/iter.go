@@ -8,7 +8,7 @@ import (
 // Iterator is the tree's one ordered walk; Scan is a loop over it. It
 // holds the global read lock for one Seek or Next at a time, and since
 // writers shift a node's sorted slots in place, its stack frames record
-// the next branch byte to visit, not a slot (DESIGN §Streaming scans).
+// the next branch byte to visit, not a slot (DESIGN §Readers).
 // Returned keys alias immutable leaf keys.
 type Iterator struct {
 	idx     *Index
