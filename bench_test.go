@@ -104,8 +104,8 @@ func BenchmarkFig5(b *testing.B) {
 // mfence per insert plus simulated LLC misses per op.
 func counterBench(b *testing.B, index string, kind keys.Kind, hash bool) {
 	b.Helper()
-	heap := pmem.New(pmem.Options{LLC: cachesim.New(cachesim.DefaultConfig())})
-	res, err := recipe.RunWorkload(index, recipe.IndexByName(index, kind)(heap), recipe.WritePath{}, ycsb.LoadA, benchLoadN/2, b.N, 4, 42)
+	target := recipe.IndexByName(index, kind)(pmem.Options{LLC: cachesim.New(cachesim.DefaultConfig())})
+	res, err := recipe.RunWorkload(index, target, recipe.WritePath{}, ycsb.LoadA, benchLoadN/2, b.N, 4, 42)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,35 +5,38 @@
 //	go run ./cmd/campaign coverage                          # §5 flush coverage of construction, inserts and updates
 //	go run ./cmd/campaign sites -policy torn -batch 8       # crash at every site, through group commits
 //
+// All three run one trial (harness/trial.go) and differ in where it
+// crashes. A trial loads -ops inserts with the crash armed, restarts,
+// reads back, then inserts -postops fresh keys and rewrites each in
+// place: recovery and every post-crash write must leave each line they
+// dirtied written back and fenced (on a tracked heap, the analogue of
+// the paper's PIN tracing), and a full readback classifies the trial
+// CLEAN, PARTIAL (an unacknowledged op vanished atomically), LOST-ACK
+// (an acknowledged write is missing) or CORRUPT. Every row prints the
+// runs' persistence waste — dryFence= (fences that ordered no
+// write-back) and cleanWB= (write-backs of lines that were not dirty) —
+// which is a cost, not a failure: it does not move the verdict.
+//
 // crash reproduces §7.5: for every index, -states crash states
-// (probabilistic crashes during a load of -ops inserts), then -mixed
-// operations on -threads threads after recovery and a readback of every
-// committed key. Its sharded section arms the crash in one shard of a
-// -shards wide front-end and requires recovery to replay only that
-// shard (extraReplays=0) with no committed key lost anywhere.
+// (probabilistic crashes during the load) restarted from the intact
+// image, with the post phase on -threads concurrent threads. Its
+// sharded section arms state s's crash in shard s mod -shards of a
+// front-end and requires recovery to replay only that shard.
 //
-// coverage is the §5 durability test: index creation, -ops inserts and
-// an update of each inserted key on a tracked heap (the analogue of the
-// paper's PIN tracing) must leave every dirtied cache line written back
-// and fenced by the time each returns. Each row also counts the run's
-// persistence waste — dryFence= (fences that ordered no write-back) and
-// cleanWB= (write-backs of lines that were not dirty) — which is a cost,
-// not a failure: it does not move the verdict.
+// coverage is the §5 durability test: no crash, so index creation is
+// checked where recovery would be, and the post phase is -ops inserts
+// and their rewrites.
 //
-// sites crashes once at every crash site a load of -ops inserts passes
-// through and restarts from the -policy image: intact (the §5 crash:
-// nothing is lost) or a post-power-loss image (stores never written back
-// are gone; unfenced write-backs revert, survive with keep, or tear).
-// Recovery and -postops further inserts must leave every line flushed
-// and fenced, and a full readback classifies the site CLEAN, PARTIAL (an
-// unacknowledged op vanished atomically), LOST-ACK (an acknowledged
-// write is missing) or CORRUPT.
+// sites crashes once at every crash site the load passes through and
+// restarts from the -policy image: intact (the §5 crash: nothing is
+// lost) or a post-power-loss image (stores never written back are gone;
+// unfenced write-backs revert, survive with keep, or tear).
 //
-// Per-site trials are independent heaps fanned out over -workers
-// goroutines and collected in site order: a report is identical for any
-// worker count. -batch and -async route sites through the group-commit
-// and async write paths, which adds their crash sites; crash and
-// coverage measure the paper's per-op path only.
+// Trials are independent heaps fanned out over -workers goroutines and
+// collected in order: a sites report is identical for any worker
+// count. -batch and -async route sites through the group-commit and
+// async write paths, which adds their crash sites; crash and coverage
+// measure the paper's per-op path only.
 //
 // Exit status: 2 on a usage error; otherwise non-zero iff a must-pass
 // row FAILs or a FAIL-expected row PASSes. The FAIL-expected rows are
@@ -88,7 +91,7 @@ const doublingLoad = 5000
 type control struct {
 	sub string
 	subject
-	run func(subject, config) report
+	run func(subject, config) harness.CampaignReport
 }
 
 var (
@@ -105,11 +108,11 @@ var (
 	controls = []control{
 		{"coverage", ffFaithful, construction},
 		{"coverage", ccehFaithful, construction},
-		{"sites", ccehFaithful, func(s subject, c config) report {
+		{"sites", ccehFaithful, func(s subject, c config) harness.CampaignReport {
 			c.ops, c.policy = max(c.ops, doublingLoad), pmem.PolicyIntact
 			return siteSweep(s, c)
 		}},
-		{"sites", ffFaithful, func(s subject, c config) report {
+		{"sites", ffFaithful, func(s subject, c config) harness.CampaignReport {
 			c.policy = pmem.PolicyRevert
 			return siteSweep(s, c)
 		}},
@@ -118,27 +121,21 @@ var (
 
 // config is the one flag set.
 type config struct {
-	ops, postOps, workers          int
-	seed                           int64
-	policies                       []pmem.Policy
-	policy                         pmem.Policy // of policies, the one being run
-	path                           harness.WritePath
-	label                          string // names a queued path in section headers
-	states, mixed, threads, shards int
+	ops, postOps, workers   int
+	seed                    int64
+	policies                []pmem.Policy
+	policy                  pmem.Policy // of policies, the one being run
+	path                    harness.WritePath
+	label                   string // names a queued path in section headers
+	states, threads, shards int
 }
 
-func construction(s subject, c config) report {
+func construction(s subject, c config) harness.CampaignReport {
 	return harness.Durability(s.name, s.build(keys.YCSBString), c.ops)
 }
 
-func siteSweep(s subject, c config) report {
+func siteSweep(s subject, c config) harness.CampaignReport {
 	return harness.SiteCampaign(s.name, s.build(keys.RandInt), c.path, c.policy, c.seed, c.ops, c.postOps, c.workers)
-}
-
-// report is what every harness campaign returns: a row and a verdict.
-type report interface {
-	fmt.Stringer
-	Pass() bool
 }
 
 // rows prints campaign rows and holds the exit-status rule: broken is
@@ -148,20 +145,19 @@ type rows struct {
 	broken    bool
 }
 
-// print writes the row, plus one line per site that found something
+// print writes the row, plus one line per trial that found something
 // (the common all-PASS case stays one line).
-func (r *rows) print(rep report) {
+func (r *rows) print(rep harness.CampaignReport) {
 	fmt.Fprintln(r.out, rep)
-	sweep, _ := rep.(harness.CampaignReport) // other reports have no sites
-	for _, s := range sweep.Sites {
-		if s.Outcome >= harness.OutcomeLostAck || s.RecoveryViolations != 0 || s.OpViolations != 0 {
-			fmt.Fprintf(r.out, "    %-28s %v lostAcks=%d recoveryViol=%d opViol=%d %s\n",
-				s.Site, s.Outcome, s.LostAcks, s.RecoveryViolations, s.OpViolations, s.Detail)
+	for _, s := range rep.Sites {
+		if !s.Pass() {
+			fmt.Fprintf(r.out, "    %-28s %v lostAcks=%d recoveryViol=%d opViol=%d replays=%v %s\n",
+				s.Site, s.Outcome, s.LostAcks, s.RecoveryViolations, s.OpViolations, s.Replays, s.Detail)
 		}
 	}
 }
 
-func (r *rows) mustPass(rep report) {
+func (r *rows) mustPass(rep harness.CampaignReport) {
 	r.print(rep)
 	if !rep.Pass() {
 		r.broken = true
@@ -169,7 +165,7 @@ func (r *rows) mustPass(rep report) {
 	}
 }
 
-func (r *rows) mustFail(rep report) {
+func (r *rows) mustFail(rep harness.CampaignReport) {
 	r.print(rep)
 	if rep.Pass() {
 		r.broken = true
@@ -194,20 +190,20 @@ func (r *rows) controls(c config, sub string) {
 var subcommands = map[string]func(*rows, config){"crash": crash, "coverage": coverage, "sites": sites}
 
 func crash(r *rows, c config) {
-	fmt.Fprintf(r.out, "=== §7.5 crash-recovery testing: %d states, load %d, mixed %d x %d threads ===\n\n",
-		c.states, c.ops, c.mixed, c.threads)
+	fmt.Fprintf(r.out, "=== §7.5 crash-recovery testing: %d states, load %d, %d post-crash inserts and rewrites x %d threads ===\n\n",
+		c.states, c.ops, c.postOps, c.threads)
 	fmt.Fprintln(r.out, "Must pass:")
 	for _, s := range subjects {
-		r.mustPass(harness.CrashCampaign(s.name, s.build(keys.RandInt), c.states, c.ops, c.mixed, c.threads))
+		r.mustPass(harness.CrashCampaign(s.name, s.build(keys.RandInt), c.states, c.ops, c.postOps, c.threads))
 	}
 	fmt.Fprintf(r.out, "\nSharded front-end, %d shards (crash in shard k must replay only shard k):\n", c.shards)
 	for _, name := range []string{"P-ART", "P-Masstree"} {
-		r.mustPass(harness.CrashCampaignSharded(name, keys.RandInt, c.shards, c.states, c.ops, c.mixed, c.threads))
+		r.mustPass(harness.CrashCampaign(name, harness.Sharded(name, keys.RandInt, c.shards), c.states, c.ops, c.postOps, c.threads))
 	}
 }
 
 func coverage(r *rows, c config) {
-	fmt.Fprintf(r.out, "=== §5 durability test: %d traced inserts and updates per index ===\n\n", c.ops)
+	fmt.Fprintf(r.out, "=== §5 durability test: %d traced inserts and in-place rewrites per index ===\n\n", c.ops)
 	for _, s := range subjects {
 		r.mustPass(construction(s, c))
 	}
@@ -215,7 +211,7 @@ func coverage(r *rows, c config) {
 }
 
 func sites(r *rows, c config) {
-	fmt.Fprintf(r.out, "=== crash-site campaign%s: crash at every site, power-cycle, recover, verify, %d traced post-crash inserts (seed %d) ===\n",
+	fmt.Fprintf(r.out, "=== crash-site campaign%s: crash at every site, power-cycle, recover, verify, %d traced post-crash inserts and rewrites (seed %d) ===\n",
 		c.label, c.postOps, c.seed)
 	for _, c.policy = range c.policies {
 		fmt.Fprintln(r.out)
@@ -246,16 +242,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var c config
 	fs := flag.NewFlagSet("campaign "+args[0], flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	fs.IntVar(&c.ops, "ops", 5000, "inserts per index: the load crashes are armed in (crash, paper: 10000; sites), the traced load (coverage)")
-	fs.IntVar(&c.postOps, "postops", 2000, "sites: post-crash inserts per crash site")
+	fs.IntVar(&c.ops, "ops", 5000, "inserts per index: the load crashes are armed in (crash, paper: 10000; sites); coverage: the traced inserts, each then rewritten in place")
+	fs.IntVar(&c.postOps, "postops", 2000, "crash, sites: post-crash inserts per trial, each then rewritten in place")
 	fs.IntVar(&c.workers, "workers", 0, "goroutines the per-site trials fan out over (0 = GOMAXPROCS)")
 	fs.Int64Var(&c.seed, "seed", 42, "sites: campaign seed (torn coin flips derive from it)")
 	policy := fs.String("policy", "all", "sites: the restart image: intact (nothing lost), or what becomes of unfenced write-backs: revert, keep, torn; or all")
 	batch := fs.Int("batch", 1, "sites: group-commit batch size (1 = per-op fences; >1 crashes inside fence-coalesced group commits too)")
 	async := fs.Bool("async", false, "sites: route the sweep through the async commit pipeline (ack-after-fence futures; -batch sets the committer's queue and drain size) and crash inside its drain loop too")
 	fs.IntVar(&c.states, "states", 200, "crash: crash states per index (paper: 10000)")
-	fs.IntVar(&c.mixed, "mixed", 10_000, "crash: mixed post-crash operations (paper: 10000)")
-	fs.IntVar(&c.threads, "threads", 4, "crash: threads in the mixed phase (paper: 4)")
+	fs.IntVar(&c.threads, "threads", 4, "crash: threads in the post-crash phase (paper: 4)")
 	fs.IntVar(&c.shards, "shards", 4, "crash: front-end width of the per-shard recovery section")
 	if err := fs.Parse(args[1:]); err != nil {
 		return 2 // the flag set has printed the error and the flags

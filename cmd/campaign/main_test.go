@@ -37,7 +37,7 @@ func TestUsageErrors(t *testing.T) {
 			t.Errorf("campaign %q: status %d, stdout %q, stderr %q; want 2, nothing on stdout and the usage line", args, status, stdout, stderr)
 		}
 	}
-	for _, flag := range []string{"-nosuchflag", "-sites"} {
+	for _, flag := range []string{"-nosuchflag", "-sites", "-mixed"} {
 		if status, _, _ := campaign("sites", flag); status != 2 {
 			t.Errorf("unknown flag %s: status %d, want 2", flag, status)
 		}
@@ -46,8 +46,8 @@ func TestUsageErrors(t *testing.T) {
 
 // TestLossyReport drives one whole subcommand under a lossy image: nine
 // must-pass rows, both controls failing as they must — FF-faithful
-// under revert, CCEH-faithful under intact at exactly its stall site —
-// exit 0.
+// CORRUPT under revert, CCEH-faithful under intact at exactly its stall
+// site — exit 0.
 func TestLossyReport(t *testing.T) {
 	status, stdout, stderr := campaign("sites", "-policy", "torn", "-seed", "42", "-ops", "120", "-postops", "10")
 	if status != 0 || stderr != "" {
@@ -67,7 +67,8 @@ func TestLossyReport(t *testing.T) {
 	}
 	ff, cceh := false, false
 	for _, l := range lines {
-		ff = ff || strings.HasPrefix(l, "FF-faithful ") && strings.Contains(l, "policy=revert") && strings.HasSuffix(l, "FAIL")
+		ff = ff || strings.HasPrefix(l, "FF-faithful ") && strings.Contains(l, "policy=revert") &&
+			!strings.Contains(l, " corrupt=0 ") && strings.HasSuffix(l, "FAIL")
 		cceh = cceh || strings.HasPrefix(l, "CCEH-faithful ") && strings.Contains(l, "policy=intact") &&
 			strings.Contains(l, "corrupt=1 ") && strings.HasSuffix(l, "FAIL")
 	}
@@ -76,15 +77,47 @@ func TestLossyReport(t *testing.T) {
 	}
 }
 
+// TestCrashReport drives §7.5 at a small scale: nine index rows and two
+// sharded rows, all passing with no violation, exit 0.
+func TestCrashReport(t *testing.T) {
+	status, stdout, stderr := campaign("crash", "-states", "4", "-ops", "500", "-postops", "100")
+	if status != 0 || stderr != "" {
+		t.Fatalf("status %d, stderr %q; want 0 and silence\n%s", status, stderr, stdout)
+	}
+	rows := 0
+	for _, l := range strings.Split(stdout, "\n") {
+		if strings.Contains(l, " trials=4 ") && strings.Contains(l, " corrupt=0 recoveryViol=0 opViol=0 ") && strings.HasSuffix(l, "PASS") {
+			rows++
+		}
+	}
+	if rows != len(subjects)+2 {
+		t.Errorf("%d passing rows, want %d\n%s", rows, len(subjects)+2, stdout)
+	}
+}
+
 // TestCoverageReportsWaste: every coverage row prints the run's dry
 // fences and clean write-backs, and waste does not move the exit status
 // — P-BwTree's helper write-backs are clean and its row still passes.
+// Both controls fail on what construction left unpersisted.
 func TestCoverageReportsWaste(t *testing.T) {
 	status, stdout, stderr := campaign("coverage", "-ops", "300")
 	if status != 0 || stderr != "" {
 		t.Fatalf("status %d, stderr %q; want 0 and silence\n%s", status, stderr, stdout)
 	}
-	for _, l := range strings.Split(stdout, "\n") {
+	lines := strings.Split(stdout, "\n")
+	for _, name := range []string{"FF-faithful", "CCEH-faithful"} {
+		n := 0
+		for i, l := range lines[:len(lines)-1] {
+			if strings.HasPrefix(l, name+" ") && strings.Contains(l, " clean=1 ") && !strings.Contains(l, " recoveryViol=0 ") &&
+				strings.HasSuffix(l, "FAIL") && strings.HasPrefix(lines[i+1], "    construction ") {
+				n++
+			}
+		}
+		if n != 1 {
+			t.Errorf("%s: %d FAIL rows on construction violations alone, want 1\n%s", name, n, stdout)
+		}
+	}
+	for _, l := range lines {
 		if strings.Contains(l, "ops=") && (!strings.Contains(l, " dryFence=") || !strings.Contains(l, " cleanWB=")) {
 			t.Errorf("row without waste fields: %q", l)
 		}

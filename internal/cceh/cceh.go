@@ -370,53 +370,56 @@ func (idx *Index) split(v dirIndexState, s *segment, h uint64) {
 		idx.doubleDirectory(cur)
 		return // caller retries; the next split sees room
 	}
-	// Allocate the sibling covering pattern*2+1 at depth ld+1.
-	ns := idx.newSegment(ld+1, s.pattern.Load()*2+1)
-	for i := range s.keys {
-		k := s.keys[i].Load()
-		if k == 0 {
-			continue
-		}
-		kh := hash(k)
-		if kh>>(64-(ld+1)) == ns.pattern.Load() {
-			nb := slotIndex(kh)
-			placed := false
-			for b := 0; b < ProbeBuckets && !placed; b++ {
+	// The upper half of this segment's directory range moves to a new
+	// sibling. If it already names another segment, a crash after
+	// cceh.split.repointed left this split half done, and the sibling
+	// holds every write acknowledged there since the restart: only the
+	// narrowing below is left to do. Building a second sibling from this
+	// segment's stale copies would orphan the first one.
+	d := cur.d
+	span := 1 << (cur.depth - ld) // directory entries covering s
+	first := int(s.pattern.Load()) << (cur.depth - ld)
+	if d.entries[first+span/2].Load() == s {
+		// The sibling covers pattern*2+1 at depth ld+1.
+		ns := idx.newSegment(ld+1, s.pattern.Load()*2+1)
+	moved:
+		for i := range s.keys {
+			k := s.keys[i].Load()
+			if k == 0 || hash(k)>>(64-(ld+1)) != ns.pattern.Load() {
+				continue
+			}
+			nb := slotIndex(hash(k))
+			for b := 0; b < ProbeBuckets; b++ {
 				off := (nb + b*SlotsPerBucket) % len(ns.keys)
 				for j := 0; j < SlotsPerBucket; j++ {
 					if ns.keys[off+j].Load() == 0 {
 						ns.vals[off+j].Store(s.vals[i].Load())
 						ns.keys[off+j].Store(k)
-						placed = true
-						break
+						continue moved
 					}
 				}
 			}
 			// An unplaceable key stays readable in the old segment until
 			// the next split; CCEH tolerates this via lazy deletion.
-			_ = placed
 		}
-	}
-	idx.heap.Persist(ns.pm, 0, segmentBytes)
-	idx.heap.Fence()
-	idx.heap.CrashPoint("cceh.split.built")
+		idx.heap.Persist(ns.pm, 0, segmentBytes)
+		idx.heap.Fence()
+		idx.heap.CrashPoint("cceh.split.built")
 
-	// Repoint the upper half of this segment's directory range. Each
-	// store is atomic; a crash mid-way leaves stale entries that still
-	// reach the old segment, which lazily retains the moved keys.
-	d := cur.d
-	span := 1 << (cur.depth - ld) // directory entries covering s
-	first := int(s.pattern.Load()) << (cur.depth - ld)
-	for i := first + span/2; i < first+span; i++ {
-		d.entries[i].Store(ns)
-		idx.heap.Dirty(d.pm, uintptr(i)*8, 8)
-		idx.heap.Persist(d.pm, uintptr(i)*8, 8)
+		// Repoint the upper half. Each store is atomic; a crash mid-way
+		// leaves stale entries that still reach the old segment, which
+		// lazily retains the moved keys.
+		for i := first + span/2; i < first+span; i++ {
+			d.entries[i].Store(ns)
+			idx.heap.Dirty(d.pm, uintptr(i)*8, 8)
+			idx.heap.Persist(d.pm, uintptr(i)*8, 8)
+		}
+		idx.heap.Fence()
+		idx.heap.CrashPoint("cceh.split.repointed")
 	}
-	idx.heap.Fence()
-	idx.heap.CrashPoint("cceh.split.repointed")
 
 	// Narrow the old segment to its new (deeper) pattern. Keys that moved
-	// remain as lazy garbage; lookups for them now route to ns.
+	// remain as lazy garbage; lookups for them now route to the sibling.
 	s.pattern.Store(s.pattern.Load() * 2)
 	s.localDepth.Store(ld + 1)
 	idx.heap.Dirty(s.pm, 0, 16)

@@ -301,6 +301,65 @@ func TestCrashRecoveryFixedMode(t *testing.T) {
 	}
 }
 
+// TestInterruptedSplitCompletes: a crash at cceh.split.repointed leaves
+// the upper half of a segment's directory range on the new sibling while
+// the old segment keeps its old pattern and depth. Writes acknowledged
+// into the sibling after the restart must survive the old segment's next
+// split, which finishes the interrupted one instead of building a second
+// sibling from its stale copies.
+func TestInterruptedSplitCompletes(t *testing.T) {
+	heap := pmem.NewFast()
+	idx := New(heap)
+	heap.SetInjector(crash.NewAtSite("cceh.split.repointed", 1))
+	acked := make(map[uint64]uint64)
+	insert := func(i uint64) error {
+		k := keys.Mix64(i)
+		err := idx.Insert(k, i)
+		if err == nil {
+			acked[k] = i
+		}
+		return err
+	}
+	i := uint64(1)
+	for ; !heap.Injector().Fired(); i++ {
+		if err := insert(i); err != nil && !crash.IsCrash(err) {
+			t.Fatal(err)
+		}
+	}
+	heap.SetInjector(nil)
+	if err := idx.Recover(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The half-split segment: the upper half of its range names another.
+	v := idx.view()
+	var stale *segment
+	for i := range v.d.entries {
+		s := v.d.entries[i].Load()
+		ld := s.localDepth.Load()
+		first := int(s.pattern.Load()) << (v.depth - ld)
+		if v.d.entries[first+(1<<(v.depth-ld))/2].Load() != s {
+			stale = s
+		}
+	}
+	if stale == nil {
+		t.Fatal("no segment left half split by the crash")
+	}
+	for depth := stale.localDepth.Load(); stale.localDepth.Load() == depth; i++ {
+		if i > 1_000_000 {
+			t.Fatal("the half-split segment never split again")
+		}
+		if err := insert(i); err != nil {
+			t.Fatalf("post-crash insert %d: %v", i, err)
+		}
+	}
+	for k, want := range acked {
+		if got, ok := idx.Lookup(k); !ok || got != want {
+			t.Fatalf("acknowledged key %d: got (%d,%v), want %d", k, got, ok, want)
+		}
+	}
+}
+
 // §3 bug reproduction: in Faithful mode, a crash between the directory
 // pointer swap and the global-depth update leaves insertions unable to
 // make progress (the published "insertion operations loop infinitely")

@@ -1,233 +1,90 @@
-// The §7.5 crash-recovery campaign (probabilistic crash states, a
-// concurrent mixed phase after recovery, full readback) on one heap and
-// on the sharded front-end, and the §5 durability test of the clean
-// write path. All three drive the index synchronously: they test the
-// conversions themselves, not a write path.
+// The campaigns: three ways of choosing where the trial of trial.go
+// crashes. SiteCampaign crashes once at every crash site a load passes
+// through, CrashCampaign at §7.5's probabilistic crash states, and
+// Durability — the §5 durability test — nowhere.
 package harness
 
 import (
 	"fmt"
-	"sync"
+	"hash/fnv"
+	"sort"
 
 	"repro/internal/crash"
-	"repro/internal/keys"
 	"repro/internal/pmem"
-	"repro/shard"
 )
 
-// CrashReport summarises a §7.5 crash-recovery campaign.
-type CrashReport struct {
-	Index string
-	// States is the number of distinct crash states exercised.
-	States int
-	// Crashed counts states where a crash actually fired during load.
-	Crashed int
-	// LostKeys counts committed keys unreadable after recovery.
-	LostKeys int
-	// WriteFailures counts post-crash writes that failed.
-	WriteFailures int
-	// RecoveryFailures counts recovery calls that returned an error (the
-	// CCEH Faithful-mode recovery stall surfaces here).
-	RecoveryFailures int
-}
-
-// Pass reports whether the campaign found no crash-consistency failures.
-func (r CrashReport) Pass() bool {
-	return r.LostKeys == 0 && r.WriteFailures == 0 && r.RecoveryFailures == 0
-}
-
-func (r CrashReport) String() string {
-	return fmt.Sprintf("%-12s states=%d crashed=%d lost=%d writeFail=%d recoveryFail=%d  %s",
-		r.Index, r.States, r.Crashed, r.LostKeys, r.WriteFailures, r.RecoveryFailures, verdict(r.Pass()))
-}
-
-// state runs crash state s against t, whose injector the caller armed:
-// load identifiers [0, loadN) until the crash fires, restart (disarm
-// and recover), run a mixed insert/read phase with `threads` concurrent
-// threads, and finally read back every committed key.
-func (r *CrashReport) state(s int, t *Target, restart func() error, loadN, mixedN, threads int) {
-	main := t.session()
-	committed := make([]uint64, 0, loadN+mixedN/2)
-	for id := uint64(0); id < uint64(loadN); id++ {
-		err := main.write(id, id, false)
-		if crash.IsCrash(err) {
-			r.Crashed++
-			break
-		}
-		if err != nil {
-			r.WriteFailures++
-			break
-		}
-		committed = append(committed, id)
-	}
-	if err := restart(); err != nil {
-		r.RecoveryFailures++
-		return
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	for th := 0; th < threads; th++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := t.session()
-			base := uint64(1_000_000 + s*100_000 + th*10_000)
-			for i := 0; i < mixedN/threads; i++ {
-				id := base + uint64(i)
-				if i%2 == 1 {
-					w.lookup(id - 1)
-					continue
-				}
-				err := w.write(id, id, false)
-				mu.Lock()
-				if err != nil {
-					r.WriteFailures++
-				} else {
-					committed = append(committed, id)
-				}
-				mu.Unlock()
-				if err != nil {
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for _, id := range committed {
-		if got, ok := main.lookup(id); !ok || got != id {
-			r.LostKeys++
-		}
-	}
-}
-
-// CrashCampaign reproduces §7.5 for one index: for each of states
-// trials, load loadN entries with a probabilistic crash armed, recover,
-// run a mixed insert/read phase with `threads` concurrent threads, and
-// finally read back every committed key.
-func CrashCampaign(name string, build Build, states, loadN, mixedN, threads int) CrashReport {
-	rep := CrashReport{Index: name}
-	for s := 0; s < states; s++ {
-		rep.States++
-		heap := pmem.NewFast()
-		t := build(heap)
-		heap.SetInjector(crash.NewProbabilistic(0.002, int64(s)+1))
-		rep.state(s, t, func() error {
-			heap.SetInjector(nil)
-			return t.recover()
-		}, loadN, mixedN, threads)
-		// The state's heap and index are dead.
-		heap.Release()
-	}
+// campaign fans n trials out over `workers` goroutines (< 1 selects
+// GOMAXPROCS) and collects them in order; at names trial i and returns
+// the crash it arms.
+func (p protocol) campaign(name string, seed int64, n, workers int, at func(i int) (string, *crash.Injector)) CampaignReport {
+	rep := CampaignReport{Index: name, Policy: p.policy, Seed: seed, PostOps: p.postN, Sites: make([]SiteReport, n)}
+	forEachTrial(n, workers, func(i int) {
+		site, inj := at(i)
+		rep.Sites[i] = p.trial(site, inj, i, siteSeed(seed, site))
+	})
 	return rep
 }
 
-// ShardCrashReport summarises a per-shard crash-recovery campaign.
-type ShardCrashReport struct {
-	CrashReport
-	// Shards is the partition count H of the sharded front-end.
-	Shards int
-	// ExtraReplays counts recovery replays of shards that did not crash
-	// — any non-zero value breaks the per-shard recovery invariant.
-	ExtraReplays int
+// siteSeed combines the campaign seed with the trial's name so each
+// trial gets independent, reproducible torn coin flips.
+func siteSeed(seed int64, site string) int64 {
+	h := fnv.New64a()
+	h.Write([]byte(site))
+	return seed ^ int64(h.Sum64())
 }
 
-// Pass reports whether the campaign found no crash-consistency failures
-// and never replayed a shard that did not crash.
-func (r ShardCrashReport) Pass() bool {
-	return r.CrashReport.Pass() && r.ExtraReplays == 0
-}
-
-func (r ShardCrashReport) String() string {
-	return fmt.Sprintf("%-12s shards=%d states=%d crashed=%d lost=%d writeFail=%d recoveryFail=%d extraReplays=%d  %s",
-		r.Index, r.Shards, r.States, r.Crashed, r.LostKeys, r.WriteFailures, r.RecoveryFailures, r.ExtraReplays, verdict(r.Pass()))
-}
-
-// CrashCampaignSharded runs the same methodology against the sharded
-// ordered front-end with the per-shard recovery discipline: for each
-// trial a crash is armed in one shard (rotating over shards), load
-// proceeds until it fires, and recovery replays only the shards whose
-// injector fired — the campaign counts any replay of a healthy shard as
-// an ExtraReplays violation.
-func CrashCampaignSharded(name string, kind keys.Kind, shards, states, loadN, mixedN, threads int) ShardCrashReport {
-	shards = max(shards, 1) // match shard.Options, which clamps Shards < 1 to 1
-	rep := ShardCrashReport{CrashReport: CrashReport{Index: name}, Shards: shards}
-	for s := 0; s < states; s++ {
-		rep.States++
-		m, err := shard.NewOrdered(name, kind, shard.Options{Shards: shards})
-		if err != nil {
-			rep.RecoveryFailures++
-			continue
-		}
-		target := s % shards
-		m.Heap(target).SetInjector(crash.NewProbabilistic(0.002, int64(s)+1))
-		rep.state(s, ShardedOrdered(m, kind), func() error {
-			// RecoverCrashed keys on the fired injector and clears it; only
-			// disarm by hand when no crash fired this trial.
-			if !m.Heap(target).Injector().Fired() {
-				m.Heap(target).SetInjector(nil)
-			}
-			if _, err := m.RecoverCrashed(); err != nil {
-				return err
-			}
-			// Per-shard replay counts catch any replay path; only the armed
-			// shard may have been replayed.
-			for i, n := range m.Recoveries() {
-				if i != target {
-					rep.ExtraReplays += int(n)
-				}
-			}
-			return nil
-		}, loadN, mixedN, threads)
-		m.Release()
+// discoverSites runs one untracked load with a never-firing injector
+// (probability zero, which still records site visits) and returns every
+// crash site it passed through, sorted by name: the index's own sites,
+// plus the group.* boundary sites on the queued paths and the commit.*
+// drain-loop sites on the Async path.
+func discoverSites(build Build, path WritePath, loadN int) []string {
+	inj := crash.NewProbabilistic(0, 1)
+	t := build(pmem.Options{Injector: inj})
+	defer t.release()
+	_ = load(t, path, 0, loadN, false, hooks{}) // a failing load still visited its sites
+	m := inj.Sites()
+	sites := make([]string, 0, len(m))
+	for s := range m {
+		sites = append(sites, s)
 	}
-	return rep
+	sort.Strings(sites)
+	return sites
 }
 
-// DurabilityReport summarises a §5 durability test.
-type DurabilityReport struct {
-	Index string
-	// ConstructorViolations are lines left unpersisted by index creation
-	// (the FAST & FAIR / CCEH finding of §7.5).
-	ConstructorViolations int
-	// OpViolations are lines left unpersisted at operation boundaries.
-	OpViolations int
-	// Ops is the number of ids inserted and then updated.
-	Ops int
-	// DryFences and CleanWriteBacks are the run's persistence waste, as
-	// pmem.Tracker counts it: fences that ordered no write-back, and
-	// write-backs of lines that were not dirty. Waste is a cost, not a
-	// durability failure, so Pass ignores both.
-	DryFences, CleanWriteBacks uint64
+// SiteCampaign runs the per-crash-site campaign: discover every crash
+// site a loadN-insert load through path passes through, then — one
+// trial per site, fanned out over `workers` goroutines (< 1 selects
+// GOMAXPROCS) — crash at the site's first visit, restart from the
+// policy's image and run the trial's checks with postN post-crash
+// inserts on one writer.
+func SiteCampaign(name string, build Build, path WritePath, policy pmem.Policy, seed int64, loadN, postN, workers int) CampaignReport {
+	sites := discoverSites(build, path, loadN)
+	p := protocol{build: build, path: path, policy: policy, loadN: loadN, postN: postN, writers: 1}
+	return p.campaign(name, seed, len(sites), workers, func(i int) (string, *crash.Injector) {
+		return sites[i], crash.NewAtSite(sites[i], 1)
+	})
 }
 
-// Pass reports full flush coverage.
-func (r DurabilityReport) Pass() bool {
-	return r.ConstructorViolations == 0 && r.OpViolations == 0
+// CrashCampaign reproduces §7.5 for one index: states trials, state s
+// crashing where crash.NewProbabilistic(0.002, s+1) fires during a
+// loadN-insert load, restarting from the intact image and running the
+// post phase of postN inserts on `threads` concurrent workers, all
+// through the per-op path. On a Sharded target state s crashes shard
+// s mod H, and only that shard may be replayed.
+func CrashCampaign(name string, build Build, states, loadN, postN, threads int) CampaignReport {
+	p := protocol{build: build, policy: pmem.PolicyIntact, loadN: loadN, postN: postN, writers: max(threads, 1)}
+	return p.campaign(name, 0, states, 0, func(s int) (string, *crash.Injector) {
+		return fmt.Sprintf("state %d", s), crash.NewProbabilistic(0.002, int64(s)+1)
+	})
 }
 
-func (r DurabilityReport) String() string {
-	return fmt.Sprintf("%-12s ops=%d ctorViolations=%d opViolations=%d dryFence=%d cleanWB=%d  %s",
-		r.Index, r.Ops, r.ConstructorViolations, r.OpViolations, r.DryFences, r.CleanWriteBacks, verdict(r.Pass()))
-}
-
-// Durability checks that index creation, each of n inserts and then an
-// update of each inserted id leave every dirtied cache line flushed and
-// fenced by the time they return (§5, "testing durability"), and counts
-// the persistence waste of the whole run.
-func Durability(name string, build Build, n int) DurabilityReport {
-	heap := pmem.New(pmem.Options{Track: true})
-	defer heap.Release()
-	s := build(heap).session()
-	rep := DurabilityReport{Index: name, Ops: n, ConstructorViolations: violations(heap)}
-	for _, update := range []bool{false, true} {
-		for id := uint64(0); id < uint64(n); id++ {
-			if err := s.write(id, id+1, update); err != nil {
-				rep.OpViolations++
-				continue
-			}
-			rep.OpViolations += violations(heap)
-		}
-	}
-	rep.DryFences, rep.CleanWriteBacks = heap.Tracker().DryFences(), heap.Tracker().CleanWriteBacks()
-	return rep
+// Durability is the §5 durability test: one trial with no crash armed,
+// through the per-op path on one writer. Index creation, each of n
+// inserts and the in-place rewrite of each must leave every dirtied
+// line written back and fenced by the time it returns, and everything
+// must read back; the row also counts the run's persistence waste.
+func Durability(name string, build Build, n int) CampaignReport {
+	p := protocol{build: build, policy: pmem.PolicyIntact, postN: n, writers: 1}
+	return p.campaign(name, 0, 1, 1, func(int) (string, *crash.Injector) { return "construction", nil })
 }

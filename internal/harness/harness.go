@@ -1,10 +1,9 @@
 // Package harness executes the paper's experiments: multi-threaded YCSB
 // runs with per-operation performance counters (Figs 4 and 5, Table 4),
-// the §5/§7.5 crash-recovery campaigns (single-heap and sharded), the §5
-// durability test, and the per-crash-site flush-coverage and lossy
-// power-failure campaigns. Everything runs over two small seams: a
-// Target addresses any index by dense identifier (target.go), and a
-// WritePath decides how a write becomes acknowledged (path.go).
+// and the §5/§7.5 crash and durability campaigns, all one trial
+// (trial.go). Everything runs over two small seams: a Target addresses
+// any index by dense identifier (target.go), and a WritePath decides
+// how a write becomes acknowledged (path.go).
 package harness
 
 import (

@@ -28,8 +28,8 @@ var paths = []struct {
 
 // plain builds the named registry index on a fresh fast heap.
 func plain(name string, kind keys.Kind) (*pmem.Heap, *Target) {
-	heap := pmem.NewFast()
-	return heap, ByName(name, kind)(heap)
+	t := ByName(name, kind)(pmem.Options{})
+	return t.heaps[0], t
 }
 
 func shardedOrdered(t *testing.T, name string, shards int) *shard.Ordered {
@@ -385,7 +385,7 @@ func TestCrashCampaignPasses(t *testing.T) {
 		if !rep.Pass() {
 			t.Fatalf("%s crash campaign failed: %s", name, rep)
 		}
-		if rep.Crashed == 0 {
+		if rep.Fired() == 0 {
 			t.Fatalf("%s: no crash state actually crashed; campaign vacuous", name)
 		}
 		if !strings.Contains(rep.String(), "PASS") {
@@ -395,26 +395,31 @@ func TestCrashCampaignPasses(t *testing.T) {
 }
 
 // TestCrashCampaignShardedPasses: the per-shard campaign must lose no
-// keys and never replay a healthy shard.
+// keys, arm the shards in rotation and never replay a healthy shard.
 func TestCrashCampaignShardedPasses(t *testing.T) {
-	rep := CrashCampaignSharded("P-ART", keys.RandInt, 4, 12, 4000, 2000, 4)
+	rep := CrashCampaign("P-ART", Sharded("P-ART", keys.RandInt, 4), 12, 4000, 2000, 4)
 	if !rep.Pass() {
 		t.Fatalf("sharded campaign failed: %s", rep)
 	}
-	if rep.Crashed == 0 {
+	if rep.Fired() == 0 {
 		t.Fatal("campaign never crashed; injector not exercising shards")
 	}
-	if rep.ExtraReplays != 0 {
-		t.Fatalf("healthy shards replayed %d times: %s", rep.ExtraReplays, rep)
-	}
-	if !strings.Contains(rep.String(), "shards=4") {
-		t.Fatalf("report missing shard count: %s", rep)
+	for s, row := range rep.Sites {
+		if row.Host != s%4 || (row.Fired && len(row.Replays) != 4) {
+			t.Fatalf("%s: host %d, replays %v; want host %d of 4 shards", row.Site, row.Host, row.Replays, s%4)
+		}
+		for i, n := range row.Replays {
+			if i != row.Host && n != 0 {
+				t.Fatalf("%s: healthy shard %d replayed %d times: %s", row.Site, i, n, rep)
+			}
+		}
 	}
 }
 
 // TestDurabilityReports: the converted indexes pass the §5 durability
 // test; the Faithful modes fail it at construction (the §7.5
-// unpersisted-initial-allocation finding).
+// unpersisted-initial-allocation finding), which the trial counts
+// before its post phase.
 func TestDurabilityReports(t *testing.T) {
 	for _, name := range []string{"P-Masstree", "P-CLHT"} {
 		rep := Durability(name, ByName(name, keys.YCSBString), 500)
@@ -423,7 +428,7 @@ func TestDurabilityReports(t *testing.T) {
 		}
 	}
 	for name, build := range map[string]Build{"FF-faithful": FaithfulFF, "CCEH-faithful": FaithfulCCEH} {
-		if rep := Durability(name, build, 500); rep.Pass() || rep.ConstructorViolations == 0 {
+		if rep := Durability(name, build, 500); rep.Pass() || rep.Sites[0].RecoveryViolations == 0 {
 			t.Fatalf("%s: negative control passed: %s", name, rep)
 		}
 	}

@@ -132,12 +132,13 @@ func (p WritePath) open(t *Target, h hooks) *generation {
 		}
 	case Async:
 		opts := commit.Options{Queue: p.Queue, MaxBatch: p.Batch, FlushInterval: p.Flush}
-		sole := t.heap != nil
+		sole := len(t.heaps) == 1
 		if sole {
-			// A trial's single enqueuer keeps a queue of exactly one batch
-			// fed and the flush interval never expires, so mid-stream
-			// batches are exactly Batch consecutive ids and the site-visit
-			// sequence on the committer goroutine is deterministic.
+			// A target on one heap has a trial's single enqueuer, which
+			// keeps a queue of exactly one batch fed while the flush
+			// interval never expires, so mid-stream batches are exactly
+			// Batch consecutive ids and the site-visit sequence on the
+			// committer goroutine is deterministic.
 			opts = commit.Options{Queue: p.Batch, MaxBatch: p.Batch, FlushInterval: time.Hour}
 		}
 		enqueue, end := t.committers(opts, h.observe)

@@ -22,9 +22,9 @@ func TestWriterContract(t *testing.T) {
 	for _, p := range paths {
 		for _, name := range []string{"P-ART", "P-CLHT"} {
 			t.Run(p.name+"/"+name, func(t *testing.T) {
-				heap := pmem.New(pmem.Options{Track: true})
-				defer heap.Release()
-				target := ByName(name, keys.RandInt)(heap)
+				target := ByName(name, keys.RandInt)(pmem.Options{Track: true})
+				defer target.release()
+				heap := target.heaps[0]
 				heap.Tracker().Reset()
 
 				acked := map[uint64]bool{}
@@ -109,7 +109,7 @@ func TestWriterContract(t *testing.T) {
 				// A crashed committer stays dead; a fresh generation over the
 				// recovered index is clean again.
 				heap.Tracker().Reset()
-				if err := target.recover(); err != nil {
+				if _, err := target.recover(); err != nil {
 					t.Fatal(err)
 				}
 				before := len(acked)

@@ -33,14 +33,6 @@ import (
 	"repro/shard"
 )
 
-// ReshardCampaignReport is a CampaignReport over the migration sweep:
-// one row per (site, host shard) pair, in sweep order.
-type ReshardCampaignReport struct {
-	CampaignReport
-	// Shards is the front-end width of every trial.
-	Shards int
-}
-
 // reshardFront is what the sweep needs of a sharded front-end; both
 // shard.Ordered and shard.Hash provide it.
 type reshardFront interface {
@@ -142,13 +134,14 @@ func newReshardRig(name string, ranged bool, h int) (*reshardRig, error) {
 // ReshardCampaign runs the crash-mid-migration campaign for the named
 // index over every reshard sweep site, fanned out over `workers`
 // goroutines, power-cycling the crashed shard under policy (torn coin
-// flips from seed). ranged applies to ordered indexes only.
-func ReshardCampaign(name string, ranged bool, policy pmem.Policy, seed int64, shards, loadN, postN, workers int) ReshardCampaignReport {
-	rep := ReshardCampaignReport{Shards: shards, CampaignReport: CampaignReport{
+// flips from seed): one row per (site, host shard) pair, in sweep
+// order. ranged applies to ordered indexes only.
+func ReshardCampaign(name string, ranged bool, policy pmem.Policy, seed int64, shards, loadN, postN, workers int) CampaignReport {
+	rep := CampaignReport{
 		Index: name, Policy: policy, Seed: seed,
 		PostOps: postN, Sites: make([]SiteReport, len(reshardPairs)),
-	}}
-	forEachSite(len(reshardPairs), workers, func(i int) {
+	}
+	forEachTrial(len(reshardPairs), workers, func(i int) {
 		pair := reshardPairs[i]
 		rig, err := newReshardRig(name, ranged, shards)
 		if err != nil {
@@ -221,7 +214,7 @@ func reshardAtSite(rig *reshardRig, pair reshardPair, policy pmem.Policy, seed i
 	// verify is the shared readback plus the resharding invariant on top:
 	// the merged scan stays duplicate-free across the handoff.
 	verify := func(phase string) bool {
-		if !r.readback(phase, rig.lookup, committed) {
+		if !r.readback(phase, rig.lookup, committed, 0) {
 			return false
 		}
 		if rig.uniqueScan == nil {

@@ -33,7 +33,7 @@ func reshardIndexes(ordered bool) []string {
 // checkReshard asserts a reshard campaign fired at every sweep site and
 // found nothing: zero LOST-ACK, zero CORRUPT, zero healthy-shard
 // replays, zero flush-coverage violations.
-func checkReshard(t *testing.T, rep ReshardCampaignReport) {
+func checkReshard(t *testing.T, rep CampaignReport) {
 	t.Helper()
 	if rep.Fired() != len(rep.Sites) {
 		t.Errorf("%s/%v: only %d/%d sites fired", rep.Index, rep.Policy, rep.Fired(), len(rep.Sites))

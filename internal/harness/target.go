@@ -19,17 +19,20 @@ import (
 )
 
 // Target is one index addressed by dense identifier: a converted index
-// on its own heap (Ordered, Hash — what the crash trials build per
-// site) or a sharded front-end (ShardedOrdered, ShardedHash — what the
-// throughput cells run on).
+// on its own heap (Ordered, Hash — what the crash trials build) or a
+// sharded front-end (ShardedOrdered, ShardedHash — what the throughput
+// cells run on; Sharded builds one as a crash-trial target).
 type Target struct {
 	kind    keys.Kind
 	stats   StatsSource
 	ordered bool
-	// heap and recover are set for single-heap targets only: the trials
-	// arm, power-cycle and recover exactly one heap.
-	heap    *pmem.Heap
-	recover func() error
+	// heaps and recover are set on crash-trial targets: the heaps a
+	// trial arms, power-cycles, checks and releases (one, or one per
+	// shard), and the restart after a crash, which disarms the fired
+	// injector and returns the per-shard recovery replay counts (nil on
+	// a single heap).
+	heaps   []*pmem.Heap
+	recover func() (replays []uint64, err error)
 
 	// session returns one worker's direct view of the index, with its
 	// own reusable key buffer.
@@ -56,9 +59,10 @@ type combiner struct {
 	flush func(observe func(ycsb.OpKind)) error
 }
 
-// Build constructs the trial target on a fresh heap; campaigns call it
-// once per crash site (possibly from several goroutines).
-type Build func(*pmem.Heap) *Target
+// Build constructs a trial target on fresh heaps made with the given
+// options; campaigns call it once per trial (possibly from several
+// goroutines).
+type Build func(pmem.Options) *Target
 
 // kindOf recovers a write's op kind from what it carries: an insert
 // stores the bare identifier, an RMW rewrite has RMWBit set, any other
@@ -169,8 +173,27 @@ func standalone[K any](heap *pmem.Heap, apply applyFn[K]) startFn[K] {
 // on marks t as living on one heap, which is then its counter source
 // and what a trial arms, power-cycles and recovers.
 func (t *Target) on(heap *pmem.Heap, recover func() error) *Target {
-	t.heap, t.stats, t.recover = heap, heap, recover
+	t.heaps, t.stats = []*pmem.Heap{heap}, heap
+	t.recover = func() ([]uint64, error) {
+		heap.SetInjector(nil)
+		return nil, recover()
+	}
 	return t
+}
+
+// violations counts the lines t's heaps hold dirty or unfenced.
+func (t *Target) violations() (n int) {
+	for _, h := range t.heaps {
+		n += violations(h)
+	}
+	return n
+}
+
+// release retires t's heaps; t is dead afterwards.
+func (t *Target) release() {
+	for _, h := range t.heaps {
+		h.Release()
+	}
 }
 
 // Ordered adapts an ordered index living on heap, with keys of kind.
@@ -215,7 +238,8 @@ func ShardedHash(m *shard.Hash) *Target {
 // panics on a name the registry does not know — campaign names are
 // literals in the commands and tests that pass them.
 func ByName(name string, kind keys.Kind) Build {
-	return func(heap *pmem.Heap) *Target {
+	return func(o pmem.Options) *Target {
+		heap := pmem.New(o)
 		if idx, err := core.NewOrdered(name, heap, kind); err == nil {
 			return Ordered(heap, idx, kind)
 		}
@@ -227,16 +251,39 @@ func ByName(name string, kind keys.Kind) Build {
 	}
 }
 
+// Sharded returns the Build of the named ordered index's sharded
+// front-end, shards wide. It restarts through RecoverCrashed, which
+// must replay the crashed shard alone.
+func Sharded(name string, kind keys.Kind, shards int) Build {
+	return func(o pmem.Options) *Target {
+		m, err := shard.NewOrdered(name, kind, shard.Options{Shards: shards, Heap: o})
+		if err != nil {
+			panic(err)
+		}
+		t := ShardedOrdered(m, kind)
+		for i := range m.NumShards() {
+			t.heaps = append(t.heaps, m.Heap(i))
+		}
+		t.recover = func() ([]uint64, error) {
+			_, err := m.RecoverCrashed()
+			return m.Recoveries(), err
+		}
+		return t
+	}
+}
+
 // FaithfulFF builds Faithful-mode FAST & FAIR, which reproduces the
 // §7.5 unpersisted-initial-allocation bug — the negative control of the
 // durability test and of the crash-site campaign under the revert image.
-func FaithfulFF(heap *pmem.Heap) *Target {
+func FaithfulFF(o pmem.Options) *Target {
+	heap := pmem.New(o)
 	return Ordered(heap, fastfair.NewWithMode(heap, keys.RandInt, fastfair.Faithful), keys.RandInt)
 }
 
 // FaithfulCCEH builds Faithful-mode CCEH, which reproduces both the
 // unpersisted initial allocation and the §3 non-atomic directory
 // doubling whose crash makes recovery stall (cceh.ErrStalled).
-func FaithfulCCEH(heap *pmem.Heap) *Target {
+func FaithfulCCEH(o pmem.Options) *Target {
+	heap := pmem.New(o)
 	return Hash(heap, cceh.NewWithMode(heap, cceh.Faithful))
 }

@@ -1,24 +1,30 @@
-// Per-crash-site campaigns: the §5 crash methodology, one trial per
-// crash site, under a failure model chosen by value (pmem.Policy).
+// The crash trial. Recipe §5 states one testing contract: once an
+// operation is acknowledged, every line it dirtied is written back and
+// fenced, and a crash loses nothing acknowledged. The campaigns
+// (campaign.go) differ only in where they crash — at every site, at
+// probabilistic states, or nowhere — and every trial follows one
+// protocol, whatever the write path, the image and the target:
 //
-// Every trial follows one protocol, whatever the write path and the
-// image: build the index on a fresh Shadow heap, arm a crash at the
-// site's first visit, load identifiers [0, loadN) through one
-// generation of the path, then restart and check everything a restart
-// can get wrong:
-//
-//  1. Power-cycle the heap under the policy (Heap.PowerCycle).
+//  1. Build the target on fresh heaps (Shadow for the lossy images,
+//     Track otherwise), arm the crash on one of them, and load
+//     identifiers [0, loadN) through one generation of the path,
+//     modelling which writes it acknowledged and which it failed.
+//  2. Power-cycle the crashed heap under the policy (Heap.PowerCycle).
 //     PolicyIntact is the §5 image: every store stays visible, so a
 //     missing persist can only show as a tracker violation. The lossy
 //     images lose what never reached a clwb+fence, and revert, keep or
 //     tear what was written back but not fenced.
-//  2. Recover, counting the lines recovery leaves dirty or unfenced.
-//  3. Read back every acknowledged id exactly, and every unacknowledged
+//  3. Recover, counting the lines recovery leaves dirty or unfenced. A
+//     trial with no crash armed skips steps 2 and 3 and counts what
+//     construction and the load left instead.
+//  4. Read back every acknowledged id exactly, and every unacknowledged
 //     one exact-or-absent.
-//  4. Drive postN inserts through fresh generations, one ack unit each,
-//     counting the lines left dirty or unfenced at every settled
-//     boundary: the repair paths' flush coverage.
-//  5. Re-read everything acknowledged, the post-crash inserts included.
+//  5. The post phase: postN fresh inserts, each ack unit then rewritten
+//     in place with UpdateBit set, through fresh generations, counting
+//     the lines left dirty or unfenced at every settled boundary: the
+//     repair paths' flush coverage. Concurrent post-phase workers
+//     overlap their boundaries, so theirs is counted once they join.
+//  6. Re-read everything acknowledged, the rewritten values included.
 //
 // Outcomes per trial: CLEAN — every check passed; PARTIAL — an
 // unacknowledged write vanished (acceptable under any failure model,
@@ -28,18 +34,16 @@
 // panics or errors, or readback returns values never written.
 //
 // Loads run single-threaded (shadow capture is a single-writer testing
-// mode). Trials are independent heaps fanned out over a worker pool and
-// collected in site order, and every torn coin flip derives from the
-// campaign seed and the site name, so a report is identical for any
-// worker count.
+// mode, and so is a fence group). Trials are independent heaps fanned
+// out over a worker pool and collected in order, and every torn coin
+// flip derives from the campaign seed and the trial's name, so a report
+// with one post-phase worker is identical for any pool size.
 package harness
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -54,44 +58,30 @@ import (
 const postBase = 1_000_000
 
 // load drives identifiers [lo, lo+n) through one fresh generation of
-// path and settles it. It stops at the first failure — nothing runs on
-// a dead machine — leaving whatever a queued path still holds
-// unaccepted.
-func load(t *Target, path WritePath, lo uint64, n int, h hooks) error {
+// path and settles it: inserts storing the identifier, or in-place
+// rewrites storing it with UpdateBit set. It stops at the first
+// failure — nothing runs on a dead machine — leaving whatever a queued
+// path still holds unaccepted.
+func load(t *Target, path WritePath, lo uint64, n int, update bool, h hooks) error {
 	g := path.open(t, h)
 	defer g.end()
 	w := g.writer(t.session())
 	for id := lo; id < lo+uint64(n); id++ {
-		if err := w.write(id, id, false); err != nil {
-			return fmt.Errorf("insert %d: %w", id, err)
+		v := id
+		if update {
+			v |= UpdateBit
+		}
+		if err := w.write(id, v, update); err != nil {
+			return fmt.Errorf("write %d: %w", id, err)
 		}
 	}
 	return w.settle()
 }
 
-// discoverSites runs one untracked load with a never-firing injector
-// (probability zero, which still records site visits) and returns every
-// crash site it passed through, sorted by name: the index's own sites,
-// plus the group.* boundary sites on the queued paths and the commit.*
-// drain-loop sites on the Async path.
-func discoverSites(build Build, path WritePath, loadN int) []string {
-	inj := crash.NewProbabilistic(0, 1)
-	heap := pmem.New(pmem.Options{Injector: inj})
-	defer heap.Release()
-	_ = load(build(heap), path, 0, loadN, hooks{}) // a failing load still visited its sites
-	m := inj.Sites()
-	sites := make([]string, 0, len(m))
-	for s := range m {
-		sites = append(sites, s)
-	}
-	sort.Strings(sites)
-	return sites
-}
-
-// forEachSite fans body out over a pool of workers (< 1 selects
+// forEachTrial fans body out over a pool of workers (< 1 selects
 // GOMAXPROCS). Each body(i) writes only its own result slot, so the
-// collected output is in site order no matter which worker ran it.
-func forEachSite(n, workers int, body func(i int)) {
+// collected output is in trial order no matter which worker ran it.
+func forEachTrial(n, workers int, body func(i int)) {
 	if workers < 1 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -107,20 +97,6 @@ func forEachSite(n, workers int, body func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// crashAt builds a trial target on a fresh Shadow heap with a crash
-// armed at the site's first visit, loads it, disarms, and reports
-// whether the crash fired. The injector — not an error return — says
-// so: on the Async path the crash happens on the committer's goroutine.
-func crashAt(site string, build Build, path WritePath, loadN int, h hooks) (heap *pmem.Heap, t *Target, fired bool) {
-	heap = pmem.New(pmem.Options{Shadow: true})
-	t = build(heap)
-	heap.SetInjector(crash.NewAtSite(site, 1))
-	_ = load(t, path, 0, loadN, h) // the crash is the expected failure; h.resolved models the rest
-	fired = heap.Injector().Fired()
-	heap.SetInjector(nil)
-	return heap, t, fired
 }
 
 // violations counts the lines the heap's tracker holds dirty or
@@ -150,18 +126,7 @@ const (
 )
 
 func (o LossyOutcome) String() string {
-	switch o {
-	case OutcomeClean:
-		return "CLEAN"
-	case OutcomePartial:
-		return "PARTIAL"
-	case OutcomeLostAck:
-		return "LOST-ACK"
-	case OutcomeCorrupt:
-		return "CORRUPT"
-	default:
-		return fmt.Sprintf("LossyOutcome(%d)", int(o))
-	}
+	return [...]string{"CLEAN", "PARTIAL", "LOST-ACK", "CORRUPT"}[o]
 }
 
 // Verdict is a trial's worst observation on the outcome scale.
@@ -194,9 +159,10 @@ func guard(f func() error) (err error) {
 }
 
 // readback is the full-dataset verifier: every acknowledged identifier
-// must read back with its exact value. It reports false if the index
-// panicked under the lookups.
-func (v *Verdict) readback(phase string, lookup func(uint64) (uint64, bool), acked []uint64) bool {
+// must read back exactly, with tag ORed in (UpdateBit for rewritten
+// ids, 0 for inserted ones). It reports false if the index panicked
+// under the lookups.
+func (v *Verdict) readback(phase string, lookup func(uint64) (uint64, bool), acked []uint64, tag uint64) bool {
 	err := guard(func() error {
 		for _, id := range acked {
 			got, ok := lookup(id)
@@ -204,7 +170,7 @@ func (v *Verdict) readback(phase string, lookup func(uint64) (uint64, bool), ack
 			case !ok:
 				v.LostAcks++
 				v.fail(OutcomeLostAck, fmt.Sprintf("%s: acknowledged id %d missing", phase, id))
-			case got != id:
+			case got != id|tag:
 				v.LostAcks++
 				v.fail(OutcomeCorrupt, fmt.Sprintf("%s: id %d read back %d", phase, id, got))
 			}
@@ -217,34 +183,44 @@ func (v *Verdict) readback(phase string, lookup func(uint64) (uint64, bool), ack
 	return err == nil
 }
 
-// SiteReport is one crash trial's row: a crash site of a single-heap
-// campaign, or a (site, host shard) pair of a reshard campaign.
+// SiteReport is one crash trial's row: a crash site or a crash state of
+// a campaign, the no-crash trial of the §5 test, or a (site, host
+// shard) pair of a reshard campaign.
 type SiteReport struct {
-	// Site is the crash-site name (e.g. "art.split.installed").
+	// Site names the trial: a crash-site name (e.g.
+	// "art.split.installed"), "state 17", or "construction".
 	Site string
-	// Fired reports whether the load reached the site and crashed there.
-	// A deterministic single-threaded load revisits the sites the
+	// Fired reports whether the armed crash fired, so the trial went on
+	// past its load (a trial with no crash armed always does). A
+	// deterministic single-threaded load revisits the sites the
 	// discovery pass saw, so this is false only for sites that need a
 	// different interleaving to re-arise.
 	Fired bool
 	Verdict
-	// RecoveryViolations counts lines Recover left dirty or unfenced.
+	// RecoveryViolations counts lines left dirty or unfenced when the
+	// post phase begins: by Recover, or — with no crash armed — by
+	// construction and the load.
 	RecoveryViolations int
 	// OpViolations counts lines left dirty or unfenced at settled
-	// post-crash boundaries — flush coverage of the repair paths.
+	// post-phase boundaries — flush coverage of the repair paths.
 	OpViolations int
+	// DryFences and CleanWriteBacks are the trial's persistence waste,
+	// as pmem.Tracker counts it: fences that ordered no write-back, and
+	// write-backs of lines that were not dirty. Waste is a cost, not a
+	// durability failure, so Pass ignores both.
+	DryFences, CleanWriteBacks uint64
 	// Cycle is the power cycle's damage report.
 	Cycle pmem.CycleReport
-	// Host and Replays are set by reshard trials: the shard whose heap
-	// the injector was armed on, and the per-shard recovery replay
-	// counts afterwards, which must be zero everywhere but Host.
+	// Host is the shard whose heap the crash was armed on, and Replays
+	// the per-shard recovery replay counts afterwards (nil on a single
+	// heap), which must be zero everywhere but Host.
 	Host    int
 	Replays []uint64
 }
 
-// pass reports whether the trial found nothing: no lost or corrupt
+// Pass reports whether the trial found nothing: no lost or corrupt
 // data, no flush-coverage violation, no replay of a healthy shard.
-func (s SiteReport) pass() bool {
+func (s SiteReport) Pass() bool {
 	if s.Outcome >= OutcomeLostAck || s.RecoveryViolations != 0 || s.OpViolations != 0 {
 		return false
 	}
@@ -256,21 +232,20 @@ func (s SiteReport) pass() bool {
 	return true
 }
 
-// CampaignReport summarises one index × policy crash campaign.
+// CampaignReport summarises one index × policy campaign.
 type CampaignReport struct {
 	Index  string
 	Policy pmem.Policy
-	// Seed drove every trial's torn coin flips (combined per site).
+	// Seed drove every trial's torn coin flips (combined per trial).
 	Seed int64
-	// PostOps is the number of post-crash inserts verified per site.
+	// PostOps is the number of post-phase inserts verified per trial.
 	PostOps int
-	// Sites holds one row per trial: per discovered crash site, sorted
-	// by name, or per reshard sweep pair, in sweep order — either way
-	// deterministic regardless of the worker count.
+	// Sites holds one row per trial, in campaign order — deterministic
+	// regardless of the worker count.
 	Sites []SiteReport
 }
 
-// Fired counts sites whose trial actually crashed.
+// Fired counts trials that went on past their load.
 func (r CampaignReport) Fired() int {
 	n := 0
 	for _, s := range r.Sites {
@@ -296,7 +271,7 @@ func (r CampaignReport) Count(o LossyOutcome) int {
 // acceptable: the vanished write was never acknowledged.
 func (r CampaignReport) Pass() bool {
 	for _, s := range r.Sites {
-		if !s.pass() {
+		if !s.Pass() {
 			return false
 		}
 	}
@@ -305,50 +280,43 @@ func (r CampaignReport) Pass() bool {
 
 func (r CampaignReport) String() string {
 	recov, ops := 0, 0
+	var dry, clean uint64
 	for _, s := range r.Sites {
 		recov += s.RecoveryViolations
 		ops += s.OpViolations
+		dry += s.DryFences
+		clean += s.CleanWriteBacks
 	}
-	return fmt.Sprintf("%-12s policy=%-6s sites=%d fired=%d clean=%d partial=%d lostAck=%d corrupt=%d recoveryViol=%d opViol=%d  %s",
+	verdict := "FAIL"
+	if r.Pass() {
+		verdict = "PASS"
+	}
+	return fmt.Sprintf("%-12s policy=%-6s trials=%d fired=%d clean=%d partial=%d lostAck=%d corrupt=%d recoveryViol=%d opViol=%d ops=%d dryFence=%d cleanWB=%d  %s",
 		r.Index, r.Policy, len(r.Sites), r.Fired(),
 		r.Count(OutcomeClean), r.Count(OutcomePartial), r.Count(OutcomeLostAck), r.Count(OutcomeCorrupt),
-		recov, ops, verdict(r.Pass()))
+		recov, ops, r.PostOps, dry, clean, verdict)
 }
 
-func verdict(pass bool) string {
-	if pass {
-		return "PASS"
-	}
-	return "FAIL"
+// protocol is what every trial of one campaign shares.
+type protocol struct {
+	build  Build
+	path   WritePath
+	policy pmem.Policy
+	// loadN ids load before the restart; postN ids are inserted and
+	// rewritten after it, on `writers` concurrent workers (> 1 only on
+	// the Sync path: a fence group is single-writer).
+	loadN, postN, writers int
 }
 
-// siteSeed combines the campaign seed with the site name so each trial
-// gets independent, reproducible torn coin flips.
-func siteSeed(seed int64, site string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(site))
-	return seed ^ int64(h.Sum64())
-}
-
-// SiteCampaign runs the per-crash-site campaign: discover every crash
-// site a loadN-insert load through path passes through, then — one
-// trial per site, fanned out over `workers` goroutines (< 1 selects
-// GOMAXPROCS) — crash there, power-cycle under the policy and run the
-// checks of the package comment, with postN post-crash inserts.
-func SiteCampaign(name string, build Build, path WritePath, policy pmem.Policy, seed int64, loadN, postN, workers int) CampaignReport {
-	sites := discoverSites(build, path, loadN)
-	rep := CampaignReport{
-		Index: name, Policy: policy, Seed: seed,
-		PostOps: postN, Sites: make([]SiteReport, len(sites)),
-	}
-	forEachSite(len(sites), workers, func(i int) {
-		rep.Sites[i] = trialAtSite(sites[i], build, path, policy, siteSeed(seed, sites[i]), loadN, postN)
-	})
-	return rep
-}
-
-func trialAtSite(site string, build Build, path WritePath, policy pmem.Policy, seed int64, loadN, postN int) SiteReport {
+// trial runs one trial named site: inj is armed on the heap of shard
+// host mod the target's width (a single heap is width 1), and a nil inj
+// arms nothing. seed drives the torn coin flips.
+func (p protocol) trial(site string, inj *crash.Injector, host int, seed int64) SiteReport {
 	r := SiteReport{Site: site}
+	t := p.build(pmem.Options{Track: true, Shadow: p.policy != pmem.PolicyIntact})
+	defer t.release()
+	r.Host = host % len(t.heaps)
+	heap := t.heaps[r.Host]
 	// The model: which accepted writes the path acknowledged, and which
 	// it failed — the crashed op (Sync), the whole unflushed batch
 	// (Batched), every error-resolved future (Async).
@@ -364,9 +332,12 @@ func trialAtSite(site string, build Build, path WritePath, policy pmem.Policy, s
 			unacked = append(unacked, id)
 		}
 	}}
-	heap, t, fired := crashAt(site, build, path, loadN, model)
-	defer heap.Release()
-	if r.Fired = fired; !fired {
+	heap.SetInjector(inj)
+	_ = load(t, p.path, 0, p.loadN, false, model) // a crash is the expected failure; the model resolves the rest
+	// The injector — not an error return — says whether the crash fired:
+	// on the Async path it happens on the committer's goroutine.
+	if r.Fired = inj == nil || inj.Fired(); !r.Fired {
+		heap.SetInjector(nil)
 		return r
 	}
 	if pending != nil {
@@ -376,16 +347,18 @@ func trialAtSite(site string, build Build, path WritePath, policy pmem.Policy, s
 		return r
 	}
 
-	// Restart: materialise the policy's image, then recover it exactly
-	// as a restart would. From here on every boundary must be durable.
-	r.Cycle = heap.PowerCycle(policy, seed)
-	if err := guard(t.recover); err != nil {
-		r.fail(OutcomeCorrupt, fmt.Sprintf("recovery failed: %v", err))
-		return r
+	if inj != nil {
+		// Restart: materialise the policy's image, then recover it exactly
+		// as a restart would. From here on every boundary must be durable.
+		r.Cycle = heap.PowerCycle(p.policy, seed)
+		if err := guard(func() (err error) { r.Replays, err = t.recover(); return err }); err != nil {
+			r.fail(OutcomeCorrupt, fmt.Sprintf("recovery failed: %v", err))
+			return r
+		}
 	}
-	r.RecoveryViolations = violations(heap)
+	r.RecoveryViolations = t.violations()
 	s := t.session()
-	if !r.readback("readback", s.lookup, acked) {
+	if !r.readback("readback", s.lookup, acked, 0) {
 		return r
 	}
 	// An unacknowledged write may have completed (its commit store made
@@ -406,23 +379,56 @@ func trialAtSite(site string, build Build, path WritePath, policy pmem.Policy, s
 		return r
 	}
 
-	// The recovered index must accept and retain new writes. One fresh
-	// generation per ack unit (the load's died with the crash), so every
-	// coverage check sits at a settled — on the Async path, quiesced —
-	// boundary.
-	for lo := 0; lo < postN; lo += path.unit() {
-		first, n := uint64(postBase+lo), min(path.unit(), postN-lo)
-		if err := guard(func() error { return load(t, path, first, n, hooks{}) }); err != nil {
-			r.fail(OutcomeCorrupt, fmt.Sprintf("post-crash %v", err))
-			return r
-		}
-		r.OpViolations += violations(heap)
-		for id := first; id < first+uint64(n); id++ {
-			acked = append(acked, id)
-		}
+	if err := p.post(t, &r); err != nil {
+		r.fail(OutcomeCorrupt, fmt.Sprintf("post phase: %v", err))
+		return r
 	}
 	// Post-crash writes must not damage recovered data, nor lose their
 	// own.
-	r.readback("post-ops readback", s.lookup, acked)
+	posted := make([]uint64, p.postN)
+	for i := range posted {
+		posted[i] = uint64(postBase + i)
+	}
+	if r.readback("post-ops readback", s.lookup, acked, 0) {
+		r.readback("post-ops readback", s.lookup, posted, UpdateBit)
+	}
+	for _, h := range t.heaps {
+		r.DryFences += h.Tracker().DryFences()
+		r.CleanWriteBacks += h.Tracker().CleanWriteBacks()
+	}
 	return r
+}
+
+// post runs the post phase: the recovered target must accept and keep
+// new writes and in-place rewrites. Each worker takes a contiguous
+// share of the ids and opens one fresh generation per ack unit (the
+// load's died with the crash), so with one worker every coverage check
+// sits at a settled — on the Async path, quiesced — boundary.
+func (p protocol) post(t *Target, r *SiteReport) error {
+	unit := p.path.unit()
+	share := (p.postN + p.writers - 1) / p.writers
+	errs := make([]error, p.writers)
+	var wg sync.WaitGroup
+	for w := range p.writers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for lo, hi := w*share, min((w+1)*share, p.postN); lo < hi; lo += unit {
+				first, n := uint64(postBase+lo), min(unit, hi-lo)
+				for _, update := range []bool{false, true} {
+					if errs[w] = guard(func() error { return load(t, p.path, first, n, update, hooks{}) }); errs[w] != nil {
+						return
+					}
+					if p.writers == 1 {
+						r.OpViolations += t.violations()
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if p.writers > 1 {
+		r.OpViolations += t.violations()
+	}
+	return errors.Join(errs...)
 }

@@ -66,7 +66,7 @@ func TestLossyMatrix(t *testing.T) {
 					fired := map[string]bool{}
 					for _, s := range rep.Sites {
 						fired[s.Site] = s.Fired
-						if !s.pass() {
+						if !s.Pass() {
 							t.Errorf("site %s: %v lostAcks=%d recoveryViol=%d opViol=%d detail=%s cycle=[%v]",
 								s.Site, s.Outcome, s.LostAcks, s.RecoveryViolations, s.OpViolations, s.Detail, s.Cycle)
 						}
@@ -107,6 +107,25 @@ func TestSiteCampaignFiresEverySite(t *testing.T) {
 				}
 				checkSwept(t, fired, extraSites(p.path))
 			})
+		}
+	}
+}
+
+// TestSiteCampaignCCEHSplits: a load of 5,000 takes CCEH through
+// segment splits (2,000 inserts do not reach the first), and 2,000
+// post-crash inserts split the segment a crash at cceh.split.repointed
+// left half split. Every acknowledged write survives under every
+// image.
+func TestSiteCampaignCCEHSplits(t *testing.T) {
+	for _, policy := range pmem.Policies {
+		rep := SiteCampaign("CCEH", ByName("CCEH", keys.RandInt), syncPath, policy, 42, 5000, 2000, 0)
+		fired := map[string]bool{}
+		for _, s := range rep.Sites {
+			fired[s.Site] = s.Fired
+		}
+		checkSwept(t, fired, []string{"cceh.split.repointed"})
+		if !rep.Pass() {
+			t.Errorf("%v: %s", policy, rep)
 		}
 	}
 }

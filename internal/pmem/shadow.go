@@ -378,18 +378,24 @@ func decide(dirty bool, policy Policy, rng *rand.Rand) (lose bool) {
 // registrations) according to policy. The torn coin flips are driven by seed alone, so a cycle is
 // deterministic for a fixed seed and operation history. It must not be
 // called concurrently with index operations; the caller runs the
-// index's Recover afterwards, exactly as a restart would.
+// index's Recover afterwards, exactly as a restart would. PolicyIntact
+// keeps every store, so on a Track heap without Shadow the cycle only
+// resets the tracker; the lossy policies need Shadow.
 func (h *Heap) PowerCycle(policy Policy, seed int64) CycleReport {
-	if h.shadow == nil {
-		panic("pmem: PowerCycle requires a heap with Options.Shadow")
-	}
 	// A power loss ends any fence group mid-batch: the group's unfenced
 	// lines are already in the tracker's pending/dirty sets and get
 	// classified below; the mode itself does not survive the restart.
 	h.AbortFenceGroup()
-	s := h.shadow
-	rng := rand.New(rand.NewSource(seed))
 	rep := CycleReport{Policy: policy, Seed: seed}
+	s := h.shadow
+	if s == nil {
+		if policy != PolicyIntact {
+			panic("pmem: a lossy PowerCycle requires a heap with Options.Shadow")
+		}
+		h.tracker.Reset()
+		return rep
+	}
+	rng := rand.New(rand.NewSource(seed))
 	// Only the crashed operation's working set is still non-durable, so
 	// the cycle costs in proportion to the damage, not to the heap size.
 	lines := h.tracker.snapshot()

@@ -253,6 +253,28 @@ func TestPowerCycleResetsTracker(t *testing.T) {
 	}
 }
 
+// The intact image loses nothing, so a Track heap without Shadow may
+// cycle under it: the stores stay, the tracker restarts clean. The
+// lossy images need the shadow registry and refuse to run without it.
+func TestPowerCycleIntactWithoutShadow(t *testing.T) {
+	h := New(Options{Track: true})
+	defer h.Release()
+	n := &node{}
+	o := h.Alloc(24)
+	n.a = 1
+	h.Dirty(o, 0, 8)
+	h.PowerCycle(PolicyIntact, 1)
+	if v := h.Tracker().Check(); len(v) != 0 || n.a != 1 {
+		t.Fatalf("after an intact cycle: violations %v, a = %d", v, n.a)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a revert cycle without Shadow did not panic")
+		}
+	}()
+	h.PowerCycle(PolicyRevert, 1)
+}
+
 // Release must clear tracker and shadow state — nothing stale
 // (dirty/pending lines, shadow images pinning index nodes) outlives the
 // heap's use — detach the allocator, and be idempotent.

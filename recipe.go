@@ -196,9 +196,9 @@ func ShardedHashTarget(m *ShardedHash) *Target { return harness.ShardedHash(m) }
 
 // IndexByName returns a constructor building the named index — any of
 // OrderedNames, HashNames or "WOART"; kind is ignored by hash tables —
-// on a fresh heap, the shape the crash campaigns take. The constructor
-// panics on an unknown name.
-func IndexByName(name string, kind KeyKind) func(*Heap) *Target {
+// on a fresh heap made with the options it is given, the shape the
+// crash campaigns take. The constructor panics on an unknown name.
+func IndexByName(name string, kind KeyKind) harness.Build {
 	return harness.ByName(name, kind)
 }
 
@@ -229,29 +229,16 @@ func RunWorkload(name string, t *Target, path WritePath, w Workload, loadN, opN,
 	return harness.Run(name, t, path, w, loadN, opN, threads, seed, true)
 }
 
-// CrashCampaign runs the §5/§7.5 crash-recovery methodology: states
-// probabilistic crash states during a loadN-entry load, recovery, a
-// mixedN-operation concurrent phase, and a full readback. The report's
-// Pass is true when no committed key was lost.
-func CrashCampaign(name string, build func(*Heap) *Target, states, loadN, mixedN, threads int) harness.CrashReport {
-	return harness.CrashCampaign(name, build, states, loadN, mixedN, threads)
-}
-
-// Durability verifies that index creation and each of n inserts leave
-// every dirtied line flushed and fenced at the operation boundary (§5).
-func Durability(name string, build func(*Heap) *Target, n int) harness.DurabilityReport {
-	return harness.Durability(name, build, n)
-}
-
 // SiteCampaign crashes the index once at every crash site a
 // loadN-insert load through path passes through, restarts it from the
 // policy's image (pmem.PolicyIntact loses nothing; the others lose what
 // never reached a clwb+fence), and verifies that recovery plus postN
-// post-crash inserts lose no acknowledged write and leave every dirtied
-// line flushed and fenced at each acknowledged boundary. Trials are
+// post-crash inserts and their in-place rewrites lose no acknowledged
+// write and leave every dirtied line flushed and fenced at each
+// acknowledged boundary. Trials are
 // independent heaps and fan out over `workers` goroutines (< 1 =
 // GOMAXPROCS); the report is identical for any worker count.
-func SiteCampaign(name string, build func(*Heap) *Target, path WritePath, policy pmem.Policy, seed int64, loadN, postN, workers int) harness.CampaignReport {
+func SiteCampaign(name string, build harness.Build, path WritePath, policy pmem.Policy, seed int64, loadN, postN, workers int) harness.CampaignReport {
 	return harness.SiteCampaign(name, build, path, policy, seed, loadN, postN, workers)
 }
 

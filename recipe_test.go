@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	recipe "repro"
+	"repro/internal/harness"
 	"repro/internal/keys"
 	"repro/internal/pmem"
 	"repro/internal/ycsb"
@@ -70,11 +71,11 @@ func TestAllIndexesThroughPublicAPI(t *testing.T) {
 func TestCrashRecoveryAllRecipeIndexes(t *testing.T) {
 	for _, name := range []string{"P-ART", "P-HOT", "P-BwTree", "P-Masstree", "P-CLHT"} {
 		t.Run(name, func(t *testing.T) {
-			rep := recipe.CrashCampaign(name, recipe.IndexByName(name, recipe.RandInt), 25, 2000, 2000, 4)
+			rep := harness.CrashCampaign(name, recipe.IndexByName(name, recipe.RandInt), 25, 2000, 2000, 4)
 			if !rep.Pass() {
 				t.Fatalf("crash campaign failed: %s", rep)
 			}
-			if rep.Crashed == 0 {
+			if rep.Fired() == 0 {
 				t.Fatal("campaign never crashed; vacuous")
 			}
 		})
@@ -85,7 +86,7 @@ func TestCrashRecoveryAllRecipeIndexes(t *testing.T) {
 // inserts and updates for all conversions and the four PM baselines.
 func TestDurabilityAllRecipeIndexes(t *testing.T) {
 	for _, name := range append(append(recipe.OrderedNames(), "WOART"), recipe.HashNames()...) {
-		rep := recipe.Durability(name, recipe.IndexByName(name, recipe.YCSBString), 800)
+		rep := harness.Durability(name, recipe.IndexByName(name, recipe.YCSBString), 800)
 		if !rep.Pass() {
 			t.Fatalf("durability failed: %s", rep)
 		}
