@@ -198,7 +198,7 @@ func crash(r *rows, c config) {
 	}
 	fmt.Fprintf(r.out, "\nSharded front-end, %d shards (crash in shard k must replay only shard k):\n", c.shards)
 	for _, name := range []string{"P-ART", "P-Masstree"} {
-		r.mustPass(harness.CrashCampaign(name, harness.Sharded(name, keys.RandInt, c.shards), c.states, c.ops, c.postOps, c.threads))
+		r.mustPass(harness.CrashCampaign(name, harness.Sharded(name, keys.RandInt, c.shards, nil), c.states, c.ops, c.postOps, c.threads))
 	}
 }
 

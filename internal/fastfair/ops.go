@@ -257,9 +257,31 @@ func (t *Tree) insert(key []byte, stored uint64, vr *vref) {
 
 // find returns locked node n's record count (up to the nil sentinel), the
 // slot of its first key at or above key, and whether that key is key.
+// One record in two adjacent slots of a leaf is a shift a crash or a
+// restart image left part-way (a live shift holds the lock), and find
+// removes the left slot first: a split or an insert landing between the
+// two would otherwise commit it, a key holding its neighbour's record.
 func (t *Tree) find(n *node, key []byte) (cnt, pos int, found bool) {
-	for cnt < Cardinality && (n.leaf && n.vals[cnt].Load() != nil || !n.leaf && n.kids[cnt].Load() != nil) {
-		cnt++
+	if n.leaf {
+		dup := false
+		for prev := (*vref)(nil); cnt < Cardinality; cnt++ {
+			v := n.vals[cnt].Load()
+			if v == nil {
+				break
+			}
+			dup = dup || v == prev
+			prev = v
+		}
+		for i := cnt - 2; dup && i >= 0; i-- {
+			if n.vals[i].Load() == n.vals[i+1].Load() {
+				t.shiftOut(n, i, cnt)
+				cnt--
+			}
+		}
+	} else {
+		for cnt < Cardinality && n.kids[cnt].Load() != nil {
+			cnt++
+		}
 	}
 	for pos = 0; pos < cnt; pos++ {
 		if c := t.cmpProbe(key, n.keys[pos].Load()); c <= 0 {
@@ -501,6 +523,15 @@ func (t *Tree) Delete(key []byte) (deleted bool, err error) {
 	if !found {
 		return false, nil
 	}
+	t.shiftOut(n, pos, cnt)
+	t.heap.CrashPoint("ff.delete.commit")
+	t.count.Add(-1)
+	return true, nil
+}
+
+// shiftOut removes slot pos of locked leaf n, which holds cnt records, by
+// shifting the slots above it left.
+func (t *Tree) shiftOut(n *node, pos, cnt int) {
 	f := flusher{t: t, n: n}
 	for i := pos; i < cnt-1; i++ {
 		// Pointer first: the moment vals[i] equals vals[i+1] the left
@@ -513,7 +544,4 @@ func (t *Tree) Delete(key []byte) (deleted bool, err error) {
 	n.vals[cnt-1].Store(nil)
 	f.store(recOff(cnt-1) + 8)
 	f.flush()
-	t.heap.CrashPoint("ff.delete.commit")
-	t.count.Add(-1)
-	return true, nil
 }

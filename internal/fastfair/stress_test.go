@@ -81,13 +81,13 @@ func TestConcurrentLoadLosesNothing(t *testing.T) {
 // TestSplitAfterCrashedShiftLosesNothing: a crash between a FAST shift
 // and its commit leaves a transient duplicate — the uncommitted key in
 // slot p, its right neighbour's record in slots p and p+1. A split that
-// lands between the two slots leaves the record at the left node's
-// high end and at its sibling's first slot. When inserts later shift it
-// to the left node's middle slot again, the record pointer alone made
-// the next split look like one a crash had interrupted after linking its
-// sibling, and "completing" it truncated the thirteen keys above the
-// middle out of the tree. An interrupted split's sibling is a copy of
-// the middle slot, key and record, so the check compares both.
+// landed between the two slots once left the record at the left node's
+// high end and at its sibling's first slot; when inserts shifted it to
+// the left node's middle slot again, the next split looked like one a
+// crash had interrupted after linking its sibling, and "completing" it
+// truncated the thirteen keys above the middle out of the tree. The
+// writer that locks the leaf now removes the duplicate before any split;
+// the same inserts must still lose nothing.
 func TestSplitAfterCrashedShiftLosesNothing(t *testing.T) {
 	heap := pmem.NewFast()
 	tr := New(heap, keys.RandInt)
@@ -121,6 +121,70 @@ func TestSplitAfterCrashedShiftLosesNothing(t *testing.T) {
 	for k := range want {
 		if v, ok := tr.Lookup(k64(k)); !ok || v != k {
 			t.Fatalf("Lookup(%d) = %d, %v after the second split", k, v, ok)
+		}
+	}
+}
+
+// TestCrashedShiftLeavesNoPhantom: the same crash leaves 135 in slot 13
+// holding 1000's record, a transient duplicate readers drop. A split
+// between slots 13 and 14 would separate the two and commit 135 with its
+// neighbour's value, so the first writer to lock the leaf removes the
+// duplicate with Delete's shift, and 135 stays absent.
+func TestCrashedShiftLeavesNoPhantom(t *testing.T) {
+	heap := pmem.NewFast()
+	tr := New(heap, keys.RandInt)
+	for k := uint64(10); k <= 130; k += 10 {
+		mustInsert(t, tr, k64(k), k) // slots 0-12
+	}
+	mustInsert(t, tr, k64(1000), 1000) // slot 13
+	heap.SetInjector(crash.NewAtSite("ff.insert.shifted", 1))
+	if err := tr.Insert(k64(135), 135); !crash.IsCrash(err) {
+		t.Fatalf("insert of 135 did not crash after its shift: %v", err)
+	}
+	heap.SetInjector(nil)
+	tr.Recover()
+	for k := uint64(2000); k < 2013; k++ {
+		mustInsert(t, tr, k64(k), k)
+	}
+	mustInsert(t, tr, k64(3000), 3000) // split between slots 13 and 14
+	if v, ok := tr.Lookup(k64(135)); ok {
+		t.Fatalf("Lookup(135) = %d after the split; the unacknowledged insert became a phantom", v)
+	}
+	for _, k := range []uint64{130, 1000, 2012, 3000} {
+		if v, ok := tr.Lookup(k64(k)); !ok || v != k {
+			t.Fatalf("Lookup(%d) = %d, %v", k, v, ok)
+		}
+	}
+}
+
+// TestRestartedShiftDuplicateRemoved: a restart image can keep a shift
+// part-way — here slot 4's record moved to slot 5, then slot 3's key
+// copied into slot 4 before its record — so slot 4 pairs 40 with 50's
+// record, a duplicate readers drop. An insert landing between slots 4
+// and 5 would separate the two and leave 40 in two slots under two
+// records, and 40's delete would then uncover 50's record under 40. The
+// writer that locks the leaf removes the duplicate first.
+func TestRestartedShiftDuplicateRemoved(t *testing.T) {
+	heap := pmem.NewFast()
+	tr := New(heap, keys.RandInt)
+	for k := uint64(10); k <= 50; k += 10 {
+		mustInsert(t, tr, k64(k), k) // slots 0-4
+	}
+	n := tr.leftmostLeaf()
+	n.keys[5].Store(n.keys[4].Load())
+	n.vals[5].Store(n.vals[4].Load())
+	n.keys[4].Store(n.keys[3].Load())
+	tr.Recover()
+	mustInsert(t, tr, k64(45), 45)
+	if ok, err := tr.Delete(k64(40)); !ok || err != nil {
+		t.Fatalf("Delete(40) = %v, %v", ok, err)
+	}
+	if v, ok := tr.Lookup(k64(40)); ok {
+		t.Fatalf("Lookup(40) = %d after its delete", v)
+	}
+	for _, k := range []uint64{10, 20, 30, 45, 50} {
+		if v, ok := tr.Lookup(k64(k)); !ok || v != k {
+			t.Fatalf("Lookup(%d) = %d, %v", k, v, ok)
 		}
 	}
 }

@@ -397,7 +397,7 @@ func TestCrashCampaignPasses(t *testing.T) {
 // TestCrashCampaignShardedPasses: the per-shard campaign must lose no
 // keys, arm the shards in rotation and never replay a healthy shard.
 func TestCrashCampaignShardedPasses(t *testing.T) {
-	rep := CrashCampaign("P-ART", Sharded("P-ART", keys.RandInt, 4), 12, 4000, 2000, 4)
+	rep := CrashCampaign("P-ART", Sharded("P-ART", keys.RandInt, 4, nil), 12, 4000, 2000, 4)
 	if !rep.Pass() {
 		t.Fatalf("sharded campaign failed: %s", rep)
 	}

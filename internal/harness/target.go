@@ -7,6 +7,10 @@
 package harness
 
 import (
+	"bytes"
+	"encoding/binary"
+	"slices"
+
 	"repro/internal/cceh"
 	"repro/internal/commit"
 	"repro/internal/core"
@@ -21,7 +25,7 @@ import (
 // Target is one index addressed by dense identifier: a converted index
 // on its own heap (Ordered, Hash — what the crash trials build) or a
 // sharded front-end (ShardedOrdered, ShardedHash — what the throughput
-// cells run on; Sharded builds one as a crash-trial target).
+// cells run on; Sharded builds either as a crash-trial target).
 type Target struct {
 	kind    keys.Kind
 	stats   StatsSource
@@ -33,6 +37,12 @@ type Target struct {
 	// a single heap).
 	heaps   []*pmem.Heap
 	recover func() (replays []uint64, err error)
+	// mergedScan is set on Sharded ordered targets: it counts the merged
+	// scan's entries, -1 if they are not strictly ascending. migrate is
+	// set on ReshardCampaign's: the migration a trial runs beside its
+	// load, which moves nothing once a published flip has moved its keys.
+	mergedScan func() int
+	migrate    func() error
 
 	// session returns one worker's direct view of the index, with its
 	// own reusable key buffer.
@@ -181,10 +191,15 @@ func (t *Target) on(heap *pmem.Heap, recover func() error) *Target {
 	return t
 }
 
-// violations counts the lines t's heaps hold dirty or unfenced.
+// violations counts the lines t's heaps hold dirty or unfenced at a
+// boundary, resetting a dirty tracker so one violation is not recounted
+// at every later boundary.
 func (t *Target) violations() (n int) {
 	for _, h := range t.heaps {
-		n += violations(h)
+		if v := len(h.Tracker().Check()); v != 0 {
+			h.Tracker().Reset()
+			n += v
+		}
 	}
 	return n
 }
@@ -251,24 +266,94 @@ func ByName(name string, kind keys.Kind) Build {
 	}
 }
 
-// Sharded returns the Build of the named ordered index's sharded
-// front-end, shards wide. It restarts through RecoverCrashed, which
-// must replay the crashed shard alone.
-func Sharded(name string, kind keys.Kind, shards int) Build {
-	return func(o pmem.Options) *Target {
-		m, err := shard.NewOrdered(name, kind, shard.Options{Shards: shards, Heap: o})
+// Sharded returns the Build of the named index's sharded front-end,
+// shards wide: an ordered index routed by part (nil selects hash
+// routing), or a hash table (kind and part are ignored). It restarts
+// through RecoverCrashed, which must replay the crashed shard alone.
+func Sharded(name string, kind keys.Kind, shards int, part shard.Partitioner) Build {
+	return func(o pmem.Options) *Target { t, _ := sharded(name, kind, shards, part, o); return t }
+}
+
+// slotMover is the slot migration both sharded front-ends offer.
+type slotMover interface {
+	SlotsOf(shard int) []int
+	MigrateSlots(donor, recipient int, slots []int, batchSize int) error
+}
+
+// sharded builds Sharded's target on heaps made with o, and returns its
+// front-end too.
+func sharded(name string, kind keys.Kind, shards int, part shard.Partitioner, o pmem.Options) (*Target, slotMover) {
+	opts := shard.Options{Shards: shards, Heap: o, Partitioner: part}
+	if slices.Contains(core.HashNames, name) {
+		m, err := shard.NewHash(name, opts)
 		if err != nil {
 			panic(err)
 		}
-		t := ShardedOrdered(m, kind)
-		for i := range m.NumShards() {
-			t.heaps = append(t.heaps, m.Heap(i))
+		return ShardedHash(m).onShards(m.NumShards(), m.Heap, m.RecoverCrashed, m.Recoveries), m
+	}
+	m, err := shard.NewOrdered(name, kind, opts)
+	if err != nil {
+		panic(err)
+	}
+	t := ShardedOrdered(m, kind).onShards(m.NumShards(), m.Heap, m.RecoverCrashed, m.Recoveries)
+	t.mergedScan = func() int {
+		n := 0
+		var prev []byte
+		m.Scan(nil, 0, func(k []byte, _ uint64) bool {
+			if n > 0 && bytes.Compare(prev, k) >= 0 {
+				n = -1
+				return false
+			}
+			prev = append(prev[:0], k...)
+			n++
+			return true
+		})
+		return n
+	}
+	return t, m
+}
+
+// onShards marks t as living on a sharded front-end's heaps, restarting
+// through recoverCrashed and reporting the per-shard replay counts.
+func (t *Target) onShards(n int, heap func(int) *pmem.Heap, recoverCrashed func() ([]int, error), replays func() []uint64) *Target {
+	for i := range n {
+		t.heaps = append(t.heaps, heap(i))
+	}
+	t.recover = func() ([]uint64, error) {
+		_, err := recoverCrashed()
+		return replays(), err
+	}
+	return t
+}
+
+// The migration ReshardCampaign crashes: shard 0 hands a slice of its
+// keys to shard 1, copying them in batches of reshardBatch so writers
+// get into the handoff window between batches.
+const donorShard, recipientShard, reshardBatch = 0, 1, 8
+
+// migration returns m's move: the first half of shard 0's slots at
+// build time, or on a range-partitioned ordered front-end (ranged, one
+// span per shard of `shards`) the upper half of shard 0's span, to
+// shard 1 — or nothing, once a published flip has moved them (a flip
+// moves its whole window at once).
+func migration(m slotMover, ranged bool, shards int) func() error {
+	if o, ok := m.(*shard.Ordered); ok && ranged {
+		width := ^uint64(0)/uint64(shards) + 1
+		lo := binary.BigEndian.AppendUint64(nil, width/2)
+		return func() error {
+			if o.Route(lo) != donorShard {
+				return nil
+			}
+			return o.MigrateRange(donorShard, recipientShard, width/2, width-1, reshardBatch)
 		}
-		t.recover = func() ([]uint64, error) {
-			_, err := m.RecoverCrashed()
-			return m.Recoveries(), err
+	}
+	slots := m.SlotsOf(donorShard)
+	slots = slots[:len(slots)/2]
+	return func() error {
+		if !slices.Contains(m.SlotsOf(donorShard), slots[0]) {
+			return nil
 		}
-		return t
+		return m.MigrateSlots(donorShard, recipientShard, slots, reshardBatch)
 	}
 }
 

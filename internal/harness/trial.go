@@ -8,7 +8,13 @@
 //  1. Build the target on fresh heaps (Shadow for the lossy images,
 //     Track otherwise), arm the crash on one of them, and load
 //     identifiers [0, loadN) through one generation of the path,
-//     modelling which writes it acknowledged and which it failed.
+//     modelling which writes it acknowledged and which it failed. A
+//     target's migration is a second actor: it starts once half the ids
+//     are loaded and the crash is armed where the migration passes, so
+//     the writers loading the rest write through the handoff window,
+//     applying each write to a moving key on donor and recipient. Once
+//     the crash fires the crashed shard is down — a write reaching it
+//     fails unacknowledged — and the writers stop.
 //  2. Power-cycle the crashed heap under the policy (Heap.PowerCycle).
 //     PolicyIntact is the §5 image: every store stays visible, so a
 //     missing persist can only show as a tracker violation. The lossy
@@ -18,13 +24,17 @@
 //     trial with no crash armed skips steps 2 and 3 and counts what
 //     construction and the load left instead.
 //  4. Read back every acknowledged id exactly, and every unacknowledged
-//     one exact-or-absent.
+//     one exact-or-absent. A sharded ordered target's merged scan must
+//     be strictly ascending — migration residue is never counted twice —
+//     and hold every acknowledged id and at most every unacknowledged
+//     one besides.
 //  5. The post phase: postN fresh inserts, each ack unit then rewritten
 //     in place with UpdateBit set, through fresh generations, counting
 //     the lines left dirty or unfenced at every settled boundary: the
 //     repair paths' flush coverage. Concurrent post-phase workers
-//     overlap their boundaries, so theirs is counted once they join.
-//  6. Re-read everything acknowledged, the rewritten values included.
+//     overlap their boundaries, so theirs is counted once they join. A
+//     migration the crash aborted then runs again, to completion.
+//  6. Repeat step 4's checks, the rewritten values included.
 //
 // Outcomes per trial: CLEAN — every check passed; PARTIAL — an
 // unacknowledged write vanished (acceptable under any failure model,
@@ -34,7 +44,10 @@
 // panics or errors, or readback returns values never written.
 //
 // Loads run single-threaded (shadow capture is a single-writer testing
-// mode, and so is a fence group). Trials are independent heaps fanned
+// mode, and so is a fence group), except beside a migration: there the
+// crash fires only in the migration, so the protocol's writers load
+// through the Sync path concurrently — more than one only on the intact
+// image, which captures nothing. Trials are independent heaps fanned
 // out over a worker pool and collected in order, and every torn coin
 // flip derives from the campaign seed and the trial's name, so a report
 // with one post-phase worker is identical for any pool size.
@@ -60,13 +73,13 @@ const postBase = 1_000_000
 // load drives identifiers [lo, lo+n) through one fresh generation of
 // path and settles it: inserts storing the identifier, or in-place
 // rewrites storing it with UpdateBit set. It stops at the first
-// failure — nothing runs on a dead machine — leaving whatever a queued
-// path still holds unaccepted.
-func load(t *Target, path WritePath, lo uint64, n int, update bool, h hooks) error {
+// failure, or once halt has fired (nil never does) — nothing runs on a
+// dead machine — leaving whatever a queued path still holds unaccepted.
+func load(t *Target, path WritePath, lo uint64, n int, update bool, h hooks, halt *crash.Injector) error {
 	g := path.open(t, h)
 	defer g.end()
 	w := g.writer(t.session())
-	for id := lo; id < lo+uint64(n); id++ {
+	for id := lo; id < lo+uint64(n) && !halt.Fired(); id++ {
 		v := id
 		if update {
 			v |= UpdateBit
@@ -97,17 +110,6 @@ func forEachTrial(n, workers int, body func(i int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// violations counts the lines the heap's tracker holds dirty or
-// unfenced at a boundary, resetting a dirty tracker so one violation is
-// not recounted at every later boundary.
-func violations(heap *pmem.Heap) int {
-	v := len(heap.Tracker().Check())
-	if v != 0 {
-		heap.Tracker().Reset()
-	}
-	return v
 }
 
 // LossyOutcome classifies one crash trial, ordered by severity.
@@ -183,6 +185,45 @@ func (v *Verdict) readback(phase string, lookup func(uint64) (uint64, bool), ack
 	return err == nil
 }
 
+// inflight checks the unacknowledged ids. Each may have completed (its
+// commit store made it out, or — at commit.ack.fenced — its whole batch
+// was durable and only the ack was lost) or vanished, but never with a
+// wrong value: each op's commit store is individually atomic. It reports
+// false if the index panicked under the lookups.
+func (v *Verdict) inflight(phase string, lookup func(uint64) (uint64, bool), unacked []uint64) bool {
+	err := guard(func() error {
+		for _, id := range unacked {
+			if got, ok := lookup(id); !ok {
+				v.fail(OutcomePartial, "")
+			} else if got != id {
+				v.fail(OutcomeCorrupt, fmt.Sprintf("%s: id %d read back %d", phase, id, got))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		v.fail(OutcomeCorrupt, fmt.Sprintf("%s lookup %v", phase, err))
+	}
+	return err == nil
+}
+
+// scanned checks a sharded ordered target's merged scan: strictly
+// ascending, with at least every acknowledged id and at most every
+// unacknowledged one besides. A target without one passes.
+func (v *Verdict) scanned(phase string, t *Target, acked, unacked int) bool {
+	if t.mergedScan == nil {
+		return true
+	}
+	n := -1
+	err := guard(func() error { n = t.mergedScan(); return nil })
+	if err != nil || n < acked || n > acked+unacked {
+		v.fail(OutcomeCorrupt, fmt.Sprintf("%s: merged scan of %d (-1: not strictly ascending; err %v), want %d to %d",
+			phase, n, err, acked, acked+unacked))
+		return false
+	}
+	return true
+}
+
 // SiteReport is one crash trial's row: a crash site or a crash state of
 // a campaign, the no-crash trial of the §5 test, or a (site, host
 // shard) pair of a reshard campaign.
@@ -212,20 +253,22 @@ type SiteReport struct {
 	// Cycle is the power cycle's damage report.
 	Cycle pmem.CycleReport
 	// Host is the shard whose heap the crash was armed on, and Replays
-	// the per-shard recovery replay counts afterwards (nil on a single
-	// heap), which must be zero everywhere but Host.
+	// the per-shard recovery replay counts after the restart (nil on a
+	// single heap), which must be zero everywhere but Host, and not zero
+	// on Host.
 	Host    int
 	Replays []uint64
 }
 
 // Pass reports whether the trial found nothing: no lost or corrupt
-// data, no flush-coverage violation, no replay of a healthy shard.
+// data, no flush-coverage violation, no replay of a healthy shard and
+// no crashed shard left unreplayed.
 func (s SiteReport) Pass() bool {
 	if s.Outcome >= OutcomeLostAck || s.RecoveryViolations != 0 || s.OpViolations != 0 {
 		return false
 	}
 	for i, c := range s.Replays {
-		if c != 0 && !(i == s.Host && s.Fired) {
+		if (c != 0) != (i == s.Host) {
 			return false
 		}
 	}
@@ -304,7 +347,8 @@ type protocol struct {
 	policy pmem.Policy
 	// loadN ids load before the restart; postN ids are inserted and
 	// rewritten after it, on `writers` concurrent workers (> 1 only on
-	// the Sync path: a fence group is single-writer).
+	// the Sync path: a fence group is single-writer). Beside a target's
+	// migration the load runs on `writers` workers too.
 	loadN, postN, writers int
 }
 
@@ -322,7 +366,10 @@ func (p protocol) trial(site string, inj *crash.Injector, host int, seed int64) 
 	// (Batched), every error-resolved future (Async).
 	var acked, unacked []uint64
 	var pending error
+	var mu sync.Mutex // concurrent writers beside a migration
 	model := hooks{resolved: func(id uint64, err error) {
+		mu.Lock()
+		defer mu.Unlock()
 		switch {
 		case err == nil:
 			acked = append(acked, id)
@@ -333,17 +380,25 @@ func (p protocol) trial(site string, inj *crash.Injector, host int, seed int64) 
 		}
 	}}
 	heap.SetInjector(inj)
-	_ = load(t, p.path, 0, p.loadN, false, model) // a crash is the expected failure; the model resolves the rest
+	merr := p.loadArmed(t, inj, model)
 	// The injector — not an error return — says whether the crash fired:
-	// on the Async path it happens on the committer's goroutine.
+	// on the Async path it happens on the committer's goroutine, beside a
+	// migration on the migration's.
 	if r.Fired = inj == nil || inj.Fired(); !r.Fired {
 		heap.SetInjector(nil)
+		if merr != nil {
+			r.fail(OutcomeCorrupt, fmt.Sprintf("migration failed without a crash: %v", merr))
+		}
 		return r
 	}
 	if pending != nil {
 		// The path's own settle contract broke — as severe as a corrupt
 		// image, and there is no model to verify one against.
 		r.fail(OutcomeCorrupt, pending.Error())
+		return r
+	}
+	if t.migrate != nil && merr == nil {
+		r.fail(OutcomeCorrupt, "migration acknowledged success despite the crash")
 		return r
 	}
 
@@ -358,24 +413,8 @@ func (p protocol) trial(site string, inj *crash.Injector, host int, seed int64) 
 	}
 	r.RecoveryViolations = t.violations()
 	s := t.session()
-	if !r.readback("readback", s.lookup, acked, 0) {
-		return r
-	}
-	// An unacknowledged write may have completed (its commit store made
-	// it out, or — at commit.ack.fenced — its whole batch was durable
-	// and only the ack was lost) or vanished, but never with a wrong
-	// value: each op's commit store is individually atomic.
-	if err := guard(func() error {
-		for _, id := range unacked {
-			if v, ok := s.lookup(id); !ok {
-				r.fail(OutcomePartial, "")
-			} else if v != id {
-				r.fail(OutcomeCorrupt, fmt.Sprintf("in-flight id %d read back %d", id, v))
-			}
-		}
-		return nil
-	}); err != nil {
-		r.fail(OutcomeCorrupt, fmt.Sprintf("in-flight lookup %v", err))
+	if !r.readback("readback", s.lookup, acked, 0) || !r.inflight("in-flight", s.lookup, unacked) ||
+		!r.scanned("readback", t, len(acked), len(unacked)) {
 		return r
 	}
 
@@ -389,9 +428,8 @@ func (p protocol) trial(site string, inj *crash.Injector, host int, seed int64) 
 	for i := range posted {
 		posted[i] = uint64(postBase + i)
 	}
-	if r.readback("post-ops readback", s.lookup, acked, 0) {
-		r.readback("post-ops readback", s.lookup, posted, UpdateBit)
-	}
+	_ = r.readback("post-ops readback", s.lookup, acked, 0) && r.readback("post-ops readback", s.lookup, posted, UpdateBit) &&
+		r.inflight("post-ops in-flight", s.lookup, unacked) && r.scanned("post-ops readback", t, len(acked)+p.postN, len(unacked))
 	for _, h := range t.heaps {
 		r.DryFences += h.Tracker().DryFences()
 		r.CleanWriteBacks += h.Tracker().CleanWriteBacks()
@@ -400,35 +438,77 @@ func (p protocol) trial(site string, inj *crash.Injector, host int, seed int64) 
 }
 
 // post runs the post phase: the recovered target must accept and keep
-// new writes and in-place rewrites. Each worker takes a contiguous
-// share of the ids and opens one fresh generation per ack unit (the
-// load's died with the crash), so with one worker every coverage check
-// sits at a settled — on the Async path, quiesced — boundary.
+// new writes and in-place rewrites, and the target's migration, if it
+// has one, must then run to completion. Each worker takes a contiguous share of
+// the ids and opens one fresh generation per ack unit (the load's died
+// with the crash), so with one worker every coverage check sits at a
+// settled — on the Async path, quiesced — boundary.
 func (p protocol) post(t *Target, r *SiteReport) error {
 	unit := p.path.unit()
-	share := (p.postN + p.writers - 1) / p.writers
+	err := p.fan(p.postN, func(lo, hi int) error {
+		for ; lo < hi; lo += unit {
+			first, n := uint64(postBase+lo), min(unit, hi-lo)
+			for _, update := range []bool{false, true} {
+				if err := guard(func() error { return load(t, p.path, first, n, update, hooks{}, nil) }); err != nil {
+					return err
+				}
+				if p.writers == 1 {
+					r.OpViolations += t.violations()
+				}
+			}
+		}
+		return nil
+	})
+	if err == nil && t.migrate != nil {
+		// An aborted migration runs again to completion; a published
+		// flip stands, and the retry has nothing left to move.
+		if err = guard(t.migrate); err != nil {
+			err = fmt.Errorf("retried migration: %w", err)
+		}
+	}
+	if p.writers > 1 || t.migrate != nil {
+		r.OpViolations += t.violations()
+	}
+	return err
+}
+
+// loadArmed is step 1: ids [0, loadN) into the armed crash inj,
+// resolved through model. Beside a target's migration it loads half of
+// them on the protocol's writers, then the rest while the migration
+// runs, and returns the migration's error.
+func (p protocol) loadArmed(t *Target, inj *crash.Injector, model hooks) (merr error) {
+	if t.migrate == nil {
+		_ = load(t, p.path, 0, p.loadN, false, model, nil) // a crash is the expected failure; the model resolves the rest
+		return nil
+	}
+	writers := func(base, n int) {
+		_ = p.fan(n, func(lo, hi int) error { return load(t, p.path, uint64(base+lo), hi-lo, false, model, inj) })
+	}
+	half := p.loadN / 2
+	writers(0, half)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		merr = guard(t.migrate)
+	}()
+	writers(half, p.loadN-half)
+	<-done
+	return merr
+}
+
+// fan splits [0, n) into one contiguous share per writer and runs body
+// on each share concurrently, joining the errors.
+func (p protocol) fan(n int, body func(lo, hi int) error) error {
+	share := (n + p.writers - 1) / p.writers
 	errs := make([]error, p.writers)
 	var wg sync.WaitGroup
 	for w := range p.writers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for lo, hi := w*share, min((w+1)*share, p.postN); lo < hi; lo += unit {
-				first, n := uint64(postBase+lo), min(unit, hi-lo)
-				for _, update := range []bool{false, true} {
-					if errs[w] = guard(func() error { return load(t, p.path, first, n, update, hooks{}) }); errs[w] != nil {
-						return
-					}
-					if p.writers == 1 {
-						r.OpViolations += t.violations()
-					}
-				}
-			}
+			errs[w] = body(min(w*share, n), min((w+1)*share, n))
 		}()
 	}
 	wg.Wait()
-	if p.writers > 1 {
-		r.OpViolations += t.violations()
-	}
 	return errors.Join(errs...)
 }

@@ -121,11 +121,15 @@ func partition(n, shards int, route func(i int) int) []subBatch {
 
 // commitShard applies ops to shard s as one group commit, holding the
 // exclusive side of the shard's group-commit lock (see batchMu) for its
-// duration. The caller has checked the shard is serving.
+// duration. The caller has checked the shard is serving; a shard that
+// is down (shardOf.down) rejects the whole batch.
 func (f *frontend[K]) commitShard(s int, ops []group.Op[K], obs group.Observer) error {
 	f.batchMu[s].Lock()
 	defer f.batchMu[s].Unlock()
 	sh := &f.shards[s]
+	if err := sh.down(); err != nil {
+		return err
+	}
 	return group.Apply(sh.heap, sh.idx, ops, obs)
 }
 

@@ -427,6 +427,64 @@ func TestMigrateCrashAtCopyAborts(t *testing.T) {
 	checkOrderedContent(t, m, gen, want)
 }
 
+// TestCrashedRecipientIsDown: once a copy batch crashes on the recipient,
+// the recipient is down until it restarts. A write routed to it fails as
+// the crash without touching the index, so no fence of its makes the
+// aborted batch's written-back lines durable: the revert image still
+// holds none of the batch, nor the failed write.
+func TestCrashedRecipientIsDown(t *testing.T) {
+	const n, h = 2_000, 2
+	m := newReshardOrdered(t, h, HashPartition{}, true)
+	defer m.Release()
+	gen := keys.NewGenerator(keys.RandInt)
+	var donated []uint64
+	for id := uint64(0); id < n; id++ {
+		if err := m.Insert(gen.Key(id), id); err != nil {
+			t.Fatal(err)
+		}
+		if m.Route(gen.Key(id)) == 0 {
+			donated = append(donated, id)
+		}
+	}
+	copied := func() (c int) {
+		for _, id := range donated {
+			if _, ok := m.Shard(1).Lookup(gen.Key(id)); ok {
+				c++
+			}
+		}
+		return c
+	}
+	m.Heap(1).SetInjector(crash.NewAtSite(group.SiteOpApplied, 1))
+	slots := m.SlotsOf(0)
+	if err := m.MigrateSlots(0, 1, slots[:len(slots)/2], 64); !crash.IsCrash(err) {
+		t.Fatalf("Migrate error = %v, want crash", err)
+	}
+	if copied() == 0 {
+		t.Fatal("the crashed copy batch applied nothing to the recipient")
+	}
+	late := uint64(n)
+	for m.Route(gen.Key(late)) != 1 {
+		late++
+	}
+	if err := m.Insert(gen.Key(late), late); !crash.IsCrash(err) {
+		t.Fatalf("write to the crashed recipient = %v, want crash", err)
+	}
+
+	m.PowerCycleShard(1, pmem.PolicyRevert, 1)
+	if _, err := m.RecoverCrashed(); err != nil {
+		t.Fatal(err)
+	}
+	if c := copied(); c != 0 {
+		t.Fatalf("revert image holds %d keys of the aborted copy batch: a fence after the crash made them durable", c)
+	}
+	if _, ok := m.Lookup(gen.Key(late)); ok {
+		t.Fatalf("the failed write of id %d survived the revert image", late)
+	}
+	if err := m.Insert(gen.Key(late), late); err != nil {
+		t.Fatalf("write after the restart: %v", err)
+	}
+}
+
 // TestMigrateCrashAtFlipStands: a crash injected at
 // reshard.flip.published (on the donor) leaves the flip in force — the
 // recipient owns the keys, the skipped residue sweep costs capacity

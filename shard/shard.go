@@ -43,6 +43,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/crash"
 	"repro/internal/keys"
 	"repro/internal/pmem"
 )
@@ -394,8 +395,12 @@ func (f *frontend[K]) writeShard(s int, kind writeKind, key K, value uint64) (bo
 	return f.shards[s].write(kind, key, value)
 }
 
-// write performs the index operation kind selects.
+// write performs the index operation kind selects, unless the shard is
+// down. The caller holds the shard's group-commit lock shared.
 func (sh *shardOf[K]) write(kind writeKind, key K, value uint64) (bool, error) {
+	if err := sh.down(); err != nil {
+		return false, err
+	}
 	switch kind {
 	case writeInsert:
 		return false, sh.idx.Insert(key, value)
@@ -403,6 +408,17 @@ func (sh *shardOf[K]) write(kind writeKind, key K, value uint64) (bool, error) {
 		return false, sh.idx.Update(key, value)
 	}
 	return sh.idx.Delete(key)
+}
+
+// down returns crash.ErrCrashed once the crash armed on the shard's heap
+// has fired: until RecoverCrashed restarts it, a write fails before it
+// touches the index, so no store or fence after the crash reaches the
+// image the restart recovers (see DESIGN.md, §Online migration).
+func (sh *shardOf[K]) down() error {
+	if sh.heap.Injector().Fired() {
+		return crash.ErrCrashed
+	}
+	return nil
 }
 
 // Lookup returns the value stored under key. The core interfaces have
