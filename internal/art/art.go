@@ -50,16 +50,10 @@ const maxKeyLen = 256
 var ErrKeyTooLong = errors.New("art: key longer than 256 bytes")
 
 // ErrStalled is returned by Insert and Delete after maxRestarts
-// consecutive restarts. The one known cause: deletes never unlink inner
-// nodes, so once every key below a node whose compressed prefix outgrows
-// the seven stored bytes is gone, no leaf is left to read the prefix
-// from and a write through that node restarts for ever. The index is
-// unchanged and every key that does not descend through the emptied node
-// is unaffected. The repair — the node locked and proven empty, store
-// the inserting key's bytes as its prefix, with its persist, crash site
-// and lossy-matrix cell — is ROADMAP item 1; this bound only turns the
-// hang into an error.
-var ErrStalled = errors.New("art: write restarted too often (emptied long-prefix node)")
+// consecutive restarts. No known state causes that many; it is a guard
+// that turns any restart loop a bug could cause into an error instead of
+// a hang.
+var ErrStalled = errors.New("art: write restarted too often")
 
 // maxRestarts bounds one write's consecutive restarts. A restart that
 // waits out a concurrent split is a spin of well under a microsecond, so

@@ -1,6 +1,7 @@
 package art
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/crash"
@@ -67,6 +68,15 @@ func TestFenceContract(t *testing.T) {
 		// new Node4 and leaf, then the parent pointer (step 1), then the
 		// old node's shortened prefix (step 2)
 		{"prefix split", func(idx *Index) { seedRoot(idx, kNode4, 2) }, []byte{0, 0, 0, 1, 0, 0, 0, 0}, 4, 3},
+		// leaf, then the root pointer that drops the emptied root
+		{"emptied node replaced", func(idx *Index) {
+			for _, b := range []byte{0, 1} {
+				mustInsert(t, idx, append(bytes.Repeat([]byte{'e'}, 10), b), 0)
+			}
+			for _, b := range []byte{0, 1} {
+				mustDelete(t, idx, append(bytes.Repeat([]byte{'e'}, 10), b))
+			}
+		}, key8(0), 2, 2},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			heap := pmem.New(pmem.Options{Track: true})

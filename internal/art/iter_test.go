@@ -63,15 +63,17 @@ type shape struct {
 	kinds     [kNode256 + 1]int
 	maxPrefix int
 	stale     int // nodes whose prefix length disagrees with their level
+	emptied   int // nodes with a prefix past the stored bytes and no leaf below
 }
 
-func (s *shape) walk(n *header, depth int) {
+// walk records n's subtree and returns the number of leaves in it.
+func (s *shape) walk(n *header, depth int) (leaves int) {
 	if n == nil {
-		return
+		return 0
 	}
 	s.kinds[n.kind]++
 	if n.kind == kLeaf {
-		return
+		return 1
 	}
 	plen, _ := n.prefixSnapshot()
 	if plen > s.maxPrefix {
@@ -82,8 +84,12 @@ func (s *shape) walk(n *header, depth int) {
 	}
 	var buf [256]entry
 	for _, e := range n.entries(buf[:0:256]) {
-		s.walk(e.c, int(n.level)+1)
+		leaves += s.walk(e.c, int(n.level)+1)
 	}
+	if leaves == 0 && plen > maxStoredPrefix {
+		s.emptied++
+	}
+	return leaves
 }
 
 // familyKeys returns prefix-free keys: body bytes are < 0xff and every key

@@ -100,10 +100,8 @@ func TestInsertMallocs(t *testing.T) {
 // it, far past it. A key follows one of a few shared runs up to a multiple
 // of 16 bytes and is random from there on, so branch points lie 16 bytes
 // apart and the compressed prefixes between them outgrow the seven stored
-// bytes. Callers fix the seed: deleting every key below such a prefix
-// leaves a node no insert can pass (ErrStalled, for want of a leaf to
-// read the prefix from — ROADMAP item 1, older than this layout), and
-// the populations used here never empty one.
+// bytes. Deleting every key below such a prefix leaves a node no leaf
+// describes, which the next insert through it replaces (replaceEmptied).
 func mixedKeys(rng *rand.Rand) [][]byte {
 	runs := make([][]byte, 3)
 	for i := range runs {
@@ -132,9 +130,25 @@ func mixedKeys(rng *rand.Rand) [][]byte {
 
 // TestKeysOfEveryLength holds Insert, Update, Delete, Lookup, Scan and
 // Iterator against a sorted model over mixedKeys, with starts that are
-// absent, equal, proper prefixes and past the maximum.
+// absent, equal, proper prefixes and past the maximum, then inserts the
+// deleted keys again. Seeds 28 and 58 delete every key below a long
+// prefix, so writes pass through emptied nodes, and the test requires
+// that some seed does.
 func TestKeysOfEveryLength(t *testing.T) {
-	rng := rand.New(rand.NewSource(19))
+	emptied := 0
+	for _, seed := range []int64{19, 28, 58} {
+		emptied += keysOfEveryLength(t, seed)
+	}
+	if emptied == 0 {
+		t.Fatal("no seed emptied a long-prefix node")
+	}
+}
+
+// keysOfEveryLength is TestKeysOfEveryLength for one seed; it returns how
+// many long-prefix nodes its deletes emptied.
+func keysOfEveryLength(t *testing.T, seed int64) (emptied int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
 	idx := newIdx()
 	all := mixedKeys(rng)
 	byLen := map[int]bool{}
@@ -182,6 +196,7 @@ func TestKeysOfEveryLength(t *testing.T) {
 	if s.maxPrefix <= maxStoredPrefix {
 		t.Fatalf("longest compressed prefix %d: hybrid compression not exercised", s.maxPrefix)
 	}
+	emptied = s.emptied
 
 	// Starts around one key of each interesting length, and a random few.
 	var probe [][]byte
@@ -210,6 +225,27 @@ func TestKeysOfEveryLength(t *testing.T) {
 			t.Fatalf("iterator value of a %d-byte key = %d, want %d", len(k), v, want[string(k)])
 		}
 	}
+
+	// The deleted keys go back in, through the nodes their deletes emptied.
+	for i, k := range all {
+		if i%5 == 0 {
+			mustInsert(t, idx, k, uint64(i))
+			want[string(k)] = uint64(i)
+			model = append(model, k)
+		}
+	}
+	sort.Slice(model, func(i, j int) bool { return bytes.Compare(model[i], model[j]) < 0 })
+	for _, k := range all {
+		if v, ok := idx.Lookup(k); !ok || v != want[string(k)] {
+			t.Fatalf("seed %d: Lookup of a %d-byte key after refilling = %d,%v, want %d", seed, len(k), v, ok, want[string(k)])
+		}
+	}
+	sameKeys(t, "refilled iterator", model, drain(it, nil))
+	var after shape
+	if leaves := after.walk(idx.root.Load(), 0); leaves != len(all) || after.emptied != 0 {
+		t.Fatalf("seed %d: refilled tree holds %d leaves and %d emptied nodes, want %d and 0", seed, leaves, after.emptied, len(all))
+	}
+	return emptied
 }
 
 // TestIteratorEveryLengthConcurrent is PR 13's exactly-once assertion over

@@ -105,7 +105,7 @@ func (idx *Index) tryInsert(key []byte, value uint64) (done bool, err error) {
 		if mismatch < 0 && cmpLen > maxStoredPrefix {
 			full := idx.fullPrefix(n, depth)
 			if full == nil {
-				return false, nil
+				return idx.replaceEmptied(parent, pslot, n, key, value)
 			}
 			for i := maxStoredPrefix; i < cmpLen; i++ {
 				if full[i] != key[depth+i] {
@@ -426,7 +426,11 @@ func (idx *Index) splitPrefix(parent *header, pslot byte, n *header, depth, mism
 		return false, nil
 	}
 	full := idx.fullPrefix(n, depth)
-	if full == nil || mismatch >= plen || len(key) <= depth+mismatch ||
+	if full == nil {
+		n.lock.Unlock()
+		return idx.replaceEmptied(parent, pslot, n, key, value)
+	}
+	if mismatch >= plen || len(key) <= depth+mismatch ||
 		full[mismatch] == key[depth+mismatch] ||
 		!bytes.Equal(full[:mismatch], key[depth:depth+mismatch]) {
 		n.lock.Unlock()
@@ -487,6 +491,61 @@ func (idx *Index) fixPrefix(n *header, depth int) {
 	// RECIPE: flush + fence after the repairing store.
 	idx.heap.PersistFence(n.pm, offPrefix, 8)
 	idx.heap.CrashPoint("art.fixprefix")
+}
+
+// replaceEmptied is the RECIPE helper for the one state deletes leave
+// that no leaf describes: deletes never unlink inner nodes, so once every
+// key below n is gone, a compressed prefix longer than the seven stored
+// bytes has no leaf left to be read from, and no write can pass n. With
+// n and every inner node below it locked and proven to hold no leaf, the
+// empty subtree can stand for any prefix; the writer replaces it with
+// its own leaf in one persisted store to the parent slot (Condition #1)
+// and marks the subtree obsolete, so a writer that verified the old
+// prefix before the last delete restarts instead of inserting below it.
+// It restarts the caller when a lock is busy or a leaf has appeared.
+func (idx *Index) replaceEmptied(parent *header, pslot byte, n *header, key []byte, value uint64) (bool, error) {
+	held := []*header{n}
+	n.lock.Lock(&idx.gen)
+	var slot *pmlock.Mutex
+	if !n.lock.Obsolete() && idx.lockEmptied(n, &held) {
+		slot = idx.lockSlot(parent, pslot, n)
+	}
+	if slot == nil {
+		for _, h := range held {
+			h.lock.Unlock()
+		}
+		return false, nil
+	}
+	nl := idx.newLeaf(key, value)
+	// RECIPE: persist the leaf before publishing it.
+	idx.persistAll(nl.hdr())
+	idx.heap.Fence()
+	idx.setChildPersist(parent, pslot, nl.hdr())
+	idx.heap.CrashPoint("art.emptied.replaced")
+	for _, h := range held {
+		h.lock.MarkObsolete()
+		h.lock.Unlock()
+	}
+	idx.count.Add(1)
+	slot.Unlock()
+	return true, nil
+}
+
+// lockEmptied try-locks every inner node below n, appending each to
+// held, and reports whether the subtree holds no leaf. It stops at the
+// first leaf, busy lock or obsolete node.
+func (idx *Index) lockEmptied(n *header, held *[]*header) bool {
+	var buf [256]entry
+	for _, e := range n.entries(buf[:0:256]) {
+		if e.c.kind == kLeaf || !e.c.lock.TryLock(&idx.gen) {
+			return false
+		}
+		*held = append(*held, e.c)
+		if e.c.lock.Obsolete() || !idx.lockEmptied(e.c, held) {
+			return false
+		}
+	}
+	return true
 }
 
 // Delete removes key, returning whether it was present. Deletion commits
@@ -561,7 +620,7 @@ func (idx *Index) tryDelete(key []byte) (deleted, done bool) {
 		if plen > maxStoredPrefix {
 			full := idx.fullPrefix(n, depth)
 			if full == nil {
-				return false, false
+				return false, true // no leaf below n: key is absent
 			}
 			if len(key)-depth < plen || !bytes.Equal(full[maxStoredPrefix:], key[depth+maxStoredPrefix:depth+plen]) {
 				return false, true

@@ -434,7 +434,11 @@ func (idx *Index) grow(level uint64) {
 		for b := idx.chain(j).head; b != nil; b = b.next.Load() {
 			for f := 0; f < EntriesPerBucket; f++ {
 				key := b.keys[f].Load()
-				if !live(key, j, n-1) || hash(key)&n == 0 {
+				if key == 0 {
+					continue
+				}
+				// live(key, j, n-1), moving to the new half: one hash.
+				if h := hash(key); h&(n-1) != j || h&n == 0 {
 					continue
 				}
 				if e == EntriesPerBucket {

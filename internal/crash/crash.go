@@ -68,7 +68,6 @@ type Injector struct {
 	visits    atomic.Int64
 	siteVisit atomic.Int64
 	fired     atomic.Bool
-	oneShot   bool
 
 	mu  sync.Mutex
 	rng *rand.Rand
@@ -81,17 +80,17 @@ type Injector struct {
 // NewProbabilistic returns an injector that crashes at each site with
 // probability p. It fires at most once (one crash per simulated run).
 func NewProbabilistic(p float64, seed int64) *Injector {
-	return &Injector{mode: Probabilistic, P: p, rng: rand.New(rand.NewSource(seed)), oneShot: true}
+	return &Injector{mode: Probabilistic, P: p, rng: rand.New(rand.NewSource(seed))}
 }
 
 // NewNth returns an injector that crashes at the n-th site visit.
 func NewNth(n int64) *Injector {
-	return &Injector{mode: Nth, N: n, oneShot: true}
+	return &Injector{mode: Nth, N: n}
 }
 
 // NewAtSite returns an injector that crashes at the k-th visit of site.
 func NewAtSite(site string, k int64) *Injector {
-	return &Injector{mode: AtSite, Site: site, K: k, oneShot: true}
+	return &Injector{mode: AtSite, Site: site, K: k}
 }
 
 // Here marks a crash site. If the injector decides to crash it panics with
@@ -133,12 +132,8 @@ func (in *Injector) Here(site string) {
 	}
 }
 
-func (in *Injector) arm() bool {
-	if !in.oneShot {
-		return true
-	}
-	return in.fired.CompareAndSwap(false, true)
-}
+// arm claims the injector's one crash: every injector fires at most once.
+func (in *Injector) arm() bool { return in.fired.CompareAndSwap(false, true) }
 
 // Fired reports whether the injector has crashed an operation.
 func (in *Injector) Fired() bool { return in != nil && in.fired.Load() }

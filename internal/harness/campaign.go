@@ -117,7 +117,7 @@ func ReshardCampaign(name string, ranged bool, policy pmem.Policy, seed int64, s
 	}
 	build := func(o pmem.Options) *Target {
 		t, m := sharded(name, keys.RandInt, shards, part, o)
-		t.migrate = migration(m, ranged, shards)
+		t.migrate = migration(m)
 		return t
 	}
 	p := protocol{build: build, policy: policy, loadN: loadN, postN: postN, writers: max(writers, 1)}

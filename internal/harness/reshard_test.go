@@ -75,9 +75,10 @@ func TestReshardLossy(t *testing.T) {
 	sweepReshard(t, reshardIndexes(false), false, []pmem.Policy{pmem.PolicyRevert, pmem.PolicyKeep, pmem.PolicyTorn}, 1)
 }
 
-// TestReshardLossyRange covers the range-window migration path (span
-// split and merge in the flipped table) for every ordered index: one
-// writer under all four images, four under the intact one.
+// TestReshardLossyRange covers migration on a range front-end, whose
+// donor walk is bounded by the moving slots' point interval, for every
+// ordered index: one writer under all four images, four under the
+// intact one.
 func TestReshardLossyRange(t *testing.T) {
 	sweepReshard(t, reshardIndexes(true), true, pmem.Policies, 1)
 	sweepReshard(t, reshardIndexes(true), true, []pmem.Policy{pmem.PolicyIntact}, 4)

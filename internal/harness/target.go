@@ -8,7 +8,6 @@ package harness
 
 import (
 	"bytes"
-	"encoding/binary"
 	"slices"
 
 	"repro/internal/cceh"
@@ -332,21 +331,9 @@ func (t *Target) onShards(n int, heap func(int) *pmem.Heap, recoverCrashed func(
 const donorShard, recipientShard, reshardBatch = 0, 1, 8
 
 // migration returns m's move: the first half of shard 0's slots at
-// build time, or on a range-partitioned ordered front-end (ranged, one
-// span per shard of `shards`) the upper half of shard 0's span, to
-// shard 1 — or nothing, once a published flip has moved them (a flip
-// moves its whole window at once).
-func migration(m slotMover, ranged bool, shards int) func() error {
-	if o, ok := m.(*shard.Ordered); ok && ranged {
-		width := ^uint64(0)/uint64(shards) + 1
-		lo := binary.BigEndian.AppendUint64(nil, width/2)
-		return func() error {
-			if o.Route(lo) != donorShard {
-				return nil
-			}
-			return o.MigrateRange(donorShard, recipientShard, width/2, width-1, reshardBatch)
-		}
-	}
+// build time, to shard 1 — or nothing, once a published flip has moved
+// them (a flip moves its whole window at once).
+func migration(m slotMover) func() error {
 	slots := m.SlotsOf(donorShard)
 	slots = slots[:len(slots)/2]
 	return func() error {

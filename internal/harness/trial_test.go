@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -49,33 +50,65 @@ func checkSwept(t *testing.T, fired map[string]bool, want []string) {
 // batch, the error-resolved futures) is at worst atomically PARTIAL,
 // even when unfenced write-backs are torn — zero flush-coverage
 // violations after recovery and at every settled post-crash boundary,
-// and the sweep crashes at every site the path itself adds.
+// and the sweep crashes at every site the path itself adds. One more
+// cell per path and image loads P-ART through an emptied long-prefix
+// root and crashes at its replacement.
 func TestLossyMatrix(t *testing.T) {
 	const loadN, postN, seed = 60, 6, 42
-	for _, p := range paths {
-		for _, name := range campaignIndexes {
-			for _, policy := range pmem.Policies {
-				t.Run(p.name+"/"+name+"/"+policy.String(), func(t *testing.T) {
-					rep := SiteCampaign(name, ByName(name, keys.RandInt), p.path, policy, seed, loadN, postN, 0)
-					if len(rep.Sites) == 0 {
-						t.Fatal("no crash sites discovered")
-					}
-					if rep.Fired() == 0 {
-						t.Error("no site fired")
-					}
-					fired := map[string]bool{}
-					for _, s := range rep.Sites {
-						fired[s.Site] = s.Fired
-						if !s.Pass() {
-							t.Errorf("site %s: %v lostAcks=%d recoveryViol=%d opViol=%d detail=%s cycle=[%v]",
-								s.Site, s.Outcome, s.LostAcks, s.RecoveryViolations, s.OpViolations, s.Detail, s.Cycle)
-						}
-					}
-					checkSwept(t, fired, extraSites(p.path))
-				})
+	cell := func(t *testing.T, name string, build Build, p WritePath, policy pmem.Policy, extra []string) {
+		rep := SiteCampaign(name, build, p, policy, seed, loadN, postN, 0)
+		if len(rep.Sites) == 0 {
+			t.Fatal("no crash sites discovered")
+		}
+		if rep.Fired() == 0 {
+			t.Error("no site fired")
+		}
+		fired := map[string]bool{}
+		for _, s := range rep.Sites {
+			fired[s.Site] = s.Fired
+			if !s.Pass() {
+				t.Errorf("site %s: %v lostAcks=%d recoveryViol=%d opViol=%d detail=%s cycle=[%v]",
+					s.Site, s.Outcome, s.LostAcks, s.RecoveryViolations, s.OpViolations, s.Detail, s.Cycle)
 			}
 		}
+		checkSwept(t, fired, append(extraSites(p), extra...))
 	}
+	for _, p := range paths {
+		for _, policy := range pmem.Policies {
+			for _, name := range campaignIndexes {
+				t.Run(p.name+"/"+name+"/"+policy.String(), func(t *testing.T) {
+					cell(t, name, ByName(name, keys.RandInt), p.path, policy, nil)
+				})
+			}
+			t.Run(p.name+"/P-ART emptied root/"+policy.String(), func(t *testing.T) {
+				cell(t, "P-ART", emptiedART, p.path, policy, []string{"art.emptied.replaced"})
+			})
+		}
+	}
+}
+
+// emptiedART builds P-ART over YCSB string keys on a root that deletes
+// emptied: two keys sharing 23 bytes went in and out again, so the root
+// holds a prefix past the seven stored bytes and no leaf to read it from.
+// The load's first insert replaces it.
+func emptiedART(o pmem.Options) *Target {
+	heap := pmem.New(o)
+	idx, err := core.NewOrdered("P-ART", heap, keys.YCSBString)
+	if err != nil {
+		panic(err)
+	}
+	shared := []byte("user9999999999999999999")
+	for _, last := range []byte("01") {
+		if err := idx.Insert(append(shared, last), 1); err != nil {
+			panic(err)
+		}
+	}
+	for _, last := range []byte("01") {
+		if ok, err := idx.Delete(append(shared, last)); !ok || err != nil {
+			panic(fmt.Sprintf("delete: %v, %v", ok, err))
+		}
+	}
+	return Ordered(heap, idx, keys.YCSBString)
 }
 
 // TestSiteCampaignFiresEverySite runs the intact-image sweep on every

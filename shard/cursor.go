@@ -57,7 +57,7 @@ func (h sourceHeap) siftDown(i int) {
 // shards: a k-way merge over one source per shard, each pulled entry by
 // entry from its index's own iterator, so n entries over H shards pull at
 // most n + H and nothing is buffered. With an order-preserving
-// partitioner on a table that never moved a span, it drains the shards
+// partitioner on a table that never moved a slot, it drains the shards
 // one after another instead. Seek re-opens it, keeping its iterators.
 type Cursor struct {
 	m    *Ordered
@@ -96,7 +96,7 @@ func (c *Cursor) Seek(start []byte) {
 	}
 	c.heap, c.rest, c.pending, c.owner = c.heap[:0], c.rest[:0], false, nil
 	t := m.rt.Load()
-	if len(m.shards) == 1 || (t.kind == kindRange && t.pristine()) {
+	if len(m.shards) == 1 || (t.ordered && t.pristine()) {
 		first := 0
 		if len(m.shards) > 1 && len(start) > 0 {
 			// Shard order equals key order: shards before start's owner

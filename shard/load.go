@@ -1,17 +1,13 @@
 // Load accounting: epoch-windowed per-shard activity snapshots. Every
-// routed operation bumps one striped counter — its routing slot's (hash
-// tables) or span's (range tables) — so accounting adds no shared cache
-// line to the hot path and never quiesces writers. A shard's load is the
-// load of the slots it currently owns: LoadReport folds the per-slot
-// deltas since the previous report by owner, the same fold Rebalance
-// plans from (shardLoads), so the two are one measure.
+// routed operation bumps one striped counter — its routing slot's — so
+// accounting adds no shared cache line to the hot path and never
+// quiesces writers. A shard's load is the load of the slots it currently
+// owns: LoadReport folds the per-slot deltas since the previous report
+// by owner, the same fold Rebalance plans from (shardLoads), so the two
+// are one measure.
 package shard
 
-import (
-	"sync"
-
-	"repro/internal/stripe"
-)
+import "sync"
 
 // ShardLoad is one shard's activity during a report epoch (the window
 // since the previous LoadReport call).
@@ -87,14 +83,11 @@ func (r LoadReport) MaxShard() int {
 
 // loadState is the epoch bookkeeping behind LoadReport: each slot
 // counter's value at the previous report, so each report returns
-// deltas, and the counters those values were read from — a range flip
-// reallocates the table's counters (span shape changed), which restarts
-// the deltas as it restarts Rebalance's view. It lives behind a pointer
-// on the frontend because it holds a mutex.
+// deltas. It lives behind a pointer on the frontend because it holds a
+// mutex.
 type loadState struct {
 	mu    sync.Mutex
 	epoch uint64
-	from  *stripe.Counter // the table's ops[0] when last was taken
 	last  []uint64
 }
 
@@ -107,8 +100,8 @@ func (f *frontend[K]) LoadReport() LoadReport {
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
 	t := f.rt.Load()
-	if ls.from != t.ops[0] {
-		ls.from, ls.last = t.ops[0], make([]uint64, len(t.ops))
+	if ls.last == nil {
+		ls.last = make([]uint64, len(t.ops))
 	}
 	ls.epoch++
 	r := LoadReport{Epoch: ls.epoch, Loads: make([]ShardLoad, len(f.shards))}
@@ -116,7 +109,7 @@ func (f *frontend[K]) LoadReport() LoadReport {
 		r.Loads[i] = ShardLoad{Shard: i, Quarantined: f.health[i].quarantined.Load()}
 	}
 	_, perSlot := shardLoads(t, len(f.shards))
-	for j, o := range t.owners() {
+	for j, o := range t.slots {
 		r.Loads[o].Ops += perSlot[j] - ls.last[j]
 	}
 	ls.last = perSlot
@@ -127,11 +120,10 @@ func (f *frontend[K]) LoadReport() LoadReport {
 // birth, stepping on every window open, abort, or flip.
 func (f *frontend[K]) TableVersion() uint64 { return f.rt.Load().version }
 
-// SlotsOf returns the routing slots (hash tables) or span indices
-// (range tables) currently owned by shard s.
+// SlotsOf returns the routing slots currently owned by shard s.
 func (f *frontend[K]) SlotsOf(s int) []int {
 	var out []int
-	for j, o := range f.rt.Load().owners() {
+	for j, o := range f.rt.Load().slots {
 		if int(o) == s {
 			out = append(out, j)
 		}

@@ -179,8 +179,8 @@ func TestMergeFastPathRule(t *testing.T) {
 	if c := r.Cursor(nil); len(c.rest) != 3 || c.owner != nil {
 		t.Fatalf("fresh range front-end: cursor opened the first shard and holds %d unopened, owner %v; want the sequential path (3 unopened)", len(c.rest), c.owner != nil)
 	}
-	width := ^uint64(0)/4 + 1
-	if err := r.MigrateRange(0, 1, width/2, width-1, 0); err != nil {
+	slots := r.SlotsOf(0)
+	if err := r.MigrateSlots(0, 1, slots[len(slots)/2:], 0); err != nil {
 		t.Fatal(err)
 	}
 	if c := r.Cursor(nil); len(c.rest) != 0 || c.owner == nil {

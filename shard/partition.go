@@ -9,10 +9,11 @@ import "repro/internal/keys"
 // the operation hot path, so implementations should be allocation-free.
 // Name identifies the partitioner in reports and flags. OrderPreserving
 // declares that key order implies point order (a <= b implies
-// Point(a) <= Point(b)): such a front-end is born with a range table —
-// shard order equals key order until a migration moves a span, so scans
-// stream shard by shard with no merge — and every other with a
-// consistent-hash slot table.
+// Point(a) <= Point(b)): such a front-end's slot table maps points to
+// slots in order, slot ⌊point·S/2^64⌋, and gives each shard a contiguous
+// run of slots — shard order equals key order until a migration moves a
+// slot, so scans stream shard by shard with no merge — and every other
+// front-end's maps point to slot point % S.
 type Partitioner = partitioner[[]byte]
 
 // partitioner is the one routing contract, over any key type:
@@ -52,7 +53,7 @@ func (HashPartition) Name() string { return "hash" }
 func (HashPartition) OrderPreserving() bool { return false }
 
 // RangePartition routes by the first eight key bytes (big-endian,
-// zero-padded), which a fresh range table splits into one equal
+// zero-padded), which a fresh ordered slot table splits into one equal
 // contiguous range per shard. It is
 // order-preserving — adjacent keys land in the same or adjacent shard,
 // so range scans touch few shards — but it only balances populations

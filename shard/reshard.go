@@ -42,6 +42,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/core"
@@ -78,13 +79,11 @@ const defaultCopyBatch = 128
 // windowForSlots builds a slot-window migration after validating that
 // every requested slot exists and is owned by the donor.
 func windowForSlots(t *routeTable, donor, recipient int, slots []int) (*migration, error) {
-	if t.kind != kindSlots {
-		return nil, fmt.Errorf("shard: MigrateSlots on a range-routed front-end")
-	}
 	if len(slots) == 0 {
 		return nil, fmt.Errorf("shard: no slots to migrate")
 	}
-	mg := &migration{donor: donor, recipient: recipient, moving: make([]bool, len(t.slots))}
+	mg := &migration{donor: donor, recipient: recipient, moving: make([]bool, len(t.slots)), hi: math.MaxUint64}
+	first, last := len(t.slots), -1
 	for _, j := range slots {
 		if j < 0 || j >= len(t.slots) {
 			return nil, fmt.Errorf("shard: slot %d out of range", j)
@@ -93,30 +92,13 @@ func windowForSlots(t *routeTable, donor, recipient int, slots []int) (*migratio
 			return nil, fmt.Errorf("shard: slot %d not owned by donor %d", j, donor)
 		}
 		mg.moving[j] = true
+		first, last = min(first, j), max(last, j)
+	}
+	if t.ordered {
+		mg.lo, _ = slotPoints(first, len(t.slots))
+		_, mg.hi = slotPoints(last, len(t.slots))
 	}
 	return mg, nil
-}
-
-// windowForRange builds a range-window migration after validating that
-// every point in [lo, hi] is owned by the donor.
-func windowForRange(t *routeTable, donor, recipient int, lo, hi uint64) (*migration, error) {
-	if t.kind != kindRange {
-		return nil, fmt.Errorf("shard: MigrateRange on a slot-routed front-end")
-	}
-	if lo > hi {
-		return nil, fmt.Errorf("shard: empty migration range")
-	}
-	sLo := uint64(0)
-	for i := range t.bounds {
-		if t.bounds[i] >= lo && sLo <= hi && int(t.owner[i]) != donor {
-			return nil, fmt.Errorf("shard: range [%#x, %#x] not owned by donor %d", lo, hi, donor)
-		}
-		if t.bounds[i] >= hi {
-			break
-		}
-		sLo = t.bounds[i] + 1
-	}
-	return &migration{donor: donor, recipient: recipient, lo: lo, hi: hi, ranged: true}, nil
 }
 
 // rangeStartKey returns the smallest useful scan start for points >= lo:
@@ -140,24 +122,7 @@ func rangeStartKey(lo uint64) []byte {
 // residue removed; on failure (including an injected crash, returned as
 // crash.ErrCrashed) the migration is aborted unless the flip had
 // already published.
-func (f *frontend[K]) MigrateSlots(donor, recipient int, slots []int, batchSize int) error {
-	return f.migrate(donor, recipient, batchSize, func(t *routeTable) (*migration, error) {
-		return windowForSlots(t, donor, recipient, slots)
-	})
-}
-
-// MigrateRange moves the points in [lo, hi] (all currently owned by
-// donor) from donor to recipient on a range-routed front-end; see
-// MigrateSlots.
-func (f *frontend[K]) MigrateRange(donor, recipient int, lo, hi uint64, batchSize int) error {
-	return f.migrate(donor, recipient, batchSize, func(t *routeTable) (*migration, error) {
-		return windowForRange(t, donor, recipient, lo, hi)
-	})
-}
-
-// migrate validates the donor/recipient pair, builds the window against
-// the current table and runs the handoff protocol.
-func (f *frontend[K]) migrate(donor, recipient, batchSize int, window func(*routeTable) (*migration, error)) (err error) {
+func (f *frontend[K]) MigrateSlots(donor, recipient int, slots []int, batchSize int) (err error) {
 	if donor == recipient || donor < 0 || recipient < 0 ||
 		donor >= len(f.shards) || recipient >= len(f.shards) {
 		return fmt.Errorf("shard: invalid migration %d -> %d", donor, recipient)
@@ -171,7 +136,7 @@ func (f *frontend[K]) migrate(donor, recipient, batchSize int, window func(*rout
 	f.reshardMu.Lock()
 	defer f.reshardMu.Unlock()
 	t := f.rt.Load()
-	mg, err := window(t)
+	mg, err := windowForSlots(t, donor, recipient, slots)
 	if err != nil {
 		return err
 	}
@@ -241,14 +206,10 @@ func (w iterWalk) next() ([]byte, bool) {
 func (iterWalk) keep(k []byte) []byte { return append([]byte(nil), k...) }
 
 // walkIterator implements frontend.walk: an ordered cursor over the
-// donor, started at the window's low point when the window is a range.
+// donor, started at the window's low point.
 func (m *Ordered) walkIterator(_ *routeTable, mg *migration) (keyWalk[[]byte], error) {
-	var start []byte
-	if mg.ranged {
-		start = rangeStartKey(mg.lo)
-	}
 	it := m.ordered[mg.donor].NewIterator()
-	it.Seek(start)
+	it.Seek(rangeStartKey(mg.lo))
 	return iterWalk{it}, nil
 }
 
@@ -298,14 +259,14 @@ func (m *Hash) walkSnapshot(wt *routeTable, mg *migration) (keyWalk[uint64], err
 }
 
 // step moves walk one key on. ok is false once the walk is exhausted or
-// has left a ranged window's span; covered reports whether the window
+// has passed the window's last point; covered reports whether the window
 // covers the key.
 func (f *frontend[K]) step(walk keyWalk[K], wt *routeTable, mg *migration) (key K, covered, ok bool) {
 	if key, ok = walk.next(); !ok {
 		return key, false, false
 	}
 	p := f.part.Point(key)
-	if mg.ranged && p > mg.hi {
+	if p > mg.hi {
 		return key, false, false
 	}
 	return key, mg.covers(p, wt), true
@@ -431,14 +392,10 @@ func (o RebalanceOptions) tolerance() float64 {
 type MoveReport struct {
 	// Donor and Recipient are the shards the keys moved between.
 	Donor, Recipient int
-	// Slots are the moved routing slots (slot-routed front-ends).
+	// Slots are the moved routing slots.
 	Slots []int
-	// Lo and Hi bound the moved point range, inclusive (range-routed
-	// front-ends, where Ranged is true).
-	Lo, Hi uint64
-	Ranged bool
 	// Ops is the measured operation count attributed to the moved
-	// slots/span — the load the move is expected to shift.
+	// slots — the load the move is expected to shift.
 	Ops uint64
 }
 
@@ -458,7 +415,7 @@ type RebalanceReport struct {
 func shardLoads(t *routeTable, shards int) (perShard []uint64, perSlot []uint64) {
 	perShard = make([]uint64, shards)
 	perSlot = make([]uint64, len(t.ops))
-	for j, o := range t.owners() {
+	for j, o := range t.slots {
 		perSlot[j] = t.ops[j].Load()
 		perShard[o] += perSlot[j]
 	}
@@ -535,36 +492,6 @@ func planSlotMove(t *routeTable, shards int, tol float64) (mv MoveReport, ok boo
 	return mv, len(mv.Slots) > 0
 }
 
-// planRangeMove picks one range migration: the upper half of the donor's
-// hottest span (span midpoint split — per-span counters do not resolve
-// the intra-span distribution, so halving is the finest safe cut).
-func planRangeMove(t *routeTable, shards int, tol float64) (mv MoveReport, ok bool) {
-	perShard, perSpan := shardLoads(t, shards)
-	donor, recipient, _, ok := pickPair(perShard, tol)
-	if !ok {
-		return mv, false
-	}
-	hot := -1
-	for i, o := range t.owner {
-		if int(o) == donor && (hot < 0 || perSpan[i] > perSpan[hot]) {
-			hot = i
-		}
-	}
-	if hot < 0 || perSpan[hot] == 0 {
-		return mv, false
-	}
-	sLo := uint64(0)
-	if hot > 0 {
-		sLo = t.bounds[hot-1] + 1
-	}
-	sHi := t.bounds[hot]
-	if sHi-sLo < 1 {
-		return mv, false
-	}
-	mid := sLo + (sHi-sLo)/2
-	return MoveReport{Donor: donor, Recipient: recipient, Lo: mid + 1, Hi: sHi, Ranged: true, Ops: perSpan[hot] / 2}, true
-}
-
 // Rebalance measures the per-slot load counters, plans and runs up to
 // MaxMoves migrations from the busiest shards to the least busy, and
 // reports the projected imbalance before and after. It is the
@@ -572,25 +499,14 @@ func planRangeMove(t *routeTable, shards int, tol float64) (mv MoveReport, ok bo
 // move the measured hot slices.
 func (f *frontend[K]) Rebalance(opts RebalanceOptions) (RebalanceReport, error) {
 	var rep RebalanceReport
-	t := f.rt.Load()
-	perShard, _ := shardLoads(t, len(f.shards))
+	perShard, _ := shardLoads(f.rt.Load(), len(f.shards))
 	rep.Before = imbalanceOf(perShard)
 	for move := 0; move < opts.maxMoves(len(f.shards)); move++ {
-		plan := planSlotMove
-		if t = f.rt.Load(); t.kind == kindRange {
-			plan = planRangeMove
-		}
-		mv, ok := plan(t, len(f.shards), opts.tolerance())
+		mv, ok := planSlotMove(f.rt.Load(), len(f.shards), opts.tolerance())
 		if !ok {
 			break
 		}
-		var err error
-		if mv.Ranged {
-			err = f.MigrateRange(mv.Donor, mv.Recipient, mv.Lo, mv.Hi, opts.BatchSize)
-		} else {
-			err = f.MigrateSlots(mv.Donor, mv.Recipient, mv.Slots, opts.BatchSize)
-		}
-		if err != nil {
+		if err := f.MigrateSlots(mv.Donor, mv.Recipient, mv.Slots, opts.BatchSize); err != nil {
 			return rep, err
 		}
 		rep.Moves = append(rep.Moves, mv)

@@ -3,7 +3,7 @@ package shard
 import (
 	"bytes"
 	"fmt"
-	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -32,19 +32,17 @@ func newReshardOrdered(t *testing.T, h int, part Partitioner, shadow bool) *Orde
 
 // closedForm is the placement contract of a fresh H-shard table, the
 // arithmetic the stateless partitioners used to compute: point % H for
-// slot tables, point / ceil(2^64/H) for range tables.
+// unordered tables, ⌊point·H/2^64⌋ for ordered ones.
 func closedForm(point uint64, h int, ranged bool) int {
 	if !ranged {
 		return int(point % uint64(h))
 	}
-	if h == 1 {
-		return 0 // ceil(2^64/1) does not fit a uint64
-	}
-	return int(point / (math.MaxUint64/uint64(h) + 1))
+	hi, _ := bits.Mul64(point, uint64(h))
+	return int(hi)
 }
 
 // TestTableRoutingMatchesPartitioner: a fresh front-end must place every
-// key where the closed form says, for both table kinds and many shard
+// key where the closed form says, for both slot functions and many shard
 // counts — the table is the partitioner mapping, not a new one.
 func TestTableRoutingMatchesPartitioner(t *testing.T) {
 	gen := keys.NewGenerator(keys.RandInt)
@@ -65,10 +63,14 @@ func TestTableRoutingMatchesPartitioner(t *testing.T) {
 				check(gen.Key(id))
 				check(sgen.Key(id))
 			}
-			// The points either side of every equal-slice boundary: random
-			// keys never land close enough to see a span edge off by one.
+			// The points either side of every equal-slice boundary
+			// ⌈i·2^64/H⌉: random keys never land close enough to see an
+			// edge off by one.
 			for i := uint64(1); i < uint64(h); i++ {
-				edge := (math.MaxUint64/uint64(h) + 1) * i
+				edge, r := bits.Div64(i, 0, uint64(h))
+				if r != 0 {
+					edge++
+				}
 				check(keys.EncodeUint64(edge - 1))
 				check(keys.EncodeUint64(edge))
 			}
@@ -187,9 +189,10 @@ func TestMigrateSlotsMovesKeys(t *testing.T) {
 	}
 }
 
-// TestMigrateRangeMovesKeys: range-partitioned front-end, move the
-// upper half of shard 0's span to the last shard.
-func TestMigrateRangeMovesKeys(t *testing.T) {
+// TestMigrateSlotsOnRangeMovesKeys: range-partitioned front-end, move
+// the upper half of shard 0's slots — the upper half of its key range —
+// to the last shard.
+func TestMigrateSlotsOnRangeMovesKeys(t *testing.T) {
 	const n, h = 4_000, 4
 	m := newReshardOrdered(t, h, RangePartition{}, false)
 	defer m.Release()
@@ -201,9 +204,8 @@ func TestMigrateRangeMovesKeys(t *testing.T) {
 		}
 		want[id] = id
 	}
-	width := ^uint64(0)/h + 1
-	lo, hi := width/2, width-1 // upper half of shard 0's span
-	if err := m.MigrateRange(0, h-1, lo, hi, 64); err != nil {
+	slots := m.SlotsOf(0)
+	if err := m.MigrateSlots(0, h-1, slots[len(slots)/2:], 64); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Len(); got != n {
@@ -211,11 +213,44 @@ func TestMigrateRangeMovesKeys(t *testing.T) {
 	}
 	checkOrderedContent(t, m, gen, want)
 	checkStatsConserved(t, m.Stats(), m.ShardStats())
+	lo := uint64(1) << 61 // shard 0's range is [0, 2^62); its upper half moved
 	for id := uint64(0); id < n; id += 7 {
 		key := gen.Key(id)
-		s := m.Route(key)
+		s, p := m.Route(key), RangePartition{}.Point(key)
+		wantS := closedForm(p, h, true)
+		if wantS == 0 && p >= lo {
+			wantS = h - 1
+		}
+		if s != wantS {
+			t.Fatalf("key %d (point %#x) routed to shard %d, want %d", id, p, s, wantS)
+		}
 		if _, ok := m.Shard(s).Lookup(key); !ok {
 			t.Fatalf("key %d routed to shard %d but absent there", id, s)
+		}
+	}
+}
+
+// TestSlotPointsTileTheRing: an ordered table's slots cut the ring into
+// contiguous arcs — each slot's lo follows the previous slot's hi, the
+// first starts at 0 and the last ends at MaxUint64 — and both ends of
+// every arc route to that slot.
+func TestSlotPointsTileTheRing(t *testing.T) {
+	for _, h := range []int{1, 2, 3, 5, 7, 8} {
+		tab := newTable(h, true)
+		s := len(tab.slots)
+		next := uint64(0)
+		for j := 0; j < s; j++ {
+			lo, hi := slotPoints(j, s)
+			if lo != next || hi < lo {
+				t.Fatalf("h=%d slot %d = [%#x, %#x], want lo %#x and hi >= lo", h, j, lo, hi, next)
+			}
+			if tab.slot(lo) != j || tab.slot(hi) != j {
+				t.Fatalf("h=%d slot %d = [%#x, %#x]: ends route to slots %d and %d", h, j, lo, hi, tab.slot(lo), tab.slot(hi))
+			}
+			next = hi + 1
+		}
+		if next != 0 {
+			t.Fatalf("h=%d: the last slot ends at %#x, want MaxUint64", h, next-1)
 		}
 	}
 }
@@ -583,8 +618,8 @@ func TestRebalanceImprovesSkew(t *testing.T) {
 	}
 }
 
-// TestRebalanceRange: the range planner splits the hottest span and
-// moves measured load off the hot shard.
+// TestRebalanceRange: on a range front-end the planner moves the hot
+// shard's measured hottest slots and so moves load off it.
 func TestRebalanceRange(t *testing.T) {
 	const n, h = 4_096, 4
 	m := newReshardOrdered(t, h, RangePartition{}, false)
@@ -608,8 +643,8 @@ func TestRebalanceRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Moves) == 0 || !rep.Moves[0].Ranged || rep.Moves[0].Donor != 0 {
-		t.Fatalf("expected a range move off shard 0, got %+v", rep.Moves)
+	if len(rep.Moves) == 0 || len(rep.Moves[0].Slots) == 0 || rep.Moves[0].Donor != 0 {
+		t.Fatalf("expected a slot move off shard 0, got %+v", rep.Moves)
 	}
 	if rep.After >= rep.Before {
 		t.Fatalf("imbalance did not improve: %.3f -> %.3f", rep.Before, rep.After)
@@ -662,8 +697,9 @@ func TestLoadReportEpochs(t *testing.T) {
 
 // TestLoadReportFollowsOwnership: a shard's load is the load of the
 // slots it owns at the report. Slots migrated mid-epoch bring their
-// epoch count to the recipient without changing the total; a range flip
-// restarts the deltas; an H = 1 front-end reports every op under shard 0.
+// epoch count to the recipient without changing the total, on a hash
+// front-end and on a range front-end alike; an H = 1 front-end reports every op
+// under shard 0.
 func TestLoadReportFollowsOwnership(t *testing.T) {
 	const n, h = 2_000, 4
 	gen := keys.NewGenerator(keys.RandInt)
@@ -727,29 +763,30 @@ func TestLoadReportFollowsOwnership(t *testing.T) {
 		m := newReshardOrdered(t, h, RangePartition{}, false)
 		defer m.Release()
 		load(m)
-		for id := uint64(0); id < n; id++ {
-			m.Lookup(gen.Key(id)) // pre-flip ops of the epoch: dropped by the flip
-		}
-		width := ^uint64(0)/h + 1
-		lo, hi := width/2, width-1 // upper half of shard 0's span
-		if err := m.MigrateRange(0, h-1, lo, hi, 64); err != nil {
-			t.Fatal(err)
-		}
+		lo := uint64(1) << 61 // shard 0's range is [0, 2^62); its upper half moves
 		want := make([]uint64, h)
-		var total uint64
-		for id := uint64(0); id < n; id += 3 {
+		lookup := func(id uint64) {
 			key := gen.Key(id)
 			m.Lookup(key)
-			total++
-			if p := (RangePartition{}).Point(key); p >= lo && p <= hi {
+			if p := (RangePartition{}).Point(key); p >= lo && p < 2*lo {
 				want[h-1]++
 			} else {
-				want[p/width]++
+				want[closedForm(p, h, true)]++
 			}
 		}
+		for id := uint64(0); id < n; id++ {
+			lookup(id) // pre-flip ops of the epoch: counted where the flip leaves them
+		}
+		slots := m.SlotsOf(0)
+		if err := m.MigrateSlots(0, h-1, slots[len(slots)/2:], 64); err != nil {
+			t.Fatal(err)
+		}
+		for id := uint64(0); id < n; id += 3 {
+			lookup(id)
+		}
 		r := m.LoadReport()
-		if got := r.TotalOps(); got != total {
-			t.Fatalf("TotalOps = %d, want %d (counted from the flip)", got, total)
+		if got, total := r.TotalOps(), uint64(n+(n+2)/3); got != total {
+			t.Fatalf("TotalOps = %d, want %d (counts survive the flip)", got, total)
 		}
 		wantLoads(r, want)
 	})
@@ -788,7 +825,6 @@ func TestMigrateValidation(t *testing.T) {
 		m.MigrateSlots(0, 1, nil, 0),            // no slots
 		m.MigrateSlots(0, 1, []int{1}, 0),       // slot owned by shard 1
 		m.MigrateSlots(0, 1, []int{1 << 20}, 0), // slot out of range
-		m.MigrateRange(0, 1, 10, 20, 0),         // range op on slot table
 	}
 	for i, err := range cases {
 		if err == nil {
@@ -801,15 +837,11 @@ func TestMigrateValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Release()
-	width := ^uint64(0)/4 + 1
-	if err := r.MigrateRange(0, 1, width/2, width+5, 0); err == nil {
-		t.Fatal("range crossing a foreign span accepted")
+	if err := r.MigrateSlots(0, 1, []int{SlotsPerShard - 1, SlotsPerShard}, 0); err == nil {
+		t.Fatal("slots crossing into shard 1's range accepted")
 	}
-	if err := r.MigrateRange(0, 1, 20, 10, 0); err == nil {
-		t.Fatal("empty range accepted")
-	}
-	if err := r.MigrateSlots(0, 1, []int{0}, 0); err == nil {
-		t.Fatal("slot op on range table accepted")
+	if err := r.MigrateSlots(0, 1, nil, 0); err == nil {
+		t.Fatal("empty slot set accepted")
 	}
 }
 

@@ -75,7 +75,7 @@ func TestHashBalance(t *testing.T) {
 	for _, kind := range []keys.Kind{keys.RandInt, keys.YCSBString} {
 		gen := keys.NewGenerator(kind)
 		var counts [h]int
-		tab := newSlotTable(h)
+		tab := newTable(h, false)
 		for id := uint64(0); id < n; id++ {
 			s, _ := tab.locate(HashPartition{}.Point(gen.Key(id)))
 			counts[s]++
@@ -97,7 +97,7 @@ func TestRangePartitionMonotonic(t *testing.T) {
 	const h = 8
 	prev := -1
 	var prevKey []byte
-	tab := newRangeTable(h)
+	tab := newTable(h, true)
 	for v := uint64(0); v < 1<<16; v += 257 {
 		key := keys.EncodeUint64(v << 48)
 		s, _ := tab.locate(RangePartition{}.Point(key))

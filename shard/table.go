@@ -2,38 +2,28 @@
 // routing authority of a front-end with more than one shard.
 //
 // A front-end is born with table version 0, whose mapping is the closed
-// form of its partitioner kind (newSlotTable: point % H; newRangeTable:
-// point / ceil(2^64/H)). The fast path is one atomic pointer load plus
-// an O(1) (hash) or O(log n) (range) lookup, and rebalancing publishes a
-// fresh immutable table rather than mutating the live one.
+// form of its partitioner (point % H, or ⌊point·H/2^64⌋ when the
+// partitioner preserves order). The fast path is one atomic pointer load
+// plus an O(1) slot lookup, and rebalancing publishes a fresh immutable
+// table rather than mutating the live one.
 package shard
 
 import (
 	"math"
-	"sort"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/stripe"
 )
 
-// SlotsPerShard is the consistent-hash slot multiplier: a hash-routed
-// front-end with H shards carves the key space into H×SlotsPerShard
-// slots, each independently assignable to a shard. More slots means
-// finer-grained load moves (one slot ≈ 1/(H×SlotsPerShard) of a uniform
-// key population) at the cost of a larger table; 64 lets the rebalancer
-// move ~1.5% load increments while the table stays a few cache lines.
+// SlotsPerShard is the slot multiplier: a front-end with H shards
+// carves the ring into S = H×SlotsPerShard slots, each independently
+// assignable to a shard. More slots means finer-grained load moves (one
+// slot ≈ 1/S of a uniform key population) at the cost of a larger
+// table; 64 lets the rebalancer move ~1.5% load increments while the
+// table stays a few cache lines.
 const SlotsPerShard = 64
-
-// Table kinds: how a routeTable turns a point into a shard.
-const (
-	// kindSlots: consistent-hash slots. slot = point % len(slots),
-	// shard = slots[slot]. Used by hash partitioners.
-	kindSlots = iota
-	// kindRange: contiguous spans. shard = owner[i] for the first span i
-	// with point <= bounds[i]. Used by order-preserving partitioners.
-	kindRange
-)
 
 // routeTable is one immutable version of the routing function. Readers
 // reach it through a single atomic pointer load; rebalancing builds a
@@ -44,24 +34,17 @@ type routeTable struct {
 	// version increments on every published change; the flip that
 	// completes a migration is observable as a version step.
 	version uint64
-	kind    int
 
-	// kindSlots state: slots[j] = owning shard of slot j.
+	// slots[j] is the owning shard of slot j.
 	slots []uint32
+	// ordered selects the slot function (slot): order-preserving for a
+	// front-end whose partitioner is, so slot order is point order.
+	ordered bool
 
-	// kindRange state: span i covers points in (bounds[i-1], bounds[i]]
-	// (span 0 from zero), owned by owner[i]. bounds is strictly
-	// increasing and ends at MaxUint64, so every point falls in exactly
-	// one span.
-	bounds []uint64
-	owner  []uint32
-
-	// ops counts routed operations per slot (kindSlots) or per span
-	// (kindRange): the one load measure, folded by owner for LoadReport
-	// and Rebalance, and the rebalancer's "which slice of the donor is
-	// hot". The backing array is shared across table versions so counts
-	// survive republishing; a range flip reallocates it (spans changed
-	// shape) and restarts counting.
+	// ops counts routed operations per slot: the one load measure,
+	// folded by owner for LoadReport and Rebalance, and the rebalancer's
+	// "which slice of the donor is hot". The backing array is shared
+	// across table versions, so counts survive republishing.
 	ops []*stripe.Counter
 
 	// mig, when non-nil, is the open handoff window: keys the migration
@@ -69,88 +52,65 @@ type routeTable struct {
 	mig *migration
 }
 
-// locate returns the owning shard for point p and the slot/span index it
-// hit (for load counting).
-func (t *routeTable) locate(p uint64) (shard, slot int) {
-	if t.kind == kindSlots {
-		j := int(p % uint64(len(t.slots)))
-		return int(t.slots[j]), j
+// slot returns point p's slot: p % S on an unordered table, and on an
+// ordered one ⌊p·S/2^64⌋, which cuts the ring into S equal contiguous
+// arcs in point order.
+func (t *routeTable) slot(p uint64) int {
+	if t.ordered {
+		hi, _ := bits.Mul64(p, uint64(len(t.slots)))
+		return int(hi)
 	}
-	// First span whose inclusive upper bound covers p.
-	i := sort.Search(len(t.bounds), func(i int) bool { return p <= t.bounds[i] })
-	return int(t.owner[i]), i
+	return int(p % uint64(len(t.slots)))
 }
 
-// owners returns the owning shard of every slot (or span), by index.
-func (t *routeTable) owners() []uint32 {
-	if t.kind == kindSlots {
-		return t.slots
+// locate returns the owning shard for point p and the slot it hit (for
+// load counting).
+func (t *routeTable) locate(p uint64) (shard, slot int) {
+	j := t.slot(p)
+	return int(t.slots[j]), j
+}
+
+// slotPoints returns the inclusive point interval [lo, hi] of ordered
+// slot j of s: the points p with ⌊p·s/2^64⌋ = j, from ⌈j·2^64/s⌉ up to
+// one below the next slot's lo.
+func slotPoints(j, s int) (lo, hi uint64) {
+	edge := func(j int) uint64 {
+		q, r := bits.Div64(uint64(j), 0, uint64(s))
+		if r != 0 {
+			q++
+		}
+		return q
 	}
-	return t.owner
+	lo, hi = edge(j), math.MaxUint64
+	if j+1 < s {
+		hi = edge(j+1) - 1
+	}
+	return lo, hi
 }
 
 // pristine reports whether t is still the initial mapping and has never
 // opened a migration window (every transition steps the version). Only
 // then does every key live on exactly one shard — merged scans skip
-// duplicate resolution — and, on a range table, shard order equal key
-// order: after a range migration span ownership is no longer monotonic.
+// duplicate resolution — and, on an ordered table, shard order equal key
+// order: after a migration slot ownership is no longer monotonic.
 func (t *routeTable) pristine() bool { return t.version == 0 && t.mig == nil }
 
-// newCounters builds n independent striped counters.
-func newCounters(n int) []*stripe.Counter {
-	cs := make([]*stripe.Counter, n)
-	for i := range cs {
-		cs[i] = stripe.NewCounter()
-	}
-	return cs
-}
-
-// newTable builds the table a front-end is born with: a range table if
-// its partitioner is order-preserving, a slot table otherwise.
-func newTable(shards int, orderPreserving bool) *routeTable {
-	if orderPreserving {
-		return newRangeTable(shards)
-	}
-	return newSlotTable(shards)
-}
-
-// newSlotTable builds the initial consistent-hash table for H shards:
-// S = H×SlotsPerShard slots with slots[j] = j % H. Because H divides S,
-// (p % S) % H == p % H for every point p, so the fresh table places
-// point p on shard p % H.
-func newSlotTable(shards int) *routeTable {
+// newTable builds the table a front-end with H shards is born with:
+// S = H×SlotsPerShard slots, each with its own load counter. An
+// unordered table starts at slots[j] = j % H; because H divides S,
+// (p % S) % H == p % H, so it places point p on shard p % H. An ordered
+// table starts at slots[j] = j / SlotsPerShard, so shard i owns the
+// contiguous slots [64i, 64i+64) and places point p on shard ⌊p·H/2^64⌋:
+// H equal contiguous ranges, in key order.
+func newTable(shards int, ordered bool) *routeTable {
 	s := shards * SlotsPerShard
-	t := &routeTable{
-		kind:  kindSlots,
-		slots: make([]uint32, s),
-		ops:   newCounters(s),
-	}
+	t := &routeTable{slots: make([]uint32, s), ordered: ordered, ops: make([]*stripe.Counter, s)}
 	for j := range t.slots {
-		t.slots[j] = uint32(j % shards)
-	}
-	return t
-}
-
-// newRangeTable builds the initial range table for H shards: span i ends
-// at width×(i+1) − 1 with width = ceil(2^64 / H), the last bound clamped
-// to MaxUint64. For any point v, locate finds the first i with
-// v <= width×(i+1) − 1, so the fresh table places point v on shard
-// v / width: H equal contiguous ranges, in key order.
-func newRangeTable(shards int) *routeTable {
-	t := &routeTable{
-		kind:   kindRange,
-		bounds: make([]uint64, shards),
-		owner:  make([]uint32, shards),
-		ops:    newCounters(shards),
-	}
-	width := math.MaxUint64/uint64(shards) + 1
-	for i := 0; i < shards; i++ {
-		if i == shards-1 {
-			t.bounds[i] = math.MaxUint64
-		} else {
-			t.bounds[i] = width*uint64(i+1) - 1
+		owner := j % shards
+		if ordered {
+			owner = j / SlotsPerShard
 		}
-		t.owner[i] = uint32(i)
+		t.slots[j], t.ops[j] = uint32(owner), stripe.NewCounter()
 	}
 	return t
 }
@@ -158,18 +118,11 @@ func newRangeTable(shards int) *routeTable {
 // clone returns a copy of t sharing the ops backing array, ready to be
 // modified and published as the next version.
 func (t *routeTable) clone() *routeTable {
-	n := &routeTable{version: t.version, kind: t.kind, ops: t.ops}
-	if t.kind == kindSlots {
-		n.slots = append([]uint32(nil), t.slots...)
-	} else {
-		n.bounds = append([]uint64(nil), t.bounds...)
-		n.owner = append([]uint32(nil), t.owner...)
-	}
-	return n
+	return &routeTable{version: t.version, slots: append([]uint32(nil), t.slots...), ordered: t.ordered, ops: t.ops}
 }
 
 // migration is the open handoff window of one in-flight migration: the
-// set of points moving from donor to recipient. While the window is
+// set of slots moving from donor to recipient. While the window is
 // open, writes to covered keys double-apply — the donor stays
 // authoritative and acknowledges, the recipient receives a shadow copy —
 // so the copy stream cannot miss a concurrent update. mu orders copy
@@ -180,11 +133,13 @@ func (t *routeTable) clone() *routeTable {
 type migration struct {
 	donor, recipient int
 
-	// kindSlots: moving[j] reports whether slot j is in the window.
+	// moving[j] reports whether slot j is in the window.
 	moving []bool
-	// kindRange: the window covers points in [lo, hi], both inclusive.
+	// lo and hi bound the points of the moving slots, both inclusive:
+	// the point interval from the first moving slot to the last on an
+	// ordered table, the whole ring otherwise. The donor walk starts at
+	// lo and stops past hi.
 	lo, hi uint64
-	ranged bool
 
 	mu sync.RWMutex
 
@@ -196,12 +151,7 @@ type migration struct {
 
 // covers reports whether point p (which must already route to the donor
 // on the window table) is inside the handoff window.
-func (mg *migration) covers(p uint64, t *routeTable) bool {
-	if mg.ranged {
-		return p >= mg.lo && p <= mg.hi
-	}
-	return mg.moving[int(p%uint64(len(t.slots)))]
-}
+func (mg *migration) covers(p uint64, t *routeTable) bool { return mg.moving[t.slot(p)] }
 
 // withWindow returns the next table version: same mapping as t, with the
 // migration window attached.
@@ -222,68 +172,16 @@ func (t *routeTable) withoutWindow() *routeTable {
 }
 
 // flipped returns the next table version with the window closed and the
-// windowed slots/span reassigned to the recipient (migration complete).
+// windowed slots reassigned to the recipient (migration complete).
 func (t *routeTable) flipped(mg *migration) *routeTable {
 	n := t.clone()
 	n.version = t.version + 1
 	n.mig = nil
-	if t.kind == kindSlots {
-		for j, mv := range mg.moving {
-			if mv {
-				n.slots[j] = uint32(mg.recipient)
-			}
-		}
-		return n
-	}
-	// Range: carve [lo, hi] out of the donor's spans and hand it to the
-	// recipient. Rebuild the span list — tables are tiny and a from-
-	// scratch walk is the simplest correct form. Each donor span
-	// overlapping the window splits into up to three pieces: the part
-	// before lo (donor), the overlap (recipient), the part after hi
-	// (donor).
-	type span struct {
-		hi    uint64
-		owner uint32
-	}
-	var spans []span
-	sLo := uint64(0)
-	for i := range t.bounds {
-		sHi, own := t.bounds[i], t.owner[i]
-		if own == uint32(mg.donor) && sHi >= mg.lo && sLo <= mg.hi {
-			if mg.lo > sLo {
-				spans = append(spans, span{mg.lo - 1, own})
-			}
-			cutHi := mg.hi
-			if cutHi > sHi {
-				cutHi = sHi
-			}
-			spans = append(spans, span{cutHi, uint32(mg.recipient)})
-			if cutHi < sHi {
-				spans = append(spans, span{sHi, own})
-			}
-		} else {
-			spans = append(spans, span{sHi, own})
-		}
-		sLo = sHi + 1
-	}
-	// Merge adjacent same-owner spans so repeated splits cannot grow the
-	// table without bound.
-	merged := spans[:1]
-	for _, sp := range spans[1:] {
-		if sp.owner == merged[len(merged)-1].owner {
-			merged[len(merged)-1].hi = sp.hi
-		} else {
-			merged = append(merged, sp)
+	for j, mv := range mg.moving {
+		if mv {
+			n.slots[j] = uint32(mg.recipient)
 		}
 	}
-	n.bounds = make([]uint64, len(merged))
-	n.owner = make([]uint32, len(merged))
-	for i, sp := range merged {
-		n.bounds[i] = sp.hi
-		n.owner[i] = sp.owner
-	}
-	// Span shape changed: per-span counts no longer line up. Restart.
-	n.ops = newCounters(len(merged))
 	return n
 }
 
