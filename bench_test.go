@@ -37,12 +37,11 @@ func runWorkloadBench(b *testing.B, index string, w ycsb.Workload, kind keys.Kin
 	if delays {
 		opts.DelayClwb, opts.DelayFence = 40, 20
 	}
-	heap := pmem.New(opts)
-	idx, err := recipe.NewOrdered(index, heap, kind)
+	m, err := recipe.NewShardedOrdered(index, kind, recipe.ShardOptions{Heap: opts})
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := recipe.RunWorkload(index, recipe.OrderedTarget(heap, idx, kind), recipe.WritePath{}, w, benchLoadN, b.N, benchThreads, 42)
+	res, err := recipe.RunWorkload(index, recipe.ShardedOrderedTarget(m, kind), recipe.WritePath{}, w, benchLoadN, b.N, benchThreads, 42)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -55,12 +54,11 @@ func runHashBench(b *testing.B, index string, w ycsb.Workload, delays bool) {
 	if delays {
 		opts.DelayClwb, opts.DelayFence = 40, 20
 	}
-	heap := pmem.New(opts)
-	idx, err := recipe.NewHash(index, heap)
+	m, err := recipe.NewShardedHash(index, recipe.ShardOptions{Heap: opts})
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := recipe.RunWorkload(index, recipe.HashTarget(heap, idx), recipe.WritePath{}, w, benchLoadN, b.N, benchThreads, 42)
+	res, err := recipe.RunWorkload(index, recipe.ShardedHashTarget(m), recipe.WritePath{}, w, benchLoadN, b.N, benchThreads, 42)
 	if err != nil {
 		b.Fatal(err)
 	}

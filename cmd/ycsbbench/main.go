@@ -142,12 +142,6 @@ func main() {
 		usage("-queue and -flushns require -async")
 	case cfg.queue < 0 || cfg.flush < 0:
 		usage("-queue and -flushns must be >= 0")
-	case cfg.reshard && (cfg.async || cfg.batch > 1):
-		// Async pipelines pin routes at enqueue time and must drain
-		// before a flip retires the handoff window (see shard's
-		// ApplyShard doc), so the mid-cell rebalance stays on the
-		// synchronous write path.
-		usage("-reshard is incompatible with -async and -batch > 1")
 	}
 	if *workloads != "" {
 		runWorkloads(*workloads, cfg)
@@ -432,13 +426,13 @@ func reshardCell(name string, w ycsb.Workload, cfg config) {
 	defer m.Release()
 	half := cfg.opN / 2
 	phase := func(loadN, opN int, seed int64, load bool) harness.Result {
-		res, err := harness.Run(name, m.Target, harness.WritePath{}, w, loadN, opN, cfg.threads, seed, load)
+		res, err := harness.Run(name, m.Target, cfg.path(), w, loadN, opN, cfg.threads, seed, load)
 		if err != nil {
 			fatalf("%s/%s: %v", name, w.Name, err)
 		}
 		return res
 	}
-	if _, err := harness.Run(name, m.Target, harness.WritePath{}, w, cfg.loadN, 0, cfg.threads, cfg.seed, true); err != nil {
+	if _, err := harness.Run(name, m.Target, cfg.path(), w, cfg.loadN, 0, cfg.threads, cfg.seed, true); err != nil {
 		fatalf("%s/%s: %v", name, w.Name, err)
 	}
 	m.LoadReport() // close the load epoch; imbalance below is run-phase only

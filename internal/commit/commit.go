@@ -19,12 +19,12 @@
 //   - Graceful shutdown: after Close returns, every accepted Future is
 //     resolved, the committer goroutine has exited, and further
 //     enqueues fail with ErrClosed.
-//   - Containment: a committer panic or injected crash resolves all
-//     affected and queued Futures with a *CommitterError (matched by
-//     errors.Is(err, ErrCommitterFailed)) and invokes the quarantine
-//     hook — waiters never deadlock. Operations routed to an already
-//     quarantined shard resolve with that shard's
-//     *shard.ShardUnavailableError instead of hanging.
+//   - Containment: a committer panic or a crash of its own shard
+//     resolves all affected and queued Futures with a *CommitterError
+//     (matched by errors.Is(err, ErrCommitterFailed)) and quarantines
+//     the shard — waiters never deadlock. Operations routed to an
+//     already quarantined shard resolve with an error matching that
+//     shard's *shard.ShardUnavailableError instead of hanging.
 //
 // Two crash sites bracket the committer's drain loop, swept by the
 // async lossy and durability-site campaigns (internal/harness):
@@ -50,6 +50,7 @@ import (
 	"repro/internal/crash"
 	"repro/internal/group"
 	"repro/internal/pmem"
+	"repro/shard"
 )
 
 // Crash sites introduced by the committer drain loop (see the package
@@ -78,8 +79,8 @@ var (
 // committer. It matches ErrCommitterFailed via errors.Is and unwraps
 // to the underlying cause (e.g. crash.ErrCrashed).
 type CommitterError struct {
-	// Shard labels the committer (Options.Shard; 0 for standalone
-	// committers).
+	// Shard is the shard whose committer died (0 for a committer built
+	// by NewCommitter).
 	Shard int
 	// Cause is the underlying failure.
 	Cause error
@@ -109,17 +110,6 @@ type Options struct {
 	// MaxBatch before committing it anyway. Zero commits whatever is
 	// immediately available (minimum latency, smallest batches).
 	FlushInterval time.Duration
-	// Heap, when set, routes the committer's crash sites
-	// (SiteDrainApplied, SiteAckFenced) through the heap's injector so
-	// campaigns can crash inside the drain loop. Nil disables them.
-	Heap *pmem.Heap
-	// Shard labels this committer in CommitterError (the pipeline
-	// constructors set it to the shard index).
-	Shard int
-	// Quarantine, when set, is invoked once with the cause if the
-	// committer dies (the pipeline constructors point it at the
-	// front-end's shard quarantine).
-	Quarantine func(cause error)
 }
 
 // Queue/batch defaults (see Options).
@@ -209,15 +199,15 @@ type item[O any] struct {
 
 // Committer drains one bounded queue of ops into group commits via the
 // apply function and resolves futures after each batch's covering
-// fence. The pipeline constructors run one per shard; campaigns run
-// one standalone over a single heap/index pair. Enqueue/Barrier/Drain
-// are safe for concurrent use; Close is idempotent and safe to race
-// with enqueuers.
+// fence. The pipeline constructors run one per shard of a front-end,
+// which is the only way a committer reaches a heap. Enqueue/Barrier/
+// Drain are safe for concurrent use; Close is idempotent and safe to
+// race with enqueuers.
 type Committer[O any] struct {
 	apply func(ops []O, obs group.Observer) error
-	obs   func(op O) // per-op instrumentation, on the committer goroutine
-	quar  func(cause error)
-	heap  *pmem.Heap
+	obs   func(op O)        // per-op instrumentation, on the committer goroutine
+	quar  func(cause error) // nil: nothing to quarantine
+	heap  *pmem.Heap        // carries the crash sites; nil disables them
 	shard int
 
 	flush    time.Duration
@@ -245,19 +235,29 @@ type Committer[O any] struct {
 }
 
 // NewCommitter starts a committer goroutine draining enqueued ops into
-// apply, which must commit the batch as one group commit and honour
-// the group.Observer contract (obs called after each op's boundary,
-// once more after the covering fence). The per-op observer obs, when
-// non-nil, is called on the committer goroutine with the op for every
-// group.Observer callback — the attribution hook. Close the committer
-// to release the goroutine.
+// apply, which must commit the batch and honour the group.Observer
+// contract (obs called after each op's boundary, once more after each
+// covering fence); a *shard.BatchError return names the ops that did
+// not commit, any other error fails the whole batch. The per-op
+// observer obs, when non-nil, is called on the committer goroutine with
+// the op for every group.Observer callback — the attribution hook.
+// Close the committer to release the goroutine. It has no crash sites
+// and no shard to quarantine.
 func NewCommitter[O any](apply func(ops []O, obs group.Observer) error, obs func(op O), opts Options) *Committer[O] {
+	return newCommitter(apply, obs, opts, nil, 0, nil)
+}
+
+// newCommitter is NewCommitter for shard s of a front-end: heap carries
+// the crash sites, and quar, when non-nil, is invoked once with the
+// cause if the committer dies.
+func newCommitter[O any](apply func(ops []O, obs group.Observer) error, obs func(op O), opts Options,
+	heap *pmem.Heap, s int, quar func(cause error)) *Committer[O] {
 	c := &Committer[O]{
 		apply:    apply,
 		obs:      obs,
-		quar:     opts.Quarantine,
-		heap:     opts.Heap,
-		shard:    opts.Shard,
+		quar:     quar,
+		heap:     heap,
+		shard:    s,
 		flush:    opts.FlushInterval,
 		maxBatch: opts.maxBatch(),
 		ch:       make(chan item[O], opts.queue()),
@@ -362,18 +362,24 @@ func (c *Committer[O]) run() {
 
 // gather fills a batch starting from first: greedily when
 // FlushInterval is zero, otherwise waiting up to the flush deadline
-// for the batch to reach MaxBatch.
+// for the batch to reach MaxBatch — unless a barrier arrives, which
+// someone is waiting on, and commits the batch at once.
 func (c *Committer[O]) gather(first item[O]) []item[O] {
 	batch := append(c.batch[:0], first)
 	if c.flush <= 0 {
 		return c.gatherReady(batch)
+	}
+	if first.barrier {
+		return batch
 	}
 	timer := time.NewTimer(c.flush)
 	defer timer.Stop()
 	for len(batch) < c.maxBatch {
 		select {
 		case it := <-c.ch:
-			batch = append(batch, it)
+			if batch = append(batch, it); it.barrier {
+				return batch
+			}
 		case <-timer.C:
 			return batch
 		case <-c.closing:
@@ -414,55 +420,59 @@ func (c *Committer[O]) commit(batch []item[O]) error {
 	if len(ops) > 0 {
 		err = c.runApply(ops)
 	}
-	now := time.Now()
-	if err == nil {
-		// Covering fence retired: the whole batch is durable — ack.
-		for i := range batch {
-			batch[i].fut.resolve(nil, now)
-		}
-		return nil
-	}
-
-	fatal := crash.IsCrash(err)
+	// The committer dies of a panic or of its own shard's crash. A crash
+	// on another shard — one a flip moved this queue's keys to — fails
+	// that shard's sub-batch alone.
 	var ce *CommitterError
-	if errors.As(err, &ce) {
-		fatal = true
+	fatal := errors.As(err, &ce) || crash.IsCrash(err) && (c.heap == nil || c.heap.Injector().Fired())
+	if fatal && ce == nil {
+		err = &CommitterError{Shard: c.shard, Cause: err}
 	}
-	// On an ordinary failure the group layer fenced the applied prefix
-	// before returning (group.Error contract), so those ops are durable
-	// and acked; the rest resolve with the failure. On committer death
-	// nothing past the previous barrier was fenced — every op of the
-	// batch stays unacknowledged and resolves with the typed committer
-	// error.
-	applied := 0
-	failErr := err
-	if fatal {
-		if ce == nil {
-			failErr = &CommitterError{Shard: c.shard, Cause: err}
-		}
-	} else {
-		var ge *group.Error
-		if errors.As(err, &ge) {
-			applied = ge.Applied
-		}
-	}
+	// On committer death nothing past the previous barrier is
+	// acknowledged: every op of the batch resolves with the typed
+	// committer error. Otherwise an op is acknowledged unless its
+	// sub-batch failed before applying it: the front-end committed the
+	// other shards' sub-batches in full and fenced the applied ops of a
+	// failed one, unless it crashed.
+	failed := opErrors(len(ops), err, fatal)
+	now := time.Now()
 	k := 0
 	for i := range batch {
-		if batch[i].barrier {
-			batch[i].fut.resolve(nil, now)
-			continue
+		var ferr error
+		if !batch[i].barrier {
+			ferr = failed(k)
+			k++
 		}
-		if k < applied {
-			batch[i].fut.resolve(nil, now)
-		} else {
-			batch[i].fut.resolve(failErr, now)
-		}
-		k++
+		batch[i].fut.resolve(ferr, now)
 	}
 	if fatal {
-		return failErr
+		return err
 	}
 	return nil
+}
+
+// opErrors maps each of an n-op batch's positions to its outcome given
+// the apply error: nil for an acknowledged op. A *shard.BatchError
+// fails the unapplied ops of its failed sub-batches — every op of a
+// crashed one — each with its sub-batch's error; any other error, and
+// every error when fatal, fails the whole batch.
+func opErrors(n int, err error, fatal bool) func(i int) error {
+	var be *shard.BatchError
+	if err == nil || fatal || !errors.As(err, &be) {
+		return func(int) error { return err }
+	}
+	out := make([]error, n)
+	for j := range be.Failed {
+		sb := &be.Failed[j]
+		idxs := sb.OpIndices[sb.Applied:]
+		if crash.IsCrash(sb.Err) {
+			idxs = sb.OpIndices
+		}
+		for _, i := range idxs {
+			out[i] = sb
+		}
+	}
+	return func(i int) error { return out[i] }
 }
 
 // runApply runs the group commit with the committer's crash sites and
@@ -470,6 +480,11 @@ func (c *Committer[O]) commit(batch []item[O]) error {
 // inside the group (via the observer), SiteAckFenced fires after a
 // successful commit before any future resolves. An injected crash
 // surfaces as crash.ErrCrashed; any other panic as *CommitterError.
+//
+// A batch spanning shards commits as one group per shard, and each
+// group calls the observer once more, repeating its last op's index,
+// after its covering fence: an op boundary is a callback whose index
+// differs from the previous one's.
 func (c *Committer[O]) runApply(ops []O) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -483,11 +498,10 @@ func (c *Committer[O]) runApply(ops []O) (err error) {
 			err = &CommitterError{Shard: c.shard, Cause: fmt.Errorf("committer panic: %v", r)}
 		}
 	}()
-	n := len(ops)
-	calls := 0
+	prev := -1
 	obs := func(i int) {
-		calls++
-		if calls <= n {
+		if i != prev {
+			prev = i
 			c.crashPoint(SiteDrainApplied)
 		}
 		if c.obs != nil {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/commit"
-	"repro/internal/core"
 	"repro/internal/crash"
 	"repro/internal/group"
 	"repro/internal/keys"
@@ -48,27 +47,24 @@ func closeGuarded(t *testing.T, close func() error) error {
 	}
 }
 
-// newCommitter builds a standalone committer over one P-ART heap.
-func newCommitter(t *testing.T, heap *pmem.Heap, opts commit.Options) (*commit.Committer[group.Op[[]byte]], core.OrderedIndex) {
+// oneShard starts the pipeline over a one-shard P-ART front-end on a
+// heap made with o, and returns its one committer and the front-end.
+func oneShard(t *testing.T, o pmem.Options, opts commit.Options) (*commit.Committer[group.Op[[]byte]], *shard.Ordered) {
 	t.Helper()
-	idx, err := core.NewOrdered("P-ART", heap, keys.RandInt)
+	m, err := shard.NewOrdered("P-ART", keys.RandInt, shard.Options{Heap: o})
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts.Heap = heap
-	c := commit.NewCommitter(func(ops []group.Op[[]byte], obs group.Observer) error {
-		return group.Apply(heap, idx, ops, obs)
-	}, nil, opts)
-	return c, idx
+	t.Cleanup(m.Release)
+	return commit.NewOrdered(m, opts).Committer(0), m
 }
 
 // TestAckAfterFence: a future that resolved nil is durable — at every
 // acknowledgment point the flush tracker reports no dirty unfenced
 // line, and every acked key reads back.
 func TestAckAfterFence(t *testing.T) {
-	heap := pmem.New(pmem.Options{Track: true})
-	defer heap.Release()
-	c, idx := newCommitter(t, heap, commit.Options{Queue: 32, MaxBatch: 8})
+	c, idx := oneShard(t, pmem.Options{Track: true}, commit.Options{Queue: 32, MaxBatch: 8})
+	heap := idx.Heap(0)
 	gen := keys.NewGenerator(keys.RandInt)
 
 	const n = 200
@@ -181,9 +177,7 @@ func TestBlockPolicy(t *testing.T) {
 // writes must not wait for a full batch — the flush deadline commits
 // the partial batch.
 func TestFlushIntervalBoundsStaleness(t *testing.T) {
-	heap := pmem.NewFast()
-	defer heap.Release()
-	c, idx := newCommitter(t, heap, commit.Options{
+	c, idx := oneShard(t, pmem.Options{}, commit.Options{
 		Queue: 1024, MaxBatch: 1024, FlushInterval: 20 * time.Millisecond,
 	})
 	gen := keys.NewGenerator(keys.RandInt)
@@ -212,9 +206,7 @@ func TestGracefulDrain(t *testing.T) {
 	gen := keys.NewGenerator(keys.RandInt)
 	baseline := runtime.NumGoroutine()
 
-	heap := pmem.NewFast()
-	defer heap.Release()
-	c, idx := newCommitter(t, heap, commit.Options{Queue: 32, MaxBatch: 8})
+	c, idx := oneShard(t, pmem.Options{}, commit.Options{Queue: 32, MaxBatch: 8})
 
 	const n = 500
 	futs := make([]*commit.Future, n)
@@ -350,10 +342,8 @@ func TestCommitterDeathContainment(t *testing.T) {
 		}
 		return nil
 	}
-	c := commit.NewCommitter(apply, nil, commit.Options{
-		Queue: 8, MaxBatch: 1, Shard: 3,
-		Quarantine: func(cause error) { quarantined.Add(1); quarCause = cause },
-	})
+	c := commit.NewShardCommitter(apply, commit.Options{Queue: 8, MaxBatch: 1}, 3,
+		func(cause error) { quarantined.Add(1); quarCause = cause })
 
 	f1, err := c.Enqueue(group.Op[[]byte]{Key: []byte("a")})
 	if err != nil {
@@ -532,5 +522,117 @@ func TestCrashSitesDiscovered(t *testing.T) {
 		if sites[site] == 0 {
 			t.Errorf("site %q never visited (sites: %v)", site, sites)
 		}
+	}
+}
+
+// TestDrainCutsFlushWait: a Drain commits what is pending at once — the
+// barrier ends the batch's wait for the flush interval.
+func TestDrainCutsFlushWait(t *testing.T) {
+	m, err := shard.NewOrdered("P-ART", keys.RandInt, shard.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	p := commit.NewOrdered(m, commit.Options{FlushInterval: 2 * time.Second})
+	defer p.Close()
+	f, err := p.Insert([]byte("pending"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if err := p.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("Drain of one pending op took %v under a 2s flush interval", took)
+	}
+	if err := f.Err(); err != nil {
+		t.Fatalf("pending op after Drain: %v", err)
+	}
+}
+
+// TestAsyncWriteStraddlingFlip: writes enqueued to a shard's committer
+// before a migration moves every slot of the shard, and committed after
+// its flip, land on the new owner — every acknowledged id reads back.
+func TestAsyncWriteStraddlingFlip(t *testing.T) {
+	m, err := shard.NewOrdered("P-ART", keys.RandInt, shard.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	p := commit.NewOrdered(m, commit.Options{FlushInterval: time.Hour})
+	gen := keys.NewGenerator(keys.RandInt)
+	var ids []uint64
+	var futs []*commit.Future
+	for id := uint64(0); len(ids) < 16; id++ {
+		if m.Route(gen.Key(id)) != 0 {
+			continue
+		}
+		f, err := p.Insert(gen.Key(id), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, futs = append(ids, id), append(futs, f)
+	}
+	if err := m.MigrateSlots(0, 1, m.SlotsOf(0), 8); err != nil {
+		t.Fatal(err)
+	}
+	if err := closeGuarded(t, p.Close); err != nil {
+		t.Fatal(err)
+	}
+	lost := 0
+	for i, f := range futs {
+		if err := f.Err(); err != nil {
+			t.Fatalf("id %d: %v", ids[i], err)
+		}
+		if v, ok := m.Lookup(gen.Key(ids[i])); !ok || v != ids[i] {
+			lost++
+		}
+	}
+	if lost != 0 {
+		t.Fatalf("%d of %d acknowledged writes unreadable after the flip", lost, len(ids))
+	}
+}
+
+// TestForeignCrashFailsOnlyItsSubBatch: a crash on the shard a flip
+// moved a queue's keys to fails that sub-batch's ops, unacknowledged —
+// none of them was fenced — and leaves the committer and its own shard
+// serving.
+func TestForeignCrashFailsOnlyItsSubBatch(t *testing.T) {
+	m, err := shard.NewOrdered("P-ART", keys.RandInt, shard.Options{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release()
+	p := commit.NewOrdered(m, commit.Options{FlushInterval: time.Hour})
+	gen := keys.NewGenerator(keys.RandInt)
+	var futs []*commit.Future
+	for id := uint64(0); len(futs) < 8; id++ {
+		if m.Route(gen.Key(id)) != 0 {
+			continue
+		}
+		f, err := p.Insert(gen.Key(id), id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		futs = append(futs, f)
+	}
+	if err := m.MigrateSlots(0, 1, m.SlotsOf(0), 8); err != nil {
+		t.Fatal(err)
+	}
+	m.Heap(1).SetInjector(crash.NewAtSite(group.SiteOpApplied, 1))
+	if err := closeGuarded(t, p.Close); err != nil {
+		t.Fatalf("Close after a crash on another shard: %v", err)
+	}
+	for i, f := range futs {
+		if err := f.Err(); !crash.IsCrash(err) || errors.Is(err, commit.ErrCommitterFailed) {
+			t.Fatalf("future %d: %v, want the other shard's crash", i, err)
+		}
+	}
+	if q := m.Quarantined(); len(q) != 0 {
+		t.Fatalf("quarantined %v after a crash on another shard", q)
+	}
+	if got, err := m.RecoverCrashed(); err != nil || len(got) != 1 || got[0] != 1 {
+		t.Fatalf("RecoverCrashed = %v, %v; want [1]", got, err)
 	}
 }

@@ -1,12 +1,16 @@
 // The shard-routed async pipeline: one committer per shard of a sharded
-// front-end. Writers enqueue through the pipeline, which routes each
-// op to its owning shard's queue (the front-end's Route) and commits
-// per-shard batches through its ApplyShard — so a pipeline inherits
-// the front-end's partitioning, quarantine behaviour, and per-shard
-// single-writer group commits. Reads go to the front-end directly and
-// may miss enqueued-but-uncommitted writes; the staleness window is
-// bounded by Options.FlushInterval plus one batch commit. Callers that
-// need read-your-writes call Drain (or wait their own futures) first.
+// front-end — a single heap is a one-shard front-end. Writers enqueue
+// through the pipeline, which picks the queue of the shard that owns
+// each op's key now (the front-end's Owner), and each committer commits
+// its batches through the front-end's ApplyBatchObserved, which routes
+// again when it commits — so an op enqueued before a routing-table flip
+// and committed after it lands on the new owner, and a pipeline
+// inherits the front-end's partitioning, handoff window, quarantine
+// behaviour and per-shard single-writer group commits. Reads go to the
+// front-end directly and may miss enqueued-but-uncommitted writes; the
+// staleness window is bounded by Options.FlushInterval plus one batch
+// commit. Callers that need read-your-writes call Drain (or wait their
+// own futures) first.
 package commit
 
 import (
@@ -23,8 +27,8 @@ type frontend[K any] interface {
 	NumShards() int
 	Heap(i int) *pmem.Heap
 	Quarantine(i int, cause error)
-	Route(key K) int
-	ApplyShard(s int, ops []group.Op[K], obs group.Observer) error
+	Owner(key K) int
+	ApplyBatchObserved(ops []group.Op[K], obs group.Observer) error
 }
 
 // Pipeline is the async pipeline over a sharded front-end with keys of
@@ -40,26 +44,14 @@ type Pipeline[K any] struct {
 }
 
 // newPipeline starts one committer per shard of m. opts applies to each
-// committer (Queue and MaxBatch are per shard); opts.Shard is
-// overridden with the shard index, opts.Heap with the shard's heap —
-// which carries the committer's crash sites — and a dying committer
-// quarantines its shard in m before any caller-provided
-// opts.Quarantine hook runs.
+// committer (Queue and MaxBatch are per shard); committer s carries its
+// crash sites on shard s's heap, and a dying committer quarantines
+// shard s.
 func newPipeline[K any](m frontend[K], own func(K) K, opts Options, obs func(group.Op[K])) *Pipeline[K] {
 	p := &Pipeline[K]{m: m, own: own, cs: make([]*Committer[group.Op[K]], m.NumShards())}
 	for s := range p.cs {
-		o := opts
-		o.Shard = s
-		o.Heap = m.Heap(s)
-		o.Quarantine = func(cause error) {
-			m.Quarantine(s, cause)
-			if opts.Quarantine != nil {
-				opts.Quarantine(cause)
-			}
-		}
-		p.cs[s] = NewCommitter(func(ops []group.Op[K], gobs group.Observer) error {
-			return m.ApplyShard(s, ops, gobs)
-		}, obs, o)
+		p.cs[s] = newCommitter(m.ApplyBatchObserved, obs, opts, m.Heap(s), s,
+			func(cause error) { m.Quarantine(s, cause) })
 	}
 	return p
 }
@@ -110,7 +102,7 @@ func (p *Pipeline[K]) Apply(op group.Op[K]) (*Future, error) {
 	if p.own != nil {
 		op.Key = p.own(op.Key)
 	}
-	return p.cs[p.m.Route(op.Key)].Enqueue(op)
+	return p.cs[p.m.Owner(op.Key)].Enqueue(op)
 }
 
 // Drain waits until every op accepted by any shard's committer before

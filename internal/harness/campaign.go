@@ -19,7 +19,8 @@ import (
 
 // campaign fans n trials out over `workers` goroutines (< 1 selects
 // GOMAXPROCS) and collects them in order; at names trial i and returns
-// the crash it arms and the shard whose heap hosts it (0 on one heap).
+// the crash it arms and the shard whose heap hosts it (taken mod the
+// target's width, so 0 on one shard).
 func (p protocol) campaign(name string, seed int64, n, workers int, at func(i int) (string, *crash.Injector, int)) CampaignReport {
 	rep := CampaignReport{Index: name, Policy: p.policy, Seed: seed, PostOps: p.postN, Sites: make([]SiteReport, n)}
 	forEachTrial(n, workers, func(i int) {

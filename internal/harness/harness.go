@@ -16,10 +16,9 @@ import (
 	"repro/internal/ycsb"
 )
 
-// StatsSource yields heap-counter snapshots for the measured phase. A
-// single *pmem.Heap satisfies it, and so does the sharded front-end
-// (shard.Ordered / shard.Hash), whose Stats aggregates every per-shard
-// heap.
+// StatsSource yields heap-counter snapshots for the measured phase: a
+// Target's front-end (shard.Ordered / shard.Hash), whose Stats
+// aggregates every per-shard heap.
 type StatsSource interface {
 	Stats() pmem.Stats
 }
@@ -138,7 +137,7 @@ func Run(name string, t *Target, path WritePath, w ycsb.Workload, loadN, opN, th
 // direct (optional) is told the kind of every operation the walker
 // executed itself rather than handing to the writer.
 func execute(t *Target, path WritePath, plan *ycsb.Plan, h hooks, direct func(ycsb.OpKind)) (Result, error) {
-	g := path.open(t, h)
+	g := path.open(t, h, false)
 	before := t.stats.Stats()
 	start := time.Now()
 	var wg sync.WaitGroup

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/keys"
 	"repro/internal/pmem"
 	"repro/internal/ycsb"
@@ -123,13 +122,8 @@ func TestRunConservationDF(t *testing.T) {
 // fresh-key update model.
 func TestRunUpdatesInPlace(t *testing.T) {
 	const loadN = 2000
-	heap := pmem.NewFast()
-	defer heap.Release()
-	idx, err := core.NewOrdered("P-Masstree", heap, keys.RandInt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Run("P-Masstree", Ordered(heap, idx, keys.RandInt), syncPath, ycsb.F, loadN, 4000, 4, 1, true); err != nil {
+	idx := shardedOrdered(t, "P-Masstree", 1)
+	if _, err := Run("P-Masstree", ShardedOrdered(idx, keys.RandInt), syncPath, ycsb.F, loadN, 4000, 4, 1, true); err != nil {
 		t.Fatal(err)
 	}
 	if n := idx.Len(); n != loadN {

@@ -50,10 +50,9 @@ type WritePath struct {
 	// limit (Batched; < 1 selects 1) or the committers' drain size
 	// (Async; < 1 selects commit.DefaultMaxBatch).
 	Batch int
-	// Queue and Flush configure Async committers over a sharded
-	// front-end: the per-shard bounded queue (0 = commit.DefaultQueue)
-	// and the staleness bound on short batches. Trials on a single heap
-	// pin both instead (see open).
+	// Queue and Flush configure Async committers: the per-shard bounded
+	// queue (0 = commit.DefaultQueue) and the staleness bound on short
+	// batches. A trial's sole enqueuer pins both instead (see open).
 	Queue int
 	Flush time.Duration
 }
@@ -122,8 +121,9 @@ type generation struct {
 	ackTotal time.Duration
 }
 
-// open starts a fresh generation of the path over t.
-func (p WritePath) open(t *Target, h hooks) *generation {
+// open starts a fresh generation of the path over t. sole says one
+// writer will enqueue to it and settle it — a trial's load.
+func (p WritePath) open(t *Target, h hooks, sole bool) *generation {
 	g := &generation{end: func() error { return nil }}
 	switch p.Mode {
 	case Batched:
@@ -132,13 +132,11 @@ func (p WritePath) open(t *Target, h hooks) *generation {
 		}
 	case Async:
 		opts := commit.Options{Queue: p.Queue, MaxBatch: p.Batch, FlushInterval: p.Flush}
-		sole := len(t.heaps) == 1
 		if sole {
-			// A target on one heap has a trial's single enqueuer, which
-			// keeps a queue of exactly one batch fed while the flush
-			// interval never expires, so mid-stream batches are exactly
-			// Batch consecutive ids and the site-visit sequence on the
-			// committer goroutine is deterministic.
+			// A sole enqueuer keeps a queue of exactly one batch fed while
+			// the flush interval never expires, so mid-stream batches are
+			// exactly Batch consecutive ids of a shard and the site-visit
+			// sequence on a one-shard target's committer is deterministic.
 			opts = commit.Options{Queue: p.Batch, MaxBatch: p.Batch, FlushInterval: time.Hour}
 		}
 		enqueue, end := t.committers(opts, h.observe)
@@ -225,7 +223,7 @@ const asyncWindow = 1024
 type asyncWriter struct {
 	g       *generation
 	enqueue func(id, v uint64, update bool) (*commit.Future, error)
-	// sole marks the only enqueuer of a standalone trial committer.
+	// sole marks the only enqueuer of a trial's generation.
 	sole     bool
 	resolved func(id uint64, err error)
 

@@ -17,12 +17,14 @@ import (
 //   - after a settle the worker has no unacknowledged inserts of its
 //     own, whatever it returned;
 //   - a write failed by an injected crash is reported unacknowledged —
-//     never acknowledged — and a fresh generation works after recovery.
+//     never acknowledged — and a fresh generation works after recovery;
+//   - on the Async path the dead committer quarantines its shard until
+//     the restart.
 func TestWriterContract(t *testing.T) {
 	for _, p := range paths {
 		for _, name := range []string{"P-ART", "P-CLHT"} {
 			t.Run(p.name+"/"+name, func(t *testing.T) {
-				target := ByName(name, keys.RandInt)(pmem.Options{Track: true})
+				target, front := sharded(name, keys.RandInt, 1, nil, pmem.Options{Track: true})
 				defer target.release()
 				heap := target.heaps[0]
 				heap.Tracker().Reset()
@@ -41,7 +43,7 @@ func TestWriterContract(t *testing.T) {
 				// write drives ids [lo, lo+n) through one generation, settling
 				// it every `every` writes, and returns the last settle's error.
 				write := func(lo, n, every int) error {
-					g := p.path.open(target, h)
+					g := p.path.open(target, h, true)
 					defer func() { g.end() }()
 					w := g.writer(target.session())
 					var err error
@@ -66,7 +68,7 @@ func TestWriterContract(t *testing.T) {
 							if p.path.Mode == Async && i != n-1 {
 								// A trial's async writer ends its generation at settle.
 								g.end()
-								g = p.path.open(target, h)
+								g = p.path.open(target, h, true)
 								w = g.writer(target.session())
 							}
 						}
@@ -90,7 +92,6 @@ func TestWriterContract(t *testing.T) {
 				if !heap.Injector().Fired() {
 					t.Fatal("crash at the 50th site visit never fired")
 				}
-				heap.SetInjector(nil)
 				if err == nil || len(failed) == 0 {
 					t.Fatalf("crashed load settled with err=%v and %d failed writes", err, len(failed))
 				}
@@ -100,10 +101,21 @@ func TestWriterContract(t *testing.T) {
 					}
 				}
 				s := target.session()
-				for id := range acked {
-					if v, ok := s.lookup(id); !ok || v != id {
-						t.Errorf("acknowledged id %d reads back %d,%v after the crash", id, v, ok)
+				readBack := func(when string) {
+					for id := range acked {
+						if v, ok := s.lookup(id); !ok || v != id {
+							t.Errorf("acknowledged id %d reads back %d,%v %s", id, v, ok, when)
+						}
 					}
+				}
+				if p.path.Mode == Async {
+					// The dead committer quarantined its shard: until the
+					// restart every key reads as unavailable.
+					if q := front.(interface{ Quarantined() []int }).Quarantined(); len(q) != 1 {
+						t.Errorf("dead committer left its shard serving: quarantined %v", q)
+					}
+				} else {
+					readBack("after the crash")
 				}
 
 				// A crashed committer stays dead; a fresh generation over the
@@ -111,6 +123,9 @@ func TestWriterContract(t *testing.T) {
 				heap.Tracker().Reset()
 				if _, err := target.recover(); err != nil {
 					t.Fatal(err)
+				}
+				if p.path.Mode == Async {
+					readBack("after the restart")
 				}
 				before := len(acked)
 				if err := write(5000, 40, 40); err != nil {

@@ -2,8 +2,9 @@
 // its index by dense identifier; a Target turns an identifier into the
 // index's own key ([]byte through keys.Generator.AppendKey for ordered
 // indexes, gen.Uint64(id)|1 for hash tables, which reserve key 0) and
-// into the group.Op that carries it, so ordered and hash — and a single
-// heap and a sharded front-end — share one body of everything above.
+// into the group.Op that carries it, so ordered and hash share one body
+// of everything above. Every Target is a sharded front-end; a single
+// heap is a front-end one shard wide.
 package harness
 
 import (
@@ -21,25 +22,23 @@ import (
 	"repro/shard"
 )
 
-// Target is one index addressed by dense identifier: a converted index
-// on its own heap (Ordered, Hash — what the crash trials build) or a
-// sharded front-end (ShardedOrdered, ShardedHash — what the throughput
-// cells run on; Sharded builds either as a crash-trial target).
+// Target is one index addressed by dense identifier: a sharded
+// front-end (ShardedOrdered, ShardedHash), one shard wide or more.
+// Sharded builds either as a crash-trial target.
 type Target struct {
 	kind    keys.Kind
 	stats   StatsSource
 	ordered bool
-	// heaps and recover are set on crash-trial targets: the heaps a
-	// trial arms, power-cycles, checks and releases (one, or one per
-	// shard), and the restart after a crash, which disarms the fired
-	// injector and returns the per-shard recovery replay counts (nil on
-	// a single heap).
+	// heaps are the front-end's shard heaps, which a trial arms,
+	// power-cycles, checks and releases, and recover is the restart after
+	// a crash: RecoverCrashed, which disarms the fired injectors and
+	// replays those shards alone, then the per-shard replay counts.
 	heaps   []*pmem.Heap
 	recover func() (replays []uint64, err error)
-	// mergedScan is set on Sharded ordered targets: it counts the merged
-	// scan's entries, -1 if they are not strictly ascending. migrate is
-	// set on ReshardCampaign's: the migration a trial runs beside its
-	// load, which moves nothing once a published flip has moved its keys.
+	// mergedScan is set on ordered targets: it counts the merged scan's
+	// entries, -1 if they are not strictly ascending. migrate is set on
+	// ReshardCampaign's: the migration a trial runs beside its load,
+	// which moves nothing once a published flip has moved its keys.
 	mergedScan func() int
 	migrate    func() error
 
@@ -169,27 +168,6 @@ func hashTarget(idx core.HashIndex, apply applyFn[uint64], start startFn[uint64]
 	return t
 }
 
-// standalone is the single-heap startFn: one committer applying
-// straight to the heap, which also carries its commit.* crash sites.
-func standalone[K any](heap *pmem.Heap, apply applyFn[K]) startFn[K] {
-	return func(opts commit.Options, obs func(group.Op[K])) (func(group.Op[K]) (*commit.Future, error), func() error) {
-		opts.Heap = heap
-		c := commit.NewCommitter(apply, obs, opts)
-		return c.Enqueue, c.Close
-	}
-}
-
-// on marks t as living on one heap, which is then its counter source
-// and what a trial arms, power-cycles and recovers.
-func (t *Target) on(heap *pmem.Heap, recover func() error) *Target {
-	t.heaps, t.stats = []*pmem.Heap{heap}, heap
-	t.recover = func() ([]uint64, error) {
-		heap.SetInjector(nil)
-		return nil, recover()
-	}
-	return t
-}
-
 // violations counts the lines t's heaps hold dirty or unfenced at a
 // boundary, resetting a dirty tracker so one violation is not recounted
 // at every later boundary.
@@ -210,19 +188,6 @@ func (t *Target) release() {
 	}
 }
 
-// Ordered adapts an ordered index living on heap, with keys of kind.
-func Ordered(heap *pmem.Heap, idx core.OrderedIndex, kind keys.Kind) *Target {
-	apply := func(ops []group.Op[[]byte], obs group.Observer) error { return group.Apply(heap, idx, ops, obs) }
-	return orderedTarget(idx, kind, apply, standalone(heap, apply)).on(heap, idx.Recover)
-}
-
-// Hash adapts an unordered index living on heap (integer keys, as in
-// the paper; scan workloads are rejected).
-func Hash(heap *pmem.Heap, idx core.HashIndex) *Target {
-	apply := func(ops []group.Op[uint64], obs group.Observer) error { return group.Apply(heap, idx, ops, obs) }
-	return hashTarget(idx, apply, standalone(heap, apply)).on(heap, idx.Recover)
-}
-
 // ShardedOrdered adapts the sharded ordered front-end: batches commit
 // through its per-shard group commits, async writes through one
 // committer per shard.
@@ -232,69 +197,6 @@ func ShardedOrdered(m *shard.Ordered, kind keys.Kind) *Target {
 			p := commit.NewOrderedObserved(m, opts, obs)
 			return p.Apply, p.Close
 		})
-	t.stats = m
-	return t
-}
-
-// ShardedHash is ShardedOrdered for the unordered front-end.
-func ShardedHash(m *shard.Hash) *Target {
-	t := hashTarget(m, m.ApplyBatchObserved,
-		func(opts commit.Options, obs func(group.Op[uint64])) (func(group.Op[uint64]) (*commit.Future, error), func() error) {
-			p := commit.NewHashObserved(m, opts, obs)
-			return p.Apply, p.Close
-		})
-	t.stats = m
-	return t
-}
-
-// ByName returns the Build of a registry index by its evaluation name,
-// ordered or unordered (kind is ignored by hash tables). The build
-// panics on a name the registry does not know — campaign names are
-// literals in the commands and tests that pass them.
-func ByName(name string, kind keys.Kind) Build {
-	return func(o pmem.Options) *Target {
-		heap := pmem.New(o)
-		if idx, err := core.NewOrdered(name, heap, kind); err == nil {
-			return Ordered(heap, idx, kind)
-		}
-		idx, err := core.NewHash(name, heap)
-		if err != nil {
-			panic(err)
-		}
-		return Hash(heap, idx)
-	}
-}
-
-// Sharded returns the Build of the named index's sharded front-end,
-// shards wide: an ordered index routed by part (nil selects hash
-// routing), or a hash table (kind and part are ignored). It restarts
-// through RecoverCrashed, which must replay the crashed shard alone.
-func Sharded(name string, kind keys.Kind, shards int, part shard.Partitioner) Build {
-	return func(o pmem.Options) *Target { t, _ := sharded(name, kind, shards, part, o); return t }
-}
-
-// slotMover is the slot migration both sharded front-ends offer.
-type slotMover interface {
-	SlotsOf(shard int) []int
-	MigrateSlots(donor, recipient int, slots []int, batchSize int) error
-}
-
-// sharded builds Sharded's target on heaps made with o, and returns its
-// front-end too.
-func sharded(name string, kind keys.Kind, shards int, part shard.Partitioner, o pmem.Options) (*Target, slotMover) {
-	opts := shard.Options{Shards: shards, Heap: o, Partitioner: part}
-	if slices.Contains(core.HashNames, name) {
-		m, err := shard.NewHash(name, opts)
-		if err != nil {
-			panic(err)
-		}
-		return ShardedHash(m).onShards(m.NumShards(), m.Heap, m.RecoverCrashed, m.Recoveries), m
-	}
-	m, err := shard.NewOrdered(name, kind, opts)
-	if err != nil {
-		panic(err)
-	}
-	t := ShardedOrdered(m, kind).onShards(m.NumShards(), m.Heap, m.RecoverCrashed, m.Recoveries)
 	t.mergedScan = func() int {
 		n := 0
 		var prev []byte
@@ -309,20 +211,75 @@ func sharded(name string, kind keys.Kind, shards int, part shard.Partitioner, o 
 		})
 		return n
 	}
-	return t, m
+	return t.onShards(m)
 }
 
-// onShards marks t as living on a sharded front-end's heaps, restarting
-// through recoverCrashed and reporting the per-shard replay counts.
-func (t *Target) onShards(n int, heap func(int) *pmem.Heap, recoverCrashed func() ([]int, error), replays func() []uint64) *Target {
-	for i := range n {
-		t.heaps = append(t.heaps, heap(i))
+// ShardedHash is ShardedOrdered for the unordered front-end.
+func ShardedHash(m *shard.Hash) *Target {
+	return hashTarget(m, m.ApplyBatchObserved,
+		func(opts commit.Options, obs func(group.Op[uint64])) (func(group.Op[uint64]) (*commit.Future, error), func() error) {
+			p := commit.NewHashObserved(m, opts, obs)
+			return p.Apply, p.Close
+		}).onShards(m)
+}
+
+// frontend is what a Target needs of either sharded front-end beyond
+// its index interface, and the slot migration ReshardCampaign runs.
+type frontend interface {
+	StatsSource
+	NumShards() int
+	Heap(i int) *pmem.Heap
+	RecoverCrashed() ([]int, error)
+	Recoveries() []uint64
+	SlotsOf(shard int) []int
+	MigrateSlots(donor, recipient int, slots []int, batchSize int) error
+}
+
+// onShards marks t as living on m's heaps, restarting through
+// RecoverCrashed and reporting the per-shard replay counts.
+func (t *Target) onShards(m frontend) *Target {
+	t.stats = m
+	for i := range m.NumShards() {
+		t.heaps = append(t.heaps, m.Heap(i))
 	}
 	t.recover = func() ([]uint64, error) {
-		_, err := recoverCrashed()
-		return replays(), err
+		_, err := m.RecoverCrashed()
+		return m.Recoveries(), err
 	}
 	return t
+}
+
+// ByName returns the Build of a registry index by its evaluation name,
+// ordered or unordered (kind is ignored by hash tables), on one heap: a
+// front-end one shard wide. The build panics on a name the registry
+// does not know — campaign names are literals in the commands and tests
+// that pass them.
+func ByName(name string, kind keys.Kind) Build { return Sharded(name, kind, 1, nil) }
+
+// Sharded returns the Build of the named index's sharded front-end,
+// shards wide: an ordered index routed by part (nil selects hash
+// routing), or a hash table (kind and part are ignored). It restarts
+// through RecoverCrashed, which must replay the crashed shard alone.
+func Sharded(name string, kind keys.Kind, shards int, part shard.Partitioner) Build {
+	return func(o pmem.Options) *Target { t, _ := sharded(name, kind, shards, part, o); return t }
+}
+
+// sharded builds Sharded's target on heaps made with o, and returns its
+// front-end too.
+func sharded(name string, kind keys.Kind, shards int, part shard.Partitioner, o pmem.Options) (*Target, frontend) {
+	opts := shard.Options{Shards: shards, Heap: o, Partitioner: part}
+	if slices.Contains(core.HashNames, name) {
+		m, err := shard.NewHash(name, opts)
+		if err != nil {
+			panic(err)
+		}
+		return ShardedHash(m), m
+	}
+	m, err := shard.NewOrdered(name, kind, opts)
+	if err != nil {
+		panic(err)
+	}
+	return ShardedOrdered(m, kind), m
 }
 
 // The migration ReshardCampaign crashes: shard 0 hands a slice of its
@@ -333,7 +290,7 @@ const donorShard, recipientShard, reshardBatch = 0, 1, 8
 // migration returns m's move: the first half of shard 0's slots at
 // build time, to shard 1 — or nothing, once a published flip has moved
 // them (a flip moves its whole window at once).
-func migration(m slotMover) func() error {
+func migration(m frontend) func() error {
 	slots := m.SlotsOf(donorShard)
 	slots = slots[:len(slots)/2]
 	return func() error {
@@ -348,14 +305,24 @@ func migration(m slotMover) func() error {
 // §7.5 unpersisted-initial-allocation bug — the negative control of the
 // durability test and of the crash-site campaign under the revert image.
 func FaithfulFF(o pmem.Options) *Target {
-	heap := pmem.New(o)
-	return Ordered(heap, fastfair.NewWithMode(heap, keys.RandInt, fastfair.Faithful), keys.RandInt)
+	m, err := shard.NewOrderedWith(func(h *pmem.Heap) (core.OrderedIndex, error) {
+		return fastfair.NewWithMode(h, keys.RandInt, fastfair.Faithful), nil
+	}, shard.Options{Heap: o})
+	if err != nil {
+		panic(err)
+	}
+	return ShardedOrdered(m, keys.RandInt)
 }
 
 // FaithfulCCEH builds Faithful-mode CCEH, which reproduces both the
 // unpersisted initial allocation and the §3 non-atomic directory
 // doubling whose crash makes recovery stall (cceh.ErrStalled).
 func FaithfulCCEH(o pmem.Options) *Target {
-	heap := pmem.New(o)
-	return Hash(heap, cceh.NewWithMode(heap, cceh.Faithful))
+	m, err := shard.NewHashWith(func(h *pmem.Heap) (core.HashIndex, error) {
+		return cceh.NewWithMode(h, cceh.Faithful), nil
+	}, shard.Options{Heap: o})
+	if err != nil {
+		panic(err)
+	}
+	return ShardedHash(m)
 }

@@ -20,12 +20,13 @@
 //     missing persist can only show as a tracker violation. The lossy
 //     images lose what never reached a clwb+fence, and revert, keep or
 //     tear what was written back but not fenced.
-//  3. Recover, counting the lines recovery leaves dirty or unfenced. A
+//  3. Recover through RecoverCrashed, which replays the crashed shard
+//     alone, counting the lines recovery leaves dirty or unfenced. A
 //     trial with no crash armed skips steps 2 and 3 and counts what
 //     construction and the load left instead.
 //  4. Read back every acknowledged id exactly, and every unacknowledged
-//     one exact-or-absent. A sharded ordered target's merged scan must
-//     be strictly ascending — migration residue is never counted twice —
+//     one exact-or-absent. An ordered target's merged scan must be
+//     strictly ascending — migration residue is never counted twice —
 //     and hold every acknowledged id and at most every unacknowledged
 //     one besides.
 //  5. The post phase: postN fresh inserts, each ack unit then rewritten
@@ -76,7 +77,7 @@ const postBase = 1_000_000
 // failure, or once halt has fired (nil never does) — nothing runs on a
 // dead machine — leaving whatever a queued path still holds unaccepted.
 func load(t *Target, path WritePath, lo uint64, n int, update bool, h hooks, halt *crash.Injector) error {
-	g := path.open(t, h)
+	g := path.open(t, h, true)
 	defer g.end()
 	w := g.writer(t.session())
 	for id := lo; id < lo+uint64(n) && !halt.Fired(); id++ {
@@ -207,9 +208,9 @@ func (v *Verdict) inflight(phase string, lookup func(uint64) (uint64, bool), una
 	return err == nil
 }
 
-// scanned checks a sharded ordered target's merged scan: strictly
-// ascending, with at least every acknowledged id and at most every
-// unacknowledged one besides. A target without one passes.
+// scanned checks an ordered target's merged scan: strictly ascending,
+// with at least every acknowledged id and at most every unacknowledged
+// one besides. A hash target passes.
 func (v *Verdict) scanned(phase string, t *Target, acked, unacked int) bool {
 	if t.mergedScan == nil {
 		return true
@@ -253,9 +254,9 @@ type SiteReport struct {
 	// Cycle is the power cycle's damage report.
 	Cycle pmem.CycleReport
 	// Host is the shard whose heap the crash was armed on, and Replays
-	// the per-shard recovery replay counts after the restart (nil on a
-	// single heap), which must be zero everywhere but Host, and not zero
-	// on Host.
+	// the per-shard recovery replay counts after the restart (nil if
+	// nothing restarted), which must be zero everywhere but Host, and not
+	// zero on Host.
 	Host    int
 	Replays []uint64
 }
@@ -353,8 +354,7 @@ type protocol struct {
 }
 
 // trial runs one trial named site: inj is armed on the heap of shard
-// host mod the target's width (a single heap is width 1), and a nil inj
-// arms nothing. seed drives the torn coin flips.
+// host mod the target's width in shards, and a nil inj arms nothing. seed drives the torn coin flips.
 func (p protocol) trial(site string, inj *crash.Injector, host int, seed int64) SiteReport {
 	r := SiteReport{Site: site}
 	t := p.build(pmem.Options{Track: true, Shadow: p.policy != pmem.PolicyIntact})

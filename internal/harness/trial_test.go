@@ -11,6 +11,7 @@ import (
 	"repro/internal/group"
 	"repro/internal/keys"
 	"repro/internal/pmem"
+	"repro/shard"
 )
 
 // campaignIndexes are the nine indexes the campaign matrices cover —
@@ -92,23 +93,28 @@ func TestLossyMatrix(t *testing.T) {
 // holds a prefix past the seven stored bytes and no leaf to read it from.
 // The load's first insert replaces it.
 func emptiedART(o pmem.Options) *Target {
-	heap := pmem.New(o)
-	idx, err := core.NewOrdered("P-ART", heap, keys.YCSBString)
+	m, err := shard.NewOrderedWith(func(heap *pmem.Heap) (core.OrderedIndex, error) {
+		idx, err := core.NewOrdered("P-ART", heap, keys.YCSBString)
+		if err != nil {
+			return nil, err
+		}
+		shared := []byte("user9999999999999999999")
+		for _, last := range []byte("01") {
+			if err := idx.Insert(append(shared, last), 1); err != nil {
+				return nil, err
+			}
+		}
+		for _, last := range []byte("01") {
+			if ok, err := idx.Delete(append(shared, last)); !ok || err != nil {
+				return nil, fmt.Errorf("delete: %v, %v", ok, err)
+			}
+		}
+		return idx, nil
+	}, shard.Options{Heap: o})
 	if err != nil {
 		panic(err)
 	}
-	shared := []byte("user9999999999999999999")
-	for _, last := range []byte("01") {
-		if err := idx.Insert(append(shared, last), 1); err != nil {
-			panic(err)
-		}
-	}
-	for _, last := range []byte("01") {
-		if ok, err := idx.Delete(append(shared, last)); !ok || err != nil {
-			panic(fmt.Sprintf("delete: %v, %v", ok, err))
-		}
-	}
-	return Ordered(heap, idx, keys.YCSBString)
+	return ShardedOrdered(m, keys.YCSBString)
 }
 
 // TestSiteCampaignFiresEverySite runs the intact-image sweep on every

@@ -172,19 +172,10 @@ func NewShardedHash(name string, opts ShardOptions) (*ShardedHash, error) {
 
 // Target is an index addressed by dense key identifier — what the
 // workload runner and the crash campaigns drive, so ordered and
-// unordered indexes, on one heap or sharded, share every entry point
-// below. Build one with OrderedTarget, HashTarget, the Sharded variants,
-// or IndexByName.
+// unordered indexes share every entry point below. Every Target is a
+// sharded front-end; one heap is a front-end with Shards: 1. Build one
+// with ShardedOrderedTarget, ShardedHashTarget or IndexByName.
 type Target = harness.Target
-
-// OrderedTarget adapts an ordered index living on heap, with keys of
-// kind.
-func OrderedTarget(heap *Heap, idx OrderedIndex, kind KeyKind) *Target {
-	return harness.Ordered(heap, idx, kind)
-}
-
-// HashTarget adapts an unordered index living on heap (integer keys).
-func HashTarget(heap *Heap, idx HashIndex) *Target { return harness.Hash(heap, idx) }
 
 // ShardedOrderedTarget adapts a sharded ordered front-end.
 func ShardedOrderedTarget(m *ShardedOrdered, kind KeyKind) *Target {
@@ -196,8 +187,8 @@ func ShardedHashTarget(m *ShardedHash) *Target { return harness.ShardedHash(m) }
 
 // IndexByName returns a constructor building the named index — any of
 // OrderedNames, HashNames or "WOART"; kind is ignored by hash tables —
-// on a fresh heap made with the options it is given, the shape the
-// crash campaigns take. The constructor panics on an unknown name.
+// on a one-shard front-end whose heap is made with the options it is
+// given, the shape the crash campaigns take. The constructor panics on an unknown name.
 func IndexByName(name string, kind KeyKind) harness.Build {
 	return harness.ByName(name, kind)
 }
@@ -208,7 +199,7 @@ func IndexByName(name string, kind KeyKind) harness.Build {
 // combiner of Batch ops (one covering fence per shard per flush);
 // Mode AsyncPath enqueues them to per-shard committers (Queue deep,
 // draining up to Batch ops per fence) and treats each future resolving
-// nil as the ack. The queued paths need a sharded target.
+// nil as the ack.
 type WritePath = harness.WritePath
 
 // The write paths for WritePath.Mode.

@@ -37,12 +37,11 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 // TestAllIndexesThroughPublicAPI runs a small YCSB A against every index.
 func TestAllIndexesThroughPublicAPI(t *testing.T) {
 	for _, name := range recipe.OrderedNames() {
-		heap := recipe.NewHeap()
-		idx, err := recipe.NewOrdered(name, heap, recipe.RandInt)
+		m, err := recipe.NewShardedOrdered(name, recipe.RandInt, recipe.ShardOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := recipe.RunWorkload(name, recipe.OrderedTarget(heap, idx, recipe.RandInt), recipe.WritePath{}, ycsb.A, 3000, 3000, 4, 7)
+		res, err := recipe.RunWorkload(name, recipe.ShardedOrderedTarget(m, recipe.RandInt), recipe.WritePath{}, ycsb.A, 3000, 3000, 4, 7)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -51,12 +50,11 @@ func TestAllIndexesThroughPublicAPI(t *testing.T) {
 		}
 	}
 	for _, name := range recipe.HashNames() {
-		heap := recipe.NewHeap()
-		idx, err := recipe.NewHash(name, heap)
+		m, err := recipe.NewShardedHash(name, recipe.ShardOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := recipe.RunWorkload(name, recipe.HashTarget(heap, idx), recipe.WritePath{}, ycsb.A, 3000, 3000, 4, 7)
+		res, err := recipe.RunWorkload(name, recipe.ShardedHashTarget(m), recipe.WritePath{}, ycsb.A, 3000, 3000, 4, 7)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -100,12 +98,11 @@ func TestOrderedIndexesAgreeUnderYCSB(t *testing.T) {
 	const loadN, opN = 2000, 2000
 	contents := map[string]map[uint64]uint64{}
 	for _, name := range recipe.OrderedNames() {
-		heap := pmem.NewFast()
-		idx, err := recipe.NewOrdered(name, heap, recipe.RandInt)
+		idx, err := recipe.NewShardedOrdered(name, recipe.RandInt, recipe.ShardOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := recipe.RunWorkload(name, recipe.OrderedTarget(heap, idx, recipe.RandInt), recipe.WritePath{}, ycsb.A, loadN, opN, 1, 9); err != nil {
+		if _, err := recipe.RunWorkload(name, recipe.ShardedOrderedTarget(idx, recipe.RandInt), recipe.WritePath{}, ycsb.A, loadN, opN, 1, 9); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		got := map[uint64]uint64{}

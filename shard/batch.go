@@ -16,10 +16,12 @@
 // errors.Is(err, ErrShardUnavailable).
 //
 // A heap's fence-group mode is single-writer, so every group commit on
-// a shard — a sub-batch here, a pre-routed ApplyShard (apply.go), a
+// a shard — a sub-batch here (the async pipeline's included), a
 // migration copy or shadow apply (reshard.go) — goes through one
 // function, commitShard, under the exclusive side of that shard's
-// frontend.batchMu; point writes hold the shared side.
+// frontend.batchMu; point writes hold the shared side. Every batch
+// routes when it commits, under the gate, so one enqueued before a
+// routing-table flip and committed after it lands on the new owner.
 //
 // The batch layer is part of the one front-end body: it is written over
 // group.Op[K] and serves Ordered and Hash alike. Only the Deferred

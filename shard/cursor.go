@@ -179,7 +179,7 @@ func (c *Cursor) Next() (key []byte, value uint64, ok bool) {
 				}
 			}
 			if dup > 0 {
-				if c.owner.ownerOf(root.key) == c.heap[dup].shard {
+				if c.owner.Owner(root.key) == c.heap[dup].shard {
 					dup = 0 // the root holds the non-owned copy
 				}
 				// Dropping the root re-examines the new root, which is

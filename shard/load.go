@@ -15,7 +15,7 @@ type ShardLoad struct {
 	// Shard is the partition index.
 	Shard int
 	// Ops is the epoch's routed operations (point operations, batched
-	// operations, async-pipeline enqueues) on the slots the shard owns
+	// operations, async-pipeline commits) on the slots the shard owns
 	// at the report: a slot migrated mid-epoch brings its whole epoch
 	// count to the recipient.
 	Ops uint64

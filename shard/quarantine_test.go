@@ -82,7 +82,7 @@ func TestQuarantineGracefulDegradation(t *testing.T) {
 	m.Heap(target).SetInjector(crash.NewNth(10))
 	crashed := false
 	for id := uint64(loadN); id < loadN+10_000 && !crashed; id++ {
-		if m.ownerOf(gen.Key(id)) != target {
+		if m.Owner(gen.Key(id)) != target {
 			continue
 		}
 		err := m.Insert(gen.Key(id), id)
@@ -122,7 +122,7 @@ func TestQuarantineGracefulDegradation(t *testing.T) {
 	healthyLen := m.Len()
 	for id := uint64(50_000); id < 52_000; id++ {
 		key := gen.Key(id)
-		if m.ownerOf(key) == target {
+		if m.Owner(key) == target {
 			err := m.Insert(key, id)
 			if !errors.Is(err, ErrShardUnavailable) {
 				t.Fatalf("insert to quarantined shard: err = %v, want ErrShardUnavailable", err)
@@ -162,7 +162,7 @@ func TestQuarantineGracefulDegradation(t *testing.T) {
 	}
 	seen := 0
 	m.Scan(nil, 0, func(k []byte, v uint64) bool {
-		if m.ownerOf(k) == target {
+		if m.Owner(k) == target {
 			t.Fatalf("degraded scan returned a quarantined-shard key")
 		}
 		seen++
@@ -227,7 +227,7 @@ func TestHashQuarantine(t *testing.T) {
 	served, blocked := 0, 0
 	for id := uint64(1_000); id < 2_000; id++ {
 		err := m.Insert(id, id)
-		if m.ownerOf(id) == target {
+		if m.Owner(id) == target {
 			if !errors.Is(err, ErrShardUnavailable) {
 				t.Fatalf("insert %d: err = %v, want ErrShardUnavailable", id, err)
 			}

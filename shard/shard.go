@@ -26,7 +26,7 @@
 // There is one front-end body, frontend[K], written against
 // core.PointIndex[K] and instantiated twice: Ordered embeds
 // frontend[[]byte], Hash embeds frontend[uint64]. Routing, the point
-// operations, group commit (batch.go, apply.go), quarantine
+// operations, group commit (batch.go), quarantine
 // (quarantine.go), load accounting (load.go) and live migration
 // (table.go, reshard.go) exist once, there. What a key kind adds is
 // small and named: Ordered has the merged Scan and Cursor (cursor.go), a
@@ -94,12 +94,11 @@ type frontend[K any] struct {
 	health []shardHealth
 	// batchMu guards each shard's heap against its group-commit mode,
 	// which is single-writer against every other writer on the heap: a
-	// group commit (batch sub-batch, pre-routed ApplyShard, migration
-	// copy) holds the exclusive side for the duration of the commit,
-	// and point writes hold the shared side — concurrent with each
-	// other (the indexes are internally concurrent) but excluded from
-	// in-flight group commits. Parallel to shards; entries hold locks
-	// and must never be copied.
+	// group commit (batch sub-batch, migration copy or shadow) holds the
+	// exclusive side for the duration of the commit, and point writes
+	// hold the shared side — concurrent with each other (the indexes are
+	// internally concurrent) but excluded from in-flight group commits.
+	// Parallel to shards; entries hold locks and must never be copied.
 	batchMu []sync.RWMutex
 
 	// rt is the published routing table: the current immutable table
@@ -285,10 +284,9 @@ func (f *frontend[K]) PartitionerName() string { return f.part.Name() }
 // Route returns the shard owning key, bumping its load counter — the
 // decision point operations route through. With one shard no routing is
 // needed, so the H=1 front-end adds no hashing to the operation path;
-// otherwise the published routing table decides. Callers that
-// pre-partition work (the async commit pipeline) use it to pick the
-// per-shard queue; it counts as one routed operation in LoadReport
-// accounting (the later ApplyShard does not re-count).
+// otherwise the published routing table decides. It counts as one routed
+// operation in LoadReport accounting; Owner asks the same question
+// without counting.
 func (f *frontend[K]) Route(key K) int {
 	if len(f.shards) == 1 {
 		f.rt.Load().ops[0].Add(1)
@@ -308,9 +306,14 @@ func (f *frontend[K]) locateKey(t *routeTable, key K) (shard int, point uint64) 
 	return s, p
 }
 
-// ownerOf returns the shard the current routing table names for key,
-// counting nothing: merged scans resolve duplicate heads with it.
-func (f *frontend[K]) ownerOf(key K) int {
+// Owner returns the shard the current routing table names for key,
+// counting nothing: merged scans resolve duplicate heads with it, and
+// the async commit pipeline picks a committer queue with it — the
+// commit itself routes again, under the gate, and counts the op once.
+func (f *frontend[K]) Owner(key K) int {
+	if len(f.shards) == 1 {
+		return 0
+	}
 	s, _ := f.rt.Load().locate(f.part.Point(key))
 	return s
 }

@@ -295,7 +295,7 @@ func TestCrashInOneShardRecoversOnlyThatShard(t *testing.T) {
 	m.Heap(target).SetInjector(crash.NewNth(10))
 	crashed := false
 	for id := uint64(loadN); id < loadN+10_000 && !crashed; id++ {
-		if m.ownerOf(gen.Key(id)) != target {
+		if m.Owner(gen.Key(id)) != target {
 			continue
 		}
 		err := m.Insert(gen.Key(id), id)
@@ -314,7 +314,7 @@ func TestCrashInOneShardRecoversOnlyThatShard(t *testing.T) {
 
 	// The other shards accept writes while shard `target` is down.
 	for id := uint64(20_000); id < 22_000; id++ {
-		if m.ownerOf(gen.Key(id)) == target {
+		if m.Owner(gen.Key(id)) == target {
 			continue
 		}
 		if err := m.Insert(gen.Key(id), id); err != nil {
