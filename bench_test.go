@@ -17,10 +17,13 @@ import (
 	recipe "repro"
 	"repro/internal/cachesim"
 	"repro/internal/clht"
+	"repro/internal/core"
 	"repro/internal/crash"
+	"repro/internal/harness"
 	"repro/internal/keys"
 	"repro/internal/pmem"
 	"repro/internal/ycsb"
+	"repro/shard"
 )
 
 const (
@@ -37,11 +40,11 @@ func runWorkloadBench(b *testing.B, index string, w ycsb.Workload, kind keys.Kin
 	if delays {
 		opts.DelayClwb, opts.DelayFence = 40, 20
 	}
-	m, err := recipe.NewShardedOrdered(index, kind, recipe.ShardOptions{Heap: opts})
+	m, err := shard.NewOrdered(index, kind, shard.Options{Heap: opts})
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := recipe.RunWorkload(index, recipe.ShardedOrderedTarget(m, kind), recipe.WritePath{}, w, benchLoadN, b.N, benchThreads, 42)
+	res, err := harness.Run(index, harness.ShardedOrdered(m, kind), harness.WritePath{}, w, benchLoadN, b.N, benchThreads, 42, true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -54,11 +57,11 @@ func runHashBench(b *testing.B, index string, w ycsb.Workload, delays bool) {
 	if delays {
 		opts.DelayClwb, opts.DelayFence = 40, 20
 	}
-	m, err := recipe.NewShardedHash(index, recipe.ShardOptions{Heap: opts})
+	m, err := shard.NewHash(index, shard.Options{Heap: opts})
 	if err != nil {
 		b.Fatal(err)
 	}
-	res, err := recipe.RunWorkload(index, recipe.ShardedHashTarget(m), recipe.WritePath{}, w, benchLoadN, b.N, benchThreads, 42)
+	res, err := harness.Run(index, harness.ShardedHash(m), harness.WritePath{}, w, benchLoadN, b.N, benchThreads, 42, true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -67,8 +70,8 @@ func runHashBench(b *testing.B, index string, w ycsb.Workload, delays bool) {
 
 // BenchmarkFig4a: ordered indexes, integer keys, multi-threaded YCSB.
 func BenchmarkFig4a(b *testing.B) {
-	for _, name := range recipe.OrderedNames() {
-		for _, w := range recipe.Workloads() {
+	for _, name := range core.OrderedNames {
+		for _, w := range ycsb.All {
 			b.Run(fmt.Sprintf("%s/%s", name, w.Name), func(b *testing.B) {
 				runWorkloadBench(b, name, w, keys.RandInt, true)
 			})
@@ -78,8 +81,8 @@ func BenchmarkFig4a(b *testing.B) {
 
 // BenchmarkFig4b: ordered indexes, 24-byte YCSB string keys.
 func BenchmarkFig4b(b *testing.B) {
-	for _, name := range recipe.OrderedNames() {
-		for _, w := range recipe.Workloads() {
+	for _, name := range core.OrderedNames {
+		for _, w := range ycsb.All {
 			b.Run(fmt.Sprintf("%s/%s", name, w.Name), func(b *testing.B) {
 				runWorkloadBench(b, name, w, keys.YCSBString, true)
 			})
@@ -89,7 +92,7 @@ func BenchmarkFig4b(b *testing.B) {
 
 // BenchmarkFig5: hash indexes, integer keys (workloads without scans).
 func BenchmarkFig5(b *testing.B) {
-	for _, name := range recipe.HashNames() {
+	for _, name := range core.HashNames {
 		for _, w := range []ycsb.Workload{ycsb.LoadA, ycsb.A, ycsb.B, ycsb.C} {
 			b.Run(fmt.Sprintf("%s/%s", name, w.Name), func(b *testing.B) {
 				runHashBench(b, name, w, true)
@@ -102,8 +105,8 @@ func BenchmarkFig5(b *testing.B) {
 // mfence per insert plus simulated LLC misses per op.
 func counterBench(b *testing.B, index string, kind keys.Kind, hash bool) {
 	b.Helper()
-	target := recipe.IndexByName(index, kind)(pmem.Options{LLC: cachesim.New(cachesim.DefaultConfig())})
-	res, err := recipe.RunWorkload(index, target, recipe.WritePath{}, ycsb.LoadA, benchLoadN/2, b.N, 4, 42)
+	target := harness.ByName(index, kind)(pmem.Options{LLC: cachesim.New(cachesim.DefaultConfig())})
+	res, err := harness.Run(index, target, harness.WritePath{}, ycsb.LoadA, benchLoadN/2, b.N, 4, 42, true)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -115,14 +118,14 @@ func counterBench(b *testing.B, index string, kind keys.Kind, hash bool) {
 // BenchmarkFig4c: per-insert persistence instructions and LLC misses,
 // ordered indexes, integer keys.
 func BenchmarkFig4c(b *testing.B) {
-	for _, name := range recipe.OrderedNames() {
+	for _, name := range core.OrderedNames {
 		b.Run(name, func(b *testing.B) { counterBench(b, name, keys.RandInt, false) })
 	}
 }
 
 // BenchmarkFig4d: the same with string keys.
 func BenchmarkFig4d(b *testing.B) {
-	for _, name := range recipe.OrderedNames() {
+	for _, name := range core.OrderedNames {
 		b.Run(name, func(b *testing.B) { counterBench(b, name, keys.YCSBString, false) })
 	}
 }
@@ -130,7 +133,7 @@ func BenchmarkFig4d(b *testing.B) {
 // BenchmarkTable4: per-insert persistence instructions and LLC misses,
 // hash indexes.
 func BenchmarkTable4(b *testing.B) {
-	for _, name := range recipe.HashNames() {
+	for _, name := range core.HashNames {
 		b.Run(name, func(b *testing.B) { counterBench(b, name, keys.RandInt, true) })
 	}
 }
@@ -182,7 +185,7 @@ func BenchmarkShardScaling(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		for _, g := range []int{1, 2, 4, 8} {
 			b.Run(fmt.Sprintf("shards=%d/goroutines=%d", shards, g), func(b *testing.B) {
-				m, err := recipe.NewShardedOrdered("P-ART", keys.RandInt, recipe.ShardOptions{Shards: shards})
+				m, err := shard.NewOrdered("P-ART", keys.RandInt, shard.Options{Shards: shards})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -235,7 +238,7 @@ func BenchmarkShardScaling(b *testing.B) {
 // one merged scan of ~50 entries, and allocs/op should read 0 in all
 // three), and FAST & FAIR at len=1-100.
 func BenchmarkScanStreaming(b *testing.B) {
-	for _, part := range []recipe.Partitioner{recipe.HashPartition{}, recipe.RangePartition{}} {
+	for _, part := range []shard.Partitioner{shard.HashPartition{}, shard.RangePartition{}} {
 		for _, shards := range []int{1, 8} {
 			for _, loadN := range []int{20_000, 200_000} {
 				for _, scanLen := range []int{100, 0} {
@@ -246,7 +249,7 @@ func BenchmarkScanStreaming(b *testing.B) {
 					name := fmt.Sprintf("part=%s/shards=%d/load=%d/len=%s", part.Name(), shards, loadN, lenName)
 					b.Run(name, func(b *testing.B) {
 						benchScan(b, "FAST & FAIR", keys.RandInt,
-							recipe.ShardOptions{Shards: shards, Partitioner: part}, loadN,
+							shard.Options{Shards: shards, Partitioner: part}, loadN,
 							func(int) int { return scanLen })
 					})
 				}
@@ -264,11 +267,11 @@ func BenchmarkScanStreaming(b *testing.B) {
 		{"1-100", func(i int) int { return 1 + i*37%100 }},
 	} {
 		b.Run("index=P-ART/keys=ycsb/part=hash/shards=4/load=200000/len="+c.name, func(b *testing.B) {
-			benchScan(b, "P-ART", keys.YCSBString, recipe.ShardOptions{Shards: 4}, 200_000, c.n)
+			benchScan(b, "P-ART", keys.YCSBString, shard.Options{Shards: 4}, 200_000, c.n)
 		})
 	}
 	b.Run("index=FAST & FAIR/keys=ycsb/part=hash/shards=4/load=200000/len=1-100", func(b *testing.B) {
-		benchScan(b, "FAST & FAIR", keys.YCSBString, recipe.ShardOptions{Shards: 4}, 200_000,
+		benchScan(b, "FAST & FAIR", keys.YCSBString, shard.Options{Shards: 4}, 200_000,
 			func(i int) int { return 1 + i*37%100 })
 	})
 }
@@ -276,8 +279,8 @@ func BenchmarkScanStreaming(b *testing.B) {
 // benchScan loads loadN keys into a sharded front-end and times b.N
 // scans whose i-th length is scanLen(i) (0 = unbounded, from the minimum
 // key; otherwise from a start that roams the whole key space).
-func benchScan(b *testing.B, index string, kind keys.Kind, opts recipe.ShardOptions, loadN int, scanLen func(i int) int) {
-	m, err := recipe.NewShardedOrdered(index, kind, opts)
+func benchScan(b *testing.B, index string, kind keys.Kind, opts shard.Options, loadN int, scanLen func(i int) int) {
+	m, err := shard.NewOrdered(index, kind, opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -321,28 +324,28 @@ func BenchmarkWorkloadSkew(b *testing.B) {
 	type cell struct {
 		label string
 		w     ycsb.Workload
-		dist  recipe.Distribution
+		dist  ycsb.Distribution
 	}
 	cells := []cell{
-		{"F/uniform", ycsb.F, recipe.Uniform{}},
-		{"F/zipf-0.5", ycsb.F, recipe.Zipfian{Theta: 0.5}},
-		{"F/zipf-0.99", ycsb.F, recipe.Zipfian{Theta: 0.99}},
-		{"D/latest-0.99", ycsb.D, recipe.Latest{Theta: 0.99}},
+		{"F/uniform", ycsb.F, ycsb.Uniform{}},
+		{"F/zipf-0.5", ycsb.F, ycsb.Zipfian{Theta: 0.5}},
+		{"F/zipf-0.99", ycsb.F, ycsb.Zipfian{Theta: 0.99}},
+		{"D/latest-0.99", ycsb.D, ycsb.Latest{Theta: 0.99}},
 	}
 	for _, index := range []string{"P-ART", "FAST & FAIR"} {
 		for _, c := range cells {
 			for _, shards := range []int{1, 8} {
 				b.Run(fmt.Sprintf("%s/%s/shards=%d", index, c.label, shards), func(b *testing.B) {
-					m, err := recipe.NewShardedOrdered(index, keys.RandInt,
-						recipe.ShardOptions{Shards: shards})
+					m, err := shard.NewOrdered(index, keys.RandInt,
+						shard.Options{Shards: shards})
 					if err != nil {
 						b.Fatal(err)
 					}
 					defer m.Release()
 					w := c.w
 					w.Dist = c.dist
-					res, err := recipe.RunWorkload(index, recipe.ShardedOrderedTarget(m, keys.RandInt), recipe.WritePath{}, w,
-						benchLoadN, b.N, benchThreads, 42)
+					res, err := harness.Run(index, harness.ShardedOrdered(m, keys.RandInt), harness.WritePath{}, w,
+						benchLoadN, b.N, benchThreads, 42, true)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -365,14 +368,14 @@ func BenchmarkBatchedWrites(b *testing.B) {
 	for _, w := range []ycsb.Workload{ycsb.A, ycsb.F} {
 		for _, batch := range []int{1, 8, 64} {
 			b.Run(fmt.Sprintf("P-ART/%s/batch=%d", w.Name, batch), func(b *testing.B) {
-				m, err := recipe.NewShardedOrdered("P-ART", keys.RandInt,
-					recipe.ShardOptions{Heap: pmem.Options{DelayClwb: 40, DelayFence: 20}})
+				m, err := shard.NewOrdered("P-ART", keys.RandInt,
+					shard.Options{Heap: pmem.Options{DelayClwb: 40, DelayFence: 20}})
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer m.Release()
-				res, err := recipe.RunWorkload("P-ART", recipe.ShardedOrderedTarget(m, keys.RandInt),
-					recipe.WritePath{Mode: recipe.BatchedPath, Batch: batch}, w, benchLoadN, b.N, benchThreads, 42)
+				res, err := harness.Run("P-ART", harness.ShardedOrdered(m, keys.RandInt),
+					harness.WritePath{Mode: harness.Batched, Batch: batch}, w, benchLoadN, b.N, benchThreads, 42, true)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -385,14 +388,14 @@ func BenchmarkBatchedWrites(b *testing.B) {
 	}
 	for _, batch := range []int{1, 8, 64} {
 		b.Run(fmt.Sprintf("P-CLHT/A/batch=%d", batch), func(b *testing.B) {
-			m, err := recipe.NewShardedHash("P-CLHT",
-				recipe.ShardOptions{Heap: pmem.Options{DelayClwb: 40, DelayFence: 20}})
+			m, err := shard.NewHash("P-CLHT",
+				shard.Options{Heap: pmem.Options{DelayClwb: 40, DelayFence: 20}})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer m.Release()
-			res, err := recipe.RunWorkload("P-CLHT", recipe.ShardedHashTarget(m),
-				recipe.WritePath{Mode: recipe.BatchedPath, Batch: batch}, ycsb.A, benchLoadN, b.N, benchThreads, 42)
+			res, err := harness.Run("P-CLHT", harness.ShardedHash(m),
+				harness.WritePath{Mode: harness.Batched, Batch: batch}, ycsb.A, benchLoadN, b.N, benchThreads, 42, true)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -419,7 +422,7 @@ func BenchmarkBatchedWrites(b *testing.B) {
 func BenchmarkAsyncPipeline(b *testing.B) {
 	const maxBatch = 16
 	heapOpts := pmem.Options{DelayClwb: 40, DelayFence: 20}
-	report := func(b *testing.B, res recipe.Result) {
+	report := func(b *testing.B, res harness.Result) {
 		b.ReportMetric(res.MopsPerSec(), "Mops/s")
 		if res.Ops > 0 {
 			b.ReportMetric(float64(res.Stats.Fence)/float64(res.Ops), "fence/op")
@@ -430,13 +433,13 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 	}
 	for _, w := range []ycsb.Workload{ycsb.A, ycsb.F} {
 		b.Run(fmt.Sprintf("P-ART/%s/sync/batch=%d", w.Name, maxBatch), func(b *testing.B) {
-			m, err := recipe.NewShardedOrdered("P-ART", keys.RandInt, recipe.ShardOptions{Heap: heapOpts})
+			m, err := shard.NewOrdered("P-ART", keys.RandInt, shard.Options{Heap: heapOpts})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer m.Release()
-			res, err := recipe.RunWorkload("P-ART", recipe.ShardedOrderedTarget(m, keys.RandInt),
-				recipe.WritePath{Mode: recipe.BatchedPath, Batch: maxBatch}, w, benchLoadN, b.N, benchThreads, 42)
+			res, err := harness.Run("P-ART", harness.ShardedOrdered(m, keys.RandInt),
+				harness.WritePath{Mode: harness.Batched, Batch: maxBatch}, w, benchLoadN, b.N, benchThreads, 42, true)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -444,13 +447,13 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 		})
 		for _, queue := range []int{64, 1024} {
 			b.Run(fmt.Sprintf("P-ART/%s/async/queue=%d", w.Name, queue), func(b *testing.B) {
-				m, err := recipe.NewShardedOrdered("P-ART", keys.RandInt, recipe.ShardOptions{Heap: heapOpts})
+				m, err := shard.NewOrdered("P-ART", keys.RandInt, shard.Options{Heap: heapOpts})
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer m.Release()
-				res, err := recipe.RunWorkload("P-ART", recipe.ShardedOrderedTarget(m, keys.RandInt),
-					recipe.WritePath{Mode: recipe.AsyncPath, Batch: maxBatch, Queue: queue}, w, benchLoadN, b.N, benchThreads, 42)
+				res, err := harness.Run("P-ART", harness.ShardedOrdered(m, keys.RandInt),
+					harness.WritePath{Mode: harness.Async, Batch: maxBatch, Queue: queue}, w, benchLoadN, b.N, benchThreads, 42, true)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -460,13 +463,13 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 	}
 	for _, w := range []ycsb.Workload{ycsb.A, ycsb.F} {
 		b.Run(fmt.Sprintf("P-CLHT/%s/sync/batch=%d", w.Name, maxBatch), func(b *testing.B) {
-			m, err := recipe.NewShardedHash("P-CLHT", recipe.ShardOptions{Heap: heapOpts})
+			m, err := shard.NewHash("P-CLHT", shard.Options{Heap: heapOpts})
 			if err != nil {
 				b.Fatal(err)
 			}
 			defer m.Release()
-			res, err := recipe.RunWorkload("P-CLHT", recipe.ShardedHashTarget(m),
-				recipe.WritePath{Mode: recipe.BatchedPath, Batch: maxBatch}, w, benchLoadN, b.N, benchThreads, 42)
+			res, err := harness.Run("P-CLHT", harness.ShardedHash(m),
+				harness.WritePath{Mode: harness.Batched, Batch: maxBatch}, w, benchLoadN, b.N, benchThreads, 42, true)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -474,13 +477,13 @@ func BenchmarkAsyncPipeline(b *testing.B) {
 		})
 		for _, queue := range []int{64, 1024} {
 			b.Run(fmt.Sprintf("P-CLHT/%s/async/queue=%d", w.Name, queue), func(b *testing.B) {
-				m, err := recipe.NewShardedHash("P-CLHT", recipe.ShardOptions{Heap: heapOpts})
+				m, err := shard.NewHash("P-CLHT", shard.Options{Heap: heapOpts})
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer m.Release()
-				res, err := recipe.RunWorkload("P-CLHT", recipe.ShardedHashTarget(m),
-					recipe.WritePath{Mode: recipe.AsyncPath, Batch: maxBatch, Queue: queue}, w, benchLoadN, b.N, benchThreads, 42)
+				res, err := harness.Run("P-CLHT", harness.ShardedHash(m),
+					harness.WritePath{Mode: harness.Async, Batch: maxBatch, Queue: queue}, w, benchLoadN, b.N, benchThreads, 42, true)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -595,7 +598,7 @@ func BenchmarkAblation_ARTCrashRepair(b *testing.B) {
 // cell loads its index once, on its first call, outside the timer.
 func BenchmarkRecover(b *testing.B) {
 	gen := keys.NewGenerator(keys.RandInt)
-	for _, name := range append(append(recipe.OrderedNames(), "WOART"), recipe.HashNames()...) {
+	for _, name := range append(append(append([]string(nil), core.OrderedNames...), "WOART"), core.HashNames...) {
 		for _, n := range []uint64{1 << 16, 1 << 20} {
 			var idx interface{ Recover() error }
 			b.Run(fmt.Sprintf("%s/keys=%d", name, n), func(b *testing.B) {
@@ -654,7 +657,7 @@ func BenchmarkReshardSkew(b *testing.B) {
 		warmN = 120_000
 	)
 	run := func(b *testing.B, reshard bool) {
-		m, err := recipe.NewShardedOrdered("P-ART", keys.RandInt, recipe.ShardOptions{Shards: h})
+		m, err := shard.NewOrdered("P-ART", keys.RandInt, shard.Options{Shards: h})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -665,12 +668,12 @@ func BenchmarkReshardSkew(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		sampler := recipe.Zipfian{Theta: 0.99}.NewSampler(loadN, rand.New(rand.NewSource(42)))
+		sampler := ycsb.Zipfian{Theta: 0.99}.NewSampler(loadN, rand.New(rand.NewSource(42)))
 		for i := 0; i < warmN; i++ {
 			m.Lookup(gen.Key(sampler.Next()))
 		}
 		if reshard {
-			rep, err := m.Rebalance(recipe.RebalanceOptions{Tolerance: 1.05})
+			rep, err := m.Rebalance(shard.RebalanceOptions{Tolerance: 1.05})
 			if err != nil {
 				b.Fatal(err)
 			}

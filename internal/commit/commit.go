@@ -310,10 +310,6 @@ func (c *Committer[O]) push(it item[O]) (*Future, error) {
 	return it.fut, nil
 }
 
-// Pending returns the number of admitted, not-yet-drained queue
-// entries (a snapshot; the committer drains concurrently).
-func (c *Committer[O]) Pending() int { return len(c.ch) }
-
 // Close shuts the committer down gracefully: it rejects further
 // enqueues with ErrClosed, waits until every already accepted future
 // has resolved and the committer goroutine has exited, and returns the

@@ -2,7 +2,7 @@
 // front-end — a single heap is a one-shard front-end. Writers enqueue
 // through the pipeline, which picks the queue of the shard that owns
 // each op's key now (the front-end's Owner), and each committer commits
-// its batches through the front-end's ApplyBatchObserved, which routes
+// its batches through the front-end's ApplyBatch, which routes
 // again when it commits — so an op enqueued before a routing-table flip
 // and committed after it lands on the new owner, and a pipeline
 // inherits the front-end's partitioning, handoff window, quarantine
@@ -28,13 +28,13 @@ type frontend[K any] interface {
 	Heap(i int) *pmem.Heap
 	Quarantine(i int, cause error)
 	Owner(key K) int
-	ApplyBatchObserved(ops []group.Op[K], obs group.Observer) error
+	ApplyBatch(ops []group.Op[K], obs group.Observer) error
 }
 
 // Pipeline is the async pipeline over a sharded front-end with keys of
 // type K: one committer per shard, and the operations that fan out
-// across all of them. NewOrdered and NewHash build its two
-// instantiations.
+// across all of them. NewOrdered (or NewOrderedObserved) and
+// NewHashObserved build its two instantiations.
 type Pipeline[K any] struct {
 	m frontend[K]
 	// own copies a key the caller may reuse before its op commits; nil
@@ -50,7 +50,7 @@ type Pipeline[K any] struct {
 func newPipeline[K any](m frontend[K], own func(K) K, opts Options, obs func(group.Op[K])) *Pipeline[K] {
 	p := &Pipeline[K]{m: m, own: own, cs: make([]*Committer[group.Op[K]], m.NumShards())}
 	for s := range p.cs {
-		p.cs[s] = newCommitter(m.ApplyBatchObserved, obs, opts, m.Heap(s), s,
+		p.cs[s] = newCommitter(m.ApplyBatch, obs, opts, m.Heap(s), s,
 			func(cause error) { m.Quarantine(s, cause) })
 	}
 	return p
@@ -74,13 +74,8 @@ func NewOrderedObserved(m *shard.Ordered, opts Options, obs func(group.Op[[]byte
 	return newPipeline[[]byte](m, func(k []byte) []byte { return append([]byte(nil), k...) }, opts, obs)
 }
 
-// NewHash starts the async pipeline over a sharded unordered front-end;
-// see NewOrdered.
-func NewHash(m *shard.Hash, opts Options) *Pipeline[uint64] {
-	return NewHashObserved(m, opts, nil)
-}
-
-// NewHashObserved is NewHash with the per-op instrumentation hook; see
+// NewHashObserved starts the async pipeline over a sharded unordered
+// front-end, with the per-op instrumentation hook; see NewOrdered and
 // NewOrderedObserved.
 func NewHashObserved(m *shard.Hash, opts Options, obs func(group.Op[uint64])) *Pipeline[uint64] {
 	return newPipeline[uint64](m, nil, opts, obs)
@@ -138,16 +133,6 @@ func (p *Pipeline[K]) Close() error {
 		}
 	}
 	return errors.Join(errs...)
-}
-
-// Pending returns the total number of admitted, not-yet-drained ops
-// across all shard queues (a racy snapshot).
-func (p *Pipeline[K]) Pending() int {
-	n := 0
-	for _, c := range p.cs {
-		n += c.Pending()
-	}
-	return n
 }
 
 // Committer returns shard s's committer, for per-shard barriers and

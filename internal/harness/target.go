@@ -192,7 +192,7 @@ func (t *Target) release() {
 // through its per-shard group commits, async writes through one
 // committer per shard.
 func ShardedOrdered(m *shard.Ordered, kind keys.Kind) *Target {
-	t := orderedTarget(m, kind, m.ApplyBatchObserved,
+	t := orderedTarget(m, kind, m.ApplyBatch,
 		func(opts commit.Options, obs func(group.Op[[]byte])) (func(group.Op[[]byte]) (*commit.Future, error), func() error) {
 			p := commit.NewOrderedObserved(m, opts, obs)
 			return p.Apply, p.Close
@@ -216,7 +216,7 @@ func ShardedOrdered(m *shard.Ordered, kind keys.Kind) *Target {
 
 // ShardedHash is ShardedOrdered for the unordered front-end.
 func ShardedHash(m *shard.Hash) *Target {
-	return hashTarget(m, m.ApplyBatchObserved,
+	return hashTarget(m, m.ApplyBatch,
 		func(opts commit.Options, obs func(group.Op[uint64])) (func(group.Op[uint64]) (*commit.Future, error), func() error) {
 			p := commit.NewHashObserved(m, opts, obs)
 			return p.Apply, p.Close

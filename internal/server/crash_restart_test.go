@@ -148,7 +148,7 @@ func TestCrashRestartE2E(t *testing.T) {
 		// Restart: lossy image under torn policy, per-shard recovery
 		// (only the fired shard replays), new server over the same
 		// front-end.
-		m.PowerCycleShard(1, pmem.PolicyTorn, 0x5eed)
+		m.Heap(1).PowerCycle(pmem.PolicyTorn, 0x5eed)
 		replayed, rerr := m.RecoverCrashed()
 		if rerr != nil {
 			t.Fatalf("recovery failed: %v (quarantined %v)", rerr, m.Quarantined())
@@ -197,7 +197,7 @@ func TestCrashRestartQuarantineDegrades(t *testing.T) {
 	// Simulate the unrecoverable case: power-cycle, then quarantine the
 	// damaged shard as a failed verifier would (clearing the injector the
 	// way RecoverCrashed does for shards it gives up on).
-	m.PowerCycleShard(2, pmem.PolicyTorn, 99)
+	m.Heap(2).PowerCycle(pmem.PolicyTorn, 99)
 	m.Heap(2).SetInjector(nil)
 	m.Quarantine(2, errors.New("recovery verifier: corrupt image"))
 

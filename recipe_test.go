@@ -1,14 +1,15 @@
 package recipe_test
 
 import (
-	"strings"
 	"testing"
 
 	recipe "repro"
+	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/keys"
 	"repro/internal/pmem"
 	"repro/internal/ycsb"
+	"repro/shard"
 )
 
 // TestPublicAPIRoundTrip exercises the exported surface the examples use.
@@ -18,7 +19,7 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := recipe.NewKeyGenerator(recipe.YCSBString)
+	gen := keys.NewGenerator(keys.YCSBString)
 	for i := uint64(0); i < 2000; i++ {
 		if err := idx.Insert(gen.Key(i), i); err != nil {
 			t.Fatal(err)
@@ -34,14 +35,15 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAllIndexesThroughPublicAPI runs a small YCSB A against every index.
+// TestAllIndexesThroughPublicAPI runs a small YCSB A against every index
+// on a shard front-end.
 func TestAllIndexesThroughPublicAPI(t *testing.T) {
-	for _, name := range recipe.OrderedNames() {
-		m, err := recipe.NewShardedOrdered(name, recipe.RandInt, recipe.ShardOptions{})
+	for _, name := range core.OrderedNames {
+		m, err := shard.NewOrdered(name, keys.RandInt, shard.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := recipe.RunWorkload(name, recipe.ShardedOrderedTarget(m, recipe.RandInt), recipe.WritePath{}, ycsb.A, 3000, 3000, 4, 7)
+		res, err := harness.Run(name, harness.ShardedOrdered(m, keys.RandInt), harness.WritePath{}, ycsb.A, 3000, 3000, 4, 7, true)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -49,12 +51,12 @@ func TestAllIndexesThroughPublicAPI(t *testing.T) {
 			t.Fatalf("%s: zero throughput", name)
 		}
 	}
-	for _, name := range recipe.HashNames() {
-		m, err := recipe.NewShardedHash(name, recipe.ShardOptions{})
+	for _, name := range core.HashNames {
+		m, err := shard.NewHash(name, shard.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := recipe.RunWorkload(name, recipe.ShardedHashTarget(m), recipe.WritePath{}, ycsb.A, 3000, 3000, 4, 7)
+		res, err := harness.Run(name, harness.ShardedHash(m), harness.WritePath{}, ycsb.A, 3000, 3000, 4, 7, true)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -69,7 +71,7 @@ func TestAllIndexesThroughPublicAPI(t *testing.T) {
 func TestCrashRecoveryAllRecipeIndexes(t *testing.T) {
 	for _, name := range []string{"P-ART", "P-HOT", "P-BwTree", "P-Masstree", "P-CLHT"} {
 		t.Run(name, func(t *testing.T) {
-			rep := harness.CrashCampaign(name, recipe.IndexByName(name, recipe.RandInt), 25, 2000, 2000, 4)
+			rep := harness.CrashCampaign(name, harness.ByName(name, keys.RandInt), 25, 2000, 2000, 4)
 			if !rep.Pass() {
 				t.Fatalf("crash campaign failed: %s", rep)
 			}
@@ -83,8 +85,8 @@ func TestCrashRecoveryAllRecipeIndexes(t *testing.T) {
 // TestDurabilityAllRecipeIndexes: §5 flush coverage of construction,
 // inserts and updates for all conversions and the four PM baselines.
 func TestDurabilityAllRecipeIndexes(t *testing.T) {
-	for _, name := range append(append(recipe.OrderedNames(), "WOART"), recipe.HashNames()...) {
-		rep := harness.Durability(name, recipe.IndexByName(name, recipe.YCSBString), 800)
+	for _, name := range append(append(append([]string(nil), core.OrderedNames...), "WOART"), core.HashNames...) {
+		rep := harness.Durability(name, harness.ByName(name, keys.YCSBString), 800)
 		if !rep.Pass() {
 			t.Fatalf("durability failed: %s", rep)
 		}
@@ -97,12 +99,12 @@ func TestDurabilityAllRecipeIndexes(t *testing.T) {
 func TestOrderedIndexesAgreeUnderYCSB(t *testing.T) {
 	const loadN, opN = 2000, 2000
 	contents := map[string]map[uint64]uint64{}
-	for _, name := range recipe.OrderedNames() {
-		idx, err := recipe.NewShardedOrdered(name, recipe.RandInt, recipe.ShardOptions{})
+	for _, name := range core.OrderedNames {
+		idx, err := shard.NewOrdered(name, keys.RandInt, shard.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := recipe.RunWorkload(name, recipe.ShardedOrderedTarget(idx, recipe.RandInt), recipe.WritePath{}, ycsb.A, loadN, opN, 1, 9); err != nil {
+		if _, err := harness.Run(name, harness.ShardedOrdered(idx, keys.RandInt), harness.WritePath{}, ycsb.A, loadN, opN, 1, 9, true); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		got := map[uint64]uint64{}
@@ -112,7 +114,7 @@ func TestOrderedIndexesAgreeUnderYCSB(t *testing.T) {
 		})
 		contents[name] = got
 	}
-	ref := contents[recipe.OrderedNames()[0]]
+	ref := contents[core.OrderedNames[0]]
 	for name, got := range contents {
 		if len(got) != len(ref) {
 			t.Fatalf("%s holds %d keys, reference holds %d", name, len(got), len(ref))
@@ -125,41 +127,28 @@ func TestOrderedIndexesAgreeUnderYCSB(t *testing.T) {
 	}
 }
 
-func TestTablesRender(t *testing.T) {
-	if !strings.Contains(recipe.Table1(), "Masstree") {
-		t.Fatal("Table1 incomplete")
-	}
-	if !strings.Contains(recipe.Table2(), "#3") {
-		t.Fatal("Table2 incomplete")
-	}
-	if !strings.Contains(recipe.Table3(), "Threaded conversations") {
-		t.Fatal("Table3 incomplete")
-	}
-}
-
 func TestWorkloadByName(t *testing.T) {
-	w, err := recipe.WorkloadByName("E")
+	w, err := ycsb.ByName("E")
 	if err != nil || w.ScanPct != 95 {
-		t.Fatalf("WorkloadByName(E) = %+v, %v", w, err)
+		t.Fatalf("ByName(E) = %+v, %v", w, err)
 	}
-	if _, err := recipe.WorkloadByName("Q"); err == nil {
+	if _, err := ycsb.ByName("Q"); err == nil {
 		t.Fatal("bogus workload accepted")
 	}
-	if len(recipe.Workloads()) != 5 {
+	if len(ycsb.All) != 5 {
 		t.Fatal("expected 5 workloads")
 	}
 }
 
 // TestStreamingScanPublicAPI pins the exported streaming scan surface:
-// the sharded Cursor, a bare index's own iterator, and the per-site
-// durability campaign re-exports.
+// the shard package's Cursor, a bare index's own iterator, and the
+// per-site durability campaign.
 func TestStreamingScanPublicAPI(t *testing.T) {
-	m, err := recipe.NewShardedOrdered("P-ART", recipe.RandInt,
-		recipe.ShardOptions{Shards: 4})
+	m, err := shard.NewOrdered("P-ART", keys.RandInt, shard.Options{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := recipe.NewKeyGenerator(recipe.RandInt)
+	gen := keys.NewGenerator(keys.RandInt)
 	for id := uint64(0); id < 500; id++ {
 		if err := m.Insert(gen.Key(id), id); err != nil {
 			t.Fatal(err)
@@ -207,7 +196,7 @@ func TestStreamingScanPublicAPI(t *testing.T) {
 		t.Fatalf("iterator yielded %d entries, want 100", n)
 	}
 
-	rep := recipe.SiteCampaign("P-ART", recipe.IndexByName("P-ART", recipe.RandInt), recipe.WritePath{}, pmem.PolicyIntact, 0, 600, 50, 2)
+	rep := harness.SiteCampaign("P-ART", harness.ByName("P-ART", keys.RandInt), harness.WritePath{}, pmem.PolicyIntact, 0, 600, 50, 2)
 	if len(rep.Sites) == 0 || !rep.Pass() {
 		t.Fatalf("per-site campaign: %s", rep.String())
 	}

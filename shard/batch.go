@@ -123,16 +123,24 @@ func partition(n, shards int, route func(i int) int) []subBatch {
 
 // commitShard applies ops to shard s as one group commit, holding the
 // exclusive side of the shard's group-commit lock (see batchMu) for its
-// duration. The caller has checked the shard is serving; a shard that
-// is down (shardOf.down) rejects the whole batch.
-func (f *frontend[K]) commitShard(s int, ops []group.Op[K], obs group.Observer) error {
+// duration, and then passes crash site site (none when empty) on the
+// shard's heap, still under the lock. The caller has checked the shard
+// is serving; a shard that is down (shardOf.down) rejects the whole
+// batch.
+func (f *frontend[K]) commitShard(s int, ops []group.Op[K], obs group.Observer, site string) error {
 	f.batchMu[s].Lock()
 	defer f.batchMu[s].Unlock()
 	sh := &f.shards[s]
 	if err := sh.down(); err != nil {
 		return err
 	}
-	return group.Apply(sh.heap, sh.idx, ops, obs)
+	if err := group.Apply(sh.heap, sh.idx, ops, obs); err != nil {
+		return err
+	}
+	if site != "" {
+		sh.heap.CrashPoint(site)
+	}
+	return nil
 }
 
 // applied returns how many leading ops of an n-op group commit were
@@ -158,7 +166,7 @@ func (f *frontend[K]) applyBatch(subs []subBatch, ops []group.Op[K], obs group.O
 			})
 			continue
 		}
-		if err := f.commitShard(sb.shard, gather(ops, sb.idxs), translate(obs, sb.idxs)); err != nil {
+		if err := f.commitShard(sb.shard, gather(ops, sb.idxs), translate(obs, sb.idxs), ""); err != nil {
 			failed = append(failed, SubBatchError{
 				Shard: sb.shard, OpIndices: sb.idxs, Applied: applied(len(sb.idxs), err), Err: err,
 			})
@@ -193,21 +201,17 @@ func translate(obs group.Observer, idxs []int) group.Observer {
 // operation of the batch is durable. On failure it returns *BatchError;
 // sub-batches of shards not listed there committed durably. A batch of
 // one op per shard degenerates to the unbatched path, counter-exact.
-func (f *frontend[K]) ApplyBatch(ops []group.Op[K]) error {
-	return f.ApplyBatchObserved(ops, nil)
-}
-
-// ApplyBatchObserved is ApplyBatch with per-op instrumentation: obs is
-// called with each op's original batch index after that op's group
-// boundary, plus once more per sub-batch with the sub-batch's last
-// index after its covering fence (the group.Observer contract, with
-// indices translated out of sub-batch space).
+//
+// obs, when not nil, is called with each op's original batch index
+// after that op's group boundary, plus once more per sub-batch with the
+// sub-batch's last index after its covering fence (the group.Observer
+// contract, with indices translated out of sub-batch space).
 //
 // Under an open handoff window it holds the window shared for the whole
 // batch (so a copy batch cannot interleave between a donor sub-batch and
 // its shadow) and shadow-applies the covered slice of the donor's
 // applied ops to the recipient.
-func (f *frontend[K]) ApplyBatchObserved(ops []group.Op[K], obs group.Observer) error {
+func (f *frontend[K]) ApplyBatch(ops []group.Op[K], obs group.Observer) error {
 	if len(f.shards) == 1 {
 		f.rt.Load().ops[0].Add(uint64(len(ops)))
 		return f.applyBatch(partition(len(ops), 1, nil), ops, obs)
@@ -240,7 +244,7 @@ func (f *frontend[K]) shadow(mg *migration, ops []group.Op[K]) {
 	if len(ops) == 0 {
 		return
 	}
-	if f.unavailable(mg.recipient) != nil || f.commitShard(mg.recipient, ops, nil) != nil {
+	if f.unavailable(mg.recipient) != nil || f.commitShard(mg.recipient, ops, nil, "") != nil {
 		mg.failed.Store(true)
 	}
 }
@@ -289,7 +293,6 @@ type Deferred struct {
 	limit int
 	ops   []group.Op[[]byte]
 	buf   []byte // arena the queued keys are copied into
-	ins   int    // queued non-update ops
 }
 
 // NewDeferred returns a combiner flushing into m, auto-flushing when
@@ -321,9 +324,6 @@ func (d *Deferred) queue(key []byte, value uint64, update bool) error {
 	}
 	n := len(d.buf)
 	d.buf = append(d.buf, key...)
-	if !update {
-		d.ins++
-	}
 	d.ops = append(d.ops, group.Op[[]byte]{Key: d.buf[n:len(d.buf):len(d.buf)], Value: value, Update: update})
 	return err
 }
@@ -331,27 +331,17 @@ func (d *Deferred) queue(key []byte, value uint64, update bool) error {
 // Pending returns the number of queued, unflushed ops.
 func (d *Deferred) Pending() int { return len(d.ops) }
 
-// HasInserts reports whether any queued op is an insertion — the read
-// paths flush before reads that could observe a queued insert.
-func (d *Deferred) HasInserts() bool { return d.ins > 0 }
-
 // Flush group-commits the queued ops and empties the queue. A nil
 // return means everything previously queued is durable. On error
 // (*BatchError) the failed sub-batches were not acknowledged; the
 // queue is emptied either way — group commit has no retry slot for
 // half-applied sub-batches.
-func (d *Deferred) Flush() error { return d.FlushObserved(nil) }
-
-// FlushObserved is Flush with the observer forwarded to
-// ApplyBatchObserved; obs receives queue positions (0-based enqueue
-// order of this flush).
-func (d *Deferred) FlushObserved(obs group.Observer) error {
+func (d *Deferred) Flush() error {
 	if len(d.ops) == 0 {
 		return nil
 	}
-	err := d.m.ApplyBatchObserved(d.ops, obs)
+	err := d.m.ApplyBatch(d.ops, nil)
 	d.ops = d.ops[:0]
 	d.buf = d.buf[:0]
-	d.ins = 0
 	return err
 }

@@ -34,7 +34,7 @@ func TestBatchDurableAndReadable(t *testing.T) {
 	for i := range ops {
 		ops[i] = group.Op[[]byte]{Key: gen.Key(uint64(i)), Value: uint64(i)}
 	}
-	if err := m.ApplyBatch(ops); err != nil {
+	if err := m.ApplyBatch(ops, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < m.NumShards(); i++ {
@@ -72,7 +72,7 @@ func TestBatchOfOneCounterParity(t *testing.T) {
 		dA := a.Stats().Sub(beforeA)
 
 		beforeB := b.Stats()
-		if err := b.ApplyBatch([]group.Op[[]byte]{{Key: key, Value: uint64(i)}}); err != nil {
+		if err := b.ApplyBatch([]group.Op[[]byte]{{Key: key, Value: uint64(i)}}, nil); err != nil {
 			t.Fatal(err)
 		}
 		dB := b.Stats().Sub(beforeB)
@@ -113,7 +113,7 @@ func TestBatchSavesFences(t *testing.T) {
 		ops[i] = group.Op[[]byte]{Key: keysB[i], Value: vals[i], Update: true}
 	}
 	before = m.Stats()
-	if err := m.ApplyBatch(ops); err != nil {
+	if err := m.ApplyBatch(ops, nil); err != nil {
 		t.Fatal(err)
 	}
 	batched := m.Stats().Sub(before).Fence
@@ -158,7 +158,7 @@ func TestBatchQuarantinedShardPartialFailure(t *testing.T) {
 		t.Fatal("test needs at least one op routed to the quarantined shard")
 	}
 
-	err := m.ApplyBatch(ops)
+	err := m.ApplyBatch(ops, nil)
 	if err == nil {
 		t.Fatal("batch spanning a quarantined shard must fail")
 	}
@@ -218,7 +218,7 @@ func TestBatchObservedIndexTranslation(t *testing.T) {
 		ops[i] = group.Op[[]byte]{Key: gen.Key(uint64(i)), Value: uint64(i)}
 	}
 	counts := make([]int, B)
-	if err := m.ApplyBatchObserved(ops, func(i int) { counts[i]++ }); err != nil {
+	if err := m.ApplyBatch(ops, func(i int) { counts[i]++ }); err != nil {
 		t.Fatal(err)
 	}
 	extra := 0
@@ -254,17 +254,14 @@ func TestDeferredCombiner(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !d.HasInserts() {
-		t.Error("HasInserts = false with queued inserts")
-	}
 	if d.Pending() != N%8 {
 		t.Errorf("Pending = %d, want %d (auto-flush at limit)", d.Pending(), N%8)
 	}
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if d.Pending() != 0 || d.HasInserts() {
-		t.Errorf("after Flush: Pending=%d HasInserts=%v", d.Pending(), d.HasInserts())
+	if d.Pending() != 0 {
+		t.Errorf("after Flush: Pending=%d", d.Pending())
 	}
 	for i := 0; i < N; i++ {
 		if v, ok := m.Lookup(gen.Key(uint64(i))); !ok || v != uint64(i) {
@@ -272,12 +269,9 @@ func TestDeferredCombiner(t *testing.T) {
 		}
 	}
 
-	// Updates queue too, and don't count as inserts.
+	// Updates queue too.
 	if err := d.Update(gen.Key(3), 1003); err != nil {
 		t.Fatal(err)
-	}
-	if d.HasInserts() {
-		t.Error("HasInserts = true with only an update queued")
 	}
 	if err := d.Flush(); err != nil {
 		t.Fatal(err)
@@ -304,7 +298,7 @@ func TestHashBatchSavesFences(t *testing.T) {
 		ks[i], vs[i] = gen.Uint64(uint64(i))|1, uint64(i)
 		ops[i] = group.Op[uint64]{Key: ks[i], Value: vs[i]}
 	}
-	if err := m.ApplyBatch(ops); err != nil {
+	if err := m.ApplyBatch(ops, nil); err != nil {
 		t.Fatal(err)
 	}
 
@@ -320,7 +314,7 @@ func TestHashBatchSavesFences(t *testing.T) {
 		ops[i].Value, ops[i].Update = vs[i]+200, true
 	}
 	before = m.Stats()
-	if err := m.ApplyBatch(ops); err != nil {
+	if err := m.ApplyBatch(ops, nil); err != nil {
 		t.Fatal(err)
 	}
 	batched := m.Stats().Sub(before).Fence

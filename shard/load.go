@@ -66,21 +66,6 @@ func (r LoadReport) Imbalance() float64 {
 	return float64(max) / mean
 }
 
-// MaxShard returns the busiest serving shard of the epoch (-1 when no
-// shard served traffic).
-func (r LoadReport) MaxShard() int {
-	best, bestOps := -1, uint64(0)
-	for _, l := range r.Loads {
-		if l.Quarantined {
-			continue
-		}
-		if best == -1 || l.Ops > bestOps {
-			best, bestOps = l.Shard, l.Ops
-		}
-	}
-	return best
-}
-
 // loadState is the epoch bookkeeping behind LoadReport: each slot
 // counter's value at the previous report, so each report returns
 // deltas. It lives behind a pointer on the frontend because it holds a
@@ -115,10 +100,6 @@ func (f *frontend[K]) LoadReport() LoadReport {
 	ls.last = perSlot
 	return r
 }
-
-// TableVersion returns the published routing table's version: 0 at
-// birth, stepping on every window open, abort, or flip.
-func (f *frontend[K]) TableVersion() uint64 { return f.rt.Load().version }
 
 // SlotsOf returns the routing slots currently owned by shard s.
 func (f *frontend[K]) SlotsOf(s int) []int {

@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/pmem"
 )
 
 // ErrShardUnavailable is the sentinel matched by errors.Is for
@@ -101,27 +99,4 @@ func (f *frontend[K]) Degraded() bool {
 		}
 	}
 	return false
-}
-
-// QuarantineCause returns why shard i is quarantined (nil when it is
-// serving).
-func (f *frontend[K]) QuarantineCause(i int) error {
-	h := &f.health[i]
-	if !h.quarantined.Load() {
-		return nil
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.cause
-}
-
-// PowerCycleShard materialises a lossy post-power-loss image on shard
-// i's heap (pmem.Heap.PowerCycle): stores that never reached a
-// clwb+fence revert, unfenced write-backs follow the policy. The shard
-// heaps must have been built with Options.Heap.Shadow. The caller then
-// recovers the shard (RecoverShard), exactly as a restart of that PM
-// pool would. It must not be called concurrently with operations on
-// shard i.
-func (f *frontend[K]) PowerCycleShard(i int, policy pmem.Policy, seed int64) pmem.CycleReport {
-	return f.shards[i].heap.PowerCycle(policy, seed)
 }

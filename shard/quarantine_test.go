@@ -99,7 +99,7 @@ func TestQuarantineGracefulDegradation(t *testing.T) {
 		t.Fatal("injector never fired in target shard")
 	}
 	m.Heap(target).SetInjector(nil)
-	m.PowerCycleShard(target, pmem.PolicyTorn, 1)
+	m.Heap(target).PowerCycle(pmem.PolicyTorn, 1)
 
 	// Recovery rejects the image: the sweep quarantines the shard and
 	// reports the casualty, instead of taking the front-end down.
@@ -113,8 +113,8 @@ func TestQuarantineGracefulDegradation(t *testing.T) {
 	if q := m.Quarantined(); len(q) != 1 || q[0] != target {
 		t.Fatalf("Quarantined() = %v, want [%d]", q, target)
 	}
-	if !errors.Is(m.QuarantineCause(target), errRecoveryRejected) {
-		t.Fatalf("QuarantineCause = %v", m.QuarantineCause(target))
+	if err := m.unavailable(target); !errors.Is(err, errRecoveryRejected) {
+		t.Fatalf("quarantine cause = %v", err)
 	}
 
 	// Full traffic through the healthy shards; typed errors from the
@@ -195,7 +195,7 @@ func TestQuarantineGracefulDegradation(t *testing.T) {
 	if err := m.RecoverShard(target); err != nil {
 		t.Fatalf("RecoverShard after cause cleared: %v", err)
 	}
-	if m.Degraded() || len(m.Quarantined()) != 0 || m.QuarantineCause(target) != nil {
+	if m.Degraded() || len(m.Quarantined()) != 0 || m.unavailable(target) != nil {
 		t.Fatal("still degraded after successful RecoverShard")
 	}
 	for id, v := range committed {

@@ -306,19 +306,14 @@ func (f *frontend[K]) copyBatch(wt *routeTable, mg *migration, walk keyWalk[K], 
 
 // commitCopy group-commits one copy batch on the recipient and passes
 // the reshard.copy.applied crash site, still holding the recipient's
-// group-commit lock. Caller holds the window lock.
+// group-commit lock. A recipient whose crash has fired (a double-applied
+// write or a shadow batch crashed it) rejects the batch, as it rejects
+// every group commit. Caller holds the window lock.
 func (f *frontend[K]) commitCopy(mg *migration, ops []group.Op[K]) error {
 	if len(ops) == 0 {
 		return nil
 	}
-	rec := &f.shards[mg.recipient]
-	f.batchMu[mg.recipient].Lock()
-	defer f.batchMu[mg.recipient].Unlock()
-	if err := group.Apply(rec.heap, rec.idx, ops, nil); err != nil {
-		return err
-	}
-	rec.heap.CrashPoint(SiteCopyApplied)
-	return nil
+	return f.commitShard(mg.recipient, ops, nil, SiteCopyApplied)
 }
 
 // sweepResidue deletes the donor's copies of the migrated keys after the
@@ -361,24 +356,10 @@ func (f *frontend[K]) sweepResidue(wt *routeTable, mg *migration, batchSize int)
 
 // RebalanceOptions tunes Rebalance.
 type RebalanceOptions struct {
-	// MaxMoves caps the number of migrations one Rebalance call may run.
-	// Values < 1 select the shard count (shedding a hot shard's excess
-	// usually takes several moves, one recipient each).
-	MaxMoves int
 	// Tolerance is the target imbalance (busiest shard's measured load
 	// over the mean): rebalancing stops once the table's projected
 	// imbalance is at or below it. Values <= 1 select 1.15.
 	Tolerance float64
-	// BatchSize is the migration copy batch size; values < 1 select the
-	// migration default.
-	BatchSize int
-}
-
-func (o RebalanceOptions) maxMoves(shards int) int {
-	if o.MaxMoves < 1 {
-		return shards
-	}
-	return o.MaxMoves
 }
 
 func (o RebalanceOptions) tolerance() float64 {
@@ -493,20 +474,22 @@ func planSlotMove(t *routeTable, shards int, tol float64) (mv MoveReport, ok boo
 }
 
 // Rebalance measures the per-slot load counters, plans and runs up to
-// MaxMoves migrations from the busiest shards to the least busy, and
-// reports the projected imbalance before and after. It is the
+// one migration per shard (shedding a hot shard's excess usually takes
+// several moves, one recipient each) from the busiest shards to the
+// least busy, each copying defaultCopyBatch keys per batch, and reports
+// the projected imbalance before and after. It is the
 // LoadReport-driven entry point: run traffic, then call Rebalance to
 // move the measured hot slices.
 func (f *frontend[K]) Rebalance(opts RebalanceOptions) (RebalanceReport, error) {
 	var rep RebalanceReport
 	perShard, _ := shardLoads(f.rt.Load(), len(f.shards))
 	rep.Before = imbalanceOf(perShard)
-	for move := 0; move < opts.maxMoves(len(f.shards)); move++ {
+	for move := 0; move < len(f.shards); move++ {
 		mv, ok := planSlotMove(f.rt.Load(), len(f.shards), opts.tolerance())
 		if !ok {
 			break
 		}
-		if err := f.MigrateSlots(mv.Donor, mv.Recipient, mv.Slots, opts.BatchSize); err != nil {
+		if err := f.MigrateSlots(mv.Donor, mv.Recipient, mv.Slots, defaultCopyBatch); err != nil {
 			return rep, err
 		}
 		rep.Moves = append(rep.Moves, mv)

@@ -159,7 +159,7 @@ func TestMigrateSlotsMovesKeys(t *testing.T) {
 	if err := m.MigrateSlots(0, 1, moved, 64); err != nil {
 		t.Fatal(err)
 	}
-	if v := m.TableVersion(); v == 0 {
+	if v := m.rt.Load().version; v == 0 {
 		t.Fatal("table version did not advance across flip")
 	}
 	for _, j := range moved {
@@ -438,7 +438,7 @@ func TestMigrateCrashAtCopyAborts(t *testing.T) {
 	if m.rt.Load().mig != nil {
 		t.Fatal("handoff window left open after abort")
 	}
-	m.PowerCycleShard(1, pmem.PolicyTorn, 42)
+	m.Heap(1).PowerCycle(pmem.PolicyTorn, 42)
 	recovered, rerr := m.RecoverCrashed()
 	if rerr != nil {
 		t.Fatal(rerr)
@@ -505,7 +505,7 @@ func TestCrashedRecipientIsDown(t *testing.T) {
 		t.Fatalf("write to the crashed recipient = %v, want crash", err)
 	}
 
-	m.PowerCycleShard(1, pmem.PolicyRevert, 1)
+	m.Heap(1).PowerCycle(pmem.PolicyRevert, 1)
 	if _, err := m.RecoverCrashed(); err != nil {
 		t.Fatal(err)
 	}
@@ -517,6 +517,33 @@ func TestCrashedRecipientIsDown(t *testing.T) {
 	}
 	if err := m.Insert(gen.Key(late), late); err != nil {
 		t.Fatalf("write after the restart: %v", err)
+	}
+}
+
+// TestCopyBatchRejectedByCrashedRecipient: a migration copy batch, like
+// every other group commit on a shard, is refused once the recipient's
+// crash has fired. A writer's double-applied write or a shadow batch can
+// crash the recipient while the copy runs on; a copy batch committed
+// after that would reach the image the restart recovers.
+func TestCopyBatchRejectedByCrashedRecipient(t *testing.T) {
+	m := newReshardOrdered(t, 2, HashPartition{}, false)
+	defer m.Release()
+	m.Heap(1).SetInjector(crash.NewNth(1))
+	fire := func() (err error) {
+		defer crash.Catch(&err)
+		m.Heap(1).CrashPoint("test.fire")
+		return nil
+	}
+	if err := fire(); !crash.IsCrash(err) {
+		t.Fatalf("firing shard 1's injector = %v, want crash", err)
+	}
+	gen := keys.NewGenerator(keys.RandInt)
+	ops := []group.Op[[]byte]{{Key: gen.Key(1), Value: 1}, {Key: gen.Key(2), Value: 2}}
+	if err := m.commitCopy(&migration{donor: 0, recipient: 1}, ops); !crash.IsCrash(err) {
+		t.Fatalf("copy batch on the crashed recipient = %v, want crash", err)
+	}
+	if n := m.Shard(1).Len(); n != 0 {
+		t.Fatalf("crashed recipient holds %d copied keys, want 0", n)
 	}
 }
 
@@ -536,7 +563,7 @@ func TestMigrateCrashAtFlipStands(t *testing.T) {
 		}
 		want[id] = id
 	}
-	ver := m.TableVersion()
+	ver := m.rt.Load().version
 
 	m.Heap(0).SetInjector(crash.NewAtSite(SiteFlipPublished, 1))
 	slots := m.SlotsOf(0)
@@ -545,7 +572,7 @@ func TestMigrateCrashAtFlipStands(t *testing.T) {
 	if !crash.IsCrash(err) {
 		t.Fatalf("Migrate error = %v, want crash", err)
 	}
-	if got := m.TableVersion(); got <= ver {
+	if got := m.rt.Load().version; got <= ver {
 		t.Fatalf("table version %d after flip crash, want > %d (flip must stand)", got, ver)
 	}
 	for _, j := range moved {
@@ -555,7 +582,7 @@ func TestMigrateCrashAtFlipStands(t *testing.T) {
 			}
 		}
 	}
-	m.PowerCycleShard(0, pmem.PolicyTorn, 7)
+	m.Heap(0).PowerCycle(pmem.PolicyTorn, 7)
 	recovered, rerr := m.RecoverCrashed()
 	if rerr != nil {
 		t.Fatal(rerr)
@@ -592,7 +619,7 @@ func TestRebalanceImprovesSkew(t *testing.T) {
 		m.Lookup(gen.Key(sampler.Next()))
 	}
 
-	rep, err := m.Rebalance(RebalanceOptions{Tolerance: 1.05, BatchSize: 256})
+	rep, err := m.Rebalance(RebalanceOptions{Tolerance: 1.05})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,7 +666,7 @@ func TestRebalanceRange(t *testing.T) {
 			hot++
 		}
 	}
-	rep, err := m.Rebalance(RebalanceOptions{MaxMoves: 2})
+	rep, err := m.Rebalance(RebalanceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -690,8 +717,8 @@ func TestLoadReportEpochs(t *testing.T) {
 	if r2.Imbalance() < float64(h)*0.99 {
 		t.Fatalf("single-key epoch imbalance = %.3f, want ~%d", r2.Imbalance(), h)
 	}
-	if r2.MaxShard() != m.Route(hotKey) {
-		t.Fatalf("MaxShard = %d, want hot shard %d", r2.MaxShard(), m.Route(hotKey))
+	if got := r2.Loads[m.Route(hotKey)].Ops; got != 5_000 {
+		t.Fatalf("hot shard's epoch 2 ops = %d, want 5000", got)
 	}
 }
 
@@ -800,7 +827,7 @@ func TestLoadReportFollowsOwnership(t *testing.T) {
 			}
 			m.Lookup(key)
 			m.Route(key)
-			if err := m.ApplyBatch([]group.Op[[]byte]{{Key: key, Value: 2, Update: true}, {Key: gen.Key(8), Value: 3}}); err != nil {
+			if err := m.ApplyBatch([]group.Op[[]byte]{{Key: key, Value: 2, Update: true}, {Key: gen.Key(8), Value: 3}}, nil); err != nil {
 				t.Fatal(err)
 			}
 			r := m.LoadReport()
@@ -888,7 +915,7 @@ func TestRecoverCrashedParallel(t *testing.T) {
 		t.Fatalf("crashed %v, want all of %v", crashed, victims)
 	}
 	for _, s := range victims {
-		m.PowerCycleShard(s, pmem.PolicyRevert, int64(s))
+		m.Heap(s).PowerCycle(pmem.PolicyRevert, int64(s))
 	}
 	recovered, rerr := m.RecoverCrashed()
 	if rerr != nil {
