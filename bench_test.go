@@ -1,11 +1,11 @@
-// Benchmarks regenerating every table and figure of RECIPE's evaluation
-// (§7), one benchmark family per artifact, plus ablations for the design
-// choices called out in DESIGN.md. Throughput figures report Mops/s via
-// the standard ns/op; counter figures attach clwb/insert, mfence/insert
-// and LLC-miss/op metrics with b.ReportMetric.
+// Benchmarks beyond the paper's figures: the instrumentation substrate,
+// shard scaling, the streaming scan engine, request skew, group-commit
+// batch sizes, recovery time and resharding, plus ablations for the
+// design choices called out in DESIGN.md. The figures and tables of
+// RECIPE's evaluation (§7) have one runner, cmd/ycsbbench -figure.
 //
 // Scale: benchmarks default to small populations so `go test -bench=.`
-// terminates quickly; cmd/ycsbbench runs the full-size experiments.
+// terminates quickly.
 package recipe_test
 
 import (
@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	recipe "repro"
-	"repro/internal/cachesim"
 	"repro/internal/clht"
 	"repro/internal/core"
 	"repro/internal/crash"
@@ -30,113 +29,6 @@ const (
 	benchLoadN   = 20_000
 	benchThreads = 8
 )
-
-// runWorkloadBench executes one (index, workload, keykind) cell: the
-// index is loaded once, then b.N operations of the workload mix run
-// across benchThreads goroutines.
-func runWorkloadBench(b *testing.B, index string, w ycsb.Workload, kind keys.Kind, delays bool) {
-	b.Helper()
-	opts := pmem.Options{}
-	if delays {
-		opts.DelayClwb, opts.DelayFence = 40, 20
-	}
-	m, err := shard.NewOrdered(index, kind, shard.Options{Heap: opts})
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := harness.Run(index, harness.ShardedOrdered(m, kind), harness.WritePath{}, w, benchLoadN, b.N, benchThreads, 42, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.MopsPerSec(), "Mops/s")
-}
-
-func runHashBench(b *testing.B, index string, w ycsb.Workload, delays bool) {
-	b.Helper()
-	opts := pmem.Options{}
-	if delays {
-		opts.DelayClwb, opts.DelayFence = 40, 20
-	}
-	m, err := shard.NewHash(index, shard.Options{Heap: opts})
-	if err != nil {
-		b.Fatal(err)
-	}
-	res, err := harness.Run(index, harness.ShardedHash(m), harness.WritePath{}, w, benchLoadN, b.N, benchThreads, 42, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.MopsPerSec(), "Mops/s")
-}
-
-// BenchmarkFig4a: ordered indexes, integer keys, multi-threaded YCSB.
-func BenchmarkFig4a(b *testing.B) {
-	for _, name := range core.OrderedNames {
-		for _, w := range ycsb.All {
-			b.Run(fmt.Sprintf("%s/%s", name, w.Name), func(b *testing.B) {
-				runWorkloadBench(b, name, w, keys.RandInt, true)
-			})
-		}
-	}
-}
-
-// BenchmarkFig4b: ordered indexes, 24-byte YCSB string keys.
-func BenchmarkFig4b(b *testing.B) {
-	for _, name := range core.OrderedNames {
-		for _, w := range ycsb.All {
-			b.Run(fmt.Sprintf("%s/%s", name, w.Name), func(b *testing.B) {
-				runWorkloadBench(b, name, w, keys.YCSBString, true)
-			})
-		}
-	}
-}
-
-// BenchmarkFig5: hash indexes, integer keys (workloads without scans).
-func BenchmarkFig5(b *testing.B) {
-	for _, name := range core.HashNames {
-		for _, w := range []ycsb.Workload{ycsb.LoadA, ycsb.A, ycsb.B, ycsb.C} {
-			b.Run(fmt.Sprintf("%s/%s", name, w.Name), func(b *testing.B) {
-				runHashBench(b, name, w, true)
-			})
-		}
-	}
-}
-
-// counterBench runs one Load A pass in stats mode and reports clwb and
-// mfence per insert plus simulated LLC misses per op.
-func counterBench(b *testing.B, index string, kind keys.Kind, hash bool) {
-	b.Helper()
-	target := harness.ByName(index, kind)(pmem.Options{LLC: cachesim.New(cachesim.DefaultConfig())})
-	res, err := harness.Run(index, target, harness.WritePath{}, ycsb.LoadA, benchLoadN/2, b.N, 4, 42, true)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.ClwbPerInsert(), "clwb/insert")
-	b.ReportMetric(res.FencePerInsert(), "mfence/insert")
-	b.ReportMetric(res.LLCMissPerOp(), "LLCmiss/op")
-}
-
-// BenchmarkFig4c: per-insert persistence instructions and LLC misses,
-// ordered indexes, integer keys.
-func BenchmarkFig4c(b *testing.B) {
-	for _, name := range core.OrderedNames {
-		b.Run(name, func(b *testing.B) { counterBench(b, name, keys.RandInt, false) })
-	}
-}
-
-// BenchmarkFig4d: the same with string keys.
-func BenchmarkFig4d(b *testing.B) {
-	for _, name := range core.OrderedNames {
-		b.Run(name, func(b *testing.B) { counterBench(b, name, keys.YCSBString, false) })
-	}
-}
-
-// BenchmarkTable4: per-insert persistence instructions and LLC misses,
-// hash indexes.
-func BenchmarkTable4(b *testing.B) {
-	for _, name := range core.HashNames {
-		b.Run(name, func(b *testing.B) { counterBench(b, name, keys.RandInt, true) })
-	}
-}
 
 // BenchmarkHeapScaling measures the instrumentation substrate itself
 // rather than any index: Alloc + Persist + Fence throughput at 1..16
@@ -360,7 +252,7 @@ func BenchmarkWorkloadSkew(b *testing.B) {
 // write-heavy workloads A (50/50 insert/read) and F (50/50 read/RMW):
 // per-thread combiners queue up to `batch` writes and commit them as
 // one fence-coalesced group per shard, so the headline metric is
-// fence/op falling as batch grows while batch=1 matches the plain
+// fence/op falling as batch grows from batch=1, which is the plain
 // per-op write path. Crash consistency at every batch size is proven
 // by the crash-site campaign on the batched path under all four
 // restart images (internal/harness TestLossyMatrix/batched).
@@ -375,7 +267,7 @@ func BenchmarkBatchedWrites(b *testing.B) {
 				}
 				defer m.Release()
 				res, err := harness.Run("P-ART", harness.ShardedOrdered(m, keys.RandInt),
-					harness.WritePath{Mode: harness.Batched, Batch: batch}, w, benchLoadN, b.N, benchThreads, 42, true)
+					harness.WritePath{Batch: batch}, w, benchLoadN, b.N, benchThreads, 42, true)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -395,7 +287,7 @@ func BenchmarkBatchedWrites(b *testing.B) {
 			}
 			defer m.Release()
 			res, err := harness.Run("P-CLHT", harness.ShardedHash(m),
-				harness.WritePath{Mode: harness.Batched, Batch: batch}, ycsb.A, benchLoadN, b.N, benchThreads, 42, true)
+				harness.WritePath{Batch: batch}, ycsb.A, benchLoadN, b.N, benchThreads, 42, true)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -404,103 +296,6 @@ func BenchmarkBatchedWrites(b *testing.B) {
 				b.ReportMetric(float64(res.Stats.Fence)/float64(res.Ops), "fence/op")
 			}
 		})
-	}
-}
-
-// BenchmarkAsyncPipeline compares the synchronous group-commit write
-// path against the async commit pipeline on the write-heavy workloads
-// A (50/50 insert/read) and F (50/50 read/RMW), on one ordered and one
-// hash index, across per-shard queue depths. The sync baseline batches
-// writes with the same group size the async committer drains
-// (MaxBatch), so the comparison isolates the pipeline itself: enqueue
-// + ack-after-fence futures versus combine-and-wait. Alongside Mops/s
-// and fence/op the async cells report the mean enqueue-to-ack latency
-// (ack-ns) — the price of decoupling the writer from the fence. Crash
-// consistency of the async path is proven by the crash-site campaign
-// on the async path under all four restart images (internal/harness
-// TestLossyMatrix/async).
-func BenchmarkAsyncPipeline(b *testing.B) {
-	const maxBatch = 16
-	heapOpts := pmem.Options{DelayClwb: 40, DelayFence: 20}
-	report := func(b *testing.B, res harness.Result) {
-		b.ReportMetric(res.MopsPerSec(), "Mops/s")
-		if res.Ops > 0 {
-			b.ReportMetric(float64(res.Stats.Fence)/float64(res.Ops), "fence/op")
-		}
-		if res.AckOps > 0 {
-			b.ReportMetric(float64(res.MeanAckLatency().Nanoseconds()), "ack-ns")
-		}
-	}
-	for _, w := range []ycsb.Workload{ycsb.A, ycsb.F} {
-		b.Run(fmt.Sprintf("P-ART/%s/sync/batch=%d", w.Name, maxBatch), func(b *testing.B) {
-			m, err := shard.NewOrdered("P-ART", keys.RandInt, shard.Options{Heap: heapOpts})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer m.Release()
-			res, err := harness.Run("P-ART", harness.ShardedOrdered(m, keys.RandInt),
-				harness.WritePath{Mode: harness.Batched, Batch: maxBatch}, w, benchLoadN, b.N, benchThreads, 42, true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			report(b, res)
-		})
-		for _, queue := range []int{64, 1024} {
-			b.Run(fmt.Sprintf("P-ART/%s/async/queue=%d", w.Name, queue), func(b *testing.B) {
-				m, err := shard.NewOrdered("P-ART", keys.RandInt, shard.Options{Heap: heapOpts})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer m.Release()
-				res, err := harness.Run("P-ART", harness.ShardedOrdered(m, keys.RandInt),
-					harness.WritePath{Mode: harness.Async, Batch: maxBatch, Queue: queue}, w, benchLoadN, b.N, benchThreads, 42, true)
-				if err != nil {
-					b.Fatal(err)
-				}
-				report(b, res)
-			})
-		}
-	}
-	for _, w := range []ycsb.Workload{ycsb.A, ycsb.F} {
-		b.Run(fmt.Sprintf("P-CLHT/%s/sync/batch=%d", w.Name, maxBatch), func(b *testing.B) {
-			m, err := shard.NewHash("P-CLHT", shard.Options{Heap: heapOpts})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer m.Release()
-			res, err := harness.Run("P-CLHT", harness.ShardedHash(m),
-				harness.WritePath{Mode: harness.Batched, Batch: maxBatch}, w, benchLoadN, b.N, benchThreads, 42, true)
-			if err != nil {
-				b.Fatal(err)
-			}
-			report(b, res)
-		})
-		for _, queue := range []int{64, 1024} {
-			b.Run(fmt.Sprintf("P-CLHT/%s/async/queue=%d", w.Name, queue), func(b *testing.B) {
-				m, err := shard.NewHash("P-CLHT", shard.Options{Heap: heapOpts})
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer m.Release()
-				res, err := harness.Run("P-CLHT", harness.ShardedHash(m),
-					harness.WritePath{Mode: harness.Async, Batch: maxBatch, Queue: queue}, w, benchLoadN, b.N, benchThreads, 42, true)
-				if err != nil {
-					b.Fatal(err)
-				}
-				report(b, res)
-			})
-		}
-	}
-}
-
-// BenchmarkSec73_WOART: P-ART vs globally locked WOART (§7.3).
-func BenchmarkSec73_WOART(b *testing.B) {
-	for _, name := range []string{"P-ART", "WOART"} {
-		for _, w := range []ycsb.Workload{ycsb.LoadA, ycsb.C} {
-			b.Run(fmt.Sprintf("%s/%s", name, w.Name), func(b *testing.B) {
-				runWorkloadBench(b, name, w, keys.RandInt, true)
-			})
-		}
 	}
 }
 

@@ -34,14 +34,15 @@
 //
 // Trials are independent heaps fanned out over -workers goroutines and
 // collected in order: a sites report is identical for any worker
-// count. -batch and -async route sites through the group-commit and
-// async write paths, which adds their crash sites; crash and coverage
-// measure the paper's per-op path only.
+// count. -batch routes sites through the group-commit write path, which
+// adds its crash sites; crash and coverage measure the paper's per-op
+// path only.
 //
 // Exit status: 2 on a usage error; otherwise non-zero iff a must-pass
-// row FAILs or a FAIL-expected row PASSes. The FAIL-expected rows are
-// the Faithful modes of FAST & FAIR and CCEH, which reproduce the
-// published bugs (§3, §7.5): a control that stops failing controls
+// row FAILs, a FAIL-expected row PASSes, or any row fired no trial. The
+// FAIL-expected rows are the Faithful modes of FAST & FAIR and CCEH,
+// which reproduce the published bugs (§3, §7.5): a control that stops
+// failing controls nothing, and a row that fired nothing checked
 // nothing.
 package main
 
@@ -159,7 +160,7 @@ func (r *rows) print(rep harness.CampaignReport) {
 
 func (r *rows) mustPass(rep harness.CampaignReport) {
 	r.print(rep)
-	if !rep.Pass() {
+	if !r.vacuous(rep) && !rep.Pass() {
 		r.broken = true
 		fmt.Fprintln(r.errs, "must-pass row failed: "+rep.String())
 	}
@@ -167,10 +168,21 @@ func (r *rows) mustPass(rep harness.CampaignReport) {
 
 func (r *rows) mustFail(rep harness.CampaignReport) {
 	r.print(rep)
-	if rep.Pass() {
+	if !r.vacuous(rep) && rep.Pass() {
 		r.broken = true
 		fmt.Fprintln(r.errs, "FAIL-expected row passed (the negative control no longer detects its bug): "+rep.String())
 	}
+}
+
+// vacuous breaks the report on a row that fired no trial: it checked
+// nothing, so it can neither pass nor fail.
+func (r *rows) vacuous(rep harness.CampaignReport) bool {
+	if rep.Fired() > 0 {
+		return false
+	}
+	r.broken = true
+	fmt.Fprintln(r.errs, "row fired no trial (it checked nothing): "+rep.String())
+	return true
 }
 
 // controls closes a report with the FAIL-expected rows of subcommand
@@ -247,31 +259,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&c.workers, "workers", 0, "goroutines the per-site trials fan out over (0 = GOMAXPROCS)")
 	fs.Int64Var(&c.seed, "seed", 42, "sites: campaign seed (torn coin flips derive from it)")
 	policy := fs.String("policy", "all", "sites: the restart image: intact (nothing lost), or what becomes of unfenced write-backs: revert, keep, torn; or all")
-	batch := fs.Int("batch", 1, "sites: group-commit batch size (1 = per-op fences; >1 crashes inside fence-coalesced group commits too)")
-	async := fs.Bool("async", false, "sites: route the sweep through the async commit pipeline (ack-after-fence futures; -batch sets the committer's queue and drain size) and crash inside its drain loop too")
+	fs.IntVar(&c.path.Batch, "batch", 1, "sites: group-commit batch size (1 = per-op fences; >1 crashes inside fence-coalesced group commits too)")
 	fs.IntVar(&c.states, "states", 200, "crash: crash states per index (paper: 10000)")
 	fs.IntVar(&c.threads, "threads", 4, "crash: threads in the post-crash phase (paper: 4)")
 	fs.IntVar(&c.shards, "shards", 4, "crash: front-end width of the per-shard recovery section")
 	if err := fs.Parse(args[1:]); err != nil {
 		return 2 // the flag set has printed the error and the flags
 	}
-	if *async && *batch == 1 {
-		// A 1-deep queue acks per op; the interesting async crashes need
-		// multi-op batches in flight, so default to the group size the
-		// batched campaigns use.
-		*batch = 8
-	}
-	switch c.path = harness.PathFromFlags(*batch, *async, 0, 0); {
-	case *batch < 1:
-		return usageError("-batch must be >= 1, got %d", *batch)
+	switch batch := c.path.Batch; {
+	case batch < 1:
+		return usageError("-batch must be >= 1, got %d", batch)
+	case c.ops < 1:
+		return usageError("-ops must be >= 1, got %d", c.ops)
+	case c.states < 1:
+		return usageError("-states must be >= 1, got %d", c.states)
 	case c.shards < 1:
 		return usageError("-shards must be >= 1, got %d", c.shards)
-	case c.path.Mode != harness.Sync && args[0] != "sites":
-		return usageError("%s runs the paper's per-op write path; -batch and -async apply to sites", args[0])
-	case c.path.Mode == harness.Async:
-		c.label = fmt.Sprintf(" (async commit pipeline, queue/batch %d)", *batch)
-	case c.path.Mode == harness.Batched:
-		c.label = fmt.Sprintf(" (batched, group size %d)", *batch)
+	case batch > 1 && args[0] != "sites":
+		return usageError("%s runs the paper's per-op write path; -batch applies to sites", args[0])
+	case batch > 1:
+		c.label = fmt.Sprintf(" (batched, group size %d)", batch)
 	}
 	c.policies = pmem.Policies
 	if *policy != "all" {

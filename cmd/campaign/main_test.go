@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 // campaign runs the command in-process.
@@ -26,20 +28,46 @@ func TestUsageErrors(t *testing.T) {
 		{"durability"},
 		{"lossy"},
 		{"sites", "-batch", "0"},
-		{"sites", "-async", "-batch", "0"},
 		{"crash", "-shards", "0"},
 		{"crash", "-batch", "8"},
-		{"coverage", "-async"},
 		{"sites", "-policy", "shredded"},
+		// A campaign that fires no trial checks nothing.
+		{"crash", "-states", "0", "-ops", "10", "-postops", "1"},
+		{"crash", "-ops", "0"},
+		{"sites", "-ops", "0", "-postops", "0", "-policy", "intact"},
+		{"coverage", "-ops", "0"},
 	} {
 		status, stdout, stderr := campaign(args...)
 		if status != 2 || !strings.Contains(stderr, usage) || stdout != "" {
 			t.Errorf("campaign %q: status %d, stdout %q, stderr %q; want 2, nothing on stdout and the usage line", args, status, stdout, stderr)
 		}
 	}
-	for _, flag := range []string{"-nosuchflag", "-sites", "-mixed"} {
+	for _, flag := range []string{"-nosuchflag", "-sites", "-mixed", "-async"} {
 		if status, _, _ := campaign("sites", flag); status != 2 {
 			t.Errorf("unknown flag %s: status %d, want 2", flag, status)
+		}
+	}
+}
+
+// TestVacuousRowsBreak: a row that fired no trial breaks the report
+// whichever verdict it must have — an empty must-pass row does not
+// pass, and a control whose only trial failed before its crash fired
+// does not fail.
+func TestVacuousRowsBreak(t *testing.T) {
+	unfired := harness.CampaignReport{Index: "unfired", Sites: []harness.SiteReport{
+		{Site: "state 0", Verdict: harness.Verdict{Outcome: harness.OutcomeCorrupt, Detail: "migration failed without a crash"}},
+	}}
+	for name, row := range map[string]func(*rows){
+		"must-pass, no trials":       func(r *rows) { r.mustPass(harness.CampaignReport{Index: "empty"}) },
+		"FAIL-expected, none fired":  func(r *rows) { r.mustFail(unfired) },
+		"FAIL-expected, no trials":   func(r *rows) { r.mustFail(harness.CampaignReport{Index: "empty"}) },
+		"must-pass, unfired failing": func(r *rows) { r.mustPass(unfired) },
+	} {
+		var out, errs bytes.Buffer
+		r := &rows{out: &out, errs: &errs}
+		row(r)
+		if !r.broken || !strings.Contains(errs.String(), "fired no trial") {
+			t.Errorf("%s: broken %v, stderr %q; want broken, naming the empty row", name, r.broken, errs.String())
 		}
 	}
 }

@@ -40,10 +40,8 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"time"
 
 	"repro/internal/cachesim"
-	"repro/internal/commit"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/keys"
@@ -65,18 +63,9 @@ type config struct {
 	// distribution (uniform for the Table 3 rows, latest for D,
 	// zipfian for F).
 	dist ycsb.Distribution
-	// The -workloads write path (see path).
-	batch, queue int
-	async        bool
-	flush        time.Duration
-	reshard      bool
-}
-
-// path is the write path the flags select for -workloads cells: -queue
-// caps admitted-but-uncommitted ops, -batch doubles as the async
-// drain's MaxBatch, -flushns bounds staleness.
-func (c config) path() harness.WritePath {
-	return harness.PathFromFlags(c.batch, c.async, c.queue, c.flush)
+	// path is the -workloads write path (-batch).
+	path    harness.WritePath
+	reshard bool
 }
 
 // workloadFor returns w with the -dist override applied.
@@ -101,9 +90,6 @@ func main() {
 		llcKB      = flag.Int("llckb", 0, "simulated LLC capacity in KB for -figure 4c|4d|t4 (paper machine: 32768 at 64M keys; 0 = 1 MB per 200K -keys)")
 		batch      = flag.Int("batch", 1, "group-commit batch size for -workloads mode writes (1 = per-op fences; >1 coalesces each batch's trailing fences into one per shard)")
 		workloads  = flag.String("workloads", "", `comma-separated YCSB workloads to run on every index, sharded and unsharded (e.g. "D,F" or "A,B,C,D,E,F"); empty = run -figure instead`)
-		async      = flag.Bool("async", false, "-workloads mode: route writes through the per-shard async commit pipeline (enqueue + ack-after-fence futures); adds an ack-ns column")
-		queue      = flag.Int("queue", 0, "async per-shard queue capacity (admitted but uncommitted ops; 0 = default)")
-		flushNS    = flag.Int64("flushns", 0, "async flush deadline in nanoseconds bounding staleness of short batches (0 = commit immediately)")
 		distName   = flag.String("dist", "", `request distribution override: "uniform", "zipfian" or "latest"; empty = each workload's default (uniform; latest for D, zipfian for F)`)
 		theta      = flag.Float64("theta", ycsb.DefaultTheta, "skew parameter in (0,1) for -dist zipfian/latest")
 		reshard    = flag.Bool("reshard", false, "-workloads mode: run the load-aware rebalancer mid-cell on sharded rows and report before/after throughput and per-shard imbalance")
@@ -126,22 +112,18 @@ func main() {
 	cfg := config{
 		loadN: *loadN, opN: *opN, threads: *threads, seed: *seed,
 		heap:   pmem.Options{DelayClwb: *clwbDelay, DelayFence: *fenceDelay},
-		shards: *shards, part: part, llcKB: *llcKB, batch: *batch, dist: dist,
-		async: *async, queue: *queue, flush: time.Duration(*flushNS), reshard: *reshard,
+		shards: *shards, part: part, llcKB: *llcKB, dist: dist,
+		path: harness.WritePath{Batch: *batch}, reshard: *reshard,
 	}
 	figs := []string{*figure}
 	if *figure == "all" {
 		figs = []string{"4a", "4b", "5", "woart"}
 	}
 	switch {
-	case cfg.batch < 1:
-		usage("-batch must be >= 1, got %d", cfg.batch)
-	case (cfg.batch > 1 || cfg.async || cfg.reshard) && *workloads == "":
-		usage("-batch > 1, -async and -reshard require -workloads (the figure runners measure the paper's per-op write path)")
-	case (cfg.queue != 0 || cfg.flush != 0) && !cfg.async:
-		usage("-queue and -flushns require -async")
-	case cfg.queue < 0 || cfg.flush < 0:
-		usage("-queue and -flushns must be >= 0")
+	case *batch < 1:
+		usage("-batch must be >= 1, got %d", *batch)
+	case (*batch > 1 || cfg.reshard) && *workloads == "":
+		usage("-batch > 1 and -reshard require -workloads (the figure runners measure the paper's per-op write path)")
 	}
 	if *workloads != "" {
 		runWorkloads(*workloads, cfg)
@@ -332,16 +314,8 @@ func runWorkloads(list string, cfg config) {
 	if cfg.dist != nil {
 		distNote = cfg.dist.Name()
 	}
-	mode := fmt.Sprintf("batch %d", cfg.batch)
-	if cfg.async {
-		q := cfg.queue
-		if q < 1 {
-			q = commit.DefaultQueue
-		}
-		mode = fmt.Sprintf("async · queue %d · batch %d · flush %v", q, cfg.batch, cfg.flush)
-	}
-	fmt.Printf("\n=== YCSB workloads %s · dist=%s · %d threads · load %d + run %d · H ∈ {1, %d} · %s ===\n",
-		list, distNote, cfg.threads, cfg.loadN, cfg.opN, sharded, mode)
+	fmt.Printf("\n=== YCSB workloads %s · dist=%s · %d threads · load %d + run %d · H ∈ {1, %d} · batch %d ===\n",
+		list, distNote, cfg.threads, cfg.loadN, cfg.opN, sharded, cfg.path.Batch)
 	attrLoadN, attrOpN := attrSizes(cfg)
 	orderedNames := append(append([]string{}, core.OrderedNames...), "WOART")
 	for _, base := range wls {
@@ -353,9 +327,6 @@ func runWorkloads(list string, cfg config) {
 		fmt.Printf("\n-- Workload %s · %s · dist=%s · %s --\n", w.Name, w.Description, dist, w.AppPattern)
 		kinds := kindsOf(w)
 		fmt.Printf("%-14s %2s %9s %9s %7s", "Index", "H", "Mops/s", "fence/op", "imbal")
-		if cfg.async {
-			fmt.Printf(" %9s", "ack-ns")
-		}
 		for _, k := range kinds {
 			fmt.Printf(" %12s %12s", "clwb/"+k.String(), "fence/"+k.String())
 		}
@@ -392,7 +363,7 @@ func workloadCell(name string, w ycsb.Workload, cfg config, kinds []ycsb.OpKind)
 		return
 	}
 	m := newFrontend(name, keys.RandInt, cfg)
-	res, err := harness.Run(name, m.Target, cfg.path(), w, cfg.loadN, cfg.opN, cfg.threads, cfg.seed, true)
+	res, err := harness.Run(name, m.Target, cfg.path, w, cfg.loadN, cfg.opN, cfg.threads, cfg.seed, true)
 	if err != nil {
 		m.Release()
 		fatalf("%s/%s: %v", name, w.Name, err)
@@ -406,7 +377,7 @@ func workloadCell(name string, w ycsb.Workload, cfg config, kinds []ycsb.OpKind)
 
 	am := newFrontend(name, keys.RandInt, cfg)
 	attrLoadN, attrOpN := attrSizes(cfg)
-	attr, err := harness.Attribute(am.Target, cfg.path(), w, attrLoadN, attrOpN, cfg.seed+1)
+	attr, err := harness.Attribute(am.Target, cfg.path, w, attrLoadN, attrOpN, cfg.seed+1)
 	am.Release()
 	if err != nil {
 		fatalf("%s/%s attribution: %v", name, w.Name, err)
@@ -426,13 +397,13 @@ func reshardCell(name string, w ycsb.Workload, cfg config) {
 	defer m.Release()
 	half := cfg.opN / 2
 	phase := func(loadN, opN int, seed int64, load bool) harness.Result {
-		res, err := harness.Run(name, m.Target, cfg.path(), w, loadN, opN, cfg.threads, seed, load)
+		res, err := harness.Run(name, m.Target, cfg.path, w, loadN, opN, cfg.threads, seed, load)
 		if err != nil {
 			fatalf("%s/%s: %v", name, w.Name, err)
 		}
 		return res
 	}
-	if _, err := harness.Run(name, m.Target, cfg.path(), w, cfg.loadN, 0, cfg.threads, cfg.seed, true); err != nil {
+	if _, err := harness.Run(name, m.Target, cfg.path, w, cfg.loadN, 0, cfg.threads, cfg.seed, true); err != nil {
 		fatalf("%s/%s: %v", name, w.Name, err)
 	}
 	m.LoadReport() // close the load epoch; imbalance below is run-phase only
@@ -450,18 +421,14 @@ func reshardCell(name string, w ycsb.Workload, cfg config) {
 }
 
 // printWorkloadRow prints one -workloads table row: throughput, the
-// measured run phase's aggregate fences per op, in async mode the mean
-// enqueue-to-ack latency, plus the attributed clwb/fence per op of
-// each kind in the mix.
+// measured run phase's aggregate fences per op, plus the attributed
+// clwb/fence per op of each kind in the mix.
 func printWorkloadRow(name string, cfg config, res harness.Result, attr harness.Attribution, kinds []ycsb.OpKind, imbal string) {
 	fencePerOp := 0.0
 	if res.Ops > 0 {
 		fencePerOp = float64(res.Stats.Fence) / float64(res.Ops)
 	}
 	fmt.Printf("%-14s %2d %9.3f %9.2f %7s", name, cfg.shards, res.MopsPerSec(), fencePerOp, imbal)
-	if cfg.async {
-		fmt.Printf(" %9d", res.MeanAckLatency().Nanoseconds())
-	}
 	for _, k := range kinds {
 		fmt.Printf(" %12.2f %12.2f", attr.ClwbPer(k), attr.FencePer(k))
 	}

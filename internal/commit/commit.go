@@ -26,8 +26,8 @@
 //     already quarantined shard resolve with an error matching that
 //     shard's *shard.ShardUnavailableError instead of hanging.
 //
-// Two crash sites bracket the committer's drain loop, swept by the
-// async lossy and durability-site campaigns (internal/harness):
+// Two crash sites bracket the committer's drain loop, crashed under
+// every restart image by this package's TestLossyPipeline:
 //
 //   - "commit.drain.applied" fires after the committer applies each op
 //     of a draining batch, inside the fence group — the batch is
@@ -141,17 +141,15 @@ func (o Options) maxBatch() int {
 // be — durable.
 type Future struct {
 	done chan struct{}
-	err  error     // written before done closes; read only after
-	when time.Time // resolution time, for enqueue-to-ack latency
+	err  error // written before done closes; read only after
 }
 
 func newFuture() *Future { return &Future{done: make(chan struct{})} }
 
 // resolve publishes the outcome; the done-channel close is the
-// happens-before edge making err/when visible to waiters.
-func (f *Future) resolve(err error, at time.Time) {
+// happens-before edge making err visible to waiters.
+func (f *Future) resolve(err error) {
 	f.err = err
-	f.when = at
 	close(f.done)
 }
 
@@ -177,17 +175,6 @@ func (f *Future) Err() error {
 	}
 }
 
-// ResolvedAt returns when the future resolved (false while pending),
-// for enqueue-to-ack latency measurement.
-func (f *Future) ResolvedAt() (time.Time, bool) {
-	select {
-	case <-f.done:
-		return f.when, true
-	default:
-		return time.Time{}, false
-	}
-}
-
 // item is one queue entry: an op awaiting commit, or a barrier (op
 // unused) that resolves once everything enqueued before it has
 // resolved.
@@ -205,7 +192,6 @@ type item[O any] struct {
 // race with enqueuers.
 type Committer[O any] struct {
 	apply func(ops []O, obs group.Observer) error
-	obs   func(op O)        // per-op instrumentation, on the committer goroutine
 	quar  func(cause error) // nil: nothing to quarantine
 	heap  *pmem.Heap        // carries the crash sites; nil disables them
 	shard int
@@ -238,23 +224,20 @@ type Committer[O any] struct {
 // apply, which must commit the batch and honour the group.Observer
 // contract (obs called after each op's boundary, once more after each
 // covering fence); a *shard.BatchError return names the ops that did
-// not commit, any other error fails the whole batch. The per-op
-// observer obs, when non-nil, is called on the committer goroutine with
-// the op for every group.Observer callback — the attribution hook.
-// Close the committer to release the goroutine. It has no crash sites
-// and no shard to quarantine.
-func NewCommitter[O any](apply func(ops []O, obs group.Observer) error, obs func(op O), opts Options) *Committer[O] {
-	return newCommitter(apply, obs, opts, nil, 0, nil)
+// not commit, any other error fails the whole batch. Close the
+// committer to release the goroutine. It has no crash sites and no
+// shard to quarantine.
+func NewCommitter[O any](apply func(ops []O, obs group.Observer) error, opts Options) *Committer[O] {
+	return newCommitter(apply, opts, nil, 0, nil)
 }
 
 // newCommitter is NewCommitter for shard s of a front-end: heap carries
 // the crash sites, and quar, when non-nil, is invoked once with the
 // cause if the committer dies.
-func newCommitter[O any](apply func(ops []O, obs group.Observer) error, obs func(op O), opts Options,
+func newCommitter[O any](apply func(ops []O, obs group.Observer) error, opts Options,
 	heap *pmem.Heap, s int, quar func(cause error)) *Committer[O] {
 	c := &Committer[O]{
 		apply:    apply,
-		obs:      obs,
 		quar:     quar,
 		heap:     heap,
 		shard:    s,
@@ -431,7 +414,6 @@ func (c *Committer[O]) commit(batch []item[O]) error {
 	// other shards' sub-batches in full and fenced the applied ops of a
 	// failed one, unless it crashed.
 	failed := opErrors(len(ops), err, fatal)
-	now := time.Now()
 	k := 0
 	for i := range batch {
 		var ferr error
@@ -439,7 +421,7 @@ func (c *Committer[O]) commit(batch []item[O]) error {
 			ferr = failed(k)
 			k++
 		}
-		batch[i].fut.resolve(ferr, now)
+		batch[i].fut.resolve(ferr)
 	}
 	if fatal {
 		return err
@@ -500,9 +482,6 @@ func (c *Committer[O]) runApply(ops []O) (err error) {
 			prev = i
 			c.crashPoint(SiteDrainApplied)
 		}
-		if c.obs != nil {
-			c.obs(ops[i])
-		}
 	}
 	if err := c.apply(ops, obs); err != nil {
 		return err
@@ -533,12 +512,12 @@ func (c *Committer[O]) fail(cause error) {
 	for {
 		select {
 		case it := <-c.ch:
-			it.fut.resolve(werr, time.Now())
+			it.fut.resolve(werr)
 		case <-c.closing:
 			for {
 				select {
 				case it := <-c.ch:
-					it.fut.resolve(werr, time.Now())
+					it.fut.resolve(werr)
 				default:
 					return
 				}

@@ -142,7 +142,7 @@ func fill(t *testing.T, c *commit.Committer[group.Op[[]byte]], g *gatedApply, qu
 // committer frees space — and completes rather than hanging.
 func TestBlockPolicy(t *testing.T) {
 	g := newGatedApply()
-	c := commit.NewCommitter(g.apply, nil, commit.Options{Queue: 2, MaxBatch: 1})
+	c := commit.NewCommitter(g.apply, commit.Options{Queue: 2, MaxBatch: 1})
 	fill(t, c, g, 2)
 
 	unblocked := make(chan *commit.Future, 1)
@@ -497,7 +497,7 @@ func TestCrashSiteAckFenced(t *testing.T) {
 }
 
 // TestCrashSitesDiscovered: a committer drain visits both commit crash
-// sites, so campaigns sweeping discovered sites cover them.
+// sites, the two TestLossyPipeline crashes at.
 func TestCrashSitesDiscovered(t *testing.T) {
 	m, err := shard.NewOrdered("P-ART", keys.RandInt, shard.Options{Shards: 1})
 	if err != nil {

@@ -33,8 +33,7 @@ type frontend[K any] interface {
 
 // Pipeline is the async pipeline over a sharded front-end with keys of
 // type K: one committer per shard, and the operations that fan out
-// across all of them. NewOrdered (or NewOrderedObserved) and
-// NewHashObserved build its two instantiations.
+// across all of them. NewOrdered builds it over the ordered front-end.
 type Pipeline[K any] struct {
 	m frontend[K]
 	// own copies a key the caller may reuse before its op commits; nil
@@ -47,10 +46,10 @@ type Pipeline[K any] struct {
 // committer (Queue and MaxBatch are per shard); committer s carries its
 // crash sites on shard s's heap, and a dying committer quarantines
 // shard s.
-func newPipeline[K any](m frontend[K], own func(K) K, opts Options, obs func(group.Op[K])) *Pipeline[K] {
+func newPipeline[K any](m frontend[K], own func(K) K, opts Options) *Pipeline[K] {
 	p := &Pipeline[K]{m: m, own: own, cs: make([]*Committer[group.Op[K]], m.NumShards())}
 	for s := range p.cs {
-		p.cs[s] = newCommitter(m.ApplyBatch, obs, opts, m.Heap(s), s,
+		p.cs[s] = newCommitter(m.ApplyBatch, opts, m.Heap(s), s,
 			func(cause error) { m.Quarantine(s, cause) })
 	}
 	return p
@@ -62,38 +61,22 @@ func newPipeline[K any](m frontend[K], own func(K) K, opts Options, obs func(gro
 // callers may reuse their buffers. Close the pipeline to release the
 // committer goroutines.
 func NewOrdered(m *shard.Ordered, opts Options) *Pipeline[[]byte] {
-	return NewOrderedObserved(m, opts, nil)
-}
-
-// NewOrderedObserved is NewOrdered with a per-op instrumentation hook:
-// obs is called on the owning shard's committer goroutine for every
-// group.Observer callback of the op (after the op's boundary, and once
-// more for a batch's last op after its covering fence) — the
-// attribution hook.
-func NewOrderedObserved(m *shard.Ordered, opts Options, obs func(group.Op[[]byte])) *Pipeline[[]byte] {
-	return newPipeline[[]byte](m, func(k []byte) []byte { return append([]byte(nil), k...) }, opts, obs)
-}
-
-// NewHashObserved starts the async pipeline over a sharded unordered
-// front-end, with the per-op instrumentation hook; see NewOrdered and
-// NewOrderedObserved.
-func NewHashObserved(m *shard.Hash, opts Options, obs func(group.Op[uint64])) *Pipeline[uint64] {
-	return newPipeline[uint64](m, nil, opts, obs)
+	return newPipeline[[]byte](m, func(k []byte) []byte { return append([]byte(nil), k...) }, opts)
 }
 
 // Insert enqueues an insertion and returns its completion future.
 // Backpressure and close behave as Committer.Enqueue.
 func (p *Pipeline[K]) Insert(key K, value uint64) (*Future, error) {
-	return p.Apply(group.Op[K]{Key: key, Value: value})
+	return p.apply(group.Op[K]{Key: key, Value: value})
 }
 
 // Update enqueues an in-place update; see Insert.
 func (p *Pipeline[K]) Update(key K, value uint64) (*Future, error) {
-	return p.Apply(group.Op[K]{Key: key, Value: value, Update: true})
+	return p.apply(group.Op[K]{Key: key, Value: value, Update: true})
 }
 
-// Apply enqueues one write op onto its owning shard's queue.
-func (p *Pipeline[K]) Apply(op group.Op[K]) (*Future, error) {
+// apply enqueues one write op onto its owning shard's queue.
+func (p *Pipeline[K]) apply(op group.Op[K]) (*Future, error) {
 	if p.own != nil {
 		op.Key = p.own(op.Key)
 	}

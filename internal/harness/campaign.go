@@ -41,8 +41,7 @@ func siteSeed(seed int64, site string) int64 {
 // discoverSites runs one untracked load with a never-firing injector
 // (probability zero, which still records site visits) and returns every
 // crash site it passed through, sorted by name: the index's own sites,
-// plus the group.* boundary sites on the queued paths and the commit.*
-// drain-loop sites on the Async path.
+// plus the group.* boundary sites on the batched path.
 func discoverSites(build Build, path WritePath, loadN int) []string {
 	inj := crash.NewProbabilistic(0, 1)
 	t := build(pmem.Options{Injector: inj})

@@ -57,21 +57,6 @@ type Result struct {
 	// RMWs + inserts + scans == Ops — and TestRunConservationDF
 	// re-checks it against the plan under -race.
 	Counts [ycsb.NumOpKinds]int
-	// AckOps and AckTotal sample enqueue-to-ack latency on the Async
-	// path: AckOps write futures were waited during the measured phase,
-	// their enqueue-to-resolve times summing to AckTotal. Both are zero
-	// on the other paths.
-	AckOps   int
-	AckTotal time.Duration
-}
-
-// MeanAckLatency returns the average enqueue-to-ack latency of the
-// sampled async writes (zero on the other paths).
-func (r Result) MeanAckLatency() time.Duration {
-	if r.AckOps == 0 {
-		return 0
-	}
-	return r.AckTotal / time.Duration(r.AckOps)
 }
 
 // MopsPerSec returns throughput in million operations per second.
@@ -113,7 +98,7 @@ func (r Result) LLCMissPerOp() float64 {
 // around an online event (cmd/ycsbbench -reshard) measure the second
 // phase against the population the first left behind. The measured
 // phase ends when every worker has settled, so it covers every write's
-// covering fence on every path. Queued paths need a sharded target.
+// covering fence on both paths.
 func Run(name string, t *Target, path WritePath, w ycsb.Workload, loadN, opN, threads int, seed int64, load bool) (Result, error) {
 	if w.ScanPct > 0 && !t.ordered {
 		return Result{}, fmt.Errorf("harness: workload %s has scans; unordered indexes do not support them", w.Name)
@@ -132,12 +117,11 @@ func Run(name string, t *Target, path WritePath, w ycsb.Workload, loadN, opN, th
 	return res, nil
 }
 
-// execute runs plan through one generation of path, one goroutine per
-// thread stream, and returns the timed, counter-bracketed outcome.
+// execute runs plan through path, one goroutine per thread stream, and
+// returns the timed, counter-bracketed outcome.
 // direct (optional) is told the kind of every operation the walker
 // executed itself rather than handing to the writer.
 func execute(t *Target, path WritePath, plan *ycsb.Plan, h hooks, direct func(ycsb.OpKind)) (Result, error) {
-	g := path.open(t, h, false)
 	before := t.stats.Stats()
 	start := time.Now()
 	var wg sync.WaitGroup
@@ -147,7 +131,7 @@ func execute(t *Target, path WritePath, plan *ycsb.Plan, h hooks, direct func(yc
 		go func() {
 			defer wg.Done()
 			s := t.session()
-			w := g.writer(s)
+			w := path.writer(t, s, h)
 			if errs[i] = walk(ops, uint64(plan.LoadN), s, w, direct); errs[i] == nil {
 				errs[i] = w.settle()
 			}
@@ -158,16 +142,11 @@ func execute(t *Target, path WritePath, plan *ycsb.Plan, h hooks, direct func(yc
 		Ops: plan.TotalOps(), Elapsed: time.Since(start), Stats: t.stats.Stats().Sub(before),
 		Inserts: plan.Inserts, Counts: plan.Counts,
 	}
-	cerr := g.end()
 	for _, err := range errs {
 		if err != nil {
 			return Result{}, err
 		}
 	}
-	if cerr != nil {
-		return Result{}, fmt.Errorf("write path close: %w", cerr)
-	}
-	res.AckOps, res.AckTotal = g.ackOps, g.ackTotal
 	return res, nil
 }
 
@@ -175,7 +154,7 @@ func execute(t *Target, path WritePath, plan *ycsb.Plan, h hooks, direct func(yc
 // worker's writer, reads and scans straight to the index.
 //
 // Reads stay consistent with the plan's guarantees (see ycsb.Sampler)
-// on every path: a read-like target is either a loaded identifier
+// on both paths: a read-like target is either a loaded identifier
 // (< loadN, acknowledged before the measured phase) or this worker's
 // own earlier insert, so settling the worker's own writes before
 // reading an identifier >= loadN is sufficient — and a scan, which
@@ -292,13 +271,11 @@ func (a Attribution) FencePer(k ycsb.OpKind) float64 {
 // cannot attribute a shared counter to the op that moved it; a serial
 // walk can. Direct operations (reads, scans, the read half of an RMW)
 // are charged at the op; writes are charged where the path makes their
-// counters final — as the index call returns (Sync), as the group
+// counters final — as the index call returns (per-op), or as the group
 // observer fires at flush, the covering fence going to the batch's last
-// write (Batched), or on the committers' goroutines (Async, where
-// committers of different shards may interleave and blur a charge
-// across kinds). Each charge is the delta since the previous one, so
+// write (batched). Each charge is the delta since the previous one, so
 // the per-kind deltas conserve bit-exactly against the aggregate on
-// every path (Attribution.Conserves).
+// both paths (Attribution.Conserves).
 func Attribute(t *Target, path WritePath, w ycsb.Workload, loadN, opN int, seed int64) (Attribution, error) {
 	if w.ScanPct > 0 && !t.ordered {
 		return Attribution{}, fmt.Errorf("harness: workload %s has scans; unordered indexes do not support them", w.Name)
@@ -308,15 +285,13 @@ func Attribute(t *Target, path WritePath, w ycsb.Workload, loadN, opN int, seed 
 	}
 	plan := ycsb.Generate(w, loadN, opN, 1, seed)
 	var a Attribution
-	var mu sync.Mutex
 	start := t.stats.Stats()
 	before := start
+	// One worker: every charge runs on its goroutine.
 	charge := func(k ycsb.OpKind) {
-		mu.Lock()
 		after := t.stats.Stats()
 		a.Kinds[k].Stats = a.Kinds[k].Stats.Add(after.Sub(before))
 		before = after
-		mu.Unlock()
 	}
 	if _, err := execute(t, path, plan, hooks{observe: charge}, charge); err != nil {
 		return Attribution{}, fmt.Errorf("run phase: %w", err)

@@ -11,19 +11,18 @@ import (
 	"repro/shard"
 )
 
-// The three write paths at the sizes the tests drive them: the queued
-// paths with a group of 8.
+// The two write paths at the sizes the tests drive them: the batched
+// path with a group of 8.
 var (
 	syncPath    = WritePath{}
-	batchedPath = WritePath{Mode: Batched, Batch: 8}
-	asyncPath   = WritePath{Mode: Async, Batch: 8, Queue: 64}
+	batchedPath = WritePath{Batch: 8}
 )
 
-// paths names the three write paths for table-driven tests.
+// paths names the two write paths for table-driven tests.
 var paths = []struct {
 	name string
 	path WritePath
-}{{"sync", syncPath}, {"batched", batchedPath}, {"async", asyncPath}}
+}{{"sync", syncPath}, {"batched", batchedPath}}
 
 // plain builds the named registry index on a fresh fast heap.
 func plain(name string, kind keys.Kind) (*pmem.Heap, *Target) {
@@ -214,10 +213,9 @@ func TestRunPhaseWithoutLoad(t *testing.T) {
 	}
 }
 
-// TestQueuedPathsRun: the batched and async run loops execute
-// write-heavy A and RMW-heavy F on both front-ends, cover the full
-// plan, pay fewer fences than the sync loop at the same seed, and
-// (async) sample enqueue-to-ack latency.
+// TestQueuedPathsRun: the batched run loop executes write-heavy A and
+// RMW-heavy F on both front-ends, covers the full plan, and pays fewer
+// fences than the sync loop at the same seed.
 func TestQueuedPathsRun(t *testing.T) {
 	const loadN, opN, threads, seed = 512, 1024, 2, 42
 	fronts := []struct {
@@ -233,28 +231,23 @@ func TestQueuedPathsRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, p := range paths[1:] {
-				label := f.name + "/" + w.Name + "/" + p.name
-				res, err := Run(f.name, f.target(), p.path, w, loadN, opN, threads, seed, true)
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				if res.Ops != base.Ops || res.Counts != base.Counts {
-					t.Fatalf("%s plan diverged: ops %d vs %d, counts %v vs %v",
-						label, res.Ops, base.Ops, res.Counts, base.Counts)
-				}
-				if p.path.Mode == Batched && res.Stats.Fence >= base.Stats.Fence {
-					t.Errorf("%s fences = %d, want < sync %d", label, res.Stats.Fence, base.Stats.Fence)
-				}
-				if acked := res.AckOps > 0 && res.AckTotal > 0 && res.MeanAckLatency() > 0; acked != (p.path.Mode == Async) {
-					t.Errorf("%s: ack-latency sample ops=%d total=%v", label, res.AckOps, res.AckTotal)
-				}
+			label := f.name + "/" + w.Name
+			res, err := Run(f.name, f.target(), batchedPath, w, loadN, opN, threads, seed, true)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if res.Ops != base.Ops || res.Counts != base.Counts {
+				t.Fatalf("%s plan diverged: ops %d vs %d, counts %v vs %v",
+					label, res.Ops, base.Ops, res.Counts, base.Counts)
+			}
+			if res.Stats.Fence >= base.Stats.Fence {
+				t.Errorf("%s fences = %d, want < sync %d", label, res.Stats.Fence, base.Stats.Fence)
 			}
 		}
 	}
 }
 
-// TestPathParity: at the same seed and one thread, every write path
+// TestPathParity: at the same seed and one thread, the batched path
 // leaves the same dataset as the sync path — exact values on D (no
 // in-place writes), equal identifiers under the value tags on F (a
 // queued RMW may read the pre-pending value).
@@ -293,10 +286,10 @@ func TestPathParity(t *testing.T) {
 	}
 }
 
-// TestAttributeConserves: on every write path the per-op-kind counter
+// TestAttributeConserves: on both write paths the per-op-kind counter
 // deltas of an attribution pass sum bit-exactly to the aggregate delta
 // with the full plan counted — on the update-bearing D and F plus A,
-// at group sizes that exercise groups of one, mid-queue flushes and
+// per op and at group sizes that exercise mid-queue flushes and
 // never-full queues, on both front-ends.
 func TestAttributeConserves(t *testing.T) {
 	const loadN, opN, seed = 400, 800, 42
@@ -316,19 +309,13 @@ func TestAttributeConserves(t *testing.T) {
 			t.Errorf("%s: attributed ops = %d, want %d", label, ops, opN)
 		}
 	}
+	for _, batch := range []int{1, 8, 64} {
+		for _, w := range []ycsb.Workload{ycsb.D, ycsb.F, ycsb.A} {
+			a, err := Attribute(ShardedOrdered(shardedOrdered(t, "P-ART", 2), keys.RandInt), WritePath{Batch: batch}, w, loadN, opN, seed)
+			check(fmt.Sprintf("P-ART/%s/batch=%d", w.Name, batch), a, err)
+		}
+	}
 	for _, p := range paths {
-		groups := []int{1, 8, 64}
-		if p.path.Mode == Sync {
-			groups = groups[:1] // no group size to vary
-		}
-		for _, batch := range groups {
-			path := p.path
-			path.Batch, path.Queue = batch, 2*batch
-			for _, w := range []ycsb.Workload{ycsb.D, ycsb.F, ycsb.A} {
-				a, err := Attribute(ShardedOrdered(shardedOrdered(t, "P-ART", 2), keys.RandInt), path, w, loadN, opN, seed)
-				check(fmt.Sprintf("P-ART/%s/%s/batch=%d", p.name, w.Name, batch), a, err)
-			}
-		}
 		a, err := Attribute(ShardedHash(shardedHash(t, "P-CLHT", 2)), p.path, ycsb.F, loadN, opN, seed)
 		check("P-CLHT/"+p.name+"/F", a, err)
 		if a.Kinds[ycsb.OpRMW].Ops == 0 {
@@ -430,7 +417,7 @@ func TestDurabilityReports(t *testing.T) {
 
 func TestResultMetricsZeroSafe(t *testing.T) {
 	var r Result
-	if r.MopsPerSec() != 0 || r.ClwbPerInsert() != 0 || r.FencePerInsert() != 0 || r.LLCMissPerOp() != 0 || r.MeanAckLatency() != 0 {
+	if r.MopsPerSec() != 0 || r.ClwbPerInsert() != 0 || r.FencePerInsert() != 0 || r.LLCMissPerOp() != 0 {
 		t.Fatal("zero Result should produce zero metrics")
 	}
 }

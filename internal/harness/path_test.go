@@ -8,7 +8,7 @@ import (
 	"repro/internal/pmem"
 )
 
-// TestWriterContract holds each write path to the seam's own contract
+// TestWriterContract holds both write paths to the seam's own contract
 // on a Track-mode heap, for an ordered and an unordered index:
 //
 //   - settle returning nil means every accepted write was acknowledged
@@ -17,14 +17,12 @@ import (
 //   - after a settle the worker has no unacknowledged inserts of its
 //     own, whatever it returned;
 //   - a write failed by an injected crash is reported unacknowledged —
-//     never acknowledged — and a fresh generation works after recovery;
-//   - on the Async path the dead committer quarantines its shard until
-//     the restart.
+//     never acknowledged — and a fresh writer works after recovery.
 func TestWriterContract(t *testing.T) {
 	for _, p := range paths {
 		for _, name := range []string{"P-ART", "P-CLHT"} {
 			t.Run(p.name+"/"+name, func(t *testing.T) {
-				target, front := sharded(name, keys.RandInt, 1, nil, pmem.Options{Track: true})
+				target, _ := sharded(name, keys.RandInt, 1, nil, pmem.Options{Track: true})
 				defer target.release()
 				heap := target.heaps[0]
 				heap.Tracker().Reset()
@@ -40,19 +38,17 @@ func TestWriterContract(t *testing.T) {
 						acked[id] = true
 					}
 				}}
-				// write drives ids [lo, lo+n) through one generation, settling
-				// it every `every` writes, and returns the last settle's error.
+				// write drives ids [lo, lo+n) through one writer, settling it
+				// every `every` writes, and returns the last settle's error.
 				write := func(lo, n, every int) error {
-					g := p.path.open(target, h, true)
-					defer func() { g.end() }()
-					w := g.writer(target.session())
+					w := p.path.writer(target, target.session(), h)
 					var err error
 					for i := 0; i < n; i++ {
 						id := uint64(lo + i)
 						if werr := w.write(id, id, false); werr != nil {
 							return werr
 						}
-						if p.path.Mode != Sync && !w.ownInserts() {
+						if p.path.Batch > 1 && !w.ownInserts() {
 							t.Fatalf("write %d queued an insert but ownInserts is false", id)
 						}
 						if (i+1)%every == 0 || i == n-1 {
@@ -64,12 +60,6 @@ func TestWriterContract(t *testing.T) {
 								if v := heap.Tracker().Check(); len(v) != 0 {
 									t.Fatalf("settle returned nil at id %d with %d unflushed lines", id, len(v))
 								}
-							}
-							if p.path.Mode == Async && i != n-1 {
-								// A trial's async writer ends its generation at settle.
-								g.end()
-								g = p.path.open(target, h, true)
-								w = g.writer(target.session())
 							}
 						}
 					}
@@ -101,38 +91,23 @@ func TestWriterContract(t *testing.T) {
 					}
 				}
 				s := target.session()
-				readBack := func(when string) {
-					for id := range acked {
-						if v, ok := s.lookup(id); !ok || v != id {
-							t.Errorf("acknowledged id %d reads back %d,%v %s", id, v, ok, when)
-						}
+				for id := range acked {
+					if v, ok := s.lookup(id); !ok || v != id {
+						t.Errorf("acknowledged id %d reads back %d,%v after the crash", id, v, ok)
 					}
-				}
-				if p.path.Mode == Async {
-					// The dead committer quarantined its shard: until the
-					// restart every key reads as unavailable.
-					if q := front.(interface{ Quarantined() []int }).Quarantined(); len(q) != 1 {
-						t.Errorf("dead committer left its shard serving: quarantined %v", q)
-					}
-				} else {
-					readBack("after the crash")
 				}
 
-				// A crashed committer stays dead; a fresh generation over the
-				// recovered index is clean again.
+				// A fresh writer over the recovered index is clean again.
 				heap.Tracker().Reset()
 				if _, err := target.recover(); err != nil {
 					t.Fatal(err)
-				}
-				if p.path.Mode == Async {
-					readBack("after the restart")
 				}
 				before := len(acked)
 				if err := write(5000, 40, 40); err != nil {
 					t.Fatalf("post-recovery settle: %v", err)
 				}
 				if len(acked) != before+40 {
-					t.Fatalf("post-recovery generation acknowledged %d of 40", len(acked)-before)
+					t.Fatalf("post-recovery writer acknowledged %d of 40", len(acked)-before)
 				}
 			})
 		}

@@ -12,7 +12,6 @@ import (
 	"slices"
 
 	"repro/internal/cceh"
-	"repro/internal/commit"
 	"repro/internal/core"
 	"repro/internal/fastfair"
 	"repro/internal/group"
@@ -47,9 +46,6 @@ type Target struct {
 	session func() session
 	// combiner returns an empty group-commit queue over the index.
 	combiner func() combiner
-	// committers starts a fresh generation of async committers over the
-	// index and returns its enqueue and its close.
-	committers func(opts commit.Options, observe func(ycsb.OpKind)) (enqueue func(id, v uint64, update bool) (*commit.Future, error), end func() error)
 }
 
 // session is the direct (synchronous) id-addressed view of an index.
@@ -86,20 +82,14 @@ func kindOf(v uint64, update bool) ycsb.OpKind {
 	return ycsb.OpUpdate
 }
 
-// applyFn group-commits a batch of ops with keys of type K; startFn
-// launches a generation of committers draining such ops and returns
-// its enqueue and its close.
-type (
-	applyFn[K any] func([]group.Op[K], group.Observer) error
-	startFn[K any] func(commit.Options, func(group.Op[K])) (func(group.Op[K]) (*commit.Future, error), func() error)
-)
+// applyFn group-commits a batch of ops with keys of type K.
+type applyFn[K any] func([]group.Op[K], group.Observer) error
 
 // newTarget erases the key type K of one index family behind Target's
 // id-addressed closures. key encodes an identifier, reusing buf's
 // storage when the kind's keys have any; the zero buf yields a key the
 // caller owns, which is what a queued op needs.
-func newTarget[K any](idx core.PointIndex[K], scan func(K, int), key func(buf K, id uint64) K,
-	apply applyFn[K], start startFn[K]) *Target {
+func newTarget[K any](idx core.PointIndex[K], scan func(K, int), key func(buf K, id uint64) K, apply applyFn[K]) *Target {
 	var fresh K
 	op := func(id, v uint64, update bool) group.Op[K] {
 		return group.Op[K]{Key: key(fresh, id), Value: v, Update: update}
@@ -138,32 +128,24 @@ func newTarget[K any](idx core.PointIndex[K], scan func(K, int), key func(buf K,
 				},
 			}
 		},
-		committers: func(opts commit.Options, observe func(ycsb.OpKind)) (func(id, v uint64, update bool) (*commit.Future, error), func() error) {
-			var obs func(group.Op[K])
-			if observe != nil {
-				obs = func(o group.Op[K]) { observe(kindOf(o.Value, o.Update)) }
-			}
-			enqueue, end := start(opts, obs)
-			return func(id, v uint64, update bool) (*commit.Future, error) { return enqueue(op(id, v, update)) }, end
-		},
 	}
 }
 
-func orderedTarget(idx core.OrderedIndex, kind keys.Kind, apply applyFn[[]byte], start startFn[[]byte]) *Target {
+func orderedTarget(idx core.OrderedIndex, kind keys.Kind, apply applyFn[[]byte]) *Target {
 	gen := keys.NewGenerator(kind)
 	t := newTarget[[]byte](idx,
 		func(k []byte, n int) { idx.Scan(k, n, func([]byte, uint64) bool { return true }) },
 		func(buf []byte, id uint64) []byte { return gen.AppendKey(buf[:0], id) },
-		apply, start)
+		apply)
 	t.kind = kind
 	return t
 }
 
-func hashTarget(idx core.HashIndex, apply applyFn[uint64], start startFn[uint64]) *Target {
+func hashTarget(idx core.HashIndex, apply applyFn[uint64]) *Target {
 	gen := keys.NewGenerator(keys.RandInt)
 	t := newTarget[uint64](idx, nil,
 		func(_, id uint64) uint64 { return gen.Uint64(id) | 1 },
-		apply, start)
+		apply)
 	t.kind = keys.RandInt
 	return t
 }
@@ -189,14 +171,9 @@ func (t *Target) release() {
 }
 
 // ShardedOrdered adapts the sharded ordered front-end: batches commit
-// through its per-shard group commits, async writes through one
-// committer per shard.
+// through its per-shard group commits.
 func ShardedOrdered(m *shard.Ordered, kind keys.Kind) *Target {
-	t := orderedTarget(m, kind, m.ApplyBatch,
-		func(opts commit.Options, obs func(group.Op[[]byte])) (func(group.Op[[]byte]) (*commit.Future, error), func() error) {
-			p := commit.NewOrderedObserved(m, opts, obs)
-			return p.Apply, p.Close
-		})
+	t := orderedTarget(m, kind, m.ApplyBatch)
 	t.mergedScan = func() int {
 		n := 0
 		var prev []byte
@@ -216,11 +193,7 @@ func ShardedOrdered(m *shard.Ordered, kind keys.Kind) *Target {
 
 // ShardedHash is ShardedOrdered for the unordered front-end.
 func ShardedHash(m *shard.Hash) *Target {
-	return hashTarget(m, m.ApplyBatch,
-		func(opts commit.Options, obs func(group.Op[uint64])) (func(group.Op[uint64]) (*commit.Future, error), func() error) {
-			p := commit.NewHashObserved(m, opts, obs)
-			return p.Apply, p.Close
-		}).onShards(m)
+	return hashTarget(m, m.ApplyBatch).onShards(m)
 }
 
 // frontend is what a Target needs of either sharded front-end beyond

@@ -7,8 +7,7 @@
 //
 //  1. Build the target on fresh heaps (Shadow for the lossy images,
 //     Track otherwise), arm the crash on one of them, and load
-//     identifiers [0, loadN) through one generation of the path,
-//     modelling which writes it acknowledged and which it failed. A
+//     identifiers [0, loadN) through the path, modelling which writes it acknowledged and which it failed. A
 //     target's migration is a second actor: it starts once half the ids
 //     are loaded and the crash is armed where the migration passes, so
 //     the writers loading the rest write through the handoff window,
@@ -30,7 +29,7 @@
 //     and hold every acknowledged id and at most every unacknowledged
 //     one besides.
 //  5. The post phase: postN fresh inserts, each ack unit then rewritten
-//     in place with UpdateBit set, through fresh generations, counting
+//     in place with UpdateBit set, one ack unit at a time, counting
 //     the lines left dirty or unfenced at every settled boundary: the
 //     repair paths' flush coverage. Concurrent post-phase workers
 //     overlap their boundaries, so theirs is counted once they join. A
@@ -61,7 +60,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/commit"
 	"repro/internal/crash"
 	"repro/internal/pmem"
 )
@@ -71,15 +69,13 @@ import (
 // whatever torn state the crash left behind.
 const postBase = 1_000_000
 
-// load drives identifiers [lo, lo+n) through one fresh generation of
-// path and settles it: inserts storing the identifier, or in-place
-// rewrites storing it with UpdateBit set. It stops at the first
-// failure, or once halt has fired (nil never does) — nothing runs on a
-// dead machine — leaving whatever a queued path still holds unaccepted.
+// load drives identifiers [lo, lo+n) through one writer of path and
+// settles it: inserts storing the identifier, or in-place rewrites
+// storing it with UpdateBit set. It stops at the first failure, or once
+// halt has fired (nil never does) — nothing runs on a dead machine —
+// leaving whatever the batched path still holds unaccepted.
 func load(t *Target, path WritePath, lo uint64, n int, update bool, h hooks, halt *crash.Injector) error {
-	g := path.open(t, h, true)
-	defer g.end()
-	w := g.writer(t.session())
+	w := path.writer(t, t.session(), h)
 	for id := lo; id < lo+uint64(n) && !halt.Fired(); id++ {
 		v := id
 		if update {
@@ -187,9 +183,9 @@ func (v *Verdict) readback(phase string, lookup func(uint64) (uint64, bool), ack
 }
 
 // inflight checks the unacknowledged ids. Each may have completed (its
-// commit store made it out, or — at commit.ack.fenced — its whole batch
-// was durable and only the ack was lost) or vanished, but never with a
-// wrong value: each op's commit store is individually atomic. It reports
+// commit store made it out, or — at group.commit.fenced — its whole
+// batch was durable and only the ack was lost) or vanished, but never
+// with a wrong value: each op's commit store is individually atomic. It reports
 // false if the index panicked under the lookups.
 func (v *Verdict) inflight(phase string, lookup func(uint64) (uint64, bool), unacked []uint64) bool {
 	err := guard(func() error {
@@ -362,39 +358,28 @@ func (p protocol) trial(site string, inj *crash.Injector, host int, seed int64) 
 	r.Host = host % len(t.heaps)
 	heap := t.heaps[r.Host]
 	// The model: which accepted writes the path acknowledged, and which
-	// it failed — the crashed op (Sync), the whole unflushed batch
-	// (Batched), every error-resolved future (Async).
+	// it failed — the crashed op (per-op), or the whole unflushed batch
+	// (batched).
 	var acked, unacked []uint64
-	var pending error
 	var mu sync.Mutex // concurrent writers beside a migration
 	model := hooks{resolved: func(id uint64, err error) {
 		mu.Lock()
 		defer mu.Unlock()
-		switch {
-		case err == nil:
+		if err == nil {
 			acked = append(acked, id)
-		case errors.Is(err, commit.ErrPending):
-			pending = fmt.Errorf("future for id %d unresolved after Close", id)
-		default:
+		} else {
 			unacked = append(unacked, id)
 		}
 	}}
 	heap.SetInjector(inj)
 	merr := p.loadArmed(t, inj, model)
 	// The injector — not an error return — says whether the crash fired:
-	// on the Async path it happens on the committer's goroutine, beside a
-	// migration on the migration's.
+	// beside a migration it happens on the migration's goroutine.
 	if r.Fired = inj == nil || inj.Fired(); !r.Fired {
 		heap.SetInjector(nil)
 		if merr != nil {
 			r.fail(OutcomeCorrupt, fmt.Sprintf("migration failed without a crash: %v", merr))
 		}
-		return r
-	}
-	if pending != nil {
-		// The path's own settle contract broke — as severe as a corrupt
-		// image, and there is no model to verify one against.
-		r.fail(OutcomeCorrupt, pending.Error())
 		return r
 	}
 	if t.migrate != nil && merr == nil {
@@ -439,10 +424,9 @@ func (p protocol) trial(site string, inj *crash.Injector, host int, seed int64) 
 
 // post runs the post phase: the recovered target must accept and keep
 // new writes and in-place rewrites, and the target's migration, if it
-// has one, must then run to completion. Each worker takes a contiguous share of
-// the ids and opens one fresh generation per ack unit (the load's died
-// with the crash), so with one worker every coverage check sits at a
-// settled — on the Async path, quiesced — boundary.
+// has one, must then run to completion. Each worker takes a contiguous
+// share of the ids and settles once per ack unit, so with one worker
+// every coverage check sits at a settled boundary.
 func (p protocol) post(t *Target, r *SiteReport) error {
 	unit := p.path.unit()
 	err := p.fan(p.postN, func(lo, hi int) error {

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/commit"
 	"repro/internal/core"
 	"repro/internal/crash"
 	"repro/internal/group"
@@ -22,11 +21,8 @@ var campaignIndexes = []string{"P-ART", "P-HOT", "P-BwTree", "P-Masstree", "FAST
 // extraSites are the crash sites a write path adds to the index's own:
 // a campaign through the path must discover each and fire at it.
 func extraSites(p WritePath) []string {
-	switch p.Mode {
-	case Batched:
+	if p.Batch > 1 {
 		return []string{group.SiteOpApplied, group.SiteCommitFenced}
-	case Async:
-		return []string{commit.SiteDrainApplied, commit.SiteAckFenced, group.SiteOpApplied, group.SiteCommitFenced}
 	}
 	return nil
 }
@@ -45,10 +41,10 @@ func checkSwept(t *testing.T, fired map[string]bool, want []string) {
 }
 
 // TestLossyMatrix drives all 9 indexes through the per-site campaign on
-// every write path under all four images at small scale: zero LOST-ACK
+// both write paths under all four images at small scale: zero LOST-ACK
 // and zero CORRUPT outcomes anywhere — every acknowledged write
 // survives, every unacknowledged one (the crashed op, the unflushed
-// batch, the error-resolved futures) is at worst atomically PARTIAL,
+// batch) is at worst atomically PARTIAL,
 // even when unfenced write-backs are torn — zero flush-coverage
 // violations after recovery and at every settled post-crash boundary,
 // and the sweep crashes at every site the path itself adds. One more
@@ -117,8 +113,8 @@ func emptiedART(o pmem.Options) *Target {
 	return ShardedOrdered(m, keys.YCSBString)
 }
 
-// TestSiteCampaignFiresEverySite runs the intact-image sweep on every
-// write path for an ordered and an unordered index at a larger load:
+// TestSiteCampaignFiresEverySite runs the intact-image sweep on both
+// write paths for an ordered and an unordered index at a larger load:
 // sites are found in name order, the deterministic load fires at every
 // one (the path's own boundary sites included), and the converted index
 // recovers with full flush coverage at each settled boundary.
@@ -188,8 +184,7 @@ func TestSiteCampaignDetectsStall(t *testing.T) {
 // TestSiteCampaignDeterministicAcrossWorkers and TestLossyDeterministic:
 // the same seed yields the identical report — every torn coin flip's
 // consequences and every violation count included — for any worker
-// count, on the async path too because the committer configuration pins
-// each trial's batch composition.
+// count, on both write paths.
 func TestSiteCampaignDeterministicAcrossWorkers(t *testing.T) {
 	checkDeterministic(t, pmem.PolicyIntact)
 }

@@ -15,8 +15,7 @@
 // front-end, which partitions the key space across many independent
 // heaps for multi-socket-style scaling and per-shard crash recovery, is
 // the shard package; the workload runner, the §5 crash campaigns, the
-// group-commit and async write paths and the serving tier live in
-// internal/.
+// group-commit write path and the serving tier live in internal/.
 //
 // Quick start:
 //
