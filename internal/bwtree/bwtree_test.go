@@ -1,11 +1,9 @@
 package bwtree
 
 import (
-	"math/rand"
 	"sort"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/crash"
 	"repro/internal/keys"
@@ -178,64 +176,6 @@ func TestScanRespectsDeletes(t *testing.T) {
 	}
 }
 
-func TestOracleRandom(t *testing.T) {
-	idx := newIdx()
-	oracle := make(map[uint64]uint64)
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 20000; i++ {
-		k := uint64(rng.Intn(2000))
-		switch rng.Intn(4) {
-		case 0, 1:
-			v := rng.Uint64()
-			mustInsert(t, idx, k64(k), v)
-			oracle[k] = v
-		case 2:
-			if _, err := idx.Delete(k64(k)); err != nil {
-				t.Fatal(err)
-			}
-			delete(oracle, k)
-		default:
-			v, ok := idx.Lookup(k64(k))
-			ov, ook := oracle[k]
-			if ok != ook || (ok && v != ov) {
-				t.Fatalf("Lookup(%d) = %d,%v oracle %d,%v", k, v, ok, ov, ook)
-			}
-		}
-	}
-	if idx.Len() != len(oracle) {
-		t.Fatalf("Len = %d oracle %d", idx.Len(), len(oracle))
-	}
-}
-
-// Property: inserted sets scan back sorted and complete.
-func TestQuickScanComplete(t *testing.T) {
-	f := func(vals []uint64) bool {
-		idx := newIdx()
-		set := make(map[uint64]bool)
-		for _, v := range vals {
-			if idx.Insert(k64(v), v) != nil {
-				return false
-			}
-			set[v] = true
-		}
-		got := 0
-		prev := []byte(nil)
-		okOrder := true
-		idx.Scan(nil, 0, func(k []byte, v uint64) bool {
-			if prev != nil && keyLeq(k, prev) {
-				okOrder = false
-			}
-			prev = append(prev[:0], k...)
-			got++
-			return true
-		})
-		return okOrder && got == len(set)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConcurrentInserts(t *testing.T) {
 	idx := newIdx()
 	const threads = 8
@@ -313,7 +253,10 @@ func TestConcurrentMixed(t *testing.T) {
 }
 
 // §5 crash testing: enumerate crash states; lock-free CAS publication
-// plus help-along SMO completion must preserve all committed keys.
+// plus help-along SMO completion must preserve all committed keys. The
+// other indexes enumerate through the harness's crash trial
+// (TestCrashAtEveryVisit); P-BwTree keeps this loop because a trial
+// builds its 8 MB mapping table on a tracked heap, ≈40 ms per state.
 func TestCrashRecoveryEnumerated(t *testing.T) {
 	for n := int64(1); ; n++ {
 		heap := pmem.NewFast()
@@ -392,17 +335,6 @@ func TestCrashBetweenSplitSteps(t *testing.T) {
 	for k, v := range committed {
 		if got, ok := idx.Lookup(k64(k)); !ok || got != v {
 			t.Fatalf("key %d lost after post-crash writes (%d,%v)", k, got, ok)
-		}
-	}
-}
-
-func TestDurabilityFlushCoverage(t *testing.T) {
-	heap := pmem.New(pmem.Options{Track: true})
-	idx := New(heap)
-	for i := uint64(0); i < 1200; i++ {
-		mustInsert(t, idx, k64(keys.Mix64(i)), i)
-		if v := heap.Tracker().Check(); len(v) != 0 {
-			t.Fatalf("insert %d left unpersisted lines: %v", i, v)
 		}
 	}
 }

@@ -29,8 +29,8 @@ type Config struct {
 	Ways int
 }
 
-// DefaultConfig mirrors the evaluation machine's 32 MB, 16-way LLC.
-func DefaultConfig() Config {
+// defaultConfig mirrors the evaluation machine's 32 MB, 16-way LLC.
+func defaultConfig() Config {
 	return Config{CapacityBytes: 32 << 20, Ways: 16}
 }
 
@@ -109,10 +109,10 @@ func (c *Cache) Access(line uint64) bool {
 	return false
 }
 
-// Invalidate drops a line if present (used when simulating flushes with
+// invalidate drops a line if present (used when simulating flushes with
 // invalidation semantics such as clflush; clwb leaves the line cached and
 // does not call this).
-func (c *Cache) Invalidate(line uint64) {
+func (c *Cache) invalidate(line uint64) {
 	h := line * 0x9E3779B97F4A7C15
 	s := &c.sets[h&c.setMask]
 	s.mu.Lock()
@@ -132,8 +132,8 @@ type Stats struct {
 	Misses   uint64
 }
 
-// MissRate returns misses/accesses, or 0 when no accesses were recorded.
-func (s Stats) MissRate() float64 {
+// missRate returns misses/accesses, or 0 when no accesses were recorded.
+func (s Stats) missRate() float64 {
 	if s.Accesses == 0 {
 		return 0
 	}
@@ -147,10 +147,10 @@ func (c *Cache) Stats() Stats {
 	return Stats{Accesses: h + m, Hits: h, Misses: m}
 }
 
-// ResetStats zeroes the counters without disturbing cache contents, so a
+// resetStats zeroes the counters without disturbing cache contents, so a
 // harness can exclude the load phase from measured-phase statistics.
 // Callers must quiesce Access traffic for an exact zero.
-func (c *Cache) ResetStats() {
+func (c *Cache) resetStats() {
 	c.hits.Reset()
 	c.misses.Reset()
 }

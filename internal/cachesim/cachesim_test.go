@@ -46,7 +46,7 @@ func TestLRUEviction(t *testing.T) {
 func TestInvalidate(t *testing.T) {
 	c := small()
 	c.Access(7)
-	c.Invalidate(7)
+	c.invalidate(7)
 	if c.Access(7) {
 		t.Fatal("access after invalidate should miss")
 	}
@@ -55,27 +55,27 @@ func TestInvalidate(t *testing.T) {
 func TestResetStatsKeepsContents(t *testing.T) {
 	c := small()
 	c.Access(9)
-	c.ResetStats()
+	c.resetStats()
 	if s := c.Stats(); s.Accesses != 0 || s.Misses != 0 {
 		t.Fatalf("stats not reset: %+v", s)
 	}
 	if !c.Access(9) {
-		t.Fatal("contents should survive ResetStats")
+		t.Fatal("contents should survive resetStats")
 	}
 }
 
 func TestMissRate(t *testing.T) {
-	if (Stats{}).MissRate() != 0 {
+	if (Stats{}).missRate() != 0 {
 		t.Fatal("zero accesses should give 0 miss rate")
 	}
 	s := Stats{Accesses: 4, Misses: 1}
-	if got := s.MissRate(); got != 0.25 {
-		t.Fatalf("MissRate = %v, want 0.25", got)
+	if got := s.missRate(); got != 0.25 {
+		t.Fatalf("missRate = %v, want 0.25", got)
 	}
 }
 
 func TestConcurrentAccessCounts(t *testing.T) {
-	c := New(DefaultConfig())
+	c := New(defaultConfig())
 	var wg sync.WaitGroup
 	const per = 10000
 	for g := 0; g < 4; g++ {
@@ -98,7 +98,7 @@ func TestConcurrentAccessCounts(t *testing.T) {
 // interleaving evictions always hits.
 func TestQuickAccountingInvariant(t *testing.T) {
 	f := func(lines []uint64) bool {
-		c := New(DefaultConfig())
+		c := New(defaultConfig())
 		for _, l := range lines {
 			c.Access(l)
 		}

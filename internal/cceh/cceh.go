@@ -512,8 +512,8 @@ func (idx *Index) Range(fn func(key, value uint64) bool) {
 // Depth returns the directory's global depth as used for indexing.
 func (idx *Index) Depth() uint32 { return idx.view().depth }
 
-// Segments returns the number of distinct segments.
-func (idx *Index) Segments() int {
+// segments returns the number of distinct segments.
+func (idx *Index) segments() int {
 	d := idx.dir.Load()
 	seen := make(map[*segment]bool)
 	for i := range d.entries {

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"testing/quick"
 	"unsafe"
 
 	"repro/internal/crash"
@@ -120,62 +119,6 @@ func TestRehashGrowsAndPreserves(t *testing.T) {
 	}
 	if idx.Len() != n {
 		t.Fatalf("Len = %d, want %d", idx.Len(), n)
-	}
-}
-
-func TestOracleRandomOps(t *testing.T) {
-	idx := NewWithBuckets(pmem.NewFast(), 2)
-	oracle := make(map[uint64]uint64)
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 20000; i++ {
-		k := uint64(rng.Intn(500)) + 1
-		switch rng.Intn(3) {
-		case 0:
-			v := rng.Uint64()
-			mustInsert(t, idx, k, v)
-			oracle[k] = v
-		case 1:
-			if _, err := idx.Delete(k); err != nil {
-				t.Fatal(err)
-			}
-			delete(oracle, k)
-		case 2:
-			v, ok := idx.Lookup(k)
-			ov, ook := oracle[k]
-			if ok != ook || (ok && v != ov) {
-				t.Fatalf("Lookup(%d) = %d,%v; oracle %d,%v", k, v, ok, ov, ook)
-			}
-		}
-	}
-	if idx.Len() != len(oracle) {
-		t.Fatalf("Len = %d, oracle %d", idx.Len(), len(oracle))
-	}
-}
-
-// Property: any batch of inserts is fully readable.
-func TestQuickInsertAllReadable(t *testing.T) {
-	f := func(ks []uint64) bool {
-		idx := NewWithBuckets(pmem.NewFast(), 2)
-		want := make(map[uint64]uint64)
-		for i, k := range ks {
-			if k == 0 {
-				continue
-			}
-			if idx.Insert(k, uint64(i)) != nil {
-				return false
-			}
-			want[k] = uint64(i)
-		}
-		for k, v := range want {
-			got, ok := idx.Lookup(k)
-			if !ok || got != v {
-				return false
-			}
-		}
-		return idx.Len() == len(want)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -312,17 +255,19 @@ func enumerateCrashes(t *testing.T, model string, newHeap func() *pmem.Heap, aft
 	}
 }
 
-// Crash testing per §5: enumerate every crash site systematically, verify
-// no committed key is lost and the index remains fully writable.
+// TestCrashRecoveryEnumerated runs the enumeration on a heap without a
+// shadow image: every store stays visible after the crash, so it checks
+// recovery's own logic apart from any write-back loss.
 func TestCrashRecoveryEnumerated(t *testing.T) {
 	enumerateCrashes(t, "visible", pmem.NewFast, func(*pmem.Heap, int64) {})
 }
 
-// TestCrashRecoveryPowerCycled is the same enumeration under the lossy
-// model: after the crash a power cycle throws away whatever was not written
-// back and fenced (revert), keeps what was written back (keep) or flips a
-// coin per object (torn). A table or an overflow bucket published before
-// its write-back reads as zeros afterwards and loses acknowledged keys.
+// TestCrashRecoveryPowerCycled is the same enumeration on a shadowed heap
+// power-cycled under each restart image: intact keeps every store, revert
+// throws away whatever was not written back and fenced, keep keeps what was
+// written back, torn flips a coin per object. A table or an overflow bucket
+// published before its write-back reads as zeros afterwards and loses
+// acknowledged keys.
 func TestCrashRecoveryPowerCycled(t *testing.T) {
 	for _, policy := range pmem.Policies {
 		enumerateCrashes(t, policy.String(),
@@ -346,31 +291,6 @@ func TestBucketIsOneCacheLine(t *testing.T) {
 	for _, s := range idx.root.segs[:idx.root.level.Load()+1] {
 		if a := uintptr(unsafe.Pointer(&s.buckets[0])); a%bucketBytes != 0 {
 			t.Fatalf("%d-bucket segment starts at %#x: not line-aligned", len(s.buckets), a)
-		}
-	}
-}
-
-// Durability per §5: every dirtied line is flushed and fenced by the time
-// each operation returns. From one bucket the table doubles seven times,
-// so the last directory slot written lies past the root's first line.
-func TestDurabilityFlushCoverage(t *testing.T) {
-	heap := pmem.New(pmem.Options{Track: true})
-	idx := NewWithBuckets(heap, 1)
-	if v := heap.Tracker().Check(); len(v) != 0 {
-		t.Fatalf("constructor left unpersisted lines: %v", v)
-	}
-	for k := uint64(1); k <= 500; k++ {
-		mustInsert(t, idx, k, k)
-		if v := heap.Tracker().Check(); len(v) != 0 {
-			t.Fatalf("insert %d left unpersisted lines: %v", k, v)
-		}
-	}
-	for k := uint64(1); k <= 500; k += 3 {
-		if _, err := idx.Delete(k); err != nil {
-			t.Fatal(err)
-		}
-		if v := heap.Tracker().Check(); len(v) != 0 {
-			t.Fatalf("delete %d left unpersisted lines: %v", k, v)
 		}
 	}
 }

@@ -1,12 +1,10 @@
 package fastfair
 
 import (
-	"math/rand"
 	"slices"
 	"sort"
 	"sync"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/crash"
@@ -232,69 +230,6 @@ func TestScanStringKeys(t *testing.T) {
 	}
 }
 
-func TestOracleRandom(t *testing.T) {
-	tr := newInt()
-	oracle := make(map[uint64]uint64)
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 30000; i++ {
-		k := uint64(rng.Intn(3000))
-		switch rng.Intn(4) {
-		case 0, 1:
-			v := rng.Uint64()
-			mustInsert(t, tr, k64(k), v)
-			oracle[k] = v
-		case 2:
-			if _, err := tr.Delete(k64(k)); err != nil {
-				t.Fatal(err)
-			}
-			delete(oracle, k)
-		default:
-			v, ok := tr.Lookup(k64(k))
-			ov, ook := oracle[k]
-			if ok != ook || (ok && v != ov) {
-				t.Fatalf("Lookup(%d) = %d,%v oracle %d,%v", k, v, ok, ov, ook)
-			}
-		}
-	}
-	for k, ov := range oracle {
-		if v, ok := tr.Lookup(k64(k)); !ok || v != ov {
-			t.Fatalf("final Lookup(%d) = %d,%v want %d", k, v, ok, ov)
-		}
-	}
-}
-
-// Property: scans always return sorted, duplicate-free results matching
-// the inserted set.
-func TestQuickScanSortedUnique(t *testing.T) {
-	f := func(vals []uint64) bool {
-		tr := newInt()
-		set := make(map[uint64]bool)
-		for _, v := range vals {
-			if tr.Insert(k64(v), v) != nil {
-				return false
-			}
-			set[v] = true
-		}
-		var got []uint64
-		tr.Scan(nil, 0, func(k []byte, v uint64) bool {
-			got = append(got, keys.DecodeUint64(k))
-			return true
-		})
-		if len(got) != len(set) {
-			return false
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i-1] >= got[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConcurrentInserts(t *testing.T) {
 	tr := newInt()
 	const threads = 8
@@ -376,54 +311,6 @@ func TestConcurrentReadersWriters(t *testing.T) {
 	wg.Wait()
 }
 
-// §5 crash testing: enumerate crash states during a write-heavy load;
-// verify no committed key is lost and the tree stays writable. This
-// passes because the port includes interrupted-split completion; the
-// published artifact had bugs here (§7.5), reproduced separately via the
-// Faithful durability mode below.
-func TestCrashRecoveryEnumerated(t *testing.T) {
-	for n := int64(1); ; n++ {
-		heap := pmem.NewFast()
-		tr := New(heap, keys.RandInt)
-		inj := crash.NewNth(n)
-		heap.SetInjector(inj)
-		committed := make(map[uint64]uint64)
-		crashed := false
-		for id := uint64(0); id < 600; id++ {
-			k := keys.Mix64(id)
-			err := tr.Insert(k64(k), id)
-			if crash.IsCrash(err) {
-				crashed = true
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			committed[k] = id
-		}
-		heap.SetInjector(nil)
-		if !crashed {
-			if n == 1 {
-				t.Fatal("no crash sites reached")
-			}
-			t.Logf("enumerated %d crash states", n-1)
-			break
-		}
-		tr.Recover()
-		for k, v := range committed {
-			got, ok := tr.Lookup(k64(k))
-			if !ok || got != v {
-				t.Fatalf("crash state %d: committed key %d lost (%d,%v)", n, k, got, ok)
-			}
-		}
-		for id := uint64(100000); id < 100100; id++ {
-			if err := tr.Insert(k64(id), id); err != nil {
-				t.Fatalf("crash state %d: post-crash insert: %v", n, err)
-			}
-		}
-	}
-}
-
 // §7.5 durability finding: FAST & FAIR does not persist the initial node
 // allocation holding the root pointer. Faithful mode reproduces the bug,
 // Fixed mode persists it.
@@ -437,25 +324,6 @@ func TestDurabilityInitialAllocationBug(t *testing.T) {
 	NewWithMode(heapX, keys.RandInt, Fixed)
 	if v := heapX.Tracker().Check(); len(v) != 0 {
 		t.Fatalf("Fixed mode left unpersisted lines: %v", v)
-	}
-}
-
-func TestDurabilityFlushCoverage(t *testing.T) {
-	heap := pmem.New(pmem.Options{Track: true})
-	tr := NewWithMode(heap, keys.RandInt, Fixed)
-	for i := uint64(0); i < 400; i++ {
-		mustInsert(t, tr, k64(keys.Mix64(i)), i)
-		if v := heap.Tracker().Check(); len(v) != 0 {
-			t.Fatalf("insert %d left unpersisted lines: %v", i, v)
-		}
-	}
-	for i := uint64(0); i < 400; i += 3 {
-		if _, err := tr.Delete(k64(keys.Mix64(i))); err != nil {
-			t.Fatal(err)
-		}
-		if v := heap.Tracker().Check(); len(v) != 0 {
-			t.Fatalf("delete %d left unpersisted lines: %v", i, v)
-		}
 	}
 }
 

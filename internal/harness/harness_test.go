@@ -360,18 +360,19 @@ func TestAttributeSplitsKinds(t *testing.T) {
 	}
 }
 
+// TestCrashCampaignPasses is the §7.5 headline at test scale: every
+// RECIPE-converted index survives its crash campaign.
 func TestCrashCampaignPasses(t *testing.T) {
-	for _, name := range []string{"P-ART", "P-CLHT"} {
-		rep := CrashCampaign(name, ByName(name, keys.RandInt), 20, 2000, 2000, 4)
-		if !rep.Pass() {
-			t.Fatalf("%s crash campaign failed: %s", name, rep)
-		}
-		if rep.Fired() == 0 {
-			t.Fatalf("%s: no crash state actually crashed; campaign vacuous", name)
-		}
-		if !strings.Contains(rep.String(), "PASS") {
-			t.Fatalf("report string: %s", rep)
-		}
+	for _, name := range []string{"P-ART", "P-HOT", "P-BwTree", "P-Masstree", "P-CLHT"} {
+		t.Run(name, func(t *testing.T) {
+			rep := CrashCampaign(name, ByName(name, keys.RandInt), 25, 2000, 2000, 4)
+			if !rep.Pass() || !strings.Contains(rep.String(), "PASS") {
+				t.Fatalf("crash campaign failed: %s", rep)
+			}
+			if rep.Fired() == 0 {
+				t.Fatal("no crash state actually crashed; campaign vacuous")
+			}
+		})
 	}
 }
 
@@ -397,13 +398,14 @@ func TestCrashCampaignShardedPasses(t *testing.T) {
 	}
 }
 
-// TestDurabilityReports: the converted indexes pass the §5 durability
-// test; the Faithful modes fail it at construction (the §7.5
-// unpersisted-initial-allocation finding), which the trial counts
+// TestDurabilityReports: the conversions and the four PM baselines pass
+// the §5 durability test — flush coverage of construction, inserts and
+// in-place rewrites; the Faithful modes fail it at construction (the
+// §7.5 unpersisted-initial-allocation finding), which the trial counts
 // before its post phase.
 func TestDurabilityReports(t *testing.T) {
-	for _, name := range []string{"P-Masstree", "P-CLHT"} {
-		rep := Durability(name, ByName(name, keys.YCSBString), 500)
+	for _, name := range campaignIndexes {
+		rep := Durability(name, ByName(name, keys.YCSBString), 800)
 		if !rep.Pass() || !strings.Contains(rep.String(), "PASS") {
 			t.Fatalf("%s durability failed: %s", name, rep)
 		}

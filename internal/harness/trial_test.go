@@ -5,10 +5,12 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/clht"
 	"repro/internal/core"
 	"repro/internal/crash"
 	"repro/internal/group"
 	"repro/internal/keys"
+	"repro/internal/levelhash"
 	"repro/internal/pmem"
 	"repro/shard"
 )
@@ -143,6 +145,79 @@ func TestSiteCampaignFiresEverySite(t *testing.T) {
 				checkSwept(t, fired, extraSites(p.path))
 			})
 		}
+	}
+}
+
+// hashWith builds a one-shard hash front-end over the table idx makes:
+// a table sized to reach sites the registry's default size never does.
+func hashWith(idx func(*pmem.Heap) core.HashIndex) Build {
+	return func(o pmem.Options) *Target {
+		m, err := shard.NewHashWith(func(h *pmem.Heap) (core.HashIndex, error) { return idx(h), nil }, shard.Options{Heap: o})
+		if err != nil {
+			panic(err)
+		}
+		return ShardedHash(m)
+	}
+}
+
+// TestCrashAtEveryVisit is §5's enumeration through the one trial: a
+// discovery load counts the crash-site visits an uncrashed load makes,
+// then one trial per visit crashes there (crash.NewNth), restarts from
+// the intact image and runs every check of the trial, one writer. Where
+// SiteCampaign crashes at each site's first visit only, this crashes at
+// every later one too — the 21st split of a leaf as well as the first.
+// A row keeps the load, key kind and post-crash insert count of the
+// loop it replaced in its index's package (WOART had none), and needs
+// at least states visits and the named sites among them: the tiny
+// P-CLHT and Level Hashing tables chain, double and reclaim.
+func TestCrashAtEveryVisit(t *testing.T) {
+	rows := []struct {
+		name                 string
+		build                Build
+		loadN, postN, states int
+		sites                []string
+	}{
+		{"P-ART", ByName("P-ART", keys.RandInt), 400, 100, 800, nil},
+		{"FAST & FAIR", ByName("FAST & FAIR", keys.RandInt), 600, 100, 1313, nil},
+		{"P-HOT", ByName("P-HOT", keys.YCSBString), 400, 80, 835, nil},
+		{"P-Masstree", ByName("P-Masstree", keys.YCSBString), 400, 100, 975, nil},
+		{"WOART", ByName("WOART", keys.RandInt), 400, 80, 515, nil},
+		{"CCEH", ByName("CCEH", keys.RandInt), 800, 50, 1600, nil},
+		{"Level Hashing", hashWith(func(h *pmem.Heap) core.HashIndex { return levelhash.NewWithBuckets(h, 4) }), 1500, 40, 3014, nil},
+		{"P-CLHT", hashWith(func(h *pmem.Heap) core.HashIndex { return clht.NewWithBuckets(h, 2) }), 300, 50, 729,
+			[]string{"clht.rehash.built", "clht.rehash.swap", "clht.insert.reclaim", "clht.insert.overflow.init", "clht.insert.overflow.link"}},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			inj := crash.NewNth(0) // counts visits, never fires
+			d := row.build(pmem.Options{Injector: inj})
+			if err := load(d, syncPath, 0, row.loadN, false, hooks{}, nil); err != nil {
+				t.Fatal(err)
+			}
+			d.release()
+			visits := int(inj.Visits())
+			if visits < row.states {
+				t.Fatalf("load visits %d crash states, want at least %d", visits, row.states)
+			}
+			for _, site := range row.sites {
+				if inj.Sites()[site] == 0 {
+					t.Errorf("load never reaches %s", site)
+				}
+			}
+			p := protocol{build: row.build, policy: pmem.PolicyIntact, loadN: row.loadN, postN: row.postN, writers: 1}
+			rep := p.campaign(row.name, 0, visits, 0, func(i int) (string, *crash.Injector, int) {
+				return fmt.Sprintf("visit %d", i+1), crash.NewNth(int64(i + 1)), 0
+			})
+			if rep.Fired() != visits {
+				t.Errorf("fired %d of %d visits", rep.Fired(), visits)
+			}
+			for _, s := range rep.Sites {
+				if !s.Pass() {
+					t.Errorf("%s: %v lostAcks=%d recoveryViol=%d opViol=%d detail=%s", s.Site, s.Outcome, s.LostAcks, s.RecoveryViolations, s.OpViolations, s.Detail)
+				}
+			}
+			t.Logf("%d states", visits)
+		})
 	}
 }
 

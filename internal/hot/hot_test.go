@@ -1,14 +1,11 @@
 package hot
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
 	"sync"
 	"testing"
-	"testing/quick"
 
-	"repro/internal/crash"
 	"repro/internal/keys"
 	"repro/internal/pmem"
 )
@@ -174,66 +171,6 @@ func TestScanRange(t *testing.T) {
 	}
 }
 
-func TestOracleRandom(t *testing.T) {
-	idx := newIdx()
-	oracle := make(map[string]uint64)
-	rng := rand.New(rand.NewSource(31))
-	for i := 0; i < 20000; i++ {
-		k := fmt.Sprintf("k%05d", rng.Intn(3000))
-		switch rng.Intn(4) {
-		case 0, 1:
-			v := rng.Uint64()
-			mustInsert(t, idx, []byte(k), v)
-			oracle[k] = v
-		case 2:
-			if _, err := idx.Delete([]byte(k)); err != nil {
-				t.Fatal(err)
-			}
-			delete(oracle, k)
-		default:
-			v, ok := idx.Lookup([]byte(k))
-			ov, ook := oracle[k]
-			if ok != ook || (ok && v != ov) {
-				t.Fatalf("Lookup(%q) = %d,%v oracle %d,%v", k, v, ok, ov, ook)
-			}
-		}
-	}
-	if idx.Len() != len(oracle) {
-		t.Fatalf("Len = %d oracle %d", idx.Len(), len(oracle))
-	}
-}
-
-// Property: scans are sorted and complete.
-func TestQuickScanSorted(t *testing.T) {
-	f := func(vals []uint64) bool {
-		idx := newIdx()
-		set := make(map[uint64]bool)
-		for _, v := range vals {
-			if idx.Insert(k64(v), v) != nil {
-				return false
-			}
-			set[v] = true
-		}
-		var got []uint64
-		idx.Scan(nil, 0, func(k []byte, v uint64) bool {
-			got = append(got, keys.DecodeUint64(k))
-			return true
-		})
-		if len(got) != len(set) {
-			return false
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i-1] >= got[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestConcurrentInserts(t *testing.T) {
 	idx := newIdx()
 	gen := keys.NewGenerator(keys.RandInt)
@@ -327,73 +264,6 @@ func TestConcurrentReadersDuringCOW(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-}
-
-// §5 crash testing: COW + single-swap commits mean every enumerated crash
-// state is trivially consistent.
-func TestCrashRecoveryEnumerated(t *testing.T) {
-	gen := keys.NewGenerator(keys.YCSBString)
-	for n := int64(1); ; n++ {
-		heap := pmem.NewFast()
-		idx := New(heap)
-		heap.SetInjector(crash.NewNth(n))
-		committed := make(map[uint64]uint64)
-		crashed := false
-		for i := uint64(0); i < 400; i++ {
-			err := idx.Insert(gen.Key(i), i)
-			if crash.IsCrash(err) {
-				crashed = true
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			committed[i] = i
-		}
-		heap.SetInjector(nil)
-		if !crashed {
-			if n == 1 {
-				t.Fatal("no crash sites reached")
-			}
-			t.Logf("enumerated %d crash states", n-1)
-			break
-		}
-		idx.Recover()
-		for id, v := range committed {
-			got, ok := idx.Lookup(gen.Key(id))
-			if !ok || got != v {
-				t.Fatalf("crash state %d: committed key %d lost (%d,%v)", n, id, got, ok)
-			}
-		}
-		for id := uint64(40000); id < 40080; id++ {
-			if err := idx.Insert(gen.Key(id), id); err != nil {
-				t.Fatalf("crash state %d: post-crash insert: %v", n, err)
-			}
-		}
-		if n > 20000 {
-			t.Fatal("enumeration did not terminate")
-		}
-	}
-}
-
-func TestDurabilityFlushCoverage(t *testing.T) {
-	heap := pmem.New(pmem.Options{Track: true})
-	idx := New(heap)
-	gen := keys.NewGenerator(keys.YCSBString)
-	for i := uint64(0); i < 800; i++ {
-		mustInsert(t, idx, gen.Key(i), i)
-		if v := heap.Tracker().Check(); len(v) != 0 {
-			t.Fatalf("insert %d left unpersisted lines: %v", i, v)
-		}
-	}
-	for i := uint64(0); i < 800; i += 3 {
-		if _, err := idx.Delete(gen.Key(i)); err != nil {
-			t.Fatal(err)
-		}
-		if v := heap.Tracker().Check(); len(v) != 0 {
-			t.Fatalf("delete %d left unpersisted lines: %v", i, v)
-		}
-	}
 }
 
 func BenchmarkInsert(b *testing.B) {

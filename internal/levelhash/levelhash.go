@@ -414,8 +414,8 @@ func (idx *Index) Range(fn func(key, value uint64) bool) {
 	}
 }
 
-// TopBuckets returns the current top-level bucket count.
-func (idx *Index) TopBuckets() int { return len(idx.tab.Load().top.buckets) }
+// topBuckets returns the current top-level bucket count.
+func (idx *Index) topBuckets() int { return len(idx.tab.Load().top.buckets) }
 
 // Recover restarts the table after a crash with a new lock generation,
 // which frees every lock the crash left held.

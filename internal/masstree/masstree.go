@@ -221,8 +221,8 @@ func entryLess(s1 uint64, c1 int, s2 uint64, c2 int) bool {
 func (idx *Index) Len() int { return int(idx.count.Load()) }
 
 // Recover restarts the index after a crash with a new lock generation,
-// which frees every lock the crash left held in any layer (§6). Torn
-// splits are repaired lazily on the write path by split replay.
+// which frees every lock the crash left held in any layer (§6). A torn
+// leaf split is repaired lazily, by the first writer to lock the leaf.
 func (idx *Index) Recover() error {
 	idx.gen.Restart()
 	return nil

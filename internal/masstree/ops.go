@@ -92,17 +92,23 @@ func (idx *Index) newLeafVal(slice uint64, lc int, value uint64, suffix []byte, 
 }
 
 // lockLeafFor descends to and locks the leaf covering slice, with sibling
-// hand-over under lock.
+// hand-over under lock. Each leaf it locks has any crash-torn split
+// completed first (finishSplit), so no write ever changes an entry the
+// torn sibling also holds: a later replay would truncate the change away
+// and leave the sibling's stale copy in its place.
 func (idx *Index) lockLeafFor(lr *layerRoot, slice uint64) *node {
 	n := idx.descend(lr.root.Load(), slice, 0)
 	n.lock.Lock(&idx.gen)
-	for n.highSet.Load() && slice >= n.high.Load() {
+	for {
+		idx.finishSplit(n)
+		if !n.highSet.Load() || slice < n.high.Load() {
+			return n
+		}
 		s := n.next.Load()
 		n.lock.Unlock()
 		s.lock.Lock(&idx.gen)
 		n = s
 	}
-	return n
 }
 
 // leafFind locates (slice, lc) in the locked leaf; pos is the sorted
@@ -285,28 +291,42 @@ func (idx *Index) placePrivate(n *node, pos int, slice uint64, lc int, lv *leafV
 	n.perm.Store(uint64(np))
 }
 
-// splitLeaf splits the locked, full leaf n. Before splitting it checks
-// for — and completes — a crash-torn previous split by replaying the
-// completion steps, the RECIPE Condition #3 helper of §6.5. Returns the
-// locked right sibling and the separator slice.
-func (idx *Index) splitLeaf(n *node) (*node, uint64) {
-	if s := n.next.Load(); s != nil {
-		if cut, ok := idx.tornSplit(n, s); ok {
-			s.lock.Lock(&idx.gen)
-			splitSlice := s.slices[perm(s.perm.Load()).slot(0)].Load()
-			// RECIPE: replay the split completion — publish the high key,
-			// then truncate the permutation.
-			n.high.Store(splitSlice)
-			n.highSet.Store(true)
-			idx.heap.Dirty(n.pm, offHigh, 8)
-			idx.heap.PersistFence(n.pm, offHigh, 8)
-			n.perm.Store(uint64(perm(n.perm.Load()).truncate(cut)))
-			idx.heap.Dirty(n.pm, offPerm, 8)
-			idx.heap.PersistFence(n.pm, offPerm, 8)
-			idx.heap.CrashPoint("mt.split.replayed")
-			return s, splitSlice
-		}
+// finishSplit completes a crash-torn split of the locked leaf n by
+// replaying the completion steps, the RECIPE Condition #3 helper of
+// §6.5. A split is torn when n still publishes entries its sibling
+// holds: then n's last slice is not below the sibling's first, which a
+// completed split (cut on a slice boundary) never allows, so the common
+// case compares two slices and scans nothing.
+func (idx *Index) finishSplit(n *node) {
+	s := n.next.Load()
+	if s == nil {
+		return
 	}
+	p, sp := perm(n.perm.Load()), perm(s.perm.Load())
+	if p.count() == 0 || sp.count() == 0 ||
+		n.slices[p.slot(p.count()-1)].Load() < s.slices[sp.slot(0)].Load() {
+		return
+	}
+	cut, ok := idx.tornSplit(n, s)
+	if !ok {
+		return
+	}
+	// RECIPE: replay the split completion — publish the high key, then
+	// truncate the permutation.
+	n.high.Store(s.slices[sp.slot(0)].Load())
+	n.highSet.Store(true)
+	idx.heap.Dirty(n.pm, offHigh, 8)
+	idx.heap.PersistFence(n.pm, offHigh, 8)
+	n.perm.Store(uint64(p.truncate(cut)))
+	idx.heap.Dirty(n.pm, offPerm, 8)
+	idx.heap.PersistFence(n.pm, offPerm, 8)
+	idx.heap.CrashPoint("mt.split.replayed")
+}
+
+// splitLeaf splits the locked, full leaf n, whose last split lockLeafFor
+// has completed. Returns the locked right sibling and the separator
+// slice.
+func (idx *Index) splitLeaf(n *node) (*node, uint64) {
 	p := perm(n.perm.Load())
 	cnt := p.count()
 	// Pick a split position on a slice boundary so same-slice entries

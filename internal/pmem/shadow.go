@@ -195,9 +195,9 @@ func newShadowState() *shadowState {
 	return &shadowState{objs: make(map[uint64]*shadowObj)}
 }
 
-// ShadowEnabled reports whether the heap keeps shadow images
+// shadowEnabled reports whether the heap keeps shadow images
 // (Options.Shadow).
-func (h *Heap) ShadowEnabled() bool { return h.shadow != nil }
+func (h *Heap) shadowEnabled() bool { return h.shadow != nil }
 
 // Shadow registers ptr — a non-nil pointer to the Go object that
 // allocation o models — as o's backing memory for lossy power-failure

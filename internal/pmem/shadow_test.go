@@ -329,7 +329,7 @@ func TestShadowNoopWithoutMode(t *testing.T) {
 	o := h.Alloc(24)
 	h.Shadow(o, &node{})
 	h.ShadowSlice(o, make([]uint64, 4), 8)
-	if h.ShadowEnabled() {
+	if h.shadowEnabled() {
 		t.Fatalf("fast heap claims shadow mode")
 	}
 }

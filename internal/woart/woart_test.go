@@ -1,11 +1,9 @@
 package woart
 
 import (
-	"math/rand"
 	"sort"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/keys"
 	"repro/internal/pmem"
@@ -128,53 +126,6 @@ func TestScanOrdered(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("order broken at %d", i)
 		}
-	}
-}
-
-func TestOracle(t *testing.T) {
-	idx := newIdx()
-	oracle := make(map[uint64]uint64)
-	rng := rand.New(rand.NewSource(41))
-	for i := 0; i < 15000; i++ {
-		k := uint64(rng.Intn(2000))
-		switch rng.Intn(4) {
-		case 0, 1:
-			v := rng.Uint64()
-			mustInsert(t, idx, k64(k), v)
-			oracle[k] = v
-		case 2:
-			if _, err := idx.Delete(k64(k)); err != nil {
-				t.Fatal(err)
-			}
-			delete(oracle, k)
-		default:
-			v, ok := idx.Lookup(k64(k))
-			ov, ook := oracle[k]
-			if ok != ook || (ok && v != ov) {
-				t.Fatalf("Lookup(%d) = %d,%v oracle %d,%v", k, v, ok, ov, ook)
-			}
-		}
-	}
-}
-
-// Property: batches round-trip.
-func TestQuickRoundTrip(t *testing.T) {
-	f := func(vals []uint64) bool {
-		idx := newIdx()
-		for _, v := range vals {
-			if idx.Insert(k64(v), v) != nil {
-				return false
-			}
-		}
-		for _, v := range vals {
-			if got, ok := idx.Lookup(k64(v)); !ok || got != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
 	}
 }
 

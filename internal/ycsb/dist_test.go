@@ -104,8 +104,8 @@ func TestZipfianSkewOrdering(t *testing.T) {
 // baselines rely on.
 func TestDistributionsDeterministic(t *testing.T) {
 	for _, d := range []Distribution{Uniform{}, Zipfian{Theta: 0.99}, Zipfian{Theta: 0.5}, Latest{Theta: 0.99}} {
-		a := GenerateWith(A, 2000, 4000, 4, 7, d)
-		b := GenerateWith(A, 2000, 4000, 4, 7, d)
+		a := generateWith(A, 2000, 4000, 4, 7, d)
+		b := generateWith(A, 2000, 4000, 4, 7, d)
 		for ti := range a.Threads {
 			if len(a.Threads[ti]) != len(b.Threads[ti]) {
 				t.Fatalf("%s: non-deterministic lengths", d.Name())
@@ -127,7 +127,7 @@ func TestDistributionsDeterministic(t *testing.T) {
 func TestLatestNeverEmitsUninserted(t *testing.T) {
 	const loadN = 1000
 	for _, w := range []Workload{D, A, B} {
-		p := GenerateWith(w, loadN, 20_000, 4, 11, Latest{Theta: 0.99})
+		p := generateWith(w, loadN, 20_000, 4, 11, Latest{Theta: 0.99})
 		for ti, ops := range p.Threads {
 			own := make(map[uint64]bool)
 			for i, op := range ops {
@@ -150,7 +150,7 @@ func TestLatestNeverEmitsUninserted(t *testing.T) {
 // own-inserted keys), not uniformly over the population.
 func TestLatestSkewsRecent(t *testing.T) {
 	const loadN = 10_000
-	p := GenerateWith(D, loadN, 20_000, 1, 3, Latest{Theta: 0.99})
+	p := generateWith(D, loadN, 20_000, 1, 3, Latest{Theta: 0.99})
 	recent := 0
 	reads := 0
 	for _, op := range p.Threads[0] {

@@ -118,14 +118,14 @@ const DefaultTheta = 0.99
 // faithful to Table 3.
 var All = []Workload{LoadA, A, B, C, E}
 
-// Extended lists every workload including the beyond-the-paper D and
+// extended lists every workload including the beyond-the-paper D and
 // F rows, in YCSB letter order.
-var Extended = []Workload{LoadA, A, B, C, D, E, F}
+var extended = []Workload{LoadA, A, B, C, D, E, F}
 
 // ByName returns the workload with the given name (case-sensitive:
 // "Load A", "A", "B", "C", "D", "E", "F").
 func ByName(name string) (Workload, error) {
-	for _, w := range Extended {
+	for _, w := range extended {
 		if w.Name == name {
 			return w, nil
 		}
@@ -176,13 +176,13 @@ func Generate(w Workload, loadN, opN, threads int, seed int64) *Plan {
 	if dist == nil {
 		dist = Uniform{}
 	}
-	return GenerateWith(w, loadN, opN, threads, seed, dist)
+	return generateWith(w, loadN, opN, threads, seed, dist)
 }
 
-// GenerateWith is Generate with an explicit request distribution,
+// generateWith is Generate with an explicit request distribution,
 // overriding the workload row's default (how -dist runs workload A–F
 // under any distribution).
-func GenerateWith(w Workload, loadN, opN, threads int, seed int64, dist Distribution) *Plan {
+func generateWith(w Workload, loadN, opN, threads int, seed int64, dist Distribution) *Plan {
 	if threads < 1 {
 		threads = 1
 	}
@@ -260,7 +260,7 @@ func GenerateLoad(loadN, threads int) *Plan {
 func Describe() string {
 	s := "Workload | Description              | Distribution | Application pattern\n"
 	s += "---------+--------------------------+--------------+---------------------\n"
-	for _, w := range Extended {
+	for _, w := range extended {
 		dist := "uniform"
 		if w.Dist != nil {
 			dist = w.Dist.Name()

@@ -8,7 +8,7 @@ import (
 )
 
 func TestWorkloadMixesSumTo100(t *testing.T) {
-	for _, w := range Extended {
+	for _, w := range extended {
 		if s := w.InsertPct + w.ReadPct + w.ScanPct + w.UpdatePct + w.RMWPct; s != 100 {
 			t.Fatalf("workload %s mix sums to %d", w.Name, s)
 		}
@@ -116,7 +116,7 @@ func TestGenerateDFMixes(t *testing.T) {
 // every workload shape — the plan half of the conservation invariant
 // the harness re-checks after execution.
 func TestPlanCountsConserve(t *testing.T) {
-	for _, w := range Extended {
+	for _, w := range extended {
 		p := Generate(w, 500, 3000, 4, 9)
 		sum := 0
 		for k, c := range p.Counts {
