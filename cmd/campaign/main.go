@@ -271,6 +271,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return usageError("-batch must be >= 1, got %d", batch)
 	case c.ops < 1:
 		return usageError("-ops must be >= 1, got %d", c.ops)
+	case c.postOps < 0:
+		return usageError("-postops must be >= 0, got %d", c.postOps)
+	case c.threads < 1:
+		return usageError("-threads must be >= 1, got %d", c.threads)
 	case c.states < 1:
 		return usageError("-states must be >= 1, got %d", c.states)
 	case c.shards < 1:

@@ -36,6 +36,9 @@ func TestUsageErrors(t *testing.T) {
 		{"crash", "-ops", "0"},
 		{"sites", "-ops", "0", "-postops", "0", "-policy", "intact"},
 		{"coverage", "-ops", "0"},
+		{"sites", "-ops", "50", "-postops", "-3", "-policy", "intact"},
+		{"crash", "-threads", "0"},
+		{"crash", "-threads", "-2"},
 	} {
 		status, stdout, stderr := campaign(args...)
 		if status != 2 || !strings.Contains(stderr, usage) || stdout != "" {

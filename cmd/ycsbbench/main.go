@@ -120,6 +120,14 @@ func main() {
 		figs = []string{"4a", "4b", "5", "woart"}
 	}
 	switch {
+	case *loadN < 1:
+		usage("-keys must be >= 1, got %d", *loadN)
+	case *opN < 1:
+		usage("-ops must be >= 1, got %d", *opN)
+	case *threads < 1:
+		usage("-threads must be >= 1, got %d", *threads)
+	case *llcKB < 0:
+		usage("-llckb must be >= 0, got %d", *llcKB)
 	case *batch < 1:
 		usage("-batch must be >= 1, got %d", *batch)
 	case (*batch > 1 || cfg.reshard) && *workloads == "":

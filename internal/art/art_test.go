@@ -3,7 +3,6 @@ package art
 import (
 	"bytes"
 	"fmt"
-	"sort"
 	"sync"
 	"testing"
 
@@ -44,18 +43,6 @@ func TestSingleKey(t *testing.T) {
 	}
 	if _, ok := idx.Lookup(k64(43)); ok {
 		t.Fatal("wrong key hit")
-	}
-}
-
-func TestUpdateInPlace(t *testing.T) {
-	idx := newIdx()
-	mustInsert(t, idx, k64(1), 1)
-	mustInsert(t, idx, k64(1), 2)
-	if v, _ := idx.Lookup(k64(1)); v != 2 {
-		t.Fatalf("value = %d after update, want 2", v)
-	}
-	if idx.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", idx.Len())
 	}
 }
 
@@ -123,35 +110,6 @@ func TestPathCompressionSplit(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	idx := newIdx()
-	for i := uint64(0); i < 100; i++ {
-		mustInsert(t, idx, k64(i), i)
-	}
-	for i := uint64(0); i < 100; i += 2 {
-		del, err := idx.Delete(k64(i))
-		if err != nil || !del {
-			t.Fatalf("Delete(%d) = %v,%v", i, del, err)
-		}
-	}
-	for i := uint64(0); i < 100; i++ {
-		v, ok := idx.Lookup(k64(i))
-		if i%2 == 0 && ok {
-			t.Fatalf("deleted key %d still present", i)
-		}
-		if i%2 == 1 && (!ok || v != i) {
-			t.Fatalf("surviving key %d = %d,%v", i, v, ok)
-		}
-	}
-	if idx.Len() != 50 {
-		t.Fatalf("Len = %d, want 50", idx.Len())
-	}
-	// Deleting absent keys reports false.
-	if del, err := idx.Delete(k64(0)); err != nil || del {
-		t.Fatalf("re-delete = %v,%v", del, err)
-	}
-}
-
 func TestDeleteRootLeaf(t *testing.T) {
 	idx := newIdx()
 	mustInsert(t, idx, k64(1), 1)
@@ -177,147 +135,6 @@ func TestReinsertAfterDelete(t *testing.T) {
 	mustInsert(t, idx, k64(1), 11)
 	if v, ok := idx.Lookup(k64(1)); !ok || v != 11 {
 		t.Fatalf("reinserted key = %d,%v", v, ok)
-	}
-}
-
-func TestScanOrderedFull(t *testing.T) {
-	idx := newIdx()
-	var want []uint64
-	for i := 0; i < 1000; i++ {
-		v := keys.Mix64(uint64(i))
-		mustInsert(t, idx, k64(v), v)
-		want = append(want, v)
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	var got []uint64
-	idx.Scan(nil, 0, func(k []byte, v uint64) bool {
-		got = append(got, keys.DecodeUint64(k))
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("scan visited %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("scan order broken at %d: got %d want %d", i, got[i], want[i])
-		}
-	}
-}
-
-func TestScanRange(t *testing.T) {
-	idx := newIdx()
-	for i := uint64(0); i < 200; i++ {
-		mustInsert(t, idx, k64(i*2), i*2) // even keys 0..398
-	}
-	var got []uint64
-	n := idx.Scan(k64(101), 10, func(k []byte, v uint64) bool {
-		got = append(got, keys.DecodeUint64(k))
-		return true
-	})
-	if n != 10 || len(got) != 10 {
-		t.Fatalf("scan returned %d keys", n)
-	}
-	for i, g := range got {
-		want := uint64(102 + i*2)
-		if g != want {
-			t.Fatalf("scan[%d] = %d, want %d", i, g, want)
-		}
-	}
-}
-
-func TestScanStopEarly(t *testing.T) {
-	idx := newIdx()
-	for i := uint64(0); i < 50; i++ {
-		mustInsert(t, idx, k64(i), i)
-	}
-	calls := 0
-	idx.Scan(nil, 0, func([]byte, uint64) bool {
-		calls++
-		return calls < 5
-	})
-	if calls != 5 {
-		t.Fatalf("fn called %d times, want 5", calls)
-	}
-}
-
-func TestConcurrentInsertLookup(t *testing.T) {
-	idx := newIdx()
-	gen := keys.NewGenerator(keys.RandInt)
-	const threads = 8
-	const per = 4000
-	var wg sync.WaitGroup
-	for g := 0; g < threads; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				id := uint64(g*per + i)
-				k := gen.Key(id)
-				if err := idx.Insert(k, id); err != nil {
-					t.Errorf("insert: %v", err)
-					return
-				}
-				if v, ok := idx.Lookup(k); !ok || v != id {
-					t.Errorf("readback id %d = %d,%v", id, v, ok)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if idx.Len() != threads*per {
-		t.Fatalf("Len = %d want %d", idx.Len(), threads*per)
-	}
-	for id := uint64(0); id < threads*per; id += 131 {
-		if v, ok := idx.Lookup(gen.Key(id)); !ok || v != id {
-			t.Fatalf("final lookup %d = %d,%v", id, v, ok)
-		}
-	}
-}
-
-func TestConcurrentStringKeys(t *testing.T) {
-	idx := newIdx()
-	gen := keys.NewGenerator(keys.YCSBString)
-	const threads = 4
-	const per = 3000
-	var wg sync.WaitGroup
-	for g := 0; g < threads; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				id := uint64(g*per + i)
-				if err := idx.Insert(gen.Key(id), id); err != nil {
-					t.Errorf("insert: %v", err)
-					return
-				}
-			}
-		}()
-	}
-	// Concurrent readers and scanners.
-	stop := make(chan struct{})
-	var rg sync.WaitGroup
-	rg.Add(1)
-	go func() {
-		defer rg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			idx.Scan(nil, 100, func(k []byte, v uint64) bool { return true })
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	rg.Wait()
-	for id := uint64(0); id < threads*per; id += 97 {
-		if v, ok := idx.Lookup(gen.Key(id)); !ok || v != id {
-			t.Fatalf("lookup %d = %d,%v", id, v, ok)
-		}
 	}
 }
 

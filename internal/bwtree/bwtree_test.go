@@ -1,7 +1,6 @@
 package bwtree
 
 import (
-	"sort"
 	"sync"
 	"testing"
 
@@ -54,34 +53,6 @@ func TestDeltaOverridesBase(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	idx := newIdx()
-	for i := uint64(0); i < 300; i++ {
-		mustInsert(t, idx, k64(i), i)
-	}
-	for i := uint64(0); i < 300; i += 2 {
-		del, err := idx.Delete(k64(i))
-		if err != nil || !del {
-			t.Fatalf("Delete(%d) = %v,%v", i, del, err)
-		}
-	}
-	if del, _ := idx.Delete(k64(0)); del {
-		t.Fatal("double delete")
-	}
-	for i := uint64(0); i < 300; i++ {
-		_, ok := idx.Lookup(k64(i))
-		if i%2 == 0 && ok {
-			t.Fatalf("deleted %d present", i)
-		}
-		if i%2 == 1 && !ok {
-			t.Fatalf("survivor %d missing", i)
-		}
-	}
-	if idx.Len() != 150 {
-		t.Fatalf("Len = %d", idx.Len())
-	}
-}
-
 func TestConsolidationAndSplits(t *testing.T) {
 	idx := newIdx()
 	const n = 50000
@@ -111,50 +82,6 @@ func TestSequentialInserts(t *testing.T) {
 	}
 }
 
-func TestScanOrdered(t *testing.T) {
-	idx := newIdx()
-	var want []uint64
-	for i := 0; i < 5000; i++ {
-		v := keys.Mix64(uint64(i))
-		mustInsert(t, idx, k64(v), v)
-		want = append(want, v)
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	var got []uint64
-	idx.Scan(nil, 0, func(k []byte, v uint64) bool {
-		got = append(got, keys.DecodeUint64(k))
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("scan count %d want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("scan order broken at %d", i)
-		}
-	}
-}
-
-func TestScanRange(t *testing.T) {
-	idx := newIdx()
-	for i := uint64(0); i < 1000; i++ {
-		mustInsert(t, idx, k64(i*2), i*2)
-	}
-	var got []uint64
-	n := idx.Scan(k64(501), 5, func(k []byte, v uint64) bool {
-		got = append(got, keys.DecodeUint64(k))
-		return true
-	})
-	if n != 5 {
-		t.Fatalf("visited %d", n)
-	}
-	for i, g := range got {
-		if g != uint64(502+i*2) {
-			t.Fatalf("scan[%d] = %d", i, g)
-		}
-	}
-}
-
 func TestScanRespectsDeletes(t *testing.T) {
 	idx := newIdx()
 	for i := uint64(0); i < 100; i++ {
@@ -173,41 +100,6 @@ func TestScanRespectsDeletes(t *testing.T) {
 	})
 	if cnt != 50 {
 		t.Fatalf("scan visited %d, want 50", cnt)
-	}
-}
-
-func TestConcurrentInserts(t *testing.T) {
-	idx := newIdx()
-	const threads = 8
-	const per = 3000
-	var wg sync.WaitGroup
-	for g := 0; g < threads; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				id := uint64(g*per + i)
-				k := k64(keys.Mix64(id))
-				if err := idx.Insert(k, id); err != nil {
-					t.Errorf("insert: %v", err)
-					return
-				}
-				if v, ok := idx.Lookup(k); !ok || v != id {
-					t.Errorf("readback %d = %d,%v", id, v, ok)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if idx.Len() != threads*per {
-		t.Fatalf("Len = %d want %d", idx.Len(), threads*per)
-	}
-	for id := uint64(0); id < threads*per; id += 173 {
-		if v, ok := idx.Lookup(k64(keys.Mix64(id))); !ok || v != id {
-			t.Fatalf("final lookup %d = %d,%v", id, v, ok)
-		}
 	}
 }
 

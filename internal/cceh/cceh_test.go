@@ -2,26 +2,12 @@ package cceh
 
 import (
 	"errors"
-	"sync"
 	"testing"
 
 	"repro/internal/crash"
 	"repro/internal/keys"
 	"repro/internal/pmem"
 )
-
-func TestInsertLookup(t *testing.T) {
-	idx := New(pmem.NewFast())
-	if err := idx.Insert(7, 70); err != nil {
-		t.Fatal(err)
-	}
-	if v, ok := idx.Lookup(7); !ok || v != 70 {
-		t.Fatalf("Lookup = %d,%v", v, ok)
-	}
-	if _, ok := idx.Lookup(8); ok {
-		t.Fatal("phantom")
-	}
-}
 
 func TestZeroKey(t *testing.T) {
 	idx := New(pmem.NewFast())
@@ -30,46 +16,6 @@ func TestZeroKey(t *testing.T) {
 	}
 	if _, err := idx.Delete(0); err != ErrZeroKey {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestUpdate(t *testing.T) {
-	idx := New(pmem.NewFast())
-	if err := idx.Insert(5, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := idx.Insert(5, 2); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := idx.Lookup(5); v != 2 {
-		t.Fatalf("v = %d", v)
-	}
-	if idx.Len() != 1 {
-		t.Fatalf("Len = %d", idx.Len())
-	}
-}
-
-func TestDelete(t *testing.T) {
-	idx := New(pmem.NewFast())
-	for k := uint64(1); k <= 100; k++ {
-		if err := idx.Insert(k, k); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for k := uint64(1); k <= 100; k += 2 {
-		del, err := idx.Delete(k)
-		if err != nil || !del {
-			t.Fatalf("Delete(%d) = %v,%v", k, del, err)
-		}
-	}
-	for k := uint64(1); k <= 100; k++ {
-		_, ok := idx.Lookup(k)
-		if k%2 == 1 && ok {
-			t.Fatalf("deleted %d present", k)
-		}
-		if k%2 == 0 && !ok {
-			t.Fatalf("survivor %d missing", k)
-		}
 	}
 }
 
@@ -97,37 +43,11 @@ func TestSegmentSplitsAndDoubling(t *testing.T) {
 	}
 }
 
-func TestConcurrent(t *testing.T) {
-	idx := New(pmem.NewFast())
-	const threads = 8
-	const per = 5000
-	var wg sync.WaitGroup
-	for g := 0; g < threads; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				k := keys.Mix64(uint64(g*per+i)) | 1
-				if err := idx.Insert(k, uint64(i)); err != nil {
-					t.Errorf("insert: %v", err)
-					return
-				}
-				if _, ok := idx.Lookup(k); !ok {
-					t.Errorf("readback miss %d", k)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// TestLookupRetriesStaleSegment pins the cause of TestConcurrent's rare
-// "readback miss" deterministically: a reader that loaded its segment
-// before a split moved the key away, and probes it after an insert
-// reclaimed the moved key's slot, must report "stale, retry" — not
-// "absent".
+// TestLookupRetriesStaleSegment pins the cause of the rare "readback"
+// miss in core.TestConcurrentInserts/CCEH deterministically: a reader
+// that loaded its segment before a split moved the key away, and probes
+// it after an insert reclaimed the moved key's slot, must report
+// "stale, retry" — not "absent".
 func TestLookupRetriesStaleSegment(t *testing.T) {
 	idx := New(pmem.NewFast())
 	// find returns a fresh key whose hash satisfies pred.
@@ -343,21 +263,6 @@ func TestDurabilityInitialAllocation(t *testing.T) {
 	NewWithMode(heapX, Fixed)
 	if v := heapX.Tracker().Check(); len(v) != 0 {
 		t.Fatalf("Fixed mode left unpersisted lines: %v", v)
-	}
-}
-
-// TestInsertFlushCount: a common-case insert writes its bucket line back
-// once and fences once — the value and the committing key share the
-// line, so no fence sits between them.
-func TestInsertFlushCount(t *testing.T) {
-	heap := pmem.NewFast()
-	idx := New(heap)
-	before := heap.Stats()
-	if err := idx.Insert(12345, 1); err != nil {
-		t.Fatal(err)
-	}
-	if d := heap.Stats().Sub(before); d.Clwb != 1 || d.Fence != 1 {
-		t.Fatalf("common-case insert issued %d clwb, %d fences; want 1, 1", d.Clwb, d.Fence)
 	}
 }
 

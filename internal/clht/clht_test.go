@@ -17,35 +17,6 @@ func newSmall(t testing.TB) *Index {
 	return NewWithBuckets(pmem.NewFast(), 4)
 }
 
-func TestInsertLookup(t *testing.T) {
-	idx := New(pmem.NewFast())
-	if err := idx.Insert(42, 100); err != nil {
-		t.Fatal(err)
-	}
-	v, ok := idx.Lookup(42)
-	if !ok || v != 100 {
-		t.Fatalf("Lookup(42) = %d,%v want 100,true", v, ok)
-	}
-	if _, ok := idx.Lookup(43); ok {
-		t.Fatal("Lookup(43) should miss")
-	}
-	if idx.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", idx.Len())
-	}
-}
-
-func TestInsertOverwrites(t *testing.T) {
-	idx := New(pmem.NewFast())
-	mustInsert(t, idx, 7, 1)
-	mustInsert(t, idx, 7, 2)
-	if v, _ := idx.Lookup(7); v != 2 {
-		t.Fatalf("value = %d, want 2 after overwrite", v)
-	}
-	if idx.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (update must not double-count)", idx.Len())
-	}
-}
-
 func TestZeroKeyRejected(t *testing.T) {
 	idx := New(pmem.NewFast())
 	if err := idx.Insert(0, 1); err != ErrZeroKey {
@@ -56,25 +27,6 @@ func TestZeroKeyRejected(t *testing.T) {
 	}
 	if _, ok := idx.Lookup(0); ok {
 		t.Fatal("Lookup(0) should miss")
-	}
-}
-
-func TestDelete(t *testing.T) {
-	idx := New(pmem.NewFast())
-	mustInsert(t, idx, 5, 50)
-	del, err := idx.Delete(5)
-	if err != nil || !del {
-		t.Fatalf("Delete(5) = %v,%v", del, err)
-	}
-	if _, ok := idx.Lookup(5); ok {
-		t.Fatal("key survived delete")
-	}
-	del, err = idx.Delete(5)
-	if err != nil || del {
-		t.Fatal("second delete should report absent")
-	}
-	if idx.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", idx.Len())
 	}
 }
 
@@ -119,43 +71,6 @@ func TestRehashGrowsAndPreserves(t *testing.T) {
 	}
 	if idx.Len() != n {
 		t.Fatalf("Len = %d, want %d", idx.Len(), n)
-	}
-}
-
-func TestConcurrent(t *testing.T) {
-	idx := NewWithBuckets(pmem.NewFast(), 2)
-	const threads = 8
-	const per = 3000
-	var wg sync.WaitGroup
-	for g := 0; g < threads; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			base := uint64(g*per) + 1
-			for i := uint64(0); i < per; i++ {
-				if err := idx.Insert(base+i, base+i); err != nil {
-					t.Errorf("insert: %v", err)
-					return
-				}
-				if v, ok := idx.Lookup(base + i); !ok || v != base+i {
-					t.Errorf("readback %d = %d,%v", base+i, v, ok)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if idx.Len() != threads*per {
-		t.Fatalf("Len = %d, want %d", idx.Len(), threads*per)
-	}
-	for g := 0; g < threads; g++ {
-		base := uint64(g*per) + 1
-		for i := uint64(0); i < per; i += 97 {
-			if v, ok := idx.Lookup(base + i); !ok || v != base+i {
-				t.Fatalf("final Lookup(%d) = %d,%v", base+i, v, ok)
-			}
-		}
 	}
 }
 
@@ -292,22 +207,6 @@ func TestBucketIsOneCacheLine(t *testing.T) {
 		if a := uintptr(unsafe.Pointer(&s.buckets[0])); a%bucketBytes != 0 {
 			t.Fatalf("%d-bucket segment starts at %#x: not line-aligned", len(s.buckets), a)
 		}
-	}
-}
-
-func TestInsertFlushCount(t *testing.T) {
-	// §6.2: common-case inserts require one cache-line flush — and one
-	// fence: the value and the committing key share the bucket line.
-	heap := pmem.NewFast()
-	idx := NewWithBuckets(heap, 1024)
-	before := heap.Stats()
-	mustInsert(t, idx, 12345, 1)
-	d := heap.Stats().Sub(before)
-	if d.Clwb != 1 {
-		t.Fatalf("common-case insert issued %d clwb, want 1", d.Clwb)
-	}
-	if d.Fence != 1 {
-		t.Fatalf("common-case insert issued %d fences, want 1", d.Fence)
 	}
 }
 

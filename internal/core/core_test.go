@@ -149,62 +149,43 @@ func TestIndexesCopyKeys(t *testing.T) {
 	}
 }
 
-// TestUpdateAllIndexes: every index (ordered and hash) overwrites in
-// place through Update — no growth, new value visible — the capability
-// that unlocks workloads D and F.
+// TestUpdateAllIndexes: on every index an Insert over a present key
+// and an Update both overwrite in place — no growth, the new value
+// visible — the capability that unlocks workloads D and F.
 func TestUpdateAllIndexes(t *testing.T) {
-	for _, name := range append(append([]string(nil), OrderedNames...), "WOART") {
-		heap := pmem.NewFast()
-		idx, err := NewOrdered(name, heap, keys.RandInt)
-		if err != nil {
-			t.Fatalf("NewOrdered(%q): %v", name, err)
-		}
-		gen := keys.NewGenerator(keys.RandInt)
-		for i := uint64(0); i < 200; i++ {
-			if err := idx.Insert(gen.Key(i), i); err != nil {
-				t.Fatalf("%s insert: %v", name, err)
+	gen := keys.NewGenerator(keys.RandInt)
+	for _, name := range append(orderedIndexes(), HashNames...) {
+		t.Run(name, func(t *testing.T) {
+			heap := pmem.NewFast()
+			defer heap.Release()
+			idx := byName(name, keys.RandInt)(heap)
+			for _, v := range []uint64{1, 2} {
+				if err := idx.Insert(gen.Key(1), v); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		for i := uint64(0); i < 200; i++ {
-			if err := idx.Update(gen.Key(i), i+1000); err != nil {
-				t.Fatalf("%s update: %v", name, err)
+			if v, ok := idx.Lookup(gen.Key(1)); !ok || v != 2 || idx.Len() != 1 {
+				t.Fatalf("insert over a present key: Lookup = %d,%v, Len %d; want 2, 1", v, ok, idx.Len())
 			}
-		}
-		if idx.Len() != 200 {
-			t.Fatalf("%s: updates grew Len to %d, want 200", name, idx.Len())
-		}
-		for i := uint64(0); i < 200; i++ {
-			if v, ok := idx.Lookup(gen.Key(i)); !ok || v != i+1000 {
-				t.Fatalf("%s lookup after update %d = %d,%v", name, i, v, ok)
+			for i := uint64(1); i <= 200; i++ {
+				if err := idx.Insert(gen.Key(i), i); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		heap.Release()
-	}
-	for _, name := range HashNames {
-		heap := pmem.NewFast()
-		idx, err := NewHash(name, heap)
-		if err != nil {
-			t.Fatalf("NewHash(%q): %v", name, err)
-		}
-		for i := uint64(1); i <= 200; i++ {
-			if err := idx.Insert(i, i); err != nil {
-				t.Fatalf("%s insert: %v", name, err)
+			for i := uint64(1); i <= 200; i++ {
+				if err := idx.Update(gen.Key(i), i+1000); err != nil {
+					t.Fatal(err)
+				}
 			}
-		}
-		for i := uint64(1); i <= 200; i++ {
-			if err := idx.Update(i, i+1000); err != nil {
-				t.Fatalf("%s update: %v", name, err)
+			if idx.Len() != 200 {
+				t.Fatalf("updates grew Len to %d, want 200", idx.Len())
 			}
-		}
-		if idx.Len() != 200 {
-			t.Fatalf("%s: updates grew Len to %d, want 200", name, idx.Len())
-		}
-		for i := uint64(1); i <= 200; i++ {
-			if v, ok := idx.Lookup(i); !ok || v != i+1000 {
-				t.Fatalf("%s lookup after update %d = %d,%v", name, i, v, ok)
+			for i := uint64(1); i <= 200; i++ {
+				if v, ok := idx.Lookup(gen.Key(i)); !ok || v != i+1000 {
+					t.Fatalf("lookup after update %d = %d,%v", i, v, ok)
+				}
 			}
-		}
-		heap.Release()
+		})
 	}
 }
 

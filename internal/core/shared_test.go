@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -21,9 +22,13 @@ import (
 )
 
 // The tests every index shares, one body each over a table of the
-// indexes: a random-operation run against a map oracle, a quick-check
-// round trip and §5 flush coverage of each insert and delete. Each row
-// keeps its index's constructor size, key space, seed and op count.
+// indexes: a single key, insert-over and Update, delete, a load read
+// back and scanned, bounded and stopped scans, concurrent inserts, exact
+// persistence counts, a random-operation run against a map oracle, a
+// quick-check round trip and §5 flush coverage of each insert and
+// delete. Each row keeps its index's constructor size, key space, seed,
+// op and goroutine counts; an index package tests only its own
+// mechanism.
 
 // byBytes addresses a hash table by 8-byte big-endian keys, so one row
 // shape serves both key kinds.
@@ -34,9 +39,27 @@ func (h byBytes) Update(k []byte, v uint64) error { return h.HashIndex.Update(ke
 func (h byBytes) Lookup(k []byte) (uint64, bool)  { return h.HashIndex.Lookup(keys.DecodeUint64(k)) }
 func (h byBytes) Delete(k []byte) (bool, error)   { return h.HashIndex.Delete(keys.DecodeUint64(k)) }
 
+// byName builds the named index through the registry: an ordered one
+// with key kind, a hash table behind byBytes.
+func byName(name string, kind keys.Kind) func(*pmem.Heap) PointIndex[[]byte] {
+	return func(h *pmem.Heap) PointIndex[[]byte] {
+		if idx, err := NewOrdered(name, h, kind); err == nil {
+			return idx
+		}
+		idx, err := NewHash(name, h)
+		if err != nil {
+			panic(err)
+		}
+		return byBytes{idx}
+	}
+}
+
+// k64 is the 8-byte big-endian key of v.
+var k64 = keys.EncodeUint64
+
 // intKeys draws 8-byte keys from [base, base+n).
 func intKeys(n int, base uint64) func(*rand.Rand) []byte {
-	return func(r *rand.Rand) []byte { return keys.EncodeUint64(uint64(r.Intn(n)) + base) }
+	return func(r *rand.Rand) []byte { return k64(uint64(r.Intn(n)) + base) }
 }
 
 // TestOracleRandom runs ops random operations (seeded) against a map:
@@ -157,13 +180,13 @@ func TestQuickRoundTrip(t *testing.T) {
 				idx := row.idx()
 				want := make(map[uint64]uint64)
 				for i, k := range row.keys(vals, seed, n) {
-					if idx.Insert(keys.EncodeUint64(k), uint64(i)) != nil {
+					if idx.Insert(k64(k), uint64(i)) != nil {
 						return false
 					}
 					want[k] = uint64(i)
 				}
 				for k, v := range want {
-					if got, ok := idx.Lookup(keys.EncodeUint64(k)); !ok || got != v {
+					if got, ok := idx.Lookup(k64(k)); !ok || got != v {
 						return false
 					}
 				}
@@ -213,7 +236,7 @@ func TestDurabilityFlushCoverage(t *testing.T) {
 		{"Level Hashing", func(h *pmem.Heap) PointIndex[[]byte] { return byBytes{levelhash.NewWithBuckets(h, 8)} }, randInt, 1, 2000, false},
 		// From one bucket P-CLHT doubles seven times, so the last
 		// directory slot written lies past the root's first line.
-		{"P-CLHT", func(h *pmem.Heap) PointIndex[[]byte] { return byBytes{clht.NewWithBuckets(h, 1)} }, keys.EncodeUint64, 1, 500, true},
+		{"P-CLHT", func(h *pmem.Heap) PointIndex[[]byte] { return byBytes{clht.NewWithBuckets(h, 1)} }, k64, 1, 500, true},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -236,6 +259,364 @@ func TestDurabilityFlushCoverage(t *testing.T) {
 					t.Fatal(err)
 				}
 				check("delete", id)
+			}
+		})
+	}
+}
+
+// TestSingleKey: an empty index finds nothing, counts nothing and scans
+// nothing; it refuses its invalid key with its own error and stays
+// empty; one stored key reads back, counts one and does not answer for
+// its neighbour.
+func TestSingleKey(t *testing.T) {
+	rows := []struct {
+		name       string
+		key, other []byte
+		value      uint64
+		bad        []byte
+		badErr     error
+	}{
+		{"P-ART", k64(42), k64(43), 100, nil, art.ErrEmptyKey},
+		{"FAST & FAIR", k64(10), k64(11), 100, nil, fastfair.ErrKeySize},
+		{"P-BwTree", k64(5), k64(6), 50, nil, bwtree.ErrEmptyKey},
+		{"P-Masstree", k64(1), k64(2), 10, nil, masstree.ErrEmptyKey},
+		{"P-HOT", []byte("hello"), []byte("hellp"), 1, nil, hot.ErrEmptyKey},
+		{"WOART", k64(1), k64(2), 10, nil, woart.ErrEmptyKey},
+		{"CCEH", k64(7), k64(8), 70, k64(0), cceh.ErrZeroKey},
+		{"Level Hashing", k64(3), k64(4), 30, k64(0), levelhash.ErrZeroKey},
+		{"P-CLHT", k64(42), k64(43), 100, k64(0), clht.ErrZeroKey},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			idx := byName(row.name, keys.RandInt)(pmem.NewFast())
+			empty := func(when string) {
+				if _, ok := idx.Lookup(row.key); ok {
+					t.Fatalf("%s: Lookup hit", when)
+				}
+				if n := idx.Len(); n != 0 {
+					t.Fatalf("%s: Len = %d", when, n)
+				}
+				if o, ok := idx.(OrderedIndex); ok {
+					for _, count := range []int{0, 10} {
+						if n := o.Scan(nil, count, func([]byte, uint64) bool { return true }); n != 0 {
+							t.Fatalf("%s: Scan(nil, %d) visited %d", when, count, n)
+						}
+					}
+				}
+			}
+			empty("empty")
+			if err := idx.Insert(row.bad, 1); err != row.badErr {
+				t.Fatalf("Insert(%x) = %v, want %v", row.bad, err, row.badErr)
+			}
+			empty("after the refused insert")
+			if err := idx.Insert(row.key, row.value); err != nil {
+				t.Fatal(err)
+			}
+			if v, ok := idx.Lookup(row.key); !ok || v != row.value {
+				t.Fatalf("Lookup = %d,%v, want %d", v, ok, row.value)
+			}
+			if _, ok := idx.Lookup(row.other); ok {
+				t.Fatalf("Lookup(%x) hit", row.other)
+			}
+			if n := idx.Len(); n != 1 {
+				t.Fatalf("Len = %d, want 1", n)
+			}
+		})
+	}
+}
+
+// TestDelete: of n keys from `from` on, deleting every other one (from
+// first) reports each present, a second delete reports absent, the
+// deleted keys miss, the survivors read back and Len counts them.
+func TestDelete(t *testing.T) {
+	rows := []struct {
+		name    string
+		from, n uint64
+	}{
+		{"P-ART", 0, 100},
+		{"FAST & FAIR", 0, 500},
+		{"P-BwTree", 0, 300},
+		{"P-Masstree", 0, 2000},
+		{"P-HOT", 0, 1000},
+		{"WOART", 0, 500},
+		{"CCEH", 1, 100},
+		{"Level Hashing", 1, 200},
+		{"P-CLHT", 5, 1},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			idx := byName(row.name, keys.RandInt)(pmem.NewFast())
+			end := row.from + row.n
+			for id := row.from; id < end; id++ {
+				if err := idx.Insert(k64(id), id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for id := row.from; id < end; id += 2 {
+				if del, err := idx.Delete(k64(id)); err != nil || !del {
+					t.Fatalf("Delete(%d) = %v,%v", id, del, err)
+				}
+			}
+			if del, err := idx.Delete(k64(row.from)); err != nil || del {
+				t.Fatalf("re-delete = %v,%v", del, err)
+			}
+			for id := row.from; id < end; id++ {
+				v, ok := idx.Lookup(k64(id))
+				if deleted := (id-row.from)%2 == 0; deleted && ok {
+					t.Fatalf("deleted key %d present", id)
+				} else if !deleted && (!ok || v != id) {
+					t.Fatalf("survivor %d = %d,%v", id, v, ok)
+				}
+			}
+			if want := int(row.n / 2); idx.Len() != want {
+				t.Fatalf("Len = %d, want %d", idx.Len(), want)
+			}
+		})
+	}
+}
+
+// TestLoadAndScan: n keys of a kind, each storing its id, read back, Len
+// counts them, and a scan from nil visits exactly them, ascending, each
+// with its value.
+func TestLoadAndScan(t *testing.T) {
+	rows := []struct {
+		name string
+		kind keys.Kind
+		n    uint64
+	}{
+		{"P-ART", keys.RandInt, 1000},
+		{"FAST & FAIR", keys.RandInt, 3000},
+		{"FAST & FAIR", keys.YCSBString, 500},
+		{"FAST & FAIR", keys.YCSBString, 5000},
+		{"P-BwTree", keys.RandInt, 5000},
+		{"P-Masstree", keys.RandInt, 5000},
+		{"P-Masstree", keys.YCSBString, 20000},
+		{"P-HOT", keys.RandInt, 3000},
+		{"P-HOT", keys.YCSBString, 10000},
+		{"WOART", keys.RandInt, 2000},
+	}
+	for _, row := range rows {
+		t.Run(fmt.Sprintf("%s/%v/%d", row.name, row.kind, row.n), func(t *testing.T) {
+			idx := byName(row.name, row.kind)(pmem.NewFast()).(OrderedIndex)
+			gen := keys.NewGenerator(row.kind)
+			for id := uint64(0); id < row.n; id++ {
+				if err := idx.Insert(gen.Key(id), id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for id := uint64(0); id < row.n; id++ {
+				if v, ok := idx.Lookup(gen.Key(id)); !ok || v != id {
+					t.Fatalf("Lookup(%d) = %d,%v", id, v, ok)
+				}
+			}
+			if idx.Len() != int(row.n) {
+				t.Fatalf("Len = %d, want %d", idx.Len(), row.n)
+			}
+			// Strictly ascending stored pairs, n of them, are all n.
+			var prev []byte
+			calls := 0
+			n := idx.Scan(nil, 0, func(k []byte, v uint64) bool {
+				if v >= row.n || !bytes.Equal(k, gen.Key(v)) || bytes.Compare(prev, k) >= 0 {
+					t.Fatalf("scan[%d] = %x,%d after %x", calls, k, v, prev)
+				}
+				prev = append(prev[:0], k...)
+				calls++
+				return true
+			})
+			if n != int(row.n) || calls != int(row.n) {
+				t.Fatalf("scan visited %d (fn %d), want %d", n, calls, row.n)
+			}
+		})
+	}
+}
+
+// TestScanRange: over the multiples of stride below n*stride, a scan of
+// count keys from a start between keys visits count keys, the first the
+// next multiple at or above start and each the one after.
+func TestScanRange(t *testing.T) {
+	rows := []struct {
+		name                    string
+		n, stride, start, count int
+	}{
+		{"P-ART", 200, 2, 101, 10},
+		{"FAST & FAIR", 1000, 3, 100, 7},
+		{"P-BwTree", 1000, 2, 501, 5},
+		{"P-HOT", 500, 2, 101, 4},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			idx := byName(row.name, keys.RandInt)(pmem.NewFast()).(OrderedIndex)
+			for i := 0; i < row.n; i++ {
+				k := uint64(i * row.stride)
+				if err := idx.Insert(k64(k), k); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := uint64((row.start + row.stride - 1) / row.stride * row.stride)
+			calls := 0
+			n := idx.Scan(k64(uint64(row.start)), row.count, func(k []byte, v uint64) bool {
+				if got := keys.DecodeUint64(k); got != want || v != want {
+					t.Fatalf("scan[%d] = %d,%d, want %d", calls, got, v, want)
+				}
+				want += uint64(row.stride)
+				calls++
+				return true
+			})
+			if n != row.count || calls != row.count {
+				t.Fatalf("scan visited %d (fn %d), want %d", n, calls, row.count)
+			}
+		})
+	}
+}
+
+// TestScanStopEarly: a scan over 50 keys stops at the call whose fn
+// returns false.
+func TestScanStopEarly(t *testing.T) {
+	for _, name := range orderedIndexes() {
+		t.Run(name, func(t *testing.T) {
+			idx := byName(name, keys.RandInt)(pmem.NewFast()).(OrderedIndex)
+			for i := uint64(0); i < 50; i++ {
+				if err := idx.Insert(k64(i), i); err != nil {
+					t.Fatal(err)
+				}
+			}
+			calls := 0
+			idx.Scan(nil, 0, func([]byte, uint64) bool {
+				calls++
+				return calls < 5
+			})
+			if calls != 5 {
+				t.Fatalf("fn called %d times, want 5", calls)
+			}
+		})
+	}
+}
+
+// TestConcurrentInserts: threads goroutines insert per keys each, every
+// insert read back at once by its writer (and, where a row scans, under
+// a scanner's feet); afterwards Len counts them all and every key reads
+// back with its value.
+func TestConcurrentInserts(t *testing.T) {
+	randInt, str := keys.NewGenerator(keys.RandInt).Key, keys.NewGenerator(keys.YCSBString).Key
+	odd := func(id uint64) []byte { return k64(keys.Mix64(id) | 1) }
+	rows := []struct {
+		name         string
+		idx          func(*pmem.Heap) PointIndex[[]byte]
+		key          func(id uint64) []byte
+		threads, per int
+		scan         bool
+	}{
+		{"P-ART/randint", byName("P-ART", keys.RandInt), randInt, 8, 4000, false},
+		{"P-ART/string", byName("P-ART", keys.YCSBString), str, 4, 3000, true},
+		{"FAST & FAIR", byName("FAST & FAIR", keys.RandInt), randInt, 8, 4000, false},
+		{"P-BwTree", byName("P-BwTree", keys.RandInt), randInt, 8, 3000, false},
+		{"P-Masstree", byName("P-Masstree", keys.YCSBString), str, 8, 3000, false},
+		{"P-HOT", byName("P-HOT", keys.RandInt), randInt, 8, 3000, false},
+		{"WOART", byName("WOART", keys.RandInt), randInt, 4, 2000, false},
+		{"CCEH", byName("CCEH", keys.RandInt), odd, 8, 5000, false},
+		{"Level Hashing", func(h *pmem.Heap) PointIndex[[]byte] { return byBytes{levelhash.NewWithBuckets(h, 8)} }, odd, 8, 4000, false},
+		{"P-CLHT", func(h *pmem.Heap) PointIndex[[]byte] { return byBytes{clht.NewWithBuckets(h, 2)} }, func(id uint64) []byte { return k64(id + 1) }, 8, 3000, false},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			idx := row.idx(pmem.NewFast())
+			stop := make(chan struct{})
+			var scanner sync.WaitGroup
+			if row.scan {
+				scanner.Add(1)
+				go func() {
+					defer scanner.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						idx.(OrderedIndex).Scan(nil, 100, func([]byte, uint64) bool { return true })
+					}
+				}()
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < row.threads; g++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < row.per; i++ {
+						id := uint64(g*row.per + i)
+						k := row.key(id)
+						if err := idx.Insert(k, id); err != nil {
+							t.Errorf("insert %d: %v", id, err)
+							return
+						}
+						if v, ok := idx.Lookup(k); !ok || v != id {
+							t.Errorf("readback %d = %d,%v", id, v, ok)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			close(stop)
+			scanner.Wait()
+			total := row.threads * row.per
+			if idx.Len() != total {
+				t.Fatalf("Len = %d, want %d", idx.Len(), total)
+			}
+			for id := uint64(0); id < uint64(total); id++ {
+				if v, ok := idx.Lookup(row.key(id)); !ok || v != id {
+					t.Fatalf("final Lookup(%d) = %d,%v", id, v, ok)
+				}
+			}
+		})
+	}
+}
+
+// TestInsertFlushCount pins every index's persistence counts exactly:
+// one insert into a fresh index (for the hash tables the common case,
+// one bucket line written back and fenced once: the value and the
+// committing key share the line), then a single-goroutine load of
+// RandInt ids [1, 10000], whose totals take in every split, doubling
+// and rotation the load makes. A flush added to or dropped from any
+// index's write path moves its row.
+func TestInsertFlushCount(t *testing.T) {
+	const load = 10000
+	rows := []struct {
+		name                             string
+		clwb, fence, loadClwb, loadFence uint64
+	}{
+		{"P-ART", 2, 2, 37447, 20000},
+		{"FAST & FAIR", 2, 2, 53080, 49321},
+		{"P-BwTree", 2, 2, 48451, 25238},
+		{"P-Masstree", 4, 3, 51372, 36198},
+		{"P-HOT", 2, 2, 88967, 20961},
+		{"WOART", 2, 2, 57010, 30000},
+		{"CCEH", 1, 1, 16460, 10081},
+		{"Level Hashing", 1, 1, 17171, 10006},
+		{"P-CLHT", 1, 1, 18970, 11421},
+	}
+	gen := keys.NewGenerator(keys.RandInt)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			heap := pmem.NewFast()
+			defer heap.Release()
+			idx := byName(row.name, keys.RandInt)(heap)
+			before := heap.Stats()
+			if err := idx.Insert(k64(12345), 1); err != nil {
+				t.Fatal(err)
+			}
+			d := heap.Stats().Sub(before)
+			before = heap.Stats()
+			for id := uint64(1); id <= load; id++ {
+				if err := idx.Insert(gen.Key(id), id); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l := heap.Stats().Sub(before)
+			if d.Clwb != row.clwb || d.Fence != row.fence {
+				t.Errorf("one insert: %d clwb, %d fences; want %d, %d", d.Clwb, d.Fence, row.clwb, row.fence)
+			}
+			if l.Clwb != row.loadClwb || l.Fence != row.loadFence {
+				t.Errorf("load of %d: %d clwb, %d fences; want %d, %d", load, l.Clwb, l.Fence, row.loadClwb, row.loadFence)
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package fastfair
 
 import (
 	"slices"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -12,8 +11,7 @@ import (
 	"repro/internal/pmem"
 )
 
-func newInt() *Tree    { return New(pmem.NewFast(), keys.RandInt) }
-func newString() *Tree { return New(pmem.NewFast(), keys.YCSBString) }
+func newInt() *Tree { return New(pmem.NewFast(), keys.RandInt) }
 
 func k64(v uint64) []byte { return keys.EncodeUint64(v) }
 
@@ -24,20 +22,6 @@ func mustInsert(t testing.TB, tr *Tree, key []byte, v uint64) {
 	}
 }
 
-func TestBasicIntKeys(t *testing.T) {
-	tr := newInt()
-	mustInsert(t, tr, k64(10), 100)
-	if v, ok := tr.Lookup(k64(10)); !ok || v != 100 {
-		t.Fatalf("Lookup = %d,%v", v, ok)
-	}
-	if _, ok := tr.Lookup(k64(11)); ok {
-		t.Fatal("phantom key")
-	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-}
-
 func TestBadIntKeySize(t *testing.T) {
 	tr := newInt()
 	if err := tr.Insert([]byte("short"), 1); err != ErrKeySize {
@@ -45,18 +29,6 @@ func TestBadIntKeySize(t *testing.T) {
 	}
 	if _, ok := tr.Lookup([]byte("short")); ok {
 		t.Fatal("short key lookup hit")
-	}
-}
-
-func TestUpdate(t *testing.T) {
-	tr := newInt()
-	mustInsert(t, tr, k64(1), 1)
-	mustInsert(t, tr, k64(1), 2)
-	if v, _ := tr.Lookup(k64(1)); v != 2 {
-		t.Fatalf("updated value = %d", v)
-	}
-	if tr.Len() != 1 {
-		t.Fatalf("Len = %d after update", tr.Len())
 	}
 }
 
@@ -94,90 +66,6 @@ func TestSequentialInsertAscendingDescending(t *testing.T) {
 	}
 }
 
-func TestStringKeys(t *testing.T) {
-	tr := newString()
-	gen := keys.NewGenerator(keys.YCSBString)
-	const n = 5000
-	for i := uint64(0); i < n; i++ {
-		mustInsert(t, tr, gen.Key(i), i)
-	}
-	for i := uint64(0); i < n; i++ {
-		if v, ok := tr.Lookup(gen.Key(i)); !ok || v != i {
-			t.Fatalf("Lookup(%d) = %d,%v", i, v, ok)
-		}
-	}
-}
-
-func TestDelete(t *testing.T) {
-	tr := newInt()
-	for i := uint64(0); i < 500; i++ {
-		mustInsert(t, tr, k64(i), i)
-	}
-	for i := uint64(0); i < 500; i += 2 {
-		del, err := tr.Delete(k64(i))
-		if err != nil || !del {
-			t.Fatalf("Delete(%d) = %v,%v", i, del, err)
-		}
-	}
-	if del, _ := tr.Delete(k64(0)); del {
-		t.Fatal("double delete reported success")
-	}
-	for i := uint64(0); i < 500; i++ {
-		_, ok := tr.Lookup(k64(i))
-		if i%2 == 0 && ok {
-			t.Fatalf("deleted %d still present", i)
-		}
-		if i%2 == 1 && !ok {
-			t.Fatalf("survivor %d missing", i)
-		}
-	}
-}
-
-func TestScanFull(t *testing.T) {
-	tr := newInt()
-	var want []uint64
-	for i := 0; i < 3000; i++ {
-		v := keys.Mix64(uint64(i))
-		mustInsert(t, tr, k64(v), v)
-		want = append(want, v)
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	var got []uint64
-	tr.Scan(nil, 0, func(k []byte, v uint64) bool {
-		got = append(got, keys.DecodeUint64(k))
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("scan count = %d want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("scan[%d] = %d want %d", i, got[i], want[i])
-		}
-	}
-}
-
-func TestScanRangeBounded(t *testing.T) {
-	tr := newInt()
-	for i := uint64(0); i < 1000; i++ {
-		mustInsert(t, tr, k64(i*3), i*3)
-	}
-	var got []uint64
-	n := tr.Scan(k64(100), 7, func(k []byte, v uint64) bool {
-		got = append(got, keys.DecodeUint64(k))
-		return true
-	})
-	if n != 7 {
-		t.Fatalf("visited %d", n)
-	}
-	want := uint64(102) // first multiple of 3 >= 100
-	for i, g := range got {
-		if g != want+uint64(i)*3 {
-			t.Fatalf("scan[%d] = %d want %d", i, g, want+uint64(i)*3)
-		}
-	}
-}
-
 // TestScanShortIntegerStart: an integer-key start shorter than 8 bytes
 // (a range migration trims trailing zeros off its window start) scans
 // exactly what its zero padding to 8 bytes scans.
@@ -201,66 +89,6 @@ func TestScanShortIntegerStart(t *testing.T) {
 		got, want := scan(start), scan(padded)
 		if len(want) != 50 || !slices.Equal(got, want) {
 			t.Fatalf("start % x: scanned %v, padded start scans %v", start, got, want)
-		}
-	}
-}
-
-func TestScanStringKeys(t *testing.T) {
-	tr := newString()
-	gen := keys.NewGenerator(keys.YCSBString)
-	kset := make([]string, 0, 500)
-	for i := uint64(0); i < 500; i++ {
-		k := gen.Key(i)
-		mustInsert(t, tr, k, i)
-		kset = append(kset, string(k))
-	}
-	sort.Strings(kset)
-	var got []string
-	tr.Scan(nil, 0, func(k []byte, v uint64) bool {
-		got = append(got, string(k))
-		return true
-	})
-	if len(got) != len(kset) {
-		t.Fatalf("scan count %d want %d", len(got), len(kset))
-	}
-	for i := range kset {
-		if got[i] != kset[i] {
-			t.Fatalf("order broken at %d", i)
-		}
-	}
-}
-
-func TestConcurrentInserts(t *testing.T) {
-	tr := newInt()
-	const threads = 8
-	const per = 4000
-	var wg sync.WaitGroup
-	for g := 0; g < threads; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				id := uint64(g*per + i)
-				k := k64(keys.Mix64(id))
-				if err := tr.Insert(k, id); err != nil {
-					t.Errorf("insert: %v", err)
-					return
-				}
-				if v, ok := tr.Lookup(k); !ok || v != id {
-					t.Errorf("readback %d = %d,%v", id, v, ok)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if tr.Len() != threads*per {
-		t.Fatalf("Len = %d want %d", tr.Len(), threads*per)
-	}
-	for id := uint64(0); id < threads*per; id += 111 {
-		if v, ok := tr.Lookup(k64(keys.Mix64(id))); !ok || v != id {
-			t.Fatalf("final lookup %d = %d,%v", id, v, ok)
 		}
 	}
 }

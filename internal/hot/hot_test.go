@@ -2,7 +2,6 @@ package hot
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 
@@ -73,48 +72,6 @@ func TestSplitsGrowTree(t *testing.T) {
 	}
 }
 
-func TestStringKeys(t *testing.T) {
-	idx := newIdx()
-	gen := keys.NewGenerator(keys.YCSBString)
-	const n = 10000
-	for i := uint64(0); i < n; i++ {
-		mustInsert(t, idx, gen.Key(i), i)
-	}
-	for i := uint64(0); i < n; i++ {
-		if v, ok := idx.Lookup(gen.Key(i)); !ok || v != i {
-			t.Fatalf("Lookup(%d) = %d,%v", i, v, ok)
-		}
-	}
-}
-
-func TestDelete(t *testing.T) {
-	idx := newIdx()
-	for i := uint64(0); i < 1000; i++ {
-		mustInsert(t, idx, k64(i), i)
-	}
-	for i := uint64(0); i < 1000; i += 2 {
-		del, err := idx.Delete(k64(i))
-		if err != nil || !del {
-			t.Fatalf("Delete(%d) = %v,%v", i, del, err)
-		}
-	}
-	if del, _ := idx.Delete(k64(0)); del {
-		t.Fatal("double delete")
-	}
-	for i := uint64(0); i < 1000; i++ {
-		_, ok := idx.Lookup(k64(i))
-		if i%2 == 0 && ok {
-			t.Fatalf("deleted %d present", i)
-		}
-		if i%2 == 1 && !ok {
-			t.Fatalf("survivor %d missing", i)
-		}
-	}
-	if idx.Len() != 500 {
-		t.Fatalf("Len = %d", idx.Len())
-	}
-}
-
 func TestDeleteLastKey(t *testing.T) {
 	idx := newIdx()
 	mustInsert(t, idx, k64(9), 9)
@@ -124,80 +81,6 @@ func TestDeleteLastKey(t *testing.T) {
 	mustInsert(t, idx, k64(10), 10)
 	if v, ok := idx.Lookup(k64(10)); !ok || v != 10 {
 		t.Fatal("insert after emptying broken")
-	}
-}
-
-func TestScanOrdered(t *testing.T) {
-	idx := newIdx()
-	var want []uint64
-	for i := 0; i < 3000; i++ {
-		v := keys.Mix64(uint64(i))
-		mustInsert(t, idx, k64(v), v)
-		want = append(want, v)
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	var got []uint64
-	idx.Scan(nil, 0, func(k []byte, v uint64) bool {
-		got = append(got, keys.DecodeUint64(k))
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("scan count %d want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order broken at %d", i)
-		}
-	}
-}
-
-func TestScanRange(t *testing.T) {
-	idx := newIdx()
-	for i := uint64(0); i < 500; i++ {
-		mustInsert(t, idx, k64(i*2), i*2)
-	}
-	var got []uint64
-	n := idx.Scan(k64(101), 4, func(k []byte, v uint64) bool {
-		got = append(got, keys.DecodeUint64(k))
-		return true
-	})
-	if n != 4 {
-		t.Fatalf("visited %d", n)
-	}
-	for i, g := range got {
-		if g != uint64(102+i*2) {
-			t.Fatalf("scan[%d] = %d", i, g)
-		}
-	}
-}
-
-func TestConcurrentInserts(t *testing.T) {
-	idx := newIdx()
-	gen := keys.NewGenerator(keys.RandInt)
-	const threads = 8
-	const per = 3000
-	var wg sync.WaitGroup
-	for g := 0; g < threads; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				id := uint64(g*per + i)
-				if err := idx.Insert(gen.Key(id), id); err != nil {
-					t.Errorf("insert: %v", err)
-					return
-				}
-				if v, ok := idx.Lookup(gen.Key(id)); !ok || v != id {
-					t.Errorf("readback %d = %d,%v", id, v, ok)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if idx.Len() != threads*per {
-		t.Fatalf("Len = %d want %d", idx.Len(), threads*per)
 	}
 }
 

@@ -96,32 +96,6 @@ func TestTruncateKeepsFreeList(t *testing.T) {
 	}
 }
 
-func TestBasic(t *testing.T) {
-	idx := newIdx()
-	mustInsert(t, idx, k64(1), 10)
-	if v, ok := idx.Lookup(k64(1)); !ok || v != 10 {
-		t.Fatalf("Lookup = %d,%v", v, ok)
-	}
-	if _, ok := idx.Lookup(k64(2)); ok {
-		t.Fatal("phantom")
-	}
-	if err := idx.Insert(nil, 1); err != ErrEmptyKey {
-		t.Fatalf("empty key err = %v", err)
-	}
-}
-
-func TestUpdate(t *testing.T) {
-	idx := newIdx()
-	mustInsert(t, idx, k64(1), 1)
-	mustInsert(t, idx, k64(1), 2)
-	if v, _ := idx.Lookup(k64(1)); v != 2 {
-		t.Fatalf("v = %d", v)
-	}
-	if idx.Len() != 1 {
-		t.Fatalf("Len = %d", idx.Len())
-	}
-}
-
 func TestShortKeysSameSlicePrefix(t *testing.T) {
 	idx := newIdx()
 	// "a", "ab", "abc" share a padded slice; lenclass disambiguates.
@@ -203,45 +177,6 @@ func TestSplitsManyIntKeys(t *testing.T) {
 	}
 }
 
-func TestStringKeys(t *testing.T) {
-	idx := newIdx()
-	gen := keys.NewGenerator(keys.YCSBString)
-	const n = 20000
-	for i := uint64(0); i < n; i++ {
-		mustInsert(t, idx, gen.Key(i), i)
-	}
-	for i := uint64(0); i < n; i++ {
-		if v, ok := idx.Lookup(gen.Key(i)); !ok || v != i {
-			t.Fatalf("Lookup(%d) = %d,%v", i, v, ok)
-		}
-	}
-}
-
-func TestDelete(t *testing.T) {
-	idx := newIdx()
-	for i := uint64(0); i < 2000; i++ {
-		mustInsert(t, idx, k64(i), i)
-	}
-	for i := uint64(0); i < 2000; i += 2 {
-		del, err := idx.Delete(k64(i))
-		if err != nil || !del {
-			t.Fatalf("Delete(%d) = %v,%v", i, del, err)
-		}
-	}
-	if del, _ := idx.Delete(k64(0)); del {
-		t.Fatal("double delete")
-	}
-	for i := uint64(0); i < 2000; i++ {
-		_, ok := idx.Lookup(k64(i))
-		if i%2 == 0 && ok {
-			t.Fatalf("deleted %d present", i)
-		}
-		if i%2 == 1 && !ok {
-			t.Fatalf("survivor %d missing", i)
-		}
-	}
-}
-
 func TestDeleteSuffixAndLayerKeys(t *testing.T) {
 	idx := newIdx()
 	k1 := []byte("prefix00-suffix-A")
@@ -256,30 +191,6 @@ func TestDeleteSuffixAndLayerKeys(t *testing.T) {
 	}
 	if v, ok := idx.Lookup(k2); !ok || v != 2 {
 		t.Fatal("sibling layer key lost")
-	}
-}
-
-func TestScanOrdered(t *testing.T) {
-	idx := newIdx()
-	var want []uint64
-	for i := 0; i < 5000; i++ {
-		v := keys.Mix64(uint64(i))
-		mustInsert(t, idx, k64(v), v)
-		want = append(want, v)
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	var got []uint64
-	idx.Scan(nil, 0, func(k []byte, v uint64) bool {
-		got = append(got, keys.DecodeUint64(k))
-		return true
-	})
-	if len(got) != len(want) {
-		t.Fatalf("scan count %d want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order broken at %d: %d vs %d", i, got[i], want[i])
-		}
 	}
 }
 
@@ -315,41 +226,6 @@ func TestScanAcrossLayers(t *testing.T) {
 	})
 	if n != 3 || bounded[0] != "prefix00-bbb" || bounded[1] != "prefix00-ccc" || bounded[2] != "prefix01-aaa" {
 		t.Fatalf("bounded scan = %q", bounded)
-	}
-}
-
-func TestConcurrentInserts(t *testing.T) {
-	idx := newIdx()
-	gen := keys.NewGenerator(keys.YCSBString)
-	const threads = 8
-	const per = 3000
-	var wg sync.WaitGroup
-	for g := 0; g < threads; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				id := uint64(g*per + i)
-				if err := idx.Insert(gen.Key(id), id); err != nil {
-					t.Errorf("insert: %v", err)
-					return
-				}
-				if v, ok := idx.Lookup(gen.Key(id)); !ok || v != id {
-					t.Errorf("readback %d = %d,%v", id, v, ok)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if idx.Len() != threads*per {
-		t.Fatalf("Len = %d want %d", idx.Len(), threads*per)
-	}
-	for id := uint64(0); id < threads*per; id += 211 {
-		if v, ok := idx.Lookup(gen.Key(id)); !ok || v != id {
-			t.Fatalf("final lookup %d = %d,%v", id, v, ok)
-		}
 	}
 }
 
