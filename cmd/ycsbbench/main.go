@@ -95,6 +95,8 @@ func main() {
 		reshard    = flag.Bool("reshard", false, "-workloads mode: run the load-aware rebalancer mid-cell on sharded rows and report before/after throughput and per-shard imbalance")
 	)
 	flag.Parse()
+	thetaSet := false
+	flag.Visit(func(f *flag.Flag) { thetaSet = thetaSet || f.Name == "theta" })
 	part, ok := shard.ByName(*partition)
 	if !ok {
 		usage("unknown partitioner %q (want hash or range)", *partition)
@@ -128,6 +130,12 @@ func main() {
 		usage("-threads must be >= 1, got %d", *threads)
 	case *llcKB < 0:
 		usage("-llckb must be >= 0, got %d", *llcKB)
+	case *clwbDelay < 0:
+		usage("-clwbdelay must be >= 0, got %d", *clwbDelay)
+	case *fenceDelay < 0:
+		usage("-fencedelay must be >= 0, got %d", *fenceDelay)
+	case thetaSet && *distName != "zipfian" && *distName != "latest":
+		usage("-theta applies only to -dist zipfian or latest")
 	case *batch < 1:
 		usage("-batch must be >= 1, got %d", *batch)
 	case (*batch > 1 || cfg.reshard) && *workloads == "":

@@ -123,15 +123,18 @@ func unpackPrefix(v uint64) (n int, b [maxStoredPrefix]byte) {
 	return n, b
 }
 
+// node4 and node16 share a DRAM layout up to their children, so one view
+// (small) reads both: a Node4 leaves its second key word unused. Their
+// simulated persistent layouts stay packed (small.childOff).
 type node4 struct {
 	header
-	keys     atomicBytes8
+	keys     [2]atomic.Uint64
 	children [4]atomic.Pointer[header]
 }
 
 type node16 struct {
 	header
-	keys     atomicBytes16
+	keys     [2]atomic.Uint64
 	children [16]atomic.Pointer[header]
 }
 
@@ -181,30 +184,26 @@ func (l *leaf) key() []byte {
 	return l.inl[:l.klen]
 }
 
-// Simulated persistent node sizes (header + payload), used for clwb
-// accounting and the LLC model.
-const (
-	node4Bytes   = hdrBytes + 8 + 4*8           // 56
-	node16Bytes  = hdrBytes + 16 + 16*8         // 160
-	node48Bytes  = hdrBytes + 256 + 48*8        // 656
-	node256Bytes = hdrBytes + 256*8             // 2064
-	leafHdrBytes = hdrBytes + 8 /* value */ + 8 /* key len */
-)
+// nodeBytes is each inner node kind's simulated persistent size (header
+// + payload), used for clwb accounting and the LLC model.
+var nodeBytes = [...]uintptr{
+	kNode4:   hdrBytes + 8 + 4*8,    // 56
+	kNode16:  hdrBytes + 16 + 16*8,  // 160
+	kNode48:  hdrBytes + 256 + 48*8, // 656
+	kNode256: hdrBytes + 256*8,      // 2064
+}
 
-// child-slot persistent offsets within each node kind.
+const leafHdrBytes = hdrBytes + 8 /* value */ + 8 /* key len */
+
+// persistent offsets within a Node48, a Node256 and a leaf; a Node4/16's
+// come from its view (small.childOff).
 const (
-	n4KeysOff   = hdrBytes
-	n4ChildOff  = hdrBytes + 8
-	n16KeysOff  = hdrBytes
-	n16ChildOff = hdrBytes + 16
 	n48IdxOff   = hdrBytes
 	n48ChildOff = hdrBytes + 256
 	n256ChOff   = hdrBytes
 	leafValOff  = hdrBytes
 )
 
-func (h *header) n4() *node4     { return (*node4)(unsafe.Pointer(h)) }
-func (h *header) n16() *node16   { return (*node16)(unsafe.Pointer(h)) }
 func (h *header) n48() *node48   { return (*node48)(unsafe.Pointer(h)) }
 func (h *header) n256() *node256 { return (*node256)(unsafe.Pointer(h)) }
 func (h *header) leaf() *leaf    { return (*leaf)(unsafe.Pointer(h)) }
@@ -216,32 +215,63 @@ func (h *header) prefixSnapshot() (int, [maxStoredPrefix]byte) {
 	return unpackPrefix(h.prefix.Load())
 }
 
-// child returns the child pointer for key byte b, or nil.
-func (h *header) child(b byte) *header {
+// small is the one view through which every Node4/16 branch reads and
+// writes the node: slot i's key byte is key(i) and its child is
+// children[i]. Slots fill in append order; count publishes them.
+type small struct {
+	keys     *[2]atomic.Uint64
+	children []atomic.Pointer[header]
+}
+
+// small returns the view of a Node4 or Node16.
+func (h *header) small() small {
+	if h.kind == kNode4 {
+		n := (*node4)(unsafe.Pointer(h))
+		return small{&n.keys, n.children[:]}
+	}
+	n := (*node16)(unsafe.Pointer(h))
+	return small{&n.keys, n.children[:]}
+}
+
+// key returns slot i's key byte.
+func (s small) key(i int) byte { return atomicBytes(s.keys[:]).Get(i) }
+
+// setKey sets slot i's key byte; the caller holds the node's lock.
+func (s small) setKey(i int, b byte) { atomicBytes(s.keys[:]).Set(i, b) }
+
+// childOff is the persistent offset of slot i's child: the key bytes
+// come first, at hdrBytes, one per slot in whole words.
+func (s small) childOff(i int) uintptr {
+	return hdrBytes + uintptr((len(s.children)+7)&^7+8*i)
+}
+
+// slotFor returns h's child slot for key byte b and its persistent
+// offset, or nil when h has none: the Node4/16 slot whose key byte is b
+// (its child is nil if deleted), the Node48 slot its index names, the
+// Node256 slot of b.
+func (h *header) slotFor(b byte) (*atomic.Pointer[header], uintptr) {
 	switch h.kind {
-	case kNode4:
-		n := h.n4()
-		cnt := int(h.count.Load())
-		for i := 0; i < cnt; i++ {
-			if n.keys.Get(i) == b {
-				return n.children[i].Load()
-			}
-		}
-	case kNode16:
-		n := h.n16()
-		cnt := int(h.count.Load())
-		for i := 0; i < cnt; i++ {
-			if n.keys.Get(i) == b {
-				return n.children[i].Load()
+	case kNode4, kNode16:
+		s := h.small()
+		for i, cnt := 0, int(h.count.Load()); i < cnt; i++ {
+			if s.key(i) == b {
+				return &s.children[i], s.childOff(i)
 			}
 		}
 	case kNode48:
-		n := h.n48()
-		if s := n.index.Get(int(b)); s != 0 {
-			return n.children[s-1].Load()
+		if i := int(h.n48().index.Get(int(b))) - 1; i >= 0 {
+			return &h.n48().children[i], n48ChildOff + uintptr(i)*8
 		}
 	case kNode256:
-		return h.n256().children[b].Load()
+		return &h.n256().children[b], n256ChOff + uintptr(b)*8
+	}
+	return nil, 0
+}
+
+// child returns the child pointer for key byte b, or nil.
+func (h *header) child(b byte) *header {
+	if s, _ := h.slotFor(b); s != nil {
+		return s.Load()
 	}
 	return nil
 }
@@ -258,20 +288,11 @@ type entry struct {
 func (h *header) entries(buf []entry) []entry {
 	buf = buf[:0]
 	switch h.kind {
-	case kNode4:
-		n := h.n4()
-		cnt := int(h.count.Load())
-		for i := 0; i < cnt; i++ {
-			if c := n.children[i].Load(); c != nil {
-				buf = append(buf, entry{n.keys.Get(i), c})
-			}
-		}
-	case kNode16:
-		n := h.n16()
-		cnt := int(h.count.Load())
-		for i := 0; i < cnt; i++ {
-			if c := n.children[i].Load(); c != nil {
-				buf = append(buf, entry{n.keys.Get(i), c})
+	case kNode4, kNode16:
+		s := h.small()
+		for i, cnt := 0, int(h.count.Load()); i < cnt; i++ {
+			if c := s.children[i].Load(); c != nil {
+				buf = append(buf, entry{s.key(i), c})
 			}
 		}
 	case kNode48:
@@ -339,28 +360,27 @@ func (idx *Index) newLeaf(key []byte, value uint64) *leaf {
 
 func (idx *Index) allocNode(k kind, level uint32, prefix []byte) *header {
 	var h *header
-	var size uintptr
 	var concrete any // the full node, for shadow registration
 	switch k {
 	case kNode4:
 		n := &node4{}
-		h, size, concrete = &n.header, node4Bytes, n
+		h, concrete = &n.header, n
 	case kNode16:
 		n := &node16{}
-		h, size, concrete = &n.header, node16Bytes, n
+		h, concrete = &n.header, n
 	case kNode48:
 		n := &node48{}
-		h, size, concrete = &n.header, node48Bytes, n
+		h, concrete = &n.header, n
 	case kNode256:
 		n := &node256{}
-		h, size, concrete = &n.header, node256Bytes, n
+		h, concrete = &n.header, n
 	default:
 		panic("art: bad node kind")
 	}
 	h.kind = k
 	h.level = level
 	h.prefix.Store(packPrefix(prefix))
-	h.pm = idx.heap.Alloc(size)
+	h.pm = idx.heap.Alloc(nodeBytes[k])
 	idx.heap.Shadow(h.pm, concrete)
 	return h
 }
@@ -368,18 +388,9 @@ func (idx *Index) allocNode(k kind, level uint32, prefix []byte) *header {
 // persistAll flushes a node's entire persistent image (used when a
 // freshly built node is about to be published).
 func (idx *Index) persistAll(h *header) {
-	var size uintptr
-	switch h.kind {
-	case kNode4:
-		size = node4Bytes
-	case kNode16:
-		size = node16Bytes
-	case kNode48:
-		size = node48Bytes
-	case kNode256:
-		size = node256Bytes
-	case kLeaf:
-		size = uintptr(leafHdrBytes) + uintptr(h.leaf().klen)
+	size := nodeBytes[h.kind]
+	if h.kind == kLeaf {
+		size = leafHdrBytes + uintptr(h.leaf().klen)
 	}
 	idx.heap.Persist(h.pm, 0, size)
 }

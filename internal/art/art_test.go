@@ -244,32 +244,29 @@ func TestPackUnpackPrefix(t *testing.T) {
 	}
 }
 
+// TestAtomicBytes sets and reads back every byte of a Node4's key word,
+// a Node16's two and a Node48's index.
 func TestAtomicBytes(t *testing.T) {
-	var a8 atomicBytes8
-	var a16 atomicBytes16
-	var a256 atomicBytes256
-	for i := 0; i < 8; i++ {
-		a8.Set(i, byte(i*3))
-	}
-	for i := 0; i < 16; i++ {
-		a16.Set(i, byte(i*5))
-	}
-	for i := 0; i < 256; i++ {
-		a256.Set(i, byte(i))
-	}
-	for i := 0; i < 8; i++ {
-		if a8.Get(i) != byte(i*3) {
-			t.Fatalf("a8[%d]", i)
+	var n4 node4
+	var n16 node16
+	var n48 node48
+	for _, c := range []struct {
+		name string
+		get  func(int) byte
+		set  func(int, byte)
+		n    int
+	}{
+		{"Node4 keys", atomicBytes(n4.keys[:]).Get, atomicBytes(n4.keys[:]).Set, 8},
+		{"Node16 keys", atomicBytes(n16.keys[:]).Get, atomicBytes(n16.keys[:]).Set, 16},
+		{"Node48 index", n48.index.Get, n48.index.Set, 256},
+	} {
+		for i := 0; i < c.n; i++ {
+			c.set(i, byte(i*5+1))
 		}
-	}
-	for i := 0; i < 16; i++ {
-		if a16.Get(i) != byte(i*5) {
-			t.Fatalf("a16[%d]", i)
-		}
-	}
-	for i := 0; i < 256; i++ {
-		if a256.Get(i) != byte(i) {
-			t.Fatalf("a256[%d]", i)
+		for i := 0; i < c.n; i++ {
+			if got := c.get(i); got != byte(i*5+1) {
+				t.Fatalf("%s[%d] = %d, want %d", c.name, i, got, byte(i*5+1))
+			}
 		}
 	}
 }

@@ -2,58 +2,26 @@ package art
 
 import "sync/atomic"
 
-// atomicBytes8 / atomicBytes16 / atomicBytes256 are byte arrays readable
-// with atomic loads. ART readers scan node key arrays without locks while
-// a locked writer appends, so every byte must be loadable race-free; the
-// bytes are packed into 64-bit words that readers load atomically and
-// writers update with read-modify-write under the node lock.
+// atomicBytes is a byte array readable with atomic loads. ART readers
+// scan node key arrays without locks while a locked writer appends, so
+// every byte must be loadable race-free; the bytes are packed eight to a
+// 64-bit word that readers load atomically and writers update with
+// read-modify-write under the node lock.
+type atomicBytes []atomic.Uint64
 
-type atomicBytes8 struct {
-	w atomic.Uint64
-}
-
-func (a *atomicBytes8) Get(i int) byte {
-	return byte(a.w.Load() >> (8 * uint(i)))
+func (a atomicBytes) Get(i int) byte {
+	return byte(a[i/8].Load() >> (8 * uint(i%8)))
 }
 
 // Set must be called with the owning node's lock held.
-func (a *atomicBytes8) Set(i int, b byte) {
-	sh := 8 * uint(i)
-	v := a.w.Load()
-	v = (v &^ (0xFF << sh)) | uint64(b)<<sh
-	a.w.Store(v)
-}
-
-type atomicBytes16 struct {
-	w [2]atomic.Uint64
-}
-
-func (a *atomicBytes16) Get(i int) byte {
-	return byte(a.w[i/8].Load() >> (8 * uint(i%8)))
-}
-
-// Set must be called with the owning node's lock held.
-func (a *atomicBytes16) Set(i int, b byte) {
+func (a atomicBytes) Set(i int, b byte) {
 	sh := 8 * uint(i%8)
-	w := &a.w[i/8]
-	v := w.Load()
-	v = (v &^ (0xFF << sh)) | uint64(b)<<sh
-	w.Store(v)
+	w := &a[i/8]
+	w.Store(w.Load()&^(0xFF<<sh) | uint64(b)<<sh)
 }
 
-type atomicBytes256 struct {
-	w [32]atomic.Uint64
-}
+// atomicBytes256 is a Node48's index: key byte -> child slot + 1.
+type atomicBytes256 [32]atomic.Uint64
 
-func (a *atomicBytes256) Get(i int) byte {
-	return byte(a.w[i/8].Load() >> (8 * uint(i%8)))
-}
-
-// Set must be called with the owning node's lock held.
-func (a *atomicBytes256) Set(i int, b byte) {
-	sh := 8 * uint(i%8)
-	w := &a.w[i/8]
-	v := w.Load()
-	v = (v &^ (0xFF << sh)) | uint64(b)<<sh
-	w.Store(v)
-}
+func (a *atomicBytes256) Get(i int) byte    { return atomicBytes(a[:]).Get(i) }
+func (a *atomicBytes256) Set(i int, b byte) { atomicBytes(a[:]).Set(i, b) }

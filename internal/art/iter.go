@@ -1,6 +1,9 @@
 package art
 
-import "bytes"
+import (
+	"bytes"
+	"math/bits"
+)
 
 // Iterator is the tree's one ordered walk, non-blocking; Scan is a loop
 // over it. It keeps an explicit stack, so a caller can stop after any
@@ -66,18 +69,19 @@ func newFrame(n *header, bounded bool) frame {
 		return f
 	}
 	f.cold = true
-	f.next = int(n.count.Load())
-	var sorted [16]uint16 // key byte << 4 | slot, ascending
-	for i := 0; i < f.next; i++ {
-		v := uint16(keyAt(n, i))<<4 | uint16(i)
-		j := i
-		for ; j > 0 && sorted[j-1] > v; j-- {
-			sorted[j] = sorted[j-1]
-		}
-		sorted[j] = v
+	s := n.small()
+	var set [4]uint64   // the key bytes present
+	var slot [256]uint8 // key byte -> its slot
+	for i, cnt := 0, int(n.count.Load()); i < cnt; i++ {
+		b := s.key(i)
+		set[b/64] |= 1 << (b % 64)
+		slot[b] = uint8(i)
 	}
-	for i := f.next - 1; i >= 0; i-- {
-		f.order = f.order<<4 | uint64(sorted[i]&15)
+	for w, x := range set {
+		for ; x != 0; x &= x - 1 {
+			f.order |= uint64(slot[w*64+bits.TrailingZeros64(x)]) << (4 * f.next)
+			f.next++
+		}
 	}
 	return f
 }
@@ -88,12 +92,13 @@ func newFrame(n *header, bounded bool) frame {
 func (f *frame) step(lo int) (b int, c *header) {
 	switch f.n.kind {
 	case kNode4, kNode16:
+		s := f.n.small()
 		for f.next > 0 {
 			slot := int(f.order & 15)
 			f.order >>= 4
 			f.next--
-			if b = int(keyAt(f.n, slot)); b >= lo {
-				if c = childAt(f.n, slot); c != nil {
+			if b = int(s.key(slot)); b >= lo {
+				if c = s.children[slot].Load(); c != nil {
 					return b, c
 				}
 			}
@@ -190,8 +195,9 @@ func (it *Iterator) visit(c *header, bounded bool, start []byte) *leaf {
 // warm touches each child the Node4/16 frame f has yet to visit.
 func (it *Iterator) warm(f *frame) {
 	f.cold = false
+	s := f.n.small()
 	for o, i := f.order, f.next; i > 0; o, i = o>>4, i-1 {
-		if c := childAt(f.n, int(o&15)); c != nil {
+		if c := s.children[o&15].Load(); c != nil {
 			it.warmed += uint32(c.kind)
 		}
 	}

@@ -50,10 +50,7 @@ func (idx *Index) tryInsert(key []byte, value uint64) (done bool, err error) {
 		idx.persistAll(l.hdr())
 		idx.heap.Fence()
 		idx.heap.CrashPoint("art.insert.rootleaf.init")
-		idx.root.Store(l.hdr())
-		idx.heap.Dirty(idx.rootPM, 0, 8)
-		// RECIPE: flush + fence after the committing root store.
-		idx.heap.PersistFence(idx.rootPM, 0, 8)
+		idx.setChildPersist(nil, 0, l.hdr())
 		idx.heap.CrashPoint("art.insert.rootleaf.commit")
 		idx.count.Add(1)
 		idx.rootMu.Unlock()
@@ -167,14 +164,9 @@ func (idx *Index) insertAtLeaf(parent *header, pslot byte, lf *leaf, depth int, 
 		slot.Unlock()
 		return false, ErrPrefixKey
 	}
-	nn := idx.allocNode(kNode4, uint32(depth+cp), key[depth:depth+cp])
 	nl := idx.newLeaf(key, value)
-	n4 := nn.n4()
-	n4.keys.Set(0, lk[depth+cp])
-	n4.children[0].Store(lf.hdr())
-	n4.keys.Set(1, key[depth+cp])
-	n4.children[1].Store(nl.hdr())
-	nn.count.Store(2)
+	nn := idx.buildNode(kNode4, uint32(depth+cp), key[depth:depth+cp],
+		[]entry{{lk[depth+cp], lf.hdr()}, {key[depth+cp], nl.hdr()}})
 	// RECIPE: persist the new leaf and node before publishing them.
 	idx.persistAll(nl.hdr())
 	idx.persistAll(nn)
@@ -215,42 +207,32 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 	// orders it is the first one of whichever commit follows.
 	idx.persistAll(nl.hdr())
 
+	// A Node4/16/48 slot whose child was deleted, its key byte or index
+	// entry still b, is reused; a Node256 has a slot for every byte.
+	if slot, off := n.slotFor(b); slot != nil {
+		site := "art.insert.slotreuse"
+		if n.kind == kNode256 {
+			site = "art.insert.commit"
+		}
+		idx.commitChild(n, slot, off, nl, site)
+		return true, nil
+	}
+	cnt := int(n.count.Load())
 	switch n.kind {
 	case kNode4, kNode16:
-		var keysSet func(int, byte)
-		var children func(int) *childSlot
-		var capN int
-		if n.kind == kNode4 {
-			nd := n.n4()
-			keysSet = nd.keys.Set
-			children = func(i int) *childSlot { return &nd.children[i] }
-			capN = 4
-		} else {
-			nd := n.n16()
-			keysSet = nd.keys.Set
-			children = func(i int) *childSlot { return &nd.children[i] }
-			capN = 16
-		}
-		cnt := int(n.count.Load())
-		// Reuse a slot whose child was deleted and whose key byte matches.
-		for i := 0; i < cnt; i++ {
-			if keyAt(n, i) == b {
-				idx.commitChild(n, children(i), childOff(n, i), nl, "art.insert.slotreuse")
-				return true, nil
-			}
-		}
-		if cnt < capN {
-			keysSet(cnt, b)
-			children(cnt).Store(nl.hdr())
-			idx.heap.Dirty(n.pm, keysOff(n), 16)
-			idx.heap.Dirty(n.pm, childOff(n, cnt), 8)
+		if s := n.small(); cnt < len(s.children) {
+			off := s.childOff(cnt)
+			s.setKey(cnt, b)
+			s.children[cnt].Store(nl.hdr())
+			idx.heap.Dirty(n.pm, hdrBytes, 16)
+			idx.heap.Dirty(n.pm, off, 8)
 			// RECIPE: the slot is invisible until the count store, so one
 			// fence orders the leaf and the slot together. The key byte
 			// (and a Node4's or low Node16 slot's child) shares line 0
 			// with the count, and a line persists its stores in program
 			// order: only a child slot past line 0 needs its own
 			// write-back.
-			if off := childOff(n, cnt); off >= pmem.LineSize {
+			if off >= pmem.LineSize {
 				idx.heap.Persist(n.pm, off, 8)
 			}
 			idx.heap.Fence()
@@ -266,13 +248,8 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 			return true, nil
 		}
 	case kNode48:
-		nd := n.n48()
-		if s := nd.index.Get(int(b)); s != 0 {
-			idx.commitChild(n, &nd.children[s-1], n48ChildOff+uintptr(s-1)*8, nl, "art.insert.slotreuse")
-			return true, nil
-		}
-		cnt := int(n.count.Load())
 		if cnt < 48 {
+			nd := n.n48()
 			nd.children[cnt].Store(nl.hdr())
 			n.count.Store(uint32(cnt + 1))
 			idx.heap.Dirty(n.pm, n48ChildOff+uintptr(cnt)*8, 8)
@@ -295,9 +272,6 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 			n.lock.Unlock()
 			return true, nil
 		}
-	case kNode256:
-		idx.commitChild(n, &n.n256().children[b], n256ChOff+uintptr(b)*8, nl, "art.insert.commit")
-		return true, nil
 	}
 
 	// Node full: grow by copy-on-write into the next kind, carrying only
@@ -326,22 +300,25 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 // the one store that is the commit: the child pointer into slot, at
 // persistent offset off of n. Then it unlocks n. The leaf has no later
 // store to share a fence with, so it takes its own.
-func (idx *Index) commitChild(n *header, slot *childSlot, off uintptr, nl *leaf, site string) {
+func (idx *Index) commitChild(n *header, slot *atomic.Pointer[header], off uintptr, nl *leaf, site string) {
 	// RECIPE: fence the leaf's write-back before publishing it.
 	idx.heap.Fence()
 	idx.heap.CrashPoint("art.insert.leafready")
-	slot.Store(nl.hdr())
-	idx.heap.Dirty(n.pm, off, 8)
-	// RECIPE: flush + fence after the committing store.
-	idx.heap.PersistFence(n.pm, off, 8)
+	idx.storeChild(n.pm, slot, off, nl.hdr())
 	idx.heap.CrashPoint(site)
 	idx.count.Add(1)
 	n.lock.Unlock()
 }
 
-// childSlot aliases the child-pointer type so node4 and node16 share the
-// insert code.
-type childSlot = atomic.Pointer[header]
+// storeChild is every child-pointer commit — publishing a leaf or node,
+// or deleting a leaf: it stores c into slot, at persistent offset off of
+// pm, and makes the store durable before the write goes on.
+func (idx *Index) storeChild(pm pmem.Obj, slot *atomic.Pointer[header], off uintptr, c *header) {
+	slot.Store(c)
+	idx.heap.Dirty(pm, off, 8)
+	// RECIPE: flush + fence after the committing store.
+	idx.heap.PersistFence(pm, off, 8)
+}
 
 // growNode builds the next-size node containing n's live entries plus
 // (b -> extra). When live occupancy leaves room (deletes freed slots) it
@@ -380,17 +357,11 @@ func (idx *Index) growNode(n *header, b byte, extra *header) *header {
 func (idx *Index) buildNode(k kind, level uint32, prefix []byte, es []entry) *header {
 	nn := idx.allocNode(k, level, prefix)
 	switch k {
-	case kNode4:
-		nd := nn.n4()
+	case kNode4, kNode16:
+		s := nn.small()
 		for i, e := range es {
-			nd.keys.Set(i, e.b)
-			nd.children[i].Store(e.c)
-		}
-	case kNode16:
-		nd := nn.n16()
-		for i, e := range es {
-			nd.keys.Set(i, e.b)
-			nd.children[i].Store(e.c)
+			s.setKey(i, e.b)
+			s.children[i].Store(e.c)
 		}
 	case kNode48:
 		nd := nn.n48()
@@ -442,14 +413,9 @@ func (idx *Index) splitPrefix(parent *header, pslot byte, n *header, depth, mism
 		return false, nil
 	}
 
-	nn := idx.allocNode(kNode4, uint32(depth+mismatch), key[depth:depth+mismatch])
 	nl := idx.newLeaf(key, value)
-	n4 := nn.n4()
-	n4.keys.Set(0, full[mismatch])
-	n4.children[0].Store(n)
-	n4.keys.Set(1, key[depth+mismatch])
-	n4.children[1].Store(nl.hdr())
-	nn.count.Store(2)
+	nn := idx.buildNode(kNode4, uint32(depth+mismatch), key[depth:depth+mismatch],
+		[]entry{{full[mismatch], n}, {key[depth+mismatch], nl.hdr()}})
 	// RECIPE: persist the new node and leaf before step 1.
 	idx.persistAll(nl.hdr())
 	idx.persistAll(nn)
@@ -581,10 +547,7 @@ func (idx *Index) tryDelete(key []byte) (deleted, done bool) {
 			idx.rootMu.Unlock()
 			return false, true
 		}
-		idx.root.Store(nil)
-		idx.heap.Dirty(idx.rootPM, 0, 8)
-		// RECIPE: flush + fence after the committing store.
-		idx.heap.PersistFence(idx.rootPM, 0, 8)
+		idx.setChildPersist(nil, 0, nil)
 		idx.heap.CrashPoint("art.delete.root")
 		idx.count.Add(-1)
 		idx.rootMu.Unlock()
@@ -644,7 +607,7 @@ func (idx *Index) tryDelete(key []byte) (deleted, done bool) {
 				n.lock.Unlock()
 				return false, false
 			}
-			idx.nilChild(n, b)
+			idx.setChildPersist(n, b, nil)
 			idx.heap.CrashPoint("art.delete.commit")
 			idx.count.Add(-1)
 			n.lock.Unlock()
@@ -652,51 +615,6 @@ func (idx *Index) tryDelete(key []byte) (deleted, done bool) {
 		}
 		n = next
 		depth++
-	}
-}
-
-// nilChild atomically clears the child slot for byte b (caller holds n's
-// lock) and persists the slot.
-func (idx *Index) nilChild(n *header, b byte) {
-	switch n.kind {
-	case kNode4:
-		nd := n.n4()
-		cnt := int(n.count.Load())
-		for i := 0; i < cnt; i++ {
-			if nd.keys.Get(i) == b {
-				nd.children[i].Store(nil)
-				idx.heap.Dirty(n.pm, n4ChildOff+uintptr(i)*8, 8)
-				// RECIPE: flush + fence after the committing store.
-				idx.heap.PersistFence(n.pm, n4ChildOff+uintptr(i)*8, 8)
-				return
-			}
-		}
-	case kNode16:
-		nd := n.n16()
-		cnt := int(n.count.Load())
-		for i := 0; i < cnt; i++ {
-			if nd.keys.Get(i) == b {
-				nd.children[i].Store(nil)
-				idx.heap.Dirty(n.pm, n16ChildOff+uintptr(i)*8, 8)
-				// RECIPE: flush + fence after the committing store.
-				idx.heap.PersistFence(n.pm, n16ChildOff+uintptr(i)*8, 8)
-				return
-			}
-		}
-	case kNode48:
-		nd := n.n48()
-		if s := nd.index.Get(int(b)); s != 0 {
-			nd.children[s-1].Store(nil)
-			idx.heap.Dirty(n.pm, n48ChildOff+uintptr(s-1)*8, 8)
-			// RECIPE: flush + fence after the committing store.
-			idx.heap.PersistFence(n.pm, n48ChildOff+uintptr(s-1)*8, 8)
-		}
-	case kNode256:
-		nd := n.n256()
-		nd.children[b].Store(nil)
-		idx.heap.Dirty(n.pm, n256ChOff+uintptr(b)*8, 8)
-		// RECIPE: flush + fence after the committing store.
-		idx.heap.PersistFence(n.pm, n256ChOff+uintptr(b)*8, 8)
 	}
 }
 
@@ -722,59 +640,16 @@ func (idx *Index) lockSlot(parent *header, pslot byte, want *header) *pmlock.Mut
 	return &parent.lock
 }
 
-// setChildPersist atomically replaces the slot (which the caller has
-// locked via lockSlot) with nn and persists the containing line.
+// setChildPersist commits nn into the slot for byte pslot of parent (the
+// root pointer when parent is nil), which the caller holds locked and
+// has checked exists.
 func (idx *Index) setChildPersist(parent *header, pslot byte, nn *header) {
 	if parent == nil {
-		idx.root.Store(nn)
-		idx.heap.Dirty(idx.rootPM, 0, 8)
-		// RECIPE: flush + fence after the committing store.
-		idx.heap.PersistFence(idx.rootPM, 0, 8)
+		idx.storeChild(idx.rootPM, &idx.root, 0, nn)
 		return
 	}
-	switch parent.kind {
-	case kNode4:
-		nd := parent.n4()
-		cnt := int(parent.count.Load())
-		for i := 0; i < cnt; i++ {
-			if nd.keys.Get(i) == pslot && nd.children[i].Load() != nil {
-				nd.children[i].Store(nn)
-				idx.heap.Dirty(parent.pm, n4ChildOff+uintptr(i)*8, 8)
-				// RECIPE: flush + fence after the committing store.
-				idx.heap.PersistFence(parent.pm, n4ChildOff+uintptr(i)*8, 8)
-				return
-			}
-		}
-	case kNode16:
-		nd := parent.n16()
-		cnt := int(parent.count.Load())
-		for i := 0; i < cnt; i++ {
-			if nd.keys.Get(i) == pslot && nd.children[i].Load() != nil {
-				nd.children[i].Store(nn)
-				idx.heap.Dirty(parent.pm, n16ChildOff+uintptr(i)*8, 8)
-				// RECIPE: flush + fence after the committing store.
-				idx.heap.PersistFence(parent.pm, n16ChildOff+uintptr(i)*8, 8)
-				return
-			}
-		}
-	case kNode48:
-		nd := parent.n48()
-		if s := nd.index.Get(int(pslot)); s != 0 {
-			nd.children[s-1].Store(nn)
-			idx.heap.Dirty(parent.pm, n48ChildOff+uintptr(s-1)*8, 8)
-			// RECIPE: flush + fence after the committing store.
-			idx.heap.PersistFence(parent.pm, n48ChildOff+uintptr(s-1)*8, 8)
-			return
-		}
-	case kNode256:
-		nd := parent.n256()
-		nd.children[pslot].Store(nn)
-		idx.heap.Dirty(parent.pm, n256ChOff+uintptr(pslot)*8, 8)
-		// RECIPE: flush + fence after the committing store.
-		idx.heap.PersistFence(parent.pm, n256ChOff+uintptr(pslot)*8, 8)
-		return
-	}
-	panic("art: setChildPersist slot vanished under lock")
+	slot, off := parent.slotFor(pslot)
+	idx.storeChild(parent.pm, slot, off, nn)
 }
 
 // minLeaf returns the smallest live leaf at or below n, used to
@@ -805,35 +680,4 @@ func (idx *Index) fullPrefix(n *header, depth int) []byte {
 		return nil
 	}
 	return lf.key()[depth:int(n.level)]
-}
-
-// keyAt / childAt / keysOff / childOff adapt slot addressing across
-// node4/node16.
-func keyAt(n *header, i int) byte {
-	if n.kind == kNode4 {
-		return n.n4().keys.Get(i)
-	}
-	return n.n16().keys.Get(i)
-}
-
-// childAt returns the child in slot i of a node4/node16.
-func childAt(n *header, i int) *header {
-	if n.kind == kNode4 {
-		return n.n4().children[i].Load()
-	}
-	return n.n16().children[i].Load()
-}
-
-func keysOff(n *header) uintptr {
-	if n.kind == kNode4 {
-		return n4KeysOff
-	}
-	return n16KeysOff
-}
-
-func childOff(n *header, i int) uintptr {
-	if n.kind == kNode4 {
-		return n4ChildOff + uintptr(i)*8
-	}
-	return n16ChildOff + uintptr(i)*8
 }

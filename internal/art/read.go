@@ -59,10 +59,9 @@ func (idx *Index) trackRead(n *header) {
 	switch n.kind {
 	case kLeaf:
 		idx.heap.Load(n.pm, 0, uintptr(leafHdrBytes)+uintptr(n.leaf().klen))
-	case kNode4:
-		idx.heap.Load(n.pm, 0, node4Bytes)
-	case kNode16:
-		idx.heap.Load(n.pm, 0, n16ChildOff+64)
+	case kNode4, kNode16: // the keys and the first eight children at most
+		s := n.small()
+		idx.heap.Load(n.pm, 0, s.childOff(min(len(s.children), 8)))
 	case kNode48:
 		idx.heap.Load(n.pm, 0, hdrBytes)
 		idx.heap.Load(n.pm, n48IdxOff, 64)

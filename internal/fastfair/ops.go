@@ -108,7 +108,15 @@ retry:
 			}
 			p = next
 		}
-		img.sibling, img.highSet, img.high = n.sibling.Load(), n.highSet.Load(), n.high.Load()
+		// The reverse of a split's stores (sibling, high, highSet): a high
+		// key read after highSet is no older than highSet, and the sibling
+		// read after it no older than the high key, so the sibling an image
+		// routes to never precedes its high key's split. Sibling first
+		// could pair the old sibling with the new high key and send a probe
+		// past the node holding its range.
+		img.highSet = n.highSet.Load()
+		img.high = n.high.Load()
+		img.sibling = n.sibling.Load()
 		for i := range nk {
 			if src[i].Load() != dst[i] || n.keys[i].Load() != img.keys[i] {
 				continue retry

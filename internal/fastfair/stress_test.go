@@ -1,7 +1,9 @@
 package fastfair
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/crash"
@@ -186,5 +188,58 @@ func TestRestartedShiftDuplicateRemoved(t *testing.T) {
 		if v, ok := tr.Lookup(k64(k)); !ok || v != k {
 			t.Fatalf("Lookup(%d) = %d, %v", k, v, ok)
 		}
+	}
+}
+
+// TestReadPairsHighKeyWithItsSibling: a split stores the new sibling,
+// then the high key, then highSet. An image that pairs a high key with a
+// sibling stored before it sends a probe at or past the new high key to
+// the old sibling, past the node that now holds the probe's range, and an
+// insert routed that way lands in a leaf that does not cover its key.
+// Here one writer stores (sibling, high key i) pairs in the split's order
+// while readers image the node: every image's sibling must have been
+// stored at the step of its high key or a later one.
+func TestReadPairsHighKeyWithItsSibling(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(2, runtime.GOMAXPROCS(0))))
+	tr := newInt()
+	n := tr.newNode(true, 0)
+	// A ring of siblings, each labelled with the last step that stored
+	// it: a reused sibling only looks newer, so no image is misjudged.
+	ring := make([]*node, 64)
+	stepOf := make(map[*node]*atomic.Uint64, len(ring)) // read-only while readers run
+	for i := range ring {
+		ring[i] = tr.newNode(true, 0)
+		stepOf[ring[i]] = new(atomic.Uint64)
+	}
+	var done atomic.Bool
+	var torn atomic.Int64 // 1 + the high key of a torn image
+	var ready, wg sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		ready.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ready.Done()
+			var img image
+			for !done.Load() {
+				tr.read(n, nil, &img)
+				if img.highSet && (img.sibling == nil || stepOf[img.sibling].Load() < img.high) {
+					torn.Store(int64(img.high) + 1)
+				}
+			}
+		}()
+	}
+	ready.Wait()
+	for i := uint64(1); i <= 200_000 && torn.Load() == 0; i++ {
+		s := ring[i%uint64(len(ring))]
+		stepOf[s].Store(i)
+		n.sibling.Store(s)
+		n.high.Store(i)
+		n.highSet.Store(true)
+	}
+	done.Store(true)
+	wg.Wait()
+	if h := torn.Load(); h != 0 {
+		t.Fatalf("an image paired high key %d with a sibling stored before it", h-1)
 	}
 }

@@ -155,7 +155,7 @@ func hashTarget(idx core.HashIndex, apply applyFn[uint64]) *Target {
 // at every later boundary.
 func (t *Target) violations() (n int) {
 	for _, h := range t.heaps {
-		if v := len(h.Tracker().Check()); v != 0 {
+		if v := h.Tracker().NotDurable(); v != 0 {
 			h.Tracker().Reset()
 			n += v
 		}

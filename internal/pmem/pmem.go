@@ -518,6 +518,18 @@ func (t *Tracker) Check() []Violation {
 	return out
 }
 
+// NotDurable returns the number of lines Check would report, without
+// building the list: what an operation-boundary check needs.
+func (t *Tracker) NotDurable() (n int) {
+	for i := range t.shards {
+		s := &t.shards[i]
+		t.hold(s)
+		n += len(s.lines)
+		s.mu.Unlock()
+	}
+	return n
+}
+
 // Reset clears the shadow state (e.g. between test phases). The waste
 // counts are cumulative, like the heap's Stats, and survive it.
 func (t *Tracker) Reset() {

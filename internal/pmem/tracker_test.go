@@ -76,8 +76,8 @@ func (t *eagerTracker) tainted(o Obj, off, size uintptr) bool {
 }
 
 // checkAgainst compares every observable answer of the heap's tracker
-// with the model's: the snapshot a power cycle classifies by, and
-// Check's violation set.
+// with the model's: the snapshot a power cycle classifies by, Check's
+// violation set and NotDurable's count of it.
 func checkAgainst(t *testing.T, step int, what string, h *Heap, model *eagerTracker) {
 	t.Helper()
 	want := model.snapshot()
@@ -100,6 +100,9 @@ func checkAgainst(t *testing.T, step int, what string, h *Heap, model *eagerTrac
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("step %d (%s): Check diverged\n got  %v\n want %v", step, what, got, want)
+	}
+	if n := h.Tracker().NotDurable(); n != len(want) {
+		t.Fatalf("step %d (%s): NotDurable = %d, model holds %d lines", step, what, n, len(want))
 	}
 	tr := h.Tracker()
 	if tr.DryFences() != model.dry || tr.CleanWriteBacks() != model.clean {
