@@ -392,6 +392,7 @@ func (idx *Index) persistAll(h *header) {
 	if h.kind == kLeaf {
 		size = leafHdrBytes + uintptr(h.leaf().klen)
 	}
+	// RECIPE: persist the whole node before a store publishes it.
 	idx.heap.Persist(h.pm, 0, size)
 }
 

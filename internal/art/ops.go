@@ -167,9 +167,10 @@ func (idx *Index) insertAtLeaf(parent *header, pslot byte, lf *leaf, depth int, 
 	nl := idx.newLeaf(key, value)
 	nn := idx.buildNode(kNode4, uint32(depth+cp), key[depth:depth+cp],
 		[]entry{{lk[depth+cp], lf.hdr()}, {key[depth+cp], nl.hdr()}})
-	// RECIPE: persist the new leaf and node before publishing them.
+	// RECIPE: persist the new leaf and node before publishing them,
 	idx.persistAll(nl.hdr())
 	idx.persistAll(nn)
+	// RECIPE: with one fence for both.
 	idx.heap.Fence()
 	idx.heap.CrashPoint("art.leafsplit.init")
 	idx.setChildPersist(parent, pslot, nn)
@@ -235,12 +236,14 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 			if off >= pmem.LineSize {
 				idx.heap.Persist(n.pm, off, 8)
 			}
+			// RECIPE: the fence that orders the leaf and the slot.
 			idx.heap.Fence()
 			idx.heap.CrashPoint("art.insert.appended")
 			// RECIPE: commit with the atomic count store; line 0 is
 			// written back once, with everything it holds.
 			n.count.Store(uint32(cnt + 1))
 			idx.heap.Dirty(n.pm, 0, hdrBytes)
+			// RECIPE: flush + fence after the committing store.
 			idx.heap.PersistFence(n.pm, 0, hdrBytes)
 			idx.heap.CrashPoint("art.insert.commit")
 			idx.count.Add(1)
@@ -261,6 +264,7 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 			// skips and a grow drops.
 			idx.heap.Persist(n.pm, n48ChildOff+uintptr(cnt)*8, 8)
 			idx.heap.Persist(n.pm, 0, hdrBytes)
+			// RECIPE: one fence for the leaf, the slot and the count.
 			idx.heap.Fence()
 			idx.heap.CrashPoint("art.insert.appended")
 			nd.index.Set(int(b), byte(cnt+1))
@@ -416,9 +420,10 @@ func (idx *Index) splitPrefix(parent *header, pslot byte, n *header, depth, mism
 	nl := idx.newLeaf(key, value)
 	nn := idx.buildNode(kNode4, uint32(depth+mismatch), key[depth:depth+mismatch],
 		[]entry{{full[mismatch], n}, {key[depth+mismatch], nl.hdr()}})
-	// RECIPE: persist the new node and leaf before step 1.
+	// RECIPE: persist the new node and leaf before step 1,
 	idx.persistAll(nl.hdr())
 	idx.persistAll(nn)
+	// RECIPE: with one fence for both.
 	idx.heap.Fence()
 	idx.heap.CrashPoint("art.split.built")
 

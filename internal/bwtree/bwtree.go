@@ -104,10 +104,7 @@ func New(heap *pmem.Heap) *Index {
 	idx.nextPID.Store(1) // PID 0 is invalid
 	idx.rootPID = idx.allocPID()
 	base := &record{kind: kBaseLeaf}
-	base.pm = heap.Alloc(64)
-	heap.Shadow(base.pm, base)
-	heap.Persist(base.pm, 0, 64)
-	heap.Fence()
+	idx.persistBase(base)
 	idx.mapping[idx.rootPID].Store(base)
 	// RECIPE: persist the root mapping entry at creation.
 	heap.PersistFence(idx.mapPM, uintptr(idx.rootPID)*8, 8)
@@ -159,8 +156,22 @@ func (idx *Index) persistBase(r *record) {
 	}
 	r.pm = idx.heap.Alloc(size)
 	idx.heap.Shadow(r.pm, r)
+	// RECIPE: persist the base node before a mapping entry names it.
 	idx.heap.Persist(r.pm, 0, size)
 	idx.heap.Fence()
+}
+
+// install persists the new base node r under a fresh PID and returns
+// the PID.
+func (idx *Index) install(r *record) uint64 {
+	idx.persistBase(r)
+	pid := idx.allocPID()
+	idx.mapping[pid].Store(r)
+	idx.heap.Dirty(idx.mapPM, uintptr(pid)*8, 8)
+	// RECIPE: persist the PID's mapping entry before a split delta or a
+	// new root can make it reachable.
+	idx.heap.PersistFence(idx.mapPM, uintptr(pid)*8, 8)
+	return pid
 }
 
 // loadTouch charges the LLC model for reading a record and, on SMO paths,

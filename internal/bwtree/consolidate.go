@@ -222,13 +222,7 @@ func (idx *Index) splitLeaf(pid, parent uint64, head *record, ks [][]byte, vs []
 	mid := len(ks) / 2
 	sep := ks[mid]
 	right := &record{kind: kBaseLeaf, keys: append([][]byte(nil), ks[mid:]...), vals: append([]uint64(nil), vs[mid:]...), high: high, next2: next}
-	idx.persistBase(right)
-	rpid := idx.allocPID()
-	idx.mapping[rpid].Store(right)
-	idx.heap.Dirty(idx.mapPM, uintptr(rpid)*8, 8)
-	// RECIPE: persist the sibling's mapping entry before the split delta
-	// can make it reachable.
-	idx.heap.PersistFence(idx.mapPM, uintptr(rpid)*8, 8)
+	rpid := idx.install(right)
 	idx.heap.CrashPoint("bw.split.sibling")
 
 	if pid == idx.rootPID && parent == 0 {
@@ -249,11 +243,7 @@ func (idx *Index) splitInner(pid, parent uint64, head *record, ks [][]byte, pids
 	mid := len(ks) / 2
 	sep := ks[mid]
 	right := &record{kind: kBaseInner, keys: append([][]byte(nil), ks[mid+1:]...), pids: append([]uint64(nil), pids[mid+1:]...), high: high, next2: next}
-	idx.persistBase(right)
-	rpid := idx.allocPID()
-	idx.mapping[rpid].Store(right)
-	idx.heap.Dirty(idx.mapPM, uintptr(rpid)*8, 8)
-	idx.heap.PersistFence(idx.mapPM, uintptr(rpid)*8, 8)
+	rpid := idx.install(right)
 	idx.heap.CrashPoint("bw.isplit.sibling")
 
 	if pid == idx.rootPID && parent == 0 {
@@ -278,11 +268,7 @@ func (idx *Index) rootSplit(pid uint64, head *record, sep []byte, lks [][]byte, 
 	} else {
 		left = &record{kind: kBaseInner, keys: append([][]byte(nil), lks...), pids: append([]uint64(nil), lpids...), high: sep, next2: rpid}
 	}
-	idx.persistBase(left)
-	lpid := idx.allocPID()
-	idx.mapping[lpid].Store(left)
-	idx.heap.Dirty(idx.mapPM, uintptr(lpid)*8, 8)
-	idx.heap.PersistFence(idx.mapPM, uintptr(lpid)*8, 8)
+	lpid := idx.install(left)
 	newRoot := &record{kind: kBaseInner, keys: [][]byte{sep}, pids: []uint64{lpid, rpid}}
 	idx.persistBase(newRoot)
 	idx.heap.CrashPoint("bw.rootsplit.built")

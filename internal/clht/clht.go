@@ -458,15 +458,18 @@ func (idx *Index) grow(level uint64) {
 	// with the atomic level store and persist it.
 	idx.heap.Persist(seg.pm, 0, uintptr(n)*bucketBytes)
 	for _, b := range ovf {
+		// RECIPE: each overflow bucket of the new half.
 		idx.heap.Persist(b.pm, 0, bucketBytes)
 	}
 	idx.root.segs[k] = seg
 	idx.heap.Dirty(idx.pm, uintptr(8+8*k), 8)
+	// RECIPE: the directory slot, then one fence for all of it.
 	idx.heap.Persist(idx.pm, uintptr(8+8*k), 8)
 	idx.heap.Fence()
 	idx.heap.CrashPoint("clht.rehash.built")
 	idx.root.level.Store(k)
 	idx.heap.Dirty(idx.pm, 0, 8)
+	// RECIPE: flush + fence after the committing level store.
 	idx.heap.PersistFence(idx.pm, 0, 8)
 	idx.heap.CrashPoint("clht.rehash.swap")
 	for j := uint64(0); j < n; j++ {

@@ -576,23 +576,27 @@ func TestConcurrentInserts(t *testing.T) {
 // one bucket line written back and fenced once: the value and the
 // committing key share the line), then a single-goroutine load of
 // RandInt ids [1, 10000], whose totals take in every split, doubling
-// and rotation the load makes. A flush added to or dropped from any
-// index's write path moves its row.
+// and rotation the load makes. An ordered index also takes the long-key
+// input on a fresh string-keyed index: 3,000 keys that share their
+// leading bytes in groups (P-Masstree's layers and suffixes), then an
+// update of every third and a delete of every fifth. A flush added to or
+// dropped from any index's write path moves its row.
 func TestInsertFlushCount(t *testing.T) {
 	const load = 10000
 	rows := []struct {
 		name                             string
 		clwb, fence, loadClwb, loadFence uint64
+		longClwb, longFence              uint64 // 0, 0: hash tables take 8-byte keys only
 	}{
-		{"P-ART", 2, 2, 37447, 20000},
-		{"FAST & FAIR", 2, 2, 53080, 49321},
-		{"P-BwTree", 2, 2, 48451, 25238},
-		{"P-Masstree", 4, 3, 51372, 36198},
-		{"P-HOT", 2, 2, 88967, 20961},
-		{"WOART", 2, 2, 57010, 30000},
-		{"CCEH", 1, 1, 16460, 10081},
-		{"Level Hashing", 1, 1, 17171, 10006},
-		{"P-CLHT", 1, 1, 18970, 11421},
+		{"P-ART", 2, 2, 37447, 20000, 10566, 7869},
+		{"FAST & FAIR", 2, 2, 53080, 49321, 17015, 11412},
+		{"P-BwTree", 2, 2, 48451, 25238, 161805, 11624},
+		{"P-Masstree", 4, 3, 51372, 36198, 20121, 13446},
+		{"P-HOT", 2, 2, 88967, 20961, 59594, 9623},
+		{"WOART", 2, 2, 57010, 30000, 11671, 10868},
+		{"CCEH", 1, 1, 16460, 10081, 0, 0},
+		{"Level Hashing", 1, 1, 17171, 10006, 0, 0},
+		{"P-CLHT", 1, 1, 18970, 11421, 0, 0},
 	}
 	gen := keys.NewGenerator(keys.RandInt)
 	for _, row := range rows {
@@ -617,6 +621,31 @@ func TestInsertFlushCount(t *testing.T) {
 			}
 			if l.Clwb != row.loadClwb || l.Fence != row.loadFence {
 				t.Errorf("load of %d: %d clwb, %d fences; want %d, %d", load, l.Clwb, l.Fence, row.loadClwb, row.loadFence)
+			}
+			if row.longClwb == 0 {
+				return
+			}
+			lh := pmem.NewFast()
+			defer lh.Release()
+			li := byName(row.name, keys.YCSBString)(lh)
+			longKey := func(i int) []byte { return []byte(fmt.Sprintf("longkey-%08d-%015d", i/8, i)) }
+			for i := 0; i < 3000; i++ {
+				if err := li.Insert(longKey(i), uint64(i)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 3000; i += 3 {
+				if err := li.Update(longKey(i), uint64(i)+1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 3000; i += 5 {
+				if ok, err := li.Delete(longKey(i)); !ok || err != nil {
+					t.Fatalf("delete %d: %v, %v", i, ok, err)
+				}
+			}
+			if s := lh.Stats(); s.Clwb != row.longClwb || s.Fence != row.longFence {
+				t.Errorf("long keys: %d clwb, %d fences; want %d, %d", s.Clwb, s.Fence, row.longClwb, row.longFence)
 			}
 		})
 	}

@@ -44,8 +44,7 @@ func (idx *Index) tryInsert(key []byte, value uint64) bool {
 			return false
 		}
 		nn := idx.newNode([]*entry{leafEntry(key, value)})
-		idx.heap.Fence()
-		idx.heap.CrashPoint("hot.rootinit.built")
+		idx.built("hot.rootinit.built")
 		idx.root.Store(nn)
 		idx.heap.Dirty(idx.rootPM, 0, 8)
 		// RECIPE: flush + fence after the committing root store.
@@ -90,8 +89,7 @@ func (idx *Index) commitInsert(path []pathEl, target *hnode, key []byte, value u
 		ne := append([]*entry(nil), target.entries...)
 		ne[i] = leafEntry(key, value)
 		nn := idx.newNode(ne)
-		idx.heap.Fence()
-		idx.heap.CrashPoint("hot.update.built")
+		idx.built("hot.update.built")
 		return idx.swapUp(path, len(path), target, nn, nil, &locked)
 	}
 	ne := make([]*entry, 0, len(target.entries)+1)
@@ -100,8 +98,7 @@ func (idx *Index) commitInsert(path []pathEl, target *hnode, key []byte, value u
 	ne = append(ne, target.entries[i+1:]...)
 	if len(ne) <= MaxFanout {
 		nn := idx.newNode(ne)
-		idx.heap.Fence()
-		idx.heap.CrashPoint("hot.insert.built")
+		idx.built("hot.insert.built")
 		if idx.swapUp(path, len(path), target, nn, nil, &locked) {
 			idx.count.Add(1)
 			return true
@@ -112,8 +109,7 @@ func (idx *Index) commitInsert(path []pathEl, target *hnode, key []byte, value u
 	mid := len(ne) / 2
 	ln := idx.newNode(ne[:mid:mid])
 	rn := idx.newNode(ne[mid:])
-	idx.heap.Fence()
-	idx.heap.CrashPoint("hot.split.built")
+	idx.built("hot.split.built")
 	if idx.swapUp(path, len(path), target, ln, rn, &locked) {
 		idx.count.Add(1)
 		return true
@@ -139,8 +135,7 @@ func (idx *Index) swapUp(path []pathEl, d int, old *hnode, left, right *hnode, l
 				childEntry(left.entries[0].key, left),
 				childEntry(right.entries[0].key, right),
 			})
-			idx.heap.Fence()
-			idx.heap.CrashPoint("hot.rootgrow.built")
+			idx.built("hot.rootgrow.built")
 		}
 		idx.root.Store(nn)
 		idx.heap.Dirty(idx.rootPM, 0, 8)
@@ -177,8 +172,7 @@ func (idx *Index) swapUp(path []pathEl, d int, old *hnode, left, right *hnode, l
 	ne = append(ne, p.entries[slot+1:]...)
 	if len(ne) <= MaxFanout {
 		np := idx.newNode(ne)
-		idx.heap.Fence()
-		idx.heap.CrashPoint("hot.parent.built")
+		idx.built("hot.parent.built")
 		if idx.swapUp(path, d-1, p, np, nil, locked) {
 			old.lock.MarkObsolete()
 			return true
@@ -188,8 +182,7 @@ func (idx *Index) swapUp(path []pathEl, d int, old *hnode, left, right *hnode, l
 	mid := len(ne) / 2
 	lp := idx.newNode(ne[:mid:mid])
 	rp := idx.newNode(ne[mid:])
-	idx.heap.Fence()
-	idx.heap.CrashPoint("hot.parentsplit.built")
+	idx.built("hot.parentsplit.built")
 	if idx.swapUp(path, d-1, p, lp, rp, locked) {
 		old.lock.MarkObsolete()
 		return true
@@ -268,8 +261,7 @@ func (idx *Index) commitDelete(path []pathEl, target *hnode, key []byte) (del, d
 		return true, true
 	}
 	nn := idx.newNode(ne)
-	idx.heap.Fence()
-	idx.heap.CrashPoint("hot.delete.built")
+	idx.built("hot.delete.built")
 	if idx.swapUp(path, len(path), target, nn, nil, &locked) {
 		idx.count.Add(-1)
 		return true, true

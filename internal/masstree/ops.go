@@ -4,6 +4,7 @@ import (
 	"bytes"
 
 	"repro/internal/crash"
+	"repro/internal/pmem"
 )
 
 // descend routes slice from n down to the node at level covering it,
@@ -91,6 +92,24 @@ func (idx *Index) newLeafVal(slice uint64, lc int, value uint64, suffix []byte, 
 	return lv
 }
 
+// payload returns the persisted payload of the key whose remaining bytes
+// rem have slice and lc: a key that continues past the slice keeps the
+// rest as its suffix.
+func (idx *Index) payload(slice uint64, lc int, value uint64, rem []byte) *leafVal {
+	if lc < suffixClass {
+		return idx.newLeafVal(slice, lc, value, nil, nil)
+	}
+	return idx.newLeafVal(slice, suffixClass, value, rem[8:], nil)
+}
+
+// commit makes durable the 8-byte word at off that a committing store
+// just wrote.
+func (idx *Index) commit(o pmem.Obj, off uintptr) {
+	idx.heap.Dirty(o, off, 8)
+	// RECIPE: flush + fence after the committing store.
+	idx.heap.PersistFence(o, off, 8)
+}
+
 // lockLeafFor descends to and locks the leaf covering slice, with sibling
 // hand-over under lock. Each leaf it locks has any crash-torn split
 // completed first (finishSplit), so no write ever changes an entry the
@@ -134,78 +153,55 @@ func (idx *Index) Insert(key []byte, value uint64) (err error) {
 		return ErrEmptyKey
 	}
 	defer crash.Catch(&err)
-	lr := idx.layer0
-	rem := key
+	lr, rem := idx.layer0, key
 	for {
 		slice, lc := sliceOf(rem)
 		n := idx.lockLeafFor(lr, slice)
 		pos, slot, lv := leafFind(n, slice, lc)
+		if lv != nil && lv.layer != nil {
+			// Descend into the existing layer.
+			n.lock.Unlock()
+			lr, rem = lv.layer, rem[8:]
+			continue
+		}
 		if lv != nil {
-			switch {
-			case lc < suffixClass:
-				// In-place update: swing the payload pointer atomically.
-				nlv := idx.newLeafVal(slice, lc, value, nil, nil)
-				n.vals[slot].Store(nlv)
-				idx.heap.Dirty(n.pm, offPtrs+uintptr(slot)*8, 8)
-				// RECIPE: flush + fence after the committing store.
-				idx.heap.PersistFence(n.pm, offPtrs+uintptr(slot)*8, 8)
-				idx.heap.CrashPoint("mt.update.commit")
-				n.lock.Unlock()
-				return nil
-			case lv.layer != nil:
-				// Descend into the existing layer.
-				n.lock.Unlock()
-				lr = lv.layer
-				rem = rem[8:]
-				continue
-			case bytes.Equal(lv.suffix, rem[8:]):
-				nlv := idx.newLeafVal(slice, lc, value, rem[8:], nil)
-				n.vals[slot].Store(nlv)
-				idx.heap.Dirty(n.pm, offPtrs+uintptr(slot)*8, 8)
-				// RECIPE: flush + fence after the committing store.
-				idx.heap.PersistFence(n.pm, offPtrs+uintptr(slot)*8, 8)
-				idx.heap.CrashPoint("mt.update.commit")
-				n.lock.Unlock()
-				return nil
-			default:
-				// Two distinct keys share the slice: push both into a
-				// fresh layer, committed by one payload-pointer swap.
-				nlr := idx.buildLayer(lv.suffix, lv.value, rem[8:], value)
-				nlv := idx.newLeafVal(slice, suffixClass, 0, nil, nlr)
+			// An existing entry commits with one atomic swap of its
+			// payload pointer: to the new value, or, when two distinct
+			// keys share the slice, to a fresh layer holding both.
+			site := "mt.update.commit"
+			if lc < suffixClass || bytes.Equal(lv.suffix, rem[8:]) {
+				lv = idx.payload(slice, lc, value, rem)
+			} else {
+				lv = idx.newLeafVal(slice, suffixClass, 0, nil, idx.buildLayer(lv.suffix, lv.value, rem[8:], value))
 				idx.heap.CrashPoint("mt.layer.built")
-				n.vals[slot].Store(nlv)
-				idx.heap.Dirty(n.pm, offPtrs+uintptr(slot)*8, 8)
-				// RECIPE: flush + fence after the committing store.
-				idx.heap.PersistFence(n.pm, offPtrs+uintptr(slot)*8, 8)
-				idx.heap.CrashPoint("mt.layer.commit")
-				idx.count.Add(1)
-				n.lock.Unlock()
-				return nil
+				site = "mt.layer.commit"
 			}
+			n.vals[slot].Store(lv)
+			idx.commit(n.pm, offPtrs+uintptr(slot)*8)
+			idx.heap.CrashPoint(site)
+			if lv.layer != nil {
+				idx.count.Add(1) // the layer's second key is new
+			}
+			n.lock.Unlock()
+			return nil
 		}
 		// New entry.
-		var payload *leafVal
-		if lc < suffixClass {
-			payload = idx.newLeafVal(slice, lc, value, nil, nil)
-		} else {
-			payload = idx.newLeafVal(slice, suffixClass, value, rem[8:], nil)
-		}
-		p := perm(n.perm.Load())
-		if p.count() == Fanout {
+		lv = idx.payload(slice, lc, value, rem)
+		if perm(n.perm.Load()).count() == Fanout {
 			right, splitSlice := idx.splitLeaf(n)
 			target := n
 			if slice >= splitSlice {
 				target = right
 			}
 			pos, _, _ = leafFind(target, slice, lc)
-			idx.insertLeafEntry(target, pos, slice, lc, payload)
+			idx.insertLeafEntry(target, pos, slice, lc, lv)
 			idx.count.Add(1)
 			right.lock.Unlock()
 			n.lock.Unlock()
 			idx.insertParent(lr, n, splitSlice, right, 1)
 			return nil
 		}
-		idx.insertLeafEntry(n, pos, slice, lc, payload)
+		idx.insertLeafEntry(n, pos, slice, lc, lv)
 		idx.count.Add(1)
 		n.lock.Unlock()
 		return nil
@@ -216,75 +212,101 @@ func (idx *Index) Insert(key []byte, value uint64) (err error) {
 // (core.PointIndex.Update).
 func (idx *Index) Update(key []byte, value uint64) error { return idx.Insert(key, value) }
 
-// insertLeafEntry writes the entry into a free slot, persists it, then
-// commits with the single atomic permutation store (Condition #1).
+// siteNames names the crash sites of one node kind's inserts (publish)
+// and splits (split).
+type siteNames struct{ entry, commit, built, linked, truncated string }
+
+var (
+	leafSites  = siteNames{"mt.insert.entry", "mt.insert.commit", "mt.split.built", "mt.split.linked", "mt.split.truncated"}
+	innerSites = siteNames{"mt.iinsert.entry", "mt.iinsert.commit", "mt.isplit.built", "mt.isplit.linked", "mt.isplit.truncated"}
+)
+
+func (n *node) sites() *siteNames {
+	if n.leaf {
+		return &leafSites
+	}
+	return &innerSites
+}
+
+// insertLeafEntry writes the entry into the leaf's free slot and
+// publishes it at sorted position pos.
 func (idx *Index) insertLeafEntry(n *node, pos int, slice uint64, lc int, lv *leafVal) {
-	p := perm(n.perm.Load())
-	np, slot := p.insertAt(pos)
+	np, slot := perm(n.perm.Load()).insertAt(pos)
 	n.slices[slot].Store(slice)
 	n.lens[slot].Store(uint32(lc))
 	n.vals[slot].Store(lv)
+	idx.publish(n, np, slot, slot)
+}
+
+// insertInnerEntry writes (slice -> child) into the inner node's free
+// slot and publishes it at sorted position pos. The child is stored
+// before the slice: the slot may be the one a split just truncated away,
+// which a reader holding the old permutation still scans, and a reader
+// that sees the new slice must see the new child with it (DESIGN,
+// "P-Masstree's inner pair").
+func (idx *Index) insertInnerEntry(n *node, pos int, slice uint64, child *node) {
+	np, slot := perm(n.perm.Load()).insertAt(pos)
+	n.kids[slot+1].Store(child)
+	n.slices[slot].Store(slice)
+	idx.publish(n, np, slot, slot+1)
+}
+
+// publish persists the slice and pointer words (ptr indexes the
+// pointer array) of the slot an insert just filled, fences, then commits
+// with the single atomic permutation store (Condition #1).
+func (idx *Index) publish(n *node, np perm, slot, ptr int) {
+	st := n.sites()
 	idx.heap.Dirty(n.pm, offSlices+uintptr(slot)*8, 8)
-	idx.heap.Dirty(n.pm, offPtrs+uintptr(slot)*8, 8)
-	// RECIPE: persist the slot, fence, then commit via the permutation
-	// store, then persist the permutation word.
+	idx.heap.Dirty(n.pm, offPtrs+uintptr(ptr)*8, 8)
+	// RECIPE: persist the slot's slice and pointer words,
 	idx.heap.Persist(n.pm, offSlices+uintptr(slot)*8, 8)
-	idx.heap.Persist(n.pm, offPtrs+uintptr(slot)*8, 8)
+	idx.heap.Persist(n.pm, offPtrs+uintptr(ptr)*8, 8)
+	// RECIPE: and fence them before the permutation store commits them.
 	idx.heap.Fence()
-	idx.heap.CrashPoint("mt.insert.entry")
+	idx.heap.CrashPoint(st.entry)
 	n.perm.Store(uint64(np))
-	idx.heap.Dirty(n.pm, offPerm, 8)
-	idx.heap.PersistFence(n.pm, offPerm, 8)
-	idx.heap.CrashPoint("mt.insert.commit")
+	idx.commit(n.pm, offPerm)
+	idx.heap.CrashPoint(st.commit)
 }
 
 // buildLayer constructs the (unpublished) layer tree holding two
 // diverging key remainders; intermediate single-entry layers bridge any
 // further shared 8-byte slices.
-func (idx *Index) buildLayer(k0 []byte, v0 uint64, k1 []byte, v1 uint64) *layerRoot {
+func (idx *Index) buildLayer(a []byte, v0 uint64, b []byte, v1 uint64) *layerRoot {
 	top := idx.newLayerRoot()
-	cur := top
-	a, b := k0, k1
-	for {
+	for cur := top; ; {
 		s0, c0 := sliceOf(a)
 		s1, c1 := sliceOf(b)
 		leafn := idx.newNode(true, 0)
 		cur.root.Store(leafn)
+		var next *layerRoot
 		if s0 == s1 && c0 == suffixClass && c1 == suffixClass {
-			next := idx.newLayerRoot()
-			lv := idx.newLeafVal(s0, suffixClass, 0, nil, next)
-			idx.placePrivate(leafn, 0, s0, suffixClass, lv)
-			idx.heap.Persist(leafn.pm, 0, nodeBytes)
-			idx.heap.Persist(cur.pm, 0, 64)
-			idx.heap.Fence()
-			cur = next
-			a, b = a[8:], b[8:]
-			continue
-		}
-		mk := func(s uint64, c int, k []byte, v uint64) *leafVal {
-			if c < suffixClass {
-				return idx.newLeafVal(s, c, v, nil, nil)
+			next = idx.newLayerRoot()
+			idx.placePrivate(leafn, 0, s0, suffixClass, idx.newLeafVal(s0, suffixClass, 0, nil, next))
+		} else {
+			lv0, lv1 := idx.payload(s0, c0, v0, a), idx.payload(s1, c1, v1, b)
+			if entryLess(s1, c1, s0, c0) {
+				s0, c0, lv0, s1, c1, lv1 = s1, c1, lv1, s0, c0, lv0
 			}
-			return idx.newLeafVal(s, suffixClass, v, k[8:], nil)
+			idx.placePrivate(leafn, 0, s0, c0, lv0)
+			idx.placePrivate(leafn, 1, s1, c1, lv1)
 		}
-		lv0 := mk(s0, c0, a, v0)
-		lv1 := mk(s1, c1, b, v1)
-		if entryLess(s1, c1, s0, c0) {
-			s0, c0, lv0, s1, c1, lv1 = s1, c1, lv1, s0, c0, lv0
-		}
-		idx.placePrivate(leafn, 0, s0, c0, lv0)
-		idx.placePrivate(leafn, 1, s1, c1, lv1)
+		// RECIPE: persist the layer's leaf and anchor before the link to
+		// them commits.
 		idx.heap.Persist(leafn.pm, 0, nodeBytes)
 		idx.heap.Persist(cur.pm, 0, 64)
+		// RECIPE: one fence for both.
 		idx.heap.Fence()
-		return top
+		if next == nil {
+			return top
+		}
+		cur, a, b = next, a[8:], b[8:]
 	}
 }
 
 // placePrivate fills sorted position pos of an unpublished leaf.
 func (idx *Index) placePrivate(n *node, pos int, slice uint64, lc int, lv *leafVal) {
-	p := perm(n.perm.Load())
-	np, slot := p.insertAt(pos)
+	np, slot := perm(n.perm.Load()).insertAt(pos)
 	n.slices[slot].Store(slice)
 	n.lens[slot].Store(uint32(lc))
 	n.vals[slot].Store(lv)
@@ -307,19 +329,13 @@ func (idx *Index) finishSplit(n *node) {
 		n.slices[p.slot(p.count()-1)].Load() < s.slices[sp.slot(0)].Load() {
 		return
 	}
-	cut, ok := idx.tornSplit(n, s)
+	keep, ok := idx.tornSplit(n, s)
 	if !ok {
 		return
 	}
-	// RECIPE: replay the split completion — publish the high key, then
-	// truncate the permutation.
-	n.high.Store(s.slices[sp.slot(0)].Load())
-	n.highSet.Store(true)
-	idx.heap.Dirty(n.pm, offHigh, 8)
-	idx.heap.PersistFence(n.pm, offHigh, 8)
-	n.perm.Store(uint64(p.truncate(cut)))
-	idx.heap.Dirty(n.pm, offPerm, 8)
-	idx.heap.PersistFence(n.pm, offPerm, 8)
+	// RECIPE: replay the split completion: the cut at the sibling's
+	// first slice.
+	idx.cut(n, s.slices[sp.slot(0)].Load(), keep)
 	idx.heap.CrashPoint("mt.split.replayed")
 }
 
@@ -338,41 +354,88 @@ func (idx *Index) splitLeaf(n *node) (*node, uint64) {
 	for mid < cnt-1 && n.slices[p.slot(mid)].Load() == n.slices[p.slot(mid-1)].Load() {
 		mid++
 	}
-	s := idx.newNode(true, 0)
-	s.lock.Lock(&idx.gen)
+	s := idx.sibling(n)
 	for i := mid; i < cnt; i++ {
 		slot := p.slot(i)
 		idx.placePrivate(s, i-mid, n.slices[slot].Load(), int(n.lens[slot].Load()), n.vals[slot].Load())
 	}
+	splitSlice := n.slices[p.slot(mid)].Load()
+	idx.split(n, s, splitSlice, mid)
+	return s, splitSlice
+}
+
+// splitInner splits the locked, full internal node n; the median
+// separator moves up. Returns the locked sibling and the promoted
+// separator.
+func (idx *Index) splitInner(n *node) (*node, uint64) {
+	p := perm(n.perm.Load())
+	if s := n.next.Load(); s != nil {
+		if keep, ok := idx.tornSplit(n, s); ok {
+			s.lock.Lock(&idx.gen)
+			// The cut position is the median whose child became the
+			// sibling's leftmost; it is promoted and dropped from n.
+			sep := n.slices[p.slot(keep)].Load()
+			// RECIPE: replay the split completion.
+			idx.cut(n, sep, keep)
+			idx.heap.CrashPoint("mt.isplit.replayed")
+			return s, sep
+		}
+	}
+	mid := p.count() / 2
+	sep := n.slices[p.slot(mid)].Load()
+	s := idx.sibling(n)
+	s.kids[0].Store(n.kids[p.slot(mid)+1].Load())
+	for i := mid + 1; i < p.count(); i++ {
+		slot := p.slot(i)
+		np, nslot := perm(s.perm.Load()).insertAt(i - mid - 1)
+		s.slices[nslot].Store(n.slices[slot].Load())
+		s.kids[nslot+1].Store(n.kids[slot+1].Load())
+		s.perm.Store(uint64(np))
+	}
+	idx.split(n, s, sep, mid)
+	return s, sep
+}
+
+// sibling returns a new, locked node of n's kind and level that takes
+// over n's sibling link and high key: the right half of n's split.
+func (idx *Index) sibling(n *node) *node {
+	s := idx.newNode(n.leaf, n.level)
+	s.lock.Lock(&idx.gen)
 	s.next.Store(n.next.Load())
 	if n.highSet.Load() {
 		s.high.Store(n.high.Load())
 		s.highSet.Store(true)
 	}
+	return s
+}
+
+// split is §6.5's B-link split of the locked node n into its filled
+// sibling s, for either node kind: persist s, atomically link it (step
+// 1), then cut n to its first keep entries below high (step 2).
+func (idx *Index) split(n, s *node, high uint64, keep int) {
+	st := n.sites()
 	// RECIPE: persist the sibling before step 1 publishes it.
 	idx.heap.Persist(s.pm, 0, nodeBytes)
 	idx.heap.Fence()
-	idx.heap.CrashPoint("mt.split.built")
-
-	splitSlice := n.slices[p.slot(mid)].Load()
-	// Step 1: atomically install the sibling link.
+	idx.heap.CrashPoint(st.built)
 	n.next.Store(s)
-	idx.heap.Dirty(n.pm, offSibling, 8)
-	idx.heap.PersistFence(n.pm, offSibling, 8)
-	idx.heap.CrashPoint("mt.split.linked")
+	idx.commit(n.pm, offSibling)
+	idx.heap.CrashPoint(st.linked)
+	idx.cut(n, high, keep)
+	idx.heap.CrashPoint(st.truncated)
+}
 
-	// Publish the high key so readers route moved slices to the sibling.
-	n.high.Store(splitSlice)
+// cut publishes high as n's high key, so readers route moved slices to
+// the sibling, then atomically truncates n's permutation to its first
+// keep entries (step 2). A split ends with it, and Condition #3's helpers
+// (finishSplit, splitInner) replay it for a split a crash tore after
+// step 1.
+func (idx *Index) cut(n *node, high uint64, keep int) {
+	n.high.Store(high)
 	n.highSet.Store(true)
-	idx.heap.Dirty(n.pm, offHigh, 8)
-	idx.heap.PersistFence(n.pm, offHigh, 8)
-
-	// Step 2: atomically invalidate the moved entries via the permutation.
-	n.perm.Store(uint64(p.truncate(mid)))
-	idx.heap.Dirty(n.pm, offPerm, 8)
-	idx.heap.PersistFence(n.pm, offPerm, 8)
-	idx.heap.CrashPoint("mt.split.truncated")
-	return s, splitSlice
+	idx.commit(n.pm, offHigh)
+	n.perm.Store(uint64(perm(n.perm.Load()).truncate(keep)))
+	idx.commit(n.pm, offPerm)
 }
 
 // tornSplit reports whether sibling s duplicates entries still published
@@ -383,23 +446,18 @@ func (idx *Index) tornSplit(n, s *node) (int, bool) {
 	if sp.count() == 0 {
 		return 0, false
 	}
-	var firstPtr any
+	first := any(s.kids[0].Load())
 	if n.leaf {
-		firstPtr = s.vals[sp.slot(0)].Load()
-	} else {
-		firstPtr = s.kids[0].Load()
+		first = s.vals[sp.slot(0)].Load()
 	}
 	p := perm(n.perm.Load())
 	for i := 0; i < p.count(); i++ {
-		slot := p.slot(i)
+		ptr := any(n.kids[p.slot(i)+1].Load())
 		if n.leaf {
-			if any(n.vals[slot].Load()) == firstPtr {
-				return i, true
-			}
-		} else {
-			if any(n.kids[slot+1].Load()) == firstPtr {
-				return i, true
-			}
+			ptr = n.vals[p.slot(i)].Load()
+		}
+		if ptr == first {
+			return i, true
 		}
 	}
 	return 0, false
@@ -434,8 +492,7 @@ func (idx *Index) insertParent(lr *layerRoot, left *node, splitSlice uint64, rig
 			idx.heap.Fence()
 			idx.heap.CrashPoint("mt.rootgrow.built")
 			lr.root.Store(nr)
-			idx.heap.Dirty(lr.pm, 0, 8)
-			idx.heap.PersistFence(lr.pm, 0, 8)
+			idx.commit(lr.pm, 0)
 			idx.heap.CrashPoint("mt.rootgrow.commit")
 			lr.mu.Unlock()
 			return
@@ -448,25 +505,12 @@ func (idx *Index) insertParent(lr *layerRoot, left *node, splitSlice uint64, rig
 			s.lock.Lock(&idx.gen)
 			n = s
 		}
-		p := perm(n.perm.Load())
-		pos := p.count()
-		exists := false
-		for i := 0; i < p.count(); i++ {
-			es := n.slices[p.slot(i)].Load()
-			if es == splitSlice {
-				exists = true
-				break
-			}
-			if splitSlice < es {
-				pos = i
-				break
-			}
-		}
+		pos, exists := innerPos(n, splitSlice)
 		if exists {
 			n.lock.Unlock()
 			return
 		}
-		if p.count() < Fanout {
+		if perm(n.perm.Load()).count() < Fanout {
 			idx.insertInnerEntry(n, pos, splitSlice, right)
 			n.lock.Unlock()
 			return
@@ -476,14 +520,7 @@ func (idx *Index) insertParent(lr *layerRoot, left *node, splitSlice uint64, rig
 		if splitSlice >= sep {
 			target = ns
 		}
-		tp := perm(target.perm.Load())
-		pos = tp.count()
-		for i := 0; i < tp.count(); i++ {
-			if splitSlice < target.slices[tp.slot(i)].Load() {
-				pos = i
-				break
-			}
-		}
+		pos, _ = innerPos(target, splitSlice)
 		idx.insertInnerEntry(target, pos, splitSlice, right)
 		ns.lock.Unlock()
 		n.lock.Unlock()
@@ -492,87 +529,19 @@ func (idx *Index) insertParent(lr *layerRoot, left *node, splitSlice uint64, rig
 	}
 }
 
-func (idx *Index) insertInnerEntry(n *node, pos int, slice uint64, child *node) {
+// innerPos returns the sorted position of separator slice in inner node
+// n, and whether n holds it already.
+func innerPos(n *node, slice uint64) (int, bool) {
 	p := perm(n.perm.Load())
-	np, slot := p.insertAt(pos)
-	n.slices[slot].Store(slice)
-	n.kids[slot+1].Store(child)
-	idx.heap.Dirty(n.pm, offSlices+uintptr(slot)*8, 8)
-	idx.heap.Dirty(n.pm, offPtrs+uintptr(slot+1)*8, 8)
-	// RECIPE: persist the slot, fence, commit via the permutation store.
-	idx.heap.Persist(n.pm, offSlices+uintptr(slot)*8, 8)
-	idx.heap.Persist(n.pm, offPtrs+uintptr(slot+1)*8, 8)
-	idx.heap.Fence()
-	idx.heap.CrashPoint("mt.iinsert.entry")
-	n.perm.Store(uint64(np))
-	idx.heap.Dirty(n.pm, offPerm, 8)
-	idx.heap.PersistFence(n.pm, offPerm, 8)
-	idx.heap.CrashPoint("mt.iinsert.commit")
-}
-
-// splitInner splits the locked, full internal node n; the median
-// separator moves up. Returns the locked sibling and the promoted
-// separator.
-func (idx *Index) splitInner(n *node) (*node, uint64) {
-	if s := n.next.Load(); s != nil {
-		if cut, ok := idx.tornSplit(n, s); ok {
-			s.lock.Lock(&idx.gen)
-			// The cut position is the median whose child became the
-			// sibling's leftmost; it is promoted and dropped from n.
-			p := perm(n.perm.Load())
-			sep := n.slices[p.slot(cut)].Load()
-			// RECIPE: replay the split completion.
-			n.high.Store(sep)
-			n.highSet.Store(true)
-			idx.heap.Dirty(n.pm, offHigh, 8)
-			idx.heap.PersistFence(n.pm, offHigh, 8)
-			n.perm.Store(uint64(p.truncate(cut)))
-			idx.heap.Dirty(n.pm, offPerm, 8)
-			idx.heap.PersistFence(n.pm, offPerm, 8)
-			idx.heap.CrashPoint("mt.isplit.replayed")
-			return s, sep
+	for i := 0; i < p.count(); i++ {
+		switch es := n.slices[p.slot(i)].Load(); {
+		case es == slice:
+			return i, true
+		case slice < es:
+			return i, false
 		}
 	}
-	p := perm(n.perm.Load())
-	cnt := p.count()
-	mid := cnt / 2
-	sep := n.slices[p.slot(mid)].Load()
-	s := idx.newNode(false, n.level)
-	s.lock.Lock(&idx.gen)
-	s.kids[0].Store(n.kids[p.slot(mid)+1].Load())
-	for i := mid + 1; i < cnt; i++ {
-		slot := p.slot(i)
-		sp := perm(s.perm.Load())
-		np, nslot := sp.insertAt(i - mid - 1)
-		s.slices[nslot].Store(n.slices[slot].Load())
-		s.kids[nslot+1].Store(n.kids[slot+1].Load())
-		s.perm.Store(uint64(np))
-	}
-	s.next.Store(n.next.Load())
-	if n.highSet.Load() {
-		s.high.Store(n.high.Load())
-		s.highSet.Store(true)
-	}
-	// RECIPE: persist the sibling before step 1.
-	idx.heap.Persist(s.pm, 0, nodeBytes)
-	idx.heap.Fence()
-	idx.heap.CrashPoint("mt.isplit.built")
-
-	n.next.Store(s)
-	idx.heap.Dirty(n.pm, offSibling, 8)
-	idx.heap.PersistFence(n.pm, offSibling, 8)
-	idx.heap.CrashPoint("mt.isplit.linked")
-
-	n.high.Store(sep)
-	n.highSet.Store(true)
-	idx.heap.Dirty(n.pm, offHigh, 8)
-	idx.heap.PersistFence(n.pm, offHigh, 8)
-
-	n.perm.Store(uint64(p.truncate(mid)))
-	idx.heap.Dirty(n.pm, offPerm, 8)
-	idx.heap.PersistFence(n.pm, offPerm, 8)
-	idx.heap.CrashPoint("mt.isplit.truncated")
-	return s, sep
+	return p.count(), false
 }
 
 // Delete removes key, committing via a single atomic permutation store.
@@ -581,45 +550,26 @@ func (idx *Index) Delete(key []byte) (deleted bool, err error) {
 		return false, ErrEmptyKey
 	}
 	defer crash.Catch(&err)
-	lr := idx.layer0
-	rem := key
+	lr, rem := idx.layer0, key
 	for {
 		slice, lc := sliceOf(rem)
 		n := idx.lockLeafFor(lr, slice)
-		pos, slot, lv := leafFind(n, slice, lc)
-		if lv == nil {
+		pos, _, lv := leafFind(n, slice, lc)
+		if lv != nil && lv.layer != nil {
 			n.lock.Unlock()
-			return false, nil
-		}
-		if lc < suffixClass {
-			idx.removeLeafEntry(n, pos)
-			idx.count.Add(-1)
-			n.lock.Unlock()
-			return true, nil
-		}
-		if lv.layer != nil {
-			n.lock.Unlock()
-			lr = lv.layer
-			rem = rem[8:]
+			lr, rem = lv.layer, rem[8:]
 			continue
 		}
-		if !bytes.Equal(lv.suffix, rem[8:]) {
+		if lv == nil || lc == suffixClass && !bytes.Equal(lv.suffix, rem[8:]) {
 			n.lock.Unlock()
 			return false, nil
 		}
-		_ = slot
-		idx.removeLeafEntry(n, pos)
+		p := perm(n.perm.Load())
+		n.perm.Store(uint64(p.removeAt(pos)))
+		idx.commit(n.pm, offPerm)
+		idx.heap.CrashPoint("mt.delete.commit")
 		idx.count.Add(-1)
 		n.lock.Unlock()
 		return true, nil
 	}
-}
-
-func (idx *Index) removeLeafEntry(n *node, pos int) {
-	p := perm(n.perm.Load())
-	n.perm.Store(uint64(p.removeAt(pos)))
-	idx.heap.Dirty(n.pm, offPerm, 8)
-	// RECIPE: flush + fence after the committing permutation store.
-	idx.heap.PersistFence(n.pm, offPerm, 8)
-	idx.heap.CrashPoint("mt.delete.commit")
 }

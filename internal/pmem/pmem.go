@@ -406,10 +406,14 @@ type trackerShard struct {
 	// line stored to again stays listed; hold checks the state.
 	pend  []uint64
 	epoch uint64
-	// Pad the 48 bytes above to 128 — the prefetch-pair stride, matching
+	// dirty counts the shard's lines in lineDirty, written under mu and
+	// read without it, so a boundary check with nothing dirty takes no
+	// lock.
+	dirty atomic.Int64
+	// Pad the 56 bytes above to 128 — the prefetch-pair stride, matching
 	// stripe's padding policy — so adjacent shard locks never share a
 	// paired line.
-	_ [80]byte
+	_ [72]byte
 }
 
 func newTracker() *Tracker {
@@ -443,7 +447,10 @@ func (t *Tracker) dirtyRange(o Obj, off, size uintptr) {
 	for l, last := o.line(off), o.line(off+size-1); l <= last; l++ {
 		s := t.shard(l)
 		s.mu.Lock()
-		s.lines[l] = lineDirty // also when pending: a store after clwb re-dirties the line
+		if s.lines[l] != lineDirty { // also when pending: a store after clwb re-dirties the line
+			s.lines[l] = lineDirty
+			s.dirty.Add(1)
+		}
 		s.mu.Unlock()
 	}
 }
@@ -459,6 +466,7 @@ func (t *Tracker) flushRange(o Obj, off, size uintptr) {
 		t.hold(s)
 		if s.lines[l] == lineDirty {
 			s.lines[l] = linePending
+			s.dirty.Add(-1)
 			s.pend = append(s.pend, l)
 		} else {
 			t.cleanWBs.Add(1)
@@ -519,8 +527,14 @@ func (t *Tracker) Check() []Violation {
 }
 
 // NotDurable returns the number of lines Check would report, without
-// building the list: what an operation-boundary check needs.
+// building the list: what an operation-boundary check needs. With no
+// line dirty and a fence since the last write-back, every line a shard
+// still holds is pending under a retired epoch, so the answer is 0
+// without a lock.
 func (t *Tracker) NotDurable() (n int) {
+	if t.settled() {
+		return 0
+	}
 	for i := range t.shards {
 		s := &t.shards[i]
 		t.hold(s)
@@ -530,6 +544,20 @@ func (t *Tracker) NotDurable() (n int) {
 	return n
 }
 
+// settled reports that no line is dirty and no write-back has followed
+// the last fence.
+func (t *Tracker) settled() bool {
+	if t.wrote.Load() > t.epoch.Load() {
+		return false
+	}
+	for i := range t.shards {
+		if t.shards[i].dirty.Load() != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // Reset clears the shadow state (e.g. between test phases). The waste
 // counts are cumulative, like the heap's Stats, and survive it.
 func (t *Tracker) Reset() {
@@ -537,6 +565,7 @@ func (t *Tracker) Reset() {
 		s := &t.shards[i]
 		s.mu.Lock()
 		s.lines, s.pend = make(map[uint64]lineState), nil
+		s.dirty.Store(0)
 		s.mu.Unlock()
 	}
 }
