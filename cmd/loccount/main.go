@@ -76,7 +76,9 @@ type line struct {
 // package comment that names the tag is no tag) counts itself and
 // the next two statement lines (comment lines between them do not use
 // up the window, a blank line ends it) — matching how the paper counts
-// the inserted flush/fence/helper lines. Table 1 and the check that
+// the inserted flush/fence/helper lines. A tag at the end of a
+// statement counts that statement only: a one-line block, such as one
+// heap verb call. Table 1 and the check that
 // every persistence call is tagged (main_test.go) both read it.
 func readDir(dir string) (map[string][]line, error) {
 	entries, err := os.ReadDir(dir)
@@ -104,6 +106,9 @@ func readDir(dir string) (map[string][]line, error) {
 			case strings.Contains(l.text, "// RECIPE:") || strings.Contains(l.text, "// RECIPE-FIXED:"):
 				l.conv = true
 				inConv = 2
+				if !strings.HasPrefix(l.text, "//") {
+					inConv = 0 // a tag ending a statement is a one-line block
+				}
 			case inConv > 0 && !strings.HasPrefix(l.text, "//"):
 				l.conv = true
 				inConv--

@@ -8,8 +8,8 @@ import (
 )
 
 // persistCall matches a line that calls one of the heap's persistence
-// primitives.
-var persistCall = regexp.MustCompile(`\bheap\.(Persist|Fence|PersistFence)\(`)
+// primitives or verbs.
+var persistCall = regexp.MustCompile(`\bheap\.(Persist|Fence|PersistFence|Commit|FenceAt)\(`)
 
 // TestEveryPersistenceCallIsTagged holds Table 1 to the code: every
 // flush or fence in the five conversions lies on a line readDir

@@ -55,3 +55,23 @@ func TestUsageErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestCostFiguresRepeat: at one thread, Fig 4c's and 4d's cells — clwb
+// and mfence per insert, LLC misses per operation — are the same in
+// every run, so each figure's output is byte-identical three times over.
+func TestCostFiguresRepeat(t *testing.T) {
+	for _, fig := range []string{"4c", "4d"} {
+		var first string
+		for run := 0; run < 3; run++ {
+			status, stdout, stderr := ycsbbench(t, "-figure", fig, "-keys", "5000", "-ops", "5000", "-threads", "1")
+			if status != 0 {
+				t.Fatalf("-figure %s: status %d, stderr %q", fig, status, stderr)
+			}
+			if run == 0 {
+				first = stdout
+			} else if stdout != first {
+				t.Errorf("-figure %s run %d differs from run 1:\n%s\nrun 1:\n%s", fig, run+1, stdout, first)
+			}
+		}
+	}
+}

@@ -26,7 +26,7 @@ func seedRoot(idx *Index, k kind, n int) *header {
 	nn := idx.buildNode(k, 7, make([]byte, 7), es)
 	idx.persistAll(nn)
 	idx.heap.Fence()
-	idx.setChildPersist(nil, 0, nn)
+	idx.setChildPersist(nil, 0, nn, "")
 	idx.count.Store(int64(n))
 	return nn
 }

@@ -48,10 +48,8 @@ func (idx *Index) tryInsert(key []byte, value uint64) (done bool, err error) {
 		l := idx.newLeaf(key, value)
 		// RECIPE: persist the leaf before publishing it.
 		idx.persistAll(l.hdr())
-		idx.heap.Fence()
-		idx.heap.CrashPoint("art.insert.rootleaf.init")
-		idx.setChildPersist(nil, 0, l.hdr())
-		idx.heap.CrashPoint("art.insert.rootleaf.commit")
+		idx.heap.FenceAt("art.insert.rootleaf.init")
+		idx.setChildPersist(nil, 0, l.hdr(), "art.insert.rootleaf.commit")
 		idx.count.Add(1)
 		idx.rootMu.Unlock()
 		return true, nil
@@ -140,10 +138,8 @@ func (idx *Index) insertAtLeaf(parent *header, pslot byte, lf *leaf, depth int, 
 	if bytes.Equal(lk, key) {
 		// In-place update: a single atomic 8-byte store is the commit.
 		lf.value.Store(value)
-		idx.heap.Dirty(lf.pm, leafValOff, 8)
 		// RECIPE: flush + fence after the committing store.
-		idx.heap.PersistFence(lf.pm, leafValOff, 8)
-		idx.heap.CrashPoint("art.update.commit")
+		idx.heap.Commit(lf.pm, leafValOff, 8, "art.update.commit")
 		return true, nil
 	}
 	slot := idx.lockSlot(parent, pslot, lf.hdr())
@@ -171,10 +167,8 @@ func (idx *Index) insertAtLeaf(parent *header, pslot byte, lf *leaf, depth int, 
 	idx.persistAll(nl.hdr())
 	idx.persistAll(nn)
 	// RECIPE: with one fence for both.
-	idx.heap.Fence()
-	idx.heap.CrashPoint("art.leafsplit.init")
-	idx.setChildPersist(parent, pslot, nn)
-	idx.heap.CrashPoint("art.leafsplit.commit")
+	idx.heap.FenceAt("art.leafsplit.init")
+	idx.setChildPersist(parent, pslot, nn, "art.leafsplit.commit")
 	idx.count.Add(1)
 	slot.Unlock()
 	return true, nil
@@ -237,15 +231,11 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 				idx.heap.Persist(n.pm, off, 8)
 			}
 			// RECIPE: the fence that orders the leaf and the slot.
-			idx.heap.Fence()
-			idx.heap.CrashPoint("art.insert.appended")
+			idx.heap.FenceAt("art.insert.appended")
 			// RECIPE: commit with the atomic count store; line 0 is
 			// written back once, with everything it holds.
 			n.count.Store(uint32(cnt + 1))
-			idx.heap.Dirty(n.pm, 0, hdrBytes)
-			// RECIPE: flush + fence after the committing store.
-			idx.heap.PersistFence(n.pm, 0, hdrBytes)
-			idx.heap.CrashPoint("art.insert.commit")
+			idx.heap.Commit(n.pm, 0, hdrBytes, "art.insert.commit")
 			idx.count.Add(1)
 			n.lock.Unlock()
 			return true, nil
@@ -265,13 +255,10 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 			idx.heap.Persist(n.pm, n48ChildOff+uintptr(cnt)*8, 8)
 			idx.heap.Persist(n.pm, 0, hdrBytes)
 			// RECIPE: one fence for the leaf, the slot and the count.
-			idx.heap.Fence()
-			idx.heap.CrashPoint("art.insert.appended")
+			idx.heap.FenceAt("art.insert.appended")
 			nd.index.Set(int(b), byte(cnt+1))
-			idx.heap.Dirty(n.pm, n48IdxOff+uintptr(b), 1)
 			// RECIPE: flush + fence after the committing store.
-			idx.heap.PersistFence(n.pm, n48IdxOff+uintptr(b), 1)
-			idx.heap.CrashPoint("art.insert.commit")
+			idx.heap.Commit(n.pm, n48IdxOff+uintptr(b), 1, "art.insert.commit")
 			idx.count.Add(1)
 			n.lock.Unlock()
 			return true, nil
@@ -284,15 +271,13 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 	// RECIPE: persist the replacement before publishing it; one fence
 	// orders it and the leaf.
 	idx.persistAll(bigger)
-	idx.heap.Fence()
-	idx.heap.CrashPoint("art.grow.built")
+	idx.heap.FenceAt("art.grow.built")
 	slot := idx.lockSlot(parent, pslot, n)
 	if slot == nil {
 		n.lock.Unlock()
 		return false, nil
 	}
-	idx.setChildPersist(parent, pslot, bigger)
-	idx.heap.CrashPoint("art.grow.commit")
+	idx.setChildPersist(parent, pslot, bigger, "art.grow.commit")
 	n.lock.MarkObsolete()
 	idx.count.Add(1)
 	slot.Unlock()
@@ -306,22 +291,19 @@ func (idx *Index) insertIntoNode(parent *header, pslot byte, n *header, prefixSe
 // store to share a fence with, so it takes its own.
 func (idx *Index) commitChild(n *header, slot *atomic.Pointer[header], off uintptr, nl *leaf, site string) {
 	// RECIPE: fence the leaf's write-back before publishing it.
-	idx.heap.Fence()
-	idx.heap.CrashPoint("art.insert.leafready")
-	idx.storeChild(n.pm, slot, off, nl.hdr())
-	idx.heap.CrashPoint(site)
+	idx.heap.FenceAt("art.insert.leafready")
+	idx.storeChild(n.pm, slot, off, nl.hdr(), site)
 	idx.count.Add(1)
 	n.lock.Unlock()
 }
 
 // storeChild is every child-pointer commit — publishing a leaf or node,
 // or deleting a leaf: it stores c into slot, at persistent offset off of
-// pm, and makes the store durable before the write goes on.
-func (idx *Index) storeChild(pm pmem.Obj, slot *atomic.Pointer[header], off uintptr, c *header) {
+// pm, and makes the store durable before crash site site.
+func (idx *Index) storeChild(pm pmem.Obj, slot *atomic.Pointer[header], off uintptr, c *header, site string) {
 	slot.Store(c)
-	idx.heap.Dirty(pm, off, 8)
 	// RECIPE: flush + fence after the committing store.
-	idx.heap.PersistFence(pm, off, 8)
+	idx.heap.Commit(pm, off, 8, site)
 }
 
 // growNode builds the next-size node containing n's live entries plus
@@ -424,21 +406,17 @@ func (idx *Index) splitPrefix(parent *header, pslot byte, n *header, depth, mism
 	idx.persistAll(nl.hdr())
 	idx.persistAll(nn)
 	// RECIPE: with one fence for both.
-	idx.heap.Fence()
-	idx.heap.CrashPoint("art.split.built")
+	idx.heap.FenceAt("art.split.built")
 
 	// Step 1: atomically install the new parent.
-	idx.setChildPersist(parent, pslot, nn)
-	idx.heap.CrashPoint("art.split.installed")
+	idx.setChildPersist(parent, pslot, nn, "art.split.installed")
 
 	// Step 2: shorten n's prefix. A crash exactly between the steps
 	// leaves this store missing — the state the helper repairs.
 	rest := full[mismatch+1:]
 	n.prefix.Store(packPrefix(rest))
-	idx.heap.Dirty(n.pm, offPrefix, 8)
 	// RECIPE: flush + fence after the prefix store.
-	idx.heap.PersistFence(n.pm, offPrefix, 8)
-	idx.heap.CrashPoint("art.split.prefixfixed")
+	idx.heap.Commit(n.pm, offPrefix, 8, "art.split.prefixfixed")
 
 	idx.count.Add(1)
 	slot.Unlock()
@@ -458,10 +436,8 @@ func (idx *Index) fixPrefix(n *header, depth int) {
 		return
 	}
 	n.prefix.Store(packPrefix(lf.key()[depth:int(n.level)]))
-	idx.heap.Dirty(n.pm, offPrefix, 8)
 	// RECIPE: flush + fence after the repairing store.
-	idx.heap.PersistFence(n.pm, offPrefix, 8)
-	idx.heap.CrashPoint("art.fixprefix")
+	idx.heap.Commit(n.pm, offPrefix, 8, "art.fixprefix")
 }
 
 // replaceEmptied is the RECIPE helper for the one state deletes leave
@@ -491,8 +467,7 @@ func (idx *Index) replaceEmptied(parent *header, pslot byte, n *header, key []by
 	// RECIPE: persist the leaf before publishing it.
 	idx.persistAll(nl.hdr())
 	idx.heap.Fence()
-	idx.setChildPersist(parent, pslot, nl.hdr())
-	idx.heap.CrashPoint("art.emptied.replaced")
+	idx.setChildPersist(parent, pslot, nl.hdr(), "art.emptied.replaced")
 	for _, h := range held {
 		h.lock.MarkObsolete()
 		h.lock.Unlock()
@@ -552,8 +527,7 @@ func (idx *Index) tryDelete(key []byte) (deleted, done bool) {
 			idx.rootMu.Unlock()
 			return false, true
 		}
-		idx.setChildPersist(nil, 0, nil)
-		idx.heap.CrashPoint("art.delete.root")
+		idx.setChildPersist(nil, 0, nil, "art.delete.root")
 		idx.count.Add(-1)
 		idx.rootMu.Unlock()
 		return true, true
@@ -612,8 +586,7 @@ func (idx *Index) tryDelete(key []byte) (deleted, done bool) {
 				n.lock.Unlock()
 				return false, false
 			}
-			idx.setChildPersist(n, b, nil)
-			idx.heap.CrashPoint("art.delete.commit")
+			idx.setChildPersist(n, b, nil, "art.delete.commit")
 			idx.count.Add(-1)
 			n.lock.Unlock()
 			return true, true
@@ -647,14 +620,14 @@ func (idx *Index) lockSlot(parent *header, pslot byte, want *header) *pmlock.Mut
 
 // setChildPersist commits nn into the slot for byte pslot of parent (the
 // root pointer when parent is nil), which the caller holds locked and
-// has checked exists.
-func (idx *Index) setChildPersist(parent *header, pslot byte, nn *header) {
+// has checked exists, before crash site site.
+func (idx *Index) setChildPersist(parent *header, pslot byte, nn *header, site string) {
 	if parent == nil {
-		idx.storeChild(idx.rootPM, &idx.root, 0, nn)
+		idx.storeChild(idx.rootPM, &idx.root, 0, nn, site)
 		return
 	}
 	slot, off := parent.slotFor(pslot)
-	idx.storeChild(parent.pm, slot, off, nn)
+	idx.storeChild(parent.pm, slot, off, nn, site)
 }
 
 // minLeaf returns the smallest live leaf at or below n, used to

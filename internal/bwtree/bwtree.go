@@ -104,7 +104,7 @@ func New(heap *pmem.Heap) *Index {
 	idx.nextPID.Store(1) // PID 0 is invalid
 	idx.rootPID = idx.allocPID()
 	base := &record{kind: kBaseLeaf}
-	idx.persistBase(base)
+	idx.persistBase(base, "")
 	idx.mapping[idx.rootPID].Store(base)
 	// RECIPE: persist the root mapping entry at creation.
 	heap.PersistFence(idx.mapPM, uintptr(idx.rootPID)*8, 8)
@@ -123,14 +123,13 @@ func (idx *Index) head(pid uint64) *record { return idx.mapping[pid].Load() }
 
 // casHead publishes rec as the new head of pid's chain. On success the
 // mapping entry is flushed and fenced (the only persistence a non-SMO
-// commit needs, §6.3).
-func (idx *Index) casHead(pid uint64, old, rec *record) bool {
+// commit needs, §6.3) before crash site site.
+func (idx *Index) casHead(pid uint64, old, rec *record, site string) bool {
 	if !idx.mapping[pid].CompareAndSwap(old, rec) {
 		return false
 	}
-	idx.heap.Dirty(idx.mapPM, uintptr(pid)*8, 8)
 	// RECIPE: flush + fence after the committing CAS (only on success).
-	idx.heap.PersistFence(idx.mapPM, uintptr(pid)*8, 8)
+	idx.heap.Commit(idx.mapPM, uintptr(pid)*8, 8, site)
 	return true
 }
 
@@ -148,8 +147,9 @@ func (idx *Index) newDelta(kind recKind, key []byte, val uint64, right uint64, n
 	return r
 }
 
-// persistBase persists a freshly built base node.
-func (idx *Index) persistBase(r *record) {
+// persistBase persists a freshly built base node, then passes crash
+// site site.
+func (idx *Index) persistBase(r *record, site string) {
 	size := uintptr(64)
 	for _, k := range r.keys {
 		size += uintptr(len(k)) + 16
@@ -158,19 +158,18 @@ func (idx *Index) persistBase(r *record) {
 	idx.heap.Shadow(r.pm, r)
 	// RECIPE: persist the base node before a mapping entry names it.
 	idx.heap.Persist(r.pm, 0, size)
-	idx.heap.Fence()
+	idx.heap.FenceAt(site)
 }
 
-// install persists the new base node r under a fresh PID and returns
-// the PID.
-func (idx *Index) install(r *record) uint64 {
-	idx.persistBase(r)
+// install persists the new base node r under a fresh PID, then its
+// mapping entry before crash site site, and returns the PID.
+func (idx *Index) install(r *record, site string) uint64 {
+	idx.persistBase(r, "")
 	pid := idx.allocPID()
 	idx.mapping[pid].Store(r)
-	idx.heap.Dirty(idx.mapPM, uintptr(pid)*8, 8)
 	// RECIPE: persist the PID's mapping entry before a split delta or a
 	// new root can make it reachable.
-	idx.heap.PersistFence(idx.mapPM, uintptr(pid)*8, 8)
+	idx.heap.Commit(idx.mapPM, uintptr(pid)*8, 8, site)
 	return pid
 }
 

@@ -195,10 +195,8 @@ func (idx *Index) consolidate(pid, parent uint64) {
 			return
 		}
 		nb := &record{kind: kBaseLeaf, keys: ks, vals: vs, high: high, next2: next}
-		idx.persistBase(nb)
-		if idx.casHead(pid, head, nb) {
-			idx.heap.CrashPoint("bw.consolidate.leaf")
-		}
+		idx.persistBase(nb, "")
+		idx.casHead(pid, head, nb, "bw.consolidate.leaf")
 		return
 	}
 	ks, pids, high, next := idx.flattenInner(head)
@@ -207,10 +205,8 @@ func (idx *Index) consolidate(pid, parent uint64) {
 		return
 	}
 	nb := &record{kind: kBaseInner, keys: ks, pids: pids, high: high, next2: next}
-	idx.persistBase(nb)
-	if idx.casHead(pid, head, nb) {
-		idx.heap.CrashPoint("bw.consolidate.inner")
-	}
+	idx.persistBase(nb, "")
+	idx.casHead(pid, head, nb, "bw.consolidate.inner")
 }
 
 // splitLeaf performs the B-link split of an oversized leaf: install the
@@ -222,16 +218,14 @@ func (idx *Index) splitLeaf(pid, parent uint64, head *record, ks [][]byte, vs []
 	mid := len(ks) / 2
 	sep := ks[mid]
 	right := &record{kind: kBaseLeaf, keys: append([][]byte(nil), ks[mid:]...), vals: append([]uint64(nil), vs[mid:]...), high: high, next2: next}
-	rpid := idx.install(right)
-	idx.heap.CrashPoint("bw.split.sibling")
+	rpid := idx.install(right, "bw.split.sibling")
 
 	if pid == idx.rootPID && parent == 0 {
 		idx.rootSplit(pid, head, sep, ks[:mid], vs[:mid], nil, rpid, true)
 		return
 	}
 	split := idx.newDelta(kDeltaSplit, sep, 0, rpid, head)
-	if idx.casHead(pid, head, split) {
-		idx.heap.CrashPoint("bw.split.delta")
+	if idx.casHead(pid, head, split, "bw.split.delta") {
 		idx.completeSplit(pid, split, parent)
 	}
 }
@@ -243,16 +237,14 @@ func (idx *Index) splitInner(pid, parent uint64, head *record, ks [][]byte, pids
 	mid := len(ks) / 2
 	sep := ks[mid]
 	right := &record{kind: kBaseInner, keys: append([][]byte(nil), ks[mid+1:]...), pids: append([]uint64(nil), pids[mid+1:]...), high: high, next2: next}
-	rpid := idx.install(right)
-	idx.heap.CrashPoint("bw.isplit.sibling")
+	rpid := idx.install(right, "bw.isplit.sibling")
 
 	if pid == idx.rootPID && parent == 0 {
 		idx.rootSplit(pid, head, sep, ks[:mid], nil, pids[:mid+1], rpid, false)
 		return
 	}
 	split := idx.newDelta(kDeltaSplit, sep, 0, rpid, head)
-	if idx.casHead(pid, head, split) {
-		idx.heap.CrashPoint("bw.isplit.delta")
+	if idx.casHead(pid, head, split, "bw.isplit.delta") {
 		idx.completeSplit(pid, split, parent)
 	}
 }
@@ -268,11 +260,8 @@ func (idx *Index) rootSplit(pid uint64, head *record, sep []byte, lks [][]byte, 
 	} else {
 		left = &record{kind: kBaseInner, keys: append([][]byte(nil), lks...), pids: append([]uint64(nil), lpids...), high: sep, next2: rpid}
 	}
-	lpid := idx.install(left)
+	lpid := idx.install(left, "")
 	newRoot := &record{kind: kBaseInner, keys: [][]byte{sep}, pids: []uint64{lpid, rpid}}
-	idx.persistBase(newRoot)
-	idx.heap.CrashPoint("bw.rootsplit.built")
-	if idx.casHead(pid, head, newRoot) {
-		idx.heap.CrashPoint("bw.rootsplit.commit")
-	}
+	idx.persistBase(newRoot, "bw.rootsplit.built")
+	idx.casHead(pid, head, newRoot, "bw.rootsplit.commit")
 }

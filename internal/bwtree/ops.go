@@ -98,9 +98,7 @@ func (idx *Index) completeSplit(pid uint64, split *record, parent uint64) {
 				}
 			}
 			d := idx.newDelta(kDeltaIndex, split.key, 0, split.right, phead)
-			if idx.casHead(parent, phead, d) {
-				idx.heap.CrashPoint("bw.smo.parent")
-			}
+			idx.casHead(parent, phead, d, "bw.smo.parent")
 			return
 		case kBaseLeaf:
 			return // raced with a root change; a later writer re-helps
@@ -161,8 +159,7 @@ func (idx *Index) Insert(key []byte, value uint64) (err error) {
 		pid, head, _ := idx.findLeaf(key, true)
 		_, existed := idx.chainLookup(head, key)
 		d := idx.newDelta(kDeltaInsert, key, value, 0, head)
-		if idx.casHead(pid, head, d) {
-			idx.heap.CrashPoint("bw.insert.commit")
+		if idx.casHead(pid, head, d, "bw.insert.commit") {
 			if !existed {
 				idx.count.Add(1)
 			}
@@ -187,8 +184,7 @@ func (idx *Index) Delete(key []byte) (deleted bool, err error) {
 			return false, nil
 		}
 		d := idx.newDelta(kDeltaDelete, key, 0, 0, head)
-		if idx.casHead(pid, head, d) {
-			idx.heap.CrashPoint("bw.delete.commit")
+		if idx.casHead(pid, head, d, "bw.delete.commit") {
 			idx.count.Add(-1)
 			return true, nil
 		}

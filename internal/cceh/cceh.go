@@ -280,9 +280,7 @@ func (idx *Index) insertLocked(s *segment, h uint64, key, value uint64) (done, f
 			k := s.keys[off+i].Load()
 			if k == key {
 				s.vals[off+i].Store(value)
-				idx.heap.Dirty(s.pm, uintptr((off+i)/SlotsPerBucket)*bucketBytes, 8)
-				idx.heap.PersistFence(s.pm, uintptr((off+i)/SlotsPerBucket)*bucketBytes, bucketBytes)
-				idx.heap.CrashPoint("cceh.update.commit")
+				idx.heap.Commit(s.pm, uintptr((off+i)/SlotsPerBucket)*bucketBytes, bucketBytes, "cceh.update.commit")
 				return true, false
 			}
 			if freeOff < 0 && (k == 0 || hash(k)>>(64-ld) != pattern) {
@@ -304,9 +302,7 @@ func (idx *Index) insertLocked(s *segment, h uint64, key, value uint64) (done, f
 	idx.heap.Dirty(s.pm, uintptr(freeOff/SlotsPerBucket)*bucketBytes, 8)
 	idx.heap.CrashPoint("cceh.insert.val")
 	s.keys[freeOff].Store(key)
-	idx.heap.Dirty(s.pm, uintptr(freeOff/SlotsPerBucket)*bucketBytes, 8)
-	idx.heap.PersistFence(s.pm, uintptr(freeOff/SlotsPerBucket)*bucketBytes, bucketBytes)
-	idx.heap.CrashPoint("cceh.insert.commit")
+	idx.heap.Commit(s.pm, uintptr(freeOff/SlotsPerBucket)*bucketBytes, bucketBytes, "cceh.insert.commit")
 	idx.count.Add(1)
 	return true, false
 }
@@ -332,9 +328,7 @@ func (idx *Index) Delete(key uint64) (deleted bool, err error) {
 			for i := 0; i < SlotsPerBucket; i++ {
 				if s.keys[off+i].Load() == key {
 					s.keys[off+i].Store(0)
-					idx.heap.Dirty(s.pm, uintptr((off+i)/SlotsPerBucket)*bucketBytes, 8)
-					idx.heap.PersistFence(s.pm, uintptr((off+i)/SlotsPerBucket)*bucketBytes, bucketBytes)
-					idx.heap.CrashPoint("cceh.delete.commit")
+					idx.heap.Commit(s.pm, uintptr((off+i)/SlotsPerBucket)*bucketBytes, bucketBytes, "cceh.delete.commit")
 					idx.count.Add(-1)
 					s.lock.Unlock()
 					return true, nil
@@ -403,8 +397,7 @@ func (idx *Index) split(v dirIndexState, s *segment, h uint64) {
 			// the next split; CCEH tolerates this via lazy deletion.
 		}
 		idx.heap.Persist(ns.pm, 0, segmentBytes)
-		idx.heap.Fence()
-		idx.heap.CrashPoint("cceh.split.built")
+		idx.heap.FenceAt("cceh.split.built")
 
 		// Repoint the upper half. Each store is atomic; a crash mid-way
 		// leaves stale entries that still reach the old segment, which
@@ -414,17 +407,14 @@ func (idx *Index) split(v dirIndexState, s *segment, h uint64) {
 			idx.heap.Dirty(d.pm, uintptr(i)*8, 8)
 			idx.heap.Persist(d.pm, uintptr(i)*8, 8)
 		}
-		idx.heap.Fence()
-		idx.heap.CrashPoint("cceh.split.repointed")
+		idx.heap.FenceAt("cceh.split.repointed")
 	}
 
 	// Narrow the old segment to its new (deeper) pattern. Keys that moved
 	// remain as lazy garbage; lookups for them now route to the sibling.
 	s.pattern.Store(s.pattern.Load() * 2)
 	s.localDepth.Store(ld + 1)
-	idx.heap.Dirty(s.pm, 0, 16)
-	idx.heap.PersistFence(s.pm, 0, 16)
-	idx.heap.CrashPoint("cceh.split.depth")
+	idx.heap.Commit(s.pm, 0, 16, "cceh.split.depth")
 	s.lock.Unlock()
 }
 
@@ -445,30 +435,23 @@ func (idx *Index) doubleDirectory(cur dirIndexState) {
 		nd.entries[2*i+1].Store(s)
 	}
 	idx.heap.Persist(nd.pm, 0, uintptr(len(nd.entries))*8)
-	idx.heap.Fence()
-	idx.heap.CrashPoint("cceh.double.built")
+	idx.heap.FenceAt("cceh.double.built")
 
 	if idx.mode == Fixed {
 		// One store publishes entries and depth together — the fix.
 		idx.dir.Store(nd)
 		idx.fDepth.Store(nd.depth) // kept in sync for introspection
-		idx.heap.Dirty(idx.rootPM, 0, 8)
-		idx.heap.PersistFence(idx.rootPM, 0, 8)
-		idx.heap.CrashPoint("cceh.double.commit")
+		idx.heap.Commit(idx.rootPM, 0, 8, "cceh.double.commit")
 		return
 	}
 	// Faithful: pointer first...
 	idx.dir.Store(nd)
-	idx.heap.Dirty(idx.rootPM, 0, 8)
-	idx.heap.PersistFence(idx.rootPM, 0, 8)
-	idx.heap.CrashPoint("cceh.double.swapped")
+	idx.heap.Commit(idx.rootPM, 0, 8, "cceh.double.swapped")
 	// ...then the global depth, a separate store. A crash between the two
 	// leaves every subsequent insert indexing the doubled directory with
 	// the stale depth: the §3 infinite loop.
 	idx.fDepth.Store(nd.depth)
-	idx.heap.Dirty(idx.rootPM, 8, 8)
-	idx.heap.PersistFence(idx.rootPM, 8, 8)
-	idx.heap.CrashPoint("cceh.double.depth")
+	idx.heap.Commit(idx.rootPM, 8, 8, "cceh.double.depth")
 }
 
 // Len returns the number of live keys.

@@ -285,10 +285,8 @@ func (idx *Index) insertLocked(c chain, j, mask, key, value uint64) bool {
 			if b.keys[i].Load() == key {
 				// Update: a single atomic 8-byte store is the commit.
 				b.vals[i].Store(value)
-				idx.heap.Dirty(pm, off+offVals+uintptr(i)*8, 8)
 				// RECIPE: flush + fence after the committing store.
-				idx.heap.PersistFence(pm, off+offVals+uintptr(i)*8, 8)
-				idx.heap.CrashPoint("clht.update.commit")
+				idx.heap.Commit(pm, off+offVals+uintptr(i)*8, 8, "clht.update.commit")
 				return true
 			}
 		}
@@ -326,10 +324,8 @@ func (idx *Index) insertLocked(c chain, j, mask, key, value uint64) bool {
 		idx.heap.Dirty(pm, off+offVals+uintptr(freeIdx)*8, 8)
 		idx.heap.CrashPoint("clht.insert.val")
 		free.keys[freeIdx].Store(key)
-		idx.heap.Dirty(pm, off+offKeys+uintptr(freeIdx)*8, 8)
 		// RECIPE: flush + fence after the committing key store.
-		idx.heap.PersistFence(pm, off, bucketBytes)
-		idx.heap.CrashPoint("clht.insert.commit")
+		idx.heap.Commit(pm, off, bucketBytes, "clht.insert.commit")
 		idx.count.Add(1)
 		return true
 	}
@@ -346,14 +342,11 @@ func (idx *Index) insertLocked(c chain, j, mask, key, value uint64) bool {
 	nb.vals[0].Store(value)
 	// RECIPE: persist the new bucket before it becomes reachable.
 	idx.heap.Persist(nb.pm, 0, bucketBytes)
-	idx.heap.Fence()
-	idx.heap.CrashPoint("clht.insert.overflow.init")
+	idx.heap.FenceAt("clht.insert.overflow.init")
 	last.next.Store(&nb.bucket)
 	pm, off := c.loc(last)
-	idx.heap.Dirty(pm, off+offNext, 8)
 	// RECIPE: flush + fence after the committing link store.
-	idx.heap.PersistFence(pm, off+offNext, 8)
-	idx.heap.CrashPoint("clht.insert.overflow.link")
+	idx.heap.Commit(pm, off+offNext, 8, "clht.insert.overflow.link")
 	idx.count.Add(1)
 	return true
 }
@@ -386,10 +379,8 @@ func (idx *Index) Delete(key uint64) (deleted bool, err error) {
 					// the key (§6.2).
 					b.keys[i].Store(0)
 					pm, off := c.loc(b)
-					idx.heap.Dirty(pm, off+offKeys+uintptr(i)*8, 8)
 					// RECIPE: flush + fence after the committing store.
-					idx.heap.PersistFence(pm, off+offKeys+uintptr(i)*8, 8)
-					idx.heap.CrashPoint("clht.delete.commit")
+					idx.heap.Commit(pm, off+offKeys+uintptr(i)*8, 8, "clht.delete.commit")
 					idx.count.Add(-1)
 					c.head.lock.Unlock()
 					return true, nil
@@ -462,16 +453,11 @@ func (idx *Index) grow(level uint64) {
 		idx.heap.Persist(b.pm, 0, bucketBytes)
 	}
 	idx.root.segs[k] = seg
-	idx.heap.Dirty(idx.pm, uintptr(8+8*k), 8)
 	// RECIPE: the directory slot, then one fence for all of it.
-	idx.heap.Persist(idx.pm, uintptr(8+8*k), 8)
-	idx.heap.Fence()
-	idx.heap.CrashPoint("clht.rehash.built")
+	idx.heap.Commit(idx.pm, uintptr(8+8*k), 8, "clht.rehash.built")
 	idx.root.level.Store(k)
-	idx.heap.Dirty(idx.pm, 0, 8)
 	// RECIPE: flush + fence after the committing level store.
-	idx.heap.PersistFence(idx.pm, 0, 8)
-	idx.heap.CrashPoint("clht.rehash.swap")
+	idx.heap.Commit(idx.pm, 0, 8, "clht.rehash.swap")
 	for j := uint64(0); j < n; j++ {
 		idx.chain(j).head.lock.Unlock()
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/bwtree"
 	"repro/internal/cceh"
 	"repro/internal/clht"
+	"repro/internal/crash"
 	"repro/internal/fastfair"
 	"repro/internal/hot"
 	"repro/internal/keys"
@@ -576,27 +577,32 @@ func TestConcurrentInserts(t *testing.T) {
 // one bucket line written back and fenced once: the value and the
 // committing key share the line), then a single-goroutine load of
 // RandInt ids [1, 10000], whose totals take in every split, doubling
-// and rotation the load makes. An ordered index also takes the long-key
-// input on a fresh string-keyed index: 3,000 keys that share their
-// leading bytes in groups (P-Masstree's layers and suffixes), then an
-// update of every third and a delete of every fifth. A flush added to or
-// dropped from any index's write path moves its row.
+// and rotation the load makes, and whose crash-site visits a counting
+// injector totals. An ordered index also takes the long-key input on a
+// fresh string-keyed index: 3,000 keys that share their leading bytes
+// in groups (P-Masstree's layers and suffixes), then an update of every
+// third and a delete of every fifth. A hash table takes that update and
+// delete phase over its loaded 8-byte keys instead. A flush added to or
+// dropped from any index's write path, or a crash site moved, moves its
+// row.
 func TestInsertFlushCount(t *testing.T) {
 	const load = 10000
 	rows := []struct {
 		name                             string
 		clwb, fence, loadClwb, loadFence uint64
 		longClwb, longFence              uint64 // 0, 0: hash tables take 8-byte keys only
+		loadVisits                       uint64
+		churnClwb, churnFence            uint64 // hash tables: the update and delete phase
 	}{
-		{"P-ART", 2, 2, 37447, 20000, 10566, 7869},
-		{"FAST & FAIR", 2, 2, 53080, 49321, 17015, 11412},
-		{"P-BwTree", 2, 2, 48451, 25238, 161805, 11624},
-		{"P-Masstree", 4, 3, 51372, 36198, 20121, 13446},
-		{"P-HOT", 2, 2, 88967, 20961, 59594, 9623},
-		{"WOART", 2, 2, 57010, 30000, 11671, 10868},
-		{"CCEH", 1, 1, 16460, 10081, 0, 0},
-		{"Level Hashing", 1, 1, 17171, 10006, 0, 0},
-		{"P-CLHT", 1, 1, 18970, 11421, 0, 0},
+		{"P-ART", 2, 2, 37447, 20000, 10566, 7869, 20000, 0, 0},
+		{"FAST & FAIR", 2, 2, 53080, 49321, 17015, 11412, 22142, 0, 0},
+		{"P-BwTree", 2, 2, 48451, 25238, 161805, 11624, 11808, 0, 0},
+		{"P-Masstree", 4, 3, 51372, 36198, 20121, 13446, 25165, 0, 0},
+		{"P-HOT", 2, 2, 88967, 20961, 59594, 9623, 20961, 0, 0},
+		{"WOART", 2, 2, 57010, 30000, 11671, 10868, 10963, 0, 0},
+		{"CCEH", 1, 1, 16460, 10081, 0, 0, 20081, 5334, 5334},
+		{"Level Hashing", 1, 1, 17171, 10006, 0, 0, 20006, 5334, 5334},
+		{"P-CLHT", 1, 1, 18970, 11421, 0, 0, 22264, 5334, 5334},
 	}
 	gen := keys.NewGenerator(keys.RandInt)
 	for _, row := range rows {
@@ -610,6 +616,8 @@ func TestInsertFlushCount(t *testing.T) {
 			}
 			d := heap.Stats().Sub(before)
 			before = heap.Stats()
+			inj := crash.NewNth(0) // counts visits, never fires
+			heap.SetInjector(inj)
 			for id := uint64(1); id <= load; id++ {
 				if err := idx.Insert(gen.Key(id), id); err != nil {
 					t.Fatal(err)
@@ -622,7 +630,24 @@ func TestInsertFlushCount(t *testing.T) {
 			if l.Clwb != row.loadClwb || l.Fence != row.loadFence {
 				t.Errorf("load of %d: %d clwb, %d fences; want %d, %d", load, l.Clwb, l.Fence, row.loadClwb, row.loadFence)
 			}
+			if v := uint64(inj.Visits()); v != row.loadVisits {
+				t.Errorf("load of %d: %d crash-site visits; want %d", load, v, row.loadVisits)
+			}
 			if row.longClwb == 0 {
+				before = heap.Stats()
+				for id := uint64(1); id <= load; id += 3 {
+					if err := idx.Update(gen.Key(id), id+1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for id := uint64(1); id <= load; id += 5 {
+					if ok, err := idx.Delete(gen.Key(id)); !ok || err != nil {
+						t.Fatalf("delete %d: %v, %v", id, ok, err)
+					}
+				}
+				if c := heap.Stats().Sub(before); c.Clwb != row.churnClwb || c.Fence != row.churnFence {
+					t.Errorf("updates and deletes: %d clwb, %d fences; want %d, %d", c.Clwb, c.Fence, row.churnClwb, row.churnFence)
+				}
 				return
 			}
 			lh := pmem.NewFast()

@@ -69,6 +69,11 @@ type Injector struct {
 	siteVisit atomic.Int64
 	fired     atomic.Bool
 
+	// drop names the site whose persistence verb Drops skips, and
+	// dropped counts the skips.
+	drop    string
+	dropped atomic.Int64
+
 	mu  sync.Mutex
 	rng *rand.Rand
 
@@ -92,6 +97,28 @@ func NewNth(n int64) *Injector {
 func NewAtSite(site string, k int64) *Injector {
 	return &Injector{mode: AtSite, Site: site, K: k}
 }
+
+// NewDropping returns an injector that crashes at the n-th site visit,
+// like NewNth, and takes the persistence out of the heap verb that
+// precedes site (pmem.Heap.Commit skips its write-back and fence,
+// FenceAt its fence): the necessity test's way of asking whether any
+// check notices a block gone.
+func NewDropping(site string, n int64) *Injector {
+	return &Injector{mode: Nth, N: n, drop: site}
+}
+
+// Drops reports whether the persistence verb before site must skip its
+// persistence, counting each skip. A nil injector drops nothing.
+func (in *Injector) Drops(site string) bool {
+	if in == nil || in.drop == "" || site != in.drop {
+		return false
+	}
+	in.dropped.Add(1)
+	return true
+}
+
+// Dropped returns the number of verb calls Drops has skipped.
+func (in *Injector) Dropped() int64 { return in.dropped.Load() }
 
 // Here marks a crash site. If the injector decides to crash it panics with
 // a Signal carrying the site name; otherwise it returns normally. A nil

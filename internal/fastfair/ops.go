@@ -22,21 +22,19 @@ type flusher struct {
 
 func (f *flusher) store(off uintptr) {
 	f.t.heap.Dirty(f.n.pm, off, 8)
-	l := off / 64
-	if f.dirty && l != f.line {
-		f.t.heap.Persist(f.n.pm, f.line*64, 64)
-		f.t.heap.Fence()
+	if f.dirty && off/64 != f.line {
+		f.flush("")
 	}
-	f.line = l
+	f.line = off / 64
 	f.dirty = true
 }
 
-func (f *flusher) flush() {
-	if f.dirty {
-		f.t.heap.Persist(f.n.pm, f.line*64, 64)
-		f.t.heap.Fence()
-		f.dirty = false
-	}
+// flush writes back and fences the line the last store went to, then
+// passes crash site site. Every shift ends with a store, so it has one.
+func (f *flusher) flush(site string) {
+	f.t.heap.Persist(f.n.pm, f.line*64, 64)
+	f.t.heap.FenceAt(site)
+	f.dirty = false
 }
 
 // image is a validated copy of one node, the only way a lock-free reader
@@ -240,9 +238,7 @@ func (t *Tree) insert(key []byte, stored uint64, vr *vref) {
 	if found {
 		// Update: swing the record pointer with one atomic store.
 		n.vals[pos].Store(vr)
-		t.heap.Dirty(n.pm, recOff(pos)+8, 8)
-		t.heap.PersistFence(n.pm, recOff(pos)+8, 8)
-		t.heap.CrashPoint("ff.update.commit")
+		t.heap.Commit(n.pm, recOff(pos)+8, 8, "ff.update.commit")
 		return
 	}
 	if cnt < Cardinality {
@@ -282,7 +278,7 @@ func (t *Tree) find(n *node, key []byte) (cnt, pos int, found bool) {
 		}
 		for i := cnt - 2; dup && i >= 0; i-- {
 			if n.vals[i].Load() == n.vals[i+1].Load() {
-				t.shiftOut(n, i, cnt)
+				t.shiftOut(n, i, cnt, "")
 				cnt--
 			}
 		}
@@ -322,8 +318,7 @@ func (t *Tree) fastInsertLeaf(n *node, cnt, pos int, stored uint64, vr *vref) {
 	t.heap.CrashPoint("ff.insert.shifted")
 	n.vals[pos].Store(vr) // commit: pointer becomes unique
 	f.store(recOff(pos) + 8)
-	f.flush()
-	t.heap.CrashPoint("ff.insert.commit")
+	f.flush("ff.insert.commit")
 }
 
 // splitLeaf splits the full, locked leaf n. It returns the new right
@@ -343,12 +338,9 @@ func (t *Tree) splitLeaf(n *node) (*node, uint64) {
 		splitKey := n.keys[half].Load()
 		n.high.Store(splitKey)
 		n.highSet.Store(true)
-		t.heap.Dirty(n.pm, offHigh, 8)
-		t.heap.PersistFence(n.pm, offHigh, 8)
+		t.heap.Commit(n.pm, offHigh, 8, "")
 		n.vals[half].Store(nil)
-		t.heap.Dirty(n.pm, recOff(half)+8, 8)
-		t.heap.PersistFence(n.pm, recOff(half)+8, 8)
-		t.heap.CrashPoint("ff.split.completed")
+		t.heap.Commit(n.pm, recOff(half)+8, 8, "ff.split.completed")
 		return s, splitKey
 	}
 	s := t.newNode(true, n.level)
@@ -363,24 +355,18 @@ func (t *Tree) splitLeaf(n *node) (*node, uint64) {
 		s.highSet.Store(true)
 	}
 	t.heap.Persist(s.pm, 0, nodeBytes)
-	t.heap.Fence()
-	t.heap.CrashPoint("ff.split.built")
+	t.heap.FenceAt("ff.split.built")
 
 	splitKey := n.keys[half].Load()
 	n.sibling.Store(s)
-	t.heap.Dirty(n.pm, offSibling, 8)
-	t.heap.PersistFence(n.pm, offSibling, 8)
-	t.heap.CrashPoint("ff.split.linked")
+	t.heap.Commit(n.pm, offSibling, 8, "ff.split.linked")
 
 	n.high.Store(splitKey)
 	n.highSet.Store(true)
-	t.heap.Dirty(n.pm, offHigh, 8)
-	t.heap.PersistFence(n.pm, offHigh, 8)
+	t.heap.Commit(n.pm, offHigh, 8, "")
 
 	n.vals[half].Store(nil) // truncation commit: one atomic store
-	t.heap.Dirty(n.pm, recOff(half)+8, 8)
-	t.heap.PersistFence(n.pm, recOff(half)+8, 8)
-	t.heap.CrashPoint("ff.split.truncated")
+	t.heap.Commit(n.pm, recOff(half)+8, 8, "ff.split.truncated")
 	return s, splitKey
 }
 
@@ -394,12 +380,9 @@ func (t *Tree) splitInternal(n *node) (*node, uint64) {
 		splitKey := n.keys[half].Load()
 		n.high.Store(splitKey)
 		n.highSet.Store(true)
-		t.heap.Dirty(n.pm, offHigh, 8)
-		t.heap.PersistFence(n.pm, offHigh, 8)
+		t.heap.Commit(n.pm, offHigh, 8, "")
 		n.kids[half].Store(nil)
-		t.heap.Dirty(n.pm, recOff(half)+8, 8)
-		t.heap.PersistFence(n.pm, recOff(half)+8, 8)
-		t.heap.CrashPoint("ff.isplit.completed")
+		t.heap.Commit(n.pm, recOff(half)+8, 8, "ff.isplit.completed")
 		return s, splitKey
 	}
 	s := t.newNode(false, n.level)
@@ -416,23 +399,17 @@ func (t *Tree) splitInternal(n *node) (*node, uint64) {
 		s.highSet.Store(true)
 	}
 	t.heap.Persist(s.pm, 0, nodeBytes)
-	t.heap.Fence()
-	t.heap.CrashPoint("ff.isplit.built")
+	t.heap.FenceAt("ff.isplit.built")
 
 	n.sibling.Store(s)
-	t.heap.Dirty(n.pm, offSibling, 8)
-	t.heap.PersistFence(n.pm, offSibling, 8)
-	t.heap.CrashPoint("ff.isplit.linked")
+	t.heap.Commit(n.pm, offSibling, 8, "ff.isplit.linked")
 
 	n.high.Store(splitKey)
 	n.highSet.Store(true)
-	t.heap.Dirty(n.pm, offHigh, 8)
-	t.heap.PersistFence(n.pm, offHigh, 8)
+	t.heap.Commit(n.pm, offHigh, 8, "")
 
 	n.kids[half].Store(nil) // truncation commit
-	t.heap.Dirty(n.pm, recOff(half)+8, 8)
-	t.heap.PersistFence(n.pm, recOff(half)+8, 8)
-	t.heap.CrashPoint("ff.isplit.truncated")
+	t.heap.Commit(n.pm, recOff(half)+8, 8, "ff.isplit.truncated")
 	return s, splitKey
 }
 
@@ -457,12 +434,9 @@ func (t *Tree) insertParent(left *node, splitKey uint64, right *node, level int)
 			nr.keys[0].Store(splitKey)
 			nr.kids[0].Store(right)
 			t.heap.Persist(nr.pm, 0, nodeBytes)
-			t.heap.Fence()
-			t.heap.CrashPoint("ff.rootsplit.built")
+			t.heap.FenceAt("ff.rootsplit.built")
 			t.root.Store(nr)
-			t.heap.Dirty(t.rootPM, 0, 8)
-			t.heap.PersistFence(t.rootPM, 0, 8)
-			t.heap.CrashPoint("ff.rootsplit.commit")
+			t.heap.Commit(t.rootPM, 0, 8, "ff.rootsplit.commit")
 			t.rootMu.Unlock()
 			return
 		}
@@ -512,8 +486,7 @@ func (t *Tree) fastInsertInternal(n *node, cnt, pos int, stored uint64, child *n
 	f.store(recOff(pos))
 	n.kids[pos].Store(child) // commit
 	f.store(recOff(pos) + 8)
-	f.flush()
-	t.heap.CrashPoint("ff.iinsert.commit")
+	f.flush("ff.iinsert.commit")
 }
 
 // Delete removes key from the tree, returning whether it was present.
@@ -531,15 +504,14 @@ func (t *Tree) Delete(key []byte) (deleted bool, err error) {
 	if !found {
 		return false, nil
 	}
-	t.shiftOut(n, pos, cnt)
-	t.heap.CrashPoint("ff.delete.commit")
+	t.shiftOut(n, pos, cnt, "ff.delete.commit")
 	t.count.Add(-1)
 	return true, nil
 }
 
 // shiftOut removes slot pos of locked leaf n, which holds cnt records, by
-// shifting the slots above it left.
-func (t *Tree) shiftOut(n *node, pos, cnt int) {
+// shifting the slots above it left, and passes crash site site.
+func (t *Tree) shiftOut(n *node, pos, cnt int, site string) {
 	f := flusher{t: t, n: n}
 	for i := pos; i < cnt-1; i++ {
 		// Pointer first: the moment vals[i] equals vals[i+1] the left
@@ -551,5 +523,5 @@ func (t *Tree) shiftOut(n *node, pos, cnt int) {
 	}
 	n.vals[cnt-1].Store(nil)
 	f.store(recOff(cnt-1) + 8)
-	f.flush()
+	f.flush(site)
 }

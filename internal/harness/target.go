@@ -52,6 +52,7 @@ type Target struct {
 type session struct {
 	write  func(id, v uint64, update bool) error
 	lookup func(id uint64) (uint64, bool)
+	delete func(id uint64) (bool, error)
 	scan   func(id uint64, n int) // nil on unordered indexes
 }
 
@@ -107,6 +108,7 @@ func newTarget[K any](idx core.PointIndex[K], scan func(K, int), key func(buf K,
 					return idx.Insert(at(id), v)
 				},
 				lookup: func(id uint64) (uint64, bool) { return idx.Lookup(at(id)) },
+				delete: func(id uint64) (bool, error) { return idx.Delete(at(id)) },
 			}
 			if scan != nil {
 				s.scan = func(id uint64, n int) { scan(at(id), n) }

@@ -160,34 +160,41 @@ func hashWith(idx func(*pmem.Heap) core.HashIndex) Build {
 	}
 }
 
+// visitRow is one index's load for the enumeration and the necessity
+// sweep (necessity_test.go): its build, the load and post-crash insert
+// counts, the crash-site visits the load makes at least, and sites it
+// must reach.
+type visitRow struct {
+	name                 string
+	build                Build
+	loadN, postN, states int
+	sites                []string
+}
+
+// visitRows keep the load, key kind and post-crash insert count of the
+// loop each replaced in its index's package (WOART had none): the tiny
+// P-CLHT and Level Hashing tables chain, double and reclaim.
+var visitRows = []visitRow{
+	{"P-ART", ByName("P-ART", keys.RandInt), 400, 100, 800, nil},
+	{"FAST & FAIR", ByName("FAST & FAIR", keys.RandInt), 600, 100, 1313, nil},
+	{"P-HOT", ByName("P-HOT", keys.YCSBString), 400, 80, 835, nil},
+	{"P-Masstree", ByName("P-Masstree", keys.YCSBString), 400, 100, 975, nil},
+	{"WOART", ByName("WOART", keys.RandInt), 400, 80, 515, nil},
+	{"CCEH", ByName("CCEH", keys.RandInt), 800, 50, 1600, nil},
+	{"Level Hashing", hashWith(func(h *pmem.Heap) core.HashIndex { return levelhash.NewWithBuckets(h, 4) }), 1500, 40, 3014, nil},
+	{"P-CLHT", hashWith(func(h *pmem.Heap) core.HashIndex { return clht.NewWithBuckets(h, 2) }), 300, 50, 729,
+		[]string{"clht.rehash.built", "clht.rehash.swap", "clht.insert.reclaim", "clht.insert.overflow.init", "clht.insert.overflow.link"}},
+}
+
 // TestCrashAtEveryVisit is §5's enumeration through the one trial: a
 // discovery load counts the crash-site visits an uncrashed load makes,
 // then one trial per visit crashes there (crash.NewNth), restarts from
 // the intact image and runs every check of the trial, one writer. Where
 // SiteCampaign crashes at each site's first visit only, this crashes at
 // every later one too — the 21st split of a leaf as well as the first.
-// A row keeps the load, key kind and post-crash insert count of the
-// loop it replaced in its index's package (WOART had none), and needs
-// at least states visits and the named sites among them: the tiny
-// P-CLHT and Level Hashing tables chain, double and reclaim.
+// A row needs at least states visits and the named sites among them.
 func TestCrashAtEveryVisit(t *testing.T) {
-	rows := []struct {
-		name                 string
-		build                Build
-		loadN, postN, states int
-		sites                []string
-	}{
-		{"P-ART", ByName("P-ART", keys.RandInt), 400, 100, 800, nil},
-		{"FAST & FAIR", ByName("FAST & FAIR", keys.RandInt), 600, 100, 1313, nil},
-		{"P-HOT", ByName("P-HOT", keys.YCSBString), 400, 80, 835, nil},
-		{"P-Masstree", ByName("P-Masstree", keys.YCSBString), 400, 100, 975, nil},
-		{"WOART", ByName("WOART", keys.RandInt), 400, 80, 515, nil},
-		{"CCEH", ByName("CCEH", keys.RandInt), 800, 50, 1600, nil},
-		{"Level Hashing", hashWith(func(h *pmem.Heap) core.HashIndex { return levelhash.NewWithBuckets(h, 4) }), 1500, 40, 3014, nil},
-		{"P-CLHT", hashWith(func(h *pmem.Heap) core.HashIndex { return clht.NewWithBuckets(h, 2) }), 300, 50, 729,
-			[]string{"clht.rehash.built", "clht.rehash.swap", "clht.insert.reclaim", "clht.insert.overflow.init", "clht.insert.overflow.link"}},
-	}
-	for _, row := range rows {
+	for _, row := range visitRows {
 		t.Run(row.name, func(t *testing.T) {
 			inj := crash.NewNth(0) // counts visits, never fires
 			d := row.build(pmem.Options{Injector: inj})

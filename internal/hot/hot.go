@@ -140,14 +140,6 @@ func (idx *Index) newNode(entries []*entry) *hnode {
 	return n
 }
 
-// built fences the nodes newNode has persisted since the last fence, at
-// crash site site, so the swap that follows may publish them.
-func (idx *Index) built(site string) {
-	// RECIPE: fence the copy-on-write nodes before a swap publishes them.
-	idx.heap.Fence()
-	idx.heap.CrashPoint(site)
-}
-
 // Lookup returns the value stored under key. Non-blocking: compound nodes
 // are immutable snapshots and commits are single pointer swaps, so a
 // reader sees either the old or the new version of a subtree.

@@ -44,12 +44,10 @@ func (idx *Index) tryInsert(key []byte, value uint64) bool {
 			return false
 		}
 		nn := idx.newNode([]*entry{leafEntry(key, value)})
-		idx.built("hot.rootinit.built")
+		idx.heap.FenceAt("hot.rootinit.built") // RECIPE: fence the new nodes before the swap.
 		idx.root.Store(nn)
-		idx.heap.Dirty(idx.rootPM, 0, 8)
 		// RECIPE: flush + fence after the committing root store.
-		idx.heap.PersistFence(idx.rootPM, 0, 8)
-		idx.heap.CrashPoint("hot.rootinit.commit")
+		idx.heap.Commit(idx.rootPM, 0, 8, "hot.rootinit.commit")
 		idx.count.Add(1)
 		idx.rootMu.Unlock()
 		return true
@@ -89,7 +87,7 @@ func (idx *Index) commitInsert(path []pathEl, target *hnode, key []byte, value u
 		ne := append([]*entry(nil), target.entries...)
 		ne[i] = leafEntry(key, value)
 		nn := idx.newNode(ne)
-		idx.built("hot.update.built")
+		idx.heap.FenceAt("hot.update.built") // RECIPE: fence the new nodes before the swap.
 		return idx.swapUp(path, len(path), target, nn, nil, &locked)
 	}
 	ne := make([]*entry, 0, len(target.entries)+1)
@@ -98,7 +96,7 @@ func (idx *Index) commitInsert(path []pathEl, target *hnode, key []byte, value u
 	ne = append(ne, target.entries[i+1:]...)
 	if len(ne) <= MaxFanout {
 		nn := idx.newNode(ne)
-		idx.built("hot.insert.built")
+		idx.heap.FenceAt("hot.insert.built") // RECIPE: fence the new nodes before the swap.
 		if idx.swapUp(path, len(path), target, nn, nil, &locked) {
 			idx.count.Add(1)
 			return true
@@ -109,7 +107,7 @@ func (idx *Index) commitInsert(path []pathEl, target *hnode, key []byte, value u
 	mid := len(ne) / 2
 	ln := idx.newNode(ne[:mid:mid])
 	rn := idx.newNode(ne[mid:])
-	idx.built("hot.split.built")
+	idx.heap.FenceAt("hot.split.built") // RECIPE: fence the new nodes before the swap.
 	if idx.swapUp(path, len(path), target, ln, rn, &locked) {
 		idx.count.Add(1)
 		return true
@@ -135,13 +133,11 @@ func (idx *Index) swapUp(path []pathEl, d int, old *hnode, left, right *hnode, l
 				childEntry(left.entries[0].key, left),
 				childEntry(right.entries[0].key, right),
 			})
-			idx.built("hot.rootgrow.built")
+			idx.heap.FenceAt("hot.rootgrow.built") // RECIPE: fence the new nodes before the swap.
 		}
 		idx.root.Store(nn)
-		idx.heap.Dirty(idx.rootPM, 0, 8)
 		// RECIPE: flush + fence after the committing root store.
-		idx.heap.PersistFence(idx.rootPM, 0, 8)
-		idx.heap.CrashPoint("hot.commit.root")
+		idx.heap.Commit(idx.rootPM, 0, 8, "hot.commit.root")
 		old.lock.MarkObsolete()
 		return true
 	}
@@ -155,10 +151,8 @@ func (idx *Index) swapUp(path []pathEl, d int, old *hnode, left, right *hnode, l
 	if right == nil {
 		// Same-shape replacement: swing the child pointer atomically.
 		p.entries[slot].child.Store(left)
-		idx.heap.Dirty(p.pm, uintptr(slot)*entryBytes, 8)
 		// RECIPE: flush + fence after the committing store.
-		idx.heap.PersistFence(p.pm, uintptr(slot)*entryBytes, 8)
-		idx.heap.CrashPoint("hot.commit.swap")
+		idx.heap.Commit(p.pm, uintptr(slot)*entryBytes, 8, "hot.commit.swap")
 		old.lock.MarkObsolete()
 		return true
 	}
@@ -172,7 +166,7 @@ func (idx *Index) swapUp(path []pathEl, d int, old *hnode, left, right *hnode, l
 	ne = append(ne, p.entries[slot+1:]...)
 	if len(ne) <= MaxFanout {
 		np := idx.newNode(ne)
-		idx.built("hot.parent.built")
+		idx.heap.FenceAt("hot.parent.built") // RECIPE: fence the new nodes before the swap.
 		if idx.swapUp(path, d-1, p, np, nil, locked) {
 			old.lock.MarkObsolete()
 			return true
@@ -182,7 +176,7 @@ func (idx *Index) swapUp(path []pathEl, d int, old *hnode, left, right *hnode, l
 	mid := len(ne) / 2
 	lp := idx.newNode(ne[:mid:mid])
 	rp := idx.newNode(ne[mid:])
-	idx.built("hot.parentsplit.built")
+	idx.heap.FenceAt("hot.parentsplit.built") // RECIPE: fence the new nodes before the swap.
 	if idx.swapUp(path, d-1, p, lp, rp, locked) {
 		old.lock.MarkObsolete()
 		return true
@@ -252,16 +246,14 @@ func (idx *Index) commitDelete(path []pathEl, target *hnode, key []byte) (del, d
 			return false, false
 		}
 		idx.root.Store(nil)
-		idx.heap.Dirty(idx.rootPM, 0, 8)
 		// RECIPE: flush + fence after the committing store.
-		idx.heap.PersistFence(idx.rootPM, 0, 8)
-		idx.heap.CrashPoint("hot.delete.root")
+		idx.heap.Commit(idx.rootPM, 0, 8, "hot.delete.root")
 		target.lock.MarkObsolete()
 		idx.count.Add(-1)
 		return true, true
 	}
 	nn := idx.newNode(ne)
-	idx.built("hot.delete.built")
+	idx.heap.FenceAt("hot.delete.built") // RECIPE: fence the new nodes before the swap.
 	if idx.swapUp(path, len(path), target, nn, nil, &locked) {
 		idx.count.Add(-1)
 		return true, true

@@ -208,9 +208,7 @@ func (idx *Index) tryInsert(t *table, key, value uint64) bool {
 		for i := 0; i < SlotsPerBucket; i++ {
 			if b.keys[i].Load() == key {
 				b.vals[i].Store(value)
-				idx.heap.Dirty(b.pm, b.off+24+uintptr(i)*8, 8)
-				idx.heap.PersistFence(b.pm, b.off+24+uintptr(i)*8, 8)
-				idx.heap.CrashPoint("level.update.commit")
+				idx.heap.Commit(b.pm, b.off+24+uintptr(i)*8, 8, "level.update.commit")
 				b.lock.Unlock()
 				return true
 			}
@@ -232,9 +230,7 @@ func (idx *Index) tryInsert(t *table, key, value uint64) bool {
 				idx.heap.Dirty(b.pm, b.off+24+uintptr(i)*8, 8)
 				idx.heap.CrashPoint("level.insert.val")
 				b.keys[i].Store(key)
-				idx.heap.Dirty(b.pm, b.off+uintptr(i)*8, 8)
-				idx.heap.PersistFence(b.pm, b.off, bucketBytes)
-				idx.heap.CrashPoint("level.insert.commit")
+				idx.heap.Commit(b.pm, b.off, bucketBytes, "level.insert.commit")
 				idx.count.Add(1)
 				b.lock.Unlock()
 				return true
@@ -262,9 +258,7 @@ func (idx *Index) Delete(key uint64) (deleted bool, err error) {
 			for i := 0; i < SlotsPerBucket; i++ {
 				if b.keys[i].Load() == key {
 					b.keys[i].Store(0)
-					idx.heap.Dirty(b.pm, b.off+uintptr(i)*8, 8)
-					idx.heap.PersistFence(b.pm, b.off+uintptr(i)*8, 8)
-					idx.heap.CrashPoint("level.delete.commit")
+					idx.heap.Commit(b.pm, b.off+uintptr(i)*8, 8, "level.delete.commit")
 					idx.count.Add(-1)
 					b.lock.Unlock()
 					return true, nil
@@ -316,12 +310,9 @@ func (idx *Index) rehash(old *table) {
 			idx.heap.Persist(b.pm, b.off, bucketBytes)
 		}
 	}
-	idx.heap.Fence()
-	idx.heap.CrashPoint("level.rehash.built")
+	idx.heap.FenceAt("level.rehash.built")
 	idx.tab.Store(nt)
-	idx.heap.Dirty(idx.rootPM, 0, 8)
-	idx.heap.PersistFence(idx.rootPM, 0, 8)
-	idx.heap.CrashPoint("level.rehash.swap")
+	idx.heap.Commit(idx.rootPM, 0, 8, "level.rehash.swap")
 	for i := range old.top.buckets {
 		old.top.buckets[i].lock.Unlock()
 	}

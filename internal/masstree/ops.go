@@ -4,7 +4,6 @@ import (
 	"bytes"
 
 	"repro/internal/crash"
-	"repro/internal/pmem"
 )
 
 // descend routes slice from n down to the node at level covering it,
@@ -79,7 +78,7 @@ func (idx *Index) Lookup(key []byte) (uint64, bool) {
 	}
 }
 
-func (idx *Index) newLeafVal(slice uint64, lc int, value uint64, suffix []byte, layer *layerRoot) *leafVal {
+func (idx *Index) newLeafVal(slice uint64, lc int, value uint64, suffix []byte, layer *layerRoot, site string) *leafVal {
 	lv := &leafVal{slice: slice, lenclass: lc, value: value, layer: layer}
 	if suffix != nil {
 		lv.suffix = append([]byte(nil), suffix...)
@@ -88,7 +87,7 @@ func (idx *Index) newLeafVal(slice uint64, lc int, value uint64, suffix []byte, 
 	idx.heap.Shadow(lv.pm, lv)
 	// RECIPE: persist the payload before it becomes reachable.
 	idx.heap.Persist(lv.pm, 0, uintptr(40+len(suffix)))
-	idx.heap.Fence()
+	idx.heap.FenceAt(site)
 	return lv
 }
 
@@ -97,17 +96,9 @@ func (idx *Index) newLeafVal(slice uint64, lc int, value uint64, suffix []byte, 
 // rest as its suffix.
 func (idx *Index) payload(slice uint64, lc int, value uint64, rem []byte) *leafVal {
 	if lc < suffixClass {
-		return idx.newLeafVal(slice, lc, value, nil, nil)
+		return idx.newLeafVal(slice, lc, value, nil, nil, "")
 	}
-	return idx.newLeafVal(slice, suffixClass, value, rem[8:], nil)
-}
-
-// commit makes durable the 8-byte word at off that a committing store
-// just wrote.
-func (idx *Index) commit(o pmem.Obj, off uintptr) {
-	idx.heap.Dirty(o, off, 8)
-	// RECIPE: flush + fence after the committing store.
-	idx.heap.PersistFence(o, off, 8)
+	return idx.newLeafVal(slice, suffixClass, value, rem[8:], nil, "")
 }
 
 // lockLeafFor descends to and locks the leaf covering slice, with sibling
@@ -172,13 +163,11 @@ func (idx *Index) Insert(key []byte, value uint64) (err error) {
 			if lc < suffixClass || bytes.Equal(lv.suffix, rem[8:]) {
 				lv = idx.payload(slice, lc, value, rem)
 			} else {
-				lv = idx.newLeafVal(slice, suffixClass, 0, nil, idx.buildLayer(lv.suffix, lv.value, rem[8:], value))
-				idx.heap.CrashPoint("mt.layer.built")
+				lv = idx.newLeafVal(slice, suffixClass, 0, nil, idx.buildLayer(lv.suffix, lv.value, rem[8:], value), "mt.layer.built")
 				site = "mt.layer.commit"
 			}
 			n.vals[slot].Store(lv)
-			idx.commit(n.pm, offPtrs+uintptr(slot)*8)
-			idx.heap.CrashPoint(site)
+			idx.heap.Commit(n.pm, offPtrs+uintptr(slot)*8, 8, site) // RECIPE: flush + fence after the commit.
 			if lv.layer != nil {
 				idx.count.Add(1) // the layer's second key is new
 			}
@@ -262,11 +251,9 @@ func (idx *Index) publish(n *node, np perm, slot, ptr int) {
 	idx.heap.Persist(n.pm, offSlices+uintptr(slot)*8, 8)
 	idx.heap.Persist(n.pm, offPtrs+uintptr(ptr)*8, 8)
 	// RECIPE: and fence them before the permutation store commits them.
-	idx.heap.Fence()
-	idx.heap.CrashPoint(st.entry)
+	idx.heap.FenceAt(st.entry)
 	n.perm.Store(uint64(np))
-	idx.commit(n.pm, offPerm)
-	idx.heap.CrashPoint(st.commit)
+	idx.heap.Commit(n.pm, offPerm, 8, st.commit) // RECIPE: flush + fence after the commit.
 }
 
 // buildLayer constructs the (unpublished) layer tree holding two
@@ -282,7 +269,7 @@ func (idx *Index) buildLayer(a []byte, v0 uint64, b []byte, v1 uint64) *layerRoo
 		var next *layerRoot
 		if s0 == s1 && c0 == suffixClass && c1 == suffixClass {
 			next = idx.newLayerRoot()
-			idx.placePrivate(leafn, 0, s0, suffixClass, idx.newLeafVal(s0, suffixClass, 0, nil, next))
+			idx.placePrivate(leafn, 0, s0, suffixClass, idx.newLeafVal(s0, suffixClass, 0, nil, next, ""))
 		} else {
 			lv0, lv1 := idx.payload(s0, c0, v0, a), idx.payload(s1, c1, v1, b)
 			if entryLess(s1, c1, s0, c0) {
@@ -335,8 +322,7 @@ func (idx *Index) finishSplit(n *node) {
 	}
 	// RECIPE: replay the split completion: the cut at the sibling's
 	// first slice.
-	idx.cut(n, s.slices[sp.slot(0)].Load(), keep)
-	idx.heap.CrashPoint("mt.split.replayed")
+	idx.cut(n, s.slices[sp.slot(0)].Load(), keep, "mt.split.replayed")
 }
 
 // splitLeaf splits the locked, full leaf n, whose last split lockLeafFor
@@ -376,8 +362,7 @@ func (idx *Index) splitInner(n *node) (*node, uint64) {
 			// sibling's leftmost; it is promoted and dropped from n.
 			sep := n.slices[p.slot(keep)].Load()
 			// RECIPE: replay the split completion.
-			idx.cut(n, sep, keep)
-			idx.heap.CrashPoint("mt.isplit.replayed")
+			idx.cut(n, sep, keep, "mt.isplit.replayed")
 			return s, sep
 		}
 	}
@@ -416,26 +401,23 @@ func (idx *Index) split(n, s *node, high uint64, keep int) {
 	st := n.sites()
 	// RECIPE: persist the sibling before step 1 publishes it.
 	idx.heap.Persist(s.pm, 0, nodeBytes)
-	idx.heap.Fence()
-	idx.heap.CrashPoint(st.built)
+	idx.heap.FenceAt(st.built)
 	n.next.Store(s)
-	idx.commit(n.pm, offSibling)
-	idx.heap.CrashPoint(st.linked)
-	idx.cut(n, high, keep)
-	idx.heap.CrashPoint(st.truncated)
+	idx.heap.Commit(n.pm, offSibling, 8, st.linked) // RECIPE: flush + fence after the commit.
+	idx.cut(n, high, keep, st.truncated)
 }
 
 // cut publishes high as n's high key, so readers route moved slices to
 // the sibling, then atomically truncates n's permutation to its first
 // keep entries (step 2). A split ends with it, and Condition #3's helpers
 // (finishSplit, splitInner) replay it for a split a crash tore after
-// step 1.
-func (idx *Index) cut(n *node, high uint64, keep int) {
+// step 1. Crash site site follows the truncation.
+func (idx *Index) cut(n *node, high uint64, keep int, site string) {
 	n.high.Store(high)
 	n.highSet.Store(true)
-	idx.commit(n.pm, offHigh)
+	idx.heap.Commit(n.pm, offHigh, 8, "") // RECIPE: flush + fence after the commit.
 	n.perm.Store(uint64(perm(n.perm.Load()).truncate(keep)))
-	idx.commit(n.pm, offPerm)
+	idx.heap.Commit(n.pm, offPerm, 8, site) // RECIPE: flush + fence after the commit.
 }
 
 // tornSplit reports whether sibling s duplicates entries still published
@@ -489,11 +471,9 @@ func (idx *Index) insertParent(lr *layerRoot, left *node, splitSlice uint64, rig
 			// RECIPE: persist the new root, then commit with the atomic
 			// root swap.
 			idx.heap.Persist(nr.pm, 0, nodeBytes)
-			idx.heap.Fence()
-			idx.heap.CrashPoint("mt.rootgrow.built")
+			idx.heap.FenceAt("mt.rootgrow.built")
 			lr.root.Store(nr)
-			idx.commit(lr.pm, 0)
-			idx.heap.CrashPoint("mt.rootgrow.commit")
+			idx.heap.Commit(lr.pm, 0, 8, "mt.rootgrow.commit") // RECIPE: flush + fence after the commit.
 			lr.mu.Unlock()
 			return
 		}
@@ -566,8 +546,7 @@ func (idx *Index) Delete(key []byte) (deleted bool, err error) {
 		}
 		p := perm(n.perm.Load())
 		n.perm.Store(uint64(p.removeAt(pos)))
-		idx.commit(n.pm, offPerm)
-		idx.heap.CrashPoint("mt.delete.commit")
+		idx.heap.Commit(n.pm, offPerm, 8, "mt.delete.commit") // RECIPE: flush + fence after the commit.
 		idx.count.Add(-1)
 		n.lock.Unlock()
 		return true, nil

@@ -10,6 +10,8 @@
 //     maps the object's bytes onto abstract 64-byte cache lines.
 //   - Persist(obj, off, size) stands in for one clwb per dirtied line.
 //   - Fence stands in for mfence/sfence.
+//   - Commit and FenceAt are Recipe's conversion actions built on them,
+//     each naming the crash site that follows its block.
 //   - Dirty and Load report stores and loads for the durability checker
 //     (the analogue of the paper's PIN tracing, §5) and for the LLC
 //     simulator used to reproduce the paper's cache-miss counters.
@@ -175,6 +177,12 @@ func (h *Heap) Alloc(size uintptr) Obj {
 	}
 	lines := uint32((size + LineSize - 1) / LineSize)
 	k := stripe.Key()
+	if h.llc != nil {
+		// The cache model maps a line to its set by number, and a stack
+		// address would make the numbers differ run to run: one shard
+		// keeps a modelled run reproducible.
+		k = 0
+	}
 	o := Obj{base: h.lines.AllocKey(k, uint64(lines)), lines: lines}
 	h.allocs.AddKey(k, 1)
 	h.bytes.AddKey(k, uint64(size))
@@ -248,6 +256,31 @@ func (h *Heap) PersistFence(o Obj, off, size uintptr) {
 	h.Fence()
 }
 
+// Commit is the action a committing store needs (Recipe Condition #1):
+// it records the store to [off, off+size) of o, writes the range back,
+// fences, and passes the crash site that follows the block ("" for
+// none). An injector from crash.NewDropping that names site skips the
+// write-back and the fence.
+func (h *Heap) Commit(o Obj, off, size uintptr, site string) {
+	h.Dirty(o, off, size)
+	if !h.inj.Drops(site) {
+		h.Persist(o, off, size)
+		h.Fence()
+	}
+	h.CrashPoint(site)
+}
+
+// FenceAt fences the write-backs issued since the last fence, then
+// passes crash site site ("" for none): the fence a block that writes
+// back several ranges takes before the store that publishes them. An
+// injector from crash.NewDropping that names site skips the fence.
+func (h *Heap) FenceAt(site string) {
+	if !h.inj.Drops(site) {
+		h.Fence()
+	}
+	h.CrashPoint(site)
+}
+
 // Dirty records that [off, off+size) of o was stored to. Write paths call
 // it so the durability checker can verify flush coverage and so the LLC
 // simulator sees the store traffic. It is a nil-check no-op on fast heaps.
@@ -274,9 +307,10 @@ func (h *Heap) Load(o Obj, off, size uintptr) {
 }
 
 // CrashPoint marks a §5 crash site: the boundary immediately after one of
-// the ordered atomic stores that make up an insert or SMO.
+// the ordered atomic stores that make up an insert or SMO. The empty
+// site is no site.
 func (h *Heap) CrashPoint(site string) {
-	if h.inj != nil {
+	if h.inj != nil && site != "" {
 		h.inj.Here(site)
 	}
 }

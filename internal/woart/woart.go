@@ -173,9 +173,7 @@ func (idx *Index) Insert(key []byte, value uint64) (err error) {
 	if idx.slot.root == nil {
 		l := idx.newLeaf(key, value)
 		idx.slot.root = l
-		idx.heap.Dirty(idx.rootPM, 0, 8)
-		idx.heap.PersistFence(idx.rootPM, 0, 8)
-		idx.heap.CrashPoint("woart.insert.root")
+		idx.heap.Commit(idx.rootPM, 0, 8, "woart.insert.root")
 		idx.count++
 		return nil
 	}
@@ -200,9 +198,7 @@ func (idx *Index) insert(slot *any, cur any, depth int, key []byte, value uint64
 		if bytes.Equal(c.key, key) {
 			// In-place 8-byte value update, persisted.
 			c.value = value
-			idx.heap.Dirty(c.pm, 8, 8)
-			idx.heap.PersistFence(c.pm, 8, 8)
-			idx.heap.CrashPoint("woart.update")
+			idx.heap.Commit(c.pm, 8, 8, "woart.update")
 			return false, nil
 		}
 		cp := 0
@@ -217,12 +213,9 @@ func (idx *Index) insert(slot *any, cur any, depth int, key []byte, value uint64
 		nn.addChild(c.key[depth+cp], c)
 		nn.addChild(key[depth+cp], nl)
 		idx.heap.Persist(nn.pm, 0, nodeBytes(capFor(2)))
-		idx.heap.Fence()
-		idx.heap.CrashPoint("woart.leafsplit.built")
+		idx.heap.FenceAt("woart.leafsplit.built")
 		*slot = nn
-		idx.heap.Dirty(idx.rootPM, 0, 8)
-		idx.heap.PersistFence(idx.rootPM, 0, 8)
-		idx.heap.CrashPoint("woart.leafsplit.commit")
+		idx.heap.Commit(idx.rootPM, 0, 8, "woart.leafsplit.commit")
 		return true, nil
 	case *node:
 		// Prefix mismatch: split the compressed path (two ordered steps
@@ -241,15 +234,11 @@ func (idx *Index) insert(slot *any, cur any, depth int, key []byte, value uint64
 			nn.addChild(c.prefix[cp], c)
 			nn.addChild(key[depth+cp], nl)
 			idx.heap.Persist(nn.pm, 0, nodeBytes(capFor(2)))
-			idx.heap.Fence()
-			idx.heap.CrashPoint("woart.split.built")
+			idx.heap.FenceAt("woart.split.built")
 			*slot = nn
-			idx.heap.Dirty(idx.rootPM, 0, 8)
-			idx.heap.PersistFence(idx.rootPM, 0, 8)
+			idx.heap.Commit(idx.rootPM, 0, 8, "")
 			c.prefix = append([]byte(nil), c.prefix[cp+1:]...)
-			idx.heap.Dirty(c.pm, 0, 16)
-			idx.heap.PersistFence(c.pm, 0, 16)
-			idx.heap.CrashPoint("woart.split.prefix")
+			idx.heap.Commit(c.pm, 0, 16, "woart.split.prefix")
 			return true, nil
 		}
 		depth = c.depth
@@ -262,15 +251,10 @@ func (idx *Index) insert(slot *any, cur any, depth int, key []byte, value uint64
 		}
 		nl := idx.newLeaf(key, value)
 		c.addChild(b, nl)
-		idx.heap.Dirty(c.pm, 16, uintptr(len(c.keys))*9)
 		// WOART: persist the slot array, fence, then store and persist the
 		// ordering word.
-		idx.heap.Persist(c.pm, 16, uintptr(len(c.keys))*9)
-		idx.heap.Fence()
-		idx.heap.Dirty(c.pm, 0, 8)
-		idx.heap.Persist(c.pm, 0, 8)
-		idx.heap.Fence()
-		idx.heap.CrashPoint("woart.insert.commit")
+		idx.heap.Commit(c.pm, 16, uintptr(len(c.keys))*9, "")
+		idx.heap.Commit(c.pm, 0, 8, "woart.insert.commit")
 		return true, nil
 	}
 	return false, nil
@@ -297,8 +281,7 @@ func (idx *Index) Delete(key []byte) (deleted bool, err error) {
 	if l, ok := idx.slot.root.(*leaf); ok {
 		if bytes.Equal(l.key, key) {
 			idx.slot.root = nil
-			idx.heap.Dirty(idx.rootPM, 0, 8)
-			idx.heap.PersistFence(idx.rootPM, 0, 8)
+			idx.heap.Commit(idx.rootPM, 0, 8, "")
 			idx.count--
 			return true, nil
 		}
@@ -326,9 +309,7 @@ func (idx *Index) Delete(key []byte) (deleted bool, err error) {
 			}
 			n.keys = append(n.keys[:i], n.keys[i+1:]...)
 			n.children = append(n.children[:i], n.children[i+1:]...)
-			idx.heap.Dirty(n.pm, 0, 8)
-			idx.heap.PersistFence(n.pm, 0, 8)
-			idx.heap.CrashPoint("woart.delete.commit")
+			idx.heap.Commit(n.pm, 0, 8, "woart.delete.commit")
 			idx.count--
 			return true, nil
 		}
