@@ -79,35 +79,46 @@ type record struct {
 type Index struct {
 	heap *pmem.Heap
 
-	mapPM   pmem.Obj
-	mapping []atomic.Pointer[record]
+	// The mapping table has two levels: directory slot i names the chunk
+	// that holds the entries of PIDs [i*chunkPIDs, (i+1)*chunkPIDs).
+	dirPM   pmem.Obj
+	dir     [MaxPIDs / chunkPIDs]atomic.Pointer[chunk]
 	nextPID atomic.Uint64
 	rootPID uint64
 
 	count atomic.Int64
 }
 
-// MaxPIDs bounds the mapping table (1M logical nodes ≈ 64M+ keys).
-const MaxPIDs = 1 << 20
+// MaxPIDs bounds the mapping table (1M logical nodes ≈ 64M+ keys), whose
+// chunks hold chunkPIDs entries each.
+const (
+	MaxPIDs   = 1 << 20
+	chunkPIDs = 64
+)
+
+// chunk is one persistent block of mapping entries. linked is volatile:
+// it records that the directory slot naming the chunk is durable.
+type chunk struct {
+	pm     pmem.Obj
+	ent    [chunkPIDs]atomic.Pointer[record]
+	linked atomic.Bool
+}
 
 // New returns an empty P-BwTree backed by heap.
 func New(heap *pmem.Heap) *Index {
 	idx := &Index{heap: heap}
-	idx.mapping = make([]atomic.Pointer[record], MaxPIDs)
-	idx.mapPM = heap.Alloc(MaxPIDs * 8)
-	heap.ShadowSlice(idx.mapPM, idx.mapping, 8)
-	// RECIPE: the zero-initialised mapping table is persisted once at
-	// pool creation (the unpersisted-initial-allocation class of bug §7.5
-	// reports in FAST & FAIR and CCEH).
-	heap.Persist(idx.mapPM, 0, MaxPIDs*8)
+	idx.dirPM = heap.Alloc(uintptr(len(idx.dir)) * 8)
+	heap.ShadowSlice(idx.dirPM, idx.dir[:], 8)
+	c := idx.newChunk()
+	c.linked.Store(true)
+	idx.dir[0].Store(c)
+	// RECIPE: the zero-initialised directory, naming the first chunk, is
+	// persisted once at pool creation (the unpersisted-initial-allocation
+	// class of bug §7.5 reports in FAST & FAIR and CCEH).
+	heap.Persist(idx.dirPM, 0, uintptr(len(idx.dir))*8)
 	heap.Fence()
 	idx.nextPID.Store(1) // PID 0 is invalid
-	idx.rootPID = idx.allocPID()
-	base := &record{kind: kBaseLeaf}
-	idx.persistBase(base, "")
-	idx.mapping[idx.rootPID].Store(base)
-	// RECIPE: persist the root mapping entry at creation.
-	heap.PersistFence(idx.mapPM, uintptr(idx.rootPID)*8, 8)
+	idx.rootPID = idx.install(&record{kind: kBaseLeaf}, "")
 	return idx
 }
 
@@ -119,18 +130,55 @@ func (idx *Index) allocPID() uint64 {
 	return pid
 }
 
-func (idx *Index) head(pid uint64) *record { return idx.mapping[pid].Load() }
+// head returns pid's chain; install built its chunk before storing it.
+func (idx *Index) head(pid uint64) *record {
+	return idx.dir[pid/chunkPIDs].Load().ent[pid%chunkPIDs].Load()
+}
 
 // casHead publishes rec as the new head of pid's chain. On success the
 // mapping entry is flushed and fenced (the only persistence a non-SMO
 // commit needs, §6.3) before crash site site.
 func (idx *Index) casHead(pid uint64, old, rec *record, site string) bool {
-	if !idx.mapping[pid].CompareAndSwap(old, rec) {
+	c := idx.dir[pid/chunkPIDs].Load()
+	if !c.ent[pid%chunkPIDs].CompareAndSwap(old, rec) {
 		return false
 	}
 	// RECIPE: flush + fence after the committing CAS (only on success).
-	idx.heap.Commit(idx.mapPM, uintptr(pid)*8, 8, site)
+	idx.heap.Commit(c.pm, uintptr(pid%chunkPIDs)*8, 8, site)
 	return true
+}
+
+// newChunk allocates an empty chunk and writes it back; the caller
+// fences before a directory slot names it.
+func (idx *Index) newChunk() *chunk {
+	c := &chunk{}
+	c.pm = idx.heap.Alloc(chunkPIDs * 8)
+	idx.heap.ShadowSlice(c.pm, c.ent[:], 8)
+	// RECIPE: write the empty chunk back before a directory slot names it.
+	idx.heap.Persist(c.pm, 0, chunkPIDs*8)
+	return c
+}
+
+// chunkFor returns the chunk that holds pid's entry, durably linked. The
+// writer that first needs a chunk builds it and CASes it into its
+// directory slot; a CAS loser adopts the winner's chunk.
+func (idx *Index) chunkFor(pid uint64) *chunk {
+	slot := &idx.dir[pid/chunkPIDs]
+	c := slot.Load()
+	if c == nil {
+		c = idx.newChunk()
+		idx.heap.FenceAt("bw.chunk.built") // RECIPE: fence the chunk before the CAS that links it.
+		if !slot.CompareAndSwap(nil, c) {
+			c = slot.Load()
+		}
+	}
+	if !c.linked.Load() {
+		// RECIPE: commit the slot before any entry of its chunk can be
+		// durable; a writer that finds it set but not linked commits it too.
+		idx.heap.Commit(idx.dirPM, uintptr(pid/chunkPIDs)*8, 8, "bw.chunk.linked")
+		c.linked.Store(true)
+	}
+	return c
 }
 
 // newDelta allocates and persists a delta before it is published.
@@ -139,24 +187,25 @@ func (idx *Index) newDelta(kind recKind, key []byte, val uint64, right uint64, n
 	if next != nil {
 		r.depth = next.depth + 1
 	}
-	r.pm = idx.heap.Alloc(uintptr(32 + len(key)))
-	idx.heap.Shadow(r.pm, r)
-	// RECIPE: persist the delta record before the CAS that publishes it.
-	idx.heap.Persist(r.pm, 0, uintptr(32+len(key)))
-	idx.heap.Fence()
+	idx.persist(r, uintptr(32+len(key)), "")
 	return r
 }
 
-// persistBase persists a freshly built base node, then passes crash
-// site site.
-func (idx *Index) persistBase(r *record, site string) {
+// baseSize is a base node's persistent size.
+func (r *record) baseSize() uintptr {
 	size := uintptr(64)
 	for _, k := range r.keys {
 		size += uintptr(len(k)) + 16
 	}
+	return size
+}
+
+// persist allocates r's size-byte persistent image, writes it back and
+// fences, then passes crash site site.
+func (idx *Index) persist(r *record, size uintptr, site string) {
 	r.pm = idx.heap.Alloc(size)
 	idx.heap.Shadow(r.pm, r)
-	// RECIPE: persist the base node before a mapping entry names it.
+	// RECIPE: persist a record before a CAS or a mapping entry publishes it.
 	idx.heap.Persist(r.pm, 0, size)
 	idx.heap.FenceAt(site)
 }
@@ -164,12 +213,13 @@ func (idx *Index) persistBase(r *record, site string) {
 // install persists the new base node r under a fresh PID, then its
 // mapping entry before crash site site, and returns the PID.
 func (idx *Index) install(r *record, site string) uint64 {
-	idx.persistBase(r, "")
+	idx.persist(r, r.baseSize(), "")
 	pid := idx.allocPID()
-	idx.mapping[pid].Store(r)
+	c := idx.chunkFor(pid)
+	c.ent[pid%chunkPIDs].Store(r)
 	// RECIPE: persist the PID's mapping entry before a split delta or a
 	// new root can make it reachable.
-	idx.heap.Commit(idx.mapPM, uintptr(pid)*8, 8, site)
+	idx.heap.Commit(c.pm, uintptr(pid%chunkPIDs)*8, 8, site)
 	return pid
 }
 
@@ -181,10 +231,7 @@ func (idx *Index) loadTouch(r *record, smo bool) {
 	}
 	size := uintptr(32)
 	if r.kind == kBaseLeaf || r.kind == kBaseInner {
-		size = 64
-		for _, k := range r.keys {
-			size += uintptr(len(k)) + 16
-		}
+		size = r.baseSize()
 	}
 	idx.heap.Load(r.pm, 0, size)
 	if smo {

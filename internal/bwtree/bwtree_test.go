@@ -144,57 +144,6 @@ func TestConcurrentMixed(t *testing.T) {
 	wg.Wait()
 }
 
-// §5 crash testing: enumerate crash states; lock-free CAS publication
-// plus help-along SMO completion must preserve all committed keys. The
-// other indexes enumerate through the harness's crash trial
-// (TestCrashAtEveryVisit); P-BwTree keeps this loop because a trial
-// builds its 8 MB mapping table on a tracked heap, ≈40 ms per state.
-func TestCrashRecoveryEnumerated(t *testing.T) {
-	for n := int64(1); ; n++ {
-		heap := pmem.NewFast()
-		idx := New(heap)
-		heap.SetInjector(crash.NewNth(n))
-		committed := make(map[uint64]uint64)
-		crashed := false
-		for i := uint64(0); i < 500; i++ {
-			k := keys.Mix64(i)
-			err := idx.Insert(k64(k), i)
-			if crash.IsCrash(err) {
-				crashed = true
-				break
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-			committed[k] = i
-		}
-		heap.SetInjector(nil)
-		if !crashed {
-			if n == 1 {
-				t.Fatal("no crash sites reached")
-			}
-			t.Logf("enumerated %d crash states", n-1)
-			break
-		}
-		idx.Recover()
-		for k, v := range committed {
-			got, ok := idx.Lookup(k64(k))
-			if !ok || got != v {
-				t.Fatalf("crash state %d: committed key %d lost (%d,%v)", n, k, got, ok)
-			}
-		}
-		// Post-crash writes drive the helping mechanism over any torn SMO.
-		for i := uint64(70000); i < 70080; i++ {
-			if err := idx.Insert(k64(keys.Mix64(i)), i); err != nil {
-				t.Fatalf("crash state %d: post-crash insert: %v", n, err)
-			}
-		}
-		if n > 20000 {
-			t.Fatal("enumeration did not terminate")
-		}
-	}
-}
-
 // Crash exactly between the split delta and the parent index entry — the
 // Condition #2 window. The next writer must complete the SMO.
 func TestCrashBetweenSplitSteps(t *testing.T) {

@@ -195,7 +195,7 @@ func (idx *Index) consolidate(pid, parent uint64) {
 			return
 		}
 		nb := &record{kind: kBaseLeaf, keys: ks, vals: vs, high: high, next2: next}
-		idx.persistBase(nb, "")
+		idx.persist(nb, nb.baseSize(), "")
 		idx.casHead(pid, head, nb, "bw.consolidate.leaf")
 		return
 	}
@@ -205,7 +205,7 @@ func (idx *Index) consolidate(pid, parent uint64) {
 		return
 	}
 	nb := &record{kind: kBaseInner, keys: ks, pids: pids, high: high, next2: next}
-	idx.persistBase(nb, "")
+	idx.persist(nb, nb.baseSize(), "")
 	idx.casHead(pid, head, nb, "bw.consolidate.inner")
 }
 
@@ -262,6 +262,6 @@ func (idx *Index) rootSplit(pid uint64, head *record, sep []byte, lks [][]byte, 
 	}
 	lpid := idx.install(left, "")
 	newRoot := &record{kind: kBaseInner, keys: [][]byte{sep}, pids: []uint64{lpid, rpid}}
-	idx.persistBase(newRoot, "bw.rootsplit.built")
+	idx.persist(newRoot, newRoot.baseSize(), "bw.rootsplit.built")
 	idx.casHead(pid, head, newRoot, "bw.rootsplit.commit")
 }

@@ -596,10 +596,10 @@ func TestInsertFlushCount(t *testing.T) {
 	}{
 		{"P-ART", 2, 2, 37447, 20000, 10566, 7869, 20000, 0, 0},
 		{"FAST & FAIR", 2, 2, 53080, 49321, 17015, 11412, 22142, 0, 0},
-		{"P-BwTree", 2, 2, 48451, 25238, 161805, 11624, 11808, 0, 0},
+		{"P-BwTree", 2, 2, 48478, 25244, 32798, 11626, 11814, 0, 0},
 		{"P-Masstree", 4, 3, 51372, 36198, 20121, 13446, 25165, 0, 0},
 		{"P-HOT", 2, 2, 88967, 20961, 59594, 9623, 20961, 0, 0},
-		{"WOART", 2, 2, 57010, 30000, 11671, 10868, 10963, 0, 0},
+		{"WOART", 2, 2, 57135, 30000, 11716, 10868, 10963, 0, 0},
 		{"CCEH", 1, 1, 16460, 10081, 0, 0, 20081, 5334, 5334},
 		{"Level Hashing", 1, 1, 17171, 10006, 0, 0, 20006, 5334, 5334},
 		{"P-CLHT", 1, 1, 18970, 11421, 0, 0, 22264, 5334, 5334},

@@ -36,8 +36,8 @@ func TestEveryBlockIsNeeded(t *testing.T) {
 	// The visitRows loads, then loads that reach the sites they miss:
 	// prefix splits on string keys, a root leaf's delete, P-ART's
 	// emptied root, inner splits, the Condition #3 repairs of a torn
-	// split, CCEH's splits and doublings, and P-BwTree. A site runs on
-	// the first row that reaches it.
+	// split, CCEH's splits and doublings, and P-BwTree's later mapping
+	// chunks. A site runs on the first row that reaches it.
 	artS, mtS := ByName("P-ART", keys.YCSBString), ByName("P-Masstree", keys.YCSBString)
 	ff := ByName("FAST & FAIR", keys.RandInt)
 	rows := append(visitRows[:len(visitRows):len(visitRows)],

@@ -15,15 +15,11 @@ const (
 )
 
 // reshardIndexes are the campaign indexes the reshard sweep covers:
-// every one but P-BwTree, whose fixed 8 MB mapping table makes each
-// cell cost about 0.4 s (3.1 s for its 8 one-writer cells on 2 vCPUs),
-// which would double this package's test time. P-BwTree passes all of
-// its cells; run them with ReshardCampaign("P-BwTree", ranged, policy,
-// ...) when its migration path changes.
+// all of them, or the ordered ones.
 func reshardIndexes(ordered bool) []string {
 	var names []string
 	for _, name := range campaignIndexes {
-		if name != "P-BwTree" && (!ordered || !slices.Contains(core.HashNames, name)) {
+		if !ordered || !slices.Contains(core.HashNames, name) {
 			names = append(names, name)
 		}
 	}

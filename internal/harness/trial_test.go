@@ -31,8 +31,12 @@ func extraSites(p WritePath) []string {
 
 // checkSwept asserts a campaign's rows include every site in want,
 // fired.
-func checkSwept(t *testing.T, fired map[string]bool, want []string) {
+func checkSwept(t *testing.T, rep CampaignReport, want []string) {
 	t.Helper()
+	fired := map[string]bool{}
+	for _, s := range rep.Sites {
+		fired[s.Site] = s.Fired
+	}
 	for _, site := range want {
 		if f, ok := fired[site]; !ok {
 			t.Errorf("campaign did not discover %s", site)
@@ -62,15 +66,13 @@ func TestLossyMatrix(t *testing.T) {
 		if rep.Fired() == 0 {
 			t.Error("no site fired")
 		}
-		fired := map[string]bool{}
 		for _, s := range rep.Sites {
-			fired[s.Site] = s.Fired
 			if !s.Pass() {
 				t.Errorf("site %s: %v lostAcks=%d recoveryViol=%d opViol=%d detail=%s cycle=[%v]",
 					s.Site, s.Outcome, s.LostAcks, s.RecoveryViolations, s.OpViolations, s.Detail, s.Cycle)
 			}
 		}
-		checkSwept(t, fired, append(extraSites(p), extra...))
+		checkSwept(t, rep, append(extraSites(p), extra...))
 	}
 	for _, p := range paths {
 		for _, policy := range pmem.Policies {
@@ -135,14 +137,12 @@ func TestSiteCampaignFiresEverySite(t *testing.T) {
 				if !rep.Pass() {
 					t.Fatalf("campaign failed: %s", rep)
 				}
-				fired := map[string]bool{}
 				for i, s := range rep.Sites {
-					fired[s.Site] = s.Fired
 					if i > 0 && rep.Sites[i-1].Site >= s.Site {
 						t.Fatalf("sites out of order: %q before %q", rep.Sites[i-1].Site, s.Site)
 					}
 				}
-				checkSwept(t, fired, extraSites(p.path))
+				checkSwept(t, rep, extraSites(p.path))
 			})
 		}
 	}
@@ -160,10 +160,10 @@ func hashWith(idx func(*pmem.Heap) core.HashIndex) Build {
 	}
 }
 
-// visitRow is one index's load for the enumeration and the necessity
-// sweep (necessity_test.go): its build, the load and post-crash insert
-// counts, the crash-site visits the load makes at least, and sites it
-// must reach.
+// visitRow is one index's load for the enumeration, the necessity sweep
+// (necessity_test.go) and the late-site campaigns: its build, the load
+// and post-crash insert counts, the crash-site visits the load makes at
+// least, and sites it must reach.
 type visitRow struct {
 	name                 string
 	build                Build
@@ -179,6 +179,7 @@ var visitRows = []visitRow{
 	{"FAST & FAIR", ByName("FAST & FAIR", keys.RandInt), 600, 100, 1313, nil},
 	{"P-HOT", ByName("P-HOT", keys.YCSBString), 400, 80, 835, nil},
 	{"P-Masstree", ByName("P-Masstree", keys.YCSBString), 400, 100, 975, nil},
+	{"P-BwTree", ByName("P-BwTree", keys.RandInt), 500, 80, 585, nil},
 	{"WOART", ByName("WOART", keys.RandInt), 400, 80, 515, nil},
 	{"CCEH", ByName("CCEH", keys.RandInt), 800, 50, 1600, nil},
 	{"Level Hashing", hashWith(func(h *pmem.Heap) core.HashIndex { return levelhash.NewWithBuckets(h, 4) }), 1500, 40, 3014, nil},
@@ -228,21 +229,24 @@ func TestCrashAtEveryVisit(t *testing.T) {
 	}
 }
 
-// TestSiteCampaignCCEHSplits: a load of 5,000 takes CCEH through
-// segment splits (2,000 inserts do not reach the first), and 2,000
-// post-crash inserts split the segment a crash at cceh.split.repointed
-// left half split. Every acknowledged write survives under every
-// image.
-func TestSiteCampaignCCEHSplits(t *testing.T) {
-	for _, policy := range pmem.Policies {
-		rep := SiteCampaign("CCEH", ByName("CCEH", keys.RandInt), syncPath, policy, 42, 5000, 2000, 0)
-		fired := map[string]bool{}
-		for _, s := range rep.Sites {
-			fired[s.Site] = s.Fired
-		}
-		checkSwept(t, fired, []string{"cceh.split.repointed"})
-		if !rep.Pass() {
-			t.Errorf("%v: %s", policy, rep)
+// TestSiteCampaignLateSites: loads that reach sites a small one never
+// does, under every image. 5,000 inserts take CCEH through segment
+// splits, and 2,000 post-crash inserts split the segment a crash at
+// cceh.split.repointed left half split; 4,000 take P-BwTree past its
+// first mapping chunk. Every acknowledged write survives.
+func TestSiteCampaignLateSites(t *testing.T) {
+	for _, row := range []visitRow{
+		{"CCEH", ByName("CCEH", keys.RandInt), 5000, 2000, 0, []string{"cceh.split.repointed"}},
+		{"P-BwTree", ByName("P-BwTree", keys.RandInt), 4000, 100, 0, []string{"bw.chunk.built", "bw.chunk.linked"}},
+	} {
+		for _, policy := range pmem.Policies {
+			t.Run(row.name+"/"+policy.String(), func(t *testing.T) {
+				rep := SiteCampaign(row.name, row.build, syncPath, policy, 42, row.loadN, row.postN, 0)
+				checkSwept(t, rep, row.sites)
+				if !rep.Pass() {
+					t.Error(rep)
+				}
+			})
 		}
 	}
 }

@@ -59,7 +59,18 @@ func capFor(n int) int {
 	}
 }
 
+// nodeBytes is a node's persistent size: a 16-byte header (the ordering
+// word, the prefix) and 9-byte slots, slot i's child pointer at 16+9i
+// and its key byte after it.
 func nodeBytes(capacity int) uintptr { return uintptr(16 + capacity*9) }
+
+// ref is a persistent child reference: the Go slot and the 8-byte word
+// that models it, the root word or a parent node's child pointer.
+type ref struct {
+	p   *any
+	obj pmem.Obj
+	off uintptr
+}
 
 // rootSlot is the tree's only top-level persistent object: the 8-byte
 // root pointer the commit stores write. It exists as its own struct so
@@ -177,7 +188,7 @@ func (idx *Index) Insert(key []byte, value uint64) (err error) {
 		idx.count++
 		return nil
 	}
-	added, err := idx.insert(&idx.slot.root, idx.slot.root, 0, key, value)
+	added, err := idx.insert(ref{&idx.slot.root, idx.rootPM, 0}, 0, key, value)
 	if err != nil {
 		return err
 	}
@@ -191,9 +202,9 @@ func (idx *Index) Insert(key []byte, value uint64) (err error) {
 // (core.PointIndex.Update).
 func (idx *Index) Update(key []byte, value uint64) error { return idx.Insert(key, value) }
 
-// insert descends recursively; slot is the reference holding cur.
-func (idx *Index) insert(slot *any, cur any, depth int, key []byte, value uint64) (bool, error) {
-	switch c := cur.(type) {
+// insert descends recursively from the node or leaf r holds.
+func (idx *Index) insert(r ref, depth int, key []byte, value uint64) (bool, error) {
+	switch c := (*r.p).(type) {
 	case *leaf:
 		if bytes.Equal(c.key, key) {
 			// In-place 8-byte value update, persisted.
@@ -214,8 +225,8 @@ func (idx *Index) insert(slot *any, cur any, depth int, key []byte, value uint64
 		nn.addChild(key[depth+cp], nl)
 		idx.heap.Persist(nn.pm, 0, nodeBytes(capFor(2)))
 		idx.heap.FenceAt("woart.leafsplit.built")
-		*slot = nn
-		idx.heap.Commit(idx.rootPM, 0, 8, "woart.leafsplit.commit")
+		*r.p = nn
+		idx.heap.Commit(r.obj, r.off, 8, "woart.leafsplit.commit")
 		return true, nil
 	case *node:
 		// Prefix mismatch: split the compressed path (two ordered steps
@@ -235,8 +246,8 @@ func (idx *Index) insert(slot *any, cur any, depth int, key []byte, value uint64
 			nn.addChild(key[depth+cp], nl)
 			idx.heap.Persist(nn.pm, 0, nodeBytes(capFor(2)))
 			idx.heap.FenceAt("woart.split.built")
-			*slot = nn
-			idx.heap.Commit(idx.rootPM, 0, 8, "")
+			*r.p = nn
+			idx.heap.Commit(r.obj, r.off, 8, "")
 			c.prefix = append([]byte(nil), c.prefix[cp+1:]...)
 			idx.heap.Commit(c.pm, 0, 16, "woart.split.prefix")
 			return true, nil
@@ -247,7 +258,7 @@ func (idx *Index) insert(slot *any, cur any, depth int, key []byte, value uint64
 		}
 		b := key[depth]
 		if i := c.find(b); i >= 0 {
-			return idx.insert(&c.children[i], c.children[i], depth+1, key, value)
+			return idx.insert(ref{&c.children[i], c.pm, uintptr(16 + 9*i)}, depth+1, key, value)
 		}
 		nl := idx.newLeaf(key, value)
 		c.addChild(b, nl)

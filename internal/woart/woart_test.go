@@ -3,6 +3,7 @@ package woart
 import (
 	"testing"
 
+	"repro/internal/crash"
 	"repro/internal/keys"
 	"repro/internal/pmem"
 )
@@ -52,6 +53,34 @@ func TestPathCompression(t *testing.T) {
 	}
 	if err := idx.Insert([]byte("shared"), 9); err == nil {
 		t.Fatal("prefix key accepted")
+	}
+}
+
+// TestLeafSplitCommitsParentSlot: a leaf split below the root stores
+// the new node into its parent's child slot, so that slot's line is the
+// one the split must commit, not the root word's. With the commit
+// dropped, the line left dirty names what the split committed.
+func TestLeafSplitCommitsParentSlot(t *testing.T) {
+	heap := pmem.New(pmem.Options{Track: true})
+	idx := New(heap)
+	heap.SetInjector(crash.NewDropping("woart.insert.root", 1<<40))
+	mustInsert(t, idx, k64(1<<56), 1)
+	v := heap.Tracker().Check()
+	if len(v) != 1 {
+		t.Fatalf("dropped root commit left %v, want the root word's line", v)
+	}
+	rootLine := v[0].Line
+	heap.SetInjector(nil)
+	mustInsert(t, idx, k64(2<<56), 2) // the root becomes a node
+	inj := crash.NewDropping("woart.leafsplit.commit", 1<<40)
+	heap.SetInjector(inj)
+	mustInsert(t, idx, k64(1<<56|1<<48), 3) // splits the root's leaf child
+	v = heap.Tracker().Check()
+	if inj.Dropped() != 1 || len(v) != 1 {
+		t.Fatalf("%d splits dropped, %v left dirty; want 1 split, 1 line", inj.Dropped(), v)
+	}
+	if v[0].Line == rootLine {
+		t.Fatalf("%v; root word is line %d", v[0], rootLine)
 	}
 }
 
