@@ -599,7 +599,7 @@ func TestInsertFlushCount(t *testing.T) {
 		{"P-BwTree", 2, 2, 48478, 25244, 32798, 11626, 11814, 0, 0},
 		{"P-Masstree", 4, 3, 51372, 36198, 20121, 13446, 25165, 0, 0},
 		{"P-HOT", 2, 2, 88967, 20961, 59594, 9623, 20961, 0, 0},
-		{"WOART", 2, 2, 57135, 30000, 11716, 10868, 10963, 0, 0},
+		{"WOART", 2, 2, 58939, 30000, 12445, 10868, 11484, 0, 0},
 		{"CCEH", 1, 1, 16460, 10081, 0, 0, 20081, 5334, 5334},
 		{"Level Hashing", 1, 1, 17171, 10006, 0, 0, 20006, 5334, 5334},
 		{"P-CLHT", 1, 1, 18970, 11421, 0, 0, 22264, 5334, 5334},

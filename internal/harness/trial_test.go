@@ -180,7 +180,7 @@ var visitRows = []visitRow{
 	{"P-HOT", ByName("P-HOT", keys.YCSBString), 400, 80, 835, nil},
 	{"P-Masstree", ByName("P-Masstree", keys.YCSBString), 400, 100, 975, nil},
 	{"P-BwTree", ByName("P-BwTree", keys.RandInt), 500, 80, 585, nil},
-	{"WOART", ByName("WOART", keys.RandInt), 400, 80, 515, nil},
+	{"WOART", ByName("WOART", keys.RandInt), 400, 80, 525, []string{"woart.grow.built", "woart.grow.commit"}},
 	{"CCEH", ByName("CCEH", keys.RandInt), 800, 50, 1600, nil},
 	{"Level Hashing", hashWith(func(h *pmem.Heap) core.HashIndex { return levelhash.NewWithBuckets(h, 4) }), 1500, 40, 3014, nil},
 	{"P-CLHT", hashWith(func(h *pmem.Heap) core.HashIndex { return clht.NewWithBuckets(h, 2) }), 300, 50, 729,

@@ -57,12 +57,24 @@ func (o Obj) Valid() bool { return o.lines != 0 }
 // Lines returns the number of cache lines the allocation spans.
 func (o Obj) Lines() int { return int(o.lines) }
 
-func (o Obj) line(off uintptr) uint64 { return o.base + uint64(off/LineSize) }
+// line maps off to its line address. An offset past the allocation
+// panics: it would address another object's lines.
+func (o Obj) line(off uintptr) uint64 {
+	if off >= uintptr(o.lines)*LineSize {
+		o.pastEnd(off)
+	}
+	return o.base + uint64(off/LineSize)
+}
+
+// pastEnd panics out of line, so line stays cheap enough to inline.
+func (o Obj) pastEnd(off uintptr) {
+	panic(fmt.Sprintf("pmem: offset %d past a %d-line allocation", off, o.lines))
+}
 
 // Options configures a Heap.
 type Options struct {
 	// Track enables the durability tracker: every store, clwb and
-	// allocation takes a striped lock and a map write (a fence is free).
+	// allocation swaps one atomic state word per line (a fence is free).
 	Track bool
 	// LLC, when non-nil, routes every reported load/store/flush through a
 	// simulated last-level cache.
@@ -386,13 +398,8 @@ func spin(n int) {
 
 var spinSink atomic.Uint64
 
-// trackerShards is the number of independently locked shards in the
-// durability tracker (must be a power of two). Striping by line hash
-// keeps Track-mode multi-thread runs (the §5 durability campaigns,
-// recipesrv's connections) from serialising every store on one lock.
-const trackerShards = 64
-
-// lineState is a non-durable line's state; a durable line has no entry.
+// lineState is a line's state as the tracker reports it; a durable line
+// has none (0).
 type lineState uint8
 
 const (
@@ -403,20 +410,33 @@ const (
 // violationKinds names each state as Violation.Kind reports it.
 var violationKinds = [...]string{lineDirty: "dirty", linePending: "pending"}
 
+// A line's state word is 0 when durable, wordDirty when dirty, and
+// otherwise the stamp of the epoch it was written back in. Stamps cycle
+// through stampPeriod values; the fence that starts each quarter of the
+// cycle retires every stamp but its own epoch's, so no stamp comes round
+// again while a line still holds it.
+const (
+	pageLines   = 4096 // lines per table page
+	wordDirty   = ^uint32(0)
+	stampPeriod = 1 << 31
+	sweepEvery  = stampPeriod / 4
+)
+
+func stamp(epoch uint64) uint32 { return uint32(epoch%stampPeriod) + 1 }
+
+type linePage [pageLines]atomic.Uint32
+
 // Tracker is the shadow state behind the §5 durability test: it records
 // which lines are dirty, which have been written back but not yet fenced,
-// and reports any line that an operation left unprotected. State is
-// sharded by line hash; each line's transitions are serialised by its
-// shard lock, which is all the per-line dirty→pending→durable protocol
-// needs.
+// and reports any line that an operation left unprotected.
 //
-// A fence is one add to epoch and touches no shard, so it costs the same
-// on a heap of one line and of a million. The pending→durable transition
-// it stands for is applied lazily: a shard remembers the epoch its
-// pending lines were written back in, and whoever next takes its lock to
-// flush or to read (hold) retires them first if the epoch has moved on.
-// Every reader goes through hold, so none can tell; a write-back racing
-// a fence lands on one side of it, as it did when fence took the locks.
+// A line address is a dense number from the heap's bump allocator, so a
+// line's state is one atomic word of a paged table indexed by it: a
+// store swaps the word to dirty, a write-back swaps dirty for the current
+// epoch's stamp. A fence is one add to epoch and touches no line, so it
+// costs the same on a heap of one line and of a million: a written-back
+// line reads durable once the epoch has moved past its stamp, and a
+// write-back racing a fence lands on one side of it.
 //
 // The tracker also counts persistence waste: a dry fence orders no
 // write-back (none since the previous fence), a clean write-back
@@ -429,89 +449,88 @@ type Tracker struct {
 	wrote     atomic.Uint64
 	dryFences atomic.Uint64
 	cleanWBs  atomic.Uint64
-	shards    [trackerShards]trackerShard
-}
-
-type trackerShard struct {
-	mu    sync.Mutex
-	lines map[uint64]lineState // the shard's non-durable lines
-	// pend lists the lines written back in epoch, so retiring them costs
-	// what was flushed since the last fence, not what the map holds. A
-	// line stored to again stays listed; hold checks the state.
-	pend  []uint64
-	epoch uint64
-	// dirty counts the shard's lines in lineDirty, written under mu and
-	// read without it, so a boundary check with nothing dirty takes no
-	// lock.
-	dirty atomic.Int64
-	// Pad the 56 bytes above to 128 — the prefetch-pair stride, matching
-	// stripe's padding policy — so adjacent shard locks never share a
-	// paired line.
-	_ [72]byte
+	// dirty counts the words holding wordDirty, so a boundary check with
+	// nothing dirty reads no page.
+	dirty *stripe.Counter
+	pages atomic.Pointer[[]*linePage]
+	grow  sync.Mutex // serialises adding pages
 }
 
 func newTracker() *Tracker {
-	t := &Tracker{}
+	t := &Tracker{dirty: stripe.NewCounter()}
 	t.Reset()
 	return t
 }
 
-// shard maps a line address to its shard; the multiplier scrambles the
-// sequential line addresses the allocator hands out, and the mask takes
-// well-mixed high bits.
-func (t *Tracker) shard(line uint64) *trackerShard {
-	return &t.shards[(line*0x9E3779B97F4A7C15)>>32&(trackerShards-1)]
-}
-
-// hold locks s and retires the pending lines a fence has covered since
-// they were written back.
-func (t *Tracker) hold(s *trackerShard) {
-	s.mu.Lock()
-	if e := t.epoch.Load(); e != s.epoch {
-		for _, l := range s.pend {
-			if s.lines[l] == linePending {
-				delete(s.lines, l)
-			}
+// word returns line l's state word, adding the pages up to it on first
+// touch.
+func (t *Tracker) word(l uint64) *atomic.Uint32 {
+	i, p := l/pageLines, *t.pages.Load()
+	if i >= uint64(len(p)) {
+		t.grow.Lock()
+		q := *t.pages.Load()
+		for i >= uint64(len(q)) {
+			q = append(q, new(linePage))
 		}
-		s.pend, s.epoch = s.pend[:0], e
+		t.pages.Store(&q)
+		t.grow.Unlock()
+		p = q
 	}
+	return &p[i][l%pageLines]
 }
 
 func (t *Tracker) dirtyRange(o Obj, off, size uintptr) {
+	var n uint64
 	for l, last := o.line(off), o.line(off+size-1); l <= last; l++ {
-		s := t.shard(l)
-		s.mu.Lock()
-		if s.lines[l] != lineDirty { // also when pending: a store after clwb re-dirties the line
-			s.lines[l] = lineDirty
-			s.dirty.Add(1)
+		if t.word(l).Swap(wordDirty) != wordDirty { // also when pending: a store after clwb re-dirties the line
+			n++
 		}
-		s.mu.Unlock()
+	}
+	if n != 0 {
+		t.dirty.Add(n)
 	}
 }
 
 func (t *Tracker) flushRange(o Obj, off, size uintptr) {
 	// Mark the epoch as written back. The load keeps every later
 	// write-back of the same epoch from storing to the shared line.
-	if e := t.epoch.Load() + 1; t.wrote.Load() != e {
-		t.wrote.Store(e)
+	e := t.epoch.Load()
+	if t.wrote.Load() != e+1 {
+		t.wrote.Store(e + 1)
 	}
+	var n, clean uint64
 	for l, last := o.line(off), o.line(off+size-1); l <= last; l++ {
-		s := t.shard(l)
-		t.hold(s)
-		if s.lines[l] == lineDirty {
-			s.lines[l] = linePending
-			s.dirty.Add(-1)
-			s.pend = append(s.pend, l)
+		if t.word(l).CompareAndSwap(wordDirty, stamp(e)) {
+			n++
 		} else {
-			t.cleanWBs.Add(1)
+			clean++
 		}
-		s.mu.Unlock()
+	}
+	if n != 0 {
+		t.dirty.Add(-n)
+	}
+	if clean != 0 {
+		t.cleanWBs.Add(clean)
 	}
 }
 
 func (t *Tracker) fence() {
-	if t.wrote.Load() != t.epoch.Add(1) {
+	e := t.epoch.Add(1)
+	if t.wrote.Load() != e {
 		t.dryFences.Add(1)
+	}
+	if e%sweepEvery != 0 {
+		return
+	}
+	// Every stamp but e's is durable. A write-back that read the epoch
+	// before this fence and stores after the sweep passes it is retired
+	// by the next sweep, a quarter of the cycle before its stamp recurs.
+	for _, pg := range *t.pages.Load() {
+		for j := range pg {
+			if w := pg[j].Load(); w != 0 && w != wordDirty && w != stamp(e) {
+				pg[j].CompareAndSwap(w, 0)
+			}
+		}
 	}
 }
 
@@ -535,71 +554,52 @@ func (v Violation) String() string {
 	return fmt.Sprintf("line %d left %s", v.Line, v.Kind)
 }
 
+// scan calls f, in line order, for every line that is not durable at
+// this instant. With no line dirty and a fence since the last
+// write-back, there is none, and it reads no page.
+func (t *Tracker) scan(f func(l uint64, st lineState)) {
+	if t.wrote.Load() <= t.epoch.Load() && t.dirty.Load() == 0 {
+		return
+	}
+	cur := stamp(t.epoch.Load())
+	for i, pg := range *t.pages.Load() {
+		for j := range pg {
+			switch pg[j].Load() {
+			case wordDirty:
+				f(uint64(i*pageLines+j), lineDirty)
+			case cur:
+				f(uint64(i*pageLines+j), linePending)
+			}
+		}
+	}
+}
+
 // snapshot returns every line that is not durable at this instant.
 func (t *Tracker) snapshot() map[uint64]lineState {
 	out := make(map[uint64]lineState)
-	for i := range t.shards {
-		s := &t.shards[i]
-		t.hold(s)
-		for l, st := range s.lines {
-			out[l] = st
-		}
-		s.mu.Unlock()
-	}
+	t.scan(func(l uint64, st lineState) { out[l] = st })
 	return out
 }
 
-// Check returns the lines that are not durable at this instant. A
-// correctly converted index has an empty result at every operation
-// boundary.
-func (t *Tracker) Check() []Violation {
-	var out []Violation
-	for l, st := range t.snapshot() {
-		out = append(out, Violation{Line: l, Kind: violationKinds[st]})
-	}
+// Check returns the lines that are not durable at this instant, in line
+// order. A correctly converted index has an empty result at every
+// operation boundary.
+func (t *Tracker) Check() (out []Violation) {
+	t.scan(func(l uint64, st lineState) { out = append(out, Violation{l, violationKinds[st]}) })
 	return out
 }
 
 // NotDurable returns the number of lines Check would report, without
-// building the list: what an operation-boundary check needs. With no
-// line dirty and a fence since the last write-back, every line a shard
-// still holds is pending under a retired epoch, so the answer is 0
-// without a lock.
+// building the list: what an operation-boundary check needs.
 func (t *Tracker) NotDurable() (n int) {
-	if t.settled() {
-		return 0
-	}
-	for i := range t.shards {
-		s := &t.shards[i]
-		t.hold(s)
-		n += len(s.lines)
-		s.mu.Unlock()
-	}
+	t.scan(func(uint64, lineState) { n++ })
 	return n
 }
 
-// settled reports that no line is dirty and no write-back has followed
-// the last fence.
-func (t *Tracker) settled() bool {
-	if t.wrote.Load() > t.epoch.Load() {
-		return false
-	}
-	for i := range t.shards {
-		if t.shards[i].dirty.Load() != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Reset clears the shadow state (e.g. between test phases). The waste
-// counts are cumulative, like the heap's Stats, and survive it.
+// Reset clears the shadow state (e.g. between test phases), dropping
+// the table. The waste counts are cumulative, like the heap's Stats, and
+// survive it.
 func (t *Tracker) Reset() {
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		s.lines, s.pend = make(map[uint64]lineState), nil
-		s.dirty.Store(0)
-		s.mu.Unlock()
-	}
+	t.pages.Store(new([]*linePage))
+	t.dirty.Reset()
 }

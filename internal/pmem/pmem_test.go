@@ -138,6 +138,30 @@ func TestViolationString(t *testing.T) {
 	}
 }
 
+// TestRangePastAllocationPanics: a range that reaches past the object's
+// lines would address the next object's, so every verb that maps one
+// refuses it.
+func TestRangePastAllocationPanics(t *testing.T) {
+	h := New(Options{Track: true, LLC: cachesim.New(cachesim.Config{CapacityBytes: 1 << 16, Ways: 4})})
+	o := h.Alloc(8)
+	for name, f := range map[string]func(){
+		"Persist": func() { h.Persist(o, 64, 8) },
+		"Dirty":   func() { h.Dirty(o, 60, 8) },
+		"Commit":  func() { h.Commit(o, 56, 16, "") },
+		"Load":    func() { h.Load(o, 64, 1) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s past a one-line allocation did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+	h.PersistFence(o, 0, 64) // the whole line is in range
+}
+
 func TestLLCIntegration(t *testing.T) {
 	llc := cachesim.New(cachesim.Config{CapacityBytes: 1 << 16, Ways: 4})
 	h := New(Options{LLC: llc})

@@ -18,7 +18,8 @@
 // the Go object that allocation models:
 //
 //   - Shadow(obj, ptr) registers a struct-backed allocation (a node).
-//     Its image is one typed shallow copy of the struct.
+//     Its image is one typed copy of the struct, the elements of its
+//     slice fields included.
 //   - ShadowSlice(obj, slice, elemBytes) registers a slice-backed
 //     allocation (a bucket array, a mapping table) together with the
 //     abstract layout's element stride. Because the stride gives a real
@@ -63,6 +64,7 @@ import (
 	"reflect"
 	"sort"
 	"sync"
+	"unsafe"
 )
 
 // Policy selects what a power cycle does with lines that were written
@@ -270,7 +272,7 @@ func (s *shadowState) capture(o Obj, off, size uintptr, t *Tracker) {
 		if !so.pending.IsValid() {
 			so.pending = reflect.New(so.target.Type()).Elem()
 		}
-		so.pending.Set(so.target)
+		setImage(so.pending, so.target)
 	}
 	if !so.queued {
 		so.queued = true
@@ -290,15 +292,35 @@ func (s *shadowState) captureTainted(so *shadowObj, o Obj, off, size uintptr, t 
 		if l >= first && l <= last {
 			continue
 		}
-		sh := t.shard(l)
-		sh.mu.Lock()
-		d := sh.lines[l] == lineDirty
-		sh.mu.Unlock()
-		if d {
+		if t.word(l).Load() == wordDirty {
 			return true
 		}
 	}
 	return false
+}
+
+// setImage sets dst to src, copying the elements of each slice-typed
+// field into a fresh backing array, so that no image shares an array with
+// the live object and an element store reverts like any other store.
+// Fields are copied one level deep: the elements themselves are copied
+// as values.
+func setImage(dst, src reflect.Value) {
+	dst.Set(src)
+	if dst.Kind() != reflect.Struct {
+		return
+	}
+	for i := 0; i < dst.NumField(); i++ {
+		f := dst.Field(i)
+		if f.Kind() != reflect.Slice || f.IsNil() {
+			continue
+		}
+		// An unexported field is read-only through reflect; its address
+		// gives a settable view of the same memory.
+		f = reflect.NewAt(f.Type(), unsafe.Pointer(f.UnsafeAddr())).Elem()
+		c := reflect.MakeSlice(f.Type(), f.Len(), f.Len())
+		reflect.Copy(c, f)
+		f.Set(c)
+	}
 }
 
 // elemRange maps an abstract byte range of the allocation to the slice
@@ -330,7 +352,7 @@ func (s *shadowState) promote() {
 			if !so.durable.IsValid() {
 				so.durable = reflect.New(so.target.Type()).Elem()
 			}
-			so.durable.Set(so.pending)
+			setImage(so.durable, so.pending)
 		}
 		so.queued = false
 	}
@@ -465,12 +487,12 @@ func (h *Heap) cycleStruct(so *shadowObj, policy Policy, rng *rand.Rand, lines m
 		if !so.durable.IsValid() {
 			so.durable = reflect.New(so.target.Type()).Elem()
 		}
-		so.durable.Set(so.target)
+		setImage(so.durable, so.target)
 		return
 	}
 	rep.Reverted++
 	if so.durable.IsValid() {
-		so.target.Set(so.durable)
+		setImage(so.target, so.durable)
 	} else {
 		// Never persisted at all: power loss leaves uninitialised memory,
 		// modelled as the zero value.

@@ -116,6 +116,30 @@ func TestPowerCyclePolicyOnPending(t *testing.T) {
 	}
 }
 
+// A struct image holds its slice fields' elements, not their headers: an
+// element stored to and never written back reverts like a field does.
+func TestPowerCycleRevertsStructSliceElement(t *testing.T) {
+	type slots struct{ v []uint64 }
+	h := shadowHeap()
+	defer h.Release()
+	n := &slots{v: []uint64{1, 2, 3}}
+	o := h.Alloc(24)
+	h.Shadow(o, n)
+	h.PersistFence(o, 0, 24) // durable baseline {1, 2, 3}
+	n.v[1] = 99
+	h.Dirty(o, 8, 8) // stored, never clwb'd
+	h.PowerCycle(PolicyRevert, 1)
+	if n.v[1] != 2 {
+		t.Fatalf("element reads %v after the revert, want [1 2 3]", n.v)
+	}
+	n.v[1] = 77 // a store into the restored array must not reach the baseline
+	h.Dirty(o, 8, 8)
+	h.PowerCycle(PolicyRevert, 1)
+	if n.v[1] != 2 {
+		t.Fatalf("element reads %v after the second revert, want [1 2 3]", n.v)
+	}
+}
+
 // An object that was allocated and stored to but never persisted at all
 // zero-fills on power loss — there is no durable image to revert to.
 func TestPowerCycleZeroFillsNeverPersisted(t *testing.T) {

@@ -254,26 +254,22 @@ func runTrackerSequence(t *testing.T, shadow bool, seed int64, steps int) {
 	}
 }
 
-// TestTrackerLazyDropSameShard is the case a lazy fence could get
-// wrong: line X is written back and fenced, then line Y of the same
-// shard is written back and not fenced. Retiring X happens on the same
-// lock hold that makes Y pending; Y must survive it.
-func TestTrackerLazyDropSameShard(t *testing.T) {
+// TestTrackerFenceRetiresOnlyEarlierWriteBacks: line X is written back
+// and fenced, then line Y is written back and not fenced. The fence made
+// X durable and must leave Y pending; a store to X after its fence
+// re-dirties it, and the next fence retires Y but not X.
+func TestTrackerFenceRetiresOnlyEarlierWriteBacks(t *testing.T) {
 	h := New(Options{Track: true})
 	tr := h.Tracker()
-	x := h.Alloc(LineSize)
-	var y Obj
-	for y = h.Alloc(LineSize); tr.shard(y.base) != tr.shard(x.base); y = h.Alloc(LineSize) {
-		h.PersistFence(y, 0, LineSize)
-	}
+	x, y := h.Alloc(LineSize), h.Alloc(LineSize)
 	h.Persist(x, 0, LineSize) // X pending in epoch e
-	h.Fence()                 // X durable; its shard has not heard yet
-	h.Persist(y, 0, LineSize) // Y pending in epoch e+1, on the hold that retires X
+	h.Fence()                 // X durable
+	h.Persist(y, 0, LineSize) // Y pending in epoch e+1
 	v := tr.Check()
 	if len(v) != 1 || v[0].Line != y.base || v[0].Kind != "pending" {
 		t.Fatalf("want only line %d pending, got %v", y.base, v)
 	}
-	h.Dirty(x, 0, 8) // re-dirtied after its fence: must not be retired as stale
+	h.Dirty(x, 0, 8) // re-dirtied after its fence: must not read durable
 	h.Fence()
 	v = tr.Check()
 	if len(v) != 1 || v[0].Line != x.base || v[0].Kind != "dirty" {
@@ -281,11 +277,48 @@ func TestTrackerLazyDropSameShard(t *testing.T) {
 	}
 }
 
+// TestTrackerStampWrap drives the epoch across every sweep point of the
+// stamp cycle and across its wrap, against the eager model. Storing the
+// epoch stands in for the fences between two sweep points, none of which
+// sweeps, so the test stops just below each one: write back, fence,
+// write back again, fence. Line X, durable since epoch 1, shares its
+// stamp with the epoch after the wrap; a wrapped stamp must never turn
+// it pending again.
+func TestTrackerStampWrap(t *testing.T) {
+	h := New(Options{Track: true})
+	defer h.Release()
+	model := newEagerTracker()
+	x, y := h.Alloc(LineSize), h.Alloc(LineSize)
+	model.dirtyRange(x, 0, LineSize)
+	model.dirtyRange(y, 0, LineSize)
+	step := 0
+	do := func(what string, f func()) {
+		t.Helper()
+		f()
+		checkAgainst(t, step, what, h, model)
+		step++
+	}
+	writeBack := func(o Obj) func() {
+		return func() { h.Persist(o, 0, LineSize); model.flushRange(o, 0, LineSize) }
+	}
+	fence := func() { h.Fence(); model.fence() }
+	do("write back X", writeBack(x))
+	do("fence", fence)
+	for b := uint64(sweepEvery); b <= 2*stampPeriod; b += sweepEvery {
+		h.Tracker().epoch.Store(b - 1)
+		do("write back Y below the sweep point", writeBack(y))
+		do("fence onto the sweep point", fence)
+		do("store to Y", func() { h.Dirty(y, 0, 8); model.dirtyRange(y, 0, 8) })
+		do("write back Y again", writeBack(y))
+		do("fence past the sweep point", fence)
+	}
+}
+
 // BenchmarkTrackerPersistFence is BenchmarkPersistFenceFastHeap on a
 // Track heap whose tracker has already seen `tracked` other lines go
 // dirty → pending → durable. ns/op must not depend on that number: a
-// fence is an epoch bump, and a write-back retires only what its own
-// shard flushed since the last fence.
+// fence is an epoch bump, and a store or write-back touches its own
+// lines' words only.
 func BenchmarkTrackerPersistFence(b *testing.B) {
 	for _, tracked := range []int{1, 1_000, 1_000_000} {
 		b.Run(fmt.Sprintf("tracked=%d", tracked), func(b *testing.B) {

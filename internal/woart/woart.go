@@ -29,11 +29,13 @@ import (
 var ErrEmptyKey = errors.New("woart: empty key")
 
 // node is a simplified adaptive radix node: a sorted array of byte-keyed
-// slots that grows 4 -> 16 -> 48 -> 256 in capacity, plus a compressed
-// prefix. Single-writer discipline (the global lock) removes the need for
-// per-node synchronisation.
+// slots, plus a compressed prefix. Its allocation holds slots slots, a
+// capacity class 4, 16, 48 or 256; an insert past it grows the node
+// copy-on-write into the next class. Single-writer discipline (the global
+// lock) removes the need for per-node synchronisation.
 type node struct {
 	pm       pmem.Obj
+	slots    int
 	prefix   []byte
 	depth    int // key depth of this node's branch byte
 	keys     []byte
@@ -119,11 +121,11 @@ func (idx *Index) newLeaf(key []byte, value uint64) *leaf {
 	return l
 }
 
-// newNode allocates a node; the caller writes it back once its first
-// children are in, before linking it.
-func (idx *Index) newNode(prefix []byte, depth int) *node {
-	n := &node{prefix: append([]byte(nil), prefix...), depth: depth}
-	n.pm = idx.heap.Alloc(nodeBytes(4))
+// newNode allocates a node of slots slots; the caller writes it back
+// once its children are in, before linking it.
+func (idx *Index) newNode(prefix []byte, depth, slots int) *node {
+	n := &node{slots: slots, prefix: append([]byte(nil), prefix...), depth: depth}
+	n.pm = idx.heap.Alloc(nodeBytes(slots))
 	idx.heap.Shadow(n.pm, n)
 	return n
 }
@@ -219,7 +221,7 @@ func (idx *Index) insert(r ref, depth int, key []byte, value uint64) (bool, erro
 		if depth+cp == len(key) || depth+cp == len(c.key) {
 			return false, errors.New("woart: key is a prefix of an existing key")
 		}
-		nn := idx.newNode(key[depth:depth+cp], depth+cp)
+		nn := idx.newNode(key[depth:depth+cp], depth+cp, 4)
 		nl := idx.newLeaf(key, value)
 		nn.addChild(c.key[depth+cp], c)
 		nn.addChild(key[depth+cp], nl)
@@ -240,7 +242,7 @@ func (idx *Index) insert(r ref, depth int, key []byte, value uint64) (bool, erro
 			if depth+cp >= len(key) {
 				return false, errors.New("woart: key is a prefix of an existing key")
 			}
-			nn := idx.newNode(c.prefix[:cp], depth+cp)
+			nn := idx.newNode(c.prefix[:cp], depth+cp, 4)
 			nl := idx.newLeaf(key, value)
 			nn.addChild(c.prefix[cp], c)
 			nn.addChild(key[depth+cp], nl)
@@ -261,6 +263,19 @@ func (idx *Index) insert(r ref, depth int, key []byte, value uint64) (bool, erro
 			return idx.insert(ref{&c.children[i], c.pm, uintptr(16 + 9*i)}, depth+1, key, value)
 		}
 		nl := idx.newLeaf(key, value)
+		if len(c.keys) == c.slots {
+			// Full: build the next capacity class beside it, write it back
+			// whole, and store it through the slot that holds c.
+			g := idx.newNode(c.prefix, c.depth, capFor(c.slots+1))
+			g.keys = append(g.keys, c.keys...)
+			g.children = append(g.children, c.children...)
+			g.addChild(b, nl)
+			idx.heap.Persist(g.pm, 0, nodeBytes(g.slots))
+			idx.heap.FenceAt("woart.grow.built")
+			*r.p = g
+			idx.heap.Commit(r.obj, r.off, 8, "woart.grow.commit")
+			return true, nil
+		}
 		c.addChild(b, nl)
 		// WOART: persist the slot array, fence, then store and persist the
 		// ordering word.

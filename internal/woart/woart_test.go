@@ -84,6 +84,38 @@ func TestLeafSplitCommitsParentSlot(t *testing.T) {
 	}
 }
 
+// TestDroppedSlotCommitLosesTheInsert: with a below-root leaf split's
+// slot commit dropped, a power cycle right after the acknowledged insert
+// reverts the parent's slot to the leaf it held, so the insert is lost.
+// The restart image copies a node's slice elements, so a store into
+// children[i] reverts like any other.
+func TestDroppedSlotCommitLosesTheInsert(t *testing.T) {
+	heap := pmem.New(pmem.Options{Shadow: true})
+	defer heap.Release()
+	idx := New(heap)
+	mustInsert(t, idx, k64(1<<56), 1)
+	mustInsert(t, idx, k64(2<<56), 2) // the root becomes a node
+	inj := crash.NewDropping("woart.leafsplit.commit", 1<<40)
+	heap.SetInjector(inj)
+	mustInsert(t, idx, k64(1<<56|1<<48), 3) // splits the root's leaf child: acknowledged
+	heap.SetInjector(nil)
+	if inj.Dropped() != 1 {
+		t.Fatalf("%d split commits dropped, want 1", inj.Dropped())
+	}
+	heap.PowerCycle(pmem.PolicyRevert, 1)
+	if err := idx.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := idx.Lookup(k64(1<<56 | 1<<48)); ok {
+		t.Fatalf("the insert whose slot commit was dropped reads %d after the revert; want it lost", v)
+	}
+	for _, k := range []uint64{1, 2} {
+		if v, ok := idx.Lookup(k64(k << 56)); !ok || v != k {
+			t.Fatalf("key %d reads %d, %v after the revert", k, v, ok)
+		}
+	}
+}
+
 func BenchmarkInsert(b *testing.B) {
 	idx := newIdx()
 	b.ResetTimer()
